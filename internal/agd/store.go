@@ -1,7 +1,9 @@
 package agd
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -215,22 +217,40 @@ func (s *DirStore) Delete(name string) error {
 	return fmt.Errorf("delete %q: %w", name, err)
 }
 
-// List implements BlobStore.
+// List implements BlobStore. Only the deepest directory that prefix names is
+// walked, and beneath it only the subtrees that can hold a match, so the cost
+// follows what is listed, not what the store holds. A directory that does not
+// exist lists as empty.
 func (s *DirStore) List(prefix string) ([]string, error) {
+	start := s.root
+	if i := strings.LastIndexByte(prefix, '/'); i >= 0 {
+		dir := filepath.FromSlash(prefix[:i])
+		if !filepath.IsLocal(dir) {
+			return nil, nil // blob names never leave the root, so nothing matches
+		}
+		start = filepath.Join(s.root, dir)
+	}
 	var names []string
-	err := filepath.Walk(s.root, func(path string, info os.FileInfo, err error) error {
-		if err != nil || info.IsDir() {
+	err := filepath.WalkDir(start, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			if path == start && errors.Is(err, fs.ErrNotExist) {
+				return filepath.SkipAll
+			}
 			return err
 		}
 		rel, err := filepath.Rel(s.root, path)
 		if err != nil {
 			return err
 		}
-		if isTempName(filepath.Base(path)) {
-			return nil // in-flight or crashed Put temp, not a blob
-		}
 		name := filepath.ToSlash(rel)
-		if strings.HasPrefix(name, prefix) {
+		switch {
+		case d.IsDir():
+			if path != start && !strings.HasPrefix(name+"/", prefix) {
+				return filepath.SkipDir
+			}
+		case isTempName(d.Name()):
+			// in-flight or crashed Put temp, not a blob
+		case strings.HasPrefix(name, prefix):
 			names = append(names, name)
 		}
 		return nil

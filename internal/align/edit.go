@@ -4,7 +4,8 @@ package align
 // bounded edit-distance computation — the "short but frequent calls to a
 // local alignment edit distance function" that make it core-bound (§6). The
 // hot path uses the Landau-Vishkin diagonal algorithm (distance only); the
-// winning candidate is re-aligned with a banded DP to recover the CIGAR.
+// winning candidate's CIGAR is recovered by a banded DP no wider than the
+// distance Landau-Vishkin verified.
 
 // EditDistance computes the unbounded Levenshtein distance between query
 // and ref with full dynamic programming. O(len(query)·len(ref)); used as
@@ -183,6 +184,12 @@ type BandedScratch struct {
 }
 
 // BoundedAlign is the package-level BoundedAlign computing into the scratch.
+//
+// Every cell on an alignment path of cost c lies within c of the main
+// diagonal, so for any maxK at or above the true distance the distance, the
+// chosen reference end and the traceback are the same: a caller that already
+// knows the distance (SNAP's Landau-Vishkin pass) passes it as maxK and pays
+// for a band that wide, not for its configured maximum.
 func (s *BandedScratch) BoundedAlign(query, ref []byte, maxK int) (dist int, cigar Cigar, refUsed int) {
 	m := len(query)
 	if m == 0 {
@@ -193,94 +200,76 @@ func (s *BandedScratch) BoundedAlign(query, ref []byte, maxK int) (dist int, cig
 	}
 	w := 2*maxK + 1
 	const inf = 1 << 29
-	// dp[i*w + (j-i+maxK)] = distance aligning query[:i] with ref[:j].
+	// Row i holds dp[i][j] = distance aligning query[:i] with ref[:j] at band
+	// index d = j-i+maxK. Within a row only d in [dLo, dHi] (0 <= j <=
+	// len(ref)) is written, and a cell reads only written neighbours or the
+	// band edge (taken as inf), so the table is never pre-filled.
 	need := (m + 1) * w
 	if cap(s.dp) < need {
 		s.dp = make([]int32, need)
 	}
 	dp := s.dp[:need]
-	for i := range dp {
-		dp[i] = inf
+	for d := maxK; d < w && d-maxK <= len(ref); d++ {
+		dp[d] = int32(d - maxK) // row 0: leading deletions
 	}
-	at := func(i, j int) int32 {
-		d := j - i + maxK
-		if d < 0 || d >= w || j < 0 || j > len(ref) {
-			return inf
-		}
-		return dp[i*w+d]
-	}
-	set := func(i, j int, v int32) {
-		dp[i*w+(j-i+maxK)] = v
-	}
-	for j := 0; j <= maxK && j <= len(ref); j++ {
-		set(0, j, int32(j)) // leading deletions
-	}
+	dLo, dHi := 0, 0
 	for i := 1; i <= m; i++ {
-		lo, hi := i-maxK, i+maxK
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > len(ref) {
-			hi = len(ref)
-		}
-		for j := lo; j <= hi; j++ {
+		prev, cur := dp[(i-1)*w:i*w], dp[i*w:(i+1)*w]
+		dLo, dHi = max(0, maxK-i), min(w-1, len(ref)-i+maxK)
+		for d := dLo; d <= dHi; d++ {
 			best := int32(inf)
-			if j > 0 {
-				cost := int32(1)
-				if query[i-1] == ref[j-1] {
-					cost = 0
+			if j := i + d - maxK; j > 0 {
+				best = prev[d] // diagonal: match or substitution
+				if query[i-1] != ref[j-1] {
+					best++
 				}
-				if v := at(i-1, j-1) + cost; v < best {
-					best = v
-				}
-				if v := at(i, j-1) + 1; v < best { // deletion (ref consumed)
-					best = v
+				if d > 0 && cur[d-1]+1 < best { // deletion (ref consumed)
+					best = cur[d-1] + 1
 				}
 			}
-			if v := at(i-1, j) + 1; v < best { // insertion (query consumed)
-				best = v
+			if d+1 < w && prev[d+1]+1 < best { // insertion (query consumed)
+				best = prev[d+1] + 1
 			}
-			set(i, j, best)
+			cur[d] = best
 		}
 	}
 	// Answer: best dp[m][j] over the band; trailing ref is free.
-	bestJ, bestD := -1, int32(inf)
-	for j := m - maxK; j <= m+maxK; j++ {
-		if j < 0 || j > len(ref) {
-			continue
-		}
-		if v := at(m, j); v < bestD {
-			bestD, bestJ = v, j
+	last := dp[m*w:]
+	bestD, bestAt := int32(inf), -1
+	for d := dLo; d <= dHi; d++ {
+		if last[d] < bestD {
+			bestD, bestAt = last[d], d
 		}
 	}
 	if bestD > int32(maxK) {
 		return -1, nil, 0
 	}
+	bestJ := m + bestAt - maxK
 
-	// Traceback.
+	// Traceback, preferring diagonal, then insertion, then deletion.
 	rev := s.rev[:0]
-	i, j := m, bestJ
-	for i > 0 || j > 0 {
-		v := at(i, j)
+	i, d := m, bestAt
+	for j := bestJ; i > 0 || j > 0; {
+		v := dp[i*w+d]
 		if i > 0 && j > 0 {
 			cost := int32(1)
 			if query[i-1] == ref[j-1] {
 				cost = 0
 			}
-			if at(i-1, j-1)+cost == v {
+			if dp[(i-1)*w+d]+cost == v {
 				rev = append(rev, CigarElem{Len: 1, Op: CigarMatch})
 				i, j = i-1, j-1
 				continue
 			}
 		}
-		if i > 0 && at(i-1, j)+1 == v {
+		if i > 0 && d+1 < w && dp[(i-1)*w+d+1]+1 == v {
 			rev = append(rev, CigarElem{Len: 1, Op: CigarIns})
-			i--
+			i, d = i-1, d+1
 			continue
 		}
-		if j > 0 && at(i, j-1)+1 == v {
+		if j > 0 && d > 0 && dp[i*w+d-1]+1 == v {
 			rev = append(rev, CigarElem{Len: 1, Op: CigarDel})
-			j--
+			j, d = j-1, d-1
 			continue
 		}
 		// Unreachable given a consistent DP table.

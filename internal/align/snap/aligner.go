@@ -58,22 +58,15 @@ type Aligner struct {
 	cfg Config
 
 	// scratch
-	rc       []byte
+	rc       [2][]byte // reverse complements, one per read of a pair
 	cands    []candidate
-	keys     []candKey
 	lv       align.LVScratch
 	banded   align.BandedScratch
+	exact    [1]align.CigarElem // the nM CIGAR of a distance-0 hit
 	cigarBuf []byte
 	cigarTab map[string]string
 	scoreBuf [2][]scored
 	counts   Stats
-}
-
-// candKey is one candidate occurrence gathered from seed lookups before
-// deduplication: the (position, strand) key plus the order it was seen in.
-type candKey struct {
-	key int64 // pos<<1 | rc
-	seq int32
 }
 
 // maxCigarTab bounds the interned-CIGAR table. Real read sets repeat a small
@@ -104,7 +97,6 @@ func NewAligner(idx *Index, cfg Config) *Aligner {
 		idx:      idx,
 		cfg:      c,
 		cands:    make([]candidate, 0, c.MaxCandidates*2),
-		keys:     make([]candKey, 0, 256),
 		cigarBuf: make([]byte, 0, 64),
 		cigarTab: make(map[string]string, 64),
 	}
@@ -126,7 +118,7 @@ func (a *Aligner) AlignRead(bases []byte) agd.Result {
 		}
 	}
 	a.counts.Aligned++
-	return a.finish(bases, *bestCand, best, second, bestCount)
+	return a.finish(0, bases, *bestCand, best, second, bestCount)
 }
 
 // findBest gathers and verifies candidates for both strands, returning the
@@ -134,7 +126,7 @@ func (a *Aligner) AlignRead(bases []byte) agd.Result {
 // best, and the best candidate.
 func (a *Aligner) findBest(bases []byte) (best, second, bestCount int, bestCand *candidate) {
 	cfg := a.cfg
-	rcBases := a.gatherCandidates(bases)
+	rcBases := a.gatherCandidates(0, bases)
 	best, second = cfg.MaxDist+1, -1
 	bestCount = 0
 	for i := range a.cands {
@@ -173,71 +165,64 @@ func (a *Aligner) findBest(bases []byte) (best, second, bestCount int, bestCand 
 	return best, second, bestCount, bestCand
 }
 
-// gatherCandidates fills a.cands with deduplicated candidate positions from
-// seeds at several offsets, for forward and reverse-complement orientations.
-// It returns the reverse complement of bases (backed by the a.rc scratch, so
-// valid until the next reverseComplement call) for callers to verify rc
-// candidates without recomputing it.
-//
-// Deduplication runs on a reused sorted slice instead of a hash set: all
-// occurrences are collected with their arrival order, sorted by (key, order),
-// uniqued keeping each key's first occurrence, and re-sorted by order — the
-// same first-seen candidate sequence a map would produce, with zero
-// steady-state allocation and no per-occurrence hashing.
-func (a *Aligner) gatherCandidates(bases []byte) []byte {
+// gatherCandidates fills a.cands with the distinct candidate positions that
+// seeds at every SeedStride-th read offset vote for, forward strand first,
+// each strand in offset order, capped at MaxCandidates*2. It returns the
+// reverse complement of bases, kept in a.rc[which] until the next call with
+// the same which, so verify and finish reuse it.
+func (a *Aligner) gatherCandidates(which int, bases []byte) []byte {
 	a.cands = a.cands[:0]
-	a.keys = a.keys[:0]
-	rc := a.reverseComplement(bases)
-	seedLen := a.idx.seedLen
-	if len(bases) < seedLen {
-		return rc
-	}
-	for _, dir := range [2]struct {
-		seq []byte
-		rc  bool
-	}{{bases, false}, {rc, true}} {
-		lastOffset := len(dir.seq) - seedLen
-		for off := 0; ; off += a.cfg.SeedStride {
-			if off > lastOffset {
-				break
-			}
-			a.counts.SeedLookups++
-			for _, loc := range a.idx.Lookup(dir.seq, off) {
-				pos := int64(loc) - int64(off)
-				if pos < 0 || pos+int64(len(dir.seq)) > a.idx.gen.Len()+int64(a.cfg.MaxDist) {
-					continue
-				}
-				// Key forward and rc candidates separately.
-				key := pos<<1 | int64(b2i(dir.rc))
-				a.keys = append(a.keys, candKey{key: key, seq: int32(len(a.keys))})
-			}
+	rc := genome.ReverseComplementScratch(a.rc[which], bases)
+	a.rc[which] = rc
+	if lastOffset := len(bases) - a.idx.seedLen; lastOffset >= 0 {
+		// Counted per sampled offset of both strands, whether or not the
+		// candidate cap cuts the scan short.
+		a.counts.SeedLookups += 2 * int64(lastOffset/a.cfg.SeedStride+1)
+		if a.seedStrand(bases, false) {
+			a.seedStrand(rc, true)
 		}
-	}
-
-	slices.SortFunc(a.keys, func(x, y candKey) int {
-		if x.key != y.key {
-			if x.key < y.key {
-				return -1
-			}
-			return 1
-		}
-		return int(x.seq) - int(y.seq)
-	})
-	uniq := a.keys[:0]
-	for _, k := range a.keys {
-		if len(uniq) > 0 && k.key == uniq[len(uniq)-1].key {
-			continue
-		}
-		uniq = append(uniq, k)
-	}
-	slices.SortFunc(uniq, func(x, y candKey) int { return int(x.seq) - int(y.seq) })
-	for _, k := range uniq {
-		if len(a.cands) >= a.cfg.MaxCandidates*2 {
-			break
-		}
-		a.cands = append(a.cands, candidate{pos: k.key >> 1, rc: k.key&1 != 0})
 	}
 	return rc
+}
+
+// seedStrand adds the candidates of one strand, rolling the 2-bit seed key
+// across seq so each base is encoded once. It reports whether the candidate
+// cap still has room.
+func (a *Aligner) seedStrand(seq []byte, rc bool) bool {
+	seedLen := a.idx.seedLen
+	maxPos := a.idx.gen.Len() + int64(a.cfg.MaxDist) - int64(len(seq))
+	var key uint64
+	valid := 0 // bases since the last ambiguous one
+	next := 0  // next sampled seed offset
+	for i, b := range seq {
+		code := genome.Code(b)
+		key = key<<2 | uint64(code&3)
+		valid++
+		if code > 3 {
+			valid = 0
+		}
+		off := i - seedLen + 1
+		if off != next {
+			continue
+		}
+		next += a.cfg.SeedStride
+		if valid < seedLen {
+			continue
+		}
+		for _, loc := range a.idx.lookupKey(key & a.idx.keyMask) {
+			// Few candidates survive per read, so scanning those kept so
+			// far dedups in first-seen order with no set to maintain.
+			c := candidate{pos: int64(loc) - int64(off), rc: rc}
+			if c.pos < 0 || c.pos > maxPos || slices.Contains(a.cands, c) {
+				continue
+			}
+			a.cands = append(a.cands, c)
+			if len(a.cands) == a.cfg.MaxCandidates*2 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // verify runs bounded Landau-Vishkin of query at pos, returning the edit
@@ -273,19 +258,26 @@ func (a *Aligner) window(pos int64, n int) []byte {
 	return w
 }
 
-// finish re-aligns the winning candidate to recover the CIGAR and builds the
-// result record.
-func (a *Aligner) finish(bases []byte, c candidate, best, second, bestCount int) agd.Result {
-	query := bases
-	if c.rc {
-		query = a.reverseComplement(bases)
-	}
-	window := a.window(c.pos, len(query)+a.cfg.MaxDist)
-	dist, cigar, _ := a.banded.BoundedAlign(query, window, a.cfg.MaxDist)
-	if dist < 0 {
-		// The LV verification succeeded, so this cannot happen with a
-		// consistent implementation; treat defensively as unmapped.
-		return agd.Result{Location: agd.UnmappedLocation, MateLocation: agd.UnmappedLocation, Flags: agd.FlagUnmapped}
+// finish recovers the winning candidate's CIGAR and builds the result record.
+// best is the distance Landau-Vishkin verified for c, so the banded DP runs
+// exactly that wide (see BandedScratch.BoundedAlign) and a distance-0 hit
+// needs none. which names the a.rc buffer gatherCandidates left bases'
+// reverse complement in.
+func (a *Aligner) finish(which int, bases []byte, c candidate, best, second, bestCount int) agd.Result {
+	a.exact[0] = align.CigarElem{Len: len(bases), Op: align.CigarMatch}
+	cigar := align.Cigar(a.exact[:])
+	if best > 0 {
+		query := bases
+		if c.rc {
+			query = a.rc[which]
+		}
+		var dist int
+		dist, cigar, _ = a.banded.BoundedAlign(query, a.window(c.pos, len(query)+best), best)
+		if dist < 0 {
+			// The LV verification succeeded, so this cannot happen with a
+			// consistent implementation; treat defensively as unmapped.
+			return agd.Result{Location: agd.UnmappedLocation, MateLocation: agd.UnmappedLocation, Flags: agd.FlagUnmapped}
+		}
 	}
 	var flags uint16
 	if c.rc {
@@ -314,21 +306,6 @@ func (a *Aligner) internCigar(c align.Cigar) string {
 	s := string(a.cigarBuf)
 	a.cigarTab[s] = s
 	return s
-}
-
-func (a *Aligner) reverseComplement(bases []byte) []byte {
-	if cap(a.rc) < len(bases) {
-		a.rc = make([]byte, len(bases))
-	}
-	a.rc = a.rc[:len(bases)]
-	return genome.ReverseComplement(a.rc, bases)
-}
-
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // Validate sanity-checks a configuration against an index.

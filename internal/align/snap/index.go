@@ -1,13 +1,15 @@
 // Package snap implements a SNAP-style short-read aligner [Zaharia et al.,
 // CoRR 2011]: a hash-based index of fixed-length reference seeds, candidate
-// lookup at several read offsets, and Landau-Vishkin verification of each
-// candidate with best/second-best tracking. This is the high-throughput
-// aligner of the paper's evaluation (§4.3, §5); it is optimized for large
-// memory and many cores.
+// lookup at several read offsets, Landau-Vishkin verification of each
+// candidate with best/second-best tracking, and CIGAR recovery for the winner
+// alone, in a band bounded by its verified distance. This is the
+// high-throughput aligner of the paper's evaluation (§4.3, §5); it is
+// optimized for large memory and many cores.
 package snap
 
 import (
 	"fmt"
+	"math/bits"
 
 	"persona/internal/genome"
 )
@@ -23,13 +25,50 @@ type IndexConfig struct {
 }
 
 // Index is the hash-based seed index: seed value → reference locations (the
-// "Genome Index: Seed → Ref. Loc" of Fig. 3).
+// "Genome Index: Seed → Ref. Loc" of Fig. 3). It is one open-addressed table
+// of slots (linear probing, power-of-two size, load ≤ 0.5) over one contiguous
+// array of locations, so a lookup is a multiply, a shift and usually one cache
+// line, and the whole index is two heap objects whatever the genome size.
 type Index struct {
 	gen     *genome.Genome
 	seedLen int
-	maxHits int
-	table   map[uint64][]int32
-	seeds   int // distinct seeds retained
+	keyMask uint64 // low 2·seedLen bits
+	shift   uint   // 64 − log2(len(slots)), for the Fibonacci hash
+	slots   []slot
+	locs    []int32 // retained locations, grouped by seed, ascending within a seed
+	seeds   int     // distinct seeds retained
+}
+
+// slot is one seed of the table: its locations are locs[off : off+n]. n == 0
+// marks an empty slot (a present seed has at least one location).
+type slot struct {
+	key    uint64
+	off, n uint32
+}
+
+// minSlots floors the table size, so tiny genomes need no special case.
+const minSlots = 16
+
+// tableFor returns an empty table of the smallest power-of-two size that
+// holds n seeds at load ≤ 0.5, and the hash shift for that size.
+func tableFor(n int) ([]slot, uint) {
+	size := minSlots
+	for size < 2*n {
+		size <<= 1
+	}
+	return make([]slot, size), uint(64 - bits.TrailingZeros(uint(size)))
+}
+
+// find returns the slot holding key, or the empty slot where key would go.
+// Packed 2-bit keys carry their entropy in the low bits; the Fibonacci
+// multiplier moves it to the high bits the shift keeps.
+func find(slots []slot, shift uint, key uint64) *slot {
+	mask := uint64(len(slots) - 1)
+	for i := (key * 0x9E3779B97F4A7C15) >> shift; ; i = (i + 1) & mask {
+		if s := &slots[i]; s.n == 0 || s.key == key {
+			return s
+		}
+	}
 }
 
 // BuildIndex indexes every seed of the genome. Seeds containing N are
@@ -52,38 +91,85 @@ func BuildIndex(g *genome.Genome, cfg IndexConfig) (*Index, error) {
 	if int64(cfg.SeedLen) > g.Len() {
 		return nil, fmt.Errorf("snap: seed length %d exceeds genome length %d", cfg.SeedLen, g.Len())
 	}
-
 	idx := &Index{
 		gen:     g,
 		seedLen: cfg.SeedLen,
-		maxHits: cfg.MaxSeedHits,
-		table:   make(map[uint64][]int32, g.Len()/2),
+		keyMask: uint64(1)<<(2*uint(cfg.SeedLen)) - 1,
 	}
 	seq := g.Seq()
+
+	// Pass 1, count: n becomes each seed's location count, capped at
+	// MaxSeedHits (an overflowing repeat seed keeps only its first
+	// MaxSeedHits locations). The table is sized for the worst case, every
+	// position a distinct seed, and rebuilt smaller if the genome turns out
+	// repetitive enough to halve it.
+	slots, shift := tableFor(len(seq) - cfg.SeedLen + 1)
+	total := 0
+	idx.eachSeed(seq, func(key uint64, _ int32) {
+		s := find(slots, shift, key)
+		if s.n == 0 {
+			s.key = key
+			idx.seeds++
+		}
+		if s.n < uint32(cfg.MaxSeedHits) {
+			s.n++
+			total++
+		}
+	})
+	if small, smallShift := tableFor(idx.seeds); len(small) < len(slots) {
+		for _, s := range slots {
+			if s.n > 0 {
+				*find(small, smallShift, s.key) = s
+			}
+		}
+		slots, shift = small, smallShift
+	}
+
+	// Pass 2, prefix sum: off becomes each seed's start in locs. The seed's
+	// last cell starts as its fill cursor, −(k+1) once k locations are in;
+	// locations are never negative, so pass 3 tells a full seed from a
+	// filling one without a cursor per slot.
+	locs := make([]int32, total)
+	var off uint32
+	for i := range slots {
+		if s := &slots[i]; s.n > 0 {
+			s.off = off
+			off += s.n
+			locs[off-1] = -1
+		}
+	}
+
+	// Pass 3, fill in genome order, so each seed's locations ascend.
+	idx.eachSeed(seq, func(key uint64, pos int32) {
+		s := find(slots, shift, key)
+		cursor := &locs[s.off+s.n-1]
+		if *cursor >= 0 {
+			return // full: a repeat seed past MaxSeedHits
+		}
+		k := uint32(-*cursor - 1)
+		*cursor--
+		locs[s.off+k] = pos // the last location overwrites the cursor
+	})
+	idx.slots, idx.shift, idx.locs = slots, shift, locs
+	return idx, nil
+}
+
+// eachSeed calls fn with the packed key and start position of every seed of
+// seq that contains no ambiguous base, in position order.
+func (x *Index) eachSeed(seq []byte, fn func(key uint64, pos int32)) {
 	var key uint64
-	mask := uint64(1)<<(2*uint(cfg.SeedLen)) - 1
-	valid := 0 // bases since last N
-	for i := 0; i < len(seq); i++ {
-		code := uint64(genome.Code(seq[i]))
+	valid := 0 // bases since the last N
+	for i, b := range seq {
+		code := genome.Code(b)
 		if code > 3 {
 			valid = 0
-			key = 0
 			continue
 		}
-		key = (key<<2 | code) & mask
-		valid++
-		if valid < cfg.SeedLen {
-			continue
+		key = (key<<2 | uint64(code)) & x.keyMask
+		if valid++; valid >= x.seedLen {
+			fn(key, int32(i-x.seedLen+1))
 		}
-		pos := int32(i - cfg.SeedLen + 1)
-		locs := idx.table[key]
-		if len(locs) >= cfg.MaxSeedHits {
-			continue // overflowing repeat seed: stop accumulating
-		}
-		idx.table[key] = append(locs, pos)
 	}
-	idx.seeds = len(idx.table)
-	return idx, nil
 }
 
 // SeedLen returns the configured seed length.
@@ -95,25 +181,23 @@ func (x *Index) Genome() *genome.Genome { return x.gen }
 // NumSeeds returns the number of distinct seeds retained.
 func (x *Index) NumSeeds() int { return x.seeds }
 
-// seedKey packs bases[i:i+seedLen] into a 2-bit key; ok is false when the
-// window contains an ambiguous base.
-func (x *Index) seedKey(bases []byte, i int) (key uint64, ok bool) {
-	for j := 0; j < x.seedLen; j++ {
-		code := uint64(genome.Code(bases[i+j]))
-		if code > 3 {
-			return 0, false
-		}
-		key = key<<2 | code
-	}
-	return key, true
+// lookupKey returns the reference locations of the seed with packed key key.
+func (x *Index) lookupKey(key uint64) []int32 {
+	s := find(x.slots, x.shift, key)
+	return x.locs[s.off : s.off+s.n]
 }
 
-// Lookup returns the reference locations of the seed at bases[i:i+seedLen].
-// The returned slice is shared with the index; callers must not mutate it.
+// Lookup returns the reference locations of the seed at bases[i:i+seedLen],
+// none when the seed is absent or contains an ambiguous base. The returned
+// slice is shared with the index; callers must not mutate it.
 func (x *Index) Lookup(bases []byte, i int) []int32 {
-	key, ok := x.seedKey(bases, i)
-	if !ok {
-		return nil
+	var key uint64
+	for _, b := range bases[i : i+x.seedLen] {
+		code := genome.Code(b)
+		if code > 3 {
+			return nil
+		}
+		key = key<<2 | uint64(code)
 	}
-	return x.table[key]
+	return x.lookupKey(key)
 }

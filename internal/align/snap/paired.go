@@ -17,7 +17,7 @@ type scored struct {
 // `which` (0 or 1, so a pair's two reads keep separate results) and is valid
 // until that scratch is reused.
 func (a *Aligner) scoreCandidates(which int, bases []byte) []scored {
-	rcBases := a.gatherCandidates(bases)
+	rcBases := a.gatherCandidates(which, bases)
 	out := a.scoreBuf[which][:0]
 	for _, c := range a.cands {
 		query := bases
@@ -102,8 +102,8 @@ func (a *Aligner) AlignPair(bases1, bases2 []byte) (agd.Result, agd.Result) {
 
 	a.counts.Aligned += 2
 	mapq := align.MapQ(bestCombined, secondCombined, bestCount)
-	r1 := a.finish(bases1, candidate{pos: best.c1.pos, rc: best.c1.rc}, best.c1.dist, -1, 1)
-	r2 := a.finish(bases2, candidate{pos: best.c2.pos, rc: best.c2.rc}, best.c2.dist, -1, 1)
+	r1 := a.finish(0, bases1, candidate{pos: best.c1.pos, rc: best.c1.rc}, best.c1.dist, -1, 1)
+	r2 := a.finish(1, bases2, candidate{pos: best.c2.pos, rc: best.c2.rc}, best.c2.dist, -1, 1)
 	r1.MapQ, r2.MapQ = mapq, mapq
 	r1.Flags |= agd.FlagPaired | agd.FlagProperPair | agd.FlagFirstInPair
 	r2.Flags |= agd.FlagPaired | agd.FlagProperPair | agd.FlagSecondInPair

@@ -73,6 +73,9 @@ func (c *countingStore) Put(name string, data []byte) error {
 	return c.BlobStore.Put(name, data)
 }
 
+// moved returns the bytes read plus the bytes written so far.
+func (c *countingStore) moved() int64 { return c.read.Load() + c.written.Load() }
+
 // RunTable1Measured runs the real single-server comparison on local files:
 // the standalone row-oriented pipeline (gz FASTQ in → SAM text out) versus
 // the Persona AGD dataflow pipeline, both with the same SNAP aligner

@@ -27,22 +27,23 @@ const (
 	BaseN = byte('N')
 )
 
+// codeTab and complementTab back Code and Complement: the aligners call both
+// once per base of every read, so each is a single table load.
+var codeTab, complementTab = func() (code, comp [256]byte) {
+	for i := range code {
+		code[i], comp[i] = 4, BaseN
+	}
+	for c, b := range []byte("ACGT") {
+		lower := b | 0x20
+		code[b], code[lower] = byte(c), byte(c)
+		comp[b], comp[lower] = "TGCA"[c], "TGCA"[c]
+	}
+	return code, comp
+}()
+
 // Code converts a base letter to its 3-bit code (0..4). Lower-case letters
 // are accepted. Unknown letters map to N's code.
-func Code(b byte) uint8 {
-	switch b {
-	case 'A', 'a':
-		return 0
-	case 'C', 'c':
-		return 1
-	case 'G', 'g':
-		return 2
-	case 'T', 't':
-		return 3
-	default:
-		return 4
-	}
-}
+func Code(b byte) uint8 { return codeTab[b] }
 
 // Letter converts a 3-bit code back to its base letter.
 func Letter(code uint8) byte {
@@ -62,20 +63,7 @@ func Letter(code uint8) byte {
 
 // Complement returns the Watson-Crick complement of a base letter; N maps to
 // N.
-func Complement(b byte) byte {
-	switch b {
-	case 'A', 'a':
-		return BaseT
-	case 'C', 'c':
-		return BaseG
-	case 'G', 'g':
-		return BaseC
-	case 'T', 't':
-		return BaseA
-	default:
-		return BaseN
-	}
-}
+func Complement(b byte) byte { return complementTab[b] }
 
 // ReverseComplement writes the reverse complement of src into dst, which
 // must have len(src) capacity available; it returns dst resliced.

@@ -26,6 +26,29 @@ func TestComplement(t *testing.T) {
 	}
 }
 
+// TestCodeComplementEveryByte holds the lookup tables behind Code and
+// Complement to their definition over all 256 byte values: the four bases in
+// either case, everything else ambiguous.
+func TestCodeComplementEveryByte(t *testing.T) {
+	for i := 0; i < 256; i++ {
+		b := byte(i)
+		wantCode, wantComp := uint8(4), BaseN
+		switch b {
+		case 'A', 'a':
+			wantCode, wantComp = 0, BaseT
+		case 'C', 'c':
+			wantCode, wantComp = 1, BaseG
+		case 'G', 'g':
+			wantCode, wantComp = 2, BaseC
+		case 'T', 't':
+			wantCode, wantComp = 3, BaseA
+		}
+		if Code(b) != wantCode || Complement(b) != wantComp {
+			t.Errorf("byte %#x: Code %d Complement %c, want %d %c", b, Code(b), Complement(b), wantCode, wantComp)
+		}
+	}
+}
+
 func TestReverseComplementInvolution(t *testing.T) {
 	f := func(raw []byte) bool {
 		// Map arbitrary bytes into base space first.
