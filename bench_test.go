@@ -412,14 +412,19 @@ func BenchmarkKernel_SmithWaterman(b *testing.B) {
 	}
 }
 
+// BenchmarkKernel_SNAPAlignRead is sized like the repo benchmark's wgs
+// workloads (bench/: 1 Mb genome, 20 k distinct reads): the seed table is
+// then 32 MB and the reads touch most of it, so the benchmark sees the
+// table's cache misses the way a pipeline run does. A 400 kb genome cycling
+// 256 reads keeps every slot it touches cached and cannot.
 func BenchmarkKernel_SNAPAlignRead(b *testing.B) {
-	g := benchGenome(b, 400_000)
+	g := benchGenome(b, 1_000_000)
 	idx, err := snap.BuildIndex(g, snap.IndexConfig{SeedLen: 16})
 	if err != nil {
 		b.Fatal(err)
 	}
 	a := snap.NewAligner(idx, snap.Config{MaxDist: 10})
-	sim, err := reads.NewSimulator(g, reads.SimConfig{Seed: 10, N: 256, ReadLen: 101, ErrorRate: 0.003})
+	sim, err := reads.NewSimulator(g, reads.SimConfig{Seed: 10, N: 20_000, ReadLen: 101, ErrorRate: 0.003})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -430,6 +435,21 @@ func BenchmarkKernel_SNAPAlignRead(b *testing.B) {
 		a.AlignRead(rs[i%len(rs)].Bases)
 	}
 	b.SetBytes(101)
+}
+
+// BenchmarkKernel_SNAPBuildIndex builds the index of a 200 kb genome: small
+// enough for CI's -benchtime 100x smoke, large enough (8 MB of slots) that
+// the count and fill passes miss the cache like a real build.
+func BenchmarkKernel_SNAPBuildIndex(b *testing.B) {
+	g := benchGenome(b, 200_000)
+	b.ReportAllocs()
+	b.SetBytes(g.Len())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := snap.BuildIndex(g, snap.IndexConfig{SeedLen: 16}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func BenchmarkKernel_BWAAlignRead(b *testing.B) {
@@ -462,6 +482,24 @@ func BenchmarkKernel_BaseCompaction(b *testing.B) {
 		buf = agd.CompactBases(buf[:0], bases)
 	}
 	b.SetBytes(101)
+}
+
+// BenchmarkKernel_ExpandBases decodes one 101 bp compacted record per
+// iteration into a reused buffer, as the align and export stages do.
+func BenchmarkKernel_ExpandBases(b *testing.B) {
+	g := benchGenome(b, 10_000)
+	bases, _ := g.Slice(0, 101)
+	rec := agd.CompactBases(nil, bases)
+	var buf []byte
+	b.ReportAllocs()
+	b.SetBytes(101)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if buf, _, err = agd.ExpandBases(buf[:0], rec); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func BenchmarkKernel_ChunkEncodeDecode(b *testing.B) {
@@ -585,6 +623,29 @@ func BenchmarkKernel_SAMLineWrite(b *testing.B) {
 	refs := []agd.RefSeq{{Name: "chr1", Length: 1 << 20}}
 	refmap := sam.NewRefMap(refs)
 	w, err := sam.NewWriter(io.Discard, refs, "coordinate")
+	if err != nil {
+		b.Fatal(err)
+	}
+	name := []byte("sim.12345")
+	seq := bytes.Repeat([]byte("ACGT"), 25)
+	qual := bytes.Repeat([]byte("I"), 100)
+	v := agd.ResultView{Location: 99_000, MateLocation: -1, MapQ: 60, Cigar: []byte("100M")}
+	b.SetBytes(int64(len(seq)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := w.WriteView(name, seq, qual, &v, refmap); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkKernel_BAMWriteView is the BAM record encoder on the export hot
+// path (one aligned 100 bp record per iteration, BGZF included).
+func BenchmarkKernel_BAMWriteView(b *testing.B) {
+	refs := []agd.RefSeq{{Name: "chr1", Length: 1 << 20}}
+	refmap := sam.NewRefMap(refs)
+	w, err := bam.NewWriter(io.Discard, refs, "coordinate")
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,6 +1,9 @@
 package agd
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // RecordArena stores a sequence of variable-length records in one contiguous
 // data buffer plus a uint32 offset index — the AGD discipline (§3 of the
@@ -31,6 +34,15 @@ func NewRecordArena(capBytes, capRecords int) *RecordArena {
 		a.offs = make([]uint32, 0, capRecords+1)
 	}
 	return a
+}
+
+// Grow makes room for records more records holding bytes more bytes, so a
+// caller that knows what is coming allocates once: left to append, a large
+// buffer grows by a quarter at a time and allocates several times what it
+// ends up holding.
+func (a *RecordArena) Grow(records, bytes int) {
+	a.data = slices.Grow(a.data, bytes)
+	a.offs = slices.Grow(a.offs, records+1)
 }
 
 // Len returns the number of records.

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -258,6 +259,13 @@ func (b *ChunkBuilder) Reset(typ RecordType, firstOrdinal uint64) {
 	b.firstOrdinal = firstOrdinal
 	b.lengths = b.lengths[:0]
 	b.data = b.data[:0]
+}
+
+// Grow makes room for records more records holding bytes more bytes (see
+// RecordArena.Grow).
+func (b *ChunkBuilder) Grow(records, bytes int) {
+	b.lengths = slices.Grow(b.lengths, records)
+	b.data = slices.Grow(b.data, bytes)
 }
 
 // Append adds one record.

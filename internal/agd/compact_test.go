@@ -2,6 +2,9 @@ package agd
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -97,4 +100,86 @@ func TestExpandBasesCorrupt(t *testing.T) {
 	if _, _, err := ExpandBases(nil, enc[:len(enc)-3]); err == nil {
 		t.Fatal("truncated input accepted")
 	}
+}
+
+// refExpandBases is ExpandBases written the plain way, one append per base —
+// the loop the word-at-a-time decoder replaced, kept as its reference. The
+// first check is new: the old header arithmetic overflowed on a count near
+// 2^63 and accepted it as an empty record with a negative length.
+func refExpandBases(dst, src []byte) ([]byte, int, error) {
+	count, n := binary.Uvarint(src)
+	if n <= 0 {
+		return dst, 0, fmt.Errorf("%w: bad base count varint", ErrCorrupt)
+	}
+	if count > uint64(len(src))*basesPerWord {
+		return dst, 0, fmt.Errorf("%w: compacted record truncated", ErrCorrupt)
+	}
+	words := (int(count) + basesPerWord - 1) / basesPerWord
+	need := n + words*8
+	if len(src) < need {
+		return dst, 0, fmt.Errorf("%w: compacted record truncated", ErrCorrupt)
+	}
+	remaining := int(count)
+	off := n
+	for w := 0; w < words; w++ {
+		word := binary.LittleEndian.Uint64(src[off : off+8])
+		off += 8
+		inWord := basesPerWord
+		if remaining < inWord {
+			inWord = remaining
+		}
+		for j := 0; j < inWord; j++ {
+			dst = append(dst, genome.Letter(uint8(word>>(3*uint(j))&0x7)))
+		}
+		remaining -= inWord
+	}
+	return dst, need, nil
+}
+
+// FuzzExpandBases holds the table decoder to the per-base reference on
+// arbitrary input — the bytes appended, the bytes consumed and the class of
+// error — appending to a non-empty dst of arbitrary spare capacity, whose
+// prefix must survive.
+func FuzzExpandBases(f *testing.F) {
+	record := func(count uint64, words ...uint64) []byte {
+		b := binary.AppendUvarint(nil, count)
+		for _, w := range words {
+			b = binary.LittleEndian.AppendUint64(b, w)
+		}
+		return b
+	}
+	// Every code 0–7 (5–7 are not produced by CompactBases and read as N),
+	// with the spare top bit set in the second word.
+	allCodes := []uint64{0o76543210_76543210_76543, 1<<63 | 0o1234567_0123456_7654321, 0o333}
+	for _, count := range []uint64{0, 1, 20, 21, 22, 42, 43, 63} {
+		f.Add(record(count, allCodes...), []byte("prefix"), uint8(0))
+		f.Add(record(count, allCodes...), []byte("p"), uint8(count)) // exactly enough room
+	}
+	f.Add(record(64, allCodes...), []byte("p"), uint8(200))                                       // a word short
+	f.Add(record(1), []byte("p"), uint8(3))                                                       // no words at all
+	f.Add(record(1<<63, allCodes...), []byte("p"), uint8(0))                                      // count overflows int
+	f.Add(record(1<<63-1, allCodes...), []byte("p"), uint8(0))                                    // count+20 overflows int
+	f.Add([]byte{}, []byte("p"), uint8(0))                                                        // no varint
+	f.Add([]byte{0x80}, []byte("p"), uint8(0))                                                    // unterminated varint
+	f.Add(bytes.Repeat([]byte{0xff}, 11), []byte("p"), uint8(0))                                  // varint overflows uint64
+	f.Add(CompactBases(nil, bytes.Repeat([]byte("acgtnACGTN"), 11)), []byte("prefix"), uint8(50)) // 110 bases, some room
+	f.Add(append(CompactBases(nil, []byte("ACGT")), "trailing"...), []byte{}, uint8(0))           // bytes past the record
+
+	f.Fuzz(func(t *testing.T, src, prefix []byte, spare uint8) {
+		newDst := func() []byte { return append(make([]byte, 0, len(prefix)+int(spare)), prefix...) }
+		got, gotN, gotErr := ExpandBases(newDst(), src)
+		want, wantN, wantErr := refExpandBases(newDst(), src)
+		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && !errors.Is(gotErr, ErrCorrupt)) {
+			t.Fatalf("error %v, reference %v", gotErr, wantErr)
+		}
+		if gotN != wantN {
+			t.Fatalf("consumed %d bytes, reference %d", gotN, wantN)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("decoded %q, reference %q", got, want)
+		}
+		if !bytes.HasPrefix(got, prefix) || (gotErr != nil && len(got) != len(prefix)) {
+			t.Fatalf("dst prefix %q became %q (err %v)", prefix, got, gotErr)
+		}
+	})
 }

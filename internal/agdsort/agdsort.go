@@ -254,7 +254,7 @@ func stageRun(ctx context.Context, ds *agd.Dataset, start, end, keyCol int, by K
 		// The stream validates every column chunk's record count against the
 		// manifest, so the columns are known row-aligned here.
 		chunks := sc.Chunks()
-		keys, err = stageGroup(cols, keys, chunks, keyCol, by)
+		keys, err = stageGroup(cols, keys, chunks, keyCol, by, end-start)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -264,10 +264,16 @@ func stageRun(ctx context.Context, ds *agd.Dataset, start, end, keyCol int, by K
 
 // stageGroup bulk-appends one row group's column chunks into the staging
 // arenas and extracts its packed sort entries — shared by the dataset and
-// stream staging paths.
-func stageGroup(cols []*agd.RecordArena, keys []sortEntry, chunks []*agd.Chunk, keyCol int, by Key) ([]sortEntry, error) {
+// stream staging paths. batch is the number of groups the caller expects to
+// stage into these arenas, 1 when it cannot tell.
+func stageGroup(cols []*agd.RecordArena, keys []sortEntry, chunks []*agd.Chunk, keyCol int, by Key, batch int) ([]sortEntry, error) {
 	n := chunks[0].NumRecords()
 	for col, c := range chunks {
+		if cols[col].Len() == 0 {
+			// Size the staging once for the batch, taking its groups to be
+			// about this size (an eighth over: names and CIGARs vary).
+			cols[col].Grow(batch*n, batch*(len(c.Data)+len(c.Data)/8))
+		}
 		cols[col].AppendChunk(c)
 	}
 	keyChunk := chunks[keyCol]
@@ -324,9 +330,17 @@ func prefixKey(b []byte) uint64 {
 // that per run when transfer time dominates (the merge's DecodeChunk reads
 // either encoding transparently via the blob header).
 func writeSuperchunk(store agd.BlobStore, name string, cols []*agd.RecordArena, keys []sortEntry, opts *Options) error {
-	b := agd.NewChunkBuilder(agd.TypeRaw, 0)
 	var buf []byte
 	var tmp [binary.MaxVarintLen64]byte
+	size := 0 // of the run: every field and its uvarint header
+	for _, col := range cols {
+		size += col.DataLen()
+		for r := 0; r < col.Len(); r++ {
+			size += binary.PutUvarint(tmp[:], uint64(len(col.Record(r))))
+		}
+	}
+	b := agd.NewChunkBuilder(agd.TypeRaw, 0)
+	b.Grow(len(keys), size)
 	for _, e := range keys {
 		buf = buf[:0]
 		for _, col := range cols {

@@ -84,7 +84,7 @@ func BuildRun(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, nam
 		if err != nil {
 			return RunInfo{}, err
 		}
-		keys, err = stageGroup(cols, keys, g.Chunks, keyCol, by)
+		keys, err = stageGroup(cols, keys, g.Chunks, keyCol, by, 1)
 		g.Release()
 		if err != nil {
 			return RunInfo{}, err

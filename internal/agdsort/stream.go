@@ -107,7 +107,7 @@ func SortStream(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, o
 		if opts.OutputChunkSize <= 0 {
 			opts.OutputChunkSize = g.NumRecords()
 		}
-		batchKeys, err = stageGroup(batchCols, batchKeys, g.Chunks, keyCol, opts.By)
+		batchKeys, err = stageGroup(batchCols, batchKeys, g.Chunks, keyCol, opts.By, opts.ChunksPerSuperchunk)
 		if err != nil {
 			g.Release()
 			return fail(err)

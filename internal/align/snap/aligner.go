@@ -59,6 +59,7 @@ type Aligner struct {
 
 	// scratch
 	rc       [2][]byte // reverse complements, one per read of a pair
+	seeds    []seedRef // the sampled seeds of both strands of one read
 	cands    []candidate
 	lv       align.LVScratch
 	banded   align.BandedScratch
@@ -167,30 +168,47 @@ func (a *Aligner) findBest(bases []byte) (best, second, bestCount int, bestCand 
 
 // gatherCandidates fills a.cands with the distinct candidate positions that
 // seeds at every SeedStride-th read offset vote for, forward strand first,
-// each strand in offset order, capped at MaxCandidates*2. It returns the
+// each strand in offset order, capped at MaxCandidates*2. It works in three
+// waves — sample the seed keys of both strands, load all their home slots,
+// then probe — so the seed table's cache misses overlap instead of each
+// waiting for the previous seed's candidates to be scanned. It returns the
 // reverse complement of bases, kept in a.rc[which] until the next call with
 // the same which, so verify and finish reuse it.
 func (a *Aligner) gatherCandidates(which int, bases []byte) []byte {
 	a.cands = a.cands[:0]
 	rc := genome.ReverseComplementScratch(a.rc[which], bases)
 	a.rc[which] = rc
+	a.seeds = a.sampleSeeds(a.sampleSeeds(a.seeds[:0], bases, false), rc, true)
+	// Counted per sampled offset of both strands, ambiguous or not, whether
+	// or not the candidate cap cuts the probing short.
 	if lastOffset := len(bases) - a.idx.seedLen; lastOffset >= 0 {
-		// Counted per sampled offset of both strands, whether or not the
-		// candidate cap cuts the scan short.
 		a.counts.SeedLookups += 2 * int64(lastOffset/a.cfg.SeedStride+1)
-		if a.seedStrand(bases, false) {
-			a.seedStrand(rc, true)
+	}
+	loadHomes(a.idx.slots, a.idx.shift, a.seeds)
+	maxPos := a.idx.gen.Len() + int64(a.cfg.MaxDist) - int64(len(bases))
+	for i := range a.seeds {
+		s := &a.seeds[i]
+		for _, loc := range a.idx.locations(s) {
+			// Few candidates survive per read, so scanning those kept so
+			// far dedups in first-seen order with no set to maintain.
+			c := candidate{pos: int64(loc) - int64(s.off), rc: s.rc}
+			if c.pos < 0 || c.pos > maxPos || slices.Contains(a.cands, c) {
+				continue
+			}
+			a.cands = append(a.cands, c)
+			if len(a.cands) == a.cfg.MaxCandidates*2 {
+				return rc
+			}
 		}
 	}
 	return rc
 }
 
-// seedStrand adds the candidates of one strand, rolling the 2-bit seed key
-// across seq so each base is encoded once. It reports whether the candidate
-// cap still has room.
-func (a *Aligner) seedStrand(seq []byte, rc bool) bool {
+// sampleSeeds appends the seed at every SeedStride-th offset of one strand
+// that holds no ambiguous base, rolling the 2-bit key across seq so each base
+// is encoded once.
+func (a *Aligner) sampleSeeds(seeds []seedRef, seq []byte, rc bool) []seedRef {
 	seedLen := a.idx.seedLen
-	maxPos := a.idx.gen.Len() + int64(a.cfg.MaxDist) - int64(len(seq))
 	var key uint64
 	valid := 0 // bases since the last ambiguous one
 	next := 0  // next sampled seed offset
@@ -206,23 +224,11 @@ func (a *Aligner) seedStrand(seq []byte, rc bool) bool {
 			continue
 		}
 		next += a.cfg.SeedStride
-		if valid < seedLen {
-			continue
-		}
-		for _, loc := range a.idx.lookupKey(key & a.idx.keyMask) {
-			// Few candidates survive per read, so scanning those kept so
-			// far dedups in first-seen order with no set to maintain.
-			c := candidate{pos: int64(loc) - int64(off), rc: rc}
-			if c.pos < 0 || c.pos > maxPos || slices.Contains(a.cands, c) {
-				continue
-			}
-			a.cands = append(a.cands, c)
-			if len(a.cands) == a.cfg.MaxCandidates*2 {
-				return false
-			}
+		if valid >= seedLen {
+			seeds = append(seeds, seedRef{key: key & a.idx.keyMask, off: int32(off), rc: rc})
 		}
 	}
-	return true
+	return seeds
 }
 
 // verify runs bounded Landau-Vishkin of query at pos, returning the edit

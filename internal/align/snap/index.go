@@ -1,8 +1,9 @@
 // Package snap implements a SNAP-style short-read aligner [Zaharia et al.,
 // CoRR 2011]: a hash-based index of fixed-length reference seeds, candidate
-// lookup at several read offsets, Landau-Vishkin verification of each
-// candidate with best/second-best tracking, and CIGAR recovery for the winner
-// alone, in a band bounded by its verified distance. This is the
+// lookup at several read offsets (issued as one wave of independent table
+// loads per read, so their cache misses overlap), Landau-Vishkin verification
+// of each candidate with best/second-best tracking, and CIGAR recovery for the
+// winner alone, in a band bounded by its verified distance. This is the
 // high-throughput aligner of the paper's evaluation (§4.3, §5); it is
 // optimized for large memory and many cores.
 package snap
@@ -27,8 +28,12 @@ type IndexConfig struct {
 // Index is the hash-based seed index: seed value → reference locations (the
 // "Genome Index: Seed → Ref. Loc" of Fig. 3). It is one open-addressed table
 // of slots (linear probing, power-of-two size, load ≤ 0.5) over one contiguous
-// array of locations, so a lookup is a multiply, a shift and usually one cache
-// line, and the whole index is two heap objects whatever the genome size.
+// array of locations, so the whole index is two heap objects whatever the
+// genome size. A lookup is a multiply, a shift and usually one slot, but for
+// any genome worth indexing that slot is a cache miss, so neither the aligner
+// nor the builder looks seeds up one at a time: both collect a wave of seeds,
+// load every home slot of the wave (independent loads, whose misses the core
+// overlaps) and only then resolve them in order.
 type Index struct {
 	gen     *genome.Genome
 	seedLen int
@@ -59,12 +64,35 @@ func tableFor(n int) ([]slot, uint) {
 	return make([]slot, size), uint(64 - bits.TrailingZeros(uint(size)))
 }
 
-// find returns the slot holding key, or the empty slot where key would go.
-// Packed 2-bit keys carry their entropy in the low bits; the Fibonacci
-// multiplier moves it to the high bits the shift keeps.
-func find(slots []slot, shift uint, key uint64) *slot {
-	mask := uint64(len(slots) - 1)
-	for i := (key * 0x9E3779B97F4A7C15) >> shift; ; i = (i + 1) & mask {
+// seedRef is one seed of a lookup wave: its packed key, where it came from
+// (a read offset and strand for the aligner, a genome position for the
+// builder) and the copy of its home slot the wave's load pass took.
+type seedRef struct {
+	key  uint64
+	home slot
+	off  int32
+	rc   bool
+}
+
+// homeOf returns the index of key's home slot. Packed 2-bit keys carry their
+// entropy in the low bits; the Fibonacci multiplier moves it to the high bits
+// the shift keeps. The shift is always below 64; masking it tells the compiler
+// so, whose guard for an oversized shift otherwise ties each hash to the slot
+// load before it (a false register dependency) and serialises loadHomes.
+func homeOf(key uint64, shift uint) uint64 { return (key * 0x9E3779B97F4A7C15) >> (shift & 63) }
+
+// loadHomes copies each seed's home slot into the wave. Nothing here depends
+// on an earlier iteration, so the slots' cache misses are in flight together.
+func loadHomes(slots []slot, shift uint, wave []seedRef) {
+	for i := range wave {
+		wave[i].home = slots[homeOf(wave[i].key, shift)]
+	}
+}
+
+// find returns the slot holding key, or the empty slot where key would go,
+// probing linearly from slot i.
+func find(slots []slot, i, key uint64) *slot {
+	for mask := uint64(len(slots) - 1); ; i = (i + 1) & mask {
 		if s := &slots[i]; s.n == 0 || s.key == key {
 			return s
 		}
@@ -105,8 +133,7 @@ func BuildIndex(g *genome.Genome, cfg IndexConfig) (*Index, error) {
 	// repetitive enough to halve it.
 	slots, shift := tableFor(len(seq) - cfg.SeedLen + 1)
 	total := 0
-	idx.eachSeed(seq, func(key uint64, _ int32) {
-		s := find(slots, shift, key)
+	idx.eachSeed(seq, slots, shift, func(s *slot, key uint64, _ int32) {
 		if s.n == 0 {
 			s.key = key
 			idx.seeds++
@@ -119,7 +146,7 @@ func BuildIndex(g *genome.Genome, cfg IndexConfig) (*Index, error) {
 	if small, smallShift := tableFor(idx.seeds); len(small) < len(slots) {
 		for _, s := range slots {
 			if s.n > 0 {
-				*find(small, smallShift, s.key) = s
+				*find(small, homeOf(s.key, smallShift), s.key) = s
 			}
 		}
 		slots, shift = small, smallShift
@@ -140,8 +167,7 @@ func BuildIndex(g *genome.Genome, cfg IndexConfig) (*Index, error) {
 	}
 
 	// Pass 3, fill in genome order, so each seed's locations ascend.
-	idx.eachSeed(seq, func(key uint64, pos int32) {
-		s := find(slots, shift, key)
+	idx.eachSeed(seq, slots, shift, func(s *slot, _ uint64, pos int32) {
 		cursor := &locs[s.off+s.n-1]
 		if *cursor >= 0 {
 			return // full: a repeat seed past MaxSeedHits
@@ -154,9 +180,31 @@ func BuildIndex(g *genome.Genome, cfg IndexConfig) (*Index, error) {
 	return idx, nil
 }
 
-// eachSeed calls fn with the packed key and start position of every seed of
-// seq that contains no ambiguous base, in position order.
-func (x *Index) eachSeed(seq []byte, fn func(key uint64, pos int32)) {
+// eachSeed calls fn, in position order, with every seed of seq that contains
+// no ambiguous base: the slot that holds its key or the empty one where the
+// key goes, the packed key and the start position. fn may claim the slot.
+// Seeds are resolved a wave at a time, after loadHomes has every home slot of
+// the wave on its way into the cache.
+func (x *Index) eachSeed(seq []byte, slots []slot, shift uint, fn func(s *slot, key uint64, pos int32)) {
+	var buf [64]seedRef
+	wave := buf[:0]
+	resolve := func() {
+		loadHomes(slots, shift, wave)
+		for i := range wave {
+			// An earlier seed of the wave may have claimed this one's home
+			// since the copy was taken, but slots only go from empty to
+			// claimed: a copy that holds the key still says where it lives,
+			// any other copy says nothing and the live table is probed.
+			r := &wave[i]
+			h := homeOf(r.key, shift)
+			s := &slots[h]
+			if r.home.n == 0 || r.home.key != r.key {
+				s = find(slots, h, r.key)
+			}
+			fn(s, r.key, r.off)
+		}
+		wave = wave[:0]
+	}
 	var key uint64
 	valid := 0 // bases since the last N
 	for i, b := range seq {
@@ -167,9 +215,12 @@ func (x *Index) eachSeed(seq []byte, fn func(key uint64, pos int32)) {
 		}
 		key = (key<<2 | uint64(code)) & x.keyMask
 		if valid++; valid >= x.seedLen {
-			fn(key, int32(i-x.seedLen+1))
+			if wave = append(wave, seedRef{key: key, off: int32(i - x.seedLen + 1)}); len(wave) == cap(wave) {
+				resolve()
+			}
 		}
 	}
+	resolve()
 }
 
 // SeedLen returns the configured seed length.
@@ -181,9 +232,14 @@ func (x *Index) Genome() *genome.Genome { return x.gen }
 // NumSeeds returns the number of distinct seeds retained.
 func (x *Index) NumSeeds() int { return x.seeds }
 
-// lookupKey returns the reference locations of the seed with packed key key.
-func (x *Index) lookupKey(key uint64) []int32 {
-	s := find(x.slots, x.shift, key)
+// locations returns the reference locations of the seed r, whose home slot
+// loadHomes has copied: the copy answers when it is empty or holds the key,
+// and the probe sequence is walked on from the next slot when it does not.
+func (x *Index) locations(r *seedRef) []int32 {
+	s := &r.home
+	if s.n != 0 && s.key != r.key {
+		s = find(x.slots, (homeOf(r.key, x.shift)+1)&uint64(len(x.slots)-1), r.key)
+	}
 	return x.locs[s.off : s.off+s.n]
 }
 
@@ -199,5 +255,6 @@ func (x *Index) Lookup(bases []byte, i int) []int32 {
 		}
 		key = key<<2 | uint64(code)
 	}
-	return x.lookupKey(key)
+	s := find(x.slots, homeOf(key, x.shift), key)
+	return x.locs[s.off : s.off+s.n]
 }

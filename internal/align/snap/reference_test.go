@@ -318,7 +318,9 @@ func randomBases(rng *rand.Rand, dst []byte) []byte {
 // refReads draws reads that exercise every path of the kernel: simulated
 // reads at 0.3–8 % error on both strands, then per read one of a 1–3 bp
 // deletion, a 1–3 bp insertion, an embedded N, a cut below the seed length,
-// or nothing; plus reads hanging off the genome end on both strands.
+// an N every 24 bases (so a seed wave has gaps: runs of sampled offsets with
+// no valid seed between runs that have one), or nothing; plus reads hanging
+// off the genome end on both strands.
 func refReads(t testing.TB, g *genome.Genome, seed int64, paired bool) [][]byte {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -344,6 +346,10 @@ func refReads(t testing.TB, g *genome.Genome, seed int64, paired bool) [][]byte 
 				b[p] = 'N'
 			case 3:
 				b = b[:4+rng.Intn(20)]
+			case 4:
+				for q := 12; q < len(b); q += 24 {
+					b[q] = 'N'
+				}
 			}
 			out = append(out, b)
 		}
@@ -359,13 +365,28 @@ func refReads(t testing.TB, g *genome.Genome, seed int64, paired bool) [][]byte 
 
 // refConfigs pair an index with an aligner configuration; the second one's
 // low MaxCandidates and MaxSeedHits make the candidate cap and the repeat
-// mask bite.
+// mask bite, the third samples a seed at every offset and, on the repetitive
+// genomes, fills its cap of two from the forward strand's first seeds, so the
+// reverse strand's are sampled and loaded but never probed.
 var refConfigs = []struct {
 	icfg IndexConfig
 	cfg  Config
 }{
 	{IndexConfig{SeedLen: 16}, Config{}},
 	{IndexConfig{SeedLen: 11, MaxSeedHits: 5}, Config{MaxDist: 7, SeedStride: 3, MaxCandidates: 3}},
+	{IndexConfig{SeedLen: 12, MaxSeedHits: 8}, Config{MaxDist: 9, SeedStride: 1, MaxCandidates: 1}},
+}
+
+// displacedSeeds counts the seeds that do not live in their home slot: the
+// ones a lookup wave cannot answer from its copy of the home slot and has to
+// probe on for.
+func displacedSeeds(idx *Index) (n int) {
+	for i, s := range idx.slots {
+		if s.n > 0 && homeOf(s.key, idx.shift) != uint64(i) {
+			n++
+		}
+	}
+	return n
 }
 
 func TestAlignMatchesReference(t *testing.T) {
@@ -376,6 +397,9 @@ func TestAlignMatchesReference(t *testing.T) {
 				idx, err := BuildIndex(g, rc.icfg)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if displacedSeeds(idx) == 0 {
+					t.Fatal("no seed is displaced from its home slot: the probe past a copied slot is not exercised")
 				}
 				a, ref := NewAligner(idx, rc.cfg), newRefAligner(g, rc.icfg, rc.cfg)
 				aligned := 0

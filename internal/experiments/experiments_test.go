@@ -75,9 +75,15 @@ func TestConversion(t *testing.T) {
 	if res.ImportMBps <= 0 || res.BAMExportMBps <= 0 {
 		t.Fatalf("bad throughputs: %+v", res)
 	}
-	// §5.7 shape: import (360 MB/s) outruns BAM export (82 MB/s).
-	if res.ImportMBps <= res.BAMExportMBps {
-		t.Fatalf("import %.1f MB/s <= export %.1f MB/s", res.ImportMBps, res.BAMExportMBps)
+	// The rates are wall clock over a sub-second fixture and only printed;
+	// what the two conversions must do is a matter of counts. Every read
+	// goes in and comes out once, and the export deflates what the import
+	// only compacts, so the BAM is smaller than the FASTQ.
+	if want := uint64(tinyScale().NumReads); res.ImportedRecords != want || res.ExportedRecords != want {
+		t.Fatalf("imported %d and exported %d of %d records", res.ImportedRecords, res.ExportedRecords, want)
+	}
+	if res.BAMBytes <= 0 || res.BAMBytes >= res.FASTQBytes {
+		t.Fatalf("BAM out %d B, FASTQ in %d B", res.BAMBytes, res.FASTQBytes)
 	}
 }
 

@@ -221,11 +221,16 @@ func RunFig8(ctx context.Context, w io.Writer, sc Scale) (*Fig8Result, error) {
 	return res, nil
 }
 
-// ConversionResult holds the §5.7 conversion throughputs.
+// ConversionResult holds the §5.7 conversion throughputs, and the byte and
+// record counts behind them: unlike the rates, the counts repeat exactly.
 type ConversionResult struct {
 	Scale         Scale
 	ImportMBps    float64
 	BAMExportMBps float64
+	// FASTQBytes in and ImportedRecords out of the import; ExportedRecords
+	// in and BAMBytes out of the export (of the scale's reads, aligned).
+	FASTQBytes, BAMBytes             int64
+	ImportedRecords, ExportedRecords uint64
 }
 
 // RunConversion measures FASTQ→AGD import and AGD→BAM export throughput.
@@ -238,13 +243,14 @@ func RunConversion(ctx context.Context, w io.Writer, sc Scale) (*ConversionResul
 	if err != nil {
 		return nil, err
 	}
+	res := &ConversionResult{Scale: sc, FASTQBytes: int64(len(fq))}
 
 	store := agd.NewMemStore()
 	start := time.Now()
-	if _, _, err := importFASTQ(ctx, store, "conv", fq, agd.RefSeqsFromGenome(g), sc.ChunkSize); err != nil {
+	if _, res.ImportedRecords, err = importFASTQ(ctx, store, "conv", fq, agd.RefSeqsFromGenome(g), sc.ChunkSize); err != nil {
 		return nil, err
 	}
-	importSecs := time.Since(start).Seconds()
+	res.ImportMBps = float64(res.FASTQBytes) / 1e6 / time.Since(start).Seconds()
 
 	// Export needs an aligned dataset.
 	store2 := agd.NewMemStore()
@@ -254,20 +260,16 @@ func RunConversion(ctx context.Context, w io.Writer, sc Scale) (*ConversionResul
 	}
 	cw := &discardCounter{}
 	start = time.Now()
-	if _, err := exportBAM(ctx, f.Dataset, cw); err != nil {
+	if res.ExportedRecords, err = exportBAM(ctx, f.Dataset, cw); err != nil {
 		return nil, err
 	}
-	exportSecs := time.Since(start).Seconds()
+	res.BAMBytes = cw.n
+	res.BAMExportMBps = float64(res.BAMBytes) / 1e6 / time.Since(start).Seconds()
 
-	res := &ConversionResult{
-		Scale:         sc,
-		ImportMBps:    float64(len(fq)) / 1e6 / importSecs,
-		BAMExportMBps: float64(cw.n) / 1e6 / exportSecs,
-	}
 	section(w, "Conversion throughput (measured, §5.7)")
 	fmt.Fprintf(w, "workload: %s\n", sc)
-	fmt.Fprintf(w, "FASTQ import: %8.1f MB/s   (paper: 360 MB/s on 48 cores)\n", res.ImportMBps)
-	fmt.Fprintf(w, "BAM export:   %8.1f MB/s   (paper: 82 MB/s; import should stay faster than export)\n", res.BAMExportMBps)
+	fmt.Fprintf(w, "FASTQ import: %8.1f MB/s   %9d B in,  %7d records   (paper: 360 MB/s on 48 cores)\n", res.ImportMBps, res.FASTQBytes, res.ImportedRecords)
+	fmt.Fprintf(w, "BAM export:   %8.1f MB/s   %9d B out, %7d records   (paper: 82 MB/s; import should stay faster than export)\n", res.BAMExportMBps, res.BAMBytes, res.ExportedRecords)
 	return res, nil
 }
 

@@ -19,21 +19,17 @@ import (
 
 var bamMagic = []byte{'B', 'A', 'M', 1}
 
-// seqNibble encodes a base letter into BAM's 4-bit code.
-func seqNibble(b byte) byte {
-	switch b {
-	case 'A', 'a':
-		return 1
-	case 'C', 'c':
-		return 2
-	case 'G', 'g':
-		return 4
-	case 'T', 't':
-		return 8
-	default:
-		return 15 // N
+// seqNibble maps a base letter to BAM's 4-bit code; anything but ACGT in
+// either case is N (15).
+var seqNibble = func() (t [256]byte) {
+	for i := range t {
+		t[i] = 15
 	}
-}
+	for i, b := range []byte("ACGT") {
+		t[b], t[b|0x20] = 1<<i, 1<<i
+	}
+	return t
+}()
 
 // nibbleSeq decodes a 4-bit code back to a base letter.
 func nibbleSeq(n byte) byte {
@@ -62,7 +58,7 @@ type blockWriter interface {
 type Writer struct {
 	z     blockWriter
 	refs  map[string]int32
-	buf   bytes.Buffer
+	rec   []byte      // the record being rendered, block_size prefix included
 	cigar align.Cigar // reused parse scratch (WriteView)
 }
 
@@ -149,43 +145,9 @@ func (w *Writer) Write(r *sam.Record) error {
 	if err != nil {
 		return err
 	}
-
-	w.buf.Reset()
-	le := binary.LittleEndian
-	var n4 [4]byte
-	put32 := func(v uint32) { le.PutUint32(n4[:], v); w.buf.Write(n4[:]) }
-
-	put32(uint32(refID))
-	put32(uint32(int32(r.Pos - 1)))
-	// l_read_name | mapq<<8 | bin<<16 (bin left 0: indexing unused here)
-	put32(uint32(len(r.Name)+1) | uint32(r.MapQ)<<8)
-	put32(uint32(len(cigar)) | uint32(r.Flags)<<16)
-	put32(uint32(len(r.Seq)))
-	put32(uint32(nextRefID))
-	put32(uint32(int32(r.PNext - 1)))
-	put32(uint32(r.TLen))
-	w.buf.WriteString(r.Name)
-	w.buf.WriteByte(0)
-	for _, e := range cigar {
-		put32(uint32(e.Len)<<4 | uint32(e.Op.BAMCode()))
-	}
-	for i := 0; i < len(r.Seq); i += 2 {
-		b := seqNibble(r.Seq[i]) << 4
-		if i+1 < len(r.Seq) {
-			b |= seqNibble(r.Seq[i+1])
-		}
-		w.buf.WriteByte(b)
-	}
-	for i := 0; i < len(r.Qual); i++ {
-		w.buf.WriteByte(r.Qual[i] - '!')
-	}
-
-	le.PutUint32(n4[:], uint32(w.buf.Len()))
-	if _, err := w.z.Write(n4[:]); err != nil {
-		return err
-	}
-	_, err = w.z.Write(w.buf.Bytes())
-	return err
+	w.writeRecord(refID, int64(r.Pos-1), nextRefID, int64(r.PNext-1), r.MapQ, r.Flags, r.TLen,
+		[]byte(r.Name), cigar, []byte(r.Seq), []byte(r.Qual))
+	return w.flushRecord()
 }
 
 // WriteView emits one alignment record assembled from AGD column bytes and
@@ -223,51 +185,43 @@ func (w *Writer) WriteView(name, seq, qual []byte, v *agd.ResultView, refmap *sa
 	return w.flushRecord()
 }
 
-// put32 appends one little-endian uint32 to the record buffer. A method
-// (not a closure) so the hot writeRecord loop does not allocate a capture.
-func (w *Writer) put32(v uint32) {
-	var n4 [4]byte
-	binary.LittleEndian.PutUint32(n4[:], v)
-	w.buf.Write(n4[:])
-}
-
-// writeRecord renders one record into the reused buffer.
+// writeRecord renders one record, behind room for its block_size prefix,
+// into the reused buffer.
 func (w *Writer) writeRecord(refID int32, pos int64, nextRefID int32, pnext int64, mapq uint8, flags uint16, tlen int32, name []byte, cigar align.Cigar, seq, qual []byte) {
-	w.buf.Reset()
-	w.put32(uint32(refID))
-	w.put32(uint32(int32(pos)))
+	le := binary.LittleEndian
+	b := le.AppendUint32(w.rec[:0], 0)
+	b = le.AppendUint32(b, uint32(refID))
+	b = le.AppendUint32(b, uint32(int32(pos)))
 	// l_read_name | mapq<<8 | bin<<16 (bin left 0: indexing unused here)
-	w.put32(uint32(len(name)+1) | uint32(mapq)<<8)
-	w.put32(uint32(len(cigar)) | uint32(flags)<<16)
-	w.put32(uint32(len(seq)))
-	w.put32(uint32(nextRefID))
-	w.put32(uint32(int32(pnext)))
-	w.put32(uint32(tlen))
-	w.buf.Write(name)
-	w.buf.WriteByte(0)
+	b = le.AppendUint32(b, uint32(len(name)+1)|uint32(mapq)<<8)
+	b = le.AppendUint32(b, uint32(len(cigar))|uint32(flags)<<16)
+	b = le.AppendUint32(b, uint32(len(seq)))
+	b = le.AppendUint32(b, uint32(nextRefID))
+	b = le.AppendUint32(b, uint32(int32(pnext)))
+	b = le.AppendUint32(b, uint32(tlen))
+	b = append(append(b, name...), 0)
 	for _, e := range cigar {
-		w.put32(uint32(e.Len)<<4 | uint32(e.Op.BAMCode()))
+		b = le.AppendUint32(b, uint32(e.Len)<<4|uint32(e.Op.BAMCode()))
 	}
-	for i := 0; i < len(seq); i += 2 {
-		b := seqNibble(seq[i]) << 4
-		if i+1 < len(seq) {
-			b |= seqNibble(seq[i+1])
-		}
-		w.buf.WriteByte(b)
+	// Two bases per byte, first in the high nibble; an odd last base leaves
+	// the low nibble 0.
+	for ; len(seq) >= 2; seq = seq[2:] {
+		b = append(b, seqNibble[seq[0]]<<4|seqNibble[seq[1]])
 	}
-	for i := 0; i < len(qual); i++ {
-		w.buf.WriteByte(qual[i] - '!')
+	if len(seq) == 1 {
+		b = append(b, seqNibble[seq[0]]<<4)
 	}
+	b = append(b, qual...)
+	for i := len(b) - len(qual); i < len(b); i++ {
+		b[i] -= '!'
+	}
+	w.rec = b
 }
 
-// flushRecord emits the buffered record with its length prefix.
+// flushRecord fills in the buffered record's block_size and emits it.
 func (w *Writer) flushRecord() error {
-	var n4 [4]byte
-	binary.LittleEndian.PutUint32(n4[:], uint32(w.buf.Len()))
-	if _, err := w.z.Write(n4[:]); err != nil {
-		return err
-	}
-	_, err := w.z.Write(w.buf.Bytes())
+	binary.LittleEndian.PutUint32(w.rec, uint32(len(w.rec)-4))
+	_, err := w.z.Write(w.rec)
 	return err
 }
 

@@ -27,39 +27,29 @@ const (
 	BaseN = byte('N')
 )
 
-// codeTab and complementTab back Code and Complement: the aligners call both
-// once per base of every read, so each is a single table load.
-var codeTab, complementTab = func() (code, comp [256]byte) {
+// codeTab, letterTab and complementTab back Code, Letter and Complement: the
+// aligners and the base codec call them once per base of every read, so each
+// is a single table load.
+var codeTab, letterTab, complementTab = func() (code, letter, comp [256]byte) {
 	for i := range code {
-		code[i], comp[i] = 4, BaseN
+		code[i], letter[i], comp[i] = 4, BaseN, BaseN
 	}
 	for c, b := range []byte("ACGT") {
 		lower := b | 0x20
 		code[b], code[lower] = byte(c), byte(c)
+		letter[c] = b
 		comp[b], comp[lower] = "TGCA"[c], "TGCA"[c]
 	}
-	return code, comp
+	return code, letter, comp
 }()
 
 // Code converts a base letter to its 3-bit code (0..4). Lower-case letters
 // are accepted. Unknown letters map to N's code.
 func Code(b byte) uint8 { return codeTab[b] }
 
-// Letter converts a 3-bit code back to its base letter.
-func Letter(code uint8) byte {
-	switch code {
-	case 0:
-		return BaseA
-	case 1:
-		return BaseC
-	case 2:
-		return BaseG
-	case 3:
-		return BaseT
-	default:
-		return BaseN
-	}
-}
+// Letter converts a 3-bit code back to its base letter; every code above 3
+// reads as N.
+func Letter(code uint8) byte { return letterTab[code] }
 
 // Complement returns the Watson-Crick complement of a base letter; N maps to
 // N.
