@@ -1,6 +1,7 @@
 // Cluster scaling: distributed alignment across worker nodes coordinated by
-// a TCP manifest server (§5.2), followed by the paper-scale discrete-event
-// projection of Fig. 7 (linear to ~60 nodes, then write-limited).
+// a TCP phase server (§5.2's manifest server), followed by the paper-scale
+// discrete-event projection of Fig. 7 (linear to ~60 nodes, then
+// write-limited).
 //
 //	go run ./examples/cluster_scaling
 package main
@@ -46,7 +47,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Println("real distributed runtime (in-process nodes, TCP manifest server):")
+	fmt.Println("real distributed runtime (in-process nodes, TCP phase server):")
 	var profiled *storage.RetryStore
 	for _, nodes := range []int{1, 2, 4} {
 		store := persona.NewRetryStore(persona.NewMemStore(), persona.RetryPolicy{})

@@ -6,6 +6,8 @@ import (
 	"io"
 	"sync"
 	"time"
+
+	"persona/internal/dataflow"
 )
 
 // This file is the pumped half of the stage-to-stage dataflow: a bounded
@@ -21,8 +23,10 @@ import (
 var ErrEdgeClosed = errors.New("agd: edge closed by consumer")
 
 // BoundedEdge is a bounded FIFO of row groups between a producing pump and a
-// consuming stage. One producer and one consumer; either side may close, and
-// anyone may Fail the edge (the cancellation watcher does). Every queued
+// consuming stage. One producer; Pop is one critical section, so a sink may
+// drain an edge from several goroutines (WriteColumn's writers), each group
+// going to exactly one. Either side may close, and anyone may Fail the edge
+// (the cancellation watcher does). Every queued
 // group is release-owned: on failure or consumer close the edge drains and
 // releases them, so pooled chunks return to their pools instead of leaking
 // under a dead pipeline.
@@ -277,4 +281,21 @@ func RunPump(ctx context.Context, src *GroupStream, edge *BoundedEdge) (time.Dur
 	edge.CloseSend(pumpErr)
 	src.Close()
 	return produce, pumpErr
+}
+
+// PumpEdge starts a pump of the set draining src into a new edge of the given
+// depth, and returns the edge for the consuming stage. Edge waits cannot
+// select on a context, so the edge is failed when the set's context ends —
+// the caller cancelled, a sibling pump failed, or Wait returned — which wakes
+// both of its sides.
+func PumpEdge(pumps *dataflow.Pumps, name string, src *GroupStream, depth int) *BoundedEdge {
+	edge := NewBoundedEdge(depth)
+	context.AfterFunc(pumps.Context(), func() {
+		edge.Fail(context.Cause(pumps.Context()))
+	})
+	pumps.Go(dataflow.Pump{Name: name}, func(ctx context.Context) error {
+		_, err := RunPump(ctx, src, edge)
+		return err
+	})
+	return edge
 }

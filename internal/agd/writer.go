@@ -288,6 +288,9 @@ func (w *Writer) Close() (*Manifest, error) {
 // chunk's record count. This is how Persona appends alignment results to a
 // dataset (§3: "a new record field ... can be easily added by writing the
 // column chunk files and adding appropriate entries to the metadata file").
+// It is the record-at-a-time form, for callers that hold the whole column in
+// memory (fixtures, and the reference the align identity tests compare
+// against); stages stream a column in through WriteColumn instead.
 func AppendColumn(store BlobStore, m *Manifest, spec ColumnSpec, chunkRecords func(chunkIdx int) ([][]byte, error)) (*Manifest, error) {
 	if m.HasColumn(spec.Name) {
 		return nil, fmt.Errorf("agd: dataset %q already has column %q", m.Name, spec.Name)

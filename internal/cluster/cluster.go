@@ -4,18 +4,20 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"time"
 
 	"persona/internal/agd"
 	"persona/internal/align/snap"
+	"persona/internal/core"
 	"persona/internal/dataflow"
 	"persona/internal/storage"
 )
 
 // errNodeDeath is the injected worker-death fault (Config.NodeFaults): the
-// node stops mid-run without acking its chunk, exactly like a crashed
-// process. It is classified transient, so the run degrades instead of
-// failing.
+// node stops mid-run without acking the task it was just handed, exactly
+// like a crashed process. It is classified transient, so the run degrades
+// instead of failing.
 var errNodeDeath = errors.New("cluster: injected node death")
 
 // Config parameterizes a cluster alignment run.
@@ -28,36 +30,37 @@ type Config struct {
 	// Subchunks is the fine-grain split of each AGD chunk fed to the
 	// executor (Fig. 4). Default 8.
 	Subchunks int
-	// Prefetch is how many chunk fetches each worker keeps in flight
-	// beyond the chunk it is aligning: the node asks the manifest server
-	// ahead and issues async reads, so storage latency overlaps with
-	// alignment. 0 defaults to 4.
+	// Prefetch is how far each worker reads ahead of the chunk it is
+	// aligning, so storage latency overlaps with alignment: an Align node
+	// leases and decodes up to this many chunks ahead, a pipeline node's
+	// map task keeps this many chunk fetches in flight. 0 defaults to 4.
 	Prefetch int
 	// Aligner tunes the SNAP algorithm.
 	Aligner snap.Config
 	// Executor, when non-nil, is a caller-owned (typically Session-owned)
 	// shared executor all worker nodes submit to, instead of each node
 	// constructing and tearing down its own — so repeated distributed runs
-	// reuse warm executor state. It is never closed here. ThreadsPerNode
-	// still sizes each node's aligner pool.
+	// reuse warm executor state. It is never closed here, and
+	// ThreadsPerNode is then unused.
 	Executor *dataflow.Executor
 
-	// Lease, HeartbeatTimeout and MaxChunkAttempts tune the manifest
-	// server's failure detector (ServerOptions); zero values take the
-	// server defaults. Lease bounds one worker's processing of one chunk
+	// Lease, HeartbeatTimeout and MaxChunkAttempts tune the phase server's
+	// failure detector (ServerOptions); zero values take the server
+	// defaults. Lease bounds one worker's processing of one task
 	// (stragglers past it are re-dealt); HeartbeatTimeout declares a
-	// silent worker dead; MaxChunkAttempts bounds re-execution per chunk.
+	// silent worker dead; MaxChunkAttempts bounds re-execution per task.
 	Lease            time.Duration
 	HeartbeatTimeout time.Duration
 	MaxChunkAttempts int
-	// NodeFaults injects worker death: node id → how many chunks it
-	// completes before dying mid-run (failure injection for recovery
-	// tests; the run completes on the surviving workers).
+	// NodeFaults injects worker death: node id → how many tasks of
+	// FaultPhase it is handed before dying on the next one (failure
+	// injection for recovery tests; the run completes on the surviving
+	// workers).
 	NodeFaults map[int]int
-	// FaultPhase scopes NodeFaults on a distributed pipeline run: the node
-	// dies on receiving its (n+1)-th task of this phase (0 = map,
-	// 1 = shuffle, 2 = reduce), which is how a chaos test kills a worker
-	// deterministically mid-shuffle. Ignored by Align.
+	// FaultPhase scopes NodeFaults to one phase of the run: 0 is Align's
+	// only phase (its tasks are chunks) and a distributed pipeline's map
+	// phase, 1 its shuffle, 2 its reduce — which is how a chaos test kills
+	// a worker deterministically mid-shuffle.
 	FaultPhase int
 	// SkipColumnCheck registers the results column without re-probing every
 	// chunk blob. Set by callers (the client Session) that verified the
@@ -94,8 +97,8 @@ type Report struct {
 	// "completion-time imbalance" the paper reports as unmeasurable.
 	Imbalance float64
 	// Degraded marks a run that lost workers but completed anyway;
-	// FailedNodes counts them and Reassigned counts the chunk leases the
-	// manifest server re-dealt after worker death or straggling.
+	// FailedNodes counts them and Reassigned counts the task leases the
+	// phase server re-dealt after worker death or straggling.
 	Degraded    bool
 	FailedNodes int
 	Reassigned  int64
@@ -109,23 +112,14 @@ type Report struct {
 }
 
 // runFatal classifies a node error as run-fatal: permanent storage errors
-// (corruption, missing blobs, the caller's context ending) and a manifest
+// (corruption, missing blobs, the caller's context ending) and a phase
 // server abort cannot be fixed by the surviving workers. Everything else is
 // a node failure the run survives.
 func runFatal(err error) bool {
 	return storage.IsPermanent(err) || errors.Is(err, ErrAborted)
 }
 
-// Align runs a distributed alignment of a dataset: every node pulls chunk
-// leases from the manifest server, reads bases from shared storage, aligns
-// them on its executor, writes a results-column chunk back, and acks the
-// lease. Workers heartbeat the server; a worker that dies or straggles has
-// its chunks re-dealt to the survivors (bounded by MaxChunkAttempts;
-// results writes are idempotent, so duplicate completion is safe) and the
-// run completes degraded, with the reassignments recorded in the report.
-// Permanent errors — corrupt chunks, missing blobs, ctx ending — abort the
-// whole run. The results column is registered in the manifest at the end.
-func Align(ctx context.Context, store storage.Store, datasetName string, idx *snap.Index, cfg Config) (*Report, *agd.Manifest, error) {
+func (cfg *Config) applyDefaults() {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 1
 	}
@@ -138,69 +132,132 @@ func Align(ctx context.Context, store storage.Store, datasetName string, idx *sn
 	if cfg.Prefetch <= 0 {
 		cfg.Prefetch = 4
 	}
+}
 
-	ds, err := agd.Open(store, datasetName)
-	if err != nil {
-		return nil, nil, err
-	}
-	m := ds.Manifest
-	if m.HasColumn(agd.ColResults) {
-		return nil, nil, fmt.Errorf("cluster: dataset %q already aligned", datasetName)
-	}
-
-	srv, err := NewManifestServerOpts(len(m.Chunks), ServerOptions{
+func (cfg *Config) serverOptions() ServerOptions {
+	return ServerOptions{
 		LeaseTimeout: cfg.Lease,
 		BeatTimeout:  cfg.HeartbeatTimeout,
 		MaxAttempts:  cfg.MaxChunkAttempts,
-	})
-	if err != nil {
-		return nil, nil, err
 	}
-	defer srv.Close()
+}
 
+// worker is one in-process node of a run, as runNodes hands it to the run's
+// node function: its connection to the phase server, the executor its stages
+// submit to, and the report it fills in.
+type worker struct {
+	node   int
+	cfg    *Config
+	client *ManifestClient
+	exec   *dataflow.Executor
+	rep    NodeReport
+	leased map[int]int // tasks handed to this node, by phase
+}
+
+// lease asks the phase server for the node's next task, waiting out barriers
+// and held phases; ok is false once every phase is drained. Injected death
+// (Config.NodeFaults) strikes here, after the task was dealt: it is never
+// acked, so its lease expires and a survivor re-runs it.
+func (w *worker) lease(ctx context.Context) (phase, idx int, ok bool, err error) {
+	phase, idx, ok, err = w.client.NextTask(ctx.Done())
+	if err != nil {
+		return 0, 0, false, err
+	}
+	if !ok {
+		return 0, 0, false, ctx.Err() // nil: the server said DONE
+	}
+	if kill, faulty := w.cfg.NodeFaults[w.node]; faulty && phase == w.cfg.FaultPhase && w.leased[phase] >= kill {
+		return 0, 0, false, errNodeDeath
+	}
+	w.leased[phase]++
+	return phase, idx, true, nil
+}
+
+// runNodes runs cfg.Nodes workers against a phase server and folds their
+// outcomes into a report. Each worker dials the server, takes the shared
+// executor (or builds its own), heartbeats until it returns (a dead worker
+// stops beating, which is exactly how the server finds out) and runs node,
+// the run's task loop. A node error is a node failure the run survives —
+// its tasks are re-dealt to the others — unless it is run-fatal (runFatal),
+// which stops every node; the run as a whole fails when that happens, when
+// every node failed, or when the survivors left tasks undone.
+func runNodes(ctx context.Context, srv *PhaseServer, cfg *Config, node func(ctx context.Context, w *worker) error) (*Report, error) {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
+
+	beatEvery := cfg.HeartbeatTimeout / 3
+	if beatEvery <= 0 {
+		beatEvery = time.Second
+	}
+	runWorker := func(w *worker) error {
+		client, err := DialManifestWorker(srv.Addr(), w.node)
+		if err != nil {
+			return err
+		}
+		defer client.Close()
+		w.client = client
+		if w.exec == nil {
+			w.exec = dataflow.NewExecutor(cfg.ThreadsPerNode, cfg.ThreadsPerNode*2)
+			defer w.exec.Close()
+		}
+		nodeStart := time.Now()
+		defer func() { w.rep.Elapsed = time.Since(nodeStart) }()
+
+		beatStop := make(chan struct{})
+		defer close(beatStop)
+		go func() {
+			t := time.NewTicker(beatEvery)
+			defer t.Stop()
+			for {
+				select {
+				case <-t.C:
+					if err := client.Beat(); err != nil {
+						return
+					}
+				case <-beatStop:
+					return
+				}
+			}
+		}()
+		return node(runCtx, w)
+	}
 
 	report := &Report{Nodes: make([]NodeReport, cfg.Nodes)}
 	start := time.Now()
 	type outcome struct {
-		node int
-		rep  NodeReport
-		err  error
+		w   *worker
+		err error
 	}
 	outs := make(chan outcome, cfg.Nodes)
 	for n := 0; n < cfg.Nodes; n++ {
-		go func(node int) {
-			rep, err := runNode(runCtx, node, srv.Addr(), store, ds, idx, cfg)
-			outs <- outcome{node, rep, err}
-		}(n)
+		w := &worker{node: n, cfg: cfg, exec: cfg.Executor, rep: NodeReport{Node: n}, leased: make(map[int]int)}
+		go func() { outs <- outcome{w, runWorker(w)} }()
 	}
 	var fatal, firstNodeErr error
 	for i := 0; i < cfg.Nodes; i++ {
 		o := <-outs
-		o.rep.Node = o.node
 		if o.err != nil {
-			o.rep.Failed = true
-			o.rep.Err = o.err.Error()
+			o.w.rep.Failed = true
+			o.w.rep.Err = o.err.Error()
 			report.FailedNodes++
 			if firstNodeErr == nil {
 				firstNodeErr = o.err
 			}
 			if fatal == nil && runFatal(o.err) {
-				fatal = fmt.Errorf("cluster: node %d: %w", o.node, o.err)
+				fatal = fmt.Errorf("cluster: node %d: %w", o.w.node, o.err)
 				cancel() // no point letting the survivors keep going
 			}
 		}
-		report.Nodes[o.node] = o.rep
+		report.Nodes[o.w.node] = o.w.rep
 	}
 	if fatal != nil {
-		return nil, nil, fatal
+		return nil, fatal
 	}
 	if report.FailedNodes == cfg.Nodes {
-		return nil, nil, fmt.Errorf("cluster: all %d nodes failed: %w", cfg.Nodes, firstNodeErr)
+		return nil, fmt.Errorf("cluster: all %d nodes failed: %w", cfg.Nodes, firstNodeErr)
 	}
 	if !srv.AllDone() {
-		return nil, nil, fmt.Errorf("cluster: run incomplete after %d node failures: %w", report.FailedNodes, firstNodeErr)
+		return nil, fmt.Errorf("cluster: run incomplete after %d node failures: %w", report.FailedNodes, firstNodeErr)
 	}
 	report.Elapsed = time.Since(start)
 	report.Degraded = report.FailedNodes > 0
@@ -224,6 +281,45 @@ func Align(ctx context.Context, store storage.Store, datasetName string, idx *sn
 	if mean := sumE / time.Duration(len(report.Nodes)); mean > 0 {
 		report.Imbalance = float64(maxE-minE) / float64(mean)
 	}
+	return report, nil
+}
+
+// Align runs a distributed alignment of a dataset as a one-phase plan on the
+// phase server, one task per chunk: every node leases chunks, reads their
+// bases from shared storage, aligns them with the same stage the
+// single-server Align runs (core.AlignStream), writes each results chunk
+// back through the same column sink, and acks the lease once the blob has
+// landed. Workers heartbeat the server; a worker that dies or straggles has
+// its chunks re-dealt to the survivors (bounded by MaxChunkAttempts;
+// results writes are idempotent, so duplicate completion is safe) and the
+// run completes degraded, with the reassignments recorded in the report.
+// Permanent errors — corrupt chunks, missing blobs, ctx ending — abort the
+// whole run. The results column is registered in the manifest at the end.
+func Align(ctx context.Context, store storage.Store, datasetName string, idx *snap.Index, cfg Config) (*Report, *agd.Manifest, error) {
+	cfg.applyDefaults()
+	ds, err := agd.Open(store, datasetName)
+	if err != nil {
+		return nil, nil, err
+	}
+	m := ds.Manifest
+	if m.HasColumn(agd.ColResults) {
+		return nil, nil, fmt.Errorf("cluster: dataset %q already aligned", datasetName)
+	}
+	if !m.HasColumn(agd.ColBases) {
+		return nil, nil, fmt.Errorf("cluster: dataset %q has no %q column", datasetName, agd.ColBases)
+	}
+
+	srv, err := NewPhaseServer([]int{len(m.Chunks)}, nil, cfg.serverOptions())
+	if err != nil {
+		return nil, nil, err
+	}
+	defer srv.Close()
+	report, err := runNodes(ctx, srv, &cfg, func(ctx context.Context, w *worker) error {
+		return alignNode(ctx, w, ds, idx)
+	})
+	if err != nil {
+		return nil, nil, err
+	}
 
 	var updated *agd.Manifest
 	if cfg.SkipColumnCheck {
@@ -237,218 +333,55 @@ func Align(ctx context.Context, store storage.Store, datasetName string, idx *sn
 	return report, updated, nil
 }
 
-// runNode is one worker: a small Persona graph (reader → aligner(executor)
-// → writer) fed by manifest-server leases, acking each chunk after its
-// results blob is durably written and heartbeating while it works.
-func runNode(ctx context.Context, node int, manifestAddr string, store storage.Store, ds *agd.Dataset, idx *snap.Index, cfg Config) (NodeReport, error) {
-	client, err := DialManifestWorker(manifestAddr, node)
-	if err != nil {
-		return NodeReport{}, err
-	}
-	defer client.Close()
-
-	exec := cfg.Executor
-	if exec == nil {
-		exec = dataflow.NewExecutor(cfg.ThreadsPerNode, cfg.ThreadsPerNode*2)
-		defer exec.Close()
-	}
-
-	// Per-worker aligners (one per executor thread; they share the index).
-	aligners := make(chan *snap.Aligner, cfg.ThreadsPerNode)
-	for i := 0; i < cfg.ThreadsPerNode; i++ {
-		aligners <- snap.NewAligner(idx, cfg.Aligner)
-	}
-
-	rep := NodeReport{Node: node}
-	nodeStart := time.Now()
-	m := ds.Manifest
-	defer func() { rep.Elapsed = time.Since(nodeStart) }()
-
-	// Heartbeat loop: keeps this worker's leases alive until it returns
-	// (a dead worker stops beating, which is exactly how the server finds
-	// out).
-	beatStop := make(chan struct{})
-	defer close(beatStop)
-	beatEvery := cfg.HeartbeatTimeout / 3
-	if beatEvery <= 0 {
-		beatEvery = time.Second
-	}
-	go func() {
-		t := time.NewTicker(beatEvery)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				if err := client.Beat(); err != nil {
-					return
-				}
-			case <-beatStop:
-				return
-			}
-		}
-	}()
-
-	// Prefetcher: pull chunk leases from the manifest server ahead of the
-	// aligner and issue async bases-column reads, keeping up to cfg.Prefetch
-	// fetches in flight beyond the chunk being aligned — the worker never
-	// stalls on storage unless it outruns the window.
-	type fetch struct {
-		idx int
-		fut *agd.Future
-		err error
-	}
-	as := agd.AsyncOf(store)
-	fetches := make(chan fetch, cfg.Prefetch)
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		defer close(fetches)
-		for {
-			chunkIdx, ok, err := client.NextWait(done)
+// alignNode is one Align worker: a source that leases a chunk and reads its
+// bases, pumped cfg.Prefetch chunks ahead of the align stage so storage
+// latency overlaps with alignment, then core.AlignStream, then the results
+// column sink, which acks each chunk's lease after its blob is stored. The
+// results write is idempotent — Put replaces, and a re-executed chunk
+// encodes identical bytes — so a duplicate completion after lease
+// reassignment is harmless.
+func alignNode(ctx context.Context, w *worker, ds *agd.Dataset, idx *snap.Index) error {
+	cfg, m := w.cfg, ds.Manifest
+	codec := agd.Codec{Exec: w.exec}
+	// A chunk's pooled buffers are held from its decode until its results
+	// blob has landed: read ahead, being aligned, or in the sink.
+	pool := agd.NewShardedChunkPool(w.exec.NumShards(), cfg.Prefetch+1+agd.ColumnWindow)
+	leases := agd.NewGroupStream(
+		agd.StreamMeta{Columns: []string{agd.ColBases}},
+		func(ctx context.Context) (*agd.RowGroup, error) {
+			_, chunk, ok, err := w.lease(ctx)
 			if err != nil {
-				select {
-				case fetches <- fetch{err: err}:
-				case <-done:
-				}
-				return
+				return nil, err
 			}
 			if !ok {
-				return
+				return nil, io.EOF
 			}
-			f := fetch{idx: chunkIdx, fut: as.GetAsync(m.ChunkBlobPath(chunkIdx, agd.ColBases))}
-			select {
-			case fetches <- f:
-			case <-done:
-				return
-			}
-		}
-	}()
-
-	for {
-		var f fetch
-		var open bool
-		select {
-		case f, open = <-fetches:
-			if !open {
-				return rep, nil // queue drained: server said DONE
-			}
-		case <-ctx.Done():
-			return rep, ctx.Err()
-		}
-		if f.err != nil {
-			return rep, f.err
-		}
-		// Injected worker death: stop before processing (the fetched chunk
-		// is never acked, so its lease expires and a survivor re-runs it).
-		if kill, ok := cfg.NodeFaults[node]; ok && rep.Chunks >= kill {
-			return rep, errNodeDeath
-		}
-		chunkIdx := f.idx
-		blobName := m.ChunkBlobPath(chunkIdx, agd.ColBases)
-		blob, err := f.fut.Wait(ctx)
-		if err != nil {
-			return rep, err
-		}
-		basesChunk, err := agd.DecodeChunk(blob)
-		if err != nil {
-			return rep, fmt.Errorf("cluster: decode chunk %q: %w", blobName, err)
-		}
-		n := basesChunk.NumRecords()
-		if n != int(m.Chunks[chunkIdx].Records) {
-			return rep, fmt.Errorf("cluster: chunk %q has %d records, manifest says %d",
-				blobName, n, m.Chunks[chunkIdx].Records)
-		}
-
-		// Fine-grain split: subchunk tasks into the shared executor, one
-		// output slot per record (Fig. 4). The whole batch is pinned to the
-		// chunk's shard — the worker that decodes the chunk pops its
-		// subchunks LIFO while they are cache-hot, and idle shards steal
-		// the tail of the batch.
-		encoded := make([][]byte, n)
-		sub := cfg.Subchunks
-		if sub > n {
-			sub = n
-		}
-		if sub == 0 {
-			sub = 1
-		}
-		err = exec.SubmitWaitTo(ctx, chunkIdx%exec.NumShards(), sub, func(s int) dataflow.ShardTask {
-			lo := s * n / sub
-			hi := (s + 1) * n / sub
-			return func(int) {
-				a := <-aligners
-				defer func() { aligners <- a }()
-				var scratch []byte
-				for r := lo; r < hi; r++ {
-					scratch = scratch[:0]
-					bases, err := basesChunk.ExpandBasesRecord(scratch, r)
-					if err != nil {
-						encoded[r] = agd.EncodeResult(nil, &agd.Result{
-							Location: agd.UnmappedLocation, MateLocation: agd.UnmappedLocation, Flags: agd.FlagUnmapped,
-						})
-						continue
-					}
-					res := a.AlignRead(bases)
-					encoded[r] = agd.EncodeResult(nil, &res)
-					scratch = bases
-				}
-			}
-		})
-		if err != nil {
-			return rep, err
-		}
-		// Count aligned bases from the compact records' length headers
-		// (cheaper than re-expanding).
-		var basesTotal int64
-		for r := 0; r < n; r++ {
-			rec, err := basesChunk.Record(r)
+			one, err := ds.Groups(agd.StreamOptions{
+				Columns: []string{agd.ColBases}, Start: chunk, End: chunk + 1,
+				Prefetch: 1, ShardedPool: pool, Codec: codec,
+			})
 			if err != nil {
-				return rep, err
+				return nil, err
 			}
-			count, n2 := uvarint(rec)
-			if n2 <= 0 {
-				return rep, fmt.Errorf("cluster: corrupt bases record")
-			}
-			basesTotal += int64(count)
-		}
+			defer one.Close()
+			return one.Next(ctx)
+		}, nil)
+	leases.Owned = true // pooled chunks, valid until Release
 
-		builder := agd.NewChunkBuilder(agd.TypeResults, basesChunk.FirstOrdinal)
-		for r := 0; r < n; r++ {
-			builder.Append(encoded[r])
-		}
-		out, err := agd.EncodeChunk(builder.Chunk(), agd.CompressGzip)
-		if err != nil {
-			return rep, err
-		}
-		// The results write is idempotent — Put replaces, and a re-executed
-		// chunk encodes identical bytes — so a duplicate completion after
-		// lease reassignment is harmless. Ack only after the write landed.
-		if err := store.Put(m.ChunkBlobPath(chunkIdx, agd.ColResults), out); err != nil {
-			return rep, err
-		}
-		if err := client.Ack(chunkIdx); err != nil {
-			return rep, err
-		}
-		rep.Chunks++
-		rep.Reads += int64(n)
-		rep.Bases += basesTotal
+	pumps := dataflow.NewPumps(ctx)
+	ahead := agd.PumpEdge(pumps, "lease", leases, cfg.Prefetch)
+	out, rep, err := core.AlignStream(core.AlignConfig{
+		Index:      idx,
+		Aligner:    cfg.Aligner,
+		Subchunks:  cfg.Subchunks,
+		Pipelining: agd.ColumnWindow + 1,
+	}, w.exec, ahead.Stream(leases.Meta))
+	if err == nil {
+		err = agd.WriteColumn(pumps.Context(), out, ds.Store(), m, agd.ColResults, codec, func(chunk int) error {
+			return w.client.AckTask(0, chunk, "")
+		})
+		w.rep.Chunks, w.rep.Reads, w.rep.Bases = rep.Chunks, rep.Reads, rep.Bases
 	}
-}
-
-// uvarint decodes a uvarint without importing encoding/binary at every call
-// site above.
-func uvarint(b []byte) (uint64, int) {
-	var x uint64
-	var s uint
-	for i, c := range b {
-		if c < 0x80 {
-			return x | uint64(c)<<s, i + 1
-		}
-		x |= uint64(c&0x7f) << s
-		s += 7
-		if s >= 64 {
-			return 0, -1
-		}
-	}
-	return 0, 0
+	pumps.Fail(err)
+	return pumps.Wait()
 }

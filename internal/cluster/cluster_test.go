@@ -2,60 +2,12 @@ package cluster
 
 import (
 	"context"
-	"sync"
 	"testing"
 
 	"persona/internal/agd"
 	"persona/internal/storage"
 	"persona/internal/testutil"
 )
-
-func TestManifestServerDealsEachChunkOnce(t *testing.T) {
-	srv, err := NewManifestServer(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	var mu sync.Mutex
-	seen := make(map[int]bool)
-	var wg sync.WaitGroup
-	for c := 0; c < 4; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			client, err := DialManifest(srv.Addr())
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer client.Close()
-			for {
-				idx, ok, err := client.Next()
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if !ok {
-					return
-				}
-				mu.Lock()
-				if seen[idx] {
-					t.Errorf("chunk %d dealt twice", idx)
-				}
-				seen[idx] = true
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if len(seen) != 100 {
-		t.Fatalf("dealt %d chunks, want 100", len(seen))
-	}
-	if srv.Served() != 100 {
-		t.Fatalf("Served = %d", srv.Served())
-	}
-}
 
 func TestClusterAlignEndToEnd(t *testing.T) {
 	store := agd.NewMemStore()

@@ -1,17 +1,15 @@
-// Package cluster implements Persona's distributed runtime (§5.2): a
-// manifest server — "a simple message queue" handing out AGD chunk names —
-// and worker nodes that each run an alignment pipeline against shared
-// storage. The paper launches one TensorFlow instance per compute server;
-// here each worker is an in-process node with its own executor, and the
-// manifest server speaks a tiny line protocol over real TCP so that the
-// coordination path is genuinely networked.
+// Package cluster implements Persona's distributed runtime (§5.2): one
+// coordinator, PhaseServer — the paper's manifest server, "a simple message
+// queue" handing out AGD chunk names, grown leases and phases — and worker
+// nodes that each run pipeline stages against shared storage. The paper
+// launches one TensorFlow instance per compute server; here each worker is
+// an in-process node (runNodes), and the coordinator speaks a tiny line
+// protocol over real TCP so that the coordination path is genuinely
+// networked.
 //
-// The server is also the cluster's failure detector: tracked workers lease
-// each chunk they are handed and heartbeat while they work. A chunk whose
-// worker misses its heartbeats (dead) or blows its lease deadline
-// (straggling) is re-queued and handed to the next worker that asks —
-// bounded by MaxAttempts, after which the run aborts — so an alignment run
-// completes on the surviving workers instead of hanging on a lost one.
+// Two kinds of run share that coordinator and worker scaffold: Align, a
+// one-phase plan whose tasks are the dataset's chunks, and RunPipeline, the
+// fused three-phase sample sort (pipeline.go).
 package cluster
 
 import (
@@ -19,28 +17,27 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// ErrAborted reports a run the manifest server gave up on: some chunk
-// failed MaxAttempts leases in a row, so re-execution is not converging.
-var ErrAborted = errors.New("cluster: manifest server aborted the run")
+// ErrAborted reports a run the phase server gave up on: some task failed
+// MaxAttempts leases in a row (re-execution is not converging), or the
+// coordinator poisoned the run.
+var ErrAborted = errors.New("cluster: phase server aborted the run")
 
-// ServerOptions tunes the manifest server's failure detector. Zero values
-// take the noted defaults.
+// ServerOptions tunes the phase server's failure detector. Zero values take
+// the noted defaults.
 type ServerOptions struct {
-	// LeaseTimeout bounds one worker's processing of one chunk; past it the
-	// chunk is a straggler and may be re-dealt (default 30s).
+	// LeaseTimeout bounds one worker's processing of one task; past it the
+	// task is a straggler and may be re-dealt (default 30s).
 	LeaseTimeout time.Duration
 	// BeatTimeout declares a worker dead when its last heartbeat (or any
-	// other request) is older than this; its chunks may be re-dealt
+	// other request) is older than this; its tasks may be re-dealt
 	// immediately (default 5s).
 	BeatTimeout time.Duration
-	// MaxAttempts bounds how many times one chunk may be dealt before the
+	// MaxAttempts bounds how many times one task may be dealt before the
 	// run aborts (default 3).
 	MaxAttempts int
 }
@@ -58,7 +55,7 @@ func (o ServerOptions) withDefaults() ServerOptions {
 	return o
 }
 
-// chunkLease is one chunk's dealing state.
+// chunkLease is one task's dealing state.
 type chunkLease struct {
 	assigned bool
 	done     bool
@@ -67,246 +64,10 @@ type chunkLease struct {
 	attempts int
 }
 
-// ManifestServer hands out chunk indices to workers over TCP and tracks
-// their completion.
-//
-// Protocol (line-oriented):
-//
-//	C: NEXT\n             S: CHUNK <idx>\n  or  DONE\n
-//	C: NEXT <worker>\n    S: CHUNK <idx>\n, WAIT\n, DONE\n or ABORT <msg>\n
-//	C: ACK <worker> <idx>\n   S: OK\n
-//	C: BEAT <worker>\n    S: OK\n
-//	C: STATS\n            S: SERVED <n>\n
-//
-// Bare NEXT is the untracked legacy form: the chunk is dealt at-most-once
-// and counted complete immediately (no lease, no recovery). NEXT with a
-// worker id leases the chunk: the worker must ACK it when its results are
-// durably written, and BEAT while working. ACK is idempotent, so a
-// reassigned chunk completed twice (the straggler finished after all) is
-// safe. WAIT means every remaining chunk is currently leased to a live
-// worker — poll again; reassignment happens on a later NEXT once a lease
-// expires.
-type ManifestServer struct {
-	ln     net.Listener
-	wg     sync.WaitGroup
-	closed atomic.Bool
-	opts   ServerOptions
-	served atomic.Int64
-
-	mu         sync.Mutex
-	chunks     []chunkLease
-	lastBeat   map[int]time.Time
-	remaining  int
-	reassigned int64
-	abortMsg   string
-}
-
-// NewManifestServer starts a server dealing out chunk indices [0, numChunks)
-// on a random localhost port, with default failure-detector options.
-func NewManifestServer(numChunks int) (*ManifestServer, error) {
-	return NewManifestServerOpts(numChunks, ServerOptions{})
-}
-
-// NewManifestServerOpts is NewManifestServer with explicit options.
-func NewManifestServerOpts(numChunks int, opts ServerOptions) (*ManifestServer, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	s := &ManifestServer{
-		ln:        ln,
-		opts:      opts.withDefaults(),
-		chunks:    make([]chunkLease, numChunks),
-		lastBeat:  make(map[int]time.Time),
-		remaining: numChunks,
-	}
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return s, nil
-}
-
-// Addr returns the server's address for clients.
-func (s *ManifestServer) Addr() string { return s.ln.Addr().String() }
-
-func (s *ManifestServer) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.serve(conn)
-		}()
-	}
-}
-
-func (s *ManifestServer) serve(conn net.Conn) {
-	defer conn.Close()
-	sc := bufio.NewScanner(conn)
-	w := bufio.NewWriter(conn)
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 {
-			continue
-		}
-		switch fields[0] {
-		case "NEXT":
-			worker := -1
-			if len(fields) > 1 {
-				worker, _ = strconv.Atoi(fields[1])
-			}
-			fmt.Fprintf(w, "%s\n", s.handleNext(worker))
-		case "ACK":
-			if len(fields) == 3 {
-				worker, _ := strconv.Atoi(fields[1])
-				idx, _ := strconv.Atoi(fields[2])
-				s.handleAck(worker, idx)
-				fmt.Fprintf(w, "OK\n")
-			} else {
-				fmt.Fprintf(w, "ERR bad ack\n")
-			}
-		case "BEAT":
-			if len(fields) == 2 {
-				worker, _ := strconv.Atoi(fields[1])
-				s.touch(worker)
-				fmt.Fprintf(w, "OK\n")
-			} else {
-				fmt.Fprintf(w, "ERR bad beat\n")
-			}
-		case "STATS":
-			fmt.Fprintf(w, "SERVED %d\n", s.served.Load())
-		default:
-			fmt.Fprintf(w, "ERR unknown command\n")
-		}
-		if err := w.Flush(); err != nil {
-			return
-		}
-	}
-}
-
-// touch records a sign of life from a tracked worker.
-func (s *ManifestServer) touch(worker int) {
-	if worker < 0 {
-		return
-	}
-	s.mu.Lock()
-	s.lastBeat[worker] = time.Now()
-	s.mu.Unlock()
-}
-
-// expiredLocked reports whether a leased chunk is reclaimable: its worker
-// is dead (heartbeats stopped) or straggling (lease deadline passed).
-func (s *ManifestServer) expiredLocked(c *chunkLease, now time.Time) bool {
-	if now.After(c.deadline) {
-		return true
-	}
-	if lb, ok := s.lastBeat[c.worker]; ok && now.Sub(lb) > s.opts.BeatTimeout {
-		return true
-	}
-	return false
-}
-
-// handleNext deals one chunk to worker (-1 for the untracked legacy form).
-func (s *ManifestServer) handleNext(worker int) string {
-	now := time.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if worker >= 0 {
-		s.lastBeat[worker] = now
-	}
-	if s.abortMsg != "" {
-		return "ABORT " + s.abortMsg
-	}
-	if s.remaining == 0 {
-		return "DONE"
-	}
-	deal := func(i int) string {
-		c := &s.chunks[i]
-		c.assigned = true
-		c.worker = worker
-		c.deadline = now.Add(s.opts.LeaseTimeout)
-		c.attempts++
-		s.served.Add(1)
-		if worker < 0 {
-			// Legacy untracked deal: at-most-once, counted complete now.
-			c.done = true
-			s.remaining--
-		}
-		return fmt.Sprintf("CHUNK %d", i)
-	}
-	// Fresh chunks first, then expired leases (dead or straggling workers).
-	for i := range s.chunks {
-		if c := &s.chunks[i]; !c.assigned && !c.done {
-			return deal(i)
-		}
-	}
-	for i := range s.chunks {
-		c := &s.chunks[i]
-		if !c.assigned || c.done || !s.expiredLocked(c, now) {
-			continue
-		}
-		if c.attempts >= s.opts.MaxAttempts {
-			s.abortMsg = fmt.Sprintf("chunk %d failed %d leases", i, c.attempts)
-			return "ABORT " + s.abortMsg
-		}
-		s.reassigned++
-		return deal(i)
-	}
-	// Everything left is leased to a live worker: poll again.
-	return "WAIT"
-}
-
-// handleAck marks a chunk complete. Idempotent: duplicate completions (a
-// straggler finishing after reassignment) are accepted silently.
-func (s *ManifestServer) handleAck(worker, idx int) {
-	now := time.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if worker >= 0 {
-		s.lastBeat[worker] = now
-	}
-	if idx < 0 || idx >= len(s.chunks) {
-		return
-	}
-	if c := &s.chunks[idx]; !c.done {
-		c.done = true
-		s.remaining--
-	}
-}
-
-// Served returns how many chunk leases have been handed out (reassignments
-// included).
-func (s *ManifestServer) Served() int64 { return s.served.Load() }
-
-// Reassigned returns how many chunks were re-dealt after an expired lease.
-func (s *ManifestServer) Reassigned() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.reassigned
-}
-
-// AllDone reports whether every chunk has been completed.
-func (s *ManifestServer) AllDone() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.remaining == 0 && s.abortMsg == ""
-}
-
-// Close stops the server.
-func (s *ManifestServer) Close() {
-	if s.closed.CompareAndSwap(false, true) {
-		s.ln.Close()
-		s.wg.Wait()
-	}
-}
-
-// ManifestClient fetches chunk indices from a manifest server on behalf of
-// one worker. Its methods are safe for concurrent use from the worker's
-// fetch, completion and heartbeat goroutines — each request/response pair
-// is serialized on the connection.
+// ManifestClient is one worker's connection to the phase server. Its methods
+// are safe for concurrent use from the worker's lease, completion and
+// heartbeat goroutines — each request/response pair is serialized on the
+// connection.
 type ManifestClient struct {
 	mu       sync.Mutex
 	conn     net.Conn
@@ -318,18 +79,8 @@ type ManifestClient struct {
 // defaultWaitPoll is how often a waiting worker re-asks the server.
 const defaultWaitPoll = 10 * time.Millisecond
 
-// DialManifest connects to a manifest server as an untracked legacy client
-// (bare NEXT, no leases).
-func DialManifest(addr string) (*ManifestClient, error) {
-	return dial(addr, -1)
-}
-
-// DialManifestWorker connects as tracked worker id (leases + heartbeats).
+// DialManifestWorker connects to a phase server as worker id.
 func DialManifestWorker(addr string, worker int) (*ManifestClient, error) {
-	return dial(addr, worker)
-}
-
-func dial(addr string, worker int) (*ManifestClient, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -356,66 +107,16 @@ func (c *ManifestClient) roundTrip(req string) (string, error) {
 	return strings.TrimSpace(line), nil
 }
 
-// Next fetches the next chunk index; ok is false when the queue is drained.
-// WAIT responses are polled through internally (see NextWait to bound the
-// polling).
-func (c *ManifestClient) Next() (idx int, ok bool, err error) {
-	return c.NextWait(nil)
-}
-
-// NextWait is Next, aborting the internal WAIT polling (with ok=false, no
-// error) when stop closes.
-func (c *ManifestClient) NextWait(stop <-chan struct{}) (idx int, ok bool, err error) {
-	req := "NEXT"
-	if c.worker >= 0 {
-		req = fmt.Sprintf("NEXT %d", c.worker)
-	}
-	for {
-		line, err := c.roundTrip(req)
-		if err != nil {
-			return 0, false, err
-		}
-		switch {
-		case line == "DONE":
-			return 0, false, nil
-		case line == "WAIT":
-			t := time.NewTimer(c.waitPoll)
-			select {
-			case <-t.C:
-			case <-stop:
-				t.Stop()
-				return 0, false, nil
-			}
-		case strings.HasPrefix(line, "CHUNK "):
-			v, err := strconv.Atoi(strings.TrimPrefix(line, "CHUNK "))
-			if err != nil {
-				return 0, false, fmt.Errorf("cluster: bad chunk index %q", line)
-			}
-			return v, true, nil
-		case strings.HasPrefix(line, "ABORT"):
-			return 0, false, fmt.Errorf("%w: %s", ErrAborted, strings.TrimSpace(strings.TrimPrefix(line, "ABORT")))
-		default:
-			return 0, false, fmt.Errorf("cluster: bad manifest response %q", line)
-		}
-	}
-}
-
-// Ack reports chunk idx complete (its results are durably written).
-func (c *ManifestClient) Ack(idx int) error {
-	if c.worker < 0 {
-		return nil // untracked clients' deals complete on assignment
-	}
-	_, err := c.roundTrip(fmt.Sprintf("ACK %d %d", c.worker, idx))
-	return err
-}
-
 // Beat sends a heartbeat keeping this worker's leases alive.
 func (c *ManifestClient) Beat() error {
-	if c.worker < 0 {
-		return nil
+	line, err := c.roundTrip(fmt.Sprintf("BEAT %d", c.worker))
+	if err != nil {
+		return err
 	}
-	_, err := c.roundTrip(fmt.Sprintf("BEAT %d", c.worker))
-	return err
+	if line != "OK" {
+		return fmt.Errorf("cluster: bad beat response %q", line)
+	}
+	return nil
 }
 
 // Close closes the client connection.

@@ -11,9 +11,8 @@ import (
 	"time"
 )
 
-// phaseState is one phase's dealing state: a task queue with the same
-// lease/reassignment semantics the manifest server applies to chunks, plus
-// the payload each completed task reported.
+// phaseState is one phase's dealing state: a queue of leased tasks plus the
+// payload each completed task reported.
 type phaseState struct {
 	tasks     []chunkLease
 	payloads  []string
@@ -23,8 +22,10 @@ type phaseState struct {
 	done      chan struct{} // closed when remaining reaches 0
 }
 
-// PhaseServer is the manifest server generalized to a phased run: tasks are
-// grouped into strictly ordered phases (map, shuffle, reduce for the fused
+// PhaseServer is the cluster's coordinator: the paper's manifest server —
+// "a simple message queue" of chunk names (§5.2) — with leases, and with the
+// queue generalized to phases. Tasks are grouped into strictly ordered
+// phases (one for an alignment run; map, shuffle, reduce for the fused
 // pipeline), a phase's tasks are dealt only once every earlier phase has
 // completed, and a completing worker attaches a payload to its ack — which
 // is how per-run key samples reach the coordinator (SAMPLE, the map acks)
@@ -37,12 +38,23 @@ type phaseState struct {
 //
 //	C: TASK <worker>\n                         S: TASK <phase> <idx>\n, WAIT\n, DONE\n or ABORT <msg>\n
 //	C: TACK <worker> <phase> <idx> <payload>\n S: OK\n    ("-" = no payload)
-//	C: CUTS <worker>\n                         S: CUTS <payload>\n or WAIT\n
+//	C: CUTS <worker>\n                         S: CUTS <payload>\n, WAIT\n or ABORT <msg>\n
 //	C: BEAT <worker>\n                         S: OK\n
 //
-// Leases, heartbeats, straggler reassignment and the MaxAttempts abort all
-// work exactly as in ManifestServer; TACK is idempotent with first-wins
-// payloads, so a reassigned task completed twice reports once.
+// Every request names its worker. A request that does not parse — a missing
+// field, a worker, phase or task index that is not a non-negative integer or
+// is out of range, a TACK for a task never leased — answers ERR <msg>\n and
+// changes no state.
+//
+// The server is also the failure detector: a worker leases each task it is
+// handed and heartbeats while it works. A task whose worker misses its
+// heartbeats (dead) or blows its lease deadline (straggling) is re-dealt to
+// the next worker that asks — bounded by MaxAttempts, after which the run
+// aborts — so a run completes on the surviving workers instead of hanging on
+// a lost one. WAIT means every remaining task of the current phase is leased
+// to a live worker (or the phase is held): poll again. TACK is idempotent
+// with first-wins payloads, so a reassigned task completed twice — the
+// straggler finished after all — reports once.
 type PhaseServer struct {
 	ln     net.Listener
 	wg     sync.WaitGroup
@@ -50,7 +62,10 @@ type PhaseServer struct {
 	opts   ServerOptions
 	served atomic.Int64
 
-	mu         sync.Mutex
+	mu sync.Mutex
+	// now is the lease clock, read under mu; tests advance a fake one by
+	// hand instead of sleeping through timeouts.
+	now        func() time.Time
 	phases     []phaseState
 	lastBeat   map[int]time.Time
 	reassigned int64
@@ -70,6 +85,7 @@ func NewPhaseServer(counts []int, held []int, opts ServerOptions) (*PhaseServer,
 	s := &PhaseServer{
 		ln:       ln,
 		opts:     opts.withDefaults(),
+		now:      time.Now,
 		phases:   make([]phaseState, len(counts)),
 		lastBeat: make(map[int]time.Time),
 	}
@@ -119,62 +135,72 @@ func (s *PhaseServer) serve(conn net.Conn) {
 	sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
 	w := bufio.NewWriter(conn)
 	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 {
+		reply := s.handleLine(sc.Text())
+		if reply == "" {
 			continue
 		}
-		switch fields[0] {
-		case "TASK":
-			worker := -1
-			if len(fields) > 1 {
-				worker, _ = strconv.Atoi(fields[1])
-			}
-			fmt.Fprintf(w, "%s\n", s.handleTask(worker))
-		case "TACK":
-			if len(fields) == 5 {
-				worker, _ := strconv.Atoi(fields[1])
-				phase, _ := strconv.Atoi(fields[2])
-				idx, _ := strconv.Atoi(fields[3])
-				payload := fields[4]
-				if payload == "-" {
-					payload = ""
-				}
-				s.handleTack(worker, phase, idx, payload)
-				fmt.Fprintf(w, "OK\n")
-			} else {
-				fmt.Fprintf(w, "ERR bad tack\n")
-			}
-		case "CUTS":
-			worker := -1
-			if len(fields) > 1 {
-				worker, _ = strconv.Atoi(fields[1])
-			}
-			fmt.Fprintf(w, "%s\n", s.handleCuts(worker))
-		case "BEAT":
-			if len(fields) == 2 {
-				worker, _ := strconv.Atoi(fields[1])
-				s.touch(worker)
-				fmt.Fprintf(w, "OK\n")
-			} else {
-				fmt.Fprintf(w, "ERR bad beat\n")
-			}
-		default:
-			fmt.Fprintf(w, "ERR unknown command\n")
-		}
+		fmt.Fprintf(w, "%s\n", reply)
 		if err := w.Flush(); err != nil {
 			return
 		}
 	}
 }
 
-// touch records a sign of life from a tracked worker.
-func (s *PhaseServer) touch(worker int) {
-	if worker < 0 {
-		return
+// handleLine answers one request line ("" for a blank one, which gets no
+// reply). The line comes from the network: every field is checked before
+// any state changes.
+func (s *PhaseServer) handleLine(line string) string {
+	fields := strings.Fields(line)
+	if len(fields) == 0 {
+		return ""
 	}
-	s.mu.Lock()
-	s.lastBeat[worker] = time.Now()
-	s.mu.Unlock()
+	verb, args := fields[0], fields[1:]
+	switch verb {
+	case "TASK":
+		if v, ok := wireInts(args, 1); ok {
+			return s.handleTask(v[0])
+		}
+	case "TACK":
+		if len(args) == 4 {
+			if v, ok := wireInts(args[:3], 3); ok {
+				payload := args[3]
+				if payload == "-" {
+					payload = ""
+				}
+				return s.handleTack(v[0], v[1], v[2], payload)
+			}
+		}
+	case "CUTS":
+		if v, ok := wireInts(args, 1); ok {
+			return s.handleCuts(v[0])
+		}
+	case "BEAT":
+		if v, ok := wireInts(args, 1); ok {
+			s.mu.Lock()
+			s.lastBeat[v[0]] = s.now()
+			s.mu.Unlock()
+			return "OK"
+		}
+	default:
+		return "ERR unknown command"
+	}
+	return "ERR bad " + strings.ToLower(verb)
+}
+
+// wireInts parses exactly n request fields as non-negative integers.
+func wireInts(args []string, n int) ([]int, bool) {
+	if len(args) != n {
+		return nil, false
+	}
+	out := make([]int, n)
+	for i, a := range args {
+		v, err := strconv.Atoi(a)
+		if err != nil || v < 0 {
+			return nil, false
+		}
+		out[i] = v
+	}
+	return out, true
 }
 
 // expiredLocked reports whether a leased task is reclaimable: its worker is
@@ -193,12 +219,10 @@ func (s *PhaseServer) expiredLocked(c *chunkLease, now time.Time) bool {
 // barrier: later phases wait until every task of the phase completes, and a
 // held phase answers WAIT until the coordinator opens it.
 func (s *PhaseServer) handleTask(worker int) string {
-	now := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if worker >= 0 {
-		s.lastBeat[worker] = now
-	}
+	now := s.now()
+	s.lastBeat[worker] = now
 	if s.abortMsg != "" {
 		return "ABORT " + s.abortMsg
 	}
@@ -270,22 +294,21 @@ func (s *PhaseServer) handleTask(worker int) string {
 
 // handleTack marks a task complete and records its payload. Idempotent with
 // first-wins payloads: a straggler finishing after reassignment changes
-// nothing.
-func (s *PhaseServer) handleTack(worker, phase, idx int, payload string) {
-	now := time.Now()
+// nothing. Any worker may complete a task some worker leased; a task nobody
+// was ever handed cannot have been done.
+func (s *PhaseServer) handleTack(worker, phase, idx int, payload string) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if worker >= 0 {
-		s.lastBeat[worker] = now
-	}
-	if phase < 0 || phase >= len(s.phases) {
-		return
+	if phase >= len(s.phases) || idx >= len(s.phases[phase].tasks) {
+		return "ERR no such task"
 	}
 	ph := &s.phases[phase]
-	if idx < 0 || idx >= len(ph.tasks) {
-		return
+	c := &ph.tasks[idx]
+	if !c.assigned {
+		return "ERR task not leased"
 	}
-	if c := &ph.tasks[idx]; !c.done {
+	s.lastBeat[worker] = s.now()
+	if !c.done {
 		c.done = true
 		ph.payloads[idx] = payload
 		ph.remaining--
@@ -293,6 +316,7 @@ func (s *PhaseServer) handleTack(worker, phase, idx int, payload string) {
 			close(ph.done)
 		}
 	}
+	return "OK"
 }
 
 // handleCuts serves the coordinator's published cut decision, or WAIT while
@@ -300,9 +324,7 @@ func (s *PhaseServer) handleTack(worker, phase, idx int, payload string) {
 func (s *PhaseServer) handleCuts(worker int) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if worker >= 0 {
-		s.lastBeat[worker] = time.Now()
-	}
+	s.lastBeat[worker] = s.now()
 	if s.abortMsg != "" {
 		return "ABORT " + s.abortMsg
 	}

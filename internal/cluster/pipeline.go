@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"persona/internal/agd"
 	"persona/internal/agdsort"
@@ -37,8 +36,9 @@ import (
 //	         the partition's output chunks.
 //
 // Every task is leased, heartbeat-guarded and re-dealt on worker death or
-// straggling, exactly like Align's chunks; task outputs are deterministic
-// deterministically-named blobs, so re-execution is idempotent. The
+// straggling, exactly like Align's chunks (the same runNodes scaffold); task
+// outputs are deterministic, deterministically-named blobs, so re-execution
+// is idempotent. The
 // coordinator stitches the partition manifests into one ordered output
 // dataset and aggregates the cluster report.
 
@@ -47,7 +47,6 @@ const (
 	phaseMap = iota
 	phaseShuffle
 	phaseReduce
-	numPhases
 )
 
 // PipelinePlan declares the fused stage graph of a distributed run. The
@@ -154,18 +153,7 @@ func planColumns(plan *PipelinePlan, m *agd.Manifest) []string {
 // MaxChunkAttempts); permanent storage errors and server aborts fail it.
 // Temp blobs under plan.TempPrefix are swept on success, degraded or not.
 func RunPipeline(ctx context.Context, store storage.Store, plan PipelinePlan, cfg Config) (*PipelineResult, error) {
-	if cfg.Nodes <= 0 {
-		cfg.Nodes = 1
-	}
-	if cfg.ThreadsPerNode <= 0 {
-		cfg.ThreadsPerNode = 2
-	}
-	if cfg.Subchunks <= 0 {
-		cfg.Subchunks = 8
-	}
-	if cfg.Prefetch <= 0 {
-		cfg.Prefetch = 4
-	}
+	cfg.applyDefaults()
 	plan.applyDefaults()
 
 	ds, err := agd.Open(store, plan.Dataset)
@@ -187,11 +175,7 @@ func RunPipeline(ctx context.Context, store storage.Store, plan PipelinePlan, cf
 	numBatches := (len(m.Chunks) + plan.ChunksPerBatch - 1) / plan.ChunksPerBatch
 	parts := cfg.Nodes
 
-	srv, err := NewPhaseServer([]int{numBatches, numBatches, parts}, []int{phaseShuffle}, ServerOptions{
-		LeaseTimeout: cfg.Lease,
-		BeatTimeout:  cfg.HeartbeatTimeout,
-		MaxAttempts:  cfg.MaxChunkAttempts,
-	})
+	srv, err := NewPhaseServer([]int{numBatches, numBatches, parts}, []int{phaseShuffle}, cfg.serverOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -233,66 +217,13 @@ func RunPipeline(ctx context.Context, store storage.Store, plan PipelinePlan, cf
 		srv.Open(phaseShuffle)
 	}()
 
-	report := &Report{Nodes: make([]NodeReport, cfg.Nodes), Partitions: parts}
-	start := time.Now()
-	type outcome struct {
-		node int
-		rep  NodeReport
-		err  error
+	report, err := runNodes(runCtx, srv, &cfg, func(ctx context.Context, w *worker) error {
+		return pipelineNode(ctx, w, store, ds, &plan, cols, parts, numBatches)
+	})
+	if err != nil {
+		return nil, err
 	}
-	outs := make(chan outcome, cfg.Nodes)
-	for n := 0; n < cfg.Nodes; n++ {
-		go func(node int) {
-			rep, err := runPipelineNode(runCtx, node, srv.Addr(), store, ds, plan, cfg, cols, parts, numBatches)
-			outs <- outcome{node, rep, err}
-		}(n)
-	}
-	var fatal, firstNodeErr error
-	for i := 0; i < cfg.Nodes; i++ {
-		o := <-outs
-		o.rep.Node = o.node
-		if o.err != nil {
-			o.rep.Failed = true
-			o.rep.Err = o.err.Error()
-			report.FailedNodes++
-			if firstNodeErr == nil {
-				firstNodeErr = o.err
-			}
-			if fatal == nil && runFatal(o.err) {
-				fatal = fmt.Errorf("cluster: node %d: %w", o.node, o.err)
-				cancel() // no point letting the survivors keep going
-			}
-		}
-		report.Nodes[o.node] = o.rep
-	}
-	if fatal != nil {
-		return nil, fatal
-	}
-	if report.FailedNodes == cfg.Nodes {
-		return nil, fmt.Errorf("cluster: all %d nodes failed: %w", cfg.Nodes, firstNodeErr)
-	}
-	if !srv.AllDone() {
-		return nil, fmt.Errorf("cluster: run incomplete after %d node failures: %w", report.FailedNodes, firstNodeErr)
-	}
-	report.Elapsed = time.Since(start)
-	report.Degraded = report.FailedNodes > 0
-	report.Reassigned = srv.Reassigned()
-
-	var minE, maxE, sumE time.Duration
-	for i, nr := range report.Nodes {
-		report.TotalReads += nr.Reads
-		report.TotalBases += nr.Bases
-		if i == 0 || nr.Elapsed < minE {
-			minE = nr.Elapsed
-		}
-		if nr.Elapsed > maxE {
-			maxE = nr.Elapsed
-		}
-		sumE += nr.Elapsed
-	}
-	if mean := sumE / time.Duration(len(report.Nodes)); mean > 0 {
-		report.Imbalance = float64(maxE-minE) / float64(mean)
-	}
+	report.Partitions = parts
 
 	// Shuffle accounting from the authoritative first-win task payloads
 	// (node reports can double-count re-executed work).
@@ -352,105 +283,55 @@ func RunPipeline(ctx context.Context, store storage.Store, plan PipelinePlan, cf
 	return res, nil
 }
 
-// runPipelineNode is one worker of a distributed pipeline run: a task loop
-// over the phase server, heartbeating while it works, dying silently under
-// fault injection (Config.NodeFaults with Config.FaultPhase) so the server
-// re-deals its unacked tasks to the survivors.
-func runPipelineNode(ctx context.Context, node int, addr string, store storage.Store, ds *agd.Dataset, plan PipelinePlan, cfg Config, cols []string, parts, numBatches int) (NodeReport, error) {
-	client, err := DialManifestWorker(addr, node)
-	if err != nil {
-		return NodeReport{}, err
-	}
-	defer client.Close()
-
-	exec := cfg.Executor
-	if exec == nil {
-		exec = dataflow.NewExecutor(cfg.ThreadsPerNode, cfg.ThreadsPerNode*2)
-		defer exec.Close()
-	}
-
-	rep := NodeReport{Node: node}
-	nodeStart := time.Now()
-	defer func() { rep.Elapsed = time.Since(nodeStart) }()
-
-	// Heartbeat loop: keeps this worker's leases alive until it returns (a
-	// dead worker stops beating, which is exactly how the server finds out).
-	beatStop := make(chan struct{})
-	defer close(beatStop)
-	beatEvery := cfg.HeartbeatTimeout / 3
-	if beatEvery <= 0 {
-		beatEvery = time.Second
-	}
-	go func() {
-		t := time.NewTicker(beatEvery)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				if err := client.Beat(); err != nil {
-					return
-				}
-			case <-beatStop:
-				return
-			}
-		}
-	}()
-
+// pipelineNode is one worker of a distributed pipeline run: a task loop
+// over the phase server's three phases.
+func pipelineNode(ctx context.Context, w *worker, store storage.Store, ds *agd.Dataset, plan *PipelinePlan, cols []string, parts, numBatches int) error {
+	client, cfg, rep := w.client, w.cfg, &w.rep
 	keyCol := agdsort.KeyColumn(cols, plan.By)
 	var cuts *shuffle.Cuts
-	var phaseTasks [numPhases]int
 	for {
-		phase, idx, ok, err := client.NextTask(ctx.Done())
+		phase, idx, ok, err := w.lease(ctx)
 		if err != nil {
-			return rep, err
+			return err
 		}
 		if !ok {
-			if err := ctx.Err(); err != nil {
-				return rep, err
-			}
-			return rep, nil // every phase drained: server said DONE
+			return nil // every phase drained: the server said DONE
 		}
-		// Injected worker death: stop before processing, leaving the dealt
-		// task unacked so its lease expires and a survivor re-runs it.
-		if kill, faulty := cfg.NodeFaults[node]; faulty && phase == cfg.FaultPhase && phaseTasks[phase] >= kill {
-			return rep, errNodeDeath
-		}
-		phaseTasks[phase]++
 
 		var payload string
 		switch phase {
 		case phaseMap:
 			var rows int64
-			payload, rows, err = runMapTask(ctx, store, ds, &plan, cfg, exec, idx)
+			payload, rows, err = runMapTask(ctx, store, ds, plan, cfg, w.exec, idx)
 			rep.Reads += rows
 		case phaseShuffle:
 			if cuts == nil {
 				tok, ok, cerr := client.Cuts(ctx.Done())
 				if cerr != nil {
-					return rep, cerr
+					return cerr
 				}
 				if !ok {
-					return rep, ctx.Err()
+					return ctx.Err()
 				}
 				var c shuffle.Cuts
 				if cerr := shuffle.Decode(tok, &c); cerr != nil {
-					return rep, cerr
+					return cerr
 				}
 				cuts = &c
 			}
 			var bytes int64
-			payload, bytes, err = runShuffleTask(store, &plan, keyCol, cuts, idx, parts)
+			payload, bytes, err = runShuffleTask(store, plan, keyCol, cuts, idx, parts)
 			rep.ShuffleBytes += bytes
 		case phaseReduce:
-			payload, err = runReduceTask(ctx, store, &plan, cols, keyCol, idx, numBatches)
+			payload, err = runReduceTask(ctx, store, plan, cols, keyCol, idx, numBatches)
 		default:
 			err = fmt.Errorf("cluster: unknown phase %d", phase)
 		}
 		if err != nil {
-			return rep, err
+			return err
 		}
 		if err := client.AckTask(phase, idx, payload); err != nil {
-			return rep, err
+			return err
 		}
 		rep.Chunks++
 	}
@@ -459,7 +340,7 @@ func runPipelineNode(ctx context.Context, node int, addr string, store storage.S
 // runMapTask stages one batch of source chunks — aligned on the fly when the
 // plan says so — into one sorted run blob, and returns the run-summary
 // payload (rows, key samples, max signature span).
-func runMapTask(ctx context.Context, store storage.Store, ds *agd.Dataset, plan *PipelinePlan, cfg Config, exec *dataflow.Executor, b int) (string, int64, error) {
+func runMapTask(ctx context.Context, store storage.Store, ds *agd.Dataset, plan *PipelinePlan, cfg *Config, exec *dataflow.Executor, b int) (string, int64, error) {
 	lo := b * plan.ChunksPerBatch
 	hi := lo + plan.ChunksPerBatch
 	if hi > len(ds.Manifest.Chunks) {

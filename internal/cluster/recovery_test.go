@@ -21,86 +21,6 @@ var fastDetect = ServerOptions{
 	MaxAttempts:  4,
 }
 
-// TestManifestServerReassignsDeadWorkerLease: a tracked worker that leases a
-// chunk and goes silent has its chunk re-dealt to the next asker.
-func TestManifestServerReassignsDeadWorkerLease(t *testing.T) {
-	srv, err := NewManifestServerOpts(1, ServerOptions{
-		LeaseTimeout: 10 * time.Second, BeatTimeout: 50 * time.Millisecond, MaxAttempts: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	dead, err := DialManifestWorker(srv.Addr(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dead.Close()
-	idx, ok, err := dead.Next()
-	if err != nil || !ok || idx != 0 {
-		t.Fatalf("dead worker lease = %d, %v, %v", idx, ok, err)
-	}
-	// Worker 0 never beats or acks: past BeatTimeout its lease is reclaimable.
-
-	alive, err := DialManifestWorker(srv.Addr(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer alive.Close()
-	idx, ok, err = alive.Next() // polls through WAIT until the lease expires
-	if err != nil || !ok || idx != 0 {
-		t.Fatalf("survivor lease = %d, %v, %v", idx, ok, err)
-	}
-	if srv.Reassigned() != 1 {
-		t.Fatalf("Reassigned = %d, want 1", srv.Reassigned())
-	}
-	if err := alive.Ack(0); err != nil {
-		t.Fatal(err)
-	}
-	if !srv.AllDone() {
-		t.Fatal("run not complete after survivor's ack")
-	}
-	// Duplicate completion (the straggler finished after all) is accepted.
-	if err := dead.Ack(0); err != nil {
-		t.Fatal(err)
-	}
-	if !srv.AllDone() {
-		t.Fatal("duplicate ack broke completion")
-	}
-}
-
-// TestManifestServerAbortsAfterMaxAttempts: a chunk that keeps failing its
-// lease aborts the run instead of spinning forever.
-func TestManifestServerAbortsAfterMaxAttempts(t *testing.T) {
-	srv, err := NewManifestServerOpts(1, ServerOptions{
-		LeaseTimeout: 10 * time.Millisecond, BeatTimeout: 10 * time.Second, MaxAttempts: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	client, err := DialManifestWorker(srv.Addr(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	for lease := 0; lease < 2; lease++ {
-		if _, ok, err := client.Next(); err != nil || !ok {
-			t.Fatalf("lease %d: ok=%v err=%v", lease, ok, err)
-		}
-		time.Sleep(20 * time.Millisecond) // blow the lease deadline
-	}
-	_, _, err = client.Next()
-	if !errors.Is(err, ErrAborted) {
-		t.Fatalf("err = %v, want ErrAborted", err)
-	}
-	if srv.AllDone() {
-		t.Fatal("aborted run reported AllDone")
-	}
-}
-
 // resultsBlobs collects the results-column blobs of a dataset, by name.
 func resultsBlobs(t *testing.T, store storage.Store, dataset string) map[string][]byte {
 	t.Helper()

@@ -1,16 +1,16 @@
-// Package core assembles Persona's dataflow pipelines (§4 of the paper):
-// the I/O input subgraph (reader → AGD parser → chunk queue), the process
-// subgraphs (alignment over a shared fine-grain executor, per Fig. 4), and
-// the I/O output subgraph (writer nodes with compression). It corresponds
-// to the "thin Python library that stitches these nodes together into
-// optimized subgraphs" (§4.1); the root persona package re-exports it.
+// Package core is Persona's alignment engine (§4.3 of the paper): one stream
+// stage, AlignStream, that appends a results column to every row group by
+// splitting its reads into subchunks on the shared fine-grain executor
+// (Fig. 4), and the aligner interfaces the two integrated engines (SNAP,
+// BWA) plug into it through. Align is that stage between a dataset source
+// and a column sink — the §4.1 "thin library that stitches nodes into
+// subgraphs" is three calls long; composed pipelines and cluster workers put
+// the same stage between other sources and sinks.
 package core
 
 import (
 	"context"
 	"fmt"
-	"io"
-	"sync"
 	"time"
 
 	"persona/internal/agd"
@@ -21,11 +21,12 @@ import (
 	"persona/internal/storage"
 )
 
-// AlignConfig parameterizes the single-server alignment pipeline.
+// AlignConfig parameterizes alignment: the whole struct for Align, the
+// engine and tuning fields for AlignStream.
 type AlignConfig struct {
-	// Store holds the dataset; results are written back to it.
+	// Store holds the dataset; results are written back to it (Align only).
 	Store storage.Store
-	// Dataset names the AGD dataset to align.
+	// Dataset names the AGD dataset to align (Align only).
 	Dataset string
 	// Engine selects the integrated aligner (default EngineSNAP).
 	Engine Engine
@@ -40,19 +41,13 @@ type AlignConfig struct {
 	// Paired aligns consecutive records as pairs (records 2i and 2i+1).
 	Paired bool
 
-	// Readers/Parsers/AlignerNodes/Writers set per-stage node parallelism.
-	// Zero values choose small defaults. Queue capacities default to the
-	// number of their downstream nodes (§4.5). Blob fetching is asynchronous
-	// (agd.ChunkStream), so Readers no longer names a node: it sizes the
-	// default fetch window instead, and Parsers is the number of stream
-	// consumers that wait on fetches and decode them.
-	Readers, Parsers, AlignerNodes, Writers int
-	// Prefetch is the chunk-fetch window of the input stream: how many
-	// chunks' column blobs are kept in flight, counting the one being
-	// decoded. 1 fetches synchronously; 0 defaults to 2*Readers.
+	// Prefetch (Align only) is the chunk-fetch window of the input stream:
+	// how many chunks' column blobs are kept in flight, counting the one
+	// being decoded. 1 fetches synchronously; 0 means agd.DefaultPrefetch.
 	Prefetch int
-	// ExecutorThreads is the size of the shared fine-grain executor that
-	// owns all compute threads (Fig. 4). Default 2.
+	// ExecutorThreads (Align only; AlignStream is handed its executor) is
+	// the size of the fine-grain executor that owns all compute threads
+	// (Fig. 4). Default 2.
 	ExecutorThreads int
 	// Subchunks is the fine-grain split of each chunk. Default 8.
 	Subchunks int
@@ -65,30 +60,15 @@ type AlignConfig struct {
 }
 
 func (c *AlignConfig) applyDefaults() {
-	if c.Readers <= 0 {
-		c.Readers = 2
-	}
-	if c.Parsers <= 0 {
-		c.Parsers = 2
-	}
-	if c.AlignerNodes <= 0 {
-		c.AlignerNodes = 2
-	}
-	if c.Writers <= 0 {
-		c.Writers = 2
-	}
 	if c.ExecutorThreads <= 0 {
 		c.ExecutorThreads = 2
-	}
-	if c.Prefetch <= 0 {
-		c.Prefetch = 2 * c.Readers
 	}
 	if c.Subchunks <= 0 {
 		c.Subchunks = 8
 	}
 }
 
-// AlignReport summarizes a pipeline run.
+// AlignReport summarizes an alignment run.
 type AlignReport struct {
 	Chunks      int
 	Reads       int64
@@ -99,29 +79,11 @@ type AlignReport struct {
 	Stats snap.Stats
 }
 
-// parsedChunk travels streamer → aligner: decoded chunk objects plus the
-// executor shard the chunk's pooled buffers are affine to.
-type parsedChunk struct {
-	idx         int
-	shard       int
-	bases, qual *agd.Chunk
-}
-
-// alignedChunk travels aligner → writer: per-subchunk arenas of encoded
-// result records, in record order (arenas[s] holds subchunk s's contiguous
-// range). The writer folds the records into the output chunk and recycles
-// the arenas.
-type alignedChunk struct {
-	idx    int
-	shard  int
-	first  uint64
-	arenas []*agd.RecordArena
-	reads  int
-	bases  int64
-}
-
-// Align runs the full Persona alignment graph over a dataset and registers
-// the results column. It is the single-server counterpart of cluster.Align.
+// Align aligns a dataset in place and registers the results column: the
+// dataset's bases and qualities stream in through a prefetching source
+// (§5.2), AlignStream appends results on a private executor, and a column
+// sink encodes and stores each results chunk while the next is being
+// aligned. It is the single-server counterpart of cluster.Align.
 func Align(ctx context.Context, cfg AlignConfig) (*AlignReport, *agd.Manifest, error) {
 	cfg.applyDefaults()
 	ds, err := agd.Open(cfg.Store, cfg.Dataset)
@@ -132,255 +94,38 @@ func Align(ctx context.Context, cfg AlignConfig) (*AlignReport, *agd.Manifest, e
 	if m.HasColumn(agd.ColResults) {
 		return nil, nil, fmt.Errorf("core: dataset %q already has results", cfg.Dataset)
 	}
-
-	if cfg.Paired && m.NumRecords()%2 != 0 {
-		return nil, nil, fmt.Errorf("core: paired alignment needs an even record count, dataset %q has %d", cfg.Dataset, m.NumRecords())
-	}
-	factory, err := engineFactory(&cfg)
-	if err != nil {
-		return nil, nil, err
-	}
 	exec := dataflow.NewExecutor(cfg.ExecutorThreads, cfg.ExecutorThreads*2)
 	defer exec.Close()
-	aligners := make(chan ReadAligner, cfg.ExecutorThreads)
-	for i := 0; i < cfg.ExecutorThreads; i++ {
-		aligners <- factory()
-	}
-
-	// codec routes chunk (de)compression members through the same shared
-	// executor as alignment, so compression parallelism and alignment
-	// parallelism draw from one set of compute threads (Fig. 4).
+	// Chunk (de)compression members run on the same executor as alignment,
+	// so both draw from one set of compute threads (Fig. 4).
 	codec := agd.Codec{Exec: exec}
-
-	// chunkPool recycles parsed chunk objects streamer→aligner with one
-	// free list per executor shard: chunk i's buffers check out of (and
-	// return to) shard i%N's list, so they stay hot in the cache of the
-	// worker its subchunk tasks are pinned to. Each parsed row group checks
-	// out two chunks (bases, qual). Sized so every stage can hold its share
-	// with a little slack; exhaustion blocks the streamers, which is the
-	// intended back-pressure.
-	chunkPool := agd.NewShardedChunkPool(exec.NumShards(), 2*(cfg.Parsers+2*cfg.AlignerNodes)+2)
-	// arenaPool recycles per-subchunk result arenas aligner→writer, also
-	// sharded: a subchunk task checks its arena out of the shard actually
-	// running it (stolen tasks use the thief's list), and the writer
-	// returns it to the chunk's home shard.
-	arenaPool := dataflow.NewShardedItemPool(
-		exec.NumShards(),
-		(2*cfg.AlignerNodes+2*cfg.Writers)*cfg.Subchunks+cfg.ExecutorThreads,
-		func() *agd.RecordArena { return agd.NewRecordArena(4096, 64) },
-		func(ra *agd.RecordArena) *agd.RecordArena { ra.Reset(); return ra },
-	)
-	// builderPool recycles the writers' output chunk builders.
-	builderPool := dataflow.NewItemPool(
-		cfg.Writers+1,
-		func() *agd.ChunkBuilder { return agd.NewChunkBuilder(agd.TypeResults, 0) },
-		nil,
-	)
-
-	g := dataflow.NewGraph()
-	g.MustAddQueue("parsed", cfg.AlignerNodes)
-	g.MustAddQueue("aligned", cfg.Writers)
-
-	// Input subgraph: a prefetching chunk stream over the two columns
-	// alignment touches (§5.2). The stream keeps cfg.Prefetch chunks' blob
-	// fetches in flight through the store's async read path, so fetch
-	// latency overlaps with decode and alignment instead of stalling the
-	// pipeline one Get at a time; the streamer nodes wait on the window's
-	// head, decode into pooled chunks, and feed the aligners.
-	stream, err := ds.Stream(agd.StreamOptions{
+	// One results builder set per group the sink can hold, plus the one
+	// being aligned; the source's pooled chunks (two columns a group) are
+	// held exactly as long, so the pool is sized to match and exhaustion —
+	// back-pressure on the source — never happens before the sink is full.
+	cfg.Pipelining = agd.ColumnWindow + 1
+	start := time.Now()
+	in, err := ds.Groups(agd.StreamOptions{
 		Columns:     []string{agd.ColBases, agd.ColQual},
 		Prefetch:    cfg.Prefetch,
-		ShardedPool: chunkPool,
+		ShardedPool: agd.NewShardedChunkPool(exec.NumShards(), 2*cfg.Pipelining),
 		Codec:       codec,
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	defer stream.Close()
-	g.MustAddNode(dataflow.NodeSpec{
-		Name:        "streamer",
-		Parallelism: cfg.Parsers,
-		Outputs:     []string{"parsed"},
-		Fn: func(ctx context.Context, nc *dataflow.NodeContext) error {
-			out := nc.Output("parsed")
-			for {
-				sc, err := stream.Next(ctx)
-				if err == io.EOF {
-					return nil
-				}
-				if err != nil {
-					return err
-				}
-				cols := sc.Chunks()
-				nc.Processed(1)
-				if err := out.Put(ctx, parsedChunk{idx: sc.Index, shard: sc.Shard(), bases: cols[0], qual: cols[1]}); err != nil {
-					return err
-				}
-			}
-		},
-	})
-
-	// Process subgraph: aligner nodes split each chunk into subchunks and
-	// feed the shared executor (Fig. 4), then emit the encoded results.
-	g.MustAddNode(dataflow.NodeSpec{
-		Name:        "aligner",
-		Parallelism: cfg.AlignerNodes,
-		Inputs:      []string{"parsed"},
-		Outputs:     []string{"aligned"},
-		Fn: func(ctx context.Context, nc *dataflow.NodeContext) error {
-			in, out := nc.Input("parsed"), nc.Output("aligned")
-			for {
-				msg, ok := in.Get(ctx)
-				if !ok {
-					return nil
-				}
-				pc := msg.(parsedChunk)
-				n := pc.bases.NumRecords()
-				var chunkBases int64
-				sub := cfg.Subchunks
-				if sub > n {
-					sub = n
-				}
-				if sub == 0 {
-					sub = 1
-				}
-				arenas := make([]*agd.RecordArena, sub)
-				// All subchunks go to the chunk's shard (Fig. 4 + sharding):
-				// the shard's worker pops them LIFO against its warm cache
-				// and idle shards steal the batch's tail.
-				err := exec.SubmitWaitTo(ctx, pc.shard, sub, func(s int) dataflow.ShardTask {
-					lo, hi := s*n/sub, (s+1)*n/sub
-					if cfg.Paired {
-						// Subchunk boundaries must not split pairs.
-						lo, hi = lo&^1, hi&^1
-						if s == sub-1 {
-							hi = n
-						}
-					}
-					return func(es int) {
-						// The arena comes from the free list of the shard
-						// actually running the task — a stolen subchunk
-						// writes into the thief's cache-warm arena.
-						ra, err := arenaPool.Get(ctx, es)
-						if err != nil {
-							// Cancelled mid-run: fall back to a throwaway
-							// arena so the subchunk still completes.
-							ra = &agd.RecordArena{}
-						}
-						arenas[s] = ra
-						a := <-aligners
-						defer func() { aligners <- a }()
-						alignRange(a, pc.bases, ra, lo, hi, cfg.Paired)
-					}
-				})
-				if err != nil {
-					return err
-				}
-				for r := 0; r < n; r++ {
-					rec, err := pc.bases.Record(r)
-					if err != nil {
-						return err
-					}
-					count, l := uvarint(rec)
-					if l <= 0 {
-						return fmt.Errorf("core: corrupt bases record in chunk %d", pc.idx)
-					}
-					chunkBases += int64(count)
-				}
-				first := pc.bases.FirstOrdinal
-				// The encoded results no longer reference the parsed
-				// chunks; recycle them on the chunk's shard for the
-				// streamers.
-				chunkPool.Put(pc.shard, pc.bases)
-				chunkPool.Put(pc.shard, pc.qual)
-				nc.Processed(1)
-				if err := out.Put(ctx, alignedChunk{
-					idx: pc.idx, shard: pc.shard, first: first,
-					arenas: arenas, reads: n, bases: chunkBases,
-				}); err != nil {
-					return err
-				}
-			}
-		},
-	})
-
-	// Output subgraph: writers encode and store result chunks.
-	report := &AlignReport{}
-	var reportMu sync.Mutex
-	g.MustAddNode(dataflow.NodeSpec{
-		Name:        "writer",
-		Parallelism: cfg.Writers,
-		Inputs:      []string{"aligned"},
-		Fn: func(ctx context.Context, nc *dataflow.NodeContext) error {
-			in := nc.Input("aligned")
-			for {
-				msg, ok := in.Get(ctx)
-				if !ok {
-					return nil
-				}
-				ac := msg.(alignedChunk)
-				builder, err := builderPool.Get(ctx)
-				if err != nil {
-					return err
-				}
-				builder.Reset(agd.TypeResults, ac.first)
-				// Subchunk arenas hold contiguous record ranges in order, so
-				// appending arena by arena reproduces record order. The
-				// records are copied into the builder; the exhausted arenas
-				// go back to the aligner nodes' pool.
-				for _, ra := range ac.arenas {
-					if ra == nil {
-						continue
-					}
-					for i := 0; i < ra.Len(); i++ {
-						builder.Append(ra.Record(i))
-					}
-					arenaPool.Put(ac.shard, ra)
-				}
-				// Compression members are pinned to the chunk's shard, so
-				// one chunk's decode, align and compress land on the same
-				// worker while surplus members are stolen by idle shards.
-				blob, err := codec.WithShard(ac.shard).Encode(builder.Chunk(), agd.CompressGzip)
-				builderPool.Put(builder)
-				if err != nil {
-					return err
-				}
-				if err := cfg.Store.Put(m.ChunkBlobPath(ac.idx, agd.ColResults), blob); err != nil {
-					return err
-				}
-				reportMu.Lock()
-				report.Chunks++
-				report.Reads += int64(ac.reads)
-				report.Bases += ac.bases
-				reportMu.Unlock()
-				nc.Processed(1)
-			}
-		},
-	})
-
-	start := time.Now()
-	if err := dataflow.NewSession(g).Run(ctx); err != nil {
+	out, report, err := AlignStream(cfg, exec, in)
+	if err != nil {
+		in.Close()
 		return nil, nil, err
 	}
+	if err := agd.WriteColumn(ctx, out, cfg.Store, m, agd.ColResults, codec, nil); err != nil {
+		return nil, nil, err
+	}
+	// The stage stopped its clock at the last group aligned; the run ends
+	// when the last results blob is stored.
 	report.Elapsed = time.Since(start)
-	if report.Elapsed > 0 {
-		report.BasesPerSec = float64(report.Bases) / report.Elapsed.Seconds()
-	}
-	close(aligners)
-	for a := range aligners {
-		// Work counters are engine-specific; aggregate SNAP's (the Fig. 8
-		// instrumentation input) when available.
-		if sa, ok := a.(*snap.Aligner); ok {
-			s := sa.Stats()
-			report.Stats.Reads += s.Reads
-			report.Stats.SeedLookups += s.SeedLookups
-			report.Stats.CandidatesxLV += s.CandidatesxLV
-			report.Stats.LVCells += s.LVCells
-			report.Stats.BytesCompared += s.BytesCompared
-			report.Stats.Aligned += s.Aligned
-		}
-	}
-
+	report.BasesPerSec = float64(report.Bases) / report.Elapsed.Seconds()
 	updated, err := agd.RegisterColumn(cfg.Store, m, agd.ColResults)
 	if err != nil {
 		return nil, nil, err

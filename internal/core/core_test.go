@@ -2,9 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"testing"
+	"time"
 
 	"persona/internal/agd"
+	"persona/internal/align/snap"
+	"persona/internal/dataflow"
 	"persona/internal/testutil"
 )
 
@@ -69,42 +74,6 @@ func TestAlignPipelineEndToEnd(t *testing.T) {
 	}
 }
 
-func TestAlignPipelineParallelConfigs(t *testing.T) {
-	// Results must be identical regardless of node parallelism.
-	mk := func(readers, parsers, alignerNodes, writers int) []agd.Result {
-		store := agd.NewMemStore()
-		f := testutil.Build(t, store, "ds", testutil.Config{
-			GenomeSize: 100_000, NumReads: 400, ReadLen: 70, ChunkSize: 64, Seed: 92, SkipAlign: true,
-		})
-		_, _, err := Align(context.Background(), AlignConfig{
-			Store: store, Dataset: "ds", Index: f.Index,
-			Readers: readers, Parsers: parsers, AlignerNodes: alignerNodes, Writers: writers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ds, err := agd.Open(store, "ds")
-		if err != nil {
-			t.Fatal(err)
-		}
-		results, err := ds.ReadAllResults()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return results
-	}
-	serial := mk(1, 1, 1, 1)
-	parallel := mk(3, 3, 3, 3)
-	if len(serial) != len(parallel) {
-		t.Fatalf("result counts differ: %d vs %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("result %d differs between parallelism configs:\n%+v\n%+v", i, serial[i], parallel[i])
-		}
-	}
-}
-
 func TestAlignPipelineRejectsAligned(t *testing.T) {
 	store := agd.NewMemStore()
 	f := testutil.Build(t, store, "ds", testutil.Config{
@@ -131,5 +100,143 @@ func TestAlignPipelineCancellation(t *testing.T) {
 	cancel()
 	if _, _, err := Align(ctx, AlignConfig{Store: store, Dataset: "ds", Index: f.Index}); err == nil {
 		t.Fatal("cancelled run succeeded")
+	}
+}
+
+// cancelOnPut cancels a context at the first results blob written — the
+// middle of a run: later chunks are being fetched, aligned and queued.
+type cancelOnPut struct {
+	agd.BlobStore
+	cancel context.CancelFunc
+}
+
+func (s cancelOnPut) Put(name string, data []byte) error {
+	s.cancel()
+	return s.BlobStore.Put(name, data)
+}
+
+// TestAlignPipelineCancelledMidRun: a context that dies while results are
+// being written ends the run with the context's error, registers nothing,
+// and leaves no goroutine of the run behind.
+func TestAlignPipelineCancelledMidRun(t *testing.T) {
+	mem := agd.NewMemStore()
+	f := testutil.Build(t, mem, "ds", testutil.Config{
+		GenomeSize: 100_000, NumReads: 600, ReadLen: 80, ChunkSize: 30, Seed: 95, SkipAlign: true,
+	})
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, _, err := Align(ctx, AlignConfig{Store: cancelOnPut{mem, cancel}, Dataset: "ds", Index: f.Index})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	ds, err := agd.Open(mem, "ds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.Manifest.HasColumn(agd.ColResults) {
+		t.Fatal("cancelled run registered a results column")
+	}
+	// Align waits for its pumps, writers and executor; only fetches whose
+	// results were dropped may still be finishing.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after a cancelled run, %d before", runtime.NumGoroutine(), before)
+		}
+	}
+}
+
+// TestAlignPooledChunkLifecycleRace drives Align with every remaining knob at
+// both ends, so chunk-pool get/put, builder recycling, subchunk tasks and
+// parallel member compression all race each other. Under `go test -race` it
+// is the regression test for the pooled chunk lifecycle; in any mode it
+// checks that recycled buffers cannot bleed data between chunks (results
+// must be identical to the one-thread, one-subchunk, synchronous-fetch run).
+func TestAlignPooledChunkLifecycleRace(t *testing.T) {
+	run := func(threads, subchunks, prefetch int) []agd.Result {
+		store := agd.NewMemStore()
+		f := testutil.Build(t, store, "ds", testutil.Config{
+			GenomeSize: 120_000, NumReads: 600, ReadLen: 80, ChunkSize: 48, Seed: 123, SkipAlign: true,
+		})
+		_, _, err := Align(context.Background(), AlignConfig{
+			Store: store, Dataset: "ds", Index: f.Index,
+			ExecutorThreads: threads, Subchunks: subchunks, Prefetch: prefetch,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := agd.Open(store, "ds")
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, err := ds.ReadAllResults()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return results
+	}
+	serial := run(1, 1, 1)
+	parallel := run(4, 4, 6)
+	if len(serial) != len(parallel) {
+		t.Fatalf("result counts differ: %d vs %d", len(serial), len(parallel))
+	}
+	for i := range serial {
+		if serial[i] != parallel[i] {
+			t.Fatalf("result %d differs between serial and parallel runs:\n  serial:   %+v\n  parallel: %+v",
+				i, serial[i], parallel[i])
+		}
+	}
+}
+
+// TestAlignStagesUnderTightPools wires Align's three stages by hand over the
+// smallest pools that can make progress — one group's worth of source
+// chunks, two builder sets — where the sink's window wants five of each.
+// Exhaustion must be back-pressure: the run completes with the same results,
+// and every pooled chunk is back when it ends.
+func TestAlignStagesUnderTightPools(t *testing.T) {
+	store := agd.NewMemStore()
+	f := testutil.Build(t, store, "ds", testutil.Config{
+		GenomeSize: 100_000, NumReads: 500, ReadLen: 80, ChunkSize: 40, Seed: 96,
+	})
+	want, err := f.Dataset.ReadAllResults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := *f.Dataset.Manifest
+	bare.Columns = []string{agd.ColBases, agd.ColQual, agd.ColMetadata}
+	ds := agd.OpenManifest(store, &bare)
+
+	exec := dataflow.NewExecutor(3, 6)
+	defer exec.Close()
+	pool := agd.NewShardedChunkPool(exec.NumShards(), 2)
+	in, err := ds.Groups(agd.StreamOptions{
+		Columns: []string{agd.ColBases, agd.ColQual}, ShardedPool: pool, Codec: agd.Codec{Exec: exec},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, report, err := AlignStream(AlignConfig{
+		Index: f.Index, Aligner: snap.Config{MaxDist: 10}, Subchunks: 3, Pipelining: 2,
+	}, exec, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := agd.WriteColumn(context.Background(), out, store, &bare, agd.ColResults, agd.Codec{Exec: exec}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if report.Reads != 500 {
+		t.Fatalf("Reads = %d", report.Reads)
+	}
+	if pool.Free() != pool.Size() {
+		t.Fatalf("%d of %d pooled chunks back after the run", pool.Free(), pool.Size())
+	}
+	got, err := f.Dataset.ReadAllResults() // the sink replaced the reference blobs
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("result %d differs under tight pools:\n  want %+v\n  got  %+v", i, want[i], got[i])
+		}
 	}
 }

@@ -1,56 +1,29 @@
-// Package dataflow implements the coarse-grain dataflow execution engine
-// underlying Persona (§4 of the paper). It plays the role TensorFlow plays
-// in the original system: operators ("nodes") are stitched into graphs with
-// bounded queues between them, bulk data is carried in recyclable pooled
-// buffers so that only small handles flow through the graph, shared
-// read-only state (reference indexes, executors) lives in a resource
-// container attached to the session, and compute-intense kernels delegate
-// fine-grain work to a shared Executor that owns the worker threads
-// (Fig. 4 of the paper).
+// Package dataflow is the runtime layer under Persona's stages (§4 of the
+// paper) — the part of the role TensorFlow plays in the original system that
+// is not specific to genomics:
 //
-// The engine is deliberately generic: nothing in this package knows about
-// genomics. Persona's AGD readers, parsers, aligners and writers are all
-// implemented as Node functions in other packages.
+//   - Executor: the shared fine-grain executor of Fig. 4. It owns the compute
+//     threads (one work-stealing shard per worker); stages split each chunk
+//     into subchunk tasks and submit them, so compute-intense kernels share
+//     one set of threads instead of each stage running its own.
+//   - ItemPool and ShardedItemPool: bounded pools of recyclable objects
+//     (decoded chunks, builders, arenas). Bulk data stays in pooled objects
+//     and only handles move between stages (§4.5, §4.6); a pool's bound is
+//     the back-pressure that caps memory.
+//   - Pumps: the goroutines that drive stages concurrently, one per stage,
+//     with first-error-wins teardown over a shared context.
+//
+// The stage contract itself — agd.GroupStream, and agd.BoundedEdge between
+// pumped stages — lives with the data it carries, in package agd. Nothing
+// here knows about genomics.
 package dataflow
 
-import (
-	"context"
-	"errors"
-	"fmt"
-)
+import "errors"
 
-// Message is the unit of data flowing through queues. Persona follows the
-// paper's "tensors of handles" discipline: messages are small handle structs
-// (chunk descriptors, buffer handles), never multi-megabyte payloads; bulk
-// data is referenced via pooled buffers.
-type Message = any
-
-// ErrClosed is returned by Queue.Put after the queue has been closed and by
-// Executor.Submit after the executor has been shut down.
+// ErrClosed is returned by Executor.Submit after the executor has been shut
+// down.
 var ErrClosed = errors.New("dataflow: closed")
 
-// ErrStopped is returned when an operation is abandoned because the session
-// context was cancelled.
+// ErrStopped is returned when an operation (a Submit, a pool Get) is
+// abandoned because its context was cancelled.
 var ErrStopped = errors.New("dataflow: stopped")
-
-// nodeError decorates an error with the name of the node that produced it so
-// that pipeline failures identify their origin.
-type nodeError struct {
-	node string
-	err  error
-}
-
-func (e *nodeError) Error() string { return fmt.Sprintf("dataflow: node %q: %v", e.node, e.err) }
-
-func (e *nodeError) Unwrap() error { return e.err }
-
-// stop reports whether the context is done, translating the cancellation
-// into ErrStopped for uniform handling.
-func stop(ctx context.Context) error {
-	select {
-	case <-ctx.Done():
-		return ErrStopped
-	default:
-		return nil
-	}
-}

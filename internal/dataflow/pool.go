@@ -5,235 +5,13 @@ import (
 	"sync/atomic"
 )
 
-// Buffer is a recyclable byte buffer. Persona avoids TensorFlow-style string
-// tensors (which copy on every hop) by carrying bulk data in pooled buffers
-// and passing only handles through queues (§4.5, §4.6).
-type Buffer struct {
-	data []byte
-	pool *Pool
-	// home is the shard whose free list this buffer was last checked out
-	// for (sharded pools only); Release routes it back there.
-	home int
-}
-
-// Bytes returns the current contents of the buffer.
-func (b *Buffer) Bytes() []byte { return b.data }
-
-// Len returns the number of bytes currently stored.
-func (b *Buffer) Len() int { return len(b.data) }
-
-// Reset truncates the buffer to length zero, retaining capacity.
-func (b *Buffer) Reset() { b.data = b.data[:0] }
-
-// Grow ensures capacity for at least n additional bytes.
-func (b *Buffer) Grow(n int) {
-	if cap(b.data)-len(b.data) >= n {
-		return
-	}
-	grown := make([]byte, len(b.data), len(b.data)+n)
-	copy(grown, b.data)
-	b.data = grown
-}
-
-// Write appends p, growing as needed. It implements io.Writer and never
-// returns an error.
-func (b *Buffer) Write(p []byte) (int, error) {
-	b.data = append(b.data, p...)
-	return len(p), nil
-}
-
-// WriteByte appends a single byte. It implements io.ByteWriter.
-func (b *Buffer) WriteByte(c byte) error {
-	b.data = append(b.data, c)
-	return nil
-}
-
-// SetLen resizes the buffer to n bytes, growing (zero-filled) as needed.
-// Useful for readers that fill the underlying slice directly.
-func (b *Buffer) SetLen(n int) {
-	if n <= cap(b.data) {
-		b.data = b.data[:n]
-		return
-	}
-	grown := make([]byte, n)
-	copy(grown, b.data)
-	b.data = grown
-}
-
-// Release returns the buffer to its pool. The caller must not use the buffer
-// afterwards. Releasing a pool-less buffer is a no-op.
-func (b *Buffer) Release() {
-	if b.pool != nil {
-		b.pool.Put(b)
-	}
-}
-
-// Pool is a bounded pool of recyclable buffers: the zero-copy architecture
-// of §4.5. Bounding the pool (together with queue capacities) caps total
-// memory use: once every buffer is checked out, Get blocks until a
-// downstream node releases one, which is exactly the back-pressure that
-// keeps the input subgraph from running unboundedly ahead of the aligners.
-type Pool struct {
-	free chan *Buffer
-	size int
-
-	// sharded, when non-nil (NewShardedPool), holds the buffers instead of
-	// free: per-shard hot lists with the ShardedItemPool steal/wake
-	// protocol, so the subtle blocking logic exists exactly once.
-	sharded *ShardedItemPool[*Buffer]
-
-	allocated atomic.Int64 // buffers ever created
-	recycled  atomic.Int64 // unsharded Put calls that returned a buffer
-}
-
-// NewPool creates a pool holding at most size buffers, each initially with
-// the given byte capacity. All buffers are pre-allocated so steady-state
-// operation performs no allocation.
-func NewPool(size, bufCap int) *Pool {
-	if size < 1 {
-		size = 1
-	}
-	p := &Pool{free: make(chan *Buffer, size), size: size}
-	for i := 0; i < size; i++ {
-		p.free <- &Buffer{data: make([]byte, 0, bufCap), pool: p}
-		p.allocated.Add(1)
-	}
-	return p
-}
-
-// NewShardedPool is NewPool with per-shard free lists: buffers checked out
-// via GetShard come back (through Release/Put) to the same shard's list, so
-// a shard's working set of buffers stays in its core's cache. Get/Put keep
-// working (with no shard preference). The buffers live in a
-// ShardedItemPool, which owns the steal/wake protocol.
-func NewShardedPool(shards, size, bufCap int) *Pool {
-	if size < 1 {
-		size = 1
-	}
-	p := &Pool{size: size}
-	p.sharded = NewShardedItemPool(shards, size,
-		func() *Buffer {
-			p.allocated.Add(1)
-			return &Buffer{data: make([]byte, 0, bufCap), pool: p}
-		},
-		func(b *Buffer) *Buffer { b.Reset(); return b },
-	)
-	return p
-}
-
-// Size returns the pool's bound.
-func (p *Pool) Size() int { return p.size }
-
-// Shards returns the number of per-shard free lists (1 on an unsharded
-// pool).
-func (p *Pool) Shards() int {
-	if p.sharded == nil {
-		return 1
-	}
-	return p.sharded.Shards()
-}
-
-// Get obtains a buffer, blocking until one is free or ctx is cancelled.
-// The returned buffer has length zero.
-func (p *Pool) Get(ctx context.Context) (*Buffer, error) {
-	if p.sharded != nil {
-		return p.GetShard(ctx, 0)
-	}
-	select {
-	case b := <-p.free:
-		b.Reset()
-		return b, nil
-	case <-ctx.Done():
-		return nil, ErrStopped
-	}
-}
-
-// GetShard obtains a buffer with shard affinity: the shard's own free list
-// is tried first, then the shared list, then the other shards'. The buffer
-// remembers the shard, so Release returns it to the same list. On an
-// unsharded pool it is plain Get.
-func (p *Pool) GetShard(ctx context.Context, shard int) (*Buffer, error) {
-	if p.sharded == nil {
-		return p.Get(ctx)
-	}
-	b, err := p.sharded.Get(ctx, shard)
-	if err != nil {
-		return nil, err
-	}
-	b.Reset()
-	b.home = shard
-	return b, nil
-}
-
-// TryGet obtains a buffer without blocking.
-func (p *Pool) TryGet() (*Buffer, bool) {
-	if p.sharded != nil {
-		b, ok := p.sharded.TryGet(0)
-		if ok {
-			b.Reset()
-			b.home = 0
-		}
-		return b, ok
-	}
-	select {
-	case b := <-p.free:
-		b.Reset()
-		return b, true
-	default:
-		return nil, false
-	}
-}
-
-// Put returns a buffer to the pool — on a sharded pool, to the free list of
-// the shard it was checked out for. Buffers from other pools or surplus
-// buffers are dropped for the garbage collector (leaky-bucket semantics).
-func (p *Pool) Put(b *Buffer) {
-	if b == nil || b.pool != p {
-		return
-	}
-	if p.sharded != nil {
-		p.sharded.Put(b.home, b)
-		return
-	}
-	select {
-	case p.free <- b:
-		p.recycled.Add(1)
-	default:
-		// Pool full: drop. Cannot happen when buffers only come from this
-		// pool, but harmless if it does.
-	}
-}
-
-// Free returns the number of buffers currently available.
-func (p *Pool) Free() int {
-	if p.sharded != nil {
-		return p.sharded.Free()
-	}
-	return len(p.free)
-}
-
-// LocalHits reports how many GetShard calls were served by the caller's own
-// shard list — the affinity hit rate (0 on an unsharded pool).
-func (p *Pool) LocalHits() int64 {
-	if p.sharded == nil {
-		return 0
-	}
-	return p.sharded.LocalHits()
-}
-
-// Stats reports total buffers allocated and total successful recycles.
-func (p *Pool) Stats() (allocated, recycled int64) {
-	if p.sharded != nil {
-		return p.allocated.Load(), p.sharded.Recycled()
-	}
-	return p.allocated.Load(), p.recycled.Load()
-}
-
-// ItemPool is Pool generalized to arbitrary recyclable items: parsed chunk
-// objects, result arenas — anything the steady-state pipeline would
-// otherwise allocate per hop. Like Pool it is bounded and pre-allocated, so
-// Get blocks when every item is checked out, giving the same back-pressure
-// that keeps the input subgraph from running ahead of compute (§4.5).
+// ItemPool is a bounded pool of recyclable items — decoded chunk objects,
+// chunk builders, result arenas: anything the steady-state pipeline would
+// otherwise allocate per hop (the zero-copy discipline of §4.5, §4.6: bulk
+// data stays in pooled objects and only handles move between stages). The
+// pool is pre-allocated, so steady-state operation allocates nothing, and
+// bounded, so Get blocks once every item is checked out — the back-pressure
+// that keeps a source from running unboundedly ahead of compute.
 type ItemPool[T any] struct {
 	free  chan T
 	size  int

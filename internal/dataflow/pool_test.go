@@ -2,97 +2,95 @@ package dataflow
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
-	"time"
 )
 
-func TestPoolRecycles(t *testing.T) {
-	p := NewPool(2, 16)
-	ctx := context.Background()
+func newIntPool(size int) *ItemPool[*[]int] {
+	return NewItemPool(size,
+		func() *[]int { s := make([]int, 0, 4); return &s },
+		func(s *[]int) *[]int { *s = (*s)[:0]; return s },
+	)
+}
 
-	b1, err := p.Get(ctx)
+func TestItemPoolRecycles(t *testing.T) {
+	p := newIntPool(2)
+	ctx := context.Background()
+	a, err := p.Get(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := p.Get(ctx)
+	b, err := p.Get(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Free() != 0 {
 		t.Fatalf("Free = %d, want 0", p.Free())
 	}
-	b1.Write([]byte("hello"))
-	b1.Release()
-	b3, err := p.Get(ctx)
+	if _, ok := p.TryGet(); ok {
+		t.Fatal("TryGet succeeded on an exhausted pool")
+	}
+	*a = append(*a, 1, 2, 3)
+	p.Put(a)
+	c, err := p.Get(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b3 != b1 {
-		t.Fatal("pool did not recycle the released buffer")
+	if c != a {
+		t.Fatal("pool did not recycle the returned item")
 	}
-	if b3.Len() != 0 {
-		t.Fatalf("recycled buffer not reset: len=%d", b3.Len())
+	if len(*c) != 0 {
+		t.Fatalf("recycled item not reset: len=%d", len(*c))
 	}
-	b2.Release()
-	b3.Release()
-
-	alloc, recycled := p.Stats()
-	if alloc != 2 {
-		t.Fatalf("allocated = %d, want 2", alloc)
+	p.Put(b)
+	p.Put(c)
+	if p.Free() != p.Size() || p.Recycled() != 3 {
+		t.Fatalf("Free = %d of %d, Recycled = %d; want all free, 3 recycled", p.Free(), p.Size(), p.Recycled())
 	}
-	if recycled != 3 {
-		t.Fatalf("recycled = %d, want 3", recycled)
+	// A surplus Put is dropped, not queued.
+	p.Put(new([]int))
+	if p.Free() != p.Size() {
+		t.Fatalf("surplus Put grew the pool: Free = %d of %d", p.Free(), p.Size())
 	}
 }
 
-func TestPoolBlocksWhenExhausted(t *testing.T) {
-	p := NewPool(1, 4)
+// A Get on an exhausted pool blocks until a Put, and the item it receives is
+// the one put back.
+func TestItemPoolGetWaitsForPut(t *testing.T) {
+	p := newIntPool(1)
 	ctx := context.Background()
-	b, err := p.Get(ctx)
+	held, err := p.Get(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	got := make(chan *Buffer, 1)
+	got := make(chan *[]int, 1)
 	go func() {
-		b2, err := p.Get(ctx)
+		v, err := p.Get(ctx)
 		if err != nil {
 			t.Error(err)
 		}
-		got <- b2
+		got <- v
 	}()
-
-	select {
-	case <-got:
-		t.Fatal("Get returned while pool was exhausted")
-	case <-time.After(20 * time.Millisecond):
-	}
-
-	b.Release()
-	select {
-	case b2 := <-got:
-		if b2 != b {
-			t.Fatal("expected the released buffer")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Get did not unblock after Release")
+	p.Put(held)
+	if v := <-got; v != held {
+		t.Fatal("waiter did not receive the returned item")
 	}
 }
 
-func TestPoolGetCancels(t *testing.T) {
-	p := NewPool(1, 4)
+func TestItemPoolGetCancels(t *testing.T) {
+	p := newIntPool(1)
 	ctx, cancel := context.WithCancel(context.Background())
-	b, _ := p.Get(ctx)
-	defer b.Release()
+	held, _ := p.Get(ctx)
+	defer p.Put(held)
 	cancel()
-	if _, err := p.Get(ctx); err == nil {
-		t.Fatal("Get on cancelled context succeeded")
+	if _, err := p.Get(ctx); !errors.Is(err, ErrStopped) {
+		t.Fatalf("Get on a cancelled context: err = %v, want ErrStopped", err)
 	}
 }
 
-func TestPoolConcurrentChurn(t *testing.T) {
-	p := NewPool(4, 8)
+func TestItemPoolConcurrentChurn(t *testing.T) {
+	p := newIntPool(4)
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -100,13 +98,17 @@ func TestPoolConcurrentChurn(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				b, err := p.Get(ctx)
+				v, err := p.Get(ctx)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				b.Write([]byte{1, 2, 3})
-				b.Release()
+				if len(*v) != 0 {
+					t.Error("checked-out item carries another holder's data")
+					return
+				}
+				*v = append(*v, i)
+				p.Put(v)
 			}
 		}()
 	}
@@ -114,30 +116,4 @@ func TestPoolConcurrentChurn(t *testing.T) {
 	if p.Free() != 4 {
 		t.Fatalf("Free = %d after churn, want 4", p.Free())
 	}
-	alloc, _ := p.Stats()
-	if alloc != 4 {
-		t.Fatalf("allocated = %d, want 4 (no growth under churn)", alloc)
-	}
-}
-
-func TestBufferGrowAndSetLen(t *testing.T) {
-	var b Buffer
-	b.Grow(10)
-	if cap(b.Bytes()) < 10 {
-		t.Fatalf("cap = %d after Grow(10)", cap(b.Bytes()))
-	}
-	b.Write([]byte("abc"))
-	b.SetLen(6)
-	if b.Len() != 6 {
-		t.Fatalf("Len = %d, want 6", b.Len())
-	}
-	if got := string(b.Bytes()[:3]); got != "abc" {
-		t.Fatalf("prefix = %q, want abc", got)
-	}
-	b.SetLen(2)
-	if string(b.Bytes()) != "ab" {
-		t.Fatalf("shrunk = %q, want ab", string(b.Bytes()))
-	}
-	// Release without a pool must not panic.
-	b.Release()
 }

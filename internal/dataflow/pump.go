@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"context"
+	"errors"
 	"sync"
 )
 
@@ -29,6 +30,7 @@ type Pump struct {
 // all pumps have exited and returns that first failure. The zero value is
 // not usable — construct with NewPumps.
 type Pumps struct {
+	parent context.Context
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -41,7 +43,7 @@ type Pumps struct {
 // cancels every pump.
 func NewPumps(parent context.Context) *Pumps {
 	ctx, cancel := context.WithCancel(parent)
-	return &Pumps{ctx: ctx, cancel: cancel}
+	return &Pumps{parent: parent, ctx: ctx, cancel: cancel}
 }
 
 // Context returns the shared pump context. Edge watchers hang off it so
@@ -83,17 +85,25 @@ func (p *Pumps) fail(err error) {
 	p.cancel()
 }
 
+// isCtxErr reports whether err is how a dead context shows, rather than a
+// failure of its own: the context's error, or ErrStopped from a pool Get or
+// executor Submit the context's death abandoned.
 func isCtxErr(err error) bool {
-	return err == context.Canceled || err == context.DeadlineExceeded
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrStopped)
 }
 
 // Wait blocks until every pump has exited, cancels the shared context (so a
 // clean run releases its watcher resources) and returns the first recorded
-// failure, nil for a clean run.
+// failure, nil for a clean run. When the parent context ended and no pump
+// has anything worse to report, the failure is the parent's error itself,
+// whichever symptom of it a pump happened to see first.
 func (p *Pumps) Wait() error {
 	p.wg.Wait()
 	p.cancel()
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.err != nil && isCtxErr(p.err) && p.parent.Err() != nil {
+		return p.parent.Err()
+	}
 	return p.err
 }

@@ -7,6 +7,7 @@ package dataflow
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -109,6 +110,19 @@ func TestPumpsParentCancellation(t *testing.T) {
 	})
 	cancel()
 	if err := p.Wait(); err != context.Canceled {
+		t.Fatalf("Wait returned %v, want context.Canceled", err)
+	}
+
+	// A pump that saw the cancellation second-hand — a pool Get or executor
+	// Submit it abandoned — still reports the context's error.
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	q := NewPumps(ctx2)
+	q.Go(Pump{Name: "in-a-pool-get"}, func(ctx context.Context) error {
+		<-ctx.Done()
+		return fmt.Errorf("stage: %w", ErrStopped)
+	})
+	cancel2()
+	if err := q.Wait(); err != context.Canceled {
 		t.Fatalf("Wait returned %v, want context.Canceled", err)
 	}
 }

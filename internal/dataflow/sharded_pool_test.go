@@ -145,99 +145,3 @@ func TestShardedItemPoolConcurrentChurn(t *testing.T) {
 		t.Fatalf("Free = %d after churn, want %d", p.Free(), size)
 	}
 }
-
-func TestShardedBufferPool(t *testing.T) {
-	p := NewShardedPool(2, 4, 32)
-	ctx := context.Background()
-
-	// Drain shard 1's seeded list (4 buffers over 2 shards = 2 per list),
-	// then recycle one: it must come back from shard 1's own list.
-	b, err := p.GetShard(ctx, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bb, err := p.GetShard(ctx, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Write([]byte("x"))
-	b.Release()
-	b2, err := p.GetShard(ctx, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b2 != b {
-		t.Fatal("shard 1 did not get its own released buffer back")
-	}
-	if b2.Len() != 0 {
-		t.Fatalf("recycled buffer not reset: len=%d", b2.Len())
-	}
-	if p.LocalHits() < 1 {
-		t.Fatalf("LocalHits = %d, want >= 1", p.LocalHits())
-	}
-	b2.Release()
-	bb.Release()
-
-	// GetShard on an UNSHARDED pool must behave like Get — block on
-	// exhaustion and wake on Release (the nil-wake regression).
-	up := NewPool(1, 8)
-	ub, err := up.GetShard(ctx, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	unblocked := make(chan struct{})
-	go func() {
-		b, err := up.GetShard(ctx, 0)
-		if err != nil {
-			t.Error(err)
-		} else {
-			b.Release()
-		}
-		close(unblocked)
-	}()
-	select {
-	case <-unblocked:
-		t.Fatal("GetShard returned on an exhausted unsharded pool")
-	case <-time.After(20 * time.Millisecond):
-	}
-	ub.Release()
-	select {
-	case <-unblocked:
-	case <-time.After(2 * time.Second):
-		t.Fatal("unsharded GetShard did not wake on Release")
-	}
-
-	// Plain Get keeps working on a sharded pool and can drain everything.
-	var bufs []*Buffer
-	for i := 0; i < 4; i++ {
-		b, err := p.Get(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bufs = append(bufs, b)
-	}
-	// Exhausted: a GetShard must block, then wake on a Release.
-	got := make(chan *Buffer, 1)
-	go func() {
-		b, err := p.GetShard(ctx, 0)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		got <- b
-	}()
-	select {
-	case <-got:
-		t.Fatal("GetShard returned while pool was exhausted")
-	case <-time.After(20 * time.Millisecond):
-	}
-	bufs[0].Release()
-	select {
-	case <-got:
-	case <-time.After(2 * time.Second):
-		t.Fatal("GetShard did not unblock after Release")
-	}
-	for _, b := range bufs[1:] {
-		b.Release()
-	}
-}

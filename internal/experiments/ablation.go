@@ -172,9 +172,10 @@ type SubchunkRow struct {
 }
 
 // RunSubchunkAblation aligns the same dataset with different fine-grain
-// splits, demonstrating why the executor exists: one task per chunk leaves
-// cores idle at chunk boundaries (the §4.3 straggler problem), while
-// subchunking keeps them busy.
+// splits, demonstrating why the executor exists: the align engine has one
+// chunk in flight, so one task per chunk leaves the second core idle (the
+// §4.3 "chunks are too coarse for threads" problem), while subchunking keeps
+// both busy within a chunk.
 func RunSubchunkAblation(ctx context.Context, w io.Writer, sc Scale) ([]SubchunkRow, error) {
 	section(w, "Ablation: fine-grain subchunk split (Fig. 4)")
 	fmt.Fprintf(w, "workload: %s\n", sc)
@@ -190,9 +191,6 @@ func RunSubchunkAblation(ctx context.Context, w io.Writer, sc Scale) ([]Subchunk
 		if _, _, err := core.Align(ctx, core.AlignConfig{
 			Store: store, Dataset: "ds", Index: f.Index,
 			ExecutorThreads: 2, Subchunks: sub,
-			// A single aligner node with one chunk in flight exposes the
-			// granularity effect: without subchunks the second core idles.
-			AlignerNodes: 1, Readers: 1, Parsers: 1, Writers: 1,
 		}); err != nil {
 			return nil, err
 		}

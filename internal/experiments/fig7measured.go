@@ -16,7 +16,7 @@ type Fig7MeasuredPoint struct {
 	Imbalance   float64
 }
 
-// RunFig7Measured runs the real distributed runtime (TCP manifest server +
+// RunFig7Measured runs the real distributed runtime (TCP phase server +
 // in-process worker nodes) for each node count. On a small machine the
 // nodes share cores, so throughput validates functionality and the
 // imbalance claim, not paper-scale linearity — that comes from the DES.

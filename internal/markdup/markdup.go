@@ -8,21 +8,18 @@
 // the results column — the selective-column-I/O advantage §5.6 measures
 // (Samblaster must stream entire SAM rows). The paper's implementation uses
 // Google's dense_hash_map; Go's built-in map plays that role here. Chunks
-// arrive through a prefetching agd.ChunkStream and results re-encode
-// straight into pooled chunk builders, so the sequential mark pass performs
-// no per-record allocation.
+// arrive as an agd.GroupStream and results re-encode straight into pooled
+// chunk builders, so the sequential mark pass performs no per-record
+// allocation; the one-shot dataset form is that stage between a dataset
+// source and agd.WriteColumn.
 package markdup
 
 import (
 	"context"
 	"fmt"
-	"io"
-	"runtime"
-	"sync"
 
 	"persona/internal/agd"
 	"persona/internal/align"
-	"persona/internal/dataflow"
 )
 
 // Options configures a marking pass.
@@ -63,97 +60,34 @@ func MarkDataset(ctx context.Context, ds *agd.Dataset) (Stats, error) {
 	return MarkDatasetOptions(ctx, ds, Options{})
 }
 
-// MarkDatasetOptions is MarkDataset with explicit options.
+// MarkDatasetOptions is MarkDataset with explicit options. The dataset's
+// results chunks stream through MarkStream — marking is order-dependent (the
+// first occurrence survives), so that pass is sequential — into the column
+// sink, which compresses and stores each rewritten chunk while the next is
+// being marked.
 func MarkDatasetOptions(ctx context.Context, ds *agd.Dataset, opts Options) (Stats, error) {
 	m := ds.Manifest
 	if !m.HasColumn(agd.ColResults) {
 		return Stats{}, fmt.Errorf("markdup: dataset %q has no results column", m.Name)
 	}
-	var stats Stats
-	seen := make(map[signature]struct{}, m.NumRecords())
-
-	window := opts.Prefetch
-	if window <= 0 {
-		window = agd.DefaultPrefetch
-	}
-	// The streamed chunks recycle through a pool sized to the fetch window;
-	// marking releases each chunk once its records are re-encoded.
-	chunkPool := agd.NewChunkPool(window + 1)
-	stream, err := ds.Stream(agd.StreamOptions{
+	// One builder set and one pooled source chunk per group the sink can
+	// hold, plus the one being marked.
+	window := agd.ColumnWindow + 1
+	in, err := ds.Groups(agd.StreamOptions{
 		Columns:  []string{agd.ColResults},
 		Prefetch: opts.Prefetch,
-		Pool:     chunkPool,
+		Pool:     agd.NewChunkPool(window),
 	})
 	if err != nil {
-		return stats, err
+		return Stats{}, err
 	}
-	defer stream.Close()
-
-	// Marking is order-dependent (the first occurrence survives), so the
-	// decode/mark pass is sequential; compressing and storing the rewritten
-	// chunks is not, and runs on background workers with pooled builders.
-	workers := runtime.NumCPU()
-	builderPool := dataflow.NewItemPool(workers+1,
-		func() *agd.ChunkBuilder { return agd.NewChunkBuilder(agd.TypeResults, 0) },
-		nil,
-	)
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	asyncErrs := make(chan error, 1)
-	var cigar align.Cigar // reused unclipped-position parse scratch
-	for {
-		sc, err := stream.Next(ctx)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			wg.Wait()
-			return stats, err
-		}
-		chunk := sc.Chunks()[0]
-		builder, err := builderPool.Get(ctx)
-		if err != nil {
-			wg.Wait()
-			return stats, err
-		}
-		cigar, err = markChunk(chunk, builder, seen, &stats, cigar)
-		if err != nil {
-			wg.Wait()
-			return stats, err
-		}
-		blobName, err := ds.ChunkBlobName(agd.ColResults, sc.Index)
-		if err != nil {
-			wg.Wait()
-			return stats, err
-		}
-		// The records are re-encoded into the builder; the streamed chunk
-		// goes back to the pool.
-		sc.Release()
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(builder *agd.ChunkBuilder, blobName string) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			blob, err := agd.EncodeChunk(builder.Chunk(), agd.CompressGzip)
-			if err == nil {
-				err = ds.Store().Put(blobName, blob)
-			}
-			builderPool.Put(builder)
-			if err != nil {
-				select {
-				case asyncErrs <- err:
-				default:
-				}
-			}
-		}(builder, blobName)
+	out, stats, err := MarkStream(in, window)
+	if err != nil {
+		in.Close()
+		return Stats{}, err
 	}
-	wg.Wait()
-	select {
-	case err := <-asyncErrs:
-		return stats, err
-	default:
-	}
-	return stats, nil
+	err = agd.WriteColumn(ctx, out, ds.Store(), m, agd.ColResults, agd.Codec{}, nil)
+	return *stats, err
 }
 
 // markChunk re-encodes one results chunk into builder with duplicate flags

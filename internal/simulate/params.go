@@ -9,7 +9,7 @@
 // This package is that stub methodology made explicit: calibrated rates
 // plus a discrete-event/fluid model of disks, buffer cache, NICs and the
 // Ceph cluster. Functional distributed behaviour (real chunk fan-out,
-// real TCP manifest server) lives in internal/cluster; absolute paper-scale
+// real TCP phase server) lives in internal/cluster; absolute paper-scale
 // numbers come from here. See DESIGN.md §3.
 package simulate
 

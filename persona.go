@@ -25,8 +25,8 @@
 //
 //   - FASTQ import into AGD and export to FASTQ/SAM/BAM (§5.7)
 //   - single-server dataflow alignment with the SNAP-style aligner (§4.3)
-//   - distributed alignment across worker nodes fed by a manifest server
-//     (§5.2, §5.5)
+//   - distributed alignment across worker nodes leasing chunks from the
+//     cluster's phase server — the paper's manifest server (§5.2, §5.5)
 //   - external-merge sorting by location or read ID (§4.3, Table 2)
 //   - Samblaster-style duplicate marking on the results column (§5.6)
 //   - filtering and pileup-based variant calling (§1, §8)
@@ -34,8 +34,11 @@
 // Every stage also remains available as a one-shot free function (Align,
 // Sort, MarkDuplicates, Filter, Export*, Import*, CallVariants) — thin
 // wrappers that run a single stage against the store directly, for callers
-// that do not need composition. All of them take a context.Context and
-// honor cancellation per chunk.
+// that do not need composition. Align and MarkDuplicates are literally the
+// pipeline's stage between a dataset source and a column sink that writes
+// the one column they produce back next to the others; the distributed
+// forms run the same stages on every worker. All of them take a
+// context.Context and honor cancellation per chunk.
 //
 // Storage backends (local directories, an in-memory store, and a Ceph-like
 // replicated object store) implement the same BlobStore interface, so
@@ -179,8 +182,8 @@ type AlignOptions struct {
 	Prefetch int
 }
 
-// Align runs the single-server Persona alignment pipeline over a dataset,
-// appending a results column.
+// Align aligns a dataset in place on a single server, appending a results
+// column — the one-stage form of Pipeline.Align, on an executor of its own.
 func Align(ctx context.Context, store Store, dataset string, idx *Index, opts AlignOptions) (*AlignReport, *Manifest, error) {
 	return core.Align(ctx, core.AlignConfig{
 		Store:           store,
@@ -192,9 +195,11 @@ func Align(ctx context.Context, store Store, dataset string, idx *Index, opts Al
 	})
 }
 
-// AlignDistributed aligns a dataset across nodes worker nodes coordinated
-// by a TCP manifest server (§5.2). Session.AlignDistributed is the form
-// that shares a session's executor and warm index cache.
+// AlignDistributed aligns a dataset across nodes worker nodes as a one-phase
+// plan on the cluster's TCP phase server (§5.2's manifest server: one task
+// per chunk, leased, heartbeat-guarded and re-dealt when a worker dies).
+// Session.AlignDistributed is the form that shares a session's executor and
+// warm index cache.
 func AlignDistributed(ctx context.Context, store Store, dataset string, idx *Index, nodes, threadsPerNode int) (*ClusterReport, *Manifest, error) {
 	return cluster.Align(ctx, store, dataset, idx, cluster.Config{
 		Nodes:          nodes,

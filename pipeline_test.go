@@ -7,6 +7,7 @@ package persona
 import (
 	"bytes"
 	"context"
+	"errors"
 	"runtime"
 	"strings"
 	"sync"
@@ -392,8 +393,8 @@ func TestFreeFunctionCancellation(t *testing.T) {
 	_, _, err = Align(ctx, store, "ds", idx, AlignOptions{})
 	store.onGet.Store(nil)
 	cancel()
-	if err == nil {
-		t.Fatal("mid-stream cancelled Align succeeded")
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("mid-stream cancelled Align: err = %v, want context.Canceled", err)
 	}
 
 	// Fresh fixture for the downstream stages: "ds" aligned, "raw" not
