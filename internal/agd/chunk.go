@@ -1,92 +1,29 @@
 package agd
 
 import (
-	"bytes"
-	"compress/gzip"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"slices"
 	"sync"
+
+	"persona/internal/deflate"
 )
 
-// gzip writers and readers carry megabyte-scale internal state; pooling
-// them keeps chunk encode/decode allocation-free in steady state, which
-// matters for the many-small-chunks regimes of sorting and marking.
-var gzWriterPool = sync.Pool{
-	New: func() any {
-		w, _ := gzip.NewWriterLevel(io.Discard, gzip.BestSpeed)
-		return w
-	},
-}
-
-// gzReadCtx pairs a gzip reader with its source so a whole decompression
-// context can be recycled without allocating a bytes.Reader per call.
-type gzReadCtx struct {
-	br bytes.Reader
-	zr gzip.Reader
-}
-
-var gzReadCtxPool = sync.Pool{New: func() any { return new(gzReadCtx) }}
-
-// appendWriter adapts an append-grown byte slice as an io.Writer, letting
-// gzip compress straight into an output blob with no intermediate buffer.
-type appendWriter struct{ buf *[]byte }
-
-func (w appendWriter) Write(p []byte) (int, error) {
-	*w.buf = append(*w.buf, p...)
-	return len(p), nil
-}
-
-// gzipAppend compresses src at BestSpeed, appending the stream to dst.
-func gzipAppend(dst []byte, src []byte) ([]byte, error) {
-	zw := gzWriterPool.Get().(*gzip.Writer)
-	defer gzWriterPool.Put(zw)
-	zw.Reset(appendWriter{&dst})
-	if _, err := zw.Write(src); err != nil {
-		return nil, err
+// gunzipExact inflates the single gzip member src into dst, which must be
+// exactly the uncompressed size: a stream that is shorter or longer fails.
+// It returns the IEEE CRC-32 of dst, verified against the member's trailer.
+func gunzipExact(dst, src []byte) (uint32, error) {
+	want, err := deflate.Gunzip(dst, src)
+	if err != nil {
+		return 0, fmt.Errorf("%w: gzip: %v", ErrCorrupt, err)
 	}
-	if err := zw.Close(); err != nil {
-		return nil, err
+	crc := crc32.ChecksumIEEE(dst)
+	if crc != want {
+		return 0, fmt.Errorf("%w: gzip: CRC-32 %08x, member trailer says %08x", ErrCorrupt, crc, want)
 	}
-	return dst, nil
-}
-
-// gunzipExact inflates src into dst, which must be exactly the uncompressed
-// size. It fails if the stream is shorter or longer than dst, avoiding the
-// grow-and-copy of a bytes.Buffer read.
-func gunzipExact(dst, src []byte) error {
-	c := gzReadCtxPool.Get().(*gzReadCtx)
-	c.br.Reset(src)
-	if err := c.zr.Reset(&c.br); err != nil {
-		// The reader's state is suspect after a failed Reset; drop the
-		// context rather than pooling it.
-		return fmt.Errorf("%w: gzip: %v", ErrCorrupt, err)
-	}
-	defer func() {
-		// Detach the source before pooling so an idle context does not pin
-		// the (arbitrarily large) compressed blob it last decoded.
-		c.br.Reset(nil)
-		gzReadCtxPool.Put(c)
-	}()
-	if _, err := io.ReadFull(&c.zr, dst); err != nil {
-		return fmt.Errorf("%w: gzip: %v", ErrCorrupt, err)
-	}
-	// The stream must end exactly at len(dst); the extra read also forces
-	// gzip's own checksum verification.
-	var one [1]byte
-	if n, err := c.zr.Read(one[:]); n != 0 || err != io.EOF {
-		if err == nil || err == io.EOF {
-			return fmt.Errorf("%w: gzip stream longer than index", ErrCorrupt)
-		}
-		return fmt.Errorf("%w: gzip: %v", ErrCorrupt, err)
-	}
-	if err := c.zr.Close(); err != nil {
-		return fmt.Errorf("%w: gzip: %v", ErrCorrupt, err)
-	}
-	return nil
+	return crc, nil
 }
 
 // Chunk file layout (all integers little-endian):
@@ -108,7 +45,11 @@ func gunzipExact(dst, src []byte) error {
 // Version 1 stores the data block as a single (possibly gzip-compressed)
 // run. Version 2 splits it into independent gzip members that compress and
 // decompress in parallel (see parallel.go for the member table layout).
-// Version 1 blobs written by earlier releases decode unchanged.
+// Members are plain RFC 1952 gzip, so `gunzip` reads them. They are written
+// and read by internal/deflate, a slice-to-slice codec; blobs that earlier
+// releases wrote with compress/gzip decode unchanged, and compress/gzip reads
+// what this one writes. A version-1 member's trailer CRC-32 equals the
+// header's, so one pass over the data serves both fields.
 //
 // Both versions may carry a trailing whole-blob footer:
 //
@@ -361,7 +302,7 @@ func appendChunkIndex(dst []byte, c *Chunk) []byte {
 func encodeChunkV1Append(dst []byte, c *Chunk, comp Compression) ([]byte, error) {
 	base := len(dst)
 	// Worst-case estimate: full header and index plus incompressible data
-	// (gzip at BestSpeed stores incompressible input nearly verbatim).
+	// (the encoder stores what does not compress, five bytes per 64 KiB).
 	dst = ensureCap(dst, chunkHeaderSize+3*len(c.lengths)+len(c.Data)+len(c.Data)/128+64)
 	dst = encodeChunkHeader(dst, c, chunkVersion, comp)
 	idxStart := len(dst)
@@ -374,10 +315,7 @@ func encodeChunkV1Append(dst []byte, c *Chunk, comp Compression) ([]byte, error)
 	case CompressNone:
 		dst = append(dst, c.Data...)
 	case CompressGzip:
-		var err error
-		if dst, err = gzipAppend(dst, c.Data); err != nil {
-			return nil, err
-		}
+		dst = deflate.AppendGzip(dst, c.Data, crc, nil)
 	default:
 		return nil, fmt.Errorf("agd: unknown compression %d", comp)
 	}

@@ -2,6 +2,7 @@ package agd
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -195,5 +196,38 @@ func TestResultFlags(t *testing.T) {
 	r2 := Result{Location: 10, Flags: FlagReverse | FlagDuplicate}
 	if r2.IsUnmapped() || !r2.IsReverse() || !r2.IsDuplicate() {
 		t.Fatal("flag accessors wrong")
+	}
+}
+
+// TestDataCRCStoredTwiceCheckedOnce: a version-1 gzip chunk states the CRC-32
+// of its data block in the chunk header and in the member's trailer. Encode
+// computes it once for both; decode computes it once and holds both to it,
+// so damage to either stored value, or to the payload, is still ErrCorrupt.
+func TestDataCRCStoredTwiceCheckedOnce(t *testing.T) {
+	b := NewChunkBuilder(TypeRaw, 0)
+	for i := 0; i < 300; i++ {
+		b.Append(bytes.Repeat([]byte{byte('a' + i%7)}, 40+i%5))
+	}
+	// No footer, so nothing but the two CRCs stands between damage and Data.
+	blob, err := Codec{NoChecksum: true}.Encode(b.Chunk(), CompressGzip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blob[4] != chunkVersion {
+		t.Fatalf("layout version %d, want the single-member one", blob[4])
+	}
+	trailer := len(blob) - 8
+	if !bytes.Equal(blob[36:40], blob[trailer:trailer+4]) {
+		t.Fatalf("header CRC % x, member trailer CRC % x", blob[36:40], blob[trailer:trailer+4])
+	}
+	if _, err := DecodeChunk(blob); err != nil {
+		t.Fatal(err)
+	}
+	for name, off := range map[string]int{"header CRC": 37, "member trailer CRC": trailer + 1, "member ISIZE": trailer + 5, "payload": trailer - 20} {
+		bad := bytes.Clone(blob)
+		bad[off] ^= 0x10
+		if _, err := DecodeChunk(bad); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s damaged: %v, want ErrCorrupt", name, err)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"persona/internal/dataflow"
+	"persona/internal/deflate"
 )
 
 // Version-2 data block layout (all integers little-endian):
@@ -180,22 +181,16 @@ func (cd Codec) encodeV2Append(dst []byte, c *Chunk, members int) ([]byte, error
 	bounds[members] = len(data)
 
 	comps := make([]*[]byte, members)
-	errs := make([]error, members)
 	run := func(i int) {
 		buf := memberScratchPool.Get().(*[]byte)
-		out, err := gzipAppend((*buf)[:0], data[bounds[i]:bounds[i+1]])
-		*buf = out
-		comps[i], errs[i] = buf, err
+		part := data[bounds[i]:bounds[i+1]]
+		*buf = deflate.AppendGzip((*buf)[:0], part, crc32.ChecksumIEEE(part), nil)
+		comps[i] = buf
 	}
 	if members == 1 {
 		run(0)
 	} else if err := cd.submitMembers(members, run); err != nil {
 		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 
 	// Member table, then the concatenated members.
@@ -258,6 +253,7 @@ func (cd Codec) decodeInto(c *Chunk, blob []byte, copyRaw bool) error {
 	}
 
 	var data []byte
+	var crc uint32 // IEEE CRC-32 of data
 	switch {
 	case h.comp == CompressNone && h.version == chunkVersion:
 		if uint64(len(dataBlock)) != total {
@@ -269,9 +265,12 @@ func (cd Codec) decodeInto(c *Chunk, blob []byte, copyRaw bool) error {
 		} else {
 			data = dataBlock
 		}
+		crc = crc32.ChecksumIEEE(data)
 	case h.comp == CompressGzip && h.version == chunkVersion:
+		// The member's trailer and the chunk header both state the CRC of
+		// the whole data block: one pass checks the two.
 		data = growBytes(c.Data, int(total))
-		if err := gunzipExact(data, dataBlock); err != nil {
+		if crc, err = gunzipExact(data, dataBlock); err != nil {
 			return err
 		}
 	case h.comp == CompressGzip && h.version == chunkVersionParallel:
@@ -279,11 +278,12 @@ func (cd Codec) decodeInto(c *Chunk, blob []byte, copyRaw bool) error {
 		if err := cd.decodeMembers(data, dataBlock); err != nil {
 			return err
 		}
+		crc = crc32.ChecksumIEEE(data)
 	default:
 		return fmt.Errorf("%w: unknown compression %d (version %d)", ErrCorrupt, h.comp, h.version)
 	}
 
-	if crc32.ChecksumIEEE(data) != h.crc {
+	if crc != h.crc {
 		return fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
 	}
 	c.Type = h.typ
@@ -327,7 +327,7 @@ func (cd Codec) decodeMembers(dst []byte, dataBlock []byte) error {
 
 	errs := make([]error, members)
 	run := func(i int) {
-		errs[i] = gunzipExact(dst[uncompOff[i]:uncompOff[i+1]], body[compOff[i]:compOff[i+1]])
+		_, errs[i] = gunzipExact(dst[uncompOff[i]:uncompOff[i+1]], body[compOff[i]:compOff[i+1]])
 	}
 	if members == 1 {
 		run(0)

@@ -3,19 +3,44 @@
 // size in a "BC" extra subfield, terminated by a fixed empty EOF block.
 // Block independence is what makes BAM seekable; Persona's row-oriented
 // baselines use it the way samtools does.
+//
+// Blocks are deflated and inflated by internal/deflate, whole block to whole
+// block in memory: a block's payload is at most MaxBlockSize bytes and both
+// its sizes are stated up front (BSIZE, ISIZE), which is all that codec
+// needs. What is written is ordinary multi-member gzip that compress/gzip,
+// samtools and htslib read. Only the non-default levels of NewWriterLevel,
+// which stand in for JVM-era tools, still go through compress/gzip.
 package bgzf
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+
+	"persona/internal/deflate"
 )
 
 // MaxBlockSize is the maximum uncompressed payload per BGZF block, chosen so
 // the compressed block size always fits the 16-bit BSIZE field.
 const MaxBlockSize = 0xff00
+
+const (
+	// headerSize is the fixed gzip header plus XLEN and the BC subfield;
+	// BSIZE (total block size − 1) is its last two bytes.
+	headerSize  = 18
+	trailerSize = 8 // CRC-32, ISIZE
+	// maxPayload is the largest ISIZE the format allows.
+	maxPayload = 1 << 16
+)
+
+// bcExtra is the FEXTRA content of a block this package writes: the BC
+// subfield with BSIZE still to be filled in.
+var bcExtra = []byte{'B', 'C', 2, 0, 0, 0}
 
 // eofMarker is the specification's 28-byte empty terminal block.
 var eofMarker = []byte{
@@ -27,7 +52,8 @@ var eofMarker = []byte{
 // Writer compresses a stream into BGZF blocks.
 type Writer struct {
 	w     io.Writer
-	buf   []byte
+	buf   []byte // payload of the block being filled
+	block []byte // the last block written, reused
 	level int
 	err   error
 }
@@ -67,19 +93,16 @@ func (w *Writer) Write(p []byte) (int, error) {
 	return total, nil
 }
 
-// flushBlock emits the buffered payload as one BGZF block. BSIZE (total
-// block size - 1) lives in the extra subfield at offset 16 of the block
-// (10 fixed header bytes + 2 XLEN + 4 subfield header); compressBlock
-// patches it after compression.
+// flushBlock emits the buffered payload as one BGZF block.
 func (w *Writer) flushBlock() error {
 	if len(w.buf) == 0 {
 		return nil
 	}
-	block, err := compressBlockLevel(w.buf, w.level)
-	if err != nil {
+	var err error
+	if w.block, err = compressBlockLevel(w.block[:0], w.buf, w.level); err != nil {
 		return err
 	}
-	if _, err := w.w.Write(block); err != nil {
+	if _, err := w.w.Write(w.block); err != nil {
 		return err
 	}
 	w.buf = w.buf[:0]
@@ -101,11 +124,52 @@ func (w *Writer) Close() error {
 	return err
 }
 
+// compressBlock appends payload (at most MaxBlockSize bytes) to dst as one
+// BGZF block; shared by Writer and ParallelWriter. The encoder stores what
+// does not compress, so a block is never more than headerSize + 5 +
+// trailerSize bytes longer than its payload and BSIZE always fits.
+func compressBlock(dst, payload []byte) []byte {
+	base := len(dst)
+	dst = deflate.AppendGzip(dst, payload, crc32.ChecksumIEEE(payload), bcExtra)
+	binary.LittleEndian.PutUint16(dst[base+headerSize-2:], uint16(len(dst)-base-1))
+	return dst
+}
+
+// compressBlockLevel is compressBlock at an arbitrary gzip level. Levels
+// other than BestSpeed go through compress/gzip and allocate a fresh
+// deflater per block, which is faithful to the per-record churn of the JVM
+// tools that use them.
+func compressBlockLevel(dst, payload []byte, level int) ([]byte, error) {
+	if level == gzip.BestSpeed || level == 0 {
+		return compressBlock(dst, payload), nil
+	}
+	var zbuf bytes.Buffer
+	zw, err := gzip.NewWriterLevel(&zbuf, level)
+	if err != nil {
+		return nil, err
+	}
+	zw.Extra = bcExtra
+	if _, err := zw.Write(payload); err != nil {
+		return nil, err
+	}
+	if err := zw.Close(); err != nil {
+		return nil, err
+	}
+	block := zbuf.Bytes()
+	if len(block) > 0xffff+1 {
+		return nil, fmt.Errorf("bgzf: compressed block too large (%d bytes)", len(block))
+	}
+	binary.LittleEndian.PutUint16(block[headerSize-2:], uint16(len(block)-1))
+	return append(dst, block...), nil
+}
+
 // Reader decompresses a BGZF stream block by block.
 type Reader struct {
-	br   *bufio.Reader
-	zr   *gzip.Reader
-	open bool
+	br    *bufio.Reader
+	block []byte // the current block as stored, after its fixed header
+	data  []byte // its payload
+	pos   int    // how much of data Read has handed out
+	err   error
 }
 
 // NewReader returns a BGZF reader over r.
@@ -113,50 +177,106 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{br: bufio.NewReaderSize(r, 1<<16)}
 }
 
-// Read implements io.Reader across block boundaries.
+// Read implements io.Reader across block boundaries. The stream ends cleanly
+// only between blocks: input that stops inside a block is
+// io.ErrUnexpectedEOF, and an error of the underlying reader is returned as
+// it is.
 func (r *Reader) Read(p []byte) (int, error) {
-	for {
-		if !r.open {
-			if err := r.nextBlock(); err != nil {
-				return 0, err
-			}
+	if len(p) == 0 {
+		return 0, r.err
+	}
+	for r.pos == len(r.data) {
+		if r.err != nil {
+			return 0, r.err
 		}
-		n, err := r.zr.Read(p)
-		if n > 0 {
-			return n, nil
-		}
-		if err == io.EOF {
-			r.open = false
-			continue
-		}
-		if err != nil {
-			return 0, err
+		if r.err = r.nextBlock(); r.err != nil {
+			return 0, r.err
 		}
 	}
+	n := copy(p, r.data[r.pos:])
+	r.pos += n
+	return n, nil
 }
 
-// nextBlock positions the gzip reader at the next member.
+// nextBlock reads, checks and inflates one block into r.data.
 func (r *Reader) nextBlock() error {
-	// Peek for EOF.
-	if _, err := r.br.Peek(1); err != nil {
-		return io.EOF
-	}
-	if r.zr == nil {
-		zr, err := gzip.NewReader(r.br)
-		if err != nil {
-			return fmt.Errorf("bgzf: %w", err)
+	r.data, r.pos = r.data[:0], 0
+	var hdr [12]byte // fixed gzip header and XLEN
+	if n, err := io.ReadFull(r.br, hdr[:]); err != nil {
+		if n == 0 && err == io.EOF {
+			return io.EOF
 		}
-		zr.Multistream(false)
-		r.zr = zr
-	} else {
-		if err := r.zr.Reset(r.br); err != nil {
-			if err == io.EOF {
-				return io.EOF
+		return truncated(err)
+	}
+	if hdr[0] != 0x1f || hdr[1] != 0x8b || hdr[2] != 8 || hdr[3] != 4 {
+		return errors.New("bgzf: not a BGZF block header")
+	}
+	xlen := int(binary.LittleEndian.Uint16(hdr[10:]))
+	// BSIZE is not known until the extra field is read; take the field
+	// first, the rest of the block after.
+	r.block = growTo(r.block, xlen)
+	if _, err := io.ReadFull(r.br, r.block); err != nil {
+		return truncated(err)
+	}
+	bsize := -1
+	for extra := r.block; len(extra) >= 4; {
+		slen := int(binary.LittleEndian.Uint16(extra[2:]))
+		if len(extra)-4 < slen {
+			return errors.New("bgzf: extra subfield overruns the extra field")
+		}
+		if extra[0] == 'B' && extra[1] == 'C' {
+			if slen != 2 {
+				return fmt.Errorf("bgzf: BC subfield is %d bytes, want 2", slen)
 			}
-			return fmt.Errorf("bgzf: %w", err)
+			bsize = int(binary.LittleEndian.Uint16(extra[4:]))
+			break
 		}
-		r.zr.Multistream(false)
+		extra = extra[4+slen:]
 	}
-	r.open = true
+	if bsize < 0 {
+		return errors.New("bgzf: block has no BC subfield")
+	}
+	rest := bsize + 1 - len(hdr) - xlen
+	if rest < trailerSize {
+		return fmt.Errorf("bgzf: BSIZE %d does not cover the block's header and trailer", bsize)
+	}
+	r.block = growTo(r.block, rest)
+	if _, err := io.ReadFull(r.br, r.block); err != nil {
+		return truncated(err)
+	}
+	body, trailer := r.block[:rest-trailerSize], r.block[rest-trailerSize:]
+	isize := binary.LittleEndian.Uint32(trailer[4:])
+	if isize > maxPayload {
+		return fmt.Errorf("bgzf: ISIZE %d exceeds the format's 64 KiB", isize)
+	}
+	data := growTo(r.data, int(isize))
+	n, err := deflate.Inflate(data, body)
+	if err != nil {
+		return fmt.Errorf("bgzf: block with ISIZE %d: %w", isize, err)
+	}
+	if n != len(body) {
+		return fmt.Errorf("bgzf: %d bytes between the deflate stream and the trailer", len(body)-n)
+	}
+	if got, want := crc32.ChecksumIEEE(data), binary.LittleEndian.Uint32(trailer); got != want {
+		return fmt.Errorf("bgzf: block CRC-32 %08x, trailer says %08x", got, want)
+	}
+	r.data = data
 	return nil
+}
+
+// truncated turns the end of input inside a block into ErrUnexpectedEOF and
+// passes any other read error through.
+func truncated(err error) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return fmt.Errorf("bgzf: truncated block: %w", io.ErrUnexpectedEOF)
+	}
+	return err
+}
+
+// growTo returns a slice of exactly n bytes, reusing b's array if it can.
+func growTo(b []byte, n int) []byte {
+	if cap(b) >= n {
+		return b[:n]
+	}
+	return make([]byte, n)
 }

@@ -1,11 +1,7 @@
 package bgzf
 
 import (
-	"bytes"
-	"compress/gzip"
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"sync"
 )
@@ -13,11 +9,16 @@ import (
 // ParallelWriter compresses BGZF blocks on multiple workers while an
 // ordering stage writes them out in sequence — the same trick samtools'
 // --threads option uses; block independence is exactly what BGZF buys.
+// Its blocks are byte for byte those of Writer.
 type ParallelWriter struct {
-	buf     []byte
-	pending chan chan compressed
-	jobs    chan job
-	done    chan struct{}
+	cur *slot // the block being filled
+
+	// A slot goes free → (filled by Write) → jobs and pending → free. jobs
+	// feeds the workers; pending, in dispatch order, the writing goroutine,
+	// which waits for each slot's worker before writing its block.
+	free    chan *slot
+	jobs    chan *slot
+	pending chan *slot
 	wg      sync.WaitGroup
 	writeWG sync.WaitGroup
 
@@ -25,14 +26,12 @@ type ParallelWriter struct {
 	err error
 }
 
-type job struct {
+// slot is one block in flight. Slots are recycled, so a steady stream
+// allocates nothing per block.
+type slot struct {
 	payload []byte
-	out     chan compressed
-}
-
-type compressed struct {
-	block []byte
-	err   error
+	block   []byte
+	done    chan struct{} // one token per compression, from worker to writer
 }
 
 // NewParallelWriter returns a BGZF writer compressing on workers goroutines.
@@ -40,37 +39,39 @@ func NewParallelWriter(w io.Writer, workers int) *ParallelWriter {
 	if workers < 1 {
 		workers = 1
 	}
+	// Two blocks in flight per worker, and the one being filled.
+	slots := 2*workers + 1
 	p := &ParallelWriter{
-		buf:     make([]byte, 0, MaxBlockSize),
-		pending: make(chan chan compressed, workers*2),
-		jobs:    make(chan job, workers*2),
-		done:    make(chan struct{}),
+		free:    make(chan *slot, slots),
+		jobs:    make(chan *slot, slots),
+		pending: make(chan *slot, slots),
 	}
+	for i := 0; i < slots; i++ {
+		p.free <- &slot{done: make(chan struct{}, 1)}
+	}
+	p.cur = <-p.free
 	for i := 0; i < workers; i++ {
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
-			for j := range p.jobs {
-				block, err := compressBlock(j.payload)
-				j.out <- compressed{block: block, err: err}
+			for s := range p.jobs {
+				s.block = compressBlock(s.block[:0], s.payload)
+				s.done <- struct{}{}
 			}
 		}()
 	}
 	p.writeWG.Add(1)
 	go func() {
 		defer p.writeWG.Done()
-		for ch := range p.pending {
-			c := <-ch
-			if c.err != nil {
-				p.setErr(c.err)
-				continue
+		for s := range p.pending {
+			<-s.done
+			if p.getErr() == nil {
+				if _, err := w.Write(s.block); err != nil {
+					p.setErr(err)
+				}
 			}
-			if p.getErr() != nil {
-				continue
-			}
-			if _, err := w.Write(c.block); err != nil {
-				p.setErr(err)
-			}
+			s.payload = s.payload[:0]
+			p.free <- s
 		}
 		if p.getErr() == nil {
 			if _, err := w.Write(eofMarker); err != nil {
@@ -102,35 +103,36 @@ func (p *ParallelWriter) Write(data []byte) (int, error) {
 	}
 	total := len(data)
 	for len(data) > 0 {
-		room := MaxBlockSize - len(p.buf)
+		if p.cur.payload == nil {
+			p.cur.payload = make([]byte, 0, MaxBlockSize)
+		}
+		room := MaxBlockSize - len(p.cur.payload)
 		n := len(data)
 		if n > room {
 			n = room
 		}
-		p.buf = append(p.buf, data[:n]...)
+		p.cur.payload = append(p.cur.payload, data[:n]...)
 		data = data[n:]
-		if len(p.buf) == MaxBlockSize {
+		if len(p.cur.payload) == MaxBlockSize {
 			p.dispatch()
 		}
 	}
 	return total, nil
 }
 
-// dispatch hands the buffered payload to a worker, preserving output order
-// through the pending queue.
+// dispatch hands the filled slot to a worker, preserving output order
+// through the pending queue, and takes a free one to fill next — waiting,
+// when every slot is in flight, for the writing goroutine to release one.
 func (p *ParallelWriter) dispatch() {
-	payload := make([]byte, len(p.buf))
-	copy(payload, p.buf)
-	p.buf = p.buf[:0]
-	out := make(chan compressed, 1)
-	p.pending <- out
-	p.jobs <- job{payload: payload, out: out}
+	p.pending <- p.cur
+	p.jobs <- p.cur
+	p.cur = <-p.free
 }
 
 // Close flushes the final block, waits for all compression and writing to
 // finish, writes the EOF marker, and reports any deferred error.
 func (p *ParallelWriter) Close() error {
-	if len(p.buf) > 0 {
+	if len(p.cur.payload) > 0 {
 		p.dispatch()
 	}
 	close(p.jobs)
@@ -142,62 +144,4 @@ func (p *ParallelWriter) Close() error {
 	}
 	p.setErr(errors.New("bgzf: writer closed"))
 	return nil
-}
-
-// gzPool recycles gzip writers: their deflate state is megabyte-scale and
-// BGZF creates one stream per 64 KB block.
-var gzPool = sync.Pool{
-	New: func() any {
-		w, _ := gzip.NewWriterLevel(io.Discard, gzip.BestSpeed)
-		return w
-	},
-}
-
-// compressBlock gzips one payload into a BGZF block at BestSpeed; shared by
-// Writer and ParallelWriter.
-func compressBlock(payload []byte) ([]byte, error) {
-	var zbuf bytes.Buffer
-	zw := gzPool.Get().(*gzip.Writer)
-	defer gzPool.Put(zw)
-	zw.Reset(&zbuf)
-	zw.Extra = []byte{'B', 'C', 2, 0, 0, 0}
-	if _, err := zw.Write(payload); err != nil {
-		return nil, err
-	}
-	if err := zw.Close(); err != nil {
-		return nil, err
-	}
-	block := zbuf.Bytes()
-	if len(block) > 0xffff {
-		return nil, fmt.Errorf("bgzf: compressed block too large (%d bytes)", len(block))
-	}
-	binary.LittleEndian.PutUint16(block[16:18], uint16(len(block)-1))
-	return block, nil
-}
-
-// compressBlockLevel is compressBlock at an arbitrary gzip level. Levels
-// other than BestSpeed allocate a fresh deflater per block, which is
-// faithful to the per-record churn of the JVM tools that use them.
-func compressBlockLevel(payload []byte, level int) ([]byte, error) {
-	if level == gzip.BestSpeed || level == 0 {
-		return compressBlock(payload)
-	}
-	var zbuf bytes.Buffer
-	zw, err := gzip.NewWriterLevel(&zbuf, level)
-	if err != nil {
-		return nil, err
-	}
-	zw.Extra = []byte{'B', 'C', 2, 0, 0, 0}
-	if _, err := zw.Write(payload); err != nil {
-		return nil, err
-	}
-	if err := zw.Close(); err != nil {
-		return nil, err
-	}
-	block := zbuf.Bytes()
-	if len(block) > 0xffff {
-		return nil, fmt.Errorf("bgzf: compressed block too large (%d bytes)", len(block))
-	}
-	binary.LittleEndian.PutUint16(block[16:18], uint16(len(block)-1))
-	return block, nil
 }

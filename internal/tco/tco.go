@@ -166,10 +166,9 @@ type StorageProfile struct {
 // so the decision is a dollar comparison, also usable for accounting.
 type SpillPolicy struct {
 	Profile StorageProfile
-	// CompressMBps and DecompressMBps are the gzip (BestSpeed) encode and
-	// decode rates assumed for run payloads; Ratio is the compressed size
-	// fraction. Zero values take the defaults measured for AGD base/qual
-	// payloads on one core.
+	// CompressMBps and DecompressMBps are the chunk codec's encode and
+	// decode rates on run payloads; Ratio is the compressed size fraction.
+	// Zero values take the defaults below.
 	CompressMBps   float64
 	DecompressMBps float64
 	Ratio          float64
@@ -184,13 +183,19 @@ type SpillPolicy struct {
 
 // Defaults for SpillPolicy's zero fields.
 const (
-	// DefaultCompressMBps and DefaultDecompressMBps are single-core gzip
-	// BestSpeed rates on chunked genomic payloads.
-	DefaultCompressMBps   = 120
+	// DefaultCompressMBps, DefaultDecompressMBps and DefaultSpillRatio are
+	// what one core does to a superchunk run — rows of uvarint-prefixed
+	// packed bases, qualities, metadata and results — through the chunk
+	// codec (internal/deflate gzip members, CRC-32 and footer included), as
+	// BenchmarkSpillRunCodec in internal/agdsort measures it: 126 MB/s in,
+	// 395 MB/s out, 0.62 of the size. (compress/gzip at BestSpeed, which
+	// earlier releases used, does 77 and 115 MB/s and 0.64 on the same run;
+	// the 120 / 400 / 0.45 once written here were column-wise figures no run
+	// payload reached.) They put the break-even store throughput,
+	// 2(1−ratio) / (1/in + ratio/out), at ≈ 80 MB/s.
+	DefaultCompressMBps   = 125
 	DefaultDecompressMBps = 400
-	// DefaultSpillRatio is the typical compressed fraction of superchunk
-	// run payloads (bases + quals + metadata mix).
-	DefaultSpillRatio = 0.45
+	DefaultSpillRatio     = 0.62
 	// DefaultLocalLatency separates local disks (sub-millisecond to ~2 ms
 	// reads) from anything with real round trips.
 	DefaultLocalLatency = 2 * time.Millisecond
