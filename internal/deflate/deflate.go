@@ -2,6 +2,7 @@ package deflate
 
 import (
 	"encoding/binary"
+	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -33,8 +34,9 @@ const (
 	hashBits  = 14
 	hashBytes = 6
 	skipShift = 5
-	// maxSegment bounds the positions of one hash generation to 31 bits.
-	maxSegment = 1 << 30
+	// maxInput keeps the positions of one hash generation within 31 bits;
+	// anything longer is stored.
+	maxInput = 1 << 30
 
 	// Literal/length codewords stop at 14 bits so four of them and a partial
 	// byte fit the 64-bit accumulator; distance codewords may use all 15.
@@ -54,7 +56,6 @@ type seq struct {
 var (
 	lengthSym  [maxMatch - 3 + 1]uint8
 	distSymTab [512]uint8
-	fixedCode  blockCode
 )
 
 func distSym(dist uint16) uint8 {
@@ -80,36 +81,19 @@ func init() {
 			}
 		}
 	}
-	for s := range fixedCode.litLen {
-		switch {
-		case s < 144:
-			fixedCode.litLen[s] = 8
-		case s < 256:
-			fixedCode.litLen[s] = 9
-		case s < 280:
-			fixedCode.litLen[s] = 7
-		default:
-			fixedCode.litLen[s] = 8
-		}
-	}
-	for s := range fixedCode.distLen {
-		fixedCode.distLen[s] = 5
-	}
-	assignCodes(fixedCode.lit[:], fixedCode.litLen[:])
-	assignCodes(fixedCode.dist[:], fixedCode.distLen[:])
 }
 
-// blockCode is the prefix code of one block: per symbol the bit-reversed
-// codeword in the low 16 bits and its length above, plus, for a dynamic
-// block, the header that describes it.
+// blockCode is the prefix code of one dynamic block: per symbol the
+// bit-reversed codeword in the low 16 bits and its length above, plus the
+// header that describes it.
 type blockCode struct {
-	litLen  [maxLitSyms]uint8  // the fixed code has 288 symbols, a dynamic one 286
-	distLen [maxDistSyms]uint8 // likewise 32 and 30
-	lit     [maxLitSyms]uint32
-	dist    [maxDistSyms]uint32
+	litLen  [numLit]uint8
+	distLen [numDist]uint8
+	lit     [numLit]uint32
+	dist    [numDist]uint32
 
-	// Dynamic header: code lengths run-length coded in precode symbols
-	// (symbol in the low byte, its extra-bits value above).
+	// Header: code lengths run-length coded in precode symbols (symbol in
+	// the low byte, its extra-bits value above).
 	hlit, hdist, hclen int
 	rle                [numLit + numDist]uint16
 	nrle               int
@@ -128,20 +112,24 @@ type encoder struct {
 	hash [1 << hashBits]uint64
 	base uint32
 
-	seqs [maxSeqs]seq
-	nseq int
-	lit  int // start of the literals not yet covered by a seq
+	seqs    [maxSeqs]seq
+	nseq    int
+	lit     int // start of the literals not yet covered by a seq
+	counted int // start of the literals not yet counted
 
 	// litBits8 is eight times the average literal cost in bits under the
 	// last code built, the price a short match has to beat.
 	litBits8 int
 
-	// Symbol counts of the block being priced: as matches (lzHist, distHist)
-	// and as literals only (allHist), with the code built for each.
+	// Symbol counts of the block being gathered, kept as its seqs are: as
+	// matches (lzHist, distHist, the literal bytes in litCount until a
+	// pricing folds them in) and, when asked for, as literals only (allHist),
+	// with the code built for each.
 	lzHist, allHist [numLit]uint32
 	distHist        [numDist]uint32
 	lzCode, litCode blockCode
-	byteHist        [4][256]uint32
+	litCount        byteCounts
+	allCount        byteCounts
 
 	// Huffman construction scratch.
 	sorted, sortTmp [numLit]uint32
@@ -170,10 +158,11 @@ func StoredSize(n int) int {
 // extended slice, never more than StoredSize(len(src)) bytes longer. The
 // effort is that of a level-1 encoder: a single-probe match finder whose
 // short matches must beat the literals they replace, and per block whichever
-// of stored, fixed, literals-only dynamic and match dynamic coding the
-// block's own histogram prices lowest. When matches save less than a
-// thirty-second over literals alone on a buffer's first 8 KiB, or on any
-// block, the match finder stays off for the rest of the buffer. The output
+// of stored, literals-only and match coding the block's own histogram prices
+// lowest. When matches save less than a thirty-second over literals alone on
+// a buffer's first 8 KiB, or on any block, the match finder stays off for the
+// rest of the buffer; when they save over an eighth there, later blocks are
+// not priced without them. A src of more than 1 GiB is stored. The output
 // depends only on src.
 func Deflate(dst, src []byte) []byte {
 	e := encoderPool.Get().(*encoder)
@@ -183,15 +172,12 @@ func Deflate(dst, src []byte) []byte {
 }
 
 func (e *encoder) deflate(dst, src []byte) []byte {
+	if len(src) > maxInput {
+		return appendStored(dst, src)
+	}
 	base := len(dst)
 	e.out, e.pos, e.bitbuf, e.nbits = dst[:cap(dst)], base, 0, 0
-	for off := 0; ; off += maxSegment {
-		if len(src)-off <= maxSegment {
-			e.segment(src[off:], true)
-			break
-		}
-		e.segment(src[off:off+maxSegment], false)
-	}
+	e.blocks(src)
 	e.reserve(8)
 	binary.LittleEndian.PutUint64(e.out[e.pos:], e.bitbuf)
 	dst = e.out[:e.pos+int(e.nbits+7)>>3]
@@ -226,15 +212,17 @@ func (e *encoder) reserve(n int) {
 	}
 }
 
-// segment encodes src as a run of blocks, the last one final if last.
-func (e *encoder) segment(src []byte, last bool) {
+// blocks encodes src as a run of blocks, the last one final.
+func (e *encoder) blocks(src []byte) {
 	// Entries of earlier buffers must read as more than maxDist back.
-	if e.base > 1<<32-1-2*maxSegment {
+	if e.base > 1<<32-1-2*maxInput {
 		clear(e.hash[:])
 		e.base = maxDist + 1
 	}
 	e.litBits8 = 6 * 8
-	lz := true
+	// lz: matches are looked for. sure: the first look found them saving so
+	// much that no block needs pricing without them.
+	lz, sure := true, false
 	for from := 0; ; {
 		to := min(from+blockBytes, len(src))
 		e.startBlock(from)
@@ -242,7 +230,9 @@ func (e *encoder) segment(src []byte, last bool) {
 			s := from
 			if from == 0 && to > measureAt {
 				s = e.tokenise(src, s, measureAt, to)
-				if lz = pays(e.price(src, 0, s)); !lz {
+				lzBits, litBits := e.price(src, 0, s, true)
+				lz, sure = pays(lzBits, litBits), lzBits+litBits>>3 < litBits
+				if !lz {
 					e.startBlock(from)
 				}
 			}
@@ -250,7 +240,7 @@ func (e *encoder) segment(src []byte, last bool) {
 				e.tokenise(src, s, to, to)
 			}
 		}
-		lz = e.writeBlock(src, from, to, last && to == len(src)) && lz
+		lz = e.writeBlock(src, from, to, to == len(src), !sure) && lz
 		if from = to; from == len(src) {
 			break
 		}
@@ -258,7 +248,12 @@ func (e *encoder) segment(src []byte, last bool) {
 	e.base += uint32(len(src)) + maxDist
 }
 
-func (e *encoder) startBlock(from int) { e.nseq, e.lit = 0, from }
+func (e *encoder) startBlock(from int) {
+	e.nseq, e.lit, e.counted = 0, from, from
+	e.litCount = byteCounts{}
+	clear(e.lzHist[257:])
+	clear(e.distHist[:])
+}
 
 func hashN(v uint64) uint32 {
 	return uint32(v << (64 - 8*hashBytes) * 0x9E3779B185EBCA87 >> (64 - hashBits))
@@ -266,7 +261,8 @@ func hashN(v uint64) uint32 {
 
 // tokenise looks for matches starting in src[s:scanEnd], none reaching past
 // blockEnd, and appends them to e.seqs with the literals before them. It
-// returns where it stopped looking, which a later call may continue from.
+// returns where it stopped looking, at most blockEnd, which a later call may
+// continue from.
 func (e *encoder) tokenise(src []byte, s, scanEnd, blockEnd int) int {
 	scanEnd = min(scanEnd, blockEnd-8+1)
 	base, tab := e.base, &e.hash
@@ -297,8 +293,11 @@ func (e *encoder) tokenise(src []byte, s, scanEnd, blockEnd int) int {
 		miss = 0
 		e.seqs[e.nseq] = seq{lits: uint32(s - e.lit), length: uint16(length), dist: uint16(back)}
 		e.nseq++
+		e.litCount.add(src[e.counted:s])
+		e.lzHist[257+int(lengthSym[length-3])]++
+		e.distHist[distSym(uint16(back))]++
 		s += length
-		e.lit = s
+		e.lit, e.counted = s, s
 		// Index the match's last position, so a run that repeats is found
 		// again right behind it.
 		if s < scanEnd {
@@ -306,7 +305,8 @@ func (e *encoder) tokenise(src []byte, s, scanEnd, blockEnd int) int {
 			tab[hashN(v)] = uint64(uint32(s-1)+base) | v<<32
 		}
 	}
-	return s
+	// A step over misses may have carried s past the block.
+	return min(s, blockEnd)
 }
 
 // matchLen returns how many leading bytes of a equal those of b; b is the
@@ -323,10 +323,11 @@ func matchLen(a, b []byte) int {
 	return n
 }
 
-// addBytes counts the bytes of p into four interleaved tables, so that equal
-// neighbours do not serialise on one counter; foldBytes sums the tables.
-func (e *encoder) addBytes(p []byte) {
-	h := &e.byteHist
+// byteCounts counts bytes in four interleaved tables, so that equal
+// neighbours do not serialise on one counter; sum adds the tables up.
+type byteCounts [4][256]uint32
+
+func (h *byteCounts) add(p []byte) {
 	for ; len(p) >= 4; p = p[4:] {
 		h[0][p[0]]++
 		h[1][p[1]]++
@@ -338,33 +339,24 @@ func (e *encoder) addBytes(p []byte) {
 	}
 }
 
-func (e *encoder) foldBytes(hist *[numLit]uint32) {
-	h := &e.byteHist
+func (h *byteCounts) sum(hist *[numLit]uint32) {
 	for i := range h[0] {
 		hist[i] = h[0][i] + h[1][i] + h[2][i] + h[3][i]
 	}
-	*h = [4][256]uint32{}
 }
 
-// price counts the symbols of src[from:to] coded as the seqs gathered and
-// builds e.lzCode for them; if there are seqs it does the same for the bytes
-// as literals only, into e.litCode. It returns both codings' sizes in bits,
-// equal when there are no seqs to tell them apart.
-func (e *encoder) price(src []byte, from, to int) (lzBits, litBits int) {
-	seqs := e.seqs[:e.nseq]
-	clear(e.lzHist[256:])
-	clear(e.distHist[:])
-	p := from
-	for _, q := range seqs {
-		e.addBytes(src[p : p+int(q.lits)])
-		e.lzHist[257+int(lengthSym[q.length-3])]++
-		e.distHist[distSym(q.dist)]++
-		p += int(q.lits) + int(q.length)
-	}
-	e.addBytes(src[p:to])
-	e.foldBytes(&e.lzHist)
+// price builds e.lzCode for src[from:to], the block being gathered as far as
+// it has been looked at, coded as the seqs gathered so far; if there are seqs
+// and literals is set, it also builds e.litCode for the same bytes as
+// literals only. It returns both codings' sizes in bits: litBits equals
+// lzBits when there are no seqs to tell them apart, and is unpriced when
+// there are but literals is not set.
+func (e *encoder) price(src []byte, from, to int, literals bool) (lzBits, litBits int) {
+	e.litCount.add(src[e.counted:to])
+	e.counted = to
+	e.litCount.sum(&e.lzHist)
 	lzBits = e.lzCode.build(e, &e.lzHist, &e.distHist)
-	if len(seqs) == 0 {
+	if e.nseq == 0 {
 		return lzBits, lzBits
 	}
 	// What a literal costs next to matches is what a short match must beat.
@@ -376,29 +368,36 @@ func (e *encoder) price(src []byte, from, to int) (lzBits, litBits int) {
 	if n > 0 {
 		e.litBits8 = b * 8 / n
 	}
+	if !literals {
+		return lzBits, unpriced
+	}
 	clear(e.allHist[256:])
-	e.addBytes(src[from:to])
-	e.foldBytes(&e.allHist)
+	e.allCount = byteCounts{}
+	e.allCount.add(src[from:to])
+	e.allCount.sum(&e.allHist)
 	return lzBits, e.litCode.build(e, &e.allHist, &noDistances)
 }
 
 var noDistances [numDist]uint32
+
+// unpriced stands for the size of a coding that was not priced: it loses to
+// any that was.
+const unpriced = math.MaxInt32
 
 // pays reports whether match coding saves enough over literals only — a
 // thirty-second of the size — to be worth looking for matches at all.
 func pays(lzBits, litBits int) bool { return lzBits+litBits>>5 < litBits }
 
 // writeBlock prices src[from:to] as matches (the seqs gathered, if any), as
-// literals only and as a stored block, writes the cheapest, and reports
-// whether matches paid.
-func (e *encoder) writeBlock(src []byte, from, to int, final bool) bool {
-	dyn, litBits := e.price(src, from, to)
+// literals only if asked to, and as a stored block, writes the cheapest, and
+// reports whether matches paid.
+func (e *encoder) writeBlock(src []byte, from, to int, final, literals bool) bool {
+	dyn, litBits := e.price(src, from, to, literals)
 	lzPays := pays(dyn, litBits)
-	seqs, code, litHist, distHist := e.seqs[:e.nseq], &e.lzCode, &e.lzHist, &e.distHist
+	seqs, code := e.seqs[:e.nseq], &e.lzCode
 	if len(seqs) > 0 && litBits <= dyn { // with no seqs they are one coding
-		seqs, code, litHist, distHist, dyn = nil, &e.litCode, &e.allHist, &noDistances, litBits
+		seqs, code, dyn = nil, &e.litCode, litBits
 	}
-	fixed := fixedBits(litHist, distHist)
 
 	hdr := uint64(0)
 	if final {
@@ -406,8 +405,7 @@ func (e *encoder) writeBlock(src []byte, from, to int, final bool) bool {
 	}
 	// A stored block pads to a byte boundary after its three header bits.
 	stored := 3 + int(-(e.nbits+3)&7) + 32 + 8*(to-from)
-	switch {
-	case stored <= dyn && stored <= fixed:
+	if stored <= dyn {
 		e.reserve(16 + to - from)
 		e.putBits(hdr, 3)
 		e.pos += int(e.nbits+7) >> 3
@@ -418,16 +416,11 @@ func (e *encoder) writeBlock(src []byte, from, to int, final bool) bool {
 		copy(e.out[e.pos+4:], src[from:to])
 		e.pos += 4 + n
 		return false
-	case fixed <= dyn:
-		e.reserve(fixed>>3 + 16)
-		e.putBits(hdr|1<<1, 3)
-		e.writeTokens(&fixedCode, src, from, to, seqs)
-	default:
-		e.reserve(dyn>>3 + 16)
-		e.putBits(hdr|2<<1, 3)
-		e.writeHeader(code)
-		e.writeTokens(code, src, from, to, seqs)
 	}
+	e.reserve(dyn>>3 + 16)
+	e.putBits(hdr|2<<1, 3)
+	e.writeHeader(code)
+	e.writeTokens(code, src, from, to, seqs)
 	return lzPays
 }
 
@@ -539,18 +532,6 @@ func (e *encoder) writeTokens(c *blockCode, src []byte, from, to int, seqs []seq
 	e.flushBits()
 }
 
-// fixedBits prices a block under the fixed code.
-func fixedBits(litHist *[numLit]uint32, distHist *[numDist]uint32) int {
-	n := 3 + 7
-	for s, f := range litHist {
-		n += int(f) * int(fixedCode.litLen[s])
-	}
-	for _, f := range distHist {
-		n += 5 * int(f)
-	}
-	return n + extraBits(litHist, distHist)
-}
-
 // extraBits counts the extra bits of a block's length and distance symbols.
 func extraBits(litHist *[numLit]uint32, distHist *[numDist]uint32) int {
 	n := 0
@@ -568,10 +549,10 @@ func extraBits(litHist *[numLit]uint32, distHist *[numDist]uint32) int {
 // bits: block header, code description, symbols and extra bits.
 func (c *blockCode) build(e *encoder, litHist *[numLit]uint32, distHist *[numDist]uint32) int {
 	litHist[eob] = 1
-	e.codeLengths(c.litLen[:numLit], litHist[:], litCodeLimit)
-	e.codeLengths(c.distLen[:numDist], distHist[:], distCodeLimit)
-	assignCodes(c.lit[:numLit], c.litLen[:numLit])
-	assignCodes(c.dist[:numDist], c.distLen[:numDist])
+	e.codeLengths(c.litLen[:], litHist[:], litCodeLimit)
+	e.codeLengths(c.distLen[:], distHist[:], distCodeLimit)
+	assignCodes(c.lit[:], c.litLen[:])
+	assignCodes(c.dist[:], c.distLen[:])
 
 	n := 3 + extraBits(litHist, distHist)
 	for s, f := range litHist {

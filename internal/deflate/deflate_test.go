@@ -54,6 +54,15 @@ func TestDeflateRoundTrip(t *testing.T) {
 	for name, data := range payloads() {
 		t.Run(name, func(t *testing.T) { checkRoundTrip(t, nil, data) })
 	}
+	t.Run("settled look", func(t *testing.T) {
+		// Matches save so much on the first 8 KiB that the blocks after it
+		// are not priced without them; those blocks hold what matches do
+		// nothing for, and are still stored where that is cheapest.
+		p := payloads()
+		data := append(bytes.Clone(p["text"][:measureAt+100]), p["skewed"]...)
+		data = append(data, p["random"]...)
+		checkRoundTrip(t, nil, data)
+	})
 	rng := rand.New(rand.NewSource(1))
 	t.Run("sizes", func(t *testing.T) {
 		// Lengths around every boundary the encoder has: the 8-byte loads of
@@ -75,6 +84,30 @@ func TestDeflateRoundTrip(t *testing.T) {
 	})
 }
 
+// TestDeflateMeasuredPrefix sweeps the lengths just past the 8 KiB look, where
+// the match finder's step over misses ends beyond the buffer: Deflate must
+// stay inside src, so neither a tight capacity nor the bytes behind len(src)
+// show in the output.
+func TestDeflateMeasuredPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	backing := make([]byte, measureAt+300+64)
+	for n := measureAt; n <= measureAt+300; n++ {
+		for _, fill := range []func([]byte){func(p []byte) { rng.Read(p) }, func(p []byte) { copy(p, distinctGrams(len(p))) }} {
+			fill(backing[:n])
+			tight := bytes.Clone(backing[:n:n])
+			want := checkRoundTrip(t, nil, tight[:n:n])
+			for _, tail := range []byte{0x00, 0xff} {
+				for i := n; i < len(backing); i++ {
+					backing[i] = tail
+				}
+				if got := Deflate(nil, backing[:n]); !bytes.Equal(got, want) {
+					t.Fatalf("%d bytes: the stream changes with the bytes behind them", n)
+				}
+			}
+		}
+	}
+}
+
 // TestDeflateDeterministic pins that the stream depends on the input alone:
 // not on what the pooled encoder saw before, nor on where its hash
 // generation stands, including across the generation's wrap-around.
@@ -94,7 +127,7 @@ func TestDeflateDeterministic(t *testing.T) {
 	// table full of the newest entries an earlier buffer could have left,
 	// each claiming the four bytes the data is full of: only their distance
 	// tells them from a match.
-	for _, base := range []uint32{1<<32 - 1 - 2*maxSegment - 1, 1<<32 - 1 - 2*maxSegment, 1<<32 - 1 - 2*maxSegment + 1, 1<<32 - 1} {
+	for _, base := range []uint32{1<<32 - 1 - 2*maxInput - 1, 1<<32 - 1 - 2*maxInput, 1<<32 - 1 - 2*maxInput + 1, 1<<32 - 1} {
 		used.base = base
 		for i := range used.hash {
 			used.hash[i] = uint64(base-maxDist-1-uint32(i%512)) | uint64(binary.LittleEndian.Uint32([]byte("chr1")))<<32
@@ -121,11 +154,11 @@ func TestDeflateChoosesCoding(t *testing.T) {
 	if n := len(Deflate(nil, random)); n != StoredSize(len(random)) {
 		t.Errorf("random bytes: %d, want the stored size %d", n, StoredSize(len(random)))
 	}
-	if bt := blockType(Deflate(nil, []byte("tiny tiny tiny"))); bt != 1 {
-		t.Errorf("tiny input: block type %d, want fixed", bt)
+	if bt := blockType(Deflate(nil, []byte("tiny tiny tiny"))); bt != 0 {
+		t.Errorf("tiny input: block type %d, want stored", bt)
 	}
-	if got := Deflate(nil, nil); !bytes.Equal(got, []byte{3, 0}) {
-		t.Errorf("empty input: % x, want the empty fixed block 03 00", got)
+	if got := Deflate(nil, nil); !bytes.Equal(got, []byte{1, 0, 0, 0xff, 0xff}) {
+		t.Errorf("empty input: % x, want the empty stored block", got)
 	}
 	skewed := payloads()["skewed"]
 	stream := Deflate(nil, skewed)

@@ -103,8 +103,25 @@ var (
 
 func fixedTables() (*[litTableSize]uint32, *[distTableSize]uint32) {
 	fixedOnce.Do(func() {
-		buildTable(fixedLit[:], fixedCode.litLen[:], litEntry[:], litPrimaryBits)
-		buildTable(fixedDist[:], fixedCode.distLen[:], distEntry[:], distPrimaryBits)
+		var litLen [maxLitSyms]uint8
+		for s := range litLen {
+			switch {
+			case s < 144:
+				litLen[s] = 8
+			case s < 256:
+				litLen[s] = 9
+			case s < 280:
+				litLen[s] = 7
+			default:
+				litLen[s] = 8
+			}
+		}
+		var distLen [maxDistSyms]uint8
+		for s := range distLen {
+			distLen[s] = 5
+		}
+		buildTable(fixedLit[:], litLen[:], litEntry[:], litPrimaryBits)
+		buildTable(fixedDist[:], distLen[:], distEntry[:], distPrimaryBits)
 	})
 	return &fixedLit, &fixedDist
 }

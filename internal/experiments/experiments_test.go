@@ -189,15 +189,26 @@ func TestAblations(t *testing.T) {
 	if byName["compact"].Bytes*2 >= byName["raw"].Bytes {
 		t.Fatalf("compaction too weak: %d vs raw %d", byName["compact"].Bytes, byName["raw"].Bytes)
 	}
-	// Block compression compounds compaction, and shrinks raw letters. This
-	// used to demand that compact+gzip also beat gzip of the raw letters, a
-	// comparison of compressed sizes that held only because compress/flate's
-	// BestSpeed matcher wasted bits on letters; a Huffman code over four
-	// letters reaches their 2 bits a base, which 3-bit packing cannot.
+	// Block compression compounds compaction, and shrinks raw letters.
 	for _, pair := range [][2]string{{"compact+gzip", "compact"}, {"compact+gzip", "raw"}, {"gzip", "raw"}} {
 		if byName[pair[0]].Bytes >= byName[pair[1]].Bytes {
 			t.Fatalf("%s (%d) not smaller than %s (%d)", pair[0], byName[pair[0]].Bytes, pair[1], byName[pair[1]].Bytes)
 		}
+	}
+	// KNOWN GAP, open in ROADMAP item 2 and measured in PERF.md "Chunk
+	// codec": the deployed combination must be the smallest, and since PR 16
+	// it is not. compact+gzip itself did not grow (66 179 → 66 462 bytes on
+	// this workload); gzip of the raw letters shrank (71 408 → 57 761),
+	// because internal/deflate codes four letters at 2.2 bits a base where
+	// compress/flate's BestSpeed matcher spent 2.8, and bytes that hold
+	// 3-bit codes come to 2.6 under either. Closing it needs another
+	// packing, which is a format change. Until then the gap is held to what
+	// was measured, so that it is seen and cannot widen unnoticed; when it
+	// closes, this becomes compact+gzip <= gzip again.
+	cg, gz := byName["compact+gzip"].Bytes, byName["gzip"].Bytes
+	t.Logf("known gap: compact+gzip %d bytes, gzip of raw letters %d (%.3fx)", cg, gz, float64(cg)/float64(gz))
+	if cg*100 > gz*118 {
+		t.Fatalf("compact+gzip (%d) is more than 1.18x gzip of raw letters (%d); the known gap is 1.15x", cg, gz)
 	}
 
 	srows, err := RunSubchunkAblation(t.Context(), io.Discard, sc)

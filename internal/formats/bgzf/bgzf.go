@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"persona/internal/deflate"
 )
@@ -166,7 +167,7 @@ func compressBlockLevel(dst, payload []byte, level int) ([]byte, error) {
 // Reader decompresses a BGZF stream block by block.
 type Reader struct {
 	br    *bufio.Reader
-	block []byte // the current block as stored, after its fixed header
+	block []byte // the current block as stored
 	data  []byte // its payload
 	pos   int    // how much of data Read has handed out
 	err   error
@@ -198,28 +199,35 @@ func (r *Reader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// nextBlock reads, checks and inflates one block into r.data.
-func (r *Reader) nextBlock() error {
-	r.data, r.pos = r.data[:0], 0
-	var hdr [12]byte // fixed gzip header and XLEN
-	if n, err := io.ReadFull(r.br, hdr[:]); err != nil {
-		if n == 0 && err == io.EOF {
-			return io.EOF
-		}
-		return truncated(err)
+// fill reads on until r.block holds the block's first n bytes.
+func (r *Reader) fill(n int) error {
+	have := len(r.block)
+	r.block = slices.Grow(r.block, n-have)[:n]
+	_, err := io.ReadFull(r.br, r.block[have:])
+	if err == io.EOF && have > 0 || err == io.ErrUnexpectedEOF {
+		return fmt.Errorf("bgzf: truncated block: %w", io.ErrUnexpectedEOF)
 	}
-	if hdr[0] != 0x1f || hdr[1] != 0x8b || hdr[2] != 8 || hdr[3] != 4 {
+	return err
+}
+
+// nextBlock reads one block by its BSIZE and inflates it into r.data. What
+// makes the block a sound gzip member — framing, ISIZE, CRC-32 — is
+// deflate.Gunzip's to check; only the BC subfield is looked up here.
+func (r *Reader) nextBlock() error {
+	r.data, r.pos, r.block = r.data[:0], 0, r.block[:0]
+	const fixed = 12 // gzip header and XLEN
+	if err := r.fill(fixed); err != nil {
+		return err // io.EOF between blocks ends the stream
+	}
+	if hdr := r.block; hdr[0] != 0x1f || hdr[1] != 0x8b || hdr[2] != 8 || hdr[3] != 4 {
 		return errors.New("bgzf: not a BGZF block header")
 	}
-	xlen := int(binary.LittleEndian.Uint16(hdr[10:]))
-	// BSIZE is not known until the extra field is read; take the field
-	// first, the rest of the block after.
-	r.block = growTo(r.block, xlen)
-	if _, err := io.ReadFull(r.br, r.block); err != nil {
-		return truncated(err)
+	xlen := int(binary.LittleEndian.Uint16(r.block[10:]))
+	if err := r.fill(fixed + xlen); err != nil {
+		return err
 	}
 	bsize := -1
-	for extra := r.block; len(extra) >= 4; {
+	for extra := r.block[fixed:]; len(extra) >= 4; {
 		slen := int(binary.LittleEndian.Uint16(extra[2:]))
 		if len(extra)-4 < slen {
 			return errors.New("bgzf: extra subfield overruns the extra field")
@@ -236,41 +244,26 @@ func (r *Reader) nextBlock() error {
 	if bsize < 0 {
 		return errors.New("bgzf: block has no BC subfield")
 	}
-	rest := bsize + 1 - len(hdr) - xlen
-	if rest < trailerSize {
+	if bsize+1 < fixed+xlen+trailerSize {
 		return fmt.Errorf("bgzf: BSIZE %d does not cover the block's header and trailer", bsize)
 	}
-	r.block = growTo(r.block, rest)
-	if _, err := io.ReadFull(r.br, r.block); err != nil {
-		return truncated(err)
+	if err := r.fill(bsize + 1); err != nil {
+		return err
 	}
-	body, trailer := r.block[:rest-trailerSize], r.block[rest-trailerSize:]
-	isize := binary.LittleEndian.Uint32(trailer[4:])
+	isize := binary.LittleEndian.Uint32(r.block[bsize+1-4:])
 	if isize > maxPayload {
 		return fmt.Errorf("bgzf: ISIZE %d exceeds the format's 64 KiB", isize)
 	}
 	data := growTo(r.data, int(isize))
-	n, err := deflate.Inflate(data, body)
+	want, err := deflate.Gunzip(data, r.block)
 	if err != nil {
 		return fmt.Errorf("bgzf: block with ISIZE %d: %w", isize, err)
 	}
-	if n != len(body) {
-		return fmt.Errorf("bgzf: %d bytes between the deflate stream and the trailer", len(body)-n)
-	}
-	if got, want := crc32.ChecksumIEEE(data), binary.LittleEndian.Uint32(trailer); got != want {
+	if got := crc32.ChecksumIEEE(data); got != want {
 		return fmt.Errorf("bgzf: block CRC-32 %08x, trailer says %08x", got, want)
 	}
 	r.data = data
 	return nil
-}
-
-// truncated turns the end of input inside a block into ErrUnexpectedEOF and
-// passes any other read error through.
-func truncated(err error) error {
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return fmt.Errorf("bgzf: truncated block: %w", io.ErrUnexpectedEOF)
-	}
-	return err
 }
 
 // growTo returns a slice of exactly n bytes, reusing b's array if it can.

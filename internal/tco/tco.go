@@ -187,14 +187,14 @@ const (
 	// what one core does to a superchunk run — rows of uvarint-prefixed
 	// packed bases, qualities, metadata and results — through the chunk
 	// codec (internal/deflate gzip members, CRC-32 and footer included), as
-	// BenchmarkSpillRunCodec in internal/agdsort measures it: 126 MB/s in,
-	// 395 MB/s out, 0.62 of the size. (compress/gzip at BestSpeed, which
+	// BenchmarkSpillRunCodec in internal/agdsort measures it: 154 MB/s in,
+	// 334 MB/s out, 0.62 of the size. (compress/gzip at BestSpeed, which
 	// earlier releases used, does 77 and 115 MB/s and 0.64 on the same run;
 	// the 120 / 400 / 0.45 once written here were column-wise figures no run
 	// payload reached.) They put the break-even store throughput,
-	// 2(1−ratio) / (1/in + ratio/out), at ≈ 80 MB/s.
-	DefaultCompressMBps   = 125
-	DefaultDecompressMBps = 400
+	// 2(1−ratio) / (1/in + ratio/out), at ≈ 90 MB/s.
+	DefaultCompressMBps   = 150
+	DefaultDecompressMBps = 335
 	DefaultSpillRatio     = 0.62
 	// DefaultLocalLatency separates local disks (sub-millisecond to ~2 ms
 	// reads) from anything with real round trips.
