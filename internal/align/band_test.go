@@ -49,11 +49,142 @@ func fullAlign(query, ref []byte) (dist int, cigar Cigar, refUsed int) {
 	return dp[m][refUsed], cigar.Canonical(), refUsed
 }
 
-// checkBand asserts what lets SNAP recover a CIGAR in a band only as wide as
-// the distance it has verified: at every band from the true distance up,
-// BoundedAlign returns the unbanded reference's distance, CIGAR and
-// reference end; below it, no alignment. One scratch is reused across bands,
-// so a cell left over from a wider band must never be read.
+// The banded DP below is the reference that LVScratch.Align, which recovers
+// SNAP's CIGARs, is compared with (lvalign_test.go); the tests of this file
+// hold it to fullAlign in turn.
+
+// BoundedAlign aligns query globally against a prefix of ref with at most
+// maxK edits, returning the distance, the CIGAR and the number of reference
+// bases consumed. It returns dist = -1 if no alignment within maxK exists.
+// Banded DP, O(len(query)·(2maxK+1)) time and space.
+func BoundedAlign(query, ref []byte, maxK int) (dist int, cigar Cigar, refUsed int) {
+	var s BandedScratch
+	return s.BoundedAlign(query, ref, maxK)
+}
+
+// BandedScratch carries the DP table and CIGAR buffers of BoundedAlign across
+// calls. The zero value is ready to use.
+//
+// The Cigar returned by its BoundedAlign aliases scratch storage: it is valid
+// only until the next call, and callers that keep it must copy (or render it
+// to text) first.
+type BandedScratch struct {
+	dp       []int32
+	rev, out Cigar
+}
+
+// BoundedAlign is the package-level BoundedAlign computing into the scratch.
+//
+// Every cell on an alignment path of cost c lies within c of the main
+// diagonal, so for any maxK at or above the true distance the distance, the
+// chosen reference end and the traceback are the same.
+func (s *BandedScratch) BoundedAlign(query, ref []byte, maxK int) (dist int, cigar Cigar, refUsed int) {
+	m := len(query)
+	if m == 0 {
+		return 0, nil, 0
+	}
+	if maxK < 0 {
+		return -1, nil, 0
+	}
+	w := 2*maxK + 1
+	const inf = 1 << 29
+	// Row i holds dp[i][j] = distance aligning query[:i] with ref[:j] at band
+	// index d = j-i+maxK. Within a row only d in [dLo, dHi] (0 <= j <=
+	// len(ref)) is written, and a cell reads only written neighbours or the
+	// band edge (taken as inf), so the table is never pre-filled.
+	need := (m + 1) * w
+	if cap(s.dp) < need {
+		s.dp = make([]int32, need)
+	}
+	dp := s.dp[:need]
+	for d := maxK; d < w && d-maxK <= len(ref); d++ {
+		dp[d] = int32(d - maxK) // row 0: leading deletions
+	}
+	dLo, dHi := 0, 0
+	for i := 1; i <= m; i++ {
+		prev, cur := dp[(i-1)*w:i*w], dp[i*w:(i+1)*w]
+		dLo, dHi = max(0, maxK-i), min(w-1, len(ref)-i+maxK)
+		for d := dLo; d <= dHi; d++ {
+			best := int32(inf)
+			if j := i + d - maxK; j > 0 {
+				best = prev[d] // diagonal: match or substitution
+				if query[i-1] != ref[j-1] {
+					best++
+				}
+				if d > 0 && cur[d-1]+1 < best { // deletion (ref consumed)
+					best = cur[d-1] + 1
+				}
+			}
+			if d+1 < w && prev[d+1]+1 < best { // insertion (query consumed)
+				best = prev[d+1] + 1
+			}
+			cur[d] = best
+		}
+	}
+	// Answer: best dp[m][j] over the band; trailing ref is free.
+	last := dp[m*w:]
+	bestD, bestAt := int32(inf), -1
+	for d := dLo; d <= dHi; d++ {
+		if last[d] < bestD {
+			bestD, bestAt = last[d], d
+		}
+	}
+	if bestD > int32(maxK) {
+		return -1, nil, 0
+	}
+	bestJ := m + bestAt - maxK
+
+	// Traceback, preferring diagonal, then insertion, then deletion.
+	rev := s.rev[:0]
+	i, d := m, bestAt
+	for j := bestJ; i > 0 || j > 0; {
+		v := dp[i*w+d]
+		if i > 0 && j > 0 {
+			cost := int32(1)
+			if query[i-1] == ref[j-1] {
+				cost = 0
+			}
+			if dp[(i-1)*w+d]+cost == v {
+				rev = append(rev, CigarElem{Len: 1, Op: CigarMatch})
+				i, j = i-1, j-1
+				continue
+			}
+		}
+		if i > 0 && d+1 < w && dp[(i-1)*w+d+1]+1 == v {
+			rev = append(rev, CigarElem{Len: 1, Op: CigarIns})
+			i, d = i-1, d+1
+			continue
+		}
+		if j > 0 && d > 0 && dp[i*w+d-1]+1 == v {
+			rev = append(rev, CigarElem{Len: 1, Op: CigarDel})
+			j, d = j-1, d-1
+			continue
+		}
+		// Unreachable given a consistent DP table.
+		break
+	}
+	s.rev = rev
+	// Reverse and run-length merge in one pass (Canonical without the copy).
+	out := s.out[:0]
+	for k := len(rev) - 1; k >= 0; k-- {
+		e := rev[k]
+		if e.Len == 0 {
+			continue
+		}
+		if len(out) > 0 && out[len(out)-1].Op == e.Op {
+			out[len(out)-1].Len += e.Len
+			continue
+		}
+		out = append(out, e)
+	}
+	s.out = out
+	return int(bestD), out, bestJ
+}
+
+// checkBand asserts that the band does not show: at every band from the true
+// distance up, BoundedAlign returns the unbanded reference's distance, CIGAR
+// and reference end; below it, no alignment. One scratch is reused across
+// bands, so a cell left over from a wider band must never be read.
 func checkBand(t *testing.T, s *BandedScratch, query, ref []byte, maxK int) {
 	t.Helper()
 	if len(query) == 0 {

@@ -178,14 +178,19 @@ func (c Cigar) RefLen() int {
 func (c Cigar) Canonical() Cigar {
 	var out Cigar
 	for _, e := range c {
-		if e.Len == 0 {
-			continue
-		}
-		if len(out) > 0 && out[len(out)-1].Op == e.Op {
-			out[len(out)-1].Len += e.Len
-			continue
-		}
-		out = append(out, e)
+		out = out.add(e.Op, e.Len)
 	}
 	return out
+}
+
+// add appends n of op to c, lengthening the last element when it is op too.
+func (c Cigar) add(op CigarOp, n int) Cigar {
+	if n == 0 {
+		return c
+	}
+	if k := len(c) - 1; k >= 0 && c[k].Op == op {
+		c[k].Len += n
+		return c
+	}
+	return append(c, CigarElem{Len: n, Op: op})
 }

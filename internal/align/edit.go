@@ -1,11 +1,18 @@
 package align
 
+import (
+	"encoding/binary"
+	"math/bits"
+	"slices"
+)
+
 // Edit-distance kernels. SNAP verifies each candidate location with a
 // bounded edit-distance computation — the "short but frequent calls to a
 // local alignment edit distance function" that make it core-bound (§6). The
 // hot path uses the Landau-Vishkin diagonal algorithm (distance only); the
-// winning candidate's CIGAR is recovered by a banded DP no wider than the
-// distance Landau-Vishkin verified.
+// winning candidate's CIGAR is read back out of the waves of one more
+// Landau-Vishkin run at the verified distance (LVScratch.Align), so no
+// dynamic-programming table is filled anywhere on the read path.
 
 // EditDistance computes the unbounded Levenshtein distance between query
 // and ref with full dynamic programming. O(len(query)·len(ref)); used as
@@ -57,238 +64,154 @@ func LandauVishkinOps(query, ref []byte, maxK int) (dist, ops int) {
 	return s.DistanceOps(query, ref, maxK)
 }
 
-// LVScratch carries the two diagonal rows of the Landau-Vishkin kernel so a
-// long-lived caller (an aligner verifying thousands of candidates per chunk)
-// performs no per-call allocation. The zero value is ready to use; an
-// LVScratch must not be shared between goroutines.
+// LVScratch carries the waves of the Landau-Vishkin kernel and the CIGAR
+// buffer of Align, so a long-lived caller (an aligner verifying thousands of
+// candidates per chunk) performs no per-call allocation. The zero value is
+// ready to use; an LVScratch must not be shared between goroutines.
 type LVScratch struct {
-	cur, next []int
+	// Wave e is waves[e*(e+4):][:2*e+5]: cell e+2+d holds, for the diagonal d
+	// in [-e, e] (ref index = query index + d), the furthest query index
+	// reached with e edits, and the two cells past each end are unreachable,
+	// so the next wave reads its three neighbours without a bounds test.
+	waves []int
+	cigar Cigar
 }
 
-// DistanceOps is LandauVishkinOps computing into the scratch rows.
+// unreachable marks a diagonal no path has got to. It is low enough that one
+// more step along it still compares below every real reach.
+const unreachable = -2
+
+// wave returns wave e with its border cells set.
+func (s *LVScratch) wave(e int) []int {
+	w := s.waves[e*(e+4):][:2*e+5]
+	w[0], w[1], w[2*e+3], w[2*e+4] = unreachable, unreachable, unreachable, unreachable
+	return w
+}
+
+// reach returns the furthest query index wave e reached on diagonal d, for
+// |d| <= e+2. It is at least i exactly when query[:i] and ref[:i+d] are
+// within e edits of each other.
+func (s *LVScratch) reach(e, d int) int { return s.waves[e*(e+4)+e+2+d] }
+
+// DistanceOps is LandauVishkinOps computing into the scratch.
 func (s *LVScratch) DistanceOps(query, ref []byte, maxK int) (dist, ops int) {
+	dist, _, ops = s.run(query, ref, maxK)
+	return dist, ops
+}
+
+// run computes waves until one reaches the end of the query and returns its
+// number, the diagonal that got there — the lowest of that wave that does —
+// and the operation count of LandauVishkinOps; dist is -1 when maxK waves do
+// not get there. Every wave before the last is left whole in the scratch.
+func (s *LVScratch) run(query, ref []byte, maxK int) (dist, diag, ops int) {
 	m := len(query)
 	if m == 0 {
-		return 0, 0
+		return 0, 0, 0
 	}
 	if maxK < 0 {
-		return -1, 0
-	}
-	// L[d] = furthest query index reached on diagonal d (ref index =
-	// query index + d) with the current number of edits. Diagonals are
-	// offset by maxK to index the slice.
-	size := 2*maxK + 1
-	if cap(s.cur) < size {
-		s.cur = make([]int, size)
-		s.next = make([]int, size)
-	}
-	cur, next := s.cur[:size], s.next[:size]
-	for i := range cur {
-		cur[i] = -2 // unreachable
-	}
-	for i := range next {
-		next[i] = -2 // unreachable until written by the band sweep
+		return -1, 0, 0
 	}
 	// 0 edits: only diagonal 0, extend exact match.
-	reach := extend(query, ref, 0, 0)
-	ops += reach + 1
+	reach := extend(query, ref)
+	ops = reach + 1
 	if reach == m {
-		return 0, ops
+		return 0, 0, ops
 	}
-	cur[maxK] = reach
-
+	if need := (maxK + 1) * (maxK + 5); len(s.waves) < need {
+		s.waves = make([]int, need)
+	}
+	cur := s.wave(0)
+	cur[2] = reach
 	for e := 1; e <= maxK; e++ {
-		lo, hi := -e, e
-		if lo < -maxK {
-			lo = -maxK
-		}
-		if hi > maxK {
-			hi = maxK
-		}
-		for d := lo; d <= hi; d++ {
-			// Best query index reachable on diagonal d with e edits:
-			// substitution from (d, e-1), insertion (query base consumed)
-			// from (d+1, e-1), deletion (ref base consumed) from (d-1, e-1).
-			best := -1
-			if v := get(cur, maxK, d); v >= 0 && v+1 > best {
-				best = v + 1
-			}
-			if v := get(cur, maxK, d+1); v >= 0 && v+1 > best {
-				best = v + 1
-			}
-			if v := get(cur, maxK, d-1); v >= 0 && v > best {
-				best = v
-			}
-			if best < 0 {
-				next[maxK+d] = -2 // diagonal still unreachable
-				continue
-			}
-			if best > m {
-				best = m
-			}
-			// Extend along the diagonal with free exact matches. The
-			// invariant best+d >= 0 holds inductively (j never goes
-			// negative along any edit path).
-			ext := extend(query[best:], ref, best+d, 0)
+		prev := cur // prev[e+1+d] is diagonal d
+		cur = s.wave(e)
+		for d := -e; d <= e; d++ {
+			// Best query index reachable on diagonal d with e edits: deletion
+			// (ref base consumed) from (d-1, e-1), substitution from (d, e-1),
+			// insertion (query base consumed) from (d+1, e-1). One neighbour
+			// at least is reachable, and best+d >= 0 holds inductively (j
+			// never goes negative along any edit path), as does best <= m.
+			best := max(prev[e+d], prev[e+1+d]+1, prev[e+2+d]+1)
+			// Extend along the diagonal with free exact matches; a diagonal
+			// that has run off a truncated ref extends by nothing.
+			ext := extend(query[best:], ref[min(best+d, len(ref)):])
 			ops += ext + 3 // the extension scan plus the diagonal update
-			best += ext
-			if best >= m {
-				return e, ops
+			if best += ext; best == m {
+				return e, d, ops
 			}
-			next[maxK+d] = best
-		}
-		cur, next = next, cur
-		for i := range next {
-			next[i] = -2
+			cur[e+2+d] = best
 		}
 	}
-	return -1, ops
+	return -1, 0, ops
 }
 
-// get fetches the furthest reach for diagonal d, or -2 when out of band.
-func get(row []int, maxK, d int) int {
-	if d < -maxK || d > maxK {
-		return -2
+// extend counts the leading bytes on which a and b agree, eight a step.
+func extend(a, b []byte) int {
+	if len(a) > len(b) {
+		a = a[:len(b)]
 	}
-	return row[maxK+d]
-}
-
-// extend counts exact matches of query[qi:] against ref[ri:].
-func extend(query, ref []byte, ri, qi int) int {
 	n := 0
-	for qi+n < len(query) && ri+n < len(ref) && query[qi+n] == ref[ri+n] {
+	for ; n+8 <= len(a); n += 8 {
+		if x := binary.LittleEndian.Uint64(a[n:]) ^ binary.LittleEndian.Uint64(b[n:]); x != 0 {
+			return n + bits.TrailingZeros64(x)/8
+		}
+	}
+	for n < len(a) && a[n] == b[n] {
 		n++
 	}
 	return n
 }
 
-// BoundedAlign aligns query globally against a prefix of ref with at most
-// maxK edits, returning the distance, the CIGAR and the number of reference
-// bases consumed. It returns dist = -1 if no alignment within maxK exists.
-// Banded DP, O(len(query)·(2maxK+1)) time and space.
-func BoundedAlign(query, ref []byte, maxK int) (dist int, cigar Cigar, refUsed int) {
-	var s BandedScratch
-	return s.BoundedAlign(query, ref, maxK)
-}
-
-// BandedScratch carries the DP table and CIGAR buffers of BoundedAlign so a
-// long-lived caller performs no per-call allocation. The zero value is ready
-// to use; a BandedScratch must not be shared between goroutines.
+// Align aligns query globally against a prefix of ref with at most maxK
+// edits, returning the distance, the CIGAR and the number of reference bases
+// consumed. It returns dist = -1 if no alignment within maxK exists. ref may
+// be a window cut short by the end of the genome.
 //
-// The Cigar returned by its BoundedAlign aliases scratch storage: it is valid
-// only until the next call, and callers that keep it must copy (or render it
-// to text) first.
-type BandedScratch struct {
-	dp       []int32
-	rev, out Cigar
-}
-
-// BoundedAlign is the package-level BoundedAlign computing into the scratch.
+// Of the alignments at that distance it returns the one a full table of
+// D(i, j), the distance of query[:i] from ref[:j], gives when the earliest
+// reference end wins and the traceback prefers the diagonal, then an
+// insertion, then a deletion — for any maxK at or above the distance, so a
+// caller that knows the distance (SNAP's verification pass) passes it as
+// maxK. No table is filled: D(i, j) <= e exactly when wave e reaches row i on
+// diagonal j-i, so each question the traceback asks is one comparison against
+// a kept wave, and a run of matches, which always takes the diagonal, is one
+// scan. O(len(query) + dist²) time.
 //
-// Every cell on an alignment path of cost c lies within c of the main
-// diagonal, so for any maxK at or above the true distance the distance, the
-// chosen reference end and the traceback are the same: a caller that already
-// knows the distance (SNAP's Landau-Vishkin pass) passes it as maxK and pays
-// for a band that wide, not for its configured maximum.
-func (s *BandedScratch) BoundedAlign(query, ref []byte, maxK int) (dist int, cigar Cigar, refUsed int) {
-	m := len(query)
-	if m == 0 {
-		return 0, nil, 0
+// The Cigar aliases scratch storage: it is valid only until the next call,
+// and callers that keep it must copy (or render it to text) first.
+func (s *LVScratch) Align(query, ref []byte, maxK int) (dist int, cigar Cigar, refUsed int) {
+	// Diagonals are swept upwards, so d is the earliest end at this distance.
+	dist, d, _ := s.run(query, ref, maxK)
+	if dist < 0 || len(query) == 0 {
+		return dist, nil, 0
 	}
-	if maxK < 0 {
-		return -1, nil, 0
-	}
-	w := 2*maxK + 1
-	const inf = 1 << 29
-	// Row i holds dp[i][j] = distance aligning query[:i] with ref[:j] at band
-	// index d = j-i+maxK. Within a row only d in [dLo, dHi] (0 <= j <=
-	// len(ref)) is written, and a cell reads only written neighbours or the
-	// band edge (taken as inf), so the table is never pre-filled.
-	need := (m + 1) * w
-	if cap(s.dp) < need {
-		s.dp = make([]int32, need)
-	}
-	dp := s.dp[:need]
-	for d := maxK; d < w && d-maxK <= len(ref); d++ {
-		dp[d] = int32(d - maxK) // row 0: leading deletions
-	}
-	dLo, dHi := 0, 0
-	for i := 1; i <= m; i++ {
-		prev, cur := dp[(i-1)*w:i*w], dp[i*w:(i+1)*w]
-		dLo, dHi = max(0, maxK-i), min(w-1, len(ref)-i+maxK)
-		for d := dLo; d <= dHi; d++ {
-			best := int32(inf)
-			if j := i + d - maxK; j > 0 {
-				best = prev[d] // diagonal: match or substitution
-				if query[i-1] != ref[j-1] {
-					best++
-				}
-				if d > 0 && cur[d-1]+1 < best { // deletion (ref consumed)
-					best = cur[d-1] + 1
-				}
-			}
-			if d+1 < w && prev[d+1]+1 < best { // insertion (query consumed)
-				best = prev[d+1] + 1
-			}
-			cur[d] = best
-		}
-	}
-	// Answer: best dp[m][j] over the band; trailing ref is free.
-	last := dp[m*w:]
-	bestD, bestAt := int32(inf), -1
-	for d := dLo; d <= dHi; d++ {
-		if last[d] < bestD {
-			bestD, bestAt = last[d], d
-		}
-	}
-	if bestD > int32(maxK) {
-		return -1, nil, 0
-	}
-	bestJ := m + bestAt - maxK
-
-	// Traceback, preferring diagonal, then insertion, then deletion.
-	rev := s.rev[:0]
-	i, d := m, bestAt
-	for j := bestJ; i > 0 || j > 0; {
-		v := dp[i*w+d]
-		if i > 0 && j > 0 {
-			cost := int32(1)
-			if query[i-1] == ref[j-1] {
-				cost = 0
-			}
-			if dp[(i-1)*w+d]+cost == v {
-				rev = append(rev, CigarElem{Len: 1, Op: CigarMatch})
-				i, j = i-1, j-1
-				continue
+	i := len(query)
+	refUsed = i + d
+	rev := s.cigar[:0] // the CIGAR from its end
+	for v := dist; v > 0; v-- {
+		// D(i, i+d) = v. Matches leave D as it is, so the run of them that
+		// ends here begins above the row that wave v-1 reaches, after the last
+		// mismatch from there up.
+		lo := max(s.reach(v-1, d)+1, 0, -d)
+		for p := lo; p < i; p++ {
+			if p += extend(query[p:i], ref[p+d:]); p < i {
+				lo = p + 1
 			}
 		}
-		if i > 0 && d+1 < w && dp[(i-1)*w+d+1]+1 == v {
-			rev = append(rev, CigarElem{Len: 1, Op: CigarIns})
-			i, d = i-1, d+1
-			continue
+		rev, i = rev.add(CigarMatch, i-lo), lo
+		// One edit back, to a cell that wave v-1 reaches.
+		switch {
+		case i > 0 && i+d > 0 && s.reach(v-1, d) >= i-1: // substitution
+			rev, i = rev.add(CigarMatch, 1), i-1
+		case i > 0 && s.reach(v-1, d+1) >= i-1:
+			rev, i, d = rev.add(CigarIns, 1), i-1, d+1
+		default:
+			rev, d = rev.add(CigarDel, 1), d-1
 		}
-		if j > 0 && d > 0 && dp[i*w+d-1]+1 == v {
-			rev = append(rev, CigarElem{Len: 1, Op: CigarDel})
-			j, d = j-1, d-1
-			continue
-		}
-		// Unreachable given a consistent DP table.
-		break
 	}
-	s.rev = rev
-	// Reverse and run-length merge in one pass (Canonical without the copy).
-	out := s.out[:0]
-	for k := len(rev) - 1; k >= 0; k-- {
-		e := rev[k]
-		if e.Len == 0 {
-			continue
-		}
-		if len(out) > 0 && out[len(out)-1].Op == e.Op {
-			out[len(out)-1].Len += e.Len
-			continue
-		}
-		out = append(out, e)
-	}
-	s.out = out
-	return int(bestD), out, bestJ
+	// D(i, i+d) = 0: d is 0 and what is left matches.
+	rev = rev.add(CigarMatch, i)
+	slices.Reverse(rev)
+	s.cigar = rev
+	return dist, rev, refUsed
 }

@@ -62,7 +62,6 @@ type Aligner struct {
 	seeds    []seedRef // the sampled seeds of both strands of one read
 	cands    []candidate
 	lv       align.LVScratch
-	banded   align.BandedScratch
 	exact    [1]align.CigarElem // the nM CIGAR of a distance-0 hit
 	cigarBuf []byte
 	cigarTab map[string]string
@@ -265,10 +264,11 @@ func (a *Aligner) window(pos int64, n int) []byte {
 }
 
 // finish recovers the winning candidate's CIGAR and builds the result record.
-// best is the distance Landau-Vishkin verified for c, so the banded DP runs
-// exactly that wide (see BandedScratch.BoundedAlign) and a distance-0 hit
-// needs none. which names the a.rc buffer gatherCandidates left bases'
-// reverse complement in.
+// best is the distance Landau-Vishkin verified for c, so the waves the CIGAR
+// is read from (see LVScratch.Align) are run again to exactly that distance —
+// uncounted, as the CIGAR pass always was — and a distance-0 hit needs none.
+// which names the a.rc buffer gatherCandidates left bases' reverse complement
+// in.
 func (a *Aligner) finish(which int, bases []byte, c candidate, best, second, bestCount int) agd.Result {
 	a.exact[0] = align.CigarElem{Len: len(bases), Op: align.CigarMatch}
 	cigar := align.Cigar(a.exact[:])
@@ -278,7 +278,7 @@ func (a *Aligner) finish(which int, bases []byte, c candidate, best, second, bes
 			query = a.rc[which]
 		}
 		var dist int
-		dist, cigar, _ = a.banded.BoundedAlign(query, a.window(c.pos, len(query)+best), best)
+		dist, cigar, _ = a.lv.Align(query, a.window(c.pos, len(query)+best), best)
 		if dist < 0 {
 			// The LV verification succeeded, so this cannot happen with a
 			// consistent implementation; treat defensively as unmapped.

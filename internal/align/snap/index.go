@@ -3,7 +3,8 @@
 // lookup at several read offsets (issued as one wave of independent table
 // loads per read, so their cache misses overlap), Landau-Vishkin verification
 // of each candidate with best/second-best tracking, and CIGAR recovery for the
-// winner alone, in a band bounded by its verified distance. This is the
+// winner alone, read out of the Landau-Vishkin waves at its verified distance
+// (align.LVScratch.Align; no dynamic-programming table). This is the
 // high-throughput aligner of the paper's evaluation (§4.3, §5); it is
 // optimized for large memory and many cores.
 package snap
@@ -29,26 +30,40 @@ type IndexConfig struct {
 // "Genome Index: Seed → Ref. Loc" of Fig. 3). It is one open-addressed table
 // of slots (linear probing, power-of-two size, load ≤ 0.5) over one contiguous
 // array of locations, so the whole index is two heap objects whatever the
-// genome size. A lookup is a multiply, a shift and usually one slot, but for
-// any genome worth indexing that slot is a cache miss, so neither the aligner
-// nor the builder looks seeds up one at a time: both collect a wave of seeds,
-// load every home slot of the wave (independent loads, whose misses the core
-// overlaps) and only then resolve them in order.
+// genome size. A seed that occurs once — nearly every seed of a genome that is
+// not repetitive — keeps its location in the slot itself, so only a repeated
+// seed costs the second, dependent load into the array. A lookup is a
+// multiply, a shift and usually one slot, but for any genome worth indexing
+// that slot is a cache miss, so neither the aligner nor the builder looks
+// seeds up one at a time: both collect a wave of seeds, load every home slot
+// of the wave (independent loads, whose misses the core overlaps) and only
+// then resolve them in order.
 type Index struct {
 	gen     *genome.Genome
 	seedLen int
 	keyMask uint64 // low 2·seedLen bits
 	shift   uint   // 64 − log2(len(slots)), for the Fibonacci hash
 	slots   []slot
-	locs    []int32 // retained locations, grouped by seed, ascending within a seed
+	locs    []int32 // retained locations of the repeated seeds, grouped by seed, ascending within a seed
 	seeds   int     // distinct seeds retained
 }
 
-// slot is one seed of the table: its locations are locs[off : off+n]. n == 0
-// marks an empty slot (a present seed has at least one location).
+// slot is one seed of the table. n == 0 marks an empty slot (a present seed
+// has at least one location), n == 1 a seed whose location is loc[0], and a
+// seed with more has them at locs[loc[0]:][:n]. loc is an array so that the
+// one location can be handed out as a slice like the others.
 type slot struct {
-	key    uint64
-	off, n uint32
+	key uint64
+	loc [1]int32
+	n   uint32
+}
+
+// hits returns the locations of the seed in s, none for an empty slot.
+func (x *Index) hits(s *slot) []int32 {
+	if s.n <= 1 {
+		return s.loc[:s.n]
+	}
+	return x.locs[s.loc[0]:][:s.n]
 }
 
 // minSlots floors the table size, so tiny genomes need no special case.
@@ -132,15 +147,18 @@ func BuildIndex(g *genome.Genome, cfg IndexConfig) (*Index, error) {
 	// position a distinct seed, and rebuilt smaller if the genome turns out
 	// repetitive enough to halve it.
 	slots, shift := tableFor(len(seq) - cfg.SeedLen + 1)
-	total := 0
+	repeated := 0 // locations locs will hold: those of seeds with more than one
 	idx.eachSeed(seq, slots, shift, func(s *slot, key uint64, _ int32) {
 		if s.n == 0 {
 			s.key = key
 			idx.seeds++
 		}
 		if s.n < uint32(cfg.MaxSeedHits) {
-			s.n++
-			total++
+			if s.n++; s.n == 2 {
+				repeated += 2
+			} else if s.n > 2 {
+				repeated++
+			}
 		}
 	})
 	if small, smallShift := tableFor(idx.seeds); len(small) < len(slots) {
@@ -152,31 +170,36 @@ func BuildIndex(g *genome.Genome, cfg IndexConfig) (*Index, error) {
 		slots, shift = small, smallShift
 	}
 
-	// Pass 2, prefix sum: off becomes each seed's start in locs. The seed's
-	// last cell starts as its fill cursor, −(k+1) once k locations are in;
-	// locations are never negative, so pass 3 tells a full seed from a
-	// filling one without a cursor per slot.
-	locs := make([]int32, total)
-	var off uint32
+	// Pass 2, prefix sum: loc[0] becomes each repeated seed's start in locs.
+	// The seed's last cell — of a seed with one location, the slot's own —
+	// starts as its fill cursor, −(k+1) once k locations are in; locations are
+	// never negative, so pass 3 tells a full seed from a filling one without
+	// a cursor per slot.
+	locs := make([]int32, repeated)
+	var off int32
 	for i := range slots {
-		if s := &slots[i]; s.n > 0 {
-			s.off = off
-			off += s.n
+		switch s := &slots[i]; {
+		case s.n == 1:
+			s.loc[0] = -1
+		case s.n > 1:
+			s.loc[0] = off
+			off += int32(s.n)
 			locs[off-1] = -1
 		}
 	}
+	idx.slots, idx.shift, idx.locs = slots, shift, locs
 
 	// Pass 3, fill in genome order, so each seed's locations ascend.
 	idx.eachSeed(seq, slots, shift, func(s *slot, _ uint64, pos int32) {
-		cursor := &locs[s.off+s.n-1]
+		hits := idx.hits(s)
+		cursor := &hits[len(hits)-1]
 		if *cursor >= 0 {
 			return // full: a repeat seed past MaxSeedHits
 		}
-		k := uint32(-*cursor - 1)
+		k := -*cursor - 1
 		*cursor--
-		locs[s.off+k] = pos // the last location overwrites the cursor
+		hits[k] = pos // the last location overwrites the cursor
 	})
-	idx.slots, idx.shift, idx.locs = slots, shift, locs
 	return idx, nil
 }
 
@@ -240,7 +263,7 @@ func (x *Index) locations(r *seedRef) []int32 {
 	if s.n != 0 && s.key != r.key {
 		s = find(x.slots, (homeOf(r.key, x.shift)+1)&uint64(len(x.slots)-1), r.key)
 	}
-	return x.locs[s.off : s.off+s.n]
+	return x.hits(s)
 }
 
 // Lookup returns the reference locations of the seed at bases[i:i+seedLen],
@@ -255,6 +278,5 @@ func (x *Index) Lookup(bases []byte, i int) []int32 {
 		}
 		key = key<<2 | uint64(code)
 	}
-	s := find(x.slots, homeOf(key, x.shift), key)
-	return x.locs[s.off : s.off+s.n]
+	return x.hits(find(x.slots, homeOf(key, x.shift), key))
 }

@@ -16,7 +16,7 @@ import (
 // the production kernel must match result for result and counter for
 // counter. Its index is a map of per-seed slices, every seed is packed from
 // its bases, candidates are deduplicated through a set, and the CIGAR comes
-// from BoundedAlign at the full MaxDist band.
+// from a full edit-distance table over the MaxDist-wide window.
 
 type refAligner struct {
 	gen     *genome.Genome
@@ -114,7 +114,7 @@ func (r *refAligner) finish(bases []byte, c candidate, best, second, bestCount i
 		query = genome.ReverseComplement(make([]byte, len(bases)), bases)
 		flags = agd.FlagReverse
 	}
-	_, cigar, _ := align.BoundedAlign(query, r.window(c.pos, len(query)+r.cfg.MaxDist), r.cfg.MaxDist)
+	cigar := refCigar(query, r.window(c.pos, len(query)+r.cfg.MaxDist))
 	return agd.Result{
 		Location:     c.pos,
 		MateLocation: agd.UnmappedLocation,
@@ -123,6 +123,49 @@ func (r *refAligner) finish(bases []byte, c candidate, best, second, bestCount i
 		Flags:        flags,
 		Cigar:        cigar.String(),
 	}
+}
+
+// refCigar aligns query against a prefix of window over the full table of
+// D(i, j), the edit distance of query[:i] from window[:j]: the earliest of
+// the closest reference ends, traced back preferring the diagonal, then an
+// insertion, then a deletion.
+func refCigar(query, window []byte) align.Cigar {
+	m, n := len(query), len(window)
+	dp := make([][]int, m+1)
+	for i := range dp {
+		dp[i] = make([]int, n+1)
+		dp[i][0] = i
+	}
+	for j := range dp[0] {
+		dp[0][j] = j
+	}
+	cost := func(i, j int) int {
+		if query[i-1] == window[j-1] {
+			return 0
+		}
+		return 1
+	}
+	for i := 1; i <= m; i++ {
+		for j := 1; j <= n; j++ {
+			dp[i][j] = min(dp[i-1][j-1]+cost(i, j), dp[i-1][j]+1, dp[i][j-1]+1)
+		}
+	}
+	var cigar align.Cigar
+	for i, j := m, slices.Index(dp[m], slices.Min(dp[m])); i > 0 || j > 0; {
+		switch {
+		case i > 0 && j > 0 && dp[i-1][j-1]+cost(i, j) == dp[i][j]:
+			cigar = append(cigar, align.CigarElem{Len: 1, Op: align.CigarMatch})
+			i, j = i-1, j-1
+		case i > 0 && dp[i-1][j]+1 == dp[i][j]:
+			cigar = append(cigar, align.CigarElem{Len: 1, Op: align.CigarIns})
+			i--
+		default:
+			cigar = append(cigar, align.CigarElem{Len: 1, Op: align.CigarDel})
+			j--
+		}
+	}
+	slices.Reverse(cigar)
+	return cigar.Canonical()
 }
 
 func (r *refAligner) alignRead(bases []byte) agd.Result {
@@ -268,10 +311,17 @@ func refGenomes(t testing.TB) map[string]*genome.Genome {
 	return out
 }
 
+// TestIndexMatchesReference checks the index against the reference's map on
+// genomes that between them hold seeds of every kind — with one location
+// (kept in the slot), with several, with more than MaxSeedHits — and on one
+// that fits the smallest table: NumSeeds, Lookup of every seed and of absent
+// ones, locations through a lookup wave's copy of the home slot, ascending
+// order, and that locs holds the locations of repeated seeds and no others.
 func TestIndexMatchesReference(t *testing.T) {
+	var single, repeated, capped, smallest int
 	for name, g := range refGenomes(t) {
 		for _, seedLen := range []int{8, 16, 20, 31} {
-			for _, maxHits := range []int{0, 3} {
+			for _, maxHits := range []int{0, 1, 3} {
 				if int64(seedLen) > g.Len() {
 					continue
 				}
@@ -287,24 +337,59 @@ func TestIndexMatchesReference(t *testing.T) {
 				if load := float64(idx.NumSeeds()) / float64(len(idx.slots)); load > 0.5 || (load < 0.25 && len(idx.slots) > minSlots) {
 					t.Fatalf("%s/%d/%d: %d seeds in %d slots", name, seedLen, maxHits, idx.NumSeeds(), len(idx.slots))
 				}
+				if len(idx.slots) == minSlots {
+					smallest++
+				}
+				inLocs, singles := 0, 0
+				for _, locs := range ref.table {
+					if len(locs) > 1 {
+						inLocs += len(locs)
+						repeated++
+					} else {
+						singles++
+					}
+				}
+				if len(idx.locs) != inLocs {
+					t.Fatalf("%s/%d/%d: locs holds %d locations, repeated seeds have %d", name, seedLen, maxHits, len(idx.locs), inLocs)
+				}
+				single += singles
 				seq := g.Seq()
 				rng := rand.New(rand.NewSource(int64(seedLen)))
 				probe := make([]byte, seedLen)
+				occurrences := map[uint64]int{}
 				for i := 0; i+seedLen <= len(seq); i++ {
 					// Every seed of the genome, and a random one that is
 					// most likely absent.
 					for _, bases := range [][]byte{seq[i : i+seedLen], randomBases(rng, probe)} {
-						var want []int32
-						if key, ok := refSeedKey(bases); ok {
-							want = ref.table[key]
+						key, ok := refSeedKey(bases)
+						want := ref.table[key]
+						if !ok {
+							want = nil
 						}
-						if got := idx.Lookup(bases, 0); !slices.Equal(got, want) {
+						if got := idx.Lookup(bases, 0); !slices.Equal(got, want) || !slices.IsSorted(got) {
 							t.Fatalf("%s/%d/%d: Lookup(%s) = %v, reference %v", name, seedLen, maxHits, bases, got, want)
+						}
+						if !ok {
+							continue
+						}
+						wave := []seedRef{{key: key}}
+						loadHomes(idx.slots, idx.shift, wave)
+						if got := idx.locations(&wave[0]); !slices.Equal(got, want) {
+							t.Fatalf("%s/%d/%d: locations(%s) = %v, reference %v", name, seedLen, maxHits, bases, got, want)
+						}
+					}
+					if key, ok := refSeedKey(seq[i : i+seedLen]); ok {
+						if occurrences[key]++; occurrences[key] == len(ref.table[key])+1 {
+							capped++
 						}
 					}
 				}
 			}
 		}
+	}
+	if single == 0 || repeated == 0 || capped == 0 || smallest == 0 {
+		t.Fatalf("seeds with one location %d, with several %d, past MaxSeedHits %d, tables of minSlots %d: every kind must occur",
+			single, repeated, capped, smallest)
 	}
 }
 

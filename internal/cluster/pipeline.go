@@ -550,6 +550,10 @@ func runReduceTask(ctx context.Context, store storage.Store, plan *PipelinePlan,
 		}
 		return nil
 	}
+	// One view for the partition: the filter is an indirect call, so the view
+	// it is handed lives on the heap, and one declared per record would be an
+	// allocation per record.
+	var v agd.ResultView
 	for {
 		fields, ok, err := merger.Next()
 		if err != nil {
@@ -560,8 +564,7 @@ func runReduceTask(ctx context.Context, store storage.Store, plan *PipelinePlan,
 		}
 		keep := true
 		if mk != nil || plan.Filter != nil {
-			v, err := agd.DecodeResultView(fields[resCol])
-			if err != nil {
+			if v, err = agd.DecodeResultView(fields[resCol]); err != nil {
 				return "", err
 			}
 			if mk != nil {

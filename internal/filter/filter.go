@@ -132,6 +132,10 @@ func RunDataset(ctx context.Context, ds *agd.Dataset, pred Predicate, opts Optio
 
 	var stats Stats
 	fields := make([][]byte, len(m.Columns))
+	// One view for the whole run: pred is an indirect call, so the view it
+	// is handed lives on the heap, and one declared per record would be an
+	// allocation per record.
+	var res agd.ResultView
 	for {
 		sc, err := stream.Next(ctx)
 		if err == io.EOF {
@@ -147,8 +151,7 @@ func RunDataset(ctx context.Context, ds *agd.Dataset, pred Predicate, opts Optio
 			if err != nil {
 				return nil, stats, err
 			}
-			res, err := agd.DecodeResultView(rec)
-			if err != nil {
+			if res, err = agd.DecodeResultView(rec); err != nil {
 				return nil, stats, err
 			}
 			if !pred(&res) {
@@ -213,6 +216,8 @@ func RunStream(in *agd.GroupStream, pred Predicate, pipelining int) (*agd.GroupS
 	outIdx := 0
 	meta := in.Meta
 	meta.NumRecords = 0 // unknown until the predicate has run
+	// One view for the stream, not one a record: see RunDataset.
+	var res agd.ResultView
 	next := func(ctx context.Context) (*agd.RowGroup, error) {
 		for {
 			g, err := in.Next(ctx)
@@ -246,8 +251,7 @@ func RunStream(in *agd.GroupStream, pred Predicate, pipelining int) (*agd.GroupS
 				if err != nil {
 					return fail(err)
 				}
-				res, err := agd.DecodeResultView(rec)
-				if err != nil {
+				if res, err = agd.DecodeResultView(rec); err != nil {
 					return fail(err)
 				}
 				if !pred(&res) {

@@ -2,6 +2,7 @@ package filter
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"persona/internal/agd"
@@ -150,5 +151,63 @@ func TestFilterErrors(t *testing.T) {
 	}
 	if _, _, err := Run(context.Background(), store, "missing", MappedOnly(), Options{}); err == nil {
 		t.Fatal("missing dataset accepted")
+	}
+}
+
+// TestFilterAllocationsPerGroup pins that the filter's cost in allocations is
+// per group, not per record: the predicate is an indirect call, so the result
+// view it is handed is heap memory, and one view must serve every record.
+func TestFilterAllocationsPerGroup(t *testing.T) {
+	const records = 1000
+	store := agd.NewMemStore()
+	f := testutil.Build(t, store, "ds", testutil.Config{
+		GenomeSize: 150_000, NumReads: records, ReadLen: 80, ChunkSize: records, Seed: 103,
+	})
+	ctx := context.Background()
+	pred := MappedOnly()
+
+	// RunStream, fed the one decoded group over and over.
+	src, err := f.Dataset.Groups(agd.StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := src.Next(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	group := g.Detach()
+	src.Close()
+	if group.NumRecords() != records {
+		t.Fatalf("group of %d records, want %d", group.NumRecords(), records)
+	}
+	in := agd.NewGroupStream(src.Meta, func(context.Context) (*agd.RowGroup, error) {
+		return agd.NewRowGroup(0, 0, group.Chunks, nil), nil
+	}, nil)
+	out, stats, err := RunStream(in, pred, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perGroup := testing.AllocsPerRun(5, func() {
+		g, err := out.Next(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Release()
+	})
+	if stats.Kept == 0 || perGroup > records/20 {
+		t.Errorf("RunStream: %v allocations per group of %d records (%d kept so far), want a handful", perGroup, records, stats.Kept)
+	}
+
+	// RunDataset: stream, writer and manifest included, still far below one
+	// per record.
+	n := 0
+	perRun := testing.AllocsPerRun(3, func() {
+		n++
+		if _, _, err := RunDataset(ctx, f.Dataset, pred, Options{OutputName: fmt.Sprint("out", n)}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perRun > records/2 {
+		t.Errorf("RunDataset: %v allocations for %d records, want far fewer than one a record", perRun, records)
 	}
 }
