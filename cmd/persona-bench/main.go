@@ -9,8 +9,8 @@
 //	persona-bench -run table2 -reads 20000 -genome 2000000
 //
 // Experiment ids: table1, table2, table3, fig5, fig6, fig7, fig8, dupmark,
-// conv, all. See EXPERIMENTS.md for recorded output and DESIGN.md for the
-// experiment-to-module map.
+// conv, all. See PERF.md for recorded measurements and ROADMAP.md for where
+// each experiment stands.
 package main
 
 import (

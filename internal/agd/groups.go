@@ -325,11 +325,14 @@ func SpecTypeFor(name string) RecordType {
 	return TypeRaw
 }
 
-// WriteGroups drains a stream into a new dataset: every row is appended in
-// stored representation through a Writer (re-chunking to opts.ChunkSize,
-// which defaults to the stream's source chunk size, then the first group's
-// size, so chunking survives a fused pipeline), and the manifest is
-// written on EOF. It is the pipeline's dataset sink.
+// WriteGroups drains a stream into a new dataset through a Writer: groups
+// are re-chunked to opts.ChunkSize (default: the stream's source chunk size,
+// then the first group's size, so chunking survives a fused pipeline), a
+// group that already is one output chunk is stored whole (Writer.AppendGroup),
+// and the manifest is written on EOF. On any failure the column blobs already
+// written are deleted and no background store is left running. It is the
+// dataset sink of the pipeline and of the one-stage free functions; the
+// caller closes the stream.
 func WriteGroups(ctx context.Context, in *GroupStream, store BlobStore, name string, opts WriterOptions) (*Manifest, error) {
 	if opts.RefSeqs == nil {
 		opts.RefSeqs = in.Meta.RefSeqs
@@ -337,26 +340,15 @@ func WriteGroups(ctx context.Context, in *GroupStream, store BlobStore, name str
 	if opts.SortedBy == "" {
 		opts.SortedBy = in.Meta.SortedBy
 	}
+	if opts.ChunkSize <= 0 {
+		opts.ChunkSize = in.Meta.ChunkSize
+	}
 	var w *Writer
-	fields := make([][]byte, len(in.Meta.Columns))
-	writeGroup := func(g *RowGroup) error {
-		if len(g.Chunks) != len(fields) {
-			return fmt.Errorf("agd: group %d has %d columns, stream declares %d", g.Index, len(g.Chunks), len(fields))
+	fail := func(err error) (*Manifest, error) {
+		if w != nil {
+			w.Abort()
 		}
-		n := g.NumRecords()
-		for r := 0; r < n; r++ {
-			for c, chunk := range g.Chunks {
-				f, err := chunk.Record(r)
-				if err != nil {
-					return err
-				}
-				fields[c] = f
-			}
-			if err := w.AppendStored(fields...); err != nil {
-				return err
-			}
-		}
-		return nil
+		return nil, err
 	}
 	for {
 		g, err := in.Next(ctx)
@@ -364,12 +356,9 @@ func WriteGroups(ctx context.Context, in *GroupStream, store BlobStore, name str
 			break
 		}
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
 		if w == nil {
-			if opts.ChunkSize <= 0 {
-				opts.ChunkSize = in.Meta.ChunkSize
-			}
 			if opts.ChunkSize <= 0 {
 				opts.ChunkSize = g.NumRecords()
 			}
@@ -378,14 +367,16 @@ func WriteGroups(ctx context.Context, in *GroupStream, store BlobStore, name str
 				return nil, err
 			}
 		}
-		err = writeGroup(g)
-		g.Release()
-		if err != nil {
-			return nil, err
+		if err := w.AppendGroup(g, in.Owned); err != nil {
+			return fail(err)
 		}
 	}
 	if w == nil {
 		return nil, fmt.Errorf("agd: stream for dataset %q has no records", name)
 	}
-	return w.Close()
+	m, err := w.Close()
+	if err != nil {
+		return fail(err)
+	}
+	return m, nil
 }

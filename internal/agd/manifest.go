@@ -45,20 +45,18 @@ func manifestPath(name string) string { return name + "/manifest.json" }
 // chunkPath returns the blob name of one column chunk.
 func chunkPath(entry ChunkEntry, col string) string { return entry.Path + "." + col }
 
-// ChunkEntryPath returns the canonical path of chunk idx of a dataset —
-// the single definition of the "<name>/chunk-NNNNNN" convention, shared by
-// the Writer and any parallel writer that must produce identical layouts
-// (agdsort's range-partitioned merge).
-func ChunkEntryPath(dataset string, idx int) string {
+// chunkEntryPath returns the canonical path of chunk idx of a dataset — the
+// single definition of the "<name>/chunk-NNNNNN" convention.
+func chunkEntryPath(dataset string, idx int) string {
 	return fmt.Sprintf("%s/chunk-%06d", dataset, idx)
 }
 
 // ColumnBlobPath returns the blob name of one column chunk of an entry.
 func ColumnBlobPath(entry ChunkEntry, col string) string { return chunkPath(entry, col) }
 
-// NewManifest assembles a manifest in the canonical form the Writer
+// newManifest assembles a manifest in the canonical form the Writer
 // produces on Close (version, column order from the specs).
-func NewManifest(name string, cols []ColumnSpec, chunks []ChunkEntry, refSeqs []RefSeq, sortedBy string) *Manifest {
+func newManifest(name string, cols []ColumnSpec, chunks []ChunkEntry, refSeqs []RefSeq, sortedBy string) *Manifest {
 	m := &Manifest{Name: name, Version: 1, Chunks: chunks, RefSeqs: refSeqs, SortedBy: sortedBy}
 	for _, c := range cols {
 		m.Columns = append(m.Columns, c.Name)

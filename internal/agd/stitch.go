@@ -29,7 +29,7 @@ func StitchManifest(name string, cols []ColumnSpec, parts [][]ChunkEntry, refSeq
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("agd: stitch %q: no rows", name)
 	}
-	m := NewManifest(name, cols, entries, refSeqs, sortedBy)
+	m := newManifest(name, cols, entries, refSeqs, sortedBy)
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("agd: stitch %q: %w", name, err)
 	}

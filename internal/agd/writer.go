@@ -60,8 +60,8 @@ type Writer struct {
 	sortedBy  string
 
 	builders []*ChunkBuilder
+	fields   [][]byte // one row of an AppendGroup copied row by row
 	ordinal  uint64
-	chunkIdx int
 	entries  []ChunkEntry
 	closed   bool
 
@@ -117,6 +117,7 @@ func NewWriter(store BlobStore, name string, cols []ColumnSpec, opts WriterOptio
 		chunkSize: opts.ChunkSize,
 		refSeqs:   opts.RefSeqs,
 		sortedBy:  opts.SortedBy,
+		fields:    make([][]byte, len(cols)),
 	}
 	if opts.ParallelFlush > 1 {
 		w.flushers = make(chan struct{}, opts.ParallelFlush)
@@ -175,8 +176,8 @@ func (w *Writer) AppendResult(r *Result) error {
 }
 
 // AppendStored adds one record whose fields are already in stored
-// representation (e.g. bases already compacted) — the zero-copy path used
-// by the external merge sort, which never expands what it only reorders.
+// representation (e.g. bases already compacted) — rows that are only
+// reordered or selected are never expanded.
 func (w *Writer) AppendStored(fields ...[]byte) error {
 	if w.closed {
 		return fmt.Errorf("agd: writer for %q is closed", w.name)
@@ -194,36 +195,133 @@ func (w *Writer) AppendStored(fields ...[]byte) error {
 	return nil
 }
 
+// AppendGroup adds every row of g, whose chunks hold stored representation,
+// and releases g (on failure too). A group that is exactly one output chunk —
+// the builders are empty and it holds ChunkSize rows — is encoded and stored
+// as it stands, under the ordinal the writer assigns rather than the chunks'
+// own (a filtered group still carries its input's). When owned says g stays
+// valid until Release, that store runs on the ParallelFlush workers and g is
+// released once its blobs have landed; otherwise it runs before AppendGroup
+// returns. Any other group is copied row by row through AppendStored. Both
+// routes write the same blobs.
+func (w *Writer) AppendGroup(g *RowGroup, owned bool) error {
+	chunks := g.Chunks
+	n := g.NumRecords()
+	err := w.flushErr()
+	if err == nil {
+		err = w.checkGroup(g, n)
+	}
+	if err != nil {
+		g.Release()
+		return err
+	}
+	if n == w.chunkSize && w.builders[0].NumRecords() == 0 {
+		entry := w.addEntry(w.ordinal, n)
+		w.ordinal += uint64(n)
+		store := func() error {
+			defer g.Release()
+			for i, c := range w.cols {
+				whole := &Chunk{Type: c.Type, FirstOrdinal: entry.First, lengths: chunks[i].lengths, Data: chunks[i].Data}
+				if err := w.storeColumn(entry, c, whole); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		if owned {
+			return w.flush(store)
+		}
+		return store()
+	}
+	defer g.Release()
+	for r := 0; r < n; r++ {
+		for i, c := range chunks {
+			f, err := c.Record(r)
+			if err != nil {
+				return err
+			}
+			w.fields[i] = f
+		}
+		if err := w.AppendStored(w.fields...); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkGroup rejects a group the writer cannot take: the wrong number of
+// columns, or columns that disagree on the row count n.
+func (w *Writer) checkGroup(g *RowGroup, n int) error {
+	if w.closed {
+		return fmt.Errorf("agd: writer for %q is closed", w.name)
+	}
+	if len(g.Chunks) != len(w.cols) {
+		return fmt.Errorf("agd: group %d has %d columns, dataset %q has %d", g.Index, len(g.Chunks), w.name, len(w.cols))
+	}
+	for i, c := range g.Chunks {
+		if c.NumRecords() != n {
+			return fmt.Errorf("%w: group %d column %q has %d records, column %q has %d",
+				ErrRowGroup, g.Index, w.cols[i].Name, c.NumRecords(), w.cols[0].Name, n)
+		}
+	}
+	return nil
+}
+
+// addEntry records the next output chunk: n rows from dataset ordinal first.
+func (w *Writer) addEntry(first uint64, n int) ChunkEntry {
+	entry := ChunkEntry{
+		Path:    chunkEntryPath(w.name, len(w.entries)),
+		First:   first,
+		Records: uint32(n),
+	}
+	w.entries = append(w.entries, entry)
+	return entry
+}
+
+// flushChunk stores the rows accumulated in the builders as the next chunk
+// and starts a fresh builder set.
 func (w *Writer) flushChunk() error {
 	n := w.builders[0].NumRecords()
 	if n == 0 {
 		return nil
 	}
-	entry := ChunkEntry{
-		Path:    ChunkEntryPath(w.name, w.chunkIdx),
-		First:   w.builders[0].Chunk().FirstOrdinal,
-		Records: uint32(n),
+	if err := w.flushErr(); err != nil {
+		return err
 	}
-	w.entries = append(w.entries, entry)
-	w.chunkIdx++
+	entry := w.addEntry(w.ordinal-uint64(n), n)
 	builders := w.builders
 	w.startChunk()
+	return w.flush(func() error {
+		for i, c := range w.cols {
+			// The entry, not the builder, says where the chunk starts: whole
+			// groups advance the ordinal past builders that stay empty.
+			chunk := builders[i].Chunk()
+			chunk.FirstOrdinal = entry.First
+			if err := w.storeColumn(entry, c, chunk); err != nil {
+				return err
+			}
+		}
+		// Recycle the builder set for a future startChunk.
+		select {
+		case w.bpool <- builders:
+		default:
+		}
+		return nil
+	})
+}
 
+// flush runs one chunk's store: inline on a synchronous writer, else on a
+// background worker once one is free, its error surfacing from flushErr.
+func (w *Writer) flush(store func() error) error {
 	if w.flushers == nil {
-		return w.encodeAndStore(entry, builders)
-	}
-	// Drain any async error first so failures surface promptly.
-	select {
-	case err := <-w.flushErrs:
-		return err
-	default:
+		return store()
 	}
 	w.flushers <- struct{}{}
 	w.flushWG.Add(1)
 	go func() {
 		defer w.flushWG.Done()
 		defer func() { <-w.flushers }()
-		if err := w.encodeAndStore(entry, builders); err != nil {
+		if err := store(); err != nil {
 			select {
 			case w.flushErrs <- err:
 			default:
@@ -233,23 +331,24 @@ func (w *Writer) flushChunk() error {
 	return nil
 }
 
-// encodeAndStore compresses and stores every column chunk of one row group,
-// then recycles the builder set for a future startChunk.
-func (w *Writer) encodeAndStore(entry ChunkEntry, builders []*ChunkBuilder) error {
-	for i, c := range w.cols {
-		blob, err := EncodeChunk(builders[i].Chunk(), c.compression())
-		if err != nil {
-			return err
-		}
-		if err := w.store.Put(chunkPath(entry, c.Name), blob); err != nil {
-			return err
-		}
-	}
+// flushErr reports a background store's failure (once), so it surfaces at
+// the next chunk instead of at Close.
+func (w *Writer) flushErr() error {
 	select {
-	case w.bpool <- builders:
+	case err := <-w.flushErrs:
+		return err
 	default:
+		return nil
 	}
-	return nil
+}
+
+// storeColumn compresses and stores one column chunk of an output row group.
+func (w *Writer) storeColumn(entry ChunkEntry, col ColumnSpec, c *Chunk) error {
+	blob, err := EncodeChunk(c, col.compression())
+	if err != nil {
+		return err
+	}
+	return w.store.Put(chunkPath(entry, col.Name), blob)
 }
 
 // NumRecords returns how many records have been appended so far.
@@ -266,14 +365,10 @@ func (w *Writer) Close() (*Manifest, error) {
 		return nil, err
 	}
 	w.flushWG.Wait()
-	if w.flushErrs != nil {
-		select {
-		case err := <-w.flushErrs:
-			return nil, err
-		default:
-		}
+	if err := w.flushErr(); err != nil {
+		return nil, err
 	}
-	m := NewManifest(w.name, w.cols, w.entries, w.refSeqs, w.sortedBy)
+	m := newManifest(w.name, w.cols, w.entries, w.refSeqs, w.sortedBy)
 	if len(m.Chunks) == 0 {
 		return nil, fmt.Errorf("agd: dataset %q has no records", w.name)
 	}
@@ -281,6 +376,21 @@ func (w *Writer) Close() (*Manifest, error) {
 		return nil, err
 	}
 	return m, nil
+}
+
+// Abort abandons a dataset that will get no manifest — after a failed append
+// or Close. It waits for the background workers, which release the groups
+// they hold, then deletes the column blobs of every chunk the writer began.
+func (w *Writer) Abort() {
+	w.closed = true
+	w.flushWG.Wait()
+	for _, entry := range w.entries {
+		for _, c := range w.cols {
+			// Best effort: the caller is already reporting the failure that
+			// led here, and a blob that never landed is not there to delete.
+			_ = w.store.Delete(chunkPath(entry, c.Name))
+		}
+	}
 }
 
 // AppendColumn adds a new column to an existing dataset, row-grouped with

@@ -7,20 +7,19 @@
 // The sort never materializes per-record objects: each superchunk batch
 // stages its columns in shared agd.RecordArenas (contiguous buffers + offset
 // indexes) and sorts a compact array of packed {key, row} entries with an
-// LSD radix sort over the key bytes that actually vary. Phase 2 is a
-// range-partitioned parallel merge (the sample-sort idiom): splitter keys
-// partition the sorted runs into independent key ranges, one merge per
-// range, each writing its own span of output chunks — so the merge uses the
-// same cores phase 1 does, with byte-identical output to the serial merge.
+// LSD radix sort over the key bytes that actually vary. Phase 2 is one k-way
+// heap merge of the runs (RunMerger), emitted as a stream of output chunks.
+// SortStream is that sort as a pipeline stage; Sort is the one-stage pipeline
+// dataset → SortStream → dataset. A range-partitioned merge is the same
+// merger over run fragments cut at shared splitters (CutRun), which the
+// cluster's shuffle runs across nodes.
 package agdsort
 
 import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"runtime"
-	"sync"
 
 	"persona/internal/agd"
 )
@@ -54,24 +53,15 @@ type Options struct {
 	// merged into each temporary superchunk (default 8) — the knob that
 	// trades memory for merge fan-in.
 	ChunksPerSuperchunk int
-	// OutputName names the sorted dataset; default "<name>.sorted".
+	// OutputName names the sorted dataset; default "<name>.sorted". Output
+	// chunks hold as many records as the input's.
 	OutputName string
-	// OutputChunkSize is records per output chunk; default: same as input
-	// manifest's first chunk.
-	OutputChunkSize int
-	// MergeShards is the parallelism of the phase-2 merge: the sorted runs
-	// are range-partitioned by sampled splitter keys into this many
-	// independent merges, each emitting its own span of output chunks.
-	// 0 derives from GOMAXPROCS; 1 selects the serial heap merge. Output
-	// bytes are identical at every setting.
-	MergeShards int
-	// TempPrefix is where phase-1 spill blobs (superchunks) go for streamed
-	// sorts (SortStream); default "agdsort.stream/tmp". Concurrent streamed
-	// sorts against one store must use distinct prefixes. Dataset sorts
-	// ignore it and spill under "<OutputName>/tmp".
+	// TempPrefix is where SortStream's phase-1 spill blobs (superchunks)
+	// go; default "agdsort.stream/tmp". Concurrent sorts against one store
+	// must use distinct prefixes. Dataset sorts set it to "<OutputName>/tmp".
 	TempPrefix string
-	// Pipelining (SortStream only) is how many merged output groups may be
-	// in flight at once. ≤ 1 keeps the serial pull contract (groups build
+	// Pipelining (set by dataset sorts) is how many merged output groups may
+	// be in flight at once. ≤ 1 keeps the serial pull contract (groups build
 	// into reused builders, valid until the next group); > 1 draws builders
 	// from a bounded pool of that size, so a pumped edge can queue groups
 	// that stay valid until Release.
@@ -98,101 +88,33 @@ func Sort(ctx context.Context, store agd.BlobStore, name string, opts Options) (
 	return SortDataset(ctx, ds, opts)
 }
 
-// SortDataset is Sort over an already-open dataset.
+// SortDataset is Sort over an already-open dataset: its chunks stream
+// through SortStream, spilling under "<OutputName>/tmp", into the dataset
+// sink. The merge builds into one more builder set than the sink has store
+// workers, so it fills the next output chunk while earlier ones are
+// compressed and stored; on failure neither spill nor output blobs remain.
 func SortDataset(ctx context.Context, ds *agd.Dataset, opts Options) (*agd.Manifest, error) {
 	m := ds.Manifest
-	if opts.By == ByLocation && !m.HasColumn(agd.ColResults) {
-		return nil, fmt.Errorf("agdsort: dataset %q has no results column to sort by", m.Name)
-	}
-	if opts.By == ByMetadata && !m.HasColumn(agd.ColMetadata) {
-		return nil, fmt.Errorf("agdsort: dataset %q has no metadata column", m.Name)
-	}
-	if opts.ChunksPerSuperchunk <= 0 {
-		opts.ChunksPerSuperchunk = 8
+	if keyColumn(m.Columns, opts.By) < 0 {
+		return nil, fmt.Errorf("agdsort: dataset %q has no column to sort by %s", m.Name, opts.By)
 	}
 	if opts.OutputName == "" {
 		opts.OutputName = m.Name + ".sorted"
 	}
-	if opts.OutputChunkSize <= 0 {
-		if len(m.Chunks) > 0 {
-			opts.OutputChunkSize = int(m.Chunks[0].Records)
-		} else {
-			opts.OutputChunkSize = agd.DefaultChunkSize
-		}
-	}
-	keyCol := keyColumn(m.Columns, opts.By)
-	if keyCol < 0 {
-		return nil, fmt.Errorf("agdsort: key column missing")
-	}
-	store := ds.Store()
-
-	// Phase 1: produce sorted superchunks. Batches are independent, so
-	// they run in parallel across the machine's cores — the sort is where
-	// Persona's 48-thread servers earn the Table 2 advantage.
-	numBatches := (len(m.Chunks) + opts.ChunksPerSuperchunk - 1) / opts.ChunksPerSuperchunk
-	superNames := make([]string, numBatches)
-	sem := make(chan struct{}, runtime.NumCPU())
-	var wg sync.WaitGroup
-	errs := make(chan error, numBatches)
-	for b := 0; b < numBatches; b++ {
-		superNames[b] = fmt.Sprintf("%s/tmp/super-%06d", opts.OutputName, b)
-		start := b * opts.ChunksPerSuperchunk
-		end := start + opts.ChunksPerSuperchunk
-		if end > len(m.Chunks) {
-			end = len(m.Chunks)
-		}
-		if err := ctx.Err(); err != nil {
-			break
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(b, start, end int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			cols, keys, err := stageRun(ctx, ds, start, end, keyCol, opts.By)
-			if err != nil {
-				errs <- err
-				return
-			}
-			sortKeys(cols[keyCol], keys, opts.By)
-			if err := writeSuperchunk(store, superNames[b], cols, keys, &opts); err != nil {
-				errs <- err
-			}
-		}(b, start, end)
-	}
-	wg.Wait()
-	// On any failure (including cancellation) the spilled superchunks must
-	// not outlive the call: delete whatever phase 1 managed to write.
-	dropTemps := func() {
-		for _, sn := range superNames {
-			store.Delete(sn)
-		}
-	}
-	select {
-	case err := <-errs:
-		dropTemps()
-		return nil, err
-	default:
-	}
-	if err := ctx.Err(); err != nil {
-		dropTemps()
-		return nil, err
-	}
-
-	// Phase 2: range-partitioned merge of superchunks into the output
-	// dataset (see merge.go).
-	manifest, err := mergeSuperchunks(ctx, store, superNames, ds, keyCol, opts)
+	in, err := ds.Groups(agd.StreamOptions{Prefetch: loadPrefetch})
 	if err != nil {
-		dropTemps()
 		return nil, err
 	}
-	// Drop temporaries.
-	for _, sn := range superNames {
-		if err := store.Delete(sn); err != nil {
-			return nil, err
-		}
+	flushers := runtime.NumCPU()
+	opts.TempPrefix = opts.OutputName + "/tmp"
+	opts.Pipelining = flushers + 1
+	out, err := SortStream(ctx, ds.Store(), in, opts)
+	if err != nil {
+		in.Close()
+		return nil, err
 	}
-	return manifest, nil
+	defer out.Close()
+	return agd.WriteGroups(ctx, out, ds.Store(), opts.OutputName, agd.WriterOptions{ParallelFlush: flushers})
 }
 
 // keyColumn locates the column the sort key is derived from.
@@ -217,55 +139,14 @@ type sortEntry struct {
 	row uint32
 }
 
-// loadPrefetch is the chunk-fetch window of the run-staging stream: each
-// superchunk batch keeps this many chunks' column blobs in flight, so the
-// next row group's fetch overlaps with key extraction over the current one.
+// loadPrefetch is the chunk-fetch window of a dataset sort's input stream:
+// this many chunks' column blobs stay in flight, so the next row group's
+// fetch overlaps with key extraction over the current one.
 const loadPrefetch = 4
 
-// stageRun copies chunks [start, end) into per-column record arenas and
-// extracts one packed sort entry per row. Arena staging copies each column
-// chunk once (bulk, via AppendChunk) and allocates nothing per record.
-func stageRun(ctx context.Context, ds *agd.Dataset, start, end, keyCol int, by Key) ([]*agd.RecordArena, []sortEntry, error) {
-	m := ds.Manifest
-	stream, err := ds.Stream(agd.StreamOptions{
-		Start: start, End: end, Prefetch: loadPrefetch,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	defer stream.Close()
-	cols := make([]*agd.RecordArena, len(m.Columns))
-	numRows := 0
-	for c := start; c < end; c++ {
-		numRows += int(m.Chunks[c].Records)
-	}
-	for i := range cols {
-		cols[i] = agd.NewRecordArena(0, numRows)
-	}
-	keys := make([]sortEntry, 0, numRows)
-	for {
-		sc, err := stream.Next(ctx)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		// The stream validates every column chunk's record count against the
-		// manifest, so the columns are known row-aligned here.
-		chunks := sc.Chunks()
-		keys, err = stageGroup(cols, keys, chunks, keyCol, by, end-start)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return cols, keys, nil
-}
-
 // stageGroup bulk-appends one row group's column chunks into the staging
-// arenas and extracts its packed sort entries — shared by the dataset and
-// stream staging paths. batch is the number of groups the caller expects to
-// stage into these arenas, 1 when it cannot tell.
+// arenas and extracts its packed sort entries. batch is the number of groups
+// the caller expects to stage into these arenas, 1 when it cannot tell.
 func stageGroup(cols []*agd.RecordArena, keys []sortEntry, chunks []*agd.Chunk, keyCol int, by Key, batch int) ([]sortEntry, error) {
 	n := chunks[0].NumRecords()
 	for col, c := range chunks {

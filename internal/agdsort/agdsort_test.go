@@ -1,8 +1,8 @@
 package agdsort
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -249,126 +249,6 @@ func TestSortByMetadataSharedPrefix(t *testing.T) {
 	for i := range want {
 		if string(got[i]) != want[i] {
 			t.Fatalf("order wrong at %d: got %q, want %q", i, got[i], want[i])
-		}
-	}
-}
-
-// copyInto copies every blob of src into a fresh MemStore.
-func copyInto(t *testing.T, src agd.BlobStore) *agd.MemStore {
-	t.Helper()
-	dst := agd.NewMemStore()
-	names, err := src.List("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range names {
-		blob, err := src.Get(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := dst.Put(n, blob); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return dst
-}
-
-// snapshotBlobs returns name → contents for every blob under prefix.
-func snapshotBlobs(t *testing.T, store agd.BlobStore, prefix string) map[string][]byte {
-	t.Helper()
-	names, err := store.List(prefix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make(map[string][]byte, len(names))
-	for _, n := range names {
-		blob, err := store.Get(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[n] = blob
-	}
-	return out
-}
-
-// sortWithShards runs the same sort on a fresh copy of the input store with
-// the given merge parallelism and returns the output dataset's blobs.
-func sortWithShards(t *testing.T, src agd.BlobStore, by Key, p int) map[string][]byte {
-	t.Helper()
-	store := copyInto(t, src)
-	ds, err := agd.Open(store, "ds")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := SortDataset(context.Background(), ds, Options{
-		By: by, ChunksPerSuperchunk: 3, OutputName: "sorted", MergeShards: p,
-	}); err != nil {
-		t.Fatalf("MergeShards=%d: %v", p, err)
-	}
-	return snapshotBlobs(t, store, "sorted/")
-}
-
-// TestParallelMergeByteIdentical is the range-partition property test: for
-// every merge parallelism the output dataset — every chunk blob and the
-// manifest — must be byte-identical to the serial merge's, for both sort
-// orders. Partition counts around and above the output chunk count exercise
-// seam chunks assembled from several partitions' pieces.
-func TestParallelMergeByteIdentical(t *testing.T) {
-	store := agd.NewMemStore()
-	testutil.Build(t, store, "ds", testutil.Config{
-		GenomeSize: 120_000, NumReads: 700, ReadLen: 70, ChunkSize: 64, Seed: 57, DupFrac: 0.2,
-	})
-	for _, by := range []Key{ByLocation, ByMetadata} {
-		t.Run("by="+by.String(), func(t *testing.T) {
-			ref := sortWithShards(t, store, by, 1)
-			if len(ref) == 0 {
-				t.Fatal("serial sort produced no blobs")
-			}
-			for _, p := range []int{2, 3, 8} {
-				got := sortWithShards(t, store, by, p)
-				if len(got) != len(ref) {
-					t.Fatalf("MergeShards=%d wrote %d blobs, serial wrote %d", p, len(got), len(ref))
-				}
-				for name, want := range ref {
-					if !bytes.Equal(got[name], want) {
-						t.Fatalf("MergeShards=%d: blob %q differs from serial merge", p, name)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestParallelMergeSkewedKeys forces splitter duplication: every record
-// shares one 8-byte prefix and the distinct full keys are fewer than the
-// partition count, so most partitions are empty and whole chunks fall into
-// single seam pieces — the degenerate ranges must still reproduce the
-// serial bytes.
-func TestParallelMergeSkewedKeys(t *testing.T) {
-	store := agd.NewMemStore()
-	w, err := agd.NewWriter(store, "ds", []agd.ColumnSpec{{Name: agd.ColMetadata, Type: agd.TypeRaw}},
-		agd.WriterOptions{ChunkSize: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 61; i++ {
-		if err := w.Append([]byte(fmt.Sprintf("sharedprefix-%d", i%3))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ref := sortWithShards(t, store, ByMetadata, 1)
-	for _, p := range []int{2, 3, 8} {
-		got := sortWithShards(t, store, ByMetadata, p)
-		if len(got) != len(ref) {
-			t.Fatalf("MergeShards=%d wrote %d blobs, serial wrote %d", p, len(got), len(ref))
-		}
-		for name, want := range ref {
-			if !bytes.Equal(got[name], want) {
-				t.Fatalf("MergeShards=%d: blob %q differs from serial merge", p, name)
-			}
 		}
 	}
 }

@@ -10,12 +10,11 @@ import (
 
 // Exported distributed-sort surface: the pieces of the external sort a
 // cross-node range shuffle needs — phase-1 run building from a bounded
-// group stream, equi-spaced run sampling for global splitter selection,
-// splitter-aligned run cutting, and a streaming k-way merge over run
-// fragments. internal/shuffle and internal/cluster compose these into the
-// distributed fused pipeline; the in-process sort keeps using the
-// unexported forms directly, so both paths share one implementation and
-// emit byte-identical row orders.
+// group stream, equi-spaced run sampling for global splitter selection and
+// splitter-aligned run cutting; the k-way merge over the cut fragments is
+// RunMerger (merge.go), the one the in-process sort runs. internal/shuffle
+// and internal/cluster compose these into the distributed fused pipeline, so
+// both paths share one implementation and emit byte-identical row orders.
 
 // RunSample is one sampled row of a sorted run: the packed 64-bit primary
 // key plus, for ByMetadata, the full key-field bytes that refine prefix
@@ -123,62 +122,4 @@ func BuildRun(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, nam
 		return RunInfo{}, err
 	}
 	return info, nil
-}
-
-// RunMerger streams the k-way merge of decoded sorted runs (or
-// splitter-aligned fragments of runs) in global key order, breaking ties by
-// each run's ordinal — the same heap, comparison and tie rule the
-// in-process phase-2 merge uses, so concatenating per-partition merges over
-// aligned cuts reproduces the single-merge row order exactly.
-type RunMerger struct {
-	h   mergeHeap
-	cur *superIter
-}
-
-// NewRunMerger builds a merger over runs. ords[i] is run i's merge-ordinal
-// tiebreak (nil uses the slice index); for fragments of a larger run set it
-// must be the originating run's ordinal. Nil or empty runs are skipped.
-func NewRunMerger(runs []*agd.Chunk, numCols, keyCol int, by Key, ords []int) (*RunMerger, error) {
-	m := &RunMerger{h: mergeHeap{items: make([]*superIter, 0, len(runs))}}
-	for i, c := range runs {
-		if c == nil || c.NumRecords() == 0 {
-			continue
-		}
-		ord := i
-		if ords != nil {
-			ord = ords[i]
-		}
-		it := newSuperIter(c, numCols, keyCol, by, ord, 0, c.NumRecords())
-		ok, err := it.advance()
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			m.h.push(it)
-		}
-	}
-	return m, nil
-}
-
-// Next returns the next merged row's fields (one per column, aliasing run
-// data, valid until the following Next call); ok is false when the merge is
-// drained.
-func (m *RunMerger) Next() (fields [][]byte, ok bool, err error) {
-	if m.cur != nil {
-		advanced, err := m.cur.advance()
-		if err != nil {
-			return nil, false, err
-		}
-		if advanced {
-			m.h.fix()
-		} else {
-			m.h.pop()
-		}
-		m.cur = nil
-	}
-	if len(m.h.items) == 0 {
-		return nil, false, nil
-	}
-	m.cur = m.h.items[0]
-	return m.cur.fields, true, nil
 }

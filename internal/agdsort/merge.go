@@ -5,30 +5,23 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"runtime"
-	"slices"
 	"sort"
-	"sync"
 
 	"persona/internal/agd"
 )
 
-// Phase-2 merge. The sorted superchunks ("runs") are merged into the output
-// dataset either serially (one heap, one writer — MergeShards 1) or with a
-// range-partitioned parallel merge: sampled splitter keys cut every run into
-// P aligned key ranges, and P independent heap merges emit their spans of
-// output rows concurrently. A partition encodes and stores every output
-// chunk it wholly owns; rows of chunks straddling a partition seam are
-// staged in RecordArenas and stitched in row order afterwards, so the stored
-// blobs are byte-identical to the serial merge's at any P.
+// Phase-2 merge: one k-way heap merge over the decoded sorted runs.
+// RunMerger is its only driver — the in-process sort's output stream and the
+// cluster reduce both pull rows from it. A range-partitioned merge is that
+// same merger run once per key range over run fragments cut at shared
+// splitters (CutRun); the cluster's shuffle is where that happens, across
+// cores and nodes alike.
 
-// superIter iterates rows [next, limit) of a decoded superchunk. Its field
-// scratch is allocated once and re-sliced per row, so advancing is
-// allocation-free.
+// superIter iterates the rows of a decoded superchunk. Its field scratch is
+// allocated once and re-sliced per row, so advancing is allocation-free.
 type superIter struct {
 	chunk  *agd.Chunk
 	next   int
-	limit  int
 	keyCol int
 	by     Key
 	ord    int // superchunk ordinal, the final merge tiebreak
@@ -38,20 +31,9 @@ type superIter struct {
 	fields   [][]byte
 }
 
-// newSuperIter positions an iterator over rows [lo, hi) of a decoded
-// superchunk. The chunk may be shared by iterators of other partitions; it
-// is only read.
-func newSuperIter(c *agd.Chunk, cols, keyCol int, by Key, ord, lo, hi int) *superIter {
-	return &superIter{
-		chunk: c, next: lo, limit: hi,
-		keyCol: keyCol, by: by, ord: ord,
-		fields: make([][]byte, cols),
-	}
-}
-
-// advance loads the next row; returns false at the end of the range.
+// advance loads the next row; returns false at the end of the run.
 func (it *superIter) advance() (bool, error) {
-	if it.next >= it.limit {
+	if it.next >= it.chunk.NumRecords() {
 		return false, nil
 	}
 	rec, err := it.chunk.Record(it.next)
@@ -142,34 +124,6 @@ func (h *mergeHeap) pop() {
 	}
 }
 
-// emit streams the next n merged rows into sink (each call's fields are
-// valid until the next advance).
-func (h *mergeHeap) emit(n int, sink func(fields [][]byte)) error {
-	for i := 0; i < n; i++ {
-		if len(h.items) == 0 {
-			return fmt.Errorf("agdsort: merge ran out of rows")
-		}
-		it := h.items[0]
-		sink(it.fields)
-		ok, err := it.advance()
-		if err != nil {
-			return err
-		}
-		if ok {
-			h.fix()
-		} else {
-			h.pop()
-		}
-	}
-	return nil
-}
-
-// columnSpecs builds the output dataset's column specs (all gzip, the
-// writer default).
-func columnSpecs(m *agd.Manifest) []agd.ColumnSpec {
-	return agd.SpecsForColumns(m.Columns)
-}
-
 // fetchRuns fetches and decodes every superchunk as one batch — the blobs
 // stream in concurrently (per-OSD fan-out on the object store) while the
 // first arrivals decode.
@@ -190,83 +144,6 @@ func fetchRuns(ctx context.Context, store agd.BlobStore, superNames []string) ([
 		total += c.NumRecords()
 	}
 	return runs, total, nil
-}
-
-// mergeSuperchunks fetches and decodes every superchunk, then merges them
-// into the output dataset — serially, or range-partitioned across
-// opts.MergeShards independent merges.
-func mergeSuperchunks(ctx context.Context, store agd.BlobStore, superNames []string, ds *agd.Dataset, keyCol int, opts Options) (*agd.Manifest, error) {
-	// The merge needs every superchunk resident before it can emit a single
-	// row.
-	runs, total, err := fetchRuns(ctx, store, superNames)
-	if err != nil {
-		return nil, err
-	}
-
-	p := opts.MergeShards
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p > total {
-		p = total
-	}
-	if p <= 1 {
-		return mergeSerial(ctx, store, runs, ds, keyCol, opts)
-	}
-	return mergeParallel(ctx, store, runs, ds, keyCol, opts, p, total)
-}
-
-// mergeSerial streams the heap-merge of all superchunks into the output
-// dataset through a single writer.
-func mergeSerial(ctx context.Context, store agd.BlobStore, runs []*agd.Chunk, ds *agd.Dataset, keyCol int, opts Options) (*agd.Manifest, error) {
-	m := ds.Manifest
-	w, err := agd.NewWriter(store, opts.OutputName, columnSpecs(m), agd.WriterOptions{
-		ChunkSize:     opts.OutputChunkSize,
-		RefSeqs:       m.RefSeqs,
-		SortedBy:      opts.By.String(),
-		ParallelFlush: runtime.NumCPU(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	h := &mergeHeap{items: make([]*superIter, 0, len(runs))}
-	for i, c := range runs {
-		it := newSuperIter(c, len(m.Columns), keyCol, opts.By, i, 0, c.NumRecords())
-		ok, err := it.advance()
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			h.push(it)
-		}
-	}
-
-	// Superchunk rows hold every column in stored representation (bases
-	// stay compacted), so the merge moves bytes without re-encoding. The
-	// context is checked once per output chunk's worth of rows.
-	row := 0
-	for len(h.items) > 0 {
-		if row%opts.OutputChunkSize == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		row++
-		it := h.items[0]
-		if err := w.AppendStored(it.fields...); err != nil {
-			return nil, err
-		}
-		ok, err := it.advance()
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			h.fix()
-		} else {
-			h.pop()
-		}
-	}
-	return w.Close()
 }
 
 // splitter is one partition boundary: rows comparing >= it belong to the
@@ -309,51 +186,6 @@ func rowKey(c *agd.Chunk, keyCol, r int, by Key) (uint64, []byte, error) {
 	return k, f, err
 }
 
-// splitterSamples is how many rows each run contributes to splitter
-// selection; the runs are sorted, so evenly spaced rows are an equi-depth
-// histogram of the run's key range.
-const splitterSamples = 64
-
-// pickSplitters samples the runs and returns p-1 quantile splitters
-// (sorted; duplicates possible on skewed keys, yielding empty partitions).
-// Only the sampled rows are parsed — the merge itself re-reads every row, so
-// there is no up-front full-dataset key pass.
-func pickSplitters(runs []*agd.Chunk, keyCol int, by Key, p int) ([]splitter, error) {
-	samples := make([]splitter, 0, len(runs)*splitterSamples)
-	for _, run := range runs {
-		n := run.NumRecords()
-		s := splitterSamples
-		if s > n {
-			s = n
-		}
-		for i := 0; i < s; i++ {
-			k, f, err := rowKey(run, keyCol, i*n/s, by)
-			if err != nil {
-				return nil, err
-			}
-			sp := splitter{key: k}
-			if by == ByMetadata {
-				sp.full = f
-			}
-			samples = append(samples, sp)
-		}
-	}
-	slices.SortFunc(samples, func(a, b splitter) int {
-		if a.key != b.key {
-			if a.key < b.key {
-				return -1
-			}
-			return 1
-		}
-		return bytes.Compare(a.full, b.full)
-	})
-	out := make([]splitter, p-1)
-	for i := 1; i < p; i++ {
-		out[i-1] = samples[i*len(samples)/p]
-	}
-	return out, nil
-}
-
 // cutRun returns the first row of the run whose key compares >= sp, parsing
 // only the O(log n) probed rows. The predicate is monotone, so cuts taken
 // at sorted splitters are themselves sorted, and rows with equal keys all
@@ -377,231 +209,52 @@ func cutRun(run *agd.Chunk, keyCol int, by Key, sp splitter) int {
 	})
 }
 
-// partPiece is a partition's fragment of an output chunk that straddles a
-// partition seam: the rows the partition owns, staged per column in record
-// arenas, stitched with the neighboring partitions' pieces afterwards.
-type partPiece struct {
-	chunkIdx int
-	arenas   []*agd.RecordArena
+// RunMerger streams the k-way merge of decoded sorted runs (or
+// splitter-aligned fragments of runs) in global key order, breaking ties by
+// each run's ordinal, so concatenating per-partition merges over aligned cuts
+// reproduces the single-merge row order exactly.
+type RunMerger struct {
+	h   mergeHeap
+	cur *superIter
 }
 
-// mergePartition heap-merges one key range (rows [lo[r], hi[r]) of every
-// run): output chunks wholly inside the partition are built, encoded and
-// stored here; seam chunks' rows come back as pieces.
-func mergePartition(ctx context.Context, store agd.BlobStore, runs []*agd.Chunk, cols []agd.ColumnSpec, keyCol int, opts Options, lo, hi []int, startRow, total int, entries []agd.ChunkEntry) ([]partPiece, error) {
-	chunkSize := opts.OutputChunkSize
-	end := startRow
-	for r := range runs {
-		end += hi[r] - lo[r]
-	}
-	h := &mergeHeap{items: make([]*superIter, 0, len(runs))}
-	for r, c := range runs {
-		if lo[r] >= hi[r] {
+// NewRunMerger builds a merger over runs. A run's slice index is its ordinal,
+// the tiebreak between equal keys, so a fragment must sit at its originating
+// run's index; nil or empty runs are skipped.
+func NewRunMerger(runs []*agd.Chunk, numCols, keyCol int, by Key) (*RunMerger, error) {
+	m := &RunMerger{h: mergeHeap{items: make([]*superIter, 0, len(runs))}}
+	for i, c := range runs {
+		if c == nil || c.NumRecords() == 0 {
 			continue
 		}
-		it := newSuperIter(c, len(cols), keyCol, opts.By, r, lo[r], hi[r])
-		ok, err := it.advance()
-		if err != nil {
+		it := &superIter{chunk: c, keyCol: keyCol, by: by, ord: i, fields: make([][]byte, numCols)}
+		if _, err := it.advance(); err != nil {
 			return nil, err
 		}
-		if ok {
-			h.push(it)
-		}
+		m.h.push(it)
 	}
+	return m, nil
+}
 
-	var pieces []partPiece
-	builders := make([]*agd.ChunkBuilder, len(cols))
-	row := startRow
-	for row < end {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+// Next returns the next merged row's fields (one per column, aliasing run
+// data, valid until the following Next call); ok is false when the merge is
+// drained.
+func (m *RunMerger) Next() (fields [][]byte, ok bool, err error) {
+	if m.cur != nil {
+		more, err := m.cur.advance()
+		if err != nil {
+			return nil, false, err
 		}
-		cIdx := row / chunkSize
-		cStart := cIdx * chunkSize
-		cEnd := cStart + chunkSize
-		if cEnd > total {
-			cEnd = total
-		}
-		stop := cEnd
-		if stop > end {
-			stop = end
-		}
-		if row == cStart && cEnd <= end {
-			// The partition owns chunk cIdx outright: build and store it
-			// here, reusing the builder set across chunks.
-			for i, c := range cols {
-				if builders[i] == nil {
-					builders[i] = agd.NewChunkBuilder(c.Type, uint64(cStart))
-				} else {
-					builders[i].Reset(c.Type, uint64(cStart))
-				}
-			}
-			err := h.emit(stop-row, func(fields [][]byte) {
-				for i, f := range fields {
-					builders[i].Append(f)
-				}
-			})
-			if err != nil {
-				return nil, err
-			}
-			if err := storeChunk(store, entries[cIdx], cols, builders); err != nil {
-				return nil, err
-			}
+		if more {
+			m.h.fix()
 		} else {
-			// Seam chunk: stage this partition's rows for stitching.
-			arenas := make([]*agd.RecordArena, len(cols))
-			for i := range arenas {
-				arenas[i] = agd.NewRecordArena(0, stop-row)
-			}
-			err := h.emit(stop-row, func(fields [][]byte) {
-				for i, f := range fields {
-					arenas[i].Append(f)
-				}
-			})
-			if err != nil {
-				return nil, err
-			}
-			pieces = append(pieces, partPiece{chunkIdx: cIdx, arenas: arenas})
+			m.h.pop()
 		}
-		row = stop
+		m.cur = nil
 	}
-	if len(h.items) != 0 {
-		return nil, fmt.Errorf("agdsort: partition merge left rows behind")
+	if len(m.h.items) == 0 {
+		return nil, false, nil
 	}
-	return pieces, nil
-}
-
-// storeChunk encodes and stores every column blob of one output chunk —
-// the same per-column compression and blob naming the serial writer's
-// encodeAndStore performs, via the shared agd helpers.
-func storeChunk(store agd.BlobStore, entry agd.ChunkEntry, cols []agd.ColumnSpec, builders []*agd.ChunkBuilder) error {
-	for i, c := range cols {
-		blob, err := agd.EncodeChunk(builders[i].Chunk(), c.EffectiveCompression())
-		if err != nil {
-			return err
-		}
-		if err := store.Put(agd.ColumnBlobPath(entry, c.Name), blob); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// mergeParallel is the range-partitioned merge: p independent heap merges
-// over splitter-aligned key ranges, then a stitch pass for the chunks that
-// straddle partition seams.
-func mergeParallel(ctx context.Context, store agd.BlobStore, runs []*agd.Chunk, ds *agd.Dataset, keyCol int, opts Options, p, total int) (*agd.Manifest, error) {
-	m := ds.Manifest
-	cols := columnSpecs(m)
-	by := opts.By
-	chunkSize := opts.OutputChunkSize
-
-	splitters, err := pickSplitters(runs, keyCol, by, p)
-	if err != nil {
-		return nil, err
-	}
-
-	// bounds[j][r] is run r's first row of partition j; partition j owns
-	// rows [bounds[j][r], bounds[j+1][r]) of every run.
-	bounds := make([][]int, p+1)
-	bounds[0] = make([]int, len(runs))
-	bounds[p] = make([]int, len(runs))
-	for r, c := range runs {
-		bounds[p][r] = c.NumRecords()
-	}
-	for j := 1; j < p; j++ {
-		bounds[j] = make([]int, len(runs))
-		for r := range runs {
-			bounds[j][r] = cutRun(runs[r], keyCol, by, splitters[j-1])
-		}
-	}
-	starts := make([]int, p+1)
-	for j := 0; j < p; j++ {
-		size := 0
-		for r := range runs {
-			size += bounds[j+1][r] - bounds[j][r]
-		}
-		starts[j+1] = starts[j] + size
-	}
-
-	// Output chunk layout (known up front: the merge only reorders rows).
-	numChunks := (total + chunkSize - 1) / chunkSize
-	entries := make([]agd.ChunkEntry, numChunks)
-	for c := range entries {
-		first := c * chunkSize
-		recs := chunkSize
-		if first+recs > total {
-			recs = total - first
-		}
-		entries[c] = agd.ChunkEntry{
-			Path:    agd.ChunkEntryPath(opts.OutputName, c),
-			First:   uint64(first),
-			Records: uint32(recs),
-		}
-	}
-
-	// The p partition merges run concurrently; each encodes and stores its
-	// wholly-owned chunks and returns seam pieces.
-	piecesByPart := make([][]partPiece, p)
-	partErrs := make([]error, p)
-	var wg sync.WaitGroup
-	for j := 0; j < p; j++ {
-		wg.Add(1)
-		go func(j int) {
-			defer wg.Done()
-			piecesByPart[j], partErrs[j] = mergePartition(
-				ctx, store, runs, cols, keyCol, opts, bounds[j], bounds[j+1], starts[j], total, entries)
-		}(j)
-	}
-	wg.Wait()
-	for _, err := range partErrs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Stitch seam chunks: pieces arrive in partition order, which is row
-	// order, so consecutive pieces with the same chunk index concatenate
-	// into that chunk.
-	var frags []partPiece
-	for _, ps := range piecesByPart {
-		frags = append(frags, ps...)
-	}
-	for i := 0; i < len(frags); {
-		k := i + 1
-		for k < len(frags) && frags[k].chunkIdx == frags[i].chunkIdx {
-			k++
-		}
-		if err := stitchChunk(store, entries[frags[i].chunkIdx], cols, frags[i:k]); err != nil {
-			return nil, err
-		}
-		i = k
-	}
-
-	out := agd.NewManifest(opts.OutputName, cols, entries, m.RefSeqs, by.String())
-	if err := agd.WriteManifest(store, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// stitchChunk assembles one seam chunk from its partitions' pieces and
-// stores it.
-func stitchChunk(store agd.BlobStore, entry agd.ChunkEntry, cols []agd.ColumnSpec, pieces []partPiece) error {
-	builders := make([]*agd.ChunkBuilder, len(cols))
-	rows := 0
-	for i, c := range cols {
-		builders[i] = agd.NewChunkBuilder(c.Type, entry.First)
-		for _, pc := range pieces {
-			ra := pc.arenas[i]
-			for r := 0; r < ra.Len(); r++ {
-				builders[i].Append(ra.Record(r))
-			}
-		}
-	}
-	rows = builders[0].NumRecords()
-	if rows != int(entry.Records) {
-		return fmt.Errorf("agdsort: seam chunk %q stitched %d rows, want %d", entry.Path, rows, entry.Records)
-	}
-	return storeChunk(store, entry, cols, builders)
+	m.cur = m.h.items[0]
+	return m.cur.fields, true, nil
 }

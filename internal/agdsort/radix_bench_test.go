@@ -1,7 +1,6 @@
 package agdsort
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -62,48 +61,6 @@ func BenchmarkKernel_SortEntries(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(work, keys)
 				comparisonSortKeys(arena, work, by)
-			}
-		})
-	}
-}
-
-// BenchmarkTable2_MergeShards sweeps the phase-2 merge parallelism over a
-// fixed superchunk set, isolating the range-partitioned merge from phase 1.
-func BenchmarkTable2_MergeShards(b *testing.B) {
-	store := agd.NewMemStore()
-	w, err := agd.NewWriter(store, "ds", []agd.ColumnSpec{
-		{Name: agd.ColMetadata, Type: agd.TypeRaw},
-		{Name: agd.ColQual, Type: agd.TypeRaw},
-	}, agd.WriterOptions{ChunkSize: 250})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(60))
-	qual := make([]byte, 80)
-	for i := range qual {
-		qual[i] = 'I'
-	}
-	for i := 0; i < 4000; i++ {
-		if err := w.Append([]byte(fmt.Sprintf("read.%09d", rng.Intn(1<<30))), qual); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if _, err := w.Close(); err != nil {
-		b.Fatal(err)
-	}
-	ds, err := agd.Open(store, "ds")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, p := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", p), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := SortDataset(context.Background(), ds, Options{
-					By: ByMetadata, OutputName: "sorted", MergeShards: p,
-				}); err != nil {
-					b.Fatal(err)
-				}
 			}
 		})
 	}

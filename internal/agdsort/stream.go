@@ -10,16 +10,13 @@ import (
 	"persona/internal/agd"
 )
 
-// SortStream is the stream-in/stream-out form of Sort, used by composed
-// pipelines. The sort is a global barrier, so it cannot be fused record-to-
-// record: phase 1 drains the input stream, staging superchunk batches in
+// SortStream is the sort: stream in, stream out, under composed pipelines
+// and under Sort alike. It is a global barrier, so it cannot be fused record-
+// to-record: phase 1 drains the input stream, staging superchunk batches in
 // record arenas and spilling each sorted run to the store under
-// opts.TempPrefix (the same external-sort spill as the dataset path — the
-// paper's §4.3 sort always materializes runs). What the streamed form
-// avoids is everything else: the input is never written as a dataset, and
-// the merged output feeds the next stage chunk-by-chunk from the heap merge
-// instead of being stored and re-read. Spill blobs are deleted when the
-// output stream is drained or closed.
+// opts.TempPrefix (the paper's §4.3 sort always materializes runs); phase 2
+// feeds the next stage chunk-by-chunk from the heap merge of the runs. Spill
+// blobs are deleted when the output stream is drained or closed.
 func SortStream(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, opts Options) (*agd.GroupStream, error) {
 	keyCol := keyColumn(in.Meta.Columns, opts.By)
 	if keyCol < 0 {
@@ -34,18 +31,15 @@ func SortStream(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, o
 	if opts.TempPrefix == "" {
 		opts.TempPrefix = "agdsort.stream/tmp"
 	}
-	if opts.OutputChunkSize <= 0 {
-		// Prefer the source's chunking: after a selective filter the first
-		// group's size is an arbitrary kept-row count.
-		opts.OutputChunkSize = in.Meta.ChunkSize
-	}
+	// Output is chunked like the source: after a selective filter the first
+	// group's size is an arbitrary kept-row count, the fallback only.
+	chunkSize := in.Meta.ChunkSize
 
 	// Phase 1: drain the input, spilling one sorted superchunk per batch of
 	// ChunksPerSuperchunk groups. Staging is sequential (the stream is
 	// pull-based), but sorting and spilling a completed batch runs on
 	// background workers so the next batch stages while the previous one
-	// sorts — the same overlap the dataset path gets from its batch
-	// goroutines.
+	// sorts.
 	var (
 		superNames []string
 		batchCols  []*agd.RecordArena
@@ -104,8 +98,8 @@ func SortStream(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, o
 			g.Release()
 			return fail(fmt.Errorf("agdsort: group %d has %d columns, stream declares %d", g.Index, len(g.Chunks), numCols))
 		}
-		if opts.OutputChunkSize <= 0 {
-			opts.OutputChunkSize = g.NumRecords()
+		if chunkSize <= 0 {
+			chunkSize = g.NumRecords()
 		}
 		batchKeys, err = stageGroup(batchCols, batchKeys, g.Chunks, keyCol, opts.By, opts.ChunksPerSuperchunk)
 		if err != nil {
@@ -136,13 +130,12 @@ func SortStream(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, o
 	if total == 0 {
 		return fail(fmt.Errorf("agdsort: stream has no records"))
 	}
-	if opts.OutputChunkSize <= 0 {
-		opts.OutputChunkSize = agd.DefaultChunkSize
+	if chunkSize <= 0 {
+		chunkSize = agd.DefaultChunkSize
 	}
 
-	// Phase 2: heap-merge the spilled runs into an output stream. The
-	// merged rows are byte-identical, in the same order, as the dataset
-	// path's serial merge (which the parallel merge also matches).
+	// Phase 2: heap-merge the spilled runs into an output stream. The merge
+	// needs every run resident before it can emit a single row.
 	runs, mergedTotal, err := fetchRuns(ctx, store, superNames)
 	if err != nil {
 		return fail(err)
@@ -150,25 +143,17 @@ func SortStream(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, o
 	if mergedTotal != total {
 		return fail(fmt.Errorf("agdsort: spilled %d rows, staged %d", mergedTotal, total))
 	}
-	specs := agd.SpecsForColumns(in.Meta.Columns)
-	h := &mergeHeap{items: make([]*superIter, 0, len(runs))}
-	for i, c := range runs {
-		it := newSuperIter(c, numCols, keyCol, opts.By, i, 0, c.NumRecords())
-		ok, err := it.advance()
-		if err != nil {
-			return fail(err)
-		}
-		if ok {
-			h.push(it)
-		}
+	merger, err := NewRunMerger(runs, numCols, keyCol, opts.By)
+	if err != nil {
+		return fail(err)
 	}
-
+	specs := agd.SpecsForColumns(in.Meta.Columns)
 	ms := &mergeGroupStream{
 		store:     store,
 		names:     superNames,
-		h:         h,
+		merger:    merger,
 		specs:     specs,
-		chunkSize: opts.OutputChunkSize,
+		chunkSize: chunkSize,
 		total:     total,
 	}
 	if opts.Pipelining > 1 {
@@ -184,7 +169,7 @@ func SortStream(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, o
 		RefSeqs:    in.Meta.RefSeqs,
 		SortedBy:   opts.By.String(),
 		NumRecords: uint64(total),
-		ChunkSize:  opts.OutputChunkSize,
+		ChunkSize:  chunkSize,
 	}
 	// The stop hook sweeps the spill blobs even when a downstream stage
 	// dies mid-merge (an early Close never reaches the EOF-path cleanup),
@@ -205,7 +190,7 @@ func SortStream(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, o
 type mergeGroupStream struct {
 	store     agd.BlobStore
 	names     []string
-	h         *mergeHeap
+	merger    *RunMerger
 	fixed     *agd.BuilderSet
 	pool      *agd.BuilderPool
 	specs     []agd.ColumnSpec
@@ -246,16 +231,22 @@ func (ms *mergeGroupStream) next(ctx context.Context) (*agd.RowGroup, error) {
 	for i, spec := range ms.specs {
 		builders[i].Reset(spec.Type, uint64(ms.emitted))
 	}
-	err := ms.h.emit(rows, func(fields [][]byte) {
+	// Run rows hold every column in stored representation (bases stay
+	// compacted), so the merge moves bytes without re-encoding.
+	for r := 0; r < rows; r++ {
+		fields, ok, err := ms.merger.Next()
+		if err == nil && !ok {
+			err = fmt.Errorf("agdsort: merge ran out of rows")
+		}
+		if err != nil {
+			if ms.pool != nil {
+				ms.pool.Put(set)
+			}
+			return nil, err
+		}
 		for i, f := range fields {
 			builders[i].Append(f)
 		}
-	})
-	if err != nil {
-		if ms.pool != nil {
-			ms.pool.Put(set)
-		}
-		return nil, err
 	}
 	var release func()
 	if ms.pool != nil {

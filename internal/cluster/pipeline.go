@@ -505,7 +505,7 @@ func runReduceTask(ctx context.Context, store storage.Store, plan *PipelinePlan,
 		}
 	}
 
-	merger, err := agdsort.NewRunMerger(pieces, len(cols), keyCol, plan.By, nil)
+	merger, err := agdsort.NewRunMerger(pieces, len(cols), keyCol, plan.By)
 	if err != nil {
 		return "", err
 	}

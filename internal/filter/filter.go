@@ -1,17 +1,15 @@
 // Package filter implements dataset filtering, one of the pipeline stages
 // the paper names in its goal list (§1: "including (but not limited to)
 // read alignment, sorting, duplicate marking, filtering, and variant
-// calling"). A filter pass streams a dataset chunk by chunk (prefetching
-// blob fetches through agd.ChunkStream), keeps the rows matching a
-// predicate over their alignment results, and writes a new row-grouped
-// dataset. Predicates see zero-copy result views, so a pass performs no
-// per-record allocation.
+// calling"). A filter pass streams row groups (RunStream), keeping the rows
+// matching a predicate over their alignment results; Run is the one-stage
+// pipeline dataset → RunStream → dataset. Predicates see zero-copy result
+// views, so a pass performs no per-record allocation.
 package filter
 
 import (
 	"context"
 	"fmt"
-	"io"
 	"runtime"
 
 	"persona/internal/agd"
@@ -65,12 +63,8 @@ type Stats struct {
 // Options configures a filter pass.
 type Options struct {
 	// OutputName names the filtered dataset; default "<name>.filtered".
+	// Output chunks hold as many records as the input's.
 	OutputName string
-	// OutputChunkSize is records per output chunk; defaults to the input's.
-	OutputChunkSize int
-	// Prefetch is the chunk-fetch window (agd.ChunkStream); 0 selects
-	// agd.DefaultPrefetch.
-	Prefetch int
 }
 
 // Run filters a dataset into a new dataset, preserving all columns.
@@ -83,7 +77,10 @@ func Run(ctx context.Context, store agd.BlobStore, name string, pred Predicate, 
 	return RunDataset(ctx, ds, pred, opts)
 }
 
-// RunDataset is Run over an open dataset.
+// RunDataset is Run over an open dataset: its chunks stream through
+// RunStream into the dataset sink. Output groups come from one more builder
+// set than the sink has store workers, so a group the predicate kept whole is
+// stored in the background while the next is filtered.
 func RunDataset(ctx context.Context, ds *agd.Dataset, pred Predicate, opts Options) (*agd.Manifest, Stats, error) {
 	m := ds.Manifest
 	if !m.HasColumn(agd.ColResults) {
@@ -92,97 +89,26 @@ func RunDataset(ctx context.Context, ds *agd.Dataset, pred Predicate, opts Optio
 	if opts.OutputName == "" {
 		opts.OutputName = m.Name + ".filtered"
 	}
-	if opts.OutputChunkSize <= 0 {
-		if len(m.Chunks) > 0 {
-			opts.OutputChunkSize = int(m.Chunks[0].Records)
-		} else {
-			opts.OutputChunkSize = agd.DefaultChunkSize
-		}
-	}
-
-	// Locate the results column for predicate evaluation.
-	resCol := -1
-	cols := agd.SpecsForColumns(m.Columns)
-	for i, colName := range m.Columns {
-		if colName == agd.ColResults {
-			resCol = i
-		}
-	}
-
-	w, err := agd.NewWriter(ds.Store(), opts.OutputName, cols, agd.WriterOptions{
-		ChunkSize:     opts.OutputChunkSize,
-		RefSeqs:       m.RefSeqs,
-		SortedBy:      m.SortedBy, // filtering preserves order
-		ParallelFlush: runtime.NumCPU(),
+	in, err := ds.Groups(agd.StreamOptions{
+		Pool: agd.NewChunkPool(len(m.Columns) * (agd.DefaultPrefetch + 1)),
 	})
 	if err != nil {
 		return nil, Stats{}, err
 	}
-
-	window := opts.Prefetch
-	if window <= 0 {
-		window = agd.DefaultPrefetch
-	}
-	chunkPool := agd.NewChunkPool(len(m.Columns) * (window + 1))
-	stream, err := ds.Stream(agd.StreamOptions{Prefetch: opts.Prefetch, Pool: chunkPool})
+	flushers := runtime.NumCPU()
+	out, stats, err := RunStream(in, pred, flushers+1)
 	if err != nil {
+		in.Close()
 		return nil, Stats{}, err
 	}
-	defer stream.Close()
-
-	var stats Stats
-	fields := make([][]byte, len(m.Columns))
-	// One view for the whole run: pred is an indirect call, so the view it
-	// is handed lives on the heap, and one declared per record would be an
-	// allocation per record.
-	var res agd.ResultView
-	for {
-		sc, err := stream.Next(ctx)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, stats, err
-		}
-		chunks := sc.Chunks()
-		for r := 0; r < chunks[0].NumRecords(); r++ {
-			stats.In++
-			rec, err := chunks[resCol].Record(r)
-			if err != nil {
-				return nil, stats, err
-			}
-			if res, err = agd.DecodeResultView(rec); err != nil {
-				return nil, stats, err
-			}
-			if !pred(&res) {
-				continue
-			}
-			for col, c := range chunks {
-				f, err := c.Record(r)
-				if err != nil {
-					return nil, stats, err
-				}
-				fields[col] = f
-			}
-			// Records are already in stored representation (bases stay
-			// compacted), so the zero-copy append applies.
-			if err := w.AppendStored(fields...); err != nil {
-				return nil, stats, err
-			}
-			stats.Kept++
-		}
-		// AppendStored copied the kept rows into the writer's builders;
-		// recycle the streamed chunks.
-		sc.Release()
+	defer out.Close()
+	manifest, err := agd.WriteGroups(ctx, out, ds.Store(), opts.OutputName, agd.WriterOptions{ParallelFlush: flushers})
+	if err != nil && stats.Kept == 0 && stats.In == m.NumRecords() {
+		// Every record was seen and none kept: the sink's "stream has no
+		// records" has a better name here.
+		err = fmt.Errorf("filter: no records of %q match", m.Name)
 	}
-	if stats.Kept == 0 {
-		return nil, stats, fmt.Errorf("filter: no records of %q match", m.Name)
-	}
-	manifest, err := w.Close()
-	if err != nil {
-		return nil, stats, err
-	}
-	return manifest, stats, nil
+	return manifest, *stats, err
 }
 
 // RunStream is the stream-in/stream-out form of Run, used by composed
@@ -216,7 +142,9 @@ func RunStream(in *agd.GroupStream, pred Predicate, pipelining int) (*agd.GroupS
 	outIdx := 0
 	meta := in.Meta
 	meta.NumRecords = 0 // unknown until the predicate has run
-	// One view for the stream, not one a record: see RunDataset.
+	// One view for the stream: pred is an indirect call, so the view it is
+	// handed lives on the heap, and one declared per record would be an
+	// allocation per record.
 	var res agd.ResultView
 	next := func(ctx context.Context) (*agd.RowGroup, error) {
 		for {

@@ -15,10 +15,10 @@ type ImportOptions struct {
 	ChunkSize int
 	// RefSeqs, if known, is recorded in the manifest.
 	RefSeqs []agd.RefSeq
-	// Pipelining (ImportStream only) is how many parsed groups may be in
-	// flight at once. ≤ 1 keeps the serial pull contract (reused builders,
-	// each group valid until the next); > 1 draws builders from a bounded
-	// pool of that size so a pumped edge can queue groups.
+	// Pipelining (ImportStream only; Import sets it) is how many parsed
+	// groups may be in flight at once. ≤ 1 keeps the serial pull contract
+	// (reused builders, each group valid until the next); > 1 draws builders
+	// from a bounded pool of that size so a pumped edge can queue groups.
 	Pipelining int
 	// Shards (ImportStream only) rotates group shard affinity over that many
 	// executor shards, so downstream sharded submissions (align subchunks)
@@ -27,44 +27,18 @@ type ImportOptions struct {
 }
 
 // Import converts a FASTQ stream into an AGD dataset (the paper's import
-// utility, measured at 360 MB/s in §5.7). Scanned fields flow zero-copy
-// from the scanner's reused buffers into the writer's chunk builders, so
+// utility, measured at 360 MB/s in §5.7): ImportStream into the dataset sink.
+// Scanned fields flow zero-copy from the scanner's reused buffers into chunk
+// builders, one more set of them than the sink has store workers, so
+// completed chunks are compressed and stored while parsing continues and
 // steady-state import performs no per-read allocation. It returns the
 // manifest and the number of reads imported. Cancellation and deadline of
-// ctx are checked once per output chunk's worth of reads.
+// ctx are checked once per chunk.
 func Import(ctx context.Context, store agd.BlobStore, name string, src io.Reader, opts ImportOptions) (*agd.Manifest, uint64, error) {
-	w, err := agd.NewWriter(store, name, agd.StandardReadColumns(), agd.WriterOptions{
-		ChunkSize: opts.ChunkSize,
-		RefSeqs:   opts.RefSeqs,
-		// Compress completed chunks on all cores while parsing continues;
-		// the overlap is what lets the paper's importer hit 360 MB/s.
-		ParallelFlush: runtime.NumCPU(),
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	chunkSize := uint64(opts.ChunkSize)
-	if chunkSize == 0 {
-		chunkSize = agd.DefaultChunkSize
-	}
-	sc := NewScanner(src)
-	var n uint64
-	for sc.Scan() {
-		if n%chunkSize == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, n, err
-			}
-		}
-		n++
-		meta, bases, quals := sc.View()
-		if err := w.Append(bases, quals, meta); err != nil {
-			return nil, 0, err
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, 0, err
-	}
-	m, err := w.Close()
+	flushers := runtime.NumCPU()
+	in := ImportStream(src, ImportOptions{ChunkSize: opts.ChunkSize, RefSeqs: opts.RefSeqs, Pipelining: flushers + 1})
+	defer in.Close()
+	m, err := agd.WriteGroups(ctx, in, store, name, agd.WriterOptions{ParallelFlush: flushers})
 	if err != nil {
 		return nil, 0, err
 	}

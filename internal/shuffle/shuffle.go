@@ -28,8 +28,9 @@ import (
 	"persona/internal/agdsort"
 )
 
-// SampleCount is how many rows each run contributes to splitter selection —
-// the same equi-depth sampling density the in-process parallel merge uses.
+// SampleCount is how many rows each run contributes to splitter selection:
+// the runs are sorted, so evenly spaced rows are an equi-depth histogram of a
+// run's key range.
 const SampleCount = 64
 
 // Sample is one sampled run row on the wire (agdsort.RunSample's JSON
@@ -122,15 +123,14 @@ func HaloBlob(prefix string, k, b int) string {
 }
 
 // PartChunkPath names output chunk i of partition k under an output
-// dataset prefix — the per-partition analogue of agd.ChunkEntryPath,
-// stitched into one manifest afterwards.
+// dataset prefix — the per-partition analogue of a dataset's
+// "<name>/chunk-NNNNNN", stitched into one manifest afterwards.
 func PartChunkPath(out string, k, i int) string {
 	return fmt.Sprintf("%s/part%d/chunk-%06d", out, k, i)
 }
 
-// SelectCuts pools every run's samples and picks p-1 equi-depth splitters,
-// the same quantile rule the in-process parallel merge applies to its own
-// sampling (duplicate splitters are possible on skewed keys and yield empty
+// SelectCuts pools every run's samples and picks p-1 equi-depth splitters
+// (duplicate splitters are possible on skewed keys and yield empty
 // partitions — harmless). Halo is sized from the summaries' maximum
 // signature span: a row whose signature collides with a row at or above a
 // cut must itself lie within 2·maxSpan of the cut, so 2·maxSpan+1 covers
