@@ -1,7 +1,7 @@
 // Benchmarks mirroring the paper's evaluation: one bench per table/figure
 // (wrapping internal/experiments, which persona-bench also uses) plus
 // microbenchmarks of the core kernels. Absolute numbers are machine-local;
-// EXPERIMENTS.md records paper-vs-measured shapes.
+// PERF.md records the reference runs.
 package persona_test
 
 import (
@@ -663,7 +663,7 @@ func BenchmarkKernel_BAMWriteView(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §6 design choices) ---
+// --- Ablations (the paper's §6 design choices) ---
 
 func BenchmarkAblation_ChunkSize(b *testing.B) {
 	sc := benchScale()

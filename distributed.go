@@ -7,9 +7,6 @@ import (
 	"persona/internal/agd"
 	"persona/internal/align/snap"
 	"persona/internal/cluster"
-	"persona/internal/formats/bam"
-	"persona/internal/formats/fastq"
-	"persona/internal/formats/sam"
 )
 
 // Distributed asks Run to execute the pipeline across nodes in-process
@@ -155,7 +152,7 @@ func (p *Pipeline) runDistributed(ctx context.Context) (*PipelineReport, error) 
 	default:
 		// Export sinks: stream the stitched dataset out, then sweep the
 		// whole run namespace (output chunks and manifest included).
-		n, err := p.exportDistributed(ctx, res.Manifest, sink)
+		n, err := p.exportDistributed(ctx, res.Manifest, report)
 		if err != nil {
 			return nil, err
 		}
@@ -184,8 +181,8 @@ func (p *Pipeline) runDistributed(ctx context.Context) (*PipelineReport, error) 
 }
 
 // exportDistributed streams the distributed run's stitched output dataset
-// into an export sink.
-func (p *Pipeline) exportDistributed(ctx context.Context, m *agd.Manifest, sink *pipeStage) (uint64, error) {
+// into the pipeline's export sink.
+func (p *Pipeline) exportDistributed(ctx context.Context, m *agd.Manifest, report *PipelineReport) (uint64, error) {
 	sess := p.sess
 	ds := agd.OpenManifest(sess.store, m)
 	// No session cache here: the dataset is a staging area about to be
@@ -198,13 +195,5 @@ func (p *Pipeline) exportDistributed(ctx context.Context, m *agd.Manifest, sink 
 		return 0, err
 	}
 	defer gs.Close()
-	switch sink.kind {
-	case stageExportSAM:
-		return sam.ExportStream(ctx, gs, sink.dst)
-	case stageExportBAM:
-		return bam.ExportStream(ctx, gs, sink.dst)
-	case stageExportFASTQ:
-		return fastq.ExportStream(ctx, gs, sink.dst)
-	}
-	return 0, fmt.Errorf("persona: %s is not an export sink", sink.kind)
+	return p.runSink(ctx, gs, report)
 }

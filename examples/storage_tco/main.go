@@ -6,8 +6,8 @@
 package main
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"strings"

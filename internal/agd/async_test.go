@@ -8,8 +8,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"persona/internal/dataflow"
 )
 
 func TestFutureResolveAndWait(t *testing.T) {
@@ -233,11 +231,8 @@ func TestChunkStreamColumnSubsetAndRange(t *testing.T) {
 func TestChunkStreamPoolRecycles(t *testing.T) {
 	ds, want := streamTestDataset(t, NewMemStore(), 60, 6) // 10 chunks
 	cols := len(ds.Manifest.Columns)
-	pool := dataflow.NewItemPool(cols+1, // barely enough for one chunk in hand
-		func() *Chunk { return new(Chunk) },
-		func(c *Chunk) *Chunk { c.Reset(); return c },
-	)
-	stream, err := ds.Stream(StreamOptions{Prefetch: 4, Pool: pool})
+	pool := NewShardedChunkPool(1, cols+1) // barely enough for one chunk in hand
+	stream, err := ds.Stream(StreamOptions{Prefetch: 4, ShardedPool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}

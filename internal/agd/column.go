@@ -65,9 +65,9 @@ func WriteColumn(ctx context.Context, in *GroupStream, store BlobStore, m *Manif
 	}
 
 	pumps := dataflow.NewPumps(ctx)
-	edge := PumpEdge(pumps, "column-source", in, columnWriters)
+	edge := PumpEdge(pumps, in, columnWriters)
 	for w := 0; w < columnWriters; w++ {
-		pumps.Go(dataflow.Pump{Name: "column-writer"}, func(context.Context) error {
+		pumps.Go(func(context.Context) error {
 			for {
 				g, err := edge.Pop()
 				if err == io.EOF {

@@ -288,12 +288,12 @@ func RunPump(ctx context.Context, src *GroupStream, edge *BoundedEdge) (time.Dur
 // select on a context, so the edge is failed when the set's context ends —
 // the caller cancelled, a sibling pump failed, or Wait returned — which wakes
 // both of its sides.
-func PumpEdge(pumps *dataflow.Pumps, name string, src *GroupStream, depth int) *BoundedEdge {
+func PumpEdge(pumps *dataflow.Pumps, src *GroupStream, depth int) *BoundedEdge {
 	edge := NewBoundedEdge(depth)
 	context.AfterFunc(pumps.Context(), func() {
 		edge.Fail(context.Cause(pumps.Context()))
 	})
-	pumps.Go(dataflow.Pump{Name: name}, func(ctx context.Context) error {
+	pumps.Go(func(ctx context.Context) error {
 		_, err := RunPump(ctx, src, edge)
 		return err
 	})

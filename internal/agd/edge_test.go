@@ -236,7 +236,7 @@ func TestRunPumpDetachesUnowned(t *testing.T) {
 		return g, nil
 	}
 	src := NewGroupStream(StreamMeta{Columns: []string{"c"}}, next, nil) // Owned=false
-	e := NewBoundedEdge(groups)                                         // deep enough that every group queues
+	e := NewBoundedEdge(groups)                                          // deep enough that every group queues
 	if _, err := RunPump(context.Background(), src, e); err != nil {
 		t.Fatal(err)
 	}

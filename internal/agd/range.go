@@ -203,43 +203,6 @@ func parseChunkMeta(hdr []byte) (ChunkMeta, error) {
 	return m, nil
 }
 
-// ReadChunkIndex fetches a chunk's record-length index (the relative index)
-// without its data block: the header and index ranges are exactly adjacent,
-// so on DirStore this is one vectored read of header+index — tens of bytes
-// plus the index versus the whole (data-dominated) blob.
-func ReadChunkIndex(store BlobStore, name string) (ChunkMeta, []uint32, error) {
-	rs := RangeOf(store)
-	hdr, err := rs.GetRange(name, 0, chunkHeaderSize)
-	if err != nil {
-		return ChunkMeta{}, nil, err
-	}
-	m, err := parseChunkMeta(hdr)
-	if err != nil {
-		return ChunkMeta{}, nil, err
-	}
-	bufs, err := rs.GetRanges(name, []ByteRange{
-		{Off: 0, Len: chunkHeaderSize},
-		{Off: chunkHeaderSize, Len: int(m.IndexSize)},
-	})
-	if err != nil {
-		return ChunkMeta{}, nil, err
-	}
-	idx := bufs[1]
-	lengths := make([]uint32, 0, m.Records)
-	for len(lengths) < int(m.Records) {
-		l, n := binary.Uvarint(idx)
-		if n <= 0 || l > uint64(^uint32(0)) {
-			return ChunkMeta{}, nil, fmt.Errorf("%w: bad index varint", ErrCorrupt)
-		}
-		idx = idx[n:]
-		lengths = append(lengths, uint32(l))
-	}
-	if len(idx) != 0 {
-		return ChunkMeta{}, nil, fmt.Errorf("%w: index has %d trailing bytes", ErrCorrupt, len(idx))
-	}
-	return m, lengths, nil
-}
-
 var (
 	_ RangeBlobStore = (*MemStore)(nil)
 	_ RangeBlobStore = (*DirStore)(nil)

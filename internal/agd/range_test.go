@@ -2,6 +2,7 @@ package agd
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -142,9 +143,24 @@ func TestReadChunkMetaAndIndex(t *testing.T) {
 				}
 				// The header+index pair (the two-iovec vectored read) must
 				// agree with a full decode.
-				_, lengths, err := ReadChunkIndex(store, name)
+				bufs, err := RangeOf(store).GetRanges(name, []ByteRange{
+					{Off: 0, Len: chunkHeaderSize},
+					{Off: chunkHeaderSize, Len: int(meta.IndexSize)},
+				})
 				if err != nil {
 					t.Fatal(err)
+				}
+				if again, err := parseChunkMeta(bufs[0]); err != nil || again != meta {
+					t.Fatalf("chunk %d: vectored header %+v (%v), want %+v", i, again, err, meta)
+				}
+				var lengths []uint32
+				for idx := bufs[1]; len(idx) > 0; {
+					l, n := binary.Uvarint(idx)
+					if n <= 0 {
+						t.Fatalf("chunk %d: bad index varint", i)
+					}
+					lengths = append(lengths, uint32(l))
+					idx = idx[n:]
 				}
 				blob, _ := store.Get(name)
 				full, err := DecodeChunk(blob)

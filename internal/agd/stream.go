@@ -23,23 +23,20 @@ type StreamOptions struct {
 	// Start and End bound the chunk range [Start, End); End <= 0 means the
 	// end of the dataset.
 	Start, End int
-	// Pool, when non-nil, supplies the decoded chunk objects: Next checks
-	// chunks out of it and StreamChunk.Release returns them, so a bounded
-	// pool gives the stream the same back-pressure as the pipeline queues.
-	// When nil, chunks are freshly allocated and Release is a no-op.
-	Pool *dataflow.ItemPool[*Chunk]
-	// ShardedPool is Pool with per-executor-shard free lists
-	// (NewShardedChunkPool): chunk i checks its objects out of shard
-	// i % Shards()'s list and Release returns them there, so a chunk's
-	// buffers stay with the shard that aligns it. Takes precedence over
-	// Pool. The same shard is handed to the codec (Codec.WithShard), so a
-	// multi-member decode runs on the chunk's own shard too.
+	// ShardedPool, when non-nil, supplies the decoded chunk objects
+	// (NewShardedChunkPool): Next checks chunks out of it and
+	// StreamChunk.Release returns them, so a bounded pool gives the stream
+	// the same back-pressure as the pipeline queues. Chunk i uses shard
+	// i % Shards()'s free list, so a chunk's buffers stay with the shard that
+	// aligns it; the same shard is handed to the codec (Codec.WithShard), so
+	// a multi-member decode runs there too. When nil, chunks are freshly
+	// allocated and Release is a no-op.
 	ShardedPool *dataflow.ShardedItemPool[*Chunk]
 	// Cache, when non-nil, makes the stream read through the shared decoded
 	// chunk cache: hits skip the fetch, CRC verify and decode entirely;
 	// misses become singleflight fills this stream owns. Cached chunks are
 	// always freshly allocated and pinned until Release — the stream never
-	// checks them out of Pool/ShardedPool (the pools still provide shard
+	// checks them out of ShardedPool (the pool still provides shard
 	// affinity hints, but no chunk object can be both cached and pooled).
 	Cache *ChunkCache
 	// Codec decodes the fetched blobs; the zero value is the package
@@ -78,7 +75,6 @@ type ChunkStream struct {
 	as    AsyncBlobStore
 	cols  []string
 	codec Codec
-	pool  *dataflow.ItemPool[*Chunk]
 	spool *dataflow.ShardedItemPool[*Chunk]
 	cache *ChunkCache
 
@@ -141,11 +137,8 @@ func (sc *StreamChunk) Release() {
 			// fallbacks) are standalone allocations; never pool them.
 			continue
 		}
-		switch {
-		case s.spool != nil:
+		if s.spool != nil {
 			s.spool.Put(sc.Index%s.spool.Shards(), c)
-		case s.pool != nil:
-			s.pool.Put(c)
 		}
 	}
 	sc.chunks = nil
@@ -163,20 +156,13 @@ func (sc *StreamChunk) Shard() int {
 	return 0
 }
 
-// NewChunkPool returns a bounded pool of decoded chunks for stream
-// consumers (StreamOptions.Pool): size chunks, Reset applied on recycle.
-// Size it to columns × (prefetch window + 1) so the stream's fetches never
-// starve while the consumer holds one delivered row group.
-func NewChunkPool(size int) *dataflow.ItemPool[*Chunk] {
-	return dataflow.NewItemPool(size,
-		func() *Chunk { return new(Chunk) },
-		func(c *Chunk) *Chunk { c.Reset(); return c },
-	)
-}
-
-// NewShardedChunkPool is NewChunkPool with one free list per executor
-// shard (StreamOptions.ShardedPool): chunks decoded for shard S recycle on
-// shard S, keeping their backing arrays in that core's cache.
+// NewShardedChunkPool returns a bounded pool of decoded chunks for stream
+// consumers (StreamOptions.ShardedPool): size chunks, Reset applied on
+// recycle, one free list per executor shard — chunks decoded for shard S
+// recycle on shard S, keeping their backing arrays in that core's cache; a
+// consumer with no executor affinity asks for one shard. Size it to columns
+// × (prefetch window + 1) so the stream's fetches never starve while the
+// consumer holds one delivered row group.
 func NewShardedChunkPool(shards, size int) *dataflow.ShardedItemPool[*Chunk] {
 	return dataflow.NewShardedItemPool(shards, size,
 		func() *Chunk { return new(Chunk) },
@@ -214,7 +200,6 @@ func (d *Dataset) Stream(opts StreamOptions) (*ChunkStream, error) {
 		as:     AsyncOf(d.store),
 		cols:   cols,
 		codec:  opts.Codec,
-		pool:   opts.Pool,
 		spool:  opts.ShardedPool,
 		cache:  opts.Cache,
 		window: window,
@@ -303,13 +288,8 @@ func (s *ChunkStream) Next(ctx context.Context) (*StreamChunk, error) {
 				s.cache.Unpin(sl.ent)
 				continue
 			}
-			if c := chunks[k]; c != nil && s.cache == nil {
-				switch {
-				case s.spool != nil:
-					s.spool.Put(shard, c)
-				case s.pool != nil:
-					s.pool.Put(c)
-				}
+			if c := chunks[k]; c != nil && s.cache == nil && s.spool != nil {
+				s.spool.Put(shard, c)
 			}
 		}
 		return nil, err
@@ -361,8 +341,7 @@ func (s *ChunkStream) Next(ctx context.Context) (*StreamChunk, error) {
 			continue
 		}
 		var c *Chunk
-		switch {
-		case s.spool != nil:
+		if s.spool != nil {
 			if c, err = s.spool.Get(ctx, shard); err != nil {
 				return fail(err)
 			}
@@ -371,13 +350,7 @@ func (s *ChunkStream) Next(ctx context.Context) (*StreamChunk, error) {
 			// bounded pool.
 			chunks[k] = c
 			err = codec.DecodeInto(c, blob)
-		case s.pool != nil:
-			if c, err = s.pool.Get(ctx); err != nil {
-				return fail(err)
-			}
-			chunks[k] = c
-			err = codec.DecodeInto(c, blob)
-		default:
+		} else {
 			c, err = codec.Decode(blob)
 		}
 		if err != nil {

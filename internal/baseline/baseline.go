@@ -7,8 +7,7 @@
 // These exist so the evaluation harness can measure Persona against the
 // same algorithmic structure the original tools have: whole-row parsing,
 // monolithic row-oriented files, and (for Picard) single-threaded
-// per-record object churn. See DESIGN.md §3 on why reimplementation
-// preserves the comparison's shape.
+// per-record object churn.
 package baseline
 
 import (

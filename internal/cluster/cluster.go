@@ -369,7 +369,7 @@ func alignNode(ctx context.Context, w *worker, ds *agd.Dataset, idx *snap.Index)
 	leases.Owned = true // pooled chunks, valid until Release
 
 	pumps := dataflow.NewPumps(ctx)
-	ahead := agd.PumpEdge(pumps, "lease", leases, cfg.Prefetch)
+	ahead := agd.PumpEdge(pumps, leases, cfg.Prefetch)
 	out, rep, err := core.AlignStream(core.AlignConfig{
 		Index:      idx,
 		Aligner:    cfg.Aligner,

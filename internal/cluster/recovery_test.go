@@ -57,11 +57,41 @@ func TestAlignSurvivesWorkerDeath(t *testing.T) {
 
 	store := agd.NewMemStore()
 	f2 := testutil.Build(t, store, "ds", recoveryFixture)
-	report, m, err := Align(context.Background(), store, "ds", f2.Index, Config{
+	cfg := Config{
 		Nodes: 2, ThreadsPerNode: 2, Prefetch: 2,
 		Lease: fastDetect.LeaseTimeout, HeartbeatTimeout: fastDetect.BeatTimeout, MaxChunkAttempts: fastDetect.MaxAttempts,
 		NodeFaults: map[int]int{0: 1}, // node 0 dies after one chunk
+	}
+	cfg.applyDefaults()
+	ds, err := agd.Open(store, "ds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewPhaseServer([]int{len(ds.Manifest.Chunks)}, nil, cfg.serverOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	// Node 0 dies at its second lease, and greedy leasing could deal node 1
+	// every chunk before node 0 asks twice: Align's own node loop runs here
+	// with node 1 held back until node 0 is dead, so the fault always fires.
+	dead0 := make(chan struct{})
+	report, err := runNodes(context.Background(), srv, &cfg, func(ctx context.Context, w *worker) error {
+		if w.node == 0 {
+			defer close(dead0)
+		} else {
+			select {
+			case <-dead0:
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		}
+		return alignNode(ctx, w, ds, f2.Index)
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := agd.RegisterColumn(store, ds.Manifest, agd.ColResults)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,9 +59,8 @@ type Executor struct {
 	closeMu sync.RWMutex
 	closed  bool
 
-	rr     atomic.Uint32 // round-robin cursor for affinity-free Submit
-	pumpRR atomic.Uint32 // round-robin cursor for pump home shards (NextShard)
-	clock  func() int64  // monotonic-ish nanosecond clock, swappable for tests
+	rr    atomic.Uint32 // round-robin cursor for affinity-free Submit
+	clock func() int64  // monotonic-ish nanosecond clock, swappable for tests
 }
 
 // shard is one worker's slice of the executor: a bounded ring-buffer deque
@@ -302,14 +301,6 @@ func (e *Executor) Workers() int { return len(e.shards) }
 // NumShards returns the number of shards (equal to Workers; each worker owns
 // one shard's deque and free-list affinity).
 func (e *Executor) NumShards() int { return len(e.shards) }
-
-// NextShard hands out round-robin home shards, one per call: a pipeline
-// assigns each pump a home so pump-affine submissions (SubmitSharded with
-// the pump's home) spread stage-internal tasks across the shards instead of
-// piling every pump's work onto shard 0.
-func (e *Executor) NextShard() int {
-	return int(e.pumpRR.Add(1)-1) % len(e.shards)
-}
 
 // tryPush attempts one push under the close read-lock, so it can never
 // land a task in a deque the workers have already finished draining.

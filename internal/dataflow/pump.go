@@ -15,16 +15,6 @@ import (
 // outright). The Go scheduler parks blocked pumps for free; the sharded
 // executor keeps doing what it is good at — running short CPU-bound tasks.
 
-// Pump identifies one stage-driving goroutine. Home is the executor shard
-// the pump's fine-grain submissions should prefer (from Executor.NextShard),
-// so concurrent stages spread across shards instead of contending for one.
-type Pump struct {
-	// Name labels the pump in reports ("align", "sort", ...).
-	Name string
-	// Home is the pump's preferred executor shard.
-	Home int
-}
-
 // Pumps runs a set of pumps over one shared derived context. The first pump
 // failure cancels the context so every sibling unwinds; Wait blocks until
 // all pumps have exited and returns that first failure. The zero value is
@@ -54,7 +44,7 @@ func (p *Pumps) Context() context.Context { return p.ctx }
 // Go starts one pump. fn receives the shared context; returning a non-nil
 // error records it (first failure wins) and cancels the siblings. Clean
 // EOF-driven exits return nil.
-func (p *Pumps) Go(pump Pump, fn func(ctx context.Context) error) {
+func (p *Pumps) Go(fn func(ctx context.Context) error) {
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()

@@ -17,7 +17,7 @@ import (
 func TestPumpsCleanRun(t *testing.T) {
 	p := NewPumps(context.Background())
 	for i := 0; i < 3; i++ {
-		p.Go(Pump{Name: "ok"}, func(ctx context.Context) error { return nil })
+		p.Go(func(ctx context.Context) error { return nil })
 	}
 	if err := p.Wait(); err != nil {
 		t.Fatalf("clean run reported %v", err)
@@ -33,12 +33,12 @@ func TestPumpsFirstErrorCancelsSiblings(t *testing.T) {
 	boom := errors.New("boom")
 	p := NewPumps(context.Background())
 	unwound := make(chan struct{})
-	p.Go(Pump{Name: "blocked"}, func(ctx context.Context) error {
+	p.Go(func(ctx context.Context) error {
 		<-ctx.Done()
 		close(unwound)
 		return nil
 	})
-	p.Go(Pump{Name: "failing"}, func(ctx context.Context) error { return boom })
+	p.Go(func(ctx context.Context) error { return boom })
 	select {
 	case <-unwound:
 	case <-time.After(2 * time.Second):
@@ -55,11 +55,11 @@ func TestPumpsFirstErrorCancelsSiblings(t *testing.T) {
 func TestPumpsRealErrorDisplacesCancellation(t *testing.T) {
 	boom := errors.New("root cause")
 	p := NewPumps(context.Background())
-	p.Go(Pump{Name: "late-root-cause"}, func(ctx context.Context) error {
+	p.Go(func(ctx context.Context) error {
 		<-ctx.Done() // woken by the sibling's cancellation, then reports the real error
 		return boom
 	})
-	p.Go(Pump{Name: "cancelled-first"}, func(ctx context.Context) error {
+	p.Go(func(ctx context.Context) error {
 		return context.Canceled
 	})
 	if err := p.Wait(); err != boom {
@@ -69,8 +69,8 @@ func TestPumpsRealErrorDisplacesCancellation(t *testing.T) {
 	// The reverse never happens: a real error already recorded is not
 	// displaced by a later cancellation.
 	q := NewPumps(context.Background())
-	q.Go(Pump{Name: "fails"}, func(ctx context.Context) error { return boom })
-	q.Go(Pump{Name: "cancels"}, func(ctx context.Context) error {
+	q.Go(func(ctx context.Context) error { return boom })
+	q.Go(func(ctx context.Context) error {
 		<-ctx.Done()
 		return context.Canceled
 	})
@@ -84,7 +84,7 @@ func TestPumpsRealErrorDisplacesCancellation(t *testing.T) {
 func TestPumpsExternalFail(t *testing.T) {
 	boom := errors.New("sink failed")
 	p := NewPumps(context.Background())
-	p.Go(Pump{Name: "blocked"}, func(ctx context.Context) error {
+	p.Go(func(ctx context.Context) error {
 		<-ctx.Done()
 		return nil
 	})
@@ -104,7 +104,7 @@ func TestPumpsExternalFail(t *testing.T) {
 func TestPumpsParentCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	p := NewPumps(ctx)
-	p.Go(Pump{Name: "blocked"}, func(ctx context.Context) error {
+	p.Go(func(ctx context.Context) error {
 		<-ctx.Done()
 		return ctx.Err()
 	})
@@ -117,7 +117,7 @@ func TestPumpsParentCancellation(t *testing.T) {
 	// Submit it abandoned — still reports the context's error.
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	q := NewPumps(ctx2)
-	q.Go(Pump{Name: "in-a-pool-get"}, func(ctx context.Context) error {
+	q.Go(func(ctx context.Context) error {
 		<-ctx.Done()
 		return fmt.Errorf("stage: %w", ErrStopped)
 	})

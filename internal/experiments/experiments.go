@@ -4,12 +4,12 @@
 // internal/perfmodel) and, where the experiment is measurable on a small
 // machine, real measurements over synthetic workloads. The persona-bench
 // command and the repository's testing.B benchmarks are thin wrappers
-// around this package; EXPERIMENTS.md records representative output.
+// around this package.
 package experiments
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"strings"

@@ -90,7 +90,7 @@ func RunDataset(ctx context.Context, ds *agd.Dataset, pred Predicate, opts Optio
 		opts.OutputName = m.Name + ".filtered"
 	}
 	in, err := ds.Groups(agd.StreamOptions{
-		Pool: agd.NewChunkPool(len(m.Columns) * (agd.DefaultPrefetch + 1)),
+		ShardedPool: agd.NewShardedChunkPool(1, len(m.Columns)*(agd.DefaultPrefetch+1)),
 	})
 	if err != nil {
 		return nil, Stats{}, err

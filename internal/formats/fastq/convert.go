@@ -141,10 +141,10 @@ func ImportStream(src io.Reader, opts ImportOptions) *agd.GroupStream {
 // per-read allocation. Cancellation and deadline of ctx are checked per
 // chunk.
 func Export(ctx context.Context, ds *agd.Dataset, dst io.Writer) (uint64, error) {
-	chunkPool := agd.NewChunkPool(3 * (agd.DefaultPrefetch + 1))
+	chunkPool := agd.NewShardedChunkPool(1, 3*(agd.DefaultPrefetch+1))
 	in, err := ds.Groups(agd.StreamOptions{
-		Columns: []string{agd.ColBases, agd.ColQual, agd.ColMetadata},
-		Pool:    chunkPool,
+		Columns:     []string{agd.ColBases, agd.ColQual, agd.ColMetadata},
+		ShardedPool: chunkPool,
 	})
 	if err != nil {
 		return 0, err

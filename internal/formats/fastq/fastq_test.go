@@ -1,9 +1,9 @@
 package fastq
 
 import (
-	"context"
 	"bytes"
 	"compress/gzip"
+	"context"
 	"strings"
 	"testing"
 

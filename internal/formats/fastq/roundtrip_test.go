@@ -1,8 +1,8 @@
 package fastq_test
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 

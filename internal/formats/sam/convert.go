@@ -89,8 +89,8 @@ func exportGroups(ds *agd.Dataset) (*agd.GroupStream, error) {
 	if !ds.Manifest.HasColumn(agd.ColResults) {
 		return nil, fmt.Errorf("sam: dataset %q has no results column", ds.Manifest.Name)
 	}
-	chunkPool := agd.NewChunkPool(len(exportColumns) * (agd.DefaultPrefetch + 1))
-	return ds.Groups(agd.StreamOptions{Columns: exportColumns, Pool: chunkPool})
+	chunkPool := agd.NewShardedChunkPool(1, len(exportColumns)*(agd.DefaultPrefetch+1))
+	return ds.Groups(agd.StreamOptions{Columns: exportColumns, ShardedPool: chunkPool})
 }
 
 // StreamRecords streams every record of an aligned dataset in SAM

@@ -1,8 +1,8 @@
 package sam
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 

@@ -1,8 +1,8 @@
 package sam_test
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 

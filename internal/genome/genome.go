@@ -6,7 +6,7 @@
 // tests use synthetic genomes drawn from a seeded PRNG with hg19-like
 // properties (multiple contigs, ~41% GC, occasional N runs and repeated
 // segments so aligners see both unique and ambiguous seeds). All code paths
-// are sequence-agnostic; see DESIGN.md §3 for the substitution argument.
+// are sequence-agnostic.
 package genome
 
 import (

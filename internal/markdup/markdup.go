@@ -74,9 +74,9 @@ func MarkDatasetOptions(ctx context.Context, ds *agd.Dataset, opts Options) (Sta
 	// hold, plus the one being marked.
 	window := agd.ColumnWindow + 1
 	in, err := ds.Groups(agd.StreamOptions{
-		Columns:  []string{agd.ColResults},
-		Prefetch: opts.Prefetch,
-		Pool:     agd.NewChunkPool(window),
+		Columns:     []string{agd.ColResults},
+		Prefetch:    opts.Prefetch,
+		ShardedPool: agd.NewShardedChunkPool(1, window),
 	})
 	if err != nil {
 		return Stats{}, err
@@ -90,33 +90,21 @@ func MarkDatasetOptions(ctx context.Context, ds *agd.Dataset, opts Options) (Sta
 	return *stats, err
 }
 
-// markChunk re-encodes one results chunk into builder with duplicate flags
-// set, updating seen and stats. The CIGAR scratch is returned for reuse —
-// the shared sequential mark pass under both the dataset and stream forms.
-func markChunk(chunk *agd.Chunk, builder *agd.ChunkBuilder, seen map[signature]struct{}, stats *Stats, cigar align.Cigar) (align.Cigar, error) {
+// markChunk re-encodes one results chunk into builder with the duplicate
+// flags mk's pass over its rows sets.
+func markChunk(chunk *agd.Chunk, builder *agd.ChunkBuilder, mk *Marker) error {
 	builder.Reset(agd.TypeResults, chunk.FirstOrdinal)
 	for r := 0; r < chunk.NumRecords(); r++ {
 		v, err := chunk.DecodeResultViewRecord(r)
 		if err != nil {
-			return cigar, err
+			return err
 		}
-		stats.Reads++
-		if !v.IsUnmapped() {
-			var sig signature
-			sig, cigar, err = signatureOf(&v, cigar)
-			if err != nil {
-				return cigar, err
-			}
-			if _, dup := seen[sig]; dup {
-				v.Flags |= agd.FlagDuplicate
-				stats.Duplicates++
-			} else {
-				seen[sig] = struct{}{}
-			}
+		if err := mk.MarkView(&v); err != nil {
+			return err
 		}
 		builder.AppendResultView(&v)
 	}
-	return cigar, nil
+	return nil
 }
 
 // MarkStream is the stream-in/stream-out form of Mark, used by composed
@@ -137,8 +125,7 @@ func MarkStream(in *agd.GroupStream, pipelining int) (*agd.GroupStream, *Stats, 
 	if resCol < 0 {
 		return nil, nil, fmt.Errorf("markdup: stream has no results column")
 	}
-	stats := &Stats{}
-	seen := make(map[signature]struct{}, in.Meta.NumRecords)
+	mk := NewMarker(int(in.Meta.NumRecords))
 	var pool *agd.BuilderPool
 	var builder *agd.ChunkBuilder
 	if pipelining > 1 {
@@ -146,7 +133,6 @@ func MarkStream(in *agd.GroupStream, pipelining int) (*agd.GroupStream, *Stats, 
 	} else {
 		builder = agd.NewChunkBuilder(agd.TypeResults, 0)
 	}
-	var cigar align.Cigar
 	next := func(ctx context.Context) (*agd.RowGroup, error) {
 		g, err := in.Next(ctx)
 		if err != nil {
@@ -161,8 +147,7 @@ func MarkStream(in *agd.GroupStream, pipelining int) (*agd.GroupStream, *Stats, 
 			}
 			b = set.Builders[0]
 		}
-		cigar, err = markChunk(g.Chunks[resCol], b, seen, stats, cigar)
-		if err != nil {
+		if err := markChunk(g.Chunks[resCol], b, mk); err != nil {
 			if set != nil {
 				pool.Put(set)
 			}
@@ -183,15 +168,15 @@ func MarkStream(in *agd.GroupStream, pipelining int) (*agd.GroupStream, *Stats, 
 	}
 	out := agd.NewGroupStream(in.Meta, next, in.Close)
 	out.Owned = pool != nil && in.Owned
-	return out, stats, nil
+	return out, &mk.Stats, nil
 }
 
 // Marker is the row-at-a-time, seedable form of the marking pass, used by
 // the distributed pipeline's per-partition reduce: partitions after the
 // first pre-load their signature set from a halo of earlier rows (Observe),
 // then mark their own range in order (MarkView) — first-wins marking means
-// seeding is membership-only, so halo order does not matter. One Marker is
-// single-goroutine state, exactly like the sequential map in Mark.
+// seeding is membership-only, so halo order does not matter. MarkStream runs
+// one over the whole stream. One Marker is single-goroutine state.
 type Marker struct {
 	// Stats accumulates over MarkView calls; Observe does not count.
 	Stats Stats
@@ -227,8 +212,7 @@ func (mk *Marker) Observe(rec []byte) error {
 }
 
 // MarkView marks one decoded result in place: the first row of each
-// signature inserts it, every later one gains FlagDuplicate — the same rule
-// markChunk applies, over a caller-decoded view.
+// signature inserts it, every later one gains FlagDuplicate.
 func (mk *Marker) MarkView(v *agd.ResultView) error {
 	mk.Stats.Reads++
 	if v.IsUnmapped() {

@@ -2,7 +2,7 @@
 // microarchitectural breakdown of the two aligners compared against SPEC
 // reference points.
 //
-// Substitution note (DESIGN.md §3): the paper uses Intel VTune on real
+// Substitution note: the paper uses Intel VTune on real
 // Xeons. Hardware PMU access is unavailable here, so the breakdown is
 // computed from the aligners' instrumented operation mixes: the SNAP
 // aligner reports Landau-Vishkin cell work (short dependent ALU chains and

@@ -7,7 +7,7 @@
 // fixed read length, positionally increasing error rate with Phred-scaled
 // quality strings, arbitrary read order, optional paired-end reads with a
 // normally distributed insert size, and a configurable PCR-duplicate
-// fraction (needed by the duplicate-marking experiments). See DESIGN.md §3.
+// fraction (needed by the duplicate-marking experiments).
 package reads
 
 import (

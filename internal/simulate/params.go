@@ -10,7 +10,7 @@
 // plus a discrete-event/fluid model of disks, buffer cache, NICs and the
 // Ceph cluster. Functional distributed behaviour (real chunk fan-out,
 // real TCP phase server) lives in internal/cluster; absolute paper-scale
-// numbers come from here. See DESIGN.md §3.
+// numbers come from here.
 package simulate
 
 // PaperParams holds the calibrated paper-scale constants (§5.1–§5.2 and
@@ -49,7 +49,7 @@ type PaperParams struct {
 	StartupSeconds float64
 }
 
-// DefaultPaperParams returns the calibration used throughout EXPERIMENTS.md.
+// DefaultPaperParams returns the calibration internal/experiments uses.
 func DefaultPaperParams() PaperParams {
 	return PaperParams{
 		ReadLen:    101,

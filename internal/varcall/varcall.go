@@ -121,11 +121,11 @@ func (p *Pileup) AddDataset(ctx context.Context, ds *agd.Dataset, opts Options) 
 	if window <= 0 {
 		window = agd.DefaultPrefetch
 	}
-	chunkPool := agd.NewChunkPool(3 * (window + 1))
+	chunkPool := agd.NewShardedChunkPool(1, 3*(window+1))
 	stream, err := ds.Stream(agd.StreamOptions{
-		Columns:  []string{agd.ColBases, agd.ColQual, agd.ColResults},
-		Prefetch: opts.Prefetch,
-		Pool:     chunkPool,
+		Columns:     []string{agd.ColBases, agd.ColQual, agd.ColResults},
+		Prefetch:    opts.Prefetch,
+		ShardedPool: chunkPool,
 	})
 	if err != nil {
 		return err

@@ -1,8 +1,8 @@
 package varcall
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"math/rand"
 	"strings"
 	"testing"

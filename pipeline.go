@@ -40,11 +40,12 @@ import (
 //		ExportSAM(w).
 //		Run(ctx)
 //
-// Run is pumped by default: every stage is driven by its own pump goroutine
-// and adjacent stages are connected by bounded queues (depth EdgeDepth,
-// default DefaultEdgeDepth), so stage N+1 consumes chunk k−1 while stage N
-// produces chunk k. Serial() opts back into the strictly sequential pull
-// path; output bytes are identical either way.
+// Run is one loop that builds each stage over the stream of the one before
+// it, with an optional edge in between. By default every edge is there: a
+// bounded queue (depth EdgeDepth, default DefaultEdgeDepth) filled by its own
+// pump goroutine, so stage N+1 consumes chunk k−1 while stage N produces
+// chunk k. Serial() leaves the edges out, and the sink pulls the whole chain
+// on the caller's goroutine; output bytes are identical either way.
 type Pipeline struct {
 	sess       *Session
 	stages     []pipeStage
@@ -181,9 +182,10 @@ func (p *Pipeline) Write(dataset string) *Pipeline {
 	return p.add(pipeStage{kind: stageWrite, dataset: dataset})
 }
 
-// Serial opts out of the pumped scheduler: stages advance one row group at
-// a time on the caller's goroutine, as PR-5 pipelines did. Output bytes are
-// identical to the pumped path; only scheduling differs.
+// Serial runs the pipeline without edges between its stages: no queues and
+// no pump goroutines, the stages advance one row group at a time on the
+// caller's goroutine. Output bytes are identical to a pumped run; only
+// scheduling differs.
 func (p *Pipeline) Serial() *Pipeline {
 	p.serial = true
 	return p
@@ -240,9 +242,9 @@ type StageReport struct {
 	// run's wall — compare Busy against Blocked instead of against Elapsed
 	// of other stages.
 	Elapsed time.Duration
-	// Busy is time the stage's pump spent doing the stage's own work —
-	// producing groups (and, for barriers like sort, the eager spill
-	// phase), excluding time blocked on its neighboring edges.
+	// Busy is time spent doing the stage's own work — building it (for
+	// barriers like sort, the eager spill phase) and producing its groups —
+	// excluding time waiting on the stage above or blocked on its edges.
 	Busy time.Duration
 	// Blocked is time the stage's pump spent waiting on its edges: starved
 	// for input (upstream slower) plus stalled pushing output (downstream
@@ -471,7 +473,7 @@ func (p *Pipeline) stageNames() []string {
 }
 
 // openSource validates the graph and opens the source stream. pipelining
-// and shards configure a pumped FASTQ source (0, 0 for the serial path).
+// and shards configure a pumped FASTQ source (0, 0 on a serial run).
 func (p *Pipeline) openSource(pipelining, shards int) (*agd.GroupStream, error) {
 	sess := p.sess
 	src := p.stages[0]
@@ -506,10 +508,10 @@ func (p *Pipeline) openSource(pipelining, shards int) (*agd.GroupStream, error) 
 }
 
 // buildStage constructs one transform stage over its input stream.
-// pipelining sizes the stage's output builder pool (0 on the serial path).
-// The stats the stage reports land in the shared report/dups/fstats slots —
-// on the pumped path each slot is written by exactly one pump before the
-// Wait barrier, so the post-Wait reads are ordered.
+// pipelining sizes the stage's output builder pool (0 on a serial run).
+// The stats the stage reports land in the shared report/dups/fstats slots;
+// what a stage goes on writing behind them while it streams is written by
+// the one goroutine pulling its output, before run's Wait barrier.
 func (p *Pipeline) buildStage(ctx context.Context, st pipeStage, in *agd.GroupStream, pipelining int, report *PipelineReport, dups **DupStats, fstats **FilterStats) (*agd.GroupStream, error) {
 	sess := p.sess
 	switch st.kind {
@@ -523,8 +525,7 @@ func (p *Pipeline) buildStage(ctx context.Context, st pipeStage, in *agd.GroupSt
 		return out, err
 	case stageSort:
 		// Spill runs all complete inside SortStream (the sort's phase-1
-		// barrier), so the stats are final when it returns — single-writer
-		// before the pumped path's Wait, like report.Align above.
+		// barrier), so the stats are final when it returns.
 		spill := &agdsort.SpillStats{}
 		out, err := agdsort.SortStream(ctx, sess.store, in, agdsort.Options{
 			By:           st.by,
@@ -588,13 +589,17 @@ func passthroughStage(k stageKind) bool {
 	return k == stageAlign || k == stageMarkDup
 }
 
-// poolWindow sizes the builder pool of the stage at index i for a pumped
-// run: one set being filled, plus (depth+1) per downstream edge — depth
-// queued groups and one in the consumer's hand — across consecutive
-// passthrough stages (which keep the producing stage's sets checked out
-// beyond their own edge). An undersized window would block the producer
-// (safe back-pressure, wasted overlap); this window never blocks.
+// poolWindow sizes the builder pool of the stage at index i: one set being
+// filled, plus (depth+1) per downstream edge — depth queued groups and one
+// in the consumer's hand — across consecutive passthrough stages (which keep
+// the producing stage's sets checked out beyond their own edge). An
+// undersized window would block the producer (safe back-pressure, wasted
+// overlap); this window never blocks. A serial run (depth 0) has no edges:
+// its stages reuse one set of builders, window 0.
 func (p *Pipeline) poolWindow(i, depth int) int {
+	if depth == 0 {
+		return 0
+	}
 	w := 1
 	for j := i; j < len(p.stages)-1; j++ {
 		w += depth + 1
@@ -607,9 +612,9 @@ func (p *Pipeline) poolWindow(i, depth int) int {
 
 // Run plans, validates and executes the pipeline, returning the aggregated
 // report. Cancellation and deadline of ctx are checked per chunk at every
-// stage. By default stages run pumped — each driven by its own goroutine
-// over bounded queues (see Pipeline doc); Serial() pipelines advance one
-// group at a time instead. Output bytes are identical either way.
+// stage. One loop builds the graph; unless the pipeline is Serial() each
+// stage's output crosses a bounded queue drained by its own goroutine (see
+// Pipeline doc). Output bytes are identical either way.
 func (p *Pipeline) Run(ctx context.Context) (*PipelineReport, error) {
 	if len(p.stages) < 2 {
 		return nil, fmt.Errorf("persona: pipeline has no sink (end with Export* or Write)")
@@ -617,67 +622,98 @@ func (p *Pipeline) Run(ctx context.Context) (*PipelineReport, error) {
 	if p.nodes >= 1 {
 		return p.runDistributed(ctx)
 	}
-	if p.serial {
-		return p.runSerial(ctx)
-	}
-	return p.runPumped(ctx)
+	return p.run(ctx)
 }
 
-// runSerial is the strictly sequential pull path: one goroutine advances
-// the whole graph one row group at a time (PR-5 behavior).
-func (p *Pipeline) runSerial(ctx context.Context) (*PipelineReport, error) {
-	report := &PipelineReport{}
+// run builds every stage once, in graph order on the caller's goroutine,
+// then drains the sink there. Between two stages sits a link: the upstream
+// stream itself on a serial run, or a pump goroutine draining it into a
+// bounded edge, so stage N+1 consumes chunk k−1 while stage N produces chunk
+// k. A barrier stage's construction (sort's staging and spill) pulls its
+// input through the link while the pumps already started above it keep
+// running. Memory stays bounded (groups in flight ≤ Σ edge depths + one in
+// hand per stage, enforced by edge depth and the stages' builder-pool
+// windows), and teardown cascades both ways — a failing stage closes its
+// output edge (downstream sees the error) and its input stream (upstream
+// pumps stop, queued groups drain back to their pools).
+func (p *Pipeline) run(ctx context.Context) (*PipelineReport, error) {
+	sess := p.sess
+	depth, shards := 0, 0
+	if !p.serial {
+		depth, shards = p.edgeDepth, sess.exec.NumShards()
+		if depth < 1 {
+			depth = DefaultEdgeDepth
+		}
+	}
+	report := &PipelineReport{Pumped: !p.serial, EdgeDepth: depth}
 	base := p.snapshotBase()
+	names := p.stageNames()
 
-	stream, err := p.openSource(0, 0)
+	stream, err := p.openSource(p.poolWindow(0, depth), shards)
 	if err != nil {
 		return nil, err
 	}
 	if p.progress != nil {
-		p.progress.init(p.stageNames())
+		p.progress.init(names)
 	}
 
-	// Transform stages, each instrumented so per-stage time can be told
-	// apart afterwards. Closing the final stream tears the whole chain down
-	// (every stage's stop hook closes its upstream).
-	edges := make([]*edgeStats, 0, len(p.stages))
-	wire := func(s *agd.GroupStream) *agd.GroupStream {
-		e := &edgeStats{}
+	// One stats slot per stage, written only by the goroutine pulling that
+	// stage's output; the pump Wait in stop orders the final reads.
+	pumps := dataflow.NewPumps(ctx)
+	var stats []*edgeStats
+	var edges []*agd.BoundedEdge
+	link := func(s *agd.GroupStream, setup time.Duration) *agd.GroupStream {
+		e := &edgeStats{setup: setup.Nanoseconds()}
 		var slot *progressSlot
 		if p.progress != nil {
-			slot = p.progress.slot(len(edges))
+			slot = p.progress.slot(len(stats))
 		}
-		edges = append(edges, e)
-		return instrumented(s, e, slot)
+		stats = append(stats, e)
+		s = instrumented(s, e, slot)
+		if p.serial {
+			return s
+		}
+		edge := agd.PumpEdge(pumps, s, depth)
+		edges = append(edges, edge)
+		return edge.Stream(s.Meta)
 	}
-	stream = wire(stream)
-	defer func() { stream.Close() }()
+	// stop ends the run, clean or failed: closing the last link tears the
+	// whole chain down (every stage's stop hook closes its upstream, a closed
+	// edge stops the pump feeding it) and finalizes the stage reports (align
+	// stats, spill cleanup).
+	stop := func(err error) error {
+		pumps.Fail(err)
+		stream.Close()
+		return pumps.Wait()
+	}
 
+	stream = link(stream, 0)
 	var (
 		dups   *DupStats
 		fstats *FilterStats
 	)
-	for _, st := range p.stages[1 : len(p.stages)-1] {
-		setup := time.Now()
-		out, err := p.buildStage(ctx, st, stream, 0, report, &dups, &fstats)
-		setupNanos := time.Since(setup).Nanoseconds()
-		if err != nil {
-			// The deferred Close tears down the upstream chain built so far.
-			return nil, err
-		}
-		stream = wire(out)
+	for i, st := range p.stages[1 : len(p.stages)-1] {
 		// A barrier stage's eager phase (sort's staging + spill) runs at
-		// construction, before any Next: charge it to this stage's edge.
-		if st.kind == stageSort {
-			edges[len(edges)-1].setup = setupNanos
+		// construction, before any Next: it is charged to the stage as setup.
+		t0 := time.Now()
+		out, err := p.buildStage(pumps.Context(), st, stream, p.poolWindow(i+1, depth), report, &dups, &fstats)
+		if err != nil {
+			return nil, stop(err)
 		}
+		stream = link(out, time.Since(t0))
 	}
 
+	// The sink has no output stream to instrument: its slot holds its wall
+	// and what it consumed.
+	t0 := time.Now()
 	n, err := p.runSink(ctx, stream, report)
-	if err != nil {
+	sink := &edgeStats{nanos: time.Since(t0).Nanoseconds(), records: n}
+	if err := stop(err); err != nil {
 		return nil, err
 	}
-	stream.Close() // finalize stage reports (align stats, spill cleanup)
+	if len(edges) > 0 {
+		sink.groups = edges[len(edges)-1].Moved()
+	}
 	report.Records = n
 	if dups != nil {
 		report.Dups = *dups
@@ -686,249 +722,37 @@ func (p *Pipeline) runSerial(ctx context.Context) (*PipelineReport, error) {
 		report.Filtered = *fstats
 	}
 	if p.progress != nil {
-		p.progress.finish(n, edges[len(edges)-1].groups)
+		p.progress.finish(n, stats[len(stats)-1].groups)
 	}
 	p.finishBase(report, base)
 
-	// Per-stage attribution: every edge's cumulative Next time includes its
-	// upstream pulls (the pipeline is pull-based), so a stage's own time is
-	// its edge (plus its eager setup phase, for barriers) minus the
-	// upstream edge — the upstream's time is spent entirely inside this
-	// stage's pulls or setup. The sink gets the run's remainder: total
-	// minus the last edge and every setup phase.
-	names := p.stageNames()
-	var prev, setups int64
-	for i, e := range edges {
-		own := time.Duration(e.nanos + e.setup - prev)
-		report.Stages = append(report.Stages, StageReport{
-			Stage:   names[i],
-			Records: e.records,
-			Groups:  e.groups,
-			Elapsed: own,
-			Busy:    own,
-		})
-		prev = e.nanos
-		setups += e.setup
-	}
-	sinkOwn := report.Elapsed - time.Duration(prev+setups)
-	report.Stages = append(report.Stages, StageReport{
-		Stage:   names[len(names)-1],
-		Records: n,
-		Elapsed: sinkOwn,
-		Busy:    sinkOwn,
-	})
-	return report, nil
-}
-
-// progSlot returns stage i's live progress slot, nil when unobserved.
-func (p *Pipeline) progSlot(i int) *progressSlot {
-	if p.progress == nil {
-		return nil
-	}
-	return p.progress.slot(i)
-}
-
-// metaMsg hands a constructed stage's output metadata (or its construction
-// failure) to the downstream pump, which needs it to build its edge facade.
-type metaMsg struct {
-	meta agd.StreamMeta
-	err  error
-}
-
-// runPumped drives every stage as a pump goroutine connected by bounded
-// edges: stage N+1 consumes chunk k−1 while stage N produces chunk k.
-// Memory stays bounded (groups in flight ≤ Σ edge depths + one in hand per
-// stage, enforced by edge depth and the stages' builder-pool windows), and
-// teardown cascades both ways — a failing stage closes its output edge
-// (downstream sees the error) and its input stream (upstream pumps stop,
-// queued groups drain back to their pools).
-func (p *Pipeline) runPumped(ctx context.Context) (*PipelineReport, error) {
-	sess := p.sess
-	depth := p.edgeDepth
-	if depth < 1 {
-		depth = DefaultEdgeDepth
-	}
-	report := &PipelineReport{Pumped: true, EdgeDepth: depth}
-	base := p.snapshotBase()
-	names := p.stageNames()
-	nStages := len(p.stages)
-	nEdges := nStages - 1
-
-	source, err := p.openSource(p.poolWindow(0, depth), sess.exec.NumShards())
-	if err != nil {
-		return nil, err
-	}
-	if p.progress != nil {
-		p.progress.init(names)
-	}
-
-	bedges := make([]*agd.BoundedEdge, nEdges)
-	metaCh := make([]chan metaMsg, nEdges)
-	for i := range bedges {
-		bedges[i] = agd.NewBoundedEdge(depth)
-		metaCh[i] = make(chan metaMsg, 1)
-	}
-	// One stats slot per producing stage; each is written only by its own
-	// pump, and the pump Wait below orders the final reads.
-	stats := make([]*edgeStats, nStages-1)
-	for i := range stats {
-		stats[i] = &edgeStats{}
-	}
-	setups := make([]int64, nStages-1)
-	dupSlots := make([]*DupStats, nStages)
-	fstatSlots := make([]*FilterStats, nStages)
-
-	pumps := dataflow.NewPumps(ctx)
-	// Edge waits are condition variables and cannot select on a context: a
-	// watcher fails every edge when the pump context dies (parent
-	// cancellation or first pump failure), releasing queued groups and
-	// waking both sides of every edge.
-	stopWatch := context.AfterFunc(pumps.Context(), func() {
-		cause := context.Cause(pumps.Context())
-		if cause == nil {
-			cause = context.Canceled
+	// Per-stage attribution: a stage's Busy is the wall spent inside its
+	// Next (plus its setup) minus the time those pulls waited on upstream —
+	// the upstream stream's whole Next time on a serial run (the chain is
+	// pull-based, so it all happens inside this stage's pulls or setup), the
+	// input edge's starvation on a pumped one. Blocked is that starvation
+	// plus back-pressure stalls pushing downstream. Pumped stages run
+	// concurrently, so their Busy values overlap in wall time and do not sum
+	// to Elapsed.
+	stats = append(stats, sink)
+	for i, e := range stats {
+		sr := StageReport{Stage: names[i], Records: e.records, Groups: e.groups}
+		var wait time.Duration
+		switch {
+		case i == 0:
+		case p.serial:
+			wait = time.Duration(stats[i-1].nanos)
+		default:
+			wait = edges[i-1].PopWait()
+			sr.Blocked = wait
 		}
-		for _, e := range bedges {
-			e.Fail(cause)
+		if i < len(edges) {
+			sr.Blocked += edges[i].PushWait()
+			sr.PeakQueue = edges[i].PeakDepth()
 		}
-	})
-	defer stopWatch()
-
-	// Source pump.
-	pumps.Go(dataflow.Pump{Name: names[0], Home: sess.exec.NextShard()}, func(pctx context.Context) error {
-		_, err := agd.RunPump(pctx, instrumented(source, stats[0], p.progSlot(0)), bedges[0])
-		return err
-	})
-	metaCh[0] <- metaMsg{meta: source.Meta}
-
-	// Transform pumps. Each waits for its upstream stage's metadata (sort
-	// sends late: its eager spill phase runs at construction), builds the
-	// stage over the input edge's stream facade, announces its own output
-	// metadata and pumps until EOF or failure.
-	for i := 1; i < nStages-1; i++ {
-		st := p.stages[i]
-		window := p.poolWindow(i, depth)
-		pumps.Go(dataflow.Pump{Name: names[i], Home: sess.exec.NextShard()}, func(pctx context.Context) error {
-			var m metaMsg
-			select {
-			case m = <-metaCh[i-1]:
-			case <-pctx.Done():
-				m = metaMsg{err: pctx.Err()}
-			}
-			if m.err != nil {
-				// Upstream never came up; forward the failure (it is
-				// already recorded where it happened) and unwind.
-				metaCh[i] <- m
-				bedges[i].CloseSend(m.err)
-				bedges[i-1].CloseRecv()
-				return nil
-			}
-			in := bedges[i-1].Stream(m.meta)
-			setup := time.Now()
-			var d *DupStats
-			var f *FilterStats
-			out, err := p.buildStage(pctx, st, in, window, report, &d, &f)
-			if st.kind == stageSort {
-				setups[i] = time.Since(setup).Nanoseconds()
-			}
-			dupSlots[i], fstatSlots[i] = d, f
-			if err != nil {
-				metaCh[i] <- metaMsg{err: err}
-				bedges[i].CloseSend(err)
-				in.Close()
-				return err
-			}
-			metaCh[i] <- metaMsg{meta: out.Meta}
-			_, perr := agd.RunPump(pctx, instrumented(out, stats[i], p.progSlot(i)), bedges[i])
-			return perr
-		})
+		sr.Busy = max(0, time.Duration(e.nanos+e.setup)-wait)
+		sr.Elapsed = sr.Busy
+		report.Stages = append(report.Stages, sr)
 	}
-
-	// Sink, on the caller's goroutine.
-	var m metaMsg
-	select {
-	case m = <-metaCh[nEdges-1]:
-	case <-pumps.Context().Done():
-		m = metaMsg{err: context.Cause(pumps.Context())}
-	}
-	var n uint64
-	var sinkWall time.Duration
-	var sinkErr error
-	if m.err == nil {
-		facade := bedges[nEdges-1].Stream(m.meta)
-		t0 := time.Now()
-		n, sinkErr = p.runSink(ctx, facade, report)
-		sinkWall = time.Since(t0)
-		if sinkErr != nil {
-			pumps.Fail(sinkErr)
-		}
-		facade.Close() // drains the edge if the sink stopped early
-	}
-	perr := pumps.Wait()
-	if perr == nil {
-		perr = sinkErr
-	}
-	if perr == nil {
-		perr = m.err
-	}
-	if perr != nil {
-		return nil, perr
-	}
-
-	report.Records = n
-	for _, d := range dupSlots {
-		if d != nil {
-			report.Dups = *d
-		}
-	}
-	for _, f := range fstatSlots {
-		if f != nil {
-			report.Filtered = *f
-		}
-	}
-	if p.progress != nil {
-		p.progress.finish(n, bedges[nEdges-1].Moved())
-	}
-	p.finishBase(report, base)
-
-	// Per-stage attribution under overlap: a stage's Busy is the wall its
-	// pump spent inside the stage's Next (plus sort's eager spill phase)
-	// minus the time those pulls sat blocked on the upstream edge; Blocked
-	// is that starvation plus back-pressure stalls pushing downstream.
-	// Stages run concurrently, so Busy values overlap in wall time and do
-	// not sum to Elapsed.
-	for i := 0; i < nStages-1; i++ {
-		e := stats[i]
-		var popW time.Duration
-		if i > 0 {
-			popW = bedges[i-1].PopWait()
-		}
-		busy := time.Duration(e.nanos+setups[i]) - popW
-		if busy < 0 {
-			busy = 0
-		}
-		report.Stages = append(report.Stages, StageReport{
-			Stage:     names[i],
-			Records:   e.records,
-			Groups:    e.groups,
-			Elapsed:   busy,
-			Busy:      busy,
-			Blocked:   popW + bedges[i].PushWait(),
-			PeakQueue: bedges[i].PeakDepth(),
-		})
-	}
-	lastPop := bedges[nEdges-1].PopWait()
-	busySink := sinkWall - lastPop
-	if busySink < 0 {
-		busySink = 0
-	}
-	report.Stages = append(report.Stages, StageReport{
-		Stage:   names[nStages-1],
-		Records: n,
-		Groups:  bedges[nEdges-1].Moved(),
-		Elapsed: busySink,
-		Busy:    busySink,
-		Blocked: lastPop,
-	})
 	return report, nil
 }

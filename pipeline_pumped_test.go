@@ -15,6 +15,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"persona/internal/agd"
+	"persona/internal/storage"
 )
 
 // runWGSBoth runs the canonical Read→Align→Sort→MarkDup pipeline over "ds" into
@@ -41,6 +44,113 @@ func runWGSBoth(t *testing.T, sess *Session, idx *Index, serial bool, depth int)
 		t.Fatal(err)
 	}
 	return sam.Bytes(), bam.Bytes(), report
+}
+
+// schedules are the ways the one run loop links its stages: no edges, edges
+// that are bare handoffs, and the default depth.
+var schedules = []struct {
+	name   string
+	serial bool
+	depth  int
+}{
+	{"serial", true, 0},
+	{"depth1", false, 1},
+	{"default", false, 0},
+}
+
+// checkStageReports holds a serial and a pumped report of the same graph to
+// what every schedule must agree on, and each to its own accounting rules.
+func checkStageReports(t *testing.T, serial, pumped *PipelineReport) {
+	t.Helper()
+	if len(serial.Stages) != len(pumped.Stages) {
+		t.Fatalf("stage reports: serial %d, pumped %d", len(serial.Stages), len(pumped.Stages))
+	}
+	last := len(serial.Stages) - 1
+	var sum time.Duration
+	for i, st := range serial.Stages {
+		pu := pumped.Stages[i]
+		if st.Stage != pu.Stage || st.Records != pu.Records {
+			t.Errorf("stage %d: serial %s/%d records, depth %d %s/%d", i, st.Stage, st.Records, pumped.EdgeDepth, pu.Stage, pu.Records)
+		}
+		if i < last && st.Groups != pu.Groups {
+			t.Errorf("stage %s: serial %d groups, depth %d %d", st.Stage, st.Groups, pumped.EdgeDepth, pu.Groups)
+		}
+		if st.Blocked != 0 || st.PeakQueue != 0 || st.Busy < 0 {
+			t.Errorf("serial stage %s: blocked=%v peak=%d busy=%v", st.Stage, st.Blocked, st.PeakQueue, st.Busy)
+		}
+		sum += st.Busy
+		if pu.Elapsed != pu.Busy || pu.PeakQueue > pumped.EdgeDepth {
+			t.Errorf("depth %d stage %s: elapsed=%v busy=%v peak=%d", pumped.EdgeDepth, pu.Stage, pu.Elapsed, pu.Busy, pu.PeakQueue)
+		}
+	}
+	if sum > serial.Elapsed {
+		t.Errorf("serial stages were busy %v of a %v run", sum, serial.Elapsed)
+	}
+	if sink, before := pumped.Stages[last], pumped.Stages[last-1]; sink.Groups != before.Groups {
+		t.Errorf("depth %d sink drew %d groups, %s delivered %d", pumped.EdgeDepth, sink.Groups, before.Stage, before.Groups)
+	}
+}
+
+// checkConstructionFailures runs, under every schedule, graphs whose sort
+// fails while it is being built — its input turns out empty, or its spill
+// cannot be stored — with stages above it already streaming. Each must
+// return the stage's error and leave no pooled chunk checked out, no spill
+// blob and no goroutine behind, and the session must run a pipeline
+// afterwards.
+func checkConstructionFailures(t *testing.T, store Store, idx *Index) {
+	noSpills := NewFaultStore(store, FaultPolicy{
+		Keys: []KeyFaults{{Substr: ".pipeline/", Writes: OpFaults{ErrProb: 1}}},
+	})
+	defer noSpills.Close()
+	cases := []struct {
+		name  string
+		store Store
+		graph func(p *Pipeline) *Pipeline
+		want  string
+	}{
+		{"sort-of-nothing", store, func(p *Pipeline) *Pipeline {
+			return p.Filter(func(*agd.ResultView) bool { return false }).Sort(ByLocation)
+		}, "stream has no records"},
+		{"spill-put-fails", noSpills, func(p *Pipeline) *Pipeline {
+			return p.Sort(ByLocation)
+		}, storage.ErrInjected.Error()},
+	}
+	for _, tc := range cases {
+		sess := NewSession(tc.store, SessionOptions{})
+		time.Sleep(10 * time.Millisecond) // let executor workers reach steady state
+		for _, sch := range schedules {
+			t.Run(tc.name+"/"+sch.name, func(t *testing.T) {
+				goroutines := runtime.NumGoroutine()
+				schedule := func(p *Pipeline) *Pipeline {
+					if sch.serial {
+						p = p.Serial()
+					}
+					return p.EdgeDepth(sch.depth)
+				}
+				var out bytes.Buffer
+				_, err := schedule(tc.graph(sess.Read("ds").Align(idx, AlignOptions{})).
+					MarkDuplicates().ExportSAM(&out)).Run(context.Background())
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("run returned %v, want %q", err, tc.want)
+				}
+				if left, _ := store.List(".pipeline/"); len(left) != 0 {
+					t.Fatalf("spill blobs left: %v", left)
+				}
+				waitGoroutines(t, goroutines)
+				if size, free := sess.PoolStats(); size != free {
+					t.Fatalf("chunk pool leak: %d of %d free", free, size)
+				}
+				report, err := schedule(sess.Read("ds").Align(idx, AlignOptions{}).ExportSAM(&out)).Run(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if report.Records != 800 {
+					t.Fatalf("run after the failure exported %d records", report.Records)
+				}
+			})
+		}
+		sess.Close()
+	}
 }
 
 // TestPipelinePumpedMatchesSerial is the pumped scheduler's golden check:
@@ -102,6 +212,8 @@ func TestPipelinePumpedMatchesSerial(t *testing.T) {
 			if size, free := sess.PoolStats(); size != free {
 				t.Fatalf("chunk pool leak: %d of %d free", free, size)
 			}
+			checkStageReports(t, serialRep, pumpedRep)
+			checkConstructionFailures(t, store, idx)
 		})
 	}
 }
@@ -118,7 +230,7 @@ func TestPipelineEdgeDepthSweep(t *testing.T) {
 	sess := NewSession(store, SessionOptions{})
 	defer sess.Close()
 
-	baseSAM, baseBAM, _ := runWGSBoth(t, sess, idx, true, 0)
+	baseSAM, baseBAM, baseRep := runWGSBoth(t, sess, idx, true, 0)
 	for _, depth := range []int{1, 2, 8} {
 		sam, bam, report := runWGSBoth(t, sess, idx, false, depth)
 		if !bytes.Equal(baseSAM, sam) || !bytes.Equal(baseBAM, bam) {
@@ -130,6 +242,7 @@ func TestPipelineEdgeDepthSweep(t *testing.T) {
 		if size, free := sess.PoolStats(); size != free {
 			t.Fatalf("depth %d chunk pool leak: %d of %d free", depth, free, size)
 		}
+		checkStageReports(t, baseRep, report)
 	}
 }
 
