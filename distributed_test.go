@@ -15,6 +15,7 @@ import (
 	"persona/internal/cluster"
 	"persona/internal/formats/fastq"
 	"persona/internal/reads"
+	"persona/internal/testutil"
 )
 
 // distFixture is pipelineFixture with a controllable import chunk size, so
@@ -156,7 +157,9 @@ func TestDistributedMatchesSingleNode(t *testing.T) {
 // TestDistributedWriteSink checks the Write sink path: a distributed run
 // materializing an output dataset must hold the same record sequence as the
 // single-node run's dataset (chunk boundaries may differ at partition
-// edges), with the manifest remembered in the session.
+// edges), with the manifest remembered in the session. On one node the one
+// partition is the dataset: its reduce is the single-node pipeline's tail, so
+// it must write the single-node run's chunk blobs, byte for byte.
 func TestDistributedWriteSink(t *testing.T) {
 	ctx := context.Background()
 	store, g := distFixture(t, 50, "ds")
@@ -170,17 +173,82 @@ func TestDistributedWriteSink(t *testing.T) {
 	if _, err := sess.Read("ds").Align(idx, AlignOptions{}).Sort(ByLocation).MarkDuplicates().Write("gold.out").Run(ctx); err != nil {
 		t.Fatal(err)
 	}
-	report, err := sess.Read("ds").Align(idx, AlignOptions{}).Sort(ByLocation).MarkDuplicates().Write("dist.out").Distributed(2).Run(ctx)
+	var goldSAM bytes.Buffer
+	if _, err := ExportSAM(ctx, store, "gold.out", &goldSAM); err != nil {
+		t.Fatal(err)
+	}
+	// chunks returns a dataset's chunk blobs by their name under prefix.
+	chunks := func(prefix string) map[string][]byte {
+		out := make(map[string][]byte)
+		for name, blob := range testutil.Blobs(t, store, prefix+"chunk-") {
+			out[strings.TrimPrefix(name, prefix)] = blob
+		}
+		return out
+	}
+	for _, nodes := range []int{1, 2} {
+		t.Run(fmt.Sprintf("nodes=%d", nodes), func(t *testing.T) {
+			out := fmt.Sprintf("dist%d.out", nodes)
+			report, err := sess.Read("ds").Align(idx, AlignOptions{}).Sort(ByLocation).MarkDuplicates().Write(out).Distributed(nodes).Run(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if report.Manifest == nil {
+				t.Fatal("distributed Write returned no manifest")
+			}
+			if report.Manifest.SortedBy != "location" {
+				t.Errorf("SortedBy = %q, want location", report.Manifest.SortedBy)
+			}
+			var distSAM bytes.Buffer
+			if _, err := ExportSAM(ctx, store, out, &distSAM); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(goldSAM.Bytes(), distSAM.Bytes()) {
+				t.Errorf("distributed Write dataset differs from single-node (%d vs %d SAM bytes)", distSAM.Len(), goldSAM.Len())
+			}
+			if nodes == 1 {
+				testutil.SameBlobs(t, "partition 0 of a one-node run", chunks(out+"/part0/"), chunks("gold.out/"))
+			}
+			if leaked := leakedClusterBlobs(t, store); len(leaked) != 0 {
+				t.Errorf("leaked %d cluster temp blobs, e.g. %s", len(leaked), leaked[0])
+			}
+		})
+	}
+}
+
+// TestDistributedEmptyPartition: a filter that keeps only the first tenth of
+// the genome drops every row of the upper of two partitions. Its reduce must
+// complete with no chunk and no blob, and the run with the single-node output.
+func TestDistributedEmptyPartition(t *testing.T) {
+	ctx := context.Background()
+	store, g := distFixture(t, 50, "ds")
+	idx, err := BuildIndex(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.Manifest == nil {
-		t.Fatal("distributed Write returned no manifest")
-	}
-	if report.Manifest.SortedBy != "location" {
-		t.Errorf("SortedBy = %q, want location", report.Manifest.SortedBy)
-	}
+	sess := NewSession(store, SessionOptions{})
+	defer sess.Close()
 
+	build := func() *Pipeline {
+		return sess.Read("ds").Align(idx, AlignOptions{}).Sort(ByLocation).MarkDuplicates().Filter(FilterRegion(0, 15_000))
+	}
+	if _, err := build().Write("gold.out").Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	report, err := build().Write("dist.out").Distributed(2).Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Records == 0 || report.Filtered.Kept != report.Records {
+		t.Fatalf("Records = %d, Filtered = %+v", report.Records, report.Filtered)
+	}
+	if names, err := store.List("dist.out/part1/"); err != nil || len(names) != 0 {
+		t.Errorf("the emptied partition left %d blobs (error %v), e.g. %v", len(names), err, names)
+	}
+	for _, c := range report.Manifest.Chunks {
+		if !strings.HasPrefix(c.Path, "dist.out/part0/") {
+			t.Errorf("manifest names chunk %q outside partition 0", c.Path)
+		}
+	}
 	var goldSAM, distSAM bytes.Buffer
 	if _, err := ExportSAM(ctx, store, "gold.out", &goldSAM); err != nil {
 		t.Fatal(err)
@@ -189,10 +257,23 @@ func TestDistributedWriteSink(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(goldSAM.Bytes(), distSAM.Bytes()) {
-		t.Errorf("distributed Write dataset differs from single-node (%d vs %d SAM bytes)", distSAM.Len(), goldSAM.Len())
+		t.Errorf("distributed output differs from single-node (%d vs %d SAM bytes)", distSAM.Len(), goldSAM.Len())
 	}
-	if leaked := leakedClusterBlobs(t, store); len(leaked) != 0 {
-		t.Errorf("leaked %d cluster temp blobs, e.g. %s", len(leaked), leaked[0])
+}
+
+// TestSessionAlignDistributedTwice: a second distributed align of a dataset
+// is refused before it reaches the results column's registration, so nothing
+// ever registers that column without probing the blobs the workers wrote.
+func TestSessionAlignDistributedTwice(t *testing.T) {
+	ctx := context.Background()
+	store, g := distFixture(t, 50, "ds")
+	sess := NewSession(store, SessionOptions{})
+	defer sess.Close()
+	if _, _, err := sess.AlignDistributed(ctx, "ds", g, 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sess.AlignDistributed(ctx, "ds", g, 2, 1); err == nil || !strings.Contains(err.Error(), "already aligned") {
+		t.Fatalf("second AlignDistributed: error %v, want \"already aligned\"", err)
 	}
 }
 

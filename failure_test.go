@@ -136,19 +136,51 @@ func TestFilterFailureLeavesNothing(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
-// TestImportFailureLeavesNothing fails every Put of a FASTQ import in turn.
+// TestImportFailureLeavesNothing fails every Put of a FASTQ import and of a
+// SAM import in turn, and stops a SAM import at a malformed record three
+// chunks in, with the first chunks' blobs already stored or being stored.
 func TestImportFailureLeavesNothing(t *testing.T) {
+	ctx := context.Background()
 	src := agd.NewMemStore()
 	writeKeyFixture(t, src, "ds", "ragged")
-	var fq bytes.Buffer
-	if _, err := ExportFASTQ(context.Background(), src, "ds", &fq); err != nil {
+	var fq, sam bytes.Buffer
+	if _, err := ExportFASTQ(ctx, src, "ds", &fq); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ExportSAM(ctx, src, "ds", &sam); err != nil {
 		t.Fatal(err)
 	}
 	puts := eachPutFault(t, agd.NewMemStore(), func(store agd.BlobStore) error {
-		_, _, err := ImportFASTQ(context.Background(), store, "out", bytes.NewReader(fq.Bytes()), nil, 20)
+		_, _, err := ImportFASTQ(ctx, store, "out", bytes.NewReader(fq.Bytes()), nil, 20)
 		return err
 	})
 	if puts != 12*3+1 {
-		t.Fatalf("the import put %d blobs, want %d", puts, 12*3+1)
+		t.Fatalf("the FASTQ import put %d blobs, want %d", puts, 12*3+1)
 	}
+	puts = eachPutFault(t, agd.NewMemStore(), func(store agd.BlobStore) error {
+		_, _, err := ImportSAM(ctx, store, "out", bytes.NewReader(sam.Bytes()), 20)
+		return err
+	})
+	if puts != 12*4+1 {
+		t.Fatalf("the SAM import put %d blobs, want %d", puts, 12*4+1)
+	}
+
+	// Record 3·20+1 loses its last four fields.
+	lines := strings.SplitAfter(sam.String(), "\n")
+	header := 0
+	for strings.HasPrefix(lines[header], "@") {
+		header++
+	}
+	bad := header + 3*20
+	lines[bad] = strings.Join(strings.Split(lines[bad], "\t")[:7], "\t") + "\n"
+	before := runtime.NumGoroutine()
+	mem := agd.NewMemStore()
+	_, n, err := ImportSAM(ctx, mem, "out", strings.NewReader(strings.Join(lines, "")), 20)
+	if err == nil || n != 3*20 || !strings.Contains(err.Error(), "only 7 fields") {
+		t.Fatalf("a SAM import with a short record %d returned %d records, error %v", 3*20+1, n, err)
+	}
+	if left := testutil.Blobs(t, mem, ""); len(left) != 0 {
+		t.Fatalf("the failed SAM import left %d blobs", len(left))
+	}
+	waitGoroutines(t, before)
 }

@@ -183,6 +183,7 @@ type ChunkBuilder struct {
 	firstOrdinal uint64
 	lengths      []uint32
 	data         []byte
+	chunk        Chunk // what Chunk() hands out
 }
 
 // NewChunkBuilder returns a builder for a chunk whose first record has the
@@ -243,14 +244,14 @@ func (b *ChunkBuilder) NumRecords() int { return len(b.lengths) }
 // DataLen returns the current uncompressed data size.
 func (b *ChunkBuilder) DataLen() int { return len(b.data) }
 
-// Chunk returns the accumulated records as an in-memory Chunk (no copy).
+// Chunk returns the accumulated records as an in-memory Chunk (no copy). The
+// builder owns the returned Chunk, absolute index included: it is valid until
+// the next Chunk or Reset.
 func (b *ChunkBuilder) Chunk() *Chunk {
-	return &Chunk{
-		Type:         b.typ,
-		FirstOrdinal: b.firstOrdinal,
-		lengths:      b.lengths,
-		Data:         b.data,
-	}
+	c := &b.chunk
+	c.Reset()
+	c.Type, c.FirstOrdinal, c.lengths, c.Data = b.typ, b.firstOrdinal, b.lengths, b.data
+	return c
 }
 
 // EncodeChunk serializes a chunk to the on-disk format. Large gzip chunks

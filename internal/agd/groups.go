@@ -334,6 +334,54 @@ func SpecTypeFor(name string) RecordType {
 // dataset sink of the pipeline and of the one-stage free functions; the
 // caller closes the stream.
 func WriteGroups(ctx context.Context, in *GroupStream, store BlobStore, name string, opts WriterOptions) (*Manifest, error) {
+	w, err := appendGroups(ctx, in, store, name, opts)
+	if err == nil && w == nil {
+		return nil, fmt.Errorf("agd: stream for dataset %q has no records", name)
+	}
+	var m *Manifest
+	if err == nil {
+		m, err = w.Close()
+	}
+	if err != nil {
+		if w != nil {
+			w.Abort()
+		}
+		return nil, err
+	}
+	return m, nil
+}
+
+// WriteChunks is WriteGroups stopping short of the manifest: it returns the
+// entries of the chunks it stored, in row order — none, and no blob, for a
+// stream without records. A cluster reduce writes its partition of an output
+// dataset this way; the coordinator stitches the entries into one manifest.
+//
+// Unlike WriteGroups it deletes nothing on failure: it stops its background
+// stores and leaves the blobs that landed. A partition's chunk names are
+// deterministic and shared by every attempt at its task, so a failed attempt
+// must not take away what a concurrent or earlier one stored; the retry
+// overwrites them with the same bytes, and without a manifest nothing reads
+// them.
+func WriteChunks(ctx context.Context, in *GroupStream, store BlobStore, name string, opts WriterOptions) ([]ChunkEntry, error) {
+	w, err := appendGroups(ctx, in, store, name, opts)
+	if w == nil {
+		return nil, err
+	}
+	var entries []ChunkEntry
+	if err == nil {
+		entries, err = w.finish()
+	}
+	if err != nil {
+		w.halt()
+		return nil, err
+	}
+	return entries, nil
+}
+
+// appendGroups is both sinks' drain loop: every group appended to a Writer
+// opened at the first (nil for a stream of no groups). On failure it returns
+// the Writer with the error, for the caller to Abort or halt.
+func appendGroups(ctx context.Context, in *GroupStream, store BlobStore, name string, opts WriterOptions) (*Writer, error) {
 	if opts.RefSeqs == nil {
 		opts.RefSeqs = in.Meta.RefSeqs
 	}
@@ -344,19 +392,13 @@ func WriteGroups(ctx context.Context, in *GroupStream, store BlobStore, name str
 		opts.ChunkSize = in.Meta.ChunkSize
 	}
 	var w *Writer
-	fail := func(err error) (*Manifest, error) {
-		if w != nil {
-			w.Abort()
-		}
-		return nil, err
-	}
 	for {
 		g, err := in.Next(ctx)
 		if err == io.EOF {
-			break
+			return w, nil
 		}
 		if err != nil {
-			return fail(err)
+			return w, err
 		}
 		if w == nil {
 			if opts.ChunkSize <= 0 {
@@ -368,15 +410,7 @@ func WriteGroups(ctx context.Context, in *GroupStream, store BlobStore, name str
 			}
 		}
 		if err := w.AppendGroup(g, in.Owned); err != nil {
-			return fail(err)
+			return w, err
 		}
 	}
-	if w == nil {
-		return nil, fmt.Errorf("agd: stream for dataset %q has no records", name)
-	}
-	m, err := w.Close()
-	if err != nil {
-		return fail(err)
-	}
-	return m, nil
 }

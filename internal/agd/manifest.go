@@ -45,14 +45,12 @@ func manifestPath(name string) string { return name + "/manifest.json" }
 // chunkPath returns the blob name of one column chunk.
 func chunkPath(entry ChunkEntry, col string) string { return entry.Path + "." + col }
 
-// chunkEntryPath returns the canonical path of chunk idx of a dataset — the
-// single definition of the "<name>/chunk-NNNNNN" convention.
-func chunkEntryPath(dataset string, idx int) string {
+// ChunkEntryPath returns the canonical path of chunk idx of a dataset — the
+// single definition of the "<name>/chunk-NNNNNN" convention, for the Writer
+// and for the cluster coordinator naming the chunks its reduces wrote.
+func ChunkEntryPath(dataset string, idx int) string {
 	return fmt.Sprintf("%s/chunk-%06d", dataset, idx)
 }
-
-// ColumnBlobPath returns the blob name of one column chunk of an entry.
-func ColumnBlobPath(entry ChunkEntry, col string) string { return chunkPath(entry, col) }
 
 // newManifest assembles a manifest in the canonical form the Writer
 // produces on Close (version, column order from the specs).
@@ -84,17 +82,6 @@ func RegisterColumn(store BlobStore, m *Manifest, col string) (*Manifest, error)
 	}
 	if err := verifyColumnBlobs(store, m, col); err != nil {
 		return nil, err
-	}
-	return RegisterColumnUnchecked(store, m, col)
-}
-
-// RegisterColumnUnchecked appends a column and persists the manifest without
-// probing the chunk blobs — for callers that already know they exist: a
-// writer that just produced them, or the Session's column-verified cache on
-// repeat jobs, where the probe round trips are pure overhead.
-func RegisterColumnUnchecked(store BlobStore, m *Manifest, col string) (*Manifest, error) {
-	if m.HasColumn(col) {
-		return nil, fmt.Errorf("agd: dataset %q already has column %q", m.Name, col)
 	}
 	updated := *m
 	updated.Columns = append(append([]string{}, m.Columns...), col)

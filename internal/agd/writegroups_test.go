@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -169,6 +170,103 @@ func TestWriteGroupsMatchesRowAtATime(t *testing.T) {
 				}
 				src.check(t)
 			})
+		}
+	}
+}
+
+// TestWriteChunks holds the manifest-less sink to the dataset sink: the same
+// chunk entries and the same blobs as WriteGroups of the same stream, less the
+// manifest; and for a stream without records no entry and no blob, where
+// WriteGroups fails; and after a failing Put nothing another attempt stored is
+// gone.
+func TestWriteChunks(t *testing.T) {
+	ctx := context.Background()
+	for _, name := range []string{"all aligned", "aligned, ragged tail", "one short group", "straddling"} {
+		sizes := sinkPatterns[name]
+		n := 0
+		for _, s := range sizes {
+			n += s
+		}
+		rows := sinkRows(n)
+		for _, owned := range []bool{false, true} {
+			var ref, src sinkSource
+			refStore, store := agd.NewMemStore(), agd.NewMemStore()
+			m, err := agd.WriteGroups(ctx, ref.stream(rows, sizes, owned, false), refStore, "out", agd.WriterOptions{ParallelFlush: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			entries, err := agd.WriteChunks(ctx, src.stream(rows, sizes, owned, false), store, "out", agd.WriterOptions{ParallelFlush: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(entries, m.Chunks) {
+				t.Fatalf("%s: entries %v, WriteGroups' manifest has %v", name, entries, m.Chunks)
+			}
+			want := testutil.Blobs(t, refStore, "")
+			delete(want, "out/manifest.json")
+			testutil.SameBlobs(t, name, testutil.Blobs(t, store, ""), want)
+			src.check(t)
+		}
+	}
+
+	for name, sizes := range map[string][]int{"no groups": {}, "empty groups": {0, 0}} {
+		var src sinkSource
+		store := agd.NewMemStore()
+		entries, err := agd.WriteChunks(ctx, src.stream(nil, sizes, true, false), store, "out", agd.WriterOptions{})
+		if err != nil || len(entries) != 0 {
+			t.Fatalf("%s: entries %v, error %v", name, entries, err)
+		}
+		if left := testutil.Blobs(t, store, ""); len(left) != 0 {
+			t.Fatalf("%s: %d blobs written", name, len(left))
+		}
+		src.check(t)
+	}
+
+	// A failed write deletes nothing: its chunk names are shared with every
+	// other attempt at the same partition. Over a store another attempt
+	// already filled, failing any one Put leaves that attempt's blobs whole;
+	// over an empty store it leaves only blobs a clean write stores too, and
+	// the retry completes them. Either way every group is released.
+	sizes := []int{8, 8, 4, 8, 8, 8, 3}
+	rows := sinkRows(47)
+	write := func(store agd.BlobStore) (*sinkSource, error) {
+		src := &sinkSource{}
+		_, err := agd.WriteChunks(ctx, src.stream(rows, sizes, true, false), store, "out", agd.WriterOptions{ParallelFlush: 2})
+		return src, err
+	}
+	survivor := agd.NewMemStore()
+	if _, err := write(survivor); err != nil {
+		t.Fatal(err)
+	}
+	want := testutil.Blobs(t, survivor, "")
+	if len(want) != 6*len(sinkColumns) {
+		t.Fatalf("a clean write put %d blobs, want %d", len(want), 6*len(sinkColumns))
+	}
+	for k := range len(want) {
+		for _, filled := range []bool{true, false} {
+			base := agd.NewMemStore()
+			if filled {
+				base = testutil.CopyStore(t, survivor)
+			}
+			src, err := write(&failPut{BlobStore: base, k: int32(k)})
+			if err == nil {
+				t.Fatalf("put %d failed, the write did not", k)
+			}
+			src.check(t)
+			left := testutil.Blobs(t, base, "")
+			if filled {
+				testutil.SameBlobs(t, fmt.Sprintf("survivor's blobs after failing put %d", k), left, want)
+			}
+			for name, blob := range left {
+				if string(blob) != string(want[name]) {
+					t.Fatalf("failing put %d left blob %q that a clean write does not store", k, name)
+				}
+			}
+			if src, err = write(base); err != nil {
+				t.Fatalf("retry after failing put %d: %v", k, err)
+			}
+			src.check(t)
+			testutil.SameBlobs(t, fmt.Sprintf("retry after failing put %d", k), testutil.Blobs(t, base, ""), want)
 		}
 	}
 }

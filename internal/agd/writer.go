@@ -30,11 +30,6 @@ func (c ColumnSpec) compression() Compression {
 	return c.Compression
 }
 
-// EffectiveCompression is the compression the Writer actually applies to
-// this column (the zero value means gzip). Parallel writers that must match
-// the Writer's bytes use it instead of re-encoding the default rule.
-func (c ColumnSpec) EffectiveCompression() Compression { return c.compression() }
-
 // StandardReadColumns returns the specs of the three sequencer-read columns
 // (bases, qual, metadata).
 func StandardReadColumns() []ColumnSpec {
@@ -234,6 +229,9 @@ func (w *Writer) AppendGroup(g *RowGroup, owned bool) error {
 		return store()
 	}
 	defer g.Release()
+	for i, c := range chunks {
+		w.builders[i].Grow(n, len(c.Data))
+	}
 	for r := 0; r < n; r++ {
 		for i, c := range chunks {
 			f, err := c.Record(r)
@@ -270,7 +268,7 @@ func (w *Writer) checkGroup(g *RowGroup, n int) error {
 // addEntry records the next output chunk: n rows from dataset ordinal first.
 func (w *Writer) addEntry(first uint64, n int) ChunkEntry {
 	entry := ChunkEntry{
-		Path:    chunkEntryPath(w.name, len(w.entries)),
+		Path:    ChunkEntryPath(w.name, len(w.entries)),
 		First:   first,
 		Records: uint32(n),
 	}
@@ -354,9 +352,9 @@ func (w *Writer) storeColumn(entry ChunkEntry, col ColumnSpec, c *Chunk) error {
 // NumRecords returns how many records have been appended so far.
 func (w *Writer) NumRecords() uint64 { return w.ordinal }
 
-// Close flushes the final partial chunk and writes the manifest. It returns
-// the completed manifest.
-func (w *Writer) Close() (*Manifest, error) {
+// finish flushes the final partial chunk, waits for every chunk's blobs to
+// land and returns the chunks written, in row order.
+func (w *Writer) finish() ([]ChunkEntry, error) {
 	if w.closed {
 		return nil, fmt.Errorf("agd: writer for %q already closed", w.name)
 	}
@@ -365,10 +363,17 @@ func (w *Writer) Close() (*Manifest, error) {
 		return nil, err
 	}
 	w.flushWG.Wait()
-	if err := w.flushErr(); err != nil {
+	return w.entries, w.flushErr()
+}
+
+// Close flushes the final partial chunk and writes the manifest. It returns
+// the completed manifest.
+func (w *Writer) Close() (*Manifest, error) {
+	entries, err := w.finish()
+	if err != nil {
 		return nil, err
 	}
-	m := newManifest(w.name, w.cols, w.entries, w.refSeqs, w.sortedBy)
+	m := newManifest(w.name, w.cols, entries, w.refSeqs, w.sortedBy)
 	if len(m.Chunks) == 0 {
 		return nil, fmt.Errorf("agd: dataset %q has no records", w.name)
 	}
@@ -378,12 +383,18 @@ func (w *Writer) Close() (*Manifest, error) {
 	return m, nil
 }
 
-// Abort abandons a dataset that will get no manifest — after a failed append
-// or Close. It waits for the background workers, which release the groups
-// they hold, then deletes the column blobs of every chunk the writer began.
-func (w *Writer) Abort() {
+// halt ends a failed write: it waits for the background workers, which
+// release the groups they hold, and leaves the blobs they stored.
+func (w *Writer) halt() {
 	w.closed = true
 	w.flushWG.Wait()
+}
+
+// Abort abandons a dataset that will get no manifest — after a failed append
+// or Close: halt, then delete the column blobs of every chunk the writer
+// began.
+func (w *Writer) Abort() {
+	w.halt()
 	for _, entry := range w.entries {
 		for _, c := range w.cols {
 			// Best effort: the caller is already reporting the failure that

@@ -8,11 +8,12 @@
 // stages its columns in shared agd.RecordArenas (contiguous buffers + offset
 // indexes) and sorts a compact array of packed {key, row} entries with an
 // LSD radix sort over the key bytes that actually vary. Phase 2 is one k-way
-// heap merge of the runs (RunMerger), emitted as a stream of output chunks.
+// heap merge of the runs (RunMerger) emitted as a stream of output chunks
+// (MergeStream, the only code that turns merged rows into groups).
 // SortStream is that sort as a pipeline stage; Sort is the one-stage pipeline
 // dataset → SortStream → dataset. A range-partitioned merge is the same
-// merger over run fragments cut at shared splitters (CutRun), which the
-// cluster's shuffle runs across nodes.
+// merger and stream over run fragments cut at shared splitters (CutRun),
+// which the cluster's shuffle and reduce run across nodes.
 package agdsort
 
 import (

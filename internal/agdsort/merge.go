@@ -11,11 +11,12 @@ import (
 )
 
 // Phase-2 merge: one k-way heap merge over the decoded sorted runs.
-// RunMerger is its only driver — the in-process sort's output stream and the
-// cluster reduce both pull rows from it. A range-partitioned merge is that
-// same merger run once per key range over run fragments cut at shared
-// splitters (CutRun); the cluster's shuffle is where that happens, across
-// cores and nodes alike.
+// RunMerger is the only code that advances the run heap and MergeStream
+// (stream.go) the only code that turns its rows into groups — the in-process
+// sort's output and the cluster reduce's input are both that stream. A
+// range-partitioned merge is the same merger run once per key range over run
+// fragments cut at shared splitters (CutRun); the cluster's shuffle is where
+// that happens, across cores and nodes alike.
 
 // superIter iterates the rows of a decoded superchunk. Its field scratch is
 // allocated once and re-sliced per row, so advancing is allocation-free.
@@ -124,24 +125,23 @@ func (h *mergeHeap) pop() {
 	}
 }
 
-// fetchRuns fetches and decodes every superchunk as one batch — the blobs
-// stream in concurrently (per-OSD fan-out on the object store) while the
-// first arrivals decode.
-func fetchRuns(ctx context.Context, store agd.BlobStore, superNames []string) ([]*agd.Chunk, int, error) {
-	futs := agd.AsyncOf(store).GetBatch(superNames)
-	runs := make([]*agd.Chunk, len(superNames))
+// FetchRuns fetches and decodes the named run blobs — spilled superchunks, or
+// the pieces and halos a shuffle cut from them — as one batch, returning them
+// in name order with their total row count. The blobs stream in concurrently
+// (per-OSD fan-out on the object store) while the first arrivals decode.
+func FetchRuns(ctx context.Context, store agd.BlobStore, names []string) ([]*agd.Chunk, int, error) {
+	futs := agd.AsyncOf(store).GetBatch(names)
+	runs := make([]*agd.Chunk, len(names))
 	total := 0
-	for i := range superNames {
+	for i, name := range names {
 		blob, err := futs[i].Wait(ctx)
-		if err != nil {
-			return nil, 0, err
+		if err == nil {
+			runs[i], err = agd.DecodeChunk(blob)
 		}
-		c, err := agd.DecodeChunk(blob)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, fmt.Errorf("agdsort: run %q: %w", name, err)
 		}
-		runs[i] = c
-		total += c.NumRecords()
+		total += runs[i].NumRecords()
 	}
 	return runs, total, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"slices"
 	"testing"
 
@@ -48,7 +49,7 @@ var mergeFixtures = map[string]func(t testing.TB) *agd.Dataset{
 func buildRuns(t testing.TB, ds *agd.Dataset, by Key, perRun int) ([]*agd.Chunk, []RunSample) {
 	t.Helper()
 	ctx := context.Background()
-	var runs []*agd.Chunk
+	var names []string
 	var samples []RunSample
 	for start := 0; start < len(ds.Manifest.Chunks); start += perRun {
 		in, err := ds.Groups(agd.StreamOptions{Start: start, End: start + perRun})
@@ -61,16 +62,12 @@ func buildRuns(t testing.TB, ds *agd.Dataset, by Key, perRun int) ([]*agd.Chunk,
 		if err != nil {
 			t.Fatal(err)
 		}
-		blob, err := ds.Store().Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		run, err := agd.DecodeChunk(blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runs = append(runs, run)
+		names = append(names, name)
 		samples = append(samples, info.Samples...)
+	}
+	runs, _, err := FetchRuns(ctx, ds.Store(), names)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return runs, samples
 }
@@ -84,6 +81,31 @@ func drain(m *RunMerger) ([]string, error) {
 			return rows, err
 		}
 		rows = append(rows, string(bytes.Join(fields, []byte{0})))
+	}
+}
+
+// drainStream is drain over a MergeStream: every row of every group.
+func drainStream(s *agd.GroupStream) ([]string, error) {
+	defer s.Close()
+	var rows []string
+	fields := make([][]byte, len(s.Meta.Columns))
+	for {
+		g, err := s.Next(context.Background())
+		if err == io.EOF {
+			return rows, nil
+		}
+		if err != nil {
+			return rows, err
+		}
+		for r := 0; r < g.NumRecords(); r++ {
+			for c, chunk := range g.Chunks {
+				if fields[c], err = chunk.Record(r); err != nil {
+					return rows, err
+				}
+			}
+			rows = append(rows, string(bytes.Join(fields, []byte{0})))
+		}
+		g.Release()
 	}
 }
 
@@ -247,6 +269,14 @@ func FuzzRunMerger(f *testing.F) {
 			return
 		}
 		got, err := drain(m)
+		// The same merge as a group stream, serial and pooled by turns: the
+		// rows Next yields, or an error where Next has one.
+		again, _ := NewRunMerger([]*agd.Chunk{run, other}, cols, keyCol, by)
+		meta := agd.StreamMeta{Columns: ds.Manifest.Columns, NumRecords: uint64(run.NumRecords() + other.NumRecords()), ChunkSize: 3}
+		streamed, serr := drainStream(MergeStream(again, meta, 2*(len(blob)%2), nil))
+		if (serr == nil) != (err == nil) || err == nil && !slices.Equal(streamed, got) {
+			t.Fatalf("MergeStream yields %d rows (error %v), RunMerger.Next %d (error %v)", len(streamed), serr, len(got), err)
+		}
 		if !sorted {
 			return // corrupt or unsorted: not panicking is the whole contract
 		}

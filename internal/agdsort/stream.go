@@ -78,11 +78,18 @@ func SortStream(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, o
 		}()
 		newBatch()
 	}
+	sweep := func() error {
+		var first error
+		for _, name := range superNames {
+			if err := store.Delete(name); err != nil && first == nil {
+				first = err
+			}
+		}
+		return first
+	}
 	fail := func(err error) (*agd.GroupStream, error) {
 		wg.Wait()
-		for _, sn := range superNames {
-			store.Delete(sn)
-		}
+		sweep()
 		return nil, err
 	}
 	newBatch()
@@ -136,7 +143,7 @@ func SortStream(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, o
 
 	// Phase 2: heap-merge the spilled runs into an output stream. The merge
 	// needs every run resident before it can emit a single row.
-	runs, mergedTotal, err := fetchRuns(ctx, store, superNames)
+	runs, mergedTotal, err := FetchRuns(ctx, store, superNames)
 	if err != nil {
 		return fail(err)
 	}
@@ -147,23 +154,6 @@ func SortStream(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, o
 	if err != nil {
 		return fail(err)
 	}
-	specs := agd.SpecsForColumns(in.Meta.Columns)
-	ms := &mergeGroupStream{
-		store:     store,
-		names:     superNames,
-		merger:    merger,
-		specs:     specs,
-		chunkSize: chunkSize,
-		total:     total,
-	}
-	if opts.Pipelining > 1 {
-		ms.pool = agd.NewBuilderPool(opts.Pipelining, specs)
-	} else {
-		ms.fixed = &agd.BuilderSet{Builders: make([]*agd.ChunkBuilder, numCols)}
-		for i, spec := range specs {
-			ms.fixed.Builders[i] = agd.NewChunkBuilder(spec.Type, 0)
-		}
-	}
 	meta := agd.StreamMeta{
 		Columns:    in.Meta.Columns,
 		RefSeqs:    in.Meta.RefSeqs,
@@ -171,25 +161,52 @@ func SortStream(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, o
 		NumRecords: uint64(total),
 		ChunkSize:  chunkSize,
 	}
-	// The stop hook sweeps the spill blobs even when a downstream stage
-	// dies mid-merge (an early Close never reaches the EOF-path cleanup),
-	// and closes the drained input so teardown keeps cascading upstream.
-	out := agd.NewGroupStream(meta, ms.next, func() {
-		ms.cleanup()
+	// The end of the output — drained or closed early — closes the drained
+	// input too, so teardown keeps cascading upstream.
+	return MergeStream(merger, meta, opts.Pipelining, func() error {
 		in.Close()
-	})
-	out.Owned = ms.pool != nil
-	return out, nil
+		return sweep()
+	}), nil
 }
 
-// mergeGroupStream emits the heap merge of the spilled runs as row groups of
-// chunkSize records. Serial pulls build into a reused builder set (each
-// group valid until the next one is requested); pumped sorts
-// (Options.Pipelining > 1) draw from a bounded pool so queued groups stay
-// valid until Release.
+// MergeStream emits merger's rows — meta.NumRecords of them, in meta.Columns —
+// as row groups of meta.ChunkSize records: the sort's output, and the input of
+// a cluster reduce merging one partition's pieces. Serial pulls (pipelining
+// ≤ 1) build into one reused builder set, each group valid until the next is
+// requested; pipelining > 1 draws from a bounded pool of that many sets, so a
+// pumped edge can queue groups that stay valid until Release.
+//
+// sweep, when non-nil, runs once — when the merge is drained, or on an early
+// Close (a downstream stage dying mid-merge never reaches EOF) — and a pull
+// that would return io.EOF reports its error instead; the sort deletes its
+// spill blobs there.
+func MergeStream(merger *RunMerger, meta agd.StreamMeta, pipelining int, sweep func() error) *agd.GroupStream {
+	if sweep == nil {
+		sweep = func() error { return nil }
+	}
+	specs := agd.SpecsForColumns(meta.Columns)
+	ms := &mergeGroupStream{
+		merger:    merger,
+		specs:     specs,
+		chunkSize: meta.ChunkSize,
+		total:     int(meta.NumRecords),
+		sweep:     sync.OnceValue(sweep),
+	}
+	if pipelining > 1 {
+		ms.pool = agd.NewBuilderPool(pipelining, specs)
+	} else {
+		ms.fixed = &agd.BuilderSet{Builders: make([]*agd.ChunkBuilder, len(specs))}
+		for i, spec := range specs {
+			ms.fixed.Builders[i] = agd.NewChunkBuilder(spec.Type, 0)
+		}
+	}
+	out := agd.NewGroupStream(meta, ms.next, func() { ms.sweep() })
+	out.Owned = ms.pool != nil
+	return out
+}
+
+// mergeGroupStream is the state behind MergeStream.
 type mergeGroupStream struct {
-	store     agd.BlobStore
-	names     []string
 	merger    *RunMerger
 	fixed     *agd.BuilderSet
 	pool      *agd.BuilderPool
@@ -198,20 +215,12 @@ type mergeGroupStream struct {
 	total     int
 	emitted   int
 	chunkIdx  int
-
-	cleanOnce sync.Once
-	cleanMu   sync.Mutex
-	cleanErr  error
+	sweep     func() error // once: the EOF pull, or a teardown Close racing it
 }
 
 func (ms *mergeGroupStream) next(ctx context.Context) (*agd.RowGroup, error) {
 	if ms.emitted >= ms.total {
-		ms.cleanup()
-		ms.cleanMu.Lock()
-		err := ms.cleanErr
-		ms.cleanErr = nil // report a failed sweep once, from the EOF pull
-		ms.cleanMu.Unlock()
-		if err != nil {
+		if err := ms.sweep(); err != nil {
 			return nil, err
 		}
 		return nil, io.EOF
@@ -257,21 +266,4 @@ func (ms *mergeGroupStream) next(ctx context.Context) (*agd.RowGroup, error) {
 	ms.chunkIdx++
 	ms.emitted += rows
 	return g, nil
-}
-
-// cleanup deletes the spill blobs exactly once — idempotent and safe under
-// a teardown Close racing the merge's own EOF path. A failed delete is
-// reported from the final next call.
-func (ms *mergeGroupStream) cleanup() {
-	ms.cleanOnce.Do(func() {
-		for _, name := range ms.names {
-			if err := ms.store.Delete(name); err != nil {
-				ms.cleanMu.Lock()
-				if ms.cleanErr == nil {
-					ms.cleanErr = err
-				}
-				ms.cleanMu.Unlock()
-			}
-		}
-	})
 }

@@ -62,11 +62,6 @@ type Config struct {
 	// phase, 1 its shuffle, 2 its reduce — which is how a chaos test kills
 	// a worker deterministically mid-shuffle.
 	FaultPhase int
-	// SkipColumnCheck registers the results column without re-probing every
-	// chunk blob. Set by callers (the client Session) that verified the
-	// column on a previous run of the same dataset, so repeat jobs skip
-	// one header round trip per chunk.
-	SkipColumnCheck bool
 }
 
 // NodeReport describes one worker's run.
@@ -321,12 +316,7 @@ func Align(ctx context.Context, store storage.Store, datasetName string, idx *sn
 		return nil, nil, err
 	}
 
-	var updated *agd.Manifest
-	if cfg.SkipColumnCheck {
-		updated, err = agd.RegisterColumnUnchecked(store, m, agd.ColResults)
-	} else {
-		updated, err = agd.RegisterColumn(store, m, agd.ColResults)
-	}
+	updated, err := agd.RegisterColumn(store, m, agd.ColResults)
 	if err != nil {
 		return nil, nil, err
 	}

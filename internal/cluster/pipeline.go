@@ -28,19 +28,24 @@ import (
 //	         (CUTS) and opens the held phase; each task then cuts its run
 //	         at the splitters and hands every fragment to its owning
 //	         partition under <tmp>/part<k>/ blob prefixes (SHUFFLE);
-//	reduce:  each task merges one partition's fragments in key order —
-//	         the same heap and tie rules as the in-process merge, over
+//	reduce:  each task runs the single-node pipeline's tail over one
+//	         partition, stage for stage: the sort's merge stream over the
+//	         partition's fragments (the same heap and tie rules, over
 //	         splitter-aligned cuts, so concatenating the partitions
-//	         reproduces the single-merge row order exactly — marks
-//	         duplicates (seeded from the cut halos), filters, and writes
-//	         the partition's output chunks.
+//	         reproduces the single-merge row order exactly), the mark
+//	         stage on a marker seeded from the cut halos, the filter
+//	         stage, and the dataset sink writing the chunks — and no
+//	         manifest — of dataset <out>/part<k>.
 //
 // Every task is leased, heartbeat-guarded and re-dealt on worker death or
 // straggling, exactly like Align's chunks (the same runNodes scaffold); task
 // outputs are deterministic, deterministically-named blobs, so re-execution
-// is idempotent. The
-// coordinator stitches the partition manifests into one ordered output
-// dataset and aggregates the cluster report.
+// is idempotent. That is also why a failed task deletes nothing: a straggler
+// past its lease runs beside the attempt its task was re-dealt to, under the
+// same names, so what a failed reduce stored stays (agd.WriteChunks) until
+// the next attempt overwrites it with the same bytes. The coordinator
+// stitches the partitions' chunk entries into the one manifest of the
+// ordered output dataset and aggregates the cluster report.
 
 // Task phases of a distributed pipeline run.
 const (
@@ -252,9 +257,10 @@ func RunPipeline(ctx context.Context, store storage.Store, plan PipelinePlan, cf
 		res.Dups.Duplicates += pr.Duplicates
 		res.Filtered.In += pr.FilterIn
 		res.Filtered.Kept += pr.FilterKept
+		part := shuffle.PartDataset(plan.OutName, k)
 		for i, n := range pr.ChunkRecords {
 			partEntries[k] = append(partEntries[k], agd.ChunkEntry{
-				Path:    shuffle.PartChunkPath(plan.OutName, k, i),
+				Path:    agd.ChunkEntryPath(part, i),
 				Records: n,
 			})
 		}
@@ -320,7 +326,7 @@ func pipelineNode(ctx context.Context, w *worker, store storage.Store, ds *agd.D
 				cuts = &c
 			}
 			var bytes int64
-			payload, bytes, err = runShuffleTask(store, plan, keyCol, cuts, idx, parts)
+			payload, bytes, err = runShuffleTask(ctx, store, plan, keyCol, cuts, idx, parts)
 			rep.ShuffleBytes += bytes
 		case phaseReduce:
 			payload, err = runReduceTask(ctx, store, plan, cols, keyCol, idx, numBatches)
@@ -400,16 +406,12 @@ func runMapTask(ctx context.Context, store storage.Store, ds *agd.Dataset, plan 
 // runShuffleTask cuts one sorted run at the global splitters and writes each
 // fragment — and, for marking pipelines, each cut's halo — to its owning
 // partition's blob prefix, returning the shuffle-result payload.
-func runShuffleTask(store storage.Store, plan *PipelinePlan, keyCol int, cuts *shuffle.Cuts, b, parts int) (string, int64, error) {
-	runName := shuffle.RunBlob(plan.TempPrefix, b)
-	blob, err := store.Get(runName)
+func runShuffleTask(ctx context.Context, store storage.Store, plan *PipelinePlan, keyCol int, cuts *shuffle.Cuts, b, parts int) (string, int64, error) {
+	runs, _, err := agdsort.FetchRuns(ctx, store, []string{shuffle.RunBlob(plan.TempPrefix, b)})
 	if err != nil {
-		return "", 0, fmt.Errorf("cluster: run %q: %w", runName, err)
+		return "", 0, fmt.Errorf("cluster: shuffle %d: %w", b, err)
 	}
-	run, err := agd.DecodeChunk(blob)
-	if err != nil {
-		return "", 0, fmt.Errorf("cluster: run %q: %w", runName, err)
-	}
+	run := runs[0]
 	bounds := make([]int, 0, parts+1)
 	bounds = append(bounds, 0)
 	bounds = append(bounds, shuffle.CutPoints(run, keyCol, plan.By, cuts.Splitters)...)
@@ -453,164 +455,74 @@ func runShuffleTask(store storage.Store, plan *PipelinePlan, keyCol int, cuts *s
 	return payload, res.Bytes, err
 }
 
-// runReduceTask merges one partition's shuffled fragments in global key
-// order, marks duplicates (seeded from the partition's halos), filters, and
-// writes the partition's output chunks, returning the partition-result
-// payload the coordinator stitches from.
+// runReduceTask runs the single-node pipeline's tail over one partition: the
+// merge stream of its shuffled pieces, the mark stage on a marker seeded from
+// its halos, the filter stage, the dataset sink writing "<out>/part<k>". It
+// returns the partition-result payload the coordinator stitches from.
 func runReduceTask(ctx context.Context, store storage.Store, plan *PipelinePlan, cols []string, keyCol, k, numBatches int) (string, error) {
-	as := agd.AsyncOf(store)
-	names := make([]string, numBatches)
-	for b := range names {
-		names[b] = shuffle.PieceBlob(plan.TempPrefix, k, b)
-	}
-	futs := as.GetBatch(names)
-	pieces := make([]*agd.Chunk, numBatches)
-	for b, fut := range futs {
-		blob, err := fut.Wait(ctx)
-		if err != nil {
-			return "", fmt.Errorf("cluster: piece %q: %w", names[b], err)
+	blobs := func(name func(prefix string, k, b int) string) []string {
+		names := make([]string, numBatches)
+		for b := range names {
+			names[b] = name(plan.TempPrefix, k, b)
 		}
-		if pieces[b], err = agd.DecodeChunk(blob); err != nil {
-			return "", fmt.Errorf("cluster: piece %q: %w", names[b], err)
-		}
+		return names
 	}
-
-	var mk *markdup.Marker
-	if plan.MarkDup {
-		mk = markdup.NewMarker(0)
-		if k > 0 {
-			haloNames := make([]string, numBatches)
-			for b := range haloNames {
-				haloNames[b] = shuffle.HaloBlob(plan.TempPrefix, k, b)
-			}
-			for b, fut := range as.GetBatch(haloNames) {
-				blob, err := fut.Wait(ctx)
-				if err != nil {
-					return "", fmt.Errorf("cluster: halo %q: %w", haloNames[b], err)
-				}
-				halo, err := agd.DecodeChunk(blob)
-				if err != nil {
-					return "", fmt.Errorf("cluster: halo %q: %w", haloNames[b], err)
-				}
-				for r := 0; r < halo.NumRecords(); r++ {
-					rec, err := halo.Record(r)
-					if err != nil {
-						return "", err
-					}
-					if err := mk.Observe(rec); err != nil {
-						return "", err
-					}
-				}
-			}
-		}
+	pieces, rows, err := agdsort.FetchRuns(ctx, store, blobs(shuffle.PieceBlob))
+	if err != nil {
+		return "", fmt.Errorf("cluster: partition %d: %w", k, err)
 	}
-
 	merger, err := agdsort.NewRunMerger(pieces, len(cols), keyCol, plan.By)
 	if err != nil {
 		return "", err
 	}
-	resCol := -1
-	for i, c := range cols {
-		if c == agd.ColResults {
-			resCol = i
-		}
-	}
-	specs := agd.SpecsForColumns(cols)
-	builders := make([]*agd.ChunkBuilder, len(cols))
-	for i, sp := range specs {
-		builders[i] = agd.NewChunkBuilder(sp.Type, 0)
-	}
+	meta := agd.StreamMeta{Columns: cols, NumRecords: uint64(rows), ChunkSize: plan.ChunkSize}
+	stream := agdsort.MergeStream(merger, meta, 0, nil)
+	defer func() { stream.Close() }()
 
-	var pr shuffle.PartResult
-	var ord uint64 // partition-local; the stitch renumbers globally
-	flush := func() error {
-		n := builders[0].NumRecords()
-		if n == 0 {
-			return nil
-		}
-		entry := agd.ChunkEntry{
-			Path:    shuffle.PartChunkPath(plan.OutName, k, len(pr.ChunkRecords)),
-			First:   ord,
-			Records: uint32(n),
-		}
-		for c := range builders {
-			enc, err := agd.EncodeChunk(builders[c].Chunk(), specs[c].EffectiveCompression())
+	dups, kept := &markdup.Stats{}, &filter.Stats{}
+	if plan.MarkDup {
+		mk := markdup.NewMarker(0)
+		dups = &mk.Stats
+		if k > 0 {
+			halos, _, err := agdsort.FetchRuns(ctx, store, blobs(shuffle.HaloBlob))
 			if err != nil {
-				return err
+				return "", fmt.Errorf("cluster: partition %d: %w", k, err)
 			}
-			name := agd.ColumnBlobPath(entry, cols[c])
-			if err := store.Put(name, enc); err != nil {
-				return fmt.Errorf("cluster: chunk %q: %w", name, err)
-			}
-		}
-		pr.ChunkRecords = append(pr.ChunkRecords, uint32(n))
-		ord += uint64(n)
-		for c, sp := range specs {
-			builders[c].Reset(sp.Type, ord)
-		}
-		return nil
-	}
-	// One view for the partition: the filter is an indirect call, so the view
-	// it is handed lives on the heap, and one declared per record would be an
-	// allocation per record.
-	var v agd.ResultView
-	for {
-		fields, ok, err := merger.Next()
-		if err != nil {
-			return "", err
-		}
-		if !ok {
-			break
-		}
-		keep := true
-		if mk != nil || plan.Filter != nil {
-			if v, err = agd.DecodeResultView(fields[resCol]); err != nil {
-				return "", err
-			}
-			if mk != nil {
-				if err := mk.MarkView(&v); err != nil {
-					return "", err
-				}
-			}
-			if plan.Filter != nil {
-				pr.FilterIn++
-				keep = plan.Filter(&v)
-				if keep {
-					pr.FilterKept++
-				}
-			}
-			if keep {
-				for c := range builders {
-					if c == resCol && mk != nil {
-						// Marking re-encodes every results record, exactly
-						// like the single-node mark stage; a filter without
-						// marking copies the stored bytes instead.
-						builders[c].AppendResultView(&v)
-					} else {
-						builders[c].Append(fields[c])
+			for _, halo := range halos {
+				for r := 0; r < halo.NumRecords(); r++ {
+					rec, err := halo.Record(r)
+					if err == nil {
+						err = mk.Observe(rec)
+					}
+					if err != nil {
+						return "", err
 					}
 				}
 			}
-		} else {
-			for c := range builders {
-				builders[c].Append(fields[c])
-			}
 		}
-		if keep {
-			pr.Rows++
-			if builders[0].NumRecords() >= plan.ChunkSize {
-				if err := flush(); err != nil {
-					return "", err
-				}
-			}
+		out, err := mk.Stream(stream, 0)
+		if err != nil {
+			return "", err
 		}
+		stream = out
 	}
-	if err := flush(); err != nil {
-		return "", err
+	if plan.Filter != nil {
+		out, stats, err := filter.RunStream(stream, plan.Filter, 0)
+		if err != nil {
+			return "", err
+		}
+		stream, kept = out, stats
 	}
-	if mk != nil {
-		pr.DupReads = mk.Stats.Reads
-		pr.Duplicates = mk.Stats.Duplicates
+	// An empty partition (equal splitters, a filter dropping its every row)
+	// writes no chunk and contributes none to the stitch.
+	entries, err := agd.WriteChunks(ctx, stream, store, shuffle.PartDataset(plan.OutName, k), agd.WriterOptions{})
+	if err != nil {
+		return "", fmt.Errorf("cluster: partition %d: %w", k, err)
+	}
+	pr := shuffle.PartResult{DupReads: dups.Reads, Duplicates: dups.Duplicates, FilterIn: kept.In, FilterKept: kept.Kept}
+	for _, e := range entries {
+		pr.ChunkRecords = append(pr.ChunkRecords, e.Records)
+		pr.Rows += uint64(e.Records)
 	}
 	return shuffle.Encode(&pr)
 }

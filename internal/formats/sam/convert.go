@@ -173,55 +173,6 @@ func StreamGroups(ctx context.Context, in *agd.GroupStream, fn func(meta, seq, q
 	}
 }
 
-// ChunkRecords materializes the SAM records of one AGD chunk.
-func ChunkRecords(ds *agd.Dataset, refmap *RefMap, chunkIdx int) ([]Record, error) {
-	basesChunk, err := ds.ReadChunk(agd.ColBases, chunkIdx)
-	if err != nil {
-		return nil, err
-	}
-	qualChunk, err := ds.ReadChunk(agd.ColQual, chunkIdx)
-	if err != nil {
-		return nil, err
-	}
-	metaChunk, err := ds.ReadChunk(agd.ColMetadata, chunkIdx)
-	if err != nil {
-		return nil, err
-	}
-	resChunk, err := ds.ReadChunk(agd.ColResults, chunkIdx)
-	if err != nil {
-		return nil, err
-	}
-	n := basesChunk.NumRecords()
-	if qualChunk.NumRecords() != n || metaChunk.NumRecords() != n || resChunk.NumRecords() != n {
-		return nil, fmt.Errorf("sam: chunk %d columns disagree on record count", chunkIdx)
-	}
-	out := make([]Record, 0, n)
-	for r := 0; r < n; r++ {
-		bases, err := basesChunk.ExpandBasesRecord(nil, r)
-		if err != nil {
-			return nil, err
-		}
-		qual, err := qualChunk.Record(r)
-		if err != nil {
-			return nil, err
-		}
-		meta, err := metaChunk.Record(r)
-		if err != nil {
-			return nil, err
-		}
-		res, err := resChunk.DecodeResultRecord(r)
-		if err != nil {
-			return nil, err
-		}
-		rec, err := FromResult(string(meta), string(bases), string(qual), &res, refmap)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rec)
-	}
-	return out, nil
-}
-
 // FromResult converts an AGD result plus read fields (in as-sequenced
 // orientation, the AGD convention) to a SAM record. Reverse-strand
 // alignments get SEQ reverse-complemented and QUAL reversed, per the SAM

@@ -29,8 +29,9 @@ type ImportOptions struct {
 // straight into the writer's arena-backed chunk builders without
 // materializing Record objects or strings, so steady-state import performs
 // no per-record allocation. Cancellation and deadline of ctx are checked
-// once per output chunk's worth of records.
-func Import(ctx context.Context, store agd.BlobStore, name string, src io.Reader, opts ImportOptions) (*agd.Manifest, uint64, error) {
+// once per output chunk's worth of records. A failed import leaves no blob
+// of the dataset and no background store running.
+func Import(ctx context.Context, store agd.BlobStore, name string, src io.Reader, opts ImportOptions) (m *agd.Manifest, n uint64, err error) {
 	br := bufio.NewReaderSize(src, 1<<16)
 	chunkSize := uint64(opts.ChunkSize)
 	if chunkSize == 0 {
@@ -39,7 +40,6 @@ func Import(ctx context.Context, store agd.BlobStore, name string, src io.Reader
 	var (
 		w       *agd.Writer
 		refmap  *RefMap
-		n       uint64
 		header  []string
 		line    []byte
 		fields  [][]byte
@@ -49,6 +49,11 @@ func Import(ctx context.Context, store agd.BlobStore, name string, src io.Reader
 		lineNum int
 	)
 	cols := append(agd.StandardReadColumns(), agd.ColumnSpec{Name: agd.ColResults, Type: agd.TypeResults})
+	defer func() {
+		if err != nil && w != nil {
+			w.Abort()
+		}
+	}()
 
 	for {
 		var rerr error
@@ -173,8 +178,7 @@ func Import(ctx context.Context, store agd.BlobStore, name string, src io.Reader
 	if w == nil {
 		return nil, 0, fmt.Errorf("sam: stream %q has no alignment records", name)
 	}
-	m, err := w.Close()
-	if err != nil {
+	if m, err = w.Close(); err != nil {
 		return nil, n, err
 	}
 	return m, n, nil

@@ -22,14 +22,6 @@ import (
 	"persona/internal/align"
 )
 
-// Options configures a marking pass.
-type Options struct {
-	// Prefetch is the results-column chunk-fetch window (agd.ChunkStream):
-	// how many chunks' blobs are kept in flight, counting the one being
-	// marked. 0 selects agd.DefaultPrefetch.
-	Prefetch int
-}
-
 // Stats reports what a marking pass did.
 type Stats struct {
 	Reads      uint64
@@ -55,17 +47,11 @@ func Mark(ctx context.Context, store agd.BlobStore, name string) (Stats, error) 
 	return MarkDataset(ctx, ds)
 }
 
-// MarkDataset is Mark over an open dataset.
+// MarkDataset is Mark over an open dataset. Its results chunks stream through
+// MarkStream — marking is order-dependent (the first occurrence survives), so
+// that pass is sequential — into the column sink, which compresses and stores
+// each rewritten chunk while the next is being marked.
 func MarkDataset(ctx context.Context, ds *agd.Dataset) (Stats, error) {
-	return MarkDatasetOptions(ctx, ds, Options{})
-}
-
-// MarkDatasetOptions is MarkDataset with explicit options. The dataset's
-// results chunks stream through MarkStream — marking is order-dependent (the
-// first occurrence survives), so that pass is sequential — into the column
-// sink, which compresses and stores each rewritten chunk while the next is
-// being marked.
-func MarkDatasetOptions(ctx context.Context, ds *agd.Dataset, opts Options) (Stats, error) {
 	m := ds.Manifest
 	if !m.HasColumn(agd.ColResults) {
 		return Stats{}, fmt.Errorf("markdup: dataset %q has no results column", m.Name)
@@ -75,7 +61,6 @@ func MarkDatasetOptions(ctx context.Context, ds *agd.Dataset, opts Options) (Sta
 	window := agd.ColumnWindow + 1
 	in, err := ds.Groups(agd.StreamOptions{
 		Columns:     []string{agd.ColResults},
-		Prefetch:    opts.Prefetch,
 		ShardedPool: agd.NewShardedChunkPool(1, window),
 	})
 	if err != nil {
@@ -94,6 +79,7 @@ func MarkDatasetOptions(ctx context.Context, ds *agd.Dataset, opts Options) (Sta
 // flags mk's pass over its rows sets.
 func markChunk(chunk *agd.Chunk, builder *agd.ChunkBuilder, mk *Marker) error {
 	builder.Reset(agd.TypeResults, chunk.FirstOrdinal)
+	builder.Grow(chunk.NumRecords(), len(chunk.Data))
 	for r := 0; r < chunk.NumRecords(); r++ {
 		v, err := chunk.DecodeResultViewRecord(r)
 		if err != nil {
@@ -121,11 +107,18 @@ func markChunk(chunk *agd.Chunk, builder *agd.ChunkBuilder, mk *Marker) error {
 // until its Release (provided the input stream is Owned — the passthrough
 // columns alias the upstream group, held alive until the output releases).
 func MarkStream(in *agd.GroupStream, pipelining int) (*agd.GroupStream, *Stats, error) {
+	mk := NewMarker(int(in.Meta.NumRecords))
+	out, err := mk.Stream(in, pipelining)
+	return out, &mk.Stats, err
+}
+
+// Stream is MarkStream run on mk — a marker the caller may have seeded with
+// Observe first — with the pass's statistics accumulating in mk.Stats.
+func (mk *Marker) Stream(in *agd.GroupStream, pipelining int) (*agd.GroupStream, error) {
 	resCol := in.Meta.Col(agd.ColResults)
 	if resCol < 0 {
-		return nil, nil, fmt.Errorf("markdup: stream has no results column")
+		return nil, fmt.Errorf("markdup: stream has no results column")
 	}
-	mk := NewMarker(int(in.Meta.NumRecords))
 	var pool *agd.BuilderPool
 	var builder *agd.ChunkBuilder
 	if pipelining > 1 {
@@ -168,15 +161,16 @@ func MarkStream(in *agd.GroupStream, pipelining int) (*agd.GroupStream, *Stats, 
 	}
 	out := agd.NewGroupStream(in.Meta, next, in.Close)
 	out.Owned = pool != nil && in.Owned
-	return out, &mk.Stats, nil
+	return out, nil
 }
 
-// Marker is the row-at-a-time, seedable form of the marking pass, used by
-// the distributed pipeline's per-partition reduce: partitions after the
-// first pre-load their signature set from a halo of earlier rows (Observe),
-// then mark their own range in order (MarkView) — first-wins marking means
-// seeding is membership-only, so halo order does not matter. MarkStream runs
-// one over the whole stream. One Marker is single-goroutine state.
+// Marker is the state of a marking pass: the signatures seen so far. It is
+// seedable, which the distributed pipeline's per-partition reduce uses:
+// partitions after the first pre-load the set from a halo of earlier rows
+// (Observe), then mark their own range in order (Stream) — first-wins marking
+// means seeding is membership-only, so halo order does not matter. MarkStream
+// runs a fresh one over the whole stream. One Marker is single-goroutine
+// state.
 type Marker struct {
 	// Stats accumulates over MarkView calls; Observe does not count.
 	Stats Stats

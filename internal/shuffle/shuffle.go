@@ -122,11 +122,12 @@ func HaloBlob(prefix string, k, b int) string {
 	return fmt.Sprintf("%s/part%d/halo-%06d", prefix, k, b)
 }
 
-// PartChunkPath names output chunk i of partition k under an output
-// dataset prefix — the per-partition analogue of a dataset's
-// "<name>/chunk-NNNNNN", stitched into one manifest afterwards.
-func PartChunkPath(out string, k, i int) string {
-	return fmt.Sprintf("%s/part%d/chunk-%06d", out, k, i)
+// PartDataset names the dataset partition k's reduce writes its chunks as:
+// all chunks and no manifest, under the output dataset's prefix. The
+// coordinator names them again (agd.ChunkEntryPath) to stitch the output's
+// one manifest.
+func PartDataset(out string, k int) string {
+	return fmt.Sprintf("%s/part%d", out, k)
 }
 
 // SelectCuts pools every run's samples and picks p-1 equi-depth splitters

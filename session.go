@@ -55,7 +55,6 @@ type Session struct {
 	mu        sync.Mutex
 	indexes   map[*Genome]*Index
 	manifests map[string]*agd.Manifest // dataset name → parsed manifest
-	verified  map[string]bool          // dataset+"\x00"+column → blobs probed OK
 	closed    bool
 }
 
@@ -88,7 +87,6 @@ func NewSession(store Store, opts SessionOptions) *Session {
 		prefetch:  opts.Prefetch,
 		indexes:   make(map[*Genome]*Index),
 		manifests: make(map[string]*agd.Manifest),
-		verified:  make(map[string]bool),
 	}
 }
 
@@ -131,32 +129,19 @@ func (s *Session) AlignDistributed(ctx context.Context, dataset string, ref *Gen
 	if err != nil {
 		return nil, nil, err
 	}
-	// A repeat align of the same dataset re-registers the results column; if
-	// this session already probed those blobs once, skip the per-chunk
-	// round trips on the final RegisterColumn.
-	verKey := dataset + "\x00" + agd.ColResults
-	s.mu.Lock()
-	skipCheck := s.verified[verKey]
-	s.mu.Unlock()
 	rep, m, err := cluster.Align(ctx, s.store, dataset, idx, cluster.Config{
-		Nodes:           nodes,
-		ThreadsPerNode:  threadsPerNode,
-		Executor:        s.exec,
-		SkipColumnCheck: skipCheck,
+		Nodes:          nodes,
+		ThreadsPerNode: threadsPerNode,
+		Executor:       s.exec,
 	})
 	if err != nil {
 		return rep, m, err
 	}
 	// The align rewrote the dataset's results blobs and manifest: cached
 	// decoded chunks and the remembered manifest are stale. Replace the
-	// manifest with the one the align just produced and mark the results
-	// column verified (the register round either probed it or reused a
-	// previous probe).
+	// manifest with the one the align just produced.
 	s.invalidateDataset(dataset)
-	s.mu.Lock()
-	s.manifests[dataset] = m
-	s.verified[verKey] = true
-	s.mu.Unlock()
+	s.rememberManifest(dataset, m)
 	return rep, m, nil
 }
 
@@ -184,29 +169,15 @@ func (s *Session) rememberManifest(name string, m *agd.Manifest) {
 }
 
 // invalidateDataset drops everything the session cached about a dataset —
-// decoded chunks, the parsed manifest, column probes — because its blobs
-// were just rewritten.
+// decoded chunks and the parsed manifest — because its blobs were just
+// rewritten.
 func (s *Session) invalidateDataset(name string) {
 	s.mu.Lock()
 	delete(s.manifests, name)
-	for k := range s.verified {
-		if ds, _, ok := cutVerifiedKey(k); ok && ds == name {
-			delete(s.verified, k)
-		}
-	}
 	s.mu.Unlock()
 	if s.cache != nil {
 		s.cache.InvalidatePrefix(name + "/")
 	}
-}
-
-func cutVerifiedKey(k string) (dataset, col string, ok bool) {
-	for i := 0; i < len(k); i++ {
-		if k[i] == 0 {
-			return k[:i], k[i+1:], true
-		}
-	}
-	return "", "", false
 }
 
 // CacheStats snapshots the session chunk cache's counters; ok is false when
@@ -218,13 +189,12 @@ func (s *Session) CacheStats() (stats CacheStats, ok bool) {
 	return s.cache.Stats(), true
 }
 
-// FlushCache empties the chunk cache and forgets cached manifests and column
-// probes, returning what was dropped. The admin escape hatch for when the
+// FlushCache empties the chunk cache and forgets cached manifests, returning
+// what was dropped. The admin escape hatch for when the
 // store was mutated behind the session's back.
 func (s *Session) FlushCache() (entries int, bytes int64) {
 	s.mu.Lock()
 	s.manifests = make(map[string]*agd.Manifest)
-	s.verified = make(map[string]bool)
 	s.mu.Unlock()
 	if s.cache == nil {
 		return 0, 0
