@@ -458,7 +458,7 @@ func BenchmarkKernel_BWAAlignRead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	a := bwa.NewAligner(idx, g, bwa.Config{})
+	a := bwa.NewAligner(idx, g)
 	sim, err := reads.NewSimulator(g, reads.SimConfig{Seed: 11, N: 256, ReadLen: 101, ErrorRate: 0.003})
 	if err != nil {
 		b.Fatal(err)

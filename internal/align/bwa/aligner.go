@@ -8,55 +8,19 @@ import (
 	"persona/internal/genome"
 )
 
-// Config parameterizes the aligner.
-type Config struct {
-	// MinSeedLen is the minimum maximal-exact-match length used as a seed
-	// (default 19, BWA-MEM's default).
-	MinSeedLen int
-	// MaxOcc skips seeds occurring more often than this (default 64).
-	MaxOcc int32
-	// MaxChains bounds how many candidate chains are extended per strand
-	// (default 8).
-	MaxChains int
-	// Pad is the reference window padding around a chain during extension
-	// (default 16).
-	Pad int
-	// MinScore is the minimum accepted Smith-Waterman score (default 30).
-	MinScore int32
-	// Scoring holds the extension scoring; zero value selects BWA defaults.
-	Scoring align.Scoring
-	// MinInsert/MaxInsert are fallback proper-pair bounds used before the
-	// batch has inferred an insert distribution (defaults 50/1000).
-	MinInsert, MaxInsert int
-}
-
-func (c Config) withDefaults() Config {
-	if c.MinSeedLen <= 0 {
-		c.MinSeedLen = 19
-	}
-	if c.MaxOcc <= 0 {
-		c.MaxOcc = 64
-	}
-	if c.MaxChains <= 0 {
-		c.MaxChains = 8
-	}
-	if c.Pad <= 0 {
-		c.Pad = 16
-	}
-	if c.MinScore <= 0 {
-		c.MinScore = 30
-	}
-	if c.Scoring == (align.Scoring{}) {
-		c.Scoring = align.DefaultScoring()
-	}
-	if c.MinInsert <= 0 {
-		c.MinInsert = 50
-	}
-	if c.MaxInsert <= 0 {
-		c.MaxInsert = 1000
-	}
-	return c
-}
+// BWA-MEM's defaults: the aligner's one configuration.
+const (
+	// minSeedLen is the minimum maximal-exact-match length used as a seed.
+	minSeedLen = 19
+	// maxOcc skips seeds occurring more often than this.
+	maxOcc = 64
+	// maxChains bounds how many candidate chains are extended per strand.
+	maxChains = 8
+	// pad is the reference window padding around a chain during extension.
+	pad = 16
+	// minScore is the minimum accepted Smith-Waterman score.
+	minScore = 30
+)
 
 // Stats counts aligner work for the perfmodel instrumentation.
 type Stats struct {
@@ -70,16 +34,16 @@ type Stats struct {
 // Aligner aligns reads using an FM-index. Like the SNAP aligner, each
 // Aligner is single-goroutine; workers share the read-only index.
 type Aligner struct {
-	idx    *FMIndex
-	gen    *genome.Genome
-	cfg    Config
-	counts Stats
-	rcBuf  []byte
+	idx     *FMIndex
+	gen     *genome.Genome
+	scoring align.Scoring
+	counts  Stats
+	rcBuf   []byte
 }
 
-// NewAligner returns an aligner over the index.
-func NewAligner(idx *FMIndex, g *genome.Genome, cfg Config) *Aligner {
-	return &Aligner{idx: idx, gen: g, cfg: cfg.withDefaults()}
+// NewAligner returns an aligner over the index of g.
+func NewAligner(idx *FMIndex, g *genome.Genome) *Aligner {
+	return &Aligner{idx: idx, gen: g, scoring: align.DefaultScoring()}
 }
 
 // Stats returns accumulated work counters (including FM probes, which are
@@ -97,7 +61,7 @@ type seed struct {
 }
 
 // maximalSeeds finds greedy right-to-left maximal exact matches of at least
-// MinSeedLen bases (backward-search seeding).
+// minSeedLen bases (backward-search seeding).
 func (a *Aligner) maximalSeeds(enc []byte) []seed {
 	var seeds []seed
 	end := len(enc)
@@ -116,7 +80,7 @@ func (a *Aligner) maximalSeeds(enc []byte) []seed {
 			lo, hi = nlo, nhi
 			start--
 		}
-		if end-start >= a.cfg.MinSeedLen {
+		if end-start >= minSeedLen {
 			seeds = append(seeds, seed{qBeg: start, qEnd: end, lo: lo, hi: hi})
 			a.counts.Seeds++
 		}
@@ -141,10 +105,10 @@ type chain struct {
 func (a *Aligner) candidateChains(seeds []seed) []chain {
 	byDiag := make(map[int64]*chain)
 	for _, s := range seeds {
-		if s.hi-s.lo > a.cfg.MaxOcc {
+		if s.hi-s.lo > maxOcc {
 			continue // repeat seed
 		}
-		for _, refPos := range a.idx.Locate(s.lo, s.hi, a.cfg.MaxOcc) {
+		for _, refPos := range a.idx.Locate(s.lo, s.hi, maxOcc) {
 			diag := int64(refPos) - int64(s.qBeg)
 			c, ok := byDiag[diag]
 			if !ok {
@@ -168,8 +132,8 @@ func (a *Aligner) candidateChains(seeds []seed) []chain {
 		}
 		return chains[i].diag < chains[j].diag
 	})
-	if len(chains) > a.cfg.MaxChains {
-		chains = chains[:a.cfg.MaxChains]
+	if len(chains) > maxChains {
+		chains = chains[:maxChains]
 	}
 	return chains
 }
@@ -185,8 +149,8 @@ type extension struct {
 // extendChain Smith-Watermans the read against the chain's reference window
 // and converts the local alignment into a soft-clipped candidate.
 func (a *Aligner) extendChain(read []byte, c chain, rc bool) (extension, bool) {
-	winStart := c.diag - int64(a.cfg.Pad)
-	winLen := len(read) + 2*a.cfg.Pad
+	winStart := c.diag - pad
+	winLen := len(read) + 2*pad
 	if winStart < 0 {
 		winLen += int(winStart)
 		winStart = 0
@@ -202,8 +166,8 @@ func (a *Aligner) extendChain(read []byte, c chain, rc bool) (extension, bool) {
 		return extension{}, false
 	}
 	a.counts.SWCells += int64(len(read) * winLen)
-	res := align.SmithWaterman(read, window, a.cfg.Scoring)
-	if res.Score < a.cfg.MinScore {
+	res := align.SmithWaterman(read, window, a.scoring)
+	if res.Score < minScore {
 		return extension{}, false
 	}
 	cigar := res.Cigar
@@ -288,7 +252,7 @@ func (a *Aligner) AlignRead(bases []byte) agd.Result {
 		Location:     best.pos,
 		MateLocation: agd.UnmappedLocation,
 		Score:        best.score,
-		MapQ:         align.MapQFromScores(best.score, second, bestCount, a.cfg.Scoring.Match),
+		MapQ:         align.MapQFromScores(best.score, second, bestCount, a.scoring.Match),
 		Flags:        flags,
 		Cigar:        best.cigar.String(),
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"persona/internal/agd"
 	"persona/internal/align"
 	"persona/internal/genome"
 	"persona/internal/reads"
@@ -146,7 +145,7 @@ func buildAligner(t testing.TB, size int, seed int64) (*Aligner, *genome.Genome)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewAligner(idx, g, Config{}), g
+	return NewAligner(idx, g), g
 }
 
 func TestAlignExactReads(t *testing.T) {
@@ -236,74 +235,10 @@ func TestAlignSoftClipsDamagedEnds(t *testing.T) {
 	}
 }
 
-func TestAlignPairBatchInfersInsert(t *testing.T) {
-	a, g := buildAligner(t, 250_000, 37)
-	sim, err := reads.NewSimulator(g, reads.SimConfig{
-		Seed: 10, N: 240, ReadLen: 80, Paired: true, InsertMean: 320, InsertStd: 25, ErrorRate: 0.002,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, origins := sim.All()
-	var p1, p2 [][]byte
-	for i := 0; i < len(rs); i += 2 {
-		p1 = append(p1, rs[i].Bases)
-		p2 = append(p2, rs[i+1].Bases)
-	}
-	results, stats := a.AlignPairBatch(p1, p2)
-	if len(results) != len(rs) {
-		t.Fatalf("results = %d, want %d", len(results), len(rs))
-	}
-	if stats.N == 0 {
-		t.Fatal("insert stats not inferred")
-	}
-	if stats.Mean < 250 || stats.Mean > 400 {
-		t.Fatalf("inferred mean %.1f, want ≈320", stats.Mean)
-	}
-	proper, correct := 0, 0
-	for i := 0; i < len(results); i += 2 {
-		r1, r2 := results[i], results[i+1]
-		if r1.Flags&agd.FlagPaired == 0 {
-			t.Fatal("pair flag missing")
-		}
-		if r1.Flags&agd.FlagProperPair == 0 {
-			continue
-		}
-		proper++
-		d1 := r1.Location - origins[i].Pos
-		if d1 < 0 {
-			d1 = -d1
-		}
-		d2 := r2.Location - origins[i+1].Pos
-		if d2 < 0 {
-			d2 = -d2
-		}
-		if d1 <= 8 && d2 <= 8 {
-			correct++
-		}
-	}
-	if frac := float64(proper) / float64(len(results)/2); frac < 0.85 {
-		t.Fatalf("proper fraction %.3f", frac)
-	}
-	if proper > 0 {
-		if frac := float64(correct) / float64(proper); frac < 0.93 {
-			t.Fatalf("correct fraction %.3f", frac)
-		}
-	}
-}
-
 func TestAlignUnmappable(t *testing.T) {
 	a, _ := buildAligner(t, 60_000, 38)
 	res := a.AlignRead(bytes.Repeat([]byte("N"), 60))
 	if !res.IsUnmapped() {
 		t.Fatal("N read mapped")
-	}
-}
-
-func TestInsertStatsBounds(t *testing.T) {
-	s := InsertStats{Mean: 400, Std: 50, N: 100}
-	lo, hi := s.Bounds()
-	if lo != 200 || hi != 600 {
-		t.Fatalf("bounds = [%d, %d]", lo, hi)
 	}
 }

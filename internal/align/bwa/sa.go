@@ -1,9 +1,10 @@
-// Package bwa implements a BWA-MEM-style read aligner [Li & Durbin 2009; Li
-// 2013]: an FM-index over the Burrows-Wheeler transform of the reference,
-// maximal-exact-match seeding via backward search, diagonal chaining, and
-// banded Smith-Waterman extension, with the batch paired-end insert-size
-// inference step the paper discusses in §4.3 ("a single-threaded step over
-// sets of reads to infer information about the data").
+// Package bwa is the memory-bound aligner of Fig. 8: a single-end
+// BWA-MEM-style read aligner [Li & Durbin 2009; Li 2013] — an FM-index over
+// the Burrows-Wheeler transform of the reference, maximal-exact-match seeding
+// via backward search, diagonal chaining and Smith-Waterman extension — run
+// beside SNAP so that its instrumented op mix (FM-index rank probes, the
+// random memory accesses, against Smith-Waterman cells) can be profiled
+// against SNAP's. Persona's align stage runs SNAP only.
 package bwa
 
 // BuildSuffixArray computes the suffix array of text by prefix doubling with

@@ -1,11 +1,11 @@
 // Package core is Persona's alignment engine (§4.3 of the paper): one stream
 // stage, AlignStream, that appends a results column to every row group by
 // splitting its reads into subchunks on the shared fine-grain executor
-// (Fig. 4), and the aligner interfaces the two integrated engines (SNAP,
-// BWA) plug into it through. Align is that stage between a dataset source
-// and a column sink — the §4.1 "thin library that stitches nodes into
-// subgraphs" is three calls long; composed pipelines and cluster workers put
-// the same stage between other sources and sinks.
+// (Fig. 4), each subchunk aligned by one of a pool of SNAP aligners, read by
+// read or pair by pair. Align is that stage between a dataset source and a
+// column sink — the §4.1 "thin library that stitches nodes into subgraphs" is
+// three calls long; composed pipelines and cluster workers put the same stage
+// between other sources and sinks.
 package core
 
 import (
@@ -14,31 +14,24 @@ import (
 	"time"
 
 	"persona/internal/agd"
-	"persona/internal/align/bwa"
 	"persona/internal/align/snap"
 	"persona/internal/dataflow"
-	"persona/internal/genome"
 	"persona/internal/storage"
 )
 
 // AlignConfig parameterizes alignment: the whole struct for Align, the
-// engine and tuning fields for AlignStream.
+// aligner and tuning fields for AlignStream.
 type AlignConfig struct {
 	// Store holds the dataset; results are written back to it (Align only).
 	Store storage.Store
 	// Dataset names the AGD dataset to align (Align only).
 	Dataset string
-	// Engine selects the integrated aligner (default EngineSNAP).
-	Engine Engine
-	// Index is the SNAP seed index of the reference (EngineSNAP).
+	// Index is the SNAP seed index of the reference (required).
 	Index *snap.Index
 	// Aligner tunes the SNAP algorithm.
 	Aligner snap.Config
-	// FMIndex and Genome configure the BWA engine (EngineBWA).
-	FMIndex   *bwa.FMIndex
-	Genome    *genome.Genome
-	BWAConfig bwa.Config
-	// Paired aligns consecutive records as pairs (records 2i and 2i+1).
+	// Paired aligns consecutive records as pairs (records 2i and 2i+1 of
+	// each group; a group with an odd record count is an error).
 	Paired bool
 
 	// Prefetch (Align only) is the chunk-fetch window of the input stream:
@@ -158,11 +151,10 @@ var unmappedResult = agd.Result{
 }
 
 // alignRange aligns records [lo, hi) of a chunk, appending each encoded
-// result in record order to ra, single-end or paired. Paired mode prefers
-// the batch interface (BWA's per-batch insert-size inference), falling back
-// to pair-at-a-time. All decode and encode scratch is reused, so the
-// steady-state loop performs no per-read allocation.
-func alignRange(a ReadAligner, basesChunk *agd.Chunk, ra *agd.RecordArena, lo, hi int, paired bool) {
+// result in record order to ra: read by read, or in paired mode pair by pair
+// (records 2i and 2i+1; lo and hi are even). All decode and encode scratch is
+// reused, so the steady-state loop performs no per-read allocation.
+func alignRange(a *snap.Aligner, basesChunk *agd.Chunk, ra *agd.RecordArena, lo, hi int, paired bool) {
 	if !paired {
 		var scratch []byte
 		for r := lo; r < hi; r++ {
@@ -177,60 +169,17 @@ func alignRange(a ReadAligner, basesChunk *agd.Chunk, ra *agd.RecordArena, lo, h
 		}
 		return
 	}
-
-	numPairs := (hi - lo) / 2
-	if batch, ok := a.(BatchPairAligner); ok {
-		// Materialize the subchunk's pairs (batch aligners need them all).
-		p1 := make([][]byte, numPairs)
-		p2 := make([][]byte, numPairs)
-		for p := 0; p < numPairs; p++ {
-			b1, err1 := basesChunk.ExpandBasesRecord(nil, lo+2*p)
-			b2, err2 := basesChunk.ExpandBasesRecord(nil, lo+2*p+1)
-			if err1 != nil || err2 != nil {
-				b1, b2 = nil, nil
-			}
-			p1[p], p2[p] = b1, b2
-		}
-		results, _ := batch.AlignPairBatch(p1, p2)
-		for p := 0; p < numPairs; p++ {
-			if p1[p] == nil {
-				ra.AppendResult(&unmappedResult)
-				ra.AppendResult(&unmappedResult)
-				continue
-			}
-			ra.AppendResult(&results[2*p])
-			ra.AppendResult(&results[2*p+1])
-		}
-		return
-	}
-
-	pa, isPair := a.(PairAligner)
-	if !isPair {
-		// No paired support: align ends independently.
-		var scratch []byte
-		for r := lo; r < lo+2*numPairs; r++ {
-			bases, err := basesChunk.ExpandBasesRecord(scratch[:0], r)
-			if err != nil {
-				ra.AppendResult(&unmappedResult)
-				continue
-			}
-			res := a.AlignRead(bases)
-			ra.AppendResult(&res)
-			scratch = bases
-		}
-		return
-	}
 	var s1, s2 []byte
-	for p := 0; p < numPairs; p++ {
-		b1, err1 := basesChunk.ExpandBasesRecord(s1[:0], lo+2*p)
-		b2, err2 := basesChunk.ExpandBasesRecord(s2[:0], lo+2*p+1)
+	for r := lo; r < hi; r += 2 {
+		b1, err1 := basesChunk.ExpandBasesRecord(s1[:0], r)
+		b2, err2 := basesChunk.ExpandBasesRecord(s2[:0], r+1)
 		s1, s2 = b1, b2
 		if err1 != nil || err2 != nil {
 			ra.AppendResult(&unmappedResult)
 			ra.AppendResult(&unmappedResult)
 			continue
 		}
-		r1, r2 := pa.AlignPair(b1, b2)
+		r1, r2 := a.AlignPair(b1, b2)
 		ra.AppendResult(&r1)
 		ra.AppendResult(&r2)
 	}

@@ -3,7 +3,10 @@ package core
 import (
 	"context"
 	"errors"
+	"io"
 	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -88,6 +91,46 @@ func TestAlignPipelineMissingDataset(t *testing.T) {
 	store := agd.NewMemStore()
 	if _, _, err := Align(context.Background(), AlignConfig{Store: store, Dataset: "nope"}); err == nil {
 		t.Fatal("missing dataset accepted")
+	}
+}
+
+// chunkGets counts the chunk blobs read through it.
+type chunkGets struct {
+	agd.BlobStore
+	n *atomic.Int64
+}
+
+func (s chunkGets) Get(name string) ([]byte, error) {
+	if strings.Contains(name, "chunk-") {
+		s.n.Add(1)
+	}
+	return s.BlobStore.Get(name)
+}
+
+// TestAlignNeedsIndex: Align and AlignStream without a reference index fail
+// before reading a chunk.
+func TestAlignNeedsIndex(t *testing.T) {
+	mem := agd.NewMemStore()
+	testutil.Build(t, mem, "ds", testutil.Config{
+		GenomeSize: 60_000, NumReads: 100, ReadLen: 60, ChunkSize: 50, Seed: 112, SkipAlign: true,
+	})
+	var gets atomic.Int64
+	if _, _, err := Align(context.Background(), AlignConfig{Store: chunkGets{mem, &gets}, Dataset: "ds"}); !errors.Is(err, errNoIndex) {
+		t.Fatalf("Align err = %v, want %v", err, errNoIndex)
+	}
+	if n := gets.Load(); n != 0 {
+		t.Fatalf("Align read %d chunk blobs before failing", n)
+	}
+
+	exec := dataflow.NewExecutor(1, 2)
+	defer exec.Close()
+	in := agd.NewGroupStream(agd.StreamMeta{Columns: []string{agd.ColBases, agd.ColQual}, NumRecords: 100},
+		func(context.Context) (*agd.RowGroup, error) {
+			t.Error("AlignStream read a group")
+			return nil, io.EOF
+		}, nil)
+	if _, _, err := AlignStream(AlignConfig{}, exec, in); !errors.Is(err, errNoIndex) {
+		t.Fatalf("AlignStream err = %v, want %v", err, errNoIndex)
 	}
 }
 

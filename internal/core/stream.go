@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -18,7 +19,7 @@ import (
 // stage is pumped).
 type alignStage struct {
 	exec      *dataflow.Executor
-	aligners  chan ReadAligner
+	aligners  chan *snap.Aligner
 	arenas    []*agd.RecordArena
 	builder   *agd.ChunkBuilder
 	pool      *agd.BuilderPool
@@ -29,6 +30,9 @@ type alignStage struct {
 	started   time.Time
 	basesCol  int
 }
+
+// errNoIndex rejects an alignment configured without a reference index.
+var errNoIndex = errors.New("core: alignment needs an Index")
 
 // AlignStream is the stream-in/stream-out form of Align, used by composed
 // pipelines: it appends a results column to every group of in, aligning
@@ -41,6 +45,9 @@ func AlignStream(cfg AlignConfig, exec *dataflow.Executor, in *agd.GroupStream) 
 	if exec == nil {
 		return nil, nil, fmt.Errorf("core: AlignStream needs an executor")
 	}
+	if cfg.Index == nil {
+		return nil, nil, errNoIndex
+	}
 	cfg.applyDefaults()
 	basesCol := in.Meta.Col(agd.ColBases)
 	if basesCol < 0 {
@@ -52,13 +59,9 @@ func AlignStream(cfg AlignConfig, exec *dataflow.Executor, in *agd.GroupStream) 
 	if cfg.Paired && in.Meta.NumRecords%2 != 0 {
 		return nil, nil, fmt.Errorf("core: paired alignment needs an even record count, stream has %d", in.Meta.NumRecords)
 	}
-	factory, err := engineFactory(&cfg)
-	if err != nil {
-		return nil, nil, err
-	}
 	st := &alignStage{
 		exec:      exec,
-		aligners:  make(chan ReadAligner, exec.Workers()),
+		aligners:  make(chan *snap.Aligner, exec.Workers()),
 		arenas:    make([]*agd.RecordArena, cfg.Subchunks),
 		owned:     in.Owned,
 		paired:    cfg.Paired,
@@ -73,7 +76,7 @@ func AlignStream(cfg AlignConfig, exec *dataflow.Executor, in *agd.GroupStream) 
 		st.builder = agd.NewChunkBuilder(agd.TypeResults, 0)
 	}
 	for i := 0; i < exec.Workers(); i++ {
-		st.aligners <- factory()
+		st.aligners <- snap.NewAligner(cfg.Index, cfg.Aligner)
 	}
 	for i := range st.arenas {
 		st.arenas[i] = agd.NewRecordArena(4096, 64)
@@ -114,6 +117,11 @@ func AlignStream(cfg AlignConfig, exec *dataflow.Executor, in *agd.GroupStream) 
 func (st *alignStage) alignGroup(ctx context.Context, g *agd.RowGroup) (*agd.RowGroup, error) {
 	bases := g.Chunks[st.basesCol]
 	n := bases.NumRecords()
+	if st.paired && n%2 != 0 {
+		// A pair split across two groups can never be aligned as a pair.
+		g.Release()
+		return nil, fmt.Errorf("core: paired alignment needs whole pairs in every group, group %d has %d records", g.Index, n)
+	}
 	sub := st.subchunks
 	if sub > n {
 		sub = n
@@ -136,9 +144,6 @@ func (st *alignStage) alignGroup(ctx context.Context, g *agd.RowGroup) (*agd.Row
 		if st.paired {
 			// Subchunk boundaries must not split pairs.
 			lo, hi = lo&^1, hi&^1
-			if s == sub-1 {
-				hi = n
-			}
 		}
 		ra := st.arenas[s]
 		ra.Reset()
@@ -246,15 +251,13 @@ func (st *alignStage) collectStats() {
 	}
 	close(st.aligners)
 	for a := range st.aligners {
-		if sa, ok := a.(*snap.Aligner); ok {
-			s := sa.Stats()
-			st.report.Stats.Reads += s.Reads
-			st.report.Stats.SeedLookups += s.SeedLookups
-			st.report.Stats.CandidatesxLV += s.CandidatesxLV
-			st.report.Stats.LVCells += s.LVCells
-			st.report.Stats.BytesCompared += s.BytesCompared
-			st.report.Stats.Aligned += s.Aligned
-		}
+		s := a.Stats()
+		st.report.Stats.Reads += s.Reads
+		st.report.Stats.SeedLookups += s.SeedLookups
+		st.report.Stats.CandidatesxLV += s.CandidatesxLV
+		st.report.Stats.LVCells += s.LVCells
+		st.report.Stats.BytesCompared += s.BytesCompared
+		st.report.Stats.Aligned += s.Aligned
 	}
 	st.aligners = nil
 }

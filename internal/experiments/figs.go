@@ -190,7 +190,7 @@ func RunFig8(ctx context.Context, w io.Writer, sc Scale) (*Fig8Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	bwaAligner := bwa.NewAligner(fmIdx, g, bwa.Config{})
+	bwaAligner := bwa.NewAligner(fmIdx, g)
 	for i := range rs {
 		bwaAligner.AlignRead(rs[i].Bases)
 	}

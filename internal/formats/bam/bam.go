@@ -228,32 +228,17 @@ func (w *Writer) flushRecord() error {
 // Close flushes the BGZF stream and writes its EOF marker.
 func (w *Writer) Close() error { return w.z.Close() }
 
-// Export streams an AGD dataset out as BAM (§5.7's export path). Records
-// render straight from the streamed column bytes (sam.StreamRecords), so
-// the export performs no per-record allocation. It returns the number of
-// records written.
+// Export streams an AGD dataset out as BAM (§5.7's export path): the
+// dataset's export stream (sam.ExportGroups) into ExportStream. Records
+// render straight from the streamed column bytes, so the export performs no
+// per-record allocation. It returns the number of records written.
 func Export(ctx context.Context, ds *agd.Dataset, dst io.Writer) (uint64, error) {
-	if !ds.Manifest.HasColumn(agd.ColResults) {
-		return 0, fmt.Errorf("bam: dataset %q has no results column", ds.Manifest.Name)
-	}
-	refmap := sam.NewRefMap(ds.Manifest.RefSeqs)
-	sortOrder := "unsorted"
-	if ds.Manifest.SortedBy == "location" {
-		sortOrder = "coordinate"
-	}
-	w, err := NewWriter(dst, ds.Manifest.RefSeqs, sortOrder)
+	in, err := sam.ExportGroups(ds)
 	if err != nil {
 		return 0, err
 	}
-	var n uint64
-	err = sam.StreamRecords(ctx, ds, func(meta, seq, qual []byte, v *agd.ResultView) error {
-		n++
-		return w.WriteView(meta, seq, qual, v, refmap)
-	})
-	if err != nil {
-		return n, err
-	}
-	return n, w.Close()
+	defer in.Close()
+	return ExportStream(ctx, in, dst)
 }
 
 // ExportStream renders a pipeline stream (with a results column) as BAM —

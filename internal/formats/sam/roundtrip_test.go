@@ -3,6 +3,8 @@ package sam_test
 import (
 	"bytes"
 	"context"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -47,6 +49,33 @@ func TestSAMRoundTripGolden(t *testing.T) {
 	}
 	if out.String() != golden {
 		t.Fatalf("round trip is not byte-identical:\n--- want ---\n%s--- got ---\n%s", golden, out.String())
+	}
+}
+
+// TestExportGroupsMeta: the export stream names the four columns in the
+// order the exporters read them and carries the manifest's references, sort
+// order and record count (the header both Export sinks render), and it
+// yields every record of the dataset.
+func TestExportGroupsMeta(t *testing.T) {
+	store := agd.NewMemStore()
+	f := testutil.Build(t, store, "ds", testutil.Config{
+		GenomeSize: 60_000, NumReads: 90, ReadLen: 60, ChunkSize: 40, Seed: 118,
+	})
+	in, err := sam.ExportGroups(f.Dataset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	m := f.Dataset.Manifest
+	if cols := []string{agd.ColBases, agd.ColQual, agd.ColMetadata, agd.ColResults}; !reflect.DeepEqual(in.Meta.Columns, cols) {
+		t.Fatalf("columns = %v, want %v", in.Meta.Columns, cols)
+	}
+	if !reflect.DeepEqual(in.Meta.RefSeqs, m.RefSeqs) || in.Meta.SortedBy != m.SortedBy || in.Meta.NumRecords != 90 {
+		t.Fatalf("stream meta = %+v, manifest refs %+v sorted %q", in.Meta, m.RefSeqs, m.SortedBy)
+	}
+	n, err := sam.ExportStream(context.Background(), in, io.Discard)
+	if err != nil || n != 90 {
+		t.Fatalf("stream exported %d records (%v), want 90", n, err)
 	}
 }
 

@@ -130,6 +130,24 @@ func (s *failNStore) Put(name string, data []byte) error {
 	return s.Store.Put(name, data)
 }
 
+// holdPutStore blocks Puts whose name starts with prefix and whose payload
+// contains substr until release closes; reached closes at the first one.
+type holdPutStore struct {
+	persona.Store
+	prefix, substr string
+	reached        chan struct{}
+	release        chan struct{}
+	once           sync.Once
+}
+
+func (s *holdPutStore) Put(name string, data []byte) error {
+	if strings.HasPrefix(name, s.prefix) && bytes.Contains(data, []byte(s.substr)) {
+		s.once.Do(func() { close(s.reached) })
+		<-s.release
+	}
+	return s.Store.Put(name, data)
+}
+
 // waitFor polls cond until true or the deadline lapses.
 func waitFor(t testing.TB, timeout time.Duration, what string, cond func() bool) {
 	t.Helper()

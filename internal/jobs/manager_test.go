@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -93,7 +94,11 @@ func TestJobLifecycle(t *testing.T) {
 	checkNoLeak(t, sess)
 
 	// The DONE record is journaled: a fresh manager over the same store
-	// serves the result without re-running anything.
+	// serves the result without re-running anything. The record is written
+	// after Status reports it; Drain joins the workers, so it has landed.
+	if err := m.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	m2, _ := newTestManager(t, store, g, nil)
 	st2, err := m2.Status(st.ID)
 	if err != nil {
@@ -104,6 +109,54 @@ func TestJobLifecycle(t *testing.T) {
 	}
 	if _, data2, err := m2.Result(st.ID); err != nil || !bytes.Equal(data2, want) {
 		t.Fatalf("replayed result fetch: %v", err)
+	}
+}
+
+// TestDoneReportedBeforeJournaled: the DONE record's journal write is off the
+// client's path — while it is held the job already reports DONE and counts
+// its completion — and Drain returns only once it has landed, so the next
+// incarnation replays DONE.
+func TestDoneReportedBeforeJournaled(t *testing.T) {
+	inner := persona.NewMemStore()
+	g := importTestDataset(t, inner, "ds")
+	store := &holdPutStore{
+		Store: inner, prefix: journalPrefix, substr: `"state":"DONE"`,
+		reached: make(chan struct{}), release: make(chan struct{}),
+	}
+	m, _ := newTestManager(t, store, g, nil)
+	var released sync.Once
+	release := func() { released.Do(func() { close(store.release) }) }
+	t.Cleanup(release)
+
+	st, err := m.Submit("acme", Spec{Dataset: "ds", Format: "fastq"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-store.reached:
+	case <-time.After(30 * time.Second):
+		t.Fatal("timed out waiting for the DONE journal write")
+	}
+	if fin := waitTerminal(t, m, st.ID, 30*time.Second); fin.State != StateDone {
+		t.Fatalf("state = %s (%s) while the DONE journal write is held, want DONE", fin.State, fin.Error)
+	}
+	if got := m.Stats().Tenants["acme"].Completed; got != 1 {
+		t.Fatalf("completed = %d while the DONE journal write is held, want 1", got)
+	}
+	drained := make(chan error, 1)
+	go func() { drained <- m.Drain(context.Background()) }()
+	select {
+	case err := <-drained:
+		t.Fatalf("Drain returned (%v) while the DONE journal write was held", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	if err := <-drained; err != nil {
+		t.Fatal(err)
+	}
+	m2, _ := newTestManager(t, inner, g, nil)
+	if st2, err := m2.Status(st.ID); err != nil || st2.State != StateDone {
+		t.Fatalf("replayed status = %+v, %v, want DONE", st2, err)
 	}
 }
 

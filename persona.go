@@ -53,7 +53,6 @@ import (
 
 	"persona/internal/agd"
 	"persona/internal/agdsort"
-	"persona/internal/align/bwa"
 	"persona/internal/align/snap"
 	"persona/internal/cluster"
 	"persona/internal/core"
@@ -302,23 +301,9 @@ func WriteVCF(w io.Writer, ref *Genome, variants []Variant) error {
 	return varcall.WriteVCF(w, agd.RefSeqsFromGenome(ref), variants)
 }
 
-// BuildBWAIndex builds the FM-index used by the BWA alignment engine.
-func BuildBWAIndex(g *Genome) (*bwa.FMIndex, error) { return bwa.NewFMIndex(g) }
-
-// AlignBWA runs the single-server pipeline with the BWA-MEM-style engine.
-func AlignBWA(ctx context.Context, store Store, dataset string, fm *bwa.FMIndex, g *Genome, paired bool) (*AlignReport, *Manifest, error) {
-	return core.Align(ctx, core.AlignConfig{
-		Store:   store,
-		Dataset: dataset,
-		Engine:  core.EngineBWA,
-		FMIndex: fm,
-		Genome:  g,
-		Paired:  paired,
-	})
-}
-
 // AlignPaired runs the single-server SNAP pipeline in paired-end mode
-// (records 2i and 2i+1 form pairs).
+// (records 2i and 2i+1 form pairs, so every chunk must hold whole pairs:
+// import with an even chunk size).
 func AlignPaired(ctx context.Context, store Store, dataset string, idx *Index, opts AlignOptions) (*AlignReport, *Manifest, error) {
 	return core.Align(ctx, core.AlignConfig{
 		Store:           store,

@@ -13,8 +13,7 @@ import (
 )
 
 // TestExtendedPipeline covers the extension surface: paired-end alignment,
-// the BWA engine, filtering, variant calling with VCF output, and SAM
-// import.
+// filtering, variant calling with VCF output, and SAM import.
 func TestExtendedPipeline(t *testing.T) {
 	ref, err := persona.SynthesizeGenome(200_000, 57)
 	if err != nil {
@@ -90,23 +89,6 @@ func TestExtendedPipeline(t *testing.T) {
 	}
 	if !strings.Contains(vcf.String(), "##fileformat=VCFv4.2") {
 		t.Fatal("VCF header missing")
-	}
-
-	// BWA engine over the same reads (single-end mode).
-	storeBWA := persona.NewMemStore()
-	if _, _, err := persona.ImportFASTQ(context.Background(), storeBWA, "bw", strings.NewReader(fq), persona.RefSeqs(ref), 128); err != nil {
-		t.Fatal(err)
-	}
-	fm, err := persona.BuildBWAIndex(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, _, err := persona.AlignBWA(context.Background(), storeBWA, "bw", fm, ref, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Reads != int64(len(rs)) {
-		t.Fatalf("BWA aligned %d reads", report.Reads)
 	}
 
 	// SAM round trip: export the paired dataset, re-import, compare results.
