@@ -67,12 +67,6 @@ type Options struct {
 	// from a bounded pool of that size, so a pumped edge can queue groups
 	// that stay valid until Release.
 	Pipelining int
-	// SpillDecider chooses, per spilled superchunk run, whether the blob is
-	// compressed, given its raw payload size — typically a
-	// tco.SpillPolicy.Decide closure fed with the store's measured read
-	// profile. It also returns a short reason tag for reporting. Nil spills
-	// raw (the right call on local stores).
-	SpillDecider func(runBytes int64) (agd.Compression, string)
 	// Spill, when non-nil, accumulates per-run spill accounting for the
 	// pipeline report.
 	Spill *SpillStats
@@ -205,13 +199,10 @@ func prefixKey(b []byte) uint64 {
 
 // writeSuperchunk encodes the sorted rows into one temporary blob, reading
 // fields straight from the staging arenas: each record is the concatenation
-// of uvarint-length-prefixed fields. By default temporaries are stored
-// uncompressed — they are deleted right after the merge, and on a local
-// store paying gzip twice on data that lives for seconds would only burn
-// the cores the merge needs. On remote stores opts.SpillDecider can flip
-// that per run when transfer time dominates (the merge's DecodeChunk reads
-// either encoding transparently via the blob header).
-func writeSuperchunk(store agd.BlobStore, name string, cols []*agd.RecordArena, keys []sortEntry, opts *Options) error {
+// of uvarint-length-prefixed fields. Temporaries are stored uncompressed —
+// they are deleted right after the merge, and paying gzip twice on data
+// that lives for seconds would only burn the cores the merge needs.
+func writeSuperchunk(store agd.BlobStore, name string, cols []*agd.RecordArena, keys []sortEntry, spill *SpillStats) error {
 	var buf []byte
 	var tmp [binary.MaxVarintLen64]byte
 	size := 0 // of the run: every field and its uvarint header
@@ -233,19 +224,13 @@ func writeSuperchunk(store agd.BlobStore, name string, cols []*agd.RecordArena, 
 		}
 		b.Append(buf)
 	}
-	c := b.Chunk()
-	raw := int64(len(c.Data))
-	comp, reason := agd.CompressNone, "default-raw"
-	if opts.SpillDecider != nil {
-		comp, reason = opts.SpillDecider(raw)
-	}
-	blob, err := agd.EncodeChunk(c, comp)
+	blob, err := agd.EncodeChunk(b.Chunk(), agd.CompressNone)
 	if err != nil {
 		return err
 	}
 	if err := store.Put(name, blob); err != nil {
 		return err
 	}
-	opts.Spill.record(raw, int64(len(blob)), comp, reason)
+	spill.record(int64(len(blob)))
 	return nil
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"persona/internal/agd"
@@ -326,5 +328,56 @@ func TestSortErrors(t *testing.T) {
 	}
 	if _, err := Sort(context.Background(), store, "missing", Options{}); err == nil {
 		t.Fatal("sorting a missing dataset succeeded")
+	}
+}
+
+// spillProbe records the header of every blob put under prefix.
+type spillProbe struct {
+	agd.BlobStore
+	prefix string
+	mu     sync.Mutex
+	metas  []agd.ChunkMeta
+	bytes  int64
+}
+
+func (s *spillProbe) Put(name string, data []byte) error {
+	if err := s.BlobStore.Put(name, data); err != nil || !strings.HasPrefix(name, s.prefix) {
+		return err
+	}
+	meta, err := agd.ReadChunkMeta(s.BlobStore, name)
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	s.metas = append(s.metas, meta)
+	s.bytes += int64(len(data))
+	s.mu.Unlock()
+	return nil
+}
+
+func TestSortSpillsRaw(t *testing.T) {
+	mem := agd.NewMemStore()
+	testutil.Build(t, mem, "ds", testutil.Config{
+		GenomeSize: 100_000, NumReads: 400, ReadLen: 60, ChunkSize: 50, Seed: 57,
+	})
+	store := &spillProbe{BlobStore: mem, prefix: "out/tmp/"}
+	ds, err := agd.Open(store, "ds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spill SpillStats
+	if _, err := SortDataset(context.Background(), ds, Options{
+		By: ByLocation, ChunksPerSuperchunk: 2, OutputName: "out", Spill: &spill,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rep := spill.Report()
+	if rep.Runs != 4 || rep.Runs != len(store.metas) || rep.StoredBytes != store.bytes {
+		t.Fatalf("report %+v, store saw %d runs of %d bytes, want 4 runs", rep, len(store.metas), store.bytes)
+	}
+	for i, m := range store.metas {
+		if m.Compression != agd.CompressNone || m.Type != agd.TypeRaw {
+			t.Fatalf("spill %d stored as %+v, want raw", i, m)
+		}
 	}
 }

@@ -118,7 +118,7 @@ func BuildRun(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, nam
 			info.Samples = append(info.Samples, sm)
 		}
 	}
-	if err := writeSuperchunk(store, name, cols, keys, &Options{}); err != nil {
+	if err := writeSuperchunk(store, name, cols, keys, nil); err != nil {
 		return RunInfo{}, err
 	}
 	return info, nil

@@ -1,43 +1,26 @@
 package agdsort
 
-import (
-	"sync"
+import "sync"
 
-	"persona/internal/agd"
-)
+// Spill accounting for the external sort's superchunk runs, which
+// writeSuperchunk always stores raw.
 
-// Spill accounting for the external sort's superchunk runs. Historically
-// runs were always stored raw — on a local store, paying gzip twice on data
-// that lives for seconds only burns the cores the merge needs. On a remote
-// store the trade flips once transfer dominates, so Options.SpillDecider
-// lets a measured cost model (internal/tco.SpillPolicy fed by the
-// RetryStore read profile) choose per run, and SpillStats records what was
-// decided for the pipeline report.
-
-// SpillStats accumulates per-run spill decisions. Safe for concurrent use —
+// SpillStats accumulates per-run spill accounting. Safe for concurrent use —
 // phase-1 spill workers run on background goroutines.
 type SpillStats struct {
 	mu          sync.Mutex
 	runs        int
-	compressed  int
-	rawBytes    int64
 	storedBytes int64
-	decision    string
 }
 
-// record logs one spilled run.
-func (s *SpillStats) record(raw, stored int64, comp agd.Compression, reason string) {
+// record logs one spilled run of stored bytes.
+func (s *SpillStats) record(stored int64) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	s.runs++
-	if comp != agd.CompressNone {
-		s.compressed++
-	}
-	s.rawBytes += raw
 	s.storedBytes += stored
-	s.decision = reason
 	s.mu.Unlock()
 }
 
@@ -48,27 +31,13 @@ func (s *SpillStats) Report() SpillReport {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return SpillReport{
-		Runs:        s.runs,
-		Compressed:  s.compressed,
-		RawBytes:    s.rawBytes,
-		StoredBytes: s.storedBytes,
-		Decision:    s.decision,
-	}
+	return SpillReport{Runs: s.runs, StoredBytes: s.storedBytes}
 }
 
 // SpillReport is the per-sort spill summary surfaced in PipelineReport.
 type SpillReport struct {
-	// Runs is how many superchunk runs were spilled; Compressed how many
-	// of them the policy chose to compress.
-	Runs       int `json:"runs"`
-	Compressed int `json:"compressed"`
-	// RawBytes is the total uncompressed run payload; StoredBytes what
-	// actually went to the store (encoded blobs, compressed or not).
-	RawBytes    int64 `json:"raw_bytes"`
+	// Runs is how many superchunk runs were spilled; StoredBytes what went
+	// to the store (encoded blobs).
+	Runs        int   `json:"runs"`
 	StoredBytes int64 `json:"stored_bytes"`
-	// Decision is the policy's reason tag for the most recent run (e.g.
-	// "local", "transfer-dominated"); runs within one sort see the same
-	// store profile, so in practice it describes them all.
-	Decision string `json:"decision,omitempty"`
 }

@@ -69,7 +69,7 @@ func SortStream(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, o
 			defer wg.Done()
 			defer func() { <-sem }()
 			sortKeys(cols[keyCol], keys, opts.By)
-			if err := writeSuperchunk(store, name, cols, keys, &opts); err != nil {
+			if err := writeSuperchunk(store, name, cols, keys, opts.Spill); err != nil {
 				select {
 				case errs <- err:
 				default:

@@ -36,9 +36,9 @@ type SWResult struct {
 
 const swNeg = int32(-1 << 29)
 
-// swMatrices fills the affine-gap DP matrices for query x ref. local
-// selects Smith-Waterman (floor at 0) versus Needleman-Wunsch boundaries.
-func swMatrices(query, ref []byte, sc Scoring, local bool) (h, e, f []int32) {
+// swMatrices fills the Smith-Waterman affine-gap DP matrices for query x
+// ref: H is floored at 0 and the boundary row and column stay 0.
+func swMatrices(query, ref []byte, sc Scoring) (h, e, f []int32) {
 	m, n := len(query), len(ref)
 	width := n + 1
 	h = make([]int32, (m+1)*width)
@@ -46,16 +46,6 @@ func swMatrices(query, ref []byte, sc Scoring, local bool) (h, e, f []int32) {
 	f = make([]int32, (m+1)*width)
 	for i := range e {
 		e[i], f[i] = swNeg, swNeg
-	}
-	if !local {
-		for j := 1; j <= n; j++ {
-			h[j] = sc.GapOpen + int32(j)*sc.GapExtend
-			e[j] = h[j]
-		}
-		for i := 1; i <= m; i++ {
-			h[i*width] = sc.GapOpen + int32(i)*sc.GapExtend
-			f[i*width] = h[i*width]
-		}
 	}
 	for i := 1; i <= m; i++ {
 		for j := 1; j <= n; j++ {
@@ -81,7 +71,7 @@ func swMatrices(query, ref []byte, sc Scoring, local bool) (h, e, f []int32) {
 			if f[idx] > v {
 				v = f[idx]
 			}
-			if local && v < 0 {
+			if v < 0 {
 				v = 0
 			}
 			h[idx] = v
@@ -92,8 +82,9 @@ func swMatrices(query, ref []byte, sc Scoring, local bool) (h, e, f []int32) {
 
 // traceback recovers the alignment path ending at (bi, bj) by walking the
 // three matrices with an explicit state machine (state H, in-E-gap,
-// in-F-gap), which is required for correct multi-base affine gaps.
-func traceback(query, ref []byte, sc Scoring, h, e, f []int32, bi, bj int, local bool) (Cigar, int, int) {
+// in-F-gap), which is required for correct multi-base affine gaps. The walk
+// stops where H reaches 0, the start of the local alignment.
+func traceback(query, ref []byte, sc Scoring, h, e, f []int32, bi, bj int) (Cigar, int, int) {
 	width := len(ref) + 1
 	var rev Cigar
 	i, j := bi, bj
@@ -107,8 +98,7 @@ func traceback(query, ref []byte, sc Scoring, h, e, f []int32, bi, bj int, local
 		idx := i*width + j
 		switch state {
 		case stH:
-			if local && h[idx] == 0 {
-				// Start of the local alignment.
+			if h[idx] == 0 {
 				return reverseCigar(rev), i, j
 			}
 			if i > 0 && j > 0 && h[idx] == h[idx-width-1]+sc.sub(query[i-1], ref[j-1]) {
@@ -122,17 +112,6 @@ func traceback(query, ref []byte, sc Scoring, h, e, f []int32, bi, bj int, local
 			}
 			if h[idx] == f[idx] {
 				state = stF
-				continue
-			}
-			// Global boundary rows reduce to pure gaps.
-			if i == 0 && j > 0 {
-				rev = append(rev, CigarElem{Len: j, Op: CigarDel})
-				j = 0
-				continue
-			}
-			if j == 0 && i > 0 {
-				rev = append(rev, CigarElem{Len: i, Op: CigarIns})
-				i = 0
 				continue
 			}
 			return reverseCigar(rev), i, j
@@ -169,7 +148,7 @@ func SmithWaterman(query, ref []byte, sc Scoring) SWResult {
 	if m == 0 || n == 0 {
 		return SWResult{}
 	}
-	h, e, f := swMatrices(query, ref, sc, true)
+	h, e, f := swMatrices(query, ref, sc)
 	width := n + 1
 	var best int32
 	bi, bj := 0, 0
@@ -183,31 +162,11 @@ func SmithWaterman(query, ref []byte, sc Scoring) SWResult {
 	if best <= 0 {
 		return SWResult{}
 	}
-	cigar, qi, ri := traceback(query, ref, sc, h, e, f, bi, bj, true)
+	cigar, qi, ri := traceback(query, ref, sc, h, e, f, bi, bj)
 	return SWResult{
 		Score:    best,
 		QueryBeg: qi, QueryEnd: bi,
 		RefBeg: ri, RefEnd: bj,
 		Cigar: cigar,
 	}
-}
-
-// GlobalAffine aligns all of query against all of ref with affine gaps
-// (Needleman-Wunsch), returning score and CIGAR. Used to finish BWA-style
-// extensions across a fixed window.
-func GlobalAffine(query, ref []byte, sc Scoring) (int32, Cigar) {
-	m, n := len(query), len(ref)
-	if m == 0 {
-		if n == 0 {
-			return 0, nil
-		}
-		return sc.GapOpen + int32(n)*sc.GapExtend, Cigar{{Len: n, Op: CigarDel}}
-	}
-	if n == 0 {
-		return sc.GapOpen + int32(m)*sc.GapExtend, Cigar{{Len: m, Op: CigarIns}}
-	}
-	h, e, f := swMatrices(query, ref, sc, false)
-	width := n + 1
-	cigar, _, _ := traceback(query, ref, sc, h, e, f, m, n, false)
-	return h[m*width+n], cigar
 }

@@ -92,19 +92,25 @@ func TestSmithWatermanCigarSpansConsistent(t *testing.T) {
 	}
 }
 
-func TestGlobalAffine(t *testing.T) {
+// TestSmithWatermanEndsOnMatches: a local alignment starts and ends on an
+// aligned base — opening or closing with a gap would only lower its score.
+func TestSmithWatermanEndsOnMatches(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
 	sc := DefaultScoring()
-	score, cig := GlobalAffine([]byte("ACGT"), []byte("ACGT"), sc)
-	if score != 4 || cig.String() != "4M" {
-		t.Fatalf("exact global: %d %s", score, cig)
-	}
-	score, cig = GlobalAffine([]byte("ACGT"), []byte("ACT"), sc)
-	if cig.ReadLen() != 4 || cig.RefLen() != 3 {
-		t.Fatalf("global with deletion: %d %s", score, cig)
-	}
-	_, cig = GlobalAffine([]byte("AC"), []byte("ACGGGG"), sc)
-	if cig.ReadLen() != 2 || cig.RefLen() != 6 {
-		t.Fatalf("global padding: %s", cig)
+	for trial := 0; trial < 200; trial++ {
+		q := randSeq(rng, 20+rng.Intn(40))
+		r := mutateSeq(rng, q, rng.Intn(8))
+		r = append(randSeq(rng, rng.Intn(10)), append(r, randSeq(rng, rng.Intn(10))...)...)
+		res := SmithWaterman(q, r, sc)
+		if res.Score == 0 {
+			continue
+		}
+		if first, last := res.Cigar[0], res.Cigar[len(res.Cigar)-1]; first.Op != CigarMatch || last.Op != CigarMatch {
+			t.Fatalf("trial %d: cigar %s does not start and end on matches", trial, res.Cigar)
+		}
+		if q[res.QueryBeg] != r[res.RefBeg] || q[res.QueryEnd-1] != r[res.RefEnd-1] {
+			t.Fatalf("trial %d: %+v starts or ends on a mismatch", trial, res)
+		}
 	}
 }
 

@@ -23,7 +23,6 @@ type alignStage struct {
 	arenas    []*agd.RecordArena
 	builder   *agd.ChunkBuilder
 	pool      *agd.BuilderPool
-	owned     bool // input groups are valid until Release
 	paired    bool
 	subchunks int
 	report    *AlignReport
@@ -63,7 +62,6 @@ func AlignStream(cfg AlignConfig, exec *dataflow.Executor, in *agd.GroupStream) 
 		exec:      exec,
 		aligners:  make(chan *snap.Aligner, exec.Workers()),
 		arenas:    make([]*agd.RecordArena, cfg.Subchunks),
-		owned:     in.Owned,
 		paired:    cfg.Paired,
 		subchunks: cfg.Subchunks,
 		report:    &AlignReport{},

@@ -1,9 +1,6 @@
 package simulate
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Discrete-event simulation of the Fig. 7 experiment: N compute nodes pull
 // AGD chunks from the Ceph cluster, align them at the calibrated node rate,
@@ -11,7 +8,8 @@ import (
 // and write bandwidths are FCFS-served resources; when the replicated
 // result writes exhaust CephWriteBW (≈60 nodes at paper calibration),
 // throughput saturates — "beyond 60 nodes ... write performance of the
-// alignment results limits performance" (§5.5).
+// alignment results limits performance" (§5.5). It is one phase of the
+// event loop the distributed model runs (runPhase) with a single task shape.
 
 // event is one scheduled simulation callback.
 type event struct {
@@ -38,7 +36,6 @@ func (h *eventHeap) Pop() any {
 type fcfs struct {
 	rate   float64 // bytes/s
 	freeAt float64
-	busy   float64 // cumulative busy seconds
 }
 
 // request schedules a transfer of size bytes arriving at now and returns
@@ -48,120 +45,8 @@ func (r *fcfs) request(now, bytes float64) float64 {
 	if r.freeAt > start {
 		start = r.freeAt
 	}
-	dur := bytes / r.rate
-	r.freeAt = start + dur
-	r.busy += dur
+	r.freeAt = start + bytes/r.rate
 	return r.freeAt
-}
-
-// ClusterSimConfig parameterizes one cluster simulation run.
-type ClusterSimConfig struct {
-	Nodes  int
-	Params PaperParams
-}
-
-// ClusterSimResult reports one run.
-type ClusterSimResult struct {
-	Nodes       int
-	Seconds     float64 // makespan: request start to last result write
-	BasesPerSec float64
-	ReadBusy    float64 // Ceph read resource utilization [0,1]
-	WriteBusy   float64 // Ceph write resource utilization [0,1]
-}
-
-// clusterNode is one compute node's pipeline state.
-type clusterNode struct {
-	queued   int // fetched chunks awaiting CPU
-	fetching int // fetches in flight
-	cpuBusy  bool
-}
-
-// SimulateCluster runs the chunk-level DES for a node count.
-func SimulateCluster(cfg ClusterSimConfig) (ClusterSimResult, error) {
-	p := cfg.Params
-	if cfg.Nodes <= 0 {
-		return ClusterSimResult{}, fmt.Errorf("simulate: Nodes = %d", cfg.Nodes)
-	}
-	chunkBases := float64(p.ChunkReads * p.ReadLen)
-	chunkReadBytes := p.AGDReadBytes / float64(p.NumChunks)
-	chunkWriteBytes := p.AGDWriteBytes / float64(p.NumChunks) * float64(p.Replication)
-	alignTime := chunkBases / p.NodeRate
-
-	read := &fcfs{rate: p.CephReadBW}
-	write := &fcfs{rate: p.CephWriteBW}
-
-	nodes := make([]clusterNode, cfg.Nodes)
-	remaining := p.NumChunks // chunks not yet claimed
-	written := 0             // chunks fully written back
-	var makespan float64
-
-	var events eventHeap
-	schedule := func(t float64, fn func(now float64)) {
-		heap.Push(&events, event{t: t, fn: fn})
-	}
-
-	var tryFetch func(n int, now float64)
-	var tryAlign func(n int, now float64)
-
-	tryFetch = func(n int, now float64) {
-		nd := &nodes[n]
-		for remaining > 0 && nd.fetching+nd.queued < p.QueueDepth {
-			remaining--
-			nd.fetching++
-			done := read.request(now, chunkReadBytes)
-			schedule(done, func(now float64) {
-				nd.fetching--
-				nd.queued++
-				tryAlign(n, now)
-				tryFetch(n, now)
-			})
-		}
-	}
-
-	tryAlign = func(n int, now float64) {
-		nd := &nodes[n]
-		if nd.cpuBusy || nd.queued == 0 {
-			return
-		}
-		nd.queued--
-		nd.cpuBusy = true
-		schedule(now+alignTime, func(now float64) {
-			nd.cpuBusy = false
-			wDone := write.request(now, chunkWriteBytes)
-			schedule(wDone, func(now float64) {
-				written++
-				if now > makespan {
-					makespan = now
-				}
-			})
-			tryAlign(n, now)
-			tryFetch(n, now)
-		})
-	}
-
-	heap.Init(&events)
-	for n := 0; n < cfg.Nodes; n++ {
-		tryFetch(n, 0)
-	}
-	for events.Len() > 0 {
-		e := heap.Pop(&events).(event)
-		e.fn(e.t)
-	}
-	if written != p.NumChunks {
-		return ClusterSimResult{}, fmt.Errorf("simulate: only %d/%d chunks completed", written, p.NumChunks)
-	}
-	makespan += p.StartupSeconds
-
-	res := ClusterSimResult{
-		Nodes:       cfg.Nodes,
-		Seconds:     makespan,
-		BasesPerSec: p.TotalBases / makespan,
-	}
-	if makespan > 0 {
-		res.ReadBusy = read.busy / makespan
-		res.WriteBusy = write.busy / makespan
-	}
-	return res, nil
 }
 
 // Fig7Point is one point of the Fig. 7 series.
@@ -174,13 +59,24 @@ type Fig7Point struct {
 // Fig7 sweeps node counts and returns the "Simulation" series of Fig. 7
 // (of which the ≤32-node prefix corresponds to the paper's "Actual" range).
 func Fig7(p PaperParams, nodeCounts []int) ([]Fig7Point, error) {
+	// Each node fetches a chunk, aligns it at the calibrated node rate and
+	// writes the replicated results back: one task shape through runPhase.
+	task := distTask{
+		readBytes:  p.AGDReadBytes / float64(p.NumChunks),
+		cpuSeconds: float64(p.ChunkReads*p.ReadLen) / p.NodeRate,
+		writeBytes: p.AGDWriteBytes / float64(p.NumChunks) * float64(p.Replication),
+	}
 	var out []Fig7Point
 	for _, n := range nodeCounts {
-		res, err := SimulateCluster(ClusterSimConfig{Nodes: n, Params: p})
-		if err != nil {
-			return nil, err
+		if n <= 0 {
+			return nil, fmt.Errorf("simulate: Nodes = %d", n)
 		}
-		out = append(out, Fig7Point{Nodes: n, BasesPerSec: res.BasesPerSec, Seconds: res.Seconds})
+		end, finished := runPhase(n, p.QueueDepth, p.NumChunks, task, &fcfs{rate: p.CephReadBW}, &fcfs{rate: p.CephWriteBW}, 0)
+		if finished != p.NumChunks {
+			return nil, fmt.Errorf("simulate: only %d/%d chunks completed", finished, p.NumChunks)
+		}
+		seconds := end + p.StartupSeconds
+		out = append(out, Fig7Point{Nodes: n, BasesPerSec: p.TotalBases / seconds, Seconds: seconds})
 	}
 	return out, nil
 }

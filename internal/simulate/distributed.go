@@ -10,8 +10,9 @@ import (
 // internal/cluster executes (map: read+align+spill a sorted run; shuffle:
 // cut runs at the global splitters and rewrite every byte as partition
 // pieces; reduce: merge each partition and write the output dataset) as a
-// discrete-event simulation over the same FCFS storage resources as the
-// Fig. 7 alignment model, with a barrier between phases — the coordinator
+// discrete-event simulation over the same FCFS storage resources and the
+// same event loop (runPhase) as the Fig. 7 alignment model, which is one
+// such phase, with a barrier between phases — the coordinator
 // computes global cuts only after the last map ack, and a partition merge
 // starts only after the last shuffle ack. The merge itself is memory-bound
 // and negligible next to alignment at paper calibration, so reduce CPU is
@@ -49,8 +50,9 @@ type distTask struct {
 
 // runPhase executes one phase's tasks across nodes worker nodes, each
 // prefetching up to queueDepth tasks, against shared read/write resources,
-// starting at start. Returns the phase's completion time (the barrier).
-func runPhase(nodes, queueDepth, nTasks int, task distTask, read, write *fcfs, start float64) float64 {
+// starting at start. Returns the phase's completion time (the barrier) and
+// how many tasks finished.
+func runPhase(nodes, queueDepth, nTasks int, task distTask, read, write *fcfs, start float64) (end float64, finished int) {
 	type nodeState struct {
 		queued   int
 		fetching int
@@ -58,8 +60,7 @@ func runPhase(nodes, queueDepth, nTasks int, task distTask, read, write *fcfs, s
 	}
 	ns := make([]nodeState, nodes)
 	remaining := nTasks
-	finished := 0
-	end := start
+	end = start
 
 	var events eventHeap
 	schedule := func(t float64, fn func(now float64)) {
@@ -118,15 +119,17 @@ func runPhase(nodes, queueDepth, nTasks int, task distTask, read, write *fcfs, s
 		e := heap.Pop(&events).(event)
 		e.fn(e.t)
 	}
-	return end
+	return end, finished
 }
+
+// chunksPerBatch is the map granularity: internal/cluster's default
+// PipelinePlan.ChunksPerBatch.
+const chunksPerBatch = 8
 
 // DistPipelineConfig parameterizes one distributed-pipeline simulation.
 type DistPipelineConfig struct {
-	Nodes int
-	// ChunksPerBatch is the map granularity (0 = the scheduler's default 8).
-	ChunksPerBatch int
-	Params         PaperParams
+	Nodes  int
+	Params PaperParams
 }
 
 // DistPipelineResult reports one simulated distributed-pipeline run.
@@ -146,11 +149,7 @@ func SimulateDistPipeline(cfg DistPipelineConfig) (DistPipelineResult, error) {
 	if cfg.Nodes <= 0 {
 		return DistPipelineResult{}, fmt.Errorf("simulate: Nodes = %d", cfg.Nodes)
 	}
-	perBatch := cfg.ChunksPerBatch
-	if perBatch <= 0 {
-		perBatch = 8
-	}
-	numBatches := (p.NumChunks + perBatch - 1) / perBatch
+	numBatches := (p.NumChunks + chunksPerBatch - 1) / chunksPerBatch
 	if numBatches < 1 {
 		return DistPipelineResult{}, fmt.Errorf("simulate: no chunks")
 	}
@@ -166,17 +165,17 @@ func SimulateDistPipeline(cfg DistPipelineConfig) (DistPipelineResult, error) {
 	// unreplicated run. Shuffle: read each run back, rewrite its bytes as
 	// partition pieces (unreplicated temp blobs). Reduce: each partition
 	// reads its pieces and writes the replicated output dataset.
-	mapEnd := runPhase(cfg.Nodes, p.QueueDepth, numBatches, distTask{
+	mapEnd, _ := runPhase(cfg.Nodes, p.QueueDepth, numBatches, distTask{
 		readBytes:  p.AGDReadBytes / float64(numBatches),
 		cpuSeconds: batchBases / p.NodeRate,
 		writeBytes: runBytes,
 	}, read, write, 0)
-	shufEnd := runPhase(cfg.Nodes, p.QueueDepth, numBatches, distTask{
+	shufEnd, _ := runPhase(cfg.Nodes, p.QueueDepth, numBatches, distTask{
 		readBytes:  runBytes,
 		writeBytes: runBytes,
 	}, read, write, mapEnd)
 	partBytes := (p.AGDReadBytes + p.AGDWriteBytes) / float64(cfg.Nodes)
-	redEnd := runPhase(cfg.Nodes, p.QueueDepth, cfg.Nodes, distTask{
+	redEnd, _ := runPhase(cfg.Nodes, p.QueueDepth, cfg.Nodes, distTask{
 		readBytes:  partBytes,
 		writeBytes: partBytes * float64(p.Replication),
 	}, read, write, shufEnd)

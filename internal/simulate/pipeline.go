@@ -26,17 +26,19 @@ type PipelineConfig struct {
 	ChannelBW    float64
 	ReadBW       float64
 	WriteBW      float64
+}
 
+const (
 	// Buffer cache writeback (shared-disk path): dirty bytes accumulate
-	// until DirtyHigh, then the flusher drains the cache to DirtyLow at
+	// until dirtyHigh, then the flusher drains the cache to dirtyLow at
 	// full disk bandwidth, starving reads — the §5.3 observation that "the
 	// operating system's buffer cache writeback policy competes with the
-	// application-driven data reads". Zeros choose defaults.
-	DirtyHigh, DirtyLow float64
-
-	// InputBufferBytes caps read-ahead (defaults to 256 MB).
-	InputBufferBytes float64
-}
+	// application-driven data reads".
+	dirtyHigh = 1.5e9
+	dirtyLow  = 0.3e9
+	// inputBufferBytes caps read-ahead.
+	inputBufferBytes = 256e6
+)
 
 // UtilSample is one point of the Fig. 5 CPU-utilization trace.
 type UtilSample struct {
@@ -75,16 +77,6 @@ func RunPipeline(cfg PipelineConfig) (PipelineResult, error) {
 	if paths != 1 {
 		return PipelineResult{}, fmt.Errorf("simulate: config %q must select exactly one storage path", cfg.Name)
 	}
-	if cfg.InputBufferBytes <= 0 {
-		cfg.InputBufferBytes = 256e6
-	}
-	if cfg.DirtyHigh <= 0 {
-		cfg.DirtyHigh = 1.5e9
-	}
-	if cfg.DirtyLow <= 0 {
-		cfg.DirtyLow = 0.3e9
-	}
-
 	readPerBase := cfg.ReadBytes / cfg.TotalBases
 	writePerBase := cfg.WriteBytes / cfg.TotalBases
 
@@ -140,7 +132,7 @@ func RunPipeline(cfg PipelineConfig) (PipelineResult, error) {
 		// Read stage.
 		var readBytesStep float64
 		if bytesRead < cfg.ReadBytes {
-			room := cfg.InputBufferBytes - inputBuf
+			room := inputBufferBytes - inputBuf
 			readBytesStep = readBW * dt
 			if readBytesStep > room {
 				readBytesStep = room
@@ -175,7 +167,7 @@ func RunPipeline(cfg PipelineConfig) (PipelineResult, error) {
 
 		// Write-back stage.
 		if cfg.SharedDiskBW > 0 {
-			if !flushing && (dirty >= cfg.DirtyHigh || (basesDone >= cfg.TotalBases-0.5 && dirty > 0.5)) {
+			if !flushing && (dirty >= dirtyHigh || (basesDone >= cfg.TotalBases-0.5 && dirty > 0.5)) {
 				flushing = true
 			}
 			if flushing {
@@ -188,7 +180,7 @@ func RunPipeline(cfg PipelineConfig) (PipelineResult, error) {
 				// Stay in the flush state during the final drain (all
 				// bases aligned): everything left must reach the disk.
 				finalDrain := basesDone >= cfg.TotalBases-0.5
-				if dirty <= cfg.DirtyLow && !finalDrain {
+				if dirty <= dirtyLow && !finalDrain {
 					flushing = false
 				}
 			}
@@ -232,6 +224,19 @@ func RunPipeline(cfg PipelineConfig) (PipelineResult, error) {
 	return res, nil
 }
 
+// serverPair is SNAP (gzipped FASTQ → SAM) and Persona (AGD) aligning the
+// paper's dataset on one server, named "snap-"+where and "persona-"+where.
+// Reads and writes share one device of bandwidth diskBW; a zero diskBW
+// leaves the storage path to the caller.
+func serverPair(p PaperParams, where string, diskBW float64) (snap, persona PipelineConfig) {
+	snap = PipelineConfig{Name: "snap-" + where, TotalBases: p.TotalBases, ComputeRate: p.NodeRate,
+		ReadBytes: p.FASTQReadBytes, WriteBytes: p.SAMWriteBytes, SharedDiskBW: diskBW}
+	persona = snap
+	persona.Name = "persona-" + where
+	persona.ReadBytes, persona.WriteBytes = p.AGDReadBytes, p.AGDWriteBytes
+	return snap, persona
+}
+
 // Table1Row is one row of the paper's Table 1.
 type Table1Row struct {
 	Config         string
@@ -244,33 +249,18 @@ type Table1Row struct {
 // time for SNAP (gzipped FASTQ → SAM) versus Persona (AGD), across three
 // storage configurations, plus the data-volume row.
 func Table1(p PaperParams) ([]Table1Row, error) {
-	type pair struct {
+	snapSingle, personaSingle := serverPair(p, "singledisk", p.DiskBW)
+	snapRAID, personaRAID := serverPair(p, "raid0", p.DiskBW*float64(p.RAIDDisks))
+	snapNet, personaNet := serverPair(p, "network", 0)
+	snapNet.ChannelBW = p.PipeBW
+	personaNet.ReadBW, personaNet.WriteBW = p.NICBW, p.NICBW
+	pairs := []struct {
 		name          string
 		snap, persona PipelineConfig
-	}
-	raidBW := p.DiskBW * float64(p.RAIDDisks)
-	pairs := []pair{
-		{
-			name: "Disk(Single)",
-			snap: PipelineConfig{Name: "snap-single", TotalBases: p.TotalBases, ComputeRate: p.NodeRate,
-				ReadBytes: p.FASTQReadBytes, WriteBytes: p.SAMWriteBytes, SharedDiskBW: p.DiskBW},
-			persona: PipelineConfig{Name: "persona-single", TotalBases: p.TotalBases, ComputeRate: p.NodeRate,
-				ReadBytes: p.AGDReadBytes, WriteBytes: p.AGDWriteBytes, SharedDiskBW: p.DiskBW},
-		},
-		{
-			name: "Disk(RAID)",
-			snap: PipelineConfig{Name: "snap-raid", TotalBases: p.TotalBases, ComputeRate: p.NodeRate,
-				ReadBytes: p.FASTQReadBytes, WriteBytes: p.SAMWriteBytes, SharedDiskBW: raidBW},
-			persona: PipelineConfig{Name: "persona-raid", TotalBases: p.TotalBases, ComputeRate: p.NodeRate,
-				ReadBytes: p.AGDReadBytes, WriteBytes: p.AGDWriteBytes, SharedDiskBW: raidBW},
-		},
-		{
-			name: "Network",
-			snap: PipelineConfig{Name: "snap-network", TotalBases: p.TotalBases, ComputeRate: p.NodeRate,
-				ReadBytes: p.FASTQReadBytes, WriteBytes: p.SAMWriteBytes, ChannelBW: p.PipeBW},
-			persona: PipelineConfig{Name: "persona-network", TotalBases: p.TotalBases, ComputeRate: p.NodeRate,
-				ReadBytes: p.AGDReadBytes, WriteBytes: p.AGDWriteBytes, ReadBW: p.NICBW, WriteBW: p.NICBW},
-		},
+	}{
+		{"Disk(Single)", snapSingle, personaSingle},
+		{"Disk(RAID)", snapRAID, personaRAID},
+		{"Network", snapNet, personaNet},
 	}
 	var rows []Table1Row
 	for _, pr := range pairs {
@@ -295,17 +285,9 @@ func Table1(p PaperParams) ([]Table1Row, error) {
 // Fig5 produces the CPU-utilization traces of Fig. 5: SNAP vs Persona on a
 // single disk (a) and on RAID0 (b).
 func Fig5(p PaperParams) (map[string]PipelineResult, error) {
-	raidBW := p.DiskBW * float64(p.RAIDDisks)
-	configs := []PipelineConfig{
-		{Name: "snap-singledisk", TotalBases: p.TotalBases, ComputeRate: p.NodeRate,
-			ReadBytes: p.FASTQReadBytes, WriteBytes: p.SAMWriteBytes, SharedDiskBW: p.DiskBW},
-		{Name: "persona-singledisk", TotalBases: p.TotalBases, ComputeRate: p.NodeRate,
-			ReadBytes: p.AGDReadBytes, WriteBytes: p.AGDWriteBytes, SharedDiskBW: p.DiskBW},
-		{Name: "snap-raid0", TotalBases: p.TotalBases, ComputeRate: p.NodeRate,
-			ReadBytes: p.FASTQReadBytes, WriteBytes: p.SAMWriteBytes, SharedDiskBW: raidBW},
-		{Name: "persona-raid0", TotalBases: p.TotalBases, ComputeRate: p.NodeRate,
-			ReadBytes: p.AGDReadBytes, WriteBytes: p.AGDWriteBytes, SharedDiskBW: raidBW},
-	}
+	snapSingle, personaSingle := serverPair(p, "singledisk", p.DiskBW)
+	snapRAID, personaRAID := serverPair(p, "raid0", p.DiskBW*float64(p.RAIDDisks))
+	configs := []PipelineConfig{snapSingle, personaSingle, snapRAID, personaRAID}
 	out := make(map[string]PipelineResult, len(configs))
 	for _, cfg := range configs {
 		res, err := RunPipeline(cfg)

@@ -2,6 +2,7 @@ package simulate
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -183,8 +184,77 @@ func TestPipelineValidation(t *testing.T) {
 	}
 }
 
-func TestSimulateClusterValidation(t *testing.T) {
-	if _, err := SimulateCluster(ClusterSimConfig{Nodes: 0, Params: DefaultPaperParams()}); err == nil {
+func TestFig7Validation(t *testing.T) {
+	if _, err := Fig7(DefaultPaperParams(), []int{8, 0}); err == nil {
 		t.Fatal("zero nodes accepted")
+	}
+}
+
+// TestFig7Golden and TestTable1Golden pin the model outputs bit for bit; the
+// shape tests above would let a drifted constant or a reordered event through.
+func TestFig7Golden(t *testing.T) {
+	fig7, err := Fig7(DefaultPaperParams(), []int{1, 8, 32, 60, 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want7 := []Fig7Point{
+		{1, 4.535806939399528e+07, 496.78260783698704},
+		{8, 3.575145398996207e+08, 63.02708697197774},
+		{32, 1.3539903692215183e+09, 16.641994294948706},
+		{60, 2.3721038045205e+09, 9.499204864921527},
+		{100, 2.3721038045205e+09, 9.499204864921527},
+	}
+	if !reflect.DeepEqual(fig7, want7) {
+		t.Errorf("Fig7 = %v, want %v", fig7, want7)
+	}
+}
+
+func TestTable1Golden(t *testing.T) {
+	table1, err := Table1(DefaultPaperParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want1 := []Table1Row{
+		{"Disk(Single)", 888.3499999997398, 515.400000000079, 1.7236127279775002},
+		{"Disk(RAID)", 496.8000000000787, 496.3500000000786, 1.00090661831369},
+		{"Network", 758.9499999998575, 495.80000000007846, 1.5307583703100793},
+	}
+	if !reflect.DeepEqual(table1, want1) {
+		t.Errorf("Table1 = %v, want %v", table1, want1)
+	}
+}
+
+// TestFig5Series pins the series names experiments.RunFig5 looks up and that
+// each is the SNAP or Persona run on its device.
+func TestFig5Series(t *testing.T) {
+	p := DefaultPaperParams()
+	got, err := Fig5(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raid := p.DiskBW * float64(p.RAIDDisks)
+	want := map[string]PipelineConfig{
+		"snap-singledisk":    {ReadBytes: p.FASTQReadBytes, WriteBytes: p.SAMWriteBytes, SharedDiskBW: p.DiskBW},
+		"persona-singledisk": {ReadBytes: p.AGDReadBytes, WriteBytes: p.AGDWriteBytes, SharedDiskBW: p.DiskBW},
+		"snap-raid0":         {ReadBytes: p.FASTQReadBytes, WriteBytes: p.SAMWriteBytes, SharedDiskBW: raid},
+		"persona-raid0":      {ReadBytes: p.AGDReadBytes, WriteBytes: p.AGDWriteBytes, SharedDiskBW: raid},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("Fig5 series %d, want %d", len(got), len(want))
+	}
+	for name, cfg := range want {
+		cfg.Name, cfg.TotalBases, cfg.ComputeRate = name, p.TotalBases, p.NodeRate
+		res, ok := got[name]
+		if !ok {
+			t.Fatalf("Fig5 has no series %q", name)
+		}
+		direct, err := RunPipeline(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Seconds != direct.Seconds || res.AvgCPU != direct.AvgCPU || res.ReadBytes != cfg.ReadBytes {
+			t.Errorf("%s: Fig5 %v s / %v cpu, the literal config %v s / %v cpu",
+				name, res.Seconds, res.AvgCPU, direct.Seconds, direct.AvgCPU)
+		}
 	}
 }

@@ -145,7 +145,7 @@ func (a RetryStats) Delta(b RetryStats) RetryStats {
 
 // latencyRing keeps the most recent successful read latencies (and their
 // payload sizes) for the adaptive hedge delay and the measured read profile
-// that drives storage-aware policies (spill compression).
+// that calibrates the performance model.
 type latencyRing struct {
 	mu      sync.Mutex
 	samples [128]time.Duration
@@ -265,10 +265,10 @@ func (r *RetryStore) RetryStats() RetryStats {
 
 // ReadProfile reports the store's measured read behavior over the recent
 // successful-read window: median per-read latency, mean throughput in MB/s,
-// and how many samples back them. Policies that trade CPU against transfer
-// time (agdsort's spill compression via internal/tco) feed on this instead
-// of a configuration flag, so the decision tracks the store actually
-// attached — local disk, or a remote object store with real round trips.
+// and how many samples back them. simulate.ParamsFromProfile calibrates the
+// performance model from this instead of the paper's constants, so its
+// predictions track the store actually attached — local disk, or a remote
+// object store with real round trips.
 func (r *RetryStore) ReadProfile() (lat time.Duration, mbps float64, samples int) {
 	return r.lat.profile()
 }

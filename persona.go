@@ -95,8 +95,8 @@ type (
 	// CacheStats counts the session chunk cache's hits, misses, fills and
 	// evictions (agd.CacheStats).
 	CacheStats = agd.CacheStats
-	// SpillReport summarizes a sort's spill-compression decisions
-	// (agdsort.SpillReport).
+	// SpillReport counts a sort's spilled superchunk runs and the bytes
+	// they stored (agdsort.SpillReport).
 	SpillReport = agdsort.SpillReport
 	// RetryPolicy tunes a resilient store wrapper (NewRetryStore).
 	RetryPolicy = storage.RetryPolicy

@@ -294,8 +294,8 @@ type PipelineReport struct {
 	// when the cache is disabled). Concurrent pipelines share the cache, so
 	// deltas overlap.
 	Cache *CacheStats
-	// Spill carries the sort stage's spill-compression accounting, when the
-	// pipeline sorted (nil otherwise).
+	// Spill carries the sort stage's spill accounting, when the pipeline
+	// sorted (nil otherwise).
 	Spill *SpillReport
 	// Pumped reports whether the run used the pumped scheduler; EdgeDepth
 	// is the bounded-queue depth its edges ran with (0 when serial).
@@ -528,11 +528,10 @@ func (p *Pipeline) buildStage(ctx context.Context, st pipeStage, in *agd.GroupSt
 		// barrier), so the stats are final when it returns.
 		spill := &agdsort.SpillStats{}
 		out, err := agdsort.SortStream(ctx, sess.store, in, agdsort.Options{
-			By:           st.by,
-			TempPrefix:   p.spillPrefix(),
-			Pipelining:   pipelining,
-			SpillDecider: sess.spillDecider(),
-			Spill:        spill,
+			By:         st.by,
+			TempPrefix: p.spillPrefix(),
+			Pipelining: pipelining,
+			Spill:      spill,
 		})
 		rep := spill.Report()
 		report.Spill = &rep

@@ -6,13 +6,11 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"persona/internal/agd"
 	"persona/internal/align/snap"
 	"persona/internal/cluster"
 	"persona/internal/dataflow"
-	"persona/internal/tco"
 )
 
 // SessionOptions configures a Session.
@@ -200,33 +198,6 @@ func (s *Session) FlushCache() (entries int, bytes int64) {
 		return 0, 0
 	}
 	return s.cache.Flush()
-}
-
-// spillDecider builds the cost-driven spill-compression policy for this
-// session's sorts: when the store is resilience-wrapped, its measured read
-// profile feeds tco.SpillPolicy and each superchunk run is priced
-// individually; otherwise (no evidence) runs stay raw. The returned decider
-// is nil-safe for agdsort.Options.
-func (s *Session) spillDecider() func(runBytes int64) (agd.Compression, string) {
-	profiler, ok := s.store.(interface {
-		ReadProfile() (time.Duration, float64, int)
-	})
-	if !ok {
-		return nil
-	}
-	return func(runBytes int64) (agd.Compression, string) {
-		lat, mbps, samples := profiler.ReadProfile()
-		policy := tco.SpillPolicy{Profile: tco.StorageProfile{
-			ReadLatency: lat,
-			ReadMBps:    mbps,
-			Samples:     samples,
-		}}
-		dec := policy.Decide(runBytes)
-		if dec.Compress {
-			return agd.CompressGzip, dec.Reason
-		}
-		return agd.CompressNone, dec.Reason
-	}
 }
 
 // Close releases the session's executor. Pipelines must not be run (or be
