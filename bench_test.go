@@ -70,42 +70,6 @@ func BenchmarkTable1_MeasuredPersonaAGD(b *testing.B) {
 	}
 }
 
-// BenchmarkTable1_AsyncReadPrefetch sweeps the input stream's chunk-fetch
-// window over the Table 1 pipeline with simulated per-blob storage latency
-// (an in-memory store cannot show fetch stalls; a device can). prefetch=1
-// is the synchronous path — every blob Get stalls the streamer — while
-// wider windows overlap the latency with decode and alignment (§4.2).
-func BenchmarkTable1_AsyncReadPrefetch(b *testing.B) {
-	store := agd.NewMemStore()
-	f, err := testutil.BuildE(store, "ds", testutil.Config{
-		GenomeSize: 200_000, NumReads: 2000, ReadLen: 101, ChunkSize: 250, Seed: 4, SkipAlign: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Latency per blob Get, sized like an object-store round trip: large
-	// enough that fetch time rivals this host's per-chunk compute, so the
-	// sweep isolates how much of it each window hides.
-	const blobLatency = 25 * time.Millisecond
-	for _, window := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("prefetch=%d", window), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				fresh := agd.NewMemStore()
-				if err := copyStore(store, fresh); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if _, _, err := persona.Align(context.Background(), storage.WithLatency(fresh, blobLatency), "ds", f.Index,
-					persona.AlignOptions{Prefetch: window}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkTable1_ColdWarmCache measures the decoded-chunk cache on the
 // Table 1 read→align workload at zero and object-store (25 ms) blob
 // latency. cold flushes the session cache before every op, so each run

@@ -187,10 +187,7 @@ func (p *Pipeline) exportDistributed(ctx context.Context, m *agd.Manifest, repor
 	ds := agd.OpenManifest(sess.store, m)
 	// No session cache here: the dataset is a staging area about to be
 	// swept, so caching its chunks would only hold doomed entries.
-	gs, err := ds.Groups(agd.StreamOptions{
-		Prefetch: sess.prefetch,
-		Codec:    agd.Codec{Exec: sess.exec},
-	})
+	gs, err := ds.Groups(agd.StreamOptions{Codec: agd.Codec{Exec: sess.exec}})
 	if err != nil {
 		return 0, err
 	}

@@ -133,28 +133,44 @@ func streamTestDataset(t *testing.T, store BlobStore, n, cs int) (*Dataset, [][]
 
 func checkStreamChunk(t *testing.T, sc *StreamChunk, want [][][]string) {
 	t.Helper()
+	if err := streamChunkErr(sc, want); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// streamChunkErr is checkStreamChunk for goroutines other than the test's.
+func streamChunkErr(sc *StreamChunk, want [][][]string) error {
 	for col, c := range sc.Chunks() {
 		recs := want[sc.Index][col]
 		if c.NumRecords() != len(recs) {
-			t.Fatalf("chunk %d col %d: %d records, want %d", sc.Index, col, c.NumRecords(), len(recs))
+			return fmt.Errorf("chunk %d col %d: %d records, want %d", sc.Index, col, c.NumRecords(), len(recs))
 		}
 		for r := range recs {
 			rec, err := c.Record(r)
 			if err != nil {
-				t.Fatal(err)
+				return err
 			}
 			if string(rec) != recs[r] {
-				t.Fatalf("chunk %d col %d record %d = %q, want %q", sc.Index, col, r, rec, recs[r])
+				return fmt.Errorf("chunk %d col %d record %d = %q, want %q", sc.Index, col, r, rec, recs[r])
 			}
 		}
 	}
+	return nil
+}
+
+// streamStores are the stores the stream tests run over: one that answers
+// every read at once, so the fetch window never grows, and one whose reads
+// take a millisecond each, so consumers wait and the window grows.
+func streamStores(ds *Dataset) map[string]*Dataset {
+	slow := AsyncOf(plainStore{BlobStore: delayStore{ds.Store(), time.Millisecond}})
+	return map[string]*Dataset{"mem": ds, "slow": OpenManifest(slow, ds.Manifest)}
 }
 
 func TestChunkStreamDeliversAllChunks(t *testing.T) {
-	ds, want := streamTestDataset(t, NewMemStore(), 50, 8) // 7 chunks
-	for _, window := range []int{1, 2, 4, 16} {
-		t.Run(fmt.Sprintf("window=%d", window), func(t *testing.T) {
-			stream, err := ds.Stream(StreamOptions{Prefetch: window})
+	base, want := streamTestDataset(t, NewMemStore(), 50, 8) // 7 chunks
+	for name, ds := range streamStores(base) {
+		t.Run(name, func(t *testing.T) {
+			stream, err := ds.Stream(StreamOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,7 +204,7 @@ func TestChunkStreamDeliversAllChunks(t *testing.T) {
 func TestChunkStreamColumnSubsetAndRange(t *testing.T) {
 	ds, want := streamTestDataset(t, NewMemStore(), 50, 8)
 	stream, err := ds.Stream(StreamOptions{
-		Columns: []string{ColQual}, Start: 2, End: 5, Prefetch: 2,
+		Columns: []string{ColQual}, Start: 2, End: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +248,7 @@ func TestChunkStreamPoolRecycles(t *testing.T) {
 	ds, want := streamTestDataset(t, NewMemStore(), 60, 6) // 10 chunks
 	cols := len(ds.Manifest.Columns)
 	pool := NewShardedChunkPool(1, cols+1) // barely enough for one chunk in hand
-	stream, err := ds.Stream(StreamOptions{Prefetch: 4, ShardedPool: pool})
+	stream, err := ds.Stream(StreamOptions{ShardedPool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,9 +277,17 @@ func TestChunkStreamPoolRecycles(t *testing.T) {
 	}
 }
 
+// TestChunkStreamConcurrentConsumers: several consumers share one stream;
+// over the slow store they widen its fetch window while others claim.
 func TestChunkStreamConcurrentConsumers(t *testing.T) {
-	ds, want := streamTestDataset(t, NewMemStore(), 120, 7) // 18 chunks
-	stream, err := ds.Stream(StreamOptions{Prefetch: 4})
+	base, want := streamTestDataset(t, NewMemStore(), 120, 7) // 18 chunks
+	for name, ds := range streamStores(base) {
+		t.Run(name, func(t *testing.T) { consumeConcurrently(t, ds, want) })
+	}
+}
+
+func consumeConcurrently(t *testing.T, ds *Dataset, want [][][]string) {
+	stream, err := ds.Stream(StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +309,10 @@ func TestChunkStreamConcurrentConsumers(t *testing.T) {
 					errs <- err
 					return
 				}
-				checkStreamChunk(t, sc, want)
+				if err := streamChunkErr(sc, want); err != nil {
+					errs <- err
+					return
+				}
 				mu.Lock()
 				if seen[sc.Index] {
 					mu.Unlock()
@@ -321,7 +348,7 @@ func TestChunkStreamCorruptBlob(t *testing.T) {
 	if err := store.Put(name, bad); err != nil {
 		t.Fatal(err)
 	}
-	stream, err := ds.Stream(StreamOptions{Prefetch: 8})
+	stream, err := ds.Stream(StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +369,7 @@ func TestChunkStreamCorruptBlob(t *testing.T) {
 
 func TestChunkStreamClose(t *testing.T) {
 	ds, _ := streamTestDataset(t, NewMemStore(), 50, 8)
-	stream, err := ds.Stream(StreamOptions{Prefetch: 2})
+	stream, err := ds.Stream(StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,37 +383,169 @@ func TestChunkStreamClose(t *testing.T) {
 	stream.Close() // idempotent
 }
 
-// TestChunkStreamOverlapsLatency is the tentpole's behavioural check: with a
-// per-Get latency of d, a synchronous reader pays ~chunks*cols*d while a
-// windowed stream overlaps the fetches. The margin (3x) is wide enough for
-// CI noise but tight enough that a silently serialized stream fails.
-func TestChunkStreamOverlapsLatency(t *testing.T) {
-	const d = 2 * time.Millisecond
-	store := NewMemStore()
-	ds, _ := streamTestDataset(t, store, 96, 8) // 12 chunks, 3 columns
-	slow := AsyncOf(plainStore{BlobStore: delayStore{store, d}})
-	sds := OpenManifest(slow, ds.Manifest)
+// TestChunkStreamWindowGrowsWhileWaiting steps a consumer through a store
+// that answers a read only when the test releases it, so every point where
+// the consumer waits is known: the window opens at initialWindow, doubles
+// each time the claimed chunk is still in flight and stops at maxWindow, and
+// the stream never has more chunks issued than its window allows.
+func TestChunkStreamWindowGrowsWhileWaiting(t *testing.T) {
+	base, want := streamTestDataset(t, NewMemStore(), 448, 8) // 56 chunks
+	cols := len(base.Manifest.Columns)
+	held := newHeldStore(base.Store())
+	stream, err := OpenManifest(held, base.Manifest).Stream(StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Close()
+	// On failure, free a consumer still waiting on a held read.
+	defer held.release()
+	done := make(chan error, 1)
+	go func() {
+		for next := 0; ; next++ {
+			sc, err := stream.Next(context.Background())
+			if err == io.EOF {
+				if next != len(want) {
+					err = fmt.Errorf("delivered %d chunks, want %d", next, len(want))
+				} else {
+					err = nil
+				}
+				done <- err
+				return
+			}
+			if err != nil {
+				done <- err
+				return
+			}
+			if sc.Index != next {
+				done <- fmt.Errorf("chunk %d delivered, want %d", sc.Index, next)
+				return
+			}
+			if err := streamChunkErr(sc, want); err != nil {
+				done <- err
+				return
+			}
+		}
+	}()
+	// Each step: the consumer blocks on chunk `claimed` with `issued` chunks
+	// fetched and the window at `window`. Chunk 0 waits at the initial window
+	// (4) and doubles it; chunk 8, issued after the first release, doubles it
+	// again to the cap (16); chunks 24 and 40 wait at the cap.
+	for _, step := range []struct{ claimed, issued, window int }{
+		{0, 8, 8},
+		{8, 24, 16},
+		{24, 40, 16},
+		{40, 56, 16},
+	} {
+		if !held.waitIssued(step.issued * cols) {
+			stream.mu.Lock()
+			issued, window := stream.issued, stream.window
+			stream.mu.Unlock()
+			t.Fatalf("stream stalled with %d chunks issued and window %d, want %d issued", issued, window, step.issued)
+		}
+		stream.mu.Lock()
+		issued, window, claimed := stream.issued, stream.window, stream.next-1
+		stream.mu.Unlock()
+		if issued != step.issued || window != step.window || claimed != step.claimed {
+			t.Fatalf("waiting on chunk %d with %d chunks issued and window %d, want chunk %d, %d issued, window %d",
+				claimed, issued, window, step.claimed, step.issued, step.window)
+		}
+		if issued-claimed > maxWindow {
+			t.Fatalf("%d chunks issued ahead of chunk %d, window cap is %d", issued-claimed, claimed, maxWindow)
+		}
+		held.release()
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
 
-	elapsed := func(window int) time.Duration {
-		stream, err := sds.Stream(StreamOptions{Prefetch: window})
+// TestChunkStreamWindowStaysOnReadyStore: over a store whose reads have
+// completed by the time they are claimed, the window never grows.
+func TestChunkStreamWindowStaysOnReadyStore(t *testing.T) {
+	ds, _ := streamTestDataset(t, NewMemStore(), 640, 8) // 80 chunks
+	stream, err := ds.Stream(StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Close()
+	for {
+		_, err := stream.Next(context.Background())
+		if err == io.EOF {
+			break
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer stream.Close()
-		start := time.Now()
-		for {
-			if _, err := stream.Next(context.Background()); err == io.EOF {
-				break
-			} else if err != nil {
-				t.Fatal(err)
-			}
+		stream.mu.Lock()
+		ahead, window := stream.issued-stream.next, stream.window
+		stream.mu.Unlock()
+		if window != initialWindow || ahead >= initialWindow {
+			t.Fatalf("window %d with %d chunks issued ahead, want %d and fewer", window, ahead, initialWindow)
 		}
-		return time.Since(start)
 	}
-	serial := elapsed(1)
-	windowed := elapsed(8)
-	if windowed > serial/3 {
-		t.Fatalf("prefetch window hid no latency: sync %v, windowed %v", serial, windowed)
+}
+
+// heldStore issues reads that complete only when the test calls release.
+type heldStore struct {
+	BlobStore
+	mu     sync.Mutex
+	cond   *sync.Cond
+	issued int      // reads issued so far
+	held   []func() // resolvers of the reads not yet released, in issue order
+}
+
+func newHeldStore(inner BlobStore) *heldStore {
+	h := &heldStore{BlobStore: inner}
+	h.cond = sync.NewCond(&h.mu)
+	return h
+}
+
+func (h *heldStore) GetAsync(name string) *Future { return h.GetBatch([]string{name})[0] }
+
+func (h *heldStore) GetBatch(names []string) []*Future {
+	futs := make([]*Future, len(names))
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for i, name := range names {
+		fut, resolve := NewFuture()
+		data, err := h.BlobStore.Get(name)
+		h.held = append(h.held, func() { resolve(data, err) })
+		futs[i] = fut
+	}
+	h.issued += len(names)
+	h.cond.Broadcast()
+	return futs
+}
+
+// waitIssued blocks until n reads have been issued and reports whether they
+// were. It gives up after ten seconds: a stream whose consumer waits on a
+// held read issues nothing more until release.
+func (h *heldStore) waitIssued(n int) bool {
+	expired := false
+	timer := time.AfterFunc(10*time.Second, func() {
+		h.mu.Lock()
+		expired = true
+		h.cond.Broadcast()
+		h.mu.Unlock()
+	})
+	defer timer.Stop()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for h.issued < n && !expired {
+		h.cond.Wait()
+	}
+	return h.issued >= n
+}
+
+// release completes every read issued so far, newest first: the consumer
+// waits on the oldest, so it resumes only once all of them are complete.
+func (h *heldStore) release() {
+	h.mu.Lock()
+	held := h.held
+	h.held = nil
+	h.mu.Unlock()
+	for i := len(held) - 1; i >= 0; i-- {
+		held[i]()
 	}
 }
 

@@ -359,7 +359,7 @@ func TestStreamCacheConcurrentStreams(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			st, err := ds.Stream(StreamOptions{Cache: cache, Prefetch: 3})
+			st, err := ds.Stream(StreamOptions{Cache: cache})
 			if err != nil {
 				t.Error(err)
 				return
@@ -433,7 +433,7 @@ func TestStreamCacheCorruptNeverCached(t *testing.T) {
 	}
 	cache := NewChunkCache(1 << 20)
 
-	st, err := ds.Stream(StreamOptions{Cache: cache, Prefetch: 1})
+	st, err := ds.Stream(StreamOptions{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}

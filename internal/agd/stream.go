@@ -15,11 +15,6 @@ type StreamOptions struct {
 	// Columns are the columns fetched per chunk, in delivery order.
 	// Empty means every manifest column.
 	Columns []string
-	// Prefetch is the number of chunk fetch batches kept in flight,
-	// counting the one being delivered: 1 reads synchronously, larger
-	// windows overlap storage latency with decode and compute.
-	// Zero or negative selects DefaultPrefetch.
-	Prefetch int
 	// Start and End bound the chunk range [Start, End); End <= 0 means the
 	// end of the dataset.
 	Start, End int
@@ -44,10 +39,24 @@ type StreamOptions struct {
 	Codec Codec
 }
 
-// DefaultPrefetch is the fetch window used when StreamOptions.Prefetch is
-// unset: deep enough to hide per-blob latency behind decode, shallow enough
-// that a handful of streams cannot balloon memory.
-const DefaultPrefetch = 4
+// A stream's fetch window — how many chunks' column blobs it keeps in
+// flight, counting the one being delivered — sizes itself. It opens at
+// initialWindow and doubles, up to maxWindow, whenever Next claims a chunk
+// whose blobs are still in flight: the consumer has caught up with storage,
+// so more fetches in flight hide more of the store's latency. A chunk that
+// has already arrived leaves the window as it is, so over a store that
+// answers at once (a MemStore) a stream never reads further ahead than
+// initialWindow. maxWindow bounds the blobs one stream can pin in memory.
+const (
+	initialWindow = 4
+	maxWindow     = 16
+)
+
+// PoolGroups is how many row groups a pooled source's chunk pool holds for a
+// consumer that pulls one group at a time: size the pool
+// columns × PoolGroups (NewShardedChunkPool). The fetch window takes nothing
+// from the pool — chunks are checked out only as Next decodes them.
+const PoolGroups = 5
 
 // fetchSlot is one column of one chunk's in-flight window. Exactly one of
 // three shapes:
@@ -161,8 +170,7 @@ func (sc *StreamChunk) Shard() int {
 // recycle, one free list per executor shard — chunks decoded for shard S
 // recycle on shard S, keeping their backing arrays in that core's cache; a
 // consumer with no executor affinity asks for one shard. Size it to columns
-// × (prefetch window + 1) so the stream's fetches never starve while the
-// consumer holds one delivered row group.
+// × the row groups the consumer holds at once, plus one being decoded.
 func NewShardedChunkPool(shards, size int) *dataflow.ShardedItemPool[*Chunk] {
 	return dataflow.NewShardedItemPool(shards, size,
 		func() *Chunk { return new(Chunk) },
@@ -170,7 +178,8 @@ func NewShardedChunkPool(shards, size int) *dataflow.ShardedItemPool[*Chunk] {
 	)
 }
 
-// Stream opens a prefetching iterator over the dataset's chunks.
+// Stream opens an iterator over the dataset's chunks that reads ahead of
+// its consumer through a self-sizing fetch window.
 func (d *Dataset) Stream(opts StreamOptions) (*ChunkStream, error) {
 	cols := opts.Columns
 	if len(cols) == 0 {
@@ -191,10 +200,6 @@ func (d *Dataset) Stream(opts StreamOptions) (*ChunkStream, error) {
 	if start > end {
 		start = end
 	}
-	window := opts.Prefetch
-	if window <= 0 {
-		window = DefaultPrefetch
-	}
 	return &ChunkStream{
 		ds:     d,
 		as:     AsyncOf(d.store),
@@ -202,7 +207,7 @@ func (d *Dataset) Stream(opts StreamOptions) (*ChunkStream, error) {
 		codec:  opts.Codec,
 		spool:  opts.ShardedPool,
 		cache:  opts.Cache,
-		window: window,
+		window: initialWindow,
 		start:  start,
 		end:    end,
 		next:   start,
@@ -253,8 +258,8 @@ func (s *ChunkStream) issueToLocked(hi int) {
 
 // Next claims the next chunk, waits for its blobs, decodes them and returns
 // the row group. It returns io.EOF once the range is exhausted (or the
-// stream closed). Claiming also tops up the fetch window, so a consumer
-// loop keeps Prefetch chunk batches in flight.
+// stream closed). Claiming also tops up the fetch window, and widens it when
+// the claimed chunk's blobs are still in flight.
 func (s *ChunkStream) Next(ctx context.Context) (*StreamChunk, error) {
 	s.mu.Lock()
 	if s.closed || s.next >= s.end {
@@ -266,6 +271,10 @@ func (s *ChunkStream) Next(ctx context.Context) (*StreamChunk, error) {
 	s.issueToLocked(i + s.window)
 	slots := s.slots[i-s.start]
 	s.slots[i-s.start] = nil
+	if s.window < maxWindow && inFlight(slots) {
+		s.window = min(2*s.window, maxWindow)
+		s.issueToLocked(i + s.window)
+	}
 	s.mu.Unlock()
 
 	shard := 0
@@ -404,6 +413,22 @@ func (s *ChunkStream) Next(ctx context.Context) (*StreamChunk, error) {
 		}
 	}
 	return &StreamChunk{Index: i, chunks: chunks, ents: ents, stream: s}, nil
+}
+
+// inFlight reports whether a fetch this stream issued for a chunk has not
+// completed yet.
+func inFlight(slots []fetchSlot) bool {
+	for _, sl := range slots {
+		if sl.fut == nil {
+			continue
+		}
+		select {
+		case <-sl.fut.Done():
+		default:
+			return true
+		}
+	}
+	return false
 }
 
 // Close stops the stream: subsequent Next calls return io.EOF and no further

@@ -96,7 +96,7 @@ func SortDataset(ctx context.Context, ds *agd.Dataset, opts Options) (*agd.Manif
 	if opts.OutputName == "" {
 		opts.OutputName = m.Name + ".sorted"
 	}
-	in, err := ds.Groups(agd.StreamOptions{Prefetch: loadPrefetch})
+	in, err := ds.Groups(agd.StreamOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -133,11 +133,6 @@ type sortEntry struct {
 	key uint64
 	row uint32
 }
-
-// loadPrefetch is the chunk-fetch window of a dataset sort's input stream:
-// this many chunks' column blobs stay in flight, so the next row group's
-// fetch overlaps with key extraction over the current one.
-const loadPrefetch = 4
 
 // stageGroup bulk-appends one row group's column chunks into the staging
 // arenas and extracts its packed sort entries. batch is the number of groups

@@ -30,11 +30,6 @@ type Config struct {
 	// Subchunks is the fine-grain split of each AGD chunk fed to the
 	// executor (Fig. 4). Default 8.
 	Subchunks int
-	// Prefetch is how far each worker reads ahead of the chunk it is
-	// aligning, so storage latency overlaps with alignment: an Align node
-	// leases and decodes up to this many chunks ahead, a pipeline node's
-	// map task keeps this many chunk fetches in flight. 0 defaults to 4.
-	Prefetch int
 	// Aligner tunes the SNAP algorithm.
 	Aligner snap.Config
 	// Executor, when non-nil, is a caller-owned (typically Session-owned)
@@ -123,9 +118,6 @@ func (cfg *Config) applyDefaults() {
 	}
 	if cfg.Subchunks <= 0 {
 		cfg.Subchunks = 8
-	}
-	if cfg.Prefetch <= 0 {
-		cfg.Prefetch = 4
 	}
 }
 
@@ -323,8 +315,12 @@ func Align(ctx context.Context, store storage.Store, datasetName string, idx *sn
 	return report, updated, nil
 }
 
+// leaseAhead is how many chunks an Align node leases and decodes ahead of the
+// one it is aligning.
+const leaseAhead = 4
+
 // alignNode is one Align worker: a source that leases a chunk and reads its
-// bases, pumped cfg.Prefetch chunks ahead of the align stage so storage
+// bases, pumped leaseAhead chunks ahead of the align stage so storage
 // latency overlaps with alignment, then core.AlignStream, then the results
 // column sink, which acks each chunk's lease after its blob is stored. The
 // results write is idempotent — Put replaces, and a re-executed chunk
@@ -335,7 +331,7 @@ func alignNode(ctx context.Context, w *worker, ds *agd.Dataset, idx *snap.Index)
 	codec := agd.Codec{Exec: w.exec}
 	// A chunk's pooled buffers are held from its decode until its results
 	// blob has landed: read ahead, being aligned, or in the sink.
-	pool := agd.NewShardedChunkPool(w.exec.NumShards(), cfg.Prefetch+1+agd.ColumnWindow)
+	pool := agd.NewShardedChunkPool(w.exec.NumShards(), leaseAhead+1+agd.ColumnWindow)
 	leases := agd.NewGroupStream(
 		agd.StreamMeta{Columns: []string{agd.ColBases}},
 		func(ctx context.Context) (*agd.RowGroup, error) {
@@ -348,7 +344,7 @@ func alignNode(ctx context.Context, w *worker, ds *agd.Dataset, idx *snap.Index)
 			}
 			one, err := ds.Groups(agd.StreamOptions{
 				Columns: []string{agd.ColBases}, Start: chunk, End: chunk + 1,
-				Prefetch: 1, ShardedPool: pool, Codec: codec,
+				ShardedPool: pool, Codec: codec,
 			})
 			if err != nil {
 				return nil, err
@@ -359,7 +355,7 @@ func alignNode(ctx context.Context, w *worker, ds *agd.Dataset, idx *snap.Index)
 	leases.Owned = true // pooled chunks, valid until Release
 
 	pumps := dataflow.NewPumps(ctx)
-	ahead := agd.PumpEdge(pumps, leases, cfg.Prefetch)
+	ahead := agd.PumpEdge(pumps, leases, leaseAhead)
 	out, rep, err := core.AlignStream(core.AlignConfig{
 		Index:      idx,
 		Aligner:    cfg.Aligner,

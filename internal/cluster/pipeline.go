@@ -353,10 +353,9 @@ func runMapTask(ctx context.Context, store storage.Store, ds *agd.Dataset, plan 
 		hi = len(ds.Manifest.Chunks)
 	}
 	gs, err := ds.Groups(agd.StreamOptions{
-		Prefetch: cfg.Prefetch,
-		Start:    lo,
-		End:      hi,
-		Codec:    agd.Codec{Exec: exec},
+		Start: lo,
+		End:   hi,
+		Codec: agd.Codec{Exec: exec},
 	})
 	if err != nil {
 		return "", 0, err

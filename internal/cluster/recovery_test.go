@@ -58,7 +58,7 @@ func TestAlignSurvivesWorkerDeath(t *testing.T) {
 	store := agd.NewMemStore()
 	f2 := testutil.Build(t, store, "ds", recoveryFixture)
 	cfg := Config{
-		Nodes: 2, ThreadsPerNode: 2, Prefetch: 2,
+		Nodes: 2, ThreadsPerNode: 2,
 		Lease: fastDetect.LeaseTimeout, HeartbeatTimeout: fastDetect.BeatTimeout, MaxChunkAttempts: fastDetect.MaxAttempts,
 		NodeFaults: map[int]int{0: 1}, // node 0 dies after one chunk
 	}

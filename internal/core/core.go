@@ -34,10 +34,6 @@ type AlignConfig struct {
 	// each group; a group with an odd record count is an error).
 	Paired bool
 
-	// Prefetch (Align only) is the chunk-fetch window of the input stream:
-	// how many chunks' column blobs are kept in flight, counting the one
-	// being decoded. 1 fetches synchronously; 0 means agd.DefaultPrefetch.
-	Prefetch int
 	// ExecutorThreads (Align only; AlignStream is handed its executor) is
 	// the size of the fine-grain executor that owns all compute threads
 	// (Fig. 4). Default 2.
@@ -73,7 +69,7 @@ type AlignReport struct {
 }
 
 // Align aligns a dataset in place and registers the results column: the
-// dataset's bases and qualities stream in through a prefetching source
+// dataset's bases and qualities stream in through a source that reads ahead
 // (§5.2), AlignStream appends results on a private executor, and a column
 // sink encodes and stores each results chunk while the next is being
 // aligned. It is the single-server counterpart of cluster.Align.
@@ -100,7 +96,6 @@ func Align(ctx context.Context, cfg AlignConfig) (*AlignReport, *agd.Manifest, e
 	start := time.Now()
 	in, err := ds.Groups(agd.StreamOptions{
 		Columns:     []string{agd.ColBases, agd.ColQual},
-		Prefetch:    cfg.Prefetch,
 		ShardedPool: agd.NewShardedChunkPool(exec.NumShards(), 2*cfg.Pipelining),
 		Codec:       codec,
 	})

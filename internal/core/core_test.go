@@ -194,16 +194,16 @@ func TestAlignPipelineCancelledMidRun(t *testing.T) {
 // parallel member compression all race each other. Under `go test -race` it
 // is the regression test for the pooled chunk lifecycle; in any mode it
 // checks that recycled buffers cannot bleed data between chunks (results
-// must be identical to the one-thread, one-subchunk, synchronous-fetch run).
+// must be identical to the one-thread, one-subchunk run).
 func TestAlignPooledChunkLifecycleRace(t *testing.T) {
-	run := func(threads, subchunks, prefetch int) []agd.Result {
+	run := func(threads, subchunks int) []agd.Result {
 		store := agd.NewMemStore()
 		f := testutil.Build(t, store, "ds", testutil.Config{
 			GenomeSize: 120_000, NumReads: 600, ReadLen: 80, ChunkSize: 48, Seed: 123, SkipAlign: true,
 		})
 		_, _, err := Align(context.Background(), AlignConfig{
 			Store: store, Dataset: "ds", Index: f.Index,
-			ExecutorThreads: threads, Subchunks: subchunks, Prefetch: prefetch,
+			ExecutorThreads: threads, Subchunks: subchunks,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -218,8 +218,8 @@ func TestAlignPooledChunkLifecycleRace(t *testing.T) {
 		}
 		return results
 	}
-	serial := run(1, 1, 1)
-	parallel := run(4, 4, 6)
+	serial := run(1, 1)
+	parallel := run(4, 4)
 	if len(serial) != len(parallel) {
 		t.Fatalf("result counts differ: %d vs %d", len(serial), len(parallel))
 	}

@@ -36,9 +36,6 @@ type Options struct {
 	// SkipDuplicates ignores reads flagged as duplicates (default true via
 	// NewOptions).
 	SkipDuplicates bool
-	// Prefetch is the chunk-fetch window of the pileup's input stream
-	// (agd.ChunkStream); 0 selects agd.DefaultPrefetch.
-	Prefetch int
 }
 
 // NewOptions returns the default calling options.
@@ -117,15 +114,9 @@ func (p *Pileup) AddDataset(ctx context.Context, ds *agd.Dataset, opts Options) 
 	if !m.HasColumn(agd.ColResults) {
 		return fmt.Errorf("varcall: dataset %q has no results column", m.Name)
 	}
-	window := opts.Prefetch
-	if window <= 0 {
-		window = agd.DefaultPrefetch
-	}
-	chunkPool := agd.NewShardedChunkPool(1, 3*(window+1))
 	stream, err := ds.Stream(agd.StreamOptions{
 		Columns:     []string{agd.ColBases, agd.ColQual, agd.ColResults},
-		Prefetch:    opts.Prefetch,
-		ShardedPool: chunkPool,
+		ShardedPool: agd.NewShardedChunkPool(1, 3*agd.PoolGroups),
 	})
 	if err != nil {
 		return err

@@ -174,11 +174,6 @@ type AlignOptions struct {
 	ExecutorThreads int
 	// MaxDist is the aligner's maximum edit distance; 0 means 12.
 	MaxDist int
-	// Prefetch is the input stream's chunk-fetch window: how many chunks'
-	// column blobs the pipeline keeps in flight, counting the one being
-	// decoded. 1 fetches synchronously; 0 picks the pipeline default. In a
-	// Pipeline the window is session-owned and this field is ignored.
-	Prefetch int
 }
 
 // Align aligns a dataset in place on a single server, appending a results
@@ -190,7 +185,6 @@ func Align(ctx context.Context, store Store, dataset string, idx *Index, opts Al
 		Index:           idx,
 		Aligner:         snap.Config{MaxDist: opts.MaxDist},
 		ExecutorThreads: opts.ExecutorThreads,
-		Prefetch:        opts.Prefetch,
 	})
 }
 
@@ -311,7 +305,6 @@ func AlignPaired(ctx context.Context, store Store, dataset string, idx *Index, o
 		Index:           idx,
 		Aligner:         snap.Config{MaxDist: opts.MaxDist},
 		ExecutorThreads: opts.ExecutorThreads,
-		Prefetch:        opts.Prefetch,
 		Paired:          true,
 	})
 }

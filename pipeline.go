@@ -140,8 +140,8 @@ func (p *Pipeline) add(st pipeStage) *Pipeline {
 }
 
 // Align appends a results column, aligning every read against idx on the
-// session's executor. Within AlignOptions, ExecutorThreads and Prefetch are
-// session-owned here and ignored.
+// session's executor. AlignOptions.ExecutorThreads is session-owned here and
+// ignored.
 func (p *Pipeline) Align(idx *Index, opts AlignOptions) *Pipeline {
 	return p.add(pipeStage{kind: stageAlign, idx: idx, alignOpts: opts})
 }
@@ -488,7 +488,6 @@ func (p *Pipeline) openSource(pipelining, shards int) (*agd.GroupStream, error) 
 			return nil, err
 		}
 		return ds.Groups(agd.StreamOptions{
-			Prefetch:    sess.prefetch,
 			ShardedPool: sess.chunkPool,
 			Cache:       sess.cache,
 			Codec:       agd.Codec{Exec: sess.exec},

@@ -18,10 +18,6 @@ type SessionOptions struct {
 	// ExecutorThreads sizes the session's shared work-stealing executor;
 	// 0 means GOMAXPROCS.
 	ExecutorThreads int
-	// Prefetch is the default chunk-fetch window of pipeline sources: how
-	// many chunks' column blobs are kept in flight, counting the one being
-	// processed. 0 picks the stream default.
-	Prefetch int
 	// CacheBytes is the byte budget of the session's read-through decoded
 	// chunk cache: pipeline sources serve repeat chunk reads from it,
 	// skipping the fetch, CRC verify and decode entirely (hot references,
@@ -47,8 +43,7 @@ type Session struct {
 	exec      *dataflow.Executor
 	chunkPool *dataflow.ShardedItemPool[*agd.Chunk]
 	cache     *agd.ChunkCache // nil when disabled
-	prefetch  int
-	seq       atomic.Uint64 // distinct spill prefixes for concurrent sorts
+	seq       atomic.Uint64   // distinct spill prefixes for concurrent sorts
 
 	mu        sync.Mutex
 	indexes   map[*Genome]*Index
@@ -82,7 +77,6 @@ func NewSession(store Store, opts SessionOptions) *Session {
 		exec:      exec,
 		chunkPool: agd.NewShardedChunkPool(exec.NumShards(), poolSize),
 		cache:     cache,
-		prefetch:  opts.Prefetch,
 		indexes:   make(map[*Genome]*Index),
 		manifests: make(map[string]*agd.Manifest),
 	}
