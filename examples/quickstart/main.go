@@ -47,7 +47,7 @@ func main() {
 	}
 
 	// A Session owns the runtime every pipeline shares: the store, one
-	// work-stealing executor, the chunk pools and the index cache.
+	// executor, the chunk pools and the index cache.
 	store := persona.NewMemStore()
 	sess := persona.NewSession(store, persona.SessionOptions{})
 	defer sess.Close()
@@ -84,7 +84,7 @@ func main() {
 	for _, st := range report.Stages {
 		fmt.Printf("  %-12s %8d records  %v\n", st.Stage, st.Records, st.Elapsed.Round(1000_000))
 	}
-	fmt.Printf("executor:  %d tasks, %d stolen\n", report.Executor.Completed, report.Executor.Steals)
+	fmt.Printf("executor:  %d tasks\n", report.Executor.Completed)
 
 	// 3. The output is ordinary SAM for downstream tools.
 	lines := strings.SplitN(sam.String(), "\n", 6)

@@ -128,7 +128,7 @@ func main() {
 	fmt.Printf("  %-22s %v\n", "total", report.Elapsed.Round(time.Millisecond))
 	fmt.Printf("  %-22s %d/%d reads (%.1f%%)\n", "duplicates",
 		report.Dups.Duplicates, report.Dups.Reads, 100*float64(report.Dups.Duplicates)/float64(report.Dups.Reads))
-	fmt.Printf("  %-22s %d tasks, %d stolen\n\n", "executor", report.Executor.Completed, report.Executor.Steals)
+	fmt.Printf("  %-22s %d tasks\n\n", "executor", report.Executor.Completed)
 
 	if bytes.Equal(stagedBAM.Bytes(), fusedBAM.Bytes()) {
 		fmt.Printf("BAM outputs identical (%d bytes); fused is %.2fx the staged wall time\n",

@@ -51,7 +51,7 @@ func WriteColumn(ctx context.Context, in *GroupStream, store BlobStore, m *Manif
 			return fmt.Errorf("%w: chunk %d has %d records, column %q supplies %d",
 				ErrRowGroup, g.Index, entry.Records, col, c.NumRecords())
 		}
-		blob, err := codec.WithShard(g.Shard).Encode(c, CompressGzip)
+		blob, err := codec.Encode(c, CompressGzip)
 		if err != nil {
 			return err
 		}

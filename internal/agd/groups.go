@@ -68,8 +68,9 @@ func (m StreamMeta) WithColumn(name string) StreamMeta {
 type RowGroup struct {
 	// Index is the group's position in the stream (0-based).
 	Index int
-	// Shard is the executor shard the group's pooled buffers are affine to
-	// (0 when the source is unsharded).
+	// Shard is the free-list stripe of the sharded chunk pool the group's
+	// source chunks came from (StreamChunk.Shard; 0 for other sources).
+	// Stages carry it along; no task is placed by it.
 	Shard int
 	// Chunks holds one decoded chunk per StreamMeta.Columns entry.
 	Chunks []*Chunk
@@ -79,7 +80,7 @@ type RowGroup struct {
 
 // NewRowGroup assembles a group for delivery, with an optional release hook
 // (run once, on Release) returning pooled resources — for a derived group,
-// typically the upstream group's Release.
+// typically the upstream group's Release. shard only sets RowGroup.Shard.
 func NewRowGroup(index, shard int, chunks []*Chunk, release func()) *RowGroup {
 	return &RowGroup{Index: index, Shard: shard, Chunks: chunks, release: release}
 }

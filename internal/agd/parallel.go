@@ -57,10 +57,11 @@ func defaultCodecExec() *dataflow.Executor {
 // large enough to split are written as version-2 multi-member chunks and
 // (de)compressed in parallel on a shared per-process executor.
 type Codec struct {
-	// Exec runs member compression tasks. Nil selects the package-default
-	// executor (one worker per CPU). Pipelines pass their own shared
-	// executor so compression competes with alignment for the same
-	// fine-grain compute threads (Fig. 4) instead of oversubscribing.
+	// Exec runs member (de)compression tasks, one SubmitWait batch per
+	// chunk. Nil selects the package-default executor (one worker per CPU).
+	// Pipelines pass their own shared executor so compression competes with
+	// alignment for the same fine-grain compute threads (Fig. 4) instead of
+	// oversubscribing.
 	Exec *dataflow.Executor
 	// Members forces the version-2 layout with exactly this many gzip
 	// members (clamped to the data size). Zero picks automatically: the
@@ -73,18 +74,6 @@ type Codec struct {
 	// when present); the knob exists for byte-stable comparisons against
 	// blobs written by earlier releases.
 	NoChecksum bool
-	// shard+1, when non-zero, is the executor shard member tasks are
-	// submitted to (WithShard): the shard that decoded a chunk re-encodes
-	// it with warm caches, and idle shards steal the surplus members.
-	shard int
-}
-
-// WithShard returns the codec with member tasks pinned (advisorily) to the
-// given executor shard. Pipelines derive the shard from the chunk index so
-// one chunk's decode, align and compress tasks land on the same worker.
-func (cd Codec) WithShard(shard int) Codec {
-	cd.shard = shard + 1
-	return cd
 }
 
 // exec returns the executor to run member tasks on.
@@ -342,14 +331,8 @@ func (cd Codec) decodeMembers(dst []byte, dataBlock []byte) error {
 	return nil
 }
 
-// submitMembers runs the member tasks on the codec's executor, pinned to the
-// codec's shard when WithShard set one.
+// submitMembers runs the member tasks on the codec's executor.
 func (cd Codec) submitMembers(members int, run func(i int)) error {
-	if cd.shard > 0 {
-		return cd.exec().SubmitWaitTo(context.Background(), cd.shard-1, members, func(i int) dataflow.ShardTask {
-			return func(int) { run(i) }
-		})
-	}
 	return cd.exec().SubmitWait(context.Background(), members, func(i int) dataflow.Task {
 		return func() { run(i) }
 	})

@@ -21,18 +21,17 @@ type StreamOptions struct {
 	// ShardedPool, when non-nil, supplies the decoded chunk objects
 	// (NewShardedChunkPool): Next checks chunks out of it and
 	// StreamChunk.Release returns them, so a bounded pool gives the stream
-	// the same back-pressure as the pipeline queues. Chunk i uses shard
-	// i % Shards()'s free list, so a chunk's buffers stay with the shard that
-	// aligns it; the same shard is handed to the codec (Codec.WithShard), so
-	// a multi-member decode runs there too. When nil, chunks are freshly
+	// the same back-pressure as the pipeline queues. Chunk i checks out of
+	// and returns to free list i % Shards(), which spreads concurrent
+	// streams over the pool's stripes. When nil, chunks are freshly
 	// allocated and Release is a no-op.
 	ShardedPool *dataflow.ShardedItemPool[*Chunk]
 	// Cache, when non-nil, makes the stream read through the shared decoded
 	// chunk cache: hits skip the fetch, CRC verify and decode entirely;
 	// misses become singleflight fills this stream owns. Cached chunks are
 	// always freshly allocated and pinned until Release — the stream never
-	// checks them out of ShardedPool (the pool still provides shard
-	// affinity hints, but no chunk object can be both cached and pooled).
+	// checks them out of ShardedPool (no chunk object can be both cached and
+	// pooled).
 	Cache *ChunkCache
 	// Codec decodes the fetched blobs; the zero value is the package
 	// default. Pipelines pass their shared-executor codec.
@@ -154,10 +153,10 @@ func (sc *StreamChunk) Release() {
 	sc.ents = nil
 }
 
-// Shard returns the executor shard this chunk is affine to (chunk index
-// modulo the sharded pool's shard count; 0 on unsharded streams). Consumers
-// pass it to Executor.SubmitWaitTo so the chunk's fine-grain tasks land on
-// the shard holding its pooled buffers.
+// Shard returns the free-list stripe of the stream's sharded pool this
+// chunk's buffers belong to (chunk index modulo the pool's stripes; 0 on
+// unpooled streams). It says nothing about where tasks run: the executor
+// has one queue.
 func (sc *StreamChunk) Shard() int {
 	if sp := sc.stream.spool; sp != nil {
 		return sc.Index % sp.Shards()
@@ -167,10 +166,11 @@ func (sc *StreamChunk) Shard() int {
 
 // NewShardedChunkPool returns a bounded pool of decoded chunks for stream
 // consumers (StreamOptions.ShardedPool): size chunks, Reset applied on
-// recycle, one free list per executor shard — chunks decoded for shard S
-// recycle on shard S, keeping their backing arrays in that core's cache; a
-// consumer with no executor affinity asks for one shard. Size it to columns
-// × the row groups the consumer holds at once, plus one being decoded.
+// recycle, its free list split into shards stripes (a chunk recycles onto
+// the stripe it came from, so concurrent streams contend less on one list).
+// Pipelines pass the executor's NumShards; a single stream asks for one.
+// Size it to columns × the row groups the consumer holds at once, plus one
+// being decoded.
 func NewShardedChunkPool(shards, size int) *dataflow.ShardedItemPool[*Chunk] {
 	return dataflow.NewShardedItemPool(shards, size,
 		func() *Chunk { return new(Chunk) },
@@ -278,10 +278,8 @@ func (s *ChunkStream) Next(ctx context.Context) (*StreamChunk, error) {
 	s.mu.Unlock()
 
 	shard := 0
-	codec := s.codec
 	if s.spool != nil {
 		shard = i % s.spool.Shards()
-		codec = codec.WithShard(shard)
 	}
 	entry := s.ds.Manifest.Chunks[i]
 	chunks := make([]*Chunk, len(slots))
@@ -333,7 +331,7 @@ func (s *ChunkStream) Next(ctx context.Context) (*StreamChunk, error) {
 			// Owned fill: decode into a fresh chunk (never pooled — cached
 			// chunks must not be recyclable under later readers) and
 			// validate before Commit, so a corrupt blob is never cached.
-			c, err := codec.Decode(blob)
+			c, err := s.codec.Decode(blob)
 			if err != nil {
 				err = fmt.Errorf("agd: chunk %q: %w", chunkPath(entry, s.cols[k]), err)
 			} else {
@@ -358,9 +356,9 @@ func (s *ChunkStream) Next(ctx context.Context) (*StreamChunk, error) {
 			// releases this chunk too instead of leaking it from the
 			// bounded pool.
 			chunks[k] = c
-			err = codec.DecodeInto(c, blob)
+			err = s.codec.DecodeInto(c, blob)
 		} else {
-			c, err = codec.Decode(blob)
+			c, err = s.codec.Decode(blob)
 		}
 		if err != nil {
 			return fail(fmt.Errorf("agd: chunk %q: %w", chunkPath(entry, s.cols[k]), err))
@@ -388,7 +386,7 @@ func (s *ChunkStream) Next(ctx context.Context) (*StreamChunk, error) {
 			name := chunkPath(entry, s.cols[k])
 			blob, ferr := s.as.GetAsync(name).Wait(ctx)
 			if ferr == nil {
-				c, ferr = codec.Decode(blob)
+				c, ferr = s.codec.Decode(blob)
 			}
 			if ferr != nil {
 				return fail(fmt.Errorf("agd: chunk %q: %w", name, ferr))

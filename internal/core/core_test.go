@@ -189,6 +189,89 @@ func TestAlignPipelineCancelledMidRun(t *testing.T) {
 	}
 }
 
+// TestAlignStreamCancelWaitsForSubchunks: a context cancelled while a group's
+// subchunk tasks sit in the executor's queue ends Next with an error, but
+// only once every task of the group has returned — the group's pooled chunks
+// go back to the pool (and may be decoded into again) only after nothing
+// aligns from them.
+func TestAlignStreamCancelWaitsForSubchunks(t *testing.T) {
+	store := agd.NewMemStore()
+	f := testutil.Build(t, store, "ds", testutil.Config{
+		GenomeSize: 60_000, NumReads: 200, ReadLen: 60, ChunkSize: 100, Seed: 97, SkipAlign: true,
+	})
+	exec := dataflow.NewExecutor(1, 2)
+	defer exec.Close()
+	src, err := f.Dataset.Groups(agd.StreamOptions{
+		Columns: []string{agd.ColBases}, ShardedPool: agd.NewShardedChunkPool(1, 2),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var releasedEarly atomic.Bool
+	in := agd.NewGroupStream(src.Meta, func(ctx context.Context) (*agd.RowGroup, error) {
+		g, err := src.Next(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return agd.NewRowGroup(g.Index, g.Shard, g.Chunks, func() {
+			if submitted, completed, _ := exec.Stats(); submitted != completed {
+				releasedEarly.Store(true)
+			}
+			g.Release()
+		}), nil
+	}, src.Close)
+	in.Owned = true
+	out, _, err := AlignStream(AlignConfig{Index: f.Index, Subchunks: 4}, exec, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+
+	// Wedge the one worker, so the group's subchunks queue behind it.
+	gate := make(chan struct{})
+	started := make(chan struct{})
+	if err := exec.Submit(context.Background(), func() { close(started); <-gate }); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	ctx, cancel := context.WithCancel(context.Background())
+	result := make(chan error, 1)
+	go func() {
+		g, err := out.Next(ctx)
+		if g != nil {
+			g.Release()
+		}
+		result <- err
+	}()
+	// The queue holds two subchunks once the third blocks on submitting.
+	for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
+		if submitted, _, _ := exec.Stats(); submitted >= 3 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the group's subchunks never reached the executor")
+		}
+	}
+	cancel()
+	// A return that must not happen can only be watched for a bounded time.
+	select {
+	case err := <-result:
+		close(gate) // let the worker finish so Close can return
+		t.Fatalf("Next returned %v while the group's subchunks were still queued", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(gate)
+	if err := <-result; !errors.Is(err, dataflow.ErrStopped) && !errors.Is(err, context.Canceled) {
+		t.Fatalf("Next = %v, want a cancellation error", err)
+	}
+	if releasedEarly.Load() {
+		t.Fatal("the group was released while its subchunk tasks were unfinished")
+	}
+	if submitted, completed, _ := exec.Stats(); submitted != completed {
+		t.Fatalf("%d of %d tasks finished once Next returned", completed, submitted)
+	}
+}
+
 // TestAlignPooledChunkLifecycleRace drives Align with every remaining knob at
 // both ends, so chunk-pool get/put, builder recycling, subchunk tasks and
 // parallel member compression all race each other. Under `go test -race` it

@@ -127,17 +127,11 @@ func (st *alignStage) alignGroup(ctx context.Context, g *agd.RowGroup) (*agd.Row
 	if sub == 0 {
 		sub = 1
 	}
-	// The subchunk batch is pinned to the group's shard, with idle shards
-	// stealing the tail. Submission and completion are tracked by a private
-	// latch: if the context dies mid-group the stage still waits for the
-	// tasks it managed to submit — they hold references to the group's
-	// chunks, which may recycle through a shared pool on release, so
-	// returning before they finish would hand live buffers to another
-	// decode.
-	comp := dataflow.NewCompletion(sub)
-	submitted := 0
-	var submitErr error
-	for s := 0; s < sub; s++ {
+	// SubmitWait returns only after every task it submitted has returned,
+	// even when the context dies mid-group: the tasks hold references to the
+	// group's chunks, which may recycle through a shared pool on release, so
+	// returning before they finish would hand live buffers to another decode.
+	err := st.exec.SubmitWait(ctx, sub, func(s int) dataflow.Task {
 		lo, hi := s*n/sub, (s+1)*n/sub
 		if st.paired {
 			// Subchunk boundaries must not split pairs.
@@ -145,39 +139,21 @@ func (st *alignStage) alignGroup(ctx context.Context, g *agd.RowGroup) (*agd.Row
 		}
 		ra := st.arenas[s]
 		ra.Reset()
-		task := func(lo, hi int, ra *agd.RecordArena) dataflow.ShardTask {
-			return func(int) {
-				defer comp.Done()
-				if ctx.Err() != nil {
-					return // cancelled: drain without aligning
-				}
-				a := <-st.aligners
-				defer func() { st.aligners <- a }()
-				alignRange(a, bases, ra, lo, hi, st.paired)
+		return func() {
+			if ctx.Err() != nil {
+				return // cancelled: drain without aligning
 			}
-		}(lo, hi, ra)
-		if err := st.exec.SubmitSharded(ctx, g.Shard, task); err != nil {
-			submitErr = err
-			break
+			a := <-st.aligners
+			defer func() { st.aligners <- a }()
+			alignRange(a, bases, ra, lo, hi, st.paired)
 		}
-		submitted++
+	})
+	if err == nil {
+		err = ctx.Err()
 	}
-	for s := submitted; s < sub; s++ {
-		comp.Done()
-	}
-	// Wait with a background context: the executor outlives the pipeline,
-	// so submitted tasks always complete, and waiting keeps the group's
-	// chunks alive until no task references them.
-	if err := comp.Wait(context.Background()); err != nil {
+	if err != nil {
 		g.Release()
 		return nil, err
-	}
-	if submitErr == nil {
-		submitErr = ctx.Err()
-	}
-	if submitErr != nil {
-		g.Release()
-		return nil, submitErr
 	}
 
 	builder := st.builder

@@ -3,9 +3,10 @@
 // is not specific to genomics:
 //
 //   - Executor: the shared fine-grain executor of Fig. 4. It owns the compute
-//     threads (one work-stealing shard per worker); stages split each chunk
-//     into subchunk tasks and submit them, so compute-intense kernels share
-//     one set of threads instead of each stage running its own.
+//     threads — a fixed set of workers draining one bounded task queue;
+//     stages split each chunk into subchunk tasks and submit them as a batch
+//     (SubmitWait), so compute-intense kernels share one set of threads
+//     instead of each stage running its own.
 //   - ItemPool and ShardedItemPool: bounded pools of recyclable objects
 //     (decoded chunks, builders, arenas). Bulk data stays in pooled objects
 //     and only handles move between stages (§4.5, §4.6); a pool's bound is

@@ -11,45 +11,33 @@ import (
 
 func TestExecutorRunsAllTasks(t *testing.T) {
 	e := NewExecutor(4, 8)
-	defer e.Close()
 	ctx := context.Background()
 
 	var n atomic.Int64
-	var wg sync.WaitGroup
 	for i := 0; i < 100; i++ {
-		wg.Add(1)
-		if err := e.Submit(ctx, func() {
-			defer wg.Done()
-			n.Add(1)
-		}); err != nil {
+		if err := e.Submit(ctx, func() { n.Add(1) }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	wg.Wait()
+	e.Close() // drains the queue and waits for the workers: counters are final
 	if n.Load() != 100 {
 		t.Fatalf("ran %d tasks, want 100", n.Load())
 	}
-	// The WaitGroup fires inside the task, just before the worker bumps its
-	// completed counter; poll briefly so the assertion doesn't race it.
-	var submitted, completed int64
-	for deadline := time.Now().Add(2 * time.Second); ; {
-		submitted, completed, _ = e.Stats()
-		if completed == 100 || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if submitted != 100 || completed != 100 {
+	if submitted, completed, _ := e.Stats(); submitted != 100 || completed != 100 {
 		t.Fatalf("Stats = (%d, %d), want (100, 100)", submitted, completed)
 	}
 }
 
 func TestExecutorParallelismBound(t *testing.T) {
+	// Every task holds its worker until the gate opens: exactly `workers`
+	// of them must start, and no more may run at once.
 	const workers = 3
 	e := NewExecutor(workers, 64)
 	defer e.Close()
 	ctx := context.Background()
 
+	gate := make(chan struct{})
+	started := make(chan struct{}, 50)
 	var cur, peak atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 50; i++ {
@@ -63,16 +51,21 @@ func TestExecutorParallelismBound(t *testing.T) {
 					break
 				}
 			}
-			time.Sleep(time.Millisecond)
+			started <- struct{}{}
+			<-gate
 			cur.Add(-1)
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
+	for i := 0; i < workers; i++ {
+		<-started
+	}
+	close(gate)
 	wg.Wait()
-	if got := peak.Load(); got > workers {
-		t.Fatalf("peak concurrency %d exceeds %d workers", got, workers)
+	if got := peak.Load(); got != workers {
+		t.Fatalf("peak concurrency %d, want exactly %d workers", got, workers)
 	}
 }
 
@@ -103,21 +96,73 @@ func TestExecutorSubmitWaitZero(t *testing.T) {
 	}
 }
 
-func TestExecutorCloseDrains(t *testing.T) {
-	e := NewExecutor(1, 16)
-	ctx := context.Background()
-	var n atomic.Int64
-	for i := 0; i < 10; i++ {
-		if err := e.Submit(ctx, func() {
-			time.Sleep(time.Millisecond)
-			n.Add(1)
-		}); err != nil {
+func TestExecutorSubmitWaitAfterClose(t *testing.T) {
+	e := NewExecutor(2, 4)
+	e.Close()
+	err := e.SubmitWait(context.Background(), 3, func(int) Task {
+		return func() { t.Error("a task of a closed executor ran") }
+	})
+	if !errors.Is(err, ErrClosed) {
+		t.Fatalf("SubmitWait after Close = %v, want ErrClosed", err)
+	}
+}
+
+func TestExecutorRunsInSubmissionOrder(t *testing.T) {
+	// One worker drains the one queue first in, first out.
+	e := NewExecutor(1, 64)
+	var order []int
+	for i := 0; i < 50; i++ {
+		if err := e.Submit(context.Background(), func() { order = append(order, i) }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	e.Close() // must wait for queued tasks
-	if n.Load() != 10 {
-		t.Fatalf("Close drained %d tasks, want 10", n.Load())
+	e.Close()
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("task %d ran at position %d", v, i)
+		}
+	}
+	if len(order) != 50 {
+		t.Fatalf("ran %d tasks, want 50", len(order))
+	}
+}
+
+func TestExecutorCloseDrains(t *testing.T) {
+	// The worker is held inside the first task, so everything else is still
+	// queued when Close fires; Close must run it all before returning.
+	e := NewExecutor(1, 16)
+	ctx := context.Background()
+	gate := make(chan struct{})
+	started := make(chan struct{})
+	var n atomic.Int64
+	if err := e.Submit(ctx, func() { close(started); <-gate; n.Add(1) }); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	for i := 1; i < 10; i++ {
+		if err := e.Submit(ctx, func() { n.Add(1) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	closed := make(chan struct{})
+	go func() { e.Close(); close(closed) }()
+	// Submits keep landing until Close starts; once it has, a Submit —
+	// blocked on the full queue or not — returns ErrClosed.
+	accepted := int64(10)
+	for {
+		err := e.Submit(ctx, func() { n.Add(1) })
+		if errors.Is(err, ErrClosed) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		accepted++
+	}
+	close(gate)
+	<-closed
+	if n.Load() != accepted {
+		t.Fatalf("Close drained %d tasks, want %d", n.Load(), accepted)
 	}
 	if err := e.Submit(ctx, func() {}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
@@ -152,157 +197,40 @@ func TestExecutorSharedAcrossFeeders(t *testing.T) {
 	wg.Wait()
 }
 
-// settle gives freshly started workers time to finish their initial sweep
-// and park, so wake-token bookkeeping is deterministic from a known state.
-func settle() { time.Sleep(30 * time.Millisecond) }
-
-func TestExecutorSubmitToAffinityWhenIdle(t *testing.T) {
-	// With every worker parked and no wake tokens outstanding, a SubmitTo
-	// places only the owner's token, so the target shard itself must run
-	// the task.
-	e := NewExecutor(4, 16)
-	defer e.Close()
-	ctx := context.Background()
-	settle()
-
-	const target = 2
-	for i := 0; i < 20; i++ {
-		// Wait for the owner to re-park: a push to a non-parked owner
-		// deliberately invites a thief, so strict affinity only holds
-		// from the parked state.
-		for deadline := time.Now().Add(2 * time.Second); !e.shards[target].parked.Load(); {
-			if time.Now().After(deadline) {
-				t.Fatalf("shard %d worker never parked before probe %d", target, i)
-			}
-			time.Sleep(time.Millisecond)
-		}
-		ran := make(chan int, 1)
-		if err := e.SubmitSharded(ctx, target, func(shard int) { ran <- shard }); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case shard := <-ran:
-			if shard != target {
-				t.Fatalf("probe %d ran on shard %d, want %d (idle-shard affinity)", i, shard, target)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatalf("probe %d never ran", i)
-		}
-	}
-	stats := e.ShardStats()
-	if stats[target].Completed != 20 {
-		t.Fatalf("shard %d completed %d, want 20", target, stats[target].Completed)
-	}
-	if got := e.Steals(); got != 0 {
-		t.Fatalf("Steals = %d on an idle executor, want 0", got)
-	}
-}
-
-func TestExecutorBusyOwnerInvitesThief(t *testing.T) {
-	// A task pushed to a shard whose owner is mid-task must not wait out
-	// that task while another worker sits parked: the push invites a thief.
-	e := NewExecutor(2, 8)
-	defer e.Close()
-	ctx := context.Background()
-	settle()
-
-	gate := make(chan struct{})
-	if err := e.SubmitTo(ctx, 0, func() { <-gate }); err != nil {
-		t.Fatal(err)
-	}
-	settle() // worker 0 is now inside the gate task; worker 1 is parked
-	done := make(chan int, 1)
-	if err := e.SubmitSharded(ctx, 0, func(shard int) { done <- shard }); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case shard := <-done:
-		if shard != 1 {
-			t.Fatalf("probe ran on shard %d, want stolen by idle shard 1", shard)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("probe stranded behind the busy owner")
-	}
-	close(gate)
-}
-
-func TestExecutorStealSpreadsWork(t *testing.T) {
-	// Everything is submitted to shard 0 (the deque is deep enough that
-	// nothing spills); the other shards must steal the batch's tail.
-	e := NewExecutor(4, 256)
-	defer e.Close()
-	ctx := context.Background()
-	settle()
-
-	const tasks = 48
-	var ran atomic.Int64
-	c := NewCompletion(tasks)
-	for i := 0; i < tasks; i++ {
-		if err := e.SubmitTo(ctx, 0, func() {
-			time.Sleep(time.Millisecond)
-			ran.Add(1)
-			c.Done()
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if ran.Load() != tasks {
-		t.Fatalf("ran %d tasks, want %d", ran.Load(), tasks)
-	}
-	if e.Steals() == 0 {
-		t.Fatal("no steals while one shard held the whole batch")
-	}
-	// The latch fires inside the task, just before the worker bumps its
-	// completed counter, so give the counters a moment to settle.
-	var stats []ShardStat
-	var completed int64
-	for deadline := time.Now().Add(2 * time.Second); ; {
-		stats = e.ShardStats()
-		completed = 0
-		for _, s := range stats {
-			completed += s.Completed
-		}
-		if completed == tasks || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if stats[0].Submitted != tasks {
-		t.Fatalf("shard 0 submitted %d, want %d", stats[0].Submitted, tasks)
-	}
-	if completed != tasks {
-		t.Fatalf("per-shard completions sum to %d, want %d", completed, tasks)
-	}
-	busy := 0
-	for _, s := range stats {
-		if s.Completed > 0 {
-			busy++
-		}
-	}
-	if busy < 2 {
-		t.Fatalf("only %d shards completed work; stealing did not spread the batch", busy)
-	}
-}
-
-func TestExecutorCloseDuringSteal(t *testing.T) {
-	// Close racing an active steal storm: every queued task still runs
-	// exactly once and Close returns.
+func TestExecutorCloseDuringSubmits(t *testing.T) {
+	// Close racing submitters on several goroutines: every Submit that
+	// returned nil has its task run exactly once before Close returns, and
+	// every submitter ends with ErrClosed.
 	for round := 0; round < 10; round++ {
-		e := NewExecutor(4, 256)
-		ctx := context.Background()
-		const tasks = 200
-		var ran atomic.Int64
-		for i := 0; i < tasks; i++ {
-			if err := e.SubmitTo(ctx, 0, func() { ran.Add(1) }); err != nil {
-				t.Fatal(err)
-			}
+		e := NewExecutor(4, 8)
+		var accepted, ran atomic.Int64
+		var wg sync.WaitGroup
+		landed := make(chan struct{}, 4)
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					err := e.Submit(context.Background(), func() { ran.Add(1) })
+					if err != nil {
+						if !errors.Is(err, ErrClosed) {
+							t.Errorf("Submit = %v, want ErrClosed", err)
+						}
+						return
+					}
+					accepted.Add(1)
+					select {
+					case landed <- struct{}{}:
+					default:
+					}
+				}
+			}()
 		}
-		e.Close() // must drain local deques and in-progress steals
-		if ran.Load() != tasks {
-			t.Fatalf("round %d: Close drained %d tasks, want %d", round, ran.Load(), tasks)
+		<-landed // Close while submitters are mid-stream
+		e.Close()
+		wg.Wait()
+		if ran.Load() != accepted.Load() {
+			t.Fatalf("round %d: %d tasks ran, %d Submits succeeded", round, ran.Load(), accepted.Load())
 		}
 	}
 }
@@ -310,10 +238,11 @@ func TestExecutorCloseDuringSteal(t *testing.T) {
 func TestExecutorSubmitWaitRacingClose(t *testing.T) {
 	// SubmitWait concurrent with Close must always return — either its
 	// tasks ran (pushed before the drain) or it got ErrClosed. A push
-	// stranded after the workers' final sweep would hang the latch forever.
+	// stranded after the workers' final drain would hang the latch forever.
 	for round := 0; round < 20; round++ {
 		e := NewExecutor(2, 4)
 		var wg sync.WaitGroup
+		waited := make(chan struct{}, 4)
 		for g := 0; g < 4; g++ {
 			wg.Add(1)
 			go func() {
@@ -326,126 +255,182 @@ func TestExecutorSubmitWaitRacingClose(t *testing.T) {
 						}
 						return
 					}
+					select {
+					case waited <- struct{}{}:
+					default:
+					}
 				}
 			}()
 		}
-		time.Sleep(time.Millisecond)
+		<-waited // Close while batches are in flight
 		e.Close()
-		done := make(chan struct{})
-		go func() { wg.Wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			t.Fatal("SubmitWait hung across Close")
-		}
+		wg.Wait()
 	}
 }
 
-func TestExecutorSubmitWaitTo(t *testing.T) {
-	e := NewExecutor(3, 12)
-	defer e.Close()
-	ctx := context.Background()
+// gatedBatch starts a SubmitWait of three tasks on a one-worker, one-slot
+// executor whose first task blocks until gate closes. It returns once that
+// task is running (the second is queued or being queued, the third blocked
+// behind it), with a channel that yields SubmitWait's error and a flag set
+// as the gated task returns.
+func gatedBatch(t *testing.T, e *Executor, ctx context.Context, gate chan struct{}) (<-chan error, *atomic.Bool) {
+	t.Helper()
+	started := make(chan struct{})
+	var finished atomic.Bool
+	result := make(chan error, 1)
+	go func() {
+		result <- e.SubmitWait(ctx, 3, func(i int) Task {
+			if i > 0 {
+				return func() {}
+			}
+			return func() {
+				close(started)
+				<-gate
+				finished.Store(true)
+			}
+		})
+	}()
+	<-started
+	return result, &finished
+}
 
-	results := make([]int, 30)
-	shards := make([]int, 30)
-	err := e.SubmitWaitTo(ctx, 1, len(results), func(i int) ShardTask {
-		return func(shard int) {
-			results[i] = i * i
-			shards[i] = shard
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
+// assertWaitsForGate checks that SubmitWait stays blocked while its gated
+// task runs, then opens the gate and checks it returned want only after the
+// task did.
+func assertWaitsForGate(t *testing.T, result <-chan error, finished *atomic.Bool, gate chan struct{}, want error) {
+	t.Helper()
+	// A return that must not happen can only be watched for a bounded time.
+	select {
+	case err := <-result:
+		close(gate) // let the worker finish so Close can return
+		t.Fatalf("SubmitWait returned %v while one of its tasks was still running", err)
+	case <-time.After(50 * time.Millisecond):
 	}
-	for i, v := range results {
-		if v != i*i {
-			t.Fatalf("results[%d] = %d, want %d", i, v, i*i)
-		}
-		if shards[i] < 0 || shards[i] >= e.NumShards() {
-			t.Fatalf("task %d reported shard %d out of range", i, shards[i])
-		}
+	close(gate)
+	if err := <-result; !errors.Is(err, want) {
+		t.Fatalf("SubmitWait = %v, want %v", err, want)
+	}
+	if !finished.Load() {
+		t.Fatal("SubmitWait returned before its gated task")
 	}
 }
 
-func TestExecutorPerShardBusyNanos(t *testing.T) {
-	// The old executor kept one global busy counter; per-shard counters
-	// must sum to the aggregate exactly (fake clock: 1 tick per reading).
-	e := NewExecutor(2, 8)
+func TestExecutorSubmitWaitOutlivesCancel(t *testing.T) {
+	e := NewExecutor(1, 1)
 	defer e.Close()
-	var tick atomic.Int64
-	e.clock = func() int64 { return tick.Add(1) }
+	gate := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
+	result, finished := gatedBatch(t, e, ctx, gate)
+	cancel()
+	assertWaitsForGate(t, result, finished, gate, ErrStopped)
+}
+
+func TestExecutorSubmitWaitOutlivesClose(t *testing.T) {
+	e := NewExecutor(1, 1)
+	gate := make(chan struct{})
+	result, finished := gatedBatch(t, e, context.Background(), gate)
+	closed := make(chan struct{})
+	go func() { e.Close(); close(closed) }()
+	assertWaitsForGate(t, result, finished, gate, ErrClosed)
+	<-closed
+}
+
+func TestExecutorBusyNanosFakeClock(t *testing.T) {
+	// Stats reports the time workers spend inside tasks as the clock sees
+	// it: each task advances a fake clock by its index, so busy time is
+	// exactly 0+1+…+9.
+	e := NewExecutor(1, 4)
+	defer e.Close()
+	var now atomic.Int64
+	e.clock = now.Load
 	ctx := context.Background()
 
-	if err := e.SubmitWait(ctx, 10, func(i int) Task { return func() {} }); err != nil {
+	if err := e.SubmitWait(ctx, 10, func(i int) Task { return func() { now.Add(int64(i)) } }); err != nil {
 		t.Fatal(err)
 	}
-	_, completed, busy := e.Stats()
-	if completed != 10 {
-		t.Fatalf("completed = %d, want 10", completed)
+	submitted, completed, busy := e.Stats()
+	if submitted != 10 || completed != 10 {
+		t.Fatalf("Stats = (%d, %d), want (10, 10)", submitted, completed)
 	}
-	var sum int64
-	for _, s := range e.ShardStats() {
-		sum += s.BusyNanos
-	}
-	if sum != busy {
-		t.Fatalf("per-shard busyNanos sum %d != aggregate %d", sum, busy)
-	}
-	if busy <= 0 {
-		t.Fatalf("busyNanos = %d, want > 0", busy)
+	if busy != 45 {
+		t.Fatalf("busyNanos = %d, want 45", busy)
 	}
 }
 
 func TestExecutorSubmitBlocksWhenFull(t *testing.T) {
-	// One worker, depth-1 deque: with the worker wedged and the slot taken,
-	// Submit must block until a pop frees space.
+	// One worker, one slot: with the worker wedged and the slot taken, a
+	// Submit cannot land — its context ending is the only way out — until
+	// the worker frees the slot.
 	e := NewExecutor(1, 1)
 	defer e.Close()
 	ctx := context.Background()
 	gate := make(chan struct{})
-	if err := e.Submit(ctx, func() { <-gate }); err != nil {
+	started := make(chan struct{})
+	if err := e.Submit(ctx, func() { close(started); <-gate }); err != nil {
 		t.Fatal(err)
 	}
-	settle() // let the worker pick up the gate task
+	<-started
 	if err := e.Submit(ctx, func() {}); err != nil {
 		t.Fatal(err) // fills the single slot
 	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if err := e.Submit(cancelled, func() { t.Error("a task submitted to a full queue ran") }); !errors.Is(err, ErrStopped) {
+		t.Fatalf("Submit to a full queue with a dead context = %v, want ErrStopped", err)
+	}
 	submitted := make(chan error, 1)
 	go func() { submitted <- e.Submit(ctx, func() {}) }()
-	select {
-	case err := <-submitted:
-		t.Fatalf("Submit returned %v while every deque was full", err)
-	case <-time.After(30 * time.Millisecond):
+	close(gate)
+	if err := <-submitted; err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestExecutorBlockedSubmitFailsOnClose(t *testing.T) {
+	// A Submit blocked on the full queue returns ErrClosed once Close
+	// starts; what was already queued still runs.
+	e := NewExecutor(1, 1)
+	ctx := context.Background()
+	gate := make(chan struct{})
+	started := make(chan struct{})
+	var ran atomic.Int64
+	if err := e.Submit(ctx, func() { close(started); <-gate; ran.Add(1) }); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	if err := e.Submit(ctx, func() { ran.Add(1) }); err != nil {
+		t.Fatal(err)
+	}
+	blocked := make(chan error, 1)
+	go func() { blocked <- e.Submit(ctx, func() { t.Error("a Submit refused by Close ran") }) }()
+	closed := make(chan struct{})
+	go func() { e.Close(); close(closed) }()
+	if err := <-blocked; !errors.Is(err, ErrClosed) {
+		t.Fatalf("blocked Submit = %v, want ErrClosed", err)
 	}
 	close(gate)
-	select {
-	case err := <-submitted:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Submit did not unblock after space freed")
+	<-closed
+	if ran.Load() != 2 {
+		t.Fatalf("Close drained %d queued tasks, want 2", ran.Load())
 	}
 }
 
 func TestCompletionLatch(t *testing.T) {
 	c := NewCompletion(3)
-	ctx := context.Background()
-	done := make(chan error, 1)
-	go func() { done <- c.Wait(ctx) }()
 	c.Done()
 	c.Done()
 	select {
-	case <-done:
-		t.Fatal("Wait returned before final Done")
-	case <-time.After(10 * time.Millisecond):
+	case <-c.done:
+		t.Fatal("latch fired before the final Done")
+	default:
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := c.Wait(ctx); !errors.Is(err, ErrStopped) {
+		t.Fatalf("Wait with a dead context = %v, want ErrStopped", err)
 	}
 	c.Done()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Wait did not return after final Done")
+	if err := c.Wait(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -10,10 +10,10 @@ import (
 // A pump spends most of its life blocked — on a bounded edge at depth, on an
 // empty upstream edge, on an exhausted buffer pool — so pumps are dedicated
 // goroutines, not executor tasks: parking a blocked pump on one of the
-// executor's fixed worker shards would starve the fine-grain subchunk tasks
-// the stages themselves submit (with #pumps ≥ #workers the graph deadlocks
-// outright). The Go scheduler parks blocked pumps for free; the sharded
-// executor keeps doing what it is good at — running short CPU-bound tasks.
+// executor's fixed workers would starve the fine-grain subchunk tasks the
+// stages themselves submit (with #pumps ≥ #workers the graph deadlocks
+// outright). The Go scheduler parks blocked pumps for free; the executor
+// keeps doing what it is good at — running short CPU-bound tasks.
 
 // Pumps runs a set of pumps over one shared derived context. The first pump
 // failure cancels the context so every sibling unwinds; Wait blocks until

@@ -5,11 +5,10 @@ import (
 	"sync/atomic"
 )
 
-// ShardedItemPool is ItemPool with per-shard free lists, the pool half of
-// the executor's sharding story: a chunk decoded by shard S's worker is
-// recycled onto shard S's list and handed back to the next task running
-// there, so pooled buffers stay in the LLC of the core that last wrote them
-// instead of ping-ponging through one global free list.
+// ShardedItemPool is ItemPool with its free list split into per-shard
+// stripes: an item checked out of stripe S is recycled onto stripe S, so
+// callers that spread over the stripes (agd chunk streams use chunk index
+// modulo Shards) contend less on one global free list.
 //
 // Capacity semantics match ItemPool: the pool holds size pre-allocated
 // items, Get blocks when every item is checked out (the §4.5 back-pressure),

@@ -20,10 +20,6 @@ type ImportOptions struct {
 	// (reused builders, each group valid until the next); > 1 draws builders
 	// from a bounded pool of that size so a pumped edge can queue groups.
 	Pipelining int
-	// Shards (ImportStream only) rotates group shard affinity over that many
-	// executor shards, so downstream sharded submissions (align subchunks)
-	// spread instead of landing on shard 0. 0 leaves every group on shard 0.
-	Shards int
 }
 
 // Import converts a FASTQ stream into an AGD dataset (the paper's import
@@ -117,16 +113,12 @@ func ImportStream(src io.Reader, opts ImportOptions) *agd.GroupStream {
 			return fin(io.EOF)
 		}
 		ordinal += uint64(rows)
-		shard := 0
-		if opts.Shards > 1 {
-			shard = idx % opts.Shards
-		}
 		var release func()
 		if pool != nil {
 			put := set
 			release = func() { pool.Put(put) }
 		}
-		g := agd.NewRowGroup(idx, shard, set.Chunks(), release)
+		g := agd.NewRowGroup(idx, 0, set.Chunks(), release)
 		idx++
 		return g, nil
 	}

@@ -6,7 +6,7 @@
 // The package is the public facade — the equivalent of the paper's thin
 // client library (§4.1). Its primary abstraction is the Session/Pipeline
 // pair: a Session owns the long-lived runtime (the store, one shared
-// work-stealing executor, the chunk pools, a reference-index cache), and a
+// executor, the chunk pools, a reference-index cache), and a
 // Pipeline is a fluent, validated stage graph whose Run streams AGD chunks
 // stage-to-stage over that runtime. A whole-genome preprocessing workflow
 // is one composed graph — no intermediate dataset is written between

@@ -259,8 +259,8 @@ type StageReport struct {
 type ExecutorStats struct {
 	// Submitted and Completed count fine-grain tasks.
 	Submitted, Completed int64
-	// Steals counts tasks run by a shard other than the one they were
-	// submitted to — the work-stealing load-balance share.
+	// Steals is always 0: the executor has one task queue and nothing to
+	// steal from. The field stays because bench/totals.go reads it.
 	Steals int64
 	// Busy is cumulative worker time inside tasks.
 	Busy time.Duration
@@ -420,7 +420,6 @@ type runBase struct {
 	sub0      int64
 	done0     int64
 	busy0     int64
-	steals0   int64
 	storage0  StorageStats
 	resilient bool
 	cache0    CacheStats
@@ -431,7 +430,6 @@ func (p *Pipeline) snapshotBase() runBase {
 	sess := p.sess
 	b := runBase{start: time.Now()}
 	b.sub0, b.done0, b.busy0 = sess.exec.Stats()
-	b.steals0 = sess.exec.Steals()
 	b.storage0, b.resilient = sess.ResilienceStats()
 	b.cache0, b.cached = sess.CacheStats()
 	return b
@@ -444,7 +442,6 @@ func (p *Pipeline) finishBase(report *PipelineReport, b runBase) {
 	report.Executor = ExecutorStats{
 		Submitted: sub1 - b.sub0,
 		Completed: done1 - b.done0,
-		Steals:    sess.exec.Steals() - b.steals0,
 		Busy:      time.Duration(busy1 - b.busy0),
 	}
 	if b.resilient {
@@ -473,8 +470,8 @@ func (p *Pipeline) stageNames() []string {
 }
 
 // openSource validates the graph and opens the source stream. pipelining
-// and shards configure a pumped FASTQ source (0, 0 on a serial run).
-func (p *Pipeline) openSource(pipelining, shards int) (*agd.GroupStream, error) {
+// sizes a pumped FASTQ source's builder pool (0 on a serial run).
+func (p *Pipeline) openSource(pipelining int) (*agd.GroupStream, error) {
 	sess := p.sess
 	src := p.stages[0]
 	switch src.kind {
@@ -500,7 +497,6 @@ func (p *Pipeline) openSource(pipelining, shards int) (*agd.GroupStream, error) 
 			ChunkSize:  src.chunkSize,
 			RefSeqs:    src.refs,
 			Pipelining: pipelining,
-			Shards:     shards,
 		}), nil
 	}
 	return nil, fmt.Errorf("persona: pipeline has no source")
@@ -635,10 +631,9 @@ func (p *Pipeline) Run(ctx context.Context) (*PipelineReport, error) {
 // output edge (downstream sees the error) and its input stream (upstream
 // pumps stop, queued groups drain back to their pools).
 func (p *Pipeline) run(ctx context.Context) (*PipelineReport, error) {
-	sess := p.sess
-	depth, shards := 0, 0
+	depth := 0
 	if !p.serial {
-		depth, shards = p.edgeDepth, sess.exec.NumShards()
+		depth = p.edgeDepth
 		if depth < 1 {
 			depth = DefaultEdgeDepth
 		}
@@ -647,7 +642,7 @@ func (p *Pipeline) run(ctx context.Context) (*PipelineReport, error) {
 	base := p.snapshotBase()
 	names := p.stageNames()
 
-	stream, err := p.openSource(p.poolWindow(0, depth), shards)
+	stream, err := p.openSource(p.poolWindow(0, depth))
 	if err != nil {
 		return nil, err
 	}

@@ -15,8 +15,8 @@ import (
 
 // SessionOptions configures a Session.
 type SessionOptions struct {
-	// ExecutorThreads sizes the session's shared work-stealing executor;
-	// 0 means GOMAXPROCS.
+	// ExecutorThreads sizes the session's shared executor; 0 means
+	// GOMAXPROCS.
 	ExecutorThreads int
 	// CacheBytes is the byte budget of the session's read-through decoded
 	// chunk cache: pipeline sources serve repeat chunk reads from it,
@@ -32,9 +32,10 @@ type SessionOptions struct {
 const DefaultCacheBytes int64 = 64 << 20
 
 // Session owns the long-lived resources Persona pipelines share: the blob
-// store, one sharded work-stealing executor (all fine-grain compute), the
-// sharded pool of decoded chunks pipeline sources stream through, and a
-// reference-index cache — so serving many pipeline runs reuses warm state
+// store, one executor (worker goroutines draining one task queue: all
+// fine-grain compute), the pool of decoded chunks pipeline sources stream
+// through, and a reference-index cache — so serving many pipeline runs
+// reuses warm state
 // instead of rebuilding executors, pools and indexes per call (§4.1: the
 // client library composes graphs over one runtime). Sessions are safe for
 // concurrent pipeline runs. Close releases the executor.
@@ -61,7 +62,7 @@ func NewSession(store Store, opts SessionOptions) *Session {
 	// The chunk pool bounds how many decoded column chunks all concurrent
 	// pipelines hold: a pull-based pipeline keeps at most one group (plus
 	// one being decoded) checked out per source, so a handful of groups'
-	// worth of columns per shard gives several concurrent pipelines slack
+	// worth of columns per worker gives several concurrent pipelines slack
 	// while still back-pressuring a runaway source.
 	poolSize := 8 * 4 * exec.NumShards()
 	var cache *agd.ChunkCache
@@ -84,10 +85,6 @@ func NewSession(store Store, opts SessionOptions) *Session {
 
 // Store returns the session's blob store.
 func (s *Session) Store() Store { return s.store }
-
-// Executor exposes the session's shared executor (for wiring into
-// lower-level APIs such as cluster alignment).
-func (s *Session) Executor() *dataflow.Executor { return s.exec }
 
 // Index returns the SNAP seed index for a reference genome, building it on
 // first use and caching it for the session's lifetime — the warm-index
