@@ -21,6 +21,7 @@ import (
 	"persona/internal/align/snap"
 	"persona/internal/experiments"
 	"persona/internal/formats/bam"
+	"persona/internal/formats/bgzf"
 	"persona/internal/formats/fastq"
 	"persona/internal/formats/sam"
 	"persona/internal/genome"
@@ -609,7 +610,7 @@ func BenchmarkKernel_SAMLineWrite(b *testing.B) {
 func BenchmarkKernel_BAMWriteView(b *testing.B) {
 	refs := []agd.RefSeq{{Name: "chr1", Length: 1 << 20}}
 	refmap := sam.NewRefMap(refs)
-	w, err := bam.NewWriter(io.Discard, refs, "coordinate")
+	w, err := bam.NewWriter(bgzf.NewWriter(io.Discard, nil), refs, "coordinate")
 	if err != nil {
 		b.Fatal(err)
 	}

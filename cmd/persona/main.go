@@ -47,7 +47,9 @@ import (
 	"persona/internal/jobs"
 )
 
-// gzipReader wraps a reader with gzip decompression.
+// gzipReader wraps a reader with gzip decompression. External .gz input is a
+// stream of unknown size from any writer: compress/gzip's case, not
+// internal/deflate's.
 func gzipReader(r io.Reader) (*gzip.Reader, error) { return gzip.NewReader(r) }
 
 func main() {

@@ -247,7 +247,7 @@ func TestChunkStreamColumnSubsetAndRange(t *testing.T) {
 func TestChunkStreamPoolRecycles(t *testing.T) {
 	ds, want := streamTestDataset(t, NewMemStore(), 60, 6) // 10 chunks
 	cols := len(ds.Manifest.Columns)
-	pool := NewShardedChunkPool(1, cols+1) // barely enough for one chunk in hand
+	pool := NewChunkPool(cols + 1) // barely enough for one chunk in hand
 	stream, err := ds.Stream(StreamOptions{ShardedPool: pool})
 	if err != nil {
 		t.Fatal(err)
@@ -274,6 +274,35 @@ func TestChunkStreamPoolRecycles(t *testing.T) {
 	}
 	if pool.Free() != pool.Size() {
 		t.Fatalf("%d of %d pool items free after stream end", pool.Free(), pool.Size())
+	}
+}
+
+// TestChunkStreamShardedPoolName: NewShardedChunkPool, kept under its old
+// name, is the plain pool: the shard count is ignored, and the stream checks
+// chunks out of it and back into its one free list.
+func TestChunkStreamShardedPoolName(t *testing.T) {
+	ds, want := streamTestDataset(t, NewMemStore(), 60, 6)
+	cols := len(ds.Manifest.Columns)
+	pool := NewShardedChunkPool(4, cols+1)
+	if pool.Size() != cols+1 {
+		t.Fatalf("pool size %d, want %d", pool.Size(), cols+1)
+	}
+	stream, err := ds.Stream(StreamOptions{ShardedPool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Close()
+	sc, err := stream.Next(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkStreamChunk(t, sc, want)
+	if free := pool.Free(); free != 1 {
+		t.Fatalf("%d chunks free with one row group held, want 1", free)
+	}
+	sc.Release()
+	if pool.Free() != pool.Size() {
+		t.Fatalf("%d of %d chunks free after Release", pool.Free(), pool.Size())
 	}
 }
 

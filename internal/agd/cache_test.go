@@ -281,7 +281,7 @@ func TestStreamCacheWarmReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := NewChunkCache(1 << 20)
-	pool := NewShardedChunkPool(2, 64)
+	pool := NewChunkPool(64)
 
 	readAll := func() []string {
 		var recs []string

@@ -68,10 +68,6 @@ func (m StreamMeta) WithColumn(name string) StreamMeta {
 type RowGroup struct {
 	// Index is the group's position in the stream (0-based).
 	Index int
-	// Shard is the free-list stripe of the sharded chunk pool the group's
-	// source chunks came from (StreamChunk.Shard; 0 for other sources).
-	// Stages carry it along; no task is placed by it.
-	Shard int
 	// Chunks holds one decoded chunk per StreamMeta.Columns entry.
 	Chunks []*Chunk
 	// release returns pooled resources; nil when nothing is pooled.
@@ -80,9 +76,10 @@ type RowGroup struct {
 
 // NewRowGroup assembles a group for delivery, with an optional release hook
 // (run once, on Release) returning pooled resources — for a derived group,
-// typically the upstream group's Release. shard only sets RowGroup.Shard.
-func NewRowGroup(index, shard int, chunks []*Chunk, release func()) *RowGroup {
-	return &RowGroup{Index: index, Shard: shard, Chunks: chunks, release: release}
+// typically the upstream group's Release. The second argument is ignored: it
+// stays only because bench/ compiles against this signature.
+func NewRowGroup(index, _ int, chunks []*Chunk, release func()) *RowGroup {
+	return &RowGroup{Index: index, Chunks: chunks, release: release}
 }
 
 // NumRecords returns the group's row count.
@@ -123,7 +120,7 @@ func (g *RowGroup) Detach() *RowGroup {
 	for i, c := range g.Chunks {
 		chunks[i] = c.Clone()
 	}
-	out := NewRowGroup(g.Index, g.Shard, chunks, nil)
+	out := NewRowGroup(g.Index, 0, chunks, nil)
 	g.Release()
 	return out
 }
@@ -293,7 +290,6 @@ func (d *Dataset) Groups(opts StreamOptions) (*GroupStream, error) {
 		}
 		return &RowGroup{
 			Index:   sc.Index,
-			Shard:   sc.Shard(),
 			Chunks:  sc.Chunks(),
 			release: sc.Release,
 		}, nil

@@ -19,13 +19,12 @@ type StreamOptions struct {
 	// end of the dataset.
 	Start, End int
 	// ShardedPool, when non-nil, supplies the decoded chunk objects
-	// (NewShardedChunkPool): Next checks chunks out of it and
-	// StreamChunk.Release returns them, so a bounded pool gives the stream
-	// the same back-pressure as the pipeline queues. Chunk i checks out of
-	// and returns to free list i % Shards(), which spreads concurrent
-	// streams over the pool's stripes. When nil, chunks are freshly
-	// allocated and Release is a no-op.
-	ShardedPool *dataflow.ShardedItemPool[*Chunk]
+	// (NewChunkPool): Next checks chunks out of it and StreamChunk.Release
+	// returns them, so a bounded pool gives the stream the same back-pressure
+	// as the pipeline queues. When nil, chunks are freshly allocated and
+	// Release is a no-op. The pool has one free list; the field keeps its old
+	// name only because bench/ compiles against it.
+	ShardedPool *dataflow.ItemPool[*Chunk]
 	// Cache, when non-nil, makes the stream read through the shared decoded
 	// chunk cache: hits skip the fetch, CRC verify and decode entirely;
 	// misses become singleflight fills this stream owns. Cached chunks are
@@ -53,7 +52,7 @@ const (
 
 // PoolGroups is how many row groups a pooled source's chunk pool holds for a
 // consumer that pulls one group at a time: size the pool
-// columns × PoolGroups (NewShardedChunkPool). The fetch window takes nothing
+// columns × PoolGroups (NewChunkPool). The fetch window takes nothing
 // from the pool — chunks are checked out only as Next decodes them.
 const PoolGroups = 5
 
@@ -83,7 +82,7 @@ type ChunkStream struct {
 	as    AsyncBlobStore
 	cols  []string
 	codec Codec
-	spool *dataflow.ShardedItemPool[*Chunk]
+	pool  *dataflow.ItemPool[*Chunk]
 	cache *ChunkCache
 
 	window int
@@ -130,9 +129,8 @@ func (sc *StreamChunk) Col(name string) *Chunk {
 
 // Release ends the caller's use of the row group: cache-backed chunks are
 // unpinned (they stay resident for the next reader), pooled chunks return to
-// the stream's pool — on a sharded pool, to the chunk's own shard's free
-// list. The caller must not reference the chunks (or slices of their data)
-// afterwards. On a pool-less, cache-less stream it is a no-op.
+// the stream's pool. The caller must not reference the chunks (or slices of
+// their data) afterwards. On a pool-less, cache-less stream it is a no-op.
 func (sc *StreamChunk) Release() {
 	s := sc.stream
 	for k, c := range sc.chunks {
@@ -145,37 +143,29 @@ func (sc *StreamChunk) Release() {
 			// fallbacks) are standalone allocations; never pool them.
 			continue
 		}
-		if s.spool != nil {
-			s.spool.Put(sc.Index%s.spool.Shards(), c)
+		if s.pool != nil {
+			s.pool.Put(c)
 		}
 	}
 	sc.chunks = nil
 	sc.ents = nil
 }
 
-// Shard returns the free-list stripe of the stream's sharded pool this
-// chunk's buffers belong to (chunk index modulo the pool's stripes; 0 on
-// unpooled streams). It says nothing about where tasks run: the executor
-// has one queue.
-func (sc *StreamChunk) Shard() int {
-	if sp := sc.stream.spool; sp != nil {
-		return sc.Index % sp.Shards()
-	}
-	return 0
-}
-
-// NewShardedChunkPool returns a bounded pool of decoded chunks for stream
-// consumers (StreamOptions.ShardedPool): size chunks, Reset applied on
-// recycle, its free list split into shards stripes (a chunk recycles onto
-// the stripe it came from, so concurrent streams contend less on one list).
-// Pipelines pass the executor's NumShards; a single stream asks for one.
-// Size it to columns × the row groups the consumer holds at once, plus one
-// being decoded.
-func NewShardedChunkPool(shards, size int) *dataflow.ShardedItemPool[*Chunk] {
-	return dataflow.NewShardedItemPool(shards, size,
+// NewChunkPool returns a bounded pool of decoded chunks for stream consumers
+// (StreamOptions.ShardedPool): size chunks, Reset applied on recycle. Size it
+// to columns × the row groups the consumer holds at once, plus one being
+// decoded.
+func NewChunkPool(size int) *dataflow.ItemPool[*Chunk] {
+	return dataflow.NewItemPool(size,
 		func() *Chunk { return new(Chunk) },
 		func(c *Chunk) *Chunk { c.Reset(); return c },
 	)
+}
+
+// NewShardedChunkPool is NewChunkPool; shards is ignored. It stays only
+// because bench/ compiles against it.
+func NewShardedChunkPool(shards, size int) *dataflow.ItemPool[*Chunk] {
+	return NewChunkPool(size)
 }
 
 // Stream opens an iterator over the dataset's chunks that reads ahead of
@@ -205,7 +195,7 @@ func (d *Dataset) Stream(opts StreamOptions) (*ChunkStream, error) {
 		as:     AsyncOf(d.store),
 		cols:   cols,
 		codec:  opts.Codec,
-		spool:  opts.ShardedPool,
+		pool:   opts.ShardedPool,
 		cache:  opts.Cache,
 		window: initialWindow,
 		start:  start,
@@ -277,10 +267,6 @@ func (s *ChunkStream) Next(ctx context.Context) (*StreamChunk, error) {
 	}
 	s.mu.Unlock()
 
-	shard := 0
-	if s.spool != nil {
-		shard = i % s.spool.Shards()
-	}
 	entry := s.ds.Manifest.Chunks[i]
 	chunks := make([]*Chunk, len(slots))
 	fail := func(err error) (*StreamChunk, error) {
@@ -295,8 +281,8 @@ func (s *ChunkStream) Next(ctx context.Context) (*StreamChunk, error) {
 				s.cache.Unpin(sl.ent)
 				continue
 			}
-			if c := chunks[k]; c != nil && s.cache == nil && s.spool != nil {
-				s.spool.Put(shard, c)
+			if c := chunks[k]; c != nil && s.cache == nil && s.pool != nil {
+				s.pool.Put(c)
 			}
 		}
 		return nil, err
@@ -348,8 +334,8 @@ func (s *ChunkStream) Next(ctx context.Context) (*StreamChunk, error) {
 			continue
 		}
 		var c *Chunk
-		if s.spool != nil {
-			if c, err = s.spool.Get(ctx, shard); err != nil {
+		if s.pool != nil {
+			if c, err = s.pool.Get(ctx); err != nil {
 				return fail(err)
 			}
 			// Record the checkout before decoding, so a decode error

@@ -3,12 +3,14 @@ package baseline
 import (
 	"bytes"
 	"compress/gzip"
+	"io"
 	"strings"
 	"testing"
 
 	"persona/internal/agd"
 	"persona/internal/align/snap"
 	"persona/internal/formats/bam"
+	"persona/internal/formats/bgzf"
 	"persona/internal/formats/fastq"
 	"persona/internal/formats/sam"
 	"persona/internal/genome"
@@ -189,6 +191,40 @@ func TestPicardSortSAM(t *testing.T) {
 	}
 	if err := br.Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestJVMDeflaterBlocks: the Picard stand-in's BGZF stream reads back through
+// bgzf.Reader and compress/gzip, ends with the EOF marker, and is smaller
+// than the product writer's for the same bytes — it compresses at the
+// default level, not the fastest.
+func TestJVMDeflaterBlocks(t *testing.T) {
+	payload := []byte(strings.Repeat("read.77/1\tchr1\t12345\t60\t101M\tACGTTGCAACGGT\tIIIIHHHGG#FF\n", 4000))
+	var jvm, fast bytes.Buffer
+	for _, w := range []io.WriteCloser{&jvmDeflater{w: &jvm}, bgzf.NewWriter(&fast, nil)} {
+		if _, err := w.Write(payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.HasSuffix(jvm.Bytes(), bgzf.EOFMarker) {
+		t.Fatal("stream does not end with the BGZF EOF marker")
+	}
+	got, err := io.ReadAll(bgzf.NewReader(bytes.NewReader(jvm.Bytes())))
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("bgzf.Reader reads back %d bytes, %v", len(got), err)
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(jvm.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := io.ReadAll(zr); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("compress/gzip reads back %d bytes, %v", len(got), err)
+	}
+	if jvm.Len() >= fast.Len() {
+		t.Fatalf("default-level stream is %d bytes, the fastest level's %d", jvm.Len(), fast.Len())
 	}
 }
 

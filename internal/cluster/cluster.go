@@ -331,7 +331,7 @@ func alignNode(ctx context.Context, w *worker, ds *agd.Dataset, idx *snap.Index)
 	codec := agd.Codec{Exec: w.exec}
 	// A chunk's pooled buffers are held from its decode until its results
 	// blob has landed: read ahead, being aligned, or in the sink.
-	pool := agd.NewShardedChunkPool(w.exec.NumShards(), leaseAhead+1+agd.ColumnWindow)
+	pool := agd.NewChunkPool(leaseAhead + 1 + agd.ColumnWindow)
 	leases := agd.NewGroupStream(
 		agd.StreamMeta{Columns: []string{agd.ColBases}},
 		func(ctx context.Context) (*agd.RowGroup, error) {

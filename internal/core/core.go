@@ -96,7 +96,7 @@ func Align(ctx context.Context, cfg AlignConfig) (*AlignReport, *agd.Manifest, e
 	start := time.Now()
 	in, err := ds.Groups(agd.StreamOptions{
 		Columns:     []string{agd.ColBases, agd.ColQual},
-		ShardedPool: agd.NewShardedChunkPool(exec.NumShards(), 2*cfg.Pipelining),
+		ShardedPool: agd.NewChunkPool(2 * cfg.Pipelining),
 		Codec:       codec,
 	})
 	if err != nil {

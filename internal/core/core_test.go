@@ -202,7 +202,7 @@ func TestAlignStreamCancelWaitsForSubchunks(t *testing.T) {
 	exec := dataflow.NewExecutor(1, 2)
 	defer exec.Close()
 	src, err := f.Dataset.Groups(agd.StreamOptions{
-		Columns: []string{agd.ColBases}, ShardedPool: agd.NewShardedChunkPool(1, 2),
+		Columns: []string{agd.ColBases}, ShardedPool: agd.NewChunkPool(2),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +213,7 @@ func TestAlignStreamCancelWaitsForSubchunks(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return agd.NewRowGroup(g.Index, g.Shard, g.Chunks, func() {
+		return agd.NewRowGroup(g.Index, 0, g.Chunks, func() {
 			if submitted, completed, _ := exec.Stats(); submitted != completed {
 				releasedEarly.Store(true)
 			}
@@ -334,7 +334,7 @@ func TestAlignStagesUnderTightPools(t *testing.T) {
 
 	exec := dataflow.NewExecutor(3, 6)
 	defer exec.Close()
-	pool := agd.NewShardedChunkPool(exec.NumShards(), 2)
+	pool := agd.NewChunkPool(2)
 	in, err := ds.Groups(agd.StreamOptions{
 		Columns: []string{agd.ColBases, agd.ColQual}, ShardedPool: pool, Codec: agd.Codec{Exec: exec},
 	})

@@ -214,7 +214,7 @@ func (st *alignStage) alignGroup(ctx context.Context, g *agd.RowGroup) (*agd.Row
 			g.Release()
 		}
 	}
-	return agd.NewRowGroup(g.Index, g.Shard, chunks, release), nil
+	return agd.NewRowGroup(g.Index, 0, chunks, release), nil
 }
 
 // collectStats drains the aligner pool and aggregates SNAP work counters

@@ -7,7 +7,7 @@
 //     stages split each chunk into subchunk tasks and submit them as a batch
 //     (SubmitWait), so compute-intense kernels share one set of threads
 //     instead of each stage running its own.
-//   - ItemPool and ShardedItemPool: bounded pools of recyclable objects
+//   - ItemPool: bounded pools of recyclable objects
 //     (decoded chunks, builders, arenas). Bulk data stays in pooled objects
 //     and only handles move between stages (§4.5, §4.6); a pool's bound is
 //     the back-pressure that caps memory.

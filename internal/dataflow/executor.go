@@ -88,9 +88,8 @@ func (e *Executor) run(t taskItem) {
 // Workers returns the number of worker goroutines.
 func (e *Executor) Workers() int { return e.workers }
 
-// NumShards returns Workers. Tasks are not placed by shard; the value sizes
-// the free-list stripes of the chunk pools built next to the executor
-// (agd.NewShardedChunkPool).
+// NumShards returns Workers. Nothing is placed by shard; the name stays only
+// because bench/ compiles against it.
 func (e *Executor) NumShards() int { return e.workers }
 
 // submit enqueues one task, blocking while the queue is full. The read lock

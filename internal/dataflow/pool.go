@@ -20,6 +20,11 @@ type ItemPool[T any] struct {
 	recycled atomic.Int64
 }
 
+// ShardedItemPool is another name for ItemPool. The pool once kept one free
+// list per executor worker; with one task queue no worker owns a stripe, so
+// the stripes went. The name stays only because bench/ compiles against it.
+type ShardedItemPool[T any] = ItemPool[T]
+
 // NewItemPool creates a pool of size items built by newItem. reset is
 // applied on Put to scrub an item for reuse (it may return a different
 // value, e.g. a truncated slice); nil means items are reused as-is.

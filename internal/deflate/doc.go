@@ -14,6 +14,6 @@
 // option. AppendGzip and Gunzip frame a stream as one
 // RFC 1952 member, which is what chunk members and BGZF blocks are on disk.
 //
-// Streams of unknown size — a .fastq.gz being imported — and the slower
-// levels the JVM-tool baselines emulate stay with compress/gzip.
+// Streams of unknown size — a .fastq.gz being imported — stay with
+// compress/gzip.
 package deflate

@@ -94,7 +94,8 @@ func RunTable1Measured(ctx context.Context, w io.Writer, sc Scale, dir string) (
 		return nil, err
 	}
 
-	// Standalone input: gzipped FASTQ on disk.
+	// Standalone input: gzipped FASTQ on disk, written by compress/gzip as
+	// any outside tool would write it, since it stands for external input.
 	gzPath := filepath.Join(dir, "reads.fastq.gz")
 	gzFile, err := os.Create(gzPath)
 	if err != nil {

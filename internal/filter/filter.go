@@ -90,7 +90,7 @@ func RunDataset(ctx context.Context, ds *agd.Dataset, pred Predicate, opts Optio
 		opts.OutputName = m.Name + ".filtered"
 	}
 	in, err := ds.Groups(agd.StreamOptions{
-		ShardedPool: agd.NewShardedChunkPool(1, len(m.Columns)*agd.PoolGroups),
+		ShardedPool: agd.NewChunkPool(len(m.Columns) * agd.PoolGroups),
 	})
 	if err != nil {
 		return nil, Stats{}, err
@@ -208,7 +208,7 @@ func RunStream(in *agd.GroupStream, pred Predicate, pipelining int) (*agd.GroupS
 				put := set
 				release = func() { pool.Put(put) }
 			}
-			out := agd.NewRowGroup(outIdx, g.Shard, set.Chunks(), release)
+			out := agd.NewRowGroup(outIdx, 0, set.Chunks(), release)
 			outIdx++
 			return out, nil
 		}

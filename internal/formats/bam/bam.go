@@ -13,6 +13,7 @@ import (
 
 	"persona/internal/agd"
 	"persona/internal/align"
+	"persona/internal/dataflow"
 	"persona/internal/formats/bgzf"
 	"persona/internal/formats/sam"
 )
@@ -47,39 +48,19 @@ func nibbleSeq(n byte) byte {
 	}
 }
 
-// blockWriter is the compressed-stream sink: the serial bgzf.Writer or the
-// multi-worker bgzf.ParallelWriter (samtools-style --threads compression).
-type blockWriter interface {
-	io.Writer
-	Close() error
-}
-
 // Writer emits a BAM file.
 type Writer struct {
-	z     blockWriter
+	z     io.WriteCloser
 	refs  map[string]int32
 	rec   []byte      // the record being rendered, block_size prefix included
 	cigar align.Cigar // reused parse scratch (WriteView)
 }
 
 // NewWriter writes the BAM header (text header plus reference dictionary)
-// and returns a record writer with serial BGZF compression.
-func NewWriter(w io.Writer, refs []agd.RefSeq, sortOrder string) (*Writer, error) {
-	return newWriter(bgzf.NewWriter(w), refs, sortOrder)
-}
-
-// NewWriterParallel is NewWriter with BGZF blocks compressed on workers
-// goroutines.
-func NewWriterParallel(w io.Writer, refs []agd.RefSeq, sortOrder string, workers int) (*Writer, error) {
-	return newWriter(bgzf.NewParallelWriter(w, workers), refs, sortOrder)
-}
-
-// NewWriterLevel is NewWriter with an explicit BGZF compression level.
-func NewWriterLevel(w io.Writer, refs []agd.RefSeq, sortOrder string, level int) (*Writer, error) {
-	return newWriter(bgzf.NewWriterLevel(w, level), refs, sortOrder)
-}
-
-func newWriter(z blockWriter, refs []agd.RefSeq, sortOrder string) (*Writer, error) {
+// into z and returns a record writer over it. z is the BGZF stream: a
+// bgzf.Writer, or the stand-in for another tool's compressor. Close closes
+// it.
+func NewWriter(z io.WriteCloser, refs []agd.RefSeq, sortOrder string) (*Writer, error) {
 	bw := &Writer{z: z, refs: make(map[string]int32, len(refs))}
 	if sortOrder == "" {
 		sortOrder = "unsorted"
@@ -225,7 +206,7 @@ func (w *Writer) flushRecord() error {
 	return err
 }
 
-// Close flushes the BGZF stream and writes its EOF marker.
+// Close closes the BGZF stream, which flushes it and writes its EOF marker.
 func (w *Writer) Close() error { return w.z.Close() }
 
 // Export streams an AGD dataset out as BAM (§5.7's export path): the
@@ -242,14 +223,20 @@ func Export(ctx context.Context, ds *agd.Dataset, dst io.Writer) (uint64, error)
 }
 
 // ExportStream renders a pipeline stream (with a results column) as BAM —
-// the stream-in sink form of Export.
+// the stream-in sink form of Export — compressing on the calling goroutine.
 func ExportStream(ctx context.Context, in *agd.GroupStream, dst io.Writer) (uint64, error) {
+	return ExportStreamOn(ctx, in, dst, nil)
+}
+
+// ExportStreamOn is ExportStream with the BGZF blocks compressed as tasks on
+// exec (nil: on the calling goroutine). The bytes are the same either way.
+func ExportStreamOn(ctx context.Context, in *agd.GroupStream, dst io.Writer, exec *dataflow.Executor) (uint64, error) {
 	refmap := sam.NewRefMap(in.Meta.RefSeqs)
 	sortOrder := "unsorted"
 	if in.Meta.SortedBy == "location" {
 		sortOrder = "coordinate"
 	}
-	w, err := NewWriter(dst, in.Meta.RefSeqs, sortOrder)
+	w, err := NewWriter(bgzf.NewWriter(dst, exec), in.Meta.RefSeqs, sortOrder)
 	if err != nil {
 		return 0, err
 	}

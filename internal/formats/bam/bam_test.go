@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"persona/internal/agd"
+	"persona/internal/formats/bgzf"
 	"persona/internal/formats/sam"
 )
 
@@ -23,7 +24,7 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 			Cigar: "3M", RNext: "chr2", PNext: 10, TLen: 0, Seq: "CCC", Qual: "JJJ"},
 	}
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, testRefs, "coordinate")
+	w, err := NewWriter(bgzf.NewWriter(&buf, nil), testRefs, "coordinate")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 
 func TestWriterRejectsUnknownRef(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, testRefs, "")
+	w, err := NewWriter(bgzf.NewWriter(&buf, nil), testRefs, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestReaderRejectsGarbage(t *testing.T) {
 
 func TestOddLengthSeqNibbles(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, testRefs, "")
+	w, err := NewWriter(bgzf.NewWriter(&buf, nil), testRefs, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,8 +62,8 @@ func refEncodeRecord(refID int32, pos int64, nextRefID int32, pnext int64, mapq 
 	return append(binary.LittleEndian.AppendUint32(nil, uint32(buf.Len())), buf.Bytes()...)
 }
 
-// rawBlocks is a blockWriter that keeps the uncompressed stream and counts
-// the writes it took.
+// rawBlocks stands in for the BGZF stream: it keeps the uncompressed bytes
+// and counts the writes it took.
 type rawBlocks struct {
 	bytes.Buffer
 	writes int
@@ -126,7 +126,7 @@ func TestEncoderMatchesReference(t *testing.T) {
 
 		for _, path := range []string{"Write", "WriteView"} {
 			out := &rawBlocks{}
-			w, err := newWriter(out, testRefs, "")
+			w, err := NewWriter(out, testRefs, "")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,10 +149,10 @@ func TestEncoderMatchesReference(t *testing.T) {
 
 // TestWriteViewAllocations: rendering and emitting a record allocates
 // nothing once the writer's buffers are warm — in particular the block_size
-// prefix no longer escapes through the blockWriter interface.
+// prefix no longer escapes through the io.WriteCloser it is written to.
 func TestWriteViewAllocations(t *testing.T) {
 	refmap := sam.NewRefMap(testRefs)
-	w, err := newWriter(discardBlocks{}, testRefs, "coordinate")
+	w, err := NewWriter(discardBlocks{}, testRefs, "coordinate")
 	if err != nil {
 		t.Fatal(err)
 	}

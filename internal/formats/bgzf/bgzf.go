@@ -8,14 +8,12 @@
 // block in memory: a block's payload is at most MaxBlockSize bytes and both
 // its sizes are stated up front (BSIZE, ISIZE), which is all that codec
 // needs. What is written is ordinary multi-member gzip that compress/gzip,
-// samtools and htslib read. Only the non-default levels of NewWriterLevel,
-// which stand in for JVM-era tools, still go through compress/gzip.
+// samtools and htslib read.
 package bgzf
 
 import (
 	"bufio"
-	"bytes"
-	"compress/gzip"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -23,6 +21,7 @@ import (
 	"io"
 	"slices"
 
+	"persona/internal/dataflow"
 	"persona/internal/deflate"
 )
 
@@ -43,50 +42,69 @@ const (
 // subfield with BSIZE still to be filled in.
 var bcExtra = []byte{'B', 'C', 2, 0, 0, 0}
 
-// eofMarker is the specification's 28-byte empty terminal block.
-var eofMarker = []byte{
+// EOFMarker is the specification's 28-byte empty terminal block, which ends
+// every stream a Writer closes. Callers must not modify it.
+var EOFMarker = []byte{
 	0x1f, 0x8b, 0x08, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0xff,
 	0x06, 0x00, 0x42, 0x43, 0x02, 0x00, 0x1b, 0x00, 0x03, 0x00,
 	0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
 }
 
-// Writer compresses a stream into BGZF blocks.
+// Writer compresses a stream into BGZF blocks. With no executor, each full
+// block is compressed and written on the calling goroutine. With one, each
+// full block is compressed as a task on the executor while the caller goes
+// on filling the next (samtools' --threads trick, which BGZF's independent
+// blocks make possible), and Write and Close write finished blocks to w in
+// stream order. Either way the bytes are the same.
 type Writer struct {
-	w     io.Writer
-	buf   []byte // payload of the block being filled
-	block []byte // the last block written, reused
-	level int
+	w    io.Writer
+	exec *dataflow.Executor
+	// depth is how many blocks may be compressing at once; 0 without an
+	// executor, where each block is written as soon as it is compressed.
+	depth int
+	cur   *block   // the block being filled; nil until the next Write
+	queue []*block // compressed or compressing, in stream order
+	free  []*block // blocks to fill again
 	err   error
 }
 
-// NewWriter returns a BGZF writer over w compressing at gzip.BestSpeed.
-func NewWriter(w io.Writer) *Writer {
-	return NewWriterLevel(w, gzip.BestSpeed)
+// block is one BGZF block in the making. Blocks are recycled, so a steady
+// stream allocates nothing per block.
+type block struct {
+	payload []byte
+	out     []byte        // the compressed block
+	done    chan struct{} // one token per compression
+	task    dataflow.Task // compresses payload into out, then sends the token
 }
 
-// NewWriterLevel returns a BGZF writer compressing at the given gzip level
-// (tools differ here: htslib-era tools favour speed, Picard-era defaults
-// favour ratio, and the difference is visible in Table 2).
-func NewWriterLevel(w io.Writer, level int) *Writer {
-	return &Writer{w: w, buf: make([]byte, 0, MaxBlockSize), level: level}
+// NewWriter returns a BGZF writer over w that compresses its blocks on exec,
+// or on the calling goroutine when exec is nil. A writer abandoned without
+// Close may leave blocks compressing on exec; they touch only the writer's
+// own buffers.
+func NewWriter(w io.Writer, exec *dataflow.Executor) *Writer {
+	bw := &Writer{w: w, exec: exec}
+	if exec != nil {
+		bw.depth = 2 * exec.Workers()
+	}
+	return bw
 }
 
-// Write buffers p, flushing full blocks as they fill.
+// Write buffers p, handing blocks to compression as they fill.
 func (w *Writer) Write(p []byte) (int, error) {
 	if w.err != nil {
 		return 0, w.err
 	}
 	total := len(p)
 	for len(p) > 0 {
-		room := MaxBlockSize - len(w.buf)
-		n := len(p)
-		if n > room {
-			n = room
+		if w.cur == nil {
+			w.cur = w.take()
 		}
-		w.buf = append(w.buf, p[:n]...)
+		n := min(len(p), MaxBlockSize-len(w.cur.payload))
+		w.cur.payload = append(w.cur.payload, p[:n]...)
 		p = p[n:]
-		if len(w.buf) == MaxBlockSize {
-			if w.err = w.flushBlock(); w.err != nil {
+		if len(w.cur.payload) == MaxBlockSize {
+			w.flushBlock()
+			if w.err != nil {
 				return total - len(p), w.err
 			}
 		}
@@ -94,74 +112,84 @@ func (w *Writer) Write(p []byte) (int, error) {
 	return total, nil
 }
 
-// flushBlock emits the buffered payload as one BGZF block.
-func (w *Writer) flushBlock() error {
-	if len(w.buf) == 0 {
-		return nil
+// take returns a recycled block, or a new one.
+func (w *Writer) take() *block {
+	if n := len(w.free); n > 0 {
+		b := w.free[n-1]
+		w.free = w.free[:n-1]
+		return b
 	}
-	var err error
-	if w.block, err = compressBlockLevel(w.block[:0], w.buf, w.level); err != nil {
-		return err
+	b := &block{payload: make([]byte, 0, MaxBlockSize), done: make(chan struct{}, 1)}
+	b.task = func() {
+		b.out = compressBlock(b.out[:0], b.payload)
+		b.done <- struct{}{}
 	}
-	if _, err := w.w.Write(w.block); err != nil {
-		return err
-	}
-	w.buf = w.buf[:0]
-	return nil
+	return b
 }
 
-// Close flushes the final partial block and writes the EOF marker. It does
-// not close the underlying writer.
+// flushBlock hands the block being filled to compression, then writes out
+// the oldest blocks until at most depth are left in the queue.
+func (w *Writer) flushBlock() {
+	b := w.cur
+	if b == nil || len(b.payload) == 0 {
+		return
+	}
+	w.cur = nil
+	// Submit waits only while the executor's queue is full, and queued
+	// tasks always run (Close drains them), so it needs no context.
+	if w.exec == nil {
+		b.task()
+	} else if err := w.exec.Submit(context.Background(), b.task); err != nil {
+		w.err = err
+		return
+	}
+	w.queue = append(w.queue, b)
+	for len(w.queue) > w.depth && w.err == nil {
+		w.writeOldest()
+	}
+}
+
+// writeOldest waits for the oldest queued block's compression and writes it
+// out, unless an earlier write failed.
+func (w *Writer) writeOldest() {
+	b := w.queue[0]
+	copy(w.queue, w.queue[1:])
+	w.queue = w.queue[:len(w.queue)-1]
+	<-b.done
+	if w.err == nil {
+		_, w.err = w.w.Write(b.out)
+	}
+	b.payload = b.payload[:0]
+	w.free = append(w.free, b)
+}
+
+// Close flushes the final partial block, waits for every block still
+// compressing, and writes the EOF marker. It does not close the underlying
+// writer.
 func (w *Writer) Close() error {
+	if w.err == nil {
+		w.flushBlock()
+	}
+	for len(w.queue) > 0 {
+		w.writeOldest()
+	}
 	if w.err != nil {
 		return w.err
 	}
-	if err := w.flushBlock(); err != nil {
-		w.err = err
-		return err
-	}
-	_, err := w.w.Write(eofMarker)
+	_, err := w.w.Write(EOFMarker)
 	w.err = errors.New("bgzf: writer closed")
 	return err
 }
 
 // compressBlock appends payload (at most MaxBlockSize bytes) to dst as one
-// BGZF block; shared by Writer and ParallelWriter. The encoder stores what
-// does not compress, so a block is never more than headerSize + 5 +
-// trailerSize bytes longer than its payload and BSIZE always fits.
+// BGZF block. The encoder stores what does not compress, so a block is never
+// more than headerSize + 5 + trailerSize bytes longer than its payload and
+// BSIZE always fits.
 func compressBlock(dst, payload []byte) []byte {
 	base := len(dst)
 	dst = deflate.AppendGzip(dst, payload, crc32.ChecksumIEEE(payload), bcExtra)
 	binary.LittleEndian.PutUint16(dst[base+headerSize-2:], uint16(len(dst)-base-1))
 	return dst
-}
-
-// compressBlockLevel is compressBlock at an arbitrary gzip level. Levels
-// other than BestSpeed go through compress/gzip and allocate a fresh
-// deflater per block, which is faithful to the per-record churn of the JVM
-// tools that use them.
-func compressBlockLevel(dst, payload []byte, level int) ([]byte, error) {
-	if level == gzip.BestSpeed || level == 0 {
-		return compressBlock(dst, payload), nil
-	}
-	var zbuf bytes.Buffer
-	zw, err := gzip.NewWriterLevel(&zbuf, level)
-	if err != nil {
-		return nil, err
-	}
-	zw.Extra = bcExtra
-	if _, err := zw.Write(payload); err != nil {
-		return nil, err
-	}
-	if err := zw.Close(); err != nil {
-		return nil, err
-	}
-	block := zbuf.Bytes()
-	if len(block) > 0xffff+1 {
-		return nil, fmt.Errorf("bgzf: compressed block too large (%d bytes)", len(block))
-	}
-	binary.LittleEndian.PutUint16(block[headerSize-2:], uint16(len(block)-1))
-	return append(dst, block...), nil
 }
 
 // Reader decompresses a BGZF stream block by block.

@@ -11,7 +11,7 @@ import (
 func roundTrip(t *testing.T, payload []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := NewWriter(&buf, nil)
 	if _, err := w.Write(payload); err != nil {
 		t.Fatal(err)
 	}
@@ -52,19 +52,19 @@ func TestRoundTripEmpty(t *testing.T) {
 
 func TestEOFMarkerPresent(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := NewWriter(&buf, nil)
 	w.Write([]byte("data"))
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasSuffix(buf.Bytes(), eofMarker) {
+	if !bytes.HasSuffix(buf.Bytes(), EOFMarker) {
 		t.Fatal("output does not end with the BGZF EOF marker")
 	}
 }
 
 func TestBlocksCarryBSIZE(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := NewWriter(&buf, nil)
 	w.Write(bytes.Repeat([]byte("x"), 100))
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -86,14 +86,14 @@ func TestBlocksCarryBSIZE(t *testing.T) {
 	if bsize+1 <= 0 || bsize+1 >= len(b) {
 		t.Fatalf("BSIZE = %d, blob = %d bytes", bsize, len(b))
 	}
-	if !bytes.Equal(b[bsize+1:], eofMarker) {
+	if !bytes.Equal(b[bsize+1:], EOFMarker) {
 		t.Fatal("BSIZE does not point at the EOF marker")
 	}
 }
 
 func TestWriteAfterClose(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := NewWriter(&buf, nil)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestWriteAfterClose(t *testing.T) {
 func TestRoundTripProperty(t *testing.T) {
 	f := func(payload []byte) bool {
 		var buf bytes.Buffer
-		w := NewWriter(&buf)
+		w := NewWriter(&buf, nil)
 		if _, err := w.Write(payload); err != nil {
 			return false
 		}

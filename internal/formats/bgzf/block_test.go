@@ -3,14 +3,18 @@ package bgzf
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"io"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/iotest"
+
+	"persona/internal/dataflow"
 )
 
 // splitBlocks cuts a BGZF stream into its blocks by their BSIZE fields.
@@ -63,22 +67,24 @@ func writeAll(t testing.TB, w io.WriteCloser, payload []byte) {
 // TestBlockBound pins the size bound as a property of the encoder, where it
 // used to rest on compress/flate's stored fallback: a block is never more
 // than header, trailer and one stored-block header per 65 535 bytes longer
-// than its payload, so BSIZE always fits. Writer and ParallelWriter must
-// write the same bytes, and what they write must read back.
+// than its payload, so BSIZE always fits. A writer on an executor must write
+// the same bytes as one without, and what they write must read back.
 func TestBlockBound(t *testing.T) {
+	exec := dataflow.NewExecutor(3, 6)
+	defer exec.Close()
 	for _, n := range []int{0, 1, MaxBlockSize - 1, MaxBlockSize, MaxBlockSize + 1, 3*MaxBlockSize + 17} {
 		for name, payload := range blockPayloads(n) {
 			var serial, parallel bytes.Buffer
-			writeAll(t, NewWriter(&serial), payload)
-			writeAll(t, NewParallelWriter(&parallel, 3), payload)
+			writeAll(t, NewWriter(&serial, nil), payload)
+			writeAll(t, NewWriter(&parallel, exec), payload)
 			if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
-				t.Fatalf("%s/%d: Writer and ParallelWriter wrote different streams", name, n)
+				t.Fatalf("%s/%d: the writer on an executor wrote a different stream", name, n)
 			}
 			blocks := splitBlocks(t, serial.Bytes())
 			if want := (n+MaxBlockSize-1)/MaxBlockSize + 1; len(blocks) != want {
 				t.Fatalf("%s/%d: %d blocks, want %d", name, n, len(blocks), want)
 			}
-			if !bytes.Equal(blocks[len(blocks)-1], eofMarker) {
+			if !bytes.Equal(blocks[len(blocks)-1], EOFMarker) {
 				t.Fatalf("%s/%d: stream does not end with the EOF marker", name, n)
 			}
 			rest := payload
@@ -107,10 +113,12 @@ func (d *discard) Write(p []byte) (int, error) { d.n += len(p); return len(p), n
 
 func TestWritersAllocateNothingPerBlock(t *testing.T) {
 	payload := blockPayloads(MaxBlockSize)["text"]
+	exec := dataflow.NewExecutor(2, 4)
+	defer exec.Close()
 	var sink, parallelSink discard
-	w := NewWriter(&sink)
-	pw := NewParallelWriter(&parallelSink, 2)
-	for i := 0; i < 12; i++ { // every slot of the parallel writer has its buffers
+	w := NewWriter(&sink, nil)
+	pw := NewWriter(&parallelSink, exec)
+	for i := 0; i < 12; i++ { // every block the executor writer recycles has its buffers
 		w.Write(payload)
 		pw.Write(payload)
 	}
@@ -118,7 +126,7 @@ func TestWritersAllocateNothingPerBlock(t *testing.T) {
 		t.Errorf("Writer allocates %v times a block", n)
 	}
 	if n := testing.AllocsPerRun(50, func() { pw.Write(payload) }); n != 0 {
-		t.Errorf("ParallelWriter allocates %v times a block", n)
+		t.Errorf("Writer on an executor allocates %v times a block", n)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -128,19 +136,159 @@ func TestWritersAllocateNothingPerBlock(t *testing.T) {
 	}
 }
 
+// mixedPayload is n bytes whose stretches compress very differently, so the
+// blocks of a writer on several workers finish out of order.
+func mixedPayload(n int) []byte {
+	shapes := blockPayloads(MaxBlockSize / 3)
+	var out []byte
+	for i := 0; len(out) < n; i++ {
+		out = append(out, shapes[[]string{"random", "constant", "text", "distinct"}[i%4]]...)
+	}
+	return out[:n]
+}
+
+// TestExecWriterManyBlocksMatchSerial: blocks that finish out of order on
+// four workers are still written in stream order, at every write size.
+func TestExecWriterManyBlocksMatchSerial(t *testing.T) {
+	exec := dataflow.NewExecutor(4, 8)
+	defer exec.Close()
+	payload := mixedPayload(40*MaxBlockSize + 123)
+	var serial bytes.Buffer
+	writeAll(t, NewWriter(&serial, nil), payload)
+	for _, step := range []int{1 << 10, MaxBlockSize, 3 * MaxBlockSize} {
+		var got bytes.Buffer
+		w := NewWriter(&got, exec)
+		for rest := payload; len(rest) > 0; {
+			n := min(step, len(rest))
+			if _, err := w.Write(rest[:n]); err != nil {
+				t.Fatal(err)
+			}
+			rest = rest[n:]
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), serial.Bytes()) {
+			t.Fatalf("writes of %d bytes: the stream differs from the serial writer's", step)
+		}
+	}
+}
+
+// TestExecWriterCloseWaitsForQueuedBlocks: with the only worker wedged, no
+// block can be compressed, so nothing reaches the sink; once the worker is
+// free, Close returns only after every block is written.
+func TestExecWriterCloseWaitsForQueuedBlocks(t *testing.T) {
+	exec := dataflow.NewExecutor(1, 4)
+	defer exec.Close()
+	gate := make(chan struct{})
+	if err := exec.Submit(context.Background(), func() { <-gate }); err != nil {
+		t.Fatal(err)
+	}
+	payload := mixedPayload(5*MaxBlockSize + 9)
+	var out bytes.Buffer
+	sink := &countingWriter{w: &out}
+	done := make(chan error, 1)
+	go func() {
+		w := NewWriter(sink, exec)
+		if _, err := w.Write(payload); err != nil {
+			done <- err
+			return
+		}
+		done <- w.Close()
+	}()
+	if n := sink.n.Load(); n != 0 {
+		t.Fatalf("%d bytes reached the sink while no block could be compressed", n)
+	}
+	close(gate)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	var serial bytes.Buffer
+	writeAll(t, NewWriter(&serial, nil), payload)
+	if !bytes.Equal(out.Bytes(), serial.Bytes()) {
+		t.Fatal("Close returned before every block was written")
+	}
+}
+
+// countingWriter counts what reaches w; n may be read while writes go on.
+type countingWriter struct {
+	w io.Writer
+	n atomic.Int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.n.Add(int64(len(p)))
+	return c.w.Write(p)
+}
+
+// failAfter accepts limit bytes, then fails every write.
+type failAfter struct {
+	limit int
+	err   error
+}
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) > f.limit {
+		return 0, f.err
+	}
+	f.limit -= len(p)
+	return len(p), nil
+}
+
+// TestWriterSinkFailure: a failing sink's error comes back from Write or
+// Close and sticks, with and without an executor.
+func TestWriterSinkFailure(t *testing.T) {
+	exec := dataflow.NewExecutor(2, 4)
+	defer exec.Close()
+	boom := errors.New("disk full")
+	payload := mixedPayload(12 * MaxBlockSize)
+	for _, e := range []*dataflow.Executor{nil, exec} {
+		w := NewWriter(&failAfter{limit: 3 * MaxBlockSize, err: boom}, e)
+		_, werr := w.Write(payload)
+		cerr := w.Close()
+		if !errors.Is(werr, boom) && !errors.Is(cerr, boom) {
+			t.Fatalf("executor %v: Write %v, Close %v; want the sink's error", e != nil, werr, cerr)
+		}
+		if !errors.Is(cerr, boom) {
+			t.Fatalf("executor %v: Close %v after a failed write; want the sink's error", e != nil, cerr)
+		}
+		if _, err := w.Write([]byte("x")); !errors.Is(err, boom) {
+			t.Fatalf("executor %v: Write after the failure: %v", e != nil, err)
+		}
+	}
+}
+
+// TestWriterOnClosedExecutor: blocks that cannot be submitted fail the
+// writer with the executor's error instead of being dropped.
+func TestWriterOnClosedExecutor(t *testing.T) {
+	exec := dataflow.NewExecutor(1, 1)
+	exec.Close()
+	var out bytes.Buffer
+	w := NewWriter(&out, exec)
+	if _, err := w.Write(mixedPayload(2 * MaxBlockSize)); !errors.Is(err, dataflow.ErrClosed) {
+		t.Fatalf("Write on a closed executor: %v, want ErrClosed", err)
+	}
+	if err := w.Close(); !errors.Is(err, dataflow.ErrClosed) {
+		t.Fatalf("Close: %v, want ErrClosed", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("%d bytes written by a writer whose blocks never compressed", out.Len())
+	}
+}
+
 // TestCompatibleBothWays: blocks exactly as earlier releases wrote them read
 // back the same, and compress/gzip reads this release's as one multi-member
 // stream.
 func TestCompatibleBothWays(t *testing.T) {
 	for _, n := range []int{1, 1000, MaxBlockSize} {
 		for name, payload := range blockPayloads(n) {
-			earlier := append(RefCompressBlock(payload), eofMarker...)
+			earlier := append(RefCompressBlock(payload), EOFMarker...)
 			got, err := io.ReadAll(NewReader(bytes.NewReader(earlier)))
 			if err != nil || !bytes.Equal(got, payload) {
 				t.Fatalf("%s/%d: a block of an earlier release reads back %d bytes, %v", name, n, len(got), err)
 			}
 			var buf bytes.Buffer
-			writeAll(t, NewWriter(&buf), payload)
+			writeAll(t, NewWriter(&buf, nil), payload)
 			zr, err := gzip.NewReader(&buf)
 			if err != nil {
 				t.Fatal(err)
@@ -156,7 +304,7 @@ func TestCompatibleBothWays(t *testing.T) {
 func twoBlocks(t testing.TB) (stream, payload []byte) {
 	payload = blockPayloads(MaxBlockSize + 500)["text"]
 	var buf bytes.Buffer
-	writeAll(t, NewWriter(&buf), payload)
+	writeAll(t, NewWriter(&buf, nil), payload)
 	return buf.Bytes(), payload
 }
 
@@ -235,7 +383,7 @@ func TestReaderChecksEveryBlock(t *testing.T) {
 		},
 	}
 	for name, damage := range cases {
-		bad := append(damage(bytes.Clone(block)), eofMarker...)
+		bad := append(damage(bytes.Clone(block)), EOFMarker...)
 		got, err := io.ReadAll(NewReader(bytes.NewReader(bad)))
 		if err == nil {
 			t.Errorf("%s: accepted, %d bytes out", name, len(got))
@@ -265,8 +413,8 @@ func FuzzBGZFReader(f *testing.F) {
 	stream, _ := twoBlocks(f)
 	f.Add(stream)
 	f.Add(stream[:len(stream)/2])
-	f.Add(eofMarker)
-	f.Add(append(RefCompressBlock([]byte("from an earlier release")), eofMarker...))
+	f.Add(EOFMarker)
+	f.Add(append(RefCompressBlock([]byte("from an earlier release")), EOFMarker...))
 	flipped := bytes.Clone(stream)
 	flipped[16] ^= 0x40
 	f.Add(flipped)

@@ -21,6 +21,3 @@ func RefCompressBlock(payload []byte) []byte {
 	binary.LittleEndian.PutUint16(block[16:18], uint16(len(block)-1))
 	return block
 }
-
-// EOFMarker is the terminal block, for tests outside the package.
-var EOFMarker = eofMarker

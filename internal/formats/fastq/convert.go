@@ -133,7 +133,7 @@ func ImportStream(src io.Reader, opts ImportOptions) *agd.GroupStream {
 // per-read allocation. Cancellation and deadline of ctx are checked per
 // chunk.
 func Export(ctx context.Context, ds *agd.Dataset, dst io.Writer) (uint64, error) {
-	chunkPool := agd.NewShardedChunkPool(1, 3*agd.PoolGroups)
+	chunkPool := agd.NewChunkPool(3 * agd.PoolGroups)
 	in, err := ds.Groups(agd.StreamOptions{
 		Columns:     []string{agd.ColBases, agd.ColQual, agd.ColMetadata},
 		ShardedPool: chunkPool,

@@ -34,6 +34,8 @@ func NewScanner(r io.Reader) *Scanner {
 
 // NewGzipScanner returns a scanner over a gzip-compressed FASTQ stream (the
 // distribution format; §2.2). The caller owns closing the underlying reader.
+// External .gz input is a stream of unknown size from any writer, which is
+// compress/gzip's case, not internal/deflate's.
 func NewGzipScanner(r io.Reader) (*Scanner, error) {
 	zr, err := gzip.NewReader(r)
 	if err != nil {

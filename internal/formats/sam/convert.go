@@ -90,7 +90,7 @@ func ExportGroups(ds *agd.Dataset) (*agd.GroupStream, error) {
 	if !ds.Manifest.HasColumn(agd.ColResults) {
 		return nil, fmt.Errorf("sam: dataset %q has no results column", ds.Manifest.Name)
 	}
-	chunkPool := agd.NewShardedChunkPool(1, len(exportColumns)*agd.PoolGroups)
+	chunkPool := agd.NewChunkPool(len(exportColumns) * agd.PoolGroups)
 	return ds.Groups(agd.StreamOptions{Columns: exportColumns, ShardedPool: chunkPool})
 }
 

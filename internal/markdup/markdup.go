@@ -61,7 +61,7 @@ func MarkDataset(ctx context.Context, ds *agd.Dataset) (Stats, error) {
 	window := agd.ColumnWindow + 1
 	in, err := ds.Groups(agd.StreamOptions{
 		Columns:     []string{agd.ColResults},
-		ShardedPool: agd.NewShardedChunkPool(1, window),
+		ShardedPool: agd.NewChunkPool(window),
 	})
 	if err != nil {
 		return Stats{}, err
@@ -157,7 +157,7 @@ func (mk *Marker) Stream(in *agd.GroupStream, pipelining int) (*agd.GroupStream,
 				g.Release()
 			}
 		}
-		return agd.NewRowGroup(g.Index, g.Shard, chunks, release), nil
+		return agd.NewRowGroup(g.Index, 0, chunks, release), nil
 	}
 	out := agd.NewGroupStream(in.Meta, next, in.Close)
 	out.Owned = pool != nil && in.Owned

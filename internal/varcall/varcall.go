@@ -116,7 +116,7 @@ func (p *Pileup) AddDataset(ctx context.Context, ds *agd.Dataset, opts Options) 
 	}
 	stream, err := ds.Stream(agd.StreamOptions{
 		Columns:     []string{agd.ColBases, agd.ColQual, agd.ColResults},
-		ShardedPool: agd.NewShardedChunkPool(1, 3*agd.PoolGroups),
+		ShardedPool: agd.NewChunkPool(3 * agd.PoolGroups),
 	})
 	if err != nil {
 		return err

@@ -167,7 +167,9 @@ func (p *Pipeline) ExportSAM(dst io.Writer) *Pipeline {
 	return p.add(pipeStage{kind: stageExportSAM, dst: dst})
 }
 
-// ExportBAM ends the pipeline by rendering the stream as BAM into dst.
+// ExportBAM ends the pipeline by rendering the stream as BAM into dst. Its
+// BGZF blocks are compressed as tasks on the session's executor, the same
+// queue the align stage and the chunk codec feed.
 func (p *Pipeline) ExportBAM(dst io.Writer) *Pipeline {
 	return p.add(pipeStage{kind: stageExportBAM, dst: dst})
 }
@@ -552,7 +554,7 @@ func (p *Pipeline) runSink(ctx context.Context, stream *agd.GroupStream, report 
 	case stageExportSAM:
 		return sam.ExportStream(ctx, stream, sink.dst)
 	case stageExportBAM:
-		return bam.ExportStream(ctx, stream, sink.dst)
+		return bam.ExportStreamOn(ctx, stream, sink.dst, sess.exec)
 	case stageExportFASTQ:
 		return fastq.ExportStream(ctx, stream, sink.dst)
 	case stageWrite:

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"runtime"
 	"strings"
 	"sync"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"persona/internal/agd"
+	"persona/internal/formats/bgzf"
 	"persona/internal/formats/fastq"
 	"persona/internal/reads"
 	"persona/internal/storage"
@@ -247,6 +249,49 @@ func TestPipelineWriteMatchesFreeFunctions(t *testing.T) {
 	}
 	if out.String() != fq.String() {
 		t.Fatal("pipeline import did not round-trip FASTQ")
+	}
+}
+
+// TestPipelineBAMExportOnExecutor: the BAM sink compresses its BGZF blocks
+// as tasks on the session executor — one task per block on top of what the
+// same graph submits with a SAM sink — and writes the bytes the serial
+// free-function export writes.
+func TestPipelineBAMExportOnExecutor(t *testing.T) {
+	ctx := context.Background()
+	store, g := pipelineFixture(t, "ds")
+	idx, err := BuildIndex(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Align(ctx, store, "ds", idx, AlignOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	var serial bytes.Buffer
+	if _, err := ExportBAM(ctx, store, "ds", &serial); err != nil {
+		t.Fatal(err)
+	}
+	// No cache, so both runs decode the same chunks with the same tasks.
+	sess := NewSession(store, SessionOptions{ExecutorThreads: 2, CacheBytes: -1})
+	defer sess.Close()
+	var fused, samText bytes.Buffer
+	bamReport, err := sess.Read("ds").ExportBAM(&fused).Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samReport, err := sess.Read("ds").ExportSAM(&samText).Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fused.Bytes(), serial.Bytes()) {
+		t.Fatalf("pipeline BAM differs from the serial export (%d vs %d bytes)", fused.Len(), serial.Len())
+	}
+	payload, err := io.ReadAll(bgzf.NewReader(bytes.NewReader(serial.Bytes())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := int64((len(payload) + bgzf.MaxBlockSize - 1) / bgzf.MaxBlockSize)
+	if got := bamReport.Executor.Submitted - samReport.Executor.Submitted; got != blocks {
+		t.Fatalf("BAM sink submitted %d tasks beyond the SAM sink's, want one per block (%d)", got, blocks)
 	}
 }
 

@@ -42,7 +42,7 @@ const DefaultCacheBytes int64 = 64 << 20
 type Session struct {
 	store     Store
 	exec      *dataflow.Executor
-	chunkPool *dataflow.ShardedItemPool[*agd.Chunk]
+	chunkPool *dataflow.ItemPool[*agd.Chunk]
 	cache     *agd.ChunkCache // nil when disabled
 	seq       atomic.Uint64   // distinct spill prefixes for concurrent sorts
 
@@ -64,7 +64,7 @@ func NewSession(store Store, opts SessionOptions) *Session {
 	// one being decoded) checked out per source, so a handful of groups'
 	// worth of columns per worker gives several concurrent pipelines slack
 	// while still back-pressuring a runaway source.
-	poolSize := 8 * 4 * exec.NumShards()
+	poolSize := 8 * 4 * exec.Workers()
 	var cache *agd.ChunkCache
 	if opts.CacheBytes >= 0 {
 		budget := opts.CacheBytes
@@ -76,7 +76,7 @@ func NewSession(store Store, opts SessionOptions) *Session {
 	return &Session{
 		store:     store,
 		exec:      exec,
-		chunkPool: agd.NewShardedChunkPool(exec.NumShards(), poolSize),
+		chunkPool: agd.NewChunkPool(poolSize),
 		cache:     cache,
 		indexes:   make(map[*Genome]*Index),
 		manifests: make(map[string]*agd.Manifest),
