@@ -2,7 +2,7 @@ package persona
 
 // A dataset-to-dataset operation that fails must leave the store as it found
 // it — no spill under <out>/tmp, no column blob of a dataset that never got
-// its manifest — with every background store finished.
+// its manifest — and no goroutine of its own behind.
 
 import (
 	"bytes"
@@ -15,6 +15,8 @@ import (
 
 	"persona/internal/agd"
 	"persona/internal/agdsort"
+	"persona/internal/filter"
+	"persona/internal/formats/fastq"
 	"persona/internal/storage"
 	"persona/internal/testutil"
 )
@@ -48,8 +50,8 @@ func eachPutFault(t *testing.T, base agd.BlobStore, op func(store agd.BlobStore)
 }
 
 // waitGoroutines fails the test if the goroutine count does not fall back to
-// limit: a background store or fetch may take a moment to finish, a leaked
-// one never does.
+// limit: an executor worker may take a moment to exit, a leaked one never
+// does.
 func waitGoroutines(t *testing.T, limit int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -59,6 +61,49 @@ func waitGoroutines(t *testing.T, limit int) {
 			t.Fatalf("%d goroutines, %d before the operation:\n%s", runtime.NumGoroutine(), limit, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestOneShotsLeaveNoGoroutine: a one-shot sort, filter and FASTQ import run
+// their chunk work on the calling goroutine and on an executor they close
+// before returning, so the goroutine count right after each is the count
+// before — with no waiting. The import writes chunks big enough for a codec
+// with workers to split. It runs at one processor: there a worker that has signalled Close is gone
+// before Close's caller runs again, while with more processors it may still
+// be on its way out when the count is taken.
+func TestOneShotsLeaveNoGoroutine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ctx := context.Background()
+	store := agd.NewMemStore()
+	testutil.Build(t, store, "ds", testutil.Config{GenomeSize: 100_000, NumReads: 2000, ReadLen: 101, ChunkSize: 100, Seed: 5})
+	var fq bytes.Buffer
+	if _, err := ExportFASTQ(ctx, store, "ds", &fq); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []struct {
+		name string
+		run  func() error
+	}{
+		{"agdsort.Sort", func() error {
+			_, err := agdsort.Sort(ctx, store, "ds", agdsort.Options{By: agdsort.ByLocation, OutputName: "sorted"})
+			return err
+		}},
+		{"filter.Run", func() error {
+			_, _, err := filter.Run(ctx, store, "ds", filter.MappedOnly(), filter.Options{OutputName: "mapped"})
+			return err
+		}},
+		{"fastq.Import", func() error {
+			_, _, err := fastq.Import(ctx, store, "imported", bytes.NewReader(fq.Bytes()), fastq.ImportOptions{ChunkSize: 2000})
+			return err
+		}},
+	} {
+		before := runtime.NumGoroutine()
+		if err := op.run(); err != nil {
+			t.Fatalf("%s: %v", op.name, err)
+		}
+		if after := runtime.NumGoroutine(); after != before {
+			t.Fatalf("%s: %d goroutines after it returned, %d before", op.name, after, before)
+		}
 	}
 }
 

@@ -27,7 +27,7 @@ func TestChecksumAllocOverhead(t *testing.T) {
 		})
 	}
 	encWith := measureEnc(Codec{})
-	encWithout := measureEnc(Codec{NoChecksum: true})
+	encWithout := measureEnc(Codec{noChecksum: true})
 	if encWith > encWithout {
 		t.Fatalf("checksummed encode allocates more: %v vs %v allocs/run", encWith, encWithout)
 	}
@@ -36,7 +36,7 @@ func TestChecksumAllocOverhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blobWithout, err := Codec{NoChecksum: true}.Encode(c, CompressNone)
+	blobWithout, err := Codec{noChecksum: true}.Encode(c, CompressNone)
 	if err != nil {
 		t.Fatal(err)
 	}

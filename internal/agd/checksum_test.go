@@ -17,8 +17,8 @@ func TestChunkFooterRoundTrip(t *testing.T) {
 		comp Compression
 	}{
 		{"v1-raw", Codec{}, CompressNone},
-		{"v1-gzip", Codec{Members: 1}, CompressGzip},
-		{"v2-gzip", Codec{Members: 3}, CompressGzip},
+		{"v1-gzip", Codec{members: 1}, CompressGzip},
+		{"v2-gzip", Codec{members: 3}, CompressGzip},
 	}
 	for _, tc := range cases {
 		c := buildRawChunk(t, records)
@@ -40,11 +40,11 @@ func TestChunkFooterRoundTrip(t *testing.T) {
 }
 
 // TestChunkFooterBackwardCompat: blobs written without a footer (earlier
-// releases, Codec.NoChecksum) still decode, and are exactly footer-sized
+// releases, Codec.noChecksum) still decode, and are exactly footer-sized
 // smaller.
 func TestChunkFooterBackwardCompat(t *testing.T) {
 	c := buildRawChunk(t, [][]byte{[]byte("abc"), []byte("defg")})
-	legacy, err := Codec{NoChecksum: true}.Encode(c, CompressGzip)
+	legacy, err := Codec{noChecksum: true}.Encode(c, CompressGzip)
 	if err != nil {
 		t.Fatal(err)
 	}

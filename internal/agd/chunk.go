@@ -254,11 +254,11 @@ func (b *ChunkBuilder) Chunk() *Chunk {
 	return c
 }
 
-// EncodeChunk serializes a chunk to the on-disk format. Large gzip chunks
-// are written in the version-2 multi-member layout and compressed in
-// parallel (see Codec); small chunks keep the single-run version-1 layout.
-// Either way the blob carries a trailing CRC32-C footer (Codec.NoChecksum
-// omits it), verified on decode.
+// EncodeChunk serializes a chunk to the on-disk format with the zero Codec:
+// on the caller's goroutine, in the single-run version-1 layout. The blob
+// carries a trailing CRC32-C footer, verified on decode. A writer that wants
+// large gzip chunks split into version-2 members encodes with a Codec that
+// has an executor.
 func EncodeChunk(c *Chunk, comp Compression) ([]byte, error) {
 	return Codec{}.Encode(c, comp)
 }
@@ -324,9 +324,9 @@ func encodeChunkV1Append(dst []byte, c *Chunk, comp Compression) ([]byte, error)
 	return dst, nil
 }
 
-// DecodeChunk parses an on-disk chunk blob, decompressing the data block.
-// Both layout versions are accepted; multi-member data blocks decompress in
-// parallel.
+// DecodeChunk parses an on-disk chunk blob, decompressing the data block on
+// the caller's goroutine. Both layout versions are accepted; a Codec with an
+// executor inflates a multi-member block's members as tasks instead.
 func DecodeChunk(blob []byte) (*Chunk, error) {
 	return Codec{}.Decode(blob)
 }

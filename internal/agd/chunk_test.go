@@ -209,7 +209,7 @@ func TestDataCRCStoredTwiceCheckedOnce(t *testing.T) {
 		b.Append(bytes.Repeat([]byte{byte('a' + i%7)}, 40+i%5))
 	}
 	// No footer, so nothing but the two CRCs stands between damage and Data.
-	blob, err := Codec{NoChecksum: true}.Encode(b.Chunk(), CompressGzip)
+	blob, err := Codec{noChecksum: true}.Encode(b.Chunk(), CompressGzip)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 package agd
 
 // Tests for the column sink: every group's chunk lands under its chunk's
-// blob path, stores overlap, and every way out — a failing store, stream or
+// blob path, one Put at a time, and every way out — a failing store, stream or
 // hook, a misaligned group, a cancelled context — returns the cause with the
 // stream closed and every group released.
 
@@ -14,6 +14,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"persona/internal/dataflow"
 )
 
 // columnFixture writes a dataset of chunks×perChunk one-column rows and
@@ -126,49 +128,80 @@ func TestWriteColumnStoresEveryGroup(t *testing.T) {
 	}
 }
 
-// meetStore holds every Put until another is in flight beside it (or the
-// test gives up), recording whether two ever overlapped.
-type meetStore struct {
+// gateStore holds every Put at a gate until the test opens it, counting the
+// Puts in flight.
+type gateStore struct {
 	BlobStore
-	mu      sync.Mutex
-	waiting chan struct{}
-	met     atomic.Bool
+	arrived  chan string
+	gate     chan struct{}
+	inFlight atomic.Int32
 }
 
-func (s *meetStore) Put(name string, data []byte) error {
-	s.mu.Lock()
-	if s.waiting != nil {
-		close(s.waiting) // second of a pair: release the first
-		s.waiting = nil
-		s.met.Store(true)
-		s.mu.Unlock()
-	} else {
-		mine := make(chan struct{})
-		s.waiting = mine
-		s.mu.Unlock()
-		select {
-		case <-mine:
-		case <-time.After(5 * time.Second):
-			return errors.New("a Put waited 5s with no other Put in flight")
-		}
-	}
+func (s *gateStore) Put(name string, data []byte) error {
+	s.inFlight.Add(1)
+	defer s.inFlight.Add(-1)
+	s.arrived <- name
+	<-s.gate
 	return s.BlobStore.Put(name, data)
 }
 
-// TestWriteColumnOverlapsPuts: with an even number of chunks, every Put can
-// pair up with another — which only terminates if the sink keeps two in
-// flight.
-func TestWriteColumnOverlapsPuts(t *testing.T) {
-	mem := NewMemStore()
-	m := columnFixture(t, mem, 6, 2)
-	store := &meetStore{BlobStore: mem}
-	ts := newTagStream(m, nil)
-	if err := WriteColumn(context.Background(), ts.GroupStream, store, m, "tag", Codec{}, nil); err != nil {
-		t.Fatal(err)
-	}
-	ts.settled(t)
-	if !store.met.Load() {
-		t.Fatal("no two Puts overlapped")
+// TestSinksPutOneAtATime runs the three chunk sinks over a gated store: none
+// may have two Puts in flight, and none may return before its last blob has
+// landed.
+func TestSinksPutOneAtATime(t *testing.T) {
+	ctx := context.Background()
+	m := columnFixture(t, NewMemStore(), 6, 2)
+	for name, sink := range map[string]func(BlobStore, *GroupStream) error{
+		"WriteColumn": func(s BlobStore, in *GroupStream) error {
+			return WriteColumn(ctx, in, s, m, "tag", Codec{}, nil)
+		},
+		"WriteGroups": func(s BlobStore, in *GroupStream) error {
+			defer in.Close() // the caller's, unlike WriteColumn's
+			_, err := WriteGroups(ctx, in, s, "out", WriterOptions{})
+			return err
+		},
+		"WriteChunks": func(s BlobStore, in *GroupStream) error {
+			defer in.Close() // the caller's, unlike WriteColumn's
+			_, err := WriteChunks(ctx, in, s, "out", WriterOptions{})
+			return err
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			mem := NewMemStore()
+			store := &gateStore{BlobStore: mem, arrived: make(chan string), gate: make(chan struct{})}
+			ts := newTagStream(m, nil)
+			done := make(chan error, 1)
+			go func() { done <- sink(store, ts.GroupStream) }()
+			puts := 0
+			for {
+				select {
+				case err := <-done:
+					if err != nil {
+						t.Fatal(err)
+					}
+					if left, _ := mem.List(""); len(left) != puts || puts < len(m.Chunks) {
+						t.Fatalf("returned with %d blobs stored of %d Puts (%d chunks)", len(left), puts, len(m.Chunks))
+					}
+					ts.settled(t)
+					return
+				case blob := <-store.arrived:
+					if puts == 0 {
+						// Hold the first Put: a sink storing on a second
+						// goroutine issues another meanwhile.
+						select {
+						case other := <-store.arrived:
+							t.Fatalf("Put of %s while %s was in flight", other, blob)
+						case <-time.After(50 * time.Millisecond):
+						}
+					}
+					if n := store.inFlight.Load(); n != 1 {
+						t.Fatalf("%d Puts in flight at %s", n, blob)
+					}
+					puts++
+					store.gate <- struct{}{}
+				}
+			}
+		})
 	}
 }
 
@@ -195,6 +228,7 @@ func TestWriteColumnFailures(t *testing.T) {
 	short.Chunks[4].Records++ // the stream's group 4 is now one record short
 
 	cancelled, cancel := context.WithCancel(context.Background())
+	stopped, stop := context.WithCancel(context.Background())
 	for _, tc := range []struct {
 		name   string
 		ctx    context.Context
@@ -222,6 +256,14 @@ func TestWriteColumnFailures(t *testing.T) {
 		{name: "cancelled mid-run", ctx: cancelled, fail: func(chunk int) error {
 			if chunk == 4 {
 				cancel()
+			}
+			return nil
+		}, want: context.Canceled},
+		// A stage's pool or executor wait gave up on the dying context.
+		{name: "stopped mid-run", ctx: stopped, fail: func(chunk int) error {
+			if chunk == 4 {
+				stop()
+				return dataflow.ErrStopped
 			}
 			return nil
 		}, want: context.Canceled},

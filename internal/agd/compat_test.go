@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"persona/internal/agd"
-	"persona/internal/dataflow"
 	"persona/internal/testutil"
 )
 
@@ -39,10 +38,6 @@ func fixtureChunks(t *testing.T) map[string][]*agd.Chunk {
 // what the earlier encoder stored (quality columns, two thirds of the bytes,
 // shrink instead).
 func TestCodecCompatibleBothWays(t *testing.T) {
-	// A one-worker executor keeps members 0 on the version-1 layout, as the
-	// one-processor benchmark has it.
-	exec := dataflow.NewExecutor(1, 2)
-	defer exec.Close()
 	var refTotal, newTotal int
 	for col, chunks := range fixtureChunks(t) {
 		var refCol, newCol int
@@ -57,7 +52,7 @@ func TestCodecCompatibleBothWays(t *testing.T) {
 					t.Fatalf("%s: blob of an earlier release (%d members) decodes differently", col, members)
 				}
 
-				blob, err := agd.Codec{Exec: exec, Members: members}.Encode(c, agd.CompressGzip)
+				blob, err := agd.MembersCodec(members).Encode(c, agd.CompressGzip)
 				if err != nil {
 					t.Fatal(err)
 				}

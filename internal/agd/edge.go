@@ -23,9 +23,9 @@ import (
 var ErrEdgeClosed = errors.New("agd: edge closed by consumer")
 
 // BoundedEdge is a bounded FIFO of row groups between a producing pump and a
-// consuming stage. One producer; Pop is one critical section, so a sink may
-// drain an edge from several goroutines (WriteColumn's writers), each group
-// going to exactly one. Either side may close, and anyone may Fail the edge
+// consuming stage. One producer; Pop is one critical section, so an edge
+// drained from several goroutines hands each group to exactly one. Either
+// side may close, and anyone may Fail the edge
 // (the cancellation watcher does). Every queued
 // group is release-owned: on failure or consumer close the edge drains and
 // releases them, so pooled chunks return to their pools instead of leaking

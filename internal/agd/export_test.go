@@ -52,3 +52,7 @@ func RefEncodeChunk(c *Chunk, members int) []byte {
 	patchChunkHeader(dst, idxLen, len(dst)-chunkHeaderSize-idxLen, crc32.ChecksumIEEE(c.Data))
 	return appendChunkFooter(dst, 0)
 }
+
+// MembersCodec is the zero Codec forced to write members gzip members
+// (members 0: the automatic choice, version 1 without an executor).
+func MembersCodec(members int) Codec { return Codec{members: members} }

@@ -13,7 +13,7 @@ func fuzzSeedChunk(f *testing.F, typ RecordType, comp Compression, members int, 
 	for _, r := range records {
 		b.Append(r)
 	}
-	blob, err := Codec{Members: members}.Encode(b.Chunk(), comp)
+	blob, err := Codec{members: members}.Encode(b.Chunk(), comp)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func FuzzDecodeChunk(f *testing.F) {
 		}
 
 		// Round trip through both layout versions.
-		for _, cd := range []Codec{{}, {Members: 2}} {
+		for _, cd := range []Codec{{}, {members: 2}} {
 			re, err := cd.Encode(c, CompressGzip)
 			if err != nil {
 				t.Fatalf("re-encode: %v", err)

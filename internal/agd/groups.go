@@ -326,10 +326,13 @@ func SpecTypeFor(name string) RecordType {
 // are re-chunked to opts.ChunkSize (default: the stream's source chunk size,
 // then the first group's size, so chunking survives a fused pipeline), a
 // group that already is one output chunk is stored whole (Writer.AppendGroup),
-// and the manifest is written on EOF. On any failure the column blobs already
-// written are deleted and no background store is left running. It is the
-// dataset sink of the pipeline and of the one-stage free functions; the
-// caller closes the stream.
+// and the manifest is written on EOF. Every chunk is encoded on the calling
+// goroutine (its members on opts.Codec's executor) and its blobs stored, one
+// Put at a time, while the next group is pulled — as a task on that executor,
+// or before the pull with none. It returns once every blob has landed. On any
+// failure the column blobs already written are deleted. It is the dataset
+// sink of the pipeline and of the one-stage free functions; the caller closes
+// the stream.
 func WriteGroups(ctx context.Context, in *GroupStream, store BlobStore, name string, opts WriterOptions) (*Manifest, error) {
 	w, err := appendGroups(ctx, in, store, name, opts)
 	if err == nil && w == nil {
@@ -353,31 +356,26 @@ func WriteGroups(ctx context.Context, in *GroupStream, store BlobStore, name str
 // stream without records. A cluster reduce writes its partition of an output
 // dataset this way; the coordinator stitches the entries into one manifest.
 //
-// Unlike WriteGroups it deletes nothing on failure: it stops its background
-// stores and leaves the blobs that landed. A partition's chunk names are
-// deterministic and shared by every attempt at its task, so a failed attempt
-// must not take away what a concurrent or earlier one stored; the retry
-// overwrites them with the same bytes, and without a manifest nothing reads
-// them.
+// Unlike WriteGroups it deletes nothing on failure: it leaves the blobs that
+// landed. A partition's chunk names are deterministic and shared by every
+// attempt at its task, so a failed attempt must not take away what a
+// concurrent or earlier one stored; the retry overwrites them with the same
+// bytes, and without a manifest nothing reads them.
 func WriteChunks(ctx context.Context, in *GroupStream, store BlobStore, name string, opts WriterOptions) ([]ChunkEntry, error) {
 	w, err := appendGroups(ctx, in, store, name, opts)
 	if w == nil {
 		return nil, err
 	}
-	var entries []ChunkEntry
-	if err == nil {
-		entries, err = w.finish()
-	}
 	if err != nil {
 		w.halt()
 		return nil, err
 	}
-	return entries, nil
+	return w.finish()
 }
 
 // appendGroups is both sinks' drain loop: every group appended to a Writer
 // opened at the first (nil for a stream of no groups). On failure it returns
-// the Writer with the error, for the caller to Abort or halt.
+// the Writer with the error, for WriteGroups to Abort.
 func appendGroups(ctx context.Context, in *GroupStream, store BlobStore, name string, opts WriterOptions) (*Writer, error) {
 	if opts.RefSeqs == nil {
 		opts.RefSeqs = in.Meta.RefSeqs
@@ -406,7 +404,7 @@ func appendGroups(ctx context.Context, in *GroupStream, store BlobStore, name st
 				return nil, err
 			}
 		}
-		if err := w.AppendGroup(g, in.Owned); err != nil {
+		if err := w.AppendGroup(g); err != nil {
 			return w, err
 		}
 	}

@@ -37,81 +37,46 @@ const (
 	maxChunkMembers = 1 << 12
 )
 
-// codecExec is the package-default executor for parallel chunk compression,
-// started lazily on first use with one worker per CPU.
-var (
-	codecExecOnce sync.Once
-	codecExec     *dataflow.Executor
-)
-
-func defaultCodecExec() *dataflow.Executor {
-	codecExecOnce.Do(func() {
-		n := runtime.GOMAXPROCS(0)
-		codecExec = dataflow.NewExecutor(n, 2*n)
-	})
-	return codecExec
-}
-
-// Codec bundles the policy knobs of chunk encoding and decoding. The zero
-// value is the package default used by EncodeChunk/DecodeChunk: gzip blocks
-// large enough to split are written as version-2 multi-member chunks and
-// (de)compressed in parallel on a shared per-process executor.
+// Codec bundles the policy of chunk encoding and decoding. A gzip block large
+// enough to split is written as a version-2 multi-member chunk whose members
+// (de)compress as tasks on Exec; the zero value, with no executor, runs on
+// the caller and so writes a single version-1 member.
 type Codec struct {
 	// Exec runs member (de)compression tasks, one SubmitWait batch per
-	// chunk. Nil selects the package-default executor (one worker per CPU).
-	// Pipelines pass their own shared executor so compression competes with
-	// alignment for the same fine-grain compute threads (Fig. 4) instead of
-	// oversubscribing.
+	// chunk; a block is split into at most Exec.Workers() members. Nil runs
+	// everything on the caller's goroutine. Pipelines pass their shared
+	// executor so compression competes with alignment for the same
+	// fine-grain compute threads (Fig. 4) instead of oversubscribing.
 	Exec *dataflow.Executor
-	// Members forces the version-2 layout with exactly this many gzip
-	// members (clamped to the data size). Zero picks automatically: the
-	// version-1 single-run layout for small blocks, multi-member for
-	// blocks of at least 2*minMemberSize. Members only applies to
-	// CompressGzip; uncompressed chunks always use version 1.
-	Members int
-	// NoChecksum omits the trailing whole-blob CRC32-C footer on encode.
-	// Decoding always accepts both layouts (and always verifies a footer
-	// when present); the knob exists for byte-stable comparisons against
-	// blobs written by earlier releases.
-	NoChecksum bool
+	// members forces the version-2 layout with exactly this many gzip
+	// members (clamped to the data size); zero picks from the data size and
+	// Exec. It only applies to CompressGzip and is set by tests.
+	members int
+	// noChecksum omits the trailing whole-blob CRC32-C footer on encode, for
+	// tests comparing against blobs written by earlier releases. Decoding
+	// accepts both layouts (and always verifies a footer when present).
+	noChecksum bool
 }
 
-// exec returns the executor to run member tasks on.
-func (cd Codec) exec() *dataflow.Executor {
-	if cd.Exec != nil {
-		return cd.Exec
-	}
-	return defaultCodecExec()
+// OpenCodec returns a codec on a new executor of GOMAXPROCS workers and the
+// function that closes it. A one-shot operation, handed no executor, opens one
+// for its source and its sink this way and closes it on return.
+func OpenCodec() (Codec, func()) {
+	n := runtime.GOMAXPROCS(0)
+	exec := dataflow.NewExecutor(n, 2*n)
+	return Codec{Exec: exec}, exec.Close
 }
 
 // memberCount picks how many gzip members to write for n data bytes.
 func (cd Codec) memberCount(n int) int {
-	if cd.Members > 0 {
-		m := cd.Members
-		if m > n { // never emit empty members
-			m = n
-		}
-		if m > maxChunkMembers { // the decoder rejects larger tables
-			m = maxChunkMembers
-		}
-		if m < 1 {
-			m = 1
-		}
-		return m
+	if cd.members > 0 {
+		// Never emit empty members, nor a table the decoder rejects.
+		return max(1, min(cd.members, n, maxChunkMembers))
 	}
-	m := n / minMemberSize
-	if m <= 1 {
-		// Too small to split — answer before touching cd.exec() so tiny
-		// encodes never spin up the package-default executor.
+	if cd.Exec == nil {
 		return 1
 	}
-	if w := cd.exec().Workers(); m > w {
-		m = w
-	}
-	if m < 1 {
-		m = 1
-	}
-	return m
+	return max(1, min(n/minMemberSize, cd.Exec.Workers()))
 }
 
 // Encode serializes a chunk, choosing the layout per the codec policy.
@@ -127,7 +92,7 @@ func (cd Codec) EncodeAppend(dst []byte, c *Chunk, comp Compression) ([]byte, er
 	var err error
 	if comp != CompressGzip {
 		dst, err = encodeChunkV1Append(dst, c, comp)
-	} else if members := cd.memberCount(len(c.Data)); members == 1 && cd.Members == 0 {
+	} else if members := cd.memberCount(len(c.Data)); members == 1 && cd.members == 0 {
 		// Small block: keep the single-run legacy layout.
 		dst, err = encodeChunkV1Append(dst, c, comp)
 	} else {
@@ -136,7 +101,7 @@ func (cd Codec) EncodeAppend(dst []byte, c *Chunk, comp Compression) ([]byte, er
 	if err != nil {
 		return nil, err
 	}
-	if !cd.NoChecksum {
+	if !cd.noChecksum {
 		dst = appendChunkFooter(dst, base)
 	}
 	return dst, nil
@@ -151,7 +116,7 @@ var memberScratchPool = sync.Pool{
 }
 
 // encodeV2Append writes the version-2 multi-member layout, compressing the
-// members concurrently on the codec's executor.
+// members as tasks on the codec's executor.
 func (cd Codec) encodeV2Append(dst []byte, c *Chunk, members int) ([]byte, error) {
 	data := c.Data
 	base := len(dst)
@@ -176,9 +141,7 @@ func (cd Codec) encodeV2Append(dst []byte, c *Chunk, members int) ([]byte, error
 		*buf = deflate.AppendGzip((*buf)[:0], part, crc32.ChecksumIEEE(part), nil)
 		comps[i] = buf
 	}
-	if members == 1 {
-		run(0)
-	} else if err := cd.submitMembers(members, run); err != nil {
+	if err := cd.runMembers(members, run); err != nil {
 		return nil, err
 	}
 
@@ -283,8 +246,9 @@ func (cd Codec) decodeInto(c *Chunk, blob []byte, copyRaw bool) error {
 	return nil
 }
 
-// decodeMembers validates a version-2 member table and inflates the members
-// concurrently into dst, which must be exactly the total uncompressed size.
+// decodeMembers validates a version-2 member table and inflates the members,
+// as tasks on the codec's executor, into dst, which must be exactly the total
+// uncompressed size.
 func (cd Codec) decodeMembers(dst []byte, dataBlock []byte) error {
 	if len(dataBlock) < 4 {
 		return fmt.Errorf("%w: truncated member table", ErrCorrupt)
@@ -318,9 +282,7 @@ func (cd Codec) decodeMembers(dst []byte, dataBlock []byte) error {
 	run := func(i int) {
 		_, errs[i] = gunzipExact(dst[uncompOff[i]:uncompOff[i+1]], body[compOff[i]:compOff[i+1]])
 	}
-	if members == 1 {
-		run(0)
-	} else if err := cd.submitMembers(members, run); err != nil {
+	if err := cd.runMembers(members, run); err != nil {
 		return err
 	}
 	for _, err := range errs {
@@ -331,9 +293,16 @@ func (cd Codec) decodeMembers(dst []byte, dataBlock []byte) error {
 	return nil
 }
 
-// submitMembers runs the member tasks on the codec's executor.
-func (cd Codec) submitMembers(members int, run func(i int)) error {
-	return cd.exec().SubmitWait(context.Background(), members, func(i int) dataflow.Task {
+// runMembers runs the member tasks: on the codec's executor, or in order on
+// the caller when there is none or only one member.
+func (cd Codec) runMembers(members int, run func(i int)) error {
+	if cd.Exec == nil || members == 1 {
+		for i := 0; i < members; i++ {
+			run(i)
+		}
+		return nil
+	}
+	return cd.Exec.SubmitWait(context.Background(), members, func(i int) dataflow.Task {
 		return func() { run(i) }
 	})
 }

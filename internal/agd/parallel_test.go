@@ -5,8 +5,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+
+	"persona/internal/dataflow"
 )
 
 // buildBigChunk builds a chunk whose data block spans several members.
@@ -51,7 +54,7 @@ func TestParallelChunkRoundTrip(t *testing.T) {
 	c := buildBigChunk(t, 500, 120) // 60 KB of data
 	for _, members := range []int{1, 2, 3, 7, 16} {
 		t.Run(fmt.Sprintf("members=%d", members), func(t *testing.T) {
-			cd := Codec{Members: members}
+			cd := Codec{members: members}
 			blob, err := cd.Encode(c, CompressGzip)
 			if err != nil {
 				t.Fatal(err)
@@ -71,7 +74,7 @@ func TestParallelChunkRoundTrip(t *testing.T) {
 func TestParallelChunkDecodeIntoReuses(t *testing.T) {
 	big := buildBigChunk(t, 500, 120)
 	small := buildBigChunk(t, 10, 30)
-	blobBig, err := Codec{Members: 4}.Encode(big, CompressGzip)
+	blobBig, err := Codec{members: 4}.Encode(big, CompressGzip)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +111,7 @@ func TestParallelChunkDecodeIntoReuses(t *testing.T) {
 
 func TestParallelChunkCorruptMember(t *testing.T) {
 	c := buildBigChunk(t, 500, 120)
-	blob, err := Codec{Members: 4}.Encode(c, CompressGzip)
+	blob, err := Codec{members: 4}.Encode(c, CompressGzip)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +152,7 @@ func TestParallelChunkMemberCountClamped(t *testing.T) {
 	// A forced member count beyond what the decoder accepts must be
 	// clamped, not written as an undecodable blob.
 	c := buildBigChunk(t, 500, 120)
-	blob, err := Codec{Members: maxChunkMembers + 100}.Encode(c, CompressGzip)
+	blob, err := Codec{members: maxChunkMembers + 100}.Encode(c, CompressGzip)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +211,7 @@ func TestLegacyV1BlobsDecodeUnchanged(t *testing.T) {
 	// encoder and the explicit v1 encoder must agree exactly, up to the
 	// CRC32-C footer the default codec now appends.
 	small := buildBigChunk(t, 10, 30)
-	auto, err := Codec{Members: 0, Exec: nil}.Encode(small, CompressGzip)
+	auto, err := Codec{}.Encode(small, CompressGzip)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,17 +222,59 @@ func TestLegacyV1BlobsDecodeUnchanged(t *testing.T) {
 	if len(auto) != len(v1)+chunkFooterSize || !bytes.Equal(auto[:len(v1)], v1) {
 		t.Fatal("small-chunk encoding diverged from the legacy layout")
 	}
-	unchecked, err := Codec{NoChecksum: true}.Encode(small, CompressGzip)
+	unchecked, err := Codec{noChecksum: true}.Encode(small, CompressGzip)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(unchecked, v1) {
-		t.Fatal("NoChecksum encoding diverged from the legacy layout")
+		t.Fatal("noChecksum encoding diverged from the legacy layout")
+	}
+}
+
+// TestCodecMembersFollowExecutor: a codec without an executor runs on its
+// caller, so even a block big enough for many members is written as one
+// version-1 member, whatever GOMAXPROCS is; with an executor the block splits
+// into as many members as it has workers, and both codecs read the result.
+func TestCodecMembersFollowExecutor(t *testing.T) {
+	c := buildBigChunk(t, 640, 120) // 75 KiB of data: nine members' worth
+	for _, procs := range []int{4, 1} {
+		prev := runtime.GOMAXPROCS(procs)
+		blob, err := Codec{}.Encode(c, CompressGzip)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blob[4] != chunkVersion {
+			t.Fatalf("GOMAXPROCS %d: no executor wrote version %d, want %d", procs, blob[4], chunkVersion)
+		}
+	}
+	exec := dataflow.NewExecutor(3, 6)
+	defer exec.Close()
+	cd := Codec{Exec: exec}
+	blob, err := cd.Encode(c, CompressGzip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := parseChunkHeader(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if members := binary.LittleEndian.Uint32(blob[chunkHeaderSize+h.indexSize:]); blob[4] != chunkVersionParallel || members != 3 {
+		t.Fatalf("a 3-worker executor wrote version %d with %d members, want version %d with 3", blob[4], members, chunkVersionParallel)
+	}
+	for _, dec := range []Codec{cd, {}} {
+		got, err := dec.Decode(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkChunkEqual(t, got, c)
 	}
 }
 
 func TestParallelChunkConcurrentCodec(t *testing.T) {
-	// Many goroutines sharing the default codec executor must not interfere.
+	// Many goroutines sharing one codec executor must not interfere.
+	exec := dataflow.NewExecutor(4, 8)
+	defer exec.Close()
 	c := buildBigChunk(t, 400, 100)
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
@@ -237,7 +282,7 @@ func TestParallelChunkConcurrentCodec(t *testing.T) {
 		wg.Add(1)
 		go func(members int) {
 			defer wg.Done()
-			cd := Codec{Members: members}
+			cd := Codec{Exec: exec, members: members}
 			var reused Chunk
 			for i := 0; i < 10; i++ {
 				blob, err := cd.Encode(c, CompressGzip)

@@ -32,8 +32,8 @@ type StreamOptions struct {
 	// checks them out of ShardedPool (no chunk object can be both cached and
 	// pooled).
 	Cache *ChunkCache
-	// Codec decodes the fetched blobs; the zero value is the package
-	// default. Pipelines pass their shared-executor codec.
+	// Codec decodes the fetched blobs; the zero value decodes on the
+	// goroutine calling Next. Pipelines pass their shared-executor codec.
 	Codec Codec
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"persona/internal/agd"
+	"persona/internal/dataflow"
 	"persona/internal/testutil"
 )
 
@@ -142,7 +143,8 @@ var sinkPatterns = map[string][]int{
 
 // TestWriteGroupsMatchesRowAtATime holds the whole-group store to the
 // row-at-a-time Writer: whatever sizes the groups come in, owned or not,
-// whatever ordinals the groups carry, synchronous or with background stores —
+// whatever ordinals the groups carry, encoded on the caller or on an executor
+// (flush is the width of the executor the sink's codec runs on; 0: none) —
 // the same blobs and manifest, and every group released exactly once.
 func TestWriteGroupsMatchesRowAtATime(t *testing.T) {
 	for name, sizes := range sinkPatterns {
@@ -155,9 +157,15 @@ func TestWriteGroupsMatchesRowAtATime(t *testing.T) {
 		for v := 0; v < 8; v++ {
 			owned, wrongOrdinal, flushers := v&1 != 0, v&2 != 0, 3*(v>>2)
 			t.Run(fmt.Sprintf("%s/owned=%v,wrongOrdinal=%v,flush=%d", name, owned, wrongOrdinal, flushers), func(t *testing.T) {
+				var opts agd.WriterOptions
+				if flushers > 0 {
+					exec := dataflow.NewExecutor(flushers, 2*flushers)
+					defer exec.Close()
+					opts.Codec.Exec = exec
+				}
 				var src sinkSource
 				store := agd.NewMemStore()
-				m, err := agd.WriteGroups(context.Background(), src.stream(rows, sizes, owned, wrongOrdinal), store, "out", agd.WriterOptions{ParallelFlush: flushers})
+				m, err := agd.WriteGroups(context.Background(), src.stream(rows, sizes, owned, wrongOrdinal), store, "out", opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -191,11 +199,11 @@ func TestWriteChunks(t *testing.T) {
 		for _, owned := range []bool{false, true} {
 			var ref, src sinkSource
 			refStore, store := agd.NewMemStore(), agd.NewMemStore()
-			m, err := agd.WriteGroups(ctx, ref.stream(rows, sizes, owned, false), refStore, "out", agd.WriterOptions{ParallelFlush: 2})
+			m, err := agd.WriteGroups(ctx, ref.stream(rows, sizes, owned, false), refStore, "out", agd.WriterOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			entries, err := agd.WriteChunks(ctx, src.stream(rows, sizes, owned, false), store, "out", agd.WriterOptions{ParallelFlush: 2})
+			entries, err := agd.WriteChunks(ctx, src.stream(rows, sizes, owned, false), store, "out", agd.WriterOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -231,7 +239,7 @@ func TestWriteChunks(t *testing.T) {
 	rows := sinkRows(47)
 	write := func(store agd.BlobStore) (*sinkSource, error) {
 		src := &sinkSource{}
-		_, err := agd.WriteChunks(ctx, src.stream(rows, sizes, true, false), store, "out", agd.WriterOptions{ParallelFlush: 2})
+		_, err := agd.WriteChunks(ctx, src.stream(rows, sizes, true, false), store, "out", agd.WriterOptions{})
 		return src, err
 	}
 	survivor := agd.NewMemStore()
@@ -286,10 +294,9 @@ func (f *failPut) Put(name string, data []byte) error {
 }
 
 // TestWriteGroupsFailureLeavesNothing fails every Put of a dataset write in
-// turn, groups stored whole on background workers and row by row alike: the
-// write must fail with no column blob left for a dataset that got no
-// manifest, every group released (so no store still holds one) and every
-// builder set back in its pool. A malformed group fails the same way.
+// turn, groups stored whole and row by row alike: the write must fail with no
+// column blob left for a dataset that got no manifest, every group released
+// and every builder set back in its pool. A malformed group fails the same way.
 func TestWriteGroupsFailureLeavesNothing(t *testing.T) {
 	sizes := []int{8, 8, 4, 8, 8, 8, 3}
 	rows := sinkRows(47)
@@ -297,7 +304,7 @@ func TestWriteGroupsFailureLeavesNothing(t *testing.T) {
 		for k := int32(0); ; k++ {
 			src := &sinkSource{}
 			store := &failPut{BlobStore: agd.NewMemStore(), k: k}
-			_, err := agd.WriteGroups(context.Background(), src.stream(rows, sizes, owned, false), store, "out", agd.WriterOptions{ParallelFlush: 2})
+			_, err := agd.WriteGroups(context.Background(), src.stream(rows, sizes, owned, false), store, "out", agd.WriterOptions{})
 			if k >= store.puts.Load() {
 				if want := int32(6*len(sinkColumns) + 1); err != nil || k != want {
 					t.Fatalf("owned=%v: a clean write put %d blobs (error %v), want %d", owned, k, err, want)
@@ -330,7 +337,7 @@ func TestWriteGroupsFailureLeavesNothing(t *testing.T) {
 		}, nil)
 		bad.Owned = true
 		store := agd.NewMemStore()
-		_, err := agd.WriteGroups(context.Background(), bad, store, "out", agd.WriterOptions{ParallelFlush: 2})
+		_, err := agd.WriteGroups(context.Background(), bad, store, "out", agd.WriterOptions{})
 		if err == nil {
 			t.Fatalf("%s: write succeeded", what)
 		}

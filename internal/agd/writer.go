@@ -1,8 +1,10 @@
 package agd
 
 import (
+	"context"
 	"fmt"
-	"sync"
+
+	"persona/internal/dataflow"
 )
 
 // ColumnSpec declares one column of a dataset under construction.
@@ -42,10 +44,12 @@ func StandardReadColumns() []ColumnSpec {
 
 // Writer builds an AGD dataset chunk by chunk. Records are appended row-wise
 // (one field per column); the writer splits columns into row-grouped chunks
-// of ChunkSize records and writes each column chunk as its own blob.
-// With ParallelFlush > 1, chunk encoding and compression run on background
-// workers so ingest keeps all cores busy — how the paper's importer reaches
-// 360 MB/s (§5.7).
+// of ChunkSize records and writes each column chunk as its own blob. A full
+// chunk is encoded before the Append that filled it returns, its gzip members
+// compressing as tasks on WriterOptions.Codec's executor, and the builders
+// are reset in place for the next chunk. The chunk's Puts run as one task on
+// that executor while the next chunk fills, one chunk in flight at most; with
+// no executor they run before the Append returns.
 type Writer struct {
 	store     BlobStore
 	name      string
@@ -53,21 +57,14 @@ type Writer struct {
 	chunkSize int
 	refSeqs   []RefSeq
 	sortedBy  string
+	codec     Codec
+	puts      *puts
 
 	builders []*ChunkBuilder
 	fields   [][]byte // one row of an AppendGroup copied row by row
 	ordinal  uint64
 	entries  []ChunkEntry
 	closed   bool
-
-	// bpool recycles builder sets flush→startChunk so steady-state chunk
-	// rollover reuses the previous chunks' backing arrays instead of
-	// allocating a fresh builder per column per chunk.
-	bpool chan []*ChunkBuilder
-
-	flushers  chan struct{} // semaphore; nil means synchronous
-	flushWG   sync.WaitGroup
-	flushErrs chan error
 }
 
 // WriterOptions configures a dataset writer.
@@ -78,9 +75,10 @@ type WriterOptions struct {
 	RefSeqs []RefSeq
 	// SortedBy is recorded in the manifest ("", "location", "metadata").
 	SortedBy string
-	// ParallelFlush > 1 compresses and stores completed chunks on that many
-	// background workers.
-	ParallelFlush int
+	// Codec encodes the chunks; its executor, when set, compresses a large
+	// gzip chunk's members and stores each chunk while the next one fills.
+	// The zero value encodes and stores on the caller.
+	Codec Codec
 }
 
 // NewWriter creates a dataset writer. The dataset's manifest is written on
@@ -112,33 +110,15 @@ func NewWriter(store BlobStore, name string, cols []ColumnSpec, opts WriterOptio
 		chunkSize: opts.ChunkSize,
 		refSeqs:   opts.RefSeqs,
 		sortedBy:  opts.SortedBy,
+		codec:     opts.Codec,
+		puts:      newPuts(opts.Codec.Exec),
+		builders:  make([]*ChunkBuilder, len(cols)),
 		fields:    make([][]byte, len(cols)),
 	}
-	if opts.ParallelFlush > 1 {
-		w.flushers = make(chan struct{}, opts.ParallelFlush)
-		w.flushErrs = make(chan error, opts.ParallelFlush)
-		w.bpool = make(chan []*ChunkBuilder, opts.ParallelFlush+1)
-	} else {
-		w.bpool = make(chan []*ChunkBuilder, 2)
+	for i, c := range cols {
+		w.builders[i] = NewChunkBuilder(c.Type, 0)
 	}
-	w.startChunk()
 	return w, nil
-}
-
-func (w *Writer) startChunk() {
-	select {
-	case bs := <-w.bpool:
-		for i, c := range w.cols {
-			bs[i].Reset(c.Type, w.ordinal)
-		}
-		w.builders = bs
-		return
-	default:
-	}
-	w.builders = make([]*ChunkBuilder, len(w.cols))
-	for i, c := range w.cols {
-		w.builders[i] = NewChunkBuilder(c.Type, w.ordinal)
-	}
 }
 
 // Append adds one record; fields must match the writer's columns in order.
@@ -194,41 +174,24 @@ func (w *Writer) AppendStored(fields ...[]byte) error {
 // and releases g (on failure too). A group that is exactly one output chunk —
 // the builders are empty and it holds ChunkSize rows — is encoded and stored
 // as it stands, under the ordinal the writer assigns rather than the chunks'
-// own (a filtered group still carries its input's). When owned says g stays
-// valid until Release, that store runs on the ParallelFlush workers and g is
-// released once its blobs have landed; otherwise it runs before AppendGroup
-// returns. Any other group is copied row by row through AppendStored. Both
-// routes write the same blobs.
-func (w *Writer) AppendGroup(g *RowGroup, owned bool) error {
+// own (a filtered group still carries its input's). Any other group is copied
+// row by row through AppendStored. Both routes write the same blobs.
+func (w *Writer) AppendGroup(g *RowGroup) error {
+	defer g.Release()
 	chunks := g.Chunks
 	n := g.NumRecords()
-	err := w.flushErr()
-	if err == nil {
-		err = w.checkGroup(g, n)
-	}
-	if err != nil {
-		g.Release()
+	if err := w.checkGroup(g, n); err != nil {
 		return err
 	}
 	if n == w.chunkSize && w.builders[0].NumRecords() == 0 {
 		entry := w.addEntry(w.ordinal, n)
 		w.ordinal += uint64(n)
-		store := func() error {
-			defer g.Release()
-			for i, c := range w.cols {
-				whole := &Chunk{Type: c.Type, FirstOrdinal: entry.First, lengths: chunks[i].lengths, Data: chunks[i].Data}
-				if err := w.storeColumn(entry, c, whole); err != nil {
-					return err
-				}
-			}
-			return nil
+		whole := make([]*Chunk, len(w.cols))
+		for i, c := range w.cols {
+			whole[i] = &Chunk{Type: c.Type, FirstOrdinal: entry.First, lengths: chunks[i].lengths, Data: chunks[i].Data}
 		}
-		if owned {
-			return w.flush(store)
-		}
-		return store()
+		return w.storeChunk(entry, whole)
 	}
-	defer g.Release()
 	for i, c := range chunks {
 		w.builders[i].Grow(n, len(c.Data))
 	}
@@ -277,93 +240,108 @@ func (w *Writer) addEntry(first uint64, n int) ChunkEntry {
 }
 
 // flushChunk stores the rows accumulated in the builders as the next chunk
-// and starts a fresh builder set.
+// and resets the builders for the one after it.
 func (w *Writer) flushChunk() error {
 	n := w.builders[0].NumRecords()
 	if n == 0 {
 		return nil
 	}
-	if err := w.flushErr(); err != nil {
-		return err
-	}
 	entry := w.addEntry(w.ordinal-uint64(n), n)
-	builders := w.builders
-	w.startChunk()
-	return w.flush(func() error {
+	chunks := make([]*Chunk, len(w.cols))
+	for i := range w.cols {
+		// The entry, not the builder, says where the chunk starts: whole
+		// groups advance the ordinal past builders that stay empty.
+		chunks[i] = w.builders[i].Chunk()
+		chunks[i].FirstOrdinal = entry.First
+	}
+	err := w.storeChunk(entry, chunks)
+	for i, c := range w.cols {
+		w.builders[i].Reset(c.Type, w.ordinal)
+	}
+	return err
+}
+
+// storeChunk encodes one output row group's column chunks and hands their
+// blobs to the store (see puts). The blobs own their bytes, so the chunks may
+// be reused as soon as it returns.
+func (w *Writer) storeChunk(entry ChunkEntry, chunks []*Chunk) error {
+	blobs := make([][]byte, len(w.cols))
+	for i, c := range w.cols {
+		blob, err := w.codec.Encode(chunks[i], c.compression())
+		if err != nil {
+			return err
+		}
+		blobs[i] = blob
+	}
+	return w.puts.run(func() error {
 		for i, c := range w.cols {
-			// The entry, not the builder, says where the chunk starts: whole
-			// groups advance the ordinal past builders that stay empty.
-			chunk := builders[i].Chunk()
-			chunk.FirstOrdinal = entry.First
-			if err := w.storeColumn(entry, c, chunk); err != nil {
+			if err := w.store.Put(chunkPath(entry, c.Name), blobs[i]); err != nil {
 				return err
 			}
-		}
-		// Recycle the builder set for a future startChunk.
-		select {
-		case w.bpool <- builders:
-		default:
 		}
 		return nil
 	})
 }
 
-// flush runs one chunk's store: inline on a synchronous writer, else on a
-// background worker once one is free, its error surfacing from flushErr.
-func (w *Writer) flush(store func() error) error {
-	if w.flushers == nil {
+// puts runs each chunk's stores as one task on an executor, so the caller
+// encodes the next chunk while this one's Puts wait on storage — a durable
+// Put is mostly an fsync. At most one chunk is in flight: run, like wait,
+// first waits for the one before it to land. With no executor the stores run
+// on the caller.
+type puts struct {
+	exec    *dataflow.Executor
+	pending bool
+	done    chan error // the in-flight chunk's outcome
+}
+
+func newPuts(exec *dataflow.Executor) *puts {
+	return &puts{exec: exec, done: make(chan error, 1)}
+}
+
+// run stores one chunk, after the chunk before it has landed; that chunk's
+// failure is returned instead.
+func (p *puts) run(store func() error) error {
+	if err := p.wait(); err != nil {
+		return err
+	}
+	if p.exec == nil {
 		return store()
 	}
-	w.flushers <- struct{}{}
-	w.flushWG.Add(1)
-	go func() {
-		defer w.flushWG.Done()
-		defer func() { <-w.flushers }()
-		if err := store(); err != nil {
-			select {
-			case w.flushErrs <- err:
-			default:
-			}
-		}
-	}()
+	if err := p.exec.Submit(context.Background(), func() { p.done <- store() }); err != nil {
+		return err
+	}
+	p.pending = true
 	return nil
 }
 
-// flushErr reports a background store's failure (once), so it surfaces at
-// the next chunk instead of at Close.
-func (w *Writer) flushErr() error {
-	select {
-	case err := <-w.flushErrs:
-		return err
-	default:
+// wait blocks until the chunk in flight, if any, has landed and returns its
+// failure.
+func (p *puts) wait() error {
+	if !p.pending {
 		return nil
 	}
-}
-
-// storeColumn compresses and stores one column chunk of an output row group.
-func (w *Writer) storeColumn(entry ChunkEntry, col ColumnSpec, c *Chunk) error {
-	blob, err := EncodeChunk(c, col.compression())
-	if err != nil {
-		return err
-	}
-	return w.store.Put(chunkPath(entry, col.Name), blob)
+	p.pending = false
+	return <-p.done
 }
 
 // NumRecords returns how many records have been appended so far.
 func (w *Writer) NumRecords() uint64 { return w.ordinal }
 
-// finish flushes the final partial chunk, waits for every chunk's blobs to
+// finish flushes the final partial chunk, waits for the last chunk's blobs to
 // land and returns the chunks written, in row order.
 func (w *Writer) finish() ([]ChunkEntry, error) {
 	if w.closed {
 		return nil, fmt.Errorf("agd: writer for %q already closed", w.name)
 	}
 	w.closed = true
-	if err := w.flushChunk(); err != nil {
+	err := w.flushChunk()
+	if werr := w.puts.wait(); err == nil {
+		err = werr
+	}
+	if err != nil {
 		return nil, err
 	}
-	w.flushWG.Wait()
-	return w.entries, w.flushErr()
+	return w.entries, nil
 }
 
 // Close flushes the final partial chunk and writes the manifest. It returns
@@ -383,11 +361,11 @@ func (w *Writer) Close() (*Manifest, error) {
 	return m, nil
 }
 
-// halt ends a failed write: it waits for the background workers, which
-// release the groups they hold, and leaves the blobs they stored.
+// halt ends a failed write: it closes the writer and waits for the chunk in
+// flight, leaving the blobs that landed.
 func (w *Writer) halt() {
 	w.closed = true
-	w.flushWG.Wait()
+	_ = w.puts.wait() // the caller is already reporting a failure
 }
 
 // Abort abandons a dataset that will get no manifest — after a failed append

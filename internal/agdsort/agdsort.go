@@ -20,7 +20,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"runtime"
 
 	"persona/internal/agd"
 )
@@ -61,11 +60,11 @@ type Options struct {
 	// go; default "agdsort.stream/tmp". Concurrent sorts against one store
 	// must use distinct prefixes. Dataset sorts set it to "<OutputName>/tmp".
 	TempPrefix string
-	// Pipelining (set by dataset sorts) is how many merged output groups may
-	// be in flight at once. ≤ 1 keeps the serial pull contract (groups build
-	// into reused builders, valid until the next group); > 1 draws builders
-	// from a bounded pool of that size, so a pumped edge can queue groups
-	// that stay valid until Release.
+	// Pipelining (set by pumped pipelines) is how many merged output groups
+	// may be in flight at once. ≤ 1 keeps the serial pull contract (groups
+	// build into reused builders, valid until the next group); > 1 draws
+	// builders from a bounded pool of that size, so a pumped edge can queue
+	// groups that stay valid until Release.
 	Pipelining int
 	// Spill, when non-nil, accumulates per-run spill accounting for the
 	// pipeline report.
@@ -85,9 +84,9 @@ func Sort(ctx context.Context, store agd.BlobStore, name string, opts Options) (
 
 // SortDataset is Sort over an already-open dataset: its chunks stream
 // through SortStream, spilling under "<OutputName>/tmp", into the dataset
-// sink. The merge builds into one more builder set than the sink has store
-// workers, so it fills the next output chunk while earlier ones are
-// compressed and stored; on failure neither spill nor output blobs remain.
+// sink. The source and the sink (de)compress chunk members on an executor of
+// GOMAXPROCS workers that lives as long as the call; on failure neither spill
+// nor output blobs remain.
 func SortDataset(ctx context.Context, ds *agd.Dataset, opts Options) (*agd.Manifest, error) {
 	m := ds.Manifest
 	if keyColumn(m.Columns, opts.By) < 0 {
@@ -96,20 +95,20 @@ func SortDataset(ctx context.Context, ds *agd.Dataset, opts Options) (*agd.Manif
 	if opts.OutputName == "" {
 		opts.OutputName = m.Name + ".sorted"
 	}
-	in, err := ds.Groups(agd.StreamOptions{})
+	codec, closeCodec := agd.OpenCodec()
+	defer closeCodec()
+	in, err := ds.Groups(agd.StreamOptions{Codec: codec})
 	if err != nil {
 		return nil, err
 	}
-	flushers := runtime.NumCPU()
 	opts.TempPrefix = opts.OutputName + "/tmp"
-	opts.Pipelining = flushers + 1
 	out, err := SortStream(ctx, ds.Store(), in, opts)
 	if err != nil {
 		in.Close()
 		return nil, err
 	}
 	defer out.Close()
-	return agd.WriteGroups(ctx, out, ds.Store(), opts.OutputName, agd.WriterOptions{ParallelFlush: flushers})
+	return agd.WriteGroups(ctx, out, ds.Store(), opts.OutputName, agd.WriterOptions{Codec: codec})
 }
 
 // keyColumn locates the column the sort key is derived from.

@@ -1,14 +1,11 @@
 package agdsort
 
-import "sync"
-
 // Spill accounting for the external sort's superchunk runs, which
 // writeSuperchunk always stores raw.
 
-// SpillStats accumulates per-run spill accounting. Safe for concurrent use —
-// phase-1 spill workers run on background goroutines.
+// SpillStats accumulates per-run spill accounting. SortStream records every
+// run on its calling goroutine before it returns.
 type SpillStats struct {
-	mu          sync.Mutex
 	runs        int
 	storedBytes int64
 }
@@ -18,10 +15,8 @@ func (s *SpillStats) record(stored int64) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
 	s.runs++
 	s.storedBytes += stored
-	s.mu.Unlock()
 }
 
 // Report snapshots the accumulated accounting.
@@ -29,8 +24,6 @@ func (s *SpillStats) Report() SpillReport {
 	if s == nil {
 		return SpillReport{}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return SpillReport{Runs: s.runs, StoredBytes: s.storedBytes}
 }
 

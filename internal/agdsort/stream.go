@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 
 	"persona/internal/agd"
@@ -15,8 +14,11 @@ import (
 // to-record: phase 1 drains the input stream, staging superchunk batches in
 // record arenas and spilling each sorted run to the store under
 // opts.TempPrefix (the paper's §4.3 sort always materializes runs); phase 2
-// feeds the next stage chunk-by-chunk from the heap merge of the runs. Spill
-// blobs are deleted when the output stream is drained or closed.
+// feeds the next stage chunk-by-chunk from the heap merge of the runs. Each
+// full batch is sorted and spilled on the calling goroutine before the next
+// group is pulled; in a pumped pipeline the stages above keep producing
+// meanwhile. Spill blobs are deleted when the output stream is drained or
+// closed.
 func SortStream(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, opts Options) (*agd.GroupStream, error) {
 	keyCol := keyColumn(in.Meta.Columns, opts.By)
 	if keyCol < 0 {
@@ -36,47 +38,29 @@ func SortStream(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, o
 	chunkSize := in.Meta.ChunkSize
 
 	// Phase 1: drain the input, spilling one sorted superchunk per batch of
-	// ChunksPerSuperchunk groups. Staging is sequential (the stream is
-	// pull-based), but sorting and spilling a completed batch runs on
-	// background workers so the next batch stages while the previous one
-	// sorts.
+	// ChunksPerSuperchunk groups. The spill is done with a batch's arenas
+	// and keys before the next group is staged, so every batch reuses them.
 	var (
 		superNames []string
-		batchCols  []*agd.RecordArena
 		batchKeys  []sortEntry
 		batchSize  int
 		total      int
-		wg         sync.WaitGroup
-		sem        = make(chan struct{}, runtime.NumCPU())
-		errs       = make(chan error, 1)
 	)
 	numCols := len(in.Meta.Columns)
-	newBatch := func() {
-		batchCols = make([]*agd.RecordArena, numCols)
-		for i := range batchCols {
-			batchCols[i] = agd.NewRecordArena(0, 0)
-		}
-		batchKeys = batchKeys[len(batchKeys):]
-		batchSize = 0
+	batchCols := make([]*agd.RecordArena, numCols)
+	for i := range batchCols {
+		batchCols[i] = agd.NewRecordArena(0, 0)
 	}
-	spill := func() {
+	spill := func() error {
 		name := fmt.Sprintf("%s/super-%06d", opts.TempPrefix, len(superNames))
 		superNames = append(superNames, name)
-		cols, keys := batchCols, batchKeys
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			sortKeys(cols[keyCol], keys, opts.By)
-			if err := writeSuperchunk(store, name, cols, keys, opts.Spill); err != nil {
-				select {
-				case errs <- err:
-				default:
-				}
-			}
-		}()
-		newBatch()
+		sortKeys(batchCols[keyCol], batchKeys, opts.By)
+		err := writeSuperchunk(store, name, batchCols, batchKeys, opts.Spill)
+		for _, a := range batchCols {
+			a.Reset()
+		}
+		batchKeys, batchSize = batchKeys[:0], 0
+		return err
 	}
 	sweep := func() error {
 		var first error
@@ -88,11 +72,9 @@ func SortStream(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, o
 		return first
 	}
 	fail := func(err error) (*agd.GroupStream, error) {
-		wg.Wait()
 		sweep()
 		return nil, err
 	}
-	newBatch()
 	for {
 		g, err := in.Next(ctx)
 		if err == io.EOF {
@@ -117,22 +99,15 @@ func SortStream(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, o
 		g.Release()
 		batchSize++
 		if batchSize >= opts.ChunksPerSuperchunk {
-			spill()
-		}
-		select {
-		case err := <-errs:
-			return fail(err)
-		default:
+			if err := spill(); err != nil {
+				return fail(err)
+			}
 		}
 	}
 	if batchSize > 0 {
-		spill()
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
-		return fail(err)
-	default:
+		if err := spill(); err != nil {
+			return fail(err)
+		}
 	}
 	if total == 0 {
 		return fail(fmt.Errorf("agdsort: stream has no records"))

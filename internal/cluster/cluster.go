@@ -322,7 +322,8 @@ const leaseAhead = 4
 // alignNode is one Align worker: a source that leases a chunk and reads its
 // bases, pumped leaseAhead chunks ahead of the align stage so storage
 // latency overlaps with alignment, then core.AlignStream, then the results
-// column sink, which acks each chunk's lease after its blob is stored. The
+// column sink, which stores each chunk's blob and acks its lease before the
+// next chunk is aligned. The
 // results write is idempotent — Put replaces, and a re-executed chunk
 // encodes identical bytes — so a duplicate completion after lease
 // reassignment is harmless.
@@ -330,8 +331,9 @@ func alignNode(ctx context.Context, w *worker, ds *agd.Dataset, idx *snap.Index)
 	cfg, m := w.cfg, ds.Manifest
 	codec := agd.Codec{Exec: w.exec}
 	// A chunk's pooled buffers are held from its decode until its results
-	// blob has landed: read ahead, being aligned, or in the sink.
-	pool := agd.NewChunkPool(leaseAhead + 1 + agd.ColumnWindow)
+	// blob has landed: queued ahead, held by the pump waiting for room, or
+	// being aligned and stored.
+	pool := agd.NewChunkPool(leaseAhead + 2)
 	leases := agd.NewGroupStream(
 		agd.StreamMeta{Columns: []string{agd.ColBases}},
 		func(ctx context.Context) (*agd.RowGroup, error) {
@@ -357,10 +359,9 @@ func alignNode(ctx context.Context, w *worker, ds *agd.Dataset, idx *snap.Index)
 	pumps := dataflow.NewPumps(ctx)
 	ahead := agd.PumpEdge(pumps, leases, leaseAhead)
 	out, rep, err := core.AlignStream(core.AlignConfig{
-		Index:      idx,
-		Aligner:    cfg.Aligner,
-		Subchunks:  cfg.Subchunks,
-		Pipelining: agd.ColumnWindow + 1,
+		Index:     idx,
+		Aligner:   cfg.Aligner,
+		Subchunks: cfg.Subchunks,
 	}, w.exec, ahead.Stream(leases.Meta))
 	if err == nil {
 		err = agd.WriteColumn(pumps.Context(), out, ds.Store(), m, agd.ColResults, codec, func(chunk int) error {

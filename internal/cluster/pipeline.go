@@ -329,7 +329,7 @@ func pipelineNode(ctx context.Context, w *worker, store storage.Store, ds *agd.D
 			payload, bytes, err = runShuffleTask(ctx, store, plan, keyCol, cuts, idx, parts)
 			rep.ShuffleBytes += bytes
 		case phaseReduce:
-			payload, err = runReduceTask(ctx, store, plan, cols, keyCol, idx, numBatches)
+			payload, err = runReduceTask(ctx, store, plan, w.exec, cols, keyCol, idx, numBatches)
 		default:
 			err = fmt.Errorf("cluster: unknown phase %d", phase)
 		}
@@ -456,9 +456,10 @@ func runShuffleTask(ctx context.Context, store storage.Store, plan *PipelinePlan
 
 // runReduceTask runs the single-node pipeline's tail over one partition: the
 // merge stream of its shuffled pieces, the mark stage on a marker seeded from
-// its halos, the filter stage, the dataset sink writing "<out>/part<k>". It
-// returns the partition-result payload the coordinator stitches from.
-func runReduceTask(ctx context.Context, store storage.Store, plan *PipelinePlan, cols []string, keyCol, k, numBatches int) (string, error) {
+// its halos, the filter stage, the dataset sink writing "<out>/part<k>" with
+// its chunks' members compressed on exec. It returns the partition-result
+// payload the coordinator stitches from.
+func runReduceTask(ctx context.Context, store storage.Store, plan *PipelinePlan, exec *dataflow.Executor, cols []string, keyCol, k, numBatches int) (string, error) {
 	blobs := func(name func(prefix string, k, b int) string) []string {
 		names := make([]string, numBatches)
 		for b := range names {
@@ -514,7 +515,7 @@ func runReduceTask(ctx context.Context, store storage.Store, plan *PipelinePlan,
 	}
 	// An empty partition (equal splitters, a filter dropping its every row)
 	// writes no chunk and contributes none to the stitch.
-	entries, err := agd.WriteChunks(ctx, stream, store, shuffle.PartDataset(plan.OutName, k), agd.WriterOptions{})
+	entries, err := agd.WriteChunks(ctx, stream, store, shuffle.PartDataset(plan.OutName, k), agd.WriterOptions{Codec: agd.Codec{Exec: exec}})
 	if err != nil {
 		return "", fmt.Errorf("cluster: partition %d: %w", k, err)
 	}

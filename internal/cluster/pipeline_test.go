@@ -68,7 +68,7 @@ func TestReduceStragglerFailureKeepsSurvivorChunks(t *testing.T) {
 
 	for k := 0; k < parts; k++ {
 		prefix := shuffle.PartDataset(plan.OutName, k) + "/"
-		acked, err := runReduceTask(ctx, store, plan, cols, keyCol, k, numBatches)
+		acked, err := runReduceTask(ctx, store, plan, nil, cols, keyCol, k, numBatches)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestReduceStragglerFailureKeepsSurvivorChunks(t *testing.T) {
 			straggler := storage.NewFaultStore(store, storage.FaultPolicy{
 				Keys: []storage.KeyFaults{{Substr: name, Writes: storage.OpFaults{ErrProb: 1}}},
 			})
-			_, err := runReduceTask(ctx, straggler, plan, cols, keyCol, k, numBatches)
+			_, err := runReduceTask(ctx, straggler, plan, nil, cols, keyCol, k, numBatches)
 			straggler.Close()
 			if !errors.Is(err, storage.ErrInjected) || runFatal(err) {
 				t.Fatalf("partition %d, failing %s: error %v, want the injected transient one", k, name, err)
@@ -88,7 +88,7 @@ func TestReduceStragglerFailureKeepsSurvivorChunks(t *testing.T) {
 			testutil.SameBlobs(t, fmt.Sprintf("partition %d after its straggler failed putting %s", k, name),
 				testutil.Blobs(t, store, prefix), survivor)
 		}
-		again, err := runReduceTask(ctx, store, plan, cols, keyCol, k, numBatches)
+		again, err := runReduceTask(ctx, store, plan, nil, cols, keyCol, k, numBatches)
 		if err != nil || again != acked {
 			t.Fatalf("partition %d re-executed: payload %q (error %v), the first attempt acked %q", k, again, err, acked)
 		}

@@ -71,8 +71,8 @@ type AlignReport struct {
 // Align aligns a dataset in place and registers the results column: the
 // dataset's bases and qualities stream in through a source that reads ahead
 // (§5.2), AlignStream appends results on a private executor, and a column
-// sink encodes and stores each results chunk while the next is being
-// aligned. It is the single-server counterpart of cluster.Align.
+// sink encodes and stores each results chunk before the next is aligned. It
+// is the single-server counterpart of cluster.Align.
 func Align(ctx context.Context, cfg AlignConfig) (*AlignReport, *agd.Manifest, error) {
 	cfg.applyDefaults()
 	ds, err := agd.Open(cfg.Store, cfg.Dataset)
@@ -88,15 +88,10 @@ func Align(ctx context.Context, cfg AlignConfig) (*AlignReport, *agd.Manifest, e
 	// Chunk (de)compression members run on the same executor as alignment,
 	// so both draw from one set of compute threads (Fig. 4).
 	codec := agd.Codec{Exec: exec}
-	// One results builder set per group the sink can hold, plus the one
-	// being aligned; the source's pooled chunks (two columns a group) are
-	// held exactly as long, so the pool is sized to match and exhaustion —
-	// back-pressure on the source — never happens before the sink is full.
-	cfg.Pipelining = agd.ColumnWindow + 1
 	start := time.Now()
 	in, err := ds.Groups(agd.StreamOptions{
 		Columns:     []string{agd.ColBases, agd.ColQual},
-		ShardedPool: agd.NewChunkPool(2 * cfg.Pipelining),
+		ShardedPool: agd.NewChunkPool(2 * agd.PoolGroups),
 		Codec:       codec,
 	})
 	if err != nil {

@@ -180,8 +180,8 @@ func TestAlignPipelineCancelledMidRun(t *testing.T) {
 	if ds.Manifest.HasColumn(agd.ColResults) {
 		t.Fatal("cancelled run registered a results column")
 	}
-	// Align waits for its pumps, writers and executor; only fetches whose
-	// results were dropped may still be finishing.
+	// Align waits for its executor; only fetches whose results were dropped
+	// may still be finishing.
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines after a cancelled run, %d before", runtime.NumGoroutine(), before)

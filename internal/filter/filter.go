@@ -10,7 +10,6 @@ package filter
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"persona/internal/agd"
 )
@@ -78,9 +77,9 @@ func Run(ctx context.Context, store agd.BlobStore, name string, pred Predicate, 
 }
 
 // RunDataset is Run over an open dataset: its chunks stream through
-// RunStream into the dataset sink. Output groups come from one more builder
-// set than the sink has store workers, so a group the predicate kept whole is
-// stored in the background while the next is filtered.
+// RunStream into the dataset sink, which stores each output group before the
+// next is filtered. The source and the sink (de)compress chunk members on an
+// executor of GOMAXPROCS workers that lives as long as the call.
 func RunDataset(ctx context.Context, ds *agd.Dataset, pred Predicate, opts Options) (*agd.Manifest, Stats, error) {
 	m := ds.Manifest
 	if !m.HasColumn(agd.ColResults) {
@@ -89,20 +88,22 @@ func RunDataset(ctx context.Context, ds *agd.Dataset, pred Predicate, opts Optio
 	if opts.OutputName == "" {
 		opts.OutputName = m.Name + ".filtered"
 	}
+	codec, closeCodec := agd.OpenCodec()
+	defer closeCodec()
 	in, err := ds.Groups(agd.StreamOptions{
 		ShardedPool: agd.NewChunkPool(len(m.Columns) * agd.PoolGroups),
+		Codec:       codec,
 	})
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	flushers := runtime.NumCPU()
-	out, stats, err := RunStream(in, pred, flushers+1)
+	out, stats, err := RunStream(in, pred, 0)
 	if err != nil {
 		in.Close()
 		return nil, Stats{}, err
 	}
 	defer out.Close()
-	manifest, err := agd.WriteGroups(ctx, out, ds.Store(), opts.OutputName, agd.WriterOptions{ParallelFlush: flushers})
+	manifest, err := agd.WriteGroups(ctx, out, ds.Store(), opts.OutputName, agd.WriterOptions{Codec: codec})
 	if err != nil && stats.Kept == 0 && stats.In == m.NumRecords() {
 		// Every record was seen and none kept: the sink's "stream has no
 		// records" has a better name here.

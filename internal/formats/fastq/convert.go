@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 
 	"persona/internal/agd"
 )
@@ -15,7 +14,7 @@ type ImportOptions struct {
 	ChunkSize int
 	// RefSeqs, if known, is recorded in the manifest.
 	RefSeqs []agd.RefSeq
-	// Pipelining (ImportStream only; Import sets it) is how many parsed
+	// Pipelining (ImportStream only) is how many parsed
 	// groups may be in flight at once. ≤ 1 keeps the serial pull contract
 	// (reused builders, each group valid until the next); > 1 draws builders
 	// from a bounded pool of that size so a pumped edge can queue groups.
@@ -24,17 +23,18 @@ type ImportOptions struct {
 
 // Import converts a FASTQ stream into an AGD dataset (the paper's import
 // utility, measured at 360 MB/s in §5.7): ImportStream into the dataset sink.
-// Scanned fields flow zero-copy from the scanner's reused buffers into chunk
-// builders, one more set of them than the sink has store workers, so
-// completed chunks are compressed and stored while parsing continues and
-// steady-state import performs no per-read allocation. It returns the
-// manifest and the number of reads imported. Cancellation and deadline of
-// ctx are checked once per chunk.
+// Scanned fields flow zero-copy from the scanner's reused buffers into one
+// set of chunk builders, each full chunk is compressed — its members on an
+// executor of GOMAXPROCS workers that lives as long as the call — and stored
+// before parsing continues, and steady-state import performs no per-read
+// allocation. It returns the manifest and the number of reads imported.
+// Cancellation and deadline of ctx are checked once per chunk.
 func Import(ctx context.Context, store agd.BlobStore, name string, src io.Reader, opts ImportOptions) (*agd.Manifest, uint64, error) {
-	flushers := runtime.NumCPU()
-	in := ImportStream(src, ImportOptions{ChunkSize: opts.ChunkSize, RefSeqs: opts.RefSeqs, Pipelining: flushers + 1})
+	codec, closeCodec := agd.OpenCodec()
+	defer closeCodec()
+	in := ImportStream(src, ImportOptions{ChunkSize: opts.ChunkSize, RefSeqs: opts.RefSeqs})
 	defer in.Close()
-	m, err := agd.WriteGroups(ctx, in, store, name, agd.WriterOptions{ParallelFlush: flushers})
+	m, err := agd.WriteGroups(ctx, in, store, name, agd.WriterOptions{Codec: codec})
 	if err != nil {
 		return nil, 0, err
 	}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -28,9 +27,11 @@ type ImportOptions struct {
 // Parsing is byte-level into reused buffers: fields flow from the input
 // straight into the writer's arena-backed chunk builders without
 // materializing Record objects or strings, so steady-state import performs
-// no per-record allocation. Cancellation and deadline of ctx are checked
+// no per-record allocation. Each full chunk is compressed — its members on an
+// executor of GOMAXPROCS workers that lives as long as the call — and stored
+// before parsing continues. Cancellation and deadline of ctx are checked
 // once per output chunk's worth of records. A failed import leaves no blob
-// of the dataset and no background store running.
+// of the dataset.
 func Import(ctx context.Context, store agd.BlobStore, name string, src io.Reader, opts ImportOptions) (m *agd.Manifest, n uint64, err error) {
 	br := bufio.NewReaderSize(src, 1<<16)
 	chunkSize := uint64(opts.ChunkSize)
@@ -49,6 +50,8 @@ func Import(ctx context.Context, store agd.BlobStore, name string, src io.Reader
 		lineNum int
 	)
 	cols := append(agd.StandardReadColumns(), agd.ColumnSpec{Name: agd.ColResults, Type: agd.TypeResults})
+	codec, closeCodec := agd.OpenCodec()
+	defer closeCodec()
 	defer func() {
 		if err != nil && w != nil {
 			w.Abort()
@@ -86,10 +89,10 @@ func Import(ctx context.Context, store agd.BlobStore, name string, src io.Reader
 			}
 			refmap = NewRefMap(refs)
 			w, err = agd.NewWriter(store, name, cols, agd.WriterOptions{
-				ChunkSize:     opts.ChunkSize,
-				RefSeqs:       refs,
-				SortedBy:      sortOrderFromHeader(header),
-				ParallelFlush: runtime.NumCPU(),
+				ChunkSize: opts.ChunkSize,
+				RefSeqs:   refs,
+				SortedBy:  sortOrderFromHeader(header),
+				Codec:     codec,
 			})
 			if err != nil {
 				return nil, 0, err

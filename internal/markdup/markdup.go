@@ -50,28 +50,30 @@ func Mark(ctx context.Context, store agd.BlobStore, name string) (Stats, error) 
 // MarkDataset is Mark over an open dataset. Its results chunks stream through
 // MarkStream — marking is order-dependent (the first occurrence survives), so
 // that pass is sequential — into the column sink, which compresses and stores
-// each rewritten chunk while the next is being marked.
+// each rewritten chunk before the next is marked. The source and the sink
+// (de)compress chunk members on an executor of GOMAXPROCS workers that lives
+// as long as the call.
 func MarkDataset(ctx context.Context, ds *agd.Dataset) (Stats, error) {
 	m := ds.Manifest
 	if !m.HasColumn(agd.ColResults) {
 		return Stats{}, fmt.Errorf("markdup: dataset %q has no results column", m.Name)
 	}
-	// One builder set and one pooled source chunk per group the sink can
-	// hold, plus the one being marked.
-	window := agd.ColumnWindow + 1
+	codec, closeCodec := agd.OpenCodec()
+	defer closeCodec()
 	in, err := ds.Groups(agd.StreamOptions{
 		Columns:     []string{agd.ColResults},
-		ShardedPool: agd.NewChunkPool(window),
+		ShardedPool: agd.NewChunkPool(agd.PoolGroups),
+		Codec:       codec,
 	})
 	if err != nil {
 		return Stats{}, err
 	}
-	out, stats, err := MarkStream(in, window)
+	out, stats, err := MarkStream(in, 0)
 	if err != nil {
 		in.Close()
 		return Stats{}, err
 	}
-	err = agd.WriteColumn(ctx, out, ds.Store(), m, agd.ColResults, agd.Codec{}, nil)
+	err = agd.WriteColumn(ctx, out, ds.Store(), m, agd.ColResults, codec, nil)
 	return *stats, err
 }
 

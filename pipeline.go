@@ -562,7 +562,7 @@ func (p *Pipeline) runSink(ctx context.Context, stream *agd.GroupStream, report 
 		// cached chunks/manifest for it, then remember the fresh manifest so
 		// an immediately following read skips the open round trip.
 		sess.invalidateDataset(sink.dataset)
-		m, err := agd.WriteGroups(ctx, stream, sess.store, sink.dataset, agd.WriterOptions{})
+		m, err := agd.WriteGroups(ctx, stream, sess.store, sink.dataset, agd.WriterOptions{Codec: agd.Codec{Exec: sess.exec}})
 		var n uint64
 		if m != nil {
 			report.Manifest = m

@@ -117,7 +117,6 @@ func checkConstructionFailures(t *testing.T, store Store, idx *Index) {
 	}
 	for _, tc := range cases {
 		sess := NewSession(tc.store, SessionOptions{})
-		time.Sleep(10 * time.Millisecond) // let executor workers reach steady state
 		for _, sch := range schedules {
 			t.Run(tc.name+"/"+sch.name, func(t *testing.T) {
 				goroutines := runtime.NumGoroutine()
@@ -273,7 +272,6 @@ func TestPipelineSinkFailureSweepsSortSpills(t *testing.T) {
 	}
 	sess := NewSession(store, SessionOptions{})
 	defer sess.Close()
-	time.Sleep(10 * time.Millisecond) // let executor workers reach steady state
 	goroutines := runtime.NumGoroutine()
 	keysBefore, err := store.List("")
 	if err != nil {

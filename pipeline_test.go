@@ -349,7 +349,6 @@ func TestPipelineCancellationMidStream(t *testing.T) {
 	}
 	sess := NewSession(store, SessionOptions{})
 	defer sess.Close()
-	time.Sleep(10 * time.Millisecond) // let executor workers reach steady state
 	goroutines := runtime.NumGoroutine()
 
 	ctx, cancel := context.WithCancel(context.Background())
