@@ -88,10 +88,13 @@ func (p *Pipeline) distPlan() (cluster.PipelinePlan, *pipeStage, error) {
 }
 
 // runDistributed executes the pipeline as a cluster plan: the whole fused
-// graph runs across worker nodes, the reduce writes an ordered output
-// dataset, and an export sink streams that dataset out before its blobs are
-// swept.
-func (p *Pipeline) runDistributed(ctx context.Context) (*PipelineReport, error) {
+// graph runs across worker nodes and the reduce writes an ordered output
+// dataset. A Write sink keeps that dataset, gzip like any other. For an
+// export sink it is a staging dataset, stored raw, that the export streams
+// out once; it lives under the run's namespace, which is swept once the
+// export is done (inside the report's Elapsed and Storage) and on every
+// failure.
+func (p *Pipeline) runDistributed(ctx context.Context) (report *PipelineReport, err error) {
 	sess := p.sess
 	plan, sink, err := p.distPlan()
 	if err != nil {
@@ -113,7 +116,17 @@ func (p *Pipeline) runDistributed(ctx context.Context) (*PipelineReport, error) 
 		plan.OutName = sink.dataset
 	} else {
 		plan.OutName = runPrefix + "/out"
+		plan.Staging = true
 	}
+	// Once RunPipeline has returned no worker is alive, so a failed run can
+	// sweep the namespace whatever happened: its temp blobs, an export's
+	// staging dataset (chunks and manifest) before or after a failed export.
+	// The run's own error is the one reported.
+	defer func() {
+		if err != nil {
+			_ = sweep(sess.store, runPrefix)
+		}
+	}()
 
 	cfg := cluster.Config{
 		Nodes:    p.nodes,
@@ -130,7 +143,7 @@ func (p *Pipeline) runDistributed(ctx context.Context) (*PipelineReport, error) 
 		p.distTune(&cfg)
 	}
 
-	report := &PipelineReport{}
+	report = &PipelineReport{}
 	base := p.snapshotBase()
 	if sink.kind == stageWrite {
 		// The run replaces whatever blobs the target dataset had.
@@ -157,14 +170,8 @@ func (p *Pipeline) runDistributed(ctx context.Context) (*PipelineReport, error) 
 			return nil, err
 		}
 		report.Records = n
-		names, err := sess.store.List(runPrefix + "/")
-		if err != nil {
-			return nil, fmt.Errorf("persona: list run %q: %w", runPrefix, err)
-		}
-		for _, name := range names {
-			if err := sess.store.Delete(name); err != nil {
-				return nil, fmt.Errorf("persona: sweep run %q: %w", name, err)
-			}
+		if err := sweep(sess.store, runPrefix); err != nil {
+			return nil, err
 		}
 	}
 
@@ -178,6 +185,20 @@ func (p *Pipeline) runDistributed(ctx context.Context) (*PipelineReport, error) 
 	report.Stages[len(report.Stages)-1].Records = report.Records
 	report.Stages[len(report.Stages)-1].Elapsed = report.Elapsed
 	return report, nil
+}
+
+// sweep deletes every blob under prefix.
+func sweep(store Store, prefix string) error {
+	names, err := store.List(prefix + "/")
+	if err != nil {
+		return fmt.Errorf("persona: list run %q: %w", prefix, err)
+	}
+	for _, name := range names {
+		if err := store.Delete(name); err != nil {
+			return fmt.Errorf("persona: sweep run %q: %w", name, err)
+		}
+	}
+	return nil
 }
 
 // exportDistributed streams the distributed run's stitched output dataset

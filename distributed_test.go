@@ -8,10 +8,14 @@ package persona
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
+	"persona/internal/agd"
 	"persona/internal/cluster"
 	"persona/internal/formats/fastq"
 	"persona/internal/reads"
@@ -373,5 +377,116 @@ func TestDistributedMetadataSort(t *testing.T) {
 	}
 	if !bytes.Equal(gold.Bytes(), dist.Bytes()) {
 		t.Errorf("metadata-sorted FASTQ differs (%d vs %d bytes)", dist.Len(), gold.Len())
+	}
+}
+
+// chunkCompression is the compression a chunk blob's header records.
+func chunkCompression(t *testing.T, name string, blob []byte) agd.Compression {
+	t.Helper()
+	if len(blob) < 7 || string(blob[:4]) != "AGD1" {
+		t.Fatalf("%s is not a chunk blob", name)
+	}
+	return agd.Compression(blob[6])
+}
+
+// TestDistributedExportFailureSweepsStaging: an export sink that fails after
+// the reduce has written the staging dataset still leaves nothing under the
+// run's namespace — no staging chunk, no stitched manifest, no shuffle temp.
+func TestDistributedExportFailureSweepsStaging(t *testing.T) {
+	store, g := distFixture(t, 50, "ds")
+	idx, err := BuildIndex(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := NewSession(store, SessionOptions{})
+	defer sess.Close()
+	putsBefore := len(store.putNames())
+
+	_, err = sess.Read("ds").Align(idx, AlignOptions{}).Sort(ByLocation).MarkDuplicates().
+		ExportBAM(&failingWriter{limit: 2048}).Distributed(2).Run(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Fatalf("run with failing sink returned %v, want the sink's error", err)
+	}
+	staged := 0
+	for _, name := range store.putNames()[putsBefore:] {
+		if strings.Contains(name, "/out/") {
+			staged++
+		}
+	}
+	if staged == 0 {
+		t.Fatal("the run failed before writing its staging dataset")
+	}
+	if leaked := leakedClusterBlobs(t, store); len(leaked) != 0 {
+		t.Errorf("leaked %d of %d staged blobs, e.g. %s", len(leaked), staged, leaked[0])
+	}
+}
+
+// TestDistributedStagingStoredRaw: an export's staging dataset is stored raw
+// — every chunk the reduce puts under the run's out/ namespace says
+// CompressNone — and the BAM still equals the single-node BAM. A Write sink's
+// dataset stays gzip, blob for blob the bytes it had before staging was
+// stored raw.
+func TestDistributedStagingStoredRaw(t *testing.T) {
+	ctx := context.Background()
+	store, g := distFixture(t, 50, "ds")
+	idx, err := BuildIndex(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := NewSession(store, SessionOptions{})
+	defer sess.Close()
+	graph := func() *Pipeline {
+		return sess.Read("ds").Align(idx, AlignOptions{}).Sort(ByLocation).MarkDuplicates()
+	}
+
+	var gold, bam bytes.Buffer
+	if _, err := graph().ExportBAM(&gold).Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	store.record()
+	if _, err := graph().ExportBAM(&bam).Distributed(2).Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bam.Bytes(), gold.Bytes()) {
+		t.Errorf("distributed BAM differs from single-node (%d vs %d bytes)", bam.Len(), gold.Len())
+	}
+	staged := 0
+	for name, blob := range store.recorded("cluster/") {
+		if !strings.Contains(name, "/out/part") {
+			continue
+		}
+		staged++
+		if comp := chunkCompression(t, name, blob); comp != agd.CompressNone {
+			t.Errorf("staging chunk %s stored with compression %d, want none", name, comp)
+		}
+	}
+	if staged == 0 {
+		t.Fatal("no staging chunk was stored")
+	}
+
+	if _, err := graph().Write("dist.out").Distributed(2).Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	blobs := testutil.Blobs(t, store, "dist.out/")
+	names := make([]string, 0, len(blobs))
+	for name := range blobs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	sum := sha256.New()
+	for _, name := range names {
+		if strings.Contains(name, "/chunk-") {
+			if comp := chunkCompression(t, name, blobs[name]); comp != agd.CompressGzip {
+				t.Errorf("Write sink chunk %s stored with compression %d, want gzip", name, comp)
+			}
+		}
+		fmt.Fprintf(sum, "%s %d\n", name, len(blobs[name]))
+		sum.Write(blobs[name])
+	}
+	// The SHA-256 over every blob of the dataset (names, sizes, bytes) as
+	// the code wrote it before export staging was stored raw.
+	const want = "842aaeed14fa639e74ea0e8e4372779dd2b5a4a288b8e4377fe04145f8262ab8"
+	if got := hex.EncodeToString(sum.Sum(nil)); got != want {
+		t.Errorf("Write sink dataset: SHA-256 %s over %d blobs, want %s", got, len(names), want)
 	}
 }

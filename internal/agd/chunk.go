@@ -141,6 +141,22 @@ func (c *Chunk) Record(i int) ([]byte, error) {
 	return c.Data[off[i]:off[i+1]], nil
 }
 
+// Rows returns rows [lo, hi) of c as a chunk of their own, numbered from
+// c.FirstOrdinal+lo, that shares c's record bytes: no copy, valid as long as
+// c is.
+func (c *Chunk) Rows(lo, hi int) (*Chunk, error) {
+	if lo < 0 || hi < lo || hi > len(c.lengths) {
+		return nil, ErrOutOfRange
+	}
+	off := c.absIndex()
+	return &Chunk{
+		Type:         c.Type,
+		FirstOrdinal: c.FirstOrdinal + uint64(lo),
+		lengths:      c.lengths[lo:hi:hi],
+		Data:         c.Data[off[lo]:off[hi]:off[hi]],
+	}, nil
+}
+
 // MemSize estimates the chunk's resident memory in bytes: record data, the
 // relative index, the (possibly materialized) absolute index, and a small
 // fixed overhead for the struct itself. The chunk cache's byte budget is

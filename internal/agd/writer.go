@@ -79,6 +79,9 @@ type WriterOptions struct {
 	// gzip chunk's members and stores each chunk while the next one fills.
 	// The zero value encodes and stores on the caller.
 	Codec Codec
+	// Raw stores every column CompressNone, whatever its spec says: for a
+	// dataset read once and then deleted, deflate is work undone by the read.
+	Raw bool
 }
 
 // NewWriter creates a dataset writer. The dataset's manifest is written on
@@ -102,6 +105,13 @@ func NewWriter(store BlobStore, name string, cols []ColumnSpec, opts WriterOptio
 	}
 	if opts.ChunkSize <= 0 {
 		opts.ChunkSize = DefaultChunkSize
+	}
+	if opts.Raw {
+		raw := make([]ColumnSpec, len(cols))
+		for i, c := range cols {
+			raw[i] = c.WithCompression(CompressNone)
+		}
+		cols = raw
 	}
 	w := &Writer{
 		store:     store,

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -68,16 +69,21 @@ type chunkLease struct {
 // are safe for concurrent use from the worker's lease, completion and
 // heartbeat goroutines — each request/response pair is serialized on the
 // connection.
+//
+// A worker told WAIT parks (PARK) on a second connection of its own, so a
+// hold, which lasts until the server's state moves, never queues the
+// worker's acks and heartbeats behind it: an Align node's lease source parks
+// while its align stage still has chunks to ack.
 type ManifestClient struct {
-	mu       sync.Mutex
-	conn     net.Conn
-	r        *bufio.Reader
-	worker   int
-	waitPoll time.Duration
-}
+	mu     sync.Mutex
+	conn   net.Conn
+	r      *bufio.Reader
+	worker int
 
-// defaultWaitPoll is how often a waiting worker re-asks the server.
-const defaultWaitPoll = 10 * time.Millisecond
+	parkMu sync.Mutex
+	park   net.Conn
+	parkR  *bufio.Reader
+}
 
 // DialManifestWorker connects to a phase server as worker id.
 func DialManifestWorker(addr string, worker int) (*ManifestClient, error) {
@@ -85,11 +91,17 @@ func DialManifestWorker(addr string, worker int) (*ManifestClient, error) {
 	if err != nil {
 		return nil, err
 	}
+	park, err := net.Dial("tcp", addr)
+	if err != nil {
+		conn.Close()
+		return nil, err
+	}
 	return &ManifestClient{
-		conn:     conn,
-		r:        bufio.NewReader(conn),
-		worker:   worker,
-		waitPoll: defaultWaitPoll,
+		conn:   conn,
+		r:      bufio.NewReader(conn),
+		worker: worker,
+		park:   park,
+		parkR:  bufio.NewReader(park),
 	}, nil
 }
 
@@ -119,5 +131,59 @@ func (c *ManifestClient) Beat() error {
 	return nil
 }
 
-// Close closes the client connection.
-func (c *ManifestClient) Close() error { return c.conn.Close() }
+// wait follows a WAIT reply: unless stop is already closed, it parks on the
+// server until the epoch the reply carries moves, and reports true (ask
+// again). It reports false, with a nil error, when stop was closed before or
+// during the hold; closing stop ends the hold.
+func (c *ManifestClient) wait(reply string, stop <-chan struct{}) (bool, error) {
+	select {
+	case <-stop:
+		return false, nil
+	default:
+	}
+	epoch, err := strconv.Atoi(strings.TrimPrefix(reply, "WAIT "))
+	if err != nil {
+		return false, fmt.Errorf("cluster: bad wait response %q", reply)
+	}
+	c.parkMu.Lock()
+	defer c.parkMu.Unlock()
+	if _, err := fmt.Fprintf(c.park, "PARK %d %d\n", c.worker, epoch); err != nil {
+		return false, err
+	}
+	if stop != nil {
+		held := make(chan struct{})
+		var watcher sync.WaitGroup
+		watcher.Add(1)
+		go func() {
+			defer watcher.Done()
+			select {
+			case <-stop:
+				// Any line ends a hold, and a blank one gets no reply of its
+				// own. A failed write fails the read below as well.
+				_, _ = c.park.Write([]byte("\n"))
+			case <-held:
+			}
+		}()
+		defer watcher.Wait()
+		defer close(held)
+	}
+	line, err := c.parkR.ReadString('\n')
+	if err != nil {
+		return false, err
+	}
+	if line = strings.TrimSpace(line); line != "OK" {
+		return false, fmt.Errorf("cluster: bad park response %q", line)
+	}
+	select {
+	case <-stop:
+		return false, nil
+	default:
+		return true, nil
+	}
+}
+
+// Close closes the client's connections.
+func (c *ManifestClient) Close() error {
+	c.park.Close()
+	return c.conn.Close()
+}

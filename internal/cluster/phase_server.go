@@ -36,42 +36,80 @@ type phaseState struct {
 //
 // Protocol (line-oriented; payloads are single base64 tokens):
 //
-//	C: TASK <worker>\n                         S: TASK <phase> <idx>\n, WAIT\n, DONE\n or ABORT <msg>\n
+//	C: TASK <worker>\n                         S: TASK <phase> <idx>\n, WAIT <epoch>\n, DONE\n or ABORT <msg>\n
 //	C: TACK <worker> <phase> <idx> <payload>\n S: OK\n    ("-" = no payload)
-//	C: CUTS <worker>\n                         S: CUTS <payload>\n, WAIT\n or ABORT <msg>\n
+//	C: CUTS <worker>\n                         S: CUTS <payload>\n, WAIT <epoch>\n or ABORT <msg>\n
 //	C: BEAT <worker>\n                         S: OK\n
+//	C: PARK <worker> <epoch>\n                 S: OK\n    once the hold ends
 //
 // Every request names its worker. A request that does not parse — a missing
-// field, a worker, phase or task index that is not a non-negative integer or
-// is out of range, a TACK for a task never leased — answers ERR <msg>\n and
-// changes no state.
+// field, a worker, phase, task index or epoch that is not a non-negative
+// integer or is out of range, a TACK for a task never leased — answers
+// ERR <msg>\n and changes no state.
 //
 // The server is also the failure detector: a worker leases each task it is
 // handed and heartbeats while it works. A task whose worker misses its
 // heartbeats (dead) or blows its lease deadline (straggling) is re-dealt to
 // the next worker that asks — bounded by MaxAttempts, after which the run
 // aborts — so a run completes on the surviving workers instead of hanging on
-// a lost one. WAIT means every remaining task of the current phase is leased
-// to a live worker (or the phase is held): poll again. TACK is idempotent
-// with first-wins payloads, so a reassigned task completed twice — the
-// straggler finished after all — reports once.
+// a lost one. TACK is idempotent with first-wins payloads, so a reassigned
+// task completed twice — the straggler finished after all — reports once.
+//
+// WAIT means every remaining task of the current phase is leased to a live
+// worker, or the phase is held, or (for CUTS) the cuts are not published
+// yet. It carries the epoch: a count of the changes that can turn a WAIT
+// into another answer — a task dealt or completed, Open, SetCuts, Abort. The
+// worker then sends PARK with that epoch, and the connection holds the
+// request until the answer can change: the epoch moves, the earliest lease
+// deadline or heartbeat lapse passes that could re-deal a task or release
+// one reserved for a silent worker (on the server's clock), another line
+// arrives on the connection, or the server closes. Those instants are judged
+// from when the WAIT was answered, so one that passed before the PARK
+// arrived ends the hold at once. Nothing polls. A hold is not a heartbeat: a
+// parked worker beats on its other connection like any other.
 type PhaseServer struct {
-	ln     net.Listener
-	wg     sync.WaitGroup
-	closed atomic.Bool
-	opts   ServerOptions
-	served atomic.Int64
+	ln      net.Listener
+	wg      sync.WaitGroup
+	closed  atomic.Bool
+	closing chan struct{} // closed by Close: ends every hold and connection
+	opts    ServerOptions
+	served  atomic.Int64
 
 	mu sync.Mutex
-	// now is the lease clock, read under mu; tests advance a fake one by
-	// hand instead of sleeping through timeouts.
-	now        func() time.Time
-	phases     []phaseState
-	lastBeat   map[int]time.Time
+	// clock is the lease clock and the timer a hold wakes on, read under mu;
+	// tests advance a fake one by hand instead of sleeping through timeouts.
+	clock    clock
+	phases   []phaseState
+	lastBeat map[int]time.Time
+	// waited is when each worker was last answered WAIT: the instant its
+	// hold judges lapses and deadlines from (a worker parks one request at
+	// a time).
+	waited     map[int]time.Time
 	reassigned int64
 	abortMsg   string
 	cuts       string
 	cutsSet    bool
+	// epoch counts the changes that can turn a WAIT into another answer;
+	// changed is closed, and replaced, each time it moves.
+	epoch   int
+	changed chan struct{}
+}
+
+// clock is the phase server's time: the instant leases and heartbeats are
+// judged at, and a timer that fires once that instant reaches t (stop
+// releases it).
+type clock interface {
+	now() time.Time
+	at(t time.Time) (fire <-chan time.Time, stop func())
+}
+
+type wallClock struct{}
+
+func (wallClock) now() time.Time { return time.Now() }
+
+func (wallClock) at(t time.Time) (<-chan time.Time, func()) {
+	tm := time.NewTimer(time.Until(t))
+	return tm.C, func() { tm.Stop() }
 }
 
 // NewPhaseServer starts a phase server on a random localhost port. counts
@@ -84,10 +122,13 @@ func NewPhaseServer(counts []int, held []int, opts ServerOptions) (*PhaseServer,
 	}
 	s := &PhaseServer{
 		ln:       ln,
+		closing:  make(chan struct{}),
 		opts:     opts.withDefaults(),
-		now:      time.Now,
+		clock:    wallClock{},
 		phases:   make([]phaseState, len(counts)),
 		lastBeat: make(map[int]time.Time),
+		waited:   make(map[int]time.Time),
+		changed:  make(chan struct{}),
 	}
 	for p, n := range counts {
 		s.phases[p] = phaseState{
@@ -127,23 +168,151 @@ func (s *PhaseServer) acceptLoop() {
 	}
 }
 
+// serve answers one connection's request lines in order until the client
+// hangs up or the server closes. A reader goroutine scans the lines, so that
+// a PARK held here still sees the next line arrive.
 func (s *PhaseServer) serve(conn net.Conn) {
 	defer conn.Close()
-	sc := bufio.NewScanner(conn)
-	// Acks carry run-sample / partition-result payloads well past the
-	// scanner's default token limit.
-	sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
-	w := bufio.NewWriter(conn)
-	for sc.Scan() {
-		reply := s.handleLine(sc.Text())
-		if reply == "" {
-			continue
+	lines := make(chan string)
+	done := make(chan struct{})
+	defer close(done)
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		defer close(lines)
+		sc := bufio.NewScanner(conn)
+		// Acks carry run-sample / partition-result payloads well past the
+		// scanner's default token limit.
+		sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
+		for sc.Scan() {
+			select {
+			case lines <- sc.Text():
+			case <-done:
+				return
+			}
 		}
-		fmt.Fprintf(w, "%s\n", reply)
-		if err := w.Flush(); err != nil {
-			return
+	}()
+	next := func() (string, bool) {
+		select {
+		case line, ok := <-lines:
+			return line, ok
+		case <-s.closing:
+			return "", false
 		}
 	}
+	w := bufio.NewWriter(conn)
+	line, ok := next()
+	for ok {
+		reply := s.handleLine(line)
+		following, interrupted := "", false
+		if worker, epoch, park := parkArgs(line); park {
+			if following, interrupted, ok = s.hold(worker, epoch, lines); !ok {
+				return
+			}
+		}
+		if reply != "" {
+			fmt.Fprintf(w, "%s\n", reply)
+			if err := w.Flush(); err != nil {
+				return
+			}
+		}
+		if interrupted {
+			line = following
+		} else {
+			line, ok = next()
+		}
+	}
+}
+
+// hold keeps a worker's PARK open until the epoch it names moves, until the
+// earliest instant a lease deadline or heartbeat lapse could change what the
+// worker is told, or until the connection sends its next line (returned as
+// following, for serve to answer after the PARK). ok is false when the
+// connection or the server closed during the hold.
+func (s *PhaseServer) hold(worker, epoch int, lines <-chan string) (following string, interrupted, ok bool) {
+	s.mu.Lock()
+	if epoch != s.epoch {
+		s.mu.Unlock()
+		return "", false, true
+	}
+	changed, clk := s.changed, s.clock
+	since, asked := s.waited[worker]
+	if !asked {
+		since = clk.now() // a PARK no WAIT asked for
+	}
+	wakeAt, timed := s.wakeAtLocked(worker, since)
+	s.mu.Unlock()
+
+	var fire <-chan time.Time // nil: nothing but an event can wake the hold
+	if timed {
+		var stop func()
+		fire, stop = clk.at(wakeAt)
+		defer stop()
+	}
+	select {
+	case <-changed:
+	case <-fire:
+	case following, ok = <-lines:
+		return following, ok, ok
+	case <-s.closing:
+		return "", false, false
+	}
+	return "", false, true
+}
+
+// wakeAtLocked returns the earliest instant after since, the time the worker
+// was answered WAIT, at which time alone could change its answer: a leased
+// task passes its deadline, or another worker's heartbeats lapse (which may
+// make its leases reclaimable or release a fresh task reserved for it). An
+// instant at or before since already shaped the WAIT. timed is false when no
+// such instant exists; a past one fires the hold's timer at once.
+func (s *PhaseServer) wakeAtLocked(worker int, since time.Time) (wakeAt time.Time, timed bool) {
+	// Leases expire and heartbeats lapse strictly after their instant.
+	consider := func(t time.Time) {
+		if t = t.Add(time.Nanosecond); t.After(since) && (!timed || t.Before(wakeAt)) {
+			wakeAt, timed = t, true
+		}
+	}
+	for p := range s.phases {
+		for i := range s.phases[p].tasks {
+			if c := &s.phases[p].tasks[i]; c.assigned && !c.done {
+				consider(c.deadline)
+			}
+		}
+	}
+	for wkr, lb := range s.lastBeat {
+		if wkr != worker {
+			consider(lb.Add(s.opts.BeatTimeout))
+		}
+	}
+	return wakeAt, timed
+}
+
+// waitLocked is the WAIT reply to worker at now: it carries the epoch the
+// worker parks on, and records when it was answered for the hold.
+func (s *PhaseServer) waitLocked(worker int, now time.Time) string {
+	s.waited[worker] = now
+	return "WAIT " + strconv.Itoa(s.epoch)
+}
+
+// bumpLocked moves the epoch, waking every hold.
+func (s *PhaseServer) bumpLocked() {
+	s.epoch++
+	close(s.changed)
+	s.changed = make(chan struct{})
+}
+
+// parkArgs parses a PARK request line.
+func parkArgs(line string) (worker, epoch int, ok bool) {
+	fields := strings.Fields(line)
+	if len(fields) == 0 || fields[0] != "PARK" {
+		return 0, 0, false
+	}
+	v, ok := wireInts(fields[1:], 2)
+	if !ok {
+		return 0, 0, false
+	}
+	return v[0], v[1], true
 }
 
 // handleLine answers one request line ("" for a blank one, which gets no
@@ -177,8 +346,14 @@ func (s *PhaseServer) handleLine(line string) string {
 	case "BEAT":
 		if v, ok := wireInts(args, 1); ok {
 			s.mu.Lock()
-			s.lastBeat[v[0]] = s.now()
+			s.lastBeat[v[0]] = s.clock.now()
 			s.mu.Unlock()
+			return "OK"
+		}
+	case "PARK":
+		// The hold itself is serve's: here a well-formed PARK is answered
+		// at once, as if its epoch had already moved.
+		if _, _, ok := parkArgs(line); ok {
 			return "OK"
 		}
 	default:
@@ -206,13 +381,14 @@ func wireInts(args []string, n int) ([]int, bool) {
 // expiredLocked reports whether a leased task is reclaimable: its worker is
 // dead (heartbeats stopped) or straggling (lease deadline passed).
 func (s *PhaseServer) expiredLocked(c *chunkLease, now time.Time) bool {
-	if now.After(c.deadline) {
-		return true
-	}
-	if lb, ok := s.lastBeat[c.worker]; ok && now.Sub(lb) > s.opts.BeatTimeout {
-		return true
-	}
-	return false
+	return now.After(c.deadline) || s.silentLocked(c.worker, now)
+}
+
+// silentLocked reports whether a worker the server has heard from has missed
+// its heartbeats: no request within BeatTimeout.
+func (s *PhaseServer) silentLocked(worker int, now time.Time) bool {
+	lb, ok := s.lastBeat[worker]
+	return ok && now.Sub(lb) > s.opts.BeatTimeout
 }
 
 // handleTask deals one task of the lowest incomplete phase — the phase
@@ -221,7 +397,7 @@ func (s *PhaseServer) expiredLocked(c *chunkLease, now time.Time) bool {
 func (s *PhaseServer) handleTask(worker int) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	now := s.now()
+	now := s.clock.now()
 	s.lastBeat[worker] = now
 	if s.abortMsg != "" {
 		return "ABORT " + s.abortMsg
@@ -232,7 +408,7 @@ func (s *PhaseServer) handleTask(worker int) string {
 			continue
 		}
 		if ph.held {
-			return "WAIT"
+			return s.waitLocked(worker, now)
 		}
 		deal := func(i int) string {
 			c := &ph.tasks[i]
@@ -242,6 +418,7 @@ func (s *PhaseServer) handleTask(worker int) string {
 			c.attempts++
 			ph.dealt[worker] = true
 			s.served.Add(1)
+			s.bumpLocked()
 			return fmt.Sprintf("TASK %d %d", p, i)
 		}
 		// Fresh tasks first — spread across the fleet: one fresh task stays
@@ -258,8 +435,8 @@ func (s *PhaseServer) handleTask(worker int) string {
 		if fresh > 0 {
 			reserved := 0
 			if ph.dealt[worker] {
-				for wkr, lb := range s.lastBeat {
-					if wkr != worker && !ph.dealt[wkr] && now.Sub(lb) <= s.opts.BeatTimeout {
+				for wkr := range s.lastBeat {
+					if wkr != worker && !ph.dealt[wkr] && !s.silentLocked(wkr, now) {
 						reserved++
 					}
 				}
@@ -280,6 +457,7 @@ func (s *PhaseServer) handleTask(worker int) string {
 			}
 			if c.attempts >= s.opts.MaxAttempts {
 				s.abortMsg = fmt.Sprintf("phase %d task %d failed %d leases", p, i, c.attempts)
+				s.bumpLocked()
 				return "ABORT " + s.abortMsg
 			}
 			s.reassigned++
@@ -287,7 +465,7 @@ func (s *PhaseServer) handleTask(worker int) string {
 		}
 		// Everything left in this phase is leased to a live worker; the
 		// barrier forbids dealing from later phases.
-		return "WAIT"
+		return s.waitLocked(worker, now)
 	}
 	return "DONE"
 }
@@ -307,7 +485,7 @@ func (s *PhaseServer) handleTack(worker, phase, idx int, payload string) string 
 	if !c.assigned {
 		return "ERR task not leased"
 	}
-	s.lastBeat[worker] = s.now()
+	s.lastBeat[worker] = s.clock.now()
 	if !c.done {
 		c.done = true
 		ph.payloads[idx] = payload
@@ -315,6 +493,7 @@ func (s *PhaseServer) handleTack(worker, phase, idx int, payload string) string 
 		if ph.remaining == 0 {
 			close(ph.done)
 		}
+		s.bumpLocked()
 	}
 	return "OK"
 }
@@ -324,21 +503,23 @@ func (s *PhaseServer) handleTack(worker, phase, idx int, payload string) string 
 func (s *PhaseServer) handleCuts(worker int) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.lastBeat[worker] = s.now()
+	now := s.clock.now()
+	s.lastBeat[worker] = now
 	if s.abortMsg != "" {
 		return "ABORT " + s.abortMsg
 	}
 	if !s.cutsSet {
-		return "WAIT"
+		return s.waitLocked(worker, now)
 	}
 	return "CUTS " + s.cuts
 }
 
-// SetCuts publishes the coordinator's cut payload to workers polling CUTS.
+// SetCuts publishes the coordinator's cut payload to workers asking CUTS.
 func (s *PhaseServer) SetCuts(payload string) {
 	s.mu.Lock()
 	s.cuts = payload
 	s.cutsSet = true
+	s.bumpLocked()
 	s.mu.Unlock()
 }
 
@@ -346,6 +527,7 @@ func (s *PhaseServer) SetCuts(payload string) {
 func (s *PhaseServer) Open(phase int) {
 	s.mu.Lock()
 	s.phases[phase].held = false
+	s.bumpLocked()
 	s.mu.Unlock()
 }
 
@@ -355,6 +537,7 @@ func (s *PhaseServer) Abort(msg string) {
 	s.mu.Lock()
 	if s.abortMsg == "" {
 		s.abortMsg = msg
+		s.bumpLocked()
 	}
 	s.mu.Unlock()
 }
@@ -403,17 +586,20 @@ func (s *PhaseServer) AllDone() bool {
 	return true
 }
 
-// Close stops the server.
+// Close stops the server: it ends every hold, drops every connection and
+// returns once their goroutines have exited.
 func (s *PhaseServer) Close() {
 	if s.closed.CompareAndSwap(false, true) {
+		close(s.closing)
 		s.ln.Close()
 		s.wg.Wait()
 	}
 }
 
-// NextTask fetches the next (phase, task) pair from a phase server,
-// polling through WAIT (phase barriers, held phases) until stop closes; ok
-// is false when every phase is drained or stop closed.
+// NextTask fetches the next (phase, task) pair from a phase server, parking
+// through WAIT (phase barriers, held phases) until the server's state moves;
+// ok is false when every phase is drained or stop closed (at the first WAIT
+// already closed, or during a hold).
 func (c *ManifestClient) NextTask(stop <-chan struct{}) (phase, idx int, ok bool, err error) {
 	req := fmt.Sprintf("TASK %d", c.worker)
 	for {
@@ -424,13 +610,9 @@ func (c *ManifestClient) NextTask(stop <-chan struct{}) (phase, idx int, ok bool
 		switch {
 		case line == "DONE":
 			return 0, 0, false, nil
-		case line == "WAIT":
-			t := time.NewTimer(c.waitPoll)
-			select {
-			case <-t.C:
-			case <-stop:
-				t.Stop()
-				return 0, 0, false, nil
+		case strings.HasPrefix(line, "WAIT "):
+			if woke, err := c.wait(line, stop); !woke {
+				return 0, 0, false, err
 			}
 		case strings.HasPrefix(line, "TASK "):
 			var p, i int
@@ -462,8 +644,8 @@ func (c *ManifestClient) AckTask(phase, idx int, payload string) error {
 	return nil
 }
 
-// Cuts fetches the coordinator's published cut payload, polling through
-// WAIT until stop closes (ok false when it did).
+// Cuts fetches the coordinator's published cut payload, parking through WAIT
+// like NextTask (ok false when stop closed).
 func (c *ManifestClient) Cuts(stop <-chan struct{}) (payload string, ok bool, err error) {
 	req := fmt.Sprintf("CUTS %d", c.worker)
 	for {
@@ -474,13 +656,9 @@ func (c *ManifestClient) Cuts(stop <-chan struct{}) (payload string, ok bool, er
 		switch {
 		case strings.HasPrefix(line, "CUTS "):
 			return strings.TrimPrefix(line, "CUTS "), true, nil
-		case line == "WAIT":
-			t := time.NewTimer(c.waitPoll)
-			select {
-			case <-t.C:
-			case <-stop:
-				t.Stop()
-				return "", false, nil
+		case strings.HasPrefix(line, "WAIT "):
+			if woke, err := c.wait(line, stop); !woke {
+				return "", false, err
 			}
 		case strings.HasPrefix(line, "ABORT"):
 			return "", false, fmt.Errorf("%w: %s", ErrAborted, strings.TrimSpace(strings.TrimPrefix(line, "ABORT")))

@@ -6,8 +6,12 @@ package cluster
 // wire.
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
+	"io"
+	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -15,10 +19,20 @@ import (
 )
 
 // fakeClock is the lease clock of a server under test: time passes only
-// when the test says so.
+// when the test says so, and a timer fires only when advance reaches it.
 type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
+	mu     sync.Mutex
+	t      time.Time
+	timers map[*fakeTimer]bool
+}
+
+type fakeTimer struct {
+	at   time.Time
+	fire chan time.Time
+}
+
+func newFakeClock() *fakeClock {
+	return &fakeClock{t: time.Unix(1_000_000, 0), timers: make(map[*fakeTimer]bool)}
 }
 
 func (c *fakeClock) now() time.Time {
@@ -27,10 +41,32 @@ func (c *fakeClock) now() time.Time {
 	return c.t
 }
 
+func (c *fakeClock) at(t time.Time) (<-chan time.Time, func()) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	tm := &fakeTimer{at: t, fire: make(chan time.Time, 1)}
+	if t.After(c.t) {
+		c.timers[tm] = true
+	} else {
+		tm.fire <- c.t
+	}
+	return tm.fire, func() {
+		c.mu.Lock()
+		delete(c.timers, tm)
+		c.mu.Unlock()
+	}
+}
+
 func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.t = c.t.Add(d)
-	c.mu.Unlock()
+	for tm := range c.timers {
+		if !tm.at.After(c.t) {
+			tm.fire <- c.t
+			delete(c.timers, tm)
+		}
+	}
 }
 
 // newClockedServer starts a phase server on a fake clock.
@@ -41,15 +77,15 @@ func newClockedServer(t *testing.T, counts []int, opts ServerOptions) (*PhaseSer
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
-	clk := &fakeClock{t: time.Unix(1_000_000, 0)}
+	clk := newFakeClock()
 	srv.mu.Lock()
-	srv.now = clk.now
+	srv.clock = clk
 	srv.mu.Unlock()
 	return srv, clk
 }
 
 // polled is a closed stop channel: NextTask and Cuts given it return not-ok
-// at the first WAIT instead of sleeping through a poll interval.
+// at the first WAIT instead of parking.
 var polled = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
 
 func dialPhase(t *testing.T, srv *PhaseServer, worker int) *ManifestClient {
@@ -352,6 +388,7 @@ func TestPhaseServerRejectsMalformedRequests(t *testing.T) {
 		"TACK 0 1 0 p", // so does (1, 0), behind the barrier
 		"CUTS", "CUTS x", "CUTS -3", "CUTS 0 0",
 		"BEAT", "BEAT x", "BEAT -1", "BEAT 0 0",
+		"PARK", "PARK 0", "PARK x 0", "PARK 0 y", "PARK -1 0", "PARK 0 -1", "PARK 0 0 0",
 		"NEXT", "NEXT 0", "ACK 0 0", "STATS", "bogus",
 	} {
 		reply, err := c.roundTrip(line)
@@ -399,14 +436,16 @@ func TestClientSurfacesErrReplies(t *testing.T) {
 
 // FuzzPhaseServerLine feeds arbitrary request lines to a live server through
 // handleLine, the function serve hands every scanned line to (the socket
-// itself is TestPhaseServerRejectsMalformedRequests' part). The server must
-// answer every non-blank line with one well-formed reply, never panic, and
-// never count a task complete that it did not first lease.
+// itself is TestPhaseServerRejectsMalformedRequests' part, and a PARK's hold
+// is serve's, so handleLine answers it at once). The server must answer every
+// non-blank line with one well-formed reply, never panic, and never count a
+// task complete that it did not first lease.
 func FuzzPhaseServerLine(f *testing.F) {
 	for _, seed := range []string{
 		"TASK 0", "TASK 0\nTACK 0 0 0 cGF5\nTASK 0", "TACK 0 0 0 -", "TACK x y z p", "TACK 0 1 0 p",
 		"BEAT 0", "BEAT x", "CUTS 1", "TASK -1", "TASK 18446744073709551616", "\n\n", "TACK 0 0 0",
 		"TASK 1\nTASK 2\nTACK 2 0 1 x\nTACK 1 0 0 y\nTASK 1\nTACK 1 1 0 z", "NEXT", "\x00\xff TASK",
+		"PARK 0 0", "TASK 0\nTASK 0\nPARK 0 1", "PARK x 1", "PARK 0 -1", "PARK 0 0 0", "PARK 99999999999999999999 0",
 	} {
 		f.Add(seed)
 	}
@@ -450,4 +489,400 @@ func FuzzPhaseServerLine(f *testing.F) {
 			t.Fatal("phase 1 completed across the barrier")
 		}
 	})
+}
+
+// lineProxy forwards connections to a phase server and reports every request
+// line its clients send, each before the server sees it.
+type lineProxy struct {
+	ln    net.Listener
+	lines chan string
+}
+
+func newLineProxy(t *testing.T, target string) *lineProxy {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	px := &lineProxy{ln: ln, lines: make(chan string, 64)} // far more than a test sends
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	t.Cleanup(func() {
+		close(done)
+		ln.Close()
+		wg.Wait()
+	})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			client, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			server, err := net.Dial("tcp", target)
+			if err != nil {
+				client.Close()
+				continue
+			}
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				defer client.Close()
+				_, _ = io.Copy(client, server)
+			}()
+			go func() {
+				defer wg.Done()
+				defer server.Close()
+				sc := bufio.NewScanner(client)
+				for sc.Scan() {
+					select {
+					case px.lines <- sc.Text():
+					case <-done:
+						return
+					}
+					if _, err := fmt.Fprintf(server, "%s\n", sc.Text()); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return px
+}
+
+// next returns the next line a client sent through the proxy.
+func (px *lineProxy) next(t *testing.T) string {
+	t.Helper()
+	select {
+	case line := <-px.lines:
+		return line
+	case <-time.After(10 * time.Second):
+		t.Fatal("no request reached the proxy")
+		return ""
+	}
+}
+
+// awaitPark returns once a client of the proxy has sent a PARK, skipping
+// the lines before it. The server may not hold it yet, which no test needs:
+// an event or instant that passes before the hold starts ends it at once.
+func (px *lineProxy) awaitPark(t *testing.T) {
+	t.Helper()
+	for !strings.HasPrefix(px.next(t), "PARK ") {
+	}
+}
+
+// dialProxied connects worker to srv through a lineProxy of its own.
+func dialProxied(t *testing.T, srv *PhaseServer, worker int) (*ManifestClient, *lineProxy) {
+	t.Helper()
+	px := newLineProxy(t, srv.Addr())
+	c, err := DialManifestWorker(px.ln.Addr().String(), worker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c, px
+}
+
+// taskResult is one NextTask call's outcome, run on another goroutine.
+type taskResult struct {
+	phase, idx int
+	ok         bool
+	err        error
+}
+
+func nextTaskAsync(c *ManifestClient, stop <-chan struct{}) <-chan taskResult {
+	out := make(chan taskResult, 1)
+	go func() {
+		p, i, ok, err := c.NextTask(stop)
+		out <- taskResult{p, i, ok, err}
+	}()
+	return out
+}
+
+// TestPhaseParkTwoRequests: a worker waiting through a barrier sends two
+// requests however long the wait lasts — the TASK answered WAIT and the PARK
+// that holds it — and one more once the barrier lifts. Heartbeats from the
+// worker holding the barrier and an hour of server time do not wake it.
+func TestPhaseParkTwoRequests(t *testing.T) {
+	srv, clk := newClockedServer(t, []int{1, 1}, ServerOptions{
+		LeaseTimeout: 2 * time.Hour,
+		BeatTimeout:  2 * time.Hour,
+	})
+	holder := dialPhase(t, srv, 0)
+	if p, i, ok, err := holder.NextTask(nil); err != nil || !ok || p != 0 || i != 0 {
+		t.Fatalf("holder lease = (%d, %d) ok=%v err=%v", p, i, ok, err)
+	}
+	waiter, px := dialProxied(t, srv, 1)
+	got := nextTaskAsync(waiter, nil)
+	if line := px.next(t); line != "TASK 1" {
+		t.Fatalf("first request %q, want TASK 1", line)
+	}
+	if line := px.next(t); !strings.HasPrefix(line, "PARK 1 ") {
+		t.Fatalf("second request while waiting %q, want the PARK that holds it", line)
+	}
+	clk.advance(time.Hour)
+	for i := 0; i < 20; i++ {
+		if err := holder.Beat(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case line := <-px.lines:
+		t.Fatalf("parked worker sent %q before the barrier lifted", line)
+	default:
+	}
+	if err := holder.AckTask(0, 0, ""); err != nil {
+		t.Fatal(err)
+	}
+	if r := <-got; r.err != nil || !r.ok || r.phase != 1 || r.idx != 0 {
+		t.Fatalf("after the barrier: %+v, want task (1, 0)", r)
+	}
+	if line := px.next(t); line != "TASK 1" {
+		t.Fatalf("request after the wake %q, want TASK 1", line)
+	}
+	select {
+	case line := <-px.lines:
+		t.Fatalf("extra request %q: a wait costs one PARK", line)
+	default:
+	}
+}
+
+// TestPhaseParkReleasedBy: a held TASK (or CUTS) returns once the answer can
+// change — the phase's last TACK, SetCuts and Open, Abort, Close — and a
+// change that leaves the answer WAIT parks it again.
+func TestPhaseParkReleasedBy(t *testing.T) {
+	t.Run("last TACK", func(t *testing.T) {
+		srv, _ := newClockedServer(t, []int{2, 1}, ServerOptions{})
+		holder := dialPhase(t, srv, 0)
+		for i := 0; i < 2; i++ {
+			if _, _, ok, err := holder.NextTask(nil); !ok || err != nil {
+				t.Fatalf("holder lease %d: ok=%v err=%v", i, ok, err)
+			}
+		}
+		waiter, px := dialProxied(t, srv, 1)
+		got := nextTaskAsync(waiter, nil)
+		px.awaitPark(t)
+		if err := holder.AckTask(0, 0, ""); err != nil {
+			t.Fatal(err)
+		}
+		// One task of phase 0 is still leased: the waiter parks again.
+		px.awaitPark(t)
+		select {
+		case r := <-got:
+			t.Fatalf("released before the last TACK: %+v", r)
+		default:
+		}
+		if err := holder.AckTask(0, 1, ""); err != nil {
+			t.Fatal(err)
+		}
+		if r := <-got; r.err != nil || !r.ok || r.phase != 1 {
+			t.Fatalf("after the last TACK: %+v, want a phase 1 task", r)
+		}
+	})
+	t.Run("SetCuts and Open", func(t *testing.T) {
+		srv, err := NewPhaseServer([]int{0, 1}, []int{1}, ServerOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Close)
+		tasker, tpx := dialProxied(t, srv, 0)
+		task := nextTaskAsync(tasker, nil)
+		cutter, cpx := dialProxied(t, srv, 1)
+		cuts := make(chan string, 1)
+		go func() {
+			pay, ok, err := cutter.Cuts(nil)
+			if err != nil || !ok {
+				pay = fmt.Sprintf("ok=%v err=%v", ok, err)
+			}
+			cuts <- pay
+		}()
+		tpx.awaitPark(t)
+		cpx.awaitPark(t)
+		srv.SetCuts("c1")
+		if pay := <-cuts; pay != "c1" {
+			t.Fatalf("Cuts = %q, want c1", pay)
+		}
+		// SetCuts woke the TASK too, but the phase is still held.
+		tpx.awaitPark(t)
+		srv.Open(1)
+		if r := <-task; r.err != nil || !r.ok || r.phase != 1 {
+			t.Fatalf("after Open: %+v, want the phase 1 task", r)
+		}
+	})
+	t.Run("Abort", func(t *testing.T) {
+		srv, err := NewPhaseServer([]int{1}, []int{0}, ServerOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Close)
+		c, px := dialProxied(t, srv, 0)
+		got := nextTaskAsync(c, nil)
+		px.awaitPark(t)
+		srv.Abort("cut selection failed")
+		if r := <-got; r.ok || !errors.Is(r.err, ErrAborted) {
+			t.Fatalf("after Abort: %+v, want ErrAborted", r)
+		}
+	})
+	t.Run("Close", func(t *testing.T) {
+		srv, err := NewPhaseServer([]int{1}, []int{0}, ServerOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, px := dialProxied(t, srv, 0)
+		got := nextTaskAsync(c, nil)
+		px.awaitPark(t)
+		srv.Close()
+		if r := <-got; r.ok || r.err == nil {
+			t.Fatalf("after Close: %+v, want a connection error", r)
+		}
+	})
+}
+
+// TestPhaseParkStopEndsHold: closing stop mid-hold returns not-ok with no
+// error, closes the hold on the server, leaves no goroutine behind and leaves
+// the connection in step for the next request.
+func TestPhaseParkStopEndsHold(t *testing.T) {
+	srv, _ := newClockedServer(t, []int{1, 1}, ServerOptions{})
+	holder := dialPhase(t, srv, 0)
+	if _, _, ok, err := holder.NextTask(nil); !ok || err != nil {
+		t.Fatalf("ok=%v err=%v", ok, err)
+	}
+	waiter, px := dialProxied(t, srv, 1)
+	stop := make(chan struct{})
+	got := nextTaskAsync(waiter, stop)
+	px.awaitPark(t)
+	close(stop)
+	if r := <-got; r.ok || r.err != nil {
+		t.Fatalf("stopped mid-hold: %+v, want not-ok and no error", r)
+	}
+	// The client's stop watcher and the server's hold are gone; the
+	// goroutine that called NextTask is on its way out.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		buf := make([]byte, 1<<20)
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		left := strings.Count(stacks, "(*ManifestClient).wait") + strings.Count(stacks, "(*PhaseServer).hold") + strings.Count(stacks, "nextTaskAsync")
+		if left == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines of the hold left behind:\n%s", stacks)
+		}
+		runtime.Gosched()
+	}
+	if err := holder.AckTask(0, 0, ""); err != nil {
+		t.Fatal(err)
+	}
+	if p, i, ok, err := waiter.NextTask(nil); err != nil || !ok || p != 1 || i != 0 {
+		t.Fatalf("next lease = (%d, %d) ok=%v err=%v, want task (1, 0)", p, i, ok, err)
+	}
+}
+
+// TestPhaseParkRedealsLapsedTask: a worker parked behind a dead worker's
+// lease wakes when the dead worker's heartbeats lapse on the server's clock,
+// not before, and is re-dealt the task.
+func TestPhaseParkRedealsLapsedTask(t *testing.T) {
+	srv, clk := newClockedServer(t, []int{1}, ServerOptions{
+		LeaseTimeout: time.Hour,
+		BeatTimeout:  50 * time.Millisecond,
+	})
+	dead := dialPhase(t, srv, 0)
+	if _, _, ok, err := dead.NextTask(nil); !ok || err != nil {
+		t.Fatalf("ok=%v err=%v", ok, err)
+	}
+	survivor, px := dialProxied(t, srv, 1)
+	got := nextTaskAsync(survivor, nil)
+	px.awaitPark(t)
+	clk.advance(40 * time.Millisecond)
+	if n := srv.Reassigned(); n != 0 {
+		t.Fatalf("Reassigned = %d inside the heartbeat window", n)
+	}
+	clk.advance(20 * time.Millisecond) // 60 ms of silence > BeatTimeout
+	if r := <-got; r.err != nil || !r.ok || r.phase != 0 || r.idx != 0 {
+		t.Fatalf("parked survivor: %+v, want the re-dealt task (0, 0)", r)
+	}
+	if n := srv.Reassigned(); n != 1 {
+		t.Fatalf("Reassigned = %d, want 1", n)
+	}
+}
+
+// TestPhaseParkLapseBeforePark: a heartbeat lapse that falls between the
+// WAIT and the PARK still counts. The only fresh task left is reserved for a
+// worker that has not been dealt one yet; that worker goes silent before the
+// waiter parks, so the PARK returns at once and the next TASK is dealt the
+// task. Nothing else could wake the hold: no lease is open.
+func TestPhaseParkLapseBeforePark(t *testing.T) {
+	srv, clk := newClockedServer(t, []int{2}, ServerOptions{
+		LeaseTimeout: time.Hour,
+		BeatTimeout:  50 * time.Millisecond,
+	})
+	if err := dialPhase(t, srv, 1).Beat(); err != nil { // known, never dealt
+		t.Fatal(err)
+	}
+	w := dialPhase(t, srv, 0)
+	if p, i, ok, err := w.NextTask(nil); err != nil || !ok || p != 0 || i != 0 {
+		t.Fatalf("first lease = (%d, %d) ok=%v err=%v", p, i, ok, err)
+	}
+	if err := w.AckTask(0, 0, ""); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := w.roundTrip("TASK 0")
+	if err != nil || !strings.HasPrefix(reply, "WAIT ") {
+		t.Fatalf("TASK with task 1 reserved = %q, %v; want WAIT", reply, err)
+	}
+	clk.advance(60 * time.Millisecond) // worker 1's heartbeats lapse
+	if err := w.conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := w.roundTrip("PARK 0 " + strings.TrimPrefix(reply, "WAIT ")); err != nil || ok != "OK" {
+		t.Fatalf("PARK after the lapse = %q, %v; want OK at once", ok, err)
+	}
+	if p, i, ok, err := w.NextTask(nil); err != nil || !ok || p != 0 || i != 1 {
+		t.Fatalf("lease after the lapse = (%d, %d) ok=%v err=%v, want task (0, 1)", p, i, ok, err)
+	}
+}
+
+// TestPhaseParkWorkerDiesParked: a worker that dies while parked, holding a
+// lease, is caught by its heartbeats. Both workers park behind the barrier;
+// the holder hangs up and falls silent, and once BeatTimeout passes on the
+// server's clock the parked survivor wakes and is re-dealt the task, long
+// before the lease deadline.
+func TestPhaseParkWorkerDiesParked(t *testing.T) {
+	srv, clk := newClockedServer(t, []int{1, 1}, ServerOptions{
+		LeaseTimeout: time.Hour,
+		BeatTimeout:  50 * time.Millisecond,
+	})
+	holder, hpx := dialProxied(t, srv, 0)
+	if p, i, ok, err := holder.NextTask(nil); err != nil || !ok || p != 0 || i != 0 {
+		t.Fatalf("holder lease = (%d, %d) ok=%v err=%v", p, i, ok, err)
+	}
+	held := nextTaskAsync(holder, nil)
+	hpx.awaitPark(t)
+	survivor, spx := dialProxied(t, srv, 1)
+	got := nextTaskAsync(survivor, nil)
+	spx.awaitPark(t)
+
+	holder.Close()
+	if r := <-held; r.ok || r.err == nil {
+		t.Fatalf("holder after hanging up: %+v, want a connection error", r)
+	}
+	clk.advance(40 * time.Millisecond)
+	select {
+	case r := <-got:
+		t.Fatalf("survivor woke inside the heartbeat window: %+v", r)
+	default:
+	}
+	clk.advance(20 * time.Millisecond) // 60 ms of silence > BeatTimeout
+	select {
+	case r := <-got:
+		if r.err != nil || !r.ok || r.phase != 0 || r.idx != 0 {
+			t.Fatalf("parked survivor: %+v, want the re-dealt task (0, 0)", r)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("parked survivor not woken by the dead holder's lapse")
+	}
+	if n := srv.Reassigned(); n != 1 {
+		t.Fatalf("Reassigned = %d, want 1", n)
+	}
 }

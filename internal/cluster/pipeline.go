@@ -74,8 +74,14 @@ type PipelinePlan struct {
 	// Filter, when non-nil, keeps only matching rows.
 	Filter filter.Predicate
 	// OutName names the output dataset; partition k's chunks are written
-	// under OutName/part<k>/ and stitched into one manifest at OutName.
+	// under OutName/part<k>/ and stitched into one manifest at OutName. Its
+	// chunks are gzip like any dataset's, unless Staging is set.
 	OutName string
+	// Staging marks the output as a staging area that the caller reads once
+	// and then deletes, as an export does: the reduce stores its every
+	// column raw (CompressNone), since that one read would only inflate
+	// what the reduce deflated.
+	Staging bool
 	// ChunkSize is records per output chunk; 0 follows the input dataset.
 	ChunkSize int
 	// ChunksPerBatch is how many source chunks one map task stages into a
@@ -457,8 +463,8 @@ func runShuffleTask(ctx context.Context, store storage.Store, plan *PipelinePlan
 // runReduceTask runs the single-node pipeline's tail over one partition: the
 // merge stream of its shuffled pieces, the mark stage on a marker seeded from
 // its halos, the filter stage, the dataset sink writing "<out>/part<k>" with
-// its chunks' members compressed on exec. It returns the partition-result
-// payload the coordinator stitches from.
+// its chunks' members compressed on exec (stored raw for a staging output).
+// It returns the partition-result payload the coordinator stitches from.
 func runReduceTask(ctx context.Context, store storage.Store, plan *PipelinePlan, exec *dataflow.Executor, cols []string, keyCol, k, numBatches int) (string, error) {
 	blobs := func(name func(prefix string, k, b int) string) []string {
 		names := make([]string, numBatches)
@@ -515,7 +521,7 @@ func runReduceTask(ctx context.Context, store storage.Store, plan *PipelinePlan,
 	}
 	// An empty partition (equal splitters, a filter dropping its every row)
 	// writes no chunk and contributes none to the stitch.
-	entries, err := agd.WriteChunks(ctx, stream, store, shuffle.PartDataset(plan.OutName, k), agd.WriterOptions{Codec: agd.Codec{Exec: exec}})
+	entries, err := agd.WriteChunks(ctx, stream, store, shuffle.PartDataset(plan.OutName, k), agd.WriterOptions{Codec: agd.Codec{Exec: exec}, Raw: plan.Staging})
 	if err != nil {
 		return "", fmt.Errorf("cluster: partition %d: %w", k, err)
 	}

@@ -187,19 +187,17 @@ func CutPoints(run *agd.Chunk, keyCol int, by agdsort.Key, splitters []Sample) [
 	return pts
 }
 
-// BuildPiece packs rows [lo, hi) of a decoded run into a raw piece chunk,
+// BuildPiece returns rows [lo, hi) of a decoded run as a raw piece chunk,
 // record bytes unchanged — partition merges read pieces exactly as the
-// in-process merge reads whole runs.
+// in-process merge reads whole runs. The rows are contiguous in the run, so
+// the piece shares the run's bytes; like the run, it is numbered from 0.
 func BuildPiece(run *agd.Chunk, lo, hi int) (*agd.Chunk, error) {
-	b := agd.NewChunkBuilder(agd.TypeRaw, 0)
-	for r := lo; r < hi; r++ {
-		rec, err := run.Record(r)
-		if err != nil {
-			return nil, err
-		}
-		b.Append(rec)
+	piece, err := run.Rows(lo, hi)
+	if err != nil {
+		return nil, err
 	}
-	return b.Chunk(), nil
+	piece.Type, piece.FirstOrdinal = agd.TypeRaw, 0
+	return piece, nil
 }
 
 // HaloRange returns the row range [lo, hi) of the run whose keys lie in
@@ -217,9 +215,18 @@ func HaloRange(run *agd.Chunk, keyCol int, by agdsort.Key, cut Sample, halo int6
 }
 
 // BuildHalo packs the key-column fields (results records, for marking
-// pipelines) of rows [lo, hi) into a raw chunk.
+// pipelines) of rows [lo, hi) into a raw chunk, sized once up front.
 func BuildHalo(run *agd.Chunk, keyCol, lo, hi int) (*agd.Chunk, error) {
+	size := 0
+	for r := lo; r < hi; r++ {
+		f, err := agdsort.RunField(run, keyCol, r)
+		if err != nil {
+			return nil, err
+		}
+		size += len(f)
+	}
 	b := agd.NewChunkBuilder(agd.TypeRaw, 0)
+	b.Grow(max(hi-lo, 0), size)
 	for r := lo; r < hi; r++ {
 		f, err := agdsort.RunField(run, keyCol, r)
 		if err != nil {

@@ -1,9 +1,13 @@
 package shuffle
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"sort"
 	"testing"
+
+	"persona/internal/agd"
+	"persona/internal/agdsort"
 )
 
 // summarize fabricates per-run summaries the way map tasks do: each run
@@ -189,5 +193,80 @@ func TestSkew(t *testing.T) {
 		if got := Skew(c.rows); got != c.want {
 			t.Errorf("Skew(%v) = %v, want %v", c.rows, got, c.want)
 		}
+	}
+}
+
+// rowCopy is the row-by-row builder pieces and halos were packed with before
+// they were sliced from the run: the reference their bytes must match.
+func rowCopy(t *testing.T, n int, field func(r int) ([]byte, error)) *agd.Chunk {
+	t.Helper()
+	b := agd.NewChunkBuilder(agd.TypeRaw, 0)
+	for r := 0; r < n; r++ {
+		f, err := field(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Append(f)
+	}
+	return b.Chunk()
+}
+
+// TestBuildPieceMatchesRowCopy: a piece sliced from a decoded run and a halo
+// sized up front encode to the same bytes as the row-by-row copies, for every
+// range shape (empty, one row, interior, whole run), and slicing a piece
+// copies no record bytes.
+func TestBuildPieceMatchesRowCopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	b := agd.NewChunkBuilder(agd.TypeRaw, 0)
+	const rows = 300
+	for r := 0; r < rows; r++ {
+		var rec []byte
+		for f := 0; f < 3; f++ {
+			field := make([]byte, rng.Intn(40))
+			rng.Read(field)
+			rec = binary.AppendUvarint(rec, uint64(len(field)))
+			rec = append(rec, field...)
+		}
+		b.Append(rec)
+	}
+	blob, err := agd.EncodeChunk(b.Chunk(), agd.CompressNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := agd.DecodeChunk(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encode := func(c *agd.Chunk) string {
+		enc, err := agd.EncodeChunk(c, agd.CompressNone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(enc)
+	}
+	for _, r := range [][2]int{{0, 0}, {17, 17}, {0, 1}, {5, 6}, {rows - 1, rows}, {40, 211}, {0, rows}} {
+		lo, hi := r[0], r[1]
+		piece, err := BuildPiece(run, lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := rowCopy(t, hi-lo, func(i int) ([]byte, error) { return run.Record(lo + i) })
+		if encode(piece) != encode(want) {
+			t.Errorf("piece [%d, %d) differs from the row-by-row copy", lo, hi)
+		}
+		halo, err := BuildHalo(run, 1, lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = rowCopy(t, hi-lo, func(i int) ([]byte, error) { return agdsort.RunField(run, 1, lo+i) })
+		if encode(halo) != encode(want) {
+			t.Errorf("halo [%d, %d) differs from the row-by-row copy", lo, hi)
+		}
+	}
+	if _, err := BuildPiece(run, 10, rows+1); err == nil {
+		t.Error("BuildPiece past the run's end: no error")
+	}
+	if allocs := testing.AllocsPerRun(20, func() { _, _ = BuildPiece(run, 0, rows) }); allocs > 1 {
+		t.Errorf("BuildPiece of the whole run: %.0f allocations, want the chunk header alone", allocs)
 	}
 }

@@ -32,13 +32,39 @@ type countingStore struct {
 	puts  []string
 	gets  atomic.Int64
 	onGet atomic.Pointer[func(n int64)]
+	// stored, once record has made it, keeps a copy of every blob Put
+	// since, deleted or not.
+	stored map[string][]byte
 }
 
 func (c *countingStore) Put(name string, data []byte) error {
 	c.mu.Lock()
 	c.puts = append(c.puts, name)
+	if c.stored != nil {
+		c.stored[name] = append([]byte(nil), data...)
+	}
 	c.mu.Unlock()
 	return c.inner.Put(name, data)
+}
+
+// record starts keeping a copy of every blob Put from now on.
+func (c *countingStore) record() {
+	c.mu.Lock()
+	c.stored = make(map[string][]byte)
+	c.mu.Unlock()
+}
+
+// recorded returns the blobs Put since record whose names start with prefix.
+func (c *countingStore) recorded(prefix string) map[string][]byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make(map[string][]byte)
+	for name, blob := range c.stored {
+		if strings.HasPrefix(name, prefix) {
+			out[name] = blob
+		}
+	}
+	return out
 }
 
 func (c *countingStore) Get(name string) ([]byte, error) {
