@@ -666,8 +666,8 @@ func BenchmarkAblation_Subchunks(b *testing.B) {
 // "staged" uses the one-shot free functions (align writes results chunks,
 // sort materializes a sorted dataset, markdup rewrites it, export re-reads
 // it); "fused" runs the same stages as one Session/Pipeline graph, where
-// chunks stream stage-to-stage and only sort's temporary spill touches the
-// store — under the pumped scheduler (bounded edges, stages overlapped);
+// chunks stream stage-to-stage and nothing is written to the store — under
+// the pumped scheduler (bounded edges, stages overlapped);
 // "fused-pull" is the same graph on the serial pull scheduler, isolating
 // what the overlap buys. The BAM bytes are identical (asserted in
 // TestPipelineMatchesStagedSAM and TestPipelinePumpedMatchesSerial); the

@@ -2,8 +2,8 @@ package persona
 
 // Integration tests for storage tiering: the decoded-chunk cache must be
 // invisible to pipeline output (byte-identical SAM with the cache on or
-// off, serial or parallel), warm runs must be served from the cache, and
-// the sort's spills must stay raw behind a high-latency store.
+// off, serial or parallel), warm runs must be served from the cache, and a
+// fused pipeline must store nothing behind a high-latency store.
 
 import (
 	"bytes"
@@ -120,32 +120,37 @@ func TestPipelineWarmCacheStats(t *testing.T) {
 	}
 }
 
-// TestPipelineSpillsRaw pins that sort spills are stored raw whatever the
-// store: the same pipeline behind a 25 ms store and over the plain store
-// spills the same number of runs and stored bytes, and writes the same SAM.
-func TestPipelineSpillsRaw(t *testing.T) {
+// TestPipelineStoresNothing pins that a fused export pipeline, sort
+// included, makes no store Put or Delete whatever the store: behind a 25 ms
+// store and over the plain store alike it writes the same SAM, reports no
+// spill, and leaves the store's write counters where they were.
+func TestPipelineStoresNothing(t *testing.T) {
 	store, g := pipelineFixture(t, "ds")
 	idx, err := BuildIndex(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	run := func(s storage.Store) ([]byte, *SpillReport) {
+	run := func(s storage.Store) []byte {
 		sess := NewSession(s, SessionOptions{})
 		defer sess.Close()
+		puts, deletes := len(store.putNames()), store.deletes.Load()
 		sam, rep := runFusedSAM(t, sess, "ds", idx)
-		if rep.Spill == nil || rep.Spill.Runs == 0 {
-			t.Fatalf("sort spilled no runs: %+v", rep.Spill)
+		if writes := store.putNames()[puts:]; len(writes) != 0 {
+			t.Fatalf("fused pipeline put %v", writes)
 		}
-		return sam, rep.Spill
+		if n := store.deletes.Load() - deletes; n != 0 {
+			t.Fatalf("fused pipeline deleted %d blobs", n)
+		}
+		if rep.Spill != nil {
+			t.Fatalf("fused pipeline reported a spill: %+v", *rep.Spill)
+		}
+		return sam
 	}
 
-	remoteSAM, remote := run(storage.NewRetryStore(
+	remoteSAM := run(storage.NewRetryStore(
 		storage.WithLatency(store, 25*time.Millisecond), storage.RetryPolicy{}))
-	plainSAM, plain := run(store)
-	if *remote != *plain {
-		t.Fatalf("spills behind the 25 ms store %+v, over the plain store %+v", *remote, *plain)
-	}
+	plainSAM := run(store)
 	if !bytes.Equal(remoteSAM, plainSAM) {
 		t.Fatal("the 25 ms store changed pipeline output")
 	}

@@ -77,8 +77,8 @@ func checkNoLeak(t testing.TB, sess *Session) {
 }
 
 // TestChaosFusedPipelineTransientFaults: under >=10% injected transient read
-// errors (plus latency spikes and flaky writes — sort's spill blobs flow
-// through the same store), the fused WGS pipeline must produce byte-identical
+// errors (plus latency spikes and flaky writes), the fused WGS pipeline must
+// produce byte-identical
 // SAM to the fault-free run, for each seed of the fixed matrix.
 func TestChaosFusedPipelineTransientFaults(t *testing.T) {
 	cleanStore := NewMemStore()

@@ -105,7 +105,7 @@ func (p *Pipeline) runDistributed(ctx context.Context) (report *PipelineReport, 
 	// namespace: the shuffle temp always, and the output dataset too when
 	// the sink is an export (the dataset is only a staging area for the
 	// export stream). A Write sink's output lives at its real name. A
-	// caller-set TempPrefix (the job server's jobs/<id>/spill) relocates
+	// caller-set TempPrefix (the job server's jobs/<id>/cluster) relocates
 	// the namespace so a job's every blob stays under its own prefix.
 	runPrefix := fmt.Sprintf("cluster/run-%06d", sess.seq.Add(1))
 	if p.tempPrefix != "" {

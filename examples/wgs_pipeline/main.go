@@ -6,8 +6,8 @@
 //     the store (align writes results chunks, sort writes a ".sorted"
 //     dataset, markdup rewrites it, export re-reads it), and
 //   - fused: one Session/Pipeline graph, where chunks stream stage-to-stage
-//     in memory and nothing intermediate is written (sort spills its
-//     temporary runs only, and deletes them).
+//     in memory and nothing intermediate is written (sort keeps its runs in
+//     memory too).
 //
 // The BAM bytes are identical; the wall-clock delta is the store round
 // trips the fused graph never pays. PERF.md records the measured numbers.

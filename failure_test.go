@@ -1,8 +1,8 @@
 package persona
 
 // A dataset-to-dataset operation that fails must leave the store as it found
-// it — no spill under <out>/tmp, no column blob of a dataset that never got
-// its manifest — and no goroutine of its own behind.
+// it — no column blob of a dataset that never got its manifest — and no
+// goroutine of its own behind.
 
 import (
 	"bytes"
@@ -122,8 +122,8 @@ func (c *cancelOnPut) Put(name string, data []byte) error {
 }
 
 // TestSortFailureLeavesNothing fails every Put of a dataset sort in turn —
-// each spill, each output column blob, the manifest — and cancels one
-// mid-merge.
+// each output column blob, the manifest: the runs stay in memory and are
+// never put — and cancels one mid-merge.
 func TestSortFailureLeavesNothing(t *testing.T) {
 	base := agd.NewMemStore()
 	ds := writeKeyFixture(t, base, "ds", "ragged")
@@ -136,8 +136,8 @@ func TestSortFailureLeavesNothing(t *testing.T) {
 			return sort(context.Background(), store)
 		})
 		chunks := len(ds.Manifest.Chunks)
-		if want := (chunks+4)/5 + chunks*len(ds.Manifest.Columns) + 1; puts != want {
-			t.Fatalf("by %s: the sort put %d blobs, want %d (runs, column chunks, manifest)", by, puts, want)
+		if want := chunks*len(ds.Manifest.Columns) + 1; puts != want {
+			t.Fatalf("by %s: the sort put %d blobs, want %d (column chunks, manifest)", by, puts, want)
 		}
 
 		before := runtime.NumGoroutine()

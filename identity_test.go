@@ -167,7 +167,7 @@ func sortOracle(t *testing.T, ds *agd.Dataset, by SortKey) []int {
 }
 
 // outBlobs returns dataset "out" of store after checking that the operation
-// that wrote it left nothing else behind (no spill, no temp) next to base.
+// that wrote it left nothing else behind (no temp) next to base.
 func outBlobs(t *testing.T, how string, store, base agd.BlobStore) map[string][]byte {
 	t.Helper()
 	out := testutil.Blobs(t, store, "out/")

@@ -127,7 +127,7 @@ func (g *RowGroup) Detach() *RowGroup {
 
 // GroupStream is the pull-based edge between pipeline stages. Next returns
 // groups in row order and io.EOF when the stream is exhausted; Close stops
-// the stream early and releases stage resources (temporary spill blobs,
+// the stream early and releases stage resources (pooled builders,
 // upstream streams). Next also checks the context before delivering, so a
 // cancelled pipeline stops within one chunk at every stage.
 //

@@ -1,8 +1,8 @@
 // Package agdsort sorts AGD datasets with an external merge sort (§4.3 of
-// the paper): several chunks at a time are sorted and merged into temporary
-// "superchunks"; a final merge stage streams the superchunks into the
-// sorted output dataset. Datasets can be sorted by aligned location or by
-// read ID (metadata), the two orders downstream tools need.
+// the paper): several chunks at a time are sorted into "superchunk" runs; a
+// final merge stage streams the runs into the sorted output. Datasets can be
+// sorted by aligned location or by read ID (metadata), the two orders
+// downstream tools need.
 //
 // The sort never materializes per-record objects: each superchunk batch
 // stages its columns in shared agd.RecordArenas (contiguous buffers + offset
@@ -11,9 +11,13 @@
 // heap merge of the runs (RunMerger) emitted as a stream of output chunks
 // (MergeStream, the only code that turns merged rows into groups).
 // SortStream is that sort as a pipeline stage; Sort is the one-stage pipeline
-// dataset → SortStream → dataset. A range-partitioned merge is the same
-// merger and stream over run fragments cut at shared splitters (CutRun),
-// which the cluster's shuffle and reduce run across nodes.
+// dataset → SortStream → dataset. The in-process sort keeps its runs in
+// memory: the merge needs every run resident before it emits a row, so
+// storing runs and fetching them back would bound no memory, only cost a
+// store round trip per run. A range-partitioned merge is the same merger and
+// stream over run fragments cut at shared splitters (CutRun), which the
+// cluster's shuffle and reduce run across nodes; there runs must cross
+// nodes, so BuildRun stores each one.
 package agdsort
 
 import (
@@ -49,16 +53,15 @@ const unmappedKey = uint64(1) << 62
 type Options struct {
 	// By selects the sort key.
 	By Key
-	// ChunksPerSuperchunk is how many input chunks are loaded, sorted and
-	// merged into each temporary superchunk (default 8) — the knob that
-	// trades memory for merge fan-in.
+	// ChunksPerSuperchunk is how many input chunks are staged and sorted
+	// into each superchunk run (default 8) — the knob that trades staging
+	// memory for merge fan-in.
 	ChunksPerSuperchunk int
 	// OutputName names the sorted dataset; default "<name>.sorted". Output
 	// chunks hold as many records as the input's.
 	OutputName string
-	// TempPrefix is where SortStream's phase-1 spill blobs (superchunks)
-	// go; default "agdsort.stream/tmp". Concurrent sorts against one store
-	// must use distinct prefixes. Dataset sorts set it to "<OutputName>/tmp".
+	// TempPrefix is unused: runs stay in memory and nothing is stored under
+	// it. It stays only because the benchmark (bench/) sets it.
 	TempPrefix string
 	// Pipelining (set by pumped pipelines) is how many merged output groups
 	// may be in flight at once. ≤ 1 keeps the serial pull contract (groups
@@ -66,9 +69,6 @@ type Options struct {
 	// builders from a bounded pool of that size, so a pumped edge can queue
 	// groups that stay valid until Release.
 	Pipelining int
-	// Spill, when non-nil, accumulates per-run spill accounting for the
-	// pipeline report.
-	Spill *SpillStats
 }
 
 // Sort externally sorts a dataset and writes a new sorted dataset,
@@ -83,10 +83,10 @@ func Sort(ctx context.Context, store agd.BlobStore, name string, opts Options) (
 }
 
 // SortDataset is Sort over an already-open dataset: its chunks stream
-// through SortStream, spilling under "<OutputName>/tmp", into the dataset
-// sink. The source and the sink (de)compress chunk members on an executor of
-// GOMAXPROCS workers that lives as long as the call; on failure neither spill
-// nor output blobs remain.
+// through SortStream into the dataset sink, so the only blobs it stores are
+// the output's (runs stay in memory, see SortStream). The source and the sink
+// (de)compress chunk members on an executor of GOMAXPROCS workers that lives
+// as long as the call; on failure no output blob remains.
 func SortDataset(ctx context.Context, ds *agd.Dataset, opts Options) (*agd.Manifest, error) {
 	m := ds.Manifest
 	if keyColumn(m.Columns, opts.By) < 0 {
@@ -101,7 +101,6 @@ func SortDataset(ctx context.Context, ds *agd.Dataset, opts Options) (*agd.Manif
 	if err != nil {
 		return nil, err
 	}
-	opts.TempPrefix = opts.OutputName + "/tmp"
 	out, err := SortStream(ctx, ds.Store(), in, opts)
 	if err != nil {
 		in.Close()
@@ -191,12 +190,11 @@ func prefixKey(b []byte) uint64 {
 	return k
 }
 
-// writeSuperchunk encodes the sorted rows into one temporary blob, reading
-// fields straight from the staging arenas: each record is the concatenation
-// of uvarint-length-prefixed fields. Temporaries are stored uncompressed —
-// they are deleted right after the merge, and paying gzip twice on data
-// that lives for seconds would only burn the cores the merge needs.
-func writeSuperchunk(store agd.BlobStore, name string, cols []*agd.RecordArena, keys []sortEntry, spill *SpillStats) error {
+// frameRun builds one sorted run from the staging arenas, rows in keys
+// order: each record is the concatenation of the row's uvarint-length-prefixed
+// fields. The run owns its bytes, so the arenas can be reset for the next
+// batch.
+func frameRun(cols []*agd.RecordArena, keys []sortEntry) *agd.Chunk {
 	var buf []byte
 	var tmp [binary.MaxVarintLen64]byte
 	size := 0 // of the run: every field and its uvarint header
@@ -218,13 +216,5 @@ func writeSuperchunk(store agd.BlobStore, name string, cols []*agd.RecordArena, 
 		}
 		b.Append(buf)
 	}
-	blob, err := agd.EncodeChunk(b.Chunk(), agd.CompressNone)
-	if err != nil {
-		return err
-	}
-	if err := store.Put(name, blob); err != nil {
-		return err
-	}
-	spill.record(int64(len(blob)))
-	return nil
+	return b.Chunk()
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"sort"
 	"strings"
@@ -301,6 +302,8 @@ func TestRadixMatchesComparisonSort(t *testing.T) {
 	}
 }
 
+// TestSortCleansTemporaries: a dataset sort leaves nothing under the output's
+// temporary prefix.
 func TestSortCleansTemporaries(t *testing.T) {
 	store := agd.NewMemStore()
 	f := testutil.Build(t, store, "ds", testutil.Config{
@@ -331,53 +334,188 @@ func TestSortErrors(t *testing.T) {
 	}
 }
 
-// spillProbe records the header of every blob put under prefix.
-type spillProbe struct {
+// putProbe records every Put and Delete that reaches the store.
+type putProbe struct {
 	agd.BlobStore
-	prefix string
-	mu     sync.Mutex
-	metas  []agd.ChunkMeta
-	bytes  int64
+	mu      sync.Mutex
+	puts    []string
+	deletes []string
 }
 
-func (s *spillProbe) Put(name string, data []byte) error {
-	if err := s.BlobStore.Put(name, data); err != nil || !strings.HasPrefix(name, s.prefix) {
-		return err
-	}
-	meta, err := agd.ReadChunkMeta(s.BlobStore, name)
-	if err != nil {
-		return err
-	}
+func (s *putProbe) Put(name string, data []byte) error {
 	s.mu.Lock()
-	s.metas = append(s.metas, meta)
-	s.bytes += int64(len(data))
+	s.puts = append(s.puts, name)
 	s.mu.Unlock()
-	return nil
+	return s.BlobStore.Put(name, data)
 }
 
-func TestSortSpillsRaw(t *testing.T) {
+func (s *putProbe) Delete(name string) error {
+	s.mu.Lock()
+	s.deletes = append(s.deletes, name)
+	s.mu.Unlock()
+	return s.BlobStore.Delete(name)
+}
+
+// TestSortPutsOnlyOutput: a dataset sort of several runs stores its output
+// dataset and nothing else — no run is put, fetched back or deleted.
+func TestSortPutsOnlyOutput(t *testing.T) {
 	mem := agd.NewMemStore()
 	testutil.Build(t, mem, "ds", testutil.Config{
 		GenomeSize: 100_000, NumReads: 400, ReadLen: 60, ChunkSize: 50, Seed: 57,
 	})
-	store := &spillProbe{BlobStore: mem, prefix: "out/tmp/"}
+	before, err := mem.List("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &putProbe{BlobStore: mem}
 	ds, err := agd.Open(store, "ds")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var spill SpillStats
-	if _, err := SortDataset(context.Background(), ds, Options{
-		By: ByLocation, ChunksPerSuperchunk: 2, OutputName: "out", Spill: &spill,
-	}); err != nil {
+	m, err := SortDataset(context.Background(), ds, Options{By: ByLocation, ChunksPerSuperchunk: 2, OutputName: "out"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	rep := spill.Report()
-	if rep.Runs != 4 || rep.Runs != len(store.metas) || rep.StoredBytes != store.bytes {
-		t.Fatalf("report %+v, store saw %d runs of %d bytes, want 4 runs", rep, len(store.metas), store.bytes)
+	if want := len(m.Chunks)*len(m.Columns) + 1; len(store.puts) != want {
+		t.Fatalf("the sort put %d blobs %v, want %d (column chunks, manifest)", len(store.puts), store.puts, want)
 	}
-	for i, m := range store.metas {
-		if m.Compression != agd.CompressNone || m.Type != agd.TypeRaw {
-			t.Fatalf("spill %d stored as %+v, want raw", i, m)
+	for _, name := range store.puts {
+		if !strings.HasPrefix(name, "out/") || strings.HasPrefix(name, "out/tmp/") {
+			t.Fatalf("the sort put %q, which is not an output blob", name)
+		}
+	}
+	if len(store.deletes) != 0 {
+		t.Fatalf("the sort deleted %v", store.deletes)
+	}
+	after, err := mem.List("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) != len(before)+len(store.puts) {
+		t.Fatalf("store holds %d blobs after the sort, want %d", len(after), len(before)+len(store.puts))
+	}
+}
+
+// referenceSort is the order SortStream must produce: one stable sort of
+// every row of ds, by location (unmapped last) or by the full read ID.
+func referenceSort(t *testing.T, ds *agd.Dataset, by Key) []string {
+	t.Helper()
+	in, err := ds.Groups(agd.StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyCol := keyColumn(in.Meta.Columns, by)
+	type row struct {
+		joined string
+		key    []byte
+		loc    int64
+		mapped bool
+	}
+	var rows []row
+	fields := make([][]byte, len(in.Meta.Columns))
+	for {
+		g, err := in.Next(context.Background())
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < g.NumRecords(); r++ {
+			for c, chunk := range g.Chunks {
+				if fields[c], err = chunk.Record(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rw := row{joined: string(bytes.Join(fields, []byte{0})), key: append([]byte(nil), fields[keyCol]...)}
+			if by == ByLocation {
+				v, err := agd.DecodeResultView(fields[keyCol])
+				if err != nil {
+					t.Fatal(err)
+				}
+				rw.loc, rw.mapped = v.Location, !v.IsUnmapped()
+			}
+			rows = append(rows, rw)
+		}
+		g.Release()
+	}
+	in.Close()
+	sort.SliceStable(rows, func(i, j int) bool {
+		a, b := rows[i], rows[j]
+		if by == ByMetadata {
+			return bytes.Compare(a.key, b.key) < 0
+		}
+		if a.mapped != b.mapped {
+			return a.mapped
+		}
+		return a.mapped && a.loc < b.loc
+	})
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = r.joined
+	}
+	return out
+}
+
+// TestSortRunBoundariesKeepOrder: where the runs are cut does not change the
+// output. For every run size — one group per run, a few, and one run for
+// the whole input — SortStream emits exactly the rows of one stable sort of
+// the input, duplicate keys and 8-byte prefix ties in input order.
+func TestSortRunBoundariesKeepOrder(t *testing.T) {
+	reads := testutil.Build(t, agd.NewMemStore(), "ds", testutil.Config{
+		GenomeSize: 120_000, NumReads: 700, ReadLen: 70, ChunkSize: 64, Seed: 59, DupFrac: 0.2,
+	}).Dataset
+
+	// Read IDs sharing 8-byte prefixes, each several times; the results
+	// column numbers the rows, so a duplicate key out of input order shows.
+	ids := []string{"sharedprefix-b", "sharedprefix-a", "sharedpre", "sharedpr", "shared", "sharedpr\x00", "aaa", "zzz"}
+	store := agd.NewMemStore()
+	w, err := agd.NewWriter(store, "ids", []agd.ColumnSpec{
+		{Name: agd.ColMetadata, Type: agd.TypeRaw}, {Name: agd.ColResults, Type: agd.TypeResults},
+	}, agd.WriterOptions{ChunkSize: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(60))
+	for i := 0; i < 300; i++ {
+		res := agd.Result{Location: int64(i)}
+		if err := w.Append([]byte(ids[rng.Intn(len(ids))]), agd.EncodeResult(nil, &res)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := w.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	metas := agd.OpenManifest(store, m)
+
+	for _, tc := range []struct {
+		by Key
+		ds *agd.Dataset
+	}{{ByLocation, reads}, {ByMetadata, metas}} {
+		want := referenceSort(t, tc.ds, tc.by)
+		groups := len(tc.ds.Manifest.Chunks)
+		for _, per := range []int{1, 2, 3, 8, groups + 1} {
+			in, err := tc.ds.Groups(agd.StreamOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := SortStream(context.Background(), tc.ds.Store(), in, Options{By: tc.by, ChunksPerSuperchunk: per})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := drainStream(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("by %s, %d groups a run: %d rows, want %d", tc.by, per, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("by %s, %d groups a run: row %d differs from the stable sort", tc.by, per, i)
+				}
+			}
 		}
 	}
 }

@@ -57,14 +57,14 @@ type RunInfo struct {
 }
 
 // BuildRun drains every group of in, stages the rows into record arenas,
-// sorts them by the key, and writes one run blob (the distributed analogue
-// of the in-process sort's phase-1 superchunk spill: same staging, same
-// stable sort, same uvarint-framed run encoding, so a run built from input
-// chunks [b·K, (b+1)·K) is byte-identical to the single-node spill of the
-// same batch). samples rows are sampled equi-spaced from the sorted order;
-// visit, when non-nil, is called for every sorted row with its packed key
-// and key-column field (the hook span accounting for duplicate-marking
-// halos rides on). The input stream is not closed.
+// sorts them by the key, and stores the run as one raw blob, because it must
+// cross nodes (the distributed analogue of the in-process sort's phase-1
+// run: same staging, same stable sort, same uvarint framing, so a run built
+// from input chunks [b·K, (b+1)·K) holds the same record bytes as the
+// in-memory run of that batch). samples rows are sampled equi-spaced from
+// the sorted order; visit, when non-nil, is called for every sorted row with
+// its packed key and key-column field (the hook span accounting for
+// duplicate-marking halos rides on). The input stream is not closed.
 func BuildRun(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, name string, by Key, samples int, visit func(key uint64, keyField []byte) error) (RunInfo, error) {
 	keyCol := keyColumn(in.Meta.Columns, by)
 	if keyCol < 0 {
@@ -118,7 +118,14 @@ func BuildRun(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, nam
 			info.Samples = append(info.Samples, sm)
 		}
 	}
-	if err := writeSuperchunk(store, name, cols, keys, nil); err != nil {
+	// Runs are stored raw: they are swept when the run ends, and paying gzip
+	// twice on data that lives for seconds would only burn the cores the
+	// merge needs.
+	blob, err := agd.EncodeChunk(frameRun(cols, keys), agd.CompressNone)
+	if err != nil {
+		return RunInfo{}, err
+	}
+	if err := store.Put(name, blob); err != nil {
 		return RunInfo{}, err
 	}
 	return info, nil

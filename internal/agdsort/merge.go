@@ -125,8 +125,8 @@ func (h *mergeHeap) pop() {
 	}
 }
 
-// FetchRuns fetches and decodes the named run blobs — spilled superchunks, or
-// the pieces and halos a shuffle cut from them — as one batch, returning them
+// FetchRuns fetches and decodes the named run blobs — the runs BuildRun
+// stored, or the pieces and halos a shuffle cut from them — as one batch, returning them
 // in name order with their total row count. The blobs stream in concurrently
 // (per-OSD fan-out on the object store) while the first arrivals decode.
 func FetchRuns(ctx context.Context, store agd.BlobStore, names []string) ([]*agd.Chunk, int, error) {

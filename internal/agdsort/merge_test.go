@@ -44,7 +44,7 @@ var mergeFixtures = map[string]func(t testing.TB) *agd.Dataset{
 }
 
 // buildRuns sorts ds into one run per perRun input chunks (BuildRun, the
-// phase-1 spill) and returns the runs as fetched back from the store, with
+// distributed map's run) and returns the runs as fetched back from the store, with
 // every run's samples pooled.
 func buildRuns(t testing.TB, ds *agd.Dataset, by Key, perRun int) ([]*agd.Chunk, []RunSample) {
 	t.Helper()
@@ -192,7 +192,7 @@ func TestCutRunPartitionMerge(t *testing.T) {
 	}
 }
 
-// FuzzRunMerger feeds the spill parser bytes as a store would hand them back:
+// FuzzRunMerger feeds the run parser bytes as a store would hand them back:
 // a run blob that decodes but is corrupt inside must fail (or merge garbage)
 // without panicking RunMerger or CutRun, and one that is a sorted run must
 // merge with a second run into exactly the stable order of their rows.
@@ -273,7 +273,7 @@ func FuzzRunMerger(f *testing.F) {
 		// rows Next yields, or an error where Next has one.
 		again, _ := NewRunMerger([]*agd.Chunk{run, other}, cols, keyCol, by)
 		meta := agd.StreamMeta{Columns: ds.Manifest.Columns, NumRecords: uint64(run.NumRecords() + other.NumRecords()), ChunkSize: 3}
-		streamed, serr := drainStream(MergeStream(again, meta, 2*(len(blob)%2), nil))
+		streamed, serr := drainStream(MergeStream(again, meta, 2*(len(blob)%2)))
 		if (serr == nil) != (err == nil) || err == nil && !slices.Equal(streamed, got) {
 			t.Fatalf("MergeStream yields %d rows (error %v), RunMerger.Next %d (error %v)", len(streamed), serr, len(got), err)
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 
 	"persona/internal/agd"
 )
@@ -12,13 +11,17 @@ import (
 // SortStream is the sort: stream in, stream out, under composed pipelines
 // and under Sort alike. It is a global barrier, so it cannot be fused record-
 // to-record: phase 1 drains the input stream, staging superchunk batches in
-// record arenas and spilling each sorted run to the store under
-// opts.TempPrefix (the paper's §4.3 sort always materializes runs); phase 2
+// record arenas and framing each sorted batch as one run in memory; phase 2
 // feeds the next stage chunk-by-chunk from the heap merge of the runs. Each
-// full batch is sorted and spilled on the calling goroutine before the next
-// group is pulled; in a pumped pipeline the stages above keep producing
-// meanwhile. Spill blobs are deleted when the output stream is drained or
-// closed.
+// full batch is sorted on the calling goroutine before the next group is
+// pulled; in a pumped pipeline the stages above keep producing meanwhile.
+//
+// The runs are never stored. The merge needs every run resident before it
+// can emit a single row, so a run written to the store and fetched back
+// would bound no memory; it would only add an encode, a Put, a Get, a
+// checksum and a Delete per run. The input is closed once it is drained.
+//
+// store is unused; it stays only because the benchmark (bench/) passes one.
 func SortStream(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, opts Options) (*agd.GroupStream, error) {
 	keyCol := keyColumn(in.Meta.Columns, opts.By)
 	if keyCol < 0 {
@@ -30,50 +33,35 @@ func SortStream(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, o
 	if opts.ChunksPerSuperchunk <= 0 {
 		opts.ChunksPerSuperchunk = 8
 	}
-	if opts.TempPrefix == "" {
-		opts.TempPrefix = "agdsort.stream/tmp"
-	}
 	// Output is chunked like the source: after a selective filter the first
 	// group's size is an arbitrary kept-row count, the fallback only.
 	chunkSize := in.Meta.ChunkSize
 
-	// Phase 1: drain the input, spilling one sorted superchunk per batch of
-	// ChunksPerSuperchunk groups. The spill is done with a batch's arenas
-	// and keys before the next group is staged, so every batch reuses them.
+	// Phase 1: drain the input, framing one sorted run per batch of
+	// ChunksPerSuperchunk groups. A run copies its rows out of the batch's
+	// arenas and keys before the next group is staged, so every batch
+	// reuses them.
 	var (
-		superNames []string
-		batchKeys  []sortEntry
-		batchSize  int
-		total      int
+		runs      []*agd.Chunk
+		batchKeys []sortEntry
+		batchSize int
+		total     int // rows staged
+		runRows   int // rows framed into runs
 	)
 	numCols := len(in.Meta.Columns)
 	batchCols := make([]*agd.RecordArena, numCols)
 	for i := range batchCols {
 		batchCols[i] = agd.NewRecordArena(0, 0)
 	}
-	spill := func() error {
-		name := fmt.Sprintf("%s/super-%06d", opts.TempPrefix, len(superNames))
-		superNames = append(superNames, name)
+	flush := func() {
 		sortKeys(batchCols[keyCol], batchKeys, opts.By)
-		err := writeSuperchunk(store, name, batchCols, batchKeys, opts.Spill)
+		run := frameRun(batchCols, batchKeys)
+		runs = append(runs, run)
+		runRows += run.NumRecords()
 		for _, a := range batchCols {
 			a.Reset()
 		}
 		batchKeys, batchSize = batchKeys[:0], 0
-		return err
-	}
-	sweep := func() error {
-		var first error
-		for _, name := range superNames {
-			if err := store.Delete(name); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
-	fail := func(err error) (*agd.GroupStream, error) {
-		sweep()
-		return nil, err
 	}
 	for {
 		g, err := in.Next(ctx)
@@ -81,11 +69,11 @@ func SortStream(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, o
 			break
 		}
 		if err != nil {
-			return fail(err)
+			return nil, err
 		}
 		if len(g.Chunks) != numCols {
 			g.Release()
-			return fail(fmt.Errorf("agdsort: group %d has %d columns, stream declares %d", g.Index, len(g.Chunks), numCols))
+			return nil, fmt.Errorf("agdsort: group %d has %d columns, stream declares %d", g.Index, len(g.Chunks), numCols)
 		}
 		if chunkSize <= 0 {
 			chunkSize = g.NumRecords()
@@ -93,41 +81,33 @@ func SortStream(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, o
 		batchKeys, err = stageGroup(batchCols, batchKeys, g.Chunks, keyCol, opts.By, opts.ChunksPerSuperchunk)
 		if err != nil {
 			g.Release()
-			return fail(err)
+			return nil, err
 		}
 		total += g.NumRecords()
 		g.Release()
 		batchSize++
 		if batchSize >= opts.ChunksPerSuperchunk {
-			if err := spill(); err != nil {
-				return fail(err)
-			}
+			flush()
 		}
 	}
 	if batchSize > 0 {
-		if err := spill(); err != nil {
-			return fail(err)
-		}
+		flush()
 	}
 	if total == 0 {
-		return fail(fmt.Errorf("agdsort: stream has no records"))
+		return nil, fmt.Errorf("agdsort: stream has no records")
+	}
+	if runRows != total {
+		return nil, fmt.Errorf("agdsort: framed %d rows into runs, staged %d", runRows, total)
 	}
 	if chunkSize <= 0 {
 		chunkSize = agd.DefaultChunkSize
 	}
+	in.Close()
 
-	// Phase 2: heap-merge the spilled runs into an output stream. The merge
-	// needs every run resident before it can emit a single row.
-	runs, mergedTotal, err := FetchRuns(ctx, store, superNames)
-	if err != nil {
-		return fail(err)
-	}
-	if mergedTotal != total {
-		return fail(fmt.Errorf("agdsort: spilled %d rows, staged %d", mergedTotal, total))
-	}
+	// Phase 2: heap-merge the runs into an output stream.
 	merger, err := NewRunMerger(runs, numCols, keyCol, opts.By)
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	meta := agd.StreamMeta{
 		Columns:    in.Meta.Columns,
@@ -136,12 +116,7 @@ func SortStream(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, o
 		NumRecords: uint64(total),
 		ChunkSize:  chunkSize,
 	}
-	// The end of the output — drained or closed early — closes the drained
-	// input too, so teardown keeps cascading upstream.
-	return MergeStream(merger, meta, opts.Pipelining, func() error {
-		in.Close()
-		return sweep()
-	}), nil
+	return MergeStream(merger, meta, opts.Pipelining), nil
 }
 
 // MergeStream emits merger's rows — meta.NumRecords of them, in meta.Columns —
@@ -150,22 +125,13 @@ func SortStream(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, o
 // ≤ 1) build into one reused builder set, each group valid until the next is
 // requested; pipelining > 1 draws from a bounded pool of that many sets, so a
 // pumped edge can queue groups that stay valid until Release.
-//
-// sweep, when non-nil, runs once — when the merge is drained, or on an early
-// Close (a downstream stage dying mid-merge never reaches EOF) — and a pull
-// that would return io.EOF reports its error instead; the sort deletes its
-// spill blobs there.
-func MergeStream(merger *RunMerger, meta agd.StreamMeta, pipelining int, sweep func() error) *agd.GroupStream {
-	if sweep == nil {
-		sweep = func() error { return nil }
-	}
+func MergeStream(merger *RunMerger, meta agd.StreamMeta, pipelining int) *agd.GroupStream {
 	specs := agd.SpecsForColumns(meta.Columns)
 	ms := &mergeGroupStream{
 		merger:    merger,
 		specs:     specs,
 		chunkSize: meta.ChunkSize,
 		total:     int(meta.NumRecords),
-		sweep:     sync.OnceValue(sweep),
 	}
 	if pipelining > 1 {
 		ms.pool = agd.NewBuilderPool(pipelining, specs)
@@ -175,7 +141,7 @@ func MergeStream(merger *RunMerger, meta agd.StreamMeta, pipelining int, sweep f
 			ms.fixed.Builders[i] = agd.NewChunkBuilder(spec.Type, 0)
 		}
 	}
-	out := agd.NewGroupStream(meta, ms.next, func() { ms.sweep() })
+	out := agd.NewGroupStream(meta, ms.next, nil)
 	out.Owned = ms.pool != nil
 	return out
 }
@@ -190,14 +156,10 @@ type mergeGroupStream struct {
 	total     int
 	emitted   int
 	chunkIdx  int
-	sweep     func() error // once: the EOF pull, or a teardown Close racing it
 }
 
 func (ms *mergeGroupStream) next(ctx context.Context) (*agd.RowGroup, error) {
 	if ms.emitted >= ms.total {
-		if err := ms.sweep(); err != nil {
-			return nil, err
-		}
 		return nil, io.EOF
 	}
 	rows := ms.total - ms.emitted

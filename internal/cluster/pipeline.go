@@ -21,9 +21,9 @@ import (
 // sort coordinated by a PhaseServer:
 //
 //	map:     each task aligns a batch of source chunks (the sort's staging
-//	         batch size, so runs are byte-identical to the single-node
-//	         spill of the same batch) and spills one sorted run, acking
-//	         its equi-depth key samples back (SAMPLE);
+//	         batch size, so a run holds the same rows as the single-node
+//	         sort's in-memory run of that batch) and stores one sorted run,
+//	         acking its equi-depth key samples back (SAMPLE);
 //	shuffle: the coordinator pools the samples into global key-range cuts
 //	         (CUTS) and opens the held phase; each task then cuts its run
 //	         at the splitters and hands every fragment to its owning
@@ -86,7 +86,7 @@ type PipelinePlan struct {
 	ChunkSize int
 	// ChunksPerBatch is how many source chunks one map task stages into a
 	// run — the single-node sort's staging batch (default 8), which is what
-	// keeps distributed runs byte-identical to its spills.
+	// keeps distributed runs row for row equal to its in-memory runs.
 	ChunksPerBatch int
 	// TempPrefix is the namespace for runs, pieces and halos, swept after a
 	// successful run. Default "cluster/<dataset>/tmp".
@@ -482,7 +482,7 @@ func runReduceTask(ctx context.Context, store storage.Store, plan *PipelinePlan,
 		return "", err
 	}
 	meta := agd.StreamMeta{Columns: cols, NumRecords: uint64(rows), ChunkSize: plan.ChunkSize}
-	stream := agdsort.MergeStream(merger, meta, 0, nil)
+	stream := agdsort.MergeStream(merger, meta, 0)
 	defer func() { stream.Close() }()
 
 	dups, kept := &markdup.Stats{}, &filter.Stats{}

@@ -3,13 +3,15 @@ package jobs
 // Chaos suite of the job service: a hard kill mid-job (no journal writes,
 // no cleanup — exactly what SIGKILL leaves behind) followed by a restart
 // over the same store must resume the job and produce byte-identical
-// output, with no leaked spill blobs and no leaked pooled chunks. Fault
+// output, with no leaked blobs and no leaked pooled chunks. Fault
 // injection runs under fixed seeds so CI replays the same schedules.
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,8 +19,8 @@ import (
 )
 
 // chaosPolicy is the fixed fault mix both incarnations run under: transient
-// read/write errors and latency spikes on every blob — dataset chunks, sort
-// spills, journal records and the result blob all flow through it.
+// read/write errors and latency spikes on every blob — dataset chunks,
+// journal records and the result blob all flow through it.
 func chaosPolicy(seed int64) persona.FaultPolicy {
 	return persona.FaultPolicy{
 		Seed:   seed,
@@ -42,6 +44,10 @@ func TestChaosKillAndResume(t *testing.T) {
 			inner := persona.NewMemStore()
 			g := importTestDataset(t, inner, "ds")
 			want := directWGS(t, inner, g)
+			base, err := inner.List("")
+			if err != nil {
+				t.Fatal(err)
+			}
 			spec := Spec{Dataset: "ds", Align: true, Sort: "location", MarkDup: true, Format: "sam"}
 
 			// Incarnation 1: gated so the attempt reliably hangs mid-read,
@@ -130,9 +136,9 @@ func TestChaosKillAndResume(t *testing.T) {
 				t.Fatalf("seed %d: resumed SAM differs from fault-free baseline (%d vs %d bytes)", seed, len(data), len(want))
 			}
 
-			// No debris: the job namespace holds exactly the result blob
-			// (killed attempt's spills swept, resumed attempt's cleaned up)
-			// and no session spill prefix leaked.
+			// No debris: the job namespace holds exactly the result blob,
+			// and outside it and the journal the store holds what it held
+			// before the job.
 			names, err := inner.List("jobs/" + st.ID + "/")
 			if err != nil {
 				t.Fatal(err)
@@ -140,8 +146,14 @@ func TestChaosKillAndResume(t *testing.T) {
 			if len(names) != 1 || names[0] != resultBlob(st.ID) {
 				t.Fatalf("job namespace after resume = %v, want only the result blob", names)
 			}
-			if temps, _ := inner.List(".pipeline/"); len(temps) != 0 {
-				t.Fatalf("leaked session spill blobs: %v", temps)
+			all, err := inner.List("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range all {
+				if !slices.Contains(base, name) && !strings.HasPrefix(name, "jobs/"+st.ID+"/") && !strings.HasPrefix(name, journalPrefix) {
+					t.Fatalf("leaked blob %q", name)
+				}
 			}
 			if fs := faulty2.Stats(); fs.InjectedErrors+fs.InjectedLatency == 0 {
 				t.Fatalf("seed %d: no faults injected on resume; the chaos run is vacuous", seed)

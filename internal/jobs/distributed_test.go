@@ -41,7 +41,7 @@ func TestDistributedJob(t *testing.T) {
 	if !bytes.Equal(data, want) {
 		t.Fatalf("distributed job SAM differs from direct run (%d vs %d bytes)", len(data), len(want))
 	}
-	// The run namespace (jobs/<id>/spill/...) was swept: only the result
+	// The run namespace (jobs/<id>/cluster/...) was swept: only the result
 	// blob remains, and nothing escaped into the global cluster/ prefix.
 	names, err := store.List("jobs/" + st.ID + "/")
 	if err != nil {

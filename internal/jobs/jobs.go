@@ -9,10 +9,10 @@
 // Crash safety leans on two invariants established lower in the stack:
 // blob Puts are atomic (a journal record is either the old state or the new
 // state, never torn), and every blob a job writes — outputs, exported
-// results, sort spills — lives under the job-unique prefix "jobs/<id>/",
-// which is swept before every (re)run. Re-running an interrupted job is
-// therefore idempotent: the sweep deletes any partial output, and the job's
-// inputs are immutable datasets.
+// results, a distributed run's shuffle and staging blobs — lives under the
+// job-unique prefix "jobs/<id>/", which is swept before every (re)run.
+// Re-running an interrupted job is therefore idempotent: the sweep deletes
+// any partial output, and the job's inputs are immutable datasets.
 package jobs
 
 import (
@@ -187,5 +187,5 @@ func resultBlob(id string) string { return jobPrefix(id) + "/result" }
 // outDataset names a dataset-format job's output dataset.
 func outDataset(id string) string { return jobPrefix(id) + "/out" }
 
-// spillPrefix is where the job's pipeline spills sort runs.
-func spillPrefix(id string) string { return jobPrefix(id) + "/spill" }
+// clusterPrefix is the namespace of a distributed job's cluster runs.
+func clusterPrefix(id string) string { return jobPrefix(id) + "/cluster" }

@@ -413,7 +413,8 @@ func (m *Manager) runJob(j *job) {
 }
 
 // execute builds and runs the spec's pipeline. Every blob the run writes —
-// spills, the result blob, the output dataset — lands under jobs/<id>/.
+// a distributed run's shuffle and staging blobs, the result blob, the
+// output dataset — lands under jobs/<id>/.
 func (m *Manager) execute(ctx context.Context, prog *persona.Progress, rec Record) (*ResultMeta, error) {
 	spec := rec.Spec
 	sess := m.cfg.Session
@@ -463,12 +464,12 @@ func (m *Manager) execute(ctx context.Context, prog *persona.Progress, rec Recor
 		export = false
 		p.Write(outDataset(rec.ID))
 	}
-	p.TempPrefix(spillPrefix(rec.ID)).Observe(prog)
+	p.Observe(prog)
 	if spec.EdgeDepth > 0 {
 		p.EdgeDepth(spec.EdgeDepth)
 	}
 	if spec.Nodes >= 1 {
-		p.Distributed(spec.Nodes)
+		p.Distributed(spec.Nodes).TempPrefix(clusterPrefix(rec.ID))
 	}
 
 	report, err := p.Run(ctx)

@@ -83,7 +83,7 @@ func TestJobLifecycle(t *testing.T) {
 	if res.ResultBlob != "jobs/"+st.ID+"/result" {
 		t.Fatalf("result blob = %q", res.ResultBlob)
 	}
-	// The job's blob namespace holds exactly the result — spills cleaned up.
+	// The job's blob namespace holds exactly the result.
 	names, err := store.List("jobs/" + st.ID + "/")
 	if err != nil {
 		t.Fatal(err)

@@ -9,8 +9,8 @@
 // executor, the chunk pools, a reference-index cache), and a
 // Pipeline is a fluent, validated stage graph whose Run streams AGD chunks
 // stage-to-stage over that runtime. A whole-genome preprocessing workflow
-// is one composed graph — no intermediate dataset is written between
-// stages (sort, a global barrier, spills temporary run blobs only):
+// is one composed graph — nothing intermediate is written to the store
+// (sort, a global barrier, keeps its sorted runs in memory):
 //
 //	sess := persona.NewSession(store, persona.SessionOptions{})
 //	defer sess.Close()
@@ -95,9 +95,6 @@ type (
 	// CacheStats counts the session chunk cache's hits, misses, fills and
 	// evictions (agd.CacheStats).
 	CacheStats = agd.CacheStats
-	// SpillReport counts a sort's spilled superchunk runs and the bytes
-	// they stored (agdsort.SpillReport).
-	SpillReport = agdsort.SpillReport
 	// RetryPolicy tunes a resilient store wrapper (NewRetryStore).
 	RetryPolicy = storage.RetryPolicy
 	// FaultPolicy scripts a fault-injecting store wrapper (NewFaultStore).

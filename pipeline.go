@@ -25,10 +25,9 @@ import (
 // Sort, MarkDuplicates, Filter), and one sink (Export* or Write). Run plans
 // the graph and streams AGD chunks stage-to-stage over the session's shared
 // executor: adjacent streaming-capable stages are fused, so chunks flow in
-// memory and no intermediate dataset is written to the store. Stages with a
-// global barrier — sort's merge — spill their runs to temporary blobs as
-// the external sort always has, then feed the next stage from the merge's
-// output stream.
+// memory and nothing intermediate is written to the store. A stage with a
+// global barrier — sort — drains its input into sorted runs held in memory,
+// then feeds the next stage from the merge's output stream.
 //
 // Builder methods record the graph and defer all validation and errors to
 // Run, so construction chains fluently:
@@ -147,7 +146,7 @@ func (p *Pipeline) Align(idx *Index, opts AlignOptions) *Pipeline {
 }
 
 // Sort reorders the stream by the given key (a global barrier: the stage
-// spills sorted runs to temporary blobs, then streams their merge).
+// sorts its input into runs in memory, then streams their merge).
 func (p *Pipeline) Sort(by SortKey) *Pipeline {
 	return p.add(pipeStage{kind: stageSort, by: by})
 }
@@ -201,13 +200,14 @@ func (p *Pipeline) EdgeDepth(depth int) *Pipeline {
 	return p
 }
 
-// TempPrefix overrides the session-assigned prefix barrier stages (sort)
-// spill temporary blobs under. A job-oriented caller sets a job-unique
-// prefix so every blob a run writes — spills included — lives under one
-// sweepable namespace, making a crashed run safe to re-run after deleting
-// the prefix. Empty (the default) keeps the session's ".pipeline/<n>/tmp"
-// scheme. When a pipeline has several barrier stages, each gets a distinct
-// subprefix under the given one.
+// TempPrefix sets the namespace a distributed run (Distributed) stores its
+// shuffle runs, pieces and halos under, and an export's staging dataset;
+// each run gets a distinct subprefix under it. A job-oriented caller sets a
+// job-unique prefix so every blob a run writes lives under one sweepable
+// namespace, making a crashed run safe to re-run after deleting the prefix.
+// Empty (the default) keeps the session's "cluster/run-<n>" scheme. A
+// single-node run stores nothing but its sink's output: the sort keeps its
+// runs in memory.
 func (p *Pipeline) TempPrefix(prefix string) *Pipeline {
 	p.tempPrefix = prefix
 	return p
@@ -219,14 +219,6 @@ func (p *Pipeline) TempPrefix(prefix string) *Pipeline {
 func (p *Pipeline) Observe(prog *Progress) *Pipeline {
 	p.progress = prog
 	return p
-}
-
-// spillPrefix returns the temp-blob prefix for one barrier-stage build.
-func (p *Pipeline) spillPrefix() string {
-	if p.tempPrefix == "" {
-		return p.sess.tempPrefix()
-	}
-	return fmt.Sprintf("%s/%d", p.tempPrefix, p.tmpSeq.Add(1))
 }
 
 // StageReport describes one stage of a completed run.
@@ -245,7 +237,7 @@ type StageReport struct {
 	// of other stages.
 	Elapsed time.Duration
 	// Busy is time spent doing the stage's own work — building it (for
-	// barriers like sort, the eager spill phase) and producing its groups —
+	// barriers like sort, the eager staging phase) and producing its groups —
 	// excluding time waiting on the stage above or blocked on its edges.
 	Busy time.Duration
 	// Blocked is time the stage's pump spent waiting on its edges: starved
@@ -266,6 +258,13 @@ type ExecutorStats struct {
 	Steals int64
 	// Busy is cumulative worker time inside tasks.
 	Busy time.Duration
+}
+
+// SpillReport is the type of PipelineReport.Spill, which nothing fills any
+// more; it stays only because the benchmark (bench/) reads its fields.
+type SpillReport struct {
+	Runs        int   `json:"runs"`
+	StoredBytes int64 `json:"stored_bytes"`
 }
 
 // PipelineReport aggregates a completed pipeline run.
@@ -296,8 +295,8 @@ type PipelineReport struct {
 	// when the cache is disabled). Concurrent pipelines share the cache, so
 	// deltas overlap.
 	Cache *CacheStats
-	// Spill carries the sort stage's spill accounting, when the pipeline
-	// sorted (nil otherwise).
+	// Spill is always nil: the sort keeps its runs in memory and stores
+	// none. It stays only because the benchmark (bench/) reads it.
 	Spill *SpillReport
 	// Pumped reports whether the run used the pumped scheduler; EdgeDepth
 	// is the bounded-queue depth its edges ran with (0 when serial).
@@ -382,7 +381,7 @@ func (p *Pipeline) validate(sourceCols []string, hasResults bool) error {
 // stage's Next (including its upstream pulls) and what flowed through.
 type edgeStats struct {
 	nanos   int64
-	setup   int64 // stage construction time (sort's eager spill phase)
+	setup   int64 // stage construction time (sort's eager staging phase)
 	groups  int64
 	records uint64
 }
@@ -521,18 +520,7 @@ func (p *Pipeline) buildStage(ctx context.Context, st pipeStage, in *agd.GroupSt
 		report.Align = alignReport
 		return out, err
 	case stageSort:
-		// Spill runs all complete inside SortStream (the sort's phase-1
-		// barrier), so the stats are final when it returns.
-		spill := &agdsort.SpillStats{}
-		out, err := agdsort.SortStream(ctx, sess.store, in, agdsort.Options{
-			By:         st.by,
-			TempPrefix: p.spillPrefix(),
-			Pipelining: pipelining,
-			Spill:      spill,
-		})
-		rep := spill.Report()
-		report.Spill = &rep
-		return out, err
+		return agdsort.SortStream(ctx, sess.store, in, agdsort.Options{By: st.by, Pipelining: pipelining})
 	case stageMarkDup:
 		out, d, err := markdup.MarkStream(in, pipelining)
 		*dups = d
@@ -625,7 +613,7 @@ func (p *Pipeline) Run(ctx context.Context) (*PipelineReport, error) {
 // then drains the sink there. Between two stages sits a link: the upstream
 // stream itself on a serial run, or a pump goroutine draining it into a
 // bounded edge, so stage N+1 consumes chunk k−1 while stage N produces chunk
-// k. A barrier stage's construction (sort's staging and spill) pulls its
+// k. A barrier stage's construction (sort's staging and run sorts) pulls its
 // input through the link while the pumps already started above it keep
 // running. Memory stays bounded (groups in flight ≤ Σ edge depths + one in
 // hand per stage, enforced by edge depth and the stages' builder-pool
@@ -675,7 +663,7 @@ func (p *Pipeline) run(ctx context.Context) (*PipelineReport, error) {
 	// stop ends the run, clean or failed: closing the last link tears the
 	// whole chain down (every stage's stop hook closes its upstream, a closed
 	// edge stops the pump feeding it) and finalizes the stage reports (align
-	// stats, spill cleanup).
+	// stats).
 	stop := func(err error) error {
 		pumps.Fail(err)
 		stream.Close()
@@ -688,7 +676,7 @@ func (p *Pipeline) run(ctx context.Context) (*PipelineReport, error) {
 		fstats *FilterStats
 	)
 	for i, st := range p.stages[1 : len(p.stages)-1] {
-		// A barrier stage's eager phase (sort's staging + spill) runs at
+		// A barrier stage's eager phase (sort's staging + run sorts) runs at
 		// construction, before any Next: it is charged to the stage as setup.
 		t0 := time.Now()
 		out, err := p.buildStage(pumps.Context(), st, stream, p.poolWindow(i+1, depth), report, &dups, &fstats)

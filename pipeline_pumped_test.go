@@ -3,7 +3,7 @@ package persona
 // Tests for the pumped pipeline scheduler: golden byte-equivalence against
 // the serial pull scheduler at different GOMAXPROCS settings and edge
 // depths, stage accounting sanity, and teardown hygiene when the sink fails
-// mid-merge (the sort spill sweep). All of these are meant to run under
+// mid-merge. All of these are meant to run under
 // -race with GOMAXPROCS=4 in CI.
 
 import (
@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"persona/internal/agd"
-	"persona/internal/storage"
 )
 
 // runWGSBoth runs the canonical Read→Align→Sort→MarkDup pipeline over "ds" into
@@ -92,31 +91,22 @@ func checkStageReports(t *testing.T, serial, pumped *PipelineReport) {
 }
 
 // checkConstructionFailures runs, under every schedule, graphs whose sort
-// fails while it is being built — its input turns out empty, or its spill
-// cannot be stored — with stages above it already streaming. Each must
-// return the stage's error and leave no pooled chunk checked out, no spill
-// blob and no goroutine behind, and the session must run a pipeline
-// afterwards.
+// fails while it is being built — its input turns out empty — with stages
+// above it already streaming. Each must return the stage's error and leave
+// no pooled chunk checked out and no goroutine behind, and the session must
+// run a pipeline afterwards.
 func checkConstructionFailures(t *testing.T, store Store, idx *Index) {
-	noSpills := NewFaultStore(store, FaultPolicy{
-		Keys: []KeyFaults{{Substr: ".pipeline/", Writes: OpFaults{ErrProb: 1}}},
-	})
-	defer noSpills.Close()
 	cases := []struct {
 		name  string
-		store Store
 		graph func(p *Pipeline) *Pipeline
 		want  string
 	}{
-		{"sort-of-nothing", store, func(p *Pipeline) *Pipeline {
+		{"sort-of-nothing", func(p *Pipeline) *Pipeline {
 			return p.Filter(func(*agd.ResultView) bool { return false }).Sort(ByLocation)
 		}, "stream has no records"},
-		{"spill-put-fails", noSpills, func(p *Pipeline) *Pipeline {
-			return p.Sort(ByLocation)
-		}, storage.ErrInjected.Error()},
 	}
 	for _, tc := range cases {
-		sess := NewSession(tc.store, SessionOptions{})
+		sess := NewSession(store, SessionOptions{})
 		for _, sch := range schedules {
 			t.Run(tc.name+"/"+sch.name, func(t *testing.T) {
 				goroutines := runtime.NumGoroutine()
@@ -131,9 +121,6 @@ func checkConstructionFailures(t *testing.T, store Store, idx *Index) {
 					MarkDuplicates().ExportSAM(&out)).Run(context.Background())
 				if err == nil || !strings.Contains(err.Error(), tc.want) {
 					t.Fatalf("run returned %v, want %q", err, tc.want)
-				}
-				if left, _ := store.List(".pipeline/"); len(left) != 0 {
-					t.Fatalf("spill blobs left: %v", left)
 				}
 				waitGoroutines(t, goroutines)
 				if size, free := sess.PoolStats(); size != free {
@@ -213,6 +200,25 @@ func TestPipelinePumpedMatchesSerial(t *testing.T) {
 			}
 			checkStageReports(t, serialRep, pumpedRep)
 			checkConstructionFailures(t, store, idx)
+
+			// Over a store that refuses every Put and Delete — so a sort
+			// spill could not be stored — every schedule still sorts and
+			// writes the same bytes: the sort needs no store.
+			readOnly := NewFaultStore(store, FaultPolicy{Writes: OpFaults{ErrProb: 1}})
+			defer readOnly.Close()
+			roSess := NewSession(readOnly, SessionOptions{})
+			defer roSess.Close()
+			for _, sch := range schedules {
+				t.Run("spill-put-fails/"+sch.name, func(t *testing.T) {
+					sam, bam, _ := runWGSBoth(t, roSess, idx, sch.serial, sch.depth)
+					if !bytes.Equal(sam, serialSAM) || !bytes.Equal(bam, serialBAM) {
+						t.Fatal("output over a store refusing writes differs from serial")
+					}
+					if size, free := roSess.PoolStats(); size != free {
+						t.Fatalf("chunk pool leak: %d of %d free", free, size)
+					}
+				})
+			}
 		})
 	}
 }
@@ -259,12 +265,11 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestPipelineSinkFailureSweepsSortSpills is the satellite-3 check: when the
-// sink dies partway through sort's merge, the teardown cascade must reach
-// the sort stage's stop hook and sweep the phase-1 spill blobs — the store
-// ends with exactly the keys it started with, the pools drain, and no pump
-// goroutine outlives the run.
-func TestPipelineSinkFailureSweepsSortSpills(t *testing.T) {
+// TestPipelineSinkFailureReturnsPooledChunks: when the sink dies partway
+// through sort's merge, the teardown cascade must still reach every stage —
+// the store ends with exactly the keys it started with, every pooled chunk
+// goes back, and no pump goroutine outlives the run.
+func TestPipelineSinkFailureReturnsPooledChunks(t *testing.T) {
 	store, g := pipelineFixture(t, "ds")
 	idx, err := BuildIndex(g)
 	if err != nil {
@@ -277,35 +282,24 @@ func TestPipelineSinkFailureSweepsSortSpills(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	putsBefore := len(store.putNames())
 
+	prog := NewProgress()
 	_, err = sess.Read("ds").
 		Align(idx, AlignOptions{}).
 		Sort(ByLocation).
 		MarkDuplicates().
 		ExportSAM(&failingWriter{limit: 512}).
+		Observe(prog).
 		Run(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "disk full") {
 		t.Fatalf("run with failing sink returned %v, want the sink's error", err)
 	}
 
-	// The sort must actually have spilled (the failure landed mid-merge,
-	// after phase 1 staged and wrote superchunks)...
-	spilled := false
-	for _, name := range store.putNames()[putsBefore:] {
-		if strings.HasPrefix(name, ".pipeline/") {
-			spilled = true
-			break
-		}
+	// The failure landed mid-merge: the sort had delivered groups...
+	if stages := prog.Snapshot(); len(stages) != 5 || stages[2].Groups == 0 {
+		t.Fatalf("sort delivered no group before the sink failed: %+v", stages)
 	}
-	if !spilled {
-		t.Fatal("sort never spilled; the failure did not land mid-merge")
-	}
-	// ...and the sweep must have removed every spill again: key count back
-	// to the pre-run state.
-	if left, _ := store.List(".pipeline/"); len(left) != 0 {
-		t.Fatalf("spill blobs left after sink failure: %v", left)
-	}
+	// ...and the store holds exactly what it held before the run.
 	keysAfter, err := store.List("")
 	if err != nil {
 		t.Fatal(err)

@@ -23,15 +23,16 @@ import (
 	"persona/internal/storage"
 )
 
-// countingStore wraps a Store, recording every Put name and counting Gets;
-// onGet (if set) runs before each Get — the hook cancellation tests use to
-// cancel mid-stream.
+// countingStore wraps a Store, recording every Put name and counting Gets
+// and Deletes; onGet (if set) runs before each Get — the hook cancellation
+// tests use to cancel mid-stream.
 type countingStore struct {
-	inner storage.Store
-	mu    sync.Mutex
-	puts  []string
-	gets  atomic.Int64
-	onGet atomic.Pointer[func(n int64)]
+	inner   storage.Store
+	mu      sync.Mutex
+	puts    []string
+	gets    atomic.Int64
+	deletes atomic.Int64
+	onGet   atomic.Pointer[func(n int64)]
 	// stored, once record has made it, keeps a copy of every blob Put
 	// since, deleted or not.
 	stored map[string][]byte
@@ -75,7 +76,10 @@ func (c *countingStore) Get(name string) ([]byte, error) {
 	return c.inner.Get(name)
 }
 
-func (c *countingStore) Delete(name string) error { return c.inner.Delete(name) }
+func (c *countingStore) Delete(name string) error {
+	c.deletes.Add(1)
+	return c.inner.Delete(name)
+}
 func (c *countingStore) List(prefix string) ([]string, error) {
 	return c.inner.List(prefix)
 }
@@ -122,8 +126,8 @@ func pipelineFixture(t testing.TB, names ...string) (*countingStore, *Genome) {
 
 // TestPipelineMatchesStagedSAM is the golden equivalence check: a fused
 // Read→Align→Sort→MarkDup→ExportSAM pipeline must produce byte-identical
-// SAM to the staged free-function sequence — and must write nothing to the
-// store except sort's temporary spill blobs, which it must delete again.
+// SAM to the staged free-function sequence — and must neither put nor
+// delete a single blob: the sort keeps its runs in memory.
 func TestPipelineMatchesStagedSAM(t *testing.T) {
 	ctx := context.Background()
 	store, g := pipelineFixture(t, "staged", "fused")
@@ -153,7 +157,7 @@ func TestPipelineMatchesStagedSAM(t *testing.T) {
 	// the two paths' bytes are comparable directly.
 	sess := NewSession(store, SessionOptions{})
 	defer sess.Close()
-	before := len(store.putNames())
+	puts, deletes := len(store.putNames()), store.deletes.Load()
 	var fusedSAM bytes.Buffer
 	report, err := sess.Read("fused").
 		Align(idx, AlignOptions{}).
@@ -181,24 +185,12 @@ func TestPipelineMatchesStagedSAM(t *testing.T) {
 		t.Fatalf("expected 5 stage reports, got %v", report.Stages)
 	}
 
-	// Zero intermediate datasets: every store write during the fused run
-	// must be a sort spill blob under the pipeline temp prefix...
-	writes := store.putNames()[before:]
-	if len(writes) == 0 {
-		t.Fatal("expected sort spill writes")
+	// Zero intermediate datasets, and no sort runs either.
+	if writes := store.putNames()[puts:]; len(writes) != 0 {
+		t.Fatalf("fused pipeline put %v", writes)
 	}
-	for _, name := range writes {
-		if !strings.HasPrefix(name, ".pipeline/") || !strings.Contains(name, "/tmp/") {
-			t.Fatalf("fused pipeline wrote non-spill blob %q", name)
-		}
-	}
-	// ...and the spill blobs are deleted by the time Run returns.
-	left, err := store.List(".pipeline/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(left) != 0 {
-		t.Fatalf("spill blobs left behind: %v", left)
+	if n := store.deletes.Load() - deletes; n != 0 {
+		t.Fatalf("fused pipeline deleted %d blobs", n)
 	}
 	// The session pool got every chunk back.
 	if size, free := sess.PoolStats(); size != free {
@@ -362,8 +354,8 @@ func TestPipelineValidation(t *testing.T) {
 }
 
 // TestPipelineCancellationMidStream cancels a fused pipeline partway
-// through its input and checks that Run fails promptly, that the sort spill
-// blobs are cleaned up, that the session chunk pool gets every pooled chunk
+// through its input and checks that Run fails promptly, that it put no blob,
+// that the session chunk pool gets every pooled chunk
 // back (no pool-item leak), that no goroutines are left behind, and that
 // the same session still completes the pipeline afterwards. Run under
 // -race, this also shakes out unsynchronized teardown.
@@ -378,6 +370,7 @@ func TestPipelineCancellationMidStream(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
 
 	ctx, cancel := context.WithCancel(context.Background())
+	puts := len(store.putNames())
 	baseline := store.gets.Load()
 	hook := func(n int64) {
 		// The 8-chunk dataset fetches 3 columns per chunk: cancelling
@@ -418,8 +411,8 @@ func TestPipelineCancellationMidStream(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if left, _ := store.List(".pipeline/"); len(left) != 0 {
-		t.Fatalf("spill blobs left after cancellation: %v", left)
+	if writes := store.putNames()[puts:]; len(writes) != 0 {
+		t.Fatalf("cancelled pipeline put %v", writes)
 	}
 
 	// The same session (same executor, same pools) still works.
@@ -474,7 +467,7 @@ func TestFreeFunctionCancellation(t *testing.T) {
 	if _, _, err := Align(context.Background(), store2, "ds", idx, AlignOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	// Mid-sort cancellation must also clean up the spilled superchunks.
+	// Mid-sort cancellation must leave nothing of the output behind.
 	sctx, scancel := context.WithCancel(context.Background())
 	sbase := store2.gets.Load()
 	shook := func(n int64) {
@@ -489,8 +482,8 @@ func TestFreeFunctionCancellation(t *testing.T) {
 	if err == nil {
 		t.Error("mid-stream cancelled Sort succeeded")
 	}
-	if left, _ := store2.List("ds.cancelled/tmp/"); len(left) != 0 {
-		t.Errorf("cancelled Sort left spill blobs: %v", left)
+	if left, _ := store2.List("ds.cancelled/"); len(left) != 0 {
+		t.Errorf("cancelled Sort left blobs: %v", left)
 	}
 
 	dead, cancel2 := context.WithCancel(context.Background())
@@ -540,6 +533,72 @@ func TestSessionIndexCache(t *testing.T) {
 	}
 	if a != b {
 		t.Fatal("session rebuilt the index for the same genome")
+	}
+}
+
+// TestSessionIndexBuildsOnce: concurrent first callers for one genome share
+// one build and all get its index; a failed build is not kept, so the next
+// caller builds again.
+func TestSessionIndexBuildsOnce(t *testing.T) {
+	g, err := SynthesizeGenome(60_000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := NewSession(NewMemStore(), SessionOptions{})
+	defer sess.Close()
+	const callers = 8
+	var builds atomic.Int32
+	var ready sync.WaitGroup
+	ready.Add(callers)
+	sess.buildIndex = func(g *Genome) (*Index, error) {
+		builds.Add(1)
+		// Hold the first build until every caller has asked, yielding so
+		// that a caller not sharing it would start a build of its own.
+		ready.Wait()
+		for i := 0; i < 100 && builds.Load() < callers; i++ {
+			runtime.Gosched()
+		}
+		return BuildIndex(g)
+	}
+	idxs := make([]*Index, callers)
+	errs := make([]error, callers)
+	var done sync.WaitGroup
+	for i := range idxs {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			ready.Done()
+			idxs[i], errs[i] = sess.Index(g)
+		}()
+	}
+	done.Wait()
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("%d concurrent first callers built the index %d times, want once", callers, n)
+	}
+	for i := range idxs {
+		if errs[i] != nil || idxs[i] != idxs[0] || idxs[0] == nil {
+			t.Fatalf("caller %d got (%p, %v), caller 0 %p", i, idxs[i], errs[i], idxs[0])
+		}
+	}
+
+	other, err := SynthesizeGenome(60_000, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	builds.Store(0)
+	sess.buildIndex = func(*Genome) (*Index, error) {
+		builds.Add(1)
+		return nil, errors.New("index: out of memory")
+	}
+	if _, err := sess.Index(other); err == nil {
+		t.Fatal("a failed build returned no error")
+	}
+	sess.buildIndex = func(g *Genome) (*Index, error) {
+		builds.Add(1)
+		return BuildIndex(g)
+	}
+	if idx, err := sess.Index(other); err != nil || idx == nil || builds.Load() != 2 {
+		t.Fatalf("after a failed build: (%p, %v) after %d builds, want a second build", idx, err, builds.Load())
 	}
 }
 

@@ -2,13 +2,11 @@ package persona
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"persona/internal/agd"
-	"persona/internal/align/snap"
 	"persona/internal/cluster"
 	"persona/internal/dataflow"
 )
@@ -44,10 +42,13 @@ type Session struct {
 	exec      *dataflow.Executor
 	chunkPool *dataflow.ItemPool[*agd.Chunk]
 	cache     *agd.ChunkCache // nil when disabled
-	seq       atomic.Uint64   // distinct spill prefixes for concurrent sorts
+	seq       atomic.Uint64   // distinct namespaces for concurrent cluster runs
+
+	// buildIndex builds a seed index; tests wrap it to count builds.
+	buildIndex func(*Genome) (*Index, error)
 
 	mu        sync.Mutex
-	indexes   map[*Genome]*Index
+	indexes   map[*Genome]*indexBuild
 	manifests map[string]*agd.Manifest // dataset name → parsed manifest
 	closed    bool
 }
@@ -74,40 +75,52 @@ func NewSession(store Store, opts SessionOptions) *Session {
 		cache = agd.NewChunkCache(budget)
 	}
 	return &Session{
-		store:     store,
-		exec:      exec,
-		chunkPool: agd.NewChunkPool(poolSize),
-		cache:     cache,
-		indexes:   make(map[*Genome]*Index),
-		manifests: make(map[string]*agd.Manifest),
+		store:      store,
+		buildIndex: BuildIndex,
+		exec:       exec,
+		chunkPool:  agd.NewChunkPool(poolSize),
+		cache:      cache,
+		indexes:    make(map[*Genome]*indexBuild),
+		manifests:  make(map[string]*agd.Manifest),
 	}
 }
 
 // Store returns the session's blob store.
 func (s *Session) Store() Store { return s.store }
 
+// indexBuild is one genome's index build: done closes when idx and err are
+// set.
+type indexBuild struct {
+	done chan struct{}
+	idx  *Index
+	err  error
+}
+
 // Index returns the SNAP seed index for a reference genome, building it on
 // first use and caching it for the session's lifetime — the warm-index
-// reuse that makes repeated align requests cheap.
+// reuse that makes repeated align requests cheap. Concurrent first callers
+// share one build: the index is the largest object in the process, and two
+// builds would double the peak. A failed build is not cached.
 func (s *Session) Index(g *Genome) (*Index, error) {
 	s.mu.Lock()
-	idx, ok := s.indexes[g]
+	b, ok := s.indexes[g]
+	if !ok {
+		b = &indexBuild{done: make(chan struct{})}
+		s.indexes[g] = b
+	}
 	s.mu.Unlock()
 	if ok {
-		return idx, nil
+		<-b.done
+		return b.idx, b.err
 	}
-	idx, err := snap.BuildIndex(g, snap.IndexConfig{SeedLen: 16})
-	if err != nil {
-		return nil, err
+	b.idx, b.err = s.buildIndex(g)
+	if b.err != nil {
+		s.mu.Lock()
+		delete(s.indexes, g)
+		s.mu.Unlock()
 	}
-	s.mu.Lock()
-	if cached, ok := s.indexes[g]; ok {
-		idx = cached // lost a build race; keep one copy
-	} else {
-		s.indexes[g] = idx
-	}
-	s.mu.Unlock()
-	return idx, nil
+	close(b.done)
+	return b.idx, b.err
 }
 
 // AlignDistributed runs a distributed alignment of a dataset in the
@@ -201,11 +214,6 @@ func (s *Session) Close() {
 	}
 	s.closed = true
 	s.exec.Close()
-}
-
-// tempPrefix returns a session-unique prefix for a pipeline's spill blobs.
-func (s *Session) tempPrefix() string {
-	return fmt.Sprintf(".pipeline/%d/tmp", s.seq.Add(1))
 }
 
 // PoolStats reports the session chunk pool's bound and how many chunks are
