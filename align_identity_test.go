@@ -1,8 +1,9 @@
 package persona
 
-// One identity table for alignment: every way of running it — the core free
-// function, a Session pipeline, the cluster at several node counts, at every
-// subchunk split and executor size — must store results-column blobs
+// One identity table for alignment: every way of running it — the align
+// stage alone, the one-shot Align and AlignPaired, a Session pipeline, the
+// cluster at several node counts, at every subchunk split and executor size
+// — must store results-column blobs
 // byte-identical to a reference that shares nothing with them but the
 // aligner kernel: snap.Aligner in a plain per-read loop, appended with
 // agd.AppendColumn (what testutil.Build does for single-end reads).
@@ -17,6 +18,7 @@ import (
 	"persona/internal/align/snap"
 	"persona/internal/cluster"
 	"persona/internal/core"
+	"persona/internal/dataflow"
 	"persona/internal/reads"
 	"persona/internal/testutil"
 )
@@ -72,6 +74,35 @@ func pairedReference(t *testing.T, store agd.BlobStore) *snap.Index {
 		t.Fatal(err)
 	}
 	return idx
+}
+
+// alignColumn aligns dataset "ds" of store in place through the align stage
+// alone — a bases source, core.AlignStream on an executor of threads
+// workers, the results column sink — so that cfg can vary what the one-shot
+// Align fixes, the subchunk split.
+func alignColumn(t *testing.T, store agd.BlobStore, cfg core.AlignConfig, threads int) {
+	t.Helper()
+	ds, err := agd.Open(store, "ds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := dataflow.NewExecutor(threads, 2*threads)
+	defer exec.Close()
+	codec := agd.Codec{Exec: exec}
+	in, err := ds.Groups(agd.StreamOptions{Columns: []string{agd.ColBases}, Codec: codec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _, err := core.AlignStream(cfg, exec, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := agd.WriteColumn(context.Background(), out, store, ds.Manifest, agd.ColResults, codec, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := agd.RegisterColumn(store, ds.Manifest, agd.ColResults); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // resultsColumn returns a dataset's results blobs, in chunk order.
@@ -154,13 +185,9 @@ func TestAlignIdentity(t *testing.T) {
 				name := fmt.Sprintf("paired=%v/threads=%d/subchunks=%d", paired, threads, sub)
 				t.Run(name+"/core.Align", func(t *testing.T) {
 					store := unaligned(t, ref)
-					_, _, err := core.Align(ctx, core.AlignConfig{
-						Store: store, Dataset: "ds", Index: idx, Aligner: identityAligner,
-						Paired: paired, ExecutorThreads: threads, Subchunks: sub,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
+					alignColumn(t, store, core.AlignConfig{
+						Index: idx, Aligner: identityAligner, Paired: paired, Subchunks: sub,
+					}, threads)
 					check(t, store, "ds")
 				})
 				if paired {
@@ -179,6 +206,19 @@ func TestAlignIdentity(t *testing.T) {
 					})
 				}
 			}
+			// The one-shot forms take the engine's default subchunk split.
+			t.Run(fmt.Sprintf("paired=%v/threads=%d/persona.Align", paired, threads), func(t *testing.T) {
+				store := unaligned(t, ref)
+				oneShot := Align
+				if paired {
+					oneShot = AlignPaired
+				}
+				opts := AlignOptions{ExecutorThreads: threads, MaxDist: identityAligner.MaxDist}
+				if _, _, err := oneShot(ctx, store, "ds", idx, opts); err != nil {
+					t.Fatal(err)
+				}
+				check(t, store, "ds")
+			})
 			if paired {
 				continue
 			}

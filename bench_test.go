@@ -150,7 +150,7 @@ func copyStore(src, dst agd.BlobStore, prefixes ...string) error {
 func BenchmarkTable2_Sorts(b *testing.B) {
 	sc := benchScale()
 	store := agd.NewMemStore()
-	f, err := testutil.BuildE(store, "ds", testutil.Config{
+	_, err := testutil.BuildE(store, "ds", testutil.Config{
 		GenomeSize: sc.GenomeSize, NumReads: sc.NumReads, ReadLen: sc.ReadLen,
 		ChunkSize: sc.ChunkSize, DupFrac: sc.DupFrac, Seed: sc.Seed,
 	})
@@ -161,7 +161,7 @@ func BenchmarkTable2_Sorts(b *testing.B) {
 		b.Run("by="+by.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := agdsort.SortDataset(context.Background(), f.Dataset, agdsort.Options{By: by, OutputName: "sorted"}); err != nil {
+				if _, err := persona.Sort(context.Background(), store, "ds", by, "sorted"); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -288,7 +288,7 @@ func BenchmarkConversion_ImportExport(b *testing.B) {
 		b.Fatal(err)
 	}
 	store := agd.NewMemStore()
-	f, err := testutil.BuildE(store, "ds", testutil.Config{
+	_, err = testutil.BuildE(store, "ds", testutil.Config{
 		GenomeSize: sc.GenomeSize, NumReads: sc.NumReads, ReadLen: sc.ReadLen,
 		ChunkSize: sc.ChunkSize, DupFrac: sc.DupFrac, Seed: sc.Seed,
 	})
@@ -301,35 +301,35 @@ func BenchmarkConversion_ImportExport(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			dst := agd.NewMemStore()
-			if _, _, err := fastq.Import(context.Background(), dst, "conv", bytes.NewReader(fq.Bytes()), fastq.ImportOptions{ChunkSize: sc.ChunkSize}); err != nil {
+			if _, _, err := persona.ImportFASTQ(context.Background(), dst, "conv", bytes.NewReader(fq.Bytes()), nil, sc.ChunkSize); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("sam_export", func(b *testing.B) {
 		cw := &countWriter{}
-		if _, err := sam.Export(context.Background(), f.Dataset, cw); err != nil {
+		if _, err := persona.ExportSAM(context.Background(), store, "ds", cw); err != nil {
 			b.Fatal(err)
 		}
 		b.SetBytes(cw.n)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := sam.Export(context.Background(), f.Dataset, io.Discard); err != nil {
+			if _, err := persona.ExportSAM(context.Background(), store, "ds", io.Discard); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("bam_export", func(b *testing.B) {
 		cw := &countWriter{}
-		if _, err := bam.Export(context.Background(), f.Dataset, cw); err != nil {
+		if _, err := persona.ExportBAM(context.Background(), store, "ds", cw); err != nil {
 			b.Fatal(err)
 		}
 		b.SetBytes(cw.n)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := bam.Export(context.Background(), f.Dataset, io.Discard); err != nil {
+			if _, err := persona.ExportBAM(context.Background(), store, "ds", io.Discard); err != nil {
 				b.Fatal(err)
 			}
 		}

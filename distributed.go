@@ -3,6 +3,7 @@ package persona
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"persona/internal/agd"
 	"persona/internal/align/snap"
@@ -213,5 +214,5 @@ func (p *Pipeline) exportDistributed(ctx context.Context, m *agd.Manifest, repor
 		return 0, err
 	}
 	defer gs.Close()
-	return p.runSink(ctx, gs, report)
+	return p.runSink(ctx, gs, nil, time.Time{}, report)
 }

@@ -8,15 +8,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"persona/internal/agd"
-	"persona/internal/agdsort"
-	"persona/internal/filter"
-	"persona/internal/formats/fastq"
 	"persona/internal/storage"
 	"persona/internal/testutil"
 )
@@ -64,36 +62,61 @@ func waitGoroutines(t *testing.T, limit int) {
 	}
 }
 
-// TestOneShotsLeaveNoGoroutine: a one-shot sort, filter and FASTQ import run
-// their chunk work on the calling goroutine and on an executor they close
-// before returning, so the goroutine count right after each is the count
-// before — with no waiting. The import writes chunks big enough for a codec
-// with workers to split. It runs at one processor: there a worker that has signalled Close is gone
-// before Close's caller runs again, while with more processors it may still
-// be on its way out when the count is taken.
+// TestOneShotsLeaveNoGoroutine: every one-shot function runs its pipeline
+// on the calling goroutine and on the executor of a session it closes before
+// returning, so the goroutine count right after each is the count before —
+// with no waiting. The import writes chunks big enough for a codec with
+// workers to split. It runs at one processor: there a worker that has
+// signalled Close is gone before Close's caller runs again, while with more
+// processors it may still be on its way out when the count is taken.
 func TestOneShotsLeaveNoGoroutine(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ctx := context.Background()
 	store := agd.NewMemStore()
-	testutil.Build(t, store, "ds", testutil.Config{GenomeSize: 100_000, NumReads: 2000, ReadLen: 101, ChunkSize: 100, Seed: 5})
+	idx := testutil.Build(t, store, "ds", testutil.Config{GenomeSize: 100_000, NumReads: 2000, ReadLen: 101, ChunkSize: 100, Seed: 5}).Index
 	var fq bytes.Buffer
 	if _, err := ExportFASTQ(ctx, store, "ds", &fq); err != nil {
 		t.Fatal(err)
 	}
+	single, paired := unaligned(t, store), unaligned(t, store)
 	for _, op := range []struct {
 		name string
 		run  func() error
 	}{
-		{"agdsort.Sort", func() error {
-			_, err := agdsort.Sort(ctx, store, "ds", agdsort.Options{By: agdsort.ByLocation, OutputName: "sorted"})
+		{"Align", func() error {
+			_, _, err := Align(ctx, single, "ds", idx, AlignOptions{})
 			return err
 		}},
-		{"filter.Run", func() error {
-			_, _, err := filter.Run(ctx, store, "ds", filter.MappedOnly(), filter.Options{OutputName: "mapped"})
+		{"AlignPaired", func() error {
+			_, _, err := AlignPaired(ctx, paired, "ds", idx, AlignOptions{ExecutorThreads: 3})
 			return err
 		}},
-		{"fastq.Import", func() error {
-			_, _, err := fastq.Import(ctx, store, "imported", bytes.NewReader(fq.Bytes()), fastq.ImportOptions{ChunkSize: 2000})
+		{"Sort", func() error {
+			_, err := Sort(ctx, store, "ds", ByLocation, "sorted")
+			return err
+		}},
+		{"MarkDuplicates", func() error {
+			_, err := MarkDuplicates(ctx, store, "sorted")
+			return err
+		}},
+		{"Filter", func() error {
+			_, _, err := Filter(ctx, store, "ds", FilterMappedOnly(), "mapped")
+			return err
+		}},
+		{"ExportSAM", func() error {
+			_, err := ExportSAM(ctx, store, "sorted", io.Discard)
+			return err
+		}},
+		{"ExportBAM", func() error {
+			_, err := ExportBAM(ctx, store, "sorted", io.Discard)
+			return err
+		}},
+		{"ExportFASTQ", func() error {
+			_, err := ExportFASTQ(ctx, store, "mapped", io.Discard)
+			return err
+		}},
+		{"ImportFASTQ", func() error {
+			_, _, err := ImportFASTQ(ctx, store, "imported", bytes.NewReader(fq.Bytes()), nil, 2000)
 			return err
 		}},
 	} {
@@ -129,7 +152,7 @@ func TestSortFailureLeavesNothing(t *testing.T) {
 	ds := writeKeyFixture(t, base, "ds", "ragged")
 	for _, by := range []SortKey{ByLocation, ByMetadata} {
 		sort := func(ctx context.Context, store agd.BlobStore) error {
-			_, err := agdsort.Sort(ctx, store, "ds", agdsort.Options{By: by, ChunksPerSuperchunk: 5, OutputName: "out"})
+			_, err := Sort(ctx, store, "ds", by, "out")
 			return err
 		}
 		puts := eachPutFault(t, base, func(store agd.BlobStore) error {
@@ -151,6 +174,37 @@ func TestSortFailureLeavesNothing(t *testing.T) {
 		testutil.SameBlobs(t, "after a mid-merge cancel", testutil.Blobs(t, mem, ""), testutil.Blobs(t, base, ""))
 		waitGoroutines(t, before)
 	}
+}
+
+// TestAlignFailureLeavesNothing fails every Put of a one-shot Align in turn —
+// each results blob, the manifest that registers the column — and cancels
+// one midway: the results blobs already stored go again, so the dataset is
+// the unaligned one it was.
+func TestAlignFailureLeavesNothing(t *testing.T) {
+	aligned := agd.NewMemStore()
+	f := testutil.Build(t, aligned, "ds", testutil.Config{GenomeSize: 60_000, NumReads: 120, ReadLen: 60, ChunkSize: 20, Seed: 9})
+	base := unaligned(t, aligned)
+	align := func(ctx context.Context, store agd.BlobStore) error {
+		_, _, err := Align(ctx, store, "ds", f.Index, AlignOptions{})
+		return err
+	}
+	puts := eachPutFault(t, base, func(store agd.BlobStore) error {
+		return align(context.Background(), store)
+	})
+	if want := f.Dataset.NumChunks() + 1; puts != want {
+		t.Fatalf("the align put %d blobs, want %d (results chunks, manifest)", puts, want)
+	}
+
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	mem := testutil.CopyStore(t, base)
+	err := align(ctx, &cancelOnPut{BlobStore: mem, substr: "ds/chunk-000003.results", cancel: cancel})
+	cancel()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("align cancelled midway returned %v", err)
+	}
+	testutil.SameBlobs(t, "after a cancel midway", testutil.Blobs(t, mem, ""), testutil.Blobs(t, base, ""))
+	waitGoroutines(t, before)
 }
 
 // TestFilterFailureLeavesNothing fails every Put of a filter pass in turn —

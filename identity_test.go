@@ -177,6 +177,29 @@ func outBlobs(t *testing.T, how string, store, base agd.BlobStore) map[string][]
 	return out
 }
 
+// sortInto sorts dataset "ds" of store into "out" through the sort stage
+// alone — a dataset source, agdsort.SortStream, a dataset sink — so that
+// opts can vary what the one-shot Sort fixes, the chunks a run.
+func sortInto(t *testing.T, store agd.BlobStore, opts agdsort.Options) {
+	t.Helper()
+	ds, err := agd.Open(store, "ds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := ds.Groups(agd.StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := agdsort.SortStream(context.Background(), store, in, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	if _, err := agd.WriteGroups(context.Background(), out, store, "out", agd.WriterOptions{}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // eachPipeline runs build's pipeline to Write("out") on both drivers, each
 // over a fresh copy of base, and hands back the output blobs.
 func eachPipeline(t *testing.T, base agd.BlobStore, build func(*Pipeline) *Pipeline, check func(how string, out map[string][]byte)) {
@@ -211,9 +234,7 @@ func TestSortBlobIdentity(t *testing.T) {
 				}
 				for _, perRun := range []int{0, 2, 3} {
 					store := testutil.CopyStore(t, base)
-					if _, err := agdsort.Sort(ctx, store, "ds", agdsort.Options{By: by, ChunksPerSuperchunk: perRun, OutputName: "out"}); err != nil {
-						t.Fatal(err)
-					}
+					sortInto(t, store, agdsort.Options{By: by, ChunksPerSuperchunk: perRun})
 					how := fmt.Sprintf("Sort, %d chunks a run", perRun)
 					testutil.SameBlobs(t, how, outBlobs(t, how, store, base), want)
 				}

@@ -330,9 +330,8 @@ func SpecTypeFor(name string) RecordType {
 // goroutine (its members on opts.Codec's executor) and its blobs stored, one
 // Put at a time, while the next group is pulled — as a task on that executor,
 // or before the pull with none. It returns once every blob has landed. On any
-// failure the column blobs already written are deleted. It is the dataset
-// sink of the pipeline and of the one-stage free functions; the caller closes
-// the stream.
+// failure the column blobs already written are deleted. It is the
+// pipeline's dataset sink; the caller closes the stream.
 func WriteGroups(ctx context.Context, in *GroupStream, store BlobStore, name string, opts WriterOptions) (*Manifest, error) {
 	w, err := appendGroups(ctx, in, store, name, opts)
 	if err == nil && w == nil {

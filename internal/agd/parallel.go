@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"runtime"
 	"sync"
 
 	"persona/internal/dataflow"
@@ -56,15 +55,6 @@ type Codec struct {
 	// tests comparing against blobs written by earlier releases. Decoding
 	// accepts both layouts (and always verifies a footer when present).
 	noChecksum bool
-}
-
-// OpenCodec returns a codec on a new executor of GOMAXPROCS workers and the
-// function that closes it. A one-shot operation, handed no executor, opens one
-// for its source and its sink this way and closes it on return.
-func OpenCodec() (Codec, func()) {
-	n := runtime.GOMAXPROCS(0)
-	exec := dataflow.NewExecutor(n, 2*n)
-	return Codec{Exec: exec}, exec.Close
 }
 
 // memberCount picks how many gzip members to write for n data bytes.

@@ -10,9 +10,9 @@
 // LSD radix sort over the key bytes that actually vary. Phase 2 is one k-way
 // heap merge of the runs (RunMerger) emitted as a stream of output chunks
 // (MergeStream, the only code that turns merged rows into groups).
-// SortStream is that sort as a pipeline stage; Sort is the one-stage pipeline
-// dataset → SortStream → dataset. The in-process sort keeps its runs in
-// memory: the merge needs every run resident before it emits a row, so
+// SortStream is that sort as a pipeline stage; the one-stage persona.Sort
+// puts it between a dataset source and a dataset sink. The in-process sort
+// keeps its runs in memory: the merge needs every run resident before it emits a row, so
 // storing runs and fetching them back would bound no memory, only cost a
 // store round trip per run. A range-partitioned merge is the same merger and
 // stream over run fragments cut at shared splitters (CutRun), which the
@@ -21,9 +21,7 @@
 package agdsort
 
 import (
-	"context"
 	"encoding/binary"
-	"fmt"
 
 	"persona/internal/agd"
 )
@@ -57,9 +55,6 @@ type Options struct {
 	// into each superchunk run (default 8) — the knob that trades staging
 	// memory for merge fan-in.
 	ChunksPerSuperchunk int
-	// OutputName names the sorted dataset; default "<name>.sorted". Output
-	// chunks hold as many records as the input's.
-	OutputName string
 	// TempPrefix is unused: runs stay in memory and nothing is stored under
 	// it. It stays only because the benchmark (bench/) sets it.
 	TempPrefix string
@@ -69,45 +64,6 @@ type Options struct {
 	// builders from a bounded pool of that size, so a pumped edge can queue
 	// groups that stay valid until Release.
 	Pipelining int
-}
-
-// Sort externally sorts a dataset and writes a new sorted dataset,
-// returning its manifest. Cancellation and deadline of ctx are checked per
-// chunk in both phases.
-func Sort(ctx context.Context, store agd.BlobStore, name string, opts Options) (*agd.Manifest, error) {
-	ds, err := agd.Open(store, name)
-	if err != nil {
-		return nil, err
-	}
-	return SortDataset(ctx, ds, opts)
-}
-
-// SortDataset is Sort over an already-open dataset: its chunks stream
-// through SortStream into the dataset sink, so the only blobs it stores are
-// the output's (runs stay in memory, see SortStream). The source and the sink
-// (de)compress chunk members on an executor of GOMAXPROCS workers that lives
-// as long as the call; on failure no output blob remains.
-func SortDataset(ctx context.Context, ds *agd.Dataset, opts Options) (*agd.Manifest, error) {
-	m := ds.Manifest
-	if keyColumn(m.Columns, opts.By) < 0 {
-		return nil, fmt.Errorf("agdsort: dataset %q has no column to sort by %s", m.Name, opts.By)
-	}
-	if opts.OutputName == "" {
-		opts.OutputName = m.Name + ".sorted"
-	}
-	codec, closeCodec := agd.OpenCodec()
-	defer closeCodec()
-	in, err := ds.Groups(agd.StreamOptions{Codec: codec})
-	if err != nil {
-		return nil, err
-	}
-	out, err := SortStream(ctx, ds.Store(), in, opts)
-	if err != nil {
-		in.Close()
-		return nil, err
-	}
-	defer out.Close()
-	return agd.WriteGroups(ctx, out, ds.Store(), opts.OutputName, agd.WriterOptions{Codec: codec})
 }
 
 // keyColumn locates the column the sort key is derived from.

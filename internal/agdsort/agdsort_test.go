@@ -15,13 +15,30 @@ import (
 	"persona/internal/testutil"
 )
 
+// sortDataset sorts ds into dataset out through SortStream between a
+// dataset source and a dataset sink — the one-stage pipeline persona.Sort
+// runs, with opts free to vary what persona.Sort fixes.
+func sortDataset(ds *agd.Dataset, opts Options, out string) (*agd.Manifest, error) {
+	in, err := ds.Groups(agd.StreamOptions{})
+	if err != nil {
+		return nil, err
+	}
+	sorted, err := SortStream(context.Background(), ds.Store(), in, opts)
+	if err != nil {
+		in.Close()
+		return nil, err
+	}
+	defer sorted.Close()
+	return agd.WriteGroups(context.Background(), sorted, ds.Store(), out, agd.WriterOptions{})
+}
+
 func TestSortByLocation(t *testing.T) {
 	store := agd.NewMemStore()
 	f := testutil.Build(t, store, "ds", testutil.Config{
 		GenomeSize: 150_000, NumReads: 600, ReadLen: 80, ChunkSize: 100, Seed: 51,
 	})
 
-	m, err := SortDataset(context.Background(), f.Dataset, Options{By: ByLocation, ChunksPerSuperchunk: 2})
+	m, err := sortDataset(f.Dataset, Options{By: ByLocation, ChunksPerSuperchunk: 2}, "ds.sorted")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +122,7 @@ func TestSortRowsStayAligned(t *testing.T) {
 		byMeta[string(origMeta[i])] = origResults[i]
 	}
 
-	m, err := SortDataset(context.Background(), f.Dataset, Options{By: ByLocation})
+	m, err := sortDataset(f.Dataset, Options{By: ByLocation}, "ds.sorted")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +154,7 @@ func TestSortByMetadata(t *testing.T) {
 	f := testutil.Build(t, store, "ds", testutil.Config{
 		GenomeSize: 80_000, NumReads: 250, ReadLen: 60, ChunkSize: 50, Seed: 53,
 	})
-	m, err := SortDataset(context.Background(), f.Dataset, Options{By: ByMetadata, OutputName: "byid"})
+	m, err := sortDataset(f.Dataset, Options{By: ByMetadata}, "byid")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +190,7 @@ func TestSortPreservesBases(t *testing.T) {
 	for i := range inMeta {
 		byMeta[string(inMeta[i])] = string(inBases[i])
 	}
-	m, err := SortDataset(context.Background(), f.Dataset, Options{By: ByLocation})
+	m, err := sortDataset(f.Dataset, Options{By: ByLocation}, "ds.sorted")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +249,7 @@ func TestSortByMetadataSharedPrefix(t *testing.T) {
 	}
 	// ChunksPerSuperchunk 2 forces a multi-superchunk merge, so both the
 	// in-memory sort and the heap merge hit the prefix-tie path.
-	m, err := SortDataset(context.Background(), ds, Options{By: ByMetadata, ChunksPerSuperchunk: 2})
+	m, err := sortDataset(ds, Options{By: ByMetadata, ChunksPerSuperchunk: 2}, "ds.sorted")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +326,7 @@ func TestSortCleansTemporaries(t *testing.T) {
 	f := testutil.Build(t, store, "ds", testutil.Config{
 		GenomeSize: 50_000, NumReads: 100, ReadLen: 50, ChunkSize: 25, Seed: 55,
 	})
-	if _, err := SortDataset(context.Background(), f.Dataset, Options{By: ByLocation, OutputName: "out"}); err != nil {
+	if _, err := sortDataset(f.Dataset, Options{By: ByLocation}, "out"); err != nil {
 		t.Fatal(err)
 	}
 	tmp, err := store.List("out/tmp/")
@@ -326,11 +343,8 @@ func TestSortErrors(t *testing.T) {
 	f := testutil.Build(t, store, "noresults", testutil.Config{
 		GenomeSize: 50_000, NumReads: 60, ReadLen: 50, ChunkSize: 30, Seed: 56, SkipAlign: true,
 	})
-	if _, err := SortDataset(context.Background(), f.Dataset, Options{By: ByLocation}); err == nil {
+	if _, err := sortDataset(f.Dataset, Options{By: ByLocation}, "ds.sorted"); err == nil {
 		t.Fatal("sort by location without results column succeeded")
-	}
-	if _, err := Sort(context.Background(), store, "missing", Options{}); err == nil {
-		t.Fatal("sorting a missing dataset succeeded")
 	}
 }
 
@@ -372,7 +386,7 @@ func TestSortPutsOnlyOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := SortDataset(context.Background(), ds, Options{By: ByLocation, ChunksPerSuperchunk: 2, OutputName: "out"})
+	m, err := sortDataset(ds, Options{By: ByLocation, ChunksPerSuperchunk: 2}, "out")
 	if err != nil {
 		t.Fatal(err)
 	}

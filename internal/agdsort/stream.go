@@ -8,9 +8,9 @@ import (
 	"persona/internal/agd"
 )
 
-// SortStream is the sort: stream in, stream out, under composed pipelines
-// and under Sort alike. It is a global barrier, so it cannot be fused record-
-// to-record: phase 1 drains the input stream, staging superchunk batches in
+// SortStream is the sort: stream in, stream out, its output chunked like its
+// input. It is a global barrier, so it cannot be fused record-to-record:
+// phase 1 drains the input stream, staging superchunk batches in
 // record arenas and framing each sorted batch as one run in memory; phase 2
 // feeds the next stage chunk-by-chunk from the heap merge of the runs. Each
 // full batch is sorted on the calling goroutine before the next group is

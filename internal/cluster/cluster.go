@@ -281,7 +281,8 @@ func runNodes(ctx context.Context, srv *PhaseServer, cfg *Config, node func(ctx 
 // results writes are idempotent, so duplicate completion is safe) and the
 // run completes degraded, with the reassignments recorded in the report.
 // Permanent errors — corrupt chunks, missing blobs, ctx ending — abort the
-// whole run. The results column is registered in the manifest at the end.
+// whole run. The results column is registered in the manifest at the end;
+// a run that fails leaves no results blob behind.
 func Align(ctx context.Context, store storage.Store, datasetName string, idx *snap.Index, cfg Config) (*Report, *agd.Manifest, error) {
 	cfg.applyDefaults()
 	ds, err := agd.Open(store, datasetName)
@@ -304,12 +305,17 @@ func Align(ctx context.Context, store storage.Store, datasetName string, idx *sn
 	report, err := runNodes(ctx, srv, &cfg, func(ctx context.Context, w *worker) error {
 		return alignNode(ctx, w, ds, idx)
 	})
-	if err != nil {
-		return nil, nil, err
+	var updated *agd.Manifest
+	if err == nil {
+		updated, err = agd.RegisterColumn(store, m, agd.ColResults)
 	}
-
-	updated, err := agd.RegisterColumn(store, m, agd.ColResults)
 	if err != nil {
+		// runNodes returns once every worker has, so no Put is in flight:
+		// the results blobs that landed go, and the dataset is the unaligned
+		// one it was.
+		for i := range m.Chunks {
+			_ = store.Delete(m.ChunkBlobPath(i, agd.ColResults))
+		}
 		return nil, nil, err
 	}
 	return report, updated, nil

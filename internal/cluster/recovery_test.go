@@ -139,6 +139,37 @@ func TestAlignAllWorkersDead(t *testing.T) {
 	}
 }
 
+// cancelAtPut cancels a context at the first Put whose name contains substr,
+// and lets that Put through.
+type cancelAtPut struct {
+	storage.Store
+	substr string
+	cancel context.CancelFunc
+}
+
+func (s cancelAtPut) Put(name string, data []byte) error {
+	if strings.Contains(name, s.substr) {
+		s.cancel()
+	}
+	return s.Store.Put(name, data)
+}
+
+// TestAlignFailureLeavesNoResults: a two-node run cancelled at chunk 4's
+// results Put, with other chunks' results already stored, fails and leaves
+// the dataset as it found it — no results blob, no results column.
+func TestAlignFailureLeavesNoResults(t *testing.T) {
+	mem := agd.NewMemStore()
+	f := testutil.Build(t, mem, "ds", recoveryFixture)
+	before := testutil.Blobs(t, mem, "")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	store := cancelAtPut{Store: mem, substr: "ds/chunk-000004.results", cancel: cancel}
+	if _, _, err := Align(ctx, store, "ds", f.Index, Config{Nodes: 2, ThreadsPerNode: 2}); err == nil {
+		t.Fatal("a run cancelled midway succeeded")
+	}
+	testutil.SameBlobs(t, "after a failed run", testutil.Blobs(t, mem, ""), before)
+}
+
 // TestAlignUnderInjectedReadFaults: the full distributed run, with >=10% of
 // reads failing transiently, completes byte-identical to the fault-free run
 // when the store is resilience-wrapped.

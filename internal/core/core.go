@@ -2,30 +2,22 @@
 // stage, AlignStream, that appends a results column to every row group by
 // splitting its reads into subchunks on the shared fine-grain executor
 // (Fig. 4), each subchunk aligned by one of a pool of SNAP aligners, read by
-// read or pair by pair. Align is that stage between a dataset source and a
-// column sink — the §4.1 "thin library that stitches nodes into subgraphs" is
-// three calls long; composed pipelines and cluster workers put the same stage
-// between other sources and sinks.
+// read or pair by pair. The stage has no driver of its own: a persona
+// pipeline puts it between a source and a sink (the one-shot persona.Align
+// between a dataset source and a sink writing the results column back into
+// the dataset), and each cluster worker between its chunk leases and that
+// same column sink.
 package core
 
 import (
-	"context"
-	"fmt"
 	"time"
 
 	"persona/internal/agd"
 	"persona/internal/align/snap"
-	"persona/internal/dataflow"
-	"persona/internal/storage"
 )
 
-// AlignConfig parameterizes alignment: the whole struct for Align, the
-// aligner and tuning fields for AlignStream.
+// AlignConfig parameterizes AlignStream.
 type AlignConfig struct {
-	// Store holds the dataset; results are written back to it (Align only).
-	Store storage.Store
-	// Dataset names the AGD dataset to align (Align only).
-	Dataset string
 	// Index is the SNAP seed index of the reference (required).
 	Index *snap.Index
 	// Aligner tunes the SNAP algorithm.
@@ -34,30 +26,27 @@ type AlignConfig struct {
 	// each group; a group with an odd record count is an error).
 	Paired bool
 
-	// ExecutorThreads (Align only; AlignStream is handed its executor) is
-	// the size of the fine-grain executor that owns all compute threads
-	// (Fig. 4). Default 2.
-	ExecutorThreads int
 	// Subchunks is the fine-grain split of each chunk. Default 8.
 	Subchunks int
-	// Pipelining (AlignStream only) is how many output groups may be in
-	// flight at once. ≤ 1 keeps the serial pull contract (the results chunk
-	// aliases one reused builder, valid until the next group); > 1 draws
-	// results builders from a bounded pool of that size, so a pumped edge
-	// can queue groups that stay valid until Release.
+	// Pipelining is how many output groups may be in flight at once. ≤ 1
+	// keeps the serial pull contract (the results chunk aliases one reused
+	// builder, valid until the next group); > 1 draws results builders from
+	// a bounded pool of that size, so a pumped edge can queue groups that
+	// stay valid until Release.
 	Pipelining int
 }
 
 func (c *AlignConfig) applyDefaults() {
-	if c.ExecutorThreads <= 0 {
-		c.ExecutorThreads = 2
-	}
 	if c.Subchunks <= 0 {
 		c.Subchunks = 8
 	}
 }
 
-// AlignReport summarizes an alignment run.
+// AlignReport summarizes an alignment run: the chunks, reads and bases the
+// stage aligned and the aligners' work. Elapsed runs from the stage's start
+// to its last group; where the run ends in a sink storing the results (the
+// one-shot persona.Align), the sink extends it to the last results blob
+// stored. BasesPerSec is Bases over Elapsed.
 type AlignReport struct {
 	Chunks      int
 	Reads       int64
@@ -66,54 +55,6 @@ type AlignReport struct {
 	BasesPerSec float64
 	// Stats aggregates the aligners' work counters (perfmodel input).
 	Stats snap.Stats
-}
-
-// Align aligns a dataset in place and registers the results column: the
-// dataset's bases and qualities stream in through a source that reads ahead
-// (§5.2), AlignStream appends results on a private executor, and a column
-// sink encodes and stores each results chunk before the next is aligned. It
-// is the single-server counterpart of cluster.Align.
-func Align(ctx context.Context, cfg AlignConfig) (*AlignReport, *agd.Manifest, error) {
-	cfg.applyDefaults()
-	ds, err := agd.Open(cfg.Store, cfg.Dataset)
-	if err != nil {
-		return nil, nil, err
-	}
-	m := ds.Manifest
-	if m.HasColumn(agd.ColResults) {
-		return nil, nil, fmt.Errorf("core: dataset %q already has results", cfg.Dataset)
-	}
-	exec := dataflow.NewExecutor(cfg.ExecutorThreads, cfg.ExecutorThreads*2)
-	defer exec.Close()
-	// Chunk (de)compression members run on the same executor as alignment,
-	// so both draw from one set of compute threads (Fig. 4).
-	codec := agd.Codec{Exec: exec}
-	start := time.Now()
-	in, err := ds.Groups(agd.StreamOptions{
-		Columns:     []string{agd.ColBases, agd.ColQual},
-		ShardedPool: agd.NewChunkPool(2 * agd.PoolGroups),
-		Codec:       codec,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	out, report, err := AlignStream(cfg, exec, in)
-	if err != nil {
-		in.Close()
-		return nil, nil, err
-	}
-	if err := agd.WriteColumn(ctx, out, cfg.Store, m, agd.ColResults, codec, nil); err != nil {
-		return nil, nil, err
-	}
-	// The stage stopped its clock at the last group aligned; the run ends
-	// when the last results blob is stored.
-	report.Elapsed = time.Since(start)
-	report.BasesPerSec = float64(report.Bases) / report.Elapsed.Seconds()
-	updated, err := agd.RegisterColumn(cfg.Store, m, agd.ColResults)
-	if err != nil {
-		return nil, nil, err
-	}
-	return report, updated, nil
 }
 
 // uvarint decodes the leading uvarint of a compacted bases record.

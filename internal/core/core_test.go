@@ -16,14 +16,40 @@ import (
 	"persona/internal/testutil"
 )
 
+// alignDataset aligns dataset name of store in place the way the one-shot
+// persona.Align does, in stream form: the dataset's columns through
+// AlignStream on an executor of threads workers into the results column
+// sink, then the column registered. It returns what AlignStream reports.
+func alignDataset(ctx context.Context, store agd.BlobStore, name string, cfg AlignConfig, threads int) (*AlignReport, *agd.Manifest, error) {
+	ds, err := agd.Open(store, name)
+	if err != nil {
+		return nil, nil, err
+	}
+	exec := dataflow.NewExecutor(threads, 2*threads)
+	defer exec.Close()
+	codec := agd.Codec{Exec: exec}
+	in, err := ds.Groups(agd.StreamOptions{Codec: codec})
+	if err != nil {
+		return nil, nil, err
+	}
+	out, report, err := AlignStream(cfg, exec, in)
+	if err != nil {
+		in.Close()
+		return nil, nil, err
+	}
+	if err := agd.WriteColumn(ctx, out, store, ds.Manifest, agd.ColResults, codec, nil); err != nil {
+		return nil, nil, err
+	}
+	m, err := agd.RegisterColumn(store, ds.Manifest, agd.ColResults)
+	return report, m, err
+}
+
 func TestAlignPipelineEndToEnd(t *testing.T) {
 	store := agd.NewMemStore()
 	f := testutil.Build(t, store, "ds", testutil.Config{
 		GenomeSize: 200_000, NumReads: 1000, ReadLen: 90, ChunkSize: 128, Seed: 91, SkipAlign: true,
 	})
-	report, m, err := Align(context.Background(), AlignConfig{
-		Store: store, Dataset: "ds", Index: f.Index,
-	})
+	report, m, err := alignDataset(context.Background(), store, "ds", AlignConfig{Index: f.Index}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,14 +108,14 @@ func TestAlignPipelineRejectsAligned(t *testing.T) {
 	f := testutil.Build(t, store, "ds", testutil.Config{
 		GenomeSize: 60_000, NumReads: 100, ReadLen: 60, ChunkSize: 50, Seed: 93,
 	})
-	if _, _, err := Align(context.Background(), AlignConfig{Store: store, Dataset: "ds", Index: f.Index}); err == nil {
+	if _, _, err := alignDataset(context.Background(), store, "ds", AlignConfig{Index: f.Index}, 2); err == nil {
 		t.Fatal("re-align succeeded")
 	}
 }
 
 func TestAlignPipelineMissingDataset(t *testing.T) {
 	store := agd.NewMemStore()
-	if _, _, err := Align(context.Background(), AlignConfig{Store: store, Dataset: "nope"}); err == nil {
+	if _, _, err := alignDataset(context.Background(), store, "nope", AlignConfig{}, 2); err == nil {
 		t.Fatal("missing dataset accepted")
 	}
 }
@@ -107,19 +133,19 @@ func (s chunkGets) Get(name string) ([]byte, error) {
 	return s.BlobStore.Get(name)
 }
 
-// TestAlignNeedsIndex: Align and AlignStream without a reference index fail
-// before reading a chunk.
+// TestAlignNeedsIndex: AlignStream without a reference index fails before
+// a chunk is read, over a dataset source or any other.
 func TestAlignNeedsIndex(t *testing.T) {
 	mem := agd.NewMemStore()
 	testutil.Build(t, mem, "ds", testutil.Config{
 		GenomeSize: 60_000, NumReads: 100, ReadLen: 60, ChunkSize: 50, Seed: 112, SkipAlign: true,
 	})
 	var gets atomic.Int64
-	if _, _, err := Align(context.Background(), AlignConfig{Store: chunkGets{mem, &gets}, Dataset: "ds"}); !errors.Is(err, errNoIndex) {
-		t.Fatalf("Align err = %v, want %v", err, errNoIndex)
+	if _, _, err := alignDataset(context.Background(), chunkGets{mem, &gets}, "ds", AlignConfig{}, 2); !errors.Is(err, errNoIndex) {
+		t.Fatalf("aligning a dataset: err = %v, want %v", err, errNoIndex)
 	}
 	if n := gets.Load(); n != 0 {
-		t.Fatalf("Align read %d chunk blobs before failing", n)
+		t.Fatalf("aligning a dataset read %d chunk blobs before failing", n)
 	}
 
 	exec := dataflow.NewExecutor(1, 2)
@@ -141,7 +167,7 @@ func TestAlignPipelineCancellation(t *testing.T) {
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := Align(ctx, AlignConfig{Store: store, Dataset: "ds", Index: f.Index}); err == nil {
+	if _, _, err := alignDataset(ctx, store, "ds", AlignConfig{Index: f.Index}, 2); err == nil {
 		t.Fatal("cancelled run succeeded")
 	}
 }
@@ -169,7 +195,7 @@ func TestAlignPipelineCancelledMidRun(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, _, err := Align(ctx, AlignConfig{Store: cancelOnPut{mem, cancel}, Dataset: "ds", Index: f.Index})
+	_, _, err := alignDataset(ctx, cancelOnPut{mem, cancel}, "ds", AlignConfig{Index: f.Index}, 2)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -180,7 +206,7 @@ func TestAlignPipelineCancelledMidRun(t *testing.T) {
 	if ds.Manifest.HasColumn(agd.ColResults) {
 		t.Fatal("cancelled run registered a results column")
 	}
-	// Align waits for its executor; only fetches whose results were dropped
+	// The run waits for its executor; only fetches whose results were dropped
 	// may still be finishing.
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
 		if time.Now().After(deadline) {
@@ -272,7 +298,7 @@ func TestAlignStreamCancelWaitsForSubchunks(t *testing.T) {
 	}
 }
 
-// TestAlignPooledChunkLifecycleRace drives Align with every remaining knob at
+// TestAlignPooledChunkLifecycleRace drives alignment with every knob at
 // both ends, so chunk-pool get/put, builder recycling, subchunk tasks and
 // parallel member compression all race each other. Under `go test -race` it
 // is the regression test for the pooled chunk lifecycle; in any mode it
@@ -284,10 +310,7 @@ func TestAlignPooledChunkLifecycleRace(t *testing.T) {
 		f := testutil.Build(t, store, "ds", testutil.Config{
 			GenomeSize: 120_000, NumReads: 600, ReadLen: 80, ChunkSize: 48, Seed: 123, SkipAlign: true,
 		})
-		_, _, err := Align(context.Background(), AlignConfig{
-			Store: store, Dataset: "ds", Index: f.Index,
-			ExecutorThreads: threads, Subchunks: subchunks,
-		})
+		_, _, err := alignDataset(context.Background(), store, "ds", AlignConfig{Index: f.Index, Subchunks: subchunks}, threads)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,9 +337,10 @@ func TestAlignPooledChunkLifecycleRace(t *testing.T) {
 	}
 }
 
-// TestAlignStagesUnderTightPools wires Align's three stages by hand over the
-// smallest pools that can make progress — one group's worth of source
-// chunks, two builder sets — where the sink's window wants five of each.
+// TestAlignStagesUnderTightPools wires a dataset alignment's three stages
+// (source, AlignStream, column sink) by hand over the smallest pools that
+// can make progress — one group's worth of source chunks, two builder sets —
+// where the sink's window wants five of each.
 // Exhaustion must be back-pressure: the run completes with the same results,
 // and every pooled chunk is back when it ends.
 func TestAlignStagesUnderTightPools(t *testing.T) {

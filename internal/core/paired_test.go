@@ -50,9 +50,7 @@ func TestAlignPipelinePairedSNAP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = Align(context.Background(), AlignConfig{
-		Store: store, Dataset: "ds", Index: idx, Paired: true,
-	})
+	_, _, err = alignDataset(context.Background(), store, "ds", AlignConfig{Index: idx, Paired: true}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,9 +110,7 @@ func TestAlignPipelinePairedOddCount(t *testing.T) {
 	f := testutil.Build(t, store, "ds", testutil.Config{
 		GenomeSize: 60_000, NumReads: 101, ReadLen: 60, ChunkSize: 50, Seed: 115, SkipAlign: true,
 	})
-	if _, _, err := Align(context.Background(), AlignConfig{
-		Store: store, Dataset: "ds", Index: f.Index, Paired: true,
-	}); err == nil {
+	if _, _, err := alignDataset(context.Background(), store, "ds", AlignConfig{Index: f.Index, Paired: true}, 2); err == nil {
 		t.Fatal("odd record count accepted for paired alignment")
 	}
 }
@@ -127,9 +123,7 @@ func TestAlignPairedOddGroup(t *testing.T) {
 	f := testutil.Build(t, store, "ds", testutil.Config{
 		GenomeSize: 60_000, NumReads: 50, ReadLen: 60, ChunkSize: 25, Seed: 116, SkipAlign: true,
 	})
-	_, _, err := Align(context.Background(), AlignConfig{
-		Store: store, Dataset: "ds", Index: f.Index, Paired: true,
-	})
+	_, _, err := alignDataset(context.Background(), store, "ds", AlignConfig{Index: f.Index, Paired: true}, 2)
 	if err == nil || !strings.Contains(err.Error(), "group 0 has 25 records") {
 		t.Fatalf("err = %v, want the odd group 0 of 25 records named", err)
 	}

@@ -33,11 +33,11 @@ type alignStage struct {
 // errNoIndex rejects an alignment configured without a reference index.
 var errNoIndex = errors.New("core: alignment needs an Index")
 
-// AlignStream is the stream-in/stream-out form of Align, used by composed
-// pipelines: it appends a results column to every group of in, aligning
-// records in fine-grain subchunks on the shared executor (Fig. 4), and the
-// encoded results travel with the group in memory — no store round trip.
-// The executor is owned by the caller (a Session) and is never closed here.
+// AlignStream is the alignment stage, stream in and stream out: it appends
+// a results column to every group of in, aligning records in fine-grain
+// subchunks on the shared executor (Fig. 4), and the encoded results travel
+// with the group in memory — no store round trip. The executor is owned by
+// the caller (a Session, a cluster worker) and is never closed here.
 // The returned report's counters update as groups flow; Elapsed and Stats
 // are finalized when the stream delivers io.EOF or is closed.
 func AlignStream(cfg AlignConfig, exec *dataflow.Executor, in *agd.GroupStream) (*agd.GroupStream, *AlignReport, error) {

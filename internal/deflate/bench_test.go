@@ -8,9 +8,9 @@ import (
 	"sync"
 	"testing"
 
+	"persona"
 	"persona/internal/agd"
 	"persona/internal/deflate"
-	"persona/internal/formats/bam"
 	"persona/internal/formats/bgzf"
 	"persona/internal/testutil"
 )
@@ -38,7 +38,7 @@ var fixture = sync.OnceValue(func() []buffer {
 	}
 	// And one full BGZF block from the middle of the dataset's BAM.
 	var file bytes.Buffer
-	if _, err := bam.Export(context.Background(), f.Dataset, &file); err != nil {
+	if _, err := persona.ExportBAM(context.Background(), store, "ds", &file); err != nil {
 		panic(err)
 	}
 	payload, err := io.ReadAll(bgzf.NewReader(&file))

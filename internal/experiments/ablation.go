@@ -4,10 +4,14 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
+	"persona"
 	"persona/internal/agd"
+	"persona/internal/align/snap"
 	"persona/internal/core"
+	"persona/internal/dataflow"
 )
 
 // Ablations quantify the design choices the paper argues for: AGD chunk
@@ -53,7 +57,7 @@ func RunChunkSizeAblation(ctx context.Context, w io.Writer, sc Scale) ([]ChunkSi
 		}
 		store := agd.NewMemStore()
 		start := time.Now()
-		m, _, err := importFASTQ(ctx, store, "ds", fq, agd.RefSeqsFromGenome(g), chunkSize)
+		m, _, err := persona.ImportFASTQ(ctx, store, "ds", strings.NewReader(fq), agd.RefSeqsFromGenome(g), chunkSize)
 		if err != nil {
 			return nil, err
 		}
@@ -73,9 +77,7 @@ func RunChunkSizeAblation(ctx context.Context, w io.Writer, sc Scale) ([]ChunkSi
 		}
 
 		start = time.Now()
-		if _, _, err := core.Align(ctx, core.AlignConfig{
-			Store: store, Dataset: "ds", Index: idx, ExecutorThreads: 2,
-		}); err != nil {
+		if _, _, err := persona.Align(ctx, store, "ds", idx, persona.AlignOptions{ExecutorThreads: 2}); err != nil {
 			return nil, err
 		}
 		alignSecs := time.Since(start).Seconds()
@@ -188,10 +190,7 @@ func RunSubchunkAblation(ctx context.Context, w io.Writer, sc Scale) ([]Subchunk
 			return nil, err
 		}
 		start := time.Now()
-		if _, _, err := core.Align(ctx, core.AlignConfig{
-			Store: store, Dataset: "ds", Index: f.Index,
-			ExecutorThreads: 2, Subchunks: sub,
-		}); err != nil {
+		if err := alignSubchunks(ctx, f.Dataset, f.Index, sub); err != nil {
 			return nil, err
 		}
 		row := SubchunkRow{Subchunks: sub, AlignSecs: time.Since(start).Seconds()}
@@ -201,4 +200,29 @@ func RunSubchunkAblation(ctx context.Context, w io.Writer, sc Scale) ([]Subchunk
 	fmt.Fprintln(w, "expected: subchunks>1 engage both executor threads within a chunk; the paper's")
 	fmt.Fprintln(w, "fix for AGD chunks being 'too coarse for threads' (§4.3)")
 	return rows, nil
+}
+
+// alignSubchunks aligns ds in place with each chunk split into sub
+// subchunks: the bases stream through the align stage into the results
+// column on a 2-worker executor, and the column is registered once stored.
+// persona.Align fixes the split at the engine default, so the ablation
+// assembles the stage itself.
+func alignSubchunks(ctx context.Context, ds *agd.Dataset, idx *snap.Index, sub int) error {
+	exec := dataflow.NewExecutor(2, 4)
+	defer exec.Close()
+	codec := agd.Codec{Exec: exec}
+	in, err := ds.Groups(agd.StreamOptions{Columns: []string{agd.ColBases}, Codec: codec})
+	if err != nil {
+		return err
+	}
+	out, _, err := core.AlignStream(core.AlignConfig{Index: idx, Subchunks: sub}, exec, in)
+	if err != nil {
+		in.Close()
+		return err
+	}
+	if err := agd.WriteColumn(ctx, out, ds.Store(), ds.Manifest, agd.ColResults, codec, nil); err != nil {
+		return err
+	}
+	_, err = agd.RegisterColumn(ds.Store(), ds.Manifest, agd.ColResults)
+	return err
 }

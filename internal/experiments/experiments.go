@@ -9,14 +9,11 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"io"
-	"strings"
 
 	"persona/internal/agd"
 	"persona/internal/align/snap"
-	"persona/internal/formats/bam"
 	"persona/internal/formats/fastq"
 	"persona/internal/genome"
 	"persona/internal/reads"
@@ -98,16 +95,6 @@ func buildSnapIndex(g *genome.Genome) (*snap.Index, error) {
 // newSnapAligner returns an aligner with the experiments' standard tuning.
 func newSnapAligner(idx *snap.Index) *snap.Aligner {
 	return snap.NewAligner(idx, snap.Config{MaxDist: 10})
-}
-
-// importFASTQ wraps fastq.Import for the conversion experiment.
-func importFASTQ(ctx context.Context, store agd.BlobStore, name, text string, refs []agd.RefSeq, chunkSize int) (*agd.Manifest, uint64, error) {
-	return fastq.Import(ctx, store, name, strings.NewReader(text), fastq.ImportOptions{ChunkSize: chunkSize, RefSeqs: refs})
-}
-
-// exportBAM wraps bam.Export for the conversion experiment.
-func exportBAM(ctx context.Context, ds *agd.Dataset, w io.Writer) (uint64, error) {
-	return bam.Export(ctx, ds, w)
 }
 
 // section prints a header for an experiment section.

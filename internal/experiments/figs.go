@@ -4,11 +4,12 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
+	"persona"
 	"persona/internal/agd"
 	"persona/internal/align/bwa"
-	"persona/internal/core"
 	"persona/internal/genome"
 	"persona/internal/perfmodel"
 	"persona/internal/reads"
@@ -87,9 +88,7 @@ func RunFig6Measured(ctx context.Context, w io.Writer, sc Scale, maxThreads int)
 		if err != nil {
 			return nil, err
 		}
-		report, _, err := core.Align(ctx, core.AlignConfig{
-			Store: store, Dataset: "ds", Index: f.Index, ExecutorThreads: t,
-		})
+		report, _, err := persona.Align(ctx, store, "ds", f.Index, persona.AlignOptions{ExecutorThreads: t})
 		if err != nil {
 			return nil, err
 		}
@@ -247,20 +246,19 @@ func RunConversion(ctx context.Context, w io.Writer, sc Scale) (*ConversionResul
 
 	store := agd.NewMemStore()
 	start := time.Now()
-	if _, res.ImportedRecords, err = importFASTQ(ctx, store, "conv", fq, agd.RefSeqsFromGenome(g), sc.ChunkSize); err != nil {
+	if _, res.ImportedRecords, err = persona.ImportFASTQ(ctx, store, "conv", strings.NewReader(fq), agd.RefSeqsFromGenome(g), sc.ChunkSize); err != nil {
 		return nil, err
 	}
 	res.ImportMBps = float64(res.FASTQBytes) / 1e6 / time.Since(start).Seconds()
 
 	// Export needs an aligned dataset.
 	store2 := agd.NewMemStore()
-	f, err := sc.fixture(store2, "ds", true)
-	if err != nil {
+	if _, err := sc.fixture(store2, "ds", true); err != nil {
 		return nil, err
 	}
 	cw := &discardCounter{}
 	start = time.Now()
-	if res.ExportedRecords, err = exportBAM(ctx, f.Dataset, cw); err != nil {
+	if res.ExportedRecords, err = persona.ExportBAM(ctx, store2, "ds", cw); err != nil {
 		return nil, err
 	}
 	res.BAMBytes = cw.n

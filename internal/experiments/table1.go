@@ -10,9 +10,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"persona"
 	"persona/internal/agd"
 	"persona/internal/baseline"
-	"persona/internal/core"
 	"persona/internal/simulate"
 )
 
@@ -147,9 +147,7 @@ func RunTable1Measured(ctx context.Context, w io.Writer, sc Scale, dir string) (
 
 	// Run 2: Persona AGD pipeline.
 	personaStart := time.Now()
-	if _, _, err := core.Align(ctx, core.AlignConfig{
-		Store: store, Dataset: "ds", Index: idx, ExecutorThreads: 2,
-	}); err != nil {
+	if _, _, err := persona.Align(ctx, store, "ds", idx, persona.AlignOptions{ExecutorThreads: 2}); err != nil {
 		return nil, err
 	}
 	personaSecs := time.Since(personaStart).Seconds()

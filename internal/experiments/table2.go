@@ -7,11 +7,9 @@ import (
 	"io"
 	"time"
 
+	"persona"
 	"persona/internal/agd"
-	"persona/internal/agdsort"
 	"persona/internal/baseline"
-	"persona/internal/formats/sam"
-	"persona/internal/markdup"
 )
 
 // Table2Result holds the measured sort comparison (paper Table 2). The
@@ -46,7 +44,7 @@ func RunTable2(ctx context.Context, w io.Writer, sc Scale) (*Table2Result, error
 
 	// Render the row-oriented inputs the baselines need.
 	var samText bytes.Buffer
-	if _, err := sam.Export(ctx, f.Dataset, &samText); err != nil {
+	if _, err := persona.ExportSAM(ctx, store, "ds", &samText); err != nil {
 		return nil, err
 	}
 	refs := f.Dataset.Manifest.RefSeqs
@@ -59,7 +57,7 @@ func RunTable2(ctx context.Context, w io.Writer, sc Scale) (*Table2Result, error
 
 	ioBefore := store.moved()
 	start := time.Now()
-	if _, err := agdsort.SortDataset(ctx, f.Dataset, agdsort.Options{By: agdsort.ByLocation, OutputName: "sorted"}); err != nil {
+	if _, err := persona.Sort(ctx, store, "ds", persona.ByLocation, "sorted"); err != nil {
 		return nil, err
 	}
 	res.PersonaSeconds = time.Since(start).Seconds()
@@ -128,14 +126,14 @@ func RunDupmark(ctx context.Context, w io.Writer, sc Scale) (*DupmarkResult, err
 		return nil, err
 	}
 	var samText bytes.Buffer
-	if _, err := sam.Export(ctx, f.Dataset, &samText); err != nil {
+	if _, err := persona.ExportSAM(ctx, store, "ds", &samText); err != nil {
 		return nil, err
 	}
 	refs := f.Dataset.Manifest.RefSeqs
 
 	ioBefore := store.moved()
 	start := time.Now()
-	stats, err := markdup.MarkDataset(ctx, f.Dataset)
+	stats, err := persona.MarkDuplicates(ctx, store, "ds")
 	if err != nil {
 		return nil, err
 	}

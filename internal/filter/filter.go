@@ -2,9 +2,10 @@
 // the paper names in its goal list (§1: "including (but not limited to)
 // read alignment, sorting, duplicate marking, filtering, and variant
 // calling"). A filter pass streams row groups (RunStream), keeping the rows
-// matching a predicate over their alignment results; Run is the one-stage
-// pipeline dataset → RunStream → dataset. Predicates see zero-copy result
-// views, so a pass performs no per-record allocation.
+// matching a predicate over their alignment results; the one-stage
+// persona.Filter puts it between a dataset source and a dataset sink.
+// Predicates see zero-copy result views, so a pass performs no per-record
+// allocation.
 package filter
 
 import (
@@ -59,64 +60,11 @@ type Stats struct {
 	In, Kept uint64
 }
 
-// Options configures a filter pass.
-type Options struct {
-	// OutputName names the filtered dataset; default "<name>.filtered".
-	// Output chunks hold as many records as the input's.
-	OutputName string
-}
-
-// Run filters a dataset into a new dataset, preserving all columns.
-// Cancellation and deadline of ctx are checked per chunk.
-func Run(ctx context.Context, store agd.BlobStore, name string, pred Predicate, opts Options) (*agd.Manifest, Stats, error) {
-	ds, err := agd.Open(store, name)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return RunDataset(ctx, ds, pred, opts)
-}
-
-// RunDataset is Run over an open dataset: its chunks stream through
-// RunStream into the dataset sink, which stores each output group before the
-// next is filtered. The source and the sink (de)compress chunk members on an
-// executor of GOMAXPROCS workers that lives as long as the call.
-func RunDataset(ctx context.Context, ds *agd.Dataset, pred Predicate, opts Options) (*agd.Manifest, Stats, error) {
-	m := ds.Manifest
-	if !m.HasColumn(agd.ColResults) {
-		return nil, Stats{}, fmt.Errorf("filter: dataset %q has no results column", m.Name)
-	}
-	if opts.OutputName == "" {
-		opts.OutputName = m.Name + ".filtered"
-	}
-	codec, closeCodec := agd.OpenCodec()
-	defer closeCodec()
-	in, err := ds.Groups(agd.StreamOptions{
-		ShardedPool: agd.NewChunkPool(len(m.Columns) * agd.PoolGroups),
-		Codec:       codec,
-	})
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	out, stats, err := RunStream(in, pred, 0)
-	if err != nil {
-		in.Close()
-		return nil, Stats{}, err
-	}
-	defer out.Close()
-	manifest, err := agd.WriteGroups(ctx, out, ds.Store(), opts.OutputName, agd.WriterOptions{Codec: codec})
-	if err != nil && stats.Kept == 0 && stats.In == m.NumRecords() {
-		// Every record was seen and none kept: the sink's "stream has no
-		// records" has a better name here.
-		err = fmt.Errorf("filter: no records of %q match", m.Name)
-	}
-	return manifest, *stats, err
-}
-
-// RunStream is the stream-in/stream-out form of Run, used by composed
-// pipelines: each group is replaced by a (possibly smaller) group holding
-// only the rows matching pred; groups left empty by the predicate are
-// dropped. Row order and columns are preserved, so the stream metadata
-// passes through unchanged. The returned stats update as groups flow.
+// RunStream is the filter stage, stream in and stream out: each group is
+// replaced by a (possibly smaller) group holding only the rows matching
+// pred; groups left empty by the predicate are dropped. Row order and
+// columns are preserved, so the stream metadata passes through unchanged.
+// The returned stats update as groups flow.
 //
 // pipelining is how many output groups may be in flight at once. With
 // pipelining ≤ 1 (the serial pull path) output chunks alias one reused

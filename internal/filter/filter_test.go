@@ -17,10 +17,44 @@ func buildAligned(t *testing.T, store agd.BlobStore, dupFrac float64) *testutil.
 	})
 }
 
+// filterDataset filters ds into dataset out through RunStream between a
+// dataset source and a dataset sink — the one-stage pipeline persona.Filter
+// runs.
+func filterDataset(ctx context.Context, ds *agd.Dataset, pred Predicate, out string) (*agd.Manifest, Stats, error) {
+	in, err := ds.Groups(agd.StreamOptions{})
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	kept, stats, err := RunStream(in, pred, 0)
+	if err != nil {
+		in.Close()
+		return nil, Stats{}, err
+	}
+	defer kept.Close()
+	m, err := agd.WriteGroups(ctx, kept, ds.Store(), out, agd.WriterOptions{})
+	return m, *stats, err
+}
+
+// markDataset marks duplicates in ds's results column in place: MarkStream
+// between a results source and the results column sink.
+func markDataset(ds *agd.Dataset) (markdup.Stats, error) {
+	in, err := ds.Groups(agd.StreamOptions{Columns: []string{agd.ColResults}})
+	if err != nil {
+		return markdup.Stats{}, err
+	}
+	out, stats, err := markdup.MarkStream(in, 0)
+	if err != nil {
+		in.Close()
+		return markdup.Stats{}, err
+	}
+	err = agd.WriteColumn(context.Background(), out, ds.Store(), ds.Manifest, agd.ColResults, agd.Codec{}, nil)
+	return *stats, err
+}
+
 func TestFilterMinMapQ(t *testing.T) {
 	store := agd.NewMemStore()
 	f := buildAligned(t, store, 0)
-	m, stats, err := RunDataset(context.Background(), f.Dataset, MinMapQ(30), Options{})
+	m, stats, err := filterDataset(context.Background(), f.Dataset, MinMapQ(30), "ds.filtered")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +99,7 @@ func TestFilterMinMapQ(t *testing.T) {
 func TestFilterDropDuplicates(t *testing.T) {
 	store := agd.NewMemStore()
 	f := buildAligned(t, store, 0.25)
-	dstats, err := markdup.MarkDataset(context.Background(), f.Dataset)
+	dstats, err := markDataset(f.Dataset)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +108,7 @@ func TestFilterDropDuplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, stats, err := RunDataset(context.Background(), ds, DropDuplicates(), Options{OutputName: "dedup"})
+	m, stats, err := filterDataset(context.Background(), ds, DropDuplicates(), "dedup")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +134,7 @@ func TestFilterRegion(t *testing.T) {
 	store := agd.NewMemStore()
 	f := buildAligned(t, store, 0)
 	const lo, hi = 10_000, 60_000
-	_, stats, err := RunDataset(context.Background(), f.Dataset, Region(lo, hi), Options{OutputName: "window"})
+	_, stats, err := filterDataset(context.Background(), f.Dataset, Region(lo, hi), "window")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,17 +174,14 @@ func TestFilterErrors(t *testing.T) {
 	f := testutil.Build(t, store, "nores", testutil.Config{
 		GenomeSize: 60_000, NumReads: 100, ReadLen: 60, ChunkSize: 50, Seed: 102, SkipAlign: true,
 	})
-	if _, _, err := RunDataset(context.Background(), f.Dataset, MappedOnly(), Options{}); err == nil {
+	if _, _, err := filterDataset(context.Background(), f.Dataset, MappedOnly(), "ds.filtered"); err == nil {
 		t.Fatal("filter without results column succeeded")
 	}
 	f2 := buildAligned(t, store, 0)
 	// A predicate nothing matches must error rather than write an empty
 	// dataset.
-	if _, _, err := RunDataset(context.Background(), f2.Dataset, Region(1<<40, 1<<40+1), Options{}); err == nil {
+	if _, _, err := filterDataset(context.Background(), f2.Dataset, Region(1<<40, 1<<40+1), "ds.filtered"); err == nil {
 		t.Fatal("empty filter result accepted")
-	}
-	if _, _, err := Run(context.Background(), store, "missing", MappedOnly(), Options{}); err == nil {
-		t.Fatal("missing dataset accepted")
 	}
 }
 
@@ -198,16 +229,16 @@ func TestFilterAllocationsPerGroup(t *testing.T) {
 		t.Errorf("RunStream: %v allocations per group of %d records (%d kept so far), want a handful", perGroup, records, stats.Kept)
 	}
 
-	// RunDataset: stream, writer and manifest included, still far below one
-	// per record.
+	// A dataset pass: stream, writer and manifest included, still far below
+	// one per record.
 	n := 0
 	perRun := testing.AllocsPerRun(3, func() {
 		n++
-		if _, _, err := RunDataset(ctx, f.Dataset, pred, Options{OutputName: fmt.Sprint("out", n)}); err != nil {
+		if _, _, err := filterDataset(ctx, f.Dataset, pred, fmt.Sprint("out", n)); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if perRun > records/2 {
-		t.Errorf("RunDataset: %v allocations for %d records, want far fewer than one a record", perRun, records)
+		t.Errorf("dataset pass: %v allocations for %d records, want far fewer than one a record", perRun, records)
 	}
 }

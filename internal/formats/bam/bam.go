@@ -209,21 +209,10 @@ func (w *Writer) flushRecord() error {
 // Close closes the BGZF stream, which flushes it and writes its EOF marker.
 func (w *Writer) Close() error { return w.z.Close() }
 
-// Export streams an AGD dataset out as BAM (§5.7's export path): the
-// dataset's export stream (sam.ExportGroups) into ExportStream. Records
-// render straight from the streamed column bytes, so the export performs no
+// ExportStream renders a pipeline stream (with a results column) as BAM
+// (§5.7's export path), compressing on the calling goroutine. Records render
+// straight from the streamed column bytes, so the export performs no
 // per-record allocation. It returns the number of records written.
-func Export(ctx context.Context, ds *agd.Dataset, dst io.Writer) (uint64, error) {
-	in, err := sam.ExportGroups(ds)
-	if err != nil {
-		return 0, err
-	}
-	defer in.Close()
-	return ExportStream(ctx, in, dst)
-}
-
-// ExportStream renders a pipeline stream (with a results column) as BAM —
-// the stream-in sink form of Export — compressing on the calling goroutine.
 func ExportStream(ctx context.Context, in *agd.GroupStream, dst io.Writer) (uint64, error) {
 	return ExportStreamOn(ctx, in, dst, nil)
 }

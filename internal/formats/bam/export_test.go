@@ -1,8 +1,8 @@
 package bam_test
 
-// Export is the dataset's export stream (sam.ExportGroups) into
-// ExportStream: the BAM header comes from the stream's metadata, the
-// records from the same four-column walk the SAM export makes.
+// The one-shot BAM export is a dataset source into ExportStream: the BAM
+// header comes from the stream's metadata, the records from the same
+// four-column walk the SAM export makes.
 
 import (
 	"bytes"
@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"persona"
 	"persona/internal/agd"
 	"persona/internal/formats/bam"
 	"persona/internal/formats/sam"
@@ -44,10 +45,10 @@ func TestExportMatchesSAM(t *testing.T) {
 		t.Fatal(err)
 	}
 	var samOut, bamOut bytes.Buffer
-	if _, err := sam.Export(ctx, ds, &samOut); err != nil {
+	if _, err := persona.ExportSAM(ctx, store, "ds", &samOut); err != nil {
 		t.Fatal(err)
 	}
-	n, err := bam.Export(ctx, ds, &bamOut)
+	n, err := persona.ExportBAM(ctx, store, "ds", &bamOut)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +92,11 @@ func TestExportMatchesSAM(t *testing.T) {
 // BAM is written.
 func TestExportNeedsResults(t *testing.T) {
 	store := agd.NewMemStore()
-	f := testutil.Build(t, store, "ds", testutil.Config{
+	testutil.Build(t, store, "ds", testutil.Config{
 		GenomeSize: 60_000, NumReads: 40, ReadLen: 60, ChunkSize: 20, Seed: 117, SkipAlign: true,
 	})
 	var out bytes.Buffer
-	n, err := bam.Export(context.Background(), f.Dataset, &out)
+	n, err := persona.ExportBAM(context.Background(), store, "ds", &out)
 	if err == nil || !strings.Contains(err.Error(), "has no results column") {
 		t.Fatalf("err = %v, want the missing results column named", err)
 	}

@@ -6,8 +6,8 @@ import (
 	"io"
 	"testing"
 
+	"persona"
 	"persona/internal/agd"
-	"persona/internal/formats/bam"
 	"persona/internal/formats/bgzf"
 	"persona/internal/testutil"
 )
@@ -18,9 +18,9 @@ import (
 // at BestSpeed), and an earlier release's BAM reads back to the same bytes.
 func TestBAMStoredSize(t *testing.T) {
 	store := agd.NewMemStore()
-	f := testutil.Build(t, store, "ds", testutil.Config{GenomeSize: 300_000, NumReads: 6000, ChunkSize: 2000, DupFrac: 0.12, Seed: 16})
+	testutil.Build(t, store, "ds", testutil.Config{GenomeSize: 300_000, NumReads: 6000, ChunkSize: 2000, DupFrac: 0.12, Seed: 16})
 	var out bytes.Buffer
-	if _, err := bam.Export(context.Background(), f.Dataset, &out); err != nil {
+	if _, err := persona.ExportBAM(context.Background(), store, "ds", &out); err != nil {
 		t.Fatal(err)
 	}
 	written := out.Len()

@@ -8,43 +8,25 @@ import (
 	"persona/internal/agd"
 )
 
-// ImportOptions configures FASTQ → AGD conversion.
+// ImportOptions configures ImportStream.
 type ImportOptions struct {
 	// ChunkSize is records per AGD chunk (default agd.DefaultChunkSize).
 	ChunkSize int
-	// RefSeqs, if known, is recorded in the manifest.
+	// RefSeqs, if known, travels in the stream metadata.
 	RefSeqs []agd.RefSeq
-	// Pipelining (ImportStream only) is how many parsed
-	// groups may be in flight at once. ≤ 1 keeps the serial pull contract
-	// (reused builders, each group valid until the next); > 1 draws builders
-	// from a bounded pool of that size so a pumped edge can queue groups.
+	// Pipelining is how many parsed groups may be in flight at once. ≤ 1
+	// keeps the serial pull contract (reused builders, each group valid until
+	// the next); > 1 draws builders from a bounded pool of that size so a
+	// pumped edge can queue groups.
 	Pipelining int
 }
 
-// Import converts a FASTQ stream into an AGD dataset (the paper's import
-// utility, measured at 360 MB/s in §5.7): ImportStream into the dataset sink.
-// Scanned fields flow zero-copy from the scanner's reused buffers into one
-// set of chunk builders, each full chunk is compressed — its members on an
-// executor of GOMAXPROCS workers that lives as long as the call — and stored
-// before parsing continues, and steady-state import performs no per-read
-// allocation. It returns the manifest and the number of reads imported.
-// Cancellation and deadline of ctx are checked once per chunk.
-func Import(ctx context.Context, store agd.BlobStore, name string, src io.Reader, opts ImportOptions) (*agd.Manifest, uint64, error) {
-	codec, closeCodec := agd.OpenCodec()
-	defer closeCodec()
-	in := ImportStream(src, ImportOptions{ChunkSize: opts.ChunkSize, RefSeqs: opts.RefSeqs})
-	defer in.Close()
-	m, err := agd.WriteGroups(ctx, in, store, name, agd.WriterOptions{Codec: codec})
-	if err != nil {
-		return nil, 0, err
-	}
-	return m, m.NumRecords(), nil
-}
-
 // ImportStream parses a FASTQ stream into a pipeline group stream — the
-// source form of Import used by composed pipelines: the parsed chunks feed
+// paper's import utility (§5.7) as a pipeline source: the parsed chunks feed
 // the next stage in memory, and nothing is written to a store unless the
-// pipeline ends in a dataset sink. Each group holds ChunkSize reads in the
+// pipeline ends in a dataset sink. Scanned fields flow zero-copy from the
+// scanner's reused buffers into the chunk builders, so steady-state parsing
+// performs no per-read allocation. Each group holds ChunkSize reads in the
 // three standard read columns. With opts.Pipelining ≤ 1 groups build into
 // reused builders (valid until the next group); with Pipelining > 1 builders
 // come from a bounded pool so queued groups stay valid until Release.
@@ -127,26 +109,9 @@ func ImportStream(src io.Reader, opts ImportOptions) *agd.GroupStream {
 	return gs
 }
 
-// Export converts an AGD dataset back to FASTQ. Chunks arrive through a
-// prefetching ChunkStream and records are written straight from the column
-// bytes (bases expand into a reused scratch), so the export performs no
-// per-read allocation. Cancellation and deadline of ctx are checked per
-// chunk.
-func Export(ctx context.Context, ds *agd.Dataset, dst io.Writer) (uint64, error) {
-	chunkPool := agd.NewChunkPool(3 * agd.PoolGroups)
-	in, err := ds.Groups(agd.StreamOptions{
-		Columns:     []string{agd.ColBases, agd.ColQual, agd.ColMetadata},
-		ShardedPool: chunkPool,
-	})
-	if err != nil {
-		return 0, err
-	}
-	defer in.Close()
-	return ExportStream(ctx, in, dst)
-}
-
-// ExportStream renders a pipeline stream's reads as FASTQ — the stream-in
-// sink form of Export.
+// ExportStream renders a pipeline stream's reads as FASTQ. Records are
+// written straight from the column bytes (bases expand into a reused
+// scratch), so the export performs no per-read allocation.
 func ExportStream(ctx context.Context, in *agd.GroupStream, dst io.Writer) (uint64, error) {
 	basesCol := in.Meta.Col(agd.ColBases)
 	qualCol := in.Meta.Col(agd.ColQual)

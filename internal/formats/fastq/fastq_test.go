@@ -132,21 +132,34 @@ func TestGzipScanner(t *testing.T) {
 	}
 }
 
+// importDataset writes FASTQ text into dataset name of store: ImportStream
+// into a dataset sink, the one-stage pipeline persona.ImportFASTQ runs.
+func importDataset(store agd.BlobStore, name, text string, chunkSize int) (*agd.Manifest, error) {
+	in := ImportStream(strings.NewReader(text), ImportOptions{ChunkSize: chunkSize})
+	defer in.Close()
+	return agd.WriteGroups(context.Background(), in, store, name, agd.WriterOptions{})
+}
+
 func TestImportExportAGDRoundTrip(t *testing.T) {
 	store := agd.NewMemStore()
-	m, n, err := Import(context.Background(), store, "ds", strings.NewReader(sample), ImportOptions{ChunkSize: 1})
+	m, err := importDataset(store, "ds", sample, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 2 || len(m.Chunks) != 2 {
+	if n := m.NumRecords(); n != 2 || len(m.Chunks) != 2 {
 		t.Fatalf("imported %d records in %d chunks", n, len(m.Chunks))
 	}
 	ds, err := agd.Open(store, "ds")
 	if err != nil {
 		t.Fatal(err)
 	}
+	in, err := ds.Groups(agd.StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
 	var out bytes.Buffer
-	en, err := Export(context.Background(), ds, &out)
+	en, err := ExportStream(context.Background(), in, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +173,7 @@ func TestImportExportAGDRoundTrip(t *testing.T) {
 
 func TestImportRejectsMalformed(t *testing.T) {
 	store := agd.NewMemStore()
-	if _, _, err := Import(context.Background(), store, "ds", strings.NewReader("garbage\n"), ImportOptions{}); err == nil {
+	if _, err := importDataset(store, "ds", "garbage\n", 0); err == nil {
 		t.Fatal("malformed FASTQ imported")
 	}
 }

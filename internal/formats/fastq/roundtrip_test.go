@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"persona"
 	"persona/internal/agd"
 	"persona/internal/formats/fastq"
 	"persona/internal/genome"
@@ -22,19 +23,15 @@ func TestFASTQRoundTripGolden(t *testing.T) {
 		"@r3/1 with spaces\tand tab\nTTTTTTTTTTTT\n+\n!\"#$%&'()*+,\n"
 
 	store := agd.NewMemStore()
-	_, n, err := fastq.Import(context.Background(), store, "ds", strings.NewReader(golden), fastq.ImportOptions{ChunkSize: 2})
+	_, n, err := persona.ImportFASTQ(context.Background(), store, "ds", strings.NewReader(golden), nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 3 {
 		t.Fatalf("imported %d records", n)
 	}
-	ds, err := agd.Open(store, "ds")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var out bytes.Buffer
-	if _, err := fastq.Export(context.Background(), ds, &out); err != nil {
+	if _, err := persona.ExportFASTQ(context.Background(), store, "ds", &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.String() != golden {
@@ -65,15 +62,11 @@ func TestFASTQRoundTripSimulated(t *testing.T) {
 	}
 
 	store := agd.NewMemStore()
-	if _, _, err := fastq.Import(context.Background(), store, "ds", bytes.NewReader(text.Bytes()), fastq.ImportOptions{ChunkSize: 100}); err != nil {
-		t.Fatal(err)
-	}
-	ds, err := agd.Open(store, "ds")
-	if err != nil {
+	if _, _, err := persona.ImportFASTQ(context.Background(), store, "ds", bytes.NewReader(text.Bytes()), nil, 100); err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if _, err := fastq.Export(context.Background(), ds, &out); err != nil {
+	if _, err := persona.ExportFASTQ(context.Background(), store, "ds", &out); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(text.Bytes(), out.Bytes()) {

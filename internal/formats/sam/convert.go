@@ -42,26 +42,11 @@ func (s *ExportScratch) Orient(bases, qual []byte, v *agd.ResultView) (seq, q []
 	return s.rc, s.qrev
 }
 
-// exportColumns is the column order ExportGroups streams.
-var exportColumns = []string{agd.ColBases, agd.ColQual, agd.ColMetadata, agd.ColResults}
-
-// Export streams an AGD dataset (with a results column) out as SAM — the
-// compatibility output subgraph of §4.4. Chunks arrive through a prefetching
-// ChunkStream and each record is rendered from the column bytes in place, so
-// the export performs no per-record allocation. It returns the number of
-// records written. Cancellation and deadline of ctx are checked per chunk.
-func Export(ctx context.Context, ds *agd.Dataset, dst io.Writer) (uint64, error) {
-	in, err := ExportGroups(ds)
-	if err != nil {
-		return 0, err
-	}
-	defer in.Close()
-	return ExportStream(ctx, in, dst)
-}
-
 // ExportStream renders a pipeline stream (with a results column) as SAM —
-// the stream-in sink form of Export. The header's sort order comes from the
-// stream metadata.
+// the compatibility output subgraph of §4.4. Each record is rendered from
+// the column bytes in place, so the export performs no per-record
+// allocation. The header's sort order comes from the stream metadata. It
+// returns the number of records written.
 func ExportStream(ctx context.Context, in *agd.GroupStream, dst io.Writer) (uint64, error) {
 	refmap := NewRefMap(in.Meta.RefSeqs)
 	sortOrder := "unsorted"
@@ -81,17 +66,6 @@ func ExportStream(ctx context.Context, in *agd.GroupStream, dst io.Writer) (uint
 		return n, err
 	}
 	return n, w.Flush()
-}
-
-// ExportGroups opens the pooled four-column group stream of an aligned
-// dataset: the source the SAM and BAM Export functions hand to their
-// ExportStream sinks.
-func ExportGroups(ds *agd.Dataset) (*agd.GroupStream, error) {
-	if !ds.Manifest.HasColumn(agd.ColResults) {
-		return nil, fmt.Errorf("sam: dataset %q has no results column", ds.Manifest.Name)
-	}
-	chunkPool := agd.NewChunkPool(len(exportColumns) * agd.PoolGroups)
-	return ds.Groups(agd.StreamOptions{Columns: exportColumns, ShardedPool: chunkPool})
 }
 
 // StreamGroups streams every record of a pipeline stream in SAM orientation

@@ -5,10 +5,12 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 	"strconv"
 	"strings"
 
 	"persona/internal/agd"
+	"persona/internal/dataflow"
 	"persona/internal/genome"
 )
 
@@ -50,8 +52,10 @@ func Import(ctx context.Context, store agd.BlobStore, name string, src io.Reader
 		lineNum int
 	)
 	cols := append(agd.StandardReadColumns(), agd.ColumnSpec{Name: agd.ColResults, Type: agd.TypeResults})
-	codec, closeCodec := agd.OpenCodec()
-	defer closeCodec()
+	workers := runtime.GOMAXPROCS(0)
+	exec := dataflow.NewExecutor(workers, 2*workers)
+	defer exec.Close()
+	codec := agd.Codec{Exec: exec}
 	defer func() {
 		if err != nil && w != nil {
 			w.Abort()

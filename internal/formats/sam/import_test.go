@@ -57,8 +57,13 @@ func TestImportSAMRoundTrip(t *testing.T) {
 	// Reverse-strand reads must come back out of AGD in as-sequenced
 	// orientation: r2's stored bases are RC("ACGT") = "ACGT"... use the
 	// export to confirm SAM-side fidelity instead.
+	in, err := ds.Groups(agd.StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
 	var out bytes.Buffer
-	if _, err := Export(context.Background(), ds, &out); err != nil {
+	if _, err := ExportStream(context.Background(), in, &out); err != nil {
 		t.Fatal(err)
 	}
 	sc := NewScanner(strings.NewReader(out.String()))

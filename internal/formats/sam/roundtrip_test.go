@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"persona"
 	"persona/internal/agd"
 	"persona/internal/formats/sam"
 	"persona/internal/testutil"
@@ -39,12 +40,8 @@ func TestSAMRoundTripGolden(t *testing.T) {
 	if n != 6 {
 		t.Fatalf("imported %d records", n)
 	}
-	ds, err := agd.Open(store, "ds")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var out bytes.Buffer
-	if _, err := sam.Export(context.Background(), ds, &out); err != nil {
+	if _, err := persona.ExportSAM(context.Background(), store, "ds", &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.String() != golden {
@@ -52,16 +49,16 @@ func TestSAMRoundTripGolden(t *testing.T) {
 	}
 }
 
-// TestExportGroupsMeta: the export stream names the four columns in the
-// order the exporters read them and carries the manifest's references, sort
-// order and record count (the header both Export sinks render), and it
-// yields every record of the dataset.
+// TestExportGroupsMeta: a dataset stream of the four columns the exporters
+// read names them in the order asked for and carries the manifest's
+// references, sort order and record count (the header both export sinks
+// render), and it yields every record of the dataset.
 func TestExportGroupsMeta(t *testing.T) {
 	store := agd.NewMemStore()
 	f := testutil.Build(t, store, "ds", testutil.Config{
 		GenomeSize: 60_000, NumReads: 90, ReadLen: 60, ChunkSize: 40, Seed: 118,
 	})
-	in, err := sam.ExportGroups(f.Dataset)
+	in, err := f.Dataset.Groups(agd.StreamOptions{Columns: []string{agd.ColBases, agd.ColQual, agd.ColMetadata, agd.ColResults}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,23 +81,19 @@ func TestExportGroupsMeta(t *testing.T) {
 // byte-identical, so the AGD encoding loses nothing SAM carries.
 func TestSAMRoundTripFixture(t *testing.T) {
 	store := agd.NewMemStore()
-	f := testutil.Build(t, store, "ds", testutil.Config{
+	testutil.Build(t, store, "ds", testutil.Config{
 		GenomeSize: 120_000, NumReads: 400, ReadLen: 80, ChunkSize: 64, Seed: 77,
 	})
 	var first bytes.Buffer
-	if _, err := sam.Export(context.Background(), f.Dataset, &first); err != nil {
+	if _, err := persona.ExportSAM(context.Background(), store, "ds", &first); err != nil {
 		t.Fatal(err)
 	}
 	store2 := agd.NewMemStore()
 	if _, _, err := sam.Import(context.Background(), store2, "ds2", bytes.NewReader(first.Bytes()), sam.ImportOptions{ChunkSize: 64}); err != nil {
 		t.Fatal(err)
 	}
-	ds2, err := agd.Open(store2, "ds2")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var second bytes.Buffer
-	if _, err := sam.Export(context.Background(), ds2, &second); err != nil {
+	if _, err := persona.ExportSAM(context.Background(), store2, "ds2", &second); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {

@@ -10,8 +10,8 @@
 // Google's dense_hash_map; Go's built-in map plays that role here. Chunks
 // arrive as an agd.GroupStream and results re-encode straight into pooled
 // chunk builders, so the sequential mark pass performs no per-record
-// allocation; the one-shot dataset form is that stage between a dataset
-// source and agd.WriteColumn.
+// allocation; the one-shot persona.MarkDuplicates is that stage between a
+// dataset source reading only results and a sink writing them back.
 package markdup
 
 import (
@@ -35,48 +35,6 @@ type signature struct {
 	matePos int64 // mate's location or -1
 }
 
-// Mark rewrites the results column of a dataset with duplicate flags set and
-// returns marking statistics. The manifest is unchanged (same columns, same
-// chunking); only results chunk blobs are replaced. Cancellation and
-// deadline of ctx are checked per chunk.
-func Mark(ctx context.Context, store agd.BlobStore, name string) (Stats, error) {
-	ds, err := agd.Open(store, name)
-	if err != nil {
-		return Stats{}, err
-	}
-	return MarkDataset(ctx, ds)
-}
-
-// MarkDataset is Mark over an open dataset. Its results chunks stream through
-// MarkStream — marking is order-dependent (the first occurrence survives), so
-// that pass is sequential — into the column sink, which compresses and stores
-// each rewritten chunk before the next is marked. The source and the sink
-// (de)compress chunk members on an executor of GOMAXPROCS workers that lives
-// as long as the call.
-func MarkDataset(ctx context.Context, ds *agd.Dataset) (Stats, error) {
-	m := ds.Manifest
-	if !m.HasColumn(agd.ColResults) {
-		return Stats{}, fmt.Errorf("markdup: dataset %q has no results column", m.Name)
-	}
-	codec, closeCodec := agd.OpenCodec()
-	defer closeCodec()
-	in, err := ds.Groups(agd.StreamOptions{
-		Columns:     []string{agd.ColResults},
-		ShardedPool: agd.NewChunkPool(agd.PoolGroups),
-		Codec:       codec,
-	})
-	if err != nil {
-		return Stats{}, err
-	}
-	out, stats, err := MarkStream(in, 0)
-	if err != nil {
-		in.Close()
-		return Stats{}, err
-	}
-	err = agd.WriteColumn(ctx, out, ds.Store(), m, agd.ColResults, codec, nil)
-	return *stats, err
-}
-
 // markChunk re-encodes one results chunk into builder with the duplicate
 // flags mk's pass over its rows sets.
 func markChunk(chunk *agd.Chunk, builder *agd.ChunkBuilder, mk *Marker) error {
@@ -95,9 +53,9 @@ func markChunk(chunk *agd.Chunk, builder *agd.ChunkBuilder, mk *Marker) error {
 	return nil
 }
 
-// MarkStream is the stream-in/stream-out form of Mark, used by composed
-// pipelines: each group's results chunk is replaced with a re-encoded chunk
-// carrying duplicate flags; the other columns pass through untouched.
+// MarkStream is the marking stage, stream in and stream out: each group's
+// results chunk is replaced with a re-encoded chunk carrying duplicate
+// flags; the other columns pass through untouched.
 // Marking is order-dependent (the first occurrence survives), so the pass is
 // sequential — exactly the order the stream delivers. The returned stats
 // update as groups flow and are complete at io.EOF.

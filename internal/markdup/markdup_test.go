@@ -8,12 +8,29 @@ import (
 	"persona/internal/testutil"
 )
 
+// markDataset marks duplicates in ds's results column in place: MarkStream
+// between a dataset source and the results column sink — the one-stage
+// pipeline persona.MarkDuplicates runs.
+func markDataset(ds *agd.Dataset) (Stats, error) {
+	in, err := ds.Groups(agd.StreamOptions{})
+	if err != nil {
+		return Stats{}, err
+	}
+	out, stats, err := MarkStream(in, 0)
+	if err != nil {
+		in.Close()
+		return Stats{}, err
+	}
+	err = agd.WriteColumn(context.Background(), out, ds.Store(), ds.Manifest, agd.ColResults, agd.Codec{}, nil)
+	return *stats, err
+}
+
 func TestMarkFindsSimulatedDuplicates(t *testing.T) {
 	store := agd.NewMemStore()
 	f := testutil.Build(t, store, "ds", testutil.Config{
 		GenomeSize: 150_000, NumReads: 2000, ReadLen: 80, ChunkSize: 256, DupFrac: 0.2, Seed: 61,
 	})
-	stats, err := MarkDataset(context.Background(), f.Dataset)
+	stats, err := markDataset(f.Dataset)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +68,7 @@ func TestMarkKeepsFirstOccurrence(t *testing.T) {
 	f := testutil.Build(t, store, "ds", testutil.Config{
 		GenomeSize: 100_000, NumReads: 1000, ReadLen: 70, ChunkSize: 128, DupFrac: 0.3, Seed: 62,
 	})
-	if _, err := MarkDataset(context.Background(), f.Dataset); err != nil {
+	if _, err := markDataset(f.Dataset); err != nil {
 		t.Fatal(err)
 	}
 	ds, err := agd.Open(store, "ds")
@@ -95,7 +112,7 @@ func TestMarkIdempotent(t *testing.T) {
 	f := testutil.Build(t, store, "ds", testutil.Config{
 		GenomeSize: 80_000, NumReads: 500, ReadLen: 60, ChunkSize: 100, DupFrac: 0.1, Seed: 63,
 	})
-	s1, err := MarkDataset(context.Background(), f.Dataset)
+	s1, err := markDataset(f.Dataset)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +120,7 @@ func TestMarkIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := MarkDataset(context.Background(), ds)
+	s2, err := markDataset(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,10 +144,11 @@ func TestMarkSkipsUnmapped(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := w.Close(); err != nil {
+	m, err := w.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := Mark(context.Background(), store, "u")
+	stats, err := markDataset(agd.OpenManifest(store, m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,10 +180,7 @@ func TestMarkErrors(t *testing.T) {
 	f := testutil.Build(t, store, "nores", testutil.Config{
 		GenomeSize: 50_000, NumReads: 50, ReadLen: 50, ChunkSize: 25, Seed: 64, SkipAlign: true,
 	})
-	if _, err := MarkDataset(context.Background(), f.Dataset); err == nil {
+	if _, err := markDataset(f.Dataset); err == nil {
 		t.Fatal("marking without results column succeeded")
-	}
-	if _, err := Mark(context.Background(), store, "missing"); err == nil {
-		t.Fatal("marking a missing dataset succeeded")
 	}
 }

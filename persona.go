@@ -32,12 +32,13 @@
 //   - filtering and pileup-based variant calling (§1, §8)
 //
 // Every stage also remains available as a one-shot free function (Align,
-// Sort, MarkDuplicates, Filter, Export*, Import*, CallVariants) — thin
-// wrappers that run a single stage against the store directly, for callers
-// that do not need composition. Align and MarkDuplicates are literally the
-// pipeline's stage between a dataset source and a column sink that writes
-// the one column they produce back next to the others; the distributed
-// forms run the same stages on every worker. All of them take a
+// Sort, MarkDuplicates, Filter, Export*, ImportFASTQ) for callers that do not
+// need composition. Each is a one-stage Pipeline, run serially on a session
+// of its own that it closes before returning: Sort and Filter end in a Write
+// sink, the exports in theirs, ImportFASTQ is the FASTQ source into a Write
+// sink, and Align and MarkDuplicates end in a sink that writes the one
+// column they produce back next to the others. ImportSAM, CallVariants and
+// the distributed forms stay functions of their own. All of them take a
 // context.Context and honor cancellation per chunk.
 //
 // Storage backends (local directories, an in-memory store, and a Ceph-like
@@ -57,8 +58,6 @@ import (
 	"persona/internal/cluster"
 	"persona/internal/core"
 	"persona/internal/filter"
-	"persona/internal/formats/bam"
-	"persona/internal/formats/fastq"
 	"persona/internal/formats/sam"
 	"persona/internal/genome"
 	"persona/internal/markdup"
@@ -154,11 +153,27 @@ func BuildIndex(g *Genome) (*Index, error) {
 // RefSeqs derives manifest reference entries from a genome.
 func RefSeqs(g *Genome) []agd.RefSeq { return agd.RefSeqsFromGenome(g) }
 
+// runOnce runs the one-stage pipeline build returns on a session of its
+// own — an executor of threads workers (0: GOMAXPROCS), no chunk cache —
+// with no edges between its stages, and closes the session before
+// returning.
+func runOnce(ctx context.Context, store Store, threads int, build func(*Session) *Pipeline) (*PipelineReport, error) {
+	sess := NewSession(store, SessionOptions{ExecutorThreads: threads, CacheBytes: -1})
+	defer sess.Close()
+	return build(sess).Serial().Run(ctx)
+}
+
 // ImportFASTQ converts a FASTQ stream into an AGD dataset and returns its
 // manifest and record count — the one-stage form of the pipeline source
-// Session.ImportFASTQ.
+// Session.ImportFASTQ. On failure no blob of the dataset remains.
 func ImportFASTQ(ctx context.Context, store Store, name string, src io.Reader, refs []agd.RefSeq, chunkSize int) (*Manifest, uint64, error) {
-	return fastq.Import(ctx, store, name, src, fastq.ImportOptions{ChunkSize: chunkSize, RefSeqs: refs})
+	rep, err := runOnce(ctx, store, 0, func(s *Session) *Pipeline {
+		return s.ImportFASTQ(src, refs, chunkSize).Write(name)
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	return rep.Manifest, rep.Records, nil
 }
 
 // OpenDataset opens an existing AGD dataset.
@@ -174,15 +189,29 @@ type AlignOptions struct {
 }
 
 // Align aligns a dataset in place on a single server, appending a results
-// column — the one-stage form of Pipeline.Align, on an executor of its own.
+// column — the one-stage form of Pipeline.Align, on an executor of
+// opts.ExecutorThreads workers. Only the bases column is read. On failure
+// no results blob remains.
 func Align(ctx context.Context, store Store, dataset string, idx *Index, opts AlignOptions) (*AlignReport, *Manifest, error) {
-	return core.Align(ctx, core.AlignConfig{
-		Store:           store,
-		Dataset:         dataset,
-		Index:           idx,
-		Aligner:         snap.Config{MaxDist: opts.MaxDist},
-		ExecutorThreads: opts.ExecutorThreads,
+	return align(ctx, store, dataset, idx, opts, false)
+}
+
+// align is Align and AlignPaired: Read, Align, and the sink that writes the
+// results column back into the dataset.
+func align(ctx context.Context, store Store, dataset string, idx *Index, opts AlignOptions, paired bool) (*AlignReport, *Manifest, error) {
+	threads := opts.ExecutorThreads
+	if threads <= 0 {
+		threads = 2
+	}
+	rep, err := runOnce(ctx, store, threads, func(s *Session) *Pipeline {
+		return s.Read(dataset).
+			add(pipeStage{kind: stageAlign, idx: idx, alignOpts: opts, paired: paired}).
+			add(pipeStage{kind: stageWriteBack})
 	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return rep.Align, rep.Manifest, nil
 }
 
 // AlignDistributed aligns a dataset across nodes worker nodes as a one-phase
@@ -199,45 +228,60 @@ func AlignDistributed(ctx context.Context, store Store, dataset string, idx *Ind
 
 // Sort externally sorts a dataset by the given key into outputName (empty
 // for "<name>.sorted") and returns the sorted manifest — the one-stage form
-// of the pipeline stage Pipeline.Sort.
+// of the pipeline stage Pipeline.Sort. On failure no output blob remains.
 func Sort(ctx context.Context, store Store, dataset string, by SortKey, outputName string) (*Manifest, error) {
-	return agdsort.Sort(ctx, store, dataset, agdsort.Options{By: by, OutputName: outputName})
+	if outputName == "" {
+		outputName = dataset + ".sorted"
+	}
+	rep, err := runOnce(ctx, store, 0, func(s *Session) *Pipeline {
+		return s.Read(dataset).Sort(by).Write(outputName)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rep.Manifest, nil
 }
 
 // MarkDuplicates flags duplicate reads in a dataset's results column — the
-// one-stage form of Pipeline.MarkDuplicates.
+// one-stage form of Pipeline.MarkDuplicates. Only the results column is read
+// and rewritten. A failed pass may leave some results blobs rewritten and
+// others not; marking is deterministic, so it is simply run again.
 func MarkDuplicates(ctx context.Context, store Store, dataset string) (DupStats, error) {
-	return markdup.Mark(ctx, store, dataset)
+	rep, err := runOnce(ctx, store, 0, func(s *Session) *Pipeline {
+		return s.Read(dataset).MarkDuplicates().add(pipeStage{kind: stageWriteBack})
+	})
+	if err != nil {
+		return DupStats{}, err
+	}
+	return rep.Dups, nil
 }
 
 // ExportSAM streams a dataset out as SAM text — the one-stage form of
 // Pipeline.ExportSAM.
 func ExportSAM(ctx context.Context, store Store, dataset string, dst io.Writer) (uint64, error) {
-	ds, err := agd.Open(store, dataset)
-	if err != nil {
-		return 0, err
-	}
-	return sam.Export(ctx, ds, dst)
+	return export(ctx, store, dataset, pipeStage{kind: stageExportSAM, dst: dst})
 }
 
 // ExportBAM streams a dataset out as BAM — the one-stage form of
 // Pipeline.ExportBAM.
 func ExportBAM(ctx context.Context, store Store, dataset string, dst io.Writer) (uint64, error) {
-	ds, err := agd.Open(store, dataset)
-	if err != nil {
-		return 0, err
-	}
-	return bam.Export(ctx, ds, dst)
+	return export(ctx, store, dataset, pipeStage{kind: stageExportBAM, dst: dst})
 }
 
 // ExportFASTQ streams a dataset's reads back out as FASTQ — the one-stage
 // form of Pipeline.ExportFASTQ.
 func ExportFASTQ(ctx context.Context, store Store, dataset string, dst io.Writer) (uint64, error) {
-	ds, err := agd.Open(store, dataset)
+	return export(ctx, store, dataset, pipeStage{kind: stageExportFASTQ, dst: dst})
+}
+
+// export runs Read(dataset) into the export sink, returning the records
+// written.
+func export(ctx context.Context, store Store, dataset string, sink pipeStage) (uint64, error) {
+	rep, err := runOnce(ctx, store, 0, func(s *Session) *Pipeline { return s.Read(dataset).add(sink) })
 	if err != nil {
 		return 0, err
 	}
-	return fastq.Export(ctx, ds, dst)
+	return rep.Records, nil
 }
 
 // ImportSAM converts an aligned SAM stream into an AGD dataset with all
@@ -269,9 +313,19 @@ type FilterPredicate = filter.Predicate
 type FilterStats = filter.Stats
 
 // Filter writes the subset of a dataset matching pred into outputName
-// (empty for "<name>.filtered") — the one-stage form of Pipeline.Filter.
+// (empty for "<name>.filtered") — the one-stage form of Pipeline.Filter. On
+// failure, a predicate nothing matches included, no output blob remains.
 func Filter(ctx context.Context, store Store, dataset string, pred FilterPredicate, outputName string) (*Manifest, FilterStats, error) {
-	return filter.Run(ctx, store, dataset, pred, filter.Options{OutputName: outputName})
+	if outputName == "" {
+		outputName = dataset + ".filtered"
+	}
+	rep, err := runOnce(ctx, store, 0, func(s *Session) *Pipeline {
+		return s.Read(dataset).Filter(pred).Write(outputName)
+	})
+	if err != nil {
+		return nil, FilterStats{}, err
+	}
+	return rep.Manifest, rep.Filtered, nil
 }
 
 // Variant is one called SNP.
@@ -292,16 +346,8 @@ func WriteVCF(w io.Writer, ref *Genome, variants []Variant) error {
 	return varcall.WriteVCF(w, agd.RefSeqsFromGenome(ref), variants)
 }
 
-// AlignPaired runs the single-server SNAP pipeline in paired-end mode
-// (records 2i and 2i+1 form pairs, so every chunk must hold whole pairs:
-// import with an even chunk size).
+// AlignPaired is Align in paired-end mode (records 2i and 2i+1 form pairs,
+// so every chunk must hold whole pairs: import with an even chunk size).
 func AlignPaired(ctx context.Context, store Store, dataset string, idx *Index, opts AlignOptions) (*AlignReport, *Manifest, error) {
-	return core.Align(ctx, core.AlignConfig{
-		Store:           store,
-		Dataset:         dataset,
-		Index:           idx,
-		Aligner:         snap.Config{MaxDist: opts.MaxDist},
-		ExecutorThreads: opts.ExecutorThreads,
-		Paired:          true,
-	})
+	return align(ctx, store, dataset, idx, opts, true)
 }

@@ -75,6 +75,7 @@ const (
 	stageExportBAM
 	stageExportFASTQ
 	stageWrite
+	stageWriteBack
 )
 
 func (k stageKind) String() string {
@@ -99,6 +100,8 @@ func (k stageKind) String() string {
 		return "export-fastq"
 	case stageWrite:
 		return "write"
+	case stageWriteBack:
+		return "write-back"
 	}
 	return "stage"
 }
@@ -114,13 +117,15 @@ type pipeStage struct {
 	chunkSize int             // stageImportFASTQ
 	idx       *Index          // stageAlign
 	alignOpts AlignOptions    // stageAlign
+	paired    bool            // stageAlign
 	by        SortKey         // stageSort
 	pred      FilterPredicate // stageFilter
 	dst       io.Writer       // stageExport*
 }
 
 // Read starts a pipeline over an existing AGD dataset in the session's
-// store, streaming every manifest column.
+// store. Before a Write sink it streams every manifest column; otherwise
+// only the columns the pipeline's stages and sink read.
 func (s *Session) Read(dataset string) *Pipeline {
 	return &Pipeline{sess: s, stages: []pipeStage{{kind: stageRead, dataset: dataset}}}
 }
@@ -361,8 +366,11 @@ func (p *Pipeline) validate(sourceCols []string, hasResults bool) error {
 				return fmt.Errorf("persona: Filter needs a predicate")
 			}
 		case stageExportSAM, stageExportBAM:
-			if !hasResults || !readCols {
-				return fmt.Errorf("persona: %s needs the read columns and alignment results", st.kind)
+			if !readCols {
+				return fmt.Errorf("persona: %s needs the read columns", st.kind)
+			}
+			if !hasResults {
+				return fmt.Errorf("persona: %s needs alignment results: the stream has no results column", st.kind)
 			}
 		case stageExportFASTQ:
 			if !readCols {
@@ -371,6 +379,10 @@ func (p *Pipeline) validate(sourceCols []string, hasResults bool) error {
 		case stageWrite:
 			if st.dataset == "" {
 				return fmt.Errorf("persona: Write needs a dataset name")
+			}
+		case stageWriteBack:
+			if !hasResults {
+				return fmt.Errorf("persona: %s needs alignment results", st.kind)
 			}
 		}
 	}
@@ -470,37 +482,76 @@ func (p *Pipeline) stageNames() []string {
 	return names
 }
 
-// openSource validates the graph and opens the source stream. pipelining
+// openSource validates the graph and opens the source stream, returning
+// the source dataset's manifest too (nil for a FASTQ source). pipelining
 // sizes a pumped FASTQ source's builder pool (0 on a serial run).
-func (p *Pipeline) openSource(pipelining int) (*agd.GroupStream, error) {
+func (p *Pipeline) openSource(pipelining int) (*agd.GroupStream, *agd.Manifest, error) {
 	sess := p.sess
 	src := p.stages[0]
 	switch src.kind {
 	case stageRead:
 		ds, err := sess.openDataset(src.dataset)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		hasResults := ds.Manifest.HasColumn(agd.ColResults)
-		if err := p.validate(ds.Manifest.Columns, hasResults); err != nil {
-			return nil, err
+		m := ds.Manifest
+		if err := p.validate(m.Columns, m.HasColumn(agd.ColResults)); err != nil {
+			return nil, nil, err
 		}
-		return ds.Groups(agd.StreamOptions{
+		in, err := ds.Groups(agd.StreamOptions{
+			Columns:     p.sourceColumns(m.Columns),
 			ShardedPool: sess.chunkPool,
 			Cache:       sess.cache,
 			Codec:       agd.Codec{Exec: sess.exec},
 		})
+		return in, m, err
 	case stageImportFASTQ:
 		if err := p.validate([]string{agd.ColBases, agd.ColQual, agd.ColMetadata}, false); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		return fastq.ImportStream(src.src, fastq.ImportOptions{
 			ChunkSize:  src.chunkSize,
 			RefSeqs:    src.refs,
 			Pipelining: pipelining,
-		}), nil
+		}), nil, nil
 	}
-	return nil, fmt.Errorf("persona: pipeline has no source")
+	return nil, nil, fmt.Errorf("persona: pipeline has no source")
+}
+
+// sourceColumns picks, in manifest order, the columns a Read source fetches:
+// every one before a Write sink, which stores them all, and otherwise only
+// those a stage or the sink reads. A column the graph computes (results,
+// after Align) is never in the manifest, so it is never fetched.
+func (p *Pipeline) sourceColumns(all []string) []string {
+	read := map[string]bool{}
+	for _, st := range p.stages[1:] {
+		switch st.kind {
+		case stageWrite:
+			return all
+		case stageAlign:
+			read[agd.ColBases] = true
+		case stageSort:
+			if st.by == ByMetadata {
+				read[agd.ColMetadata] = true
+			} else {
+				read[agd.ColResults] = true
+			}
+		case stageMarkDup, stageFilter, stageWriteBack:
+			read[agd.ColResults] = true
+		case stageExportSAM, stageExportBAM:
+			read[agd.ColResults] = true
+			fallthrough
+		case stageExportFASTQ:
+			read[agd.ColBases], read[agd.ColQual], read[agd.ColMetadata] = true, true, true
+		}
+	}
+	var cols []string
+	for _, c := range all {
+		if read[c] {
+			cols = append(cols, c)
+		}
+	}
+	return cols
 }
 
 // buildStage constructs one transform stage over its input stream.
@@ -515,6 +566,7 @@ func (p *Pipeline) buildStage(ctx context.Context, st pipeStage, in *agd.GroupSt
 		out, alignReport, err := core.AlignStream(core.AlignConfig{
 			Index:      st.idx,
 			Aligner:    snap.Config{MaxDist: st.alignOpts.MaxDist},
+			Paired:     st.paired,
 			Pipelining: pipelining,
 		}, sess.exec, in)
 		report.Align = alignReport
@@ -534,8 +586,9 @@ func (p *Pipeline) buildStage(ctx context.Context, st pipeStage, in *agd.GroupSt
 }
 
 // runSink drains the final stream into the pipeline's sink, returning the
-// records consumed.
-func (p *Pipeline) runSink(ctx context.Context, stream *agd.GroupStream, report *PipelineReport) (uint64, error) {
+// records consumed. src is the source dataset's manifest (nil unless the
+// source is Read) and start the run's start.
+func (p *Pipeline) runSink(ctx context.Context, stream *agd.GroupStream, src *agd.Manifest, start time.Time, report *PipelineReport) (uint64, error) {
 	sess := p.sess
 	sink := p.stages[len(p.stages)-1]
 	switch sink.kind {
@@ -560,8 +613,44 @@ func (p *Pipeline) runSink(ctx context.Context, stream *agd.GroupStream, report 
 			}
 		}
 		return n, err
+	case stageWriteBack:
+		return p.writeBack(ctx, stream, src, start, report)
 	}
 	return 0, fmt.Errorf("persona: pipeline has no sink")
+}
+
+// writeBack is the sink of the one-shot Align and MarkDuplicates: it stores
+// the stream's results column into the source dataset m, next to the
+// columns it was computed from, and registers the column when it is new.
+// A new column that fails to land is deleted again, so a failed Align leaves
+// the dataset as it found it. A column being rewritten (MarkDuplicates) has
+// nothing to delete: its old blobs are gone as the new ones land.
+func (p *Pipeline) writeBack(ctx context.Context, stream *agd.GroupStream, m *agd.Manifest, start time.Time, report *PipelineReport) (uint64, error) {
+	sess := p.sess
+	added := !m.HasColumn(agd.ColResults)
+	sess.invalidateDataset(m.Name)
+	err := agd.WriteColumn(ctx, stream, sess.store, m, agd.ColResults, agd.Codec{Exec: sess.exec}, nil)
+	if a := report.Align; err == nil && a != nil {
+		// The stage stopped its clock at the last group aligned; the run
+		// ends when the last results blob is stored.
+		a.Elapsed = time.Since(start)
+		a.BasesPerSec = float64(a.Bases) / a.Elapsed.Seconds()
+	}
+	out := m
+	if err == nil && added {
+		out, err = agd.RegisterColumn(sess.store, m, agd.ColResults)
+	}
+	if err != nil {
+		if added {
+			for i := range m.Chunks {
+				_ = sess.store.Delete(m.ChunkBlobPath(i, agd.ColResults))
+			}
+		}
+		return 0, err
+	}
+	report.Manifest = out
+	sess.rememberManifest(m.Name, out)
+	return out.NumRecords(), nil
 }
 
 // passthroughStage reports whether a stage's output groups keep their input
@@ -632,7 +721,7 @@ func (p *Pipeline) run(ctx context.Context) (*PipelineReport, error) {
 	base := p.snapshotBase()
 	names := p.stageNames()
 
-	stream, err := p.openSource(p.poolWindow(0, depth))
+	stream, src, err := p.openSource(p.poolWindow(0, depth))
 	if err != nil {
 		return nil, err
 	}
@@ -689,9 +778,14 @@ func (p *Pipeline) run(ctx context.Context) (*PipelineReport, error) {
 	// The sink has no output stream to instrument: its slot holds its wall
 	// and what it consumed.
 	t0 := time.Now()
-	n, err := p.runSink(ctx, stream, report)
+	n, err := p.runSink(ctx, stream, src, base.start, report)
 	sink := &edgeStats{nanos: time.Since(t0).Nanoseconds(), records: n}
 	if err := stop(err); err != nil {
+		if fstats != nil && fstats.Kept == 0 && src != nil && fstats.In == src.NumRecords() && ctx.Err() == nil {
+			// Every record was seen and none kept: a Write sink's "stream
+			// has no records" has a better name here.
+			err = fmt.Errorf("persona: no records of %q match the filter", src.Name)
+		}
 		return nil, err
 	}
 	if len(edges) > 0 {

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"maps"
 	"runtime"
 	"strings"
 	"sync"
@@ -513,6 +514,101 @@ func TestFreeFunctionCancellation(t *testing.T) {
 	if _, _, err := AlignDistributed(dead, store2, "raw", idx, 1, 1); err == nil {
 		t.Error("AlignDistributed ignored cancelled context")
 	}
+}
+
+// TestFreeFunctionsMissingDataset: every one-shot over a dataset the store
+// does not hold fails, and stores nothing.
+func TestFreeFunctionsMissingDataset(t *testing.T) {
+	ctx := context.Background()
+	store := NewMemStore()
+	for name, run := range map[string]func() error{
+		"Align": func() error { _, _, err := Align(ctx, store, "nope", nil, AlignOptions{}); return err },
+		"AlignPaired": func() error {
+			_, _, err := AlignPaired(ctx, store, "nope", nil, AlignOptions{})
+			return err
+		},
+		"Sort":           func() error { _, err := Sort(ctx, store, "nope", ByLocation, ""); return err },
+		"MarkDuplicates": func() error { _, err := MarkDuplicates(ctx, store, "nope"); return err },
+		"Filter":         func() error { _, _, err := Filter(ctx, store, "nope", FilterMappedOnly(), ""); return err },
+		"ExportSAM":      func() error { _, err := ExportSAM(ctx, store, "nope", io.Discard); return err },
+		"ExportBAM":      func() error { _, err := ExportBAM(ctx, store, "nope", io.Discard); return err },
+		"ExportFASTQ":    func() error { _, err := ExportFASTQ(ctx, store, "nope", io.Discard); return err },
+	} {
+		if err := run(); err == nil {
+			t.Errorf("%s of a missing dataset succeeded", name)
+		}
+	}
+	if left, _ := store.List(""); len(left) != 0 {
+		t.Fatalf("failed one-shots stored %v", left)
+	}
+}
+
+// columnGets counts the chunk blobs fetched through it, per column.
+type columnGets struct {
+	Store
+	mu   sync.Mutex
+	gets map[string]int
+}
+
+func (s *columnGets) Get(name string) ([]byte, error) {
+	if i := strings.LastIndexByte(name, '.'); strings.Contains(name, "/chunk-") && i >= 0 {
+		s.mu.Lock()
+		s.gets[name[i+1:]]++
+		s.mu.Unlock()
+	}
+	return s.Store.Get(name)
+}
+
+// fetched returns the per-column counts since the last call.
+func (s *columnGets) fetched() map[string]int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	got := s.gets
+	s.gets = map[string]int{}
+	return got
+}
+
+// TestSourceFetchesOnlyColumnsRead: a Read source fetches the columns its
+// graph reads and no other. The one-shot Align reads bases (the results it
+// gets are RegisterColumn checking what it stored), MarkDuplicates results
+// alone, and a metadata sort into a FASTQ export everything but results.
+func TestSourceFetchesOnlyColumnsRead(t *testing.T) {
+	ctx := context.Background()
+	base, g := pipelineFixture(t, "ds")
+	idx, err := BuildIndex(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &columnGets{Store: base, gets: map[string]int{}}
+	ds, err := OpenDataset(store, "ds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks := ds.NumChunks()
+	check := func(what string, want map[string]int) {
+		t.Helper()
+		if got := store.fetched(); !maps.Equal(got, want) {
+			t.Errorf("%s fetched %v chunk blobs, want %v", what, got, want)
+		}
+	}
+
+	store.fetched()
+	if _, _, err := Align(ctx, store, "ds", idx, AlignOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	check("Align", map[string]int{agd.ColBases: chunks, agd.ColResults: chunks})
+
+	if _, err := MarkDuplicates(ctx, store, "ds"); err != nil {
+		t.Fatal(err)
+	}
+	check("MarkDuplicates", map[string]int{agd.ColResults: chunks})
+
+	sess := NewSession(store, SessionOptions{CacheBytes: -1})
+	defer sess.Close()
+	if _, err := sess.Read("ds").Sort(ByMetadata).ExportFASTQ(io.Discard).Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	check("Read.Sort(ByMetadata).ExportFASTQ", map[string]int{agd.ColBases: chunks, agd.ColQual: chunks, agd.ColMetadata: chunks})
 }
 
 // TestSessionIndexCache checks the warm-index reuse.
