@@ -182,7 +182,7 @@ func TestChaosDistributedAlignWithSession(t *testing.T) {
 	g := chaosImport(t, cleanStore, "ds")
 	cleanSess := NewSession(cleanStore, SessionOptions{})
 	defer cleanSess.Close()
-	if _, _, err := cleanSess.AlignDistributed(context.Background(), "ds", g, 2, 2); err != nil {
+	if _, _, err := cleanSess.AlignDistributed(context.Background(), "ds", g, 2); err != nil {
 		t.Fatal(err)
 	}
 	var cleanSAM bytes.Buffer
@@ -208,7 +208,7 @@ func TestChaosDistributedAlignWithSession(t *testing.T) {
 	if _, ok := sess.ResilienceStats(); !ok {
 		t.Fatal("resilient store not detected by the session")
 	}
-	report, m, err := sess.AlignDistributed(context.Background(), "ds", g, 2, 2)
+	report, m, err := sess.AlignDistributed(context.Background(), "ds", g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,12 +25,6 @@ func (p *Pipeline) Distributed(nodes int) *Pipeline {
 	return p
 }
 
-// RunDistributed plans and executes a pipeline across nodes in-process
-// workers — Pipeline.Distributed + Run in one call.
-func (s *Session) RunDistributed(ctx context.Context, p *Pipeline, nodes int) (*PipelineReport, error) {
-	return p.Distributed(nodes).Run(ctx)
-}
-
 // distPlan translates the recorded stage graph into a cluster pipeline
 // plan, rejecting shapes the distributed scheduler cannot run.
 func (p *Pipeline) distPlan() (cluster.PipelinePlan, *pipeStage, error) {

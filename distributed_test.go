@@ -174,7 +174,8 @@ func TestDistributedWriteSink(t *testing.T) {
 	sess := NewSession(store, SessionOptions{})
 	defer sess.Close()
 
-	if _, err := sess.Read("ds").Align(idx, AlignOptions{}).Sort(ByLocation).MarkDuplicates().Write("gold.out").Run(ctx); err != nil {
+	gold, err := sess.Read("ds").Align(idx, AlignOptions{}).Sort(ByLocation).MarkDuplicates().Write("gold.out").Run(ctx)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var goldSAM bytes.Buffer
@@ -201,6 +202,9 @@ func TestDistributedWriteSink(t *testing.T) {
 			}
 			if report.Manifest.SortedBy != "location" {
 				t.Errorf("SortedBy = %q, want location", report.Manifest.SortedBy)
+			}
+			if c := report.Cluster; c.TotalBases != gold.Align.Bases || c.BasesPerSec <= 0 {
+				t.Errorf("cluster report: %d bases at %.0f bases/s, want the %d bases aligned", c.TotalBases, c.BasesPerSec, gold.Align.Bases)
 			}
 			var distSAM bytes.Buffer
 			if _, err := ExportSAM(ctx, store, out, &distSAM); err != nil {
@@ -273,10 +277,10 @@ func TestSessionAlignDistributedTwice(t *testing.T) {
 	store, g := distFixture(t, 50, "ds")
 	sess := NewSession(store, SessionOptions{})
 	defer sess.Close()
-	if _, _, err := sess.AlignDistributed(ctx, "ds", g, 2, 1); err != nil {
+	if _, _, err := sess.AlignDistributed(ctx, "ds", g, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := sess.AlignDistributed(ctx, "ds", g, 2, 1); err == nil || !strings.Contains(err.Error(), "already aligned") {
+	if _, _, err := sess.AlignDistributed(ctx, "ds", g, 2); err == nil || !strings.Contains(err.Error(), "already aligned") {
 		t.Fatalf("second AlignDistributed: error %v, want \"already aligned\"", err)
 	}
 }

@@ -4,12 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"persona/internal/agd"
 	"persona/internal/align/snap"
-	"persona/internal/core"
 	"persona/internal/dataflow"
 	"persona/internal/storage"
 )
@@ -20,7 +18,8 @@ import (
 // instead of failing.
 var errNodeDeath = errors.New("cluster: injected node death")
 
-// Config parameterizes a cluster alignment run.
+// Config parameterizes a cluster run: its nodes, their executors, the
+// aligner and the phase server's failure detector.
 type Config struct {
 	// Nodes is the number of worker nodes (paper: up to 32).
 	Nodes int
@@ -52,10 +51,10 @@ type Config struct {
 	// injection for recovery tests; the run completes on the surviving
 	// workers).
 	NodeFaults map[int]int
-	// FaultPhase scopes NodeFaults to one phase of the run: 0 is Align's
-	// only phase (its tasks are chunks) and a distributed pipeline's map
-	// phase, 1 its shuffle, 2 its reduce — which is how a chaos test kills
-	// a worker deterministically mid-shuffle.
+	// FaultPhase scopes NodeFaults to one phase of the run: 0 is the map
+	// phase (Align's only one, whose tasks are chunks), 1 the shuffle, 2 the
+	// reduce — which is how a chaos test kills a worker deterministically
+	// mid-shuffle.
 	FaultPhase int
 }
 
@@ -67,8 +66,9 @@ type NodeReport struct {
 	Bases   int64
 	Elapsed time.Duration
 	// ShuffleBytes is what this node wrote during a distributed pipeline's
-	// shuffle phase (pieces and halos; 0 on Align runs). Re-executed tasks
-	// count here, so node totals can exceed the report's first-win total.
+	// shuffle phase (pieces and halos; 0 on Align's runs, which have no
+	// shuffle). Re-executed tasks count here, so node totals can exceed the
+	// report's first-win total.
 	ShuffleBytes int64
 	// Failed marks a worker that died mid-run (its chunks were re-dealt
 	// to the survivors); Err is its final error.
@@ -271,9 +271,9 @@ func runNodes(ctx context.Context, srv *PhaseServer, cfg *Config, node func(ctx 
 	return report, nil
 }
 
-// Align runs a distributed alignment of a dataset as a one-phase plan on the
-// phase server, one task per chunk: every node leases chunks, reads their
-// bases from shared storage, aligns them with the same stage the
+// Align runs a distributed alignment of a dataset as a write-back plan of
+// RunPipeline: one phase, one task per chunk. Every node leases chunks,
+// reads their bases from shared storage, aligns them with the same stage the
 // single-server Align runs (core.AlignStream), writes each results chunk
 // back through the same column sink, and acks the lease once the blob has
 // landed. Workers heartbeat the server; a worker that dies or straggles has
@@ -284,97 +284,9 @@ func runNodes(ctx context.Context, srv *PhaseServer, cfg *Config, node func(ctx 
 // whole run. The results column is registered in the manifest at the end;
 // a run that fails leaves no results blob behind.
 func Align(ctx context.Context, store storage.Store, datasetName string, idx *snap.Index, cfg Config) (*Report, *agd.Manifest, error) {
-	cfg.applyDefaults()
-	ds, err := agd.Open(store, datasetName)
+	res, err := RunPipeline(ctx, store, PipelinePlan{Dataset: datasetName, Align: true, Index: idx, writeBack: true}, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	m := ds.Manifest
-	if m.HasColumn(agd.ColResults) {
-		return nil, nil, fmt.Errorf("cluster: dataset %q already aligned", datasetName)
-	}
-	if !m.HasColumn(agd.ColBases) {
-		return nil, nil, fmt.Errorf("cluster: dataset %q has no %q column", datasetName, agd.ColBases)
-	}
-
-	srv, err := NewPhaseServer([]int{len(m.Chunks)}, nil, cfg.serverOptions())
-	if err != nil {
-		return nil, nil, err
-	}
-	defer srv.Close()
-	report, err := runNodes(ctx, srv, &cfg, func(ctx context.Context, w *worker) error {
-		return alignNode(ctx, w, ds, idx)
-	})
-	var updated *agd.Manifest
-	if err == nil {
-		updated, err = agd.RegisterColumn(store, m, agd.ColResults)
-	}
-	if err != nil {
-		// runNodes returns once every worker has, so no Put is in flight:
-		// the results blobs that landed go, and the dataset is the unaligned
-		// one it was.
-		for i := range m.Chunks {
-			_ = store.Delete(m.ChunkBlobPath(i, agd.ColResults))
-		}
-		return nil, nil, err
-	}
-	return report, updated, nil
-}
-
-// leaseAhead is how many chunks an Align node leases and decodes ahead of the
-// one it is aligning.
-const leaseAhead = 4
-
-// alignNode is one Align worker: a source that leases a chunk and reads its
-// bases, pumped leaseAhead chunks ahead of the align stage so storage
-// latency overlaps with alignment, then core.AlignStream, then the results
-// column sink, which stores each chunk's blob and acks its lease before the
-// next chunk is aligned. The
-// results write is idempotent — Put replaces, and a re-executed chunk
-// encodes identical bytes — so a duplicate completion after lease
-// reassignment is harmless.
-func alignNode(ctx context.Context, w *worker, ds *agd.Dataset, idx *snap.Index) error {
-	cfg, m := w.cfg, ds.Manifest
-	codec := agd.Codec{Exec: w.exec}
-	// A chunk's pooled buffers are held from its decode until its results
-	// blob has landed: queued ahead, held by the pump waiting for room, or
-	// being aligned and stored.
-	pool := agd.NewChunkPool(leaseAhead + 2)
-	leases := agd.NewGroupStream(
-		agd.StreamMeta{Columns: []string{agd.ColBases}},
-		func(ctx context.Context) (*agd.RowGroup, error) {
-			_, chunk, ok, err := w.lease(ctx)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				return nil, io.EOF
-			}
-			one, err := ds.Groups(agd.StreamOptions{
-				Columns: []string{agd.ColBases}, Start: chunk, End: chunk + 1,
-				ShardedPool: pool, Codec: codec,
-			})
-			if err != nil {
-				return nil, err
-			}
-			defer one.Close()
-			return one.Next(ctx)
-		}, nil)
-	leases.Owned = true // pooled chunks, valid until Release
-
-	pumps := dataflow.NewPumps(ctx)
-	ahead := agd.PumpEdge(pumps, leases, leaseAhead)
-	out, rep, err := core.AlignStream(core.AlignConfig{
-		Index:     idx,
-		Aligner:   cfg.Aligner,
-		Subchunks: cfg.Subchunks,
-	}, w.exec, ahead.Stream(leases.Meta))
-	if err == nil {
-		err = agd.WriteColumn(pumps.Context(), out, ds.Store(), m, agd.ColResults, codec, func(chunk int) error {
-			return w.client.AckTask(0, chunk, "")
-		})
-		w.rep.Chunks, w.rep.Reads, w.rep.Bases = rep.Chunks, rep.Reads, rep.Bases
-	}
-	pumps.Fail(err)
-	return pumps.Wait()
+	return res.Report, res.Manifest, nil
 }

@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"persona/internal/agd"
+	"persona/internal/agdsort"
 	"persona/internal/storage"
 	"persona/internal/testutil"
 )
@@ -92,6 +94,28 @@ func TestClusterAlignOnObjectStore(t *testing.T) {
 	stats := objStore.Stats()
 	if stats.ReplicatedBytesIn <= stats.BytesIn {
 		t.Fatal("replication accounting missing")
+	}
+}
+
+// TestClusterRejectsEmptyDataset: a manifest without chunks reads as a valid
+// one, but a run over it has no task to deal. Align and a sort plan both
+// fail with an error naming it.
+func TestClusterRejectsEmptyDataset(t *testing.T) {
+	store := agd.NewMemStore()
+	f := testutil.Build(t, store, "ds", testutil.Config{
+		GenomeSize: 60_000, NumReads: 100, ReadLen: 60, ChunkSize: 50, Seed: 84, SkipAlign: true,
+	})
+	empty := &agd.Manifest{Name: "empty", Version: 1, Columns: f.Dataset.Manifest.Columns}
+	if err := agd.WriteManifest(store, empty); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, _, err := Align(ctx, store, "empty", f.Index, Config{Nodes: 2}); err == nil || !strings.Contains(err.Error(), "no chunks") {
+		t.Errorf("Align: error %v, want \"no chunks\"", err)
+	}
+	plan := PipelinePlan{Dataset: "empty", By: agdsort.ByMetadata, OutName: "out"}
+	if _, err := RunPipeline(ctx, store, plan, Config{Nodes: 2}); err == nil || !strings.Contains(err.Error(), "no chunks") {
+		t.Errorf("RunPipeline: error %v, want \"no chunks\"", err)
 	}
 }
 

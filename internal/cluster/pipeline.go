@@ -38,14 +38,16 @@ import (
 //	         manifest — of dataset <out>/part<k>.
 //
 // Every task is leased, heartbeat-guarded and re-dealt on worker death or
-// straggling, exactly like Align's chunks (the same runNodes scaffold); task
-// outputs are deterministic, deterministically-named blobs, so re-execution
-// is idempotent. That is also why a failed task deletes nothing: a straggler
-// past its lease runs beside the attempt its task was re-dealt to, under the
-// same names, so what a failed reduce stored stays (agd.WriteChunks) until
-// the next attempt overwrites it with the same bytes. The coordinator
-// stitches the partitions' chunk entries into the one manifest of the
-// ordered output dataset and aggregates the cluster report.
+// straggling; task outputs are deterministic, deterministically-named
+// blobs, so re-execution is idempotent. That is also why a failed task
+// deletes nothing: a straggler past its lease runs beside the attempt its
+// task was re-dealt to, under the same names, so what a failed reduce stored
+// stays (agd.WriteChunks) until the next attempt overwrites it with the same
+// bytes. The coordinator stitches the partitions' chunk entries into the one
+// manifest of the ordered output dataset and aggregates the cluster report.
+//
+// Align's plan (writeBack) is the map phase alone: each task aligns one
+// chunk and stores its results blob in the input dataset itself.
 
 // Task phases of a distributed pipeline run.
 const (
@@ -91,6 +93,10 @@ type PipelinePlan struct {
 	// TempPrefix is the namespace for runs, pieces and halos, swept after a
 	// successful run. Default "cluster/<dataset>/tmp".
 	TempPrefix string
+	// writeBack makes the plan Align's: one task per chunk that aligns it
+	// and stores its results blob in the input dataset, no shuffle, reduce
+	// or output dataset, and the results column registered at the end.
+	writeBack bool
 }
 
 // PipelineResult is a completed distributed pipeline run.
@@ -108,7 +114,9 @@ type PipelineResult struct {
 }
 
 func (p *PipelinePlan) applyDefaults() {
-	if p.ChunksPerBatch <= 0 {
+	if p.writeBack {
+		p.ChunksPerBatch = 1
+	} else if p.ChunksPerBatch <= 0 {
 		p.ChunksPerBatch = 8
 	}
 	if p.TempPrefix == "" {
@@ -119,7 +127,10 @@ func (p *PipelinePlan) applyDefaults() {
 // validatePlan checks the plan against the opened input, mirroring the
 // single-node Pipeline.validate rules.
 func validatePlan(plan *PipelinePlan, m *agd.Manifest) error {
-	if plan.OutName == "" {
+	if len(m.Chunks) == 0 {
+		return fmt.Errorf("cluster: dataset %q has no chunks", plan.Dataset)
+	}
+	if plan.OutName == "" && !plan.writeBack {
 		return fmt.Errorf("cluster: pipeline needs an output dataset name")
 	}
 	if plan.Align {
@@ -186,7 +197,11 @@ func RunPipeline(ctx context.Context, store storage.Store, plan PipelinePlan, cf
 	numBatches := (len(m.Chunks) + plan.ChunksPerBatch - 1) / plan.ChunksPerBatch
 	parts := cfg.Nodes
 
-	srv, err := NewPhaseServer([]int{numBatches, numBatches, parts}, []int{phaseShuffle}, cfg.serverOptions())
+	phases, held := []int{numBatches, numBatches, parts}, []int{phaseShuffle}
+	if plan.writeBack {
+		phases, held = phases[:1], nil
+	}
+	srv, err := NewPhaseServer(phases, held, cfg.serverOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -199,7 +214,7 @@ func RunPipeline(ctx context.Context, store storage.Store, plan PipelinePlan, cf
 	// the samples into global splitters, publish them and open the held
 	// shuffle phase. A failure here poisons the run — without cuts the
 	// barrier would never lift.
-	go func() {
+	selectCuts := func() {
 		select {
 		case <-srv.PhaseDone(phaseMap):
 		case <-runCtx.Done():
@@ -226,11 +241,30 @@ func RunPipeline(ctx context.Context, store storage.Store, plan PipelinePlan, cf
 		}
 		srv.SetCuts(payload)
 		srv.Open(phaseShuffle)
-	}()
+	}
+	if !plan.writeBack {
+		go selectCuts()
+	}
 
 	report, err := runNodes(runCtx, srv, &cfg, func(ctx context.Context, w *worker) error {
 		return pipelineNode(ctx, w, store, ds, &plan, cols, parts, numBatches)
 	})
+	if plan.writeBack {
+		var updated *agd.Manifest
+		if err == nil {
+			updated, err = agd.RegisterColumn(store, m, agd.ColResults)
+		}
+		if err != nil {
+			// runNodes returns once every worker has, so no Put is in
+			// flight: the results blobs that landed go, and the dataset is
+			// the unaligned one it was.
+			for i := range m.Chunks {
+				_ = store.Delete(m.ChunkBlobPath(i, agd.ColResults))
+			}
+			return nil, err
+		}
+		return &PipelineResult{Report: report, Manifest: updated}, nil
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -313,9 +347,7 @@ func pipelineNode(ctx context.Context, w *worker, store storage.Store, ds *agd.D
 		var payload string
 		switch phase {
 		case phaseMap:
-			var rows int64
-			payload, rows, err = runMapTask(ctx, store, ds, plan, cfg, w.exec, idx)
-			rep.Reads += rows
+			payload, err = runMapTask(ctx, store, ds, plan, cfg, w.exec, idx, rep)
 		case phaseShuffle:
 			if cuts == nil {
 				tok, ok, cerr := client.Cuts(ctx.Done())
@@ -351,33 +383,50 @@ func pipelineNode(ctx context.Context, w *worker, store storage.Store, ds *agd.D
 
 // runMapTask stages one batch of source chunks — aligned on the fly when the
 // plan says so — into one sorted run blob, and returns the run-summary
-// payload (rows, key samples, max signature span).
-func runMapTask(ctx context.Context, store storage.Store, ds *agd.Dataset, plan *PipelinePlan, cfg *Config, exec *dataflow.Executor, b int) (string, int64, error) {
+// payload (rows, key samples, max signature span); a write-back plan's task
+// reads only its chunk's bases and stores its results blob instead. The
+// task's reads, and the bases it aligned, are added to rep.
+func runMapTask(ctx context.Context, store storage.Store, ds *agd.Dataset, plan *PipelinePlan, cfg *Config, exec *dataflow.Executor, b int, rep *NodeReport) (string, error) {
 	lo := b * plan.ChunksPerBatch
 	hi := lo + plan.ChunksPerBatch
 	if hi > len(ds.Manifest.Chunks) {
 		hi = len(ds.Manifest.Chunks)
 	}
+	codec := agd.Codec{Exec: exec}
+	var cols []string // every manifest column
+	if plan.writeBack {
+		cols = []string{agd.ColBases}
+	}
 	gs, err := ds.Groups(agd.StreamOptions{
-		Start: lo,
-		End:   hi,
-		Codec: agd.Codec{Exec: exec},
+		Columns: cols,
+		Start:   lo,
+		End:     hi,
+		Codec:   codec,
 	})
 	if err != nil {
-		return "", 0, err
+		return "", err
 	}
 	stream := gs
 	defer func() { stream.Close() }()
+	var aligned *core.AlignReport
 	if plan.Align {
-		out, _, err := core.AlignStream(core.AlignConfig{
+		out, arep, err := core.AlignStream(core.AlignConfig{
 			Index:     plan.Index,
 			Aligner:   cfg.Aligner,
 			Subchunks: cfg.Subchunks,
 		}, exec, gs)
 		if err != nil {
-			return "", 0, err
+			return "", err
 		}
-		stream = out
+		stream, aligned = out, arep
+	}
+	if plan.writeBack {
+		if err := agd.WriteColumn(ctx, stream, store, ds.Manifest, agd.ColResults, codec, nil); err != nil {
+			return "", err
+		}
+		rep.Reads += aligned.Reads
+		rep.Bases += aligned.Bases
+		return "", nil
 	}
 
 	var mk *markdup.Marker
@@ -398,14 +447,17 @@ func runMapTask(ctx context.Context, store storage.Store, ds *agd.Dataset, plan 
 	}
 	info, err := agdsort.BuildRun(ctx, store, stream, shuffle.RunBlob(plan.TempPrefix, b), plan.By, shuffle.SampleCount, visit)
 	if err != nil {
-		return "", 0, fmt.Errorf("cluster: map batch %d: %w", b, err)
+		return "", fmt.Errorf("cluster: map batch %d: %w", b, err)
+	}
+	rep.Reads += int64(info.Rows)
+	if aligned != nil {
+		rep.Bases += aligned.Bases
 	}
 	sum := shuffle.RunSummary{Rows: info.Rows, MaxSpan: maxSpan}
 	for _, s := range info.Samples {
 		sum.Samples = append(sum.Samples, shuffle.Sample{Key: s.Key, Full: s.Full})
 	}
-	payload, err := shuffle.Encode(sum)
-	return payload, int64(info.Rows), err
+	return shuffle.Encode(sum)
 }
 
 // runShuffleTask cuts one sorted run at the global splitters and writes each

@@ -46,7 +46,7 @@ func TestReduceStragglerFailureKeepsSurvivorChunks(t *testing.T) {
 	// Map and shuffle, as pipelineNode and RunPipeline's cut selection do.
 	var summaries []shuffle.RunSummary
 	for b := 0; b < numBatches; b++ {
-		payload, _, err := runMapTask(ctx, store, ds, plan, cfg, nil, b)
+		payload, err := runMapTask(ctx, store, ds, plan, cfg, nil, b, &NodeReport{})
 		if err != nil {
 			t.Fatal(err)
 		}

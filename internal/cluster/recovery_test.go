@@ -63,18 +63,22 @@ func TestAlignSurvivesWorkerDeath(t *testing.T) {
 		NodeFaults: map[int]int{0: 1}, // node 0 dies after one chunk
 	}
 	cfg.applyDefaults()
+	plan := PipelinePlan{Dataset: "ds", Align: true, Index: f2.Index, writeBack: true}
+	plan.applyDefaults()
 	ds, err := agd.Open(store, "ds")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewPhaseServer([]int{len(ds.Manifest.Chunks)}, nil, cfg.serverOptions())
+	chunks := len(ds.Manifest.Chunks)
+	srv, err := NewPhaseServer([]int{chunks}, nil, cfg.serverOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 	// Node 0 dies at its second lease, and greedy leasing could deal node 1
-	// every chunk before node 0 asks twice: Align's own node loop runs here
-	// with node 1 held back until node 0 is dead, so the fault always fires.
+	// every chunk before node 0 asks twice: the task loop of Align's
+	// write-back plan runs here with node 1 held back until node 0 is dead,
+	// so the fault always fires.
 	dead0 := make(chan struct{})
 	report, err := runNodes(context.Background(), srv, &cfg, func(ctx context.Context, w *worker) error {
 		if w.node == 0 {
@@ -86,7 +90,7 @@ func TestAlignSurvivesWorkerDeath(t *testing.T) {
 				return ctx.Err()
 			}
 		}
-		return alignNode(ctx, w, ds, f2.Index)
+		return pipelineNode(ctx, w, store, ds, &plan, planColumns(&plan, ds.Manifest), cfg.Nodes, chunks)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -38,8 +38,9 @@
 // sink, the exports in theirs, ImportFASTQ is the FASTQ source into a Write
 // sink, and Align and MarkDuplicates end in a sink that writes the one
 // column they produce back next to the others. ImportSAM, CallVariants and
-// the distributed forms stay functions of their own. All of them take a
-// context.Context and honor cancellation per chunk.
+// AlignDistributed, the map phase alone of a Distributed pipeline's plan,
+// stay functions of their own. All of them take a context.Context and
+// honor cancellation per chunk.
 //
 // Storage backends (local directories, an in-memory store, and a Ceph-like
 // replicated object store) implement the same BlobStore interface, so
@@ -214,11 +215,12 @@ func align(ctx context.Context, store Store, dataset string, idx *Index, opts Al
 	return rep.Align, rep.Manifest, nil
 }
 
-// AlignDistributed aligns a dataset across nodes worker nodes as a one-phase
-// plan on the cluster's TCP phase server (§5.2's manifest server: one task
-// per chunk, leased, heartbeat-guarded and re-dealt when a worker dies).
-// Session.AlignDistributed is the form that shares a session's executor and
-// warm index cache.
+// AlignDistributed aligns a dataset across nodes worker nodes, each with an
+// executor of threadsPerNode workers: the map phase alone of a Distributed
+// pipeline's plan, one task per chunk leased from the TCP phase server
+// (§5.2's manifest server), heartbeat-guarded and re-dealt when a worker
+// dies. Session.AlignDistributed is the form that shares a session's
+// executor and warm index cache.
 func AlignDistributed(ctx context.Context, store Store, dataset string, idx *Index, nodes, threadsPerNode int) (*ClusterReport, *Manifest, error) {
 	return cluster.Align(ctx, store, dataset, idx, cluster.Config{
 		Nodes:          nodes,

@@ -571,10 +571,11 @@ func (s *columnGets) fetched() map[string]int {
 // TestSourceFetchesOnlyColumnsRead: a Read source fetches the columns its
 // graph reads and no other. The one-shot Align reads bases (the results it
 // gets are RegisterColumn checking what it stored), MarkDuplicates results
-// alone, and a metadata sort into a FASTQ export everything but results.
+// alone, a metadata sort into a FASTQ export everything but results, and
+// the distributed align's map tasks bases alone, like the one-shot Align.
 func TestSourceFetchesOnlyColumnsRead(t *testing.T) {
 	ctx := context.Background()
-	base, g := pipelineFixture(t, "ds")
+	base, g := pipelineFixture(t, "ds", "raw")
 	idx, err := BuildIndex(g)
 	if err != nil {
 		t.Fatal(err)
@@ -609,6 +610,11 @@ func TestSourceFetchesOnlyColumnsRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("Read.Sort(ByMetadata).ExportFASTQ", map[string]int{agd.ColBases: chunks, agd.ColQual: chunks, agd.ColMetadata: chunks})
+
+	if _, _, err := AlignDistributed(ctx, store, "raw", idx, 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	check("AlignDistributed(2 nodes)", map[string]int{agd.ColBases: chunks, agd.ColResults: chunks})
 }
 
 // TestSessionIndexCache checks the warm-index reuse.

@@ -123,18 +123,18 @@ func (s *Session) Index(g *Genome) (*Index, error) {
 	return b.idx, b.err
 }
 
-// AlignDistributed runs a distributed alignment of a dataset in the
-// session's store, with every worker node submitting to the session's
-// shared executor and the seed index coming from the session's warm cache.
-func (s *Session) AlignDistributed(ctx context.Context, dataset string, ref *Genome, nodes, threadsPerNode int) (*ClusterReport, *Manifest, error) {
+// AlignDistributed aligns a dataset in the session's store across nodes
+// worker nodes, as persona.AlignDistributed does, with every node submitting
+// to the session's shared executor and the seed index coming from the
+// session's warm cache.
+func (s *Session) AlignDistributed(ctx context.Context, dataset string, ref *Genome, nodes int) (*ClusterReport, *Manifest, error) {
 	idx, err := s.Index(ref)
 	if err != nil {
 		return nil, nil, err
 	}
 	rep, m, err := cluster.Align(ctx, s.store, dataset, idx, cluster.Config{
-		Nodes:          nodes,
-		ThreadsPerNode: threadsPerNode,
-		Executor:       s.exec,
+		Nodes:    nodes,
+		Executor: s.exec,
 	})
 	if err != nil {
 		return rep, m, err
