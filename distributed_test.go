@@ -477,20 +477,39 @@ func TestDistributedStagingStoredRaw(t *testing.T) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	sum := sha256.New()
+	sum, content := sha256.New(), sha256.New()
 	for _, name := range names {
+		blob := blobs[name]
 		if strings.Contains(name, "/chunk-") {
-			if comp := chunkCompression(t, name, blobs[name]); comp != agd.CompressGzip {
+			if comp := chunkCompression(t, name, blob); comp != agd.CompressGzip {
 				t.Errorf("Write sink chunk %s stored with compression %d, want gzip", name, comp)
 			}
+			c, err := agd.DecodeChunk(blob)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			fmt.Fprintf(content, "%s %d %d %v\n", name, c.Type, c.FirstOrdinal, c.Lengths())
+			content.Write(c.Data)
+		} else {
+			fmt.Fprintf(content, "%s\n", name)
+			content.Write(blob)
 		}
-		fmt.Fprintf(sum, "%s %d\n", name, len(blobs[name]))
-		sum.Write(blobs[name])
+		fmt.Fprintf(sum, "%s %d\n", name, len(blob))
+		sum.Write(blob)
 	}
-	// The SHA-256 over every blob of the dataset (names, sizes, bytes) as
-	// the code wrote it before export staging was stored raw.
-	const want = "842aaeed14fa639e74ea0e8e4372779dd2b5a4a288b8e4377fe04145f8262ab8"
+	// The SHA-256 over every blob of the dataset (names, sizes, bytes),
+	// which moves whenever the deflate encoder writes other bytes for the
+	// same chunk, and the SHA-256 over what the blobs hold (each chunk
+	// decoded: type, first ordinal, record lengths, data), which must not:
+	// it was the same before the encoder's match table shrank to fit L1.
+	const (
+		want        = "842aaeed14fa639e74ea0e8e4372779dd2b5a4a288b8e4377fe04145f8262ab8"
+		wantContent = "8474b9888d31c6a55a13b14b1312686c86d9112d35ef607f633933021659056f"
+	)
 	if got := hex.EncodeToString(sum.Sum(nil)); got != want {
 		t.Errorf("Write sink dataset: SHA-256 %s over %d blobs, want %s", got, len(names), want)
+	}
+	if got := hex.EncodeToString(content.Sum(nil)); got != wantContent {
+		t.Errorf("Write sink dataset: content SHA-256 %s over %d blobs, want %s", got, len(names), wantContent)
 	}
 }

@@ -21,16 +21,25 @@ type buffer struct {
 	data []byte
 }
 
-var fixture = sync.OnceValue(func() []buffer {
+// store holds "ds", the aligned 4 000-read dataset the buffers come from.
+var store = sync.OnceValue(func() *agd.MemStore {
 	store := agd.NewMemStore()
-	f, err := testutil.BuildE(store, "ds", testutil.Config{GenomeSize: 300_000, NumReads: 4000, ChunkSize: 2000, DupFrac: 0.12, Seed: 16})
+	if _, err := testutil.BuildE(store, "ds", testutil.Config{GenomeSize: 300_000, NumReads: 4000, ChunkSize: 2000, DupFrac: 0.12, Seed: 16}); err != nil {
+		panic(err)
+	}
+	return store
+})
+
+var fixture = sync.OnceValue(func() []buffer {
+	store := store()
+	ds, err := agd.Open(store, "ds")
 	if err != nil {
 		panic(err)
 	}
 	// The first 2 000-read chunk of every column, as a chunk member holds it.
 	var out []buffer
-	for _, col := range f.Dataset.Manifest.Columns {
-		c, err := f.Dataset.ReadChunk(col, 0)
+	for _, col := range ds.Manifest.Columns {
+		c, err := ds.ReadChunk(col, 0)
 		if err != nil {
 			panic(err)
 		}
