@@ -31,12 +31,9 @@ const (
 	// four-byte matches that turns up cost more to find and to code than they
 	// save. After every 1<<skipShift probes that find nothing it steps one
 	// byte further.
-	hashBits  = 14
+	hashBits  = 13
 	hashBytes = 6
 	skipShift = 5
-	// maxInput keeps the positions of one hash generation within 31 bits;
-	// anything longer is stored.
-	maxInput = 1 << 30
 
 	// Literal/length codewords stop at 14 bits so four of them and a partial
 	// byte fit the 64-bit accumulator; distance codewords may use all 15.
@@ -104,13 +101,14 @@ type blockCode struct {
 // encoder is the pooled state of one Deflate call.
 type encoder struct {
 	// hash maps the hash of hashBytes bytes to the last position they were
-	// seen at, plus base, in the low half of an entry, and the first four of
-	// those bytes in the high half, so a probe that cannot match is turned
-	// away without touching the text. base moves past every position of
-	// earlier buffers: their entries read as too far back, and the table is
-	// never cleared per call — a 2 KiB member does not pay for 128 KiB.
-	hash [1 << hashBits]uint64
-	base uint32
+	// seen at, modulo 1<<16, in the low half of an entry, and the third and
+	// fourth of those bytes, a tag, in the high half: a probe whose tag
+	// differs is turned away without touching the text, and only one whose
+	// tag agrees reads the four bytes it points at. The table is 32 KiB, so
+	// it stays in a 48 KiB L1d next to the text it indexes and a probe does
+	// not wait on L2. It is cleared per call, so no entry outlives its
+	// buffer.
+	hash [1 << hashBits]uint32
 
 	seqs    [maxSeqs]seq
 	nseq    int
@@ -143,7 +141,7 @@ type encoder struct {
 	nbits  uint
 }
 
-var encoderPool = sync.Pool{New: func() any { return &encoder{base: maxDist + 1} }}
+var encoderPool = sync.Pool{New: func() any { return new(encoder) }}
 
 // StoredSize is the size of n bytes written as stored blocks, which bounds
 // what Deflate appends for an n-byte src.
@@ -156,14 +154,14 @@ func StoredSize(n int) int {
 
 // Deflate appends src to dst as one complete RFC 1951 stream and returns the
 // extended slice, never more than StoredSize(len(src)) bytes longer. The
-// effort is that of a level-1 encoder: a single-probe match finder whose
-// short matches must beat the literals they replace, and per block whichever
-// of stored, literals-only and match coding the block's own histogram prices
-// lowest. When matches save less than a thirty-second over literals alone on
-// a buffer's first 8 KiB, or on any block, the match finder stays off for the
-// rest of the buffer; when they save over an eighth there, later blocks are
-// not priced without them. A src of more than 1 GiB is stored. The output
-// depends only on src.
+// match finder probes once per position into a 32 KiB table, sized to stay
+// in L1d, and its short matches must beat the literals they replace; per
+// block, whichever of stored, literals-only and match coding the block's own
+// histogram prices lowest is written. When matches save less than a
+// thirty-second over literals alone on a buffer's first 8 KiB, or on any
+// block, the match finder stays off for the rest of the buffer; when they
+// save over an eighth there, later blocks are not priced without them. The
+// output depends only on src.
 func Deflate(dst, src []byte) []byte {
 	e := encoderPool.Get().(*encoder)
 	dst = e.deflate(dst, src)
@@ -172,9 +170,6 @@ func Deflate(dst, src []byte) []byte {
 }
 
 func (e *encoder) deflate(dst, src []byte) []byte {
-	if len(src) > maxInput {
-		return appendStored(dst, src)
-	}
 	base := len(dst)
 	e.out, e.pos, e.bitbuf, e.nbits = dst[:cap(dst)], base, 0, 0
 	e.blocks(src)
@@ -214,11 +209,7 @@ func (e *encoder) reserve(n int) {
 
 // blocks encodes src as a run of blocks, the last one final.
 func (e *encoder) blocks(src []byte) {
-	// Entries of earlier buffers must read as more than maxDist back.
-	if e.base > 1<<32-1-2*maxInput {
-		clear(e.hash[:])
-		e.base = maxDist + 1
-	}
+	clear(e.hash[:])
 	e.litBits8 = 6 * 8
 	// lz: matches are looked for. sure: the first look found them saving so
 	// much that no block needs pricing without them.
@@ -245,7 +236,6 @@ func (e *encoder) blocks(src []byte) {
 			break
 		}
 	}
-	e.base += uint32(len(src)) + maxDist
 }
 
 func (e *encoder) startBlock(from int) {
@@ -265,16 +255,18 @@ func hashN(v uint64) uint32 {
 // continue from.
 func (e *encoder) tokenise(src []byte, s, scanEnd, blockEnd int) int {
 	scanEnd = min(scanEnd, blockEnd-8+1)
-	base, tab := e.base, &e.hash
+	tab := &e.hash
 	litBits8 := e.litBits8
 	miss := 0
 	for s < scanEnd {
 		cur := binary.LittleEndian.Uint64(src[s:])
 		h := hashN(cur)
 		ref := tab[h]
-		tab[h] = uint64(uint32(s)+base) | cur<<32
-		back := uint32(s) + base - uint32(ref)
-		if back-1 >= maxDist || uint32(ref>>32) != uint32(cur) {
+		tab[h] = uint32(cur)&0xffff0000 | uint32(s)&0xffff
+		// Positions are taken modulo 1<<16 and the table starts each call
+		// empty, so a candidate is never before src[0].
+		back := uint32(s-int(ref)) & 0xffff
+		if (ref^uint32(cur))>>16 != 0 || back-1 >= maxDist || binary.LittleEndian.Uint32(src[s-int(back):]) != uint32(cur) {
 			// Step faster the longer nothing has matched.
 			s += 1 + miss>>skipShift
 			miss++
@@ -302,7 +294,7 @@ func (e *encoder) tokenise(src []byte, s, scanEnd, blockEnd int) int {
 		// again right behind it.
 		if s < scanEnd {
 			v := binary.LittleEndian.Uint64(src[s-1:])
-			tab[hashN(v)] = uint64(uint32(s-1)+base) | v<<32
+			tab[hashN(v)] = uint32(v)&0xffff0000 | uint32(s-1)&0xffff
 		}
 	}
 	// A step over misses may have carried s past the block.

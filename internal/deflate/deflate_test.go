@@ -108,37 +108,86 @@ func TestDeflateMeasuredPrefix(t *testing.T) {
 	}
 }
 
-// TestDeflateDeterministic pins that the stream depends on the input alone:
-// not on what the pooled encoder saw before, nor on where its hash
-// generation stands, including across the generation's wrap-around.
+// TestDeflateDeterministic pins that the stream depends on the input alone,
+// not on what the pooled encoder saw before: its match table starts every
+// call empty, however the last call left it.
 func TestDeflateDeterministic(t *testing.T) {
 	data := payloads()["text"]
-	other := payloads()["skewed"]
-	fresh := &encoder{base: maxDist + 1}
-	want := checkRoundTrip(t, fresh, data)
+	want := checkRoundTrip(t, new(encoder), data)
 
-	used := &encoder{base: maxDist + 1}
-	checkRoundTrip(t, used, other)
+	used := new(encoder)
+	checkRoundTrip(t, used, payloads()["skewed"])
 	checkRoundTrip(t, used, data[100:])
 	if got := checkRoundTrip(t, used, data); !bytes.Equal(got, want) {
 		t.Fatal("a used encoder writes a different stream")
 	}
-	// Just below the wrap of the hash generation, at it and past it, with a
-	// table full of the newest entries an earlier buffer could have left,
-	// each claiming the four bytes the data is full of: only their distance
-	// tells them from a match.
-	for _, base := range []uint32{1<<32 - 1 - 2*maxInput - 1, 1<<32 - 1 - 2*maxInput, 1<<32 - 1 - 2*maxInput + 1, 1<<32 - 1} {
-		used.base = base
-		for i := range used.hash {
-			used.hash[i] = uint64(base-maxDist-1-uint32(i%512)) | uint64(binary.LittleEndian.Uint32([]byte("chr1")))<<32
+
+	// Stale tables an earlier buffer could have left: the slot each
+	// position of the data probes first holds the tag of the data's own
+	// bytes there and a position chosen by at. prior is where the same four
+	// bytes last occurred before, which passes the check a probe makes.
+	prior := make([]int, len(data))
+	last := map[uint32]int{}
+	for s := 0; s+4 <= len(data); s++ {
+		k := binary.LittleEndian.Uint32(data[s:])
+		p, ok := last[k]
+		if !ok {
+			p = -1
+		}
+		prior[s], last[k] = p, s
+	}
+	for _, c := range []struct {
+		name string
+		at   func(s int) int
+	}{
+		// An earlier copy of the bytes probed, or none: each entry that
+		// points at one would be taken as a match.
+		{"earlier copy", func(s int) int { return prior[s] }},
+		// maxDist back: at the start of the buffer that is before src[0],
+		// which the check load must never read.
+		{"before src[0]", func(s int) int { return s - maxDist }},
+	} {
+		firstProbe := map[uint32]int{}
+		for s := len(data) - 8; s >= 0; s-- {
+			v := binary.LittleEndian.Uint64(data[s:])
+			used.hash[hashN(v)] = uint32(v)&0xffff0000 | uint32(c.at(s))&0xffff
+			firstProbe[hashN(v)] = s
+		}
+		// The planting must be able to matter: some first probe would pass
+		// its check against an entry that survived.
+		live := 0
+		for _, s := range firstProbe {
+			if p := c.at(s); p < 0 && c.name == "before src[0]" || p >= 0 && s-p <= maxDist && prior[s] == p {
+				live++
+			}
+		}
+		if live == 0 {
+			t.Fatalf("%s: no planted entry would be taken", c.name)
 		}
 		if got := checkRoundTrip(t, used, data); !bytes.Equal(got, want) {
-			t.Fatalf("hash base %#x: different stream", base)
+			t.Fatalf("%s: different stream", c.name)
 		}
 	}
 	if got := Deflate(nil, data); !bytes.Equal(got, want) {
 		t.Fatal("the pooled encoder writes a different stream")
 	}
+}
+
+// FuzzDeflateDeterministic deflates b after an arbitrary a on one encoder:
+// the stream must be the one a fresh encoder writes for b.
+func FuzzDeflateDeterministic(f *testing.F) {
+	p := payloads()
+	f.Add(p["text"][:20_000], p["text"][5:9000])
+	f.Add(p["zeros"][:40_000], p["text"][:3000])
+	f.Add(p["skewed"][:9000], p["run-258"])
+	f.Add([]byte(nil), distinctGrams(9000))
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		e := new(encoder)
+		e.deflate(nil, a)
+		if got, want := e.deflate(nil, b), new(encoder).deflate(nil, b); !bytes.Equal(got, want) {
+			t.Fatalf("%d bytes after %d: the stream depends on the earlier call", len(b), len(a))
+		}
+	})
 }
 
 // TestDeflateChoosesCoding checks each block coding is reachable and chosen

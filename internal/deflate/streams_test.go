@@ -34,11 +34,11 @@ func TestDeflateStreamsPinned(t *testing.T) {
 		stream, payload string
 		before          int
 	}{
-		"bases":     {"c34c82f749fa6a2a90916ac94970dce6a0a5e6ee8de6950786d0ef953eb4e9d5", "a7e1e2a5116126f078d2f2dbe9efec9c7578a956e40d0059c02a55ef84bdf29c", 63817},
+		"bases":     {"aff4fb704dd4a097817aa8e756ee34f0fd79277cdfab1b67d137e50f16e1fd73", "a7e1e2a5116126f078d2f2dbe9efec9c7578a956e40d0059c02a55ef84bdf29c", 63817},
 		"qual":      {"4c22d1b40236dc39c990fba27955a445168b63c9b8cf143eae2081cf1a2993af", "de4c6044798df7a79dc5611e27235357e2b98dc2c6faad697c53fd43f4e4b5d4", 85109},
-		"metadata":  {"acc0f1b9afa25c03df12155a57f14f105de3f94308b5cf0f21ea232a7ed78ee7", "16b99c28d7f4448b083539d7a44de4586b75e4998d7b718c1dec163253a984b1", 5046},
-		"results":   {"d4a299623f914e1913639d2e442eea14496ec0c78b775e6ab0835904f19409bd", "27d0ddd38cea778371ae822f088fd5a281a00bf962c46370989f05237359344c", 8570},
-		"bam-block": {"a04fd862c22fb8457e7cc8ca3e611f7e95fe1b27efcf144062c251141acd7c0e", "e54602e5ba232ffed7920ad1c80246f47dbeae6b1a8fbb99ca2c22cd73538ca5", 31967},
+		"metadata":  {"954cbd5f856909d1f4fe98872ba896cd0db034ddf2d8616fdd5f25d0e7179881", "16b99c28d7f4448b083539d7a44de4586b75e4998d7b718c1dec163253a984b1", 5046},
+		"results":   {"4f660692a59a18618f5895c0d2033200780952a2b7480a29095ddbf0a843060b", "27d0ddd38cea778371ae822f088fd5a281a00bf962c46370989f05237359344c", 8570},
+		"bam-block": {"f16f9e115b71c8fcdfd87fa8ad298d3bca53718ff2ef5076d629eec549d44971", "e54602e5ba232ffed7920ad1c80246f47dbeae6b1a8fbb99ca2c22cd73538ca5", 31967},
 	}
 	for _, buf := range fixture() {
 		pin, ok := pins[buf.name]
@@ -91,7 +91,7 @@ func fusedBAM(t *testing.T, procs int) []byte {
 // marker, a fixed empty block, ends the file.
 func TestDeflateBGZFBlocks(t *testing.T) {
 	const (
-		wantFile    = "9fe7fbcf1ce0936e793b76c39a0b68bd58f47515490dfc6c21ce03e2c86631da"
+		wantFile    = "ac2ae05d74bbdf139db8d68a8766bdeb2426f62a12fd4c74402097d8e298fa9e"
 		wantPayload = "d7aeddd6396c6071dc8be6e4b03123c43765d2b2887069b020281b841e6f2b25"
 		wantBlocks  = "dba7305685d787c525efb299c375194e1f8ba8cad770d55da68fec3163de133d"
 		before      = 362219 // the file's size before the match table shrank
