@@ -17,39 +17,11 @@ import (
 // that stores its dataset; the other runs the same graph as one `run`
 // pipeline on the same input. The two SAM files must be byte-equal.
 func TestStagedMatchesRun(t *testing.T) {
-	ctx := context.Background()
 	dir := t.TempDir()
 	const genomeSize, seed = "80000", "7"
-	g, err := persona.SynthesizeGenome(80_000, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := reads.NewSimulator(g, reads.SimConfig{Seed: 3, N: 600, ReadLen: 101, ErrorRate: 0.004, DuplicateFraction: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, _ := sim.All()
-	var fq bytes.Buffer
-	w := fastq.NewWriter(&fq)
-	for i := range rs {
-		if err := w.Write(&rs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	fqPath := filepath.Join(dir, "reads.fastq")
-	if err := os.WriteFile(fqPath, fq.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	run := func(cmd func(context.Context, []string) error, args ...string) {
-		t.Helper()
-		if err := cmd(ctx, args); err != nil {
-			t.Fatalf("%v: %v", args, err)
-		}
-	}
+	writeReads(t, fqPath, 80_000, 7, reads.SimConfig{Seed: 3, N: 600, ReadLen: 101, ErrorRate: 0.004, DuplicateFraction: 0.1})
+	run := runner(t)
 	prepare := func(store string) {
 		run(cmdIndex, "-store", store, "-genome-size", genomeSize, "-seed", seed)
 		run(cmdImport, "-store", store, "-name", "ds", "-fastq", fqPath, "-chunk", "100")
@@ -76,5 +48,118 @@ func TestStagedMatchesRun(t *testing.T) {
 	}
 	if len(want) == 0 || !bytes.Equal(got, want) {
 		t.Fatalf("run wrote %d bytes of SAM, the staged subcommands %d, and they differ", len(got), len(want))
+	}
+}
+
+// writeReads writes the reads cfg simulates from the synthetic genome of
+// genomeSize bases and seed seed as a FASTQ file at path.
+func writeReads(t *testing.T, path string, genomeSize int, seed int64, cfg reads.SimConfig) {
+	t.Helper()
+	g, err := persona.SynthesizeGenome(genomeSize, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := reads.NewSimulator(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, _ := sim.All()
+	var fq bytes.Buffer
+	w := fastq.NewWriter(&fq)
+	for i := range rs {
+		if err := w.Write(&rs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, fq.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// runner returns a function that runs one subcommand with its arguments and
+// fails the test if it fails.
+func runner(t *testing.T) func(cmd func(context.Context, []string) error, args ...string) {
+	return func(cmd func(context.Context, []string) error, args ...string) {
+		t.Helper()
+		if err := cmd(context.Background(), args); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+	}
+}
+
+// alignedStore builds a directory store at dir with a synthetic reference
+// and dataset "ds" of simulated reads, imported and aligned by the
+// subcommands.
+func alignedStore(t *testing.T, dir string) {
+	t.Helper()
+	fqPath := filepath.Join(t.TempDir(), "reads.fastq")
+	writeReads(t, fqPath, 40_000, 11, reads.SimConfig{Seed: 12, N: 3000, ReadLen: 101, ErrorRate: 0.02})
+	run := runner(t)
+	run(cmdIndex, "-store", dir, "-genome-size", "40000", "-seed", "11")
+	run(cmdImport, "-store", dir, "-name", "ds", "-fastq", fqPath, "-chunk", "500")
+	run(cmdAlign, "-store", dir, "-name", "ds")
+}
+
+// TestImportSAMRoundTrip: SAM text that `import-sam` stores comes back out
+// of `export -format sam` byte for byte.
+func TestImportSAMRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	store := filepath.Join(dir, "store")
+	alignedStore(t, store)
+	run := runner(t)
+	samPath, backPath := filepath.Join(dir, "ds.sam"), filepath.Join(dir, "back.sam")
+	run(cmdExport, "-store", store, "-name", "ds", "-format", "sam", "-o", samPath)
+	run(cmdImportSAM, "-store", store, "-name", "back", "-sam", samPath, "-chunk", "700")
+	run(cmdExport, "-store", store, "-name", "back", "-format", "sam", "-o", backPath)
+	want, err := os.ReadFile(samPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(backPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 || !bytes.Equal(got, want) {
+		t.Fatalf("import-sam then export wrote %d bytes of SAM from %d, and they differ", len(got), len(want))
+	}
+}
+
+// TestVarcallWritesVCF: `varcall -o` writes the VCF that WriteVCF renders
+// for CallVariants on the same dataset and reference.
+func TestVarcallWritesVCF(t *testing.T) {
+	dir := t.TempDir()
+	storeDir := filepath.Join(dir, "store")
+	alignedStore(t, storeDir)
+	vcfPath := filepath.Join(dir, "ds.vcf")
+	runner(t)(cmdVarcall, "-store", storeDir, "-name", "ds", "-o", vcfPath)
+	got, err := os.ReadFile(vcfPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	store, err := persona.NewLocalStore(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := persona.SynthesizeGenome(40_000, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	variants, err := persona.CallVariants(context.Background(), store, "ds", ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(variants) == 0 {
+		t.Fatal("the fixture calls no variant")
+	}
+	var want bytes.Buffer
+	if err := persona.WriteVCF(&want, ref, variants); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("varcall wrote %d bytes of VCF, CallVariants and WriteVCF %d, and they differ", len(got), want.Len())
 	}
 }

@@ -65,7 +65,7 @@ func waitGoroutines(t *testing.T, limit int) {
 // TestOneShotsLeaveNoGoroutine: every one-shot function runs its pipeline
 // on the calling goroutine and on the executor of a session it closes before
 // returning, so the goroutine count right after each is the count before —
-// with no waiting. The import writes chunks big enough for a codec with
+// with no waiting. The imports write chunks big enough for a codec with
 // workers to split. It runs at one processor: there a worker that has
 // signalled Close is gone before Close's caller runs again, while with more
 // processors it may still be on its way out when the count is taken.
@@ -73,9 +73,13 @@ func TestOneShotsLeaveNoGoroutine(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ctx := context.Background()
 	store := agd.NewMemStore()
-	idx := testutil.Build(t, store, "ds", testutil.Config{GenomeSize: 100_000, NumReads: 2000, ReadLen: 101, ChunkSize: 100, Seed: 5}).Index
-	var fq bytes.Buffer
+	f := testutil.Build(t, store, "ds", testutil.Config{GenomeSize: 100_000, NumReads: 2000, ReadLen: 101, ChunkSize: 100, Seed: 5})
+	idx := f.Index
+	var fq, text bytes.Buffer
 	if _, err := ExportFASTQ(ctx, store, "ds", &fq); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ExportSAM(ctx, store, "ds", &text); err != nil {
 		t.Fatal(err)
 	}
 	single, paired := unaligned(t, store), unaligned(t, store)
@@ -117,6 +121,14 @@ func TestOneShotsLeaveNoGoroutine(t *testing.T) {
 		}},
 		{"ImportFASTQ", func() error {
 			_, _, err := ImportFASTQ(ctx, store, "imported", bytes.NewReader(fq.Bytes()), nil, 2000)
+			return err
+		}},
+		{"ImportSAM", func() error {
+			_, _, err := ImportSAM(ctx, store, "imported-sam", bytes.NewReader(text.Bytes()), 2000)
+			return err
+		}},
+		{"CallVariants", func() error {
+			_, err := CallVariants(ctx, store, "sorted", f.Genome)
 			return err
 		}},
 	} {

@@ -8,13 +8,17 @@ package persona
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
 	"persona/internal/agd"
 	"persona/internal/agdsort"
+	"persona/internal/genome"
 	"persona/internal/testutil"
 )
 
@@ -304,5 +308,105 @@ func TestFilterBlobIdentity(t *testing.T) {
 				})
 			})
 		}
+	}
+}
+
+// blobsSHA256 is the SHA-256 over every blob under prefix in name order: each
+// blob's name and size, then its bytes.
+func blobsSHA256(t *testing.T, store agd.BlobStore, prefix string) string {
+	t.Helper()
+	blobs := testutil.Blobs(t, store, prefix)
+	names := make([]string, 0, len(blobs))
+	for name := range blobs {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	sum := sha256.New()
+	for _, name := range names {
+		fmt.Fprintf(sum, "%s %d\n", name, len(blobs[name]))
+		sum.Write(blobs[name])
+	}
+	return hex.EncodeToString(sum.Sum(nil))
+}
+
+// TestImportSAMBlobIdentity pins every blob ImportSAM writes for the SAM
+// export of an aligned fixture: at chunks of 50 records, which no codec
+// splits, and of 1000, whose columns a codec of four workers writes as
+// version-2 chunks of several gzip members and a codec of one as single
+// members.
+func TestImportSAMBlobIdentity(t *testing.T) {
+	ctx := context.Background()
+	src := agd.NewMemStore()
+	testutil.Build(t, src, "ds", testutil.Config{GenomeSize: 100_000, NumReads: 2000, ReadLen: 101, ChunkSize: 100, Seed: 31})
+	var text bytes.Buffer
+	if _, err := ExportSAM(ctx, src, "ds", &text); err != nil {
+		t.Fatal(err)
+	}
+	want := map[[2]int]string{
+		{1, 50}:   "639c6f447ac743a36dad4a3e0ce07df29199ad745ba00f62f75e49c7dc4ee92a",
+		{4, 50}:   "639c6f447ac743a36dad4a3e0ce07df29199ad745ba00f62f75e49c7dc4ee92a",
+		{1, 1000}: "f79d69df9ec416f2a5cba909c463436cb66100dc0697a053a83e76688c63ce5e",
+		{4, 1000}: "64ddd8632e3ee5f11649da73909ffe8777d62034ebfb5196fe6ea3da18637bb3",
+	}
+	for _, procs := range []int{1, 4} {
+		for _, chunk := range []int{50, 1000} {
+			func() {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				store := agd.NewMemStore()
+				_, n, err := ImportSAM(ctx, store, "sam", bytes.NewReader(text.Bytes()), chunk)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n != 2000 {
+					t.Fatalf("GOMAXPROCS %d, chunks of %d: imported %d records, want 2000", procs, chunk, n)
+				}
+				if got := blobsSHA256(t, store, ""); got != want[[2]int{procs, chunk}] {
+					t.Errorf("GOMAXPROCS %d, chunks of %d: SHA-256 %s, want %s", procs, chunk, got, want[[2]int{procs, chunk}])
+				}
+			}()
+		}
+	}
+}
+
+// TestCallVariantsVCFIdentity pins the VCF CallVariants and WriteVCF render
+// for an aligned fixture whose duplicates are marked, called against its
+// reference with thirty bases changed: the reads disagree with the reference
+// there, and agree with it nearly everywhere else.
+func TestCallVariantsVCFIdentity(t *testing.T) {
+	ctx := context.Background()
+	store := agd.NewMemStore()
+	f := testutil.Build(t, store, "ds", testutil.Config{GenomeSize: 60_000, NumReads: 4000, ReadLen: 101, ChunkSize: 250, DupFrac: 0.05, Seed: 37})
+	if _, err := MarkDuplicates(ctx, store, "ds"); err != nil {
+		t.Fatal(err)
+	}
+	seq := append([]byte(nil), f.Genome.Seq()...)
+	rng := rand.New(rand.NewSource(38))
+	for changed := 0; changed < 30; {
+		pos := 200 + rng.Intn(len(seq)-400)
+		if alt := "ACGT"[rng.Intn(4)]; seq[pos] != 'N' && alt != seq[pos] {
+			seq[pos] = alt
+			changed++
+		}
+	}
+	var contigs []genome.Contig
+	for _, c := range f.Genome.Contigs() {
+		contigs = append(contigs, genome.Contig{Name: c.Name, Seq: seq[c.Offset : c.Offset+int64(len(c.Seq))]})
+	}
+	ref, err := genome.New(contigs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	variants, err := CallVariants(ctx, store, "ds", ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vcf bytes.Buffer
+	if err := WriteVCF(&vcf, ref, variants); err != nil {
+		t.Fatal(err)
+	}
+	const want = "95899806da831d2d6990d52856a693bb5728febe5615b726c8e6a00d62e4b9f4"
+	sum := sha256.Sum256(vcf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("VCF of %d variants, %d bytes: SHA-256 %s, want %s", len(variants), vcf.Len(), got, want)
 	}
 }
