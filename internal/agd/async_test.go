@@ -131,16 +131,16 @@ func streamTestDataset(t *testing.T, store BlobStore, n, cs int) (*Dataset, [][]
 	return ds, want
 }
 
-func checkStreamChunk(t *testing.T, sc *StreamChunk, want [][][]string) {
+func checkGroup(t *testing.T, sc *RowGroup, want [][][]string) {
 	t.Helper()
-	if err := streamChunkErr(sc, want); err != nil {
+	if err := groupErr(sc, want); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// streamChunkErr is checkStreamChunk for goroutines other than the test's.
-func streamChunkErr(sc *StreamChunk, want [][][]string) error {
-	for col, c := range sc.Chunks() {
+// groupErr is checkGroup for goroutines other than the test's.
+func groupErr(sc *RowGroup, want [][][]string) error {
+	for col, c := range sc.Chunks {
 		recs := want[sc.Index][col]
 		if c.NumRecords() != len(recs) {
 			return fmt.Errorf("chunk %d col %d: %d records, want %d", sc.Index, col, c.NumRecords(), len(recs))
@@ -170,14 +170,14 @@ func TestChunkStreamDeliversAllChunks(t *testing.T) {
 	base, want := streamTestDataset(t, NewMemStore(), 50, 8) // 7 chunks
 	for name, ds := range streamStores(base) {
 		t.Run(name, func(t *testing.T) {
-			stream, err := ds.Stream(StreamOptions{})
+			stream, err := newChunkStream(ds, StreamOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer stream.Close()
+			defer stream.close()
 			next := 0
 			for {
-				sc, err := stream.Next(context.Background())
+				sc, err := stream.next(context.Background())
 				if err == io.EOF {
 					break
 				}
@@ -187,14 +187,14 @@ func TestChunkStreamDeliversAllChunks(t *testing.T) {
 				if sc.Index != next {
 					t.Fatalf("chunk %d delivered, want %d", sc.Index, next)
 				}
-				checkStreamChunk(t, sc, want)
+				checkGroup(t, sc, want)
 				next++
 			}
 			if next != len(ds.Manifest.Chunks) {
 				t.Fatalf("delivered %d chunks, want %d", next, len(ds.Manifest.Chunks))
 			}
 			// The stream stays exhausted.
-			if _, err := stream.Next(context.Background()); err != io.EOF {
+			if _, err := stream.next(context.Background()); err != io.EOF {
 				t.Fatalf("Next after EOF = %v", err)
 			}
 		})
@@ -203,13 +203,13 @@ func TestChunkStreamDeliversAllChunks(t *testing.T) {
 
 func TestChunkStreamColumnSubsetAndRange(t *testing.T) {
 	ds, want := streamTestDataset(t, NewMemStore(), 50, 8)
-	stream, err := ds.Stream(StreamOptions{
+	stream, err := newChunkStream(ds, StreamOptions{
 		Columns: []string{ColQual}, Start: 2, End: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stream.Close()
+	defer stream.close()
 	qualCol := 0
 	for i, name := range ds.Manifest.Columns {
 		if name == ColQual {
@@ -217,17 +217,17 @@ func TestChunkStreamColumnSubsetAndRange(t *testing.T) {
 		}
 	}
 	for i := 2; i < 5; i++ {
-		sc, err := stream.Next(context.Background())
+		sc, err := stream.next(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if sc.Index != i {
 			t.Fatalf("Index = %d, want %d", sc.Index, i)
 		}
-		if sc.Col(ColQual) == nil || sc.Col(ColBases) != nil {
-			t.Fatal("column subset not respected")
+		if len(sc.Chunks) != 1 {
+			t.Fatalf("%d columns delivered, want qual alone", len(sc.Chunks))
 		}
-		c := sc.Col(ColQual)
+		c := sc.Chunks[0]
 		for r := 0; r < c.NumRecords(); r++ {
 			rec, _ := c.Record(r)
 			if string(rec) != want[i][qualCol][r] {
@@ -235,11 +235,11 @@ func TestChunkStreamColumnSubsetAndRange(t *testing.T) {
 			}
 		}
 	}
-	if _, err := stream.Next(context.Background()); err != io.EOF {
+	if _, err := stream.next(context.Background()); err != io.EOF {
 		t.Fatalf("range end = %v, want EOF", err)
 	}
 
-	if _, err := ds.Stream(StreamOptions{Columns: []string{"nope"}}); !errors.Is(err, ErrNoColumn) {
+	if _, err := newChunkStream(ds, StreamOptions{Columns: []string{"nope"}}); !errors.Is(err, ErrNoColumn) {
 		t.Fatalf("unknown column err = %v", err)
 	}
 }
@@ -248,21 +248,21 @@ func TestChunkStreamPoolRecycles(t *testing.T) {
 	ds, want := streamTestDataset(t, NewMemStore(), 60, 6) // 10 chunks
 	cols := len(ds.Manifest.Columns)
 	pool := NewChunkPool(cols + 1) // barely enough for one chunk in hand
-	stream, err := ds.Stream(StreamOptions{ShardedPool: pool})
+	stream, err := newChunkStream(ds, StreamOptions{ShardedPool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stream.Close()
+	defer stream.close()
 	delivered := 0
 	for {
-		sc, err := stream.Next(context.Background())
+		sc, err := stream.next(context.Background())
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkStreamChunk(t, sc, want)
+		checkGroup(t, sc, want)
 		sc.Release()
 		delivered++
 	}
@@ -287,16 +287,16 @@ func TestChunkStreamShardedPoolName(t *testing.T) {
 	if pool.Size() != cols+1 {
 		t.Fatalf("pool size %d, want %d", pool.Size(), cols+1)
 	}
-	stream, err := ds.Stream(StreamOptions{ShardedPool: pool})
+	stream, err := newChunkStream(ds, StreamOptions{ShardedPool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stream.Close()
-	sc, err := stream.Next(context.Background())
+	defer stream.close()
+	sc, err := stream.next(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkStreamChunk(t, sc, want)
+	checkGroup(t, sc, want)
 	if free := pool.Free(); free != 1 {
 		t.Fatalf("%d chunks free with one row group held, want 1", free)
 	}
@@ -316,11 +316,11 @@ func TestChunkStreamConcurrentConsumers(t *testing.T) {
 }
 
 func consumeConcurrently(t *testing.T, ds *Dataset, want [][][]string) {
-	stream, err := ds.Stream(StreamOptions{})
+	stream, err := newChunkStream(ds, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stream.Close()
+	defer stream.close()
 	var mu sync.Mutex
 	seen := make(map[int]bool)
 	var wg sync.WaitGroup
@@ -330,7 +330,7 @@ func consumeConcurrently(t *testing.T, ds *Dataset, want [][][]string) {
 		go func() {
 			defer wg.Done()
 			for {
-				sc, err := stream.Next(context.Background())
+				sc, err := stream.next(context.Background())
 				if err == io.EOF {
 					return
 				}
@@ -338,7 +338,7 @@ func consumeConcurrently(t *testing.T, ds *Dataset, want [][][]string) {
 					errs <- err
 					return
 				}
-				if err := streamChunkErr(sc, want); err != nil {
+				if err := groupErr(sc, want); err != nil {
 					errs <- err
 					return
 				}
@@ -377,13 +377,13 @@ func TestChunkStreamCorruptBlob(t *testing.T) {
 	if err := store.Put(name, bad); err != nil {
 		t.Fatal(err)
 	}
-	stream, err := ds.Stream(StreamOptions{})
+	stream, err := newChunkStream(ds, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stream.Close()
+	defer stream.close()
 	for i := 0; ; i++ {
-		_, err := stream.Next(context.Background())
+		_, err := stream.next(context.Background())
 		if i < 3 && err != nil {
 			t.Fatalf("chunk %d failed early: %v", i, err)
 		}
@@ -398,18 +398,18 @@ func TestChunkStreamCorruptBlob(t *testing.T) {
 
 func TestChunkStreamClose(t *testing.T) {
 	ds, _ := streamTestDataset(t, NewMemStore(), 50, 8)
-	stream, err := ds.Stream(StreamOptions{})
+	stream, err := newChunkStream(ds, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := stream.Next(context.Background()); err != nil {
+	if _, err := stream.next(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	stream.Close()
-	if _, err := stream.Next(context.Background()); err != io.EOF {
+	stream.close()
+	if _, err := stream.next(context.Background()); err != io.EOF {
 		t.Fatalf("Next after Close = %v, want EOF", err)
 	}
-	stream.Close() // idempotent
+	stream.close() // idempotent
 }
 
 // TestChunkStreamWindowGrowsWhileWaiting steps a consumer through a store
@@ -421,17 +421,17 @@ func TestChunkStreamWindowGrowsWhileWaiting(t *testing.T) {
 	base, want := streamTestDataset(t, NewMemStore(), 448, 8) // 56 chunks
 	cols := len(base.Manifest.Columns)
 	held := newHeldStore(base.Store())
-	stream, err := OpenManifest(held, base.Manifest).Stream(StreamOptions{})
+	stream, err := newChunkStream(OpenManifest(held, base.Manifest), StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stream.Close()
+	defer stream.close()
 	// On failure, free a consumer still waiting on a held read.
 	defer held.release()
 	done := make(chan error, 1)
 	go func() {
 		for next := 0; ; next++ {
-			sc, err := stream.Next(context.Background())
+			sc, err := stream.next(context.Background())
 			if err == io.EOF {
 				if next != len(want) {
 					err = fmt.Errorf("delivered %d chunks, want %d", next, len(want))
@@ -449,7 +449,7 @@ func TestChunkStreamWindowGrowsWhileWaiting(t *testing.T) {
 				done <- fmt.Errorf("chunk %d delivered, want %d", sc.Index, next)
 				return
 			}
-			if err := streamChunkErr(sc, want); err != nil {
+			if err := groupErr(sc, want); err != nil {
 				done <- err
 				return
 			}
@@ -472,7 +472,7 @@ func TestChunkStreamWindowGrowsWhileWaiting(t *testing.T) {
 			t.Fatalf("stream stalled with %d chunks issued and window %d, want %d issued", issued, window, step.issued)
 		}
 		stream.mu.Lock()
-		issued, window, claimed := stream.issued, stream.window, stream.next-1
+		issued, window, claimed := stream.issued, stream.window, stream.claim-1
 		stream.mu.Unlock()
 		if issued != step.issued || window != step.window || claimed != step.claimed {
 			t.Fatalf("waiting on chunk %d with %d chunks issued and window %d, want chunk %d, %d issued, window %d",
@@ -492,13 +492,13 @@ func TestChunkStreamWindowGrowsWhileWaiting(t *testing.T) {
 // completed by the time they are claimed, the window never grows.
 func TestChunkStreamWindowStaysOnReadyStore(t *testing.T) {
 	ds, _ := streamTestDataset(t, NewMemStore(), 640, 8) // 80 chunks
-	stream, err := ds.Stream(StreamOptions{})
+	stream, err := newChunkStream(ds, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stream.Close()
+	defer stream.close()
 	for {
-		_, err := stream.Next(context.Background())
+		_, err := stream.next(context.Background())
 		if err == io.EOF {
 			break
 		}
@@ -506,7 +506,7 @@ func TestChunkStreamWindowStaysOnReadyStore(t *testing.T) {
 			t.Fatal(err)
 		}
 		stream.mu.Lock()
-		ahead, window := stream.issued-stream.next, stream.window
+		ahead, window := stream.issued-stream.claim, stream.window
 		stream.mu.Unlock()
 		if window != initialWindow || ahead >= initialWindow {
 			t.Fatalf("window %d with %d chunks issued ahead, want %d and fewer", window, ahead, initialWindow)

@@ -285,7 +285,7 @@ func TestStreamCacheWarmReads(t *testing.T) {
 
 	readAll := func() []string {
 		var recs []string
-		st, err := ds.Stream(StreamOptions{ShardedPool: pool, Cache: cache})
+		st, err := ds.Groups(StreamOptions{ShardedPool: pool, Cache: cache})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,7 +298,7 @@ func TestStreamCacheWarmReads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, c := range sc.Chunks() {
+			for _, c := range sc.Chunks {
 				for r := 0; r < c.NumRecords(); r++ {
 					rec, err := c.Record(r)
 					if err != nil {
@@ -359,7 +359,7 @@ func TestStreamCacheConcurrentStreams(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			st, err := ds.Stream(StreamOptions{Cache: cache})
+			st, err := ds.Groups(StreamOptions{Cache: cache})
 			if err != nil {
 				t.Error(err)
 				return
@@ -375,7 +375,7 @@ func TestStreamCacheConcurrentStreams(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				records += sc.Col(ColBases).NumRecords()
+				records += sc.Col(st.Meta, ColBases).NumRecords()
 				sc.Release()
 			}
 			if records != 60 {
@@ -433,7 +433,7 @@ func TestStreamCacheCorruptNeverCached(t *testing.T) {
 	}
 	cache := NewChunkCache(1 << 20)
 
-	st, err := ds.Stream(StreamOptions{Cache: cache})
+	st, err := ds.Groups(StreamOptions{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestStreamCacheCorruptNeverCached(t *testing.T) {
 
 	// The store heals (corruption was one-shot); a fresh stream succeeds and
 	// the once-bad chunk now caches.
-	st2, err := ds.Stream(StreamOptions{Cache: cache})
+	st2, err := ds.Groups(StreamOptions{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +474,7 @@ func TestStreamCacheCorruptNeverCached(t *testing.T) {
 		if err != nil {
 			t.Fatalf("healed read failed: %v", err)
 		}
-		records += sc.Col(ColBases).NumRecords()
+		records += sc.Col(st2.Meta, ColBases).NumRecords()
 		sc.Release()
 	}
 	if records != 30 {

@@ -265,12 +265,76 @@ func (bp *BuilderPool) Size() int { return bp.pool.Size() }
 // Free returns the number of sets currently available.
 func (bp *BuilderPool) Free() int { return bp.pool.Free() }
 
-// Groups opens a GroupStream over the dataset's chunks — the pipeline
-// source form of Stream. Column order follows opts.Columns (every manifest
-// column when empty), and the group metadata carries the manifest's
-// reference sequences and sort order.
+// FillStream is a pipeline source over a parser — the scaffold the file
+// importers share. Each Next resets a set of chunk builders, one per spec, to
+// the group's first record ordinal and hands them to fill, which appends up
+// to a chunk of rows and returns how many it appended; those rows are the
+// group. A fill that appends no rows ends the stream, and one that fails ends
+// it with its error, dropping the rows it appended. With window ≤ 1 every
+// group builds into one reused builder set, valid until the next Next; with
+// window > 1 the sets come from a BuilderPool of that size, so groups stay
+// valid until Release (Owned) and a pumped edge can queue them.
+func FillStream(meta StreamMeta, specs []ColumnSpec, window int, fill func(builders []*ChunkBuilder) (int, error)) *GroupStream {
+	var pool *BuilderPool
+	fixed := &BuilderSet{}
+	if window > 1 {
+		pool = NewBuilderPool(window, specs)
+	} else {
+		for _, spec := range specs {
+			fixed.Builders = append(fixed.Builders, NewChunkBuilder(spec.Type, 0))
+		}
+	}
+	var (
+		ordinal uint64
+		index   int
+		done    bool
+	)
+	next := func(ctx context.Context) (*RowGroup, error) {
+		if done {
+			return nil, io.EOF
+		}
+		set := fixed
+		if pool != nil {
+			var err error
+			if set, err = pool.Get(ctx, ordinal); err != nil {
+				return nil, err
+			}
+		} else {
+			for i, spec := range specs {
+				set.Builders[i].Reset(spec.Type, ordinal)
+			}
+		}
+		rows, err := fill(set.Builders)
+		if err == nil && rows == 0 {
+			err = io.EOF
+		}
+		var release func()
+		if pool != nil {
+			release = func() { pool.Put(set) }
+		}
+		if err != nil {
+			done = true
+			if release != nil {
+				release()
+			}
+			return nil, err
+		}
+		ordinal += uint64(rows)
+		index++
+		return &RowGroup{Index: index - 1, Chunks: set.Chunks(), release: release}, nil
+	}
+	gs := NewGroupStream(meta, next, nil)
+	gs.Owned = pool != nil
+	return gs
+}
+
+// Groups opens a GroupStream over the dataset's chunks, read ahead of the
+// consumer through a self-sizing fetch window — the one reader of a
+// dataset's chunks, and the pipeline's dataset source. Column order follows
+// opts.Columns (every manifest column when empty), and the group metadata
+// carries the manifest's reference sequences and sort order.
 func (d *Dataset) Groups(opts StreamOptions) (*GroupStream, error) {
-	cs, err := d.Stream(opts)
+	cs, err := newChunkStream(d, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -283,18 +347,7 @@ func (d *Dataset) Groups(opts StreamOptions) (*GroupStream, error) {
 	if len(d.Manifest.Chunks) > 0 {
 		meta.ChunkSize = int(d.Manifest.Chunks[0].Records)
 	}
-	next := func(ctx context.Context) (*RowGroup, error) {
-		sc, err := cs.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return &RowGroup{
-			Index:   sc.Index,
-			Chunks:  sc.Chunks(),
-			release: sc.Release,
-		}, nil
-	}
-	gs := NewGroupStream(meta, next, cs.Close)
+	gs := NewGroupStream(meta, cs.next, cs.close)
 	// Pooled source chunks are valid until Release (the pool recycles only
 	// released chunks), so dataset groups satisfy the Owned contract.
 	gs.Owned = true

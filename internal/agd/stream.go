@@ -10,7 +10,7 @@ import (
 	"persona/internal/dataflow"
 )
 
-// StreamOptions configures a ChunkStream.
+// StreamOptions configures a dataset's group stream (Dataset.Groups).
 type StreamOptions struct {
 	// Columns are the columns fetched per chunk, in delivery order.
 	// Empty means every manifest column.
@@ -19,7 +19,7 @@ type StreamOptions struct {
 	// end of the dataset.
 	Start, End int
 	// ShardedPool, when non-nil, supplies the decoded chunk objects
-	// (NewChunkPool): Next checks chunks out of it and StreamChunk.Release
+	// (NewChunkPool): Next checks chunks out of it and RowGroup.Release
 	// returns them, so a bounded pool gives the stream the same back-pressure
 	// as the pipeline queues. When nil, chunks are freshly allocated and
 	// Release is a no-op. The pool has one free list; the field keeps its old
@@ -50,12 +50,6 @@ const (
 	maxWindow     = 16
 )
 
-// PoolGroups is how many row groups a pooled source's chunk pool holds for a
-// consumer that pulls one group at a time: size the pool
-// columns × PoolGroups (NewChunkPool). The fetch window takes nothing
-// from the pool — chunks are checked out only as Next decodes them.
-const PoolGroups = 5
-
 // fetchSlot is one column of one chunk's in-flight window. Exactly one of
 // three shapes:
 //
@@ -73,11 +67,14 @@ type fetchSlot struct {
 	done bool
 }
 
-// ChunkStream iterates the column chunks of a dataset in chunk order while
-// keeping a window of blob fetches in flight through the store's async read
-// path (§4.2: readers saturate storage by overlapping many object fetches).
-// Next is safe for concurrent consumers; each call claims the next chunk.
-type ChunkStream struct {
+// chunkStream is the engine behind Dataset.Groups: it iterates the column
+// chunks of a dataset in chunk order while keeping a window of blob fetches
+// in flight through the store's async read path (§4.2: readers saturate
+// storage by overlapping many object fetches). The fetch window takes
+// nothing from the chunk pool — chunks are checked out only as next decodes
+// them. next is safe for concurrent consumers; each call claims the next
+// chunk.
+type chunkStream struct {
 	ds    *Dataset
 	as    AsyncBlobStore
 	cols  []string
@@ -90,7 +87,7 @@ type ChunkStream struct {
 	end    int
 
 	mu     sync.Mutex
-	next   int // next chunk index to claim
+	claim  int // next chunk index to claim
 	issued int // first chunk index whose fetch has not been issued
 	// slots[i-start] holds chunk i's in-flight column slots; entries are
 	// nilled as chunks are claimed.
@@ -99,56 +96,6 @@ type ChunkStream struct {
 	// (implementations must not retain it).
 	names  []string
 	closed bool
-}
-
-// StreamChunk is one delivered row group: the decoded chunks of every
-// requested column.
-type StreamChunk struct {
-	// Index is the chunk's position in the manifest.
-	Index  int
-	chunks []*Chunk
-	// ents[k], when non-nil, is the pinned cache entry backing chunks[k];
-	// Release unpins it instead of recycling the chunk.
-	ents   []*CacheEntry
-	stream *ChunkStream
-}
-
-// Chunks returns the decoded column chunks in StreamOptions.Columns order.
-func (sc *StreamChunk) Chunks() []*Chunk { return sc.chunks }
-
-// Col returns the decoded chunk of the named column, or nil if the column
-// was not requested.
-func (sc *StreamChunk) Col(name string) *Chunk {
-	for i, col := range sc.stream.cols {
-		if col == name {
-			return sc.chunks[i]
-		}
-	}
-	return nil
-}
-
-// Release ends the caller's use of the row group: cache-backed chunks are
-// unpinned (they stay resident for the next reader), pooled chunks return to
-// the stream's pool. The caller must not reference the chunks (or slices of
-// their data) afterwards. On a pool-less, cache-less stream it is a no-op.
-func (sc *StreamChunk) Release() {
-	s := sc.stream
-	for k, c := range sc.chunks {
-		if sc.ents != nil && sc.ents[k] != nil {
-			s.cache.Unpin(sc.ents[k])
-			continue
-		}
-		if c == nil || s.cache != nil {
-			// Cache-mode chunks that are not entry-backed (abandoned-fill
-			// fallbacks) are standalone allocations; never pool them.
-			continue
-		}
-		if s.pool != nil {
-			s.pool.Put(c)
-		}
-	}
-	sc.chunks = nil
-	sc.ents = nil
 }
 
 // NewChunkPool returns a bounded pool of decoded chunks for stream consumers
@@ -168,9 +115,9 @@ func NewShardedChunkPool(shards, size int) *dataflow.ItemPool[*Chunk] {
 	return NewChunkPool(size)
 }
 
-// Stream opens an iterator over the dataset's chunks that reads ahead of
-// its consumer through a self-sizing fetch window.
-func (d *Dataset) Stream(opts StreamOptions) (*ChunkStream, error) {
+// newChunkStream opens an iterator over the dataset's chunks that reads
+// ahead of its consumer through a self-sizing fetch window.
+func newChunkStream(d *Dataset, opts StreamOptions) (*chunkStream, error) {
 	cols := opts.Columns
 	if len(cols) == 0 {
 		cols = append([]string{}, d.Manifest.Columns...)
@@ -190,7 +137,7 @@ func (d *Dataset) Stream(opts StreamOptions) (*ChunkStream, error) {
 	if start > end {
 		start = end
 	}
-	return &ChunkStream{
+	return &chunkStream{
 		ds:     d,
 		as:     AsyncOf(d.store),
 		cols:   cols,
@@ -200,7 +147,7 @@ func (d *Dataset) Stream(opts StreamOptions) (*ChunkStream, error) {
 		window: initialWindow,
 		start:  start,
 		end:    end,
-		next:   start,
+		claim:  start,
 		issued: start,
 		slots:  make([][]fetchSlot, end-start),
 		names:  make([]string, 0, len(cols)),
@@ -211,7 +158,7 @@ func (d *Dataset) Stream(opts StreamOptions) (*ChunkStream, error) {
 // each column is looked up first: hits and other streams' in-flight fills
 // cost no fetch at all; only owned misses go into the GetBatch. Callers hold
 // s.mu (lock order is stream.mu then cache.mu).
-func (s *ChunkStream) issueToLocked(hi int) {
+func (s *chunkStream) issueToLocked(hi int) {
 	if hi > s.end {
 		hi = s.end
 	}
@@ -246,18 +193,19 @@ func (s *ChunkStream) issueToLocked(hi int) {
 	}
 }
 
-// Next claims the next chunk, waits for its blobs, decodes them and returns
-// the row group. It returns io.EOF once the range is exhausted (or the
-// stream closed). Claiming also tops up the fetch window, and widens it when
-// the claimed chunk's blobs are still in flight.
-func (s *ChunkStream) Next(ctx context.Context) (*StreamChunk, error) {
+// next claims the next chunk, waits for its blobs, decodes them and returns
+// the row group, whose Release gives its chunks back. It returns io.EOF once
+// the range is exhausted (or the stream closed). Claiming also tops up the
+// fetch window, and widens it when the claimed chunk's blobs are still in
+// flight.
+func (s *chunkStream) next(ctx context.Context) (*RowGroup, error) {
 	s.mu.Lock()
-	if s.closed || s.next >= s.end {
+	if s.closed || s.claim >= s.end {
 		s.mu.Unlock()
 		return nil, io.EOF
 	}
-	i := s.next
-	s.next++
+	i := s.claim
+	s.claim++
 	s.issueToLocked(i + s.window)
 	slots := s.slots[i-s.start]
 	s.slots[i-s.start] = nil
@@ -269,22 +217,15 @@ func (s *ChunkStream) Next(ctx context.Context) (*StreamChunk, error) {
 
 	entry := s.ds.Manifest.Chunks[i]
 	chunks := make([]*Chunk, len(slots))
-	fail := func(err error) (*StreamChunk, error) {
+	fail := func(err error) (*RowGroup, error) {
 		for k := range slots {
-			sl := &slots[k]
-			if sl.ent != nil {
-				if sl.fill && !sl.done {
-					// Abandon unresolved owned fills so waiters fall back
-					// to a direct read instead of blocking forever.
-					s.cache.Abort(sl.ent, nil)
-				}
-				s.cache.Unpin(sl.ent)
-				continue
-			}
-			if c := chunks[k]; c != nil && s.cache == nil && s.pool != nil {
-				s.pool.Put(c)
+			if sl := &slots[k]; sl.fill && !sl.done {
+				// Abandon unresolved owned fills so waiters fall back to a
+				// direct read instead of blocking forever.
+				s.cache.Abort(sl.ent, nil)
 			}
 		}
+		s.release(chunks, slots)
 		return nil, err
 	}
 	validate := func(c *Chunk, col string) error {
@@ -306,6 +247,7 @@ func (s *ChunkStream) Next(ctx context.Context) (*StreamChunk, error) {
 			continue
 		}
 		blob, err := sl.fut.Wait(ctx)
+		sl.fut = nil // the delivered group keeps its slots, not the blob
 		if err != nil {
 			if sl.ent != nil {
 				s.cache.Abort(sl.ent, err)
@@ -389,14 +331,23 @@ func (s *ChunkStream) Next(ctx context.Context) (*StreamChunk, error) {
 		chunks[k] = c
 	}
 
-	var ents []*CacheEntry
-	if s.cache != nil {
-		ents = make([]*CacheEntry, len(slots))
-		for k := range slots {
-			ents[k] = slots[k].ent
+	return &RowGroup{Index: i, Chunks: chunks, release: func() { s.release(chunks, slots) }}, nil
+}
+
+// release ends the use of a group's chunks: a cache-backed chunk (its slot
+// holds the entry) is unpinned, so it stays resident for the next reader,
+// and a pooled one returns to the stream's pool. Cache-mode chunks that are
+// not entry-backed (abandoned-fill fallbacks) are standalone allocations and
+// never pooled.
+func (s *chunkStream) release(chunks []*Chunk, slots []fetchSlot) {
+	for k, c := range chunks {
+		switch {
+		case slots[k].ent != nil:
+			s.cache.Unpin(slots[k].ent)
+		case c != nil && s.cache == nil && s.pool != nil:
+			s.pool.Put(c)
 		}
 	}
-	return &StreamChunk{Index: i, chunks: chunks, ents: ents, stream: s}, nil
 }
 
 // inFlight reports whether a fetch this stream issued for a chunk has not
@@ -415,11 +366,11 @@ func inFlight(slots []fetchSlot) bool {
 	return false
 }
 
-// Close stops the stream: subsequent Next calls return io.EOF and no further
+// close stops the stream: subsequent next calls return io.EOF and no further
 // fetches are issued. Fetches already in flight complete in the background
 // and their results are dropped; owned cache fills that were never resolved
 // are abandoned so streams waiting on them fall back to direct reads.
-func (s *ChunkStream) Close() {
+func (s *chunkStream) close() {
 	s.mu.Lock()
 	s.closed = true
 	slots := s.slots

@@ -7,9 +7,10 @@
 // protocol over real TCP so that the coordination path is genuinely
 // networked.
 //
-// Two kinds of run share that coordinator and worker scaffold: Align, a
-// one-phase plan whose tasks are the dataset's chunks, and RunPipeline, the
-// fused three-phase sample sort (pipeline.go).
+// Every run goes through that coordinator and one worker task loop
+// (pipeline.go): RunPipeline's fused three-phase sample sort, and Align, the
+// map phase alone of a plan that writes its results back, one task per
+// chunk.
 package cluster
 
 import (
@@ -72,8 +73,8 @@ type chunkLease struct {
 //
 // A worker told WAIT parks (PARK) on a second connection of its own, so a
 // hold, which lasts until the server's state moves, never queues the
-// worker's acks and heartbeats behind it: an Align node's lease source parks
-// while its align stage still has chunks to ack.
+// worker's heartbeats behind it: the heartbeat goroutine keeps beating on
+// the first connection while the task loop is parked.
 type ManifestClient struct {
 	mu     sync.Mutex
 	conn   net.Conn

@@ -37,7 +37,7 @@ const exportSAM = "@HD\tVN:1.6\tSO:coordinate\n" +
 func TestExportMatchesSAM(t *testing.T) {
 	ctx := context.Background()
 	store := agd.NewMemStore()
-	if _, _, err := sam.Import(ctx, store, "ds", strings.NewReader(exportSAM), sam.ImportOptions{ChunkSize: 4}); err != nil {
+	if _, _, err := persona.ImportSAM(ctx, store, "ds", strings.NewReader(exportSAM), 4); err != nil {
 		t.Fatal(err)
 	}
 	ds, err := agd.Open(store, "ds")

@@ -36,77 +36,23 @@ func ImportStream(src io.Reader, opts ImportOptions) *agd.GroupStream {
 	if chunkSize <= 0 {
 		chunkSize = agd.DefaultChunkSize
 	}
-	specs := agd.StandardReadColumns()
-	var pool *agd.BuilderPool
-	var fixed *agd.BuilderSet
-	if opts.Pipelining > 1 {
-		pool = agd.NewBuilderPool(opts.Pipelining, specs)
-	} else {
-		fixed = &agd.BuilderSet{Builders: make([]*agd.ChunkBuilder, len(specs))}
-		for i, spec := range specs {
-			fixed.Builders[i] = agd.NewChunkBuilder(spec.Type, 0)
-		}
-	}
-	sc := NewScanner(src)
-	var (
-		ordinal uint64
-		idx     int
-		done    bool
-	)
 	meta := agd.StreamMeta{
 		Columns:   []string{agd.ColBases, agd.ColQual, agd.ColMetadata},
 		RefSeqs:   opts.RefSeqs,
 		ChunkSize: chunkSize,
 	}
-	next := func(ctx context.Context) (*agd.RowGroup, error) {
-		if done {
-			return nil, io.EOF
-		}
-		set := fixed
-		if pool != nil {
-			var err error
-			if set, err = pool.Get(ctx, ordinal); err != nil {
-				return nil, err
-			}
-		}
-		builders := set.Builders
-		for i, spec := range specs {
-			builders[i].Reset(spec.Type, ordinal)
-		}
+	sc := NewScanner(src)
+	return agd.FillStream(meta, agd.StandardReadColumns(), opts.Pipelining, func(b []*agd.ChunkBuilder) (int, error) {
 		rows := 0
 		for rows < chunkSize && sc.Scan() {
 			m, bases, quals := sc.View()
-			builders[0].AppendBases(bases)
-			builders[1].Append(quals)
-			builders[2].Append(m)
+			b[0].AppendBases(bases)
+			b[1].Append(quals)
+			b[2].Append(m)
 			rows++
 		}
-		fin := func(err error) (*agd.RowGroup, error) {
-			done = true
-			if pool != nil {
-				pool.Put(set)
-			}
-			return nil, err
-		}
-		if err := sc.Err(); err != nil {
-			return fin(err)
-		}
-		if rows == 0 {
-			return fin(io.EOF)
-		}
-		ordinal += uint64(rows)
-		var release func()
-		if pool != nil {
-			put := set
-			release = func() { pool.Put(put) }
-		}
-		g := agd.NewRowGroup(idx, 0, set.Chunks(), release)
-		idx++
-		return g, nil
-	}
-	gs := agd.NewGroupStream(meta, next, nil)
-	gs.Owned = pool != nil
-	return gs
+		return rows, sc.Err()
+	})
 }
 
 // ExportStream renders a pipeline stream's reads as FASTQ. Records are

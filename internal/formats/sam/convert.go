@@ -31,10 +31,11 @@ type ExportScratch struct {
 
 // Orient returns a record's SEQ and QUAL in SAM orientation: reverse-strand
 // mapped reads are reverse-complemented / reversed into the scratch (the SAM
-// convention; AGD stores reads as sequenced). The returned slices are valid
-// until the next call.
+// convention; AGD stores reads as sequenced). A read is mapped when neither
+// its flag nor its location says otherwise, as on import. The returned
+// slices are valid until the next call.
 func (s *ExportScratch) Orient(bases, qual []byte, v *agd.ResultView) (seq, q []byte) {
-	if v.Flags&agd.FlagReverse == 0 || v.Flags&agd.FlagUnmapped != 0 {
+	if !v.IsReverse() || v.IsUnmapped() {
 		return bases, qual
 	}
 	s.rc = genome.ReverseComplementScratch(s.rc, bases)

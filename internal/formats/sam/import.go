@@ -2,15 +2,12 @@ package sam
 
 import (
 	"bufio"
-	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"strconv"
 	"strings"
 
 	"persona/internal/agd"
-	"persona/internal/dataflow"
 	"persona/internal/genome"
 )
 
@@ -20,175 +17,181 @@ type ImportOptions struct {
 	ChunkSize int
 }
 
-// Import converts an aligned SAM stream into an AGD dataset with all four
-// standard columns (bases, qual, metadata, results) — the ingestion path
-// for data aligned by tools that have not been ported to AGD. Reference
-// sequences are taken from the @SQ header lines. It returns the manifest
-// and the number of records imported.
+// ImportStream parses an aligned SAM stream into a pipeline group stream of
+// all four standard columns (bases, qual, metadata, results) — the ingestion
+// path for data aligned by tools that have not been ported to AGD, as a
+// pipeline source. The header is read before it returns: the @SQ lines give
+// the stream's reference sequences and @HD's SO its sort order. Each group
+// holds ChunkSize records, built into reused builders (valid until the next
+// group).
 //
 // Parsing is byte-level into reused buffers: fields flow from the input
-// straight into the writer's arena-backed chunk builders without
-// materializing Record objects or strings, so steady-state import performs
-// no per-record allocation. Each full chunk is compressed — its members on an
-// executor of GOMAXPROCS workers that lives as long as the call — and stored
-// before parsing continues. Cancellation and deadline of ctx are checked
-// once per output chunk's worth of records. A failed import leaves no blob
-// of the dataset.
-func Import(ctx context.Context, store agd.BlobStore, name string, src io.Reader, opts ImportOptions) (m *agd.Manifest, n uint64, err error) {
-	br := bufio.NewReaderSize(src, 1<<16)
-	chunkSize := uint64(opts.ChunkSize)
-	if chunkSize == 0 {
+// straight into the chunk builders without materializing Record objects or
+// strings, so steady-state import performs no per-record allocation. A
+// malformed record, or a read error, surfaces from Next.
+func ImportStream(src io.Reader, opts ImportOptions) (*agd.GroupStream, error) {
+	chunkSize := opts.ChunkSize
+	if chunkSize <= 0 {
 		chunkSize = agd.DefaultChunkSize
 	}
-	var (
-		w       *agd.Writer
-		refmap  *RefMap
-		header  []string
-		line    []byte
-		fields  [][]byte
-		rc      []byte // reverse-complement scratch
-		qrev    []byte // reversed-quality scratch
-		resBuf  []byte // encoded result scratch
-		lineNum int
-	)
-	cols := append(agd.StandardReadColumns(), agd.ColumnSpec{Name: agd.ColResults, Type: agd.TypeResults})
-	workers := runtime.GOMAXPROCS(0)
-	exec := dataflow.NewExecutor(workers, 2*workers)
-	defer exec.Close()
-	codec := agd.Codec{Exec: exec}
-	defer func() {
-		if err != nil && w != nil {
-			w.Abort()
+	im := &importer{br: bufio.NewReaderSize(src, 1<<16)}
+	// The header is complete once the first record appears.
+	var header []string
+	more, err := im.nextLine()
+	for ; more && im.line[0] == '@'; more, err = im.nextLine() {
+		header = append(header, string(im.line))
+	}
+	if err != nil {
+		return nil, err
+	}
+	refs, err := refsFromHeader(header)
+	if err != nil {
+		return nil, err
+	}
+	if !more {
+		return nil, fmt.Errorf("sam: stream has no alignment records")
+	}
+	im.pending = true
+	im.refmap = NewRefMap(refs)
+	meta := agd.StreamMeta{
+		Columns:   []string{agd.ColBases, agd.ColQual, agd.ColMetadata, agd.ColResults},
+		RefSeqs:   refs,
+		SortedBy:  sortOrderFromHeader(header),
+		ChunkSize: chunkSize,
+	}
+	specs := append(agd.StandardReadColumns(), agd.ColumnSpec{Name: agd.ColResults, Type: agd.TypeResults})
+	return agd.FillStream(meta, specs, 0, func(b []*agd.ChunkBuilder) (int, error) {
+		rows := 0
+		for rows < chunkSize {
+			if !im.pending {
+				ok, err := im.nextLine()
+				if err != nil || !ok {
+					return rows, err
+				}
+				if im.line[0] == '@' {
+					continue
+				}
+			}
+			im.pending = false
+			if err := im.record(b); err != nil {
+				return rows, err
+			}
+			rows++
 		}
-	}()
+		return rows, nil
+	}), nil
+}
 
-	for {
-		var rerr error
-		line, rerr = readLine(br, line[:0])
-		if rerr != nil && rerr != io.EOF {
-			return nil, n, rerr
-		}
-		atEOF := rerr == io.EOF
-		if len(line) == 0 {
-			if atEOF {
-				break
-			}
-			continue
-		}
-		lineNum++
-		if line[0] == '@' {
-			if w == nil {
-				header = append(header, string(line))
-			}
-			if atEOF {
-				break
-			}
-			continue
-		}
-		if w == nil {
-			// The header is complete once the first record appears.
-			refs, err := refsFromHeader(header)
-			if err != nil {
-				return nil, 0, err
-			}
-			refmap = NewRefMap(refs)
-			w, err = agd.NewWriter(store, name, cols, agd.WriterOptions{
-				ChunkSize: opts.ChunkSize,
-				RefSeqs:   refs,
-				SortedBy:  sortOrderFromHeader(header),
-				Codec:     codec,
-			})
-			if err != nil {
-				return nil, 0, err
-			}
-		}
+// importer is ImportStream's parser state: the input, the line in hand and
+// the reused per-record scratch.
+type importer struct {
+	br      *bufio.Reader
+	refmap  *RefMap
+	line    []byte
+	lineNum int  // non-empty lines read
+	pending bool // line holds a record not yet parsed
+	eof     bool
+	fields  [][]byte
+	rc      []byte // reverse-complement scratch
+	qrev    []byte // reversed-quality scratch
+	resBuf  []byte // encoded result scratch
+}
 
-		if n%chunkSize == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, n, err
-			}
+// nextLine reads the next non-empty line into im.line, reporting false at
+// the end of the input.
+func (im *importer) nextLine() (bool, error) {
+	for !im.eof {
+		var err error
+		im.line, err = readLine(im.br, im.line[:0])
+		if err == io.EOF {
+			im.eof = true
+		} else if err != nil {
+			return false, err
 		}
-		fields = splitTabs(fields[:0], line)
-		if len(fields) < 11 {
-			return nil, n, fmt.Errorf("sam: line %d: only %d fields", lineNum, len(fields))
-		}
-		flags, err := parseUintField(fields[1], 16, lineNum, "flags")
-		if err != nil {
-			return nil, n, err
-		}
-		pos, err := parseIntField(fields[3], 64, lineNum, "pos")
-		if err != nil {
-			return nil, n, err
-		}
-		mapq, err := parseUintField(fields[4], 8, lineNum, "mapq")
-		if err != nil {
-			return nil, n, err
-		}
-		pnext, err := parseIntField(fields[7], 64, lineNum, "pnext")
-		if err != nil {
-			return nil, n, err
-		}
-		tlen, err := parseIntField(fields[8], 32, lineNum, "tlen")
-		if err != nil {
-			return nil, n, err
-		}
-		rname, ref, cigar, rnext := fields[0], fields[2], fields[5], fields[6]
-		seq, qual := fields[9], fields[10]
-
-		v := agd.ResultView{
-			Flags:        uint16(flags),
-			MapQ:         uint8(mapq),
-			TemplateLen:  int32(tlen),
-			Cigar:        cigar,
-			Location:     agd.UnmappedLocation,
-			MateLocation: agd.UnmappedLocation,
-		}
-		if len(cigar) == 1 && cigar[0] == '*' {
-			v.Cigar = nil
-		}
-		if v.Flags&agd.FlagUnmapped == 0 && !isStar(ref) && pos > 0 {
-			g, err := refmap.GlobalBytes(ref, pos-1)
-			if err != nil {
-				return nil, n, fmt.Errorf("sam: record %q: %w", rname, err)
-			}
-			v.Location = g
-		} else {
-			v.Cigar = nil
-		}
-		if !isStar(rnext) && pnext > 0 {
-			mref := rnext
-			if len(mref) == 1 && mref[0] == '=' {
-				mref = ref
-			}
-			g, err := refmap.GlobalBytes(mref, pnext-1)
-			if err != nil {
-				return nil, n, fmt.Errorf("sam: record %q: %w", rname, err)
-			}
-			v.MateLocation = g
-		}
-		// SAM stores reverse-strand SEQ reverse-complemented; AGD stores
-		// reads as sequenced, so undo the transformation on the way in.
-		if v.IsReverse() && !v.IsUnmapped() {
-			rc = genome.ReverseComplementScratch(rc, seq)
-			qrev = genome.ReverseScratch(qrev, qual)
-			seq, qual = rc, qrev
-		}
-		resBuf = agd.EncodeResultView(resBuf[:0], &v)
-		if err := w.Append(seq, qual, rname, resBuf); err != nil {
-			return nil, n, err
-		}
-		n++
-		if atEOF {
-			break
+		if len(im.line) > 0 {
+			im.lineNum++
+			return true, nil
 		}
 	}
-	if w == nil {
-		return nil, 0, fmt.Errorf("sam: stream %q has no alignment records", name)
+	return false, nil
+}
+
+// record parses the record line in hand and appends it to the builders of
+// the bases, qual, metadata and results columns.
+func (im *importer) record(b []*agd.ChunkBuilder) error {
+	lineNum := im.lineNum
+	im.fields = splitTabs(im.fields[:0], im.line)
+	fields := im.fields
+	if len(fields) < 11 {
+		return fmt.Errorf("sam: line %d: only %d fields", lineNum, len(fields))
 	}
-	if m, err = w.Close(); err != nil {
-		return nil, n, err
+	flags, err := parseUintField(fields[1], 16, lineNum, "flags")
+	if err != nil {
+		return err
 	}
-	return m, n, nil
+	pos, err := parseIntField(fields[3], 64, lineNum, "pos")
+	if err != nil {
+		return err
+	}
+	mapq, err := parseUintField(fields[4], 8, lineNum, "mapq")
+	if err != nil {
+		return err
+	}
+	pnext, err := parseIntField(fields[7], 64, lineNum, "pnext")
+	if err != nil {
+		return err
+	}
+	tlen, err := parseIntField(fields[8], 32, lineNum, "tlen")
+	if err != nil {
+		return err
+	}
+	rname, ref, cigar, rnext := fields[0], fields[2], fields[5], fields[6]
+	seq, qual := fields[9], fields[10]
+
+	v := agd.ResultView{
+		Flags:        uint16(flags),
+		MapQ:         uint8(mapq),
+		TemplateLen:  int32(tlen),
+		Cigar:        cigar,
+		Location:     agd.UnmappedLocation,
+		MateLocation: agd.UnmappedLocation,
+	}
+	if len(cigar) == 1 && cigar[0] == '*' {
+		v.Cigar = nil
+	}
+	if v.Flags&agd.FlagUnmapped == 0 && !isStar(ref) && pos > 0 {
+		g, err := im.refmap.GlobalBytes(ref, pos-1)
+		if err != nil {
+			return fmt.Errorf("sam: record %q: %w", rname, err)
+		}
+		v.Location = g
+	} else {
+		v.Cigar = nil
+	}
+	if !isStar(rnext) && pnext > 0 {
+		mref := rnext
+		if len(mref) == 1 && mref[0] == '=' {
+			mref = ref
+		}
+		g, err := im.refmap.GlobalBytes(mref, pnext-1)
+		if err != nil {
+			return fmt.Errorf("sam: record %q: %w", rname, err)
+		}
+		v.MateLocation = g
+	}
+	// SAM stores reverse-strand SEQ reverse-complemented; AGD stores
+	// reads as sequenced, so undo the transformation on the way in.
+	if v.IsReverse() && !v.IsUnmapped() {
+		im.rc = genome.ReverseComplementScratch(im.rc, seq)
+		im.qrev = genome.ReverseScratch(im.qrev, qual)
+		seq, qual = im.rc, im.qrev
+	}
+	im.resBuf = agd.EncodeResultView(im.resBuf[:0], &v)
+	b[0].AppendBases(seq)
+	b[1].Append(qual)
+	b[2].Append(rname)
+	b[3].Append(im.resBuf)
+	return nil
 }
 
 // readLine appends the next input line (terminator trimmed) to buf, reusing

@@ -17,9 +17,24 @@ r2	16	chr1	201	37	4M	*	0	0	ACGT	ABCD
 r3	4	*	0	0	*	*	0	0	GGGG	!!!!
 `
 
+// importDataset writes what ImportStream parses from src as dataset name,
+// returning the manifest and the records written.
+func importDataset(store agd.BlobStore, name string, src string, opts ImportOptions) (*agd.Manifest, uint64, error) {
+	in, err := ImportStream(strings.NewReader(src), opts)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer in.Close()
+	m, err := agd.WriteGroups(context.Background(), in, store, name, agd.WriterOptions{})
+	if err != nil {
+		return nil, 0, err
+	}
+	return m, m.NumRecords(), nil
+}
+
 func TestImportSAMRoundTrip(t *testing.T) {
 	store := agd.NewMemStore()
-	m, n, err := Import(context.Background(), store, "ds", strings.NewReader(importSample), ImportOptions{ChunkSize: 2})
+	m, n, err := importDataset(store, "ds", importSample, ImportOptions{ChunkSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,10 +108,10 @@ func TestImportSAMRoundTrip(t *testing.T) {
 func TestImportSAMRejectsHeaderless(t *testing.T) {
 	store := agd.NewMemStore()
 	noSQ := "@HD\tVN:1.6\nr1\t0\tchr1\t1\t60\t4M\t*\t0\t0\tACGT\tIIII\n"
-	if _, _, err := Import(context.Background(), store, "ds", strings.NewReader(noSQ), ImportOptions{}); err == nil {
+	if _, _, err := importDataset(store, "ds", noSQ, ImportOptions{}); err == nil {
 		t.Fatal("headerless SAM imported")
 	}
-	if _, _, err := Import(context.Background(), store, "ds", strings.NewReader("@HD\tVN:1.6\n"), ImportOptions{}); err == nil {
+	if _, _, err := importDataset(store, "ds", "@HD\tVN:1.6\n", ImportOptions{}); err == nil {
 		t.Fatal("record-less SAM imported")
 	}
 }

@@ -33,7 +33,7 @@ func TestSAMRoundTripGolden(t *testing.T) {
 		"x1\t65\tchr1\t401\t50\t4M\tchr2\t51\t0\tGGGG\tLLLL\n"
 
 	store := agd.NewMemStore()
-	_, n, err := sam.Import(context.Background(), store, "ds", strings.NewReader(golden), sam.ImportOptions{ChunkSize: 2})
+	_, n, err := persona.ImportSAM(context.Background(), store, "ds", strings.NewReader(golden), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestSAMRoundTripFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	store2 := agd.NewMemStore()
-	if _, _, err := sam.Import(context.Background(), store2, "ds2", bytes.NewReader(first.Bytes()), sam.ImportOptions{ChunkSize: 64}); err != nil {
+	if _, _, err := persona.ImportSAM(context.Background(), store2, "ds2", bytes.NewReader(first.Bytes()), 64); err != nil {
 		t.Fatal(err)
 	}
 	var second bytes.Buffer

@@ -158,7 +158,7 @@ func TestFaultStoreCorruptBlobNeverCached(t *testing.T) {
 	}
 	cache := agd.NewChunkCache(1 << 20)
 	readAll := func() error {
-		st, err := ds.Stream(agd.StreamOptions{Cache: cache})
+		st, err := ds.Groups(agd.StreamOptions{Cache: cache})
 		if err != nil {
 			return err
 		}

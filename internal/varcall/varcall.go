@@ -87,9 +87,11 @@ type Pileup struct {
 	reads  int64
 	used   int64
 
-	// Reused per-read scratch: parsed CIGAR, reverse-complemented sequence
-	// and reversed qualities. Piling up allocates nothing per read.
+	// Reused per-read scratch: parsed CIGAR, expanded bases,
+	// reverse-complemented sequence and reversed qualities. Piling up
+	// allocates nothing per read.
 	cigar  align.Cigar
+	bases  []byte
 	rcSeq  []byte
 	rcQual []byte
 }
@@ -105,62 +107,62 @@ func NewPileup(g *genome.Genome) *Pileup {
 	}
 }
 
-// AddDataset piles up every eligible read of an aligned dataset, streaming
-// the three columns it needs through a prefetching agd.ChunkStream.
-// Cancellation and deadline of ctx are checked per chunk.
-func (p *Pileup) AddDataset(ctx context.Context, ds *agd.Dataset, opts Options) error {
+// AddStream piles up every eligible read of an aligned pipeline stream,
+// which carries the bases, qual and results columns, releasing each group
+// once its reads are counted. Cancellation and deadline of ctx are checked
+// per group.
+func (p *Pileup) AddStream(ctx context.Context, in *agd.GroupStream, opts Options) error {
 	opts = opts.withDefaults()
-	m := ds.Manifest
-	if !m.HasColumn(agd.ColResults) {
-		return fmt.Errorf("varcall: dataset %q has no results column", m.Name)
+	basesCol, qualCol, resCol := in.Meta.Col(agd.ColBases), in.Meta.Col(agd.ColQual), in.Meta.Col(agd.ColResults)
+	if resCol < 0 {
+		return fmt.Errorf("varcall: stream has no results column")
 	}
-	stream, err := ds.Stream(agd.StreamOptions{
-		Columns:     []string{agd.ColBases, agd.ColQual, agd.ColResults},
-		ShardedPool: agd.NewChunkPool(3 * agd.PoolGroups),
-	})
-	if err != nil {
-		return err
+	if basesCol < 0 || qualCol < 0 {
+		return fmt.Errorf("varcall: stream lacks a read column (have %v)", in.Meta.Columns)
 	}
-	defer stream.Close()
-	var scratch []byte
 	for {
-		sc, err := stream.Next(ctx)
+		g, err := in.Next(ctx)
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
 			return err
 		}
-		chunks := sc.Chunks()
-		basesChunk, qualChunk, resChunk := chunks[0], chunks[1], chunks[2]
-		for r := 0; r < basesChunk.NumRecords(); r++ {
-			res, err := resChunk.DecodeResultViewRecord(r)
-			if err != nil {
-				return err
-			}
-			p.reads++
-			if res.IsUnmapped() || res.MapQ < opts.MinMapQ {
-				continue
-			}
-			if opts.SkipDuplicates && res.IsDuplicate() {
-				continue
-			}
-			bases, err := basesChunk.ExpandBasesRecord(scratch[:0], r)
-			if err != nil {
-				return err
-			}
-			scratch = bases
-			qual, err := qualChunk.Record(r)
-			if err != nil {
-				return err
-			}
-			if err := p.addRead(bases, qual, &res, opts); err != nil {
-				return err
-			}
-			p.used++
+		err = p.addGroup(g.Chunks[basesCol], g.Chunks[qualCol], g.Chunks[resCol], opts)
+		g.Release()
+		if err != nil {
+			return err
 		}
-		sc.Release()
 	}
+}
+
+// addGroup piles up the eligible reads of one group's columns.
+func (p *Pileup) addGroup(basesChunk, qualChunk, resChunk *agd.Chunk, opts Options) error {
+	for r := 0; r < basesChunk.NumRecords(); r++ {
+		res, err := resChunk.DecodeResultViewRecord(r)
+		if err != nil {
+			return err
+		}
+		p.reads++
+		if res.IsUnmapped() || res.MapQ < opts.MinMapQ {
+			continue
+		}
+		if opts.SkipDuplicates && res.IsDuplicate() {
+			continue
+		}
+		if p.bases, err = basesChunk.ExpandBasesRecord(p.bases[:0], r); err != nil {
+			return err
+		}
+		qual, err := qualChunk.Record(r)
+		if err != nil {
+			return err
+		}
+		if err := p.addRead(p.bases, qual, &res, opts); err != nil {
+			return err
+		}
+		p.used++
+	}
+	return nil
 }
 
 // addRead walks one read's CIGAR, attributing aligned bases to reference
@@ -261,7 +263,7 @@ func (p *Pileup) Call(opts Options) ([]Variant, error) {
 			Alt:      genome.Letter(uint8(altCode)),
 			Depth:    depth,
 			AltDepth: int(altCount),
-			Qual:     variantQual(int(altCount), depth),
+			Qual:     variantQual(int(altCount)),
 			Genotype: genotype,
 		})
 	}
@@ -270,22 +272,12 @@ func (p *Pileup) Call(opts Options) ([]Variant, error) {
 
 // variantQual is a Phred-scaled confidence from a binomial error model: the
 // probability of altDepth reads all being miscalls at ~1% error.
-func variantQual(altDepth, depth int) float64 {
+func variantQual(altDepth int) float64 {
 	q := float64(altDepth) * 20 // -10·log10(0.01) per supporting read
 	if q > 3000 {
 		q = 3000
 	}
-	_ = depth
 	return math.Round(q*10) / 10
-}
-
-// CallDataset piles up a dataset and calls variants in one step.
-func CallDataset(ctx context.Context, ds *agd.Dataset, g *genome.Genome, opts Options) ([]Variant, error) {
-	p := NewPileup(g)
-	if err := p.AddDataset(ctx, ds, opts); err != nil {
-		return nil, err
-	}
-	return p.Call(opts)
 }
 
 // WriteVCF renders calls as a minimal VCF 4.2 stream.
@@ -312,6 +304,3 @@ func WriteVCF(w io.Writer, refs []agd.RefSeq, variants []Variant) error {
 	}
 	return nil
 }
-
-// refsOf is a convenience for VCF emission from a genome.
-func RefsOf(g *genome.Genome) []agd.RefSeq { return agd.RefSeqsFromGenome(g) }

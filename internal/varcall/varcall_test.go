@@ -13,6 +13,28 @@ import (
 	"persona/internal/reads"
 )
 
+// addDataset piles up a dataset, every column of it streamed, with the
+// default options.
+func addDataset(p *Pileup, ds *agd.Dataset) error {
+	in, err := ds.Groups(agd.StreamOptions{})
+	if err != nil {
+		return err
+	}
+	defer in.Close()
+	return p.AddStream(context.Background(), in, NewOptions())
+}
+
+// callDataset piles up a dataset and calls variants with the default
+// options.
+func callDataset(t *testing.T, ds *agd.Dataset, ref *genome.Genome) ([]Variant, error) {
+	t.Helper()
+	p := NewPileup(ref)
+	if err := addDataset(p, ds); err != nil {
+		return nil, err
+	}
+	return p.Call(NewOptions())
+}
+
 // donorFixture builds a reference, plants homozygous SNPs into a donor copy,
 // simulates high-coverage reads from the donor, aligns them against the
 // original reference, and returns everything the caller needs.
@@ -106,7 +128,7 @@ func donorFixture(t *testing.T, numSNPs int) (*genome.Genome, *agd.Dataset, map[
 
 func TestCallRecoversPlantedSNPs(t *testing.T) {
 	ref, ds, planted := donorFixture(t, 40)
-	variants, err := CallDataset(context.Background(), ds, ref, NewOptions())
+	variants, err := callDataset(t, ds, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +173,7 @@ func TestCallCleanDataHasFewVariants(t *testing.T) {
 		t.Helper()
 		return donorFixtureClean(t)
 	}()
-	variants, err := CallDataset(context.Background(), ds, ref, NewOptions())
+	variants, err := callDataset(t, ds, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +259,7 @@ func TestWriteVCF(t *testing.T) {
 func TestPileupDepthAccounting(t *testing.T) {
 	ref, ds, _ := donorFixtureClean(t)
 	p := NewPileup(ref)
-	if err := p.AddDataset(context.Background(), ds, NewOptions()); err != nil {
+	if err := addDataset(p, ds); err != nil {
 		t.Fatal(err)
 	}
 	reads, used := p.Stats()
@@ -276,7 +298,7 @@ func TestCallRejectsNoResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CallDataset(context.Background(), agd.OpenManifest(store, m), ref, NewOptions()); err == nil {
+	if _, err := callDataset(t, agd.OpenManifest(store, m), ref); err == nil {
 		t.Fatal("dataset without results accepted")
 	}
 }

@@ -32,15 +32,16 @@
 //   - filtering and pileup-based variant calling (§1, §8)
 //
 // Every stage also remains available as a one-shot free function (Align,
-// Sort, MarkDuplicates, Filter, Export*, ImportFASTQ) for callers that do not
-// need composition. Each is a one-stage Pipeline, run serially on a session
-// of its own that it closes before returning: Sort and Filter end in a Write
-// sink, the exports in theirs, ImportFASTQ is the FASTQ source into a Write
-// sink, and Align and MarkDuplicates end in a sink that writes the one
-// column they produce back next to the others. ImportSAM, CallVariants and
-// AlignDistributed, the map phase alone of a Distributed pipeline's plan,
-// stay functions of their own. All of them take a context.Context and
-// honor cancellation per chunk.
+// Sort, MarkDuplicates, Filter, Export*, ImportFASTQ, ImportSAM,
+// CallVariants) for callers that do not need composition. Each is a
+// one-stage Pipeline, run serially on a session of its own that it closes
+// before returning: Sort and Filter end in a Write sink, the exports in
+// theirs, ImportFASTQ and ImportSAM are the FASTQ and SAM sources into a
+// Write sink, CallVariants ends in a pileup sink, and Align and
+// MarkDuplicates end in a sink that writes the one column they produce back
+// next to the others. AlignDistributed, the map phase alone of a Distributed
+// pipeline's plan, stays a function of its own. All of them take a
+// context.Context and honor cancellation per chunk.
 //
 // Storage backends (local directories, an in-memory store, and a Ceph-like
 // replicated object store) implement the same BlobStore interface, so
@@ -59,7 +60,6 @@ import (
 	"persona/internal/cluster"
 	"persona/internal/core"
 	"persona/internal/filter"
-	"persona/internal/formats/sam"
 	"persona/internal/genome"
 	"persona/internal/markdup"
 	"persona/internal/storage"
@@ -287,9 +287,25 @@ func export(ctx context.Context, store Store, dataset string, sink pipeStage) (u
 }
 
 // ImportSAM converts an aligned SAM stream into an AGD dataset with all
-// four standard columns; reference sequences come from the @SQ header.
+// four standard columns, and returns its manifest and record count: the SAM
+// source, whose reference sequences and sort order come from the header,
+// into a Write sink, as a one-stage pipeline. On failure it returns the
+// records of the chunks parsed whole before it, and no blob of the dataset
+// remains.
 func ImportSAM(ctx context.Context, store Store, name string, src io.Reader, chunkSize int) (*Manifest, uint64, error) {
-	return sam.Import(ctx, store, name, src, sam.ImportOptions{ChunkSize: chunkSize})
+	prog := NewProgress()
+	rep, err := runOnce(ctx, store, 0, func(s *Session) *Pipeline {
+		p := &Pipeline{sess: s, stages: []pipeStage{{kind: stageImportSAM, src: src, chunkSize: chunkSize}}}
+		return p.Write(name).Observe(prog)
+	})
+	if err != nil {
+		var n uint64
+		if stages := prog.Snapshot(); stages != nil {
+			n = stages[0].Records
+		}
+		return nil, n, err
+	}
+	return rep.Manifest, rep.Records, nil
 }
 
 // Filter predicates, re-exported from internal/filter.
@@ -334,13 +350,17 @@ func Filter(ctx context.Context, store Store, dataset string, pred FilterPredica
 type Variant = varcall.Variant
 
 // CallVariants runs the pileup-based SNP caller over an aligned dataset
-// (§8's variant-calling stage) with default options.
+// (§8's variant-calling stage) with default options: a one-stage pipeline
+// that reads the bases, qual and results columns into a pileup sink.
 func CallVariants(ctx context.Context, store Store, dataset string, ref *Genome) ([]Variant, error) {
-	ds, err := agd.Open(store, dataset)
+	var variants []Variant
+	_, err := runOnce(ctx, store, 0, func(s *Session) *Pipeline {
+		return s.Read(dataset).add(pipeStage{kind: stageCallVariants, ref: ref, variants: &variants})
+	})
 	if err != nil {
 		return nil, err
 	}
-	return varcall.CallDataset(ctx, ds, ref, varcall.NewOptions())
+	return variants, nil
 }
 
 // WriteVCF renders variant calls as a VCF 4.2 stream.

@@ -18,6 +18,7 @@ import (
 	"persona/internal/formats/fastq"
 	"persona/internal/formats/sam"
 	"persona/internal/markdup"
+	"persona/internal/varcall"
 )
 
 // A Pipeline is a validated, composable stage graph over a Session: one
@@ -67,6 +68,7 @@ type stageKind int
 const (
 	stageRead stageKind = iota
 	stageImportFASTQ
+	stageImportSAM
 	stageAlign
 	stageSort
 	stageMarkDup
@@ -74,6 +76,7 @@ const (
 	stageExportSAM
 	stageExportBAM
 	stageExportFASTQ
+	stageCallVariants
 	stageWrite
 	stageWriteBack
 )
@@ -84,6 +87,8 @@ func (k stageKind) String() string {
 		return "read"
 	case stageImportFASTQ:
 		return "import-fastq"
+	case stageImportSAM:
+		return "import-sam"
 	case stageAlign:
 		return "align"
 	case stageSort:
@@ -98,6 +103,8 @@ func (k stageKind) String() string {
 		return "export-bam"
 	case stageExportFASTQ:
 		return "export-fastq"
+	case stageCallVariants:
+		return "call-variants"
 	case stageWrite:
 		return "write"
 	case stageWriteBack:
@@ -112,15 +119,17 @@ func (k stageKind) isSink() bool { return k >= stageExportSAM }
 type pipeStage struct {
 	kind      stageKind
 	dataset   string          // stageRead, stageWrite
-	src       io.Reader       // stageImportFASTQ
+	src       io.Reader       // stageImport*
 	refs      []agd.RefSeq    // stageImportFASTQ
-	chunkSize int             // stageImportFASTQ
+	chunkSize int             // stageImport*
 	idx       *Index          // stageAlign
 	alignOpts AlignOptions    // stageAlign
 	paired    bool            // stageAlign
 	by        SortKey         // stageSort
 	pred      FilterPredicate // stageFilter
 	dst       io.Writer       // stageExport*
+	ref       *Genome         // stageCallVariants
+	variants  *[]Variant      // stageCallVariants: where the calls go
 }
 
 // Read starts a pipeline over an existing AGD dataset in the session's
@@ -483,7 +492,7 @@ func (p *Pipeline) stageNames() []string {
 }
 
 // openSource validates the graph and opens the source stream, returning
-// the source dataset's manifest too (nil for a FASTQ source). pipelining
+// the source dataset's manifest too (nil for an import source). pipelining
 // sizes a pumped FASTQ source's builder pool (0 on a serial run).
 func (p *Pipeline) openSource(pipelining int) (*agd.GroupStream, *agd.Manifest, error) {
 	sess := p.sess
@@ -514,6 +523,12 @@ func (p *Pipeline) openSource(pipelining int) (*agd.GroupStream, *agd.Manifest, 
 			RefSeqs:    src.refs,
 			Pipelining: pipelining,
 		}), nil, nil
+	case stageImportSAM:
+		if err := p.validate([]string{agd.ColBases, agd.ColQual, agd.ColMetadata, agd.ColResults}, true); err != nil {
+			return nil, nil, err
+		}
+		in, err := sam.ImportStream(src.src, sam.ImportOptions{ChunkSize: src.chunkSize})
+		return in, nil, err
 	}
 	return nil, nil, fmt.Errorf("persona: pipeline has no source")
 }
@@ -543,6 +558,8 @@ func (p *Pipeline) sourceColumns(all []string) []string {
 			fallthrough
 		case stageExportFASTQ:
 			read[agd.ColBases], read[agd.ColQual], read[agd.ColMetadata] = true, true, true
+		case stageCallVariants:
+			read[agd.ColBases], read[agd.ColQual], read[agd.ColResults] = true, true, true
 		}
 	}
 	var cols []string
@@ -598,6 +615,14 @@ func (p *Pipeline) runSink(ctx context.Context, stream *agd.GroupStream, src *ag
 		return bam.ExportStreamOn(ctx, stream, sink.dst, sess.exec)
 	case stageExportFASTQ:
 		return fastq.ExportStream(ctx, stream, sink.dst)
+	case stageCallVariants:
+		pile := varcall.NewPileup(sink.ref)
+		err := pile.AddStream(ctx, stream, varcall.NewOptions())
+		if err == nil {
+			*sink.variants, err = pile.Call(varcall.NewOptions())
+		}
+		reads, _ := pile.Stats()
+		return uint64(reads), err
 	case stageWrite:
 		// The write replaces whatever blobs the target dataset had: drop any
 		// cached chunks/manifest for it, then remember the fresh manifest so
