@@ -126,81 +126,24 @@ func SortStream(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, o
 // requested; pipelining > 1 draws from a bounded pool of that many sets, so a
 // pumped edge can queue groups that stay valid until Release.
 func MergeStream(merger *RunMerger, meta agd.StreamMeta, pipelining int) *agd.GroupStream {
-	specs := agd.SpecsForColumns(meta.Columns)
-	ms := &mergeGroupStream{
-		merger:    merger,
-		specs:     specs,
-		chunkSize: meta.ChunkSize,
-		total:     int(meta.NumRecords),
-	}
-	if pipelining > 1 {
-		ms.pool = agd.NewBuilderPool(pipelining, specs)
-	} else {
-		ms.fixed = &agd.BuilderSet{Builders: make([]*agd.ChunkBuilder, len(specs))}
-		for i, spec := range specs {
-			ms.fixed.Builders[i] = agd.NewChunkBuilder(spec.Type, 0)
-		}
-	}
-	out := agd.NewGroupStream(meta, ms.next, nil)
-	out.Owned = ms.pool != nil
-	return out
-}
-
-// mergeGroupStream is the state behind MergeStream.
-type mergeGroupStream struct {
-	merger    *RunMerger
-	fixed     *agd.BuilderSet
-	pool      *agd.BuilderPool
-	specs     []agd.ColumnSpec
-	chunkSize int
-	total     int
-	emitted   int
-	chunkIdx  int
-}
-
-func (ms *mergeGroupStream) next(ctx context.Context) (*agd.RowGroup, error) {
-	if ms.emitted >= ms.total {
-		return nil, io.EOF
-	}
-	rows := ms.total - ms.emitted
-	if rows > ms.chunkSize {
-		rows = ms.chunkSize
-	}
-	set := ms.fixed
-	if ms.pool != nil {
-		var err error
-		if set, err = ms.pool.Get(ctx, uint64(ms.emitted)); err != nil {
-			return nil, err
-		}
-	}
-	builders := set.Builders
-	for i, spec := range ms.specs {
-		builders[i].Reset(spec.Type, uint64(ms.emitted))
-	}
-	// Run rows hold every column in stored representation (bases stay
-	// compacted), so the merge moves bytes without re-encoding.
-	for r := 0; r < rows; r++ {
-		fields, ok, err := ms.merger.Next()
-		if err == nil && !ok {
-			err = fmt.Errorf("agdsort: merge ran out of rows")
-		}
-		if err != nil {
-			if ms.pool != nil {
-				ms.pool.Put(set)
+	left := int(meta.NumRecords)
+	return agd.FillStream(meta, agd.SpecsForColumns(meta.Columns), pipelining, func(b []*agd.ChunkBuilder) (int, error) {
+		rows := min(left, meta.ChunkSize)
+		// Run rows hold every column in stored representation (bases stay
+		// compacted), so the merge moves bytes without re-encoding.
+		for r := 0; r < rows; r++ {
+			fields, ok, err := merger.Next()
+			if err == nil && !ok {
+				err = fmt.Errorf("agdsort: merge ran out of rows")
 			}
-			return nil, err
+			if err != nil {
+				return r, err
+			}
+			for i, f := range fields {
+				b[i].Append(f)
+			}
 		}
-		for i, f := range fields {
-			builders[i].Append(f)
-		}
-	}
-	var release func()
-	if ms.pool != nil {
-		put := set
-		release = func() { ms.pool.Put(put) }
-	}
-	g := agd.NewRowGroup(ms.chunkIdx, 0, set.Chunks(), release)
-	ms.chunkIdx++
-	ms.emitted += rows
-	return g, nil
+		left -= rows
+		return rows, nil
+	})
 }
