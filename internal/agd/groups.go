@@ -266,7 +266,7 @@ func (bp *BuilderPool) Size() int { return bp.pool.Size() }
 func (bp *BuilderPool) Free() int { return bp.pool.Free() }
 
 // FillStream is a pipeline source over a parser — the scaffold the file
-// importers share. Each Next resets a set of chunk builders, one per spec, to
+// importers and the sort's merge share. Each Next resets a set of chunk builders, one per spec, to
 // the group's first record ordinal and hands them to fill, which appends up
 // to a chunk of rows and returns how many it appended; those rows are the
 // group. A fill that appends no rows ends the stream, and one that fails ends
@@ -308,20 +308,20 @@ func FillStream(meta StreamMeta, specs []ColumnSpec, window int, fill func(build
 		if err == nil && rows == 0 {
 			err = io.EOF
 		}
-		var release func()
-		if pool != nil {
-			release = func() { pool.Put(set) }
-		}
 		if err != nil {
 			done = true
-			if release != nil {
-				release()
+			if pool != nil {
+				pool.Put(set)
 			}
 			return nil, err
 		}
+		g := &RowGroup{Index: index, Chunks: set.Chunks()}
+		if pool != nil {
+			g.release = func() { pool.Put(set) }
+		}
 		ordinal += uint64(rows)
 		index++
-		return &RowGroup{Index: index - 1, Chunks: set.Chunks(), release: release}, nil
+		return g, nil
 	}
 	gs := NewGroupStream(meta, next, nil)
 	gs.Owned = pool != nil
