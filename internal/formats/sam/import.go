@@ -51,7 +51,6 @@ func ImportStream(src io.Reader, opts ImportOptions) (*agd.GroupStream, error) {
 	if !more {
 		return nil, fmt.Errorf("sam: stream has no alignment records")
 	}
-	im.pending = true
 	im.refmap = NewRefMap(refs)
 	meta := agd.StreamMeta{
 		Columns:   []string{agd.ColBases, agd.ColQual, agd.ColMetadata, agd.ColResults},
@@ -60,10 +59,11 @@ func ImportStream(src io.Reader, opts ImportOptions) (*agd.GroupStream, error) {
 		ChunkSize: chunkSize,
 	}
 	specs := append(agd.StandardReadColumns(), agd.ColumnSpec{Name: agd.ColResults, Type: agd.TypeResults})
+	pending := true // im.line holds a record not yet parsed
 	return agd.FillStream(meta, specs, 0, func(b []*agd.ChunkBuilder) (int, error) {
 		rows := 0
 		for rows < chunkSize {
-			if !im.pending {
+			if !pending {
 				ok, err := im.nextLine()
 				if err != nil || !ok {
 					return rows, err
@@ -72,7 +72,7 @@ func ImportStream(src io.Reader, opts ImportOptions) (*agd.GroupStream, error) {
 					continue
 				}
 			}
-			im.pending = false
+			pending = false
 			if err := im.record(b); err != nil {
 				return rows, err
 			}
@@ -88,8 +88,7 @@ type importer struct {
 	br      *bufio.Reader
 	refmap  *RefMap
 	line    []byte
-	lineNum int  // non-empty lines read
-	pending bool // line holds a record not yet parsed
+	lineNum int // non-empty lines read
 	eof     bool
 	fields  [][]byte
 	rc      []byte // reverse-complement scratch
