@@ -103,9 +103,9 @@ func alignedStore(t *testing.T, dir string) {
 	run(cmdAlign, "-store", dir, "-name", "ds")
 }
 
-// TestImportSAMRoundTrip: SAM text that `import-sam` stores comes back out
-// of `export -format sam` byte for byte.
-func TestImportSAMRoundTrip(t *testing.T) {
+// TestImportSAMCommandRoundTrip: SAM text that `import-sam` stores comes
+// back out of `export -format sam` byte for byte.
+func TestImportSAMCommandRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	store := filepath.Join(dir, "store")
 	alignedStore(t, store)
