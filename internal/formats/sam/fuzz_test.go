@@ -125,8 +125,8 @@ func FuzzImportSAM(f *testing.F) {
 		}
 		refmap := NewRefMap(in.Meta.RefSeqs)
 		lines := recordLines(string(body))
-		if len(rows) > len(lines) {
-			t.Fatalf("%d rows from %d record lines", len(rows), len(lines))
+		if len(rows) > len(lines) || err == nil && len(rows) != len(lines) {
+			t.Fatalf("%d rows from %d record lines (error %v)", len(rows), len(lines), err)
 		}
 		for i, row := range rows {
 			want, perr := stringRow(lines[i], refmap)
