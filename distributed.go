@@ -119,7 +119,7 @@ func (p *Pipeline) runDistributed(ctx context.Context) (report *PipelineReport, 
 	// The run's own error is the one reported.
 	defer func() {
 		if err != nil {
-			_ = sweep(sess.store, runPrefix)
+			_ = agd.DeletePrefix(sess.store, runPrefix+"/")
 		}
 	}()
 
@@ -165,8 +165,8 @@ func (p *Pipeline) runDistributed(ctx context.Context) (report *PipelineReport, 
 			return nil, err
 		}
 		report.Records = n
-		if err := sweep(sess.store, runPrefix); err != nil {
-			return nil, err
+		if err := agd.DeletePrefix(sess.store, runPrefix+"/"); err != nil {
+			return nil, fmt.Errorf("persona: sweep run %q: %w", runPrefix, err)
 		}
 	}
 
@@ -180,20 +180,6 @@ func (p *Pipeline) runDistributed(ctx context.Context) (report *PipelineReport, 
 	report.Stages[len(report.Stages)-1].Records = report.Records
 	report.Stages[len(report.Stages)-1].Elapsed = report.Elapsed
 	return report, nil
-}
-
-// sweep deletes every blob under prefix.
-func sweep(store Store, prefix string) error {
-	names, err := store.List(prefix + "/")
-	if err != nil {
-		return fmt.Errorf("persona: list run %q: %w", prefix, err)
-	}
-	for _, name := range names {
-		if err := store.Delete(name); err != nil {
-			return fmt.Errorf("persona: sweep run %q: %w", name, err)
-		}
-	}
-	return nil
 }
 
 // exportDistributed streams the distributed run's stitched output dataset

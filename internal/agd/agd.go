@@ -116,3 +116,18 @@ type BlobStore interface {
 	// List returns the names of blobs with the given prefix, sorted.
 	List(prefix string) ([]string, error)
 }
+
+// DeletePrefix deletes every blob whose name starts with prefix: one List,
+// then a Delete per name, stopping at the first failure.
+func DeletePrefix(store BlobStore, prefix string) error {
+	names, err := store.List(prefix)
+	if err != nil {
+		return fmt.Errorf("agd: list %q: %w", prefix, err)
+	}
+	for _, name := range names {
+		if err := store.Delete(name); err != nil {
+			return fmt.Errorf("agd: delete %q: %w", name, err)
+		}
+	}
+	return nil
+}

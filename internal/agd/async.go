@@ -3,8 +3,6 @@ package agd
 import (
 	"context"
 	"fmt"
-	"io"
-	"os"
 	"sync/atomic"
 )
 
@@ -78,10 +76,13 @@ type AsyncBlobStore interface {
 // was never built for concurrency.
 const asyncAdapterParallelism = 32
 
-// AsyncOf returns store as an AsyncBlobStore. Stores with a native async
-// path (MemStore, DirStore, the object store) are returned unchanged; any
-// other store is wrapped in an adapter that services GetAsync on a bounded
-// set of fetch goroutines.
+// AsyncOf returns store as an AsyncBlobStore. A store passes through only
+// when its async read differs in kind from the adapter: MemStore answers
+// with pre-resolved futures, DirStore drains a batch on a pread worker pool,
+// the object store queues per OSD and the retry layer hedges. Every other
+// store and wrapper, the fault and latency stores included, gets the
+// adapter, which services GetAsync on a bounded set of goroutines calling
+// the store's Get.
 func AsyncOf(store BlobStore) AsyncBlobStore {
 	if as, ok := store.(AsyncBlobStore); ok {
 		return as
@@ -138,28 +139,17 @@ func (s *MemStore) GetBatch(names []string) []*Future {
 	return futs
 }
 
-// GetAsync implements AsyncBlobStore: file reads run on a bounded set of
-// goroutines so a batch keeps several disk requests in flight. As in the
-// generic adapter, the semaphore gates goroutine creation itself.
+// GetAsync implements AsyncBlobStore as a one-name GetBatch.
 func (s *DirStore) GetAsync(name string) *Future {
-	if s.sem == nil { // zero-value store: read synchronously
-		return ResolvedFuture(s.Get(name))
-	}
-	fut, resolve := NewFuture()
-	s.sem <- struct{}{}
-	go func() {
-		defer func() { <-s.sem }()
-		resolve(s.Get(name))
-	}()
-	return fut
+	return s.GetBatch([]string{name})[0]
 }
 
 // GetBatch implements AsyncBlobStore with a real batched read loop instead
 // of one goroutine per name: a bounded set of workers drains the batch via
-// an atomic cursor, and each blob is read with stat + a positional-read
-// (pread) loop into an exactly-sized buffer — the portable first step of
-// the io_uring-style DirStore (one syscall loop per worker, no per-name
-// goroutine spawn, no ReadFile readdir/grow overhead).
+// an atomic cursor, each reading its blobs with Get (stat + one vectored
+// pread into an exactly-sized buffer) — the portable first step of the
+// io_uring-style DirStore (one syscall loop per worker, no per-name
+// goroutine spawn).
 func (s *DirStore) GetBatch(names []string) []*Future {
 	futs := make([]*Future, len(names))
 	if len(names) == 0 {
@@ -206,7 +196,7 @@ func (s *DirStore) GetBatch(names []string) []*Future {
 					resolves[i](nil, fmt.Errorf("get %q: batch aborted: %w", batch[i], f.err))
 					continue
 				}
-				data, err := s.readBlob(batch[i])
+				data, err := s.Get(batch[i])
 				if err != nil {
 					firstErr.CompareAndSwap(nil, &batchFailure{name: batch[i], err: err})
 				}
@@ -221,34 +211,6 @@ func (s *DirStore) GetBatch(names []string) []*Future {
 type batchFailure struct {
 	name string
 	err  error
-}
-
-// readBlob reads one blob with stat + a positional vectored read into an
-// exactly-sized buffer: on 64-bit Linux the whole blob arrives in one preadv
-// (store_linux.go), elsewhere in a portable ReadAt loop.
-func (s *DirStore) readBlob(name string) ([]byte, error) {
-	f, err := os.Open(s.path(name))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("get %q: %w", name, ErrNotFound)
-		}
-		return nil, fmt.Errorf("get %q: %w", name, err)
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("get %q: %w", name, err)
-	}
-	buf := make([]byte, info.Size())
-	if err := readVectored(f, 0, [][]byte{buf}); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			// The file shrank between stat and read; whatever exists was
-			// read, but the caller cannot know how much — treat as corrupt.
-			return nil, fmt.Errorf("get %q: %w: blob shrank mid-read", name, ErrCorrupt)
-		}
-		return nil, fmt.Errorf("get %q: %w", name, err)
-	}
-	return buf, nil
 }
 
 var (

@@ -1,7 +1,6 @@
 package agd
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -71,11 +70,11 @@ func (m *Manifest) ChunkBlobPath(i int, col string) string {
 
 // RegisterColumn appends a column name to the manifest (whose chunk blobs
 // must already exist, e.g. written by cluster workers) and persists the
-// updated manifest. On range-capable stores the existence checks probe only
-// each blob's 40-byte header (validated against the manifest's record
-// counts) on a bounded worker pool; elsewhere they fall back to async
-// full-blob batches, costing a round trip per window instead of one per
-// chunk.
+// updated manifest. Every chunk blob is probed first, on a bounded worker
+// pool, for its 40-byte header through RangeOf(store): the magic, the
+// version and the record count the manifest gives that chunk must all hold,
+// on every store. A DirStore reads just the header; any other store fetches
+// the blob and slices it.
 func RegisterColumn(store BlobStore, m *Manifest, col string) (*Manifest, error) {
 	if m.HasColumn(col) {
 		return nil, fmt.Errorf("agd: dataset %q already has column %q", m.Name, col)
@@ -94,58 +93,41 @@ func RegisterColumn(store BlobStore, m *Manifest, col string) (*Manifest, error)
 // registerProbeWorkers bounds concurrent header probes during RegisterColumn.
 const registerProbeWorkers = 16
 
-// verifyColumnBlobs checks that every chunk blob of col exists (and, where
-// only headers are fetched, that record counts match the manifest).
+// verifyColumnBlobs checks that every chunk blob of col exists, is a chunk,
+// and holds the record count the manifest gives it.
 func verifyColumnBlobs(store BlobStore, m *Manifest, col string) error {
-	if rs, ok := store.(RangeBlobStore); ok {
-		workers := min(registerProbeWorkers, len(m.Chunks))
-		var cursor atomic.Int64
-		errs := make(chan error, workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				for {
-					i := int(cursor.Add(1)) - 1
-					if i >= len(m.Chunks) {
-						errs <- nil
-						return
-					}
-					meta, err := ReadChunkMeta(rs, m.ChunkBlobPath(i, col))
-					if err != nil {
-						errs <- fmt.Errorf("agd: registering column %q: chunk %d: %w", col, i, err)
-						return
-					}
-					if meta.Records != m.Chunks[i].Records {
-						errs <- fmt.Errorf("agd: registering column %q: chunk %d has %d records, manifest says %d",
-							col, i, meta.Records, m.Chunks[i].Records)
-						return
-					}
+	rs := RangeOf(store)
+	workers := min(registerProbeWorkers, len(m.Chunks))
+	var cursor atomic.Int64
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			for {
+				i := int(cursor.Add(1)) - 1
+				if i >= len(m.Chunks) {
+					errs <- nil
+					return
 				}
-			}()
-		}
-		var first error
-		for w := 0; w < workers; w++ {
-			if err := <-errs; err != nil && first == nil {
-				first = err
+				meta, err := ReadChunkMeta(rs, m.ChunkBlobPath(i, col))
+				if err != nil {
+					errs <- fmt.Errorf("agd: registering column %q: chunk %d: %w", col, i, err)
+					return
+				}
+				if meta.Records != m.Chunks[i].Records {
+					errs <- fmt.Errorf("agd: registering column %q: chunk %d has %d records, manifest says %d",
+						col, i, meta.Records, m.Chunks[i].Records)
+					return
+				}
 			}
-		}
-		return first
+		}()
 	}
-	const checkWindow = 64
-	as := AsyncOf(store)
-	names := make([]string, 0, checkWindow)
-	for lo := 0; lo < len(m.Chunks); lo += checkWindow {
-		hi := min(lo+checkWindow, len(m.Chunks))
-		names = names[:0]
-		for i := lo; i < hi; i++ {
-			names = append(names, m.ChunkBlobPath(i, col))
-		}
-		for i, fut := range as.GetBatch(names) {
-			if _, err := fut.Wait(context.Background()); err != nil {
-				return fmt.Errorf("agd: registering column %q: chunk %d blob missing: %w", col, lo+i, err)
-			}
+	var first error
+	for w := 0; w < workers; w++ {
+		if err := <-errs; err != nil && first == nil {
+			first = err
 		}
 	}
-	return nil
+	return first
 }
 
 // NumRecords returns the dataset's total record count.

@@ -35,9 +35,11 @@ type RangeBlobStore interface {
 	GetRanges(name string, ranges []ByteRange) ([][]byte, error)
 }
 
-// RangeOf returns store as a RangeBlobStore: native implementations
-// (MemStore, DirStore) pass through, anything else is emulated over full
-// Gets — correct everywhere, byte-saving only where the store cooperates.
+// RangeOf returns store as a RangeBlobStore. Only DirStore passes through,
+// because its vectored positional reads move just the requested bytes; every
+// other store and wrapper gets the adapter, which slices each range out of
+// one full Get — correct everywhere, byte-saving only where the store
+// cooperates.
 func RangeOf(store BlobStore) RangeBlobStore {
 	if rs, ok := store.(RangeBlobStore); ok {
 		return rs
@@ -46,24 +48,24 @@ func RangeOf(store BlobStore) RangeBlobStore {
 }
 
 // rangeAdapter emulates range reads on a plain BlobStore by slicing the full
-// blob.
+// blob. The returned slices alias what Get returned (on a MemStore, the
+// stored blob itself); callers must not mutate them.
 type rangeAdapter struct {
 	BlobStore
 }
 
-func sliceRange(blob []byte, name string, off int64, n int) ([]byte, error) {
-	if off < 0 || n < 0 || off+int64(n) > int64(len(blob)) {
-		return nil, fmt.Errorf("get range %q [%d:+%d]: %w", name, off, n, io.ErrUnexpectedEOF)
-	}
-	return blob[off : off+int64(n)], nil
+// inBlob reports whether [off, off+n) lies within a blob of size bytes,
+// without letting off+n overflow.
+func inBlob(off int64, n int, size int64) bool {
+	return off >= 0 && n >= 0 && off <= size && int64(n) <= size-off
 }
 
 func (a rangeAdapter) GetRange(name string, off int64, n int) ([]byte, error) {
-	blob, err := a.Get(name)
+	bufs, err := a.GetRanges(name, []ByteRange{{Off: off, Len: n}})
 	if err != nil {
 		return nil, err
 	}
-	return sliceRange(blob, name, off, n)
+	return bufs[0], nil
 }
 
 func (a rangeAdapter) GetRanges(name string, ranges []ByteRange) ([][]byte, error) {
@@ -73,34 +75,10 @@ func (a rangeAdapter) GetRanges(name string, ranges []ByteRange) ([][]byte, erro
 	}
 	out := make([][]byte, len(ranges))
 	for i, r := range ranges {
-		if out[i], err = sliceRange(blob, name, r.Off, r.Len); err != nil {
-			return nil, err
+		if !inBlob(r.Off, r.Len, int64(len(blob))) {
+			return nil, fmt.Errorf("get range %q [%d:+%d]: %w", name, r.Off, r.Len, io.ErrUnexpectedEOF)
 		}
-	}
-	return out, nil
-}
-
-// GetRange implements RangeBlobStore. The returned slice aliases the stored
-// blob (as Get does); callers must not mutate it.
-func (s *MemStore) GetRange(name string, off int64, n int) ([]byte, error) {
-	blob, err := s.Get(name)
-	if err != nil {
-		return nil, err
-	}
-	return sliceRange(blob, name, off, n)
-}
-
-// GetRanges implements RangeBlobStore.
-func (s *MemStore) GetRanges(name string, ranges []ByteRange) ([][]byte, error) {
-	blob, err := s.Get(name)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, len(ranges))
-	for i, r := range ranges {
-		if out[i], err = sliceRange(blob, name, r.Off, r.Len); err != nil {
-			return nil, err
-		}
+		out[i] = blob[r.Off : r.Off+int64(r.Len)]
 	}
 	return out, nil
 }
@@ -115,11 +93,12 @@ func (s *DirStore) GetRange(name string, off int64, n int) ([]byte, error) {
 	return bufs[0], nil
 }
 
-// GetRanges implements RangeBlobStore. The file opens once; maximal runs of
-// exactly-adjacent ranges (each starting where the previous ended) collapse
-// into a single vectored positional read — one preadv syscall scattering a
-// contiguous region across the result buffers on Linux, a ReadAt loop
-// elsewhere. Disjoint ranges cost one vectored read each.
+// GetRanges implements RangeBlobStore. The file opens once, and every range
+// is checked against its size before any buffer is allocated; maximal runs
+// of exactly-adjacent ranges (each starting where the previous ended)
+// collapse into a single vectored positional read — one preadv syscall
+// scattering a contiguous region across the result buffers on Linux, a
+// ReadAt loop elsewhere. Disjoint ranges cost one vectored read each.
 func (s *DirStore) GetRanges(name string, ranges []ByteRange) ([][]byte, error) {
 	f, err := os.Open(s.path(name))
 	if err != nil {
@@ -129,9 +108,13 @@ func (s *DirStore) GetRanges(name string, ranges []ByteRange) ([][]byte, error) 
 		return nil, fmt.Errorf("get range %q: %w", name, err)
 	}
 	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("get range %q: %w", name, err)
+	}
 	out := make([][]byte, len(ranges))
 	for i, r := range ranges {
-		if r.Off < 0 || r.Len < 0 {
+		if !inBlob(r.Off, r.Len, info.Size()) {
 			return nil, fmt.Errorf("get range %q [%d:+%d]: %w", name, r.Off, r.Len, io.ErrUnexpectedEOF)
 		}
 		out[i] = make([]byte, r.Len)
@@ -170,8 +153,8 @@ type ChunkMeta struct {
 }
 
 // ReadChunkMeta fetches and validates just the 40-byte header of a chunk
-// blob — an existence + metadata probe that moves 40 bytes instead of the
-// whole object on range-capable stores.
+// blob through RangeOf(store) — an existence + metadata probe that moves 40
+// bytes instead of the whole object on a DirStore.
 func ReadChunkMeta(store BlobStore, name string) (ChunkMeta, error) {
 	hdr, err := RangeOf(store).GetRange(name, 0, chunkHeaderSize)
 	if err != nil {
@@ -204,6 +187,6 @@ func parseChunkMeta(hdr []byte) (ChunkMeta, error) {
 }
 
 var (
-	_ RangeBlobStore = (*MemStore)(nil)
 	_ RangeBlobStore = (*DirStore)(nil)
+	_ RangeBlobStore = rangeAdapter{}
 )

@@ -5,12 +5,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"testing"
 )
 
 // rangeStores builds the three RangeBlobStore flavors over the same payload:
-// native MemStore, native DirStore (vectored read path), and the full-Get
-// emulation over a store that hides its range capability.
+// RangeOf over a MemStore, the native DirStore (vectored read path), and the
+// full-Get emulation over a store that hides every method but the BlobStore
+// ones.
 func rangeStores(t *testing.T, name string, payload []byte) map[string]RangeBlobStore {
 	t.Helper()
 	mem := NewMemStore()
@@ -24,7 +26,7 @@ func rangeStores(t *testing.T, name string, payload []byte) map[string]RangeBlob
 		}
 	}
 	return map[string]RangeBlobStore{
-		"mem":     mem,
+		"mem":     RangeOf(mem),
 		"dir":     dir,
 		"adapter": RangeOf(opaqueStore{mem}),
 	}
@@ -209,4 +211,72 @@ func TestGetRangeShortFile(t *testing.T) {
 	if _, err := dir.GetRange("b", -1, 4); err == nil {
 		t.Fatal("negative offset accepted")
 	}
+}
+
+// encodeFuzzRanges packs ranges as the varint pairs FuzzGetRanges decodes.
+func encodeFuzzRanges(ranges ...ByteRange) []byte {
+	var b []byte
+	for _, r := range ranges {
+		b = binary.AppendVarint(b, r.Off)
+		b = binary.AppendVarint(b, int64(r.Len))
+	}
+	return b
+}
+
+// FuzzGetRanges holds DirStore's vectored, coalescing GetRanges to the naive
+// per-range reads RangeOf gives a store with nothing but Get: for an
+// arbitrary payload and an arbitrary list of ranges (varint offset and
+// length pairs, negative and overflowing ones included), both return the
+// same buffers, or both fail with an error wrapping io.ErrUnexpectedEOF.
+func FuzzGetRanges(f *testing.F) {
+	payload := []byte("0123456789abcdefghijklmnopqrstuvwxyz")
+	f.Add(payload, encodeFuzzRanges(ByteRange{0, 10}, ByteRange{10, 6}, ByteRange{30, 6}))
+	f.Add(payload, encodeFuzzRanges(ByteRange{0, 8}, ByteRange{8, 0}, ByteRange{8, 8}, ByteRange{4, 4}))
+	f.Add(payload, encodeFuzzRanges(ByteRange{36, 0}, ByteRange{40, 0}))
+	f.Add(payload, encodeFuzzRanges(ByteRange{30, 10}))
+	f.Add(payload, encodeFuzzRanges(ByteRange{-1, 4}, ByteRange{0, -1}))
+	f.Add(payload, encodeFuzzRanges(ByteRange{math.MaxInt64 - 1, 4}))
+	f.Add([]byte{}, encodeFuzzRanges(ByteRange{0, 0}, ByteRange{0, 1}))
+	dir, err := NewDirStoreNoSync(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	mem := NewMemStore()
+	naive := RangeOf(opaqueStore{mem})
+	f.Fuzz(func(t *testing.T, payload, encoded []byte) {
+		var ranges []ByteRange
+		for len(encoded) > 0 && len(ranges) < 64 {
+			off, n := binary.Varint(encoded)
+			if n <= 0 {
+				break
+			}
+			length, m := binary.Varint(encoded[n:])
+			if m <= 0 {
+				break
+			}
+			encoded = encoded[n+m:]
+			ranges = append(ranges, ByteRange{Off: off, Len: int(length)})
+		}
+		for _, s := range []BlobStore{dir, mem} {
+			if err := s.Put("blob", payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, gotErr := dir.GetRanges("blob", ranges)
+		want, wantErr := naive.GetRanges("blob", ranges)
+		if gotErr != nil || wantErr != nil {
+			if !errors.Is(gotErr, io.ErrUnexpectedEOF) || !errors.Is(wantErr, io.ErrUnexpectedEOF) {
+				t.Fatalf("ranges %v over %d bytes: DirStore error %v, naive error %v", ranges, len(payload), gotErr, wantErr)
+			}
+			return
+		}
+		if len(got) != len(ranges) || len(want) != len(ranges) {
+			t.Fatalf("ranges %v: %d and %d buffers", ranges, len(got), len(want))
+		}
+		for i := range ranges {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("range %d %v over %d bytes: DirStore read %q, naive %q", i, ranges[i], len(payload), got[i], want[i])
+			}
+		}
+	})
 }

@@ -3,6 +3,7 @@ package agd
 import (
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -84,7 +85,7 @@ func (s *MemStore) Size() int64 {
 // temp file, which Get and List never surface).
 type DirStore struct {
 	root string
-	// sem bounds concurrent async file reads (see GetAsync).
+	// sem bounds concurrent async file reads (see GetBatch).
 	sem chan struct{}
 	// noSync skips the fsync calls of Put (NewDirStoreNoSync): atomicity
 	// is kept (temp + rename) but durability is left to the OS — for
@@ -196,16 +197,33 @@ func syncDir(dir string) error {
 	return err
 }
 
-// Get implements BlobStore.
+// Get implements BlobStore. It is DirStore's one whole-blob reader: stat,
+// then a positional vectored read into an exactly-sized buffer — on 64-bit
+// Linux the whole blob arrives in one preadv (store_linux.go), elsewhere in
+// a portable ReadAt loop. GetBatch's workers call it too.
 func (s *DirStore) Get(name string) ([]byte, error) {
-	data, err := os.ReadFile(s.path(name))
-	if os.IsNotExist(err) {
-		return nil, fmt.Errorf("get %q: %w", name, ErrNotFound)
+	f, err := os.Open(s.path(name))
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil, fmt.Errorf("get %q: %w", name, ErrNotFound)
+		}
+		return nil, fmt.Errorf("get %q: %w", name, err)
 	}
+	defer f.Close()
+	info, err := f.Stat()
 	if err != nil {
 		return nil, fmt.Errorf("get %q: %w", name, err)
 	}
-	return data, nil
+	buf := make([]byte, info.Size())
+	if err := readVectored(f, 0, [][]byte{buf}); err != nil {
+		if err == io.ErrUnexpectedEOF {
+			// The file shrank between stat and read; whatever exists was
+			// read, but the caller cannot know how much — treat as corrupt.
+			return nil, fmt.Errorf("get %q: %w: blob shrank mid-read", name, ErrCorrupt)
+		}
+		return nil, fmt.Errorf("get %q: %w", name, err)
+	}
+	return buf, nil
 }
 
 // Delete implements BlobStore.

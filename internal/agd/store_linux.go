@@ -17,7 +17,10 @@ import (
 // store_portable.go supplies a ReadAt loop. Returns io.ErrUnexpectedEOF if
 // the file ends before the buffers are full.
 func readVectored(f *os.File, off int64, bufs [][]byte) error {
-	iovs := make([]syscall.Iovec, 0, len(bufs))
+	// A whole-blob Get reads into one buffer: a small array on the stack
+	// holds its iovec, so the read allocates nothing of its own.
+	var small [4]syscall.Iovec
+	iovs := small[:0]
 	for _, b := range bufs {
 		if len(b) == 0 {
 			continue

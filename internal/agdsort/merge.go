@@ -126,9 +126,10 @@ func (h *mergeHeap) pop() {
 }
 
 // FetchRuns fetches and decodes the named run blobs — the runs BuildRun
-// stored, or the pieces and halos a shuffle cut from them — as one batch, returning them
-// in name order with their total row count. The blobs stream in concurrently
-// (per-OSD fan-out on the object store) while the first arrivals decode.
+// stored, or the pieces and halos a shuffle cut from them — as one batch
+// through agd.AsyncOf(store), returning them in name order with their total
+// row count. The blobs stream in concurrently, however the store keeps them
+// in flight, while the first arrivals decode.
 func FetchRuns(ctx context.Context, store agd.BlobStore, names []string) ([]*agd.Chunk, int, error) {
 	futs := agd.AsyncOf(store).GetBatch(names)
 	runs := make([]*agd.Chunk, len(names))

@@ -317,14 +317,8 @@ func RunPipeline(ctx context.Context, store storage.Store, plan PipelinePlan, cf
 	// Sweep the shuffle namespace: runs, pieces and halos are all under the
 	// temp prefix, deterministic names included the re-executed ones, so one
 	// List covers everything any attempt wrote.
-	names, err := store.List(plan.TempPrefix + "/")
-	if err != nil {
-		return nil, fmt.Errorf("cluster: list temp %q: %w", plan.TempPrefix, err)
-	}
-	for _, name := range names {
-		if err := store.Delete(name); err != nil {
-			return nil, fmt.Errorf("cluster: sweep temp %q: %w", name, err)
-		}
+	if err := agd.DeletePrefix(store, plan.TempPrefix+"/"); err != nil {
+		return nil, fmt.Errorf("cluster: sweep temp %q: %w", plan.TempPrefix, err)
 	}
 	return res, nil
 }

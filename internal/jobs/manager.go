@@ -231,8 +231,9 @@ func (m *Manager) Recover() (RecoveryReport, error) {
 				j.rec.Error = "interrupted by crash with attempt budget spent: " + j.rec.Error
 				ts.Failed++
 				cp := j.rec
-				m.journal.Put(&cp)         // best effort: re-derived next boot
-				m.sweep(jobPrefix(rec.ID)) // orphaned partial blobs
+				m.journal.Put(&cp) // best effort: re-derived next boot
+				// Sweep the orphaned partial blobs.
+				agd.DeletePrefix(m.cfg.Store, jobPrefix(rec.ID)+"/")
 				rep.Finished++
 				continue
 			}
@@ -404,8 +405,10 @@ func (m *Manager) runJob(j *job) {
 		m.finish(j, jctx, nil, err)
 		return
 	}
-	if err := m.sweep(jobPrefix(rec.ID)); err != nil {
-		m.finish(j, jctx, nil, fmt.Errorf("run %q: %w", rec.ID, err))
+	// Sweeping the job's blob namespace is the idempotence lever that makes
+	// re-running an interrupted job safe.
+	if err := agd.DeletePrefix(m.cfg.Store, jobPrefix(rec.ID)+"/"); err != nil {
+		m.finish(j, jctx, nil, fmt.Errorf("run %q: sweep: %w", rec.ID, err))
 		return
 	}
 	res, err := m.execute(jctx, j.prog, rec)
@@ -583,21 +586,6 @@ func (m *Manager) journalPut(rec *Record) error {
 		return nil
 	}
 	return m.journal.Put(rec)
-}
-
-// sweep deletes every blob under prefix — the idempotence lever that makes
-// re-running an interrupted job safe.
-func (m *Manager) sweep(prefix string) error {
-	names, err := m.cfg.Store.List(prefix + "/")
-	if err != nil {
-		return fmt.Errorf("sweep %q: %w", prefix, err)
-	}
-	for _, name := range names {
-		if err := m.cfg.Store.Delete(name); err != nil {
-			return fmt.Errorf("sweep %q: %w", prefix, err)
-		}
-	}
-	return nil
 }
 
 // Status returns a job's record plus, for an in-flight attempt, the live

@@ -5,27 +5,17 @@ package storage
 // Ceph cluster (§4.2). Every OSD gets a request queue served by its own
 // worker, so a GetBatch fans out across the primaries of its blobs and the
 // per-OSD service order stays FIFO — a miniature of one outstanding-request
-// queue per object storage daemon.
+// queue per object storage daemon. The object store and the retry layer
+// (hedging) are this package's only native agd.AsyncBlobStores; the fault
+// and latency wrappers keep just Get, and agd.AsyncOf and agd.RangeOf give
+// them the shared async and range adapters.
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"persona/internal/agd"
 )
-
-// AsyncStore is a Store with asynchronous batched reads; it is
-// agd.AsyncBlobStore.
-type AsyncStore = agd.AsyncBlobStore
-
-// Future is the handle of one pending read; it is agd.Future.
-type Future = agd.Future
-
-// Async returns s as an AsyncStore: stores with a native async path (the
-// object store, MemStore, DirStore) pass through, anything else gets a
-// bounded goroutine adapter.
-func Async(s Store) AsyncStore { return agd.AsyncOf(s) }
 
 // osdQueueDepth is the per-OSD request queue capacity. Enqueueing blocks
 // beyond it, which bounds the memory a runaway prefetcher can pin.
@@ -78,10 +68,10 @@ func (s *ObjectStore) serveOSD(q chan readReq) {
 	}
 }
 
-// GetAsync implements AsyncStore: the read is enqueued on the primary
+// GetAsync implements agd.AsyncBlobStore: the read is enqueued on the primary
 // replica's OSD queue and served by that OSD's worker (falling back to
 // surviving replicas exactly like Get).
-func (s *ObjectStore) GetAsync(name string) *Future {
+func (s *ObjectStore) GetAsync(name string) *agd.Future {
 	s.ensureAsync()
 	fut, resolve := agd.NewFuture()
 	s.stats.asyncGets.Add(1)
@@ -108,12 +98,12 @@ func (s *ObjectStore) GetAsync(name string) *Future {
 	return fut
 }
 
-// GetBatch implements AsyncStore: every read goes to its own primary's
+// GetBatch implements agd.AsyncBlobStore: every read goes to its own primary's
 // queue, so the batch is serviced by as many OSD workers as it has distinct
 // primaries — the fan-out that lets one reader node saturate the cluster.
-func (s *ObjectStore) GetBatch(names []string) []*Future {
+func (s *ObjectStore) GetBatch(names []string) []*agd.Future {
 	s.stats.batches.Add(1)
-	futs := make([]*Future, len(names))
+	futs := make([]*agd.Future, len(names))
 	for i, name := range names {
 		futs[i] = s.GetAsync(name)
 	}
@@ -134,32 +124,30 @@ func (s *ObjectStore) Close() {
 	close(s.stop)
 }
 
-var _ AsyncStore = (*ObjectStore)(nil)
+var _ agd.AsyncBlobStore = (*ObjectStore)(nil)
 
 // LatencyStore wraps a Store so every read costs at least a fixed simulated
 // device latency — the reusable bench harness for remote-store experiments.
-// Synchronous Gets sleep the full delay each; asynchronous reads (GetAsync/
-// GetBatch) complete no earlier than the delay after issue but overlap both
-// each other and the underlying fetch, exactly how round trips to a remote
-// object store behave. Earlier revisions delayed only the synchronous path,
-// which silently exempted any natively-async inner store from the simulated
-// latency. Writes are not delayed: the harness isolates read latency.
+// Its one read is Get, which sleeps the delay and then reads. Async and
+// range reads come from agd.AsyncOf and agd.RangeOf: the async adapter runs
+// each Get on a goroutine of its own, so a window of reads overlaps its
+// delays the way round trips to a remote object store do, and a range read
+// pays one delay per call. Writes are not delayed: the harness isolates
+// read latency.
 type LatencyStore struct {
 	inner Store
-	as    AsyncStore
 	d     time.Duration
 }
 
-// WithLatency wraps store with d of per-read simulated latency on both the
-// synchronous and asynchronous read paths.
+// WithLatency wraps store with d of simulated latency on every read.
 func WithLatency(store Store, d time.Duration) *LatencyStore {
-	return &LatencyStore{inner: store, as: Async(store), d: d}
+	return &LatencyStore{inner: store, d: d}
 }
 
 // Delay returns the simulated per-read latency.
 func (l *LatencyStore) Delay() time.Duration { return l.d }
 
-// Get implements Store with the full delay paid synchronously.
+// Get implements Store with the full delay paid before the read.
 func (l *LatencyStore) Get(name string) ([]byte, error) {
 	time.Sleep(l.d)
 	return l.inner.Get(name)
@@ -174,54 +162,4 @@ func (l *LatencyStore) Delete(name string) error { return l.inner.Delete(name) }
 // List implements Store (not delayed).
 func (l *LatencyStore) List(prefix string) ([]string, error) { return l.inner.List(prefix) }
 
-// GetAsync implements AsyncStore: the inner fetch is issued immediately and
-// the future resolves once both the delay and the fetch have elapsed, so
-// in-flight reads overlap their latencies.
-func (l *LatencyStore) GetAsync(name string) *Future {
-	return l.delayBatch(l.as.GetBatch([]string{name}))[0]
-}
-
-// GetBatch implements AsyncStore: every read in the batch is issued at once
-// and pays the delay concurrently — a window of N reads costs one delay of
-// wall clock, not N, which is what a prefetching reader buys on a real
-// remote store.
-func (l *LatencyStore) GetBatch(names []string) []*Future {
-	return l.delayBatch(l.as.GetBatch(names))
-}
-
-func (l *LatencyStore) delayBatch(inner []*Future) []*Future {
-	futs := make([]*Future, len(inner))
-	resolves := make([]func([]byte, error), len(inner))
-	for i := range inner {
-		futs[i], resolves[i] = agd.NewFuture()
-	}
-	timer := time.After(l.d)
-	go func() {
-		<-timer
-		for i, f := range inner {
-			<-f.Done()
-			resolves[i](f.Wait(context.Background()))
-		}
-	}()
-	return futs
-}
-
-// GetRange implements agd.RangeBlobStore with the same per-read delay, so
-// header probes on a simulated remote store still cost a round trip.
-func (l *LatencyStore) GetRange(name string, off int64, n int) ([]byte, error) {
-	time.Sleep(l.d)
-	return agd.RangeOf(l.inner).GetRange(name, off, n)
-}
-
-// GetRanges implements agd.RangeBlobStore (one delay per call — the ranges
-// travel in one round trip).
-func (l *LatencyStore) GetRanges(name string, ranges []agd.ByteRange) ([][]byte, error) {
-	time.Sleep(l.d)
-	return agd.RangeOf(l.inner).GetRanges(name, ranges)
-}
-
-var (
-	_ Store              = (*LatencyStore)(nil)
-	_ AsyncStore         = (*LatencyStore)(nil)
-	_ agd.RangeBlobStore = (*LatencyStore)(nil)
-)
+var _ Store = (*LatencyStore)(nil)

@@ -16,8 +16,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"persona/internal/agd"
 )
 
 // ErrInjected is the transient error FaultStore returns for injected
@@ -78,7 +76,8 @@ type KeyFaults struct {
 type FaultPolicy struct {
 	// Seed selects the deterministic fault schedule.
 	Seed int64
-	// Reads is the default fault mix for Get/GetAsync/GetBatch.
+	// Reads is the default fault mix for Get, and so for the async and
+	// range reads agd.AsyncOf and agd.RangeOf build on it.
 	Reads OpFaults
 	// Writes is the default fault mix for Put and Delete (CorruptProb is
 	// ignored for writes).
@@ -96,11 +95,12 @@ type FaultStats struct {
 	CorruptedReads  int64
 }
 
-// FaultStore injects faults per FaultPolicy in front of any Store. It
-// implements both BlobStore and AsyncBlobStore (async reads run the same
-// injected sync path on a bounded set of goroutines, so stalls occupy a
-// slot exactly like a stuck device queue). Close unblocks in-flight stalls;
-// the wrapped store is not closed.
+// FaultStore injects faults per FaultPolicy in front of any Store. Get is
+// its one read: agd.AsyncOf runs it on the async adapter's bounded
+// goroutines, so a stalled read occupies a slot exactly like a stuck device
+// queue, and agd.RangeOf slices ranges out of it, so range reads see the
+// same faults. Close unblocks in-flight stalls; the wrapped store is not
+// closed.
 type FaultStore struct {
 	inner Store
 	pol   FaultPolicy
@@ -108,7 +108,6 @@ type FaultStore struct {
 	mu       sync.Mutex
 	attempts map[string]uint64 // per op|key deterministic attempt counter
 
-	sem      chan struct{}
 	stop     chan struct{}
 	stopOnce sync.Once
 
@@ -118,16 +117,12 @@ type FaultStore struct {
 	corruptedReads  atomic.Int64
 }
 
-// faultStoreParallelism bounds concurrent async reads through the wrapper.
-const faultStoreParallelism = 32
-
 // NewFaultStore wraps inner with pol.
 func NewFaultStore(inner Store, pol FaultPolicy) *FaultStore {
 	return &FaultStore{
 		inner:    inner,
 		pol:      pol,
 		attempts: make(map[string]uint64),
-		sem:      make(chan struct{}, faultStoreParallelism),
 		stop:     make(chan struct{}),
 	}
 }
@@ -298,29 +293,4 @@ func (s *FaultStore) List(prefix string) ([]string, error) {
 	return s.inner.List(prefix)
 }
 
-// GetAsync implements AsyncBlobStore: the injected sync read runs on a
-// bounded goroutine, so a stalled read occupies one of the wrapper's slots
-// the way a stuck request occupies a device queue.
-func (s *FaultStore) GetAsync(name string) *Future {
-	fut, resolve := agd.NewFuture()
-	s.sem <- struct{}{}
-	go func() {
-		defer func() { <-s.sem }()
-		resolve(s.Get(name))
-	}()
-	return fut
-}
-
-// GetBatch implements AsyncBlobStore.
-func (s *FaultStore) GetBatch(names []string) []*Future {
-	futs := make([]*Future, len(names))
-	for i, name := range names {
-		futs[i] = s.GetAsync(name)
-	}
-	return futs
-}
-
-var (
-	_ Store      = (*FaultStore)(nil)
-	_ AsyncStore = (*FaultStore)(nil)
-)
+var _ Store = (*FaultStore)(nil)

@@ -12,12 +12,14 @@ import (
 )
 
 // TestLatencyStoreDelaysAllReadPaths checks the wrapper's contract: sync
-// Gets pay the delay each, async batches pay it once (issued concurrently,
-// overlapped), range reads pay it, and writes pay nothing.
+// Gets pay the delay each, async batches through agd.AsyncOf pay it once
+// (issued concurrently, overlapped), range reads through agd.RangeOf pay it,
+// and writes pay nothing.
 func TestLatencyStoreDelaysAllReadPaths(t *testing.T) {
 	const d = 30 * time.Millisecond
 	mem := NewMem()
 	ls := WithLatency(mem, d)
+	as, rs := agd.AsyncOf(ls), agd.RangeOf(ls)
 	for i := 0; i < 8; i++ {
 		if err := ls.Put(string(rune('a'+i)), []byte("payload")); err != nil {
 			t.Fatal(err)
@@ -35,7 +37,7 @@ func TestLatencyStoreDelaysAllReadPaths(t *testing.T) {
 
 	// A batch of async reads overlaps: 8 reads cost ~one delay, not 8.
 	t0 = time.Now()
-	futs := ls.GetBatch([]string{"a", "b", "c", "d", "e", "f", "g", "h"})
+	futs := as.GetBatch([]string{"a", "b", "c", "d", "e", "f", "g", "h"})
 	for _, f := range futs {
 		if _, err := f.Wait(context.Background()); err != nil {
 			t.Fatal(err)
@@ -51,7 +53,7 @@ func TestLatencyStoreDelaysAllReadPaths(t *testing.T) {
 
 	// GetAsync alone also pays the delay.
 	t0 = time.Now()
-	if _, err := ls.GetAsync("a").Wait(context.Background()); err != nil {
+	if _, err := as.GetAsync("a").Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if e := time.Since(t0); e < d {
@@ -60,15 +62,15 @@ func TestLatencyStoreDelaysAllReadPaths(t *testing.T) {
 
 	// Range reads pay the delay (one per call).
 	t0 = time.Now()
-	if _, err := ls.GetRange("a", 0, 3); err != nil {
+	if _, err := rs.GetRange("a", 0, 3); err != nil {
 		t.Fatal(err)
 	}
 	if e := time.Since(t0); e < d {
 		t.Fatalf("GetRange took %v, want >= %v", e, d)
 	}
 
-	// Errors propagate through the delayed future.
-	if _, err := ls.GetAsync("missing").Wait(context.Background()); err == nil {
+	// Errors propagate through the adapter's future.
+	if _, err := as.GetAsync("missing").Wait(context.Background()); err == nil {
 		t.Fatal("missing blob resolved without error")
 	}
 
@@ -200,9 +202,9 @@ func TestFaultStoreCorruptBlobNeverCached(t *testing.T) {
 	}
 }
 
-// TestLatencyStoreConcurrentUse shakes the delayed-future plumbing under
-// -race: concurrent batches against one wrapper, with waiters on every
-// future.
+// TestLatencyStoreConcurrentUse shakes the async adapter over the wrapper
+// under -race: concurrent batches against one agd.AsyncOf view, with
+// waiters on every future.
 func TestLatencyStoreConcurrentUse(t *testing.T) {
 	mem := NewMem()
 	for _, n := range []string{"x", "y", "z"} {
@@ -210,7 +212,7 @@ func TestLatencyStoreConcurrentUse(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ls := WithLatency(mem, time.Millisecond)
+	ls := agd.AsyncOf(WithLatency(mem, time.Millisecond))
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)

@@ -327,8 +327,8 @@ func TestRetryStoreStatsDelta(t *testing.T) {
 	}
 }
 
-// TestFaultStoreAsyncPath: GetBatch through the wrapper injects the same
-// per-key faults as the sync path would.
+// TestFaultStoreAsyncPath: GetBatch through agd.AsyncOf over the wrapper
+// injects the same per-key faults as the sync path would.
 func TestFaultStoreAsyncPath(t *testing.T) {
 	inner := agd.NewMemStore()
 	for i := 0; i < 8; i++ {
@@ -340,7 +340,7 @@ func TestFaultStoreAsyncPath(t *testing.T) {
 	for i := range names {
 		names[i] = fmt.Sprintf("b%d", i)
 	}
-	futs := fs.GetBatch(names)
+	futs := agd.AsyncOf(fs).GetBatch(names)
 	errored := 0
 	for i, f := range futs {
 		data, err := f.Wait(context.Background())

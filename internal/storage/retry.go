@@ -217,7 +217,7 @@ func (l *latencyRing) p99() time.Duration {
 // AsyncBlobStore.
 type RetryStore struct {
 	inner Store
-	async AsyncStore
+	async agd.AsyncBlobStore
 	pol   RetryPolicy
 
 	budget   atomic.Int64 // remaining retry budget; meaningful iff budgeted
@@ -239,7 +239,7 @@ type RetryStore struct {
 func NewRetryStore(inner Store, pol RetryPolicy) *RetryStore {
 	r := &RetryStore{
 		inner: inner,
-		async: Async(inner),
+		async: agd.AsyncOf(inner),
 		pol:   pol.withDefaults(),
 		rng:   rand.New(rand.NewSource(rand.Int63())),
 	}
@@ -438,7 +438,7 @@ func (r *RetryStore) hedgedGet(name string) ([]byte, error) {
 // GetAsync implements AsyncBlobStore with retry + hedging. The retry loop
 // runs on its own goroutine; concurrency is bounded by the caller's batch
 // window and the inner store's own async bounds.
-func (r *RetryStore) GetAsync(name string) *Future {
+func (r *RetryStore) GetAsync(name string) *agd.Future {
 	fut, resolve := agd.NewFuture()
 	go func() {
 		resolve(r.hedgedGet(name))
@@ -448,8 +448,8 @@ func (r *RetryStore) GetAsync(name string) *Future {
 
 // GetBatch implements AsyncBlobStore: each read is independently retried
 // and hedged.
-func (r *RetryStore) GetBatch(names []string) []*Future {
-	futs := make([]*Future, len(names))
+func (r *RetryStore) GetBatch(names []string) []*agd.Future {
+	futs := make([]*agd.Future, len(names))
 	for i, name := range names {
 		futs[i] = r.GetAsync(name)
 	}
@@ -502,6 +502,6 @@ func (r *RetryStore) List(prefix string) ([]string, error) {
 }
 
 var (
-	_ Store      = (*RetryStore)(nil)
-	_ AsyncStore = (*RetryStore)(nil)
+	_ Store              = (*RetryStore)(nil)
+	_ agd.AsyncBlobStore = (*RetryStore)(nil)
 )

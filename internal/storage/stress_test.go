@@ -23,8 +23,8 @@ func TestObjectStoreGetAsyncMatchesGet(t *testing.T) {
 		}
 	}
 	// Async pass-through: the store has a native implementation.
-	if Async(s) != AsyncStore(s) {
-		t.Fatal("ObjectStore not passed through Async")
+	if agd.AsyncOf(s) != agd.AsyncBlobStore(s) {
+		t.Fatal("ObjectStore not passed through agd.AsyncOf")
 	}
 	for i := 0; i < 40; i++ {
 		got, err := s.GetAsync(fmt.Sprintf("b-%02d", i)).Wait(context.Background())
