@@ -204,19 +204,15 @@ func sortInto(t *testing.T, store agd.BlobStore, opts agdsort.Options) {
 	}
 }
 
-// eachPipeline runs build's pipeline to Write("out") on both drivers, each
-// over a fresh copy of base, and hands back the output blobs.
+// eachPipeline runs build's pipeline to Write("out") under both schedules,
+// each over a fresh copy of base, and hands back the output blobs.
 func eachPipeline(t *testing.T, base agd.BlobStore, build func(*Pipeline) *Pipeline, check func(how string, out map[string][]byte)) {
 	t.Helper()
-	for _, serial := range []bool{true, false} {
+	for _, sch := range schedules {
 		store := testutil.CopyStore(t, base)
 		sess := NewSession(store, SessionOptions{})
-		p := build(sess.Read("ds")).Write("out")
-		how := "pumped pipeline"
-		if serial {
-			p, how = p.Serial(), "serial pipeline"
-		}
-		_, err := p.Run(context.Background())
+		how := sch.name + " pipeline"
+		_, err := sch.apply(build(sess.Read("ds")).Write("out")).Run(context.Background())
 		sess.Close()
 		if err != nil {
 			t.Fatalf("%s: %v", how, err)

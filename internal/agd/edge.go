@@ -46,7 +46,6 @@ type BoundedEdge struct {
 	err        error // sticky first failure; queue is empty once set
 
 	peak       int
-	moved      int64
 	pushWaitNs int64
 	popWaitNs  int64
 }
@@ -60,9 +59,6 @@ func NewBoundedEdge(depth int) *BoundedEdge {
 	e.cond = sync.NewCond(&e.mu)
 	return e
 }
-
-// Depth returns the edge's capacity in groups.
-func (e *BoundedEdge) Depth() int { return e.depth }
 
 // Push queues a group for the consumer, blocking while the edge is full. On
 // a failed or closed edge the group is released on the caller's behalf and
@@ -90,7 +86,6 @@ func (e *BoundedEdge) Push(g *RowGroup) error {
 	if len(e.queue) > e.peak {
 		e.peak = len(e.queue)
 	}
-	e.moved++
 	e.cond.Broadcast()
 	e.mu.Unlock()
 	return nil
@@ -201,13 +196,6 @@ func (e *BoundedEdge) PeakDepth() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.peak
-}
-
-// Moved reports how many groups crossed the edge.
-func (e *BoundedEdge) Moved() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.moved
 }
 
 // PushWait reports cumulative producer time blocked on a full edge, PopWait

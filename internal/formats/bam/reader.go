@@ -2,9 +2,11 @@ package bam
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"persona/internal/agd"
@@ -15,54 +17,51 @@ import (
 
 // Reader parses a BAM file.
 type Reader struct {
-	r    *bufio.Reader
-	refs []agd.RefSeq
-	text string
-	rec  sam.Record
-	err  error
+	r     *bufio.Reader
+	refs  []agd.RefSeq
+	text  string
+	block []byte // the record being parsed, reused across Scan calls
+	rec   sam.Record
+	err   error
 }
 
-// NewReader parses the BAM header of the BGZF stream in r.
+// NewReader parses the BAM header of the BGZF stream in r. A stream that
+// ends inside the header returns an error wrapping io.ErrUnexpectedEOF.
 func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReaderSize(bgzf.NewReader(r), 1<<16)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("bam: reading magic: %w", err)
-	}
-	for i, b := range bamMagic {
-		if magic[i] != b {
-			return nil, fmt.Errorf("bam: bad magic %q", magic)
+	rd := &Reader{r: bufio.NewReaderSize(bgzf.NewReader(r), 1<<16)}
+	if err := rd.readHeader(); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
 		}
+		return nil, fmt.Errorf("bam: reading header: %w", err)
 	}
-	textLen, err := read32(br)
+	return rd, nil
+}
+
+func (rd *Reader) readHeader() error {
+	var magic [4]byte
+	if _, err := io.ReadFull(rd.r, magic[:]); err != nil {
+		return err
+	}
+	if !bytes.Equal(magic[:], bamMagic) {
+		return fmt.Errorf("bad magic %q", magic)
+	}
+	text, err := readSized(rd.r, nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	text := make([]byte, textLen)
-	if _, err := io.ReadFull(br, text); err != nil {
-		return nil, err
-	}
-	nRef, err := read32(br)
-	if err != nil {
-		return nil, err
-	}
-	refs := make([]agd.RefSeq, 0, nRef)
-	for i := uint32(0); i < nRef; i++ {
-		nameLen, err := read32(br)
-		if err != nil {
-			return nil, err
+	rd.text = string(text)
+	nRef, err := read32(rd.r)
+	// Every reference takes 8 bytes of the stream or more, so refs grows
+	// with what is read, never with what nRef claims.
+	for i := uint32(0); i < nRef && err == nil; i++ {
+		if text, err = readSized(rd.r, text); err == nil {
+			var n uint32
+			n, err = read32(rd.r)
+			rd.refs = append(rd.refs, agd.RefSeq{Name: strings.TrimRight(string(text), "\x00"), Length: int64(n)})
 		}
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(br, name); err != nil {
-			return nil, err
-		}
-		refLen, err := read32(br)
-		if err != nil {
-			return nil, err
-		}
-		refs = append(refs, agd.RefSeq{Name: strings.TrimRight(string(name), "\x00"), Length: int64(refLen)})
 	}
-	return &Reader{r: br, refs: refs, text: string(text)}, nil
+	return err
 }
 
 func read32(r io.Reader) (uint32, error) {
@@ -71,6 +70,24 @@ func read32(r io.Reader) (uint32, error) {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint32(b[:]), nil
+}
+
+// readSized reads a 32-bit little-endian length and then that many bytes
+// (l_text, l_name, block_size) into buf[:0], which grows at most 64 KiB
+// ahead of the bytes read: a corrupt length asks for no more memory than
+// the stream holds. A stream that ends before the length returns io.EOF,
+// one that ends inside the field an error wrapping io.ErrUnexpectedEOF.
+func readSized(r io.Reader, buf []byte) ([]byte, error) {
+	n, err := read32(r)
+	buf = buf[:0]
+	for err == nil && uint32(len(buf)) < n {
+		off, step := len(buf), int(min(n-uint32(len(buf)), 64<<10))
+		buf = slices.Grow(buf, step)[:off+step]
+		if _, err = io.ReadFull(r, buf[off:]); err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+	}
+	return buf, err
 }
 
 // Refs returns the reference dictionary.
@@ -84,18 +101,14 @@ func (r *Reader) Scan() bool {
 	if r.err != nil {
 		return false
 	}
-	blockSize, err := read32(r.r)
+	block, err := readSized(r.r, r.block)
 	if err != nil {
-		if err != io.EOF && err != io.ErrUnexpectedEOF {
-			r.err = err
+		if err != io.EOF {
+			r.err = fmt.Errorf("bam: truncated record: %w", err)
 		}
 		return false
 	}
-	block := make([]byte, blockSize)
-	if _, err := io.ReadFull(r.r, block); err != nil {
-		r.err = fmt.Errorf("bam: truncated record: %w", err)
-		return false
-	}
+	r.block = block
 	rec, err := parseRecord(block, r.refs)
 	if err != nil {
 		r.err = err
@@ -164,6 +177,10 @@ func parseRecord(b []byte, refs []agd.RefSeq) (sam.Record, error) {
 		op, err := align.CigarOpFromBAM(int(v & 0xf))
 		if err != nil {
 			return rec, err
+		}
+		if v>>4 == 0 {
+			// A CIGAR text with a zero-length op does not parse either.
+			return rec, fmt.Errorf("bam: cigar op %d has length 0", i)
 		}
 		cigar = append(cigar, align.CigarElem{Len: int(v >> 4), Op: op})
 	}

@@ -46,7 +46,8 @@ func (s State) Terminal() bool { return s == StateDone || s == StateFailed }
 
 // Spec is a declarative pipeline job: which dataset to read and which
 // stages to run, mirroring the Pipeline builder verbs. The zero value of
-// every knob means "skip that stage".
+// every knob means "skip that stage". An "edge_depth", which older servers
+// took, is ignored: the pipeline derives its edges from GOMAXPROCS.
 type Spec struct {
 	// Dataset names the input AGD dataset (required).
 	Dataset string `json:"dataset"`
@@ -69,9 +70,6 @@ type Spec struct {
 	Format string `json:"format"`
 	// DeadlineMS caps the job's wall time per attempt (0 = server default).
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-	// EdgeDepth overrides the pumped scheduler's bounded-queue depth
-	// (0 = pipeline default).
-	EdgeDepth int `json:"edge_depth,omitempty"`
 	// Nodes >= 1 runs the pipeline distributed across that many in-process
 	// worker nodes (the spec must then include a sort — the shuffle is the
 	// sort). 0 keeps the single-node scheduler.

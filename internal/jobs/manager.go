@@ -468,9 +468,6 @@ func (m *Manager) execute(ctx context.Context, prog *persona.Progress, rec Recor
 		p.Write(outDataset(rec.ID))
 	}
 	p.Observe(prog)
-	if spec.EdgeDepth > 0 {
-		p.EdgeDepth(spec.EdgeDepth)
-	}
 	if spec.Nodes >= 1 {
 		p.Distributed(spec.Nodes).TempPrefix(clusterPrefix(rec.ID))
 	}

@@ -7,7 +7,10 @@ package jobs
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -378,5 +381,62 @@ func TestFairShareDispatchOrder(t *testing.T) {
 	s := m.Stats()
 	if s.Tenants["a"].Weight != 2 || s.Tenants["b"].Weight != 1 {
 		t.Fatalf("tenant weights = %+v", s.Tenants)
+	}
+}
+
+// TestSpecEdgeDepthIgnored: a spec still carrying "edge_depth", which older
+// servers took, decodes and runs as one without it, whether it is submitted
+// over HTTP or replayed from the journal.
+func TestSpecEdgeDepthIgnored(t *testing.T) {
+	store := persona.NewMemStore()
+	g := importTestDataset(t, store, "ds")
+	want := directWGS(t, store, g)
+	spec := map[string]any{"dataset": "ds", "align": true, "sort": "location", "markdup": true, "format": "sam", "edge_depth": 3}
+
+	// Replayed: a pending record written with the field, as an older server
+	// journaled it before a crash.
+	rec := map[string]any{"id": "j00000007", "tenant": "acme", "spec": spec, "state": StatePending, "max_attempts": 3}
+	data, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put(journalPrefix+"j00000007", data); err != nil {
+		t.Fatal(err)
+	}
+	m, _ := newTestManager(t, store, g, nil)
+	if fin := waitTerminal(t, m, "j00000007", 30*time.Second); fin.State != StateDone {
+		t.Fatalf("replayed job = %s (%s), want DONE", fin.State, fin.Error)
+	}
+	if _, got, err := m.Result("j00000007"); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("replayed job's result differs from the direct run: %v", err)
+	}
+
+	// Submitted over HTTP.
+	srv := httptest.NewServer(m.Handler())
+	defer srv.Close()
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest("POST", srv.URL+"/v1/jobs", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(TenantHeader, "acme")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit = %d, %v", resp.StatusCode, err)
+	}
+	if fin := waitTerminal(t, m, st.ID, 30*time.Second); fin.State != StateDone {
+		t.Fatalf("submitted job = %s (%s), want DONE", fin.State, fin.Error)
+	}
+	if _, got, err := m.Result(st.ID); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("submitted job's result differs from the direct run: %v", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -41,27 +42,28 @@ import (
 //		Run(ctx)
 //
 // Run is one loop that builds each stage over the stream of the one before
-// it, with an optional edge in between. By default every edge is there: a
-// bounded queue (depth EdgeDepth, default DefaultEdgeDepth) filled by its own
-// pump goroutine, so stage N+1 consumes chunk k−1 while stage N produces
-// chunk k. Serial() leaves the edges out, and the sink pulls the whole chain
-// on the caller's goroutine; output bytes are identical either way.
+// it, with an edge in between only where a second processor can use it.
+// Above GOMAXPROCS 1 every edge is a bounded queue (pumpDepth) filled by its
+// own pump goroutine, so stage N+1 consumes chunk k−1 while stage N produces
+// chunk k. At one processor, or with Serial(), there are no edges, and the
+// sink pulls the whole chain on the caller's goroutine; output bytes are
+// identical either way.
 type Pipeline struct {
 	sess       *Session
 	stages     []pipeStage
 	serial     bool
-	edgeDepth  int
 	tempPrefix string
 	tmpSeq     atomic.Uint64
 	progress   *Progress
 	nodes      int                   // >= 1: run distributed (see Distributed)
 	distTune   func(*cluster.Config) // test hook: adjust the cluster config
+	testDepth  int                   // test hook: > 0 pumps at this depth at any GOMAXPROCS
 }
 
-// DefaultEdgeDepth is the default bounded-queue depth, in row groups, of
-// each pumped pipeline edge. Total groups in flight across a run stay under
-// the sum of its edge depths plus one in hand per stage.
-const DefaultEdgeDepth = 4
+// pumpDepth is the depth, in row groups, of every edge of a run above one
+// processor: one queued group plus one in each stage's hand. Two-core pairs
+// of wgs_fused (BENCH_41.json) find deeper edges no faster, only bigger.
+const pumpDepth = 1
 
 type stageKind int
 
@@ -197,21 +199,26 @@ func (p *Pipeline) Write(dataset string) *Pipeline {
 	return p.add(pipeStage{kind: stageWrite, dataset: dataset})
 }
 
-// Serial runs the pipeline without edges between its stages: no queues and
-// no pump goroutines, the stages advance one row group at a time on the
-// caller's goroutine. Output bytes are identical to a pumped run; only
-// scheduling differs.
+// Serial runs the pipeline without edges between its stages at any
+// processor count, as every run at GOMAXPROCS 1 does: no queues and no pump
+// goroutines, the stages advance one row group at a time on the caller's
+// goroutine. Output bytes are identical to a pumped run; only scheduling
+// differs.
 func (p *Pipeline) Serial() *Pipeline {
 	p.serial = true
 	return p
 }
 
-// EdgeDepth sets the bounded-queue depth (in row groups) of every pumped
-// edge; values < 1 select DefaultEdgeDepth. Deeper edges absorb burstier
-// stages at the cost of more groups in flight.
-func (p *Pipeline) EdgeDepth(depth int) *Pipeline {
-	p.edgeDepth = depth
-	return p
+// edgeDepth is the depth of every edge of a run, read once per Run: 0 (no
+// edges) when Serial or at GOMAXPROCS 1, pumpDepth above that.
+func (p *Pipeline) edgeDepth() int {
+	if p.serial || p.testDepth == 0 && runtime.GOMAXPROCS(0) == 1 {
+		return 0
+	}
+	if p.testDepth > 0 {
+		return p.testDepth
+	}
+	return pumpDepth
 }
 
 // TempPrefix sets the namespace a distributed run (Distributed) stores its
@@ -312,8 +319,8 @@ type PipelineReport struct {
 	// Spill is always nil: the sort keeps its runs in memory and stores
 	// none. It stays only because the benchmark (bench/) reads it.
 	Spill *SpillReport
-	// Pumped reports whether the run used the pumped scheduler; EdgeDepth
-	// is the bounded-queue depth its edges ran with (0 when serial).
+	// Pumped reports whether the run had pumped edges; EdgeDepth is their
+	// depth: 0 when Serial or at GOMAXPROCS 1, 1 above that.
 	Pumped    bool
 	EdgeDepth int
 	// Cluster carries the distributed run's cluster report (nil on
@@ -688,10 +695,10 @@ func passthroughStage(k stageKind) bool {
 }
 
 // poolWindow sizes the builder pool of the stage at index i: one set being
-// filled, plus (depth+1) per downstream edge — depth queued groups and one
-// in the consumer's hand — across consecutive passthrough stages (which keep
-// the producing stage's sets checked out beyond their own edge). An
-// undersized window would block the producer (safe back-pressure, wasted
+// filled, plus (depth+1) per downstream edge — at pumpDepth, one queued group
+// and one in the consumer's hand — across consecutive passthrough stages
+// (which keep the producing stage's sets checked out beyond their own edge).
+// An undersized window would block the producer (safe back-pressure, wasted
 // overlap); this window never blocks. A serial run (depth 0) has no edges:
 // its stages reuse one set of builders, window 0.
 func (p *Pipeline) poolWindow(i, depth int) int {
@@ -710,9 +717,9 @@ func (p *Pipeline) poolWindow(i, depth int) int {
 
 // Run plans, validates and executes the pipeline, returning the aggregated
 // report. Cancellation and deadline of ctx are checked per chunk at every
-// stage. One loop builds the graph; unless the pipeline is Serial() each
-// stage's output crosses a bounded queue drained by its own goroutine (see
-// Pipeline doc). Output bytes are identical either way.
+// stage. One loop builds the graph; above one processor, unless Serial(),
+// each stage's output crosses a bounded queue drained by its own goroutine
+// (see Pipeline doc). Output bytes are identical either way.
 func (p *Pipeline) Run(ctx context.Context) (*PipelineReport, error) {
 	if len(p.stages) < 2 {
 		return nil, fmt.Errorf("persona: pipeline has no sink (end with Export* or Write)")
@@ -735,14 +742,8 @@ func (p *Pipeline) Run(ctx context.Context) (*PipelineReport, error) {
 // output edge (downstream sees the error) and its input stream (upstream
 // pumps stop, queued groups drain back to their pools).
 func (p *Pipeline) run(ctx context.Context) (*PipelineReport, error) {
-	depth := 0
-	if !p.serial {
-		depth = p.edgeDepth
-		if depth < 1 {
-			depth = DefaultEdgeDepth
-		}
-	}
-	report := &PipelineReport{Pumped: !p.serial, EdgeDepth: depth}
+	depth := p.edgeDepth()
+	report := &PipelineReport{Pumped: depth > 0, EdgeDepth: depth}
 	base := p.snapshotBase()
 	names := p.stageNames()
 
@@ -767,7 +768,7 @@ func (p *Pipeline) run(ctx context.Context) (*PipelineReport, error) {
 		}
 		stats = append(stats, e)
 		s = instrumented(s, e, slot)
-		if p.serial {
+		if depth == 0 {
 			return s
 		}
 		edge := agd.PumpEdge(pumps, s, depth)
@@ -813,9 +814,7 @@ func (p *Pipeline) run(ctx context.Context) (*PipelineReport, error) {
 		}
 		return nil, err
 	}
-	if len(edges) > 0 {
-		sink.groups = edges[len(edges)-1].Moved()
-	}
+	sink.groups = stats[len(stats)-1].groups
 	report.Records = n
 	if dups != nil {
 		report.Dups = *dups
@@ -824,7 +823,7 @@ func (p *Pipeline) run(ctx context.Context) (*PipelineReport, error) {
 		report.Filtered = *fstats
 	}
 	if p.progress != nil {
-		p.progress.finish(n, stats[len(stats)-1].groups)
+		p.progress.finish(n, sink.groups)
 	}
 	p.finishBase(report, base)
 
@@ -842,7 +841,7 @@ func (p *Pipeline) run(ctx context.Context) (*PipelineReport, error) {
 		var wait time.Duration
 		switch {
 		case i == 0:
-		case p.serial:
+		case depth == 0:
 			wait = time.Duration(stats[i-1].nanos)
 		default:
 			wait = edges[i-1].PopWait()

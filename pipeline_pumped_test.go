@@ -1,60 +1,69 @@
 package persona
 
-// Tests for the pumped pipeline scheduler: golden byte-equivalence against
-// the serial pull scheduler at different GOMAXPROCS settings and edge
-// depths, stage accounting sanity, and teardown hygiene when the sink fails
-// mid-merge. All of these are meant to run under
-// -race with GOMAXPROCS=4 in CI.
+// Tests for the run loop's two schedules — no edges, and pumped edges of
+// depth 1 — forced through the testDepth hook so they run at any
+// GOMAXPROCS: golden byte-equivalence between them at GOMAXPROCS 1 and 4,
+// the schedule a run derives from the processor count, stage accounting
+// sanity, and teardown hygiene when the sink fails mid-merge. All of these
+// are meant to run under -race with GOMAXPROCS=4 in CI.
 
 import (
 	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"persona/internal/agd"
 )
 
-// runWGSBoth runs the canonical Read→Align→Sort→MarkDup pipeline over "ds" into
-// SAM and BAM buffers, serial or pumped (at depth, 0 = default).
-func runWGSBoth(t *testing.T, sess *Session, idx *Index, serial bool, depth int) ([]byte, []byte, *PipelineReport) {
-	t.Helper()
-	ctx := context.Background()
-	build := func(sink func(p *Pipeline) *Pipeline) *Pipeline {
-		p := sink(sess.Read("ds").Align(idx, AlignOptions{}).Sort(ByLocation).MarkDuplicates())
-		if serial {
-			p = p.Serial()
-		}
-		if depth > 0 {
-			p = p.EdgeDepth(depth)
-		}
-		return p
-	}
-	var sam, bam bytes.Buffer
-	report, err := build(func(p *Pipeline) *Pipeline { return p.ExportSAM(&sam) }).Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := build(func(p *Pipeline) *Pipeline { return p.ExportBAM(&bam) }).Run(ctx); err != nil {
-		t.Fatal(err)
-	}
-	return sam.Bytes(), bam.Bytes(), report
-}
-
-// schedules are the ways the one run loop links its stages: no edges, edges
-// that are bare handoffs, and the default depth.
-var schedules = []struct {
+// schedule is one way the run loop links its stages, whatever GOMAXPROCS
+// is; the zero value leaves the choice to the run.
+type schedule struct {
 	name   string
 	serial bool
 	depth  int
-}{
-	{"serial", true, 0},
-	{"depth1", false, 1},
-	{"default", false, 0},
+}
+
+func (s schedule) apply(p *Pipeline) *Pipeline {
+	if s.serial {
+		return p.Serial()
+	}
+	p.testDepth = s.depth
+	return p
+}
+
+// schedules are the two the run loop has: no edges, and edges of depth 1.
+var schedules = []schedule{
+	{name: "serial", serial: true},
+	{name: "depth1", depth: 1},
+}
+
+// wgsGraph is the canonical Read→Align→Sort→MarkDup pipeline over "ds",
+// ended by sink.
+func wgsGraph(sess *Session, idx *Index, sink func(p *Pipeline) *Pipeline) *Pipeline {
+	return sink(sess.Read("ds").Align(idx, AlignOptions{}).Sort(ByLocation).MarkDuplicates())
+}
+
+// runWGSBoth runs the canonical graph into SAM and BAM buffers under sch.
+func runWGSBoth(t *testing.T, sess *Session, idx *Index, sch schedule) ([]byte, []byte, *PipelineReport) {
+	t.Helper()
+	ctx := context.Background()
+	var sam, bam bytes.Buffer
+	report, err := sch.apply(wgsGraph(sess, idx, func(p *Pipeline) *Pipeline { return p.ExportSAM(&sam) })).Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sch.apply(wgsGraph(sess, idx, func(p *Pipeline) *Pipeline { return p.ExportBAM(&bam) })).Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	return sam.Bytes(), bam.Bytes(), report
 }
 
 // checkStageReports holds a serial and a pumped report of the same graph to
@@ -71,7 +80,7 @@ func checkStageReports(t *testing.T, serial, pumped *PipelineReport) {
 		if st.Stage != pu.Stage || st.Records != pu.Records {
 			t.Errorf("stage %d: serial %s/%d records, depth %d %s/%d", i, st.Stage, st.Records, pumped.EdgeDepth, pu.Stage, pu.Records)
 		}
-		if i < last && st.Groups != pu.Groups {
+		if st.Groups != pu.Groups {
 			t.Errorf("stage %s: serial %d groups, depth %d %d", st.Stage, st.Groups, pumped.EdgeDepth, pu.Groups)
 		}
 		if st.Blocked != 0 || st.PeakQueue != 0 || st.Busy < 0 {
@@ -85,8 +94,10 @@ func checkStageReports(t *testing.T, serial, pumped *PipelineReport) {
 	if sum > serial.Elapsed {
 		t.Errorf("serial stages were busy %v of a %v run", sum, serial.Elapsed)
 	}
-	if sink, before := pumped.Stages[last], pumped.Stages[last-1]; sink.Groups != before.Groups {
-		t.Errorf("depth %d sink drew %d groups, %s delivered %d", pumped.EdgeDepth, sink.Groups, before.Stage, before.Groups)
+	for _, r := range []*PipelineReport{serial, pumped} {
+		if sink, before := r.Stages[last], r.Stages[last-1]; sink.Groups != before.Groups {
+			t.Errorf("depth %d sink drew %d groups, %s delivered %d", r.EdgeDepth, sink.Groups, before.Stage, before.Groups)
+		}
 	}
 }
 
@@ -110,14 +121,8 @@ func checkConstructionFailures(t *testing.T, store Store, idx *Index) {
 		for _, sch := range schedules {
 			t.Run(tc.name+"/"+sch.name, func(t *testing.T) {
 				goroutines := runtime.NumGoroutine()
-				schedule := func(p *Pipeline) *Pipeline {
-					if sch.serial {
-						p = p.Serial()
-					}
-					return p.EdgeDepth(sch.depth)
-				}
 				var out bytes.Buffer
-				_, err := schedule(tc.graph(sess.Read("ds").Align(idx, AlignOptions{})).
+				_, err := sch.apply(tc.graph(sess.Read("ds").Align(idx, AlignOptions{})).
 					MarkDuplicates().ExportSAM(&out)).Run(context.Background())
 				if err == nil || !strings.Contains(err.Error(), tc.want) {
 					t.Fatalf("run returned %v, want %q", err, tc.want)
@@ -126,7 +131,7 @@ func checkConstructionFailures(t *testing.T, store Store, idx *Index) {
 				if size, free := sess.PoolStats(); size != free {
 					t.Fatalf("chunk pool leak: %d of %d free", free, size)
 				}
-				report, err := schedule(sess.Read("ds").Align(idx, AlignOptions{}).ExportSAM(&out)).Run(context.Background())
+				report, err := sch.apply(sess.Read("ds").Align(idx, AlignOptions{}).ExportSAM(&out)).Run(context.Background())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -139,9 +144,10 @@ func checkConstructionFailures(t *testing.T, store Store, idx *Index) {
 	}
 }
 
-// TestPipelinePumpedMatchesSerial is the pumped scheduler's golden check:
-// identical SAM and BAM bytes to the serial pull scheduler, at GOMAXPROCS 1
-// and 4 — overlap must change timing only, never order or content.
+// TestPipelinePumpedMatchesSerial is the pumped schedule's golden check:
+// identical SAM and BAM bytes to the edge-free one, both forced, at
+// GOMAXPROCS 1 and 4 — overlap must change timing only, never order or
+// content.
 func TestPipelinePumpedMatchesSerial(t *testing.T) {
 	store, g := pipelineFixture(t, "ds")
 	idx, err := BuildIndex(g)
@@ -156,8 +162,8 @@ func TestPipelinePumpedMatchesSerial(t *testing.T) {
 			prev := runtime.GOMAXPROCS(procs)
 			defer runtime.GOMAXPROCS(prev)
 
-			serialSAM, serialBAM, serialRep := runWGSBoth(t, sess, idx, true, 0)
-			pumpedSAM, pumpedBAM, pumpedRep := runWGSBoth(t, sess, idx, false, 0)
+			serialSAM, serialBAM, serialRep := runWGSBoth(t, sess, idx, schedules[0])
+			pumpedSAM, pumpedBAM, pumpedRep := runWGSBoth(t, sess, idx, schedules[1])
 
 			if !bytes.Equal(serialSAM, pumpedSAM) {
 				t.Fatalf("pumped SAM differs from serial (%d vs %d bytes)", len(pumpedSAM), len(serialSAM))
@@ -168,7 +174,7 @@ func TestPipelinePumpedMatchesSerial(t *testing.T) {
 			if serialRep.Pumped || serialRep.EdgeDepth != 0 {
 				t.Fatalf("serial run reported pumped=%v depth=%d", serialRep.Pumped, serialRep.EdgeDepth)
 			}
-			if !pumpedRep.Pumped || pumpedRep.EdgeDepth != DefaultEdgeDepth {
+			if !pumpedRep.Pumped || pumpedRep.EdgeDepth != 1 {
 				t.Fatalf("pumped run reported pumped=%v depth=%d", pumpedRep.Pumped, pumpedRep.EdgeDepth)
 			}
 			if pumpedRep.Records != 800 || serialRep.Records != 800 {
@@ -210,7 +216,7 @@ func TestPipelinePumpedMatchesSerial(t *testing.T) {
 			defer roSess.Close()
 			for _, sch := range schedules {
 				t.Run("spill-put-fails/"+sch.name, func(t *testing.T) {
-					sam, bam, _ := runWGSBoth(t, roSess, idx, sch.serial, sch.depth)
+					sam, bam, _ := runWGSBoth(t, roSess, idx, sch)
 					if !bytes.Equal(sam, serialSAM) || !bytes.Equal(bam, serialBAM) {
 						t.Fatal("output over a store refusing writes differs from serial")
 					}
@@ -223,10 +229,56 @@ func TestPipelinePumpedMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestPipelineEdgeDepthSweep: output bytes are identical at every queue
-// depth, including depth 1 (maximum backpressure — every edge is a
-// handoff).
-func TestPipelineEdgeDepthSweep(t *testing.T) {
+// pumpProbe is a sink that records, at its first write, whether any pump
+// goroutine is alive: by then the sort has staged its input and every stage
+// is streaming.
+type pumpProbe struct {
+	bytes.Buffer
+	once   sync.Once
+	pumped bool
+}
+
+func (w *pumpProbe) Write(p []byte) (int, error) {
+	w.once.Do(func() {
+		buf := make([]byte, 1<<20)
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		w.pumped = strings.Contains(stacks, "agd.RunPump")
+	})
+	return w.Buffer.Write(p)
+}
+
+// raceEnabled is set when the race detector is on (race_test.go). Its
+// sync.Pool drops a random share of Puts, so byte counts measured under it
+// vary from run to run by more than the schedules differ.
+var raceEnabled bool
+
+// allocBytes is the least the canonical graph, ended in a BAM export and
+// run under sch, allocated over three runs, after one that warms the
+// session's pools.
+func allocBytes(t *testing.T, sess *Session, idx *Index, sch schedule) uint64 {
+	t.Helper()
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 4; i++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		p := sch.apply(wgsGraph(sess, idx, func(p *Pipeline) *Pipeline { return p.ExportBAM(io.Discard) }))
+		if _, err := p.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if i > 0 {
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+	}
+	return least
+}
+
+// TestScheduleFollowsProcessors: a run left to choose its schedule has no
+// edges at GOMAXPROCS 1 — no pump goroutine, and no more bytes allocated
+// than the same graph run Serial — and edges of depth 1 above that, with
+// the same output bytes and stage accounting either way.
+func TestScheduleFollowsProcessors(t *testing.T) {
 	store, g := pipelineFixture(t, "ds")
 	idx, err := BuildIndex(g)
 	if err != nil {
@@ -234,20 +286,47 @@ func TestPipelineEdgeDepthSweep(t *testing.T) {
 	}
 	sess := NewSession(store, SessionOptions{})
 	defer sess.Close()
+	serialSAM, serialBAM, serialRep := runWGSBoth(t, sess, idx, schedules[0])
 
-	baseSAM, baseBAM, baseRep := runWGSBoth(t, sess, idx, true, 0)
-	for _, depth := range []int{1, 2, 8} {
-		sam, bam, report := runWGSBoth(t, sess, idx, false, depth)
-		if !bytes.Equal(baseSAM, sam) || !bytes.Equal(baseBAM, bam) {
-			t.Fatalf("depth %d output differs from serial", depth)
-		}
-		if report.EdgeDepth != depth {
-			t.Fatalf("report depth %d, want %d", report.EdgeDepth, depth)
-		}
-		if size, free := sess.PoolStats(); size != free {
-			t.Fatalf("depth %d chunk pool leak: %d of %d free", depth, free, size)
-		}
-		checkStageReports(t, baseRep, report)
+	for _, tc := range []struct{ procs, depth int }{{1, 0}, {2, 1}} {
+		t.Run(fmt.Sprintf("gomaxprocs=%d", tc.procs), func(t *testing.T) {
+			prev := runtime.GOMAXPROCS(tc.procs)
+			defer runtime.GOMAXPROCS(prev)
+
+			sam, bam, report := runWGSBoth(t, sess, idx, schedule{})
+			if !bytes.Equal(sam, serialSAM) || !bytes.Equal(bam, serialBAM) {
+				t.Fatal("output differs from the serial run's")
+			}
+			if report.Pumped != (tc.depth > 0) || report.EdgeDepth != tc.depth {
+				t.Fatalf("run reported pumped=%v depth=%d, want depth %d", report.Pumped, report.EdgeDepth, tc.depth)
+			}
+			for _, st := range report.Stages {
+				if st.PeakQueue > tc.depth {
+					t.Errorf("stage %s peak queue %d exceeds depth %d", st.Stage, st.PeakQueue, tc.depth)
+				}
+			}
+			checkStageReports(t, serialRep, report)
+			if size, free := sess.PoolStats(); size != free {
+				t.Fatalf("chunk pool leak: %d of %d free", free, size)
+			}
+
+			// The probe sees pumps exactly where the run has edges, so its
+			// "none" at one processor is a finding, not a blind spot.
+			var probe pumpProbe
+			if _, err := wgsGraph(sess, idx, func(p *Pipeline) *Pipeline { return p.ExportSAM(&probe) }).Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if probe.pumped != (tc.depth > 0) {
+				t.Fatalf("pump goroutine alive during the run: %v, want %v", probe.pumped, tc.depth > 0)
+			}
+
+			if tc.depth == 0 && !raceEnabled {
+				def, ser := allocBytes(t, sess, idx, schedule{}), allocBytes(t, sess, idx, schedules[0])
+				if float64(def) > 1.05*float64(ser) {
+					t.Fatalf("default run allocated %d B, serial %d B (over 1.05x)", def, ser)
+				}
+			}
+		})
 	}
 }
 
