@@ -5,8 +5,9 @@ package persona
 // cluster at several node counts, at every subchunk split and executor size
 // — must store results-column blobs
 // byte-identical to a reference that shares nothing with them but the
-// aligner kernel: snap.Aligner in a plain per-read loop, appended with
-// agd.AppendColumn (what testutil.Build does for single-end reads).
+// aligner kernel: snap.Aligner in a plain per-read loop, written with the
+// reads through testutil.WriteRows (what testutil.Build does for single-end
+// reads).
 
 import (
 	"bytes"
@@ -28,7 +29,7 @@ import (
 var identityAligner = snap.Config{MaxDist: 10}
 
 // pairedReference writes a paired-end dataset "ds" (R1 at even, R2 at odd
-// ordinals) and appends its reference results: AlignPair in a plain loop.
+// ordinals) with its reference results: AlignPair in a plain loop.
 func pairedReference(t *testing.T, store agd.BlobStore) *snap.Index {
 	t.Helper()
 	g, err := SynthesizeGenome(120_000, 211)
@@ -42,19 +43,6 @@ func pairedReference(t *testing.T, store agd.BlobStore) *snap.Index {
 		t.Fatal(err)
 	}
 	rs, _ := sim.All()
-	w, err := agd.NewWriter(store, "ds", agd.StandardReadColumns(), agd.WriterOptions{ChunkSize: 50, RefSeqs: RefSeqs(g)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range rs {
-		if err := w.Append(rs[i].Bases, rs[i].Quals, []byte(rs[i].Meta)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m, err := w.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
 	idx, err := BuildIndex(g)
 	if err != nil {
 		t.Fatal(err)
@@ -65,12 +53,8 @@ func pairedReference(t *testing.T, store agd.BlobStore) *snap.Index {
 		r1, r2 := aligner.AlignPair(rs[i].Bases, rs[i+1].Bases)
 		results[i], results[i+1] = agd.EncodeResult(nil, &r1), agd.EncodeResult(nil, &r2)
 	}
-	_, err = agd.AppendColumn(store, m, agd.ColumnSpec{Name: agd.ColResults, Type: agd.TypeResults},
-		func(chunk int) ([][]byte, error) {
-			e := m.Chunks[chunk]
-			return results[e.First : e.First+uint64(e.Records)], nil
-		})
-	if err != nil {
+	meta := agd.StreamMeta{Columns: []string{agd.ColBases, agd.ColQual, agd.ColMetadata, agd.ColResults}, ChunkSize: 50, RefSeqs: RefSeqs(g)}
+	if _, err := testutil.WriteRows(store, "ds", meta, testutil.ReadRows(rs, results)); err != nil {
 		t.Fatal(err)
 	}
 	return idx
@@ -97,10 +81,10 @@ func alignColumn(t *testing.T, store agd.BlobStore, cfg core.AlignConfig, thread
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := agd.WriteColumn(context.Background(), out, store, ds.Manifest, agd.ColResults, codec, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := agd.RegisterColumn(store, ds.Manifest, agd.ColResults); err != nil {
+	_, err = agd.AddColumn(store, ds.Manifest, agd.ColResults, func() error {
+		return agd.WriteColumn(context.Background(), out, store, ds.Manifest, agd.ColResults, codec)
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"persona"
@@ -161,5 +162,61 @@ func TestVarcallWritesVCF(t *testing.T) {
 	}
 	if !bytes.Equal(got, want.Bytes()) {
 		t.Fatalf("varcall wrote %d bytes of VCF, CallVariants and WriteVCF %d, and they differ", len(got), want.Len())
+	}
+}
+
+// TestFilterCommand: `filter -mapped -minmapq 20` stores the dataset
+// persona.Filter writes with the same predicate on the same store, blob for
+// blob, and without a predicate flag the command refuses to run.
+func TestFilterCommand(t *testing.T) {
+	ctx := context.Background()
+	dir := filepath.Join(t.TempDir(), "store")
+	alignedStore(t, dir)
+	runner(t)(cmdFilter, "-store", dir, "-name", "ds", "-mapped", "-minmapq", "20", "-out", "kept")
+
+	store, err := persona.NewLocalStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blobs := func() map[string][]byte {
+		names, err := store.List("kept/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string][]byte{}
+		for _, name := range names {
+			if out[name], err = store.Get(name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	got := blobs()
+	for name := range got {
+		if err := store.Delete(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pred := persona.FilterAnd(persona.FilterMinMapQ(20), persona.FilterMappedOnly())
+	_, stats, err := persona.Filter(ctx, store, "ds", pred, "kept")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Kept == 0 || stats.Kept == stats.In {
+		t.Fatalf("the predicate kept %d of %d reads", stats.Kept, stats.In)
+	}
+	want := blobs()
+	if len(got) != len(want) {
+		t.Fatalf("filter stored %d blobs, persona.Filter %d", len(got), len(want))
+	}
+	for name, blob := range want {
+		if !bytes.Equal(got[name], blob) {
+			t.Fatalf("blob %q differs from persona.Filter's", name)
+		}
+	}
+
+	err = cmdFilter(ctx, []string{"-store", dir, "-name", "ds", "-out", "none"})
+	if err == nil || !strings.Contains(err.Error(), "no predicate") {
+		t.Fatalf("filter without a predicate: err = %v", err)
 	}
 }

@@ -69,15 +69,8 @@ func writeKeyFixture(t testing.TB, store agd.BlobStore, name, kind string) *agd.
 		}
 		return fmt.Sprintf("read.%06d", rng.Intn(1_000_000)), loc
 	}
-	specs := append(agd.StandardReadColumns(), agd.ColumnSpec{Name: agd.ColResults, Type: agd.TypeResults})
-	w, err := agd.NewWriter(store, name, specs, agd.WriterOptions{
-		ChunkSize: keyFixtureChunk,
-		RefSeqs:   []agd.RefSeq{{Name: "chr1", Length: 1 << 40}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < rows; i++ {
+	fields := make([][][]byte, rows)
+	for i := range fields {
 		meta, loc := key(i)
 		res := agd.Result{Location: loc, MateLocation: agd.UnmappedLocation, MapQ: uint8(rng.Intn(61)), Cigar: "30M"}
 		if loc == agd.UnmappedLocation {
@@ -93,11 +86,13 @@ func writeKeyFixture(t testing.TB, store agd.BlobStore, name, kind string) *agd.
 			bases[b] = "ACGT"[rng.Intn(4)]
 			quals[b] = byte('!' + rng.Intn(40))
 		}
-		if err := w.Append(bases, quals, []byte(meta), agd.EncodeResult(nil, &res)); err != nil {
-			t.Fatal(err)
-		}
+		fields[i] = [][]byte{bases, quals, []byte(meta), agd.EncodeResult(nil, &res)}
 	}
-	m, err := w.Close()
+	m, err := testutil.WriteRows(store, name, agd.StreamMeta{
+		Columns:   []string{agd.ColBases, agd.ColQual, agd.ColMetadata, agd.ColResults},
+		RefSeqs:   []agd.RefSeq{{Name: "chr1", Length: 1 << 40}},
+		ChunkSize: keyFixtureChunk,
+	}, fields)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +100,7 @@ func writeKeyFixture(t testing.TB, store agd.BlobStore, name, kind string) *agd.
 }
 
 // oracleWrite writes rows order[0], order[1], ... of ds as dataset "out" on a
-// fresh store through a plain row-at-a-time Writer, chunked like ds, and
+// fresh store through the record-at-a-time source, chunked like ds, and
 // returns the blobs.
 func oracleWrite(t *testing.T, ds *agd.Dataset, order []int, sortedBy string) map[string][]byte {
 	t.Helper()
@@ -113,27 +108,25 @@ func oracleWrite(t *testing.T, ds *agd.Dataset, order []int, sortedBy string) ma
 	cols := make([][][]byte, len(m.Columns))
 	for c, name := range m.Columns {
 		var err error
-		if cols[c], err = ds.ReadAllColumn(name); err != nil { // stored representation
+		if name == agd.ColBases {
+			cols[c], err = ds.ReadAllBases() // letters, as the source takes them
+		} else {
+			cols[c], err = ds.ReadAllColumn(name)
+		}
+		if err != nil {
 			t.Fatal(err)
+		}
+	}
+	rows := make([][][]byte, len(order))
+	for i, r := range order {
+		rows[i] = make([][]byte, len(cols))
+		for c := range cols {
+			rows[i][c] = cols[c][r]
 		}
 	}
 	store := agd.NewMemStore()
-	w, err := agd.NewWriter(store, "out", agd.SpecsForColumns(m.Columns), agd.WriterOptions{
-		ChunkSize: int(m.Chunks[0].Records), RefSeqs: m.RefSeqs, SortedBy: sortedBy,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fields := make([][]byte, len(cols))
-	for _, r := range order {
-		for c := range cols {
-			fields[c] = cols[c][r]
-		}
-		if err := w.AppendStored(fields...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := w.Close(); err != nil {
+	meta := agd.StreamMeta{Columns: m.Columns, RefSeqs: m.RefSeqs, SortedBy: sortedBy, ChunkSize: int(m.Chunks[0].Records)}
+	if _, err := testutil.WriteRows(store, "out", meta, rows); err != nil {
 		t.Fatal(err)
 	}
 	return testutil.Blobs(t, store, "")

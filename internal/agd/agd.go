@@ -9,14 +9,20 @@
 // offsets are computed by summation — or materialized on the fly for random
 // access), and a compressed data block.
 //
-// Two size optimizations from the paper are implemented: per-column block
-// compression (gzip; the compression byte in the header leaves room for
-// other codecs) and base compaction, which packs base letters 3 bits each,
-// 21 bases to a 64-bit word.
+// Two size optimizations from the paper are implemented: block compression
+// (gzip, or none for a dataset read once; the compression byte in the header
+// leaves room for other codecs) and base compaction, which packs base
+// letters 3 bits each, 21 bases to a 64-bit word.
 //
 // The standard columns are "bases", "qual", "metadata" and (after
 // alignment) "results"; new columns can be added freely — they are just new
 // blobs plus manifest entries (§3: "AGD is extensible").
+//
+// Datasets are read through one reader, Dataset.Groups, and written through
+// one chunk sink that drains a GroupStream: WriteGroups stores a new
+// dataset, WriteChunks a partition of one a coordinator stitches
+// (StitchManifest), and WriteColumn one column of an existing dataset, which
+// AddColumn registers in its manifest.
 package agd
 
 import (

@@ -103,7 +103,7 @@ func TestAsyncAdapterAndNativesMatchGet(t *testing.T) {
 }
 
 // streamTestDataset builds a dataset and returns the expected per-chunk
-// records of every column, via the synchronous read path.
+// records of every column, read blob by blob with Get and DecodeChunk.
 func streamTestDataset(t *testing.T, store BlobStore, n, cs int) (*Dataset, [][][]string) {
 	t.Helper()
 	writeTestDataset(t, store, "ds", n, cs)
@@ -115,7 +115,11 @@ func streamTestDataset(t *testing.T, store BlobStore, n, cs int) (*Dataset, [][]
 	for ci := range ds.Manifest.Chunks {
 		want[ci] = make([][]string, len(ds.Manifest.Columns))
 		for col, name := range ds.Manifest.Columns {
-			c, err := ds.ReadChunk(name, ci)
+			blob, err := store.Get(ds.Manifest.ChunkBlobPath(ci, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := DecodeChunk(blob)
 			if err != nil {
 				t.Fatal(err)
 			}

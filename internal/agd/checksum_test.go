@@ -2,6 +2,7 @@ package agd
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -137,18 +138,11 @@ func TestChunkFooterTruncation(t *testing.T) {
 // with the blob's dataset/chunk/column coordinates.
 func TestChunkFooterErrorNamesBlob(t *testing.T) {
 	store := NewMemStore()
-	w, err := NewWriter(store, "ds", []ColumnSpec{{Name: ColMetadata, Type: TypeRaw}}, WriterOptions{ChunkSize: 4})
-	if err != nil {
-		t.Fatal(err)
+	rows := make([][][]byte, 8)
+	for i := range rows {
+		rows[i] = [][]byte{[]byte(fmt.Sprintf("r%02d", i))}
 	}
-	for i := 0; i < 8; i++ {
-		if err := w.Append([]byte(fmt.Sprintf("r%02d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeRows(t, store, "ds", StreamMeta{Columns: []string{ColMetadata}, ChunkSize: 4}, rows)
 
 	// Corrupt the second chunk's blob in place.
 	name := "ds/chunk-000001." + ColMetadata
@@ -166,7 +160,12 @@ func TestChunkFooterErrorNamesBlob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = ds.ReadChunk(ColMetadata, 1)
+	gs, err := ds.Groups(StreamOptions{Start: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gs.Close()
+	_, err = gs.Next(context.Background())
 	if !errors.Is(err, ErrChecksum) {
 		t.Fatalf("err = %v, want ErrChecksum", err)
 	}

@@ -3,7 +3,8 @@ package agd
 // Tests for the column sink: every group's chunk lands under its chunk's
 // blob path, one Put at a time, and every way out — a failing store, stream or
 // hook, a misaligned group, a cancelled context — returns the cause with the
-// stream closed and every group released.
+// stream closed, every group released and, for a new column, no blob of it
+// left.
 
 import (
 	"context"
@@ -22,20 +23,11 @@ import (
 // returns its manifest.
 func columnFixture(t *testing.T, store BlobStore, chunks, perChunk int) *Manifest {
 	t.Helper()
-	w, err := NewWriter(store, "ds", []ColumnSpec{{Name: ColMetadata, Type: TypeRaw}}, WriterOptions{ChunkSize: perChunk})
-	if err != nil {
-		t.Fatal(err)
+	rows := make([][][]byte, chunks*perChunk)
+	for i := range rows {
+		rows[i] = [][]byte{[]byte(fmt.Sprintf("read-%04d", i))}
 	}
-	for i := 0; i < chunks*perChunk; i++ {
-		if err := w.Append([]byte(fmt.Sprintf("read-%04d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m, err := w.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
+	return writeRows(t, store, "ds", StreamMeta{Columns: []string{ColMetadata}, ChunkSize: perChunk}, rows)
 }
 
 // tagStream delivers one owned group per chunk of m carrying a "tag" column
@@ -85,39 +77,28 @@ func (ts *tagStream) settled(t *testing.T) {
 }
 
 func TestWriteColumnStoresEveryGroup(t *testing.T) {
-	store := NewMemStore()
-	m := columnFixture(t, store, 7, 3)
+	mem := NewMemStore()
+	m := columnFixture(t, mem, 7, 3)
 	ts := newTagStream(m, nil)
-	var mu sync.Mutex
-	landed := make(map[int]int)
-	err := WriteColumn(context.Background(), ts.GroupStream, store, m, "tag", Codec{}, func(chunk int) error {
-		// The hook runs after the blob is stored.
-		if _, err := store.Get(m.ChunkBlobPath(chunk, "tag")); err != nil {
-			return fmt.Errorf("landed(%d) before its blob: %w", chunk, err)
-		}
-		mu.Lock()
-		landed[chunk]++
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
+	puts := &countPuts{BlobStore: mem}
+	if err := WriteColumn(context.Background(), ts.GroupStream, puts, m, "tag", Codec{}); err != nil {
 		t.Fatal(err)
 	}
 	ts.settled(t)
 	for i := range m.Chunks {
-		if landed[i] != 1 {
-			t.Errorf("landed(%d) ran %d times", i, landed[i])
+		if n := puts.n[m.ChunkBlobPath(i, "tag")]; n != 1 {
+			t.Errorf("chunk %d stored %d times", i, n)
 		}
 	}
 	// The sink leaves the manifest alone; registering finds every blob.
 	if m.HasColumn("tag") {
 		t.Fatal("WriteColumn touched the manifest")
 	}
-	updated, err := RegisterColumn(store, m, "tag")
+	updated, err := RegisterColumn(mem, m, "tag")
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := OpenManifest(store, updated).ReadAllColumn("tag")
+	recs, err := OpenManifest(mem, updated).ReadAllColumn("tag")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,6 +107,23 @@ func TestWriteColumnStoresEveryGroup(t *testing.T) {
 			t.Fatalf("record %d = %q, want %q", i, rec, want)
 		}
 	}
+}
+
+// countPuts counts the Puts of every blob name.
+type countPuts struct {
+	BlobStore
+	mu sync.Mutex
+	n  map[string]int
+}
+
+func (s *countPuts) Put(name string, data []byte) error {
+	s.mu.Lock()
+	if s.n == nil {
+		s.n = map[string]int{}
+	}
+	s.n[name]++
+	s.mu.Unlock()
+	return s.BlobStore.Put(name, data)
 }
 
 // gateStore holds every Put at a gate until the test opens it, counting the
@@ -153,7 +151,7 @@ func TestSinksPutOneAtATime(t *testing.T) {
 	m := columnFixture(t, NewMemStore(), 6, 2)
 	for name, sink := range map[string]func(BlobStore, *GroupStream) error{
 		"WriteColumn": func(s BlobStore, in *GroupStream) error {
-			return WriteColumn(ctx, in, s, m, "tag", Codec{}, nil)
+			return WriteColumn(ctx, in, s, m, "tag", Codec{})
 		},
 		"WriteGroups": func(s BlobStore, in *GroupStream) error {
 			defer in.Close() // the caller's, unlike WriteColumn's
@@ -219,6 +217,9 @@ func (s failPutStore) Put(name string, data []byte) error {
 	return s.BlobStore.Put(name, data)
 }
 
+// TestWriteColumnFailures fails a new column's write every way it can fail,
+// inside the AddColumn that registers it: the cause is returned, the stream
+// is closed with every group released, and no blob of the column is left.
 func TestWriteColumnFailures(t *testing.T) {
 	boom := errors.New("boom")
 	mem := NewMemStore()
@@ -230,14 +231,13 @@ func TestWriteColumnFailures(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	stopped, stop := context.WithCancel(context.Background())
 	for _, tc := range []struct {
-		name   string
-		ctx    context.Context
-		store  BlobStore
-		m      *Manifest
-		col    string
-		fail   func(chunk int) error
-		landed func(chunk int) error
-		want   error
+		name  string
+		ctx   context.Context
+		store BlobStore
+		m     *Manifest
+		fail  func(chunk int) error
+		after error // the AddColumn hook's failure once the column is stored
+		want  error
 	}{
 		{name: "store", store: failPutStore{mem, m.ChunkBlobPath(3, "tag"), boom}, want: boom},
 		{name: "stream", fail: func(chunk int) error {
@@ -246,12 +246,7 @@ func TestWriteColumnFailures(t *testing.T) {
 			}
 			return nil
 		}, want: boom},
-		{name: "hook", landed: func(chunk int) error {
-			if chunk == 2 {
-				return boom
-			}
-			return nil
-		}, want: boom},
+		{name: "hook", after: boom, want: boom},
 		{name: "misaligned group", m: &short, want: ErrRowGroup},
 		{name: "cancelled mid-run", ctx: cancelled, fail: func(chunk int) error {
 			if chunk == 4 {
@@ -280,7 +275,12 @@ func TestWriteColumnFailures(t *testing.T) {
 				man = m
 			}
 			ts := newTagStream(m, tc.fail)
-			err := WriteColumn(ctx, ts.GroupStream, store, man, "tag", Codec{}, tc.landed)
+			_, err := AddColumn(store, man, "tag", func() error {
+				if err := WriteColumn(ctx, ts.GroupStream, store, man, "tag", Codec{}); err != nil {
+					return err
+				}
+				return tc.after
+			})
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("err = %v, want %v", err, tc.want)
 			}
@@ -288,12 +288,15 @@ func TestWriteColumnFailures(t *testing.T) {
 			if int(ts.delivered.Load()) == len(m.Chunks) && tc.fail != nil {
 				t.Error("the failing stream was drained to its end")
 			}
+			if left, _ := mem.List(""); len(left) != 1+len(m.Chunks) {
+				t.Errorf("%d blobs left, want the dataset's %d", len(left), 1+len(m.Chunks))
+			}
 		})
 	}
 
 	// A stream without the column is refused before anything is drawn.
 	ts := newTagStream(m, nil)
-	if err := WriteColumn(context.Background(), ts.GroupStream, mem, m, ColResults, Codec{}, nil); err == nil {
+	if err := WriteColumn(context.Background(), ts.GroupStream, mem, m, ColResults, Codec{}); err == nil {
 		t.Fatal("wrote a column the stream does not carry")
 	}
 	ts.settled(t)

@@ -3,6 +3,7 @@ package agd_test
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"encoding/binary"
 	"io"
 	"testing"
@@ -17,17 +18,24 @@ func fixtureChunks(t *testing.T) map[string][]*agd.Chunk {
 	t.Helper()
 	store := agd.NewMemStore()
 	f := testutil.Build(t, store, "ds", testutil.Config{GenomeSize: 300_000, NumReads: 6000, ChunkSize: 2000, DupFrac: 0.12, Seed: 16})
+	gs, err := f.Dataset.Groups(agd.StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gs.Close()
 	out := map[string][]*agd.Chunk{}
-	for _, col := range f.Dataset.Manifest.Columns {
-		for i := 0; i < f.Dataset.NumChunks(); i++ {
-			c, err := f.Dataset.ReadChunk(col, i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[col] = append(out[col], c)
+	for {
+		g, err := gs.Next(context.Background())
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, col := range gs.Meta.Columns {
+			out[col] = append(out[col], g.Chunks[i])
 		}
 	}
-	return out
 }
 
 // TestCodecCompatibleBothWays pins the two halves of "same format, new

@@ -2,7 +2,10 @@ package agd
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
+	"io"
 	"testing"
 )
 
@@ -10,26 +13,18 @@ import (
 // size cs.
 func writeTestDataset(t *testing.T, store BlobStore, name string, n, cs int) *Manifest {
 	t.Helper()
-	w, err := NewWriter(store, name, StandardReadColumns(), WriterOptions{
-		ChunkSize: cs,
-		RefSeqs:   []RefSeq{{Name: "chr1", Length: 1000}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
+	rows := make([][][]byte, n)
+	for i := range rows {
 		bases := []byte("ACGTACGTAC")
 		qual := bytes.Repeat([]byte("I"), len(bases))
 		meta := []byte(fmt.Sprintf("read.%d", i))
-		if err := w.Append(bases, qual, meta); err != nil {
-			t.Fatal(err)
-		}
+		rows[i] = [][]byte{CompactBases(nil, bases), qual, meta}
 	}
-	m, err := w.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
+	return writeRows(t, store, name, StreamMeta{
+		Columns:   []string{ColBases, ColQual, ColMetadata},
+		RefSeqs:   []RefSeq{{Name: "chr1", Length: 1000}},
+		ChunkSize: cs,
+	}, rows)
 }
 
 func TestDatasetWriteRead(t *testing.T) {
@@ -82,7 +77,12 @@ func TestDatasetSelectiveColumnAccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ds.ReadChunk(ColQual, 0); err != nil {
+	gs, err := ds.Groups(StreamOptions{Columns: []string{ColQual}, End: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gs.Close()
+	if _, err := gs.Next(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range spy.gets {
@@ -109,94 +109,121 @@ func TestDatasetErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ds.ReadChunk("nope", 0); err == nil {
-		t.Fatal("unknown column accepted")
+	if _, err := ds.Groups(StreamOptions{Columns: []string{"nope"}}); !errors.Is(err, ErrNoColumn) {
+		t.Fatalf("unknown column: err = %v", err)
 	}
-	if _, err := ds.ReadChunk(ColBases, 99); err == nil {
-		t.Fatal("unknown chunk accepted")
+	past, err := ds.Groups(StreamOptions{Start: 99})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer past.Close()
+	if g, err := past.Next(context.Background()); err != io.EOF {
+		t.Fatalf("chunks past the end: group %v, err = %v", g, err)
 	}
 	if _, err := Open(store, "missing"); err == nil {
 		t.Fatal("missing dataset opened")
 	}
 }
 
+// TestWriterValidation holds the dataset sinks to what they refuse: no name,
+// no columns, duplicate columns, a row short of fields and a dataset with no
+// records.
 func TestWriterValidation(t *testing.T) {
+	ctx := context.Background()
 	store := NewMemStore()
-	if _, err := NewWriter(store, "", StandardReadColumns(), WriterOptions{}); err == nil {
-		t.Fatal("empty name accepted")
-	}
-	if _, err := NewWriter(store, "x", nil, WriterOptions{}); err == nil {
-		t.Fatal("no columns accepted")
-	}
-	dupCols := []ColumnSpec{{Name: "a"}, {Name: "a"}}
-	if _, err := NewWriter(store, "x", dupCols, WriterOptions{}); err == nil {
-		t.Fatal("duplicate columns accepted")
-	}
-	w, err := NewWriter(store, "x", StandardReadColumns(), WriterOptions{ChunkSize: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append([]byte("AC")); err == nil {
-		t.Fatal("wrong field count accepted")
-	}
-	if _, err := w.Close(); err == nil {
-		t.Fatal("empty dataset close succeeded")
+	meta := StreamMeta{Columns: []string{ColBases, ColQual, ColMetadata}, ChunkSize: 4}
+	row := [][]byte{CompactBases(nil, []byte("AC")), []byte("II"), []byte("r")}
+	for what, tc := range map[string]struct {
+		name string
+		in   *GroupStream
+	}{
+		"empty name":        {"", groupsOf(meta, [][][]byte{row}, []int{1})},
+		"no columns":        {"x", groupsOf(StreamMeta{}, nil, nil)},
+		"duplicate columns": {"x", groupsOf(StreamMeta{Columns: []string{"a", "a"}}, [][][]byte{{nil, nil}}, []int{1})},
+		"wrong field count": {"x", groupsOf(StreamMeta{Columns: meta.Columns[:1]}, [][][]byte{row}, []int{1})},
+		"no records":        {"x", groupsOf(meta, nil, []int{0})},
+	} {
+		if what == "wrong field count" {
+			tc.in.Meta = meta // the group carries one column, the stream three
+		}
+		if _, err := WriteGroups(ctx, tc.in, store, tc.name, WriterOptions{}); err == nil {
+			t.Errorf("%s accepted", what)
+		}
+		if left, _ := store.List(""); len(left) != 0 {
+			t.Fatalf("%s: %d blobs written", what, len(left))
+		}
 	}
 }
 
+// TestAppendColumnRowGrouped adds a results column to a dataset through the
+// one column ending (AddColumn running WriteColumn), row-grouped with the
+// existing chunks; a misaligned column is refused and leaves no blob, and
+// writing the column again rewrites it in place.
 func TestAppendColumnRowGrouped(t *testing.T) {
+	ctx := context.Background()
 	store := NewMemStore()
 	m := writeTestDataset(t, store, "ds", 25, 10)
 
-	results := make([]Result, 25)
-	for i := range results {
-		results[i] = Result{Location: int64(i * 100), MapQ: 60, Cigar: "10M"}
+	column := func(loc func(i int) int64) [][][]byte {
+		rows := make([][][]byte, 25)
+		for i := range rows {
+			rows[i] = [][]byte{EncodeResult(nil, &Result{Location: loc(i), MapQ: 60, Cigar: "10M"})}
+		}
+		return rows
 	}
-	m2, err := AppendColumn(store, m, ColumnSpec{Name: ColResults, Type: TypeResults},
-		func(chunkIdx int) ([][]byte, error) {
-			entry := m.Chunks[chunkIdx]
-			var recs [][]byte
-			for r := uint64(0); r < uint64(entry.Records); r++ {
-				recs = append(recs, EncodeResult(nil, &results[entry.First+r]))
-			}
-			return recs, nil
+	results := StreamMeta{Columns: []string{ColResults}}
+	add := func(m *Manifest, rows [][][]byte, sizes []int) (*Manifest, error) {
+		return AddColumn(store, m, ColResults, func() error {
+			return WriteColumn(ctx, groupsOf(results, rows, sizes), store, m, ColResults, Codec{})
 		})
+	}
+	check := func(m *Manifest, loc func(i int) int64) {
+		t.Helper()
+		got, err := OpenManifest(store, m).ReadAllResults()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 25 {
+			t.Fatalf("results = %d", len(got))
+		}
+		for i, r := range got {
+			if r.Location != loc(i) {
+				t.Fatalf("result %d location = %d", i, r.Location)
+			}
+		}
+	}
+
+	// A misaligned column fails and leaves no blob of it.
+	if _, err := add(m, column(func(i int) int64 { return 0 }), []int{10, 9, 6}); !errors.Is(err, ErrRowGroup) {
+		t.Fatalf("misaligned column: err = %v", err)
+	}
+	if left, _ := store.List(""); len(left) != 1+3*3 {
+		t.Fatalf("a failed column left %d blobs, want the dataset's 10", len(left))
+	}
+
+	loc := func(i int) int64 { return int64(i * 100) }
+	m2, err := add(m, column(loc), []int{10, 10, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !m2.HasColumn(ColResults) {
 		t.Fatal("results column missing after append")
 	}
+	if m2, err := Open(store, "ds"); err != nil || !m2.Manifest.HasColumn(ColResults) {
+		t.Fatalf("stored manifest lacks the column (%v)", err)
+	}
+	check(m2, loc)
 
-	ds, err := Open(store, "ds")
+	// The same column again is a rewrite: new blobs, the same manifest.
+	again := func(i int) int64 { return int64(i) }
+	m3, err := add(m2, column(again), []int{10, 10, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ds.ReadAllResults()
-	if err != nil {
-		t.Fatal(err)
+	if m3 != m2 {
+		t.Fatal("rewriting a column changed the manifest")
 	}
-	if len(got) != 25 {
-		t.Fatalf("results = %d", len(got))
-	}
-	for i, r := range got {
-		if r.Location != int64(i*100) {
-			t.Fatalf("result %d location = %d", i, r.Location)
-		}
-	}
-
-	// Appending a misaligned column must fail.
-	_, err = AppendColumn(store, m2, ColumnSpec{Name: "extra"}, func(int) ([][]byte, error) {
-		return [][]byte{[]byte("only-one")}, nil
-	})
-	if err == nil {
-		t.Fatal("misaligned column accepted")
-	}
-	// Duplicate column name must fail.
-	_, err = AppendColumn(store, m2, ColumnSpec{Name: ColResults}, nil)
-	if err == nil {
-		t.Fatal("duplicate column accepted")
-	}
+	check(m3, again)
 }
 
 func TestReconstructManifest(t *testing.T) {
@@ -234,7 +261,7 @@ func TestManifestValidate(t *testing.T) {
 func TestDeleteDataset(t *testing.T) {
 	store := NewMemStore()
 	writeTestDataset(t, store, "ds", 5, 10)
-	if err := Delete(store, "ds"); err != nil {
+	if err := DeletePrefix(store, "ds/"); err != nil {
 		t.Fatal(err)
 	}
 	names, err := store.List("ds/")

@@ -2,7 +2,9 @@ package agd
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -101,6 +103,101 @@ func FuzzDecodeChunk(f *testing.F) {
 			if c2.Type != c.Type || c2.FirstOrdinal != c.FirstOrdinal ||
 				c2.NumRecords() != c.NumRecords() || !bytes.Equal(c2.Data, c.Data) {
 				t.Fatal("round trip changed the chunk")
+			}
+		}
+	})
+}
+
+// FuzzWriteGroups holds the one chunk sink to the row-at-a-time oracle it
+// replaced (RowWriter): arbitrary rows of the three read columns, cut into
+// groups of arbitrary sizes — empty groups, groups of exactly one chunk and
+// groups larger than one included — carrying arbitrary first ordinals (a
+// filtered group keeps its input's), and re-chunked to an arbitrary chunk
+// size (0: the first group's), must be stored as the oracle's blobs and
+// manifest, byte for byte; a stream without rows stores nothing and fails.
+func FuzzWriteGroups(f *testing.F) {
+	f.Add([]byte("ACGTNACGTTGCA"), []byte{8, 8, 8, 5}, uint8(8), uint64(0))
+	f.Add([]byte("GATTACA!"), []byte{7, 9, 0, 8, 3, 13, 8, 2}, uint8(8), uint64(1000))
+	f.Add([]byte("x"), []byte{1, 1, 1, 1}, uint8(0), uint64(0))
+	f.Add(bytes.Repeat([]byte("ACGT"), 100), []byte{20, 4, 8, 17}, uint8(8), uint64(7))
+	f.Add([]byte("TTT"), []byte{0, 0}, uint8(3), uint64(0))
+	f.Fuzz(func(t *testing.T, data, groups []byte, chunk uint8, shift uint64) {
+		sizes := make([]int, len(groups))
+		n := 0
+		for i, g := range groups {
+			sizes[i] = int(g % 40)
+			n += sizes[i]
+		}
+		rows := make([][][]byte, n)
+		at := func(i int) byte {
+			if len(data) == 0 {
+				return 0
+			}
+			return data[i%len(data)]
+		}
+		for r := range rows {
+			bases := make([]byte, at(r)%30)
+			quals := make([]byte, len(bases))
+			for i := range bases {
+				bases[i] = "ACGTN"[at(r+i)%5]
+				quals[i] = '!' + at(r+7*i)%40
+			}
+			rows[r] = [][]byte{CompactBases(nil, bases), quals, data[:min(len(data), int(at(r+1)%16))]}
+		}
+		meta := StreamMeta{Columns: []string{ColBases, ColQual, ColMetadata}, RefSeqs: []RefSeq{{Name: "chr1", Length: 99}}, ChunkSize: int(chunk)}
+
+		src := groupsOf(meta, rows, sizes)
+		in := NewGroupStream(meta, func(ctx context.Context) (*RowGroup, error) {
+			g, err := src.Next(ctx)
+			if err != nil {
+				return nil, err
+			}
+			for _, c := range g.Chunks {
+				c.FirstOrdinal += shift
+			}
+			return g, nil
+		}, nil)
+		store := NewMemStore()
+		m, err := WriteGroups(context.Background(), in, store, "out", WriterOptions{})
+		if n == 0 {
+			if left, _ := store.List(""); err == nil || len(left) != 0 {
+				t.Fatalf("a stream of no rows: error %v, %d blobs", err, len(left))
+			}
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.NumRecords() != uint64(n) {
+			t.Fatalf("manifest counts %d records, wrote %d", m.NumRecords(), n)
+		}
+
+		if meta.ChunkSize == 0 {
+			meta.ChunkSize = sizes[0]
+		}
+		if meta.ChunkSize == 0 {
+			meta.ChunkSize = DefaultChunkSize
+		}
+		ref := NewMemStore()
+		w := NewRowWriter(ref, "out", meta)
+		for _, row := range rows {
+			if err := w.Append(row...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		want, _ := ref.List("")
+		got, _ := store.List("")
+		if !slices.Equal(got, want) {
+			t.Fatalf("blobs %v, oracle's %v", got, want)
+		}
+		for _, name := range want {
+			g, _ := store.Get(name)
+			w, _ := ref.Get(name)
+			if !bytes.Equal(g, w) {
+				t.Fatalf("blob %q differs from the oracle's (%d vs %d bytes)", name, len(g), len(w))
 			}
 		}
 	})

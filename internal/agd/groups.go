@@ -2,7 +2,6 @@ package agd
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -373,91 +372,4 @@ func SpecTypeFor(name string) RecordType {
 		return TypeResults
 	}
 	return TypeRaw
-}
-
-// WriteGroups drains a stream into a new dataset through a Writer: groups
-// are re-chunked to opts.ChunkSize (default: the stream's source chunk size,
-// then the first group's size, so chunking survives a fused pipeline), a
-// group that already is one output chunk is stored whole (Writer.AppendGroup),
-// and the manifest is written on EOF. Every chunk is encoded on the calling
-// goroutine (its members on opts.Codec's executor) and its blobs stored, one
-// Put at a time, while the next group is pulled — as a task on that executor,
-// or before the pull with none. It returns once every blob has landed. On any
-// failure the column blobs already written are deleted. It is the
-// pipeline's dataset sink; the caller closes the stream.
-func WriteGroups(ctx context.Context, in *GroupStream, store BlobStore, name string, opts WriterOptions) (*Manifest, error) {
-	w, err := appendGroups(ctx, in, store, name, opts)
-	if err == nil && w == nil {
-		return nil, fmt.Errorf("agd: stream for dataset %q has no records", name)
-	}
-	var m *Manifest
-	if err == nil {
-		m, err = w.Close()
-	}
-	if err != nil {
-		if w != nil {
-			w.Abort()
-		}
-		return nil, err
-	}
-	return m, nil
-}
-
-// WriteChunks is WriteGroups stopping short of the manifest: it returns the
-// entries of the chunks it stored, in row order — none, and no blob, for a
-// stream without records. A cluster reduce writes its partition of an output
-// dataset this way; the coordinator stitches the entries into one manifest.
-//
-// Unlike WriteGroups it deletes nothing on failure: it leaves the blobs that
-// landed. A partition's chunk names are deterministic and shared by every
-// attempt at its task, so a failed attempt must not take away what a
-// concurrent or earlier one stored; the retry overwrites them with the same
-// bytes, and without a manifest nothing reads them.
-func WriteChunks(ctx context.Context, in *GroupStream, store BlobStore, name string, opts WriterOptions) ([]ChunkEntry, error) {
-	w, err := appendGroups(ctx, in, store, name, opts)
-	if w == nil {
-		return nil, err
-	}
-	if err != nil {
-		w.halt()
-		return nil, err
-	}
-	return w.finish()
-}
-
-// appendGroups is both sinks' drain loop: every group appended to a Writer
-// opened at the first (nil for a stream of no groups). On failure it returns
-// the Writer with the error, for WriteGroups to Abort.
-func appendGroups(ctx context.Context, in *GroupStream, store BlobStore, name string, opts WriterOptions) (*Writer, error) {
-	if opts.RefSeqs == nil {
-		opts.RefSeqs = in.Meta.RefSeqs
-	}
-	if opts.SortedBy == "" {
-		opts.SortedBy = in.Meta.SortedBy
-	}
-	if opts.ChunkSize <= 0 {
-		opts.ChunkSize = in.Meta.ChunkSize
-	}
-	var w *Writer
-	for {
-		g, err := in.Next(ctx)
-		if err == io.EOF {
-			return w, nil
-		}
-		if err != nil {
-			return w, err
-		}
-		if w == nil {
-			if opts.ChunkSize <= 0 {
-				opts.ChunkSize = g.NumRecords()
-			}
-			if w, err = NewWriter(store, name, SpecsForColumns(in.Meta.Columns), opts); err != nil {
-				g.Release()
-				return nil, err
-			}
-		}
-		if err := w.AppendGroup(g); err != nil {
-			return w, err
-		}
-	}
 }

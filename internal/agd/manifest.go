@@ -45,14 +45,14 @@ func manifestPath(name string) string { return name + "/manifest.json" }
 func chunkPath(entry ChunkEntry, col string) string { return entry.Path + "." + col }
 
 // ChunkEntryPath returns the canonical path of chunk idx of a dataset — the
-// single definition of the "<name>/chunk-NNNNNN" convention, for the Writer
+// single definition of the "<name>/chunk-NNNNNN" convention, for the sinks
 // and for the cluster coordinator naming the chunks its reduces wrote.
 func ChunkEntryPath(dataset string, idx int) string {
 	return fmt.Sprintf("%s/chunk-%06d", dataset, idx)
 }
 
-// newManifest assembles a manifest in the canonical form the Writer
-// produces on Close (version, column order from the specs).
+// newManifest assembles a manifest in the canonical form WriteGroups and
+// StitchManifest store (version, column order from the specs).
 func newManifest(name string, cols []ColumnSpec, chunks []ChunkEntry, refSeqs []RefSeq, sortedBy string) *Manifest {
 	m := &Manifest{Name: name, Version: 1, Chunks: chunks, RefSeqs: refSeqs, SortedBy: sortedBy}
 	for _, c := range cols {

@@ -1,7 +1,9 @@
 package agd
 
 import (
+	"context"
 	"fmt"
+	"io"
 )
 
 // Dataset provides read access to an AGD dataset in a blob store.
@@ -33,117 +35,68 @@ func (d *Dataset) NumChunks() int { return len(d.Manifest.Chunks) }
 // NumRecords returns the total record count.
 func (d *Dataset) NumRecords() uint64 { return d.Manifest.NumRecords() }
 
-// ChunkBlobName returns the blob name of column col of chunk i, so callers
-// (e.g. the cluster runtime) can fetch raw blobs themselves.
-func (d *Dataset) ChunkBlobName(col string, i int) (string, error) {
-	if !d.Manifest.HasColumn(col) {
-		return "", fmt.Errorf("%w: %q", ErrNoColumn, col)
-	}
-	if i < 0 || i >= len(d.Manifest.Chunks) {
-		return "", fmt.Errorf("%w: %d", ErrNoChunk, i)
-	}
-	return chunkPath(d.Manifest.Chunks[i], col), nil
-}
-
-// ReadChunk fetches and decodes column col of chunk i. Only the requested
-// column's blob is touched — the selective-field-access property that
-// motivates AGD's column orientation.
-func (d *Dataset) ReadChunk(col string, i int) (*Chunk, error) {
-	name, err := d.ChunkBlobName(col, i)
-	if err != nil {
-		return nil, err
-	}
-	blob, err := d.store.Get(name)
-	if err != nil {
-		return nil, err
-	}
-	c, err := DecodeChunk(blob)
-	if err != nil {
-		return nil, fmt.Errorf("agd: chunk %q: %w", name, err)
-	}
-	if int(d.Manifest.Chunks[i].Records) != c.NumRecords() {
-		return nil, fmt.Errorf("%w: chunk %q has %d records, manifest says %d",
-			ErrCorrupt, name, c.NumRecords(), d.Manifest.Chunks[i].Records)
-	}
-	return c, nil
-}
-
 // ReadAllColumn decodes every record of a column across all chunks, copying
 // each record. Intended for tests and small datasets; the pipeline operates
 // chunk-wise.
 func (d *Dataset) ReadAllColumn(col string) ([][]byte, error) {
 	var out [][]byte
-	for i := range d.Manifest.Chunks {
-		c, err := d.ReadChunk(col, i)
-		if err != nil {
-			return nil, err
-		}
-		for r := 0; r < c.NumRecords(); r++ {
-			rec, err := c.Record(r)
-			if err != nil {
-				return nil, err
-			}
-			cp := make([]byte, len(rec))
-			copy(cp, rec)
-			out = append(out, cp)
-		}
-	}
-	return out, nil
+	err := d.readAll(col, func(c *Chunk, r int) error {
+		rec, err := c.Record(r)
+		out = append(out, append([]byte{}, rec...))
+		return err
+	})
+	return out, err
 }
 
 // ReadAllBases decodes the bases column across all chunks into base-letter
 // strings.
 func (d *Dataset) ReadAllBases() ([][]byte, error) {
 	var out [][]byte
-	for i := range d.Manifest.Chunks {
-		c, err := d.ReadChunk(ColBases, i)
-		if err != nil {
-			return nil, err
-		}
+	err := d.readAll(ColBases, func(c *Chunk, r int) error {
 		if c.Type != TypeCompactBases {
-			return nil, fmt.Errorf("agd: bases column has type %v", c.Type)
+			return fmt.Errorf("agd: bases column has type %v", c.Type)
 		}
-		for r := 0; r < c.NumRecords(); r++ {
-			bases, err := c.ExpandBasesRecord(nil, r)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, bases)
-		}
-	}
-	return out, nil
+		bases, err := c.ExpandBasesRecord(nil, r)
+		out = append(out, bases)
+		return err
+	})
+	return out, err
 }
 
 // ReadAllResults decodes the results column across all chunks.
 func (d *Dataset) ReadAllResults() ([]Result, error) {
 	var out []Result
-	for i := range d.Manifest.Chunks {
-		c, err := d.ReadChunk(ColResults, i)
-		if err != nil {
-			return nil, err
-		}
-		for r := 0; r < c.NumRecords(); r++ {
-			res, err := c.DecodeResultRecord(r)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, res)
-		}
-	}
-	return out, nil
+	err := d.readAll(ColResults, func(c *Chunk, r int) error {
+		res, err := c.DecodeResultRecord(r)
+		out = append(out, res)
+		return err
+	})
+	return out, err
 }
 
-// Delete removes every blob of the dataset (all column chunks plus the
-// manifest).
-func Delete(store BlobStore, name string) error {
-	names, err := store.List(name + "/")
+// readAll is the ReadAll* loop: every record r of every chunk c of column
+// col, in row order, through Groups.
+func (d *Dataset) readAll(col string, each func(c *Chunk, r int) error) error {
+	gs, err := d.Groups(StreamOptions{Columns: []string{col}})
 	if err != nil {
 		return err
 	}
-	for _, n := range names {
-		if err := store.Delete(n); err != nil {
+	defer gs.Close()
+	for {
+		g, err := gs.Next(context.TODO()) // the kept signatures take no context
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		c := g.Chunks[0]
+		for r := 0; r < c.NumRecords() && err == nil; r++ {
+			err = each(c, r)
+		}
+		g.Release()
+		if err != nil {
 			return err
 		}
 	}
-	return nil
 }

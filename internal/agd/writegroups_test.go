@@ -110,17 +110,14 @@ func (s *sinkSource) check(t *testing.T) {
 	}
 }
 
-// rowAtATime writes rows through a plain synchronous Writer, one AppendStored
-// a row: the reference every WriteGroups route must reproduce byte for byte.
+// rowAtATime writes rows through the row-at-a-time oracle, one Append a row:
+// the reference every WriteGroups route must reproduce byte for byte.
 func rowAtATime(t *testing.T, rows [][][]byte) map[string][]byte {
 	t.Helper()
 	store := agd.NewMemStore()
-	w, err := agd.NewWriter(store, "out", agd.SpecsForColumns(sinkColumns), agd.WriterOptions{ChunkSize: sinkChunk})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := agd.NewRowWriter(store, "out", agd.StreamMeta{Columns: sinkColumns, ChunkSize: sinkChunk})
 	for _, row := range rows {
-		if err := w.AppendStored(row...); err != nil {
+		if err := w.Append(row...); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -142,7 +139,7 @@ var sinkPatterns = map[string][]int{
 }
 
 // TestWriteGroupsMatchesRowAtATime holds the whole-group store to the
-// row-at-a-time Writer: whatever sizes the groups come in, owned or not,
+// row-at-a-time oracle: whatever sizes the groups come in, owned or not,
 // whatever ordinals the groups carry, encoded on the caller or on an executor
 // (flush is the width of the executor the sink's codec runs on; 0: none) —
 // the same blobs and manifest, and every group released exactly once.

@@ -2,34 +2,24 @@ package agd
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 
 	"persona/internal/dataflow"
 )
+
+// This file is the write side of a dataset: one chunk sink behind three
+// endings. WriteGroups stores a stream as a new dataset, WriteChunks as the
+// chunks of one partition of a dataset stitched later, and WriteColumn as one
+// column of an existing dataset — the paper's §3 "writing the column chunk
+// files and adding appropriate entries to the metadata file", whose second
+// half is AddColumn.
 
 // ColumnSpec declares one column of a dataset under construction.
 type ColumnSpec struct {
 	Name string
 	Type RecordType
-	// Compression for this column's chunks; the zero value selects gzip,
-	// matching the paper's deployment. (The per-column choice is the
-	// flexibility knob §3 describes.)
-	Compression Compression
-	compSet     bool
-}
-
-// WithCompression returns the spec with an explicit compression choice.
-func (c ColumnSpec) WithCompression(comp Compression) ColumnSpec {
-	c.Compression = comp
-	c.compSet = true
-	return c
-}
-
-func (c ColumnSpec) compression() Compression {
-	if !c.compSet && c.Compression == CompressNone {
-		return CompressGzip
-	}
-	return c.Compression
 }
 
 // StandardReadColumns returns the specs of the three sequencer-read columns
@@ -42,54 +32,169 @@ func StandardReadColumns() []ColumnSpec {
 	}
 }
 
-// Writer builds an AGD dataset chunk by chunk. Records are appended row-wise
-// (one field per column); the writer splits columns into row-grouped chunks
-// of ChunkSize records and writes each column chunk as its own blob. A full
-// chunk is encoded before the Append that filled it returns, its gzip members
-// compressing as tasks on WriterOptions.Codec's executor, and the builders
-// are reset in place for the next chunk. The chunk's Puts run as one task on
-// that executor while the next chunk fills, one chunk in flight at most; with
-// no executor they run before the Append returns.
-type Writer struct {
-	store     BlobStore
-	name      string
-	cols      []ColumnSpec
-	chunkSize int
-	refSeqs   []RefSeq
-	sortedBy  string
-	codec     Codec
-	puts      *puts
-
-	builders []*ChunkBuilder
-	fields   [][]byte // one row of an AppendGroup copied row by row
-	ordinal  uint64
-	entries  []ChunkEntry
-	closed   bool
-}
-
-// WriterOptions configures a dataset writer.
+// WriterOptions configures the dataset sinks. The stream's metadata gives
+// the rest: the records per chunk, the reference sequences and the sort
+// order.
 type WriterOptions struct {
-	// ChunkSize is records per chunk; default DefaultChunkSize.
-	ChunkSize int
-	// RefSeqs is recorded in the manifest (may be nil for unaligned data).
-	RefSeqs []RefSeq
-	// SortedBy is recorded in the manifest ("", "location", "metadata").
-	SortedBy string
 	// Codec encodes the chunks; its executor, when set, compresses a large
 	// gzip chunk's members and stores each chunk while the next one fills.
 	// The zero value encodes and stores on the caller.
 	Codec Codec
-	// Raw stores every column CompressNone, whatever its spec says: for a
-	// dataset read once and then deleted, deflate is work undone by the read.
+	// Raw stores every column CompressNone instead of gzip: for a dataset
+	// read once and then deleted, deflate is work undone by the read.
 	Raw bool
 }
 
-// NewWriter creates a dataset writer. The dataset's manifest is written on
-// Close.
-func NewWriter(store BlobStore, name string, cols []ColumnSpec, opts WriterOptions) (*Writer, error) {
+// WriteGroups drains a stream into a new dataset and writes its manifest. The
+// rows are re-chunked to the stream's chunk size (Meta.ChunkSize; when 0, the
+// first group's size), so chunking survives a fused pipeline; a group that
+// already is one output chunk is stored as it stands, without a copy. Every
+// chunk is encoded on the calling goroutine (its members on opts.Codec's
+// executor) and its blobs stored, one Put at a time, while the next group is
+// pulled — as a task on that executor, or before the pull with none. It
+// returns once every blob has landed. On any failure the column blobs already
+// written are deleted. It is the pipeline's dataset sink; the caller closes
+// the stream.
+func WriteGroups(ctx context.Context, in *GroupStream, store BlobStore, name string, opts WriterOptions) (*Manifest, error) {
+	s, err := newSink(in, store, name, opts)
+	if err != nil {
+		return nil, err
+	}
+	err = s.drain(ctx, in)
+	if err == nil && len(s.entries) == 0 {
+		err = fmt.Errorf("agd: dataset %q has no records", name)
+	}
+	var m *Manifest
+	if err == nil {
+		m = newManifest(name, s.cols, s.entries, in.Meta.RefSeqs, in.Meta.SortedBy)
+		err = WriteManifest(store, m)
+	}
+	if err != nil {
+		for _, entry := range s.entries {
+			for _, c := range s.cols {
+				// Best effort: the failure that led here is the one
+				// reported, and a blob that never landed is not there.
+				_ = store.Delete(chunkPath(entry, c.Name))
+			}
+		}
+		return nil, err
+	}
+	return m, nil
+}
+
+// WriteChunks is WriteGroups stopping short of the manifest: it returns the
+// entries of the chunks it stored, in row order — none, and no blob, for a
+// stream without records. A cluster reduce writes its partition of an output
+// dataset this way; the coordinator stitches the entries into one manifest.
+//
+// Unlike WriteGroups it deletes nothing on failure: it leaves the blobs that
+// landed. A partition's chunk names are deterministic and shared by every
+// attempt at its task, so a failed attempt must not take away what a
+// concurrent or earlier one stored; the retry overwrites them with the same
+// bytes, and without a manifest nothing reads them.
+func WriteChunks(ctx context.Context, in *GroupStream, store BlobStore, name string, opts WriterOptions) ([]ChunkEntry, error) {
+	s, err := newSink(in, store, name, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.drain(ctx, in); err != nil {
+		return nil, err
+	}
+	return s.entries, nil
+}
+
+// WriteColumn drains a stream into one column of the existing dataset m:
+// group i's chunk of column col is encoded (gzip) on codec and stored under
+// chunk i's blob path of m, replacing any blob already there. It is how a
+// stage's output lands next to the columns it was computed from — alignment
+// appending results (§3), duplicate marking rewriting them. It leaves the
+// manifest alone: a new column is registered by the AddColumn it runs in.
+//
+// Each group is encoded on the calling goroutine and released before the next
+// is pulled; its blob is stored meanwhile, one Put at a time — as a task on
+// codec's executor, or on the caller with none. The stream is closed on
+// return, after the last blob has landed; the first failure, the stream's or
+// a store's, is the one returned, and cancelling ctx returns a context error
+// with every group released.
+func WriteColumn(ctx context.Context, in *GroupStream, store BlobStore, m *Manifest, col string, codec Codec) error {
+	defer in.Close()
+	ci := in.Meta.Col(col)
+	if ci < 0 {
+		return fmt.Errorf("agd: stream has no %q column to write to dataset %q", col, m.Name)
+	}
+	s := &sink{
+		store: store,
+		name:  m.Name,
+		cols:  SpecsForColumns(in.Meta.Columns),
+		codec: codec,
+		comp:  CompressGzip,
+		puts:  newPuts(codec.Exec),
+		into:  m,
+		col:   ci,
+	}
+	return s.drain(ctx, in)
+}
+
+// AddColumn runs write, which stores column col's chunk blobs for every chunk
+// of m (WriteColumn, or the map tasks of a distributed align), and returns
+// the manifest that lists the column. A column new to m is registered once
+// write returns (RegisterColumn); if write or the registration fails, every
+// blob of the column is deleted again, so a failed align leaves the dataset
+// as it found it. A column m already lists is being rewritten — its old blobs
+// are gone as the new ones land — so m is returned as it is and nothing is
+// deleted.
+func AddColumn(store BlobStore, m *Manifest, col string, write func() error) (*Manifest, error) {
+	added := !m.HasColumn(col)
+	err := write()
+	updated := m
+	if err == nil && added {
+		updated, err = RegisterColumn(store, m, col)
+	}
+	if err != nil {
+		if added {
+			for i := range m.Chunks {
+				_ = store.Delete(m.ChunkBlobPath(i, col)) // best effort, as in WriteGroups
+			}
+		}
+		return nil, err
+	}
+	return updated, nil
+}
+
+// sink is the one drain loop behind WriteGroups, WriteChunks and WriteColumn.
+// It pulls a stream's groups, checks each (checkGroup) and places its rows in
+// chunks: with into set, group i is chunk i of that manifest and only stream
+// column col is stored; otherwise the rows are re-chunked to chunkSize as the
+// next chunks of dataset name, each chunk in every column. Each chunk is
+// encoded on codec and its blobs stored through puts, one Put at a time.
+type sink struct {
+	store BlobStore
+	name  string
+	cols  []ColumnSpec // the stream's columns
+	codec Codec
+	comp  Compression
+	puts  *puts
+	// blobs holds two chunks' encoded blobs, used in turn: when a chunk is
+	// encoded, the one before it may still be storing, but the one before
+	// that has landed (puts.run waited for it).
+	blobs  [2][][]byte
+	stored int // chunks handed to puts
+
+	into *Manifest
+	col  int
+
+	chunkSize int
+	builders  []*ChunkBuilder // the rows of the chunk being filled
+	ordinal   uint64          // rows placed in the chunks begun
+	entries   []ChunkEntry    // the chunks begun, in row order
+}
+
+// newSink opens a dataset sink (no into) over in's columns.
+func newSink(in *GroupStream, store BlobStore, name string, opts WriterOptions) (*sink, error) {
 	if name == "" {
 		return nil, fmt.Errorf("agd: empty dataset name")
 	}
+	cols := SpecsForColumns(in.Meta.Columns)
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("agd: no columns")
 	}
@@ -103,189 +208,171 @@ func NewWriter(store BlobStore, name string, cols []ColumnSpec, opts WriterOptio
 		}
 		seen[c.Name] = true
 	}
-	if opts.ChunkSize <= 0 {
-		opts.ChunkSize = DefaultChunkSize
-	}
+	comp := CompressGzip
 	if opts.Raw {
-		raw := make([]ColumnSpec, len(cols))
-		for i, c := range cols {
-			raw[i] = c.WithCompression(CompressNone)
-		}
-		cols = raw
+		comp = CompressNone
 	}
-	w := &Writer{
+	return &sink{
 		store:     store,
 		name:      name,
 		cols:      cols,
-		chunkSize: opts.ChunkSize,
-		refSeqs:   opts.RefSeqs,
-		sortedBy:  opts.SortedBy,
 		codec:     opts.Codec,
+		comp:      comp,
 		puts:      newPuts(opts.Codec.Exec),
-		builders:  make([]*ChunkBuilder, len(cols)),
-		fields:    make([][]byte, len(cols)),
-	}
-	for i, c := range cols {
-		w.builders[i] = NewChunkBuilder(c.Type, 0)
-	}
-	return w, nil
+		chunkSize: in.Meta.ChunkSize,
+	}, nil
 }
 
-// Append adds one record; fields must match the writer's columns in order.
-// Bases columns (TypeCompactBases) receive raw base letters and are
-// compacted here.
-func (w *Writer) Append(fields ...[]byte) error {
-	if w.closed {
-		return fmt.Errorf("agd: writer for %q is closed", w.name)
-	}
-	if len(fields) != len(w.cols) {
-		return fmt.Errorf("agd: Append got %d fields, want %d", len(fields), len(w.cols))
-	}
-	for i, f := range fields {
-		if w.cols[i].Type == TypeCompactBases {
-			w.builders[i].AppendBases(f)
-		} else {
-			w.builders[i].Append(f)
-		}
-	}
-	w.ordinal++
-	if w.builders[0].NumRecords() >= w.chunkSize {
-		return w.flushChunk()
-	}
-	return nil
-}
-
-// AppendResult is a convenience for results-only datasets/columns.
-func (w *Writer) AppendResult(r *Result) error {
-	return w.Append(EncodeResult(nil, r))
-}
-
-// AppendStored adds one record whose fields are already in stored
-// representation (e.g. bases already compacted) — rows that are only
-// reordered or selected are never expanded.
-func (w *Writer) AppendStored(fields ...[]byte) error {
-	if w.closed {
-		return fmt.Errorf("agd: writer for %q is closed", w.name)
-	}
-	if len(fields) != len(w.cols) {
-		return fmt.Errorf("agd: AppendStored got %d fields, want %d", len(fields), len(w.cols))
-	}
-	for i, f := range fields {
-		w.builders[i].Append(f)
-	}
-	w.ordinal++
-	if w.builders[0].NumRecords() >= w.chunkSize {
-		return w.flushChunk()
-	}
-	return nil
-}
-
-// AppendGroup adds every row of g, whose chunks hold stored representation,
-// and releases g (on failure too). A group that is exactly one output chunk —
-// the builders are empty and it holds ChunkSize rows — is encoded and stored
-// as it stands, under the ordinal the writer assigns rather than the chunks'
-// own (a filtered group still carries its input's). Any other group is copied
-// row by row through AppendStored. Both routes write the same blobs.
-func (w *Writer) AppendGroup(g *RowGroup) error {
-	defer g.Release()
-	chunks := g.Chunks
-	n := g.NumRecords()
-	if err := w.checkGroup(g, n); err != nil {
-		return err
-	}
-	if n == w.chunkSize && w.builders[0].NumRecords() == 0 {
-		entry := w.addEntry(w.ordinal, n)
-		w.ordinal += uint64(n)
-		whole := make([]*Chunk, len(w.cols))
-		for i, c := range w.cols {
-			whole[i] = &Chunk{Type: c.Type, FirstOrdinal: entry.First, lengths: chunks[i].lengths, Data: chunks[i].Data}
-		}
-		return w.storeChunk(entry, whole)
-	}
-	for i, c := range chunks {
-		w.builders[i].Grow(n, len(c.Data))
-	}
-	for r := 0; r < n; r++ {
-		for i, c := range chunks {
-			f, err := c.Record(r)
-			if err != nil {
-				return err
-			}
-			w.fields[i] = f
-		}
-		if err := w.AppendStored(w.fields...); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// checkGroup rejects a group the writer cannot take: the wrong number of
-// columns, or columns that disagree on the row count n.
-func (w *Writer) checkGroup(g *RowGroup, n int) error {
-	if w.closed {
-		return fmt.Errorf("agd: writer for %q is closed", w.name)
-	}
-	if len(g.Chunks) != len(w.cols) {
-		return fmt.Errorf("agd: group %d has %d columns, dataset %q has %d", g.Index, len(g.Chunks), w.name, len(w.cols))
-	}
-	for i, c := range g.Chunks {
-		if c.NumRecords() != n {
-			return fmt.Errorf("%w: group %d column %q has %d records, column %q has %d",
-				ErrRowGroup, g.Index, w.cols[i].Name, c.NumRecords(), w.cols[0].Name, n)
-		}
-	}
-	return nil
-}
-
-// addEntry records the next output chunk: n rows from dataset ordinal first.
-func (w *Writer) addEntry(first uint64, n int) ChunkEntry {
-	entry := ChunkEntry{
-		Path:    ChunkEntryPath(w.name, len(w.entries)),
-		First:   first,
-		Records: uint32(n),
-	}
-	w.entries = append(w.entries, entry)
-	return entry
-}
-
-// flushChunk stores the rows accumulated in the builders as the next chunk
-// and resets the builders for the one after it.
-func (w *Writer) flushChunk() error {
-	n := w.builders[0].NumRecords()
-	if n == 0 {
-		return nil
-	}
-	entry := w.addEntry(w.ordinal-uint64(n), n)
-	chunks := make([]*Chunk, len(w.cols))
-	for i := range w.cols {
-		// The entry, not the builder, says where the chunk starts: whole
-		// groups advance the ordinal past builders that stay empty.
-		chunks[i] = w.builders[i].Chunk()
-		chunks[i].FirstOrdinal = entry.First
-	}
-	err := w.storeChunk(entry, chunks)
-	for i, c := range w.cols {
-		w.builders[i].Reset(c.Type, w.ordinal)
+// drain stores every group of in and returns once the last blob has landed
+// (or failed to), with every group it pulled released.
+func (s *sink) drain(ctx context.Context, in *GroupStream) error {
+	err := s.pull(ctx, in)
+	if werr := s.puts.wait(); err == nil {
+		err = werr
 	}
 	return err
 }
 
-// storeChunk encodes one output row group's column chunks and hands their
-// blobs to the store (see puts). The blobs own their bytes, so the chunks may
-// be reused as soon as it returns.
-func (w *Writer) storeChunk(entry ChunkEntry, chunks []*Chunk) error {
-	blobs := make([][]byte, len(w.cols))
-	for i, c := range w.cols {
-		blob, err := w.codec.Encode(chunks[i], c.compression())
+func (s *sink) pull(ctx context.Context, in *GroupStream) error {
+	for {
+		g, err := in.Next(ctx)
+		if err == io.EOF {
+			return s.flush()
+		}
+		if errors.Is(err, dataflow.ErrStopped) && ctx.Err() != nil {
+			// A pool or executor wait the dead context abandoned.
+			return ctx.Err()
+		}
 		if err != nil {
 			return err
 		}
-		blobs[i] = blob
+		err = s.put(g)
+		g.Release()
+		if err != nil {
+			return err
+		}
 	}
-	return w.puts.run(func() error {
-		for i, c := range w.cols {
-			if err := w.store.Put(chunkPath(entry, c.Name), blobs[i]); err != nil {
+}
+
+// put places one checked group.
+func (s *sink) put(g *RowGroup) error {
+	n := g.NumRecords()
+	if err := s.checkGroup(g, n); err != nil {
+		return err
+	}
+	if s.into != nil {
+		if g.Index < 0 || g.Index >= len(s.into.Chunks) {
+			return fmt.Errorf("%w: group %d of dataset %q (%d chunks)", ErrNoChunk, g.Index, s.name, len(s.into.Chunks))
+		}
+		entry := s.into.Chunks[g.Index]
+		if n != int(entry.Records) {
+			return fmt.Errorf("%w: chunk %d has %d records, column %q supplies %d",
+				ErrRowGroup, g.Index, entry.Records, s.cols[s.col].Name, n)
+		}
+		return s.storeChunk(entry, s.cols[s.col:s.col+1], g.Chunks[s.col:s.col+1])
+	}
+	if s.builders == nil {
+		if s.chunkSize <= 0 {
+			s.chunkSize = n
+		}
+		if s.chunkSize <= 0 {
+			s.chunkSize = DefaultChunkSize
+		}
+		s.builders = make([]*ChunkBuilder, len(s.cols))
+		for i, c := range s.cols {
+			s.builders[i] = NewChunkBuilder(c.Type, 0)
+		}
+	}
+	if n == s.chunkSize && s.builders[0].NumRecords() == 0 {
+		// A whole chunk: stored as it stands, under the ordinal the sink
+		// assigns rather than the chunks' own (a filtered group still
+		// carries its input's).
+		entry := s.addEntry(n)
+		whole := make([]*Chunk, len(s.cols))
+		for i, c := range s.cols {
+			whole[i] = &Chunk{Type: c.Type, FirstOrdinal: entry.First, lengths: g.Chunks[i].lengths, Data: g.Chunks[i].Data}
+		}
+		return s.storeChunk(entry, s.cols, whole)
+	}
+	for i, c := range g.Chunks {
+		s.builders[i].Grow(n, len(c.Data))
+	}
+	for r := 0; r < n; r++ {
+		for i, c := range g.Chunks {
+			f, err := c.Record(r)
+			if err != nil {
+				return err
+			}
+			s.builders[i].Append(f)
+		}
+		if s.builders[0].NumRecords() == s.chunkSize {
+			if err := s.flush(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// checkGroup rejects a group the sink cannot take: the wrong number of
+// columns, or columns that disagree on the row count n.
+func (s *sink) checkGroup(g *RowGroup, n int) error {
+	if len(g.Chunks) != len(s.cols) {
+		return fmt.Errorf("agd: group %d has %d columns, dataset %q has %d", g.Index, len(g.Chunks), s.name, len(s.cols))
+	}
+	for i, c := range g.Chunks {
+		if c.NumRecords() != n {
+			return fmt.Errorf("%w: group %d column %q has %d records, column %q has %d",
+				ErrRowGroup, g.Index, s.cols[i].Name, c.NumRecords(), s.cols[0].Name, n)
+		}
+	}
+	return nil
+}
+
+// addEntry begins the next output chunk, of n rows.
+func (s *sink) addEntry(n int) ChunkEntry {
+	entry := ChunkEntry{Path: ChunkEntryPath(s.name, len(s.entries)), First: s.ordinal, Records: uint32(n)}
+	s.entries = append(s.entries, entry)
+	s.ordinal += uint64(n)
+	return entry
+}
+
+// flush stores the rows gathered in the builders as the next chunk and
+// resets the builders for the one after it.
+func (s *sink) flush() error {
+	if s.builders == nil || s.builders[0].NumRecords() == 0 {
+		return nil
+	}
+	entry := s.addEntry(s.builders[0].NumRecords())
+	chunks := make([]*Chunk, len(s.cols))
+	for i := range s.cols {
+		chunks[i] = s.builders[i].Chunk()
+		chunks[i].FirstOrdinal = entry.First
+	}
+	err := s.storeChunk(entry, s.cols, chunks)
+	for i, c := range s.cols {
+		s.builders[i].Reset(c.Type, s.ordinal)
+	}
+	return err
+}
+
+// storeChunk encodes one chunk's columns and hands their blobs to the store (see
+// puts). The blobs own their bytes, so the chunks may be reused as soon as it
+// returns.
+func (s *sink) storeChunk(entry ChunkEntry, cols []ColumnSpec, chunks []*Chunk) error {
+	blobs := s.blobs[s.stored%2][:0]
+	for _, c := range chunks {
+		blob, err := s.codec.Encode(c, s.comp)
+		if err != nil {
+			return err
+		}
+		blobs = append(blobs, blob)
+	}
+	s.blobs[s.stored%2] = blobs
+	s.stored++
+	return s.puts.run(func() error {
+		for i, c := range cols {
+			if err := s.store.Put(chunkPath(entry, c.Name), blobs[i]); err != nil {
 				return err
 			}
 		}
@@ -332,107 +419,4 @@ func (p *puts) wait() error {
 	}
 	p.pending = false
 	return <-p.done
-}
-
-// NumRecords returns how many records have been appended so far.
-func (w *Writer) NumRecords() uint64 { return w.ordinal }
-
-// finish flushes the final partial chunk, waits for the last chunk's blobs to
-// land and returns the chunks written, in row order.
-func (w *Writer) finish() ([]ChunkEntry, error) {
-	if w.closed {
-		return nil, fmt.Errorf("agd: writer for %q already closed", w.name)
-	}
-	w.closed = true
-	err := w.flushChunk()
-	if werr := w.puts.wait(); err == nil {
-		err = werr
-	}
-	if err != nil {
-		return nil, err
-	}
-	return w.entries, nil
-}
-
-// Close flushes the final partial chunk and writes the manifest. It returns
-// the completed manifest.
-func (w *Writer) Close() (*Manifest, error) {
-	entries, err := w.finish()
-	if err != nil {
-		return nil, err
-	}
-	m := newManifest(w.name, w.cols, entries, w.refSeqs, w.sortedBy)
-	if len(m.Chunks) == 0 {
-		return nil, fmt.Errorf("agd: dataset %q has no records", w.name)
-	}
-	if err := WriteManifest(w.store, m); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// halt ends a failed write: it closes the writer and waits for the chunk in
-// flight, leaving the blobs that landed.
-func (w *Writer) halt() {
-	w.closed = true
-	_ = w.puts.wait() // the caller is already reporting a failure
-}
-
-// Abort abandons a dataset that will get no manifest — after a failed append
-// or Close: halt, then delete the column blobs of every chunk the writer
-// began.
-func (w *Writer) Abort() {
-	w.halt()
-	for _, entry := range w.entries {
-		for _, c := range w.cols {
-			// Best effort: the caller is already reporting the failure that
-			// led here, and a blob that never landed is not there to delete.
-			_ = w.store.Delete(chunkPath(entry, c.Name))
-		}
-	}
-}
-
-// AppendColumn adds a new column to an existing dataset, row-grouped with
-// the existing chunks: records must be supplied per chunk, matching each
-// chunk's record count. This is how Persona appends alignment results to a
-// dataset (§3: "a new record field ... can be easily added by writing the
-// column chunk files and adding appropriate entries to the metadata file").
-// It is the record-at-a-time form, for callers that hold the whole column in
-// memory (fixtures, and the reference the align identity tests compare
-// against); stages stream a column in through WriteColumn instead.
-func AppendColumn(store BlobStore, m *Manifest, spec ColumnSpec, chunkRecords func(chunkIdx int) ([][]byte, error)) (*Manifest, error) {
-	if m.HasColumn(spec.Name) {
-		return nil, fmt.Errorf("agd: dataset %q already has column %q", m.Name, spec.Name)
-	}
-	for i, entry := range m.Chunks {
-		records, err := chunkRecords(i)
-		if err != nil {
-			return nil, err
-		}
-		if len(records) != int(entry.Records) {
-			return nil, fmt.Errorf("%w: chunk %d has %d records, column supplies %d",
-				ErrRowGroup, i, entry.Records, len(records))
-		}
-		b := NewChunkBuilder(spec.Type, entry.First)
-		for _, rec := range records {
-			if spec.Type == TypeCompactBases {
-				b.AppendBases(rec)
-			} else {
-				b.Append(rec)
-			}
-		}
-		blob, err := EncodeChunk(b.Chunk(), spec.compression())
-		if err != nil {
-			return nil, err
-		}
-		if err := store.Put(chunkPath(entry, spec.Name), blob); err != nil {
-			return nil, err
-		}
-	}
-	updated := *m
-	updated.Columns = append(append([]string{}, m.Columns...), spec.Name)
-	if err := WriteManifest(store, &updated); err != nil {
-		return nil, err
-	}
-	return &updated, nil
 }

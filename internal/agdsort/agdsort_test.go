@@ -230,17 +230,11 @@ func TestSortByMetadataSharedPrefix(t *testing.T) {
 		"aaa",
 		"zzz",
 	}
-	w, err := agd.NewWriter(store, "ds", []agd.ColumnSpec{{Name: agd.ColMetadata, Type: agd.TypeRaw}},
-		agd.WriterOptions{ChunkSize: 3})
-	if err != nil {
-		t.Fatal(err)
+	rows := make([][][]byte, len(metas))
+	for i, m := range metas {
+		rows[i] = [][]byte{[]byte(m)}
 	}
-	for _, m := range metas {
-		if err := w.Append([]byte(m)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := w.Close(); err != nil {
+	if _, err := testutil.WriteRows(store, "ds", agd.StreamMeta{Columns: []string{agd.ColMetadata}, ChunkSize: 3}, rows); err != nil {
 		t.Fatal(err)
 	}
 	ds, err := agd.Open(store, "ds")
@@ -484,20 +478,13 @@ func TestSortRunBoundariesKeepOrder(t *testing.T) {
 	// column numbers the rows, so a duplicate key out of input order shows.
 	ids := []string{"sharedprefix-b", "sharedprefix-a", "sharedpre", "sharedpr", "shared", "sharedpr\x00", "aaa", "zzz"}
 	store := agd.NewMemStore()
-	w, err := agd.NewWriter(store, "ids", []agd.ColumnSpec{
-		{Name: agd.ColMetadata, Type: agd.TypeRaw}, {Name: agd.ColResults, Type: agd.TypeResults},
-	}, agd.WriterOptions{ChunkSize: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(60))
-	for i := 0; i < 300; i++ {
+	rows := make([][][]byte, 300)
+	for i := range rows {
 		res := agd.Result{Location: int64(i)}
-		if err := w.Append([]byte(ids[rng.Intn(len(ids))]), agd.EncodeResult(nil, &res)); err != nil {
-			t.Fatal(err)
-		}
+		rows[i] = [][]byte{[]byte(ids[rng.Intn(len(ids))]), agd.EncodeResult(nil, &res)}
 	}
-	m, err := w.Close()
+	m, err := testutil.WriteRows(store, "ids", agd.StreamMeta{Columns: []string{agd.ColMetadata, agd.ColResults}, ChunkSize: 20}, rows)
 	if err != nil {
 		t.Fatal(err)
 	}

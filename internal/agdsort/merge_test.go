@@ -24,18 +24,12 @@ var mergeFixtures = map[string]func(t testing.TB) *agd.Dataset{
 	},
 	"skewed shared prefix": func(t testing.TB) *agd.Dataset {
 		store := agd.NewMemStore()
-		specs := []agd.ColumnSpec{{Name: agd.ColMetadata, Type: agd.TypeRaw}, {Name: agd.ColResults, Type: agd.TypeResults}}
-		w, err := agd.NewWriter(store, "ds", specs, agd.WriterOptions{ChunkSize: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 61; i++ {
+		rows := make([][][]byte, 61)
+		for i := range rows {
 			res := agd.Result{Location: int64(7 * (i % 3))}
-			if err := w.Append([]byte(fmt.Sprintf("sharedprefix-%d", i%3)), agd.EncodeResult(nil, &res)); err != nil {
-				t.Fatal(err)
-			}
+			rows[i] = [][]byte{[]byte(fmt.Sprintf("sharedprefix-%d", i%3)), agd.EncodeResult(nil, &res)}
 		}
-		m, err := w.Close()
+		m, err := testutil.WriteRows(store, "ds", agd.StreamMeta{Columns: []string{agd.ColMetadata, agd.ColResults}, ChunkSize: 7}, rows)
 		if err != nil {
 			t.Fatal(err)
 		}

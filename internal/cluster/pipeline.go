@@ -246,26 +246,23 @@ func RunPipeline(ctx context.Context, store storage.Store, plan PipelinePlan, cf
 		go selectCuts()
 	}
 
-	report, err := runNodes(runCtx, srv, &cfg, func(ctx context.Context, w *worker) error {
-		return pipelineNode(ctx, w, store, ds, &plan, cols, parts, numBatches)
-	})
+	var report *Report
+	nodes := func() (err error) {
+		report, err = runNodes(runCtx, srv, &cfg, func(ctx context.Context, w *worker) error {
+			return pipelineNode(ctx, w, store, ds, &plan, cols, parts, numBatches)
+		})
+		return err
+	}
 	if plan.writeBack {
-		var updated *agd.Manifest
-		if err == nil {
-			updated, err = agd.RegisterColumn(store, m, agd.ColResults)
-		}
+		// runNodes returns once every worker has, so no Put is in flight
+		// when a failed run's results blobs are deleted.
+		updated, err := agd.AddColumn(store, m, agd.ColResults, nodes)
 		if err != nil {
-			// runNodes returns once every worker has, so no Put is in
-			// flight: the results blobs that landed go, and the dataset is
-			// the unaligned one it was.
-			for i := range m.Chunks {
-				_ = store.Delete(m.ChunkBlobPath(i, agd.ColResults))
-			}
 			return nil, err
 		}
 		return &PipelineResult{Report: report, Manifest: updated}, nil
 	}
-	if err != nil {
+	if err := nodes(); err != nil {
 		return nil, err
 	}
 	report.Partitions = parts
@@ -415,7 +412,7 @@ func runMapTask(ctx context.Context, store storage.Store, ds *agd.Dataset, plan 
 		stream, aligned = out, arep
 	}
 	if plan.writeBack {
-		if err := agd.WriteColumn(ctx, stream, store, ds.Manifest, agd.ColResults, codec, nil); err != nil {
+		if err := agd.WriteColumn(ctx, stream, store, ds.Manifest, agd.ColResults, codec); err != nil {
 			return "", err
 		}
 		rep.Reads += aligned.Reads

@@ -37,7 +37,7 @@ func alignDataset(ctx context.Context, store agd.BlobStore, name string, cfg Ali
 		in.Close()
 		return nil, nil, err
 	}
-	if err := agd.WriteColumn(ctx, out, store, ds.Manifest, agd.ColResults, codec, nil); err != nil {
+	if err := agd.WriteColumn(ctx, out, store, ds.Manifest, agd.ColResults, codec); err != nil {
 		return nil, nil, err
 	}
 	m, err := agd.RegisterColumn(store, ds.Manifest, agd.ColResults)
@@ -371,7 +371,7 @@ func TestAlignStagesUnderTightPools(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := agd.WriteColumn(context.Background(), out, store, &bare, agd.ColResults, agd.Codec{Exec: exec}, nil); err != nil {
+	if err := agd.WriteColumn(context.Background(), out, store, &bare, agd.ColResults, agd.Codec{Exec: exec}); err != nil {
 		t.Fatal(err)
 	}
 	if report.Reads != 500 {

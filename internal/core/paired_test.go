@@ -26,18 +26,8 @@ func pairedFixture(t *testing.T, store agd.BlobStore, name string, genomeSize, n
 		t.Fatal(err)
 	}
 	rs, origins := sim.All()
-	w, err := agd.NewWriter(store, name, agd.StandardReadColumns(), agd.WriterOptions{
-		ChunkSize: 100, RefSeqs: agd.RefSeqsFromGenome(g),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range rs {
-		if err := w.Append(rs[i].Bases, rs[i].Quals, []byte(rs[i].Meta)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := w.Close(); err != nil {
+	meta := agd.StreamMeta{Columns: []string{agd.ColBases, agd.ColQual, agd.ColMetadata}, ChunkSize: 100, RefSeqs: agd.RefSeqsFromGenome(g)}
+	if _, err := testutil.WriteRows(store, name, meta, testutil.ReadRows(rs, nil)); err != nil {
 		t.Fatal(err)
 	}
 	return g, origins

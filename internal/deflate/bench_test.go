@@ -37,13 +37,18 @@ var fixture = sync.OnceValue(func() []buffer {
 		panic(err)
 	}
 	// The first 2 000-read chunk of every column, as a chunk member holds it.
+	gs, err := ds.Groups(agd.StreamOptions{End: 1})
+	if err != nil {
+		panic(err)
+	}
+	defer gs.Close()
+	g, err := gs.Next(context.Background())
+	if err != nil {
+		panic(err)
+	}
 	var out []buffer
-	for _, col := range ds.Manifest.Columns {
-		c, err := ds.ReadChunk(col, 0)
-		if err != nil {
-			panic(err)
-		}
-		out = append(out, buffer{col, c.Data})
+	for i, col := range gs.Meta.Columns {
+		out = append(out, buffer{col, g.Chunks[i].Data})
 	}
 	// And one full BGZF block from the middle of the dataset's BAM.
 	var file bytes.Buffer

@@ -204,7 +204,8 @@ func RunSubchunkAblation(ctx context.Context, w io.Writer, sc Scale) ([]Subchunk
 
 // alignSubchunks aligns ds in place with each chunk split into sub
 // subchunks: the bases stream through the align stage into the results
-// column on a 2-worker executor, and the column is registered once stored.
+// column on a 2-worker executor, and the column is registered once stored
+// (or deleted again if any of it fails).
 // persona.Align fixes the split at the engine default, so the ablation
 // assembles the stage itself.
 func alignSubchunks(ctx context.Context, ds *agd.Dataset, idx *snap.Index, sub int) error {
@@ -220,9 +221,8 @@ func alignSubchunks(ctx context.Context, ds *agd.Dataset, idx *snap.Index, sub i
 		in.Close()
 		return err
 	}
-	if err := agd.WriteColumn(ctx, out, ds.Store(), ds.Manifest, agd.ColResults, codec, nil); err != nil {
-		return err
-	}
-	_, err = agd.RegisterColumn(ds.Store(), ds.Manifest, agd.ColResults)
+	_, err = agd.AddColumn(ds.Store(), ds.Manifest, agd.ColResults, func() error {
+		return agd.WriteColumn(ctx, out, ds.Store(), ds.Manifest, agd.ColResults, codec)
+	})
 	return err
 }

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"errors"
 	"io"
 	"strings"
 	"testing"
+
+	"persona/internal/agd"
 )
 
 // tinyScale keeps the experiment smoke tests fast while staying large
@@ -217,5 +220,50 @@ func TestAblations(t *testing.T) {
 	}
 	if len(srows) != 4 {
 		t.Fatalf("subchunk rows = %d", len(srows))
+	}
+}
+
+// failResultsPut fails the Put of one results blob.
+type failResultsPut struct {
+	agd.BlobStore
+	name string
+}
+
+func (s failResultsPut) Put(name string, data []byte) error {
+	if name == s.name {
+		return errors.New("injected put failure")
+	}
+	return s.BlobStore.Put(name, data)
+}
+
+// TestAlignSubchunksFailureLeavesNoResults: the subchunk ablation's align
+// writes its results column through the one column ending, so a column write
+// that fails part-way leaves no results blob and an unaligned manifest.
+func TestAlignSubchunksFailureLeavesNoResults(t *testing.T) {
+	sc := tinyScale()
+	mem := agd.NewMemStore()
+	f, err := sc.fixture(mem, "ds", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := failResultsPut{mem, f.Dataset.Manifest.ChunkBlobPath(3, agd.ColResults)}
+	if err := alignSubchunks(t.Context(), agd.OpenManifest(store, f.Dataset.Manifest), f.Index, 2); err == nil {
+		t.Fatal("the align succeeded over a failing results Put")
+	}
+	names, err := mem.List("ds/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		if strings.HasSuffix(name, "."+agd.ColResults) {
+			t.Fatalf("results blob %q left behind", name)
+		}
+	}
+	ds, err := agd.Open(mem, "ds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.Manifest.HasColumn(agd.ColResults) {
+		t.Fatal("the manifest lists a results column")
 	}
 }

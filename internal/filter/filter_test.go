@@ -47,7 +47,7 @@ func markDataset(ds *agd.Dataset) (markdup.Stats, error) {
 		in.Close()
 		return markdup.Stats{}, err
 	}
-	err = agd.WriteColumn(context.Background(), out, ds.Store(), ds.Manifest, agd.ColResults, agd.Codec{}, nil)
+	err = agd.WriteColumn(context.Background(), out, ds.Store(), ds.Manifest, agd.ColResults, agd.Codec{})
 	return *stats, err
 }
 

@@ -108,7 +108,8 @@ func (w *Writer) refID(name string) (int32, error) {
 	return id, nil
 }
 
-// Write emits one alignment record.
+// Write emits one alignment record. A read name over 254 bytes is refused
+// with an error, and nothing of the record is written.
 func (w *Writer) Write(r *sam.Record) error {
 	refID, err := w.refID(r.Ref)
 	if err != nil {
@@ -126,14 +127,14 @@ func (w *Writer) Write(r *sam.Record) error {
 	if err != nil {
 		return err
 	}
-	w.writeRecord(refID, int64(r.Pos-1), nextRefID, int64(r.PNext-1), r.MapQ, r.Flags, r.TLen,
+	return w.writeRecord(refID, int64(r.Pos-1), nextRefID, int64(r.PNext-1), r.MapQ, r.Flags, r.TLen,
 		[]byte(r.Name), cigar, []byte(r.Seq), []byte(r.Qual))
-	return w.flushRecord()
 }
 
 // WriteView emits one alignment record assembled from AGD column bytes and
 // a decoded result view — the zero-allocation export path. seq and qual
-// must already be in SAM orientation.
+// must already be in SAM orientation. Like Write, it refuses a read name over
+// 254 bytes.
 func (w *Writer) WriteView(name, seq, qual []byte, v *agd.ResultView, refmap *sam.RefMap) error {
 	refID, pos := int32(-1), int64(-1)
 	cigar := w.cigar[:0]
@@ -162,13 +163,20 @@ func (w *Writer) WriteView(name, seq, qual []byte, v *agd.ResultView, refmap *sa
 		}
 		pnext = p
 	}
-	w.writeRecord(refID, pos, nextRefID, pnext, v.MapQ, v.Flags, v.TemplateLen, name, cigar, seq, qual)
-	return w.flushRecord()
+	return w.writeRecord(refID, pos, nextRefID, pnext, v.MapQ, v.Flags, v.TemplateLen, name, cigar, seq, qual)
 }
 
-// writeRecord renders one record, behind room for its block_size prefix,
-// into the reused buffer.
-func (w *Writer) writeRecord(refID int32, pos int64, nextRefID int32, pnext int64, mapq uint8, flags uint16, tlen int32, name []byte, cigar align.Cigar, seq, qual []byte) {
+// maxReadName is the longest read name a record holds: l_read_name, one
+// byte, counts the name and its NUL. It is SAM's limit too.
+const maxReadName = 254
+
+// writeRecord renders one record into the reused buffer, its block_size
+// prefix included, and emits it. A name too long for l_read_name is refused
+// before anything is written.
+func (w *Writer) writeRecord(refID int32, pos int64, nextRefID int32, pnext int64, mapq uint8, flags uint16, tlen int32, name []byte, cigar align.Cigar, seq, qual []byte) error {
+	if len(name) > maxReadName {
+		return fmt.Errorf("bam: read name of %d bytes, over the %d a record holds", len(name), maxReadName)
+	}
 	le := binary.LittleEndian
 	b := le.AppendUint32(w.rec[:0], 0)
 	b = le.AppendUint32(b, uint32(refID))
@@ -196,13 +204,9 @@ func (w *Writer) writeRecord(refID int32, pos int64, nextRefID int32, pnext int6
 	for i := len(b) - len(qual); i < len(b); i++ {
 		b[i] -= '!'
 	}
+	le.PutUint32(b, uint32(len(b)-4))
 	w.rec = b
-}
-
-// flushRecord fills in the buffered record's block_size and emits it.
-func (w *Writer) flushRecord() error {
-	binary.LittleEndian.PutUint32(w.rec, uint32(len(w.rec)-4))
-	_, err := w.z.Write(w.rec)
+	_, err := w.z.Write(b)
 	return err
 }
 

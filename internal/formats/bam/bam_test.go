@@ -107,3 +107,53 @@ func TestOddLengthSeqNibbles(t *testing.T) {
 		t.Fatalf("seq = %q, want ACGTN", got.Seq)
 	}
 }
+
+// TestWriterRefusesLongNames: a 255-byte read name does not fit BAM's
+// one-byte l_read_name with its NUL, so Write and WriteView refuse it and
+// write nothing of that record — the records around it still read back —
+// while a 254-byte name, SAM's limit, round-trips through the Reader.
+func TestWriterRefusesLongNames(t *testing.T) {
+	refmap := sam.NewRefMap(testRefs)
+	for _, path := range []string{"Write", "WriteView"} {
+		var buf bytes.Buffer
+		w, err := NewWriter(bgzf.NewWriter(&buf, nil), testRefs, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		write := func(name string) error {
+			rec := sam.Record{Name: name, Ref: "chr1", Pos: 11, MapQ: 60, Cigar: "4M", RNext: "*", Seq: "ACGT", Qual: "IIII"}
+			if path == "Write" {
+				return w.Write(&rec)
+			}
+			v := agd.ResultView{Location: 10, MateLocation: -1, MapQ: 60, Cigar: []byte("4M")}
+			return w.WriteView([]byte(rec.Name), []byte(rec.Seq), []byte(rec.Qual), &v, refmap)
+		}
+		long, limit := string(bytes.Repeat([]byte("n"), 255)), string(bytes.Repeat([]byte("m"), 254))
+		if err := write("before"); err != nil {
+			t.Fatal(err)
+		}
+		if err := write(long); err == nil {
+			t.Fatalf("%s: a 255-byte name was accepted", path)
+		}
+		if err := write(limit); err != nil {
+			t.Fatalf("%s: a 254-byte name: %v", path, err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewReader(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for r.Scan() {
+			names = append(names, r.Record().Name)
+		}
+		if err := r.Err(); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if len(names) != 2 || names[0] != "before" || names[1] != limit {
+			t.Fatalf("%s: read back %d records %q", path, len(names), names)
+		}
+	}
+}

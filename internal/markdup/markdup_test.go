@@ -21,7 +21,7 @@ func markDataset(ds *agd.Dataset) (Stats, error) {
 		in.Close()
 		return Stats{}, err
 	}
-	err = agd.WriteColumn(context.Background(), out, ds.Store(), ds.Manifest, agd.ColResults, agd.Codec{}, nil)
+	err = agd.WriteColumn(context.Background(), out, ds.Store(), ds.Manifest, agd.ColResults, agd.Codec{})
 	return *stats, err
 }
 
@@ -133,18 +133,8 @@ func TestMarkSkipsUnmapped(t *testing.T) {
 	store := agd.NewMemStore()
 	// Hand-build a dataset of two identical unmapped results: they must not
 	// be marked as duplicates of each other.
-	w, err := agd.NewWriter(store, "u", []agd.ColumnSpec{{Name: agd.ColResults, Type: agd.TypeResults}},
-		agd.WriterOptions{ChunkSize: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	un := agd.Result{Location: agd.UnmappedLocation, MateLocation: agd.UnmappedLocation, Flags: agd.FlagUnmapped}
-	for i := 0; i < 2; i++ {
-		if err := w.AppendResult(&un); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m, err := w.Close()
+	un := agd.EncodeResult(nil, &agd.Result{Location: agd.UnmappedLocation, MateLocation: agd.UnmappedLocation, Flags: agd.FlagUnmapped})
+	m, err := testutil.WriteRows(store, "u", agd.StreamMeta{Columns: []string{agd.ColResults}, ChunkSize: 10}, [][][]byte{{un}, {un}})
 	if err != nil {
 		t.Fatal(err)
 	}

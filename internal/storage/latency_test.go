@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"persona/internal/agd"
+	"persona/internal/testutil"
 )
 
 // TestLatencyStoreDelaysAllReadPaths checks the wrapper's contract: sync
@@ -133,16 +134,11 @@ func TestRetryStoreReadProfile(t *testing.T) {
 func TestFaultStoreCorruptBlobNeverCached(t *testing.T) {
 	mem := NewMem()
 	// Build a small dataset directly with agd.
-	w, err := agd.NewWriter(mem, "ds", agd.StandardReadColumns(), agd.WriterOptions{ChunkSize: 10})
-	if err != nil {
-		t.Fatal(err)
+	rows := make([][][]byte, 30)
+	for i := range rows {
+		rows[i] = [][]byte{[]byte("ACGTACGTAC"), []byte("IIIIIIIIII"), []byte("r")}
 	}
-	for i := 0; i < 30; i++ {
-		if err := w.Append([]byte("ACGTACGTAC"), []byte("IIIIIIIIII"), []byte("r")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := w.Close(); err != nil {
+	if _, err := testutil.WriteRows(mem, "ds", readMeta(10), rows); err != nil {
 		t.Fatal(err)
 	}
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"persona/internal/agd"
+	"persona/internal/testutil"
 )
 
 // getOnly hides every method of the wrapped store but the BlobStore ones, so
@@ -60,16 +61,7 @@ func TestRegisterColumnChecksEveryStore(t *testing.T) {
 		for cname, bad := range cases {
 			t.Run(sname+"/"+cname, func(t *testing.T) {
 				store := open(t)
-				w, err := agd.NewWriter(store, "ds", agd.StandardReadColumns(), agd.WriterOptions{ChunkSize: 4})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := 0; i < 12; i++ {
-					if err := w.Append([]byte("ACGTACGT"), []byte("IIIIIIII"), []byte(fmt.Sprintf("r%d", i))); err != nil {
-						t.Fatal(err)
-					}
-				}
-				m, err := w.Close()
+				m, err := testutil.WriteRows(store, "ds", readMeta(4), reads(12))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -116,4 +108,19 @@ func TestRegisterColumnChecksEveryStore(t *testing.T) {
 			})
 		}
 	}
+}
+
+// readMeta is the stream metadata of the three read columns, chunk rows a
+// chunk.
+func readMeta(chunk int) agd.StreamMeta {
+	return agd.StreamMeta{Columns: []string{agd.ColBases, agd.ColQual, agd.ColMetadata}, ChunkSize: chunk}
+}
+
+// reads returns n rows of eight bases, named r0, r1, ...
+func reads(n int) [][][]byte {
+	rows := make([][][]byte, n)
+	for i := range rows {
+		rows[i] = [][]byte{[]byte("ACGTACGT"), []byte("IIIIIIII"), []byte(fmt.Sprintf("r%d", i))}
+	}
+	return rows
 }

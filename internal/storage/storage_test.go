@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"persona/internal/agd"
+	"persona/internal/testutil"
 )
 
 func TestObjectStorePutGet(t *testing.T) {
@@ -114,16 +115,7 @@ func TestObjectStoreAsAGDBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := agd.NewWriter(s, "ds", agd.StandardReadColumns(), agd.WriterOptions{ChunkSize: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := w.Append([]byte("ACGTACGT"), []byte("IIIIIIII"), []byte(fmt.Sprintf("r%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := w.Close(); err != nil {
+	if _, err := testutil.WriteRows(s, "ds", readMeta(4), reads(10)); err != nil {
 		t.Fatal(err)
 	}
 	ds, err := agd.Open(s, "ds")

@@ -11,6 +11,7 @@ import (
 	"persona/internal/align/snap"
 	"persona/internal/genome"
 	"persona/internal/reads"
+	"persona/internal/testutil"
 )
 
 // addDataset piles up a dataset, every column of it streamed, with the
@@ -89,22 +90,6 @@ func donorFixture(t *testing.T, numSNPs int) (*genome.Genome, *agd.Dataset, map[
 	rs, _ := sim.All()
 
 	store := agd.NewMemStore()
-	w, err := agd.NewWriter(store, "donor", agd.StandardReadColumns(), agd.WriterOptions{
-		ChunkSize: 2000, RefSeqs: agd.RefSeqsFromGenome(ref),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range rs {
-		if err := w.Append(rs[i].Bases, rs[i].Quals, []byte(rs[i].Meta)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m, err := w.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	idx, err := snap.BuildIndex(ref, snap.IndexConfig{SeedLen: 16})
 	if err != nil {
 		t.Fatal(err)
@@ -115,11 +100,8 @@ func donorFixture(t *testing.T, numSNPs int) (*genome.Genome, *agd.Dataset, map[
 		res := aligner.AlignRead(rs[i].Bases)
 		results[i] = agd.EncodeResult(nil, &res)
 	}
-	m, err = agd.AppendColumn(store, m, agd.ColumnSpec{Name: agd.ColResults, Type: agd.TypeResults},
-		func(chunkIdx int) ([][]byte, error) {
-			e := m.Chunks[chunkIdx]
-			return results[e.First : e.First+uint64(e.Records)], nil
-		})
+	meta := agd.StreamMeta{Columns: []string{agd.ColBases, agd.ColQual, agd.ColMetadata, agd.ColResults}, ChunkSize: 2000, RefSeqs: agd.RefSeqsFromGenome(ref)}
+	m, err := testutil.WriteRows(store, "donor", meta, testutil.ReadRows(rs, results))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,21 +178,6 @@ func donorFixtureClean(t *testing.T) (*genome.Genome, *agd.Dataset, map[int64]by
 	}
 	rs, _ := sim.All()
 	store := agd.NewMemStore()
-	w, err := agd.NewWriter(store, "clean", agd.StandardReadColumns(), agd.WriterOptions{
-		ChunkSize: 2000, RefSeqs: agd.RefSeqsFromGenome(ref),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range rs {
-		if err := w.Append(rs[i].Bases, rs[i].Quals, []byte(rs[i].Meta)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m, err := w.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
 	idx, err := snap.BuildIndex(ref, snap.IndexConfig{SeedLen: 16})
 	if err != nil {
 		t.Fatal(err)
@@ -221,11 +188,8 @@ func donorFixtureClean(t *testing.T) (*genome.Genome, *agd.Dataset, map[int64]by
 		res := aligner.AlignRead(rs[i].Bases)
 		results[i] = agd.EncodeResult(nil, &res)
 	}
-	m, err = agd.AppendColumn(store, m, agd.ColumnSpec{Name: agd.ColResults, Type: agd.TypeResults},
-		func(chunkIdx int) ([][]byte, error) {
-			e := m.Chunks[chunkIdx]
-			return results[e.First : e.First+uint64(e.Records)], nil
-		})
+	meta := agd.StreamMeta{Columns: []string{agd.ColBases, agd.ColQual, agd.ColMetadata, agd.ColResults}, ChunkSize: 2000, RefSeqs: agd.RefSeqsFromGenome(ref)}
+	m, err := testutil.WriteRows(store, "clean", meta, testutil.ReadRows(rs, results))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,14 +251,8 @@ func TestCallRejectsNoResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := agd.NewMemStore()
-	w, err := agd.NewWriter(store, "x", agd.StandardReadColumns(), agd.WriterOptions{ChunkSize: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append([]byte("ACGT"), []byte("IIII"), []byte("r")); err != nil {
-		t.Fatal(err)
-	}
-	m, err := w.Close()
+	m, err := testutil.WriteRows(store, "x", agd.StreamMeta{Columns: []string{agd.ColBases, agd.ColQual, agd.ColMetadata}, ChunkSize: 10},
+		[][][]byte{{[]byte("ACGT"), []byte("IIII"), []byte("r")}})
 	if err != nil {
 		t.Fatal(err)
 	}

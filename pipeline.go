@@ -653,31 +653,23 @@ func (p *Pipeline) runSink(ctx context.Context, stream *agd.GroupStream, src *ag
 
 // writeBack is the sink of the one-shot Align and MarkDuplicates: it stores
 // the stream's results column into the source dataset m, next to the
-// columns it was computed from, and registers the column when it is new.
-// A new column that fails to land is deleted again, so a failed Align leaves
-// the dataset as it found it. A column being rewritten (MarkDuplicates) has
-// nothing to delete: its old blobs are gone as the new ones land.
+// columns it was computed from, and registers the column when it is new —
+// or, when a new column fails to land, deletes it again, so a failed Align
+// leaves the dataset as it found it (agd.AddColumn).
 func (p *Pipeline) writeBack(ctx context.Context, stream *agd.GroupStream, m *agd.Manifest, start time.Time, report *PipelineReport) (uint64, error) {
 	sess := p.sess
-	added := !m.HasColumn(agd.ColResults)
 	sess.invalidateDataset(m.Name)
-	err := agd.WriteColumn(ctx, stream, sess.store, m, agd.ColResults, agd.Codec{Exec: sess.exec}, nil)
-	if a := report.Align; err == nil && a != nil {
-		// The stage stopped its clock at the last group aligned; the run
-		// ends when the last results blob is stored.
-		a.Elapsed = time.Since(start)
-		a.BasesPerSec = float64(a.Bases) / a.Elapsed.Seconds()
-	}
-	out := m
-	if err == nil && added {
-		out, err = agd.RegisterColumn(sess.store, m, agd.ColResults)
-	}
-	if err != nil {
-		if added {
-			for i := range m.Chunks {
-				_ = sess.store.Delete(m.ChunkBlobPath(i, agd.ColResults))
-			}
+	out, err := agd.AddColumn(sess.store, m, agd.ColResults, func() error {
+		err := agd.WriteColumn(ctx, stream, sess.store, m, agd.ColResults, agd.Codec{Exec: sess.exec})
+		if a := report.Align; err == nil && a != nil {
+			// The stage stopped its clock at the last group aligned; the
+			// run ends when the last results blob is stored.
+			a.Elapsed = time.Since(start)
+			a.BasesPerSec = float64(a.Bases) / a.Elapsed.Seconds()
 		}
+		return err
+	})
+	if err != nil {
 		return 0, err
 	}
 	report.Manifest = out
