@@ -133,6 +133,8 @@ func TestWriterValidation(t *testing.T) {
 	store := NewMemStore()
 	meta := StreamMeta{Columns: []string{ColBases, ColQual, ColMetadata}, ChunkSize: 4}
 	row := [][]byte{CompactBases(nil, []byte("AC")), []byte("II"), []byte("r")}
+	short := groupsOf(StreamMeta{Columns: meta.Columns[:1]}, [][][]byte{row}, []int{1})
+	short.Meta = meta // groups of one column in a stream of three
 	for what, tc := range map[string]struct {
 		name string
 		in   *GroupStream
@@ -140,12 +142,9 @@ func TestWriterValidation(t *testing.T) {
 		"empty name":        {"", groupsOf(meta, [][][]byte{row}, []int{1})},
 		"no columns":        {"x", groupsOf(StreamMeta{}, nil, nil)},
 		"duplicate columns": {"x", groupsOf(StreamMeta{Columns: []string{"a", "a"}}, [][][]byte{{nil, nil}}, []int{1})},
-		"wrong field count": {"x", groupsOf(StreamMeta{Columns: meta.Columns[:1]}, [][][]byte{row}, []int{1})},
+		"wrong field count": {"x", short},
 		"no records":        {"x", groupsOf(meta, nil, []int{0})},
 	} {
-		if what == "wrong field count" {
-			tc.in.Meta = meta // the group carries one column, the stream three
-		}
 		if _, err := WriteGroups(ctx, tc.in, store, tc.name, WriterOptions{}); err == nil {
 			t.Errorf("%s accepted", what)
 		}
