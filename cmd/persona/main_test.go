@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +11,7 @@ import (
 
 	"persona"
 	"persona/internal/formats/fastq"
+	"persona/internal/jobs"
 	"persona/internal/reads"
 )
 
@@ -219,4 +221,83 @@ func TestFilterCommand(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "no predicate") {
 		t.Fatalf("filter without a predicate: err = %v", err)
 	}
+}
+
+// TestSubmitStatusFetch drives the three job-server subcommands against a
+// job server on a RetryStore over an aligned directory store: `submit -wait`
+// runs a SAM export job to completion, `status -id` reports it done, and
+// `fetch` downloads the result. Both the waited result and the fetched one
+// equal the SAM that the one-shot `export` writes.
+func TestSubmitStatusFetch(t *testing.T) {
+	dir := t.TempDir()
+	storeDir := filepath.Join(dir, "store")
+	alignedStore(t, storeDir)
+	run := runner(t)
+	stagedPath := filepath.Join(dir, "staged.sam")
+	run(cmdExport, "-store", storeDir, "-name", "ds", "-format", "sam", "-o", stagedPath)
+
+	local, err := persona.NewLocalStore(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := persona.NewRetryStore(local, persona.RetryPolicy{})
+	sess := persona.NewSession(store, persona.SessionOptions{})
+	defer sess.Close()
+	mgr, err := jobs.NewManager(jobs.Config{Store: store, Session: sess, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr.Start()
+	defer mgr.Drain(context.Background())
+	srv := httptest.NewServer(mgr.Handler())
+	defer srv.Close()
+
+	waitedPath, fetchedPath := filepath.Join(dir, "waited.sam"), filepath.Join(dir, "fetched.sam")
+	run(cmdSubmit, "-server", srv.URL, "-name", "ds", "-format", "sam", "-wait", "-o", waitedPath)
+	sts, err := (&jobs.Client{Base: srv.URL}).Jobs(context.Background(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sts) != 1 {
+		t.Fatalf("server lists %d jobs, want the one submitted", len(sts))
+	}
+	id := sts[0].ID
+	status := captureStdout(t, func() { run(cmdStatus, "-server", srv.URL, "-id", id) })
+	if !strings.HasPrefix(status, id) || !strings.Contains(status, string(jobs.StateDone)) {
+		t.Fatalf("status -id %s printed %q, want the job done", id, status)
+	}
+	run(cmdFetch, "-server", srv.URL, "-id", id, "-o", fetchedPath)
+
+	want, err := os.ReadFile(stagedPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{waitedPath, fetchedPath} {
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 || !bytes.Equal(got, want) {
+			t.Fatalf("%s: %d bytes, the staged export wrote %d, and they differ", filepath.Base(path), len(got), len(want))
+		}
+	}
+}
+
+// captureStdout returns what f writes to os.Stdout.
+func captureStdout(t *testing.T, f func()) string {
+	t.Helper()
+	tmp, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tmp.Close()
+	saved := os.Stdout
+	os.Stdout = tmp
+	defer func() { os.Stdout = saved }()
+	f()
+	out, err := os.ReadFile(tmp.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
 }

@@ -3,6 +3,7 @@ package agd
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 )
 
@@ -87,28 +88,19 @@ func AsyncOf(store BlobStore) AsyncBlobStore {
 	if as, ok := store.(AsyncBlobStore); ok {
 		return as
 	}
-	return &asyncAdapter{
-		BlobStore: store,
-		sem:       make(chan struct{}, asyncAdapterParallelism),
-	}
+	return &asyncAdapter{BlobStore: store, reads: &readQueue{max: asyncAdapterParallelism}}
 }
 
-// asyncAdapter lifts a synchronous BlobStore into AsyncBlobStore with one
-// goroutine per in-flight read, gated by a semaphore. The semaphore is
-// acquired before the goroutine is spawned, so a huge batch throttles the
-// issuer instead of stamping out an unbounded goroutine herd.
+// asyncAdapter lifts a synchronous BlobStore into AsyncBlobStore: each read
+// is a Get run on the adapter's read queue.
 type asyncAdapter struct {
 	BlobStore
-	sem chan struct{}
+	reads *readQueue
 }
 
 func (a *asyncAdapter) GetAsync(name string) *Future {
 	fut, resolve := NewFuture()
-	a.sem <- struct{}{}
-	go func() {
-		defer func() { <-a.sem }()
-		resolve(a.BlobStore.Get(name))
-	}()
+	a.reads.Go(func() { resolve(a.BlobStore.Get(name)) })
 	return fut
 }
 
@@ -118,6 +110,46 @@ func (a *asyncAdapter) GetBatch(names []string) []*Future {
 		futs[i] = a.GetAsync(name)
 	}
 	return futs
+}
+
+// readQueue runs reads on at most max goroutines, in the order queued. Go
+// never blocks its caller: a stream issues its window under its own lock, so
+// an issuer that waited for a free worker would hold up chunks that have
+// already arrived.
+type readQueue struct {
+	max     int
+	mu      sync.Mutex
+	running int
+	queued  []func() // reads waiting for a worker, from queued[head] on
+	head    int
+}
+
+func (q *readQueue) Go(read func()) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.running == q.max {
+		q.queued = append(q.queued, read)
+		return
+	}
+	q.running++
+	go q.work(read)
+}
+
+// work runs read, then queued reads until there are none.
+func (q *readQueue) work(read func()) {
+	for read != nil {
+		read()
+		q.mu.Lock()
+		read = nil
+		if q.head < len(q.queued) {
+			read, q.queued[q.head] = q.queued[q.head], nil // a done slot must not pin its blob
+			q.head++
+		} else {
+			q.queued, q.head = q.queued[:0], 0
+			q.running--
+		}
+		q.mu.Unlock()
+	}
 }
 
 // GetAsync implements AsyncBlobStore. Map reads complete immediately, so the
@@ -149,13 +181,14 @@ func (s *DirStore) GetAsync(name string) *Future {
 // an atomic cursor, each reading its blobs with Get (stat + one vectored
 // pread into an exactly-sized buffer) — the portable first step of the
 // io_uring-style DirStore (one syscall loop per worker, no per-name
-// goroutine spawn).
+// goroutine spawn). The workers run on the store's read queue, which bounds
+// file concurrency across batches without blocking the issuer.
 func (s *DirStore) GetBatch(names []string) []*Future {
 	futs := make([]*Future, len(names))
 	if len(names) == 0 {
 		return futs
 	}
-	if s.sem == nil { // zero-value store: read synchronously
+	if s.reads == nil { // zero-value store: read synchronously
 		for i, name := range names {
 			futs[i] = ResolvedFuture(s.Get(name))
 		}
@@ -169,10 +202,6 @@ func (s *DirStore) GetBatch(names []string) []*Future {
 	for i := range futs {
 		futs[i], resolves[i] = NewFuture()
 	}
-	workers := dirStoreParallelism
-	if workers > len(batch) {
-		workers = len(batch)
-	}
 	cursor := new(atomic.Int64)
 	// First-error cancellation: once any read in the batch fails, the
 	// remaining unserviced reads are not issued — their futures resolve with
@@ -180,13 +209,8 @@ func (s *DirStore) GetBatch(names []string) []*Future {
 	// that won the CAS), so a caller draining futures in order sees the
 	// failure immediately instead of paying for the rest of a doomed batch.
 	firstErr := new(atomic.Pointer[batchFailure])
-	for w := 0; w < workers; w++ {
-		// The semaphore still bounds total file concurrency across batches
-		// and GetAsync calls; acquire before spawning so a huge batch
-		// throttles the issuer, not the file-descriptor table.
-		s.sem <- struct{}{}
-		go func() {
-			defer func() { <-s.sem }()
+	for w := 0; w < min(dirStoreParallelism, len(batch)); w++ {
+		s.reads.Go(func() {
 			for {
 				i := int(cursor.Add(1)) - 1
 				if i >= len(batch) {
@@ -202,7 +226,7 @@ func (s *DirStore) GetBatch(names []string) []*Future {
 				}
 				resolves[i](data, err)
 			}
-		}()
+		})
 	}
 	return futs
 }

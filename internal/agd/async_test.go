@@ -416,13 +416,17 @@ func TestChunkStreamClose(t *testing.T) {
 	stream.close() // idempotent
 }
 
-// TestChunkStreamWindowGrowsWhileWaiting steps a consumer through a store
+// TestChunkStreamWindowOpensWhileWaiting steps a consumer through a store
 // that answers a read only when the test releases it, so every point where
-// the consumer waits is known: the window opens at initialWindow, doubles
-// each time the claimed chunk is still in flight and stops at maxWindow, and
-// the stream never has more chunks issued than its window allows.
-func TestChunkStreamWindowGrowsWhileWaiting(t *testing.T) {
-	base, want := streamTestDataset(t, NewMemStore(), 448, 8) // 56 chunks
+// the consumer waits is known. The window opens at initialWindow; the first
+// wait opens it in one step to windowRecords records, 32 chunks of 2048
+// records, and the stream never has more chunks issued than that. The 56
+// chunks drain in two release rounds (⌈56 / 32⌉), where a window that
+// doubled from 4 to 16 chunks took four.
+func TestChunkStreamWindowOpensWhileWaiting(t *testing.T) {
+	const perChunk = 2048
+	base, want := streamTestDataset(t, NewMemStore(), 56*perChunk, perChunk)
+	bound := windowRecords / perChunk
 	cols := len(base.Manifest.Columns)
 	held := newHeldStore(base.Store())
 	stream, err := newChunkStream(OpenManifest(held, base.Manifest), StreamOptions{})
@@ -459,36 +463,95 @@ func TestChunkStreamWindowGrowsWhileWaiting(t *testing.T) {
 			}
 		}
 	}()
-	// Each step: the consumer blocks on chunk `claimed` with `issued` chunks
-	// fetched and the window at `window`. Chunk 0 waits at the initial window
-	// (4) and doubles it; chunk 8, issued after the first release, doubles it
-	// again to the cap (16); chunks 24 and 40 wait at the cap.
-	for _, step := range []struct{ claimed, issued, window int }{
-		{0, 8, 8},
-		{8, 24, 16},
-		{24, 40, 16},
-		{40, 56, 16},
-	} {
-		if !held.waitIssued(step.issued * cols) {
+	// Each round waits until the stream has issued `issued` chunks and then
+	// releases every read. Chunk 0 waits and opens the window to the bound;
+	// delivering chunks 1–31 tops it up one chunk each, to the end of the
+	// dataset, and chunk 32 finds its reads issued with the second round.
+	rounds := (len(want) + bound - 1) / bound
+	for r := 1; r <= rounds; r++ {
+		issued := min(r*bound, len(want))
+		if !held.waitIssued(issued * cols) {
 			stream.mu.Lock()
-			issued, window := stream.issued, stream.window
+			got := stream.issued
 			stream.mu.Unlock()
-			t.Fatalf("stream stalled with %d chunks issued and window %d, want %d issued", issued, window, step.issued)
+			t.Fatalf("round %d: stream stalled with %d chunks issued, want %d", r, got, issued)
 		}
 		stream.mu.Lock()
-		issued, window, claimed := stream.issued, stream.window, stream.claim-1
+		got, wide, claimed := stream.issued, stream.wide, stream.claim-1
 		stream.mu.Unlock()
-		if issued != step.issued || window != step.window || claimed != step.claimed {
-			t.Fatalf("waiting on chunk %d with %d chunks issued and window %d, want chunk %d, %d issued, window %d",
-				claimed, issued, window, step.claimed, step.issued, step.window)
+		if got != issued || !wide || r == 1 && claimed != 0 {
+			t.Fatalf("round %d: chunk %d claimed with %d chunks issued (window open %v), want %d issued, window open",
+				r, claimed, got, wide, issued)
 		}
-		if issued-claimed > maxWindow {
-			t.Fatalf("%d chunks issued ahead of chunk %d, window cap is %d", issued-claimed, claimed, maxWindow)
+		if got-claimed > bound {
+			t.Fatalf("%d chunks issued ahead of chunk %d, the window is %d", got-claimed, claimed, bound)
 		}
 		held.release()
 	}
-	if err := <-done; err != nil {
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("stream still waiting after %d release rounds", rounds)
+	}
+}
+
+// TestChunkStreamIssuerNeverBlocks: over a store with nothing but Get, a
+// stream issues more reads than the async adapter has workers, and next
+// still returns chunk 0 as soon as chunk 0's reads are answered. The reads
+// beyond the adapter's bound wait in its queue; an issuer that waited for a
+// free worker would hold the stream's lock until reads the consumer has not
+// claimed yet were answered.
+func TestChunkStreamIssuerNeverBlocks(t *testing.T) {
+	// Six columns, so that even an 8-chunk window is 48 reads.
+	cols := []string{"c0", "c1", "c2", "c3", "c4", "c5"}
+	rows := make([][][]byte, 12*4)
+	for i := range rows {
+		for range cols {
+			rows[i] = append(rows[i], []byte(fmt.Sprintf("row.%d", i)))
+		}
+	}
+	mem := NewMemStore()
+	m := writeRows(t, mem, "ds", StreamMeta{Columns: cols, ChunkSize: 4}, rows)
+	gated := newGatedStore(mem)
+	stream, err := newChunkStream(OpenManifest(gated, m), StreamOptions{})
+	if err != nil {
 		t.Fatal(err)
+	}
+	defer stream.close()
+	defer gated.openGates()
+	type delivery struct {
+		sc  *RowGroup
+		err error
+	}
+	got := make(chan delivery, 1)
+	go func() {
+		sc, err := stream.next(context.Background())
+		got <- delivery{sc, err}
+	}()
+	gated.mu.Lock()
+	busy := waitFor(gated.cond, func() bool { return gated.waiting >= asyncAdapterParallelism })
+	gated.mu.Unlock()
+	if !busy {
+		t.Fatalf("fewer than %d reads reached the store", asyncAdapterParallelism)
+	}
+	chunk0 := make([]string, len(cols))
+	for k, col := range cols {
+		chunk0[k] = m.ChunkBlobPath(0, col)
+	}
+	gated.openGates(chunk0...)
+	select {
+	case d := <-got:
+		if d.err != nil {
+			t.Fatal(d.err)
+		}
+		if d.sc.Index != 0 {
+			t.Fatalf("chunk %d delivered, want 0", d.sc.Index)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("next did not return chunk 0 after its reads were answered")
 	}
 }
 
@@ -510,10 +573,10 @@ func TestChunkStreamWindowStaysOnReadyStore(t *testing.T) {
 			t.Fatal(err)
 		}
 		stream.mu.Lock()
-		ahead, window := stream.issued-stream.claim, stream.window
+		ahead, wide := stream.issued-stream.claim, stream.wide
 		stream.mu.Unlock()
-		if window != initialWindow || ahead >= initialWindow {
-			t.Fatalf("window %d with %d chunks issued ahead, want %d and fewer", window, ahead, initialWindow)
+		if wide || ahead >= initialWindow {
+			t.Fatalf("window opened (%v) with %d chunks issued ahead, want closed and fewer than %d", wide, ahead, initialWindow)
 		}
 	}
 }
@@ -554,20 +617,26 @@ func (h *heldStore) GetBatch(names []string) []*Future {
 // were. It gives up after ten seconds: a stream whose consumer waits on a
 // held read issues nothing more until release.
 func (h *heldStore) waitIssued(n int) bool {
-	expired := false
-	timer := time.AfterFunc(10*time.Second, func() {
-		h.mu.Lock()
-		expired = true
-		h.cond.Broadcast()
-		h.mu.Unlock()
-	})
-	defer timer.Stop()
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for h.issued < n && !expired {
-		h.cond.Wait()
+	return waitFor(h.cond, func() bool { return h.issued >= n })
+}
+
+// waitFor waits on cond, whose lock the caller holds, until ok holds, and
+// reports whether it does. It gives up after ten seconds.
+func waitFor(cond *sync.Cond, ok func() bool) bool {
+	expired := false
+	timer := time.AfterFunc(10*time.Second, func() {
+		cond.L.Lock()
+		expired = true
+		cond.Broadcast()
+		cond.L.Unlock()
+	})
+	defer timer.Stop()
+	for !ok() && !expired {
+		cond.Wait()
 	}
-	return h.issued >= n
+	return ok()
 }
 
 // release completes every read issued so far, newest first: the consumer
@@ -580,6 +649,47 @@ func (h *heldStore) release() {
 	for i := len(held) - 1; i >= 0; i-- {
 		held[i]()
 	}
+}
+
+// gatedStore is a store with nothing but Get, so AsyncOf gives it the
+// adapter. Each Get waits until the test opens its blob's gate.
+type gatedStore struct {
+	BlobStore
+	mu      sync.Mutex
+	cond    *sync.Cond
+	open    map[string]bool // nil once every gate is open
+	waiting int             // Gets waiting on a closed gate
+}
+
+func newGatedStore(inner BlobStore) *gatedStore {
+	g := &gatedStore{BlobStore: inner, open: map[string]bool{}}
+	g.cond = sync.NewCond(&g.mu)
+	return g
+}
+
+func (g *gatedStore) Get(name string) ([]byte, error) {
+	g.mu.Lock()
+	g.waiting++
+	g.cond.Broadcast()
+	for g.open != nil && !g.open[name] {
+		g.cond.Wait()
+	}
+	g.waiting--
+	g.mu.Unlock()
+	return g.BlobStore.Get(name)
+}
+
+// openGates opens the named gates, or every gate when names is empty.
+func (g *gatedStore) openGates(names ...string) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for _, name := range names {
+		g.open[name] = true
+	}
+	if len(names) == 0 {
+		g.open = nil
+	}
+	g.cond.Broadcast()
 }
 
 // delayStore adds fixed latency to every Get.

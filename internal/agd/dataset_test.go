@@ -11,7 +11,7 @@ import (
 
 // writeTestDataset builds a small 3-column dataset with n records and chunk
 // size cs.
-func writeTestDataset(t *testing.T, store BlobStore, name string, n, cs int) *Manifest {
+func writeTestDataset(t testing.TB, store BlobStore, name string, n, cs int) *Manifest {
 	t.Helper()
 	rows := make([][][]byte, n)
 	for i := range rows {

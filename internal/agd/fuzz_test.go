@@ -3,7 +3,11 @@ package agd
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"math"
+	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -199,6 +203,78 @@ func FuzzWriteGroups(f *testing.F) {
 			if !bytes.Equal(g, w) {
 				t.Fatalf("blob %q differs from the oracle's (%d vs %d bytes)", name, len(g), len(w))
 			}
+		}
+	})
+}
+
+// FuzzReadManifest feeds arbitrary bytes to ReadManifest as the manifest.json
+// of a dataset whose chunk blobs are in the store. It must never panic. A
+// manifest it accepts must come back unchanged through WriteManifest and
+// ReadManifest, and a chunk stream over it — its window open, so that the
+// window is counted in the manifest's records — must read without panicking
+// and without allocating in proportion to a chunk's Records.
+func FuzzReadManifest(f *testing.F) {
+	store := NewMemStore()
+	m := writeTestDataset(f, store, "ds", 40, 8)
+	valid, err := json.Marshal(m)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	huge := *m
+	huge.Chunks = slices.Clone(m.Chunks)
+	huge.Chunks[0].Records = math.MaxUint32
+	for i := 1; i < len(huge.Chunks); i++ {
+		huge.Chunks[i].First = huge.Chunks[i-1].First + uint64(huge.Chunks[i-1].Records)
+	}
+	if data, err := json.Marshal(&huge); err == nil {
+		f.Add(data)
+	}
+	f.Add([]byte(`{"name":"ds","columns":["bases"],"records":[{"path":"ds/chunk-000000","first":0,"records":1}],"ref_seqs":[]}`))
+	f.Add([]byte(`{"name":"ds","columns":["json"],"records":[{"path":"ds/manifest","first":0,"records":3}]}`))
+	f.Add([]byte(`{"name":"","columns":[]}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := store.Put("ds/manifest.json", data); err != nil {
+			t.Fatal(err)
+		}
+		m, err := ReadManifest(store, "ds")
+		if err != nil {
+			return
+		}
+		again := NewMemStore()
+		if err := WriteManifest(again, m); err != nil {
+			t.Fatalf("accepted manifest does not write: %v", err)
+		}
+		back, err := ReadManifest(again, m.Name)
+		if err != nil {
+			t.Fatalf("written manifest does not read: %v", err)
+		}
+		if len(back.RefSeqs) == 0 && len(m.RefSeqs) == 0 {
+			back.RefSeqs = m.RefSeqs // omitempty stores an empty list as none
+		}
+		if !reflect.DeepEqual(back, m) {
+			t.Fatalf("round trip changed the manifest:\n got %+v\nwant %+v", back, m)
+		}
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if stream, err := newChunkStream(OpenManifest(store, m), StreamOptions{}); err == nil {
+			stream.wide = true
+			for i := 0; i < 8; i++ {
+				g, err := stream.next(context.Background())
+				if err != nil {
+					break
+				}
+				g.Release()
+			}
+			stream.close()
+		}
+		runtime.ReadMemStats(&after)
+		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+64*len(data)); grew > bound {
+			t.Fatalf("a stream over a %d-byte manifest allocated %d bytes, bound %d", len(data), grew, bound)
 		}
 	})
 }

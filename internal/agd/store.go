@@ -84,9 +84,8 @@ func (s *MemStore) Size() int64 {
 // never leave a torn blob under a live name (it leaves at most an invisible
 // temp file, which Get and List never surface).
 type DirStore struct {
-	root string
-	// sem bounds concurrent async file reads (see GetBatch).
-	sem chan struct{}
+	root  string
+	reads *readQueue // runs async file reads (GetBatch); nil reads synchronously
 	// noSync skips the fsync calls of Put (NewDirStoreNoSync): atomicity
 	// is kept (temp + rename) but durability is left to the OS — for
 	// benchmarks and throwaway test dirs.
@@ -114,7 +113,7 @@ func NewDirStore(dir string) (*DirStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &DirStore{root: dir, sem: make(chan struct{}, dirStoreParallelism)}, nil
+	return &DirStore{root: dir, reads: &readQueue{max: dirStoreParallelism}}, nil
 }
 
 // NewDirStoreNoSync returns a store whose Puts stay atomic (temp + rename)

@@ -295,6 +295,43 @@ func TestHedgedReadWins(t *testing.T) {
 	}
 }
 
+// TestHedgeOnlyUnansweredRead: the hedge timer and the primary's answer are
+// both ready when the hedged read looks at them — its goroutine was not
+// scheduled while the primary answered and the delay ran out. The answer is
+// taken and no hedge is launched, every time; a timer that fires with no
+// answer waiting still hedges. The timer is an injected channel, so the test
+// sleeps nowhere.
+func TestHedgeOnlyUnansweredRead(t *testing.T) {
+	rs := NewRetryStore(agd.NewMemStore(), RetryPolicy{})
+	fired := make(chan time.Time, 1)
+	for i := 0; i < 200; i++ {
+		answers := make(chan hedgeAnswer, 2)
+		answers <- hedgeAnswer{data: []byte("v")}
+		fired <- time.Time{}
+		data, err := rs.firstAnswer(answers, fired, func(bool) {
+			t.Fatal("hedged a read that had answered")
+		})
+		if err != nil || string(data) != "v" {
+			t.Fatalf("answered read = %q, %v", data, err)
+		}
+		select { // the timer's tick, if the answer was taken before it
+		case <-fired:
+		default:
+		}
+	}
+	answers := make(chan hedgeAnswer, 2)
+	fired <- time.Time{}
+	data, err := rs.firstAnswer(answers, fired, func(hedge bool) {
+		answers <- hedgeAnswer{data: []byte("h"), hedge: hedge}
+	})
+	if err != nil || string(data) != "h" {
+		t.Fatalf("hedged read = %q, %v", data, err)
+	}
+	if st := rs.RetryStats(); st.Hedges != 1 || st.HedgesWon != 1 {
+		t.Fatalf("stats = %+v, want one hedge, issued and won", st)
+	}
+}
+
 // TestOpTimeoutRetries: a per-op timeout abandons a stalled attempt as
 // transient (ErrStalled) and the retry succeeds — while a caller deadline
 // would not have been retried.

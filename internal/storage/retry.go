@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -386,51 +387,64 @@ func (r *RetryStore) hedgedGet(name string) ([]byte, error) {
 	if r.pol.DisableHedge {
 		return r.getRetry(name, nil)
 	}
-	type result struct {
-		data  []byte
-		err   error
-		hedge bool
-	}
-	ch := make(chan result, 2)
+	answers := make(chan hedgeAnswer, 2)
 	quit := make(chan struct{})
 	defer close(quit)
 	launch := func(hedge bool) {
 		go func() {
 			data, err := r.getRetry(name, quit)
-			ch <- result{data, err, hedge}
+			answers <- hedgeAnswer{data, err, hedge}
 		}()
 	}
 	launch(false)
-	t := time.NewTimer(r.hedgeDelay())
-	defer t.Stop()
+	return r.firstAnswer(answers, time.After(r.hedgeDelay()), launch)
+}
+
+// hedgeAnswer is what one side of a hedged read returns.
+type hedgeAnswer struct {
+	data  []byte
+	err   error
+	hedge bool
+}
+
+// firstAnswer collects the answers of a hedged read whose primary is in
+// flight, and hedges it when fire fires unless it has answered. An answer
+// that waits only for the processor counts: the timer case yields once and
+// looks again, where a select with both ready would pick either.
+func (r *RetryStore) firstAnswer(answers <-chan hedgeAnswer, fire <-chan time.Time, launch func(hedge bool)) ([]byte, error) {
 	inFlight := 1
 	var firstErr error
 	for {
+		var out hedgeAnswer
 		select {
-		case out := <-ch:
-			inFlight--
-			if out.err == nil {
-				if out.hedge {
-					r.hedgesWon.Add(1)
-				}
-				return out.data, nil
-			}
-			if !r.pol.Classify(out.err) {
-				return nil, out.err // permanent: the twin would hit it too
-			}
-			if firstErr == nil {
-				firstErr = out.err
-			}
-			if inFlight == 0 {
-				// Both sides (or the only side) exhausted their attempts.
-				return nil, firstErr
-			}
-		case <-t.C:
-			if inFlight == 1 {
+		case out = <-answers:
+		case <-fire:
+			runtime.Gosched()
+			select {
+			case out = <-answers:
+			default:
 				r.hedges.Add(1)
 				launch(true)
 				inFlight++
+				continue
 			}
+		}
+		inFlight--
+		if out.err == nil {
+			if out.hedge {
+				r.hedgesWon.Add(1)
+			}
+			return out.data, nil
+		}
+		if !r.pol.Classify(out.err) {
+			return nil, out.err // permanent: the twin would hit it too
+		}
+		if firstErr == nil {
+			firstErr = out.err
+		}
+		if inFlight == 0 {
+			// Both sides (or the only side) exhausted their attempts.
+			return nil, firstErr
 		}
 	}
 }
