@@ -88,7 +88,7 @@ func AsyncOf(store BlobStore) AsyncBlobStore {
 	if as, ok := store.(AsyncBlobStore); ok {
 		return as
 	}
-	return &asyncAdapter{BlobStore: store, reads: &readQueue{max: asyncAdapterParallelism}}
+	return &asyncAdapter{BlobStore: store, reads: &readQueue{idle: asyncAdapterParallelism}}
 }
 
 // asyncAdapter lifts a synchronous BlobStore into AsyncBlobStore: each read
@@ -112,44 +112,40 @@ func (a *asyncAdapter) GetBatch(names []string) []*Future {
 	return futs
 }
 
-// readQueue runs reads on at most max goroutines, in the order queued. Go
-// never blocks its caller: a stream issues its window under its own lock, so
-// an issuer that waited for a free worker would hold up chunks that have
-// already arrived.
+// readQueue runs reads on a bounded set of goroutines, started in the order
+// queued, and Go never blocks its caller: a stream issues its window under
+// its lock, where waiting for a worker would hold up chunks that have arrived.
+// (A semaphore taken in each read's goroutine serves reads in no set order.)
 type readQueue struct {
-	max     int
 	mu      sync.Mutex
-	running int
-	queued  []func() // reads waiting for a worker, from queued[head] on
-	head    int
+	idle    int      // workers that may still start: the bound less those running
+	pending []func() // reads waiting for a worker, oldest first
 }
 
 func (q *readQueue) Go(read func()) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.running == q.max {
-		q.queued = append(q.queued, read)
-		return
+	q.pending = append(q.pending, read)
+	if q.idle > 0 {
+		q.idle--
+		go q.work()
 	}
-	q.running++
-	go q.work(read)
 }
 
-// work runs read, then queued reads until there are none.
-func (q *readQueue) work(read func()) {
-	for read != nil {
+// work runs pending reads until there are none. Popping reslices the front
+// off, so append's copy when it grows the slice moves only waiting reads.
+func (q *readQueue) work() {
+	q.mu.Lock()
+	for len(q.pending) > 0 {
+		read := q.pending[0]
+		q.pending[0] = nil // a done slot must not pin its read
+		q.pending = q.pending[1:]
+		q.mu.Unlock()
 		read()
 		q.mu.Lock()
-		read = nil
-		if q.head < len(q.queued) {
-			read, q.queued[q.head] = q.queued[q.head], nil // a done slot must not pin its blob
-			q.head++
-		} else {
-			q.queued, q.head = q.queued[:0], 0
-			q.running--
-		}
-		q.mu.Unlock()
 	}
+	q.idle++
+	q.mu.Unlock()
 }
 
 // GetAsync implements AsyncBlobStore. Map reads complete immediately, so the

@@ -419,14 +419,28 @@ func TestChunkStreamClose(t *testing.T) {
 // TestChunkStreamWindowOpensWhileWaiting steps a consumer through a store
 // that answers a read only when the test releases it, so every point where
 // the consumer waits is known. The window opens at initialWindow; the first
-// wait opens it in one step to windowRecords records, 32 chunks of 2048
-// records, and the stream never has more chunks issued than that. The 56
-// chunks drain in two release rounds (⌈56 / 32⌉), where a window that
-// doubled from 4 to 16 chunks took four.
+// wait opens it in one step to windowRecords records, and never to fewer
+// than openWindow chunks, and the stream never has more chunks issued than
+// that. 56 chunks of 2048 records drain in two release rounds (⌈56 / 32⌉),
+// where a window that doubled from 4 to 16 chunks took four; 20 chunks of
+// 8192 records, 8 to the record budget, drain in two rounds of openWindow.
 func TestChunkStreamWindowOpensWhileWaiting(t *testing.T) {
-	const perChunk = 2048
-	base, want := streamTestDataset(t, NewMemStore(), 56*perChunk, perChunk)
-	bound := windowRecords / perChunk
+	for _, tc := range []struct {
+		name             string
+		chunks, perChunk int
+	}{
+		{"small-chunks", 56, 2048},
+		{"large-chunks", 20, 8192},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testWindowOpensWhileWaiting(t, tc.chunks, tc.perChunk)
+		})
+	}
+}
+
+func testWindowOpensWhileWaiting(t *testing.T, chunks, perChunk int) {
+	base, want := streamTestDataset(t, NewMemStore(), chunks*perChunk, perChunk)
+	bound := max(openWindow, windowRecords/perChunk)
 	cols := len(base.Manifest.Columns)
 	held := newHeldStore(base.Store())
 	stream, err := newChunkStream(OpenManifest(held, base.Manifest), StreamOptions{})
@@ -465,8 +479,8 @@ func TestChunkStreamWindowOpensWhileWaiting(t *testing.T) {
 	}()
 	// Each round waits until the stream has issued `issued` chunks and then
 	// releases every read. Chunk 0 waits and opens the window to the bound;
-	// delivering chunks 1–31 tops it up one chunk each, to the end of the
-	// dataset, and chunk 32 finds its reads issued with the second round.
+	// delivering chunks 1 to bound-1 tops it up one chunk each, and chunk
+	// `bound` finds its reads issued with the second round.
 	rounds := (len(want) + bound - 1) / bound
 	for r := 1; r <= rounds; r++ {
 		issued := min(r*bound, len(want))
@@ -552,6 +566,34 @@ func TestChunkStreamIssuerNeverBlocks(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("next did not return chunk 0 after its reads were answered")
+	}
+}
+
+// TestReadQueueBacklogStaysBounded: reads keep arriving as fast as the one
+// worker finishes them, so the queue never empties, and its backing array
+// stays the size of the backlog rather than of every read ever queued.
+func TestReadQueueBacklogStaysBounded(t *testing.T) {
+	const backlog = 8
+	q := &readQueue{idle: 1}
+	gate, done := make(chan struct{}), make(chan struct{})
+	read := func() { <-gate; done <- struct{}{} }
+	for i := 0; i < backlog; i++ {
+		q.Go(read)
+	}
+	for i := 0; i < 10000; i++ {
+		gate <- struct{}{}
+		<-done
+		q.Go(read)
+	}
+	q.mu.Lock()
+	size := cap(q.pending)
+	q.mu.Unlock()
+	close(gate)
+	for i := 0; i < backlog; i++ {
+		<-done
+	}
+	if size > 4*backlog {
+		t.Fatalf("queue holds %d slots for a backlog of %d reads", size, backlog)
 	}
 }
 

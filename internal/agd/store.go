@@ -113,7 +113,7 @@ func NewDirStore(dir string) (*DirStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &DirStore{root: dir, reads: &readQueue{max: dirStoreParallelism}}, nil
+	return &DirStore{root: dir, reads: &readQueue{idle: dirStoreParallelism}}, nil
 }
 
 // NewDirStoreNoSync returns a store whose Puts stay atomic (temp + rename)

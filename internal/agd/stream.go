@@ -40,16 +40,20 @@ type StreamOptions struct {
 // A stream's fetch window — the chunks whose column blobs it keeps in
 // flight, counting the one being delivered — opens at initialWindow chunks.
 // The first time next claims a chunk still in flight, the consumer has caught
-// up with storage, and the window opens in one step, so one round trip of the
-// store's latency covers it: to every chunk that starts within windowRecords
-// records of the one delivered, never fewer than initialWindow. Over a store
-// that answers at once (a MemStore) it never opens.
+// up with storage, and the window opens in one step to every chunk starting
+// within windowRecords records of the one delivered, and to at least
+// openWindow chunks, so one round trip of the store's latency covers it. Over
+// a store that answers at once (a MemStore) it never opens.
 //
-// windowRecords bounds the blobs a stream pins: 64 Ki reads are about 5.7 MB
-// at 87 B a read. On scan_remote (40 chunks of 1000 reads, a 25 ms store) it
-// raised reads_per_s ×1.20 over doubling from 4 to 16 chunks (BENCH_44.json).
+// windowRecords (64 Ki reads, about 5.7 MB at 87 B a read) bounds what a
+// stream of small chunks pins; no benchmark workload reaches it. scan_remote
+// (40 chunks of 1000 reads, a 25 ms store) fits whole in the open window:
+// ×1.16 reads_per_s over doubling from 4 to 16 chunks (BENCH_44.json).
+// openWindow, where that doubling stopped, keeps large chunks (the CLI writes
+// 100 000 reads a chunk) reading ahead as far as before.
 const (
 	initialWindow = 4
+	openWindow    = 16
 	windowRecords = 64 << 10
 )
 
@@ -91,7 +95,7 @@ type chunkStream struct {
 	mu     sync.Mutex
 	claim  int  // next chunk index to claim
 	issued int  // first chunk index whose fetch has not been issued
-	wide   bool // the window has opened to windowRecords
+	wide   bool // the window has opened
 	// slots[i-start] holds chunk i's in-flight column slots; entries are
 	// nilled as chunks are claimed.
 	slots [][]fetchSlot
@@ -163,8 +167,8 @@ func newChunkStream(d *Dataset, opts StreamOptions) (*chunkStream, error) {
 // is stream.mu then cache.mu).
 func (s *chunkStream) issueLocked(i int) {
 	chunks := s.ds.Manifest.Chunks
-	for ; s.issued < s.end && (s.issued < i+initialWindow ||
-		s.wide && chunks[s.issued].First-chunks[i].First < windowRecords); s.issued++ {
+	for ; s.issued < s.end && (s.issued < i+initialWindow || s.wide &&
+		(s.issued < i+openWindow || chunks[s.issued].First-chunks[i].First < windowRecords)); s.issued++ {
 		entry := chunks[s.issued]
 		slots := make([]fetchSlot, len(s.cols))
 		names := s.names[:0]
@@ -198,8 +202,8 @@ func (s *chunkStream) issueLocked(i int) {
 // next claims the next chunk, waits for its blobs, decodes them and returns
 // the row group, whose Release gives its chunks back. It returns io.EOF once
 // the range is exhausted (or the stream closed). Claiming also tops up the
-// fetch window, and opens it to windowRecords when the claimed chunk's blobs
-// are still in flight.
+// fetch window, and opens it when the claimed chunk's blobs are still in
+// flight.
 func (s *chunkStream) next(ctx context.Context) (*RowGroup, error) {
 	s.mu.Lock()
 	if s.closed || s.claim >= s.end {

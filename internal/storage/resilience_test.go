@@ -353,6 +353,62 @@ func TestOpTimeoutRetries(t *testing.T) {
 	}
 }
 
+// TestOpTimeoutTimesOnlyTheStore: with a per-op timeout, more sync reads
+// than the async adapter has workers are in flight at once, and the store
+// answers none of them until all have reached it. No attempt times out: an
+// attempt's timer runs while the store has its read, never while the read
+// waits for a worker.
+func TestOpTimeoutTimesOnlyTheStore(t *testing.T) {
+	const n = 40
+	inner := agd.NewMemStore()
+	inner.Put("k", []byte("v"))
+	rs := NewRetryStore(&barrierStore{Store: inner, n: n, all: make(chan struct{})}, RetryPolicy{
+		MaxAttempts: 1, OpTimeout: time.Second, DisableHedge: true,
+	})
+	var wg sync.WaitGroup
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := rs.Get("k"); err != nil {
+				errs <- err
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if st := rs.RetryStats(); st.OpTimeouts != 0 {
+		t.Fatalf("stats = %+v, want no op timeouts", st)
+	}
+}
+
+// barrierStore holds every Get until n Gets have reached it, or for five
+// seconds.
+type barrierStore struct {
+	Store
+	n       int
+	mu      sync.Mutex
+	arrived int
+	all     chan struct{}
+}
+
+func (b *barrierStore) Get(name string) ([]byte, error) {
+	b.mu.Lock()
+	if b.arrived++; b.arrived == b.n {
+		close(b.all)
+	}
+	b.mu.Unlock()
+	select {
+	case <-b.all:
+	case <-time.After(5 * time.Second):
+	}
+	return b.Store.Get(name)
+}
+
 // TestRetryStoreStatsDelta: snapshots subtract cleanly.
 func TestRetryStoreStatsDelta(t *testing.T) {
 	a := RetryStats{Retries: 5, OpTimeouts: 3, Hedges: 2, HedgesWon: 1, BudgetExhausted: 1}

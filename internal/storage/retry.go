@@ -213,12 +213,10 @@ func (l *latencyRing) p99() time.Duration {
 
 // RetryStore wraps a Store with the RetryPolicy. Reads, writes, deletes and
 // lists all retry transient errors with backoff; sync reads additionally get
-// per-attempt timeouts (via the inner store's async path), and async reads
-// (GetAsync/GetBatch) get hedging. It implements BlobStore and
-// AsyncBlobStore.
+// per-attempt timeouts, and async reads (GetAsync/GetBatch) get hedging. It
+// implements BlobStore and AsyncBlobStore.
 type RetryStore struct {
 	inner Store
-	async agd.AsyncBlobStore
 	pol   RetryPolicy
 
 	budget   atomic.Int64 // remaining retry budget; meaningful iff budgeted
@@ -240,7 +238,6 @@ type RetryStore struct {
 func NewRetryStore(inner Store, pol RetryPolicy) *RetryStore {
 	r := &RetryStore{
 		inner: inner,
-		async: agd.AsyncOf(inner),
 		pol:   pol.withDefaults(),
 		rng:   rand.New(rand.NewSource(rand.Int63())),
 	}
@@ -311,7 +308,9 @@ func (r *RetryStore) attemptGet(name string) ([]byte, error) {
 		}
 		return data, err
 	}
-	fut := r.async.GetAsync(name)
+	// A goroutine of its own, not a queue, so the timer times only the store.
+	fut, resolve := agd.NewFuture()
+	go func() { resolve(r.inner.Get(name)) }()
 	t := time.NewTimer(r.pol.OpTimeout)
 	defer t.Stop()
 	select {
