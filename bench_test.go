@@ -444,24 +444,24 @@ func BenchmarkKernel_BaseCompaction(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = agd.CompactBases(buf[:0], bases)
+		buf = agd.PackBases(buf[:0], bases)
 	}
 	b.SetBytes(101)
 }
 
-// BenchmarkKernel_ExpandBases decodes one 101 bp compacted record per
+// BenchmarkKernel_ExpandBases decodes one 101 bp packed record per
 // iteration into a reused buffer, as the align and export stages do.
 func BenchmarkKernel_ExpandBases(b *testing.B) {
 	g := benchGenome(b, 10_000)
 	bases, _ := g.Slice(0, 101)
-	rec := agd.CompactBases(nil, bases)
+	rec := agd.PackBases(nil, bases)
 	var buf []byte
 	b.ReportAllocs()
 	b.SetBytes(101)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		if buf, _, err = agd.ExpandBases(buf[:0], rec); err != nil {
+		if buf, err = agd.UnpackBases(buf[:0], rec); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -469,7 +469,7 @@ func BenchmarkKernel_ExpandBases(b *testing.B) {
 
 func BenchmarkKernel_ChunkEncodeDecode(b *testing.B) {
 	g := benchGenome(b, 200_000)
-	builder := agd.NewChunkBuilder(agd.TypeCompactBases, 0)
+	builder := agd.NewChunkBuilder(agd.TypePackedBases, 0)
 	for pos := int64(0); pos < 100_000; pos += 101 {
 		bases, _ := g.Slice(pos, 101)
 		builder.AppendBases(bases)
@@ -494,7 +494,7 @@ func BenchmarkKernel_ChunkEncodeDecode(b *testing.B) {
 // gzip-internal pooling.
 func BenchmarkKernel_ChunkEncodeDecodePooled(b *testing.B) {
 	g := benchGenome(b, 200_000)
-	builder := agd.NewChunkBuilder(agd.TypeCompactBases, 0)
+	builder := agd.NewChunkBuilder(agd.TypePackedBases, 0)
 	for pos := int64(0); pos < 100_000; pos += 101 {
 		bases, _ := g.Slice(pos, 101)
 		builder.AppendBases(bases)

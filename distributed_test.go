@@ -428,8 +428,9 @@ func TestDistributedExportFailureSweepsStaging(t *testing.T) {
 // TestDistributedStagingStoredRaw: an export's staging dataset is stored raw
 // — every chunk the reduce puts under the run's out/ namespace says
 // CompressNone — and the BAM still equals the single-node BAM. A Write sink's
-// dataset stays gzip and, chunk for chunk once decoded, holds what it held
-// before staging was stored raw.
+// dataset stays gzip but for the bases column, which every dataset stores
+// packed and uncompressed, and is pinned blob for blob and, once decoded,
+// chunk for chunk.
 func TestDistributedStagingStoredRaw(t *testing.T) {
 	ctx := context.Background()
 	store, g := distFixture(t, 50, "ds")
@@ -481,8 +482,12 @@ func TestDistributedStagingStoredRaw(t *testing.T) {
 	for _, name := range names {
 		blob := blobs[name]
 		if strings.Contains(name, "/chunk-") {
-			if comp := chunkCompression(t, name, blob); comp != agd.CompressGzip {
-				t.Errorf("Write sink chunk %s stored with compression %d, want gzip", name, comp)
+			want := agd.CompressGzip
+			if strings.HasSuffix(name, "."+agd.ColBases) {
+				want = agd.CompressNone // packed bases are stored as they are
+			}
+			if comp := chunkCompression(t, name, blob); comp != want {
+				t.Errorf("Write sink chunk %s stored with compression %d, want %d", name, comp, want)
 			}
 			c, err := agd.DecodeChunk(blob)
 			if err != nil {
@@ -503,8 +508,8 @@ func TestDistributedStagingStoredRaw(t *testing.T) {
 	// decoded: type, first ordinal, record lengths, data), which must not:
 	// it was the same before the encoder's match table shrank to fit L1.
 	const (
-		want        = "de37f4f6b7b6b012f5a35e6b052722f7658fd221ecf7e886b09be195b28baa64"
-		wantContent = "8474b9888d31c6a55a13b14b1312686c86d9112d35ef607f633933021659056f"
+		want        = "f930e7f22684dade903e3cd543d074c0692e0a2a4035a82cc67091f4f86ae7fe"
+		wantContent = "09fe6486770e6d1045dec76551f89dc5354c11684c2aa67e157261f1bd0d9183"
 	)
 	if got := hex.EncodeToString(sum.Sum(nil)); got != want {
 		t.Errorf("Write sink dataset: SHA-256 %s over %d blobs, want %s", got, len(names), want)

@@ -12,6 +12,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"testing"
@@ -332,10 +334,10 @@ func TestImportSAMBlobIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[[2]int]string{
-		{1, 50}:   "639c6f447ac743a36dad4a3e0ce07df29199ad745ba00f62f75e49c7dc4ee92a",
-		{4, 50}:   "639c6f447ac743a36dad4a3e0ce07df29199ad745ba00f62f75e49c7dc4ee92a",
-		{1, 1000}: "f79d69df9ec416f2a5cba909c463436cb66100dc0697a053a83e76688c63ce5e",
-		{4, 1000}: "64ddd8632e3ee5f11649da73909ffe8777d62034ebfb5196fe6ea3da18637bb3",
+		{1, 50}:   "9260d094550d47708a5e6a6a81d1fd84e2a990a91b2af7f07da13fec0ba78629",
+		{4, 50}:   "9260d094550d47708a5e6a6a81d1fd84e2a990a91b2af7f07da13fec0ba78629",
+		{1, 1000}: "918e64b834ab806403710abdfd80a5f920ecb7a09db4f6f61a4d92f637bba705",
+		{4, 1000}: "4f0fb13b706b159bb8d85eb0fc6a0875f002e3109e965883370badf914eae3fc",
 	}
 	for _, procs := range []int{1, 4} {
 		for _, chunk := range []int{50, 1000} {
@@ -397,5 +399,73 @@ func TestCallVariantsVCFIdentity(t *testing.T) {
 	sum := sha256.Sum256(vcf.Bytes())
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Errorf("VCF of %d variants, %d bytes: SHA-256 %s, want %s", len(variants), vcf.Len(), got, want)
+	}
+}
+
+// TestThreeBitDatasetReadsBack reads testdata/three-bit, a dataset as earlier
+// releases stored it, its bases column 3 bits a base: 240 reads of 60-140
+// bases in chunks of 100, among them N runs at either end, lower-case reads,
+// IUPAC codes and reads of N alone. Its FASTQ export and its letters are
+// what the release that wrote it read from it, and a pipeline copying it
+// stores packed, uncompressed bases that read back the same.
+func TestThreeBitDatasetReadsBack(t *testing.T) {
+	const (
+		wantFASTQ   = "826344f8bccf0ad9a7dc28fec36245a8c47cdac85cb89d84b37d0090690f4f19"
+		wantLetters = "a00c9367f1f31e8f18ac525b5c584c8fa2ef9e8544bd1fa68f9f97541287c956"
+	)
+	ctx := context.Background()
+	store := agd.NewMemStore()
+	files, err := filepath.Glob("testdata/three-bit/*")
+	if err != nil || len(files) != 10 {
+		t.Fatalf("testdata/three-bit: %d files, %v", len(files), err)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Put("three-bit/"+filepath.Base(f), data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sess := NewSession(store, SessionOptions{})
+	defer sess.Close()
+	if _, err := sess.Read("three-bit").Write("packed").Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"three-bit", "packed"} {
+		var fq bytes.Buffer
+		if _, err := ExportFASTQ(ctx, store, name, &fq); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(fq.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != wantFASTQ {
+			t.Errorf("%s: FASTQ export SHA-256 %s, want %s", name, got, wantFASTQ)
+		}
+		ds, err := agd.Open(store, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bases, err := ds.ReadAllBases()
+		if err != nil {
+			t.Fatal(err)
+		}
+		letters := sha256.New()
+		for _, b := range bases {
+			letters.Write(b)
+			letters.Write([]byte{'\n'})
+		}
+		if got := hex.EncodeToString(letters.Sum(nil)); got != wantLetters {
+			t.Errorf("%s: letters SHA-256 %s, want %s", name, got, wantLetters)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		blob, err := store.Get(fmt.Sprintf("packed/chunk-%06d.bases", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blob[5] != byte(agd.TypePackedBases) || blob[6] != byte(agd.CompressNone) {
+			t.Errorf("copied bases chunk %d: record type %d, compression %d", i, blob[5], blob[6])
+		}
 	}
 }

@@ -12,7 +12,9 @@
 // Two size optimizations from the paper are implemented: block compression
 // (gzip, or none for a dataset read once; the compression byte in the header
 // leaves room for other codecs) and base compaction, which packs base
-// letters 3 bits each, 21 bases to a 64-bit word.
+// letters 2 bits each, four to a byte, with the rare other letter kept aside
+// as an N. Packed bases are smaller than gzip makes of the letters, so the
+// bases column is the one stored without block compression.
 //
 // The standard columns are "bases", "qual", "metadata" and (after
 // alignment) "results"; new columns can be added freely — they are just new
@@ -45,10 +47,17 @@ type RecordType uint8
 const (
 	// TypeRaw records are opaque byte strings (qualities, metadata).
 	TypeRaw RecordType = iota
-	// TypeCompactBases records are 3-bit packed base strings.
+	// TypeCompactBases records are base strings packed 3 bits a base, as
+	// earlier releases wrote the bases column. Nothing writes them now: a
+	// chunk of them decodes as TypePackedBases.
 	TypeCompactBases
 	// TypeResults records are encoded alignment Results.
 	TypeResults
+	// TypePackedBases records are base strings packed 2 bits a base, with
+	// runs of any letter but A, C, G and T kept aside and read back as N
+	// (compact.go). A dataset sink stores a chunk of them CompressNone, and
+	// every other record type with gzip (or none, for a raw dataset).
+	TypePackedBases
 )
 
 func (t RecordType) String() string {
@@ -56,9 +65,11 @@ func (t RecordType) String() string {
 	case TypeRaw:
 		return "raw"
 	case TypeCompactBases:
-		return "bases"
+		return "compact-bases"
 	case TypeResults:
 		return "results"
+	case TypePackedBases:
+		return "packed-bases"
 	default:
 		return fmt.Sprintf("RecordType(%d)", uint8(t))
 	}

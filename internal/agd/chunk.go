@@ -31,8 +31,9 @@ func gunzipExact(dst, src []byte) (uint32, error) {
 //	offset size field
 //	0      4    magic "AGD1"
 //	4      1    version (1 or 2)
-//	5      1    record type
-//	6      1    compression
+//	5      1    record type (RecordType: 0 raw, 1 3-bit bases, 2 results,
+//	            3 packed bases)
+//	6      1    compression (Compression: 0 none, 1 gzip)
 //	7      1    reserved
 //	8      4    record count
 //	12     8    first record ordinal in the dataset
@@ -41,6 +42,13 @@ func gunzipExact(dst, src []byte) (uint32, error) {
 //	36     4    CRC-32 (IEEE) of the uncompressed data block
 //	40     ...  index block: uvarint length per record (the relative index)
 //	...    ...  data block (possibly compressed)
+//
+// The record type says how to parse a record, the compression how the data
+// block is stored. A dataset sink stores a packed-bases chunk uncompressed and
+// every other chunk with gzip (none for a raw dataset): packed bases are
+// smaller than deflate makes of the letters, and deflate takes little more
+// off them. A chunk of 3-bit bases, as earlier releases stored the bases
+// column, decodes to packed bases (packCompacted).
 //
 // Version 1 stores the data block as a single (possibly gzip-compressed)
 // run. Version 2 splits it into independent gzip members that compress and
@@ -232,10 +240,10 @@ func (b *ChunkBuilder) Append(record []byte) {
 	b.data = append(b.data, record...)
 }
 
-// AppendBases adds one record of base letters, applying base compaction.
+// AppendBases adds one record of base letters, packed (TypePackedBases).
 func (b *ChunkBuilder) AppendBases(bases []byte) {
 	before := len(b.data)
-	b.data = CompactBases(b.data, bases)
+	b.data = PackBases(b.data, bases)
 	b.lengths = append(b.lengths, uint32(len(b.data)-before))
 }
 
@@ -458,13 +466,12 @@ func ensureCap(b []byte, extra int) []byte {
 	return nb
 }
 
-// ExpandBasesRecord decodes record i of a TypeCompactBases chunk into base
+// ExpandBasesRecord decodes record i of a TypePackedBases chunk into base
 // letters, appending to dst.
 func (c *Chunk) ExpandBasesRecord(dst []byte, i int) ([]byte, error) {
 	rec, err := c.Record(i)
 	if err != nil {
 		return dst, err
 	}
-	out, _, err := ExpandBases(dst, rec)
-	return out, err
+	return UnpackBases(dst, rec)
 }

@@ -3,6 +3,7 @@ package agd
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -54,7 +55,7 @@ func TestChunkRecordOutOfRange(t *testing.T) {
 }
 
 func TestChunkBasesRoundTrip(t *testing.T) {
-	b := NewChunkBuilder(TypeCompactBases, 0)
+	b := NewChunkBuilder(TypePackedBases, 0)
 	reads := [][]byte{[]byte("ACGTACGTA"), []byte("NNNNN"), []byte("GATTACA")}
 	for _, r := range reads {
 		b.AppendBases(r)
@@ -75,6 +76,52 @@ func TestChunkBasesRoundTrip(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("record %d = %q, want %q", i, got, want)
 		}
+	}
+}
+
+// TestChunkCompactBasesDecodeAsPacked: a chunk of 3-bit records, as earlier
+// releases stored the bases column, decodes in every layout to packed records
+// of the same letters — also into a recycled chunk — and a 3-bit record cut
+// short fails the decode as corrupt.
+func TestChunkCompactBasesDecodeAsPacked(t *testing.T) {
+	reads := [][]byte{[]byte("ACGTACGTA"), []byte(""), []byte("NNNNN"), []byte("gattaca"), bytes.Repeat([]byte("ACGTNRYacgt"), 30)}
+	old := NewChunkBuilder(TypeCompactBases, 5)
+	packed := NewChunkBuilder(TypePackedBases, 5)
+	for _, r := range reads {
+		old.Append(CompactBases(nil, r))
+		packed.AppendBases(r)
+	}
+	recycled := new(Chunk)
+	for _, cd := range []Codec{{}, {members: 2}} {
+		for _, comp := range []Compression{CompressNone, CompressGzip} {
+			blob, err := cd.Encode(old.Chunk(), comp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec, err := DecodeChunk(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := DecodeChunkInto(recycled, blob); err != nil {
+				t.Fatal(err)
+			}
+			want := packed.Chunk()
+			for _, c := range []*Chunk{dec, recycled} {
+				if c.Type != TypePackedBases || c.FirstOrdinal != 5 || !slices.Equal(c.Lengths(), want.Lengths()) || !bytes.Equal(c.Data, want.Data) {
+					t.Fatalf("%v, %d members: decoded %v chunk differs from the packed one", comp, cd.members, c.Type)
+				}
+			}
+		}
+	}
+
+	short := NewChunkBuilder(TypeCompactBases, 0)
+	short.Append(CompactBases(nil, []byte("ACGTACGTACGTACGTACGTACGT"))[:9])
+	blob, err := EncodeChunk(short.Chunk(), CompressNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeChunk(blob); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("a 3-bit record a word short: %v, want ErrCorrupt", err)
 	}
 }
 

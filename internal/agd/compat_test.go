@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/binary"
 	"io"
+	"slices"
 	"testing"
 
 	"persona/internal/agd"
@@ -44,7 +45,8 @@ func fixtureChunks(t *testing.T) map[string][]*agd.Chunk {
 // and the members this release writes are read by compress/gzip. It also
 // pins what the swap may cost in space: per dataset no more than 2 % over
 // what the earlier encoder stored (quality columns, two thirds of the bytes,
-// shrink instead).
+// shrink instead). Bases blobs of the 3-bit layout earlier releases wrote
+// decode to the packed records of the same letters.
 func TestCodecCompatibleBothWays(t *testing.T) {
 	var refTotal, newTotal int
 	for col, chunks := range fixtureChunks(t) {
@@ -84,6 +86,29 @@ func TestCodecCompatibleBothWays(t *testing.T) {
 	}
 	if newTotal > refTotal+refTotal/50 {
 		t.Fatalf("dataset stores %d bytes, the earlier encoder %d: more than 2 %% over", newTotal, refTotal)
+	}
+
+	// The bases column as earlier releases stored it — 3-bit records, gzip,
+	// both layouts — decodes to packed records of the same letters.
+	for _, c := range fixtureChunks(t)[agd.ColBases] {
+		old := agd.NewChunkBuilder(agd.TypeCompactBases, c.FirstOrdinal)
+		var letters []byte
+		for r := 0; r < c.NumRecords(); r++ {
+			var err error
+			if letters, err = c.ExpandBasesRecord(letters[:0], r); err != nil {
+				t.Fatal(err)
+			}
+			old.Append(agd.CompactBases(nil, letters))
+		}
+		for _, members := range []int{0, 3} {
+			got, err := agd.DecodeChunk(agd.RefEncodeChunk(old.Chunk(), members))
+			if err != nil {
+				t.Fatalf("3-bit bases blob of an earlier release (%d members): %v", members, err)
+			}
+			if got.Type != agd.TypePackedBases || !slices.Equal(got.Lengths(), c.Lengths()) || !bytes.Equal(got.Data, c.Data) {
+				t.Fatalf("3-bit bases blob of an earlier release (%d members) decodes as %v records unlike the packed column", members, got.Type)
+			}
+		}
 	}
 }
 

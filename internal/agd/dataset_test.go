@@ -3,6 +3,7 @@ package agd
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -18,7 +19,7 @@ func writeTestDataset(t testing.TB, store BlobStore, name string, n, cs int) *Ma
 		bases := []byte("ACGTACGTAC")
 		qual := bytes.Repeat([]byte("I"), len(bases))
 		meta := []byte(fmt.Sprintf("read.%d", i))
-		rows[i] = [][]byte{CompactBases(nil, bases), qual, meta}
+		rows[i] = [][]byte{PackBases(nil, bases), qual, meta}
 	}
 	return writeRows(t, store, name, StreamMeta{
 		Columns:   []string{ColBases, ColQual, ColMetadata},
@@ -132,7 +133,7 @@ func TestWriterValidation(t *testing.T) {
 	ctx := context.Background()
 	store := NewMemStore()
 	meta := StreamMeta{Columns: []string{ColBases, ColQual, ColMetadata}, ChunkSize: 4}
-	row := [][]byte{CompactBases(nil, []byte("AC")), []byte("II"), []byte("r")}
+	row := [][]byte{PackBases(nil, []byte("AC")), []byte("II"), []byte("r")}
 	short := groupsOf(StreamMeta{Columns: meta.Columns[:1]}, [][][]byte{row}, []int{1})
 	short.Meta = meta // groups of one column in a stream of three
 	for what, tc := range map[string]struct {
@@ -254,6 +255,29 @@ func TestManifestValidate(t *testing.T) {
 	}}
 	if err := bad.Validate(); err == nil {
 		t.Fatal("gap in ordinals accepted")
+	}
+}
+
+// TestReadManifestRejectsOtherName: a manifest stored as dataset "ds" that
+// names itself "other" does not open as "ds", which a write-back would store
+// as other/manifest.json.
+func TestReadManifestRejectsOtherName(t *testing.T) {
+	store := NewMemStore()
+	m := writeTestDataset(t, store, "ds", 5, 10)
+	other := *m
+	other.Name = "other"
+	data, err := json.Marshal(&other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put("ds/manifest.json", data); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ReadManifest(store, "ds"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("ReadManifest(ds) of a manifest naming %q: %+v, %v; want ErrCorrupt", other.Name, got, err)
+	}
+	if _, err := Open(store, "ds"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open(ds): %v, want ErrCorrupt", err)
 	}
 }
 

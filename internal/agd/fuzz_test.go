@@ -42,6 +42,13 @@ func FuzzDecodeChunk(f *testing.F) {
 	f.Add(v2)
 	f.Add(fuzzSeedChunk(f, TypeResults, CompressGzip, 0))
 	f.Add(fuzzSeedChunk(f, TypeRaw, CompressNone, 0, []byte{}))
+	// Bases as the writer stores them (packed, exception runs included) and
+	// as earlier releases did (3-bit records, which decode as packed ones).
+	f.Add(fuzzSeedChunk(f, TypePackedBases, CompressNone, 0,
+		PackBases(nil, []byte("ACGTACGTAC")), PackBases(nil, []byte("NNacgtRYNN")), PackBases(nil, nil)))
+	f.Add(fuzzSeedChunk(f, TypePackedBases, CompressGzip, 2, PackBases(nil, bytes.Repeat([]byte("GATTACANN"), 500))))
+	f.Add(fuzzSeedChunk(f, TypeCompactBases, CompressNone, 0,
+		CompactBases(nil, []byte("ACGTNACGTNACGTNACGTNACG")), CompactBases(nil, nil)))
 
 	// Broken seeds: truncations, header bit-flips, a corrupted member
 	// table, and garbage.
@@ -146,7 +153,7 @@ func FuzzWriteGroups(f *testing.F) {
 				bases[i] = "ACGTN"[at(r+i)%5]
 				quals[i] = '!' + at(r+7*i)%40
 			}
-			rows[r] = [][]byte{CompactBases(nil, bases), quals, data[:min(len(data), int(at(r+1)%16))]}
+			rows[r] = [][]byte{PackBases(nil, bases), quals, data[:min(len(data), int(at(r+1)%16))]}
 		}
 		meta := StreamMeta{Columns: []string{ColBases, ColQual, ColMetadata}, RefSeqs: []RefSeq{{Name: "chr1", Length: 99}}, ChunkSize: int(chunk)}
 
@@ -209,7 +216,7 @@ func FuzzWriteGroups(f *testing.F) {
 
 // FuzzReadManifest feeds arbitrary bytes to ReadManifest as the manifest.json
 // of a dataset whose chunk blobs are in the store. It must never panic. A
-// manifest it accepts must come back unchanged through WriteManifest and
+// manifest it accepts must name that dataset, must come back unchanged through WriteManifest and
 // ReadManifest, and a chunk stream over it — its window open, so that the
 // window is counted in the manifest's records — must read without panicking
 // and without allocating in proportion to a chunk's Records.
@@ -232,6 +239,7 @@ func FuzzReadManifest(f *testing.F) {
 	}
 	f.Add([]byte(`{"name":"ds","columns":["bases"],"records":[{"path":"ds/chunk-000000","first":0,"records":1}],"ref_seqs":[]}`))
 	f.Add([]byte(`{"name":"ds","columns":["json"],"records":[{"path":"ds/manifest","first":0,"records":3}]}`))
+	f.Add([]byte(`{"name":"other","columns":["bases"],"records":[{"path":"ds/chunk-000000","first":0,"records":8}]}`))
 	f.Add([]byte(`{"name":"","columns":[]}`))
 	f.Add([]byte(`null`))
 	f.Add([]byte{})
@@ -243,6 +251,9 @@ func FuzzReadManifest(f *testing.F) {
 		m, err := ReadManifest(store, "ds")
 		if err != nil {
 			return
+		}
+		if m.Name != "ds" {
+			t.Fatalf("the manifest of dataset ds opened as dataset %q", m.Name)
 		}
 		again := NewMemStore()
 		if err := WriteManifest(again, m); err != nil {

@@ -367,7 +367,7 @@ func SpecsForColumns(columns []string) []ColumnSpec {
 func SpecTypeFor(name string) RecordType {
 	switch name {
 	case ColBases:
-		return TypeCompactBases
+		return TypePackedBases
 	case ColResults:
 		return TypeResults
 	}

@@ -195,6 +195,10 @@ func ReadManifest(store BlobStore, name string) (*Manifest, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
+	if m.Name != name {
+		// Opened as name, it would be written back under its own.
+		return nil, fmt.Errorf("%w: manifest of dataset %q names dataset %q", ErrCorrupt, name, m.Name)
+	}
 	return &m, nil
 }
 

@@ -228,6 +228,12 @@ func (cd Codec) decodeInto(c *Chunk, blob []byte, copyRaw bool) error {
 	if crc != h.crc {
 		return fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
 	}
+	if h.typ == TypeCompactBases {
+		if data, err = packCompacted(lengths, data); err != nil {
+			return err
+		}
+		h.typ = TypePackedBases
+	}
 	c.Type = h.typ
 	c.FirstOrdinal = h.firstOrdinal
 	c.Data = data

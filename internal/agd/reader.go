@@ -53,7 +53,7 @@ func (d *Dataset) ReadAllColumn(col string) ([][]byte, error) {
 func (d *Dataset) ReadAllBases() ([][]byte, error) {
 	var out [][]byte
 	err := d.readAll(ColBases, func(c *Chunk, r int) error {
-		if c.Type != TypeCompactBases {
+		if c.Type != TypePackedBases {
 			return fmt.Errorf("agd: bases column has type %v", c.Type)
 		}
 		bases, err := c.ExpandBasesRecord(nil, r)

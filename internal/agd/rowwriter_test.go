@@ -50,7 +50,11 @@ func (w *RowWriter) flush() error {
 	entry := ChunkEntry{Path: ChunkEntryPath(w.name, len(w.entries)), First: w.ordinal - uint64(n), Records: uint32(n)}
 	w.entries = append(w.entries, entry)
 	for i, c := range w.cols {
-		blob, err := EncodeChunk(w.builders[i].Chunk(), CompressGzip)
+		comp := CompressGzip
+		if c.Type == TypePackedBases {
+			comp = CompressNone // packed bases are stored as they are
+		}
+		blob, err := EncodeChunk(w.builders[i].Chunk(), comp)
 		if err != nil {
 			return err
 		}

@@ -31,7 +31,7 @@ func sinkRows(n int) [][][]byte {
 			bases[i] = "ACGTN"[rng.Intn(5)]
 			quals[i] = byte('!' + rng.Intn(40))
 		}
-		rows[r] = [][]byte{agd.CompactBases(nil, bases), quals, []byte(fmt.Sprintf("read.%d/%d", r, rng.Intn(1000)))}
+		rows[r] = [][]byte{agd.PackBases(nil, bases), quals, []byte(fmt.Sprintf("read.%d/%d", r, rng.Intn(1000)))}
 	}
 	return rows
 }
@@ -293,7 +293,8 @@ func (f *failPut) Put(name string, data []byte) error {
 // TestWriteGroupsFailureLeavesNothing fails every Put of a dataset write in
 // turn, groups stored whole and row by row alike: the write must fail with no
 // column blob left for a dataset that got no manifest, every group released
-// and every builder set back in its pool. A malformed group fails the same way.
+// and every builder set back in its pool. A malformed group fails the same
+// way, a column of records of another type than its name takes included.
 func TestWriteGroupsFailureLeavesNothing(t *testing.T) {
 	sizes := []int{8, 8, 4, 8, 8, 8, 3}
 	rows := sinkRows(47)
@@ -321,6 +322,13 @@ func TestWriteGroupsFailureLeavesNothing(t *testing.T) {
 	for what, spoil := range map[string]func(g *agd.RowGroup){
 		"a column short of rows": func(g *agd.RowGroup) { g.Chunks[1] = agd.NewChunkBuilder(agd.TypeRaw, 0).Chunk() },
 		"a column missing":       func(g *agd.RowGroup) { g.Chunks = g.Chunks[:2] },
+		"3-bit bases": func(g *agd.RowGroup) {
+			b := agd.NewChunkBuilder(agd.TypeCompactBases, g.Chunks[0].FirstOrdinal)
+			for range g.Chunks[0].NumRecords() {
+				b.Append(agd.CompactBases(nil, []byte("ACGT")))
+			}
+			g.Chunks[0] = b.Chunk()
+		},
 	} {
 		src := &sinkSource{}
 		good := src.stream(rows, sizes, true, false)

@@ -26,7 +26,7 @@ type ColumnSpec struct {
 // (bases, qual, metadata).
 func StandardReadColumns() []ColumnSpec {
 	return []ColumnSpec{
-		{Name: ColBases, Type: TypeCompactBases},
+		{Name: ColBases, Type: TypePackedBases},
 		{Name: ColQual, Type: TypeRaw},
 		{Name: ColMetadata, Type: TypeRaw},
 	}
@@ -315,7 +315,8 @@ func (s *sink) put(g *RowGroup) error {
 }
 
 // checkGroup rejects a group the sink cannot take: the wrong number of
-// columns, or columns that disagree on the row count n.
+// columns, columns that disagree on the row count n, or a column whose
+// records are not of the type its name takes (SpecTypeFor).
 func (s *sink) checkGroup(g *RowGroup, n int) error {
 	if len(g.Chunks) != len(s.cols) {
 		return fmt.Errorf("agd: group %d has %d columns, dataset %q has %d", g.Index, len(g.Chunks), s.name, len(s.cols))
@@ -324,6 +325,9 @@ func (s *sink) checkGroup(g *RowGroup, n int) error {
 		if c.NumRecords() != n {
 			return fmt.Errorf("%w: group %d column %q has %d records, column %q has %d",
 				ErrRowGroup, g.Index, s.cols[i].Name, c.NumRecords(), s.cols[0].Name, n)
+		}
+		if c.Type != s.cols[i].Type {
+			return fmt.Errorf("agd: group %d column %q holds %v records, the column takes %v", g.Index, s.cols[i].Name, c.Type, s.cols[i].Type)
 		}
 	}
 	return nil
@@ -362,7 +366,7 @@ func (s *sink) flush() error {
 func (s *sink) storeChunk(entry ChunkEntry, cols []ColumnSpec, chunks []*Chunk) error {
 	blobs := s.blobs[s.stored%2][:0]
 	for _, c := range chunks {
-		blob, err := s.codec.Encode(c, s.comp)
+		blob, err := s.codec.Encode(c, s.compression(c.Type))
 		if err != nil {
 			return err
 		}
@@ -378,6 +382,17 @@ func (s *sink) storeChunk(entry ChunkEntry, cols []ColumnSpec, chunks []*Chunk) 
 		}
 		return nil
 	})
+}
+
+// compression is the sink's one rule for a chunk's block compression: packed
+// bases are stored as they are, since deflate would spend more time than it
+// saves bytes on them, and every other record type with the sink's
+// compression.
+func (s *sink) compression(t RecordType) Compression {
+	if t == TypePackedBases {
+		return CompressNone
+	}
+	return s.comp
 }
 
 // puts runs each chunk's stores as one task on an executor, so the caller

@@ -130,7 +130,7 @@ func MergeStream(merger *RunMerger, meta agd.StreamMeta, pipelining int) *agd.Gr
 	return agd.FillStream(meta, agd.SpecsForColumns(meta.Columns), pipelining, func(b []*agd.ChunkBuilder) (int, error) {
 		rows := min(left, meta.ChunkSize)
 		// Run rows hold every column in stored representation (bases stay
-		// compacted), so the merge moves bytes without re-encoding.
+		// packed), so the merge moves bytes without re-encoding.
 		for r := 0; r < rows; r++ {
 			fields, ok, err := merger.Next()
 			if err == nil && !ok {

@@ -57,23 +57,6 @@ type AlignReport struct {
 	Stats snap.Stats
 }
 
-// uvarint decodes the leading uvarint of a compacted bases record.
-func uvarint(b []byte) (uint64, int) {
-	var x uint64
-	var s uint
-	for i, c := range b {
-		if c < 0x80 {
-			return x | uint64(c)<<s, i + 1
-		}
-		x |= uint64(c&0x7f) << s
-		s += 7
-		if s >= 64 {
-			return 0, -1
-		}
-	}
-	return 0, 0
-}
-
 // unmappedResult is the record appended for reads that fail to decode.
 var unmappedResult = agd.Result{
 	Location:     agd.UnmappedLocation,

@@ -192,11 +192,11 @@ func (st *alignStage) alignGroup(ctx context.Context, g *agd.RowGroup) (*agd.Row
 			g.Release()
 			return nil, err
 		}
-		count, l := uvarint(rec)
-		if l <= 0 {
+		count, err := agd.PackedBaseCount(rec)
+		if err != nil {
 			putSet()
 			g.Release()
-			return nil, fmt.Errorf("core: corrupt bases record in group %d", g.Index)
+			return nil, fmt.Errorf("core: bases record %d of group %d: %w", r, g.Index, err)
 		}
 		chunkBases += int64(count)
 	}

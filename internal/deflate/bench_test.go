@@ -48,7 +48,20 @@ var fixture = sync.OnceValue(func() []buffer {
 	}
 	var out []buffer
 	for i, col := range gs.Meta.Columns {
-		out = append(out, buffer{col, g.Chunks[i].Data})
+		data := g.Chunks[i].Data
+		if col == agd.ColBases {
+			// The column is stored packed, without deflate; the buffer stays
+			// the 3-bit records the pins were taken on.
+			data = nil
+			var letters []byte
+			for r := 0; r < g.Chunks[i].NumRecords(); r++ {
+				if letters, err = g.Chunks[i].ExpandBasesRecord(letters[:0], r); err != nil {
+					panic(err)
+				}
+				data = agd.CompactBases(data, letters)
+			}
+		}
+		out = append(out, buffer{col, data})
 	}
 	// And one full BGZF block from the middle of the dataset's BAM.
 	var file bytes.Buffer

@@ -198,20 +198,14 @@ func TestAblations(t *testing.T) {
 			t.Fatalf("%s (%d) not smaller than %s (%d)", pair[0], byName[pair[0]].Bytes, pair[1], byName[pair[1]].Bytes)
 		}
 	}
-	// KNOWN GAP, open in ROADMAP item 2 and measured in PERF.md "Chunk
-	// codec": the deployed combination must be the smallest, and since PR 16
-	// it is not. compact+gzip itself did not grow (66 179 → 66 462 bytes on
-	// this workload); gzip of the raw letters shrank (71 408 → 57 761),
-	// because internal/deflate codes four letters at 2.2 bits a base where
-	// compress/flate's BestSpeed matcher spent 2.8, and bytes that hold
-	// 3-bit codes come to 2.6 under either. Closing it needs another
-	// packing, which is a format change. Until then the gap is held to what
-	// was measured, so that it is seen and cannot widen unnoticed; when it
-	// closes, this becomes compact+gzip <= gzip again.
-	cg, gz := byName["compact+gzip"].Bytes, byName["gzip"].Bytes
-	t.Logf("known gap: compact+gzip %d bytes, gzip of raw letters %d (%.3fx)", cg, gz, float64(cg)/float64(gz))
-	if cg*100 > gz*118 {
-		t.Fatalf("compact+gzip (%d) is more than 1.18x gzip of raw letters (%d); the known gap is 1.15x", cg, gz)
+	// The deployed encoding, packed 2 bits a base and stored, must be no
+	// larger than gzip of the raw letters: internal/deflate codes four
+	// letters at 2.2 bits a base, and bytes that hold 3-bit codes at 2.6,
+	// so compact+gzip is larger than both.
+	packed, gz := byName["packed"].Bytes, byName["gzip"].Bytes
+	t.Logf("packed %d bytes, gzip of raw letters %d (%.3fx), compact+gzip %d", packed, gz, float64(packed)/float64(gz), byName["compact+gzip"].Bytes)
+	if packed == 0 || packed > gz {
+		t.Fatalf("packed bases (%d bytes) larger than gzip of raw letters (%d)", packed, gz)
 	}
 
 	srows, err := RunSubchunkAblation(t.Context(), io.Discard, sc)

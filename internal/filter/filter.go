@@ -139,7 +139,7 @@ func RunStream(in *agd.GroupStream, pred Predicate, pipelining int) (*agd.GroupS
 					if err != nil {
 						return fail(err)
 					}
-					// Rows stay in stored representation (bases compacted).
+					// Rows stay in stored representation (bases packed).
 					builders[col].Append(f)
 				}
 				kept++

@@ -17,8 +17,8 @@ import (
 	"strings"
 )
 
-// Base codes. Persona stores bases 3 bits each (AGD base compaction), which
-// leaves room for the ambiguous base N alongside A, C, G, T.
+// Base codes. AGD base compaction stores A, C, G and T 2 bits each and keeps
+// the ambiguous base N, and any other letter, aside as N.
 const (
 	BaseA = byte('A')
 	BaseC = byte('C')

@@ -114,8 +114,8 @@ func BuildE(store agd.BlobStore, name string, cfg Config) (*Fixture, error) {
 // source (agd.FillStream) over rows held in memory, meta.ChunkSize rows a
 // group (agd.DefaultChunkSize when 0), drained by agd.WriteGroups into
 // dataset name. A row holds one field per column of meta.Columns: base
-// letters for the bases column, compacted as they are appended, and every
-// other field as it is stored.
+// letters for the bases column, packed as they are appended, and every other
+// field as it is stored.
 func WriteRows(store agd.BlobStore, name string, meta agd.StreamMeta, rows [][][]byte) (*agd.Manifest, error) {
 	if meta.ChunkSize <= 0 {
 		meta.ChunkSize = agd.DefaultChunkSize
@@ -129,7 +129,7 @@ func WriteRows(store agd.BlobStore, name string, meta agd.StreamMeta, rows [][][
 				return 0, fmt.Errorf("testutil: a row of %d fields for %d columns", len(row), len(specs))
 			}
 			for i, f := range row {
-				if specs[i].Type == agd.TypeCompactBases {
+				if specs[i].Type == agd.TypePackedBases {
 					b[i].AppendBases(f)
 				} else {
 					b[i].Append(f)

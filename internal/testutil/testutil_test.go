@@ -15,8 +15,8 @@ import (
 // each blob's name, size and bytes in name order.
 func TestBuildEBlobIdentity(t *testing.T) {
 	want := map[string]string{
-		"unaligned": "ed8aecba88ce3f97e969ea75cd13df6f52ffe011e06763cffe9e6036f005df28",
-		"aligned":   "78e27617d62fee52035e5f03947e1aefc4587dc392d2bb79febe0b152081d140",
+		"unaligned": "e1ad52189a7069089ce7ef8822b1dfdc3ce7cf065aa8a90f7f87f5d70e0c7ef4",
+		"aligned":   "332ae679d144434211169c9d5945b4405a8d6c4b409db5e76625c3bc47500cdb",
 	}
 	for what, skip := range map[string]bool{"unaligned": true, "aligned": false} {
 		store := agd.NewMemStore()
