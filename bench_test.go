@@ -381,7 +381,9 @@ func BenchmarkKernel_SmithWaterman(b *testing.B) {
 // workloads (bench/: 1 Mb genome, 20 k distinct reads): the seed table is
 // then 32 MB and the reads touch most of it, so the benchmark sees the
 // table's cache misses the way a pipeline run does. A 400 kb genome cycling
-// 256 reads keeps every slot it touches cached and cannot.
+// 256 reads keeps every slot it touches cached and cannot. It times
+// AlignPacked over the reads' packed bases records, the path the alignment
+// stage runs.
 func BenchmarkKernel_SNAPAlignRead(b *testing.B) {
 	g := benchGenome(b, 1_000_000)
 	idx, err := snap.BuildIndex(g, snap.IndexConfig{SeedLen: 16})
@@ -394,10 +396,16 @@ func BenchmarkKernel_SNAPAlignRead(b *testing.B) {
 		b.Fatal(err)
 	}
 	rs, _ := sim.All()
+	recs := make([][]byte, len(rs))
+	for i := range rs {
+		recs[i] = agd.PackBases(nil, rs[i].Bases)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.AlignRead(rs[i%len(rs)].Bases)
+		if _, err := a.AlignPacked(recs[i%len(recs)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.SetBytes(101)
 }

@@ -79,9 +79,10 @@ func PackBases(dst, bases []byte) []byte {
 	return dst
 }
 
-// packedHeader parses a packed record's base count and splits the rest into
-// the packed bytes and the exception runs.
-func packedHeader(rec []byte) (n int, packed, exceptions []byte, err error) {
+// SplitPacked parses a packed record's base count and splits the rest into
+// the packed bytes, (n+3)/4 of them, and the exception runs, empty for a read
+// without any. It checks the count against the record's length, not the runs.
+func SplitPacked(rec []byte) (n int, packed, exceptions []byte, err error) {
 	count, h := binary.Uvarint(rec)
 	if h <= 0 {
 		return 0, nil, nil, fmt.Errorf("%w: bad base count varint", ErrCorrupt)
@@ -97,14 +98,14 @@ func packedHeader(rec []byte) (n int, packed, exceptions []byte, err error) {
 
 // PackedBaseCount returns the number of bases in the packed record rec.
 func PackedBaseCount(rec []byte) (int, error) {
-	n, _, _, err := packedHeader(rec)
+	n, _, _, err := SplitPacked(rec)
 	return n, err
 }
 
 // UnpackBases decodes the packed record rec, which must be exactly one
 // record, appending its letters to dst.
 func UnpackBases(dst, rec []byte) ([]byte, error) {
-	n, packed, exceptions, err := packedHeader(rec)
+	n, packed, exceptions, err := SplitPacked(rec)
 	if err != nil {
 		return dst, err
 	}

@@ -4,9 +4,12 @@
 // loads per read, so their cache misses overlap), Landau-Vishkin verification
 // of each candidate with best/second-best tracking, and CIGAR recovery for the
 // winner alone, read out of the Landau-Vishkin waves at its verified distance
-// (align.LVScratch.Align; no dynamic-programming table). This is the
-// high-throughput aligner of the paper's evaluation (§4.3, §5); it is
-// optimized for large memory and many cores.
+// (align.LVScratch.Align; no dynamic-programming table). The read's seed keys
+// are cut from its bases as the AGD bases column stores them, 2 bits a base
+// (agd.PackBases), one 64-bit load a seed on either strand; letters are used
+// only to verify candidates. This is the high-throughput aligner of the
+// paper's evaluation (§4.3, §5); it is optimized for large memory and many
+// cores.
 package snap
 
 import (
@@ -27,7 +30,11 @@ type IndexConfig struct {
 }
 
 // Index is the hash-based seed index: seed value → reference locations (the
-// "Genome Index: Seed → Ref. Loc" of Fig. 3). It is one open-addressed table
+// "Genome Index: Seed → Ref. Loc" of Fig. 3). A seed's key is its bases as
+// 2-bit codes (A, C, G, T as 0–3), first base in the highest bits: BuildIndex
+// codes the genome's letters, the aligner cuts a read's keys from its packed
+// record (Aligner.sampleSeeds), and Lookup codes the letters it is given. It
+// is one open-addressed table
 // of slots (linear probing, power-of-two size, load ≤ 0.5) over one contiguous
 // array of locations, so the whole index is two heap objects whatever the
 // genome size. A seed that occurs once — nearly every seed of a genome that is

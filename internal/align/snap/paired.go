@@ -16,15 +16,11 @@ type scored struct {
 // those within MaxDist. The result is backed by the aligner's scratch slice
 // `which` (0 or 1, so a pair's two reads keep separate results) and is valid
 // until that scratch is reused.
-func (a *Aligner) scoreCandidates(which int, bases []byte) []scored {
-	rcBases := a.gatherCandidates(which, bases)
+func (a *Aligner) scoreCandidates(which int, bases, rec []byte) []scored {
+	read := a.gatherCandidates(which, bases, rec)
 	out := a.scoreBuf[which][:0]
 	for _, c := range a.cands {
-		query := bases
-		if c.rc {
-			query = rcBases
-		}
-		d := a.verify(query, c.pos, a.cfg.MaxDist)
+		d := a.verify(read.query(c.rc), c.pos, a.cfg.MaxDist)
 		if d >= 0 {
 			out = append(out, scored{pos: c.pos, rc: c.rc, dist: d})
 		}
@@ -33,14 +29,36 @@ func (a *Aligner) scoreCandidates(which int, bases []byte) []scored {
 	return out
 }
 
-// AlignPair aligns a read pair, preferring proper pairs (opposite strands,
-// forward read leftmost, insert within configured bounds) by combined edit
-// distance, falling back to independent single-end alignment when no proper
-// pair exists.
+// AlignPair aligns a read pair given as letters, preferring proper pairs
+// (opposite strands, forward read leftmost, insert within configured bounds)
+// by combined edit distance, falling back to independent single-end
+// alignment when no proper pair exists.
 func (a *Aligner) AlignPair(bases1, bases2 []byte) (agd.Result, agd.Result) {
+	return a.alignPair(bases1, a.reads[0].pack(bases1), bases2, a.reads[1].pack(bases2))
+}
+
+// AlignPackedPair is AlignPair over the pair's packed bases records
+// (agd.PackBases). A record that does not decode is an error, and the pair is
+// not counted.
+func (a *Aligner) AlignPackedPair(rec1, rec2 []byte) (agd.Result, agd.Result, error) {
+	bases1, err := a.reads[0].unpack(rec1)
+	if err != nil {
+		return agd.Result{}, agd.Result{}, err
+	}
+	bases2, err := a.reads[1].unpack(rec2)
+	if err != nil {
+		return agd.Result{}, agd.Result{}, err
+	}
+	r1, r2 := a.alignPair(bases1, rec1, bases2, rec2)
+	return r1, r2, nil
+}
+
+// alignPair aligns the pair whose letters are bases1 and bases2 and whose
+// packed records are rec1 and rec2.
+func (a *Aligner) alignPair(bases1, rec1, bases2, rec2 []byte) (agd.Result, agd.Result) {
 	a.counts.Reads += 2
-	s1 := a.scoreCandidates(0, bases1)
-	s2 := a.scoreCandidates(1, bases2)
+	s1 := a.scoreCandidates(0, bases1, rec1)
+	s2 := a.scoreCandidates(1, bases2, rec2)
 
 	type combo struct {
 		c1, c2   scored
@@ -55,14 +73,11 @@ func (a *Aligner) AlignPair(bases1, bases2 []byte) (agd.Result, agd.Result) {
 				continue // proper pairs sit on opposite strands
 			}
 			// The forward-strand read must be leftmost.
-			fwd, rev := c1, c2
-			len1, len2 := len(bases1), len(bases2)
+			fwd, rev, revLen := c1, c2, len(bases2)
 			if c1.rc {
-				fwd, rev = c2, c1
-				len1, len2 = len2, len1
+				fwd, rev, revLen = c2, c1, len(bases1)
 			}
-			_ = len1
-			insert := rev.pos + int64(len2) - fwd.pos
+			insert := rev.pos + int64(revLen) - fwd.pos
 			if fwd.pos > rev.pos || insert < int64(a.cfg.MinInsert) || insert > int64(a.cfg.MaxInsert) {
 				continue
 			}
@@ -91,8 +106,8 @@ func (a *Aligner) AlignPair(bases1, bases2 []byte) (agd.Result, agd.Result) {
 
 	if bestCount == 0 {
 		// No proper pair: fall back to independent alignment.
-		r1 := a.AlignRead(bases1)
-		r2 := a.AlignRead(bases2)
+		r1 := a.alignRead(bases1, rec1)
+		r2 := a.alignRead(bases2, rec2)
 		pairFlags(&r1, &r2)
 		pairFlags(&r2, &r1)
 		r1.Flags |= agd.FlagFirstInPair
@@ -102,8 +117,8 @@ func (a *Aligner) AlignPair(bases1, bases2 []byte) (agd.Result, agd.Result) {
 
 	a.counts.Aligned += 2
 	mapq := align.MapQ(bestCombined, secondCombined, bestCount)
-	r1 := a.finish(0, bases1, candidate{pos: best.c1.pos, rc: best.c1.rc}, best.c1.dist, -1, 1)
-	r2 := a.finish(1, bases2, candidate{pos: best.c2.pos, rc: best.c2.rc}, best.c2.dist, -1, 1)
+	r1 := a.finish(0, candidate{pos: best.c1.pos, rc: best.c1.rc}, best.c1.dist, -1, 1)
+	r2 := a.finish(1, candidate{pos: best.c2.pos, rc: best.c2.rc}, best.c2.dist, -1, 1)
 	r1.MapQ, r2.MapQ = mapq, mapq
 	r1.Flags |= agd.FlagPaired | agd.FlagProperPair | agd.FlagFirstInPair
 	r2.Flags |= agd.FlagPaired | agd.FlagProperPair | agd.FlagSecondInPair

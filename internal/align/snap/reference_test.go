@@ -486,19 +486,24 @@ func TestAlignMatchesReference(t *testing.T) {
 				if displacedSeeds(idx) == 0 {
 					t.Fatal("no seed is displaced from its home slot: the probe past a copied slot is not exercised")
 				}
-				a, ref := NewAligner(idx, rc.cfg), newRefAligner(g, rc.icfg, rc.cfg)
+				// One aligner per entry point: letters, and the packed record.
+				a, p, ref := NewAligner(idx, rc.cfg), NewAligner(idx, rc.cfg), newRefAligner(g, rc.icfg, rc.cfg)
 				aligned := 0
 				for i, b := range refReads(t, g, 40, false) {
-					got, want := a.AlignRead(b), ref.alignRead(b)
-					if got != want {
+					want := ref.alignRead(b)
+					if got := a.AlignRead(b); got != want {
 						t.Fatalf("read %d %s:\n got  %+v\n want %+v", i, b, got, want)
+					}
+					got, err := p.AlignPacked(agd.PackBases(nil, b))
+					if err != nil || got != want {
+						t.Fatalf("packed read %d %s:\n got  %+v, %v\n want %+v", i, b, got, err, want)
 					}
 					if !got.IsUnmapped() {
 						aligned++
 					}
 				}
-				if a.Stats() != ref.counts {
-					t.Fatalf("stats:\n got  %+v\n want %+v", a.Stats(), ref.counts)
+				if a.Stats() != ref.counts || p.Stats() != ref.counts {
+					t.Fatalf("stats:\n got  %+v\n packed %+v\n want %+v", a.Stats(), p.Stats(), ref.counts)
 				}
 				if aligned == 0 {
 					t.Fatal("no read aligned")
@@ -517,21 +522,25 @@ func TestAlignPairMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				a, ref := NewAligner(idx, rc.cfg), newRefAligner(g, rc.icfg, rc.cfg)
+				a, p, ref := NewAligner(idx, rc.cfg), NewAligner(idx, rc.cfg), newRefAligner(g, rc.icfg, rc.cfg)
 				rs := refReads(t, g, 41, true)
 				proper := 0
 				for i := 0; i+1 < len(rs); i += 2 {
-					got1, got2 := a.AlignPair(rs[i], rs[i+1])
 					want1, want2 := ref.alignPair(rs[i], rs[i+1])
+					got1, got2 := a.AlignPair(rs[i], rs[i+1])
 					if got1 != want1 || got2 != want2 {
 						t.Fatalf("pair %d:\n got  %+v %+v\n want %+v %+v", i/2, got1, got2, want1, want2)
+					}
+					got1, got2, err := p.AlignPackedPair(agd.PackBases(nil, rs[i]), agd.PackBases(nil, rs[i+1]))
+					if err != nil || got1 != want1 || got2 != want2 {
+						t.Fatalf("packed pair %d:\n got  %+v %+v, %v\n want %+v %+v", i/2, got1, got2, err, want1, want2)
 					}
 					if got1.Flags&agd.FlagProperPair != 0 {
 						proper++
 					}
 				}
-				if a.Stats() != ref.counts {
-					t.Fatalf("stats:\n got  %+v\n want %+v", a.Stats(), ref.counts)
+				if a.Stats() != ref.counts || p.Stats() != ref.counts {
+					t.Fatalf("stats:\n got  %+v\n packed %+v\n want %+v", a.Stats(), p.Stats(), ref.counts)
 				}
 				if proper == 0 && name == "synthetic" {
 					t.Fatal("no proper pair")
@@ -543,8 +552,8 @@ func TestAlignPairMatchesReference(t *testing.T) {
 
 // TestKernelAllocations pins the allocation discipline of the hot path (§6:
 // the aligner is core bound, allocator traffic is pure overhead): a warm
-// AlignRead allocates nothing, and BuildIndex makes a fixed handful of
-// allocations whatever the number of seeds.
+// AlignRead or AlignPacked allocates nothing, and BuildIndex makes a fixed
+// handful of allocations whatever the number of seeds.
 func TestKernelAllocations(t *testing.T) {
 	g := testGenome(t, 200_000, 35)
 	idx := testIndex(t, g)
@@ -554,8 +563,11 @@ func TestKernelAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs, _ := sim.All()
+	recs := make([][]byte, len(rs))
 	for i := range rs {
+		recs[i] = agd.PackBases(nil, rs[i].Bases)
 		a.AlignRead(rs[i].Bases) // warm the scratch buffers and the CIGAR table
+		a.AlignPacked(recs[i])
 	}
 	i := 0
 	if allocs := testing.AllocsPerRun(200, func() {
@@ -563,6 +575,12 @@ func TestKernelAllocations(t *testing.T) {
 		i++
 	}); allocs != 0 {
 		t.Errorf("AlignRead: %v allocs/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		a.AlignPacked(recs[i%len(recs)])
+		i++
+	}); allocs != 0 {
+		t.Errorf("AlignPacked: %v allocs/op, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(2, func() {
 		if _, err := BuildIndex(g, IndexConfig{SeedLen: 16}); err != nil {

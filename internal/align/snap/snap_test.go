@@ -1,6 +1,8 @@
 package snap
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
 	"persona/internal/agd"
@@ -218,6 +220,41 @@ func TestAlignUnalignableRead(t *testing.T) {
 	res = a.AlignRead([]byte("ACGT"))
 	if !res.IsUnmapped() {
 		t.Fatal("4bp read mapped")
+	}
+	// Nor, as packed records, can those, a read of 0 bases or one a base
+	// short of a seed.
+	short, err := g.Slice(1000, idx.SeedLen()-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, read := range []string{"NNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNNN", "ACGT", "", string(short)} {
+		res, err := a.AlignPacked(agd.PackBases(nil, []byte(read)))
+		if err != nil || !res.IsUnmapped() {
+			t.Fatalf("AlignPacked(%q) = %+v, %v; want unmapped", read, res, err)
+		}
+	}
+}
+
+// TestAlignPackedCorrupt: a record that does not decode is an error, not a
+// read, for either entry point.
+func TestAlignPackedCorrupt(t *testing.T) {
+	g := testGenome(t, 50_000, 25)
+	a := NewAligner(testIndex(t, g), Config{})
+	read, err := g.Slice(2000, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := agd.PackBases(nil, read)
+	for _, bad := range [][]byte{nil, {0x80}, good[:len(good)-1], append(slices.Clip(good), 70, 1)} {
+		if _, err := a.AlignPacked(bad); !errors.Is(err, agd.ErrCorrupt) {
+			t.Errorf("AlignPacked(%v) err = %v, want ErrCorrupt", bad, err)
+		}
+		if _, _, err := a.AlignPackedPair(good, bad); !errors.Is(err, agd.ErrCorrupt) {
+			t.Errorf("AlignPackedPair(good, %v) err = %v, want ErrCorrupt", bad, err)
+		}
+	}
+	if s := a.Stats(); s.Reads != 0 {
+		t.Errorf("%d reads counted, want none", s.Reads)
 	}
 }
 

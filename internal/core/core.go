@@ -10,6 +10,7 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"persona/internal/agd"
@@ -57,44 +58,42 @@ type AlignReport struct {
 	Stats snap.Stats
 }
 
-// unmappedResult is the record appended for reads that fail to decode.
-var unmappedResult = agd.Result{
-	Location:     agd.UnmappedLocation,
-	MateLocation: agd.UnmappedLocation,
-	Flags:        agd.FlagUnmapped,
-}
-
-// alignRange aligns records [lo, hi) of a chunk, appending each encoded
-// result in record order to ra: read by read, or in paired mode pair by pair
-// (records 2i and 2i+1; lo and hi are even). All decode and encode scratch is
-// reused, so the steady-state loop performs no per-read allocation.
-func alignRange(a *snap.Aligner, basesChunk *agd.Chunk, ra *agd.RecordArena, lo, hi int, paired bool) {
+// alignRange aligns records [lo, hi) of a chunk of packed bases records,
+// appending each encoded result in record order to ra: read by read, or in
+// paired mode pair by pair (records 2i and 2i+1; lo and hi are even). It
+// returns the number of bases aligned, or an error naming the first record
+// that does not decode. All scratch is reused, so the steady-state loop
+// performs no per-read allocation.
+func alignRange(a *snap.Aligner, basesChunk *agd.Chunk, ra *agd.RecordArena, lo, hi int, paired bool) (bases int64, err error) {
+	// Record fails only out of range, and a nil record does not decode.
 	if !paired {
-		var scratch []byte
 		for r := lo; r < hi; r++ {
-			bases, err := basesChunk.ExpandBasesRecord(scratch[:0], r)
+			rec, _ := basesChunk.Record(r)
+			res, err := a.AlignPacked(rec)
 			if err != nil {
-				ra.AppendResult(&unmappedResult)
-				continue
+				return bases, fmt.Errorf("bases record %d: %w", r, err)
 			}
-			res := a.AlignRead(bases)
 			ra.AppendResult(&res)
-			scratch = bases
+			bases += baseCount(rec)
 		}
-		return
+		return bases, nil
 	}
-	var s1, s2 []byte
 	for r := lo; r < hi; r += 2 {
-		b1, err1 := basesChunk.ExpandBasesRecord(s1[:0], r)
-		b2, err2 := basesChunk.ExpandBasesRecord(s2[:0], r+1)
-		s1, s2 = b1, b2
-		if err1 != nil || err2 != nil {
-			ra.AppendResult(&unmappedResult)
-			ra.AppendResult(&unmappedResult)
-			continue
+		rec1, _ := basesChunk.Record(r)
+		rec2, _ := basesChunk.Record(r + 1)
+		r1, r2, err := a.AlignPackedPair(rec1, rec2)
+		if err != nil {
+			return bases, fmt.Errorf("bases records %d and %d: %w", r, r+1, err)
 		}
-		r1, r2 := a.AlignPair(b1, b2)
 		ra.AppendResult(&r1)
 		ra.AppendResult(&r2)
+		bases += baseCount(rec1) + baseCount(rec2)
 	}
+	return bases, nil
+}
+
+// baseCount returns the base count of a packed record that has decoded.
+func baseCount(rec []byte) int64 {
+	n, _ := agd.PackedBaseCount(rec)
+	return int64(n)
 }

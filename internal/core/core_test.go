@@ -13,6 +13,7 @@ import (
 	"persona/internal/agd"
 	"persona/internal/align/snap"
 	"persona/internal/dataflow"
+	"persona/internal/genome"
 	"persona/internal/testutil"
 )
 
@@ -387,6 +388,86 @@ func TestAlignStagesUnderTightPools(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("result %d differs under tight pools:\n  want %+v\n  got  %+v", i, want[i], got[i])
+		}
+	}
+}
+
+// corruptGroupStream is a stream of two groups of packed bases records of
+// exact reads from g; group 1's record 3 is bad.
+func corruptGroupStream(t *testing.T, g *genome.Genome, bad []byte) *agd.GroupStream {
+	t.Helper()
+	const perGroup = 6
+	groups := make([]*agd.RowGroup, 2)
+	for gi := range groups {
+		b := agd.NewChunkBuilder(agd.TypePackedBases, uint64(gi*perGroup))
+		for r := 0; r < perGroup; r++ {
+			if gi == 1 && r == 3 {
+				b.Append(bad)
+				continue
+			}
+			read, err := g.Slice(int64(1000+900*(gi*perGroup+r)), 80)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.AppendBases(read)
+		}
+		groups[gi] = agd.NewRowGroup(gi, 0, []*agd.Chunk{b.Chunk()}, nil)
+	}
+	meta := agd.StreamMeta{Columns: []string{agd.ColBases}, NumRecords: 2 * perGroup}
+	return agd.NewGroupStream(meta, func(context.Context) (*agd.RowGroup, error) {
+		if len(groups) == 0 {
+			return nil, io.EOF
+		}
+		g := groups[0]
+		groups = groups[1:]
+		return g, nil
+	}, nil)
+}
+
+// TestAlignCorruptRecordFailsGroup: a bases record whose header does not
+// parse fails its group, single or paired, and the error names the group and
+// the record.
+func TestAlignCorruptRecordFailsGroup(t *testing.T) {
+	// A bad count varint, and a count of 200 bases in 2 bytes.
+	testAlignCorruptRecord(t, []byte{0x80}, []byte{200, 1, 0x55, 0x55})
+}
+
+// TestAlignCorruptExceptionRunFailsGroup: so does a record whose header
+// parses but whose exception run overruns the read, which the aligner reads
+// to know which seeds to skip.
+func TestAlignCorruptExceptionRunFailsGroup(t *testing.T) {
+	testAlignCorruptRecord(t, append(agd.PackBases(nil, []byte("ACGTACGT")), 7, 2))
+}
+
+func testAlignCorruptRecord(t *testing.T, bads ...[]byte) {
+	t.Helper()
+	g, err := genome.Synthesize(genome.DefaultSyntheticConfig(20_000, 117))
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := snap.BuildIndex(g, snap.IndexConfig{SeedLen: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := dataflow.NewExecutor(2, 4)
+	defer exec.Close()
+	for _, bad := range bads {
+		for _, paired := range []bool{false, true} {
+			out, _, err := AlignStream(AlignConfig{Index: idx, Paired: paired, Subchunks: 3}, exec, corruptGroupStream(t, g, bad))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			first, err := out.Next(ctx)
+			if err != nil {
+				t.Fatalf("paired %v: group 0: %v", paired, err)
+			}
+			first.Release()
+			_, err = out.Next(ctx)
+			if err == nil || !errors.Is(err, agd.ErrCorrupt) || !strings.Contains(err.Error(), "group 1") || !strings.Contains(err.Error(), "record") || !strings.Contains(err.Error(), " 3") {
+				t.Fatalf("paired %v, record %v: err = %v, want ErrCorrupt naming group 1 and record 3", paired, bad, err)
+			}
+			out.Close()
 		}
 	}
 }

@@ -21,6 +21,7 @@ type alignStage struct {
 	exec      *dataflow.Executor
 	aligners  chan *snap.Aligner
 	arenas    []*agd.RecordArena
+	ranges    []alignedRange // one per subchunk, like arenas
 	builder   *agd.ChunkBuilder
 	pool      *agd.BuilderPool
 	paired    bool
@@ -28,6 +29,13 @@ type alignStage struct {
 	report    *AlignReport
 	started   time.Time
 	basesCol  int
+}
+
+// alignedRange is what alignRange returned for one subchunk: the bases it
+// aligned, or the record that does not decode.
+type alignedRange struct {
+	bases int64
+	err   error
 }
 
 // errNoIndex rejects an alignment configured without a reference index.
@@ -62,6 +70,7 @@ func AlignStream(cfg AlignConfig, exec *dataflow.Executor, in *agd.GroupStream) 
 		exec:      exec,
 		aligners:  make(chan *snap.Aligner, exec.Workers()),
 		arenas:    make([]*agd.RecordArena, cfg.Subchunks),
+		ranges:    make([]alignedRange, cfg.Subchunks),
 		paired:    cfg.Paired,
 		subchunks: cfg.Subchunks,
 		report:    &AlignReport{},
@@ -137,19 +146,27 @@ func (st *alignStage) alignGroup(ctx context.Context, g *agd.RowGroup) (*agd.Row
 			// Subchunk boundaries must not split pairs.
 			lo, hi = lo&^1, hi&^1
 		}
-		ra := st.arenas[s]
+		ra, out := st.arenas[s], &st.ranges[s]
 		ra.Reset()
+		*out = alignedRange{}
 		return func() {
 			if ctx.Err() != nil {
 				return // cancelled: drain without aligning
 			}
 			a := <-st.aligners
 			defer func() { st.aligners <- a }()
-			alignRange(a, bases, ra, lo, hi, st.paired)
+			out.bases, out.err = alignRange(a, bases, ra, lo, hi, st.paired)
 		}
 	})
 	if err == nil {
 		err = ctx.Err()
+	}
+	var chunkBases int64
+	for _, r := range st.ranges[:sub] {
+		if err == nil && r.err != nil {
+			err = fmt.Errorf("core: group %d: %w", g.Index, r.err)
+		}
+		chunkBases += r.bases
 	}
 	if err != nil {
 		g.Release()
@@ -184,22 +201,6 @@ func (st *alignStage) alignGroup(ctx context.Context, g *agd.RowGroup) (*agd.Row
 		return nil, fmt.Errorf("core: group %d aligned %d of %d records", g.Index, builder.NumRecords(), n)
 	}
 
-	var chunkBases int64
-	for r := 0; r < n; r++ {
-		rec, err := bases.Record(r)
-		if err != nil {
-			putSet()
-			g.Release()
-			return nil, err
-		}
-		count, err := agd.PackedBaseCount(rec)
-		if err != nil {
-			putSet()
-			g.Release()
-			return nil, fmt.Errorf("core: bases record %d of group %d: %w", r, g.Index, err)
-		}
-		chunkBases += int64(count)
-	}
 	st.report.Chunks++
 	st.report.Reads += int64(n)
 	st.report.Bases += chunkBases

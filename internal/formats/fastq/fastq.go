@@ -44,7 +44,8 @@ func NewGzipScanner(r io.Reader) (*Scanner, error) {
 	return NewScanner(zr), nil
 }
 
-// Scan advances to the next record, returning false at EOF or on error.
+// Scan advances to the next record, returning false at EOF or on error. A
+// record with no bases is an error.
 func (s *Scanner) Scan() bool {
 	if s.err != nil {
 		return false
@@ -75,6 +76,11 @@ func (s *Scanner) Scan() bool {
 	s.quals, err = s.line(s.quals[:0])
 	if err != nil {
 		s.err = fmt.Errorf("fastq: line %d: missing qualities: %v", s.lineNum, err)
+		return false
+	}
+	// The two rules of reads.Read.Validate, so that what imports exports.
+	if len(s.bases) == 0 {
+		s.err = fmt.Errorf("fastq: line %d: %q has no bases", s.lineNum-2, s.meta[1:])
 		return false
 	}
 	if len(s.quals) != len(s.bases) {

@@ -57,6 +57,7 @@ func TestScannerErrors(t *testing.T) {
 		"@r\nACGT\n-\nIIII\n",     // bad separator
 		"@r\nACGT\n+\nII\n",       // length mismatch
 		"@r\nACGT\n",              // truncated
+		"@r\n\n+\n\n",             // no bases
 	}
 	for i, in := range cases {
 		sc := NewScanner(strings.NewReader(in))
@@ -175,5 +176,10 @@ func TestImportRejectsMalformed(t *testing.T) {
 	store := agd.NewMemStore()
 	if _, err := importDataset(store, "ds", "garbage\n", 0); err == nil {
 		t.Fatal("malformed FASTQ imported")
+	}
+	// A read with no bases, which the export would refuse, is refused here.
+	_, err := importDataset(store, "empty", "@r1\nACGT\n+\nIIII\n@r2\n\n+\n\n", 0)
+	if err == nil || !strings.Contains(err.Error(), `"r2" has no bases`) || !strings.Contains(err.Error(), "line 6") {
+		t.Fatalf("err = %v, want r2's empty bases on line 6 named", err)
 	}
 }

@@ -28,8 +28,9 @@ const (
 )
 
 // codeTab, letterTab and complementTab back Code, Letter and Complement: the
-// aligners and the base codec call them once per base of every read, so each
-// is a single table load.
+// index builders call Code once per base of the genome, the base packer once
+// per base of every read imported, and the reverse complement Complement once
+// per base of every read it flips, so each is a single table load.
 var codeTab, letterTab, complementTab = func() (code, letter, comp [256]byte) {
 	for i := range code {
 		code[i], letter[i], comp[i] = 4, BaseN, BaseN
