@@ -340,26 +340,48 @@ func TestDistributedWorkerDeathMidShuffle(t *testing.T) {
 	}
 }
 
-// TestDistributedShapeValidation: the distributed scheduler accepts only
-// the canonical fused shape.
+// TestDistributedShapeValidation pins the message of every shape the
+// distributed scheduler refuses.
 func TestDistributedShapeValidation(t *testing.T) {
 	ctx := context.Background()
-	store, _ := pipelineFixture(t, "ds")
+	store, g := pipelineFixture(t, "ds", "aligned")
+	idx, err := BuildIndex(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Align(ctx, store, "aligned", idx, AlignOptions{}); err != nil {
+		t.Fatal(err)
+	}
 	sess := NewSession(store, SessionOptions{})
 	defer sess.Close()
 
-	// No Sort: the shuffle is the sort, so the shape is rejected.
 	var buf bytes.Buffer
-	if _, err := sess.Read("ds").ExportFASTQ(&buf).Distributed(2).Run(ctx); err == nil {
-		t.Error("sortless distributed pipeline did not error")
+	pred := FilterMappedOnly()
+	cases := []struct {
+		name string
+		p    *Pipeline
+		want string
+	}{
+		// The shuffle is the sort.
+		{"no sort", sess.Read("ds").ExportFASTQ(&buf), "needs a Sort stage"},
+		// Distributed runs deal the chunks of a dataset.
+		{"import source", sess.ImportFASTQ(strings.NewReader(""), nil, 0).Sort(ByMetadata).ExportFASTQ(&buf), "need a Read source"},
+		{"align after sort", sess.Read("ds").Sort(ByMetadata).Align(idx, AlignOptions{}).ExportSAM(&buf), "Align must come before Sort"},
+		{"two sorts", sess.Read("aligned").Sort(ByLocation).Sort(ByMetadata).ExportFASTQ(&buf), "two Sort stages"},
+		{"markdup before sort", sess.Read("aligned").MarkDuplicates().Sort(ByLocation).ExportSAM(&buf), "MarkDuplicates must follow Sort"},
+		{"markdup after filter", sess.Read("aligned").Sort(ByLocation).Filter(pred).MarkDuplicates().ExportSAM(&buf), "MarkDuplicates must follow Sort"},
+		{"filter before sort", sess.Read("aligned").Filter(pred).Sort(ByLocation).ExportSAM(&buf), "Filter must follow Sort"},
+		{"markdup after metadata sort", sess.Read("aligned").Sort(ByMetadata).MarkDuplicates().ExportSAM(&buf), "markdup needs a location sort"},
+		{"location sort unaligned", sess.Read("ds").Sort(ByLocation).ExportFASTQ(&buf), "has no results column"},
+		{"align aligned", sess.Read("aligned").Align(idx, AlignOptions{}).Sort(ByLocation).ExportSAM(&buf), "already aligned"},
 	}
-	// ImportFASTQ source: distributed runs need a chunked dataset to deal.
-	if _, err := sess.ImportFASTQ(strings.NewReader(""), nil, 0).Sort(ByMetadata).ExportFASTQ(&buf).Distributed(2).Run(ctx); err == nil {
-		t.Error("ImportFASTQ-source distributed pipeline did not error")
+	for _, tc := range cases {
+		if _, err := tc.p.Distributed(2).Run(ctx); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got error %v, want substring %q", tc.name, err, tc.want)
+		}
 	}
-	// Sort(ByLocation) without alignment results is rejected by planning.
-	if _, err := sess.Read("ds").Sort(ByLocation).ExportFASTQ(&buf).Distributed(2).Run(ctx); err == nil {
-		t.Error("location sort of unaligned dataset did not error")
+	if leaked := leakedClusterBlobs(t, store); len(leaked) != 0 {
+		t.Errorf("refused runs left %d cluster blobs, e.g. %s", len(leaked), leaked[0])
 	}
 }
 

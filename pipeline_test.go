@@ -314,7 +314,7 @@ func TestPipelineBAMExportOnExecutor(t *testing.T) {
 	}
 }
 
-// TestPipelineValidation exercises the plan-time graph checks.
+// TestPipelineValidation pins the message of every plan-time graph check.
 func TestPipelineValidation(t *testing.T) {
 	ctx := context.Background()
 	store, g := pipelineFixture(t, "ds")
@@ -324,6 +324,23 @@ func TestPipelineValidation(t *testing.T) {
 	}
 	sess := NewSession(store, SessionOptions{})
 	defer sess.Close()
+	// Datasets that lack a column: validation reads only the manifest.
+	ds, err := OpenDataset(store, "ds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, drop := range map[string]string{"nobases": agd.ColBases, "nometa": agd.ColMetadata} {
+		m := *ds.Manifest
+		m.Name, m.Columns = name, nil
+		for _, c := range ds.Manifest.Columns {
+			if c != drop {
+				m.Columns = append(m.Columns, c)
+			}
+		}
+		if err := agd.WriteManifest(store, &m); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	cases := []struct {
 		name string
@@ -331,18 +348,29 @@ func TestPipelineValidation(t *testing.T) {
 		want string
 	}{
 		{"no sink", sess.Read("ds"), "no sink"},
+		{"no sink at the end", sess.Read("ds").Sort(ByMetadata), "must end in a sink"},
 		{"sink not last", sess.Read("ds").ExportSAM(&bytes.Buffer{}).MarkDuplicates().ExportSAM(&bytes.Buffer{}), "final stage"},
 		{"sort unaligned", sess.Read("ds").Sort(ByLocation).ExportFASTQ(&bytes.Buffer{}), "needs alignment results"},
+		{"sort no metadata", sess.Read("nometa").Sort(ByMetadata).ExportFASTQ(&bytes.Buffer{}), `needs a "metadata" column`},
 		{"markdup unaligned", sess.Read("ds").MarkDuplicates().ExportSAM(&bytes.Buffer{}), "needs alignment results"},
+		{"filter unaligned", sess.Read("ds").Filter(FilterMappedOnly()).ExportSAM(&bytes.Buffer{}), "needs alignment results"},
 		{"filter no pred", sess.Read("ds").Align(idx, AlignOptions{}).Filter(nil).ExportSAM(&bytes.Buffer{}), "predicate"},
 		{"align nil index", sess.Read("ds").Align(nil, AlignOptions{}).ExportSAM(&bytes.Buffer{}), "index"},
+		{"align no bases", sess.Read("nobases").Align(idx, AlignOptions{}).ExportSAM(&bytes.Buffer{}), `needs a "bases" column`},
 		{"write empty name", sess.Read("ds").Write(""), "dataset name"},
 		{"export unaligned", sess.Read("ds").ExportSAM(&bytes.Buffer{}), "alignment results"},
+		{"export bam unaligned", sess.Read("ds").ExportBAM(&bytes.Buffer{}), "alignment results"},
+		{"export no bases", sess.Read("nobases").ExportSAM(&bytes.Buffer{}), "needs the read columns"},
+		{"export fastq no bases", sess.Read("nobases").ExportFASTQ(&bytes.Buffer{}), "needs the read columns"},
 	}
 	for _, tc := range cases {
 		if _, err := tc.p.Run(ctx); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got error %v, want substring %q", tc.name, err, tc.want)
 		}
+	}
+	// The one-shot MarkDuplicates writes results back: it needs them first.
+	if _, err := MarkDuplicates(ctx, store, "ds"); err == nil || !strings.Contains(err.Error(), "needs alignment results") {
+		t.Errorf("one-shot markdup unaligned: got %v", err)
 	}
 
 	// Double alignment is caught once the dataset carries results.
