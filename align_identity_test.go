@@ -177,18 +177,20 @@ func TestAlignIdentity(t *testing.T) {
 				if paired {
 					continue // the cluster and the pipeline's Align stage are single-end
 				}
-				for _, nodes := range []int{1, 2, 3} {
-					t.Run(fmt.Sprintf("%s/cluster.Align/nodes=%d", name, nodes), func(t *testing.T) {
-						store := unaligned(t, ref)
-						_, _, err := cluster.Align(ctx, store, "ds", idx, cluster.Config{
-							Nodes: nodes, ThreadsPerNode: threads, Subchunks: sub, Aligner: identityAligner,
-						})
-						if err != nil {
-							t.Fatal(err)
-						}
-						check(t, store, "ds")
-					})
+			}
+			// The cluster aligns at the align stage's default tuning.
+			for _, nodes := range []int{1, 2, 3} {
+				if paired {
+					break
 				}
+				t.Run(fmt.Sprintf("paired=false/threads=%d/cluster.Align/nodes=%d", threads, nodes), func(t *testing.T) {
+					store := unaligned(t, ref)
+					_, _, err := cluster.Align(ctx, store, "ds", idx, cluster.Config{Nodes: nodes, ThreadsPerNode: threads})
+					if err != nil {
+						t.Fatal(err)
+					}
+					check(t, store, "ds")
+				})
 			}
 			// The one-shot forms take the engine's default subchunk split.
 			t.Run(fmt.Sprintf("paired=%v/threads=%d/persona.Align", paired, threads), func(t *testing.T) {

@@ -2,99 +2,82 @@ package persona
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"time"
 
 	"persona/internal/agd"
-	"persona/internal/align/snap"
 	"persona/internal/cluster"
 )
 
 // Distributed asks Run to execute the pipeline across nodes in-process
-// worker nodes instead of single-node: the stage graph becomes a cluster
-// plan (map/shuffle/reduce over a key-range shuffle, coordinated by a phase
-// server), with every worker submitting fine-grain work to the session's
-// shared executor. Output bytes are identical to the single-node run for
-// any node count. nodes < 1 keeps the single-node scheduler.
-//
-// A distributed pipeline must have the canonical fused shape: a Read
-// source, then optionally Align, then Sort (the shuffle is the sort),
-// then optionally MarkDuplicates and Filter, then one sink.
+// worker nodes instead of single-node, with every worker submitting
+// fine-grain work to the session's shared executor. The stages are the
+// single-node run's, split at the pipeline's one Sort: the stages before it
+// run in the map tasks, the stages after it in the reduce tasks, and the
+// shuffle between them, a key-range sample sort coordinated by a phase
+// server, is the sort. MarkDuplicates declares a halo: it must follow a
+// location Sort directly, and each partition seeds its marker with the rows
+// just below its cut. The source must be Read. Output bytes are identical
+// to the single-node run for any node count. nodes < 1 keeps the
+// single-node scheduler.
 func (p *Pipeline) Distributed(nodes int) *Pipeline {
 	p.nodes = nodes
 	return p
 }
 
-// distPlan translates the recorded stage graph into a cluster pipeline
-// plan, rejecting shapes the distributed scheduler cannot run.
-func (p *Pipeline) distPlan() (cluster.PipelinePlan, *pipeStage, error) {
-	var plan cluster.PipelinePlan
-	src := p.stages[0]
-	if src.kind != stageRead {
-		return plan, nil, fmt.Errorf("persona: distributed pipelines need a Read source, not %s", src.kind)
-	}
-	plan.Dataset = src.dataset
-	sink := &p.stages[len(p.stages)-1]
-	if !sink.kind.isSink() {
-		return plan, nil, fmt.Errorf("persona: pipeline must end in a sink, not %s", sink.kind)
-	}
-	// The transforms must be (Align?, Sort, MarkDup?, Filter?), in order —
-	// the canonical fused preprocessing graph the shuffle distributes.
+// split cuts the stages between the source and the sink at their one Sort
+// into a cluster plan: the stages before it run in the map tasks, those
+// after it in the reduce.
+func (p *Pipeline) split() (cluster.PipelinePlan, error) {
+	plan := cluster.PipelinePlan{Dataset: p.stages[0].dataset}
+	mid := p.stages[1 : len(p.stages)-1]
 	sorted := false
-	pos := 0 // 0: before sort, 1: after sort, 2: after markdup, 3: after filter
-	for _, st := range p.stages[1 : len(p.stages)-1] {
-		switch st.kind {
-		case stageAlign:
-			if pos != 0 || plan.Align {
-				return plan, nil, fmt.Errorf("persona: distributed pipeline: Align must come before Sort")
-			}
-			if st.idx == nil {
-				return plan, nil, fmt.Errorf("persona: Align needs an index")
-			}
-			plan.Align = true
-			plan.Index = st.idx
-		case stageSort:
-			if sorted {
-				return plan, nil, fmt.Errorf("persona: distributed pipeline has two Sort stages")
-			}
-			sorted = true
-			pos = 1
-			plan.By = st.by
-		case stageMarkDup:
-			if pos != 1 {
-				return plan, nil, fmt.Errorf("persona: distributed pipeline: MarkDuplicates must follow Sort")
-			}
-			pos = 2
-			plan.MarkDup = true
-		case stageFilter:
-			if pos != 1 && pos != 2 {
-				return plan, nil, fmt.Errorf("persona: distributed pipeline: Filter must follow Sort")
-			}
-			pos = 3
-			plan.Filter = st.pred
+	for i, st := range mid {
+		switch {
+		case st.sort != nil && sorted:
+			return plan, errors.New("persona: distributed pipeline has two Sort stages")
+		case st.sort != nil:
+			sorted, plan.By = true, *st.sort
+		case st.halo != nil && (i == 0 || mid[i-1].sort == nil):
+			return plan, fmt.Errorf("persona: distributed pipeline: %s must directly follow Sort", st.name)
+		case st.halo != nil && plan.By != ByLocation:
+			return plan, fmt.Errorf("persona: distributed pipeline: %s needs a location sort", st.name)
+		case st.halo != nil:
+			plan.Halo = st.halo
+			fallthrough
+		case sorted:
+			plan.Reduce = append(plan.Reduce, st.Stage)
 		default:
-			return plan, nil, fmt.Errorf("persona: distributed pipeline cannot run a %s stage", st.kind)
+			plan.Map = append(plan.Map, st.Stage)
 		}
 	}
 	if !sorted {
-		return plan, nil, fmt.Errorf("persona: distributed pipeline needs a Sort stage (the shuffle is the sort)")
+		return plan, errors.New("persona: distributed pipeline needs a Sort stage (the shuffle is the sort)")
 	}
-	return plan, sink, nil
+	return plan, nil
 }
 
-// runDistributed executes the pipeline as a cluster plan: the whole fused
-// graph runs across worker nodes and the reduce writes an ordered output
-// dataset. A Write sink keeps that dataset, gzip like any other. For an
-// export sink it is a staging dataset, stored raw, that the export streams
-// out once; it lives under the run's namespace, which is swept once the
-// export is done (inside the report's Elapsed and Storage) and on every
-// failure.
+// runDistributed executes the pipeline as a cluster plan: the stages run
+// across worker nodes and the reduce writes an ordered output dataset. A
+// Write sink keeps that dataset, gzip like any other. For an export sink it
+// is a staging dataset, stored raw, that the export streams out once; it
+// lives under the run's namespace, which is swept once the export is done
+// (inside the report's Elapsed and Storage) and on every failure.
 func (p *Pipeline) runDistributed(ctx context.Context) (report *PipelineReport, err error) {
 	sess := p.sess
-	plan, sink, err := p.distPlan()
+	if src := p.stages[0]; src.dataset == "" {
+		return nil, fmt.Errorf("persona: distributed pipelines need a Read source, not %s", src.name)
+	}
+	if err := p.validate(&run{}); err != nil {
+		return nil, err
+	}
+	plan, err := p.split()
 	if err != nil {
 		return nil, err
 	}
+	sink := p.stages[len(p.stages)-1]
+	names := p.stageNames()
+	p.progress.init(names)
 
 	// Every blob a run writes lives under one sweepable cluster/run
 	// namespace: the shuffle temp always, and the output dataset too when
@@ -107,7 +90,7 @@ func (p *Pipeline) runDistributed(ctx context.Context) (report *PipelineReport, 
 		runPrefix = fmt.Sprintf("%s/%d", p.tempPrefix, p.tmpSeq.Add(1))
 	}
 	plan.TempPrefix = runPrefix + "/tmp"
-	if sink.kind == stageWrite {
+	if sink.dataset != "" {
 		plan.OutName = sink.dataset
 	} else {
 		plan.OutName = runPrefix + "/out"
@@ -127,20 +110,13 @@ func (p *Pipeline) runDistributed(ctx context.Context) (report *PipelineReport, 
 		Nodes:    p.nodes,
 		Executor: sess.exec,
 	}
-	if plan.Align {
-		for _, st := range p.stages {
-			if st.kind == stageAlign {
-				cfg.Aligner = snap.Config{MaxDist: st.alignOpts.MaxDist}
-			}
-		}
-	}
 	if p.distTune != nil {
 		p.distTune(&cfg)
 	}
 
 	report = &PipelineReport{}
-	base := p.snapshotBase()
-	if sink.kind == stageWrite {
+	_, measured := p.measure()
+	if sink.dataset != "" {
 		// The run replaces whatever blobs the target dataset had.
 		sess.invalidateDataset(sink.dataset)
 	}
@@ -151,48 +127,38 @@ func (p *Pipeline) runDistributed(ctx context.Context) (report *PipelineReport, 
 	report.Cluster = res.Report
 	report.Dups = res.Dups
 	report.Filtered = res.Filtered
-	report.Records = res.Rows
+	report.Records = res.Manifest.NumRecords()
 
-	switch sink.kind {
-	case stageWrite:
+	if sink.dataset != "" {
 		report.Manifest = res.Manifest
 		sess.rememberManifest(sink.dataset, res.Manifest)
-	default:
+	} else {
 		// Export sinks: stream the stitched dataset out, then sweep the
-		// whole run namespace (output chunks and manifest included).
-		n, err := p.exportDistributed(ctx, res.Manifest, report)
+		// whole run namespace (output chunks and manifest included). No
+		// session cache here: the dataset is a staging area about to be
+		// swept, so caching its chunks would only hold doomed entries.
+		gs, err := agd.OpenManifest(sess.store, res.Manifest).Groups(agd.StreamOptions{Codec: agd.Codec{Exec: sess.exec}})
 		if err != nil {
 			return nil, err
 		}
-		report.Records = n
+		report.Records, err = sink.drain(&run{Env: cluster.Env{Ctx: ctx, Exec: sess.exec}, report: report}, gs)
+		gs.Close()
+		if err != nil {
+			return nil, err
+		}
 		if err := agd.DeletePrefix(sess.store, runPrefix+"/"); err != nil {
 			return nil, fmt.Errorf("persona: sweep run %q: %w", runPrefix, err)
 		}
 	}
-
-	p.finishBase(report, base)
+	p.progress.finish(report.Records, 0)
+	measured(report)
 	// Coarse per-stage attribution: the cluster executes the graph as
 	// phases, not as locally pumped stages, so only row counts and the
 	// run-level wall are meaningful here.
-	for _, name := range p.stageNames() {
+	for _, name := range names {
 		report.Stages = append(report.Stages, StageReport{Stage: name})
 	}
 	report.Stages[len(report.Stages)-1].Records = report.Records
 	report.Stages[len(report.Stages)-1].Elapsed = report.Elapsed
 	return report, nil
-}
-
-// exportDistributed streams the distributed run's stitched output dataset
-// into the pipeline's export sink.
-func (p *Pipeline) exportDistributed(ctx context.Context, m *agd.Manifest, report *PipelineReport) (uint64, error) {
-	sess := p.sess
-	ds := agd.OpenManifest(sess.store, m)
-	// No session cache here: the dataset is a staging area about to be
-	// swept, so caching its chunks would only hold doomed entries.
-	gs, err := ds.Groups(agd.StreamOptions{Codec: agd.Codec{Exec: sess.exec}})
-	if err != nil {
-		return 0, err
-	}
-	defer gs.Close()
-	return p.runSink(ctx, gs, nil, time.Time{}, report)
 }

@@ -156,6 +156,49 @@ func TestDistributedMatchesSingleNode(t *testing.T) {
 			}
 		})
 	}
+
+	// Any stage may run on either side of the Sort but MarkDuplicates: a
+	// filter in the map tasks, an align in the reduce.
+	shapes := []struct {
+		name  string
+		build func(out *bytes.Buffer) *Pipeline
+	}{
+		{"filter-before-sort", func(out *bytes.Buffer) *Pipeline {
+			return sess.Read("ds").Align(idx, AlignOptions{}).Filter(FilterMinMapQ(30)).Sort(ByLocation).MarkDuplicates().ExportSAM(out)
+		}},
+		{"align-after-sort", func(out *bytes.Buffer) *Pipeline {
+			return sess.Read("ds").Sort(ByMetadata).Align(idx, AlignOptions{}).Filter(FilterMinMapQ(30)).ExportSAM(out)
+		}},
+	}
+	for _, sh := range shapes {
+		var gold bytes.Buffer
+		want, err := sh.build(&gold).Run(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Filtered.Kept == want.Filtered.In {
+			t.Fatalf("%s: the filter keeps every row", sh.name)
+		}
+		for _, nodes := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/nodes=%d", sh.name, nodes), func(t *testing.T) {
+				var out bytes.Buffer
+				got, err := sh.build(&out).Distributed(nodes).Run(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(out.Bytes(), gold.Bytes()) {
+					t.Errorf("distributed SAM differs from single-node (%d vs %d bytes)", out.Len(), gold.Len())
+				}
+				if got.Records != want.Records || got.Dups != want.Dups || got.Filtered != want.Filtered {
+					t.Errorf("records %d, dups %+v, filtered %+v; single-node %d, %+v, %+v",
+						got.Records, got.Dups, got.Filtered, want.Records, want.Dups, want.Filtered)
+				}
+				if leaked := leakedClusterBlobs(t, store); len(leaked) != 0 {
+					t.Errorf("leaked %d cluster temp blobs, e.g. %s", len(leaked), leaked[0])
+				}
+			})
+		}
+	}
 }
 
 // TestDistributedWriteSink checks the Write sink path: a distributed run
@@ -366,13 +409,14 @@ func TestDistributedShapeValidation(t *testing.T) {
 		{"no sort", sess.Read("ds").ExportFASTQ(&buf), "needs a Sort stage"},
 		// Distributed runs deal the chunks of a dataset.
 		{"import source", sess.ImportFASTQ(strings.NewReader(""), nil, 0).Sort(ByMetadata).ExportFASTQ(&buf), "need a Read source"},
-		{"align after sort", sess.Read("ds").Sort(ByMetadata).Align(idx, AlignOptions{}).ExportSAM(&buf), "Align must come before Sort"},
 		{"two sorts", sess.Read("aligned").Sort(ByLocation).Sort(ByMetadata).ExportFASTQ(&buf), "two Sort stages"},
-		{"markdup before sort", sess.Read("aligned").MarkDuplicates().Sort(ByLocation).ExportSAM(&buf), "MarkDuplicates must follow Sort"},
-		{"markdup after filter", sess.Read("aligned").Sort(ByLocation).Filter(pred).MarkDuplicates().ExportSAM(&buf), "MarkDuplicates must follow Sort"},
-		{"filter before sort", sess.Read("aligned").Filter(pred).Sort(ByLocation).ExportSAM(&buf), "Filter must follow Sort"},
+		// MarkDuplicates declares a halo: its marker in each partition is
+		// seeded from the rows just below the partition's location cut.
+		{"markdup before sort", sess.Read("aligned").MarkDuplicates().Sort(ByLocation).ExportSAM(&buf), "markdup must directly follow Sort"},
+		{"markdup after filter", sess.Read("aligned").Sort(ByLocation).Filter(pred).MarkDuplicates().ExportSAM(&buf), "markdup must directly follow Sort"},
 		{"markdup after metadata sort", sess.Read("aligned").Sort(ByMetadata).MarkDuplicates().ExportSAM(&buf), "markdup needs a location sort"},
-		{"location sort unaligned", sess.Read("ds").Sort(ByLocation).ExportFASTQ(&buf), "has no results column"},
+		// The distributed run validates the graph as the single-node run does.
+		{"location sort unaligned", sess.Read("ds").Sort(ByLocation).ExportFASTQ(&buf), "sort-location needs alignment results"},
 		{"align aligned", sess.Read("aligned").Align(idx, AlignOptions{}).Sort(ByLocation).ExportSAM(&buf), "already aligned"},
 	}
 	for _, tc := range cases {

@@ -8,6 +8,7 @@ import (
 
 	"persona/internal/agd"
 	"persona/internal/align/snap"
+	"persona/internal/core"
 	"persona/internal/dataflow"
 	"persona/internal/storage"
 )
@@ -18,19 +19,14 @@ import (
 // instead of failing.
 var errNodeDeath = errors.New("cluster: injected node death")
 
-// Config parameterizes a cluster run: its nodes, their executors, the
-// aligner and the phase server's failure detector.
+// Config parameterizes a cluster run: its nodes, their executors and the
+// phase server's failure detector.
 type Config struct {
 	// Nodes is the number of worker nodes (paper: up to 32).
 	Nodes int
 	// ThreadsPerNode sizes each node's executor (paper: 47 aligner
 	// threads per 48-core server). Defaults to 2 for the test machines.
 	ThreadsPerNode int
-	// Subchunks is the fine-grain split of each AGD chunk fed to the
-	// executor (Fig. 4). Default 8.
-	Subchunks int
-	// Aligner tunes the SNAP algorithm.
-	Aligner snap.Config
 	// Executor, when non-nil, is a caller-owned (typically Session-owned)
 	// shared executor all worker nodes submit to, instead of each node
 	// constructing and tearing down its own — so repeated distributed runs
@@ -115,9 +111,6 @@ func (cfg *Config) applyDefaults() {
 	}
 	if cfg.ThreadsPerNode <= 0 {
 		cfg.ThreadsPerNode = 2
-	}
-	if cfg.Subchunks <= 0 {
-		cfg.Subchunks = 8
 	}
 }
 
@@ -274,19 +267,28 @@ func runNodes(ctx context.Context, srv *PhaseServer, cfg *Config, node func(ctx 
 // Align runs a distributed alignment of a dataset as a write-back plan of
 // RunPipeline: one phase, one task per chunk. Every node leases chunks,
 // reads their bases from shared storage, aligns them with the same stage the
-// single-server Align runs (core.AlignStream), writes each results chunk
-// back through the same column sink, and acks the lease once the blob has
-// landed. Workers heartbeat the server; a worker that dies or straggles has
-// its chunks re-dealt to the survivors (bounded by MaxChunkAttempts;
-// results writes are idempotent, so duplicate completion is safe) and the
-// run completes degraded, with the reassignments recorded in the report.
-// Permanent errors — corrupt chunks, missing blobs, ctx ending — abort the
-// whole run. The results column is registered in the manifest at the end;
-// a run that fails leaves no results blob behind.
+// single-server Align runs (core.AlignStream, at its default tuning), writes
+// each results chunk back through the same column sink, and acks the lease
+// once the blob has landed. Workers heartbeat the server; a worker that dies
+// or straggles has its chunks re-dealt to the survivors (bounded by
+// MaxChunkAttempts; results writes are idempotent, so duplicate completion
+// is safe) and the run completes degraded, with the reassignments recorded
+// in the report. Permanent errors — corrupt chunks, missing blobs, ctx
+// ending — abort the whole run. The results column is registered in the
+// manifest at the end; a run that fails leaves no results blob behind.
 func Align(ctx context.Context, store storage.Store, datasetName string, idx *snap.Index, cfg Config) (*Report, *agd.Manifest, error) {
-	res, err := RunPipeline(ctx, store, PipelinePlan{Dataset: datasetName, Align: true, Index: idx, writeBack: true}, cfg)
+	res, err := RunPipeline(ctx, store, PipelinePlan{Dataset: datasetName, Map: []Stage{alignStage(idx)}, writeBack: true}, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	return res.Report, res.Manifest, nil
+}
+
+// alignStage is Align's one stage: the align stage at its default tuning.
+func alignStage(idx *snap.Index) Stage {
+	return Stage{Adds: []string{agd.ColResults}, Build: func(e *Env, in *agd.GroupStream) (*agd.GroupStream, error) {
+		out, rep, err := core.AlignStream(core.AlignConfig{Index: idx}, e.Exec, in)
+		e.Align = rep
+		return out, err
+	}}
 }

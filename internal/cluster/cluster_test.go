@@ -16,7 +16,7 @@ func TestClusterAlignEndToEnd(t *testing.T) {
 	f := testutil.Build(t, store, "ds", testutil.Config{
 		GenomeSize: 150_000, NumReads: 800, ReadLen: 80, ChunkSize: 100, Seed: 81, SkipAlign: true,
 	})
-	report, m, err := Align(context.Background(), store, "ds", f.Index, Config{Nodes: 3, ThreadsPerNode: 2, Subchunks: 4})
+	report, m, err := Align(context.Background(), store, "ds", f.Index, Config{Nodes: 3, ThreadsPerNode: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

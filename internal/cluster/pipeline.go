@@ -3,10 +3,10 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"persona/internal/agd"
 	"persona/internal/agdsort"
-	"persona/internal/align/snap"
 	"persona/internal/core"
 	"persona/internal/dataflow"
 	"persona/internal/filter"
@@ -15,27 +15,26 @@ import (
 	"persona/internal/storage"
 )
 
-// The distributed fused pipeline: the whole declarative stage graph
-// (Read → Align → Sort → MarkDup → Filter → output dataset) executed across
-// N workers, not just the Align stage. The run is a three-phase sample
-// sort coordinated by a PhaseServer:
+// The distributed pipeline: a single-node Pipeline's stages across N
+// workers, split at their one Sort. The stages before the Sort run in the
+// map tasks, the stages after it in the reduce tasks, and the shuffle
+// between them is the sort, a three-phase sample sort coordinated by a
+// PhaseServer. MarkDuplicates declares a halo (PipelinePlan.Halo).
 //
-//	map:     each task aligns a batch of source chunks (the sort's staging
-//	         batch size, so a run holds the same rows as the single-node
-//	         sort's in-memory run of that batch) and stores one sorted run,
-//	         acking its equi-depth key samples back (SAMPLE);
+//	map:     each task runs the map stages over a batch of source chunks
+//	         (the single-node sort's staging batch, so a run holds the rows
+//	         of that sort's in-memory run) and stores one sorted run, acking
+//	         its equi-depth key samples and the halo span back (SAMPLE);
 //	shuffle: the coordinator pools the samples into global key-range cuts
 //	         (CUTS) and opens the held phase; each task then cuts its run
-//	         at the splitters and hands every fragment to its owning
-//	         partition under <tmp>/part<k>/ blob prefixes (SHUFFLE);
+//	         at the splitters and hands every fragment, and the halo below
+//	         each cut, to its owning partition under <tmp>/part<k>/ (SHUFFLE);
 //	reduce:  each task runs the single-node pipeline's tail over one
-//	         partition, stage for stage: the sort's merge stream over the
-//	         partition's fragments (the same heap and tie rules, over
-//	         splitter-aligned cuts, so concatenating the partitions
-//	         reproduces the single-merge row order exactly), the mark
-//	         stage on a marker seeded from the cut halos, the filter
-//	         stage, and the dataset sink writing the chunks — and no
-//	         manifest — of dataset <out>/part<k>.
+//	         partition: the sort's merge stream over the partition's
+//	         fragments (the same heap and tie rules, over splitter-aligned
+//	         cuts, so concatenating the partitions reproduces the single
+//	         merge's row order exactly), the reduce stages, and the dataset
+//	         sink writing the chunks — and no manifest — of <out>/part<k>.
 //
 // Every task is leased, heartbeat-guarded and re-dealt on worker death or
 // straggling; task outputs are deterministic, deterministically-named
@@ -56,25 +55,84 @@ const (
 	phaseReduce
 )
 
-// PipelinePlan declares the fused stage graph of a distributed run. The
-// shape mirrors the single-node Pipeline: a dataset source, optional Align,
-// a mandatory Sort (the shuffle is the sort), optional MarkDup and Filter,
-// and a materialized output dataset the caller exports or keeps.
+// A Stage is one step of a pipeline as a map or reduce task runs it: a
+// stage of the single-node Pipeline, built afresh in every task.
+type Stage struct {
+	// Adds lists the columns the stage appends to its rows.
+	Adds []string
+	// Build returns the stage's stream over in.
+	Build func(e *Env, in *agd.GroupStream) (*agd.GroupStream, error)
+}
+
+// An Env is what a stage is built in: one task of a distributed run, or a
+// whole single-node run. The align, mark and filter stages leave their
+// statistics in it, live while their streams run.
+type Env struct {
+	Ctx  context.Context
+	Exec *dataflow.Executor
+	// Window sizes the stage's output builder pool: 0, as in every task,
+	// reuses one set.
+	Window int
+	// Halo holds, in a reduce task of a plan with a Halo, the key fields
+	// of the rows just below the partition's cut (none in partition 0).
+	Halo []*agd.Chunk
+
+	Align    *core.AlignReport
+	Dups     *markdup.Stats
+	Filtered *filter.Stats
+}
+
+// build runs stages over in, in order, each built in e. On failure it
+// returns the stream the failed stage was handed, which the caller closes.
+func (e *Env) build(in *agd.GroupStream, stages []Stage) (*agd.GroupStream, error) {
+	for _, st := range stages {
+		out, err := st.Build(e, in)
+		if err != nil {
+			return in, err
+		}
+		in = out
+	}
+	return in, nil
+}
+
+// Counts returns what the stages built in e have marked and filtered.
+func (e *Env) Counts() (c shuffle.Counts) {
+	if e.Dups != nil {
+		c.Dups = *e.Dups
+	}
+	if e.Filtered != nil {
+		c.Filtered = *e.Filtered
+	}
+	return c
+}
+
+// tally adds the bases the task's stages aligned to rep and returns the
+// rest of what they counted, for the task's ack payload.
+func (e *Env) tally(rep *NodeReport) shuffle.Counts {
+	if e.Align != nil {
+		rep.Bases += e.Align.Bases
+	}
+	return e.Counts()
+}
+
+// PipelinePlan declares a distributed run: a dataset source, the stages
+// before the Sort, the Sort's key, the stages after it, and a materialized
+// output dataset the caller exports or keeps.
 type PipelinePlan struct {
 	// Dataset names the AGD input in the shared store.
 	Dataset string
-	// Align appends a results column using Index (and Config.Aligner)
-	// before sorting. Off, the dataset must already carry results when the
-	// key or a later stage needs them.
-	Align bool
-	Index *snap.Index
+	// Map lists the stages each map task runs over its source chunks.
+	Map []Stage
 	// By is the sort key the shuffle ranges over.
 	By agdsort.Key
-	// MarkDup flags duplicate reads (requires By == ByLocation, like the
-	// single-node pipeline after a location sort).
-	MarkDup bool
-	// Filter, when non-nil, keeps only matching rows.
-	Filter filter.Predicate
+	// Reduce lists the stages each reduce task runs over its partition.
+	Reduce []Stage
+	// Halo is set when the first reduce stage's rows reach across a
+	// partition cut (MarkDuplicates after a location sort). It returns, for
+	// one map task, the span of a row's key field; the largest span sizes
+	// the halo of rows below each cut that the stage is built over
+	// (Env.Halo).
+	Halo func() func(keyField []byte) (int64, error)
 	// OutName names the output dataset; partition k's chunks are written
 	// under OutName/part<k>/ and stitched into one manifest at OutName. Its
 	// chunks are gzip like any dataset's, unless Staging is set.
@@ -93,9 +151,10 @@ type PipelinePlan struct {
 	// TempPrefix is the namespace for runs, pieces and halos, swept after a
 	// successful run. Default "cluster/<dataset>/tmp".
 	TempPrefix string
-	// writeBack makes the plan Align's: one task per chunk that aligns it
-	// and stores its results blob in the input dataset, no shuffle, reduce
-	// or output dataset, and the results column registered at the end.
+	// writeBack makes the plan Align's: one task per chunk that runs the
+	// map stages over its bases and stores their results blob in the input
+	// dataset, no shuffle, reduce or output dataset, and the results column
+	// registered at the end.
 	writeBack bool
 }
 
@@ -106,11 +165,9 @@ type PipelineResult struct {
 	Report *Report
 	// Manifest is the stitched, ordered output dataset.
 	Manifest *agd.Manifest
-	// Rows is the output row count; Dups and Filtered carry the marking and
-	// filtering statistics aggregated across partitions.
-	Rows     uint64
-	Dups     markdup.Stats
-	Filtered filter.Stats
+	// Counts carries the marking and filtering statistics summed over the
+	// tasks.
+	shuffle.Counts
 }
 
 func (p *PipelinePlan) applyDefaults() {
@@ -124,53 +181,20 @@ func (p *PipelinePlan) applyDefaults() {
 	}
 }
 
-// validatePlan checks the plan against the opened input, mirroring the
-// single-node Pipeline.validate rules.
-func validatePlan(plan *PipelinePlan, m *agd.Manifest) error {
-	if len(m.Chunks) == 0 {
-		return fmt.Errorf("cluster: dataset %q has no chunks", plan.Dataset)
-	}
-	if plan.OutName == "" && !plan.writeBack {
-		return fmt.Errorf("cluster: pipeline needs an output dataset name")
-	}
-	if plan.Align {
-		if plan.Index == nil {
-			return fmt.Errorf("cluster: pipeline %q: align needs an index", plan.Dataset)
-		}
-		if m.HasColumn(agd.ColResults) {
-			return fmt.Errorf("cluster: dataset %q already aligned", plan.Dataset)
-		}
-		if !m.HasColumn(agd.ColBases) {
-			return fmt.Errorf("cluster: dataset %q: align needs a %q column", plan.Dataset, agd.ColBases)
-		}
-	} else if needsResults(plan) && !m.HasColumn(agd.ColResults) {
-		return fmt.Errorf("cluster: dataset %q has no results column (align first)", plan.Dataset)
-	}
-	if plan.MarkDup && plan.By != agdsort.ByLocation {
-		return fmt.Errorf("cluster: pipeline %q: markdup needs a location sort", plan.Dataset)
-	}
-	return nil
-}
-
-func needsResults(plan *PipelinePlan) bool {
-	return plan.By == agdsort.ByLocation || plan.MarkDup || plan.Filter != nil
-}
-
-// planColumns returns the stream columns a run's rows carry: the manifest
-// columns, plus the results column Align appends.
-func planColumns(plan *PipelinePlan, m *agd.Manifest) []string {
-	cols := append([]string(nil), m.Columns...)
-	if plan.Align {
-		cols = append(cols, agd.ColResults)
+// columns returns cols followed by the columns stages add.
+func columns(cols []string, stages []Stage) []string {
+	cols = slices.Clone(cols)
+	for _, st := range stages {
+		cols = append(cols, st.Adds...)
 	}
 	return cols
 }
 
 // RunPipeline executes a fused pipeline across cfg.Nodes in-process workers
 // against shared storage: phased task dealing over a PhaseServer, key-range
-// shuffle between map and reduce, per-partition merge→markdup→filter, and a
-// stitched ordered output manifest. Output rows are byte-identical to the
-// single-node pipeline of the same shape for any node count. Worker death
+// shuffle between the map and the reduce stages, and a stitched ordered
+// output manifest. Output rows are byte-identical to the single-node
+// pipeline of the same stages for any node count. Worker death
 // degrades the run (tasks re-dealt to survivors, bounded by
 // MaxChunkAttempts); permanent storage errors and server aborts fail it.
 // Temp blobs under plan.TempPrefix are swept on success, degraded or not.
@@ -183,10 +207,15 @@ func RunPipeline(ctx context.Context, store storage.Store, plan PipelinePlan, cf
 		return nil, fmt.Errorf("cluster: open dataset %q: %w", plan.Dataset, err)
 	}
 	m := ds.Manifest
-	if err := validatePlan(&plan, m); err != nil {
-		return nil, err
+	switch {
+	case len(m.Chunks) == 0:
+		return nil, fmt.Errorf("cluster: dataset %q has no chunks", plan.Dataset)
+	case plan.writeBack && m.HasColumn(agd.ColResults):
+		return nil, fmt.Errorf("cluster: dataset %q already aligned", plan.Dataset)
+	case plan.OutName == "" && !plan.writeBack:
+		return nil, fmt.Errorf("cluster: pipeline needs an output dataset name")
 	}
-	cols := planColumns(&plan, m)
+	cols := columns(m.Columns, plan.Map)
 	if agdsort.KeyColumn(cols, plan.By) < 0 {
 		return nil, fmt.Errorf("cluster: dataset %q has no %s key column", plan.Dataset, plan.By)
 	}
@@ -229,7 +258,7 @@ func RunPipeline(ctx context.Context, store storage.Store, plan PipelinePlan, cf
 			}
 			summaries = append(summaries, sum)
 		}
-		cuts, err := shuffle.SelectCuts(summaries, parts, plan.MarkDup)
+		cuts, err := shuffle.SelectCuts(summaries, parts, plan.Halo != nil)
 		if err != nil {
 			srv.Abort(err.Error())
 			return
@@ -267,8 +296,22 @@ func RunPipeline(ctx context.Context, store storage.Store, plan PipelinePlan, cf
 	}
 	report.Partitions = parts
 
-	// Shuffle accounting from the authoritative first-win task payloads
-	// (node reports can double-count re-executed work).
+	// Shuffle and stage accounting from the authoritative first-win task
+	// payloads (node reports can double-count re-executed work).
+	res := &PipelineResult{Report: report}
+	count := func(c shuffle.Counts) {
+		res.Dups.Reads += c.Dups.Reads
+		res.Dups.Duplicates += c.Dups.Duplicates
+		res.Filtered.In += c.Filtered.In
+		res.Filtered.Kept += c.Filtered.Kept
+	}
+	for i, payload := range srv.Payloads(phaseMap) {
+		var sum shuffle.RunSummary
+		if err := shuffle.Decode(payload, &sum); err != nil {
+			return nil, fmt.Errorf("cluster: run summary %d: %w", i, err)
+		}
+		count(sum.Counts)
+	}
 	partRows := make([]int64, parts)
 	for i, payload := range srv.Payloads(phaseShuffle) {
 		var sr shuffle.ShuffleResult
@@ -282,18 +325,13 @@ func RunPipeline(ctx context.Context, store storage.Store, plan PipelinePlan, cf
 	}
 	report.PartitionSkew = shuffle.Skew(partRows)
 
-	res := &PipelineResult{Report: report}
 	partEntries := make([][]agd.ChunkEntry, parts)
 	for k, payload := range srv.Payloads(phaseReduce) {
 		var pr shuffle.PartResult
 		if err := shuffle.Decode(payload, &pr); err != nil {
 			return nil, fmt.Errorf("cluster: partition result %d: %w", k, err)
 		}
-		res.Rows += pr.Rows
-		res.Dups.Reads += pr.DupReads
-		res.Dups.Duplicates += pr.Duplicates
-		res.Filtered.In += pr.FilterIn
-		res.Filtered.Kept += pr.FilterKept
+		count(pr.Counts)
 		part := shuffle.PartDataset(plan.OutName, k)
 		for i, n := range pr.ChunkRecords {
 			partEntries[k] = append(partEntries[k], agd.ChunkEntry{
@@ -302,7 +340,7 @@ func RunPipeline(ctx context.Context, store storage.Store, plan PipelinePlan, cf
 			})
 		}
 	}
-	stitched, err := agd.StitchManifest(plan.OutName, agd.SpecsForColumns(cols), partEntries, m.RefSeqs, plan.By.String())
+	stitched, err := agd.StitchManifest(plan.OutName, agd.SpecsForColumns(columns(cols, plan.Reduce)), partEntries, m.RefSeqs, plan.By.String())
 	if err != nil {
 		return nil, err
 	}
@@ -323,7 +361,7 @@ func RunPipeline(ctx context.Context, store storage.Store, plan PipelinePlan, cf
 // pipelineNode is one worker of a distributed pipeline run: a task loop
 // over the phase server's three phases.
 func pipelineNode(ctx context.Context, w *worker, store storage.Store, ds *agd.Dataset, plan *PipelinePlan, cols []string, parts, numBatches int) error {
-	client, cfg, rep := w.client, w.cfg, &w.rep
+	client, rep := w.client, &w.rep
 	keyCol := agdsort.KeyColumn(cols, plan.By)
 	var cuts *shuffle.Cuts
 	for {
@@ -338,7 +376,7 @@ func pipelineNode(ctx context.Context, w *worker, store storage.Store, ds *agd.D
 		var payload string
 		switch phase {
 		case phaseMap:
-			payload, err = runMapTask(ctx, store, ds, plan, cfg, w.exec, idx, rep)
+			payload, err = runMapTask(ctx, store, ds, plan, w.exec, idx, rep)
 		case phaseShuffle:
 			if cuts == nil {
 				tok, ok, cerr := client.Cuts(ctx.Done())
@@ -358,7 +396,7 @@ func pipelineNode(ctx context.Context, w *worker, store storage.Store, ds *agd.D
 			payload, bytes, err = runShuffleTask(ctx, store, plan, keyCol, cuts, idx, parts)
 			rep.ShuffleBytes += bytes
 		case phaseReduce:
-			payload, err = runReduceTask(ctx, store, plan, w.exec, cols, keyCol, idx, numBatches)
+			payload, err = runReduceTask(ctx, store, plan, w.exec, cols, keyCol, idx, numBatches, rep)
 		default:
 			err = fmt.Errorf("cluster: unknown phase %d", phase)
 		}
@@ -372,17 +410,14 @@ func pipelineNode(ctx context.Context, w *worker, store storage.Store, ds *agd.D
 	}
 }
 
-// runMapTask stages one batch of source chunks — aligned on the fly when the
-// plan says so — into one sorted run blob, and returns the run-summary
-// payload (rows, key samples, max signature span); a write-back plan's task
-// reads only its chunk's bases and stores its results blob instead. The
-// task's reads, and the bases it aligned, are added to rep.
-func runMapTask(ctx context.Context, store storage.Store, ds *agd.Dataset, plan *PipelinePlan, cfg *Config, exec *dataflow.Executor, b int, rep *NodeReport) (string, error) {
+// runMapTask runs the map stages over one batch of source chunks and stores
+// their rows as one sorted run blob, returning the run-summary payload
+// (rows, key samples, max halo span, what the stages counted); a write-back
+// plan's task reads only its chunk's bases and stores the stages' results
+// blob instead. The task's reads, and the bases it aligned, are added to rep.
+func runMapTask(ctx context.Context, store storage.Store, ds *agd.Dataset, plan *PipelinePlan, exec *dataflow.Executor, b int, rep *NodeReport) (string, error) {
 	lo := b * plan.ChunksPerBatch
-	hi := lo + plan.ChunksPerBatch
-	if hi > len(ds.Manifest.Chunks) {
-		hi = len(ds.Manifest.Chunks)
-	}
+	hi := min(lo+plan.ChunksPerBatch, len(ds.Manifest.Chunks))
 	codec := agd.Codec{Exec: exec}
 	var cols []string // every manifest column
 	if plan.writeBack {
@@ -397,43 +432,29 @@ func runMapTask(ctx context.Context, store storage.Store, ds *agd.Dataset, plan 
 	if err != nil {
 		return "", err
 	}
-	stream := gs
+	env := &Env{Ctx: ctx, Exec: exec}
+	stream, err := env.build(gs, plan.Map)
 	defer func() { stream.Close() }()
-	var aligned *core.AlignReport
-	if plan.Align {
-		out, arep, err := core.AlignStream(core.AlignConfig{
-			Index:     plan.Index,
-			Aligner:   cfg.Aligner,
-			Subchunks: cfg.Subchunks,
-		}, exec, gs)
-		if err != nil {
-			return "", err
-		}
-		stream, aligned = out, arep
+	if err != nil {
+		return "", err
 	}
 	if plan.writeBack {
 		if err := agd.WriteColumn(ctx, stream, store, ds.Manifest, agd.ColResults, codec); err != nil {
 			return "", err
 		}
-		rep.Reads += aligned.Reads
-		rep.Bases += aligned.Bases
+		env.tally(rep)
+		rep.Reads += env.Align.Reads // the plan is Align's
 		return "", nil
 	}
 
-	var mk *markdup.Marker
 	var maxSpan int64
 	var visit func(key uint64, keyField []byte) error
-	if plan.MarkDup {
-		mk = markdup.NewMarker(0)
+	if plan.Halo != nil {
+		span := plan.Halo()
 		visit = func(_ uint64, keyField []byte) error {
-			span, err := mk.Span(keyField)
-			if err != nil {
-				return err
-			}
-			if span > maxSpan {
-				maxSpan = span
-			}
-			return nil
+			s, err := span(keyField)
+			maxSpan = max(maxSpan, s)
+			return err
 		}
 	}
 	info, err := agdsort.BuildRun(ctx, store, stream, shuffle.RunBlob(plan.TempPrefix, b), plan.By, shuffle.SampleCount, visit)
@@ -441,10 +462,7 @@ func runMapTask(ctx context.Context, store storage.Store, ds *agd.Dataset, plan 
 		return "", fmt.Errorf("cluster: map batch %d: %w", b, err)
 	}
 	rep.Reads += int64(info.Rows)
-	if aligned != nil {
-		rep.Bases += aligned.Bases
-	}
-	sum := shuffle.RunSummary{Rows: info.Rows, MaxSpan: maxSpan}
+	sum := shuffle.RunSummary{Rows: info.Rows, MaxSpan: maxSpan, Counts: env.tally(rep)}
 	for _, s := range info.Samples {
 		sum.Samples = append(sum.Samples, shuffle.Sample{Key: s.Key, Full: s.Full})
 	}
@@ -487,7 +505,7 @@ func runShuffleTask(ctx context.Context, store storage.Store, plan *PipelinePlan
 		}
 		res.PartRows[k] = int64(bounds[k+1] - bounds[k])
 	}
-	if plan.MarkDup {
+	if plan.Halo != nil {
 		for k := 1; k < parts; k++ {
 			lo, hi := shuffle.HaloRange(run, keyCol, plan.By, cuts.Splitters[k-1], cuts.Halo)
 			halo, err := shuffle.BuildHalo(run, keyCol, lo, hi)
@@ -504,11 +522,11 @@ func runShuffleTask(ctx context.Context, store storage.Store, plan *PipelinePlan
 }
 
 // runReduceTask runs the single-node pipeline's tail over one partition: the
-// merge stream of its shuffled pieces, the mark stage on a marker seeded from
-// its halos, the filter stage, the dataset sink writing "<out>/part<k>" with
+// merge stream of its shuffled pieces, the reduce stages (a halo stage over
+// the partition's halos), and the dataset sink writing "<out>/part<k>" with
 // its chunks' members compressed on exec (stored raw for a staging output).
 // It returns the partition-result payload the coordinator stitches from.
-func runReduceTask(ctx context.Context, store storage.Store, plan *PipelinePlan, exec *dataflow.Executor, cols []string, keyCol, k, numBatches int) (string, error) {
+func runReduceTask(ctx context.Context, store storage.Store, plan *PipelinePlan, exec *dataflow.Executor, cols []string, keyCol, k, numBatches int, rep *NodeReport) (string, error) {
 	blobs := func(name func(prefix string, k, b int) string) []string {
 		names := make([]string, numBatches)
 		for b := range names {
@@ -520,47 +538,21 @@ func runReduceTask(ctx context.Context, store storage.Store, plan *PipelinePlan,
 	if err != nil {
 		return "", fmt.Errorf("cluster: partition %d: %w", k, err)
 	}
+	env := &Env{Ctx: ctx, Exec: exec}
+	if k > 0 && plan.Halo != nil {
+		if env.Halo, _, err = agdsort.FetchRuns(ctx, store, blobs(shuffle.HaloBlob)); err != nil {
+			return "", fmt.Errorf("cluster: partition %d: %w", k, err)
+		}
+	}
 	merger, err := agdsort.NewRunMerger(pieces, len(cols), keyCol, plan.By)
 	if err != nil {
 		return "", err
 	}
 	meta := agd.StreamMeta{Columns: cols, NumRecords: uint64(rows), ChunkSize: plan.ChunkSize}
-	stream := agdsort.MergeStream(merger, meta, 0)
+	stream, err := env.build(agdsort.MergeStream(merger, meta, 0), plan.Reduce)
 	defer func() { stream.Close() }()
-
-	dups, kept := &markdup.Stats{}, &filter.Stats{}
-	if plan.MarkDup {
-		mk := markdup.NewMarker(0)
-		dups = &mk.Stats
-		if k > 0 {
-			halos, _, err := agdsort.FetchRuns(ctx, store, blobs(shuffle.HaloBlob))
-			if err != nil {
-				return "", fmt.Errorf("cluster: partition %d: %w", k, err)
-			}
-			for _, halo := range halos {
-				for r := 0; r < halo.NumRecords(); r++ {
-					rec, err := halo.Record(r)
-					if err == nil {
-						err = mk.Observe(rec)
-					}
-					if err != nil {
-						return "", err
-					}
-				}
-			}
-		}
-		out, err := mk.Stream(stream, 0)
-		if err != nil {
-			return "", err
-		}
-		stream = out
-	}
-	if plan.Filter != nil {
-		out, stats, err := filter.RunStream(stream, plan.Filter, 0)
-		if err != nil {
-			return "", err
-		}
-		stream, kept = out, stats
+	if err != nil {
+		return "", err
 	}
 	// An empty partition (equal splitters, a filter dropping its every row)
 	// writes no chunk and contributes none to the stitch.
@@ -568,10 +560,9 @@ func runReduceTask(ctx context.Context, store storage.Store, plan *PipelinePlan,
 	if err != nil {
 		return "", fmt.Errorf("cluster: partition %d: %w", k, err)
 	}
-	pr := shuffle.PartResult{DupReads: dups.Reads, Duplicates: dups.Duplicates, FilterIn: kept.In, FilterKept: kept.Kept}
+	pr := shuffle.PartResult{Counts: env.tally(rep)}
 	for _, e := range entries {
 		pr.ChunkRecords = append(pr.ChunkRecords, e.Records)
-		pr.Rows += uint64(e.Records)
 	}
 	return shuffle.Encode(&pr)
 }

@@ -9,6 +9,7 @@ import (
 	"persona/internal/agd"
 	"persona/internal/agdsort"
 	"persona/internal/filter"
+	"persona/internal/markdup"
 	"persona/internal/shuffle"
 	"persona/internal/storage"
 	"persona/internal/testutil"
@@ -32,21 +33,31 @@ func TestReduceStragglerFailureKeepsSurvivorChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	const parts = 2
+	// The reduce of Read → Sort → MarkDuplicates → Filter: the mark stage
+	// seeded from its halo, then the filter.
+	mark := Stage{Build: func(e *Env, in *agd.GroupStream) (out *agd.GroupStream, err error) {
+		out, e.Dups, err = markdup.SeededStream(in, e.Halo, e.Window)
+		return out, err
+	}}
+	drop := Stage{Build: func(e *Env, in *agd.GroupStream) (*agd.GroupStream, error) {
+		out, stats, err := filter.RunStream(in, filter.DropDuplicates(), e.Window)
+		e.Filtered = stats
+		return out, err
+	}}
 	plan := &PipelinePlan{
-		Dataset: "ds", By: agdsort.ByLocation, MarkDup: true, Filter: filter.DropDuplicates(),
+		Dataset: "ds", By: agdsort.ByLocation, Reduce: []Stage{mark, drop},
+		Halo:    func() func([]byte) (int64, error) { return markdup.NewMarker(0).Span },
 		OutName: "out", ChunkSize: 50, ChunksPerBatch: 4,
 	}
 	plan.applyDefaults()
-	cfg := &Config{}
-	cfg.applyDefaults()
-	cols := planColumns(plan, ds.Manifest)
+	cols := ds.Manifest.Columns
 	keyCol := agdsort.KeyColumn(cols, plan.By)
 	numBatches := (len(ds.Manifest.Chunks) + plan.ChunksPerBatch - 1) / plan.ChunksPerBatch
 
 	// Map and shuffle, as pipelineNode and RunPipeline's cut selection do.
 	var summaries []shuffle.RunSummary
 	for b := 0; b < numBatches; b++ {
-		payload, err := runMapTask(ctx, store, ds, plan, cfg, nil, b, &NodeReport{})
+		payload, err := runMapTask(ctx, store, ds, plan, nil, b, &NodeReport{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +67,7 @@ func TestReduceStragglerFailureKeepsSurvivorChunks(t *testing.T) {
 		}
 		summaries = append(summaries, sum)
 	}
-	cuts, err := shuffle.SelectCuts(summaries, parts, plan.MarkDup)
+	cuts, err := shuffle.SelectCuts(summaries, parts, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +79,7 @@ func TestReduceStragglerFailureKeepsSurvivorChunks(t *testing.T) {
 
 	for k := 0; k < parts; k++ {
 		prefix := shuffle.PartDataset(plan.OutName, k) + "/"
-		acked, err := runReduceTask(ctx, store, plan, nil, cols, keyCol, k, numBatches)
+		acked, err := runReduceTask(ctx, store, plan, nil, cols, keyCol, k, numBatches, &NodeReport{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +91,7 @@ func TestReduceStragglerFailureKeepsSurvivorChunks(t *testing.T) {
 			straggler := storage.NewFaultStore(store, storage.FaultPolicy{
 				Keys: []storage.KeyFaults{{Substr: name, Writes: storage.OpFaults{ErrProb: 1}}},
 			})
-			_, err := runReduceTask(ctx, straggler, plan, nil, cols, keyCol, k, numBatches)
+			_, err := runReduceTask(ctx, straggler, plan, nil, cols, keyCol, k, numBatches, &NodeReport{})
 			straggler.Close()
 			if !errors.Is(err, storage.ErrInjected) || runFatal(err) {
 				t.Fatalf("partition %d, failing %s: error %v, want the injected transient one", k, name, err)
@@ -88,7 +99,7 @@ func TestReduceStragglerFailureKeepsSurvivorChunks(t *testing.T) {
 			testutil.SameBlobs(t, fmt.Sprintf("partition %d after its straggler failed putting %s", k, name),
 				testutil.Blobs(t, store, prefix), survivor)
 		}
-		again, err := runReduceTask(ctx, store, plan, nil, cols, keyCol, k, numBatches)
+		again, err := runReduceTask(ctx, store, plan, nil, cols, keyCol, k, numBatches, &NodeReport{})
 		if err != nil || again != acked {
 			t.Fatalf("partition %d re-executed: payload %q (error %v), the first attempt acked %q", k, again, err, acked)
 		}

@@ -63,7 +63,7 @@ func TestAlignSurvivesWorkerDeath(t *testing.T) {
 		NodeFaults: map[int]int{0: 1}, // node 0 dies after one chunk
 	}
 	cfg.applyDefaults()
-	plan := PipelinePlan{Dataset: "ds", Align: true, Index: f2.Index, writeBack: true}
+	plan := PipelinePlan{Dataset: "ds", Map: []Stage{alignStage(f2.Index)}, writeBack: true}
 	plan.applyDefaults()
 	ds, err := agd.Open(store, "ds")
 	if err != nil {
@@ -90,7 +90,7 @@ func TestAlignSurvivesWorkerDeath(t *testing.T) {
 				return ctx.Err()
 			}
 		}
-		return pipelineNode(ctx, w, store, ds, &plan, planColumns(&plan, ds.Manifest), cfg.Nodes, chunks)
+		return pipelineNode(ctx, w, store, ds, &plan, columns(ds.Manifest.Columns, plan.Map), cfg.Nodes, chunks)
 	})
 	if err != nil {
 		t.Fatal(err)

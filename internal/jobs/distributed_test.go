@@ -69,6 +69,39 @@ func TestDistributedJob(t *testing.T) {
 	checkNoLeak(t, sess)
 }
 
+// TestJobProgressDistributed: a 2-node job reports per-stage progress as a
+// single-node one does: one entry per stage, every one done at the end, and
+// the sink's entry holding the records the job exported.
+func TestJobProgressDistributed(t *testing.T) {
+	store := persona.NewMemStore()
+	g := importTestDataset(t, store, "ds")
+	m, _ := newTestManager(t, store, g, nil)
+
+	st, err := m.Submit("acme", Spec{
+		Dataset: "ds", Align: true, Sort: "location", MarkDup: true,
+		Format: "sam", Nodes: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin := waitTerminal(t, m, st.ID, 30*time.Second)
+	if fin.State != StateDone {
+		t.Fatalf("final = %s (%s), want DONE", fin.State, fin.Error)
+	}
+	want := []string{"read", "align", "sort-location", "markdup", "export-sam"}
+	if len(fin.Progress) != len(want) {
+		t.Fatalf("progress = %+v, want one entry for each of %v", fin.Progress, want)
+	}
+	for i, sp := range fin.Progress {
+		if sp.Stage != want[i] || !sp.Done {
+			t.Errorf("progress entry %d = %+v, want stage %s done", i, sp, want[i])
+		}
+	}
+	if sink := fin.Progress[len(want)-1]; sink.Records == 0 || sink.Records != fin.Result.Records {
+		t.Errorf("sink progress has %d records, the result %d", sink.Records, fin.Result.Records)
+	}
+}
+
 // TestDistributedSpecRejections: negative node counts and sortless
 // distributed specs are permanent admission errors — the shuffle is the
 // sort, so a distributed job without one cannot run.

@@ -67,14 +67,42 @@ func markChunk(chunk *agd.Chunk, builder *agd.ChunkBuilder, mk *Marker) error {
 // until its Release (provided the input stream is Owned — the passthrough
 // columns alias the upstream group, held alive until the output releases).
 func MarkStream(in *agd.GroupStream, pipelining int) (*agd.GroupStream, *Stats, error) {
+	return SeededStream(in, nil, pipelining)
+}
+
+// SeededStream is MarkStream on a marker first seeded with the signature of
+// every results record of halo, without marking or counting them: the rows
+// from below a partition's cut that a distributed reduce seeds its marker
+// with. Unmapped rows are ignored, as marking ignores them.
+func SeededStream(in *agd.GroupStream, halo []*agd.Chunk, pipelining int) (*agd.GroupStream, *Stats, error) {
 	mk := NewMarker(int(in.Meta.NumRecords))
-	out, err := mk.Stream(in, pipelining)
+	for _, c := range halo {
+		for r := 0; r < c.NumRecords(); r++ {
+			rec, err := c.Record(r)
+			if err != nil {
+				return nil, nil, err
+			}
+			v, err := agd.DecodeResultView(rec)
+			if err != nil {
+				return nil, nil, err
+			}
+			if v.IsUnmapped() {
+				continue
+			}
+			var sig signature
+			if sig, mk.cigar, err = signatureOf(&v, mk.cigar); err != nil {
+				return nil, nil, err
+			}
+			mk.seen[sig] = struct{}{}
+		}
+	}
+	out, err := mk.stream(in, pipelining)
 	return out, &mk.Stats, err
 }
 
-// Stream is MarkStream run on mk — a marker the caller may have seeded with
-// Observe first — with the pass's statistics accumulating in mk.Stats.
-func (mk *Marker) Stream(in *agd.GroupStream, pipelining int) (*agd.GroupStream, error) {
+// stream is the marking stage run on mk, with the pass's statistics
+// accumulating in mk.Stats.
+func (mk *Marker) stream(in *agd.GroupStream, pipelining int) (*agd.GroupStream, error) {
 	resCol := in.Meta.Col(agd.ColResults)
 	if resCol < 0 {
 		return nil, fmt.Errorf("markdup: stream has no results column")
@@ -126,13 +154,13 @@ func (mk *Marker) Stream(in *agd.GroupStream, pipelining int) (*agd.GroupStream,
 
 // Marker is the state of a marking pass: the signatures seen so far. It is
 // seedable, which the distributed pipeline's per-partition reduce uses:
-// partitions after the first pre-load the set from a halo of earlier rows
-// (Observe), then mark their own range in order (Stream) — first-wins marking
+// partitions after the first pre-load the set from a halo of earlier rows,
+// then mark their own range in order (SeededStream) — first-wins marking
 // means seeding is membership-only, so halo order does not matter. MarkStream
 // runs a fresh one over the whole stream. One Marker is single-goroutine
 // state.
 type Marker struct {
-	// Stats accumulates over MarkView calls; Observe does not count.
+	// Stats accumulates over MarkView calls; seeding does not count.
 	Stats Stats
 
 	seen  map[signature]struct{}
@@ -143,26 +171,6 @@ type Marker struct {
 // distinct signatures.
 func NewMarker(capacity int) *Marker {
 	return &Marker{seen: make(map[signature]struct{}, capacity)}
-}
-
-// Observe seeds the signature set from one encoded results record without
-// marking or counting it. Unmapped rows are ignored, as marking ignores
-// them.
-func (mk *Marker) Observe(rec []byte) error {
-	v, err := agd.DecodeResultView(rec)
-	if err != nil {
-		return err
-	}
-	if v.IsUnmapped() {
-		return nil
-	}
-	var sig signature
-	sig, mk.cigar, err = signatureOf(&v, mk.cigar)
-	if err != nil {
-		return err
-	}
-	mk.seen[sig] = struct{}{}
-	return nil
 }
 
 // MarkView marks one decoded result in place: the first row of each

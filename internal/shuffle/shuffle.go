@@ -22,10 +22,13 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"math"
 	"slices"
 
 	"persona/internal/agd"
 	"persona/internal/agdsort"
+	"persona/internal/filter"
+	"persona/internal/markdup"
 )
 
 // SampleCount is how many rows each run contributes to splitter selection:
@@ -42,13 +45,22 @@ type Sample struct {
 }
 
 // RunSummary is a map task's completion payload: the run's equi-depth key
-// samples plus what halo sizing and skew accounting need.
+// samples plus what halo sizing and skew accounting need, and what the map
+// stages counted.
 type RunSummary struct {
 	Rows    int      `json:"rows"`
 	Samples []Sample `json:"samples,omitempty"`
 	// MaxSpan is the largest |signature position − location| over the run's
 	// mapped rows (duplicate-marking pipelines only).
 	MaxSpan int64 `json:"max_span,omitempty"`
+	Counts
+}
+
+// Counts is what a task's stages marked and filtered, summed over a run's
+// first-win task payloads.
+type Counts struct {
+	Dups     markdup.Stats `json:"dups"`
+	Filtered filter.Stats  `json:"filtered"`
 }
 
 // Cuts is the coordinator's splitter decision, broadcast to every worker
@@ -71,15 +83,11 @@ type ShuffleResult struct {
 }
 
 // PartResult is a reduce task's completion payload: the partition's output
-// chunk layout and its stage statistics.
+// chunk layout and what the reduce stages counted.
 type PartResult struct {
 	// ChunkRecords lists the partition's output chunks in row order.
 	ChunkRecords []uint32 `json:"chunk_records,omitempty"`
-	Rows         uint64   `json:"rows"`
-	DupReads     uint64   `json:"dup_reads,omitempty"`
-	Duplicates   uint64   `json:"duplicates,omitempty"`
-	FilterIn     uint64   `json:"filter_in,omitempty"`
-	FilterKept   uint64   `json:"filter_kept,omitempty"`
+	Counts
 }
 
 // Encode renders a coordination payload as one protocol token (base64 of
@@ -135,16 +143,25 @@ func PartDataset(out string, k int) string {
 // partitions — harmless). Halo is sized from the summaries' maximum
 // signature span: a row whose signature collides with a row at or above a
 // cut must itself lie within 2·maxSpan of the cut, so 2·maxSpan+1 covers
-// every cross-cut collision. Returns an error when no run reported any
-// rows.
-func SelectCuts(summaries []RunSummary, p int, markdup bool) (Cuts, error) {
+// every cross-cut collision. The summaries come off the wire, so it returns
+// an error for one with negative rows, with rows but no samples, or with a
+// span whose halo overflows, and when no run reported any rows.
+func SelectCuts(summaries []RunSummary, p int, halo bool) (Cuts, error) {
 	if p <= 0 {
 		return Cuts{}, fmt.Errorf("shuffle: select cuts: %d partitions", p)
 	}
 	var samples []Sample
 	var rows int
 	var maxSpan int64
-	for _, s := range summaries {
+	for i, s := range summaries {
+		switch {
+		case s.Rows < 0 || s.Rows > math.MaxInt-rows:
+			return Cuts{}, fmt.Errorf("shuffle: select cuts: run %d has %d rows", i, s.Rows)
+		case s.Rows > 0 && len(s.Samples) == 0:
+			return Cuts{}, fmt.Errorf("shuffle: select cuts: run %d has %d rows and no samples", i, s.Rows)
+		case s.MaxSpan > (math.MaxInt64-1)/2:
+			return Cuts{}, fmt.Errorf("shuffle: select cuts: run %d spans %d, past any halo", i, s.MaxSpan)
+		}
 		rows += s.Rows
 		samples = append(samples, s.Samples...)
 		if s.MaxSpan > maxSpan {
@@ -155,7 +172,7 @@ func SelectCuts(summaries []RunSummary, p int, markdup bool) (Cuts, error) {
 		return Cuts{}, fmt.Errorf("shuffle: select cuts: no rows sampled")
 	}
 	cuts := Cuts{Splitters: make([]Sample, 0, p-1)}
-	if markdup {
+	if halo {
 		cuts.Halo = 2*maxSpan + 1
 	}
 	if p == 1 {

@@ -1,7 +1,9 @@
 package shuffle
 
 import (
+	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -142,7 +144,8 @@ func TestSelectCutsHalo(t *testing.T) {
 	}
 }
 
-// TestSelectCutsErrors: zero partitions and empty sampling are rejected.
+// TestSelectCutsErrors: zero partitions and empty sampling are rejected,
+// and so is every summary no map task sends, as it arrives off the wire.
 func TestSelectCutsErrors(t *testing.T) {
 	if _, err := SelectCuts(nil, 0, false); err == nil {
 		t.Error("p=0 did not error")
@@ -150,6 +153,63 @@ func TestSelectCutsErrors(t *testing.T) {
 	if _, err := SelectCuts([]RunSummary{{Rows: 0}}, 2, false); err == nil {
 		t.Error("zero rows did not error")
 	}
+	sample := []Sample{{Key: 7}}
+	for name, sum := range map[string]RunSummary{
+		"rows without samples": {Rows: 5},
+		"negative rows":        {Rows: -1, Samples: sample},
+		"overflowing span":     {Rows: 1, Samples: sample, MaxSpan: math.MaxInt64/2 + 1},
+	} {
+		tok, err := Encode([]RunSummary{{Rows: 2, Samples: sample}, sum})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []RunSummary
+		if err := Decode(tok, &got); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := SelectCuts(got, 2, true); err == nil {
+			t.Errorf("%s: no error", name)
+		}
+	}
+}
+
+// FuzzSelectCuts: an arbitrary token decoded as the map tasks' summaries
+// ends in an error or in p-1 sorted splitters, never in a panic.
+func FuzzSelectCuts(f *testing.F) {
+	for _, sums := range [][]RunSummary{
+		summarize([][]uint64{{1, 2, 3}, {2, 5, 9, 11}}),
+		{{Rows: 5}},
+		{{Rows: -4, Samples: []Sample{{Key: 1}}}},
+		{{Rows: 1, Samples: []Sample{{Key: 1, Full: []byte("r/1")}}, MaxSpan: math.MaxInt64}},
+	} {
+		tok, err := Encode(sums)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(tok, uint8(3), true)
+	}
+	f.Fuzz(func(t *testing.T, tok string, p uint8, halo bool) {
+		var sums []RunSummary
+		if Decode(tok, &sums) != nil {
+			return
+		}
+		cuts, err := SelectCuts(sums, int(p), halo)
+		if err != nil {
+			return
+		}
+		if len(cuts.Splitters) != int(p)-1 {
+			t.Fatalf("%d splitters for %d partitions", len(cuts.Splitters), p)
+		}
+		for i := 1; i < len(cuts.Splitters); i++ {
+			a, b := cuts.Splitters[i-1], cuts.Splitters[i]
+			if a.Key > b.Key || a.Key == b.Key && bytes.Compare(a.Full, b.Full) > 0 {
+				t.Fatalf("splitters %d and %d out of order: %+v", i-1, i, cuts.Splitters)
+			}
+		}
+		if (cuts.Halo > 0) != halo {
+			t.Fatalf("halo %d for a pipeline that marks: %v", cuts.Halo, halo)
+		}
+	})
 }
 
 // TestEncodeDecodeRoundTrip: payloads survive the line protocol as single

@@ -60,6 +60,7 @@ import (
 	"persona/internal/cluster"
 	"persona/internal/core"
 	"persona/internal/filter"
+	"persona/internal/formats/sam"
 	"persona/internal/genome"
 	"persona/internal/markdup"
 	"persona/internal/storage"
@@ -205,9 +206,7 @@ func align(ctx context.Context, store Store, dataset string, idx *Index, opts Al
 		threads = 2
 	}
 	rep, err := runOnce(ctx, store, threads, func(s *Session) *Pipeline {
-		return s.Read(dataset).
-			add(pipeStage{kind: stageAlign, idx: idx, alignOpts: opts, paired: paired}).
-			add(pipeStage{kind: stageWriteBack})
+		return s.Read(dataset).align(idx, opts, paired).writeBack()
 	})
 	if err != nil {
 		return nil, nil, err
@@ -250,7 +249,7 @@ func Sort(ctx context.Context, store Store, dataset string, by SortKey, outputNa
 // others not; marking is deterministic, so it is simply run again.
 func MarkDuplicates(ctx context.Context, store Store, dataset string) (DupStats, error) {
 	rep, err := runOnce(ctx, store, 0, func(s *Session) *Pipeline {
-		return s.Read(dataset).MarkDuplicates().add(pipeStage{kind: stageWriteBack})
+		return s.Read(dataset).MarkDuplicates().writeBack()
 	})
 	if err != nil {
 		return DupStats{}, err
@@ -261,25 +260,25 @@ func MarkDuplicates(ctx context.Context, store Store, dataset string) (DupStats,
 // ExportSAM streams a dataset out as SAM text — the one-stage form of
 // Pipeline.ExportSAM.
 func ExportSAM(ctx context.Context, store Store, dataset string, dst io.Writer) (uint64, error) {
-	return export(ctx, store, dataset, pipeStage{kind: stageExportSAM, dst: dst})
+	return export(ctx, store, dataset, func(p *Pipeline) *Pipeline { return p.ExportSAM(dst) })
 }
 
 // ExportBAM streams a dataset out as BAM — the one-stage form of
 // Pipeline.ExportBAM.
 func ExportBAM(ctx context.Context, store Store, dataset string, dst io.Writer) (uint64, error) {
-	return export(ctx, store, dataset, pipeStage{kind: stageExportBAM, dst: dst})
+	return export(ctx, store, dataset, func(p *Pipeline) *Pipeline { return p.ExportBAM(dst) })
 }
 
 // ExportFASTQ streams a dataset's reads back out as FASTQ — the one-stage
 // form of Pipeline.ExportFASTQ.
 func ExportFASTQ(ctx context.Context, store Store, dataset string, dst io.Writer) (uint64, error) {
-	return export(ctx, store, dataset, pipeStage{kind: stageExportFASTQ, dst: dst})
+	return export(ctx, store, dataset, func(p *Pipeline) *Pipeline { return p.ExportFASTQ(dst) })
 }
 
 // export runs Read(dataset) into the export sink, returning the records
 // written.
-func export(ctx context.Context, store Store, dataset string, sink pipeStage) (uint64, error) {
-	rep, err := runOnce(ctx, store, 0, func(s *Session) *Pipeline { return s.Read(dataset).add(sink) })
+func export(ctx context.Context, store Store, dataset string, sink func(*Pipeline) *Pipeline) (uint64, error) {
+	rep, err := runOnce(ctx, store, 0, func(s *Session) *Pipeline { return sink(s.Read(dataset)) })
 	if err != nil {
 		return 0, err
 	}
@@ -295,8 +294,10 @@ func export(ctx context.Context, store Store, dataset string, sink pipeStage) (u
 func ImportSAM(ctx context.Context, store Store, name string, src io.Reader, chunkSize int) (*Manifest, uint64, error) {
 	prog := NewProgress()
 	rep, err := runOnce(ctx, store, 0, func(s *Session) *Pipeline {
-		p := &Pipeline{sess: s, stages: []pipeStage{{kind: stageImportSAM, src: src, chunkSize: chunkSize}}}
-		return p.Write(name).Observe(prog)
+		p := &Pipeline{sess: s}
+		return p.add(stage{name: "import-sam", Stage: cluster.Stage{Adds: alignedColumns}, open: func(*run) (*agd.GroupStream, error) {
+			return sam.ImportStream(src, sam.ImportOptions{ChunkSize: chunkSize})
+		}}).Write(name).Observe(prog)
 	})
 	if err != nil {
 		var n uint64
@@ -355,7 +356,15 @@ type Variant = varcall.Variant
 func CallVariants(ctx context.Context, store Store, dataset string, ref *Genome) ([]Variant, error) {
 	var variants []Variant
 	_, err := runOnce(ctx, store, 0, func(s *Session) *Pipeline {
-		return s.Read(dataset).add(pipeStage{kind: stageCallVariants, ref: ref, variants: &variants})
+		return s.Read(dataset).add(stage{name: "call-variants", reads: []string{agd.ColBases, agd.ColQual, agd.ColResults}, drain: func(r *run, in *agd.GroupStream) (uint64, error) {
+			pile := varcall.NewPileup(ref)
+			err := pile.AddStream(r.Ctx, in, varcall.NewOptions())
+			if err == nil {
+				variants, err = pile.Call(varcall.NewOptions())
+			}
+			reads, _ := pile.Stats()
+			return uint64(reads), err
+		}})
 	})
 	if err != nil {
 		return nil, err

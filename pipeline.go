@@ -2,9 +2,11 @@ package persona
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -19,17 +21,18 @@ import (
 	"persona/internal/formats/fastq"
 	"persona/internal/formats/sam"
 	"persona/internal/markdup"
-	"persona/internal/varcall"
 )
 
 // A Pipeline is a validated, composable stage graph over a Session: one
 // source (Read or ImportFASTQ), any number of transform stages (Align,
-// Sort, MarkDuplicates, Filter), and one sink (Export* or Write). Run plans
-// the graph and streams AGD chunks stage-to-stage over the session's shared
-// executor: adjacent streaming-capable stages are fused, so chunks flow in
-// memory and nothing intermediate is written to the store. A stage with a
-// global barrier — sort — drains its input into sorted runs held in memory,
-// then feeds the next stage from the merge's output stream.
+// Sort, MarkDuplicates, Filter), and one sink (Export* or Write). Each
+// builder method records one stage value, which carries everything the
+// stage is: its name, the columns it reads and adds, its own checks and how
+// it runs. Run validates the graph against the columns the source opens and
+// streams AGD chunks stage-to-stage over the session's shared executor:
+// chunks flow in memory and nothing intermediate is written to the store.
+// A stage with a global barrier — sort — drains its input into sorted runs
+// held in memory, then feeds the next stage from the merge's output stream.
 //
 // Builder methods record the graph and defer all validation and errors to
 // Run, so construction chains fluently:
@@ -47,10 +50,12 @@ import (
 // own pump goroutine, so stage N+1 consumes chunk k−1 while stage N produces
 // chunk k. At one processor, or with Serial(), there are no edges, and the
 // sink pulls the whole chain on the caller's goroutine; output bytes are
-// identical either way.
+// identical either way. Distributed runs the same stage values across
+// nodes: the stages before the Sort in map tasks, those after it in the
+// reduce, with MarkDuplicates declaring the halo its partitions need.
 type Pipeline struct {
 	sess       *Session
-	stages     []pipeStage
+	stages     []stage
 	serial     bool
 	tempPrefix string
 	tmpSeq     atomic.Uint64
@@ -65,80 +70,72 @@ type Pipeline struct {
 // of wgs_fused (BENCH_41.json) find deeper edges no faster, only bigger.
 const pumpDepth = 1
 
-type stageKind int
+// A stage is one step of a pipeline, one value per builder method. A source
+// opens its stream, a transform builds its stream over the stream upstream
+// (the embedded cluster.Stage, which a distributed task runs as it is), and
+// a sink drains the last stream. validate, sourceColumns, poolWindow, the
+// local run and the distributed plan are all loops over these values.
+type stage struct {
+	cluster.Stage
+	// name labels the stage in reports ("read", "align", "sort-location").
+	name string
+	// reads lists the columns the stage reads: nil for Write, which stores
+	// them all. A source's Adds are the columns it opens.
+	reads []string
+	// err is what is wrong with the stage's arguments, reported by Run.
+	err error
+	// passthrough marks a stage whose output groups keep their input group
+	// alive until Release (its output chunks alias upstream chunks): a
+	// group produced above it stays checked out across its edge too.
+	passthrough bool
+	// dataset is what a Read source opens or a Write sink writes.
+	dataset string
+	// sort is a Sort stage's key (nil for every other stage).
+	sort *SortKey
+	// halo is set by the one stage whose rows reach across a partition cut
+	// of a distributed run: MarkDuplicates (see cluster.PipelinePlan.Halo).
+	halo func() func(keyField []byte) (int64, error)
+	// open opens a source's stream; drain drains the last stream into a
+	// sink, returning the records consumed.
+	open  func(r *run) (*agd.GroupStream, error)
+	drain func(r *run, in *agd.GroupStream) (uint64, error)
+}
 
-const (
-	stageRead stageKind = iota
-	stageImportFASTQ
-	stageImportSAM
-	stageAlign
-	stageSort
-	stageMarkDup
-	stageFilter
-	stageExportSAM
-	stageExportBAM
-	stageExportFASTQ
-	stageCallVariants
-	stageWrite
-	stageWriteBack
-)
+// run is one Run of a pipeline as its stages see it: a transform is built
+// in its Env; the source and the sink see the rest too.
+type run struct {
+	cluster.Env
+	report *PipelineReport
+	src    *agd.Dataset // what a Read source opens (nil for an import)
+	start  time.Time
+}
 
-func (k stageKind) String() string {
-	switch k {
-	case stageRead:
-		return "read"
-	case stageImportFASTQ:
-		return "import-fastq"
-	case stageImportSAM:
-		return "import-sam"
-	case stageAlign:
-		return "align"
-	case stageSort:
-		return "sort"
-	case stageMarkDup:
-		return "markdup"
-	case stageFilter:
-		return "filter"
-	case stageExportSAM:
-		return "export-sam"
-	case stageExportBAM:
-		return "export-bam"
-	case stageExportFASTQ:
-		return "export-fastq"
-	case stageCallVariants:
-		return "call-variants"
-	case stageWrite:
-		return "write"
-	case stageWriteBack:
-		return "write-back"
+// argErr is a builder's argument check: msg as an error when bad.
+func argErr(bad bool, msg string) error {
+	if bad {
+		return errors.New("persona: " + msg)
 	}
-	return "stage"
+	return nil
 }
 
-func (k stageKind) isSink() bool { return k >= stageExportSAM }
-
-// pipeStage is one recorded stage and its parameters.
-type pipeStage struct {
-	kind      stageKind
-	dataset   string          // stageRead, stageWrite
-	src       io.Reader       // stageImport*
-	refs      []agd.RefSeq    // stageImportFASTQ
-	chunkSize int             // stageImport*
-	idx       *Index          // stageAlign
-	alignOpts AlignOptions    // stageAlign
-	paired    bool            // stageAlign
-	by        SortKey         // stageSort
-	pred      FilterPredicate // stageFilter
-	dst       io.Writer       // stageExport*
-	ref       *Genome         // stageCallVariants
-	variants  *[]Variant      // stageCallVariants: where the calls go
-}
+var (
+	readColumns    = []string{agd.ColBases, agd.ColQual, agd.ColMetadata}
+	alignedColumns = []string{agd.ColBases, agd.ColQual, agd.ColMetadata, agd.ColResults}
+)
 
 // Read starts a pipeline over an existing AGD dataset in the session's
 // store. Before a Write sink it streams every manifest column; otherwise
 // only the columns the pipeline's stages and sink read.
 func (s *Session) Read(dataset string) *Pipeline {
-	return &Pipeline{sess: s, stages: []pipeStage{{kind: stageRead, dataset: dataset}}}
+	p := &Pipeline{sess: s}
+	return p.add(stage{name: "read", dataset: dataset, open: func(r *run) (*agd.GroupStream, error) {
+		return r.src.Groups(agd.StreamOptions{
+			Columns:     p.sourceColumns(r.src.Manifest.Columns),
+			ShardedPool: s.chunkPool,
+			Cache:       s.cache,
+			Codec:       agd.Codec{Exec: s.exec},
+		})
+	}})
 }
 
 // ImportFASTQ starts a pipeline over a FASTQ stream: reads are parsed into
@@ -146,10 +143,13 @@ func (s *Session) Read(dataset string) *Pipeline {
 // stage in memory. refs, if known, travels in the stream metadata (and into
 // the manifest, if the pipeline ends in Write).
 func (s *Session) ImportFASTQ(src io.Reader, refs []agd.RefSeq, chunkSize int) *Pipeline {
-	return &Pipeline{sess: s, stages: []pipeStage{{kind: stageImportFASTQ, src: src, refs: refs, chunkSize: chunkSize}}}
+	p := &Pipeline{sess: s}
+	return p.add(stage{name: "import-fastq", Stage: cluster.Stage{Adds: readColumns}, open: func(r *run) (*agd.GroupStream, error) {
+		return fastq.ImportStream(src, fastq.ImportOptions{ChunkSize: chunkSize, RefSeqs: refs, Pipelining: r.Window}), nil
+	}})
 }
 
-func (p *Pipeline) add(st pipeStage) *Pipeline {
+func (p *Pipeline) add(st stage) *Pipeline {
 	p.stages = append(p.stages, st)
 	return p
 }
@@ -158,45 +158,100 @@ func (p *Pipeline) add(st pipeStage) *Pipeline {
 // session's executor. AlignOptions.ExecutorThreads is session-owned here and
 // ignored.
 func (p *Pipeline) Align(idx *Index, opts AlignOptions) *Pipeline {
-	return p.add(pipeStage{kind: stageAlign, idx: idx, alignOpts: opts})
+	return p.align(idx, opts, false)
+}
+
+// align is the Align stage, single-end or (for the one-shot AlignPaired)
+// paired.
+func (p *Pipeline) align(idx *Index, opts AlignOptions, paired bool) *Pipeline {
+	build := func(e *cluster.Env, in *agd.GroupStream) (*agd.GroupStream, error) {
+		out, rep, err := core.AlignStream(core.AlignConfig{
+			Index:      idx,
+			Aligner:    snap.Config{MaxDist: opts.MaxDist},
+			Paired:     paired,
+			Pipelining: e.Window,
+		}, e.Exec, in)
+		e.Align = rep
+		return out, err
+	}
+	return p.add(stage{name: "align", reads: []string{agd.ColBases}, err: argErr(idx == nil, "Align needs an index"),
+		passthrough: true, Stage: cluster.Stage{Adds: []string{agd.ColResults}, Build: build}})
 }
 
 // Sort reorders the stream by the given key (a global barrier: the stage
 // sorts its input into runs in memory, then streams their merge).
 func (p *Pipeline) Sort(by SortKey) *Pipeline {
-	return p.add(pipeStage{kind: stageSort, by: by})
+	key := agd.ColResults
+	if by == ByMetadata {
+		key = agd.ColMetadata
+	}
+	build := func(e *cluster.Env, in *agd.GroupStream) (*agd.GroupStream, error) {
+		return agdsort.SortStream(e.Ctx, p.sess.store, in, agdsort.Options{By: by, Pipelining: e.Window})
+	}
+	return p.add(stage{name: "sort-" + by.String(), reads: []string{key}, sort: &by, Stage: cluster.Stage{Build: build}})
 }
 
-// MarkDuplicates flags duplicate reads in the stream's results column.
+// MarkDuplicates flags duplicate reads in the stream's results column. It
+// is the one stage that declares a halo: run distributed, its marker in each
+// partition is seeded from the rows just below the partition's cut.
 func (p *Pipeline) MarkDuplicates() *Pipeline {
-	return p.add(pipeStage{kind: stageMarkDup})
+	build := func(e *cluster.Env, in *agd.GroupStream) (out *agd.GroupStream, err error) {
+		out, e.Dups, err = markdup.SeededStream(in, e.Halo, e.Window)
+		return out, err
+	}
+	halo := func() func([]byte) (int64, error) { return markdup.NewMarker(0).Span }
+	return p.add(stage{name: "markdup", reads: []string{agd.ColResults}, passthrough: true, halo: halo, Stage: cluster.Stage{Build: build}})
 }
 
 // Filter keeps only the rows matching pred.
 func (p *Pipeline) Filter(pred FilterPredicate) *Pipeline {
-	return p.add(pipeStage{kind: stageFilter, pred: pred})
+	build := func(e *cluster.Env, in *agd.GroupStream) (*agd.GroupStream, error) {
+		out, stats, err := filter.RunStream(in, pred, e.Window)
+		e.Filtered = stats
+		return out, err
+	}
+	return p.add(stage{name: "filter", reads: []string{agd.ColResults}, err: argErr(pred == nil, "Filter needs a predicate"), Stage: cluster.Stage{Build: build}})
 }
 
 // ExportSAM ends the pipeline by rendering the stream as SAM text into dst.
 func (p *Pipeline) ExportSAM(dst io.Writer) *Pipeline {
-	return p.add(pipeStage{kind: stageExportSAM, dst: dst})
+	return p.add(stage{name: "export-sam", reads: alignedColumns, drain: func(r *run, in *agd.GroupStream) (uint64, error) {
+		return sam.ExportStream(r.Ctx, in, dst)
+	}})
 }
 
 // ExportBAM ends the pipeline by rendering the stream as BAM into dst. Its
 // BGZF blocks are compressed as tasks on the session's executor, the same
 // queue the align stage and the chunk codec feed.
 func (p *Pipeline) ExportBAM(dst io.Writer) *Pipeline {
-	return p.add(pipeStage{kind: stageExportBAM, dst: dst})
+	return p.add(stage{name: "export-bam", reads: alignedColumns, drain: func(r *run, in *agd.GroupStream) (uint64, error) {
+		return bam.ExportStreamOn(r.Ctx, in, dst, r.Exec)
+	}})
 }
 
 // ExportFASTQ ends the pipeline by rendering the stream's reads as FASTQ.
 func (p *Pipeline) ExportFASTQ(dst io.Writer) *Pipeline {
-	return p.add(pipeStage{kind: stageExportFASTQ, dst: dst})
+	return p.add(stage{name: "export-fastq", reads: readColumns, drain: func(r *run, in *agd.GroupStream) (uint64, error) {
+		return fastq.ExportStream(r.Ctx, in, dst)
+	}})
 }
 
 // Write ends the pipeline by materializing the stream as a new AGD dataset.
 func (p *Pipeline) Write(dataset string) *Pipeline {
-	return p.add(pipeStage{kind: stageWrite, dataset: dataset})
+	return p.add(stage{name: "write", dataset: dataset, err: argErr(dataset == "", "Write needs a dataset name"), drain: func(r *run, in *agd.GroupStream) (uint64, error) {
+		// The write replaces whatever blobs the target dataset had: drop any
+		// cached chunks/manifest for it, then remember the fresh manifest so
+		// an immediately following read skips the open round trip.
+		sess := p.sess
+		sess.invalidateDataset(dataset)
+		m, err := agd.WriteGroups(r.Ctx, in, sess.store, dataset, agd.WriterOptions{Codec: agd.Codec{Exec: sess.exec}})
+		if err != nil {
+			return 0, err
+		}
+		r.report.Manifest = m
+		sess.rememberManifest(dataset, m)
+		return m.NumRecords(), nil
+	}})
 }
 
 // Serial runs the pipeline without edges between its stages at any
@@ -329,78 +384,47 @@ type PipelineReport struct {
 	Cluster *ClusterReport
 }
 
-// validate checks the stage graph shape and column flow before anything
-// runs: exactly one source (guaranteed by construction), transforms in the
-// middle, exactly one sink at the end, and every stage's required columns
-// present — alignment appends the results column, everything downstream of
-// it that needs results finds it.
-func (p *Pipeline) validate(sourceCols []string, hasResults bool) error {
+// validate opens the dataset a Read source names into r, then checks the
+// graph against the columns the source opens, before anything runs: one
+// sink, at the end; every stage's arguments; every column a stage reads
+// present upstream of it, and none that it adds.
+func (p *Pipeline) validate(r *run) error {
 	if len(p.stages) < 2 {
-		return fmt.Errorf("persona: pipeline has no sink (end with Export* or Write)")
+		return errors.New("persona: pipeline has no sink (end with Export* or Write)")
 	}
-	has := func(col string) bool {
-		for _, c := range sourceCols {
-			if c == col {
-				return true
-			}
+	src := p.stages[0]
+	cols := slices.Clone(src.Adds)
+	if src.dataset != "" {
+		ds, err := p.sess.openDataset(src.dataset)
+		if err != nil {
+			return err
 		}
-		return false
+		r.src, cols = ds, slices.Clone(ds.Manifest.Columns)
 	}
-	readCols := has(agd.ColBases) && has(agd.ColQual) && has(agd.ColMetadata)
 	for i, st := range p.stages[1:] {
-		last := i == len(p.stages)-2
-		if st.kind.isSink() != last {
-			if st.kind.isSink() {
-				return fmt.Errorf("persona: %s must be the final stage", st.kind)
+		if sink, last := st.drain != nil, i == len(p.stages)-2; sink != last {
+			if sink {
+				return fmt.Errorf("persona: %s must be the final stage", st.name)
 			}
-			return fmt.Errorf("persona: pipeline must end in a sink, not %s", st.kind)
+			return fmt.Errorf("persona: pipeline must end in a sink, not %s", st.name)
 		}
-		switch st.kind {
-		case stageAlign:
-			if st.idx == nil {
-				return fmt.Errorf("persona: Align needs an index")
-			}
-			if !has(agd.ColBases) {
-				return fmt.Errorf("persona: Align needs a %q column", agd.ColBases)
-			}
-			if hasResults {
-				return fmt.Errorf("persona: stream is already aligned")
-			}
-			hasResults = true
-		case stageSort:
-			if st.by == ByLocation && !hasResults {
-				return fmt.Errorf("persona: Sort(ByLocation) needs alignment results (Align first, or Read an aligned dataset)")
-			}
-			if st.by == ByMetadata && !has(agd.ColMetadata) {
-				return fmt.Errorf("persona: Sort(ByMetadata) needs a %q column", agd.ColMetadata)
-			}
-		case stageMarkDup, stageFilter:
-			if !hasResults {
-				return fmt.Errorf("persona: %s needs alignment results", st.kind)
-			}
-			if st.kind == stageFilter && st.pred == nil {
-				return fmt.Errorf("persona: Filter needs a predicate")
-			}
-		case stageExportSAM, stageExportBAM:
-			if !readCols {
-				return fmt.Errorf("persona: %s needs the read columns", st.kind)
-			}
-			if !hasResults {
-				return fmt.Errorf("persona: %s needs alignment results: the stream has no results column", st.kind)
-			}
-		case stageExportFASTQ:
-			if !readCols {
-				return fmt.Errorf("persona: export-fastq needs the read columns")
-			}
-		case stageWrite:
-			if st.dataset == "" {
-				return fmt.Errorf("persona: Write needs a dataset name")
-			}
-		case stageWriteBack:
-			if !hasResults {
-				return fmt.Errorf("persona: %s needs alignment results", st.kind)
+		if st.err != nil {
+			return st.err
+		}
+		for _, c := range st.reads {
+			switch {
+			case slices.Contains(cols, c):
+			case c == agd.ColResults:
+				return fmt.Errorf("persona: %s needs alignment results: the stream has no results column", st.name)
+			default:
+				return fmt.Errorf("persona: %s needs a %q column", st.name, c)
 			}
 		}
+		if slices.ContainsFunc(st.Adds, func(c string) bool { return slices.Contains(cols, c) }) {
+			// The one column a stage adds is Align's results.
+			return errors.New("persona: stream is already aligned")
+		}
+		cols = append(cols, st.Adds...)
 	}
 	return nil
 }
@@ -442,102 +466,43 @@ func instrumented(s *agd.GroupStream, e *edgeStats, slot *progressSlot) *agd.Gro
 	return out
 }
 
-// runBase carries the counters snapshotted at Run entry, diffed into the
-// report on completion.
-type runBase struct {
-	start     time.Time
-	sub0      int64
-	done0     int64
-	busy0     int64
-	storage0  StorageStats
-	resilient bool
-	cache0    CacheStats
-	cached    bool
-}
-
-func (p *Pipeline) snapshotBase() runBase {
+// measure snapshots the session's counters at the start of a run and
+// returns the start and the function that, at its end, sets the report's
+// wall time and the counters' deltas.
+func (p *Pipeline) measure() (time.Time, func(*PipelineReport)) {
 	sess := p.sess
-	b := runBase{start: time.Now()}
-	b.sub0, b.done0, b.busy0 = sess.exec.Stats()
-	b.storage0, b.resilient = sess.ResilienceStats()
-	b.cache0, b.cached = sess.CacheStats()
-	return b
-}
-
-func (p *Pipeline) finishBase(report *PipelineReport, b runBase) {
-	sess := p.sess
-	report.Elapsed = time.Since(b.start)
-	sub1, done1, busy1 := sess.exec.Stats()
-	report.Executor = ExecutorStats{
-		Submitted: sub1 - b.sub0,
-		Completed: done1 - b.done0,
-		Busy:      time.Duration(busy1 - b.busy0),
-	}
-	if b.resilient {
-		storage1, _ := sess.ResilienceStats()
-		delta := storage1.Delta(b.storage0)
-		report.Storage = &delta
-	}
-	if b.cached {
-		cache1, _ := sess.CacheStats()
-		delta := cache1.Delta(b.cache0)
-		report.Cache = &delta
+	start := time.Now()
+	sub0, done0, busy0 := sess.exec.Stats()
+	storage0, resilient := sess.ResilienceStats()
+	cache0, cached := sess.CacheStats()
+	return start, func(report *PipelineReport) {
+		report.Elapsed = time.Since(start)
+		sub1, done1, busy1 := sess.exec.Stats()
+		report.Executor = ExecutorStats{
+			Submitted: sub1 - sub0,
+			Completed: done1 - done0,
+			Busy:      time.Duration(busy1 - busy0),
+		}
+		if resilient {
+			storage1, _ := sess.ResilienceStats()
+			delta := storage1.Delta(storage0)
+			report.Storage = &delta
+		}
+		if cached {
+			cache1, _ := sess.CacheStats()
+			delta := cache1.Delta(cache0)
+			report.Cache = &delta
+		}
 	}
 }
 
 // stageNames returns the report label of every stage, in graph order.
 func (p *Pipeline) stageNames() []string {
-	names := make([]string, 0, len(p.stages))
-	for _, st := range p.stages {
-		name := st.kind.String()
-		if st.kind == stageSort {
-			name = "sort-" + st.by.String()
-		}
-		names = append(names, name)
+	names := make([]string, len(p.stages))
+	for i, st := range p.stages {
+		names[i] = st.name
 	}
 	return names
-}
-
-// openSource validates the graph and opens the source stream, returning
-// the source dataset's manifest too (nil for an import source). pipelining
-// sizes a pumped FASTQ source's builder pool (0 on a serial run).
-func (p *Pipeline) openSource(pipelining int) (*agd.GroupStream, *agd.Manifest, error) {
-	sess := p.sess
-	src := p.stages[0]
-	switch src.kind {
-	case stageRead:
-		ds, err := sess.openDataset(src.dataset)
-		if err != nil {
-			return nil, nil, err
-		}
-		m := ds.Manifest
-		if err := p.validate(m.Columns, m.HasColumn(agd.ColResults)); err != nil {
-			return nil, nil, err
-		}
-		in, err := ds.Groups(agd.StreamOptions{
-			Columns:     p.sourceColumns(m.Columns),
-			ShardedPool: sess.chunkPool,
-			Cache:       sess.cache,
-			Codec:       agd.Codec{Exec: sess.exec},
-		})
-		return in, m, err
-	case stageImportFASTQ:
-		if err := p.validate([]string{agd.ColBases, agd.ColQual, agd.ColMetadata}, false); err != nil {
-			return nil, nil, err
-		}
-		return fastq.ImportStream(src.src, fastq.ImportOptions{
-			ChunkSize:  src.chunkSize,
-			RefSeqs:    src.refs,
-			Pipelining: pipelining,
-		}), nil, nil
-	case stageImportSAM:
-		if err := p.validate([]string{agd.ColBases, agd.ColQual, agd.ColMetadata, agd.ColResults}, true); err != nil {
-			return nil, nil, err
-		}
-		in, err := sam.ImportStream(src.src, sam.ImportOptions{ChunkSize: src.chunkSize})
-		return in, nil, err
-	}
-	return nil, nil, fmt.Errorf("persona: pipeline has no source")
 }
 
 // sourceColumns picks, in manifest order, the columns a Read source fetches:
@@ -545,145 +510,42 @@ func (p *Pipeline) openSource(pipelining int) (*agd.GroupStream, *agd.Manifest, 
 // those a stage or the sink reads. A column the graph computes (results,
 // after Align) is never in the manifest, so it is never fetched.
 func (p *Pipeline) sourceColumns(all []string) []string {
-	read := map[string]bool{}
+	var reads []string
 	for _, st := range p.stages[1:] {
-		switch st.kind {
-		case stageWrite:
+		if st.reads == nil {
 			return all
-		case stageAlign:
-			read[agd.ColBases] = true
-		case stageSort:
-			if st.by == ByMetadata {
-				read[agd.ColMetadata] = true
-			} else {
-				read[agd.ColResults] = true
+		}
+		reads = append(reads, st.reads...)
+	}
+	return slices.DeleteFunc(slices.Clone(all), func(c string) bool { return !slices.Contains(reads, c) })
+}
+
+// writeBack ends the one-shot Align and MarkDuplicates: it stores the
+// stream's results column into the source dataset, next to the columns it
+// was computed from, and registers the column when it is new — or, when a
+// new column fails to land, deletes it again, so a failed Align leaves the
+// dataset as it found it (agd.AddColumn).
+func (p *Pipeline) writeBack() *Pipeline {
+	return p.add(stage{name: "write-back", reads: []string{agd.ColResults}, drain: func(r *run, in *agd.GroupStream) (uint64, error) {
+		sess, m := p.sess, r.src.Manifest
+		sess.invalidateDataset(m.Name)
+		out, err := agd.AddColumn(sess.store, m, agd.ColResults, func() error {
+			err := agd.WriteColumn(r.Ctx, in, sess.store, m, agd.ColResults, agd.Codec{Exec: sess.exec})
+			if a := r.Align; err == nil && a != nil {
+				// The stage stopped its clock at the last group aligned; the
+				// run ends when the last results blob is stored.
+				a.Elapsed = time.Since(r.start)
+				a.BasesPerSec = float64(a.Bases) / a.Elapsed.Seconds()
 			}
-		case stageMarkDup, stageFilter, stageWriteBack:
-			read[agd.ColResults] = true
-		case stageExportSAM, stageExportBAM:
-			read[agd.ColResults] = true
-			fallthrough
-		case stageExportFASTQ:
-			read[agd.ColBases], read[agd.ColQual], read[agd.ColMetadata] = true, true, true
-		case stageCallVariants:
-			read[agd.ColBases], read[agd.ColQual], read[agd.ColResults] = true, true, true
+			return err
+		})
+		if err != nil {
+			return 0, err
 		}
-	}
-	var cols []string
-	for _, c := range all {
-		if read[c] {
-			cols = append(cols, c)
-		}
-	}
-	return cols
-}
-
-// buildStage constructs one transform stage over its input stream.
-// pipelining sizes the stage's output builder pool (0 on a serial run).
-// The stats the stage reports land in the shared report/dups/fstats slots;
-// what a stage goes on writing behind them while it streams is written by
-// the one goroutine pulling its output, before run's Wait barrier.
-func (p *Pipeline) buildStage(ctx context.Context, st pipeStage, in *agd.GroupStream, pipelining int, report *PipelineReport, dups **DupStats, fstats **FilterStats) (*agd.GroupStream, error) {
-	sess := p.sess
-	switch st.kind {
-	case stageAlign:
-		out, alignReport, err := core.AlignStream(core.AlignConfig{
-			Index:      st.idx,
-			Aligner:    snap.Config{MaxDist: st.alignOpts.MaxDist},
-			Paired:     st.paired,
-			Pipelining: pipelining,
-		}, sess.exec, in)
-		report.Align = alignReport
-		return out, err
-	case stageSort:
-		return agdsort.SortStream(ctx, sess.store, in, agdsort.Options{By: st.by, Pipelining: pipelining})
-	case stageMarkDup:
-		out, d, err := markdup.MarkStream(in, pipelining)
-		*dups = d
-		return out, err
-	case stageFilter:
-		out, f, err := filter.RunStream(in, st.pred, pipelining)
-		*fstats = f
-		return out, err
-	}
-	return nil, fmt.Errorf("persona: %s is not a transform stage", st.kind)
-}
-
-// runSink drains the final stream into the pipeline's sink, returning the
-// records consumed. src is the source dataset's manifest (nil unless the
-// source is Read) and start the run's start.
-func (p *Pipeline) runSink(ctx context.Context, stream *agd.GroupStream, src *agd.Manifest, start time.Time, report *PipelineReport) (uint64, error) {
-	sess := p.sess
-	sink := p.stages[len(p.stages)-1]
-	switch sink.kind {
-	case stageExportSAM:
-		return sam.ExportStream(ctx, stream, sink.dst)
-	case stageExportBAM:
-		return bam.ExportStreamOn(ctx, stream, sink.dst, sess.exec)
-	case stageExportFASTQ:
-		return fastq.ExportStream(ctx, stream, sink.dst)
-	case stageCallVariants:
-		pile := varcall.NewPileup(sink.ref)
-		err := pile.AddStream(ctx, stream, varcall.NewOptions())
-		if err == nil {
-			*sink.variants, err = pile.Call(varcall.NewOptions())
-		}
-		reads, _ := pile.Stats()
-		return uint64(reads), err
-	case stageWrite:
-		// The write replaces whatever blobs the target dataset had: drop any
-		// cached chunks/manifest for it, then remember the fresh manifest so
-		// an immediately following read skips the open round trip.
-		sess.invalidateDataset(sink.dataset)
-		m, err := agd.WriteGroups(ctx, stream, sess.store, sink.dataset, agd.WriterOptions{Codec: agd.Codec{Exec: sess.exec}})
-		var n uint64
-		if m != nil {
-			report.Manifest = m
-			n = m.NumRecords()
-			if err == nil {
-				sess.rememberManifest(sink.dataset, m)
-			}
-		}
-		return n, err
-	case stageWriteBack:
-		return p.writeBack(ctx, stream, src, start, report)
-	}
-	return 0, fmt.Errorf("persona: pipeline has no sink")
-}
-
-// writeBack is the sink of the one-shot Align and MarkDuplicates: it stores
-// the stream's results column into the source dataset m, next to the
-// columns it was computed from, and registers the column when it is new —
-// or, when a new column fails to land, deletes it again, so a failed Align
-// leaves the dataset as it found it (agd.AddColumn).
-func (p *Pipeline) writeBack(ctx context.Context, stream *agd.GroupStream, m *agd.Manifest, start time.Time, report *PipelineReport) (uint64, error) {
-	sess := p.sess
-	sess.invalidateDataset(m.Name)
-	out, err := agd.AddColumn(sess.store, m, agd.ColResults, func() error {
-		err := agd.WriteColumn(ctx, stream, sess.store, m, agd.ColResults, agd.Codec{Exec: sess.exec})
-		if a := report.Align; err == nil && a != nil {
-			// The stage stopped its clock at the last group aligned; the
-			// run ends when the last results blob is stored.
-			a.Elapsed = time.Since(start)
-			a.BasesPerSec = float64(a.Bases) / a.Elapsed.Seconds()
-		}
-		return err
-	})
-	if err != nil {
-		return 0, err
-	}
-	report.Manifest = out
-	sess.rememberManifest(m.Name, out)
-	return out.NumRecords(), nil
-}
-
-// passthroughStage reports whether a stage's output groups keep their input
-// group alive until Release (its output chunks alias upstream chunks).
-// Pool windows must cover the whole passthrough span: a group produced
-// above such a stage stays checked out across every edge the aliasing
-// chain crosses.
-func passthroughStage(k stageKind) bool {
-	return k == stageAlign || k == stageMarkDup
+		r.report.Manifest = out
+		sess.rememberManifest(m.Name, out)
+		return out.NumRecords(), nil
+	}})
 }
 
 // poolWindow sizes the builder pool of the stage at index i: one set being
@@ -700,7 +562,7 @@ func (p *Pipeline) poolWindow(i, depth int) int {
 	w := 1
 	for j := i; j < len(p.stages)-1; j++ {
 		w += depth + 1
-		if !passthroughStage(p.stages[j+1].kind) {
+		if !p.stages[j+1].passthrough {
 			break
 		}
 	}
@@ -713,9 +575,6 @@ func (p *Pipeline) poolWindow(i, depth int) int {
 // each stage's output crosses a bounded queue drained by its own goroutine
 // (see Pipeline doc). Output bytes are identical either way.
 func (p *Pipeline) Run(ctx context.Context) (*PipelineReport, error) {
-	if len(p.stages) < 2 {
-		return nil, fmt.Errorf("persona: pipeline has no sink (end with Export* or Write)")
-	}
 	if p.nodes >= 1 {
 		return p.runDistributed(ctx)
 	}
@@ -736,30 +595,28 @@ func (p *Pipeline) Run(ctx context.Context) (*PipelineReport, error) {
 func (p *Pipeline) run(ctx context.Context) (*PipelineReport, error) {
 	depth := p.edgeDepth()
 	report := &PipelineReport{Pumped: depth > 0, EdgeDepth: depth}
-	base := p.snapshotBase()
-	names := p.stageNames()
-
-	stream, src, err := p.openSource(p.poolWindow(0, depth))
+	start, measured := p.measure()
+	r := &run{Env: cluster.Env{Exec: p.sess.exec, Window: p.poolWindow(0, depth)}, report: report, start: start}
+	if err := p.validate(r); err != nil {
+		return nil, err
+	}
+	stream, err := p.stages[0].open(r)
 	if err != nil {
 		return nil, err
 	}
-	if p.progress != nil {
-		p.progress.init(names)
-	}
+	names := p.stageNames()
+	p.progress.init(names)
 
 	// One stats slot per stage, written only by the goroutine pulling that
 	// stage's output; the pump Wait in stop orders the final reads.
 	pumps := dataflow.NewPumps(ctx)
+	r.Ctx = pumps.Context()
 	var stats []*edgeStats
 	var edges []*agd.BoundedEdge
 	link := func(s *agd.GroupStream, setup time.Duration) *agd.GroupStream {
 		e := &edgeStats{setup: setup.Nanoseconds()}
-		var slot *progressSlot
-		if p.progress != nil {
-			slot = p.progress.slot(len(stats))
-		}
+		s = instrumented(s, e, p.progress.slot(len(stats)))
 		stats = append(stats, e)
-		s = instrumented(s, e, slot)
 		if depth == 0 {
 			return s
 		}
@@ -778,15 +635,12 @@ func (p *Pipeline) run(ctx context.Context) (*PipelineReport, error) {
 	}
 
 	stream = link(stream, 0)
-	var (
-		dups   *DupStats
-		fstats *FilterStats
-	)
 	for i, st := range p.stages[1 : len(p.stages)-1] {
 		// A barrier stage's eager phase (sort's staging + run sorts) runs at
 		// construction, before any Next: it is charged to the stage as setup.
 		t0 := time.Now()
-		out, err := p.buildStage(pumps.Context(), st, stream, p.poolWindow(i+1, depth), report, &dups, &fstats)
+		r.Window = p.poolWindow(i+1, depth)
+		out, err := st.Build(&r.Env, stream)
 		if err != nil {
 			return nil, stop(err)
 		}
@@ -796,28 +650,21 @@ func (p *Pipeline) run(ctx context.Context) (*PipelineReport, error) {
 	// The sink has no output stream to instrument: its slot holds its wall
 	// and what it consumed.
 	t0 := time.Now()
-	n, err := p.runSink(ctx, stream, src, base.start, report)
+	n, err := p.stages[len(p.stages)-1].drain(r, stream)
 	sink := &edgeStats{nanos: time.Since(t0).Nanoseconds(), records: n}
 	if err := stop(err); err != nil {
-		if fstats != nil && fstats.Kept == 0 && src != nil && fstats.In == src.NumRecords() && ctx.Err() == nil {
+		if f := r.Filtered; f != nil && f.Kept == 0 && r.src != nil && f.In == r.src.Manifest.NumRecords() && ctx.Err() == nil {
 			// Every record was seen and none kept: a Write sink's "stream
 			// has no records" has a better name here.
-			err = fmt.Errorf("persona: no records of %q match the filter", src.Name)
+			err = fmt.Errorf("persona: no records of %q match the filter", r.src.Manifest.Name)
 		}
 		return nil, err
 	}
 	sink.groups = stats[len(stats)-1].groups
-	report.Records = n
-	if dups != nil {
-		report.Dups = *dups
-	}
-	if fstats != nil {
-		report.Filtered = *fstats
-	}
-	if p.progress != nil {
-		p.progress.finish(n, sink.groups)
-	}
-	p.finishBase(report, base)
+	c := r.Counts()
+	report.Records, report.Align, report.Dups, report.Filtered = n, r.Align, c.Dups, c.Filtered
+	p.progress.finish(n, sink.groups)
+	measured(report)
 
 	// Per-stage attribution: a stage's Busy is the wall spent inside its
 	// Next (plus its setup) minus the time those pulls waited on upstream —

@@ -360,8 +360,8 @@ func TestPipelineValidation(t *testing.T) {
 		{"write empty name", sess.Read("ds").Write(""), "dataset name"},
 		{"export unaligned", sess.Read("ds").ExportSAM(&bytes.Buffer{}), "alignment results"},
 		{"export bam unaligned", sess.Read("ds").ExportBAM(&bytes.Buffer{}), "alignment results"},
-		{"export no bases", sess.Read("nobases").ExportSAM(&bytes.Buffer{}), "needs the read columns"},
-		{"export fastq no bases", sess.Read("nobases").ExportFASTQ(&bytes.Buffer{}), "needs the read columns"},
+		{"export no bases", sess.Read("nobases").ExportSAM(&bytes.Buffer{}), `export-sam needs a "bases" column`},
+		{"export fastq no bases", sess.Read("nobases").ExportFASTQ(&bytes.Buffer{}), `export-fastq needs a "bases" column`},
 	}
 	for _, tc := range cases {
 		if _, err := tc.p.Run(ctx); err == nil || !strings.Contains(err.Error(), tc.want) {

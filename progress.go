@@ -42,8 +42,12 @@ type StageProgress struct {
 // Pipeline.Observe. Before the observed Run starts, Snapshot returns nil.
 func NewProgress() *Progress { return &Progress{} }
 
-// init installs one slot per stage name at Run entry.
+// init installs one slot per stage name at Run entry. It, slot and finish
+// do nothing on a nil Progress: a run nobody observes.
 func (pr *Progress) init(names []string) {
+	if pr == nil {
+		return
+	}
 	slots := make([]*progressSlot, len(names))
 	for i, n := range names {
 		slots[i] = &progressSlot{stage: n}
@@ -53,6 +57,9 @@ func (pr *Progress) init(names []string) {
 
 // slot returns stage i's live counters (nil when not initialized).
 func (pr *Progress) slot(i int) *progressSlot {
+	if pr == nil {
+		return nil
+	}
 	p := pr.slots.Load()
 	if p == nil || i >= len(*p) {
 		return nil
@@ -63,6 +70,9 @@ func (pr *Progress) slot(i int) *progressSlot {
 // finish marks every stage done and pins the sink's final counts (the sink
 // has no instrumented output edge of its own).
 func (pr *Progress) finish(sinkRecords uint64, sinkGroups int64) {
+	if pr == nil {
+		return
+	}
 	p := pr.slots.Load()
 	if p == nil {
 		return
