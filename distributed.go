@@ -68,13 +68,15 @@ func (p *Pipeline) runDistributed(ctx context.Context) (report *PipelineReport, 
 	if src := p.stages[0]; src.dataset == "" {
 		return nil, fmt.Errorf("persona: distributed pipelines need a Read source, not %s", src.name)
 	}
-	if err := p.validate(&run{}); err != nil {
+	r := &run{}
+	if err := p.validate(r); err != nil {
 		return nil, err
 	}
 	plan, err := p.split()
 	if err != nil {
 		return nil, err
 	}
+	plan.Columns = p.sourceColumns(r.src.Manifest.Columns)
 	sink := p.stages[len(p.stages)-1]
 	names := p.stageNames()
 	p.progress.init(names)

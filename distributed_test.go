@@ -11,6 +11,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"testing"
@@ -447,6 +448,47 @@ func TestDistributedMetadataSort(t *testing.T) {
 	}
 	if !bytes.Equal(gold.Bytes(), dist.Bytes()) {
 		t.Errorf("metadata-sorted FASTQ differs (%d vs %d bytes)", dist.Len(), gold.Len())
+	}
+}
+
+// TestDistributedFetchesOnlyColumnsRead: a distributed run's map tasks open
+// the columns the single-node Read opens and no other. Sorting an aligned
+// dataset by metadata into FASTQ on two nodes gets no results blob and puts
+// none, and its FASTQ equals the single-node run's.
+func TestDistributedFetchesOnlyColumnsRead(t *testing.T) {
+	ctx := context.Background()
+	base, g := distFixture(t, 50, "ds")
+	idx, err := BuildIndex(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Align(ctx, base, "ds", idx, AlignOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	store := &columnGets{Store: base, gets: map[string]int{}}
+	sess := NewSession(store, SessionOptions{CacheBytes: -1})
+	defer sess.Close()
+	graph := func(w io.Writer) *Pipeline { return sess.Read("ds").Sort(ByMetadata).ExportFASTQ(w) }
+
+	var gold, dist bytes.Buffer
+	if _, err := graph(&gold).Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	store.fetched()
+	putsBefore := len(base.putNames())
+	if _, err := graph(&dist).Distributed(2).Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := store.fetched()[agd.ColResults]; n != 0 {
+		t.Errorf("distributed run fetched %d results blobs", n)
+	}
+	for _, name := range base.putNames()[putsBefore:] {
+		if strings.HasSuffix(name, "."+agd.ColResults) {
+			t.Errorf("distributed run stored %s", name)
+		}
+	}
+	if !bytes.Equal(dist.Bytes(), gold.Bytes()) {
+		t.Errorf("distributed FASTQ differs from single-node (%d vs %d bytes)", dist.Len(), gold.Len())
 	}
 }
 

@@ -173,21 +173,6 @@ func (c *Chunk) MemSize() int64 {
 	return int64(cap(c.Data)) + 4*int64(cap(c.lengths)) + 8*int64(cap(c.offsets)) + 64
 }
 
-// Clone returns an independently owned deep copy: mutating or recycling the
-// receiver afterwards cannot affect the copy. Used to detach a row group
-// from a stage whose builders recycle on the next pull.
-func (c *Chunk) Clone() *Chunk {
-	out := &Chunk{
-		Type:         c.Type,
-		FirstOrdinal: c.FirstOrdinal,
-		lengths:      make([]uint32, len(c.lengths)),
-		Data:         make([]byte, len(c.Data)),
-	}
-	copy(out.lengths, c.lengths)
-	copy(out.Data, c.Data)
-	return out
-}
-
 // Reset clears the chunk for reuse, retaining the Data, lengths and offsets
 // backing arrays so a recycled chunk decodes with no allocation. The caller
 // must ensure no records or slices of the previous contents are still

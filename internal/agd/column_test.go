@@ -60,7 +60,6 @@ func newTagStream(m *Manifest, fail func(chunk int) error) *tagStream {
 		ts.delivered.Add(1)
 		return NewRowGroup(i, 0, []*Chunk{b.Chunk()}, func() { ts.released.Add(1) }), nil
 	}, func() { ts.closed.Add(1) })
-	ts.Owned = true
 	return ts
 }
 

@@ -217,24 +217,18 @@ func (e *BoundedEdge) PopWait() time.Duration {
 // Stream wraps the consumer side as a GroupStream, so an unchanged stage
 // form can sit downstream of a pumped edge through the ordinary pull
 // interface. Closing the stream closes the receive side (draining and
-// releasing queued groups). The stream is Owned: everything queued on an
-// edge is release-owned by construction (RunPump detaches anything that
-// isn't).
+// releasing queued groups).
 func (e *BoundedEdge) Stream(meta StreamMeta) *GroupStream {
-	gs := NewGroupStream(meta, func(ctx context.Context) (*RowGroup, error) {
+	return NewGroupStream(meta, func(ctx context.Context) (*RowGroup, error) {
 		return e.Pop()
 	}, e.CloseRecv)
-	gs.Owned = true
-	return gs
 }
 
 // RunPump drains a stage's output stream into an edge until EOF or failure:
-// the body of one pump goroutine. Groups from a stream that does not
-// declare Owned delivery are detached (deep-copied) before queueing —
-// under the strict pull contract the next Next would recycle them while
-// they sit in the queue. On return the edge's send side is closed with the
-// stage's error (nil for clean EOF), propagating downstream, and the source
-// stream is closed, propagating teardown upstream.
+// the body of one pump goroutine. Every group stays valid until its Release,
+// so groups are queued as they are. On return the edge's send side is closed
+// with the stage's error (nil for clean EOF), propagating downstream, and the
+// source stream is closed, propagating teardown upstream.
 //
 // The returned duration is total wall spent inside src.Next — stage
 // production plus time blocked on the stage's own upstream edge; callers
@@ -252,9 +246,6 @@ func RunPump(ctx context.Context, src *GroupStream, edge *BoundedEdge) (time.Dur
 		if err != nil {
 			pumpErr = err
 			break
-		}
-		if !src.Owned {
-			g = g.Detach()
 		}
 		if err := edge.Push(g); err != nil {
 			// The edge died under us: the consumer closed (its own pump

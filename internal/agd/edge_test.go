@@ -215,50 +215,9 @@ func TestGroupStreamCloseDuringNext(t *testing.T) {
 	}
 }
 
-// TestRunPumpDetachesUnowned checks RunPump's ownership handling: groups from
-// a strict-pull stream (one reused builder) are detached before queueing, so
-// queued groups keep their own bytes while the builder recycles under them.
-func TestRunPumpDetachesUnowned(t *testing.T) {
-	const groups = 6
-	b := NewChunkBuilder(TypeRaw, 0)
-	n := 0
-	next := func(ctx context.Context) (*RowGroup, error) {
-		if n >= groups {
-			return nil, io.EOF
-		}
-		b.Reset(TypeRaw, uint64(n)) // recycles the previous group's bytes
-		b.Append([]byte(fmt.Sprintf("rec-%04d", n)))
-		g := NewRowGroup(n, 0, []*Chunk{b.Chunk()}, nil)
-		n++
-		return g, nil
-	}
-	src := NewGroupStream(StreamMeta{Columns: []string{"c"}}, next, nil) // Owned=false
-	e := NewBoundedEdge(groups)                                          // deep enough that every group queues
-	if _, err := RunPump(context.Background(), src, e); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < groups; i++ {
-		g, err := e.Pop()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec, err := g.Chunks[0].Record(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := fmt.Sprintf("rec-%04d", i); string(rec) != want {
-			t.Fatalf("queued group %d reads %q, want %q — builder recycled under the queue", i, rec, want)
-		}
-		g.Release()
-	}
-	if _, err := e.Pop(); err != io.EOF {
-		t.Fatalf("after drain got %v, want EOF", err)
-	}
-}
-
-// TestRunPumpPassesOwnedThrough checks the complementary contract: groups
-// from an Owned stream cross the edge without copying.
-func TestRunPumpPassesOwnedThrough(t *testing.T) {
+// TestRunPumpPassesGroupsThrough checks that groups cross the edge without
+// copying: every group stays valid until its Release.
+func TestRunPumpPassesGroupsThrough(t *testing.T) {
 	var made []*RowGroup
 	next := func(ctx context.Context) (*RowGroup, error) {
 		if len(made) >= 3 {
@@ -271,7 +230,6 @@ func TestRunPumpPassesOwnedThrough(t *testing.T) {
 		return g, nil
 	}
 	src := NewGroupStream(StreamMeta{Columns: []string{"c"}}, next, nil)
-	src.Owned = true
 	e := NewBoundedEdge(4)
 	if _, err := RunPump(context.Background(), src, e); err != nil {
 		t.Fatal(err)
@@ -282,7 +240,7 @@ func TestRunPumpPassesOwnedThrough(t *testing.T) {
 			t.Fatal(err)
 		}
 		if g != made[i] {
-			t.Fatalf("owned group %d was copied across the edge", i)
+			t.Fatalf("group %d was copied across the edge", i)
 		}
 	}
 }
@@ -299,7 +257,6 @@ func TestRunPumpStopsOnDeadEdge(t *testing.T) {
 		return g, nil // unbounded: only the dead edge stops the pump
 	}
 	src := NewGroupStream(StreamMeta{Columns: []string{"c"}}, next, func() { stopped.Add(1) })
-	src.Owned = true
 	e := NewBoundedEdge(2)
 	e.CloseRecv()
 	if _, err := RunPump(context.Background(), src, e); err != nil {
@@ -314,18 +271,18 @@ func TestRunPumpStopsOnDeadEdge(t *testing.T) {
 }
 
 // TestBuilderPoolBackpressure checks the builder-pool contract: exhaustion
-// blocks Get until a Put, and cancellation unblocks it with an error.
+// blocks Get until a Release, and cancellation unblocks it with an error.
 func TestBuilderPoolBackpressure(t *testing.T) {
 	ctx := context.Background()
 	bp := NewBuilderPool(2, []ColumnSpec{{Name: "c", Type: TypeRaw}})
 	if bp.Size() != 2 || bp.Free() != 2 {
 		t.Fatalf("fresh pool %d/%d", bp.Free(), bp.Size())
 	}
-	s1, err := bp.Get(ctx, 0)
+	s1, err := bp.Get(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := bp.Get(ctx, 100)
+	s2, err := bp.Get(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +291,7 @@ func TestBuilderPoolBackpressure(t *testing.T) {
 	}
 	got := make(chan *BuilderSet, 1)
 	go func() {
-		s, err := bp.Get(ctx, 200)
+		s, err := bp.Get(ctx)
 		if err != nil {
 			panic(err)
 		}
@@ -345,36 +302,36 @@ func TestBuilderPoolBackpressure(t *testing.T) {
 		t.Fatal("Get on an exhausted pool did not block")
 	case <-time.After(50 * time.Millisecond):
 	}
-	bp.Put(s1)
+	s1.Release()
 	select {
 	case s3 := <-got:
 		if s3 != s1 {
 			t.Fatal("unblocked Get returned a set that was never put back")
 		}
-		bp.Put(s3)
+		s3.Release()
 	case <-time.After(2 * time.Second):
-		t.Fatal("Get did not resume after a Put")
+		t.Fatal("Get did not resume after a Release")
 	}
-	bp.Put(s2)
+	s2.Release()
 	if bp.Free() != bp.Size() {
 		t.Fatalf("pool leak: %d of %d free", bp.Free(), bp.Size())
 	}
 	// A cancelled context must unblock a Get on an exhausted pool. (On a
 	// pool with free sets Get may legitimately win the select against the
 	// dead context, so exhaust it first to force the blocking path.)
-	a, err := bp.Get(ctx, 0)
+	a, err := bp.Get(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := bp.Get(ctx, 0)
+	b2, err := bp.Get(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dead, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := bp.Get(dead, 0); err == nil {
+	if _, err := bp.Get(dead); err == nil {
 		t.Fatal("Get ignored a cancelled context on an exhausted pool")
 	}
-	bp.Put(a)
-	bp.Put(b2)
+	a.Release()
+	b2.Release()
 }

@@ -60,10 +60,12 @@ func (m StreamMeta) WithColumn(name string) StreamMeta {
 // RowGroup is one row group in flight between stages: the decoded chunks of
 // every stream column, row-aligned. Groups are delivered in row order.
 //
-// Ownership: the consumer must finish with a group — and Release it — before
-// asking the stream for the next one. Stages that reuse builders or pooled
-// buffers recycle them on the next Next call, so a group's chunks are valid
-// only until Release or the following Next, whichever comes first.
+// Ownership: a group's chunks stay valid until its Release, however many
+// further groups the consumer pulls first. Every stage builds its output
+// groups in sets from a bounded BuilderPool, or passes pooled source chunks
+// through, so no byte recycles under a live group; once the producer's whole
+// window is held, Next waits for a Release (back-pressure). A serial run's
+// window is one set, so its consumers release each group before pulling.
 type RowGroup struct {
 	// Index is the group's position in the stream (0-based).
 	Index int
@@ -109,21 +111,6 @@ func (g *RowGroup) Release() {
 	}
 }
 
-// Detach returns a group whose chunks are independently owned copies, valid
-// until the garbage collector — however many later groups the producing
-// stream delivers. The original group is released. Pumped edges detach
-// groups from streams that do not declare Owned delivery, so a stage's
-// reused builders can never recycle under a queued group.
-func (g *RowGroup) Detach() *RowGroup {
-	chunks := make([]*Chunk, len(g.Chunks))
-	for i, c := range g.Chunks {
-		chunks[i] = c.Clone()
-	}
-	out := NewRowGroup(g.Index, 0, chunks, nil)
-	g.Release()
-	return out
-}
-
 // GroupStream is the pull-based edge between pipeline stages. Next returns
 // groups in row order and io.EOF when the stream is exhausted; Close stops
 // the stream early and releases stage resources (pooled builders,
@@ -137,12 +124,8 @@ func (g *RowGroup) Detach() *RowGroup {
 type GroupStream struct {
 	// Meta describes the rows this edge carries.
 	Meta StreamMeta
-	// Owned declares the delivery contract: when true, every delivered
-	// group's chunks stay valid until the group is Released, no matter how
-	// many further groups are requested first (pool- or copy-backed
-	// stages). When false — the strict pull contract — a group's chunks
-	// may recycle on the following Next call, so a pumped edge must Detach
-	// the group before queueing it.
+	// Owned is read by nothing: every stream's groups stay valid until
+	// Release (see RowGroup). It stays only because bench/ assigns it.
 	Owned bool
 
 	next     func(ctx context.Context) (*RowGroup, error)
@@ -193,11 +176,16 @@ func (s *GroupStream) Close() {
 type BuilderSet struct {
 	// Builders holds one builder per pool column, in spec order.
 	Builders []*ChunkBuilder
+	// Release returns the set to its pool, then releases the group Hold gave
+	// it: the release hook of the group built from the set. The pool binds it
+	// once, when it makes the set, so a group costs no closure.
+	Release func()
+	held    *RowGroup
 }
 
 // Chunks returns every builder's accumulated chunk, in column order. The
-// chunks share the builders' backing arrays, so they are valid until the set
-// is Put back.
+// chunks share the builders' backing arrays, so they are valid until the
+// set's Release.
 func (s *BuilderSet) Chunks() []*Chunk {
 	chunks := make([]*Chunk, len(s.Builders))
 	for i, b := range s.Builders {
@@ -206,29 +194,37 @@ func (s *BuilderSet) Chunks() []*Chunk {
 	return chunks
 }
 
-// BuilderPool is a bounded pool of per-column builder sets. Stages that used
-// to recycle one builder set per pull draw from a pool instead, which turns
-// their output groups release-owned (valid until Release, not until the next
-// Next): a pumped edge can then queue several of a stage's groups without
-// any recycling under a live reader. Exhaustion blocks in Get — the same
+// Hold keeps g alive until the set's Release: a stage whose output group
+// passes g's chunks through holds g in the set it builds its own column in.
+func (s *BuilderSet) Hold(g *RowGroup) { s.held = g }
+
+// BuilderPool is a bounded pool of per-column builder sets, the one place a
+// stage builds its output groups: a group's chunks live in its set until
+// Release, so a pumped edge can queue several of a stage's groups with no
+// recycling under a live reader. Exhaustion blocks in Get — the same
 // back-pressure contract as the chunk pools — so an undersized window
 // degrades to waiting, never to corruption.
 type BuilderPool struct {
-	specs []ColumnSpec
-	pool  *dataflow.ItemPool[*BuilderSet]
+	pool *dataflow.ItemPool[*BuilderSet]
 }
 
-// NewBuilderPool creates a pool of window builder sets (minimum 2: one being
-// filled, one in flight), one builder per spec.
+// NewBuilderPool creates a pool of window builder sets, one builder per
+// spec. The minimum is 1: a serial run's one set, which its consumer
+// releases before it pulls again.
 func NewBuilderPool(window int, specs []ColumnSpec) *BuilderPool {
-	if window < 2 {
-		window = 2
-	}
-	bp := &BuilderPool{specs: specs}
+	bp := &BuilderPool{}
 	bp.pool = dataflow.NewItemPool(window, func() *BuilderSet {
 		set := &BuilderSet{Builders: make([]*ChunkBuilder, len(specs))}
 		for i, sp := range specs {
 			set.Builders[i] = NewChunkBuilder(sp.Type, 0)
+		}
+		set.Release = func() {
+			held := set.held
+			set.held = nil
+			bp.pool.Put(set)
+			if held != nil {
+				held.Release()
+			}
 		}
 		return set
 	}, nil)
@@ -236,26 +232,9 @@ func NewBuilderPool(window int, specs []ColumnSpec) *BuilderPool {
 }
 
 // Get checks out a builder set, blocking while every set is held by an
-// in-flight group (ErrStopped on ctx cancellation). Each builder is reset to
-// its column's record type with the given first-record ordinal.
-func (bp *BuilderPool) Get(ctx context.Context, firstOrdinal uint64) (*BuilderSet, error) {
-	set, err := bp.pool.Get(ctx)
-	if err != nil {
-		return nil, err
-	}
-	for i, sp := range bp.specs {
-		set.Builders[i].Reset(sp.Type, firstOrdinal)
-	}
-	return set, nil
-}
-
-// Put returns a set to the pool. The group built from it must be dead: its
-// chunks alias the builders' arrays, which the next Get recycles.
-func (bp *BuilderPool) Put(set *BuilderSet) {
-	if set != nil {
-		bp.pool.Put(set)
-	}
-}
+// in-flight group (ErrStopped on ctx cancellation). Its builders still hold
+// the set's last group: the caller resets each before appending.
+func (bp *BuilderPool) Get(ctx context.Context) (*BuilderSet, error) { return bp.pool.Get(ctx) }
 
 // Size returns the pool's bound; Free the sets currently available. Equal
 // when no group is in flight — the leak check for pumped-stage tests.
@@ -265,24 +244,15 @@ func (bp *BuilderPool) Size() int { return bp.pool.Size() }
 func (bp *BuilderPool) Free() int { return bp.pool.Free() }
 
 // FillStream is a pipeline source over a parser — the scaffold the file
-// importers and the sort's merge share. Each Next resets a set of chunk builders, one per spec, to
+// importers and the sort's merge share. Each Next takes a set of chunk
+// builders, one per spec, from a BuilderPool of window sets, resets them to
 // the group's first record ordinal and hands them to fill, which appends up
 // to a chunk of rows and returns how many it appended; those rows are the
-// group. A fill that appends no rows ends the stream, and one that fails ends
-// it with its error, dropping the rows it appended. With window ≤ 1 every
-// group builds into one reused builder set, valid until the next Next; with
-// window > 1 the sets come from a BuilderPool of that size, so groups stay
-// valid until Release (Owned) and a pumped edge can queue them.
+// group, valid until its Release. A fill that appends no rows ends the
+// stream, and one that fails ends it with its error, dropping the rows it
+// appended.
 func FillStream(meta StreamMeta, specs []ColumnSpec, window int, fill func(builders []*ChunkBuilder) (int, error)) *GroupStream {
-	var pool *BuilderPool
-	fixed := &BuilderSet{}
-	if window > 1 {
-		pool = NewBuilderPool(window, specs)
-	} else {
-		for _, spec := range specs {
-			fixed.Builders = append(fixed.Builders, NewChunkBuilder(spec.Type, 0))
-		}
-	}
+	pool := NewBuilderPool(window, specs)
 	var (
 		ordinal uint64
 		index   int
@@ -292,16 +262,12 @@ func FillStream(meta StreamMeta, specs []ColumnSpec, window int, fill func(build
 		if done {
 			return nil, io.EOF
 		}
-		set := fixed
-		if pool != nil {
-			var err error
-			if set, err = pool.Get(ctx, ordinal); err != nil {
-				return nil, err
-			}
-		} else {
-			for i, spec := range specs {
-				set.Builders[i].Reset(spec.Type, ordinal)
-			}
+		set, err := pool.Get(ctx)
+		if err != nil {
+			return nil, err
+		}
+		for i, spec := range specs {
+			set.Builders[i].Reset(spec.Type, ordinal)
 		}
 		rows, err := fill(set.Builders)
 		if err == nil && rows == 0 {
@@ -309,22 +275,15 @@ func FillStream(meta StreamMeta, specs []ColumnSpec, window int, fill func(build
 		}
 		if err != nil {
 			done = true
-			if pool != nil {
-				pool.Put(set)
-			}
+			set.Release()
 			return nil, err
 		}
-		g := &RowGroup{Index: index, Chunks: set.Chunks()}
-		if pool != nil {
-			g.release = func() { pool.Put(set) }
-		}
+		g := &RowGroup{Index: index, Chunks: set.Chunks(), release: set.Release}
 		ordinal += uint64(rows)
 		index++
 		return g, nil
 	}
-	gs := NewGroupStream(meta, next, nil)
-	gs.Owned = pool != nil
-	return gs
+	return NewGroupStream(meta, next, nil)
 }
 
 // Groups opens a GroupStream over the dataset's chunks, read ahead of the
@@ -346,11 +305,9 @@ func (d *Dataset) Groups(opts StreamOptions) (*GroupStream, error) {
 	if len(d.Manifest.Chunks) > 0 {
 		meta.ChunkSize = int(d.Manifest.Chunks[0].Records)
 	}
-	gs := NewGroupStream(meta, cs.next, cs.close)
-	// Pooled source chunks are valid until Release (the pool recycles only
-	// released chunks), so dataset groups satisfy the Owned contract.
-	gs.Owned = true
-	return gs, nil
+	// Pooled source chunks are valid until Release: the pool recycles only
+	// released chunks.
+	return NewGroupStream(meta, cs.next, cs.close), nil
 }
 
 // SpecsForColumns maps standard column names to their column specs (the

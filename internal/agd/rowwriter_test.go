@@ -80,7 +80,7 @@ func (w *RowWriter) Close() (*Manifest, error) {
 func groupsOf(meta StreamMeta, rows [][][]byte, sizes []int) *GroupStream {
 	specs := SpecsForColumns(meta.Columns)
 	next, index := 0, 0
-	gs := NewGroupStream(meta, func(context.Context) (*RowGroup, error) {
+	return NewGroupStream(meta, func(context.Context) (*RowGroup, error) {
 		if index == len(sizes) {
 			return nil, io.EOF
 		}
@@ -98,8 +98,6 @@ func groupsOf(meta StreamMeta, rows [][][]byte, sizes []int) *GroupStream {
 		index++
 		return g, nil
 	}, nil)
-	gs.Owned = true
-	return gs
 }
 
 // chunkSizes splits n rows into groups of up to per rows.

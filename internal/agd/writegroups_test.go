@@ -38,9 +38,9 @@ func sinkRows(n int) [][][]byte {
 
 // sinkSource delivers rows as a GroupStream in groups of the given sizes and
 // counts every group's releases. An owned source builds each group in a set
-// of a small BuilderPool, returned on Release; an unowned one rebuilds one
-// set on every pull, so a sink that kept a group past the next pull would
-// write the wrong bytes.
+// of a small BuilderPool, returned on Release, as every stage does; an
+// unowned one rebuilds one set on every pull, so a sink that kept a group
+// past the next pull would write the wrong bytes.
 type sinkSource struct {
 	pool      *agd.BuilderPool
 	delivered int
@@ -59,7 +59,7 @@ func (s *sinkSource) stream(rows [][][]byte, sizes []int, owned, wrongOrdinal bo
 	}
 	meta := agd.StreamMeta{Columns: sinkColumns, ChunkSize: sinkChunk}
 	next, idx := 0, 0
-	gs := agd.NewGroupStream(meta, func(ctx context.Context) (*agd.RowGroup, error) {
+	return agd.NewGroupStream(meta, func(ctx context.Context) (*agd.RowGroup, error) {
 		if idx == len(sizes) {
 			return nil, io.EOF
 		}
@@ -70,7 +70,7 @@ func (s *sinkSource) stream(rows [][][]byte, sizes []int, owned, wrongOrdinal bo
 		set := fixed
 		if owned {
 			var err error
-			if set, err = s.pool.Get(ctx, ord); err != nil {
+			if set, err = s.pool.Get(ctx); err != nil {
 				return nil, err
 			}
 		}
@@ -84,7 +84,7 @@ func (s *sinkSource) stream(rows [][][]byte, sizes []int, owned, wrongOrdinal bo
 		g := agd.NewRowGroup(i, 0, set.Chunks(), func() {
 			s.releases[i].Add(1)
 			if owned {
-				s.pool.Put(set)
+				set.Release()
 			}
 		})
 		next += sizes[idx]
@@ -92,8 +92,6 @@ func (s *sinkSource) stream(rows [][][]byte, sizes []int, owned, wrongOrdinal bo
 		s.delivered = idx
 		return g, nil
 	}, nil)
-	gs.Owned = owned
-	return gs
 }
 
 // check demands that every group delivered was released exactly once and
@@ -340,7 +338,6 @@ func TestWriteGroupsFailureLeavesNothing(t *testing.T) {
 			}
 			return g, err
 		}, nil)
-		bad.Owned = true
 		store := agd.NewMemStore()
 		_, err := agd.WriteGroups(context.Background(), bad, store, "out", agd.WriterOptions{})
 		if err == nil {

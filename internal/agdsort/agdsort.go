@@ -58,11 +58,9 @@ type Options struct {
 	// TempPrefix is unused: runs stay in memory and nothing is stored under
 	// it. It stays only because the benchmark (bench/) sets it.
 	TempPrefix string
-	// Pipelining (set by pumped pipelines) is how many merged output groups
-	// may be in flight at once. ≤ 1 keeps the serial pull contract (groups
-	// build into reused builders, valid until the next group); > 1 draws
-	// builders from a bounded pool of that size, so a pumped edge can queue
-	// groups that stay valid until Release.
+	// Pipelining is how many merged output groups may be in flight at once:
+	// the size of the builder sets' pool (minimum 1). A group stays valid
+	// until its Release.
 	Pipelining int
 }
 

@@ -121,10 +121,9 @@ func SortStream(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, o
 
 // MergeStream emits merger's rows — meta.NumRecords of them, in meta.Columns —
 // as row groups of meta.ChunkSize records: the sort's output, and the input of
-// a cluster reduce merging one partition's pieces. Serial pulls (pipelining
-// ≤ 1) build into one reused builder set, each group valid until the next is
-// requested; pipelining > 1 draws from a bounded pool of that many sets, so a
-// pumped edge can queue groups that stay valid until Release.
+// a cluster reduce merging one partition's pieces. Each group is built in a
+// set from a pool of pipelining sets (minimum 1) and stays valid until its
+// Release.
 func MergeStream(merger *RunMerger, meta agd.StreamMeta, pipelining int) *agd.GroupStream {
 	left := int(meta.NumRecords)
 	return agd.FillStream(meta, agd.SpecsForColumns(meta.Columns), pipelining, func(b []*agd.ChunkBuilder) (int, error) {

@@ -277,7 +277,7 @@ func runNodes(ctx context.Context, srv *PhaseServer, cfg *Config, node func(ctx 
 // ending — abort the whole run. The results column is registered in the
 // manifest at the end; a run that fails leaves no results blob behind.
 func Align(ctx context.Context, store storage.Store, datasetName string, idx *snap.Index, cfg Config) (*Report, *agd.Manifest, error) {
-	res, err := RunPipeline(ctx, store, PipelinePlan{Dataset: datasetName, Map: []Stage{alignStage(idx)}, writeBack: true}, cfg)
+	res, err := RunPipeline(ctx, store, PipelinePlan{Dataset: datasetName, Columns: []string{agd.ColBases}, Map: []Stage{alignStage(idx)}, writeBack: true}, cfg)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -46,7 +46,7 @@ import (
 // manifest of the ordered output dataset and aggregates the cluster report.
 //
 // Align's plan (writeBack) is the map phase alone: each task aligns one
-// chunk and stores its results blob in the input dataset itself.
+// chunk's bases and stores its results blob in the input dataset itself.
 
 // Task phases of a distributed pipeline run.
 const (
@@ -70,8 +70,9 @@ type Stage struct {
 type Env struct {
 	Ctx  context.Context
 	Exec *dataflow.Executor
-	// Window sizes the stage's output builder pool: 0, as in every task,
-	// reuses one set.
+	// Window sizes the stage's output builder pool: how many of its groups
+	// may be in flight, each valid until its Release. Every task leaves it
+	// 0, which is one set, released before the next pull.
 	Window int
 	// Halo holds, in a reduce task of a plan with a Halo, the key fields
 	// of the rows just below the partition's cut (none in partition 0).
@@ -121,6 +122,10 @@ func (e *Env) tally(rep *NodeReport) shuffle.Counts {
 type PipelinePlan struct {
 	// Dataset names the AGD input in the shared store.
 	Dataset string
+	// Columns lists the source columns the map tasks open, in manifest
+	// order: those a single-node Read of the same stages opens. Nil opens
+	// every manifest column.
+	Columns []string
 	// Map lists the stages each map task runs over its source chunks.
 	Map []Stage
 	// By is the sort key the shuffle ranges over.
@@ -215,7 +220,10 @@ func RunPipeline(ctx context.Context, store storage.Store, plan PipelinePlan, cf
 	case plan.OutName == "" && !plan.writeBack:
 		return nil, fmt.Errorf("cluster: pipeline needs an output dataset name")
 	}
-	cols := columns(m.Columns, plan.Map)
+	if plan.Columns == nil {
+		plan.Columns = m.Columns
+	}
+	cols := columns(plan.Columns, plan.Map)
 	if agdsort.KeyColumn(cols, plan.By) < 0 {
 		return nil, fmt.Errorf("cluster: dataset %q has no %s key column", plan.Dataset, plan.By)
 	}
@@ -413,18 +421,14 @@ func pipelineNode(ctx context.Context, w *worker, store storage.Store, ds *agd.D
 // runMapTask runs the map stages over one batch of source chunks and stores
 // their rows as one sorted run blob, returning the run-summary payload
 // (rows, key samples, max halo span, what the stages counted); a write-back
-// plan's task reads only its chunk's bases and stores the stages' results
-// blob instead. The task's reads, and the bases it aligned, are added to rep.
+// plan's task stores the stages' results blob instead. The task's reads, and
+// the bases it aligned, are added to rep.
 func runMapTask(ctx context.Context, store storage.Store, ds *agd.Dataset, plan *PipelinePlan, exec *dataflow.Executor, b int, rep *NodeReport) (string, error) {
 	lo := b * plan.ChunksPerBatch
 	hi := min(lo+plan.ChunksPerBatch, len(ds.Manifest.Chunks))
 	codec := agd.Codec{Exec: exec}
-	var cols []string // every manifest column
-	if plan.writeBack {
-		cols = []string{agd.ColBases}
-	}
 	gs, err := ds.Groups(agd.StreamOptions{
-		Columns: cols,
+		Columns: plan.Columns,
 		Start:   lo,
 		End:     hi,
 		Codec:   codec,

@@ -29,11 +29,9 @@ type AlignConfig struct {
 
 	// Subchunks is the fine-grain split of each chunk. Default 8.
 	Subchunks int
-	// Pipelining is how many output groups may be in flight at once. ≤ 1
-	// keeps the serial pull contract (the results chunk aliases one reused
-	// builder, valid until the next group); > 1 draws results builders from
-	// a bounded pool of that size, so a pumped edge can queue groups that
-	// stay valid until Release.
+	// Pipelining is how many output groups may be in flight at once: the
+	// size of the results builders' pool (minimum 1). A group stays valid
+	// until its Release.
 	Pipelining int
 }
 

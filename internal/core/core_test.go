@@ -247,7 +247,6 @@ func TestAlignStreamCancelWaitsForSubchunks(t *testing.T) {
 			g.Release()
 		}), nil
 	}, src.Close)
-	in.Owned = true
 	out, _, err := AlignStream(AlignConfig{Index: f.Index, Subchunks: 4}, exec, in)
 	if err != nil {
 		t.Fatal(err)

@@ -14,15 +14,12 @@ import (
 )
 
 // alignStage is the per-stream state of a streaming alignment: pooled
-// aligner values, reusable result arenas and the output chunk builders
-// (one reused builder on the serial pull path, a bounded pool when the
-// stage is pumped).
+// aligner values, reusable result arenas and the pool of results builders.
 type alignStage struct {
 	exec      *dataflow.Executor
 	aligners  chan *snap.Aligner
 	arenas    []*agd.RecordArena
 	ranges    []alignedRange // one per subchunk, like arenas
-	builder   *agd.ChunkBuilder
 	pool      *agd.BuilderPool
 	paired    bool
 	subchunks int
@@ -73,14 +70,10 @@ func AlignStream(cfg AlignConfig, exec *dataflow.Executor, in *agd.GroupStream) 
 		ranges:    make([]alignedRange, cfg.Subchunks),
 		paired:    cfg.Paired,
 		subchunks: cfg.Subchunks,
+		pool:      agd.NewBuilderPool(cfg.Pipelining, []agd.ColumnSpec{{Name: agd.ColResults, Type: agd.TypeResults}}),
 		report:    &AlignReport{},
 		started:   time.Now(),
 		basesCol:  basesCol,
-	}
-	if cfg.Pipelining > 1 {
-		st.pool = agd.NewBuilderPool(cfg.Pipelining, []agd.ColumnSpec{{Name: agd.ColResults, Type: agd.TypeResults}})
-	} else {
-		st.builder = agd.NewChunkBuilder(agd.TypeResults, 0)
 	}
 	for i := 0; i < exec.Workers(); i++ {
 		st.aligners <- snap.NewAligner(cfg.Index, cfg.Aligner)
@@ -103,30 +96,34 @@ func AlignStream(cfg AlignConfig, exec *dataflow.Executor, in *agd.GroupStream) 
 		})
 	}
 	next := func(ctx context.Context) (*agd.RowGroup, error) {
-		g, err := in.Next(ctx)
-		if err == io.EOF {
-			finish()
-			return nil, io.EOF
-		}
+		// The set comes first: a consumer holding every set's group waits
+		// here, before anything is pulled from upstream.
+		set, err := st.pool.Get(ctx)
 		if err != nil {
 			return nil, err
 		}
-		return st.alignGroup(ctx, g)
+		g, err := in.Next(ctx)
+		if err == io.EOF {
+			finish()
+		}
+		if err != nil {
+			set.Release()
+			return nil, err
+		}
+		set.Hold(g)
+		return st.alignGroup(ctx, g, set)
 	}
-	out := agd.NewGroupStream(meta, next, func() { finish(); in.Close() })
-	out.Owned = st.pool != nil && in.Owned
-	return out, st.report, nil
+	return agd.NewGroupStream(meta, next, func() { finish(); in.Close() }), st.report, nil
 }
 
-// alignGroup aligns one row group, returning the group with a results chunk
-// appended. The results chunk aliases the stage's reused builder, valid
-// until the next group is requested.
-func (st *alignStage) alignGroup(ctx context.Context, g *agd.RowGroup) (*agd.RowGroup, error) {
+// alignGroup aligns one row group into set, which holds g, returning the
+// group with a results chunk appended; its Release is the set's.
+func (st *alignStage) alignGroup(ctx context.Context, g *agd.RowGroup, set *agd.BuilderSet) (*agd.RowGroup, error) {
 	bases := g.Chunks[st.basesCol]
 	n := bases.NumRecords()
 	if st.paired && n%2 != 0 {
 		// A pair split across two groups can never be aligned as a pair.
-		g.Release()
+		set.Release()
 		return nil, fmt.Errorf("core: paired alignment needs whole pairs in every group, group %d has %d records", g.Index, n)
 	}
 	sub := st.subchunks
@@ -169,25 +166,11 @@ func (st *alignStage) alignGroup(ctx context.Context, g *agd.RowGroup) (*agd.Row
 		chunkBases += r.bases
 	}
 	if err != nil {
-		g.Release()
+		set.Release()
 		return nil, err
 	}
 
-	builder := st.builder
-	var set *agd.BuilderSet
-	if st.pool != nil {
-		var err error
-		if set, err = st.pool.Get(ctx, bases.FirstOrdinal); err != nil {
-			g.Release()
-			return nil, err
-		}
-		builder = set.Builders[0]
-	}
-	putSet := func() {
-		if set != nil {
-			st.pool.Put(set)
-		}
-	}
+	builder := set.Builders[0]
 	builder.Reset(agd.TypeResults, bases.FirstOrdinal)
 	for s := 0; s < sub; s++ {
 		ra := st.arenas[s]
@@ -196,8 +179,7 @@ func (st *alignStage) alignGroup(ctx context.Context, g *agd.RowGroup) (*agd.Row
 		}
 	}
 	if builder.NumRecords() != n {
-		putSet()
-		g.Release()
+		set.Release()
 		return nil, fmt.Errorf("core: group %d aligned %d of %d records", g.Index, builder.NumRecords(), n)
 	}
 
@@ -208,14 +190,7 @@ func (st *alignStage) alignGroup(ctx context.Context, g *agd.RowGroup) (*agd.Row
 	chunks := make([]*agd.Chunk, 0, len(g.Chunks)+1)
 	chunks = append(chunks, g.Chunks...)
 	chunks = append(chunks, builder.Chunk())
-	release := g.Release
-	if set != nil {
-		release = func() {
-			st.pool.Put(set)
-			g.Release()
-		}
-	}
-	return agd.NewRowGroup(g.Index, 0, chunks, release), nil
+	return agd.NewRowGroup(g.Index, 0, chunks, set.Release), nil
 }
 
 // collectStats drains the aligner pool and aggregates SNAP work counters

@@ -66,27 +66,16 @@ type Stats struct {
 // columns are preserved, so the stream metadata passes through unchanged.
 // The returned stats update as groups flow.
 //
-// pipelining is how many output groups may be in flight at once. With
-// pipelining ≤ 1 (the serial pull path) output chunks alias one reused
-// builder set, valid until the next group; with pipelining > 1 builders come
-// from a bounded pool of that size and each group is valid until its
-// Release (the kept rows are copied, so the output owns its bytes outright).
+// pipelining is how many output groups may be in flight at once: the size
+// of the builder sets' pool (minimum 1). Each group is valid until its
+// Release; the kept rows are copied, so the output owns its bytes outright.
 func RunStream(in *agd.GroupStream, pred Predicate, pipelining int) (*agd.GroupStream, *Stats, error) {
 	resCol := in.Meta.Col(agd.ColResults)
 	if resCol < 0 {
 		return nil, nil, fmt.Errorf("filter: stream has no results column")
 	}
 	specs := agd.SpecsForColumns(in.Meta.Columns)
-	var pool *agd.BuilderPool
-	var fixed *agd.BuilderSet
-	if pipelining > 1 {
-		pool = agd.NewBuilderPool(pipelining, specs)
-	} else {
-		fixed = &agd.BuilderSet{Builders: make([]*agd.ChunkBuilder, len(specs))}
-		for i, spec := range specs {
-			fixed.Builders[i] = agd.NewChunkBuilder(spec.Type, 0)
-		}
-	}
+	pool := agd.NewBuilderPool(pipelining, specs)
 	stats := &Stats{}
 	outIdx := 0
 	meta := in.Meta
@@ -96,27 +85,23 @@ func RunStream(in *agd.GroupStream, pred Predicate, pipelining int) (*agd.GroupS
 	// allocation per record.
 	var res agd.ResultView
 	next := func(ctx context.Context) (*agd.RowGroup, error) {
+		set, err := pool.Get(ctx)
+		if err != nil {
+			return nil, err
+		}
+		builders := set.Builders
 		for {
 			g, err := in.Next(ctx)
 			if err != nil {
+				set.Release()
 				return nil, err
 			}
 			first := g.Chunks[0].FirstOrdinal
-			set := fixed
-			if pool != nil {
-				if set, err = pool.Get(ctx, first); err != nil {
-					g.Release()
-					return nil, err
-				}
-			}
-			builders := set.Builders
 			for i, spec := range specs {
 				builders[i].Reset(spec.Type, first)
 			}
 			fail := func(err error) (*agd.RowGroup, error) {
-				if pool != nil {
-					pool.Put(set)
-				}
+				set.Release()
 				g.Release()
 				return nil, err
 			}
@@ -147,22 +132,12 @@ func RunStream(in *agd.GroupStream, pred Predicate, pipelining int) (*agd.GroupS
 			stats.Kept += uint64(kept)
 			g.Release()
 			if kept == 0 {
-				if pool != nil {
-					pool.Put(set)
-				}
 				continue // fully filtered group: pull the next one
 			}
-			var release func()
-			if pool != nil {
-				put := set
-				release = func() { pool.Put(put) }
-			}
-			out := agd.NewRowGroup(outIdx, 0, set.Chunks(), release)
+			out := agd.NewRowGroup(outIdx, 0, set.Chunks(), set.Release)
 			outIdx++
 			return out, nil
 		}
 	}
-	out := agd.NewGroupStream(meta, next, in.Close)
-	out.Owned = pool != nil
-	return out, stats, nil
+	return agd.NewGroupStream(meta, next, in.Close), stats, nil
 }

@@ -206,13 +206,13 @@ func TestFilterAllocationsPerGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	group := g.Detach()
+	defer g.Release()
 	src.Close()
-	if group.NumRecords() != records {
-		t.Fatalf("group of %d records, want %d", group.NumRecords(), records)
+	if g.NumRecords() != records {
+		t.Fatalf("group of %d records, want %d", g.NumRecords(), records)
 	}
 	in := agd.NewGroupStream(src.Meta, func(context.Context) (*agd.RowGroup, error) {
-		return agd.NewRowGroup(0, 0, group.Chunks, nil), nil
+		return agd.NewRowGroup(0, 0, g.Chunks, nil), nil
 	}, nil)
 	out, stats, err := RunStream(in, pred, 1)
 	if err != nil {

@@ -14,10 +14,8 @@ type ImportOptions struct {
 	ChunkSize int
 	// RefSeqs, if known, travels in the stream metadata.
 	RefSeqs []agd.RefSeq
-	// Pipelining is how many parsed groups may be in flight at once. ≤ 1
-	// keeps the serial pull contract (reused builders, each group valid until
-	// the next); > 1 draws builders from a bounded pool of that size so a
-	// pumped edge can queue groups.
+	// Pipelining is how many parsed groups may be in flight at once: the
+	// size of the builder sets' pool (minimum 1).
 	Pipelining int
 }
 
@@ -27,10 +25,8 @@ type ImportOptions struct {
 // pipeline ends in a dataset sink. Scanned fields flow zero-copy from the
 // scanner's reused buffers into the chunk builders, so steady-state parsing
 // performs no per-read allocation. Each group holds ChunkSize reads in the
-// three standard read columns. With opts.Pipelining ≤ 1 groups build into
-// reused builders (valid until the next group); with Pipelining > 1 builders
-// come from a bounded pool so queued groups stay valid until Release.
-// Scanner errors surface from Next.
+// three standard read columns and stays valid until its Release. Scanner
+// errors surface from Next.
 func ImportStream(src io.Reader, opts ImportOptions) *agd.GroupStream {
 	chunkSize := opts.ChunkSize
 	if chunkSize <= 0 {

@@ -22,8 +22,8 @@ type ImportOptions struct {
 // path for data aligned by tools that have not been ported to AGD, as a
 // pipeline source. The header is read before it returns: the @SQ lines give
 // the stream's reference sequences and @HD's SO its sort order. Each group
-// holds ChunkSize records, built into reused builders (valid until the next
-// group).
+// holds ChunkSize records in a set of a one-set pool: it stays valid until
+// its Release, which the next group waits for.
 //
 // Parsing is byte-level into reused buffers: fields flow from the input
 // straight into the chunk builders without materializing Record objects or

@@ -92,9 +92,6 @@ func (m *RefMap) GlobalBytes(ref []byte, pos int64) (int64, error) {
 	return 0, fmt.Errorf("sam: unknown reference %q", ref)
 }
 
-// Seqs returns the underlying reference sequences.
-func (m *RefMap) Seqs() []agd.RefSeq { return m.seqs }
-
 // Writer emits a SAM file: header then records. Records are rendered into a
 // reused line buffer with append-based encoding, so writing is
 // allocation-free in steady state.

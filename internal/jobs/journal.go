@@ -4,8 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
 	"time"
 
 	"persona/internal/agd"
@@ -58,7 +58,10 @@ func (j *Journal) Delete(id string) error {
 // Load replays the journal, returning every record ordered by job ID (IDs
 // are zero-padded sequence numbers, so lexicographic order is submission
 // order). Records that fail to load or parse are skipped with their error
-// collected — one corrupt record must not wedge recovery of the rest.
+// collected — one corrupt record must not wedge recovery of the rest — and so
+// is a record whose claims recovery cannot route: one not stored under its
+// own ID (its next Put would land in a second blob), or one in no known
+// state or with negative attempts.
 func (j *Journal) Load() (recs []*Record, errs []error, err error) {
 	names, err := j.store.List(journalPrefix)
 	if err != nil {
@@ -76,11 +79,14 @@ func (j *Journal) Load() (recs []*Record, errs []error, err error) {
 			errs = append(errs, fmt.Errorf("journal load %q: %w", name, err))
 			continue
 		}
-		if rec.ID == "" || !strings.HasSuffix(name, rec.ID) {
+		switch {
+		case rec.ID == "" || name != journalPrefix+rec.ID:
 			errs = append(errs, fmt.Errorf("journal load %q: record names itself %q", name, rec.ID))
-			continue
+		case !slices.Contains([]State{StatePending, StateRunning, StateDone, StateFailed}, rec.State) || rec.Attempts < 0:
+			errs = append(errs, fmt.Errorf("journal load %q: state %q after %d attempts", name, rec.State, rec.Attempts))
+		default:
+			recs = append(recs, rec)
 		}
-		recs = append(recs, rec)
 	}
 	return recs, errs, nil
 }

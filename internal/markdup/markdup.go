@@ -60,12 +60,10 @@ func markChunk(chunk *agd.Chunk, builder *agd.ChunkBuilder, mk *Marker) error {
 // sequential — exactly the order the stream delivers. The returned stats
 // update as groups flow and are complete at io.EOF.
 //
-// pipelining is how many output groups may be in flight at once. With
-// pipelining ≤ 1 (the serial pull path) the results chunk aliases one reused
-// builder, valid until the next group. With pipelining > 1 results builders
-// come from a bounded pool of that size and each group's chunks stay valid
-// until its Release (provided the input stream is Owned — the passthrough
-// columns alias the upstream group, held alive until the output releases).
+// pipelining is how many output groups may be in flight at once: the size
+// of the results builders' pool (minimum 1). Each group's chunks stay valid
+// until its Release; the passthrough columns alias the upstream group, held
+// alive until then.
 func MarkStream(in *agd.GroupStream, pipelining int) (*agd.GroupStream, *Stats, error) {
 	return SeededStream(in, nil, pipelining)
 }
@@ -107,49 +105,29 @@ func (mk *Marker) stream(in *agd.GroupStream, pipelining int) (*agd.GroupStream,
 	if resCol < 0 {
 		return nil, fmt.Errorf("markdup: stream has no results column")
 	}
-	var pool *agd.BuilderPool
-	var builder *agd.ChunkBuilder
-	if pipelining > 1 {
-		pool = agd.NewBuilderPool(pipelining, []agd.ColumnSpec{{Name: agd.ColResults, Type: agd.TypeResults}})
-	} else {
-		builder = agd.NewChunkBuilder(agd.TypeResults, 0)
-	}
+	pool := agd.NewBuilderPool(pipelining, []agd.ColumnSpec{{Name: agd.ColResults, Type: agd.TypeResults}})
 	next := func(ctx context.Context) (*agd.RowGroup, error) {
-		g, err := in.Next(ctx)
+		set, err := pool.Get(ctx)
 		if err != nil {
 			return nil, err
 		}
-		b := builder
-		var set *agd.BuilderSet
-		if pool != nil {
-			if set, err = pool.Get(ctx, g.Chunks[resCol].FirstOrdinal); err != nil {
-				g.Release()
-				return nil, err
-			}
-			b = set.Builders[0]
+		g, err := in.Next(ctx)
+		if err != nil {
+			set.Release()
+			return nil, err
 		}
+		set.Hold(g)
+		b := set.Builders[0]
 		if err := markChunk(g.Chunks[resCol], b, mk); err != nil {
-			if set != nil {
-				pool.Put(set)
-			}
-			g.Release()
+			set.Release()
 			return nil, err
 		}
 		chunks := make([]*agd.Chunk, len(g.Chunks))
 		copy(chunks, g.Chunks)
 		chunks[resCol] = b.Chunk()
-		release := g.Release
-		if set != nil {
-			release = func() {
-				pool.Put(set)
-				g.Release()
-			}
-		}
-		return agd.NewRowGroup(g.Index, 0, chunks, release), nil
+		return agd.NewRowGroup(g.Index, 0, chunks, set.Release), nil
 	}
-	out := agd.NewGroupStream(in.Meta, next, in.Close)
-	out.Owned = pool != nil && in.Owned
-	return out, nil
+	return agd.NewGroupStream(in.Meta, next, in.Close), nil
 }
 
 // Marker is the state of a marking pass: the signatures seen so far. It is

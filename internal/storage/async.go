@@ -144,9 +144,6 @@ func WithLatency(store Store, d time.Duration) *LatencyStore {
 	return &LatencyStore{inner: store, d: d}
 }
 
-// Delay returns the simulated per-read latency.
-func (l *LatencyStore) Delay() time.Duration { return l.d }
-
 // Get implements Store with the full delay paid before the read.
 func (l *LatencyStore) Get(name string) ([]byte, error) {
 	time.Sleep(l.d)

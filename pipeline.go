@@ -438,8 +438,7 @@ type edgeStats struct {
 	records uint64
 }
 
-// instrumented wraps a stream so deliveries are counted and timed. The
-// wrapper preserves the delivery-ownership contract of the wrapped stream.
+// instrumented wraps a stream so deliveries are counted and timed.
 // slot, when non-nil, mirrors the counters into a live Progress view (the
 // stats themselves stay unsynchronized — each is written by one goroutine
 // and read only after the run's barrier).
@@ -461,9 +460,7 @@ func instrumented(s *agd.GroupStream, e *edgeStats, slot *progressSlot) *agd.Gro
 		}
 		return g, err
 	}
-	out := agd.NewGroupStream(s.Meta, next, s.Close)
-	out.Owned = s.Owned
-	return out
+	return agd.NewGroupStream(s.Meta, next, s.Close)
 }
 
 // measure snapshots the session's counters at the start of a run and
@@ -554,10 +551,10 @@ func (p *Pipeline) writeBack() *Pipeline {
 // (which keep the producing stage's sets checked out beyond their own edge).
 // An undersized window would block the producer (safe back-pressure, wasted
 // overlap); this window never blocks. A serial run (depth 0) has no edges:
-// its stages reuse one set of builders, window 0.
+// each stage's one set is released before the next pull.
 func (p *Pipeline) poolWindow(i, depth int) int {
 	if depth == 0 {
-		return 0
+		return 1
 	}
 	w := 1
 	for j := i; j < len(p.stages)-1; j++ {
