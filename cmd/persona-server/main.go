@@ -4,7 +4,8 @@
 // resumes interrupted work on restart; admission is bounded (load past the
 // budget sheds with 429 + Retry-After) and SIGTERM drains gracefully —
 // in-flight jobs get a grace window to finish, then checkpoint back to
-// PENDING for the next incarnation.
+// PENDING for the next incarnation. Admission refuses exactly what Run
+// refuses: a spec whose pipeline Run would refuse is a 400 with Run's message.
 //
 // Usage:
 //
@@ -28,7 +29,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -45,29 +45,8 @@ import (
 	"persona/internal/jobs"
 )
 
-// refMeta mirrors the synthetic-reference descriptor `persona index` stores.
-type refMeta struct {
-	GenomeSize int   `json:"genome_size"`
-	Seed       int64 `json:"seed"`
-}
-
-const refMetaBlob = "_reference/meta.json"
-
-// loadReference rebuilds the store's synthetic reference, if one was
-// indexed; a server without one simply rejects align jobs at admission.
-func loadReference(store persona.Store) (*persona.Genome, error) {
-	blob, err := store.Get(refMetaBlob)
-	if err != nil {
-		return nil, err
-	}
-	var meta refMeta
-	if err := json.Unmarshal(blob, &meta); err != nil {
-		return nil, err
-	}
-	return persona.SynthesizeGenome(meta.GenomeSize, meta.Seed)
-}
-
-// parseWeights reads "alice=2,bob=1" into a tenant-weight map.
+// parseWeights reads "alice=2,bob=1" into a tenant-weight map. Each tenant
+// is named once.
 func parseWeights(s string) (map[string]int, error) {
 	if s == "" {
 		return nil, nil
@@ -75,8 +54,11 @@ func parseWeights(s string) (map[string]int, error) {
 	out := make(map[string]int)
 	for _, part := range strings.Split(s, ",") {
 		name, val, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
+		if !ok || name == "" {
 			return nil, fmt.Errorf("weight %q: want tenant=N", part)
+		}
+		if _, dup := out[name]; dup {
+			return nil, fmt.Errorf("weight %q: tenant %q weighed twice", part, name)
 		}
 		w, err := strconv.Atoi(val)
 		if err != nil || w < 1 {
@@ -125,7 +107,7 @@ func run(storeDir, addr string, workers, maxQueued int, maxQueuedMB int64, maxAt
 	if resilient {
 		store = persona.NewRetryStore(store, persona.RetryPolicy{})
 	}
-	ref, err := loadReference(store)
+	ref, err := persona.LoadReference(store)
 	if err != nil {
 		log.Printf("no reference in store (align jobs will be rejected): %v", err)
 		ref = nil

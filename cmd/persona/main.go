@@ -31,7 +31,6 @@ package main
 import (
 	"compress/gzip"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -43,7 +42,6 @@ import (
 
 	"persona"
 	"persona/internal/agd"
-	"persona/internal/genome"
 	"persona/internal/jobs"
 )
 
@@ -114,14 +112,6 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "run 'persona <command> -h' for command flags")
 }
 
-// refMeta is the synthetic-reference descriptor `persona index` stores.
-type refMeta struct {
-	GenomeSize int   `json:"genome_size"`
-	Seed       int64 `json:"seed"`
-}
-
-const refMetaBlob = "_reference/meta.json"
-
 func openStore(dir string) (persona.Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("missing -store")
@@ -129,16 +119,12 @@ func openStore(dir string) (persona.Store, error) {
 	return persona.NewLocalStore(dir)
 }
 
-func loadReference(store persona.Store) (*genome.Genome, error) {
-	blob, err := store.Get(refMetaBlob)
+func loadReference(store persona.Store) (*persona.Genome, error) {
+	g, err := persona.LoadReference(store)
 	if err != nil {
 		return nil, fmt.Errorf("no reference in store (run 'persona index' first): %w", err)
 	}
-	var meta refMeta
-	if err := json.Unmarshal(blob, &meta); err != nil {
-		return nil, err
-	}
-	return persona.SynthesizeGenome(meta.GenomeSize, meta.Seed)
+	return g, nil
 }
 
 func cmdIndex(ctx context.Context, args []string) error {
@@ -151,14 +137,7 @@ func cmdIndex(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	meta, err := json.Marshal(refMeta{GenomeSize: *size, Seed: *seed})
-	if err != nil {
-		return err
-	}
-	if err := store.Put(refMetaBlob, meta); err != nil {
-		return err
-	}
-	g, err := persona.SynthesizeGenome(*size, *seed)
+	g, err := persona.StoreReference(store, *size, *seed)
 	if err != nil {
 		return err
 	}
@@ -203,7 +182,7 @@ func cmdImport(ctx context.Context, args []string) error {
 	}
 
 	var refs []agd.RefSeq
-	if g, err := loadReference(store); err == nil {
+	if g, err := persona.LoadReference(store); err == nil {
 		refs = persona.RefSeqs(g)
 	}
 	m, n, err := persona.ImportFASTQ(ctx, store, *name, in, refs, *chunk)
@@ -269,11 +248,9 @@ func cmdSort(ctx context.Context, args []string) error {
 	if *name == "" {
 		return fmt.Errorf("missing -name")
 	}
-	key := persona.ByLocation
-	if *by == "metadata" {
-		key = persona.ByMetadata
-	} else if *by != "location" {
-		return fmt.Errorf("unknown sort key %q", *by)
+	key, err := jobs.SortKey(*by)
+	if err != nil {
+		return err
 	}
 	m, err := persona.Sort(ctx, store, *name, key, *out)
 	if err != nil {
@@ -307,41 +284,16 @@ func cmdMarkdup(ctx context.Context, args []string) error {
 func cmdExport(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("export", flag.ExitOnError)
 	storeDir := fs.String("store", "", "store directory")
-	name := fs.String("name", "", "dataset name")
-	format := fs.String("format", "sam", "output format: sam, bam or fastq")
+	var spec jobs.Spec
+	fs.StringVar(&spec.Dataset, "name", "", "dataset name")
+	fs.StringVar(&spec.Format, "format", "sam", "output format: sam, bam or fastq")
 	outPath := fs.String("o", "-", "output file ('-' for stdout)")
 	fs.Parse(args)
-	store, err := openStore(*storeDir)
+	report, err := runSpec(ctx, *storeDir, *outPath, spec)
 	if err != nil {
 		return err
 	}
-	if *name == "" {
-		return fmt.Errorf("missing -name")
-	}
-	var out io.Writer = os.Stdout
-	if *outPath != "-" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	var n uint64
-	switch *format {
-	case "sam":
-		n, err = persona.ExportSAM(ctx, store, *name, out)
-	case "bam":
-		n, err = persona.ExportBAM(ctx, store, *name, out)
-	case "fastq":
-		n, err = persona.ExportFASTQ(ctx, store, *name, out)
-	default:
-		return fmt.Errorf("unknown format %q", *format)
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "exported %d records as %s\n", n, *format)
+	fmt.Fprintf(os.Stderr, "exported %d records as %s\n", report.Records, spec.Format)
 	return nil
 }
 
@@ -418,9 +370,10 @@ func cmdFilter(ctx context.Context, args []string) error {
 	storeDir := fs.String("store", "", "store directory")
 	name := fs.String("name", "", "dataset name")
 	out := fs.String("out", "", "output dataset name (default <name>.filtered)")
-	minMapQ := fs.Int("minmapq", 0, "keep reads with at least this mapping quality")
-	mapped := fs.Bool("mapped", false, "keep only mapped reads")
-	dedup := fs.Bool("dedup", false, "drop duplicate-flagged reads (run markdup first)")
+	var spec jobs.Spec
+	fs.IntVar(&spec.MinMapQ, "minmapq", 0, "keep reads with at least this mapping quality")
+	fs.BoolVar(&spec.MappedOnly, "mapped", false, "keep only mapped reads")
+	fs.BoolVar(&spec.Dedup, "dedup", false, "drop duplicate-flagged reads (run markdup first)")
 	fs.Parse(args)
 	store, err := openStore(*storeDir)
 	if err != nil {
@@ -429,20 +382,14 @@ func cmdFilter(ctx context.Context, args []string) error {
 	if *name == "" {
 		return fmt.Errorf("missing -name")
 	}
-	var preds []persona.FilterPredicate
-	if *minMapQ > 0 {
-		preds = append(preds, persona.FilterMinMapQ(uint8(*minMapQ)))
+	pred, err := spec.Predicate()
+	if err != nil {
+		return err
 	}
-	if *mapped {
-		preds = append(preds, persona.FilterMappedOnly())
-	}
-	if *dedup {
-		preds = append(preds, persona.FilterDropDuplicates())
-	}
-	if len(preds) == 0 {
+	if pred == nil {
 		return fmt.Errorf("no predicate: pass -minmapq, -mapped and/or -dedup")
 	}
-	m, stats, err := persona.Filter(ctx, store, *name, persona.FilterAnd(preds...), *out)
+	m, stats, err := persona.Filter(ctx, store, *name, pred, *out)
 	if err != nil {
 		return err
 	}
@@ -487,90 +434,69 @@ func cmdVarcall(ctx context.Context, args []string) error {
 	return nil
 }
 
+// specFlags registers on fs the flags `persona run` and `persona submit`
+// share, each filling in a word of spec.
+func specFlags(fs *flag.FlagSet, spec *jobs.Spec, alignUsage, formatUsage string) {
+	fs.StringVar(&spec.Dataset, "name", "", "dataset name")
+	fs.BoolVar(&spec.Align, "align", false, alignUsage)
+	fs.StringVar(&spec.Sort, "sort", "", "sort stage: location or metadata")
+	fs.BoolVar(&spec.MarkDup, "markdup", false, "mark duplicates")
+	fs.IntVar(&spec.MinMapQ, "minmapq", 0, "filter: keep reads with at least this mapping quality")
+	fs.BoolVar(&spec.Dedup, "dedup", false, "filter: drop duplicate-flagged reads")
+	fs.StringVar(&spec.Format, "format", "sam", formatUsage)
+}
+
+// runSpec runs the pipeline a job of spec runs (jobs.Spec.Pipeline) on a
+// session of its own over the store in storeDir, exporting into the file at
+// outPath ('-' for stdout): `persona run` and `persona export`.
+func runSpec(ctx context.Context, storeDir, outPath string, spec jobs.Spec) (*persona.PipelineReport, error) {
+	store, err := openStore(storeDir)
+	if err != nil {
+		return nil, err
+	}
+	if spec.Dataset == "" {
+		return nil, fmt.Errorf("missing -name")
+	}
+	sess := persona.NewSession(store, persona.SessionOptions{})
+	defer sess.Close()
+	var idx *persona.Index
+	if spec.Align {
+		ref, err := loadReference(store)
+		if err != nil {
+			return nil, err
+		}
+		if idx, err = sess.Index(ref); err != nil {
+			return nil, err
+		}
+	}
+	var out io.Writer = os.Stdout
+	if outPath != "-" {
+		f, err := os.Create(outPath)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		out = f
+	}
+	p, err := spec.Pipeline(sess, idx, out, "")
+	if err != nil {
+		return nil, err
+	}
+	return p.Run(ctx)
+}
+
 // cmdRun composes one fused Session/Pipeline graph over a dataset: optional
 // align / sort / markdup / filter stages ending in an export — chunks
 // stream stage-to-stage, with no intermediate dataset written to the store.
 func cmdRun(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	storeDir := fs.String("store", "", "store directory")
-	name := fs.String("name", "", "dataset name")
-	alignStage := fs.Bool("align", false, "align the dataset (needs 'persona index' first)")
-	sortBy := fs.String("sort", "", "sort stage: location or metadata")
-	markdup := fs.Bool("markdup", false, "mark duplicates")
-	minMapQ := fs.Int("minmapq", 0, "filter: keep reads with at least this mapping quality")
-	dedup := fs.Bool("dedup", false, "filter: drop duplicate-flagged reads")
-	format := fs.String("format", "sam", "output format: sam, bam or fastq")
+	var spec jobs.Spec
+	specFlags(fs, &spec, "align the dataset (needs 'persona index' first)", "output format: sam, bam or fastq")
 	outPath := fs.String("o", "-", "output file ('-' for stdout)")
-	nodes := fs.Int("nodes", 0, "distributed worker nodes (0 = single-server pipeline; needs -sort)")
+	fs.IntVar(&spec.Nodes, "nodes", 0, "distributed worker nodes (0 = single-server pipeline; needs -sort)")
 	fs.Parse(args)
-	store, err := openStore(*storeDir)
-	if err != nil {
-		return err
-	}
-	if *name == "" {
-		return fmt.Errorf("missing -name")
-	}
-
-	sess := persona.NewSession(store, persona.SessionOptions{})
-	defer sess.Close()
-	p := sess.Read(*name)
-	if *alignStage {
-		ref, err := loadReference(store)
-		if err != nil {
-			return err
-		}
-		idx, err := sess.Index(ref)
-		if err != nil {
-			return err
-		}
-		p = p.Align(idx, persona.AlignOptions{})
-	}
-	switch *sortBy {
-	case "":
-	case "location":
-		p = p.Sort(persona.ByLocation)
-	case "metadata":
-		p = p.Sort(persona.ByMetadata)
-	default:
-		return fmt.Errorf("unknown sort key %q", *sortBy)
-	}
-	if *markdup {
-		p = p.MarkDuplicates()
-	}
-	var preds []persona.FilterPredicate
-	if *minMapQ > 0 {
-		preds = append(preds, persona.FilterMinMapQ(uint8(*minMapQ)))
-	}
-	if *dedup {
-		preds = append(preds, persona.FilterDropDuplicates())
-	}
-	if len(preds) > 0 {
-		p = p.Filter(persona.FilterAnd(preds...))
-	}
-
-	var out io.Writer = os.Stdout
-	if *outPath != "-" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	switch *format {
-	case "sam":
-		p = p.ExportSAM(out)
-	case "bam":
-		p = p.ExportBAM(out)
-	case "fastq":
-		p = p.ExportFASTQ(out)
-	default:
-		return fmt.Errorf("unknown format %q", *format)
-	}
-	if *nodes > 0 {
-		p = p.Distributed(*nodes)
-	}
-	report, err := p.Run(ctx)
+	report, err := runSpec(ctx, *storeDir, *outPath, spec)
 	if err != nil {
 		return err
 	}
@@ -613,26 +539,17 @@ func cmdSubmit(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("submit", flag.ExitOnError)
 	server := fs.String("server", "http://127.0.0.1:7333", "persona-server base URL")
 	tenant := fs.String("tenant", "", "tenant name (default assigned by server)")
-	name := fs.String("name", "", "dataset name")
-	alignStage := fs.Bool("align", false, "align the dataset against the server's reference")
-	sortBy := fs.String("sort", "", "sort stage: location or metadata")
-	markdup := fs.Bool("markdup", false, "mark duplicates")
-	minMapQ := fs.Int("minmapq", 0, "filter: keep reads with at least this mapping quality")
-	dedup := fs.Bool("dedup", false, "filter: drop duplicate-flagged reads")
-	format := fs.String("format", "sam", "output format: sam, bam, fastq or dataset")
+	var spec jobs.Spec
+	specFlags(fs, &spec, "align the dataset against the server's reference", "output format: sam, bam, fastq or dataset")
 	wait := fs.Bool("wait", false, "poll until the job finishes and fetch the result")
 	outPath := fs.String("o", "-", "result output file with -wait ('-' for stdout)")
 	fs.Parse(args)
-	if *name == "" {
+	if spec.Dataset == "" {
 		return fmt.Errorf("missing -name")
 	}
 	c, err := serverClient(*server, *tenant)
 	if err != nil {
 		return err
-	}
-	spec := jobs.Spec{
-		Dataset: *name, Align: *alignStage, Sort: *sortBy, MarkDup: *markdup,
-		MinMapQ: *minMapQ, Dedup: *dedup, Format: *format,
 	}
 	st, err := c.Submit(ctx, spec)
 	if err != nil {

@@ -221,6 +221,11 @@ func TestFilterCommand(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "no predicate") {
 		t.Fatalf("filter without a predicate: err = %v", err)
 	}
+	// A mapping quality past 255 is refused, not wrapped into a uint8.
+	err = cmdFilter(ctx, []string{"-store", dir, "-name", "ds", "-minmapq", "300", "-out", "wrapped"})
+	if err == nil || !strings.Contains(err.Error(), "min_mapq 300") {
+		t.Fatalf("filter -minmapq 300: err = %v", err)
+	}
 }
 
 // TestSubmitStatusFetch drives the three job-server subcommands against a

@@ -2,7 +2,6 @@ package persona
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"persona/internal/agd"
@@ -35,13 +34,13 @@ func (p *Pipeline) split() (cluster.PipelinePlan, error) {
 	for i, st := range mid {
 		switch {
 		case st.sort != nil && sorted:
-			return plan, errors.New("persona: distributed pipeline has two Sort stages")
+			return plan, fmt.Errorf("%w: distributed pipeline has two Sort stages", ErrRefused)
 		case st.sort != nil:
 			sorted, plan.By = true, *st.sort
 		case st.halo != nil && (i == 0 || mid[i-1].sort == nil):
-			return plan, fmt.Errorf("persona: distributed pipeline: %s must directly follow Sort", st.name)
+			return plan, fmt.Errorf("%w: distributed pipeline: %s must directly follow Sort", ErrRefused, st.name)
 		case st.halo != nil && plan.By != ByLocation:
-			return plan, fmt.Errorf("persona: distributed pipeline: %s needs a location sort", st.name)
+			return plan, fmt.Errorf("%w: distributed pipeline: %s needs a location sort", ErrRefused, st.name)
 		case st.halo != nil:
 			plan.Halo = st.halo
 			fallthrough
@@ -52,7 +51,7 @@ func (p *Pipeline) split() (cluster.PipelinePlan, error) {
 		}
 	}
 	if !sorted {
-		return plan, errors.New("persona: distributed pipeline needs a Sort stage (the shuffle is the sort)")
+		return plan, fmt.Errorf("%w: distributed pipeline needs a Sort stage (the shuffle is the sort)", ErrRefused)
 	}
 	return plan, nil
 }
@@ -65,18 +64,15 @@ func (p *Pipeline) split() (cluster.PipelinePlan, error) {
 // (inside the report's Elapsed and Storage) and on every failure.
 func (p *Pipeline) runDistributed(ctx context.Context) (report *PipelineReport, err error) {
 	sess := p.sess
-	if src := p.stages[0]; src.dataset == "" {
-		return nil, fmt.Errorf("persona: distributed pipelines need a Read source, not %s", src.name)
-	}
-	r := &run{}
-	if err := p.validate(r); err != nil {
+	src, err := p.Validate()
+	if err != nil {
 		return nil, err
 	}
 	plan, err := p.split()
 	if err != nil {
 		return nil, err
 	}
-	plan.Columns = p.sourceColumns(r.src.Manifest.Columns)
+	plan.Columns = p.sourceColumns(src.Manifest.Columns)
 	sink := p.stages[len(p.stages)-1]
 	names := p.stageNames()
 	p.progress.init(names)

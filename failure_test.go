@@ -240,7 +240,7 @@ func TestFilterFailureLeavesNothing(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	mem := testutil.CopyStore(t, base)
-	if _, _, err := Filter(ctx, mem, "ds", FilterRegion(1<<41, 1<<41+1), "out"); err == nil || !strings.Contains(err.Error(), "no records of") {
+	if _, _, err := Filter(ctx, mem, "ds", FilterRegion(1<<41, 1<<41+1), "out"); err == nil || !strings.Contains(err.Error(), "no records of") || !errors.Is(err, agd.ErrNoRecords) {
 		t.Fatalf("a filter nothing matches returned %v", err)
 	}
 	testutil.SameBlobs(t, "after an empty filter", testutil.Blobs(t, mem, ""), testutil.Blobs(t, base, ""))

@@ -117,6 +117,9 @@ var (
 	ErrRowGroup   = errors.New("agd: column chunking misaligned (not row-grouped)")
 	ErrNotFound   = errors.New("agd: blob not found")
 	ErrOutOfRange = errors.New("agd: record index out of range")
+	// ErrNoRecords is wrapped when a sink or a sort gets a stream without
+	// a record, which no retry fills; its text ends the wrapping message.
+	ErrNoRecords = errors.New("no records")
 )
 
 // BlobStore abstracts the storage system a dataset lives in. Local

@@ -148,6 +148,8 @@ func TestWriterValidation(t *testing.T) {
 	} {
 		if _, err := WriteGroups(ctx, tc.in, store, tc.name, WriterOptions{}); err == nil {
 			t.Errorf("%s accepted", what)
+		} else if what == "no records" && !errors.Is(err, ErrNoRecords) {
+			t.Errorf("%s: %v, want ErrNoRecords", what, err)
 		}
 		if left, _ := store.List(""); len(left) != 0 {
 			t.Fatalf("%s: %d blobs written", what, len(left))

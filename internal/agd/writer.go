@@ -62,7 +62,7 @@ func WriteGroups(ctx context.Context, in *GroupStream, store BlobStore, name str
 	}
 	err = s.drain(ctx, in)
 	if err == nil && len(s.entries) == 0 {
-		err = fmt.Errorf("agd: dataset %q has no records", name)
+		err = fmt.Errorf("agd: dataset %q has %w", name, ErrNoRecords)
 	}
 	var m *Manifest
 	if err == nil {

@@ -94,7 +94,7 @@ func SortStream(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, o
 		flush()
 	}
 	if total == 0 {
-		return nil, fmt.Errorf("agdsort: stream has no records")
+		return nil, fmt.Errorf("agdsort: stream has %w", agd.ErrNoRecords)
 	}
 	if runRows != total {
 		return nil, fmt.Errorf("agdsort: framed %d rows into runs, staged %d", runRows, total)

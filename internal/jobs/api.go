@@ -57,9 +57,12 @@ func writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// maxSpecBytes caps a submitted spec's body: a spec is a few hundred bytes.
+const maxSpecBytes = 1 << 20
+
 func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes)).Decode(&spec); err != nil {
 		writeErr(w, fmt.Errorf("submit: decode body: %v: %w", err, ErrBadSpec))
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"time"
 
+	"persona"
 	"persona/internal/agd"
 	"persona/internal/cluster"
 	"persona/internal/storage"
@@ -11,7 +12,7 @@ import (
 
 // Sentinel errors of the job layer. Wrapped errors follow the repo
 // convention (`op %q: %w`), so callers classify with errors.Is and the
-// IsTransient/IsPermanent helpers below, and the HTTP layer derives status
+// IsTransient helper below, and the HTTP layer derives status
 // codes from classification rather than from string matching.
 var (
 	// ErrOverloaded rejects a submission past the admission budget (queue
@@ -30,8 +31,8 @@ var (
 
 // IsTransient reports whether err is worth retrying: admission rejections
 // and everything the storage layer classifies as transient. Spec and lookup
-// errors are permanent. Mirrors storage.IsTransient's contract: nil is not
-// transient.
+// errors, Run's refusals and a run left with no records are permanent.
+// Mirrors storage.IsTransient's contract: nil is not transient.
 func IsTransient(err error) bool {
 	if err == nil {
 		return false
@@ -39,7 +40,8 @@ func IsTransient(err error) bool {
 	if errors.Is(err, ErrOverloaded) || errors.Is(err, ErrDraining) {
 		return true
 	}
-	if errors.Is(err, ErrBadSpec) || errors.Is(err, ErrUnknownJob) || errors.Is(err, ErrNotDone) {
+	if errors.Is(err, ErrBadSpec) || errors.Is(err, ErrUnknownJob) || errors.Is(err, ErrNotDone) ||
+		errors.Is(err, persona.ErrRefused) || errors.Is(err, agd.ErrNoRecords) {
 		return false
 	}
 	// A cluster abort means the run exhausted its per-chunk attempt budget
@@ -49,9 +51,6 @@ func IsTransient(err error) bool {
 	}
 	return storage.IsTransient(err)
 }
-
-// IsPermanent reports whether err is classified as not worth retrying.
-func IsPermanent(err error) bool { return err != nil && !IsTransient(err) }
 
 // HTTPStatus maps a job-layer error onto an HTTP status code and, for
 // transient rejections, a Retry-After hint (0 means no header). The mapping

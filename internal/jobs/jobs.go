@@ -6,6 +6,10 @@
 // behind cmd/persona-server; the HTTP surface lives in api.go and the
 // matching client in client.go.
 //
+// Admission refuses exactly what Run refuses: Submit validates the spec's
+// pipeline (Spec.Pipeline) with Run's own checks before it journals the
+// job, so what Run would refuse is a 400 with Run's message, not an attempt.
+//
 // Crash safety leans on two invariants established lower in the stack:
 // blob Puts are atomic (a journal record is either the old state or the new
 // state, never torn), and every blob a job writes — outputs, exported
@@ -17,6 +21,8 @@ package jobs
 
 import (
 	"fmt"
+	"io"
+	"math"
 	"time"
 
 	"persona"
@@ -46,22 +52,24 @@ func (s State) Terminal() bool { return s == StateDone || s == StateFailed }
 
 // Spec is a declarative pipeline job: which dataset to read and which
 // stages to run, mirroring the Pipeline builder verbs. The zero value of
-// every knob means "skip that stage". An "edge_depth", which older servers
-// took, is ignored: the pipeline derives its edges from GOMAXPROCS.
+// every knob means "skip that stage". Pipeline is the one translation of a
+// spec into stages; Submit refuses exactly the specs whose pipeline Run
+// refuses. An "edge_depth", which older servers took, is ignored: the
+// pipeline derives its edges from GOMAXPROCS.
 type Spec struct {
 	// Dataset names the input AGD dataset (required).
 	Dataset string `json:"dataset"`
 	// Align appends a results column using the server's reference index.
 	Align bool `json:"align,omitempty"`
-	// MaxDist is the aligner's maximum edit distance (0 = default).
+	// MaxDist is the aligner's maximum edit distance, 0 to 64 (0 = default).
 	MaxDist int `json:"max_dist,omitempty"`
 	// Sort reorders the stream: "", "location" or "metadata".
 	Sort string `json:"sort,omitempty"`
 	// MarkDup flags duplicates in the results column.
 	MarkDup bool `json:"markdup,omitempty"`
 	// MappedOnly keeps only aligned reads; MinMapQ keeps reads at or above a
-	// mapping quality; Dedup drops marked duplicates. Any filter implies an
-	// aligned stream.
+	// mapping quality, 0 to 255; Dedup drops marked duplicates. Any filter
+	// implies an aligned stream.
 	MappedOnly bool `json:"mapped_only,omitempty"`
 	MinMapQ    int  `json:"min_mapq,omitempty"`
 	Dedup      bool `json:"dedup,omitempty"`
@@ -71,47 +79,105 @@ type Spec struct {
 	// DeadlineMS caps the job's wall time per attempt (0 = server default).
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 	// Nodes >= 1 runs the pipeline distributed across that many in-process
-	// worker nodes (the spec must then include a sort — the shuffle is the
-	// sort). 0 keeps the single-node scheduler.
+	// worker nodes (the graph must then split at a sort, see
+	// persona.Pipeline.Distributed). 0 keeps the single-node scheduler.
 	Nodes int `json:"nodes,omitempty"`
 }
 
-// needsAlignment reports whether any requested stage requires a results
-// column in the stream.
-func (sp Spec) needsAlignment() bool {
-	return sp.Sort == "location" || sp.MarkDup || sp.MappedOnly || sp.MinMapQ > 0 ||
-		sp.Dedup || sp.Format == "sam" || sp.Format == "bam"
+// maxDistLimit bounds Spec.MaxDist: the aligner's scratch holds
+// (MaxDist+1)(MaxDist+5) ints, gigabytes for an unbounded request value.
+const maxDistLimit = 64
+
+// maxDeadlineMS is the largest DeadlineMS a time.Duration holds.
+const maxDeadlineMS = int64(math.MaxInt64 / time.Millisecond)
+
+// SortKey returns the sort key a word of Spec.Sort names: its String.
+func SortKey(word string) (persona.SortKey, error) {
+	for _, by := range []persona.SortKey{persona.ByLocation, persona.ByMetadata} {
+		if by.String() == word {
+			return by, nil
+		}
+	}
+	return 0, fmt.Errorf("spec: sort %q (want location or metadata): %w", word, ErrBadSpec)
 }
 
-// Validate rejects specs that could never run; errors wrap ErrBadSpec so
-// the HTTP layer maps them to 400 at admission instead of burning a worker.
-func (sp Spec) Validate() error {
-	if sp.Dataset == "" {
-		return fmt.Errorf("spec: missing dataset: %w", ErrBadSpec)
+// Predicate returns the filter MappedOnly, MinMapQ and Dedup name, all of
+// them to hold, or nil when they name none.
+func (sp Spec) Predicate() (persona.FilterPredicate, error) {
+	if sp.MinMapQ < 0 || sp.MinMapQ > math.MaxUint8 {
+		return nil, fmt.Errorf("spec: min_mapq %d (want 0-255): %w", sp.MinMapQ, ErrBadSpec)
 	}
-	switch sp.Sort {
-	case "", "location", "metadata":
-	default:
-		return fmt.Errorf("spec: sort %q (want location or metadata): %w", sp.Sort, ErrBadSpec)
+	var preds []persona.FilterPredicate
+	if sp.MappedOnly {
+		preds = append(preds, persona.FilterMappedOnly())
+	}
+	if sp.MinMapQ > 0 {
+		preds = append(preds, persona.FilterMinMapQ(uint8(sp.MinMapQ)))
+	}
+	if sp.Dedup {
+		preds = append(preds, persona.FilterDropDuplicates())
+	}
+	if len(preds) == 0 {
+		return nil, nil
+	}
+	return persona.FilterAnd(preds...), nil
+}
+
+// Pipeline builds the spec's pipeline over sess: Read, then align against
+// idx, sort, markdup and filter as asked, and the Format's sink, an export
+// into w or a Write of out. It refuses, wrapped in ErrBadSpec, a spec no
+// pipeline is built from: no dataset, an unknown word, a number out of
+// range. What the pipeline cannot run, its Validate refuses, as Run would.
+func (sp Spec) Pipeline(sess *persona.Session, idx *persona.Index, w io.Writer, out string) (*persona.Pipeline, error) {
+	bad := func(format string, a ...any) (*persona.Pipeline, error) {
+		return nil, fmt.Errorf("spec: "+format+": %w", append(a, ErrBadSpec)...)
+	}
+	switch {
+	case sp.Dataset == "":
+		return bad("missing dataset")
+	case sp.Dedup && !sp.MarkDup:
+		return bad("dedup without markdup")
+	case sp.MaxDist < 0 || sp.MaxDist > maxDistLimit:
+		return bad("max_dist %d (want 0-%d)", sp.MaxDist, maxDistLimit)
+	case sp.DeadlineMS < 0 || sp.DeadlineMS > maxDeadlineMS:
+		return bad("deadline_ms %d (want 0-%d)", sp.DeadlineMS, maxDeadlineMS)
+	case sp.Nodes < 0:
+		return bad("negative nodes")
+	}
+	pred, err := sp.Predicate()
+	if err != nil {
+		return nil, err
+	}
+	p := sess.Read(sp.Dataset)
+	if sp.Align {
+		p.Align(idx, persona.AlignOptions{MaxDist: sp.MaxDist})
+	}
+	if sp.Sort != "" {
+		by, err := SortKey(sp.Sort)
+		if err != nil {
+			return nil, err
+		}
+		p.Sort(by)
+	}
+	if sp.MarkDup {
+		p.MarkDuplicates()
+	}
+	if pred != nil {
+		p.Filter(pred)
 	}
 	switch sp.Format {
-	case "sam", "bam", "fastq", "dataset":
+	case "sam":
+		p.ExportSAM(w)
+	case "bam":
+		p.ExportBAM(w)
+	case "fastq":
+		p.ExportFASTQ(w)
+	case "dataset":
+		p.Write(out)
 	default:
-		return fmt.Errorf("spec: format %q (want sam, bam, fastq or dataset): %w", sp.Format, ErrBadSpec)
+		return bad("format %q (want sam, bam, fastq or dataset)", sp.Format)
 	}
-	if sp.Dedup && !sp.MarkDup {
-		return fmt.Errorf("spec: dedup without markdup: %w", ErrBadSpec)
-	}
-	if sp.DeadlineMS < 0 {
-		return fmt.Errorf("spec: negative deadline: %w", ErrBadSpec)
-	}
-	if sp.Nodes < 0 {
-		return fmt.Errorf("spec: negative nodes: %w", ErrBadSpec)
-	}
-	if sp.Nodes >= 1 && sp.Sort == "" {
-		return fmt.Errorf("spec: distributed job needs a sort: %w", ErrBadSpec)
-	}
-	return nil
+	return p.Distributed(sp.Nodes), nil
 }
 
 // StageMeta is one stage's final counters in a completed job's result.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -271,24 +272,48 @@ func (m *Manager) worker() {
 	}
 }
 
-// admitCheck validates the spec against the dataset's manifest and returns
-// the byte estimate admission charges against the queue budget. Spec
-// impossibilities are rejected here as ErrBadSpec (400) instead of burning
-// a worker attempt on a guaranteed validation failure.
-func (m *Manager) admitCheck(spec Spec) (int64, error) {
-	ds, err := persona.OpenDataset(m.cfg.Store, spec.Dataset)
+// unbuiltIndex is the seed index of an Align stage at admission: Validate
+// checks that the stage has one and never reads it, so no index is built.
+var unbuiltIndex = new(persona.Index)
+
+// pipeline is a job's Spec.Pipeline: every blob it writes under jobs/<id>/,
+// an export's bytes in w, and an Align stage against the session's index
+// of the server's reference, or unbuiltIndex at admission (build false).
+func (m *Manager) pipeline(spec Spec, id string, build bool, w io.Writer) (*persona.Pipeline, error) {
+	var idx *persona.Index
+	if spec.Align {
+		if m.cfg.Reference == nil {
+			return nil, fmt.Errorf("server has no reference genome for align: %w", ErrBadSpec)
+		}
+		idx = unbuiltIndex
+		if build {
+			var err error
+			if idx, err = m.cfg.Session.Index(m.cfg.Reference); err != nil {
+				return nil, err
+			}
+		}
+	}
+	p, err := spec.Pipeline(m.cfg.Session, idx, w, outDataset(id))
 	if err != nil {
-		return 0, fmt.Errorf("submit: %w", err)
+		return nil, err
 	}
-	hasResults := ds.Manifest.HasColumn(agd.ColResults)
-	if spec.Align && hasResults {
-		return 0, fmt.Errorf("submit: dataset %q is already aligned: %w", spec.Dataset, ErrBadSpec)
+	return p.TempPrefix(clusterPrefix(id)), nil
+}
+
+// admit refuses, with Run's message wrapped in ErrBadSpec, a spec whose
+// pipeline Run would refuse, and returns the byte estimate charged against
+// the queue budget. It reads the source's manifest and nothing else.
+func (m *Manager) admit(spec Spec) (int64, error) {
+	p, err := m.pipeline(spec, "", false, io.Discard)
+	if err != nil {
+		return 0, err
 	}
-	if spec.Align && m.cfg.Reference == nil {
-		return 0, fmt.Errorf("submit: server has no reference genome for align: %w", ErrBadSpec)
+	ds, err := p.Validate()
+	if errors.Is(err, persona.ErrRefused) {
+		return 0, fmt.Errorf("%w: %w", err, ErrBadSpec)
 	}
-	if !spec.Align && spec.needsAlignment() && !hasResults {
-		return 0, fmt.Errorf("submit: spec needs alignment results but dataset %q has none (set align): %w", spec.Dataset, ErrBadSpec)
+	if err != nil {
+		return 0, err
 	}
 	return int64(ds.Manifest.NumRecords()) * m.cfg.BytesPerRecord, nil
 }
@@ -308,12 +333,9 @@ func (m *Manager) Submit(tenant string, spec Spec) (*JobStatus, error) {
 		m.mu.Unlock()
 		return nil, err
 	}
-	if err := spec.Validate(); err != nil {
-		return reject(fmt.Errorf("submit: %w", err))
-	}
-	est, err := m.admitCheck(spec)
+	est, err := m.admit(spec)
 	if err != nil {
-		return reject(err)
+		return reject(fmt.Errorf("submit: %w", err))
 	}
 
 	m.mu.Lock()
@@ -419,60 +441,12 @@ func (m *Manager) runJob(j *job) {
 // a distributed run's shuffle and staging blobs, the result blob, the
 // output dataset — lands under jobs/<id>/.
 func (m *Manager) execute(ctx context.Context, prog *persona.Progress, rec Record) (*ResultMeta, error) {
-	spec := rec.Spec
-	sess := m.cfg.Session
-	p := sess.Read(spec.Dataset)
-	if spec.Align {
-		if m.cfg.Reference == nil {
-			return nil, fmt.Errorf("run %q: server has no reference genome: %w", rec.ID, ErrBadSpec)
-		}
-		idx, err := sess.Index(m.cfg.Reference)
-		if err != nil {
-			return nil, fmt.Errorf("run %q: %w", rec.ID, err)
-		}
-		p.Align(idx, persona.AlignOptions{MaxDist: spec.MaxDist})
-	}
-	switch spec.Sort {
-	case "location":
-		p.Sort(persona.ByLocation)
-	case "metadata":
-		p.Sort(persona.ByMetadata)
-	}
-	if spec.MarkDup {
-		p.MarkDuplicates()
-	}
-	var preds []persona.FilterPredicate
-	if spec.MappedOnly {
-		preds = append(preds, persona.FilterMappedOnly())
-	}
-	if spec.MinMapQ > 0 {
-		preds = append(preds, persona.FilterMinMapQ(uint8(spec.MinMapQ)))
-	}
-	if spec.Dedup {
-		preds = append(preds, persona.FilterDropDuplicates())
-	}
-	if len(preds) > 0 {
-		p.Filter(persona.FilterAnd(preds...))
-	}
 	var buf bytes.Buffer
-	export := true
-	switch spec.Format {
-	case "sam":
-		p.ExportSAM(&buf)
-	case "bam":
-		p.ExportBAM(&buf)
-	case "fastq":
-		p.ExportFASTQ(&buf)
-	case "dataset":
-		export = false
-		p.Write(outDataset(rec.ID))
+	p, err := m.pipeline(rec.Spec, rec.ID, true, &buf)
+	if err != nil {
+		return nil, fmt.Errorf("run %q: %w", rec.ID, err)
 	}
-	p.Observe(prog)
-	if spec.Nodes >= 1 {
-		p.Distributed(spec.Nodes).TempPrefix(clusterPrefix(rec.ID))
-	}
-
-	report, err := p.Run(ctx)
+	report, err := p.Observe(prog).Run(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("run %q: %w", rec.ID, err)
 	}
@@ -491,7 +465,7 @@ func (m *Manager) execute(ctx context.Context, prog *persona.Progress, rec Recor
 			Stage: st.Stage, Records: st.Records, Groups: st.Groups, Elapsed: st.Elapsed,
 		})
 	}
-	if export {
+	if rec.Spec.Format != "dataset" {
 		if err := m.cfg.Store.Put(resultBlob(rec.ID), buf.Bytes()); err != nil {
 			return nil, fmt.Errorf("run %q: %w", rec.ID, err)
 		}

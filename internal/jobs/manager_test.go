@@ -9,9 +9,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -184,6 +188,14 @@ func TestSubmitClassifiedRejections(t *testing.T) {
 		{"unknown dataset", Spec{Dataset: "nope", Format: "fastq"}, nil, 404},
 		{"sam needs alignment", Spec{Dataset: "ds", Format: "sam"}, ErrBadSpec, 400},
 		{"align without reference", Spec{Dataset: "ds", Align: true, Format: "sam"}, ErrBadSpec, 400},
+		// Numbers from the request body, range-checked before they size
+		// anything: the aligner's scratch, a uint8 threshold, a Duration.
+		{"negative max_dist", Spec{Dataset: "ds", MaxDist: -1, Format: "fastq"}, ErrBadSpec, 400},
+		{"max_dist past the bound", Spec{Dataset: "ds", MaxDist: maxDistLimit + 1, Format: "fastq"}, ErrBadSpec, 400},
+		{"negative min_mapq", Spec{Dataset: "ds", MinMapQ: -1, Format: "fastq"}, ErrBadSpec, 400},
+		{"min_mapq past 255", Spec{Dataset: "ds", MinMapQ: 256, Format: "fastq"}, ErrBadSpec, 400},
+		{"negative deadline", Spec{Dataset: "ds", DeadlineMS: -1, Format: "fastq"}, ErrBadSpec, 400},
+		{"deadline past a Duration", Spec{Dataset: "ds", DeadlineMS: math.MaxInt64/int64(time.Millisecond) + 1, Format: "fastq"}, ErrBadSpec, 400},
 	}
 	for _, tc := range cases {
 		_, err := m.Submit("acme", tc.spec)
@@ -203,6 +215,121 @@ func TestSubmitClassifiedRejections(t *testing.T) {
 	if got := m.Stats().Tenants["acme"].Rejected; got != int64(len(cases)) {
 		t.Fatalf("rejected count = %d, want %d", got, len(cases))
 	}
+}
+
+// TestSubmitRefusesWhatRunRefuses: over HTTP, a spec whose pipeline Run
+// refuses is a 400 carrying Run's message, with no attempt run and no
+// journal record left; so is a body past the size cap.
+func TestSubmitRefusesWhatRunRefuses(t *testing.T) {
+	store := persona.NewMemStore()
+	g := importTestDataset(t, store, "ds")
+	m, sess := newTestManager(t, store, g, nil)
+	srv := httptest.NewServer(m.Handler())
+	defer srv.Close()
+
+	// What Run says of the same graph, built by hand.
+	idx, err := sess.Index(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, runErr := sess.Read("ds").Align(idx, persona.AlignOptions{}).Sort(persona.ByMetadata).MarkDuplicates().
+		ExportSAM(io.Discard).Distributed(2).Run(context.Background())
+	if runErr == nil {
+		t.Fatal("Run accepted a distributed markdup after a metadata sort")
+	}
+	cases := []struct{ name, body, want string }{
+		{"distributed markdup after a metadata sort",
+			`{"align":true,"sort":"metadata","markdup":true,"format":"sam","nodes":2,"dataset":"ds"}`, runErr.Error()},
+		{"sam of an unaligned dataset", `{"dataset":"ds","format":"sam"}`,
+			"persona: export-sam needs alignment results: the stream has no results column"},
+		{"body past the cap", `{"dataset":"ds","format":"fastq","pad":"` + strings.Repeat("x", maxSpecBytes) + `"}`,
+			"request body too large"},
+	}
+	for _, tc := range cases {
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct{ Error string }
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != 400 || !strings.Contains(body.Error, tc.want) {
+			t.Errorf("%s: %d %q (%v), want 400 with %q", tc.name, resp.StatusCode, body.Error, err, tc.want)
+		}
+	}
+	if s := m.Stats(); s.Jobs != 0 || s.Tenants["default"].Submitted != 0 || s.Tenants["default"].Dispatched != 0 {
+		t.Errorf("stats after the refusals = %+v, want no job", s)
+	}
+	if names, err := store.List(journalPrefix); err != nil || len(names) != 0 {
+		t.Errorf("journal after the refusals = %v, %v, want empty", names, err)
+	}
+}
+
+// countGetStore counts Gets.
+type countGetStore struct {
+	persona.Store
+	gets atomic.Int64
+}
+
+func (s *countGetStore) Get(name string) ([]byte, error) {
+	s.gets.Add(1)
+	return s.Store.Get(name)
+}
+
+// TestAdmissionReadsOnlyTheManifest: admitting a spec reads one blob, the
+// source's manifest, and builds no seed index. The server's reference is a
+// genome no index can be built from, so its align specs are admitted only
+// because admission never builds one.
+func TestAdmissionReadsOnlyTheManifest(t *testing.T) {
+	inner := persona.NewMemStore()
+	importTestDataset(t, inner, "ds")
+	empty := &persona.Genome{}
+	if _, err := persona.BuildIndex(empty); err == nil {
+		t.Fatal("the empty genome has an index")
+	}
+	store := &countGetStore{Store: inner}
+	sess := persona.NewSession(store, persona.SessionOptions{})
+	t.Cleanup(sess.Close)
+	// Never started: admission is all that happens.
+	m, err := NewManager(Config{Store: store, Session: sess, Reference: empty})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []Spec{
+		{Dataset: "ds", Format: "fastq"},
+		{Dataset: "ds", Align: true, Sort: "location", MarkDup: true, Format: "sam"},
+		{Dataset: "ds", Align: true, Sort: "metadata", MappedOnly: true, Format: "dataset", Nodes: 2},
+	} {
+		before := store.gets.Load()
+		if _, err := m.Submit("acme", spec); err != nil {
+			t.Fatalf("%+v: %v", spec, err)
+		}
+		if n := store.gets.Load() - before; n != 1 {
+			t.Errorf("%+v: admission read %d blobs, want the manifest alone", spec, n)
+		}
+	}
+}
+
+// TestEmptyResultFailsOnce: a run left with no records — every read
+// filtered away after the align, sort and markdup — fails permanently on
+// its first attempt; a retry would redo the whole run to the same end.
+func TestEmptyResultFailsOnce(t *testing.T) {
+	store := persona.NewMemStore()
+	g := importTestDataset(t, store, "ds")
+	m, sess := newTestManager(t, store, g, nil)
+	st, err := m.Submit("acme", Spec{Dataset: "ds", Align: true, Sort: "location", MarkDup: true, MinMapQ: 255, Format: "dataset"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin := waitTerminal(t, m, st.ID, 30*time.Second)
+	if fin.State != StateFailed || fin.Attempts != 1 || fin.Transient || !strings.Contains(fin.Error, "no records") {
+		t.Fatalf("final = %s after %d attempts (transient=%v): %s, want FAILED after 1, permanent, no records",
+			fin.State, fin.Attempts, fin.Transient, fin.Error)
+	}
+	if names, err := store.List("jobs/" + st.ID + "/"); err != nil || len(names) != 0 {
+		t.Fatalf("job namespace = %v, %v, want empty", names, err)
+	}
+	waitNoLeak(t, sess)
 }
 
 // TestTransientFailureRetries: a deterministic transient fault on the

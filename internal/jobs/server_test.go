@@ -8,8 +8,10 @@ package jobs
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -151,4 +153,70 @@ func TestServerSmokeMultiTenant(t *testing.T) {
 	if !rep.CleanShutdown || rep.Finished != 2*jobsPerTenant {
 		t.Fatalf("next-incarnation recovery = %+v, want a clean shutdown with %d finished jobs", rep, 2*jobsPerTenant)
 	}
+}
+
+// FuzzSubmitSpec posts arbitrary bytes as a job spec to a manager that never
+// starts: nothing panics, a 202 comes back only for a spec whose built
+// pipeline validates, and every other answer is a 4xx (429 among them) that
+// leaves no journal record.
+func FuzzSubmitSpec(f *testing.F) {
+	store := persona.NewMemStore()
+	g := importTestDataset(f, store, "ds")
+	sess := persona.NewSession(store, persona.SessionOptions{})
+	f.Cleanup(sess.Close)
+	m, err := NewManager(Config{Store: store, Session: sess, Reference: g})
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := m.Handler()
+	for _, seed := range []string{
+		`{"dataset":"ds","format":"fastq"}`,
+		`{"dataset":"ds","align":true,"sort":"location","markdup":true,"format":"sam"}`,
+		`{"dataset":"ds","align":true,"sort":"metadata","mapped_only":true,"format":"dataset","nodes":2}`,
+		`{"dataset":"ds","align":true,"sort":"metadata","markdup":true,"format":"sam","nodes":2}`,
+		`{"dataset":"ds","align":true,"max_dist":100000,"min_mapq":256,"deadline_ms":9223372036854775807,"format":"bam"}`,
+		`{"dataset":"ds","align":true,"dedup":true,"format":"sam"}`,
+		`{"dataset":"nope","format":"fastq"}`,
+		`{"dataset":"ds","format":"sam"}`,
+		`{"dataset":"ds","format":"fastq","nodes":-1}`,
+		`not json`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		before, err := store.List(journalPrefix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/jobs", bytes.NewReader(body)))
+		after, err := store.List(journalPrefix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Code != http.StatusAccepted {
+			if rec.Code/100 != 4 || len(after) != len(before) {
+				t.Fatalf("answer %d left %d journal records, had %d: %s", rec.Code, len(after), len(before), rec.Body)
+			}
+			return
+		}
+		var spec Spec
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&spec); err != nil {
+			t.Fatalf("202 for a body that does not decode: %v", err)
+		}
+		var idx *persona.Index
+		if spec.Align {
+			idx = new(persona.Index)
+		}
+		p, err := spec.Pipeline(sess, idx, io.Discard, "out")
+		if err == nil {
+			_, err = p.Validate()
+		}
+		if err != nil {
+			t.Fatalf("202 for %+v, whose pipeline does not validate: %v", spec, err)
+		}
+		if len(after) != len(before)+1 {
+			t.Fatalf("202 left %d journal records, had %d", len(after), len(before))
+		}
+	})
 }

@@ -52,6 +52,7 @@ package persona
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 
 	"persona/internal/agd"
@@ -144,6 +145,41 @@ func NewFaultStore(inner Store, pol FaultPolicy) *storage.FaultStore {
 // place of hg19 (the real reference cannot ship with the repository).
 func SynthesizeGenome(totalBases int, seed int64) (*Genome, error) {
 	return genome.Synthesize(genome.DefaultSyntheticConfig(totalBases, seed))
+}
+
+// referenceBlob holds a store's synthetic-reference descriptor.
+const referenceBlob = "_reference/meta.json"
+
+type referenceMeta struct {
+	GenomeSize int   `json:"genome_size"`
+	Seed       int64 `json:"seed"`
+}
+
+// StoreReference records in store the synthetic reference of totalBases
+// and seed, which LoadReference rebuilds, and returns it.
+func StoreReference(store Store, totalBases int, seed int64) (*Genome, error) {
+	meta, err := json.Marshal(referenceMeta{GenomeSize: totalBases, Seed: seed})
+	if err != nil {
+		return nil, err
+	}
+	if err := store.Put(referenceBlob, meta); err != nil {
+		return nil, err
+	}
+	return SynthesizeGenome(totalBases, seed)
+}
+
+// LoadReference rebuilds the synthetic reference StoreReference recorded
+// in store.
+func LoadReference(store Store) (*Genome, error) {
+	blob, err := store.Get(referenceBlob)
+	if err != nil {
+		return nil, err
+	}
+	var meta referenceMeta
+	if err := json.Unmarshal(blob, &meta); err != nil {
+		return nil, err
+	}
+	return SynthesizeGenome(meta.GenomeSize, meta.Seed)
 }
 
 // BuildIndex builds a SNAP-style seed index over a reference genome. When

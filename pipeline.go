@@ -73,7 +73,7 @@ const pumpDepth = 1
 // A stage is one step of a pipeline, one value per builder method. A source
 // opens its stream, a transform builds its stream over the stream upstream
 // (the embedded cluster.Stage, which a distributed task runs as it is), and
-// a sink drains the last stream. validate, sourceColumns, poolWindow, the
+// a sink drains the last stream. Validate, sourceColumns, poolWindow, the
 // local run and the distributed plan are all loops over these values.
 type stage struct {
 	cluster.Stage
@@ -110,10 +110,14 @@ type run struct {
 	start  time.Time
 }
 
-// argErr is a builder's argument check: msg as an error when bad.
+// ErrRefused is wrapped by every refusal of Validate, which tells a graph
+// Run cannot run from a store that failed. Its text prefixes each message.
+var ErrRefused = errors.New("persona")
+
+// argErr is a builder's argument check: msg as a refusal when bad.
 func argErr(bad bool, msg string) error {
 	if bad {
-		return errors.New("persona: " + msg)
+		return fmt.Errorf("%w: %s", ErrRefused, msg)
 	}
 	return nil
 }
@@ -384,49 +388,60 @@ type PipelineReport struct {
 	Cluster *ClusterReport
 }
 
-// validate opens the dataset a Read source names into r, then checks the
-// graph against the columns the source opens, before anything runs: one
-// sink, at the end; every stage's arguments; every column a stage reads
-// present upstream of it, and none that it adds.
-func (p *Pipeline) validate(r *run) error {
+// Validate is Run's check before anything runs, with Run's error: one sink,
+// at the end; every stage's arguments; every column a stage reads present
+// upstream of it, and none that it adds; for a Distributed run, a Read
+// source and one Sort to split at. It reads only the manifest a Read source
+// names and returns that dataset (nil for an import). Refusals wrap
+// ErrRefused; any other error is the store's, opening the source.
+func (p *Pipeline) Validate() (*Dataset, error) {
 	if len(p.stages) < 2 {
-		return errors.New("persona: pipeline has no sink (end with Export* or Write)")
+		return nil, fmt.Errorf("%w: pipeline has no sink (end with Export* or Write)", ErrRefused)
 	}
 	src := p.stages[0]
+	if p.nodes >= 1 && src.dataset == "" {
+		return nil, fmt.Errorf("%w: distributed pipelines need a Read source, not %s", ErrRefused, src.name)
+	}
 	cols := slices.Clone(src.Adds)
+	var ds *Dataset
 	if src.dataset != "" {
-		ds, err := p.sess.openDataset(src.dataset)
-		if err != nil {
-			return err
+		var err error
+		if ds, err = p.sess.openDataset(src.dataset); err != nil {
+			return nil, err
 		}
-		r.src, cols = ds, slices.Clone(ds.Manifest.Columns)
+		cols = slices.Clone(ds.Manifest.Columns)
 	}
 	for i, st := range p.stages[1:] {
 		if sink, last := st.drain != nil, i == len(p.stages)-2; sink != last {
 			if sink {
-				return fmt.Errorf("persona: %s must be the final stage", st.name)
+				return nil, fmt.Errorf("%w: %s must be the final stage", ErrRefused, st.name)
 			}
-			return fmt.Errorf("persona: pipeline must end in a sink, not %s", st.name)
+			return nil, fmt.Errorf("%w: pipeline must end in a sink, not %s", ErrRefused, st.name)
 		}
 		if st.err != nil {
-			return st.err
+			return nil, st.err
 		}
 		for _, c := range st.reads {
 			switch {
 			case slices.Contains(cols, c):
 			case c == agd.ColResults:
-				return fmt.Errorf("persona: %s needs alignment results: the stream has no results column", st.name)
+				return nil, fmt.Errorf("%w: %s needs alignment results: the stream has no results column", ErrRefused, st.name)
 			default:
-				return fmt.Errorf("persona: %s needs a %q column", st.name, c)
+				return nil, fmt.Errorf("%w: %s needs a %q column", ErrRefused, st.name, c)
 			}
 		}
 		if slices.ContainsFunc(st.Adds, func(c string) bool { return slices.Contains(cols, c) }) {
 			// The one column a stage adds is Align's results.
-			return errors.New("persona: stream is already aligned")
+			return nil, fmt.Errorf("%w: stream is already aligned", ErrRefused)
 		}
 		cols = append(cols, st.Adds...)
 	}
-	return nil
+	if p.nodes >= 1 {
+		if _, err := p.split(); err != nil {
+			return nil, err
+		}
+	}
+	return ds, nil
 }
 
 // edgeStats instruments one pipeline edge: cumulative time spent inside the
@@ -594,7 +609,8 @@ func (p *Pipeline) run(ctx context.Context) (*PipelineReport, error) {
 	report := &PipelineReport{Pumped: depth > 0, EdgeDepth: depth}
 	start, measured := p.measure()
 	r := &run{Env: cluster.Env{Exec: p.sess.exec, Window: p.poolWindow(0, depth)}, report: report, start: start}
-	if err := p.validate(r); err != nil {
+	var err error
+	if r.src, err = p.Validate(); err != nil {
 		return nil, err
 	}
 	stream, err := p.stages[0].open(r)
@@ -653,7 +669,7 @@ func (p *Pipeline) run(ctx context.Context) (*PipelineReport, error) {
 		if f := r.Filtered; f != nil && f.Kept == 0 && r.src != nil && f.In == r.src.Manifest.NumRecords() && ctx.Err() == nil {
 			// Every record was seen and none kept: a Write sink's "stream
 			// has no records" has a better name here.
-			err = fmt.Errorf("persona: no records of %q match the filter", r.src.Manifest.Name)
+			err = fmt.Errorf("persona: %w of %q match the filter", agd.ErrNoRecords, r.src.Manifest.Name)
 		}
 		return nil, err
 	}

@@ -124,7 +124,7 @@ func checkConstructionFailures(t *testing.T, store Store, idx *Index) {
 				var out bytes.Buffer
 				_, err := sch.apply(tc.graph(sess.Read("ds").Align(idx, AlignOptions{})).
 					MarkDuplicates().ExportSAM(&out)).Run(context.Background())
-				if err == nil || !strings.Contains(err.Error(), tc.want) {
+				if err == nil || !strings.Contains(err.Error(), tc.want) || !errors.Is(err, agd.ErrNoRecords) {
 					t.Fatalf("run returned %v, want %q", err, tc.want)
 				}
 				waitGoroutines(t, goroutines)
