@@ -12,6 +12,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"strings"
 	"testing"
@@ -624,5 +625,75 @@ func TestDistributedStagingStoredRaw(t *testing.T) {
 	}
 	if got := hex.EncodeToString(content.Sum(nil)); got != wantContent {
 		t.Errorf("Write sink dataset: content SHA-256 %s over %d blobs, want %s", got, len(names), wantContent)
+	}
+}
+
+// TestDistributedShuffleBlobIdentity pins the bytes the shuffle stores: the
+// SHA-256 of every run, piece and halo blob of Read → Align →
+// Sort(location) → MarkDuplicates → Write on two and on three nodes, over a
+// fixed fixture of two map batches (eight chunks and six). A change to how a
+// run is staged, framed or encoded, or to how it is cut, must leave each of
+// these blobs as it is.
+func TestDistributedShuffleBlobIdentity(t *testing.T) {
+	ctx := context.Background()
+	store := &countingStore{inner: NewMemStore()}
+	fx, err := testutil.BuildE(store, "ds", testutil.Config{GenomeSize: 120_000, NumReads: 700, ReadLen: 90, ChunkSize: 50, DupFrac: 0.15, Seed: 17, SkipAlign: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := NewSession(store, SessionOptions{})
+	defer sess.Close()
+	// A run holds the rows of its map batch whatever the node count, so
+	// both runs store the same two run blobs.
+	runs := map[string]string{
+		"run-000000": "1cc4f4c97695f305690b8e95371eda522a49fbff36d53d84ff8609be14fb51e0",
+		"run-000001": "0c61f56ba46ce723b632c898e455908c4e9487043d3fd8dbc46c209824fd37c2",
+	}
+	want := map[int]map[string]string{
+		2: {
+			"part0/piece-000000": "07d49507d65960b3a1c832f8106276f8be61a000e16f5d739985bc95a1da98a4",
+			"part0/piece-000001": "ac41cf2bdafbf430666ceea8bbd4d7069d9bcbdb29411c65dbbb5a1c6676637c",
+			"part1/halo-000000":  "b5a5315dee5ab2a61ee216b70ab5d923bf802ecd825b178e39e9ad6da83c6594",
+			"part1/halo-000001":  "4408ffdf9bc37cd1eef3036761ee0342688621455a1810f6023de4fd941f27fc",
+			"part1/piece-000000": "c0c89068aa1f256fbcdaeb9b1d2cc0e15c7a9367d73e1582d51ef894c2aee667",
+			"part1/piece-000001": "834441046678d78c81c78f1b345f54d2d9ee6957002e1070f82a520f7364c89a",
+		},
+		3: {
+			"part0/piece-000000": "26a87c6538bbe1950d22d690fb03e496b061c577ddc015d9bce424e18fc81186",
+			"part0/piece-000001": "effedd415d60510b70b2d234bb756306fa8512dd023ee2ca163efa3df3a61863",
+			"part1/halo-000000":  "66914fce394c34feacd19c998fe146fc02bb53de38cc892e108fcd57933a2798",
+			"part1/halo-000001":  "ad2538c47a97b5ece94f2cc34fe337e5d0c11adfeed93db416105098a4bb9381",
+			"part1/piece-000000": "1c06c2ca4171511e2a55fd6e85bcb428bedd4413d6a8635617eb20d0b2ca58e4",
+			"part1/piece-000001": "5bef8f969317e31c52c06b2eae02e56db580bc091ba6126f3971d824cb94d695",
+			"part2/halo-000000":  "4408ffdf9bc37cd1eef3036761ee0342688621455a1810f6023de4fd941f27fc",
+			"part2/halo-000001":  "6e5a82ef0aea2bb8a60a8d52ae856ce2e6345e618b4ece09dad7728adb155c40",
+			"part2/piece-000000": "3f65d8037bd39463c0457e52f325adb26763feea02c89bf0a258cfc3aedfbe5a",
+			"part2/piece-000001": "ffed42bd4d81030ef46aa7349b9810d435cd8fe9012ca4c6fb700309d521f311",
+		},
+	}
+	for _, nodes := range []int{2, 3} {
+		store.record()
+		out := fmt.Sprintf("out%d", nodes)
+		if _, err := sess.Read("ds").Align(fx.Index, AlignOptions{}).Sort(ByLocation).MarkDuplicates().Write(out).Distributed(nodes).Run(ctx); err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]string{}
+		for name, blob := range store.recorded("cluster/") {
+			_, short, ok := strings.Cut(name, "/tmp/")
+			if !ok {
+				t.Fatalf("blob %s is outside the shuffle namespace", name)
+			}
+			sum := sha256.Sum256(blob)
+			got[short] = hex.EncodeToString(sum[:])
+		}
+		maps.Copy(want[nodes], runs)
+		if len(got) != len(want[nodes]) {
+			t.Errorf("nodes=%d: %d shuffle blobs stored, want %d", nodes, len(got), len(want[nodes]))
+		}
+		for name, sum := range want[nodes] {
+			if got[name] != sum {
+				t.Errorf("nodes=%d: %s has SHA-256 %s, want %s", nodes, name, got[name], sum)
+			}
+		}
 	}
 }
