@@ -72,6 +72,7 @@ func (p *Pipeline) runDistributed(ctx context.Context) (report *PipelineReport, 
 	if err != nil {
 		return nil, err
 	}
+	plan.Manifest = src.Manifest
 	plan.Columns = p.sourceColumns(src.Manifest.Columns)
 	sink := p.stages[len(p.stages)-1]
 	names := p.stageNames()

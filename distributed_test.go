@@ -15,6 +15,7 @@ import (
 	"maps"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"persona/internal/agd"
@@ -694,6 +695,43 @@ func TestDistributedShuffleBlobIdentity(t *testing.T) {
 			if got[name] != sum {
 				t.Errorf("nodes=%d: %s has SHA-256 %s, want %s", nodes, name, got[name], sum)
 			}
+		}
+	}
+}
+
+// manifestGets counts the Gets of one blob. It embeds the MemStore, so
+// chunk reads keep the store's own batched path (agd.AsyncOf) and start no
+// read goroutine that could still be exiting when the test returns.
+type manifestGets struct {
+	*agd.MemStore
+	name string
+	gets atomic.Int64
+}
+
+func (s *manifestGets) Get(name string) ([]byte, error) {
+	if name == s.name {
+		s.gets.Add(1)
+	}
+	return s.MemStore.Get(name)
+}
+
+// TestDistributedReadsManifestOnce: a run reads its source dataset's
+// manifest once, on one node or on two. The distributed plan carries the
+// manifest Validate read rather than opening the dataset again.
+func TestDistributedReadsManifestOnce(t *testing.T) {
+	base, _ := distFixture(t, 50, "ds")
+	store := &manifestGets{MemStore: base.inner.(*agd.MemStore), name: "ds/manifest.json"}
+	for _, nodes := range []int{0, 2} {
+		sess := NewSession(store, SessionOptions{})
+		store.gets.Store(0)
+		var out bytes.Buffer
+		_, err := sess.Read("ds").Sort(ByMetadata).ExportFASTQ(&out).Distributed(nodes).Run(context.Background())
+		sess.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := store.gets.Load(); n != 1 {
+			t.Errorf("Distributed(%d): %d Gets of ds/manifest.json, want 1", nodes, n)
 		}
 	}
 }

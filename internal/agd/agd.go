@@ -127,7 +127,9 @@ var (
 // simply layers on top (§7: "The AGD API ... can simply be layered on top of
 // different storage or file systems").
 type BlobStore interface {
-	// Put stores data under name, replacing any previous blob.
+	// Put stores data under name, replacing any previous blob. The store
+	// keeps no reference to data once Put returns, so the caller may then
+	// overwrite it: writers encode each blob into a buffer they reuse.
 	Put(name string, data []byte) error
 	// Get retrieves the blob stored under name, or ErrNotFound.
 	Get(name string) ([]byte, error)

@@ -280,15 +280,30 @@ func EncodeChunkAppend(dst []byte, c *Chunk, comp Compression) ([]byte, error) {
 
 // encodeChunkHeader appends a chunk header to dst with the size fields
 // zeroed; patchChunkHeader fills them once the blocks are written.
-func encodeChunkHeader(dst []byte, c *Chunk, version byte, comp Compression) []byte {
+func encodeChunkHeader(dst []byte, typ RecordType, records int, first uint64, version byte, comp Compression) []byte {
 	var hdr [chunkHeaderSize]byte
 	copy(hdr[0:4], chunkMagic)
 	hdr[4] = version
-	hdr[5] = byte(c.Type)
+	hdr[5] = byte(typ)
 	hdr[6] = byte(comp)
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(c.lengths)))
-	binary.LittleEndian.PutUint64(hdr[12:20], c.FirstOrdinal)
+	binary.LittleEndian.PutUint32(hdr[8:12], uint32(records))
+	binary.LittleEndian.PutUint64(hdr[12:20], first)
 	return append(dst, hdr[:]...)
+}
+
+// AppendRawChunk appends to dst the blob EncodeChunkAppend writes for a raw
+// chunk (TypeRaw, first ordinal 0, CompressNone) of records records, without
+// the chunk: index appends the records' uvarint lengths and data the records
+// themselves, which must agree.
+func AppendRawChunk(dst []byte, records int, index, data func(dst []byte) []byte) []byte {
+	base := len(dst)
+	dst = encodeChunkHeader(dst, TypeRaw, records, 0, chunkVersion, CompressNone)
+	idxStart := len(dst)
+	dst = index(dst)
+	dataStart := len(dst)
+	dst = data(dst)
+	patchChunkHeader(dst[base:], dataStart-idxStart, len(dst)-dataStart, crc32.ChecksumIEEE(dst[dataStart:]))
+	return appendChunkFooter(dst, base)
 }
 
 func patchChunkHeader(hdr []byte, indexLen, dataLen int, crc uint32) {
@@ -313,8 +328,8 @@ func encodeChunkV1Append(dst []byte, c *Chunk, comp Compression) ([]byte, error)
 	base := len(dst)
 	// Worst-case estimate: full header and index plus incompressible data
 	// (the encoder stores what does not compress, five bytes per 64 KiB).
-	dst = ensureCap(dst, chunkHeaderSize+3*len(c.lengths)+len(c.Data)+len(c.Data)/128+64)
-	dst = encodeChunkHeader(dst, c, chunkVersion, comp)
+	dst = slices.Grow(dst, chunkHeaderSize+3*len(c.lengths)+len(c.Data)+len(c.Data)/128+64)
+	dst = encodeChunkHeader(dst, c.Type, len(c.lengths), c.FirstOrdinal, chunkVersion, comp)
 	idxStart := len(dst)
 	dst = appendChunkIndex(dst, c)
 	idxLen := len(dst) - idxStart
@@ -438,17 +453,6 @@ func growBytes(b []byte, n int) []byte {
 		return b[:n]
 	}
 	return make([]byte, n)
-}
-
-// ensureCap grows b so at least extra more bytes can be appended without
-// reallocating, keeping encode's append-as-you-go from doubling repeatedly.
-func ensureCap(b []byte, extra int) []byte {
-	if cap(b)-len(b) >= extra {
-		return b
-	}
-	nb := make([]byte, len(b), len(b)+extra)
-	copy(nb, b)
-	return nb
 }
 
 // ExpandBasesRecord decodes record i of a TypePackedBases chunk into base

@@ -28,7 +28,7 @@ func RefEncodeChunk(c *Chunk, members int) []byte {
 	if members > 0 {
 		version = chunkVersionParallel
 	}
-	dst := encodeChunkHeader(nil, c, version, CompressGzip)
+	dst := encodeChunkHeader(nil, c.Type, c.NumRecords(), c.FirstOrdinal, version, CompressGzip)
 	dst = appendChunkIndex(dst, c)
 	idxLen := len(dst) - chunkHeaderSize
 	if members == 0 {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sync"
 
 	"persona/internal/dataflow"
@@ -110,8 +111,8 @@ var memberScratchPool = sync.Pool{
 func (cd Codec) encodeV2Append(dst []byte, c *Chunk, members int) ([]byte, error) {
 	data := c.Data
 	base := len(dst)
-	dst = ensureCap(dst, chunkHeaderSize+3*len(c.lengths)+8*members+len(data)+len(data)/128+64)
-	dst = encodeChunkHeader(dst, c, chunkVersionParallel, CompressGzip)
+	dst = slices.Grow(dst, chunkHeaderSize+3*len(c.lengths)+8*members+len(data)+len(data)/128+64)
+	dst = encodeChunkHeader(dst, c.Type, len(c.lengths), c.FirstOrdinal, chunkVersionParallel, CompressGzip)
 	idxStart := len(dst)
 	dst = appendChunkIndex(dst, c)
 	idxLen := len(dst) - idxStart

@@ -7,8 +7,10 @@ import (
 	"io"
 	"math/rand"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"persona/internal/agd"
 	"persona/internal/dataflow"
@@ -350,5 +352,44 @@ func TestWriteGroupsFailureLeavesNothing(t *testing.T) {
 			t.Fatalf("%s: %d blobs left behind", what, len(left))
 		}
 		src.check(t)
+	}
+}
+
+// putBuffers records the backing array of every blob Put.
+type putBuffers struct {
+	agd.BlobStore
+	mu   sync.Mutex
+	bufs map[string]*byte
+}
+
+func (s *putBuffers) Put(name string, data []byte) error {
+	s.mu.Lock()
+	s.bufs[name] = unsafe.SliceData(data)
+	s.mu.Unlock()
+	return s.BlobStore.Put(name, data)
+}
+
+// TestSinkReusesBlobBuffers: the sink encodes a chunk's blobs into the
+// buffers of the chunk two before it, which the store keeps no reference to
+// (BlobStore.Put). Of three like chunks, the third is stored from the
+// first's buffers, column by column, and the second from buffers of its own.
+func TestSinkReusesBlobBuffers(t *testing.T) {
+	store := &putBuffers{BlobStore: agd.NewMemStore(), bufs: map[string]*byte{}}
+	rows := make([][][]byte, 3*sinkChunk)
+	for i := range rows {
+		rows[i] = [][]byte{[]byte("ACGTACGTAC"), []byte("IIIIIIIIII"), fmt.Appendf(nil, "read-%04d", i)}
+	}
+	meta := agd.StreamMeta{Columns: []string{agd.ColBases, agd.ColQual, agd.ColMetadata}, ChunkSize: sinkChunk}
+	if _, err := testutil.WriteRows(store, "ds", meta, rows); err != nil {
+		t.Fatal(err)
+	}
+	for _, col := range meta.Columns {
+		buf := func(i int) *byte { return store.bufs[agd.ChunkEntryPath("ds", i)+"."+col] }
+		if buf(0) == nil || buf(2) != buf(0) {
+			t.Errorf("column %s: chunk 2 stored from %p, chunk 0 from %p: the buffer was not reused", col, buf(2), buf(0))
+		}
+		if buf(1) == buf(0) {
+			t.Errorf("column %s: chunks 0 and 1 stored from one buffer", col)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"persona/internal/dataflow"
 )
@@ -174,9 +175,10 @@ type sink struct {
 	codec Codec
 	comp  Compression
 	puts  *puts
-	// blobs holds two chunks' encoded blobs, used in turn: when a chunk is
-	// encoded, the one before it may still be storing, but the one before
-	// that has landed (puts.run waited for it).
+	// blobs holds two chunks' encode buffers, one per column, used in turn:
+	// when a chunk is encoded, the one before it may still be storing, but
+	// the one before that has landed (puts.run waited for it) and the store
+	// kept none of its bytes (BlobStore.Put), so they are encoded over.
 	blobs  [2][][]byte
 	stored int // chunks handed to puts
 
@@ -361,16 +363,16 @@ func (s *sink) flush() error {
 }
 
 // storeChunk encodes one chunk's columns and hands their blobs to the store (see
-// puts). The blobs own their bytes, so the chunks may be reused as soon as it
+// puts). The blobs are the sink's, so the chunks may be reused as soon as it
 // returns.
 func (s *sink) storeChunk(entry ChunkEntry, cols []ColumnSpec, chunks []*Chunk) error {
-	blobs := s.blobs[s.stored%2][:0]
-	for _, c := range chunks {
-		blob, err := s.codec.Encode(c, s.compression(c.Type))
+	blobs := slices.Grow(s.blobs[s.stored%2][:0], len(chunks))[:len(chunks)]
+	for i, c := range chunks {
+		blob, err := s.codec.EncodeAppend(blobs[i][:0], c, s.compression(c.Type))
 		if err != nil {
 			return err
 		}
-		blobs = append(blobs, blob)
+		blobs[i] = blob
 	}
 	s.blobs[s.stored%2] = blobs
 	s.stored++

@@ -4,24 +4,28 @@
 // sorted by aligned location or by read ID (metadata), the two orders
 // downstream tools need.
 //
-// The sort never materializes per-record objects: each superchunk batch
-// stages its columns in shared agd.RecordArenas (contiguous buffers + offset
-// indexes) and sorts a compact array of packed {key, row} entries with an
-// LSD radix sort over the key bytes that actually vary. Phase 2 is one k-way
-// heap merge of the runs (RunMerger) emitted as a stream of output chunks
-// (MergeStream, the only code that turns merged rows into groups).
-// SortStream is that sort as a pipeline stage; the one-stage persona.Sort
-// puts it between a dataset source and a dataset sink. The in-process sort
-// keeps its runs in memory: the merge needs every run resident before it emits a row, so
-// storing runs and fetching them back would bound no memory, only cost a
-// store round trip per run. A range-partitioned merge is the same merger and
-// stream over run fragments cut at shared splitters (CutRun), which the
-// cluster's shuffle and reduce run across nodes; there runs must cross
-// nodes, so BuildRun stores each one.
+// The sort never materializes per-record objects. Phase 1 is one
+// RunBuilder: it stages each superchunk batch's columns in agd.RecordArenas
+// (contiguous buffers + offset indexes) it keeps from run to run, and sorts
+// a compact array of packed {key, row} entries with an LSD radix sort over
+// the key bytes that actually vary. Phase 2 is one k-way heap merge of the
+// runs (RunMerger) emitted as a stream of output chunks (MergeStream, the
+// only code that turns merged rows into groups). SortStream is that sort as
+// a pipeline stage, with its runs in memory: the merge needs every run
+// resident before it emits a row, so storing runs would bound no memory. A
+// range-partitioned merge is the same merger and stream over run fragments
+// cut at shared splitters (CutRun), which the cluster's shuffle and reduce
+// run across nodes; there runs must cross nodes, so each node's builder
+// encodes its runs straight from its arenas and stores them (BuildRun).
 package agdsort
 
 import (
+	"context"
 	"encoding/binary"
+	"fmt"
+	"io"
+	"math/bits"
+	"slices"
 
 	"persona/internal/agd"
 )
@@ -64,8 +68,8 @@ type Options struct {
 	Pipelining int
 }
 
-// keyColumn locates the column the sort key is derived from.
-func keyColumn(columns []string, by Key) int {
+// KeyColumn locates the column the sort key is derived from, or -1.
+func KeyColumn(columns []string, by Key) int {
 	want := agd.ColResults
 	if by == ByMetadata {
 		want = agd.ColMetadata
@@ -86,37 +90,101 @@ type sortEntry struct {
 	row uint32
 }
 
-// stageGroup bulk-appends one row group's column chunks into the staging
-// arenas and extracts its packed sort entries. batch is the number of groups
-// the caller expects to stage into these arenas, 1 when it cannot tell.
-func stageGroup(cols []*agd.RecordArena, keys []sortEntry, chunks []*agd.Chunk, keyCol int, by Key, batch int) ([]sortEntry, error) {
-	n := chunks[0].NumRecords()
-	for col, c := range chunks {
-		if cols[col].Len() == 0 {
-			// Size the staging once for the batch, taking its groups to be
-			// about this size (an eighth over: names and CIGARs vary).
-			cols[col].Grow(batch*n, batch*(len(c.Data)+len(c.Data)/8))
+// A RunBuilder stages row groups in record arenas and sorts their packed keys
+// into runs: SortStream's phase 1 and a distributed map task (BuildRun) both
+// drive its one drain loop. It keeps its arenas, keys and run blob from one
+// run to the next, so a builder reused for runs of like shape grows nothing
+// after its first. Its zero value is ready for one goroutine at a time.
+type RunBuilder struct {
+	cols    []*agd.RecordArena // one per stream column
+	keys    []sortEntry        // one per staged row, in key order once sorted
+	scratch []sortEntry        // the radix sort's second buffer
+	blob    []byte             // the run BuildRun last encoded
+}
+
+// reset empties the builder for a run of numCols columns, keeping its memory.
+func (b *RunBuilder) reset(numCols int) {
+	for len(b.cols) < numCols {
+		b.cols = append(b.cols, agd.NewRecordArena(0, 0))
+	}
+	b.cols = b.cols[:numCols]
+	for _, a := range b.cols {
+		a.Reset()
+	}
+	b.keys = b.keys[:0]
+}
+
+// drain stages every group of in, checked against the stream's columns, calls
+// each, when set, after each group is staged, and returns the rows staged.
+// The first group of a run sizes the arenas and keys for batch groups like
+// it, so a run of the expected shape grows nothing. in is not closed.
+func (b *RunBuilder) drain(ctx context.Context, in *agd.GroupStream, keyCol int, by Key, batch int, each func(g *agd.RowGroup)) (int, error) {
+	numCols, rows := len(in.Meta.Columns), 0
+	b.reset(numCols)
+	for {
+		g, err := in.Next(ctx)
+		if err == io.EOF {
+			return rows, nil
 		}
-		cols[col].AppendChunk(c)
+		if err != nil {
+			return rows, err
+		}
+		if len(g.Chunks) != numCols {
+			g.Release()
+			return rows, fmt.Errorf("agdsort: group %d has %d columns, stream declares %d", g.Index, len(g.Chunks), numCols)
+		}
+		err = b.stage(g.Chunks, keyCol, by, batch)
+		if err == nil && each != nil {
+			each(g)
+		}
+		rows += g.NumRecords()
+		g.Release()
+		if err != nil {
+			return rows, err
+		}
+	}
+}
+
+// stage bulk-appends one row group's column chunks into the arenas and
+// extracts its packed sort entries.
+func (b *RunBuilder) stage(chunks []*agd.Chunk, keyCol int, by Key, batch int) error {
+	n := chunks[0].NumRecords()
+	if len(b.keys) == 0 {
+		// Size the staging once for the run, taking its groups to be about
+		// this size (an eighth over: names and CIGARs vary).
+		for col, c := range chunks {
+			b.cols[col].Grow(batch*n, batch*(len(c.Data)+len(c.Data)/8))
+		}
+		b.keys = slices.Grow(b.keys, batch*n)
+	}
+	for col, c := range chunks {
+		b.cols[col].AppendChunk(c)
 	}
 	keyChunk := chunks[keyCol]
-	base := uint32(len(keys))
+	base := uint32(len(b.keys))
 	for r := 0; r < n; r++ {
 		rec, err := keyChunk.Record(r)
 		if err != nil {
-			return keys, err
+			return err
 		}
-		k, err := packKey(rec, by)
+		k, err := PackRecordKey(rec, by)
 		if err != nil {
-			return keys, err
+			return err
 		}
-		keys = append(keys, sortEntry{key: k, row: base + uint32(r)})
+		b.keys = append(b.keys, sortEntry{key: k, row: base + uint32(r)})
 	}
-	return keys, nil
+	return nil
 }
 
-// packKey derives a row's 64-bit primary key from its key-column record.
-func packKey(rec []byte, by Key) (uint64, error) {
+// sort orders the staged rows' keys.
+func (b *RunBuilder) sort(keyCol int, by Key) {
+	b.scratch = sortKeys(b.cols[keyCol], b.keys, b.scratch, by)
+}
+
+// PackRecordKey derives a row's packed 64-bit primary key from its key-column
+// record: the location, with unmapped reads after every mapped one, or the
+// read ID's 8-byte prefix.
+func PackRecordKey(rec []byte, by Key) (uint64, error) {
 	if by == ByLocation {
 		v, err := agd.DecodeResultView(rec)
 		if err != nil {
@@ -144,31 +212,44 @@ func prefixKey(b []byte) uint64 {
 	return k
 }
 
-// frameRun builds one sorted run from the staging arenas, rows in keys
-// order: each record is the concatenation of the row's uvarint-length-prefixed
-// fields. The run owns its bytes, so the arenas can be reset for the next
-// batch.
-func frameRun(cols []*agd.RecordArena, keys []sortEntry) *agd.Chunk {
+// appendRow appends one staged row as a run record: the concatenation of
+// its uvarint-length-prefixed fields.
+func (b *RunBuilder) appendRow(dst []byte, row uint32) []byte {
+	for _, col := range b.cols {
+		f := col.Record(int(row))
+		dst = binary.AppendUvarint(dst, uint64(len(f)))
+		dst = append(dst, f...)
+	}
+	return dst
+}
+
+// rowLen is the size of one staged row as a run record.
+func (b *RunBuilder) rowLen(row uint32) (n int) {
+	for _, col := range b.cols {
+		l := len(col.Record(int(row)))
+		n += (bits.Len64(uint64(l)|1)+6)/7 + l // the uvarint header, then the field
+	}
+	return n
+}
+
+// framedLen is the size of the staged rows as run records.
+func (b *RunBuilder) framedLen() (n int) {
+	for _, e := range b.keys {
+		n += b.rowLen(e.row)
+	}
+	return n
+}
+
+// frameRun copies the sorted rows, in key order, into one run chunk that
+// owns its bytes, and empties the builder for the next run.
+func (b *RunBuilder) frameRun() *agd.Chunk {
 	var buf []byte
-	var tmp [binary.MaxVarintLen64]byte
-	size := 0 // of the run: every field and its uvarint header
-	for _, col := range cols {
-		size += col.DataLen()
-		for r := 0; r < col.Len(); r++ {
-			size += binary.PutUvarint(tmp[:], uint64(len(col.Record(r))))
-		}
+	c := agd.NewChunkBuilder(agd.TypeRaw, 0)
+	c.Grow(len(b.keys), b.framedLen())
+	for _, e := range b.keys {
+		buf = b.appendRow(buf[:0], e.row)
+		c.Append(buf)
 	}
-	b := agd.NewChunkBuilder(agd.TypeRaw, 0)
-	b.Grow(len(keys), size)
-	for _, e := range keys {
-		buf = buf[:0]
-		for _, col := range cols {
-			f := col.Record(int(e.row))
-			n := binary.PutUvarint(tmp[:], uint64(len(f)))
-			buf = append(buf, tmp[:n]...)
-			buf = append(buf, f...)
-		}
-		b.Append(buf)
-	}
-	return b.Chunk()
+	b.reset(len(b.cols))
+	return c.Chunk()
 }

@@ -303,7 +303,7 @@ func TestRadixMatchesComparisonSort(t *testing.T) {
 		want := append([]sortEntry{}, keys...)
 		comparisonSortKeys(arena, want, by)
 		got := append([]sortEntry{}, keys...)
-		sortKeys(arena, got, by) // n >= radixMinLen: the radix path
+		sortKeys(arena, got, nil, by) // n >= radixMinLen: the radix path
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("trial %d (by=%s): entry %d = %+v, comparison sort says %+v",
@@ -412,7 +412,7 @@ func referenceSort(t *testing.T, ds *agd.Dataset, by Key) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keyCol := keyColumn(in.Meta.Columns, by)
+	keyCol := KeyColumn(in.Meta.Columns, by)
 	type row struct {
 		joined string
 		key    []byte

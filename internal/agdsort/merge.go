@@ -54,7 +54,7 @@ func (it *superIter) advance() (bool, error) {
 		it.fields[c] = rec[off : off+int(l)]
 		off += int(l)
 	}
-	if it.key, err = packKey(it.fields[it.keyCol], it.by); err != nil {
+	if it.key, err = PackRecordKey(it.fields[it.keyCol], it.by); err != nil {
 		return false, err
 	}
 	it.keyBytes = it.fields[it.keyCol]
@@ -147,17 +147,9 @@ func FetchRuns(ctx context.Context, store agd.BlobStore, names []string) ([]*agd
 	return runs, total, nil
 }
 
-// splitter is one partition boundary: rows comparing >= it belong to the
-// partition to its right. For ByMetadata the full key bytes refine the
-// packed prefix, so rows with equal full keys can never straddle a seam.
-type splitter struct {
-	key  uint64
-	full []byte // full key bytes (ByMetadata only), aliasing run data
-}
-
-// runKeyField returns the key-column field bytes of row r of a decoded
-// superchunk.
-func runKeyField(c *agd.Chunk, keyCol, r int) ([]byte, error) {
+// RunField returns the col-th uvarint-framed field of row r of a decoded
+// run chunk, aliasing the chunk's data.
+func RunField(c *agd.Chunk, col, r int) ([]byte, error) {
 	rec, err := c.Record(r)
 	if err != nil {
 		return nil, err
@@ -169,44 +161,35 @@ func runKeyField(c *agd.Chunk, keyCol, r int) ([]byte, error) {
 			return nil, fmt.Errorf("agdsort: corrupt superchunk record")
 		}
 		off += n
-		if f == keyCol {
+		if f == col {
 			return rec[off : off+int(l)], nil
 		}
 		off += int(l)
 	}
 }
 
-// rowKey returns row r's packed key and (for ByMetadata tie comparison) its
-// full key-field bytes.
-func rowKey(c *agd.Chunk, keyCol, r int, by Key) (uint64, []byte, error) {
-	f, err := runKeyField(c, keyCol, r)
-	if err != nil {
-		return 0, nil, err
-	}
-	k, err := packKey(f, by)
-	return k, f, err
-}
-
-// cutRun returns the first row of the run whose key compares >= sp, parsing
-// only the O(log n) probed rows. The predicate is monotone, so cuts taken
-// at sorted splitters are themselves sorted, and rows with equal keys all
-// land right of the cut — the property that keeps tie order identical to
-// the serial merge.
-func cutRun(run *agd.Chunk, keyCol int, by Key, sp splitter) int {
+// CutRun returns the first row of a sorted run whose key compares >= cut
+// (for ByMetadata the full key bytes refine the packed prefix), parsing only
+// the O(log n) probed rows. The predicate is monotone, so cuts taken at
+// sorted splitters are themselves sorted, and rows with keys equal to the
+// cut all land right of it: cuts taken at identical samples are identical
+// across runs, which keeps cross-partition tie order equal to a global merge.
+func CutRun(run *agd.Chunk, keyCol int, by Key, cut RunSample) int {
 	return sort.Search(run.NumRecords(), func(r int) bool {
-		k, f, err := rowKey(run, keyCol, r, by)
+		f, err := RunField(run, keyCol, r)
+		var k uint64
+		if err == nil {
+			k, err = PackRecordKey(f, by)
+		}
 		if err != nil {
 			// A corrupt row partitions arbitrarily; the partition merge
 			// re-parses every row and surfaces the error there.
 			return false
 		}
-		if k != sp.key {
-			return k > sp.key
+		if k != cut.Key {
+			return k > cut.Key
 		}
-		if by == ByMetadata {
-			return bytes.Compare(f, sp.full) >= 0
-		}
-		return true
+		return by != ByMetadata || bytes.Compare(f, cut.Full) >= 0
 	})
 }
 

@@ -51,7 +51,7 @@ func buildRuns(t testing.TB, ds *agd.Dataset, by Key, perRun int) ([]*agd.Chunk,
 			t.Fatal(err)
 		}
 		name := fmt.Sprintf("runs/%s-%d", by, start)
-		info, err := BuildRun(ctx, ds.Store(), in, name, by, 8, nil)
+		info, err := new(RunBuilder).BuildRun(ctx, ds.Store(), in, name, by, perRun, 8, nil)
 		in.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -129,7 +129,7 @@ func TestCutRunPartitionMerge(t *testing.T) {
 			t.Run(kind+"/"+by.String(), func(t *testing.T) {
 				ds := fixture(t)
 				cols := len(ds.Manifest.Columns)
-				keyCol := keyColumn(ds.Manifest.Columns, by)
+				keyCol := KeyColumn(ds.Manifest.Columns, by)
 				runs, samples := buildRuns(t, ds, by, 3)
 				whole, err := NewRunMerger(runs, cols, keyCol, by)
 				if err != nil {
@@ -226,7 +226,7 @@ func FuzzRunMerger(f *testing.F) {
 		if err != nil {
 			return
 		}
-		keyCol := keyColumn(ds.Manifest.Columns, by)
+		keyCol := KeyColumn(ds.Manifest.Columns, by)
 		other := others[by]
 		CutRun(run, keyCol, by, RunSample{Key: 1 << 40, Full: []byte("sharedpr")})
 

@@ -21,18 +21,21 @@ import (
 // the radix passes; small runs fall back to the comparison sort.
 const radixMinLen = 96
 
-// sortKeys orders the packed entries. The paper notes Persona's in-memory
-// phase is "currently naive, using std::sort() across chunks"; the radix
-// sort moves 12-byte entries in O(varying bytes) passes instead.
-func sortKeys(keyArena *agd.RecordArena, keys []sortEntry, by Key) {
+// sortKeys orders the packed entries, with scratch, grown to len(keys) and
+// returned, as the radix passes' second buffer. The paper notes Persona's
+// in-memory phase is "currently naive, using std::sort() across chunks"; the
+// radix sort moves 12-byte entries in O(varying bytes) passes instead.
+func sortKeys(keyArena *agd.RecordArena, keys, scratch []sortEntry, by Key) []sortEntry {
 	if len(keys) < radixMinLen {
 		comparisonSortKeys(keyArena, keys, by)
-		return
+		return scratch
 	}
-	radixSortEntries(keys, make([]sortEntry, len(keys)))
+	scratch = slices.Grow(scratch[:0], len(keys))[:len(keys)]
+	radixSortEntries(keys, scratch)
 	if by == ByMetadata {
 		resolvePrefixTies(keyArena, keys)
 	}
+	return scratch
 }
 
 // comparisonSortKeys is the slices.SortFunc (pdqsort) path: primary packed

@@ -3,7 +3,6 @@ package agdsort
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"persona/internal/agd"
 )
@@ -23,7 +22,7 @@ import (
 //
 // store is unused; it stays only because the benchmark (bench/) passes one.
 func SortStream(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, opts Options) (*agd.GroupStream, error) {
-	keyCol := keyColumn(in.Meta.Columns, opts.By)
+	keyCol := KeyColumn(in.Meta.Columns, opts.By)
 	if keyCol < 0 {
 		if opts.By == ByLocation {
 			return nil, fmt.Errorf("agdsort: stream has no results column to sort by")
@@ -37,60 +36,34 @@ func SortStream(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, o
 	// group's size is an arbitrary kept-row count, the fallback only.
 	chunkSize := in.Meta.ChunkSize
 
-	// Phase 1: drain the input, framing one sorted run per batch of
-	// ChunksPerSuperchunk groups. A run copies its rows out of the batch's
-	// arenas and keys before the next group is staged, so every batch
-	// reuses them.
+	// Phase 1: drain the input through a run builder, framing one sorted
+	// run per batch of ChunksPerSuperchunk groups. A run copies its rows out
+	// of the builder, so every batch reuses its arenas and keys.
 	var (
-		runs      []*agd.Chunk
-		batchKeys []sortEntry
-		batchSize int
-		total     int // rows staged
-		runRows   int // rows framed into runs
+		b       RunBuilder
+		runs    []*agd.Chunk
+		batch   int // groups staged into the builder
+		runRows int // rows framed into runs
 	)
-	numCols := len(in.Meta.Columns)
-	batchCols := make([]*agd.RecordArena, numCols)
-	for i := range batchCols {
-		batchCols[i] = agd.NewRecordArena(0, 0)
-	}
 	flush := func() {
-		sortKeys(batchCols[keyCol], batchKeys, opts.By)
-		run := frameRun(batchCols, batchKeys)
+		b.sort(keyCol, opts.By)
+		run := b.frameRun()
 		runs = append(runs, run)
 		runRows += run.NumRecords()
-		for _, a := range batchCols {
-			a.Reset()
-		}
-		batchKeys, batchSize = batchKeys[:0], 0
+		batch = 0
 	}
-	for {
-		g, err := in.Next(ctx)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if len(g.Chunks) != numCols {
-			g.Release()
-			return nil, fmt.Errorf("agdsort: group %d has %d columns, stream declares %d", g.Index, len(g.Chunks), numCols)
-		}
+	total, err := b.drain(ctx, in, keyCol, opts.By, opts.ChunksPerSuperchunk, func(g *agd.RowGroup) {
 		if chunkSize <= 0 {
 			chunkSize = g.NumRecords()
 		}
-		batchKeys, err = stageGroup(batchCols, batchKeys, g.Chunks, keyCol, opts.By, opts.ChunksPerSuperchunk)
-		if err != nil {
-			g.Release()
-			return nil, err
-		}
-		total += g.NumRecords()
-		g.Release()
-		batchSize++
-		if batchSize >= opts.ChunksPerSuperchunk {
+		if batch++; batch == opts.ChunksPerSuperchunk {
 			flush()
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	if batchSize > 0 {
+	if batch > 0 {
 		flush()
 	}
 	if total == 0 {
@@ -105,7 +78,7 @@ func SortStream(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, o
 	in.Close()
 
 	// Phase 2: heap-merge the runs into an output stream.
-	merger, err := NewRunMerger(runs, numCols, keyCol, opts.By)
+	merger, err := NewRunMerger(runs, len(in.Meta.Columns), keyCol, opts.By)
 	if err != nil {
 		return nil, err
 	}

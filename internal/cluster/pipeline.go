@@ -122,6 +122,8 @@ func (e *Env) tally(rep *NodeReport) shuffle.Counts {
 type PipelinePlan struct {
 	// Dataset names the AGD input in the shared store.
 	Dataset string
+	// Manifest is Dataset's manifest if the caller has read it; nil reads it.
+	Manifest *agd.Manifest
 	// Columns lists the source columns the map tasks open, in manifest
 	// order: those a single-node Read of the same stages opens. Nil opens
 	// every manifest column.
@@ -207,11 +209,14 @@ func RunPipeline(ctx context.Context, store storage.Store, plan PipelinePlan, cf
 	cfg.applyDefaults()
 	plan.applyDefaults()
 
-	ds, err := agd.Open(store, plan.Dataset)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: open dataset %q: %w", plan.Dataset, err)
+	m := plan.Manifest
+	if m == nil {
+		var err error
+		if m, err = agd.ReadManifest(store, plan.Dataset); err != nil {
+			return nil, fmt.Errorf("cluster: open dataset %q: %w", plan.Dataset, err)
+		}
 	}
-	m := ds.Manifest
+	ds := agd.OpenManifest(store, m)
 	switch {
 	case len(m.Chunks) == 0:
 		return nil, fmt.Errorf("cluster: dataset %q has no chunks", plan.Dataset)
@@ -367,11 +372,15 @@ func RunPipeline(ctx context.Context, store storage.Store, plan PipelinePlan, cf
 }
 
 // pipelineNode is one worker of a distributed pipeline run: a task loop
-// over the phase server's three phases.
+// over the phase server's three phases. It keeps one run builder across its
+// map tasks and one encode buffer across its shuffle tasks, and drops each
+// once it leases a task of a later phase.
 func pipelineNode(ctx context.Context, w *worker, store storage.Store, ds *agd.Dataset, plan *PipelinePlan, cols []string, parts, numBatches int) error {
 	client, rep := w.client, &w.rep
 	keyCol := agdsort.KeyColumn(cols, plan.By)
 	var cuts *shuffle.Cuts
+	var builder *agdsort.RunBuilder
+	var enc []byte
 	for {
 		phase, idx, ok, err := w.lease(ctx)
 		if err != nil {
@@ -384,8 +393,12 @@ func pipelineNode(ctx context.Context, w *worker, store storage.Store, ds *agd.D
 		var payload string
 		switch phase {
 		case phaseMap:
-			payload, err = runMapTask(ctx, store, ds, plan, w.exec, idx, rep)
+			if builder == nil {
+				builder = new(agdsort.RunBuilder)
+			}
+			payload, err = runMapTask(ctx, store, ds, plan, w.exec, builder, idx, rep)
 		case phaseShuffle:
+			builder = nil
 			if cuts == nil {
 				tok, ok, cerr := client.Cuts(ctx.Done())
 				if cerr != nil {
@@ -401,9 +414,10 @@ func pipelineNode(ctx context.Context, w *worker, store storage.Store, ds *agd.D
 				cuts = &c
 			}
 			var bytes int64
-			payload, bytes, err = runShuffleTask(ctx, store, plan, keyCol, cuts, idx, parts)
+			payload, bytes, err = runShuffleTask(ctx, store, plan, keyCol, cuts, idx, parts, &enc)
 			rep.ShuffleBytes += bytes
 		case phaseReduce:
+			builder, enc = nil, nil
 			payload, err = runReduceTask(ctx, store, plan, w.exec, cols, keyCol, idx, numBatches, rep)
 		default:
 			err = fmt.Errorf("cluster: unknown phase %d", phase)
@@ -419,11 +433,11 @@ func pipelineNode(ctx context.Context, w *worker, store storage.Store, ds *agd.D
 }
 
 // runMapTask runs the map stages over one batch of source chunks and stores
-// their rows as one sorted run blob, returning the run-summary payload
-// (rows, key samples, max halo span, what the stages counted); a write-back
-// plan's task stores the stages' results blob instead. The task's reads, and
-// the bases it aligned, are added to rep.
-func runMapTask(ctx context.Context, store storage.Store, ds *agd.Dataset, plan *PipelinePlan, exec *dataflow.Executor, b int, rep *NodeReport) (string, error) {
+// their rows as one sorted run blob, built in builder, returning the
+// run-summary payload (rows, key samples, max halo span, what the stages
+// counted); a write-back plan's task stores the stages' results blob
+// instead. The task's reads, and the bases it aligned, are added to rep.
+func runMapTask(ctx context.Context, store storage.Store, ds *agd.Dataset, plan *PipelinePlan, exec *dataflow.Executor, builder *agdsort.RunBuilder, b int, rep *NodeReport) (string, error) {
 	lo := b * plan.ChunksPerBatch
 	hi := min(lo+plan.ChunksPerBatch, len(ds.Manifest.Chunks))
 	codec := agd.Codec{Exec: exec}
@@ -461,7 +475,7 @@ func runMapTask(ctx context.Context, store storage.Store, ds *agd.Dataset, plan 
 			return err
 		}
 	}
-	info, err := agdsort.BuildRun(ctx, store, stream, shuffle.RunBlob(plan.TempPrefix, b), plan.By, shuffle.SampleCount, visit)
+	info, err := builder.BuildRun(ctx, store, stream, shuffle.RunBlob(plan.TempPrefix, b), plan.By, hi-lo, shuffle.SampleCount, visit)
 	if err != nil {
 		return "", fmt.Errorf("cluster: map batch %d: %w", b, err)
 	}
@@ -475,8 +489,9 @@ func runMapTask(ctx context.Context, store storage.Store, ds *agd.Dataset, plan 
 
 // runShuffleTask cuts one sorted run at the global splitters and writes each
 // fragment — and, for marking pipelines, each cut's halo — to its owning
-// partition's blob prefix, returning the shuffle-result payload.
-func runShuffleTask(ctx context.Context, store storage.Store, plan *PipelinePlan, keyCol int, cuts *shuffle.Cuts, b, parts int) (string, int64, error) {
+// partition's blob prefix, encoding each into *enc, and returns the
+// shuffle-result payload.
+func runShuffleTask(ctx context.Context, store storage.Store, plan *PipelinePlan, keyCol int, cuts *shuffle.Cuts, b, parts int, enc *[]byte) (string, int64, error) {
 	runs, _, err := agdsort.FetchRuns(ctx, store, []string{shuffle.RunBlob(plan.TempPrefix, b)})
 	if err != nil {
 		return "", 0, fmt.Errorf("cluster: shuffle %d: %w", b, err)
@@ -488,15 +503,14 @@ func runShuffleTask(ctx context.Context, store storage.Store, plan *PipelinePlan
 	bounds = append(bounds, run.NumRecords())
 
 	res := shuffle.ShuffleResult{PartRows: make([]int64, parts)}
-	put := func(name string, c *agd.Chunk) error {
-		enc, err := agd.EncodeChunk(c, agd.CompressNone)
-		if err != nil {
+	put := func(name string, c *agd.Chunk) (err error) {
+		if *enc, err = agd.EncodeChunkAppend((*enc)[:0], c, agd.CompressNone); err != nil {
 			return err
 		}
-		if err := store.Put(name, enc); err != nil {
+		if err := store.Put(name, *enc); err != nil {
 			return fmt.Errorf("cluster: piece %q: %w", name, err)
 		}
-		res.Bytes += int64(len(enc))
+		res.Bytes += int64(len(*enc))
 		return nil
 	}
 	for k := 0; k < parts; k++ {

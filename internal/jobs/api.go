@@ -63,6 +63,7 @@ const maxSpecBytes = 1 << 20
 func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes)).Decode(&spec); err != nil {
+		m.countRejected(r.Header.Get(TenantHeader))
 		writeErr(w, fmt.Errorf("submit: decode body: %v: %w", err, ErrBadSpec))
 		return
 	}

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -318,6 +319,14 @@ func (m *Manager) admit(spec Spec) (int64, error) {
 	return int64(ds.Manifest.NumRecords()) * m.cfg.BytesPerRecord, nil
 }
 
+// countRejected counts one refused submit against tenant ("default" when
+// empty).
+func (m *Manager) countRejected(tenant string) {
+	m.mu.Lock()
+	m.tenantStats(cmp.Or(tenant, "default")).Rejected++
+	m.mu.Unlock()
+}
+
 // Submit admits a job: validate, estimate, journal PENDING (the durable
 // acknowledgment point — once Submit returns, a crash cannot lose the job),
 // then enqueue atomically against the admission budgets. Budget rejections
@@ -327,15 +336,10 @@ func (m *Manager) Submit(tenant string, spec Spec) (*JobStatus, error) {
 	if tenant == "" {
 		tenant = "default"
 	}
-	reject := func(err error) (*JobStatus, error) {
-		m.mu.Lock()
-		m.tenantStats(tenant).Rejected++
-		m.mu.Unlock()
-		return nil, err
-	}
 	est, err := m.admit(spec)
 	if err != nil {
-		return reject(fmt.Errorf("submit: %w", err))
+		m.countRejected(tenant)
+		return nil, fmt.Errorf("submit: %w", err)
 	}
 
 	m.mu.Lock()

@@ -265,6 +265,39 @@ func TestSubmitRefusesWhatRunRefuses(t *testing.T) {
 	}
 }
 
+// TestRefusedSubmitsAreCounted: every POST the server refuses counts in its
+// tenant's Rejected, whether the body does not decode, is past the size cap,
+// or holds a spec Run refuses.
+func TestRefusedSubmitsAreCounted(t *testing.T) {
+	store := persona.NewMemStore()
+	g := importTestDataset(t, store, "ds")
+	m, _ := newTestManager(t, store, g, nil)
+	srv := httptest.NewServer(m.Handler())
+	defer srv.Close()
+	for _, body := range []string{
+		`{"dataset":`,
+		`{"dataset":"ds","format":"fastq","pad":"` + strings.Repeat("x", maxSpecBytes) + `"}`,
+		`{"dataset":"ds","format":"sam"}`,
+	} {
+		req, err := http.NewRequest("POST", srv.URL+"/v1/jobs", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(TenantHeader, "lab")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 400 {
+			t.Errorf("POST %.40q: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	if got := m.Stats().Tenants["lab"].Rejected; got != 3 {
+		t.Errorf("Rejected = %d after three refused submits, want 3", got)
+	}
+}
+
 // countGetStore counts Gets.
 type countGetStore struct {
 	persona.Store

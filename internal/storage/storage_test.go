@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"persona/internal/agd"
 	"persona/internal/testutil"
@@ -138,5 +139,52 @@ func TestObjectStoreValidation(t *testing.T) {
 	s, _ := NewObjectStore(ObjectStoreConfig{})
 	if err := s.FailOSD(99); err == nil {
 		t.Fatal("failing unknown OSD succeeded")
+	}
+}
+
+// TestPutKeepsNoReference pins BlobStore.Put's contract, which writers that
+// reuse their encode buffers rely on: once Put returns, the store holds no
+// reference to data. Every store and wrapper in the repository is checked
+// by overwriting the buffer after Put and reading the blob back.
+func TestPutKeepsNoReference(t *testing.T) {
+	dir, err := agd.NewDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	object, err := NewObjectStore(ObjectStoreConfig{OSDs: 3, Replication: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault := NewFaultStore(agd.NewMemStore(), FaultPolicy{})
+	defer fault.Close()
+	stores := []struct {
+		name  string
+		store Store
+	}{
+		{"MemStore", agd.NewMemStore()},
+		{"DirStore", dir},
+		{"ObjectStore", object},
+		{"RetryStore", NewRetryStore(agd.NewMemStore(), RetryPolicy{MaxAttempts: 2})},
+		{"FaultStore (inactive)", fault},
+		{"LatencyStore", WithLatency(agd.NewMemStore(), time.Microsecond)},
+	}
+	for _, tc := range stores {
+		t.Run(tc.name, func(t *testing.T) {
+			buf := []byte("the blob as it was put")
+			want := string(buf)
+			if err := tc.store.Put("ns/blob", buf); err != nil {
+				t.Fatal(err)
+			}
+			for i := range buf {
+				buf[i] = 'x'
+			}
+			got, err := tc.store.Get("ns/blob")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != want {
+				t.Errorf("Get after the buffer was overwritten = %q, want %q", got, want)
+			}
+		})
 	}
 }
