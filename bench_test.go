@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -677,10 +678,12 @@ func BenchmarkAblation_Subchunks(b *testing.B) {
 // chunks stream stage-to-stage and nothing is written to the store — under
 // the pumped scheduler (bounded edges, stages overlapped);
 // "fused-pull" is the same graph on the serial pull scheduler, isolating
-// what the overlap buys. The BAM bytes are identical (asserted in
-// TestPipelineMatchesStagedSAM and TestPipelinePumpedMatchesSerial); the
-// staged/fused delta is the store round trips. Dataset setup is outside the
-// timer.
+// what the overlap buys; "fused-cold" is "fused" with the process-wide pools
+// of stage memory emptied before each op (two collections outside the
+// timer), what a process's first run pays. The BAM bytes are identical
+// (asserted in TestPipelineMatchesStagedSAM and
+// TestPipelinePumpedMatchesSerial); the staged/fused delta is the store round
+// trips. Dataset setup is outside the timer.
 func BenchmarkPipeline_WGS(b *testing.B) {
 	sc := benchScale()
 	cfg := testutil.Config{
@@ -735,10 +738,15 @@ func BenchmarkPipeline_WGS(b *testing.B) {
 			}
 		}
 	})
-	runFused := func(b *testing.B, serial bool) {
+	runFused := func(b *testing.B, serial, cold bool) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
+			if cold {
+				// A pooled object outlives one collection, not two.
+				runtime.GC()
+				runtime.GC()
+			}
 			store := freshStore(b)
 			sess := persona.NewSession(store, persona.SessionOptions{})
 			b.StartTimer()
@@ -758,6 +766,7 @@ func BenchmarkPipeline_WGS(b *testing.B) {
 			b.StartTimer()
 		}
 	}
-	b.Run("fused", func(b *testing.B) { runFused(b, false) })
-	b.Run("fused-pull", func(b *testing.B) { runFused(b, true) })
+	b.Run("fused", func(b *testing.B) { runFused(b, false, false) })
+	b.Run("fused-pull", func(b *testing.B) { runFused(b, true, false) })
+	b.Run("fused-cold", func(b *testing.B) { runFused(b, false, true) })
 }

@@ -117,17 +117,21 @@ func (a *asyncAdapter) GetBatch(names []string) []*Future {
 // its lock, where waiting for a worker would hold up chunks that have arrived.
 // (A semaphore taken in each read's goroutine serves reads in no set order.)
 type readQueue struct {
-	mu      sync.Mutex
-	idle    int      // workers that may still start: the bound less those running
-	pending []func() // reads waiting for a worker, oldest first
+	mu       sync.Mutex
+	idle     int      // workers that may still start: the bound less those running
+	starting int      // workers started that have not yet taken the lock
+	pending  []func() // reads waiting for a worker, oldest first
 }
 
+// Go queues read, and starts a worker only for a read that no worker already
+// started will take.
 func (q *readQueue) Go(read func()) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.pending = append(q.pending, read)
-	if q.idle > 0 {
+	if q.idle > 0 && len(q.pending) > q.starting {
 		q.idle--
+		q.starting++
 		go q.work()
 	}
 }
@@ -136,6 +140,7 @@ func (q *readQueue) Go(read func()) {
 // off, so append's copy when it grows the slice moves only waiting reads.
 func (q *readQueue) work() {
 	q.mu.Lock()
+	q.starting--
 	for len(q.pending) > 0 {
 		read := q.pending[0]
 		q.pending[0] = nil // a done slot must not pin its read

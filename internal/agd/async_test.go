@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -566,6 +567,31 @@ func TestChunkStreamIssuerNeverBlocks(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("next did not return chunk 0 after its reads were answered")
+	}
+}
+
+// TestReadQueueStartsNoStrayWorker: at one processor, a round of reads is
+// queued before any worker runs, and the newest worker takes them all. A
+// worker started for a read that another worker took is left runnable with
+// nothing to do; the queue starts one only for a read that no worker already
+// started will take, so such workers serve the next round instead of piling
+// up, and the goroutines left after every round stay within one round's
+// reads (plus one worker still finishing).
+func TestReadQueueStartsNoStrayWorker(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const reads = 3
+	q := &readQueue{idle: 32}
+	base := runtime.NumGoroutine()
+	var wg sync.WaitGroup
+	for round := 0; round < 100; round++ {
+		wg.Add(reads)
+		for i := 0; i < reads; i++ {
+			q.Go(wg.Done)
+		}
+		wg.Wait()
+		if extra := runtime.NumGoroutine() - base; extra > reads+1 {
+			t.Fatalf("round %d: %d goroutines beyond the test's own, for %d reads a round", round, extra, reads)
+		}
 	}
 }
 

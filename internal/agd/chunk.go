@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sync"
 
+	"persona/internal/dataflow"
 	"persona/internal/deflate"
 )
 
@@ -196,10 +197,26 @@ type ChunkBuilder struct {
 }
 
 // NewChunkBuilder returns a builder for a chunk whose first record has the
-// given dataset-wide ordinal.
+// given dataset-wide ordinal. It comes from a process-wide pool, with the
+// memory of a builder an earlier run grew and gave back (Recycle).
 func NewChunkBuilder(typ RecordType, firstOrdinal uint64) *ChunkBuilder {
-	return &ChunkBuilder{typ: typ, firstOrdinal: firstOrdinal}
+	b := pooledBuilders.Get()
+	b.Reset(typ, firstOrdinal)
+	return b
 }
+
+// Recycle gives b back to NewChunkBuilder's pool. The caller proves that no
+// chunk b returned is read any more.
+func (b *ChunkBuilder) Recycle() { pooledBuilders.Put(b) }
+
+// pooledBuilders and pooledChunks keep chunk builders and decoded chunks
+// across runs.
+var (
+	pooledBuilders = dataflow.Recycler[*ChunkBuilder]{New: func() *ChunkBuilder { return new(ChunkBuilder) },
+		Size: func(b *ChunkBuilder) int { return cap(b.data) + 4*cap(b.lengths) + 8*cap(b.chunk.offsets) }}
+	pooledChunks = dataflow.Recycler[*Chunk]{New: func() *Chunk { return new(Chunk) },
+		Size: func(c *Chunk) int { return int(c.MemSize()) }}
+)
 
 // Reset re-targets the builder at a new chunk, retaining the backing arrays
 // so pooled builders accumulate with no steady-state allocation. Chunks
@@ -276,6 +293,24 @@ func EncodeChunk(c *Chunk, comp Compression) ([]byte, error) {
 // output blobs.
 func EncodeChunkAppend(dst []byte, c *Chunk, comp Compression) ([]byte, error) {
 	return Codec{}.EncodeAppend(dst, c, comp)
+}
+
+// encodeBufs keeps encode buffers across runs: PutChunk's, and those of the
+// members of a version-2 chunk.
+var encodeBufs = dataflow.Recycler[*[]byte]{New: func() *[]byte { return new([]byte) }, Size: func(b *[]byte) int { return cap(*b) }}
+
+// PutChunk stores c under name as EncodeChunk encodes it with comp, and
+// returns the blob's size. The blob is encoded into a pooled buffer, which
+// goes back once Put returns: a store keeps no reference to it.
+func PutChunk(store BlobStore, name string, c *Chunk, comp Compression) (int, error) {
+	buf := encodeBufs.Get()
+	blob, err := EncodeChunkAppend((*buf)[:0], c, comp)
+	if err == nil {
+		err = store.Put(name, blob)
+	}
+	*buf = blob
+	encodeBufs.Put(buf)
+	return len(blob), err
 }
 
 // encodeChunkHeader appends a chunk header to dst with the size fields

@@ -150,6 +150,9 @@ func (s *GroupStream) Next(ctx context.Context) (*RowGroup, error) {
 		return nil, err
 	}
 	g, err := s.next(ctx)
+	if err == io.EOF {
+		s.closed.Store(true) // a stage that ended may have recycled its builders
+	}
 	if err == nil && s.closed.Load() {
 		// Raced a Close: the stop hook may already be tearing down the
 		// resources backing this group, so don't hand it out.
@@ -203,9 +206,14 @@ func (s *BuilderSet) Hold(g *RowGroup) { s.held = g }
 // Release, so a pumped edge can queue several of a stage's groups with no
 // recycling under a live reader. Exhaustion blocks in Get — the same
 // back-pressure contract as the chunk pools — so an undersized window
-// degrades to waiting, never to corruption.
+// degrades to waiting, never to corruption. Once the stage has seen its
+// upstream's io.EOF (Drop, on the stage's goroutine, where no fill runs),
+// every set's builders go back to NewChunkBuilder's pool as the set comes
+// free; a stream stopped early (an error, a Close) gives none back.
 type BuilderPool struct {
-	pool *dataflow.ItemPool[*BuilderSet]
+	pool  *dataflow.ItemPool[*BuilderSet]
+	mu    sync.Mutex
+	ended bool // Drop saw io.EOF: sets recycle as they come free
 }
 
 // NewBuilderPool creates a pool of window builder sets, one builder per
@@ -221,7 +229,18 @@ func NewBuilderPool(window int, specs []ColumnSpec) *BuilderPool {
 		set.Release = func() {
 			held := set.held
 			set.held = nil
+			bp.mu.Lock()
 			bp.pool.Put(set)
+			for bp.ended {
+				free, ok := bp.pool.TryGet()
+				if !ok {
+					break
+				}
+				for _, b := range free.Builders {
+					b.Recycle()
+				}
+			}
+			bp.mu.Unlock()
 			if held != nil {
 				held.Release()
 			}
@@ -236,8 +255,20 @@ func NewBuilderPool(window int, specs []ColumnSpec) *BuilderPool {
 // the set's last group: the caller resets each before appending.
 func (bp *BuilderPool) Get(ctx context.Context) (*BuilderSet, error) { return bp.pool.Get(ctx) }
 
+// Drop releases set, taken for a group that pulling upstream failed to
+// deliver with err, and returns err. At io.EOF the stage's stream has ended,
+// so the builders of every set go back to the process-wide pool.
+func (bp *BuilderPool) Drop(set *BuilderSet, err error) error {
+	bp.mu.Lock()
+	bp.ended = err == io.EOF
+	bp.mu.Unlock()
+	set.Release()
+	return err
+}
+
 // Size returns the pool's bound; Free the sets currently available. Equal
-// when no group is in flight — the leak check for pumped-stage tests.
+// when no group is in flight and the stream has not ended — the leak check
+// for pumped-stage tests.
 func (bp *BuilderPool) Size() int { return bp.pool.Size() }
 
 // Free returns the number of sets currently available.
@@ -275,8 +306,7 @@ func FillStream(meta StreamMeta, specs []ColumnSpec, window int, fill func(build
 		}
 		if err != nil {
 			done = true
-			set.Release()
-			return nil, err
+			return nil, pool.Drop(set, err)
 		}
 		g := &RowGroup{Index: index, Chunks: set.Chunks(), release: set.Release}
 		ordinal += uint64(rows)

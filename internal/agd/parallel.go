@@ -98,14 +98,6 @@ func (cd Codec) EncodeAppend(dst []byte, c *Chunk, comp Compression) ([]byte, er
 	return dst, nil
 }
 
-// memberScratchPool recycles per-member compression buffers.
-var memberScratchPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, minMemberSize)
-		return &b
-	},
-}
-
 // encodeV2Append writes the version-2 multi-member layout, compressing the
 // members as tasks on the codec's executor.
 func (cd Codec) encodeV2Append(dst []byte, c *Chunk, members int) ([]byte, error) {
@@ -127,7 +119,7 @@ func (cd Codec) encodeV2Append(dst []byte, c *Chunk, members int) ([]byte, error
 
 	comps := make([]*[]byte, members)
 	run := func(i int) {
-		buf := memberScratchPool.Get().(*[]byte)
+		buf := encodeBufs.Get()
 		part := data[bounds[i]:bounds[i+1]]
 		*buf = deflate.AppendGzip((*buf)[:0], part, crc32.ChecksumIEEE(part), nil)
 		comps[i] = buf
@@ -151,7 +143,7 @@ func (cd Codec) encodeV2Append(dst []byte, c *Chunk, members int) ([]byte, error
 	}
 	for _, cb := range comps {
 		dst = append(dst, *cb...)
-		memberScratchPool.Put(cb)
+		encodeBufs.Put(cb)
 	}
 	patchChunkHeader(dst[base:], idxLen, len(dst)-dataStart, crc)
 	return dst, nil

@@ -108,12 +108,18 @@ type chunkStream struct {
 // NewChunkPool returns a bounded pool of decoded chunks for stream consumers
 // (StreamOptions.ShardedPool): size chunks, Reset applied on recycle. Size it
 // to columns × the row groups the consumer holds at once, plus one being
-// decoded.
+// decoded. Its chunks, and the buffers earlier runs decoded into, come from
+// a process-wide pool, which RecycleChunks gives them back to.
 func NewChunkPool(size int) *dataflow.ItemPool[*Chunk] {
-	return dataflow.NewItemPool(size,
-		func() *Chunk { return new(Chunk) },
-		func(c *Chunk) *Chunk { c.Reset(); return c },
-	)
+	return dataflow.NewItemPool(size, pooledChunks.Get, func(c *Chunk) *Chunk { c.Reset(); return c })
+}
+
+// RecycleChunks gives pool's free chunks back to the process-wide pool. The
+// caller proves no stream uses pool any more; a held chunk is left to the GC.
+func RecycleChunks(pool *dataflow.ItemPool[*Chunk]) {
+	for c, ok := pool.TryGet(); ok; c, ok = pool.TryGet() {
+		pooledChunks.Put(c)
+	}
 }
 
 // NewShardedChunkPool is NewChunkPool; shards is ignored. It stays only

@@ -15,7 +15,7 @@
 // resident before it emits a row, so storing runs would bound no memory. A
 // range-partitioned merge is the same merger and stream over run fragments
 // cut at shared splitters (CutRun), which the cluster's shuffle and reduce
-// run across nodes; there runs must cross nodes, so each node's builder
+// run across nodes; there runs must cross nodes, so each map task's builder
 // encodes its runs straight from its arenas and stores them (BuildRun).
 package agdsort
 
@@ -28,6 +28,7 @@ import (
 	"slices"
 
 	"persona/internal/agd"
+	"persona/internal/dataflow"
 )
 
 // Key selects the sort order.
@@ -95,12 +96,22 @@ type sortEntry struct {
 // drive its one drain loop. It keeps its arenas, keys and run blob from one
 // run to the next, so a builder reused for runs of like shape grows nothing
 // after its first. Its zero value is ready for one goroutine at a time.
+// SortStream and BuildRun take theirs from a process-wide pool and give it
+// back once it is provably done: after phase 1, once the blob is stored.
 type RunBuilder struct {
 	cols    []*agd.RecordArena // one per stream column
 	keys    []sortEntry        // one per staged row, in key order once sorted
 	scratch []sortEntry        // the radix sort's second buffer
 	blob    []byte             // the run BuildRun last encoded
 }
+
+var runBuilders = dataflow.Recycler[*RunBuilder]{New: func() *RunBuilder { return new(RunBuilder) }, Size: func(b *RunBuilder) int {
+	n := cap(b.blob) + 16*(cap(b.keys)+cap(b.scratch))
+	for _, a := range b.cols {
+		n += cap(a.Buf())
+	}
+	return n
+}}
 
 // reset empties the builder for a run of numCols columns, keeping its memory.
 func (b *RunBuilder) reset(numCols int) {
@@ -240,9 +251,9 @@ func (b *RunBuilder) framedLen() (n int) {
 	return n
 }
 
-// frameRun copies the sorted rows, in key order, into one run chunk that
-// owns its bytes, and empties the builder for the next run.
-func (b *RunBuilder) frameRun() *agd.Chunk {
+// frameRun copies the sorted rows, in key order, into one run chunk built in
+// a chunk builder, and empties the builder for the next run.
+func (b *RunBuilder) frameRun() *agd.ChunkBuilder {
 	var buf []byte
 	c := agd.NewChunkBuilder(agd.TypeRaw, 0)
 	c.Grow(len(b.keys), b.framedLen())
@@ -251,5 +262,5 @@ func (b *RunBuilder) frameRun() *agd.Chunk {
 		c.Append(buf)
 	}
 	b.reset(len(b.cols))
-	return c.Chunk()
+	return c
 }

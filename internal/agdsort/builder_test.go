@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -64,7 +65,7 @@ func TestRunBuilderReuseGrowsNothing(t *testing.T) {
 		}, nil)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		info, err := b.BuildRun(context.Background(), discardPuts{}, in, "run", ByLocation, len(groups), 64, nil)
+		info, err := b.buildRun(context.Background(), discardPuts{}, in, "run", ByLocation, len(groups), 64, nil)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
@@ -84,4 +85,36 @@ func TestRunBuilderReuseGrowsNothing(t *testing.T) {
 		t.Errorf("second run allocated %d bytes, the first %d: want at most a twentieth and 32 KiB", second, first)
 	}
 	t.Logf("first run allocated %d bytes, second %d", first, second)
+}
+
+// TestSortRecyclesEachBuilderOnce: a sort drained to its end gives each
+// framed run's chunk builder, and each of its merge sets' builders, back to
+// the process-wide pool exactly once. A builder given back twice would be
+// handed to two owners, which would write over each other's rows, so the
+// builders taken from the pool afterwards must all be distinct. Collections
+// are off: a pooled object would not survive two.
+func TestSortRecyclesEachBuilderOnce(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	ds := testutil.Build(t, agd.NewMemStore(), "ds", testutil.Config{
+		GenomeSize: 120_000, NumReads: 600, ChunkSize: 50, Seed: 62,
+	}).Dataset
+	in, err := ds.Groups(agd.StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := SortStream(context.Background(), ds.Store(), in, Options{By: ByLocation, ChunksPerSuperchunk: 2, Pipelining: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := drainStream(out); err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[*agd.ChunkBuilder]bool)
+	for i := 0; i < 256; i++ {
+		b := agd.NewChunkBuilder(agd.TypeRaw, 0)
+		if seen[b] {
+			t.Fatalf("builder %d came out of the pool a second time", i)
+		}
+		seen[b] = true
+	}
 }

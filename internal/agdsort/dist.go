@@ -37,16 +37,26 @@ type RunInfo struct {
 	Samples []RunSample
 }
 
-// BuildRun drains in, batch groups, into the builder, sorts the rows by the
-// key and stores them under name as one raw run blob, the bytes EncodeChunk
-// makes of the in-process sort's run of the same groups. The blob is encoded
-// from the arenas in key order into a buffer the builder keeps (the store
-// keeps no reference to it, agd.BlobStore.Put). samples rows are sampled
-// equi-spaced from the sorted order; visit, when non-nil, is called for
-// every sorted row with its packed key and key-column field (the hook span
-// accounting for duplicate-marking halos rides on). The input stream is not
-// closed.
-func (b *RunBuilder) BuildRun(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, name string, by Key, batch, samples int, visit func(key uint64, keyField []byte) error) (RunInfo, error) {
+// BuildRun drains in, batch groups, into a pooled run builder, sorts the rows
+// by the key and stores them under name as one raw run blob, the bytes
+// EncodeChunk makes of the in-process sort's run of the same groups. The blob
+// is encoded from the arenas in key order into a buffer the builder keeps
+// (the store keeps no reference to it, agd.BlobStore.Put). samples rows are
+// sampled equi-spaced from the sorted order; visit, when non-nil, is called
+// for every sorted row with its packed key and key-column field (the hook
+// span accounting for duplicate-marking halos rides on). The input stream is
+// not closed.
+func BuildRun(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, name string, by Key, batch, samples int, visit func(key uint64, keyField []byte) error) (RunInfo, error) {
+	b := runBuilders.Get()
+	info, err := b.buildRun(ctx, store, in, name, by, batch, samples, visit)
+	if err == nil {
+		runBuilders.Put(b)
+	}
+	return info, err
+}
+
+// buildRun is BuildRun in b.
+func (b *RunBuilder) buildRun(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, name string, by Key, batch, samples int, visit func(key uint64, keyField []byte) error) (RunInfo, error) {
 	keyCol := KeyColumn(in.Meta.Columns, by)
 	if keyCol < 0 {
 		return RunInfo{}, fmt.Errorf("agdsort: build run %q: no %s key column", name, by)

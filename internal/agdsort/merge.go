@@ -198,8 +198,9 @@ func CutRun(run *agd.Chunk, keyCol int, by Key, cut RunSample) int {
 // each run's ordinal, so concatenating per-partition merges over aligned cuts
 // reproduces the single-merge row order exactly.
 type RunMerger struct {
-	h   mergeHeap
-	cur *superIter
+	h    mergeHeap
+	cur  *superIter
+	done func() // MergeStream's hook once the last row is copied out
 }
 
 // NewRunMerger builds a merger over runs. A run's slice index is its ordinal,

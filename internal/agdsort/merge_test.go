@@ -51,7 +51,7 @@ func buildRuns(t testing.TB, ds *agd.Dataset, by Key, perRun int) ([]*agd.Chunk,
 			t.Fatal(err)
 		}
 		name := fmt.Sprintf("runs/%s-%d", by, start)
-		info, err := new(RunBuilder).BuildRun(ctx, ds.Store(), in, name, by, perRun, 8, nil)
+		info, err := BuildRun(ctx, ds.Store(), in, name, by, perRun, 8, nil)
 		in.Close()
 		if err != nil {
 			t.Fatal(err)

@@ -38,16 +38,19 @@ func SortStream(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, o
 
 	// Phase 1: drain the input through a run builder, framing one sorted
 	// run per batch of ChunksPerSuperchunk groups. A run copies its rows out
-	// of the builder, so every batch reuses its arenas and keys.
+	// of the builder, so every batch reuses its arenas and keys. The builder
+	// and, after the merge's last row, the runs' builders go back to pools.
 	var (
-		b       RunBuilder
+		b       = runBuilders.Get()
 		runs    []*agd.Chunk
+		framed  []*agd.ChunkBuilder
 		batch   int // groups staged into the builder
 		runRows int // rows framed into runs
 	)
 	flush := func() {
 		b.sort(keyCol, opts.By)
-		run := b.frameRun()
+		framed = append(framed, b.frameRun())
+		run := framed[len(framed)-1].Chunk()
 		runs = append(runs, run)
 		runRows += run.NumRecords()
 		batch = 0
@@ -66,6 +69,7 @@ func SortStream(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, o
 	if batch > 0 {
 		flush()
 	}
+	runBuilders.Put(b)
 	if total == 0 {
 		return nil, fmt.Errorf("agdsort: stream has %w", agd.ErrNoRecords)
 	}
@@ -81,6 +85,11 @@ func SortStream(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, o
 	merger, err := NewRunMerger(runs, len(in.Meta.Columns), keyCol, opts.By)
 	if err != nil {
 		return nil, err
+	}
+	merger.done = func() {
+		for _, c := range framed {
+			c.Recycle()
+		}
 	}
 	meta := agd.StreamMeta{
 		Columns:    in.Meta.Columns,
@@ -115,7 +124,10 @@ func MergeStream(merger *RunMerger, meta agd.StreamMeta, pipelining int) *agd.Gr
 				b[i].Append(f)
 			}
 		}
-		left -= rows
+		if left -= rows; left == 0 && merger.done != nil {
+			merger.done() // no row of the runs is read again
+			merger.done = nil
+		}
 		return rows, nil
 	})
 }

@@ -372,15 +372,13 @@ func RunPipeline(ctx context.Context, store storage.Store, plan PipelinePlan, cf
 }
 
 // pipelineNode is one worker of a distributed pipeline run: a task loop
-// over the phase server's three phases. It keeps one run builder across its
-// map tasks and one encode buffer across its shuffle tasks, and drops each
-// once it leases a task of a later phase.
+// over the phase server's three phases. A task borrows its run builder,
+// chunks and encode buffers from the process-wide pools of the packages
+// that define them, and gives them back when it is done with them.
 func pipelineNode(ctx context.Context, w *worker, store storage.Store, ds *agd.Dataset, plan *PipelinePlan, cols []string, parts, numBatches int) error {
 	client, rep := w.client, &w.rep
 	keyCol := agdsort.KeyColumn(cols, plan.By)
 	var cuts *shuffle.Cuts
-	var builder *agdsort.RunBuilder
-	var enc []byte
 	for {
 		phase, idx, ok, err := w.lease(ctx)
 		if err != nil {
@@ -393,12 +391,8 @@ func pipelineNode(ctx context.Context, w *worker, store storage.Store, ds *agd.D
 		var payload string
 		switch phase {
 		case phaseMap:
-			if builder == nil {
-				builder = new(agdsort.RunBuilder)
-			}
-			payload, err = runMapTask(ctx, store, ds, plan, w.exec, builder, idx, rep)
+			payload, err = runMapTask(ctx, store, ds, plan, w.exec, idx, rep)
 		case phaseShuffle:
-			builder = nil
 			if cuts == nil {
 				tok, ok, cerr := client.Cuts(ctx.Done())
 				if cerr != nil {
@@ -414,10 +408,9 @@ func pipelineNode(ctx context.Context, w *worker, store storage.Store, ds *agd.D
 				cuts = &c
 			}
 			var bytes int64
-			payload, bytes, err = runShuffleTask(ctx, store, plan, keyCol, cuts, idx, parts, &enc)
+			payload, bytes, err = runShuffleTask(ctx, store, plan, keyCol, cuts, idx, parts)
 			rep.ShuffleBytes += bytes
 		case phaseReduce:
-			builder, enc = nil, nil
 			payload, err = runReduceTask(ctx, store, plan, w.exec, cols, keyCol, idx, numBatches, rep)
 		default:
 			err = fmt.Errorf("cluster: unknown phase %d", phase)
@@ -433,19 +426,23 @@ func pipelineNode(ctx context.Context, w *worker, store storage.Store, ds *agd.D
 }
 
 // runMapTask runs the map stages over one batch of source chunks and stores
-// their rows as one sorted run blob, built in builder, returning the
-// run-summary payload (rows, key samples, max halo span, what the stages
-// counted); a write-back plan's task stores the stages' results blob
-// instead. The task's reads, and the bases it aligned, are added to rep.
-func runMapTask(ctx context.Context, store storage.Store, ds *agd.Dataset, plan *PipelinePlan, exec *dataflow.Executor, builder *agdsort.RunBuilder, b int, rep *NodeReport) (string, error) {
+// their rows as one sorted run blob, returning the run-summary payload
+// (rows, key samples, max halo span, what the stages counted); a write-back
+// plan's task stores the stages' results blob instead. The task decodes
+// through a chunk pool of its own, whose chunks go back to the process-wide
+// pool once the run is stored. The task's reads, and the bases it aligned,
+// are added to rep.
+func runMapTask(ctx context.Context, store storage.Store, ds *agd.Dataset, plan *PipelinePlan, exec *dataflow.Executor, b int, rep *NodeReport) (string, error) {
 	lo := b * plan.ChunksPerBatch
 	hi := min(lo+plan.ChunksPerBatch, len(ds.Manifest.Chunks))
 	codec := agd.Codec{Exec: exec}
+	pool := agd.NewChunkPool(2*len(ds.Manifest.Columns) + 1)
 	gs, err := ds.Groups(agd.StreamOptions{
-		Columns: plan.Columns,
-		Start:   lo,
-		End:     hi,
-		Codec:   codec,
+		Columns:     plan.Columns,
+		Start:       lo,
+		End:         hi,
+		ShardedPool: pool,
+		Codec:       codec,
 	})
 	if err != nil {
 		return "", err
@@ -460,6 +457,7 @@ func runMapTask(ctx context.Context, store storage.Store, ds *agd.Dataset, plan 
 		if err := agd.WriteColumn(ctx, stream, store, ds.Manifest, agd.ColResults, codec); err != nil {
 			return "", err
 		}
+		agd.RecycleChunks(pool)
 		env.tally(rep)
 		rep.Reads += env.Align.Reads // the plan is Align's
 		return "", nil
@@ -475,10 +473,11 @@ func runMapTask(ctx context.Context, store storage.Store, ds *agd.Dataset, plan 
 			return err
 		}
 	}
-	info, err := builder.BuildRun(ctx, store, stream, shuffle.RunBlob(plan.TempPrefix, b), plan.By, hi-lo, shuffle.SampleCount, visit)
+	info, err := agdsort.BuildRun(ctx, store, stream, shuffle.RunBlob(plan.TempPrefix, b), plan.By, hi-lo, shuffle.SampleCount, visit)
 	if err != nil {
 		return "", fmt.Errorf("cluster: map batch %d: %w", b, err)
 	}
+	agd.RecycleChunks(pool)
 	rep.Reads += int64(info.Rows)
 	sum := shuffle.RunSummary{Rows: info.Rows, MaxSpan: maxSpan, Counts: env.tally(rep)}
 	for _, s := range info.Samples {
@@ -489,9 +488,8 @@ func runMapTask(ctx context.Context, store storage.Store, ds *agd.Dataset, plan 
 
 // runShuffleTask cuts one sorted run at the global splitters and writes each
 // fragment — and, for marking pipelines, each cut's halo — to its owning
-// partition's blob prefix, encoding each into *enc, and returns the
-// shuffle-result payload.
-func runShuffleTask(ctx context.Context, store storage.Store, plan *PipelinePlan, keyCol int, cuts *shuffle.Cuts, b, parts int, enc *[]byte) (string, int64, error) {
+// partition's blob prefix, and returns the shuffle-result payload.
+func runShuffleTask(ctx context.Context, store storage.Store, plan *PipelinePlan, keyCol int, cuts *shuffle.Cuts, b, parts int) (string, int64, error) {
 	runs, _, err := agdsort.FetchRuns(ctx, store, []string{shuffle.RunBlob(plan.TempPrefix, b)})
 	if err != nil {
 		return "", 0, fmt.Errorf("cluster: shuffle %d: %w", b, err)
@@ -503,14 +501,12 @@ func runShuffleTask(ctx context.Context, store storage.Store, plan *PipelinePlan
 	bounds = append(bounds, run.NumRecords())
 
 	res := shuffle.ShuffleResult{PartRows: make([]int64, parts)}
-	put := func(name string, c *agd.Chunk) (err error) {
-		if *enc, err = agd.EncodeChunkAppend((*enc)[:0], c, agd.CompressNone); err != nil {
-			return err
-		}
-		if err := store.Put(name, *enc); err != nil {
+	put := func(name string, c *agd.Chunk) error {
+		n, err := agd.PutChunk(store, name, c, agd.CompressNone)
+		if err != nil {
 			return fmt.Errorf("cluster: piece %q: %w", name, err)
 		}
-		res.Bytes += int64(len(*enc))
+		res.Bytes += int64(n)
 		return nil
 	}
 	for k := 0; k < parts; k++ {

@@ -56,9 +56,8 @@ func TestReduceStragglerFailureKeepsSurvivorChunks(t *testing.T) {
 
 	// Map and shuffle, as pipelineNode and RunPipeline's cut selection do.
 	var summaries []shuffle.RunSummary
-	builder := new(agdsort.RunBuilder)
 	for b := 0; b < numBatches; b++ {
-		payload, err := runMapTask(ctx, store, ds, plan, nil, builder, b, &NodeReport{})
+		payload, err := runMapTask(ctx, store, ds, plan, nil, b, &NodeReport{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,9 +71,8 @@ func TestReduceStragglerFailureKeepsSurvivorChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var enc []byte
 	for b := 0; b < numBatches; b++ {
-		if _, _, err := runShuffleTask(ctx, store, plan, keyCol, &cuts, b, parts, &enc); err != nil {
+		if _, _, err := runShuffleTask(ctx, store, plan, keyCol, &cuts, b, parts); err != nil {
 			t.Fatal(err)
 		}
 	}

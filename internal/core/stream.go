@@ -107,8 +107,7 @@ func AlignStream(cfg AlignConfig, exec *dataflow.Executor, in *agd.GroupStream) 
 			finish()
 		}
 		if err != nil {
-			set.Release()
-			return nil, err
+			return nil, st.pool.Drop(set, err)
 		}
 		set.Hold(g)
 		return st.alignGroup(ctx, g, set)

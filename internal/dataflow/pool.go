@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"context"
+	"sync"
 	"sync/atomic"
 )
 
@@ -80,5 +81,35 @@ func (p *ItemPool[T]) Put(v T) {
 	case p.free <- v:
 		p.recycled.Add(1)
 	default:
+	}
+}
+
+// MaxPooledBytes bounds what a Recycler keeps: a larger object is dropped,
+// since a run that large does work that dwarfs its allocation.
+const MaxPooledBytes = 64 << 20
+
+// Recycler is a process-wide pool (a sync.Pool) of one kind of run memory.
+// A run takes its buffers from it and gives back each one it can prove
+// done, on the goroutine that owns it; one abandoned on an error or an
+// early close is left to the collector. A pooled object outlives one garbage
+// collection, not two: only a process that ran a pipeline since gains.
+type Recycler[T any] struct {
+	New  func() T    // makes an object when the pool is empty
+	Size func(T) int // the bytes an object holds
+	pool sync.Pool
+}
+
+// Get takes an object as its last owner left it, or makes one.
+func (r *Recycler[T]) Get() T {
+	if v, ok := r.pool.Get().(T); ok {
+		return v
+	}
+	return r.New()
+}
+
+// Put gives v back unless it holds more than MaxPooledBytes.
+func (r *Recycler[T]) Put(v T) {
+	if r.Size(v) <= MaxPooledBytes {
+		r.pool.Put(v)
 	}
 }

@@ -93,8 +93,7 @@ func RunStream(in *agd.GroupStream, pred Predicate, pipelining int) (*agd.GroupS
 		for {
 			g, err := in.Next(ctx)
 			if err != nil {
-				set.Release()
-				return nil, err
+				return nil, pool.Drop(set, err)
 			}
 			first := g.Chunks[0].FirstOrdinal
 			for i, spec := range specs {

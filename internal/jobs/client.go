@@ -147,11 +147,27 @@ func (c *Client) Result(ctx context.Context, id string) ([]byte, string, error) 
 	if resp.StatusCode/100 != 2 {
 		return nil, "", fmt.Errorf("client result %q: %w", id, decodeError(resp))
 	}
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp)
 	if err != nil {
 		return nil, "", fmt.Errorf("client result %q: %w", id, err)
 	}
 	return data, resp.Header.Get("Content-Type"), nil
+}
+
+// readBody reads a response body into one buffer of its declared length (by
+// io.ReadAll when none is declared), and fails on a body shorter or longer.
+func readBody(resp *http.Response) ([]byte, error) {
+	if resp.ContentLength < 0 {
+		return io.ReadAll(resp.Body)
+	}
+	data := make([]byte, resp.ContentLength)
+	if n, err := io.ReadFull(resp.Body, data); err != nil {
+		return nil, fmt.Errorf("body of %d bytes, %d declared: %w", n, len(data), err)
+	}
+	if n, _ := io.Copy(io.Discard, resp.Body); n > 0 {
+		return nil, fmt.Errorf("body of %d bytes past the %d declared", n, len(data))
+	}
+	return data, nil
 }
 
 // Stats fetches the service counters.

@@ -13,6 +13,7 @@ import (
 
 	"persona"
 	"persona/internal/agd"
+	"persona/internal/dataflow"
 )
 
 // Config configures a Manager. Zero values pick the defaults noted per
@@ -262,14 +263,21 @@ func (m *Manager) Start() {
 	}
 }
 
+// worker runs jobs until the queue closes, exporting each into one buffer
+// it keeps: a store keeps no reference to a Put's bytes.
 func (m *Manager) worker() {
 	defer m.wg.Done()
+	var buf bytes.Buffer
 	for {
 		j := m.q.pop()
 		if j == nil {
 			return
 		}
-		m.runJob(j)
+		buf.Reset()
+		m.runJob(j, &buf)
+		if buf.Cap() > dataflow.MaxPooledBytes {
+			buf = bytes.Buffer{} // too large to keep for the next job
+		}
 	}
 }
 
@@ -392,7 +400,7 @@ func (m *Manager) Submit(tenant string, spec Spec) (*JobStatus, error) {
 // runJob is one attempt: journal the RUNNING claim, sweep the job's blob
 // namespace (idempotent re-run), execute the pipeline, then classify the
 // outcome into DONE, FAILED, a backoff requeue, or a drain checkpoint.
-func (m *Manager) runJob(j *job) {
+func (m *Manager) runJob(j *job, buf *bytes.Buffer) {
 	if m.killed.Load() {
 		return
 	}
@@ -437,16 +445,15 @@ func (m *Manager) runJob(j *job) {
 		m.finish(j, jctx, nil, fmt.Errorf("run %q: sweep: %w", rec.ID, err))
 		return
 	}
-	res, err := m.execute(jctx, j.prog, rec)
+	res, err := m.execute(jctx, j.prog, rec, buf)
 	m.finish(j, jctx, res, err)
 }
 
-// execute builds and runs the spec's pipeline. Every blob the run writes —
-// a distributed run's shuffle and staging blobs, the result blob, the
-// output dataset — lands under jobs/<id>/.
-func (m *Manager) execute(ctx context.Context, prog *persona.Progress, rec Record) (*ResultMeta, error) {
-	var buf bytes.Buffer
-	p, err := m.pipeline(rec.Spec, rec.ID, true, &buf)
+// execute builds and runs the spec's pipeline, an export into buf. Every
+// blob the run writes — a distributed run's shuffle and staging blobs, the
+// result blob, the output dataset — lands under jobs/<id>/.
+func (m *Manager) execute(ctx context.Context, prog *persona.Progress, rec Record, buf *bytes.Buffer) (*ResultMeta, error) {
+	p, err := m.pipeline(rec.Spec, rec.ID, true, buf)
 	if err != nil {
 		return nil, fmt.Errorf("run %q: %w", rec.ID, err)
 	}

@@ -600,3 +600,49 @@ func TestSpecEdgeDepthIgnored(t *testing.T) {
 		t.Fatalf("submitted job's result differs from the direct run: %v", err)
 	}
 }
+
+// TestWorkerBufferKeepsEachJobsBytes: one worker exports two jobs in turn
+// into the one buffer it keeps, the larger first; each job's result, fetched
+// over HTTP and from the store, is its own pipeline's bytes.
+func TestWorkerBufferKeepsEachJobsBytes(t *testing.T) {
+	ctx := context.Background()
+	store := persona.NewMemStore()
+	g := importTestDataset(t, store, "ds")
+	m, sess := newTestManager(t, store, g, func(c *Config) { c.Workers = 1 })
+	var fq bytes.Buffer
+	if _, err := sess.Read("ds").ExportFASTQ(&fq).Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	want := [][]byte{directWGS(t, store, g), fq.Bytes()}
+	specs := []Spec{
+		{Dataset: "ds", Align: true, Sort: "location", MarkDup: true, Format: "sam"},
+		{Dataset: "ds", Format: "fastq"},
+	}
+	var ids []string
+	for _, spec := range specs {
+		st, err := m.Submit("acme", spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fin := waitTerminal(t, m, st.ID, 30*time.Second); fin.State != StateDone {
+			t.Fatalf("%s job: %s (%s), want DONE", spec.Format, fin.State, fin.Error)
+		}
+		ids = append(ids, st.ID)
+	}
+	srv := httptest.NewServer(m.Handler())
+	defer srv.Close()
+	client := &Client{Base: srv.URL}
+	for i, id := range ids {
+		byHTTP, _, err := client.Result(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, stored, err := m.Result(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(byHTTP, want[i]) || !bytes.Equal(stored, want[i]) {
+			t.Errorf("%s job: %d bytes by HTTP, %d stored, want its own %d", specs[i].Format, len(byHTTP), len(stored), len(want[i]))
+		}
+	}
+}

@@ -220,3 +220,44 @@ func FuzzSubmitSpec(f *testing.F) {
 		}
 	})
 }
+
+// bodyTransport answers every request with status 200, a declared
+// Content-Length and a body of its own length.
+type bodyTransport struct {
+	declared int64
+	body     string
+}
+
+func (b bodyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	return &http.Response{
+		StatusCode: http.StatusOK, Header: http.Header{}, Request: req,
+		ContentLength: b.declared, Body: io.NopCloser(strings.NewReader(b.body)),
+	}, nil
+}
+
+// TestClientResultChecksDeclaredLength: Result reads a body into a buffer of
+// its declared length, and refuses one shorter or longer than declared; a
+// body of no declared length is read whole.
+func TestClientResultChecksDeclaredLength(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		declared int64
+		body     string
+		ok       bool
+	}{
+		{"exact", 5, "reads", true},
+		{"empty", 0, "", true},
+		{"undeclared", -1, "reads", true},
+		{"shorter", 9, "reads", false},
+		{"longer", 3, "reads", false},
+	} {
+		c := &Client{Base: "http://persona.invalid", HTTP: &http.Client{Transport: bodyTransport{tc.declared, tc.body}}}
+		data, _, err := c.Result(context.Background(), "job")
+		if tc.ok && (err != nil || string(data) != tc.body) {
+			t.Errorf("%s: %q, %v; want %q", tc.name, data, err, tc.body)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("%s: %q accepted for a declared length of %d", tc.name, data, tc.declared)
+		}
+	}
+}

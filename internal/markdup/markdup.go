@@ -17,9 +17,11 @@ package markdup
 import (
 	"context"
 	"fmt"
+	"io"
 
 	"persona/internal/agd"
 	"persona/internal/align"
+	"persona/internal/dataflow"
 )
 
 // Stats reports what a marking pass did.
@@ -73,7 +75,11 @@ func MarkStream(in *agd.GroupStream, pipelining int) (*agd.GroupStream, *Stats, 
 // from below a partition's cut that a distributed reduce seeds its marker
 // with. Unmapped rows are ignored, as marking ignores them.
 func SeededStream(in *agd.GroupStream, halo []*agd.Chunk, pipelining int) (*agd.GroupStream, *Stats, error) {
-	mk := NewMarker(int(in.Meta.NumRecords))
+	mk := &Marker{seen: tables.Get()}
+	if mk.seen == nil {
+		mk.seen = make(map[signature]struct{}, in.Meta.NumRecords)
+	}
+	clear(mk.seen)
 	for _, c := range halo {
 		for r := 0; r < c.NumRecords(); r++ {
 			rec, err := c.Record(r)
@@ -112,9 +118,12 @@ func (mk *Marker) stream(in *agd.GroupStream, pipelining int) (*agd.GroupStream,
 			return nil, err
 		}
 		g, err := in.Next(ctx)
+		if err == io.EOF && mk.seen != nil {
+			tables.Put(mk.seen)
+			mk.seen = nil
+		}
 		if err != nil {
-			set.Release()
-			return nil, err
+			return nil, pool.Drop(set, err)
 		}
 		set.Hold(g)
 		b := set.Builders[0]
@@ -136,13 +145,21 @@ func (mk *Marker) stream(in *agd.GroupStream, pipelining int) (*agd.GroupStream,
 // then mark their own range in order (SeededStream) — first-wins marking
 // means seeding is membership-only, so halo order does not matter. MarkStream
 // runs a fresh one over the whole stream. One Marker is single-goroutine
-// state.
+// state. A marking stream takes its table from a process-wide pool and gives
+// it back at its io.EOF; one that stops early leaves it to the collector.
 type Marker struct {
 	// Stats accumulates over MarkView calls; seeding does not count.
 	Stats Stats
 
 	seen  map[signature]struct{}
 	cigar align.Cigar
+}
+
+// tables keeps marking streams' tables (see Marker), uncleared. It makes
+// none: a stream that finds it empty makes a table sized for its rows.
+var tables = dataflow.Recycler[map[signature]struct{}]{
+	New:  func() map[signature]struct{} { return nil },
+	Size: func(m map[signature]struct{}) int { return 32 * len(m) },
 }
 
 // NewMarker returns an empty marker; capacity hints the expected number of

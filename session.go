@@ -36,7 +36,8 @@ const DefaultCacheBytes int64 = 64 << 20
 // reuses warm state
 // instead of rebuilding executors, pools and indexes per call (§4.1: the
 // client library composes graphs over one runtime). Sessions are safe for
-// concurrent pipeline runs. Close releases the executor.
+// concurrent pipeline runs. Close releases the executor and gives the chunk
+// pool's free chunks to the process-wide pool the next session's draws on.
 type Session struct {
 	store     Store
 	exec      *dataflow.Executor
@@ -214,6 +215,7 @@ func (s *Session) Close() {
 	}
 	s.closed = true
 	s.exec.Close()
+	agd.RecycleChunks(s.chunkPool)
 }
 
 // PoolStats reports the session chunk pool's bound and how many chunks are
