@@ -160,8 +160,8 @@ func run(storeDir, addr string, workers, maxQueued int, maxQueuedMB int64, maxAt
 	case <-ctx.Done():
 	}
 	// Graceful drain: stop admitting (submissions now 503), give in-flight
-	// jobs the grace window, checkpoint whatever remains, then stop serving
-	// status polls and mark the shutdown clean.
+	// jobs the grace window, checkpoint whatever remains and answer every
+	// held wait, then stop serving and mark the shutdown clean.
 	log.Printf("signal received; draining (grace %s)", drainGrace)
 	drainCtx, cancel := context.WithTimeout(context.Background(), drainGrace)
 	defer cancel()

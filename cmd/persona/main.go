@@ -533,7 +533,7 @@ func printJob(st *jobs.JobStatus) {
 }
 
 // cmdSubmit posts a declarative pipeline job to a persona-server; with
-// -wait it polls to completion, streams per-stage progress to stderr and
+// -wait it waits for the job to end, prints per-stage progress to stderr and
 // writes the result to -o.
 func cmdSubmit(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("submit", flag.ExitOnError)
@@ -541,7 +541,7 @@ func cmdSubmit(ctx context.Context, args []string) error {
 	tenant := fs.String("tenant", "", "tenant name (default assigned by server)")
 	var spec jobs.Spec
 	specFlags(fs, &spec, "align the dataset against the server's reference", "output format: sam, bam, fastq or dataset")
-	wait := fs.Bool("wait", false, "poll until the job finishes and fetch the result")
+	wait := fs.Bool("wait", false, "wait until the job finishes and fetch the result")
 	outPath := fs.String("o", "-", "result output file with -wait ('-' for stdout)")
 	fs.Parse(args)
 	if spec.Dataset == "" {

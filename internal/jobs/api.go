@@ -12,6 +12,9 @@ import (
 //	POST /v1/jobs             submit a Spec (tenant via X-Persona-Tenant) → 202 JobStatus
 //	GET  /v1/jobs             list jobs (optional ?tenant=)
 //	GET  /v1/jobs/{id}        job status with live per-stage progress
+//	GET  /v1/jobs/{id}/wait   the same status, held until the job is DONE or
+//	                          FAILED (or the hold lapses, the client goes or
+//	                          the server drains: then the current status)
 //	GET  /v1/jobs/{id}/result a DONE job's exported bytes (or ResultMeta JSON)
 //	GET  /v1/stats            service counters (incl. session cache stats)
 //	POST /v1/cache/flush      drop the session chunk/manifest caches (admin)
@@ -31,6 +34,7 @@ func (m *Manager) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/jobs", m.handleSubmit)
 	mux.HandleFunc("GET /v1/jobs", m.handleList)
 	mux.HandleFunc("GET /v1/jobs/{id}", m.handleStatus)
+	mux.HandleFunc("GET /v1/jobs/{id}/wait", m.handleWait)
 	mux.HandleFunc("GET /v1/jobs/{id}/result", m.handleResult)
 	mux.HandleFunc("GET /v1/stats", m.handleStats)
 	mux.HandleFunc("POST /v1/cache/flush", m.handleCacheFlush)
@@ -89,6 +93,15 @@ func (m *Manager) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
+func (m *Manager) handleWait(w http.ResponseWriter, r *http.Request) {
+	st, err := m.Wait(r.Context(), r.PathValue("id"))
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, st)
+}
+
 // resultContentType maps a job's sink format onto the response MIME type.
 func resultContentType(format string) string {
 	switch format {
@@ -103,8 +116,7 @@ func resultContentType(format string) string {
 }
 
 func (m *Manager) handleResult(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	res, data, err := m.Result(id)
+	res, data, format, err := m.result(r.PathValue("id"))
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -115,12 +127,7 @@ func (m *Manager) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, res)
 		return
 	}
-	st, _ := m.Status(id)
-	ct := "application/octet-stream"
-	if st != nil {
-		ct = resultContentType(st.Spec.Format)
-	}
-	w.Header().Set("Content-Type", ct)
+	w.Header().Set("Content-Type", resultContentType(format))
 	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	w.WriteHeader(http.StatusOK)
 	w.Write(data)

@@ -179,16 +179,17 @@ func (c *Client) Stats(ctx context.Context) (*Stats, error) {
 	return s, nil
 }
 
-// Wait polls a job until it reaches a terminal state (or ctx expires).
+// Wait returns a job's status once it is terminal (or ctx expires). Each
+// request is held by the server until the job ends, so a job costs one
+// request; poll (default 50ms) is the pause before asking again after an
+// answer that is not terminal — the server's hold lapsed, or it is draining.
 func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (*JobStatus, error) {
 	if poll <= 0 {
 		poll = 50 * time.Millisecond
 	}
-	t := time.NewTicker(poll)
-	defer t.Stop()
 	for {
-		st, err := c.Status(ctx, id)
-		if err != nil {
+		st := &JobStatus{}
+		if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/wait", nil, st); err != nil {
 			return nil, err
 		}
 		if st.State.Terminal() {
@@ -197,7 +198,7 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (*JobS
 		select {
 		case <-ctx.Done():
 			return st, fmt.Errorf("client wait %q: %w", id, ctx.Err())
-		case <-t.C:
+		case <-time.After(poll):
 		}
 	}
 }

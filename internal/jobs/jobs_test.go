@@ -161,17 +161,18 @@ func waitFor(t testing.TB, timeout time.Duration, what string, cond func() bool)
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// waitTerminal polls a job to a terminal state and returns its status.
+// waitTerminal waits, at most timeout, for a job to end and returns its
+// status.
 func waitTerminal(t testing.TB, m *Manager, id string, timeout time.Duration) *JobStatus {
 	t.Helper()
-	var st *JobStatus
-	waitFor(t, timeout, fmt.Sprintf("job %s to finish", id), func() bool {
-		var err error
-		st, err = m.Status(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st.State.Terminal()
-	})
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	st, err := m.Wait(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.State.Terminal() {
+		t.Fatalf("timed out waiting for job %s to finish: %s", id, st.State)
+	}
 	return st
 }

@@ -85,6 +85,7 @@ type job struct {
 	rec    Record
 	prog   *persona.Progress  // live per-stage counters of the current attempt
 	cancel context.CancelFunc // cancels the in-flight attempt (drain grace expiry)
+	done   chan struct{}      // closed once, when the job turns DONE or FAILED
 }
 
 // TenantStats is one tenant's cumulative accounting.
@@ -145,7 +146,9 @@ type Manager struct {
 	journal *Journal
 	q       *fairQueue
 
-	runCtx  context.Context // parent of every attempt; Kill cancels it
+	// runCtx is the parent of every attempt. Kill cancels it, and so does
+	// Drain once its workers stop; either way it releases held waits.
+	runCtx  context.Context
 	stopRun context.CancelFunc
 	killed  atomic.Bool
 
@@ -214,7 +217,7 @@ func (m *Manager) Recover() (RecoveryReport, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, rec := range recs {
-		j := &job{rec: *rec}
+		j := &job{rec: *rec, done: make(chan struct{})}
 		m.jobs[rec.ID] = j
 		m.order = append(m.order, rec.ID)
 		var n uint64
@@ -225,6 +228,7 @@ func (m *Manager) Recover() (RecoveryReport, error) {
 		ts.Submitted++
 		switch rec.State {
 		case StateDone, StateFailed:
+			close(j.done)
 			rep.Finished++
 		case StateRunning:
 			rep.Interrupted++
@@ -233,6 +237,7 @@ func (m *Manager) Recover() (RecoveryReport, error) {
 				j.rec.FinishedAt = time.Now().UTC()
 				j.rec.Error = "interrupted by crash with attempt budget spent: " + j.rec.Error
 				ts.Failed++
+				close(j.done)
 				cp := j.rec
 				m.journal.Put(&cp) // best effort: re-derived next boot
 				// Sweep the orphaned partial blobs.
@@ -366,7 +371,7 @@ func (m *Manager) Submit(tenant string, spec Spec) (*JobStatus, error) {
 		MaxAttempts: m.cfg.MaxAttempts,
 		EstBytes:    est,
 		SubmittedAt: time.Now().UTC(),
-	}}
+	}, done: make(chan struct{})}
 	m.jobs[id] = j
 	m.order = append(m.order, id)
 	ts := m.tenantStats(tenant)
@@ -533,6 +538,11 @@ func (m *Manager) finish(j *job, jctx context.Context, res *ResultMeta, err erro
 		j.rec.Transient = IsTransient(err)
 		ts.Failed++
 	}
+	if j.rec.State.Terminal() {
+		// Where Status first shows the end, not after the journal write: the
+		// client's next submit overlaps this worker's fsync.
+		close(j.done)
+	}
 	rec := j.rec
 	m.mu.Unlock()
 
@@ -588,6 +598,31 @@ func (m *Manager) Status(id string) (*JobStatus, error) {
 	return st, nil
 }
 
+// waitHold bounds how long Wait holds a job that does not end.
+const waitHold = 30 * time.Second
+
+// Wait returns a job's status once the job is terminal — at once if it
+// already is. It returns the current, non-terminal status instead when ctx
+// ends, waitHold passes, Kill is called or Drain has stopped its workers, so
+// no waiter outlives the service.
+func (m *Manager) Wait(ctx context.Context, id string) (*JobStatus, error) {
+	m.mu.Lock()
+	j, ok := m.jobs[id]
+	m.mu.Unlock()
+	if !ok {
+		return nil, fmt.Errorf("wait %q: %w", id, ErrUnknownJob)
+	}
+	hold := time.NewTimer(waitHold)
+	defer hold.Stop()
+	select {
+	case <-j.done:
+	case <-ctx.Done():
+	case <-hold.C:
+	case <-m.runCtx.Done():
+	}
+	return m.Status(id)
+}
+
 // Jobs lists every known job in submission order, optionally filtered by
 // tenant.
 func (m *Manager) Jobs(tenant string) []*JobStatus {
@@ -607,29 +642,35 @@ func (m *Manager) Jobs(tenant string) []*JobStatus {
 // Result fetches a DONE job's exported bytes (or, for dataset-format jobs,
 // no bytes — the ResultMeta names the output dataset).
 func (m *Manager) Result(id string) (*ResultMeta, []byte, error) {
+	res, data, _, err := m.result(id)
+	return res, data, err
+}
+
+// result is Result plus the job's sink format, read under the same lock.
+func (m *Manager) result(id string) (*ResultMeta, []byte, string, error) {
 	m.mu.Lock()
 	j, ok := m.jobs[id]
 	if !ok {
 		m.mu.Unlock()
-		return nil, nil, fmt.Errorf("result %q: %w", id, ErrUnknownJob)
+		return nil, nil, "", fmt.Errorf("result %q: %w", id, ErrUnknownJob)
 	}
-	state, res := j.rec.State, j.rec.Result
+	state, res, format := j.rec.State, j.rec.Result, j.rec.Spec.Format
 	lastErr := j.rec.Error
 	m.mu.Unlock()
 	if state != StateDone || res == nil {
 		if state == StateFailed {
-			return nil, nil, fmt.Errorf("result %q: job failed: %s: %w", id, lastErr, ErrNotDone)
+			return nil, nil, "", fmt.Errorf("result %q: job failed: %s: %w", id, lastErr, ErrNotDone)
 		}
-		return nil, nil, fmt.Errorf("result %q: state %s: %w", id, state, ErrNotDone)
+		return nil, nil, "", fmt.Errorf("result %q: state %s: %w", id, state, ErrNotDone)
 	}
 	if res.ResultBlob == "" {
-		return res, nil, nil
+		return res, nil, format, nil
 	}
 	data, err := m.cfg.Store.Get(res.ResultBlob)
 	if err != nil {
-		return nil, nil, fmt.Errorf("result %q: %w", id, err)
+		return nil, nil, "", fmt.Errorf("result %q: %w", id, err)
 	}
-	return res, data, nil
+	return res, data, format, nil
 }
 
 // Stats snapshots the service counters.
@@ -683,8 +724,8 @@ func (m *Manager) Draining() bool {
 // ErrDraining), queued jobs stay journaled PENDING, and in-flight jobs get
 // until ctx expires to finish — then their attempts are cancelled and
 // checkpointed back to PENDING with no budget charge. When every worker has
-// stopped, a clean-shutdown marker is journaled so the next incarnation
-// knows the journal is at rest.
+// stopped, held waits answer and a clean-shutdown marker is journaled so the
+// next incarnation knows the journal is at rest.
 func (m *Manager) Drain(ctx context.Context) error {
 	m.mu.Lock()
 	if m.draining {
@@ -714,6 +755,7 @@ func (m *Manager) Drain(ctx context.Context) error {
 		m.mu.Unlock()
 		<-done
 	}
+	m.stopRun() // no attempt is left: this releases held waits
 	if m.killed.Load() {
 		return fmt.Errorf("drain: %w", ErrDraining)
 	}
@@ -722,10 +764,10 @@ func (m *Manager) Drain(ctx context.Context) error {
 
 // Kill simulates a hard process death (SIGKILL) for chaos tests: all
 // journal writes stop instantly, every in-flight attempt's context is
-// cancelled, and workers are joined so the process's goroutines unwind —
-// but the journal is left exactly as a real kill would leave it (RUNNING
-// claims in place, no clean marker). In-process resources (chunk pools)
-// still drain, which is what the leak checks assert.
+// cancelled, held waits answer, and workers are joined so the process's
+// goroutines unwind — but the journal is left exactly as a real kill would
+// leave it (RUNNING claims in place, no clean marker). In-process resources
+// (chunk pools) still drain, which is what the leak checks assert.
 func (m *Manager) Kill() {
 	m.killed.Store(true)
 	m.q.close()
