@@ -494,7 +494,7 @@ func cmdRun(ctx context.Context, args []string) error {
 	var spec jobs.Spec
 	specFlags(fs, &spec, "align the dataset (needs 'persona index' first)", "output format: sam, bam or fastq")
 	outPath := fs.String("o", "-", "output file ('-' for stdout)")
-	fs.IntVar(&spec.Nodes, "nodes", 0, "distributed worker nodes (0 = single-server pipeline; needs -sort)")
+	fs.IntVar(&spec.Nodes, "nodes", 0, "distributed worker nodes (0 = single-server pipeline)")
 	fs.Parse(args)
 	report, err := runSpec(ctx, *storeDir, *outPath, spec)
 	if err != nil {

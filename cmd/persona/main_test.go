@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -15,42 +16,59 @@ import (
 	"persona/internal/reads"
 )
 
-// TestStagedMatchesRun drives the CLI over two stores. One runs the staged
-// subcommands — index, import, align, sort, markdup, export — each a one-shot
-// that stores its dataset; the other runs the same graph as one `run`
-// pipeline on the same input. The two SAM files must be byte-equal.
+// TestStagedMatchesRun drives the CLI over pairs of stores, each prepared
+// by index and import from the same input, and compares the SAM the two
+// write. In the first pair one store runs the staged subcommands — align,
+// sort, markdup, export — each a one-shot that stores its dataset, and the
+// other runs the same graph as one `run` pipeline. In the second, `run`
+// aligns and exports without a sort, on one node and on two. The two SAM
+// files of a pair must be byte-equal.
 func TestStagedMatchesRun(t *testing.T) {
 	dir := t.TempDir()
 	const genomeSize, seed = "80000", "7"
 	fqPath := filepath.Join(dir, "reads.fastq")
 	writeReads(t, fqPath, 80_000, 7, reads.SimConfig{Seed: 3, N: 600, ReadLen: 101, ErrorRate: 0.004, DuplicateFraction: 0.1})
-	run := runner(t)
-	prepare := func(store string) {
+	// steps runs one side of a pair on a prepared store, writing its SAM.
+	type steps func(run runFunc, store, sam string)
+	stores := 0
+	output := func(t *testing.T, side steps) []byte {
+		run := runner(t)
+		stores++
+		store, sam := filepath.Join(dir, fmt.Sprint(stores)), filepath.Join(dir, fmt.Sprintf("%d.sam", stores))
 		run(cmdIndex, "-store", store, "-genome-size", genomeSize, "-seed", seed)
 		run(cmdImport, "-store", store, "-name", "ds", "-fastq", fqPath, "-chunk", "100")
+		side(run, store, sam)
+		out, err := os.ReadFile(sam)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-
-	staged, pipelined := filepath.Join(dir, "a"), filepath.Join(dir, "b")
-	stagedSAM, pipelinedSAM := filepath.Join(dir, "a.sam"), filepath.Join(dir, "b.sam")
-	prepare(staged)
-	run(cmdAlign, "-store", staged, "-name", "ds")
-	run(cmdSort, "-store", staged, "-name", "ds", "-by", "location", "-out", "sorted")
-	run(cmdMarkdup, "-store", staged, "-name", "sorted")
-	run(cmdExport, "-store", staged, "-name", "sorted", "-format", "sam", "-o", stagedSAM)
-
-	prepare(pipelined)
-	run(cmdRun, "-store", pipelined, "-name", "ds", "-align", "-sort", "location", "-markdup", "-format", "sam", "-o", pipelinedSAM)
-
-	want, err := os.ReadFile(stagedSAM)
-	if err != nil {
-		t.Fatal(err)
+	pairs := []struct {
+		name      string
+		want, got steps
+	}{
+		{"staged", func(run runFunc, store, sam string) {
+			run(cmdAlign, "-store", store, "-name", "ds")
+			run(cmdSort, "-store", store, "-name", "ds", "-by", "location", "-out", "sorted")
+			run(cmdMarkdup, "-store", store, "-name", "sorted")
+			run(cmdExport, "-store", store, "-name", "sorted", "-format", "sam", "-o", sam)
+		}, func(run runFunc, store, sam string) {
+			run(cmdRun, "-store", store, "-name", "ds", "-align", "-sort", "location", "-markdup", "-format", "sam", "-o", sam)
+		}},
+		{"nodes-without-sort", func(run runFunc, store, sam string) {
+			run(cmdRun, "-store", store, "-name", "ds", "-align", "-format", "sam", "-o", sam)
+		}, func(run runFunc, store, sam string) {
+			run(cmdRun, "-store", store, "-name", "ds", "-align", "-nodes", "2", "-format", "sam", "-o", sam)
+		}},
 	}
-	got, err := os.ReadFile(pipelinedSAM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) == 0 || !bytes.Equal(got, want) {
-		t.Fatalf("run wrote %d bytes of SAM, the staged subcommands %d, and they differ", len(got), len(want))
+	for _, pair := range pairs {
+		t.Run(pair.name, func(t *testing.T) {
+			want, got := output(t, pair.want), output(t, pair.got)
+			if len(want) == 0 || !bytes.Equal(got, want) {
+				t.Fatalf("%d bytes of SAM, against %d, and they differ", len(got), len(want))
+			}
+		})
 	}
 }
 
@@ -82,9 +100,11 @@ func writeReads(t *testing.T, path string, genomeSize int, seed int64, cfg reads
 	}
 }
 
-// runner returns a function that runs one subcommand with its arguments and
-// fails the test if it fails.
-func runner(t *testing.T) func(cmd func(context.Context, []string) error, args ...string) {
+// runFunc runs one subcommand with its arguments.
+type runFunc = func(cmd func(context.Context, []string) error, args ...string)
+
+// runner returns a runFunc that fails the test if the subcommand fails.
+func runner(t *testing.T) runFunc {
 	return func(cmd func(context.Context, []string) error, args ...string) {
 		t.Helper()
 		if err := cmd(context.Background(), args); err != nil {

@@ -11,57 +11,56 @@ import (
 // Distributed asks Run to execute the pipeline across nodes in-process
 // worker nodes instead of single-node, with every worker submitting
 // fine-grain work to the session's shared executor. The stages are the
-// single-node run's, split at the pipeline's one Sort: the stages before it
-// run in the map tasks, the stages after it in the reduce tasks, and the
+// single-node run's. A pipeline with a Sort splits at it: the stages before
+// it run in the map tasks, the stages after it in the reduce tasks, and the
 // shuffle between them, a key-range sample sort coordinated by a phase
 // server, is the sort. MarkDuplicates declares a halo: it must follow a
 // location Sort directly, and each partition seeds its marker with the rows
-// just below its cut. The source must be Read. Output bytes are identical
-// to the single-node run for any node count. nodes < 1 keeps the
-// single-node scheduler.
+// just below its cut. A pipeline without a Sort is the map phase alone: one
+// task per source chunk runs every stage and writes that chunk's output.
+// The source must be Read. Output bytes are identical to the single-node run
+// for any node count. nodes < 1 keeps the single-node scheduler.
 func (p *Pipeline) Distributed(nodes int) *Pipeline {
 	p.nodes = nodes
 	return p
 }
 
-// split cuts the stages between the source and the sink at their one Sort
-// into a cluster plan: the stages before it run in the map tasks, those
+// split cuts the stages between the source and the sink at their Sort, if
+// any, into a cluster plan: the stages before it run in the map tasks, those
 // after it in the reduce.
 func (p *Pipeline) split() (cluster.PipelinePlan, error) {
 	plan := cluster.PipelinePlan{Dataset: p.stages[0].dataset}
 	mid := p.stages[1 : len(p.stages)-1]
-	sorted := false
 	for i, st := range mid {
 		switch {
-		case st.sort != nil && sorted:
+		case st.sort != nil && plan.Sort != nil:
 			return plan, fmt.Errorf("%w: distributed pipeline has two Sort stages", ErrRefused)
 		case st.sort != nil:
-			sorted, plan.By = true, *st.sort
+			plan.Sort = st.sort
 		case st.halo != nil && (i == 0 || mid[i-1].sort == nil):
 			return plan, fmt.Errorf("%w: distributed pipeline: %s must directly follow Sort", ErrRefused, st.name)
-		case st.halo != nil && plan.By != ByLocation:
+		case st.halo != nil && *plan.Sort != ByLocation:
 			return plan, fmt.Errorf("%w: distributed pipeline: %s needs a location sort", ErrRefused, st.name)
 		case st.halo != nil:
 			plan.Halo = st.halo
 			fallthrough
-		case sorted:
+		case plan.Sort != nil:
 			plan.Reduce = append(plan.Reduce, st.Stage)
 		default:
 			plan.Map = append(plan.Map, st.Stage)
 		}
 	}
-	if !sorted {
-		return plan, fmt.Errorf("%w: distributed pipeline needs a Sort stage (the shuffle is the sort)", ErrRefused)
-	}
 	return plan, nil
 }
 
 // runDistributed executes the pipeline as a cluster plan: the stages run
-// across worker nodes and the reduce writes an ordered output dataset. A
+// across worker nodes and the last phase's tasks write an output dataset. A
 // Write sink keeps that dataset, gzip like any other. For an export sink it
 // is a staging dataset, stored raw, that the export streams out once; it
 // lives under the run's namespace, which is swept once the export is done
-// (inside the report's Elapsed and Storage) and on every failure.
+// (inside the report's Elapsed and Storage) and on every failure. A
+// write-back sink's target is the source itself, and the plan has no output
+// dataset: the tasks store the column the stages add into the source.
 func (p *Pipeline) runDistributed(ctx context.Context) (report *PipelineReport, err error) {
 	sess := p.sess
 	src, err := p.Validate()
@@ -81,19 +80,19 @@ func (p *Pipeline) runDistributed(ctx context.Context) (report *PipelineReport, 
 	// Every blob a run writes lives under one sweepable cluster/run
 	// namespace: the shuffle temp always, and the output dataset too when
 	// the sink is an export (the dataset is only a staging area for the
-	// export stream). A Write sink's output lives at its real name. A
-	// caller-set TempPrefix (the job server's jobs/<id>/cluster) relocates
-	// the namespace so a job's every blob stays under its own prefix.
+	// export stream). A Write sink's output lives at its real name, a
+	// write-back's in the source. A caller-set TempPrefix (the job server's
+	// jobs/<id>/cluster) relocates the namespace so a job's every blob stays
+	// under its own prefix.
 	runPrefix := fmt.Sprintf("cluster/run-%06d", sess.seq.Add(1))
 	if p.tempPrefix != "" {
 		runPrefix = fmt.Sprintf("%s/%d", p.tempPrefix, p.tmpSeq.Add(1))
 	}
 	plan.TempPrefix = runPrefix + "/tmp"
-	if sink.dataset != "" {
+	if sink.dataset == "" {
+		plan.OutName, plan.Staging = runPrefix+"/out", true
+	} else if sink.dataset != plan.Dataset { // a write-back's is the source
 		plan.OutName = sink.dataset
-	} else {
-		plan.OutName = runPrefix + "/out"
-		plan.Staging = true
 	}
 	// Once RunPipeline has returned no worker is alive, so a failed run can
 	// sweep the namespace whatever happened: its temp blobs, an export's

@@ -75,12 +75,16 @@ func leakedClusterBlobs(t *testing.T, store *countingStore) []string {
 // full fused graph (Read → Align → Sort → MarkDup → Filter → Export) must
 // produce byte-identical SAM and BAM whether it runs single-node pumped or
 // distributed across 1, 2 or 4 worker nodes — and must sweep every temp
-// blob it parked under cluster/.
+// blob it parked under cluster/. So must other shapes, sortless ones
+// included.
 func TestDistributedMatchesSingleNode(t *testing.T) {
 	ctx := context.Background()
-	store, g := distFixture(t, 50, "ds")
+	store, g := distFixture(t, 50, "ds", "aligned")
 	idx, err := BuildIndex(g)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Align(ctx, store, "aligned", idx, AlignOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	sess := NewSession(store, SessionOptions{})
@@ -195,6 +199,64 @@ func TestDistributedMatchesSingleNode(t *testing.T) {
 				if got.Records != want.Records || got.Dups != want.Dups || got.Filtered != want.Filtered {
 					t.Errorf("records %d, dups %+v, filtered %+v; single-node %d, %+v, %+v",
 						got.Records, got.Dups, got.Filtered, want.Records, want.Dups, want.Filtered)
+				}
+				if leaked := leakedClusterBlobs(t, store); len(leaked) != 0 {
+					t.Errorf("leaked %d cluster temp blobs, e.g. %s", len(leaked), leaked[0])
+				}
+			})
+		}
+	}
+
+	// Without a Sort the plan is the map phase alone: one task per chunk
+	// runs every stage and writes that chunk's output, stitched in chunk
+	// order, and nothing crosses a shuffle. A Write's dataset is compared
+	// by its SAM export.
+	mapOnly := []struct {
+		name  string
+		graph func(out io.Writer, dataset string) *Pipeline
+	}{
+		{"align-write", func(_ io.Writer, dataset string) *Pipeline {
+			return sess.Read("ds").Align(idx, AlignOptions{}).Write(dataset)
+		}},
+		{"align-filter-sam", func(out io.Writer, _ string) *Pipeline {
+			return sess.Read("ds").Align(idx, AlignOptions{}).Filter(FilterMinMapQ(30)).ExportSAM(out)
+		}},
+		{"aligned-filter-fastq", func(out io.Writer, _ string) *Pipeline {
+			return sess.Read("aligned").Filter(FilterMinMapQ(30)).ExportFASTQ(out)
+		}},
+	}
+	// run runs a shape on nodes nodes (0: single-node) and returns its
+	// report and output.
+	run := func(t *testing.T, graph func(io.Writer, string) *Pipeline, nodes int) (*PipelineReport, []byte) {
+		var out bytes.Buffer
+		dataset := fmt.Sprintf("map-only%d.out", nodes)
+		report, err := graph(&out, dataset).Distributed(nodes).Run(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.Manifest != nil {
+			if _, err := ExportSAM(ctx, store, dataset, &out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return report, out.Bytes()
+	}
+	for _, sh := range mapOnly {
+		want, gold := run(t, sh.graph, 0)
+		if len(gold) == 0 || want.Filtered.In != 0 && want.Filtered.Kept == want.Filtered.In {
+			t.Fatalf("%s: the single-node run wrote %d bytes, its filter kept %+v", sh.name, len(gold), want.Filtered)
+		}
+		for _, nodes := range []int{1, 3} {
+			t.Run(fmt.Sprintf("map-only/%s/nodes=%d", sh.name, nodes), func(t *testing.T) {
+				got, out := run(t, sh.graph, nodes)
+				if !bytes.Equal(out, gold) {
+					t.Errorf("distributed output differs from single-node (%d vs %d bytes)", len(out), len(gold))
+				}
+				if got.Records != want.Records || got.Filtered != want.Filtered {
+					t.Errorf("records %d, filtered %+v; single-node %d, %+v", got.Records, got.Filtered, want.Records, want.Filtered)
+				}
+				if c := got.Cluster; c == nil || c.ShuffleBytes != 0 || len(c.Nodes) != nodes {
+					t.Errorf("cluster report %+v, want %d nodes and no shuffle", c, nodes)
 				}
 				if leaked := leakedClusterBlobs(t, store); len(leaked) != 0 {
 					t.Errorf("leaked %d cluster temp blobs, e.g. %s", len(leaked), leaked[0])
@@ -387,7 +449,8 @@ func TestDistributedWorkerDeathMidShuffle(t *testing.T) {
 }
 
 // TestDistributedShapeValidation pins the message of every shape the
-// distributed scheduler refuses.
+// distributed scheduler refuses, and runs the sortless shape it once
+// refused.
 func TestDistributedShapeValidation(t *testing.T) {
 	ctx := context.Background()
 	store, g := pipelineFixture(t, "ds", "aligned")
@@ -408,8 +471,6 @@ func TestDistributedShapeValidation(t *testing.T) {
 		p    *Pipeline
 		want string
 	}{
-		// The shuffle is the sort.
-		{"no sort", sess.Read("ds").ExportFASTQ(&buf), "needs a Sort stage"},
 		// Distributed runs deal the chunks of a dataset.
 		{"import source", sess.ImportFASTQ(strings.NewReader(""), nil, 0).Sort(ByMetadata).ExportFASTQ(&buf), "need a Read source"},
 		{"two sorts", sess.Read("aligned").Sort(ByLocation).Sort(ByMetadata).ExportFASTQ(&buf), "two Sort stages"},
@@ -429,6 +490,18 @@ func TestDistributedShapeValidation(t *testing.T) {
 	}
 	if leaked := leakedClusterBlobs(t, store); len(leaked) != 0 {
 		t.Errorf("refused runs left %d cluster blobs, e.g. %s", len(leaked), leaked[0])
+	}
+
+	// Without a Sort the run is the map phase alone.
+	var gold, dist bytes.Buffer
+	if _, err := sess.Read("ds").ExportFASTQ(&gold).Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Read("ds").ExportFASTQ(&dist).Distributed(2).Run(ctx); err != nil {
+		t.Fatalf("no sort: %v", err)
+	}
+	if gold.Len() == 0 || !bytes.Equal(dist.Bytes(), gold.Bytes()) {
+		t.Errorf("no sort: distributed FASTQ differs from single-node (%d vs %d bytes)", dist.Len(), gold.Len())
 	}
 }
 
@@ -716,22 +789,28 @@ func (s *manifestGets) Get(name string) ([]byte, error) {
 }
 
 // TestDistributedReadsManifestOnce: a run reads its source dataset's
-// manifest once, on one node or on two. The distributed plan carries the
-// manifest Validate read rather than opening the dataset again.
+// manifest once, on one node or on two, sorted or map-only. The distributed
+// plan carries the manifest Validate read rather than opening the dataset
+// again.
 func TestDistributedReadsManifestOnce(t *testing.T) {
 	base, _ := distFixture(t, 50, "ds")
 	store := &manifestGets{MemStore: base.inner.(*agd.MemStore), name: "ds/manifest.json"}
-	for _, nodes := range []int{0, 2} {
-		sess := NewSession(store, SessionOptions{})
-		store.gets.Store(0)
-		var out bytes.Buffer
-		_, err := sess.Read("ds").Sort(ByMetadata).ExportFASTQ(&out).Distributed(nodes).Run(context.Background())
-		sess.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := store.gets.Load(); n != 1 {
-			t.Errorf("Distributed(%d): %d Gets of ds/manifest.json, want 1", nodes, n)
+	graphs := map[string]func(sess *Session, w io.Writer) *Pipeline{
+		"sorted":   func(sess *Session, w io.Writer) *Pipeline { return sess.Read("ds").Sort(ByMetadata).ExportFASTQ(w) },
+		"map-only": func(sess *Session, w io.Writer) *Pipeline { return sess.Read("ds").ExportFASTQ(w) },
+	}
+	for name, graph := range graphs {
+		for _, nodes := range []int{0, 2} {
+			sess := NewSession(store, SessionOptions{})
+			store.gets.Store(0)
+			_, err := graph(sess, io.Discard).Distributed(nodes).Run(context.Background())
+			sess.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := store.gets.Load(); n != 1 {
+				t.Errorf("%s, Distributed(%d): %d Gets of ds/manifest.json, want 1", name, nodes, n)
+			}
 		}
 	}
 }

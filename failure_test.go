@@ -295,3 +295,43 @@ func TestImportFailureLeavesNothing(t *testing.T) {
 	}
 	waitGoroutines(t, before)
 }
+
+// TestWriteRefusesItsSource: a Write naming its own Read source would store
+// over the blobs its source still reads, and a write that fails deletes
+// every blob it stored, which are the source's own chunks. Validate refuses
+// the graph, single-node and distributed, before a blob is touched: with
+// the Put of one chunk's metadata failing, the source reads back byte for
+// byte.
+func TestWriteRefusesItsSource(t *testing.T) {
+	ctx := context.Background()
+	store, _ := pipelineFixture(t, "ds")
+	want := testutil.Blobs(t, store, "")
+	var fq bytes.Buffer
+	if _, err := ExportFASTQ(ctx, store, "ds", &fq); err != nil {
+		t.Fatal(err)
+	}
+	puts := len(store.putNames())
+	faulty := storage.NewFaultStore(store, storage.FaultPolicy{
+		Keys: []storage.KeyFaults{{Substr: "ds/chunk-000001.metadata", Writes: storage.OpFaults{ErrProb: 1}}},
+	})
+	defer faulty.Close()
+	sess := NewSession(faulty, SessionOptions{})
+	defer sess.Close()
+	for _, nodes := range []int{0, 2} {
+		_, err := sess.Read("ds").Write("ds").Distributed(nodes).Run(ctx)
+		if !errors.Is(err, ErrRefused) || !strings.Contains(err.Error(), `Write cannot replace its source "ds"`) {
+			t.Errorf("Distributed(%d): error %v, want the refusal of a Write naming its source", nodes, err)
+		}
+	}
+	if n := len(store.putNames()); n != puts {
+		t.Errorf("the refused runs put %d blobs", n-puts)
+	}
+	testutil.SameBlobs(t, "after the refused runs", testutil.Blobs(t, store, ""), want)
+	var back bytes.Buffer
+	if _, err := ExportFASTQ(ctx, store, "ds", &back); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(back.Bytes(), fq.Bytes()) {
+		t.Errorf("the source reads back %d FASTQ bytes, %d before", back.Len(), fq.Len())
+	}
+}

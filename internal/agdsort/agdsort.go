@@ -52,13 +52,19 @@ func (k Key) String() string {
 // unmappedKey sorts unmapped reads after every mapped location.
 const unmappedKey = uint64(1) << 62
 
+// DefaultChunksPerSuperchunk is how many input chunks a sort stages into
+// one run unless Options says otherwise. A distributed sort's map task
+// stages this many too, which keeps its runs row for row equal to the
+// single-node sort's.
+const DefaultChunksPerSuperchunk = 8
+
 // Options configures a sort.
 type Options struct {
 	// By selects the sort key.
 	By Key
 	// ChunksPerSuperchunk is how many input chunks are staged and sorted
-	// into each superchunk run (default 8) — the knob that trades staging
-	// memory for merge fan-in.
+	// into each superchunk run (default DefaultChunksPerSuperchunk) — the
+	// knob that trades staging memory for merge fan-in.
 	ChunksPerSuperchunk int
 	// TempPrefix is unused: runs stay in memory and nothing is stored under
 	// it. It stays only because the benchmark (bench/) sets it.

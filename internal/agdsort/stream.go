@@ -30,7 +30,7 @@ func SortStream(ctx context.Context, store agd.BlobStore, in *agd.GroupStream, o
 		return nil, fmt.Errorf("agdsort: stream has no metadata column")
 	}
 	if opts.ChunksPerSuperchunk <= 0 {
-		opts.ChunksPerSuperchunk = 8
+		opts.ChunksPerSuperchunk = DefaultChunksPerSuperchunk
 	}
 	// Output is chunked like the source: after a selective filter the first
 	// group's size is an arbitrary kept-row count, the fallback only.

@@ -48,9 +48,9 @@ type Config struct {
 	// workers).
 	NodeFaults map[int]int
 	// FaultPhase scopes NodeFaults to one phase of the run: 0 is the map
-	// phase (Align's only one, whose tasks are chunks), 1 the shuffle, 2 the
-	// reduce — which is how a chaos test kills a worker deterministically
-	// mid-shuffle.
+	// phase (a map-only plan's only one, whose tasks are chunks), 1 the
+	// shuffle, 2 the reduce — which is how a chaos test kills a worker
+	// deterministically mid-shuffle.
 	FaultPhase int
 }
 
@@ -62,7 +62,7 @@ type NodeReport struct {
 	Bases   int64
 	Elapsed time.Duration
 	// ShuffleBytes is what this node wrote during a distributed pipeline's
-	// shuffle phase (pieces and halos; 0 on Align's runs, which have no
+	// shuffle phase (pieces and halos; 0 on map-only runs, which have no
 	// shuffle). Re-executed tasks count here, so node totals can exceed the
 	// report's first-win total.
 	ShuffleBytes int64
@@ -264,20 +264,20 @@ func runNodes(ctx context.Context, srv *PhaseServer, cfg *Config, node func(ctx 
 	return report, nil
 }
 
-// Align runs a distributed alignment of a dataset as a write-back plan of
-// RunPipeline: one phase, one task per chunk. Every node leases chunks,
-// reads their bases from shared storage, aligns them with the same stage the
-// single-server Align runs (core.AlignStream, at its default tuning), writes
-// each results chunk back through the same column sink, and acks the lease
-// once the blob has landed. Workers heartbeat the server; a worker that dies
-// or straggles has its chunks re-dealt to the survivors (bounded by
-// MaxChunkAttempts; results writes are idempotent, so duplicate completion
-// is safe) and the run completes degraded, with the reassignments recorded
-// in the report. Permanent errors — corrupt chunks, missing blobs, ctx
+// Align runs a distributed alignment of a dataset as a map-only plan of
+// RunPipeline without an output dataset: one phase, one task per chunk.
+// Every node leases chunks, reads their bases from shared storage, aligns
+// them with the same stage the single-server Align runs (core.AlignStream,
+// at its default tuning), writes each results chunk back through the same
+// column sink, and acks the lease once the blob has landed. Workers
+// heartbeat the server; a worker that dies or straggles has its chunks
+// re-dealt to the survivors (bounded by MaxChunkAttempts; results writes are
+// idempotent, so duplicate completion is safe) and the run completes
+// degraded, with the reassignments recorded in the report. Permanent errors — corrupt chunks, missing blobs, ctx
 // ending — abort the whole run. The results column is registered in the
 // manifest at the end; a run that fails leaves no results blob behind.
 func Align(ctx context.Context, store storage.Store, datasetName string, idx *snap.Index, cfg Config) (*Report, *agd.Manifest, error) {
-	res, err := RunPipeline(ctx, store, PipelinePlan{Dataset: datasetName, Columns: []string{agd.ColBases}, Map: []Stage{alignStage(idx)}, writeBack: true}, cfg)
+	res, err := RunPipeline(ctx, store, PipelinePlan{Dataset: datasetName, Columns: []string{agd.ColBases}, Map: []Stage{alignStage(idx)}}, cfg)
 	if err != nil {
 		return nil, nil, err
 	}

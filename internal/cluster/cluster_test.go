@@ -113,7 +113,8 @@ func TestClusterRejectsEmptyDataset(t *testing.T) {
 	if _, _, err := Align(ctx, store, "empty", f.Index, Config{Nodes: 2}); err == nil || !strings.Contains(err.Error(), "no chunks") {
 		t.Errorf("Align: error %v, want \"no chunks\"", err)
 	}
-	plan := PipelinePlan{Dataset: "empty", By: agdsort.ByMetadata, OutName: "out"}
+	by := agdsort.ByMetadata
+	plan := PipelinePlan{Dataset: "empty", Sort: &by, OutName: "out"}
 	if _, err := RunPipeline(ctx, store, plan, Config{Nodes: 2}); err == nil || !strings.Contains(err.Error(), "no chunks") {
 		t.Errorf("RunPipeline: error %v, want \"no chunks\"", err)
 	}

@@ -8,9 +8,9 @@
 // networked.
 //
 // Every run goes through that coordinator and one worker task loop
-// (pipeline.go): RunPipeline's fused three-phase sample sort, and Align, the
-// map phase alone of a plan that writes its results back, one task per
-// chunk.
+// (pipeline.go): RunPipeline's fused three-phase sample sort when the plan
+// sorts, and its map phase alone, one task per chunk, when it does not —
+// Align's plan, which writes its results back into the dataset, among them.
 package cluster
 
 import (

@@ -16,10 +16,10 @@ import (
 )
 
 // The distributed pipeline: a single-node Pipeline's stages across N
-// workers, split at their one Sort. The stages before the Sort run in the
-// map tasks, the stages after it in the reduce tasks, and the shuffle
-// between them is the sort, a three-phase sample sort coordinated by a
-// PhaseServer. MarkDuplicates declares a halo (PipelinePlan.Halo).
+// workers. A plan with a Sort splits at it: the stages before the Sort run
+// in the map tasks, the stages after it in the reduce tasks, and the
+// shuffle between them is the sort, a three-phase sample sort coordinated
+// by a PhaseServer. MarkDuplicates declares a halo (PipelinePlan.Halo).
 //
 //	map:     each task runs the map stages over a batch of source chunks
 //	         (the single-node sort's staging batch, so a run holds the rows
@@ -45,8 +45,12 @@ import (
 // bytes. The coordinator stitches the partitions' chunk entries into the one
 // manifest of the ordered output dataset and aggregates the cluster report.
 //
-// Align's plan (writeBack) is the map phase alone: each task aligns one
-// chunk's bases and stores its results blob in the input dataset itself.
+// A plan without a Sort is the map phase alone: each task runs every stage
+// over one source chunk and ends as a reduce does, writing partition <b> of
+// the output dataset, which the coordinator stitches in chunk order. With
+// no output dataset the task stores the column its stages add in the
+// source's chunk b instead, and the coordinator registers the column at the
+// end: that is Align's plan, the paper's distributed alignment (§5.2).
 
 // Task phases of a distributed pipeline run.
 const (
@@ -118,7 +122,8 @@ func (e *Env) tally(rep *NodeReport) shuffle.Counts {
 
 // PipelinePlan declares a distributed run: a dataset source, the stages
 // before the Sort, the Sort's key, the stages after it, and a materialized
-// output dataset the caller exports or keeps.
+// output dataset the caller exports or keeps. Without a Sort every stage is
+// a map stage, and without an output dataset too, the plan writes back.
 type PipelinePlan struct {
 	// Dataset names the AGD input in the shared store.
 	Dataset string
@@ -130,9 +135,11 @@ type PipelinePlan struct {
 	Columns []string
 	// Map lists the stages each map task runs over its source chunks.
 	Map []Stage
-	// By is the sort key the shuffle ranges over.
-	By agdsort.Key
-	// Reduce lists the stages each reduce task runs over its partition.
+	// Sort is the key the shuffle ranges over; nil makes the plan map-only,
+	// one map task per source chunk and no shuffle or reduce.
+	Sort *agdsort.Key
+	// Reduce lists the stages each reduce task runs over its partition (a
+	// plan with a Sort only, as is Halo).
 	Reduce []Stage
 	// Halo is set when the first reduce stage's rows reach across a
 	// partition cut (MarkDuplicates after a location sort). It returns, for
@@ -142,27 +149,18 @@ type PipelinePlan struct {
 	Halo func() func(keyField []byte) (int64, error)
 	// OutName names the output dataset; partition k's chunks are written
 	// under OutName/part<k>/ and stitched into one manifest at OutName. Its
-	// chunks are gzip like any dataset's, unless Staging is set.
+	// chunks are gzip like any dataset's, unless Staging is set. Empty, in a
+	// map-only plan, writes the one column the map stages add back into
+	// Dataset, registered in its manifest once every chunk's blob is stored.
 	OutName string
 	// Staging marks the output as a staging area that the caller reads once
 	// and then deletes, as an export does: the reduce stores its every
 	// column raw (CompressNone), since that one read would only inflate
 	// what the reduce deflated.
 	Staging bool
-	// ChunkSize is records per output chunk; 0 follows the input dataset.
-	ChunkSize int
-	// ChunksPerBatch is how many source chunks one map task stages into a
-	// run — the single-node sort's staging batch (default 8), which is what
-	// keeps distributed runs row for row equal to its in-memory runs.
-	ChunksPerBatch int
 	// TempPrefix is the namespace for runs, pieces and halos, swept after a
 	// successful run. Default "cluster/<dataset>/tmp".
 	TempPrefix string
-	// writeBack makes the plan Align's: one task per chunk that runs the
-	// map stages over its bases and stores their results blob in the input
-	// dataset, no shuffle, reduce or output dataset, and the results column
-	// registered at the end.
-	writeBack bool
 }
 
 // PipelineResult is a completed distributed pipeline run.
@@ -178,14 +176,19 @@ type PipelineResult struct {
 }
 
 func (p *PipelinePlan) applyDefaults() {
-	if p.writeBack {
-		p.ChunksPerBatch = 1
-	} else if p.ChunksPerBatch <= 0 {
-		p.ChunksPerBatch = 8
-	}
 	if p.TempPrefix == "" {
 		p.TempPrefix = "cluster/" + p.Dataset + "/tmp"
 	}
+}
+
+// chunksPerTask is how many source chunks one map task reads: one in a
+// map-only plan, else the single-node sort's staging batch, so that a run
+// holds the rows of that sort's in-memory run.
+func (p *PipelinePlan) chunksPerTask() int {
+	if p.Sort == nil {
+		return 1
+	}
+	return agdsort.DefaultChunksPerSuperchunk
 }
 
 // columns returns cols followed by the columns stages add.
@@ -198,9 +201,10 @@ func columns(cols []string, stages []Stage) []string {
 }
 
 // RunPipeline executes a fused pipeline across cfg.Nodes in-process workers
-// against shared storage: phased task dealing over a PhaseServer, key-range
-// shuffle between the map and the reduce stages, and a stitched ordered
-// output manifest. Output rows are byte-identical to the single-node
+// against shared storage: phased task dealing over a PhaseServer, a
+// key-range shuffle between the map and the reduce stages when the plan
+// sorts, and a stitched output manifest, or the source's with the column a
+// write-back plan adds. Output rows are byte-identical to the single-node
 // pipeline of the same stages for any node count. Worker death
 // degrades the run (tasks re-dealt to survivors, bounded by
 // MaxChunkAttempts); permanent storage errors and server aborts fail it.
@@ -217,31 +221,28 @@ func RunPipeline(ctx context.Context, store storage.Store, plan PipelinePlan, cf
 		}
 	}
 	ds := agd.OpenManifest(store, m)
-	switch {
-	case len(m.Chunks) == 0:
-		return nil, fmt.Errorf("cluster: dataset %q has no chunks", plan.Dataset)
-	case plan.writeBack && m.HasColumn(agd.ColResults):
-		return nil, fmt.Errorf("cluster: dataset %q already aligned", plan.Dataset)
-	case plan.OutName == "" && !plan.writeBack:
-		return nil, fmt.Errorf("cluster: pipeline needs an output dataset name")
-	}
 	if plan.Columns == nil {
 		plan.Columns = m.Columns
 	}
 	cols := columns(plan.Columns, plan.Map)
-	if agdsort.KeyColumn(cols, plan.By) < 0 {
-		return nil, fmt.Errorf("cluster: dataset %q has no %s key column", plan.Dataset, plan.By)
-	}
-	if plan.ChunkSize <= 0 {
-		plan.ChunkSize = int(m.Chunks[0].Records)
+	added := cols[len(plan.Columns):]
+	switch {
+	case len(m.Chunks) == 0:
+		return nil, fmt.Errorf("cluster: dataset %q has no chunks", plan.Dataset)
+	case plan.Sort != nil && agdsort.KeyColumn(cols, *plan.Sort) < 0:
+		return nil, fmt.Errorf("cluster: dataset %q has no %s key column", plan.Dataset, *plan.Sort)
+	case plan.OutName == "" && plan.Sort != nil:
+		return nil, fmt.Errorf("cluster: pipeline needs an output dataset name")
+	case plan.OutName == "" && (len(added) != 1 || m.HasColumn(added[0])):
+		return nil, fmt.Errorf("cluster: cannot write %q back into dataset %q, whose columns are %q", added, plan.Dataset, m.Columns)
 	}
 
-	numBatches := (len(m.Chunks) + plan.ChunksPerBatch - 1) / plan.ChunksPerBatch
+	numBatches := (len(m.Chunks) + plan.chunksPerTask() - 1) / plan.chunksPerTask()
 	parts := cfg.Nodes
 
-	phases, held := []int{numBatches, numBatches, parts}, []int{phaseShuffle}
-	if plan.writeBack {
-		phases, held = phases[:1], nil
+	phases, held, last := []int{numBatches, numBatches, parts}, []int{phaseShuffle}, phaseReduce
+	if plan.Sort == nil {
+		phases, held, last = phases[:1], nil, phaseMap
 	}
 	srv, err := NewPhaseServer(phases, held, cfg.serverOptions())
 	if err != nil {
@@ -284,62 +285,63 @@ func RunPipeline(ctx context.Context, store storage.Store, plan PipelinePlan, cf
 		srv.SetCuts(payload)
 		srv.Open(phaseShuffle)
 	}
-	if !plan.writeBack {
+	if plan.Sort != nil {
 		go selectCuts()
 	}
 
-	var report *Report
+	res := &PipelineResult{}
 	nodes := func() (err error) {
-		report, err = runNodes(runCtx, srv, &cfg, func(ctx context.Context, w *worker) error {
+		res.Report, err = runNodes(runCtx, srv, &cfg, func(ctx context.Context, w *worker) error {
 			return pipelineNode(ctx, w, store, ds, &plan, cols, parts, numBatches)
 		})
 		return err
 	}
-	if plan.writeBack {
+	if plan.OutName == "" {
 		// runNodes returns once every worker has, so no Put is in flight
-		// when a failed run's results blobs are deleted.
-		updated, err := agd.AddColumn(store, m, agd.ColResults, nodes)
-		if err != nil {
+		// when a failed run's blobs of the added column are deleted.
+		if res.Manifest, err = agd.AddColumn(store, m, added[0], nodes); err != nil {
 			return nil, err
 		}
-		return &PipelineResult{Report: report, Manifest: updated}, nil
-	}
-	if err := nodes(); err != nil {
+	} else if err := nodes(); err != nil {
 		return nil, err
 	}
-	report.Partitions = parts
 
 	// Shuffle and stage accounting from the authoritative first-win task
 	// payloads (node reports can double-count re-executed work).
-	res := &PipelineResult{Report: report}
 	count := func(c shuffle.Counts) {
 		res.Dups.Reads += c.Dups.Reads
 		res.Dups.Duplicates += c.Dups.Duplicates
 		res.Filtered.In += c.Filtered.In
 		res.Filtered.Kept += c.Filtered.Kept
 	}
-	for i, payload := range srv.Payloads(phaseMap) {
-		var sum shuffle.RunSummary
-		if err := shuffle.Decode(payload, &sum); err != nil {
-			return nil, fmt.Errorf("cluster: run summary %d: %w", i, err)
+	sortedBy := m.SortedBy
+	if plan.Sort != nil {
+		res.Report.Partitions, sortedBy = parts, plan.Sort.String()
+		for i, payload := range srv.Payloads(phaseMap) {
+			var sum shuffle.RunSummary
+			if err := shuffle.Decode(payload, &sum); err != nil {
+				return nil, fmt.Errorf("cluster: run summary %d: %w", i, err)
+			}
+			count(sum.Counts)
 		}
-		count(sum.Counts)
+		partRows := make([]int64, parts)
+		for i, payload := range srv.Payloads(phaseShuffle) {
+			var sr shuffle.ShuffleResult
+			if err := shuffle.Decode(payload, &sr); err != nil {
+				return nil, fmt.Errorf("cluster: shuffle result %d: %w", i, err)
+			}
+			res.Report.ShuffleBytes += sr.Bytes
+			for k, n := range sr.PartRows {
+				partRows[k] += n
+			}
+		}
+		res.Report.PartitionSkew = shuffle.Skew(partRows)
 	}
-	partRows := make([]int64, parts)
-	for i, payload := range srv.Payloads(phaseShuffle) {
-		var sr shuffle.ShuffleResult
-		if err := shuffle.Decode(payload, &sr); err != nil {
-			return nil, fmt.Errorf("cluster: shuffle result %d: %w", i, err)
-		}
-		report.ShuffleBytes += sr.Bytes
-		for k, n := range sr.PartRows {
-			partRows[k] += n
-		}
-	}
-	report.PartitionSkew = shuffle.Skew(partRows)
 
-	partEntries := make([][]agd.ChunkEntry, parts)
-	for k, payload := range srv.Payloads(phaseReduce) {
+	// The last phase's tasks wrote the output, partition k by task k.
+	payloads := srv.Payloads(last)
+	partEntries := make([][]agd.ChunkEntry, len(payloads))
+	for k, payload := range payloads {
 		var pr shuffle.PartResult
 		if err := shuffle.Decode(payload, &pr); err != nil {
 			return nil, fmt.Errorf("cluster: partition result %d: %w", k, err)
@@ -353,14 +355,16 @@ func RunPipeline(ctx context.Context, store storage.Store, plan PipelinePlan, cf
 			})
 		}
 	}
-	stitched, err := agd.StitchManifest(plan.OutName, agd.SpecsForColumns(columns(cols, plan.Reduce)), partEntries, m.RefSeqs, plan.By.String())
-	if err != nil {
-		return nil, err
+	if plan.OutName != "" {
+		stitched, err := agd.StitchManifest(plan.OutName, agd.SpecsForColumns(columns(cols, plan.Reduce)), partEntries, m.RefSeqs, sortedBy)
+		if err != nil {
+			return nil, err
+		}
+		if err := agd.WriteManifest(store, stitched); err != nil {
+			return nil, fmt.Errorf("cluster: write manifest %q: %w", plan.OutName, err)
+		}
+		res.Manifest = stitched
 	}
-	if err := agd.WriteManifest(store, stitched); err != nil {
-		return nil, fmt.Errorf("cluster: write manifest %q: %w", plan.OutName, err)
-	}
-	res.Manifest = stitched
 
 	// Sweep the shuffle namespace: runs, pieces and halos are all under the
 	// temp prefix, deterministic names included the re-executed ones, so one
@@ -372,12 +376,11 @@ func RunPipeline(ctx context.Context, store storage.Store, plan PipelinePlan, cf
 }
 
 // pipelineNode is one worker of a distributed pipeline run: a task loop
-// over the phase server's three phases. A task borrows its run builder,
+// over the phase server's phases, three or the map phase alone. A task borrows its run builder,
 // chunks and encode buffers from the process-wide pools of the packages
 // that define them, and gives them back when it is done with them.
 func pipelineNode(ctx context.Context, w *worker, store storage.Store, ds *agd.Dataset, plan *PipelinePlan, cols []string, parts, numBatches int) error {
 	client, rep := w.client, &w.rep
-	keyCol := agdsort.KeyColumn(cols, plan.By)
 	var cuts *shuffle.Cuts
 	for {
 		phase, idx, ok, err := w.lease(ctx)
@@ -408,10 +411,10 @@ func pipelineNode(ctx context.Context, w *worker, store storage.Store, ds *agd.D
 				cuts = &c
 			}
 			var bytes int64
-			payload, bytes, err = runShuffleTask(ctx, store, plan, keyCol, cuts, idx, parts)
+			payload, bytes, err = runShuffleTask(ctx, store, plan, agdsort.KeyColumn(cols, *plan.Sort), cuts, idx, parts)
 			rep.ShuffleBytes += bytes
 		case phaseReduce:
-			payload, err = runReduceTask(ctx, store, plan, w.exec, cols, keyCol, idx, numBatches, rep)
+			payload, err = runReduceTask(ctx, store, ds, plan, w.exec, cols, agdsort.KeyColumn(cols, *plan.Sort), idx, numBatches, rep)
 		default:
 			err = fmt.Errorf("cluster: unknown phase %d", phase)
 		}
@@ -427,22 +430,21 @@ func pipelineNode(ctx context.Context, w *worker, store storage.Store, ds *agd.D
 
 // runMapTask runs the map stages over one batch of source chunks and stores
 // their rows as one sorted run blob, returning the run-summary payload
-// (rows, key samples, max halo span, what the stages counted); a write-back
-// plan's task stores the stages' results blob instead. The task decodes
-// through a chunk pool of its own, whose chunks go back to the process-wide
-// pool once the run is stored. The task's reads, and the bases it aligned,
-// are added to rep.
+// (rows, key samples, max halo span, what the stages counted); a map-only
+// plan's task writes its one chunk's output instead (writeTask). The task
+// decodes through a chunk pool of its own, whose chunks go back to the
+// process-wide pool once its output is stored. The task's reads, and the
+// bases it aligned, are added to rep.
 func runMapTask(ctx context.Context, store storage.Store, ds *agd.Dataset, plan *PipelinePlan, exec *dataflow.Executor, b int, rep *NodeReport) (string, error) {
-	lo := b * plan.ChunksPerBatch
-	hi := min(lo+plan.ChunksPerBatch, len(ds.Manifest.Chunks))
-	codec := agd.Codec{Exec: exec}
+	lo := b * plan.chunksPerTask()
+	hi := min(lo+plan.chunksPerTask(), len(ds.Manifest.Chunks))
 	pool := agd.NewChunkPool(2*len(ds.Manifest.Columns) + 1)
 	gs, err := ds.Groups(agd.StreamOptions{
 		Columns:     plan.Columns,
 		Start:       lo,
 		End:         hi,
 		ShardedPool: pool,
-		Codec:       codec,
+		Codec:       agd.Codec{Exec: exec},
 	})
 	if err != nil {
 		return "", err
@@ -453,14 +455,13 @@ func runMapTask(ctx context.Context, store storage.Store, ds *agd.Dataset, plan 
 	if err != nil {
 		return "", err
 	}
-	if plan.writeBack {
-		if err := agd.WriteColumn(ctx, stream, store, ds.Manifest, agd.ColResults, codec); err != nil {
-			return "", err
+	if plan.Sort == nil {
+		payload, err := writeTask(env, store, ds.Manifest, plan, stream, b, rep)
+		if err == nil {
+			agd.RecycleChunks(pool)
+			rep.Reads += int64(ds.Manifest.Chunks[b].Records)
 		}
-		agd.RecycleChunks(pool)
-		env.tally(rep)
-		rep.Reads += env.Align.Reads // the plan is Align's
-		return "", nil
+		return payload, err
 	}
 
 	var maxSpan int64
@@ -473,7 +474,7 @@ func runMapTask(ctx context.Context, store storage.Store, ds *agd.Dataset, plan 
 			return err
 		}
 	}
-	info, err := agdsort.BuildRun(ctx, store, stream, shuffle.RunBlob(plan.TempPrefix, b), plan.By, hi-lo, shuffle.SampleCount, visit)
+	info, err := agdsort.BuildRun(ctx, store, stream, shuffle.RunBlob(plan.TempPrefix, b), *plan.Sort, hi-lo, shuffle.SampleCount, visit)
 	if err != nil {
 		return "", fmt.Errorf("cluster: map batch %d: %w", b, err)
 	}
@@ -497,7 +498,7 @@ func runShuffleTask(ctx context.Context, store storage.Store, plan *PipelinePlan
 	run := runs[0]
 	bounds := make([]int, 0, parts+1)
 	bounds = append(bounds, 0)
-	bounds = append(bounds, shuffle.CutPoints(run, keyCol, plan.By, cuts.Splitters)...)
+	bounds = append(bounds, shuffle.CutPoints(run, keyCol, *plan.Sort, cuts.Splitters)...)
 	bounds = append(bounds, run.NumRecords())
 
 	res := shuffle.ShuffleResult{PartRows: make([]int64, parts)}
@@ -521,7 +522,7 @@ func runShuffleTask(ctx context.Context, store storage.Store, plan *PipelinePlan
 	}
 	if plan.Halo != nil {
 		for k := 1; k < parts; k++ {
-			lo, hi := shuffle.HaloRange(run, keyCol, plan.By, cuts.Splitters[k-1], cuts.Halo)
+			lo, hi := shuffle.HaloRange(run, keyCol, *plan.Sort, cuts.Splitters[k-1], cuts.Halo)
 			halo, err := shuffle.BuildHalo(run, keyCol, lo, hi)
 			if err != nil {
 				return "", 0, err
@@ -536,11 +537,10 @@ func runShuffleTask(ctx context.Context, store storage.Store, plan *PipelinePlan
 }
 
 // runReduceTask runs the single-node pipeline's tail over one partition: the
-// merge stream of its shuffled pieces, the reduce stages (a halo stage over
-// the partition's halos), and the dataset sink writing "<out>/part<k>" with
-// its chunks' members compressed on exec (stored raw for a staging output).
-// It returns the partition-result payload the coordinator stitches from.
-func runReduceTask(ctx context.Context, store storage.Store, plan *PipelinePlan, exec *dataflow.Executor, cols []string, keyCol, k, numBatches int, rep *NodeReport) (string, error) {
+// merge stream of its shuffled pieces, chunked like the source ds, the
+// reduce stages (a halo stage over the partition's halos), and the dataset
+// sink writing "<out>/part<k>" (writeTask).
+func runReduceTask(ctx context.Context, store storage.Store, ds *agd.Dataset, plan *PipelinePlan, exec *dataflow.Executor, cols []string, keyCol, k, numBatches int, rep *NodeReport) (string, error) {
 	blobs := func(name func(prefix string, k, b int) string) []string {
 		names := make([]string, numBatches)
 		for b := range names {
@@ -558,25 +558,42 @@ func runReduceTask(ctx context.Context, store storage.Store, plan *PipelinePlan,
 			return "", fmt.Errorf("cluster: partition %d: %w", k, err)
 		}
 	}
-	merger, err := agdsort.NewRunMerger(pieces, len(cols), keyCol, plan.By)
+	merger, err := agdsort.NewRunMerger(pieces, len(cols), keyCol, *plan.Sort)
 	if err != nil {
 		return "", err
 	}
-	meta := agd.StreamMeta{Columns: cols, NumRecords: uint64(rows), ChunkSize: plan.ChunkSize}
+	meta := agd.StreamMeta{Columns: cols, NumRecords: uint64(rows), ChunkSize: int(ds.Manifest.Chunks[0].Records)}
 	stream, err := env.build(agdsort.MergeStream(merger, meta, 0), plan.Reduce)
 	defer func() { stream.Close() }()
 	if err != nil {
 		return "", err
 	}
-	// An empty partition (equal splitters, a filter dropping its every row)
-	// writes no chunk and contributes none to the stitch.
-	entries, err := agd.WriteChunks(ctx, stream, store, shuffle.PartDataset(plan.OutName, k), agd.WriterOptions{Codec: agd.Codec{Exec: exec}, Raw: plan.Staging})
+	return writeTask(env, store, ds.Manifest, plan, stream, k, rep)
+}
+
+// writeTask ends every task that writes output, a reduce task or a map-only
+// plan's map task: the dataset sink writing partition k's chunks, and no
+// manifest, under "<out>/part<k>" with their members compressed on e.Exec
+// (stored raw for a staging output) — or, for a plan without an output
+// dataset, the column the map stages add, stored in chunk k of m. It
+// returns the partition-result payload the coordinator stitches from.
+func writeTask(e *Env, store storage.Store, m *agd.Manifest, plan *PipelinePlan, stream *agd.GroupStream, k int, rep *NodeReport) (string, error) {
+	codec := agd.Codec{Exec: e.Exec}
+	var entries []agd.ChunkEntry
+	var err error
+	if plan.OutName == "" {
+		err = agd.WriteColumn(e.Ctx, stream, store, m, columns(nil, plan.Map)[0], codec)
+	} else {
+		// An empty partition (equal splitters, a filter dropping its every
+		// row) writes no chunk and contributes none to the stitch.
+		entries, err = agd.WriteChunks(e.Ctx, stream, store, shuffle.PartDataset(plan.OutName, k), agd.WriterOptions{Codec: codec, Raw: plan.Staging})
+	}
 	if err != nil {
 		return "", fmt.Errorf("cluster: partition %d: %w", k, err)
 	}
-	pr := shuffle.PartResult{Counts: env.tally(rep)}
-	for _, e := range entries {
-		pr.ChunkRecords = append(pr.ChunkRecords, e.Records)
+	pr := shuffle.PartResult{Counts: e.tally(rep)}
+	for _, entry := range entries {
+		pr.ChunkRecords = append(pr.ChunkRecords, entry.Records)
 	}
 	return shuffle.Encode(&pr)
 }

@@ -44,15 +44,19 @@ func TestReduceStragglerFailureKeepsSurvivorChunks(t *testing.T) {
 		e.Filtered = stats
 		return out, err
 	}}
+	by := agdsort.ByLocation
 	plan := &PipelinePlan{
-		Dataset: "ds", By: agdsort.ByLocation, Reduce: []Stage{mark, drop},
+		Dataset: "ds", Sort: &by, Reduce: []Stage{mark, drop},
 		Halo:    func() func([]byte) (int64, error) { return markdup.NewMarker(0).Span },
-		OutName: "out", ChunkSize: 50, ChunksPerBatch: 4,
+		OutName: "out",
 	}
 	plan.applyDefaults()
 	cols := ds.Manifest.Columns
-	keyCol := agdsort.KeyColumn(cols, plan.By)
-	numBatches := (len(ds.Manifest.Chunks) + plan.ChunksPerBatch - 1) / plan.ChunksPerBatch
+	keyCol := agdsort.KeyColumn(cols, by)
+	numBatches := (len(ds.Manifest.Chunks) + plan.chunksPerTask() - 1) / plan.chunksPerTask()
+	if numBatches < 2 {
+		t.Fatalf("%d map batches: the fixture does not exercise the merge of runs", numBatches)
+	}
 
 	// Map and shuffle, as pipelineNode and RunPipeline's cut selection do.
 	var summaries []shuffle.RunSummary
@@ -79,7 +83,7 @@ func TestReduceStragglerFailureKeepsSurvivorChunks(t *testing.T) {
 
 	for k := 0; k < parts; k++ {
 		prefix := shuffle.PartDataset(plan.OutName, k) + "/"
-		acked, err := runReduceTask(ctx, store, plan, nil, cols, keyCol, k, numBatches, &NodeReport{})
+		acked, err := runReduceTask(ctx, store, ds, plan, nil, cols, keyCol, k, numBatches, &NodeReport{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +95,7 @@ func TestReduceStragglerFailureKeepsSurvivorChunks(t *testing.T) {
 			straggler := storage.NewFaultStore(store, storage.FaultPolicy{
 				Keys: []storage.KeyFaults{{Substr: name, Writes: storage.OpFaults{ErrProb: 1}}},
 			})
-			_, err := runReduceTask(ctx, straggler, plan, nil, cols, keyCol, k, numBatches, &NodeReport{})
+			_, err := runReduceTask(ctx, straggler, ds, plan, nil, cols, keyCol, k, numBatches, &NodeReport{})
 			straggler.Close()
 			if !errors.Is(err, storage.ErrInjected) || runFatal(err) {
 				t.Fatalf("partition %d, failing %s: error %v, want the injected transient one", k, name, err)
@@ -99,7 +103,7 @@ func TestReduceStragglerFailureKeepsSurvivorChunks(t *testing.T) {
 			testutil.SameBlobs(t, fmt.Sprintf("partition %d after its straggler failed putting %s", k, name),
 				testutil.Blobs(t, store, prefix), survivor)
 		}
-		again, err := runReduceTask(ctx, store, plan, nil, cols, keyCol, k, numBatches, &NodeReport{})
+		again, err := runReduceTask(ctx, store, ds, plan, nil, cols, keyCol, k, numBatches, &NodeReport{})
 		if err != nil || again != acked {
 			t.Fatalf("partition %d re-executed: payload %q (error %v), the first attempt acked %q", k, again, err, acked)
 		}

@@ -63,7 +63,7 @@ func TestAlignSurvivesWorkerDeath(t *testing.T) {
 		NodeFaults: map[int]int{0: 1}, // node 0 dies after one chunk
 	}
 	cfg.applyDefaults()
-	plan := PipelinePlan{Dataset: "ds", Columns: []string{agd.ColBases}, Map: []Stage{alignStage(f2.Index)}, writeBack: true}
+	plan := PipelinePlan{Dataset: "ds", Columns: []string{agd.ColBases}, Map: []Stage{alignStage(f2.Index)}}
 	plan.applyDefaults()
 	ds, err := agd.Open(store, "ds")
 	if err != nil {

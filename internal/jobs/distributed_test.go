@@ -16,7 +16,9 @@ import (
 
 // TestDistributedJob: a 2-node WGS job completes DONE with a result
 // byte-identical to the single-node direct pipeline, sweeps its shuffle
-// namespace, and publishes the cluster report in manager stats.
+// namespace, and publishes the cluster report in manager stats. A 2-node
+// job without a sort, the map phase alone, returns the single-node job's
+// result.
 func TestDistributedJob(t *testing.T) {
 	store := persona.NewMemStore()
 	g := importTestDataset(t, store, "ds")
@@ -66,6 +68,28 @@ func TestDistributedJob(t *testing.T) {
 	if cl.ShuffleBytes == 0 {
 		t.Error("ShuffleBytes = 0, want bytes crossing the shuffle")
 	}
+
+	var results [][]byte
+	for _, nodes := range []int{0, 2} {
+		st, err := m.Submit("acme", Spec{Dataset: "ds", Align: true, Format: "sam", Nodes: nodes})
+		if err != nil {
+			t.Fatalf("align+sam on %d nodes: %v", nodes, err)
+		}
+		if fin := waitTerminal(t, m, st.ID, 30*time.Second); fin.State != StateDone {
+			t.Fatalf("align+sam on %d nodes: final = %s (%s), want DONE", nodes, fin.State, fin.Error)
+		}
+		_, data, err := m.Result(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, data)
+	}
+	if len(results[0]) == 0 || !bytes.Equal(results[1], results[0]) {
+		t.Errorf("2-node align+sam job wrote %d bytes of SAM, the single-node job %d, and they differ", len(results[1]), len(results[0]))
+	}
+	if cl := m.Stats().Cluster; cl == nil || cl.ShuffleBytes != 0 || len(cl.Nodes) != 2 {
+		t.Errorf("cluster report after the map-only job: %+v, want 2 nodes and no shuffle", cl)
+	}
 	checkNoLeak(t, sess)
 }
 
@@ -102,9 +126,9 @@ func TestJobProgressDistributed(t *testing.T) {
 	}
 }
 
-// TestDistributedSpecRejections: negative node counts and sortless
-// distributed specs are permanent admission errors — the shuffle is the
-// sort, so a distributed job without one cannot run.
+// TestDistributedSpecRejections: a negative node count is a permanent
+// admission error. (A distributed spec without a sort runs: see
+// TestDistributedJob.)
 func TestDistributedSpecRejections(t *testing.T) {
 	store := persona.NewMemStore()
 	g := importTestDataset(t, store, "ds")
@@ -115,7 +139,6 @@ func TestDistributedSpecRejections(t *testing.T) {
 		spec Spec
 	}{
 		{"negative nodes", Spec{Dataset: "ds", Align: true, Sort: "location", Format: "sam", Nodes: -1}},
-		{"distributed without sort", Spec{Dataset: "ds", Align: true, Format: "sam", Nodes: 2}},
 	}
 	for _, tc := range cases {
 		_, err := m.Submit("acme", tc.spec)

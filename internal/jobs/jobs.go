@@ -79,8 +79,8 @@ type Spec struct {
 	// DeadlineMS caps the job's wall time per attempt (0 = server default).
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 	// Nodes >= 1 runs the pipeline distributed across that many in-process
-	// worker nodes (the graph must then split at a sort, see
-	// persona.Pipeline.Distributed). 0 keeps the single-node scheduler.
+	// worker nodes (split at the sort, or the map phase alone without one;
+	// see persona.Pipeline.Distributed). 0 keeps the single-node scheduler.
 	Nodes int `json:"nodes,omitempty"`
 }
 

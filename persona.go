@@ -39,9 +39,10 @@
 // theirs, ImportFASTQ and ImportSAM are the FASTQ and SAM sources into a
 // Write sink, CallVariants ends in a pileup sink, and Align and
 // MarkDuplicates end in a sink that writes the one column they produce back
-// next to the others. AlignDistributed, the map phase alone of a Distributed
-// pipeline's plan, stays a function of its own. All of them take a
-// context.Context and honor cancellation per chunk.
+// next to the others. AlignDistributed runs the distributed form of that
+// align, a map-only cluster plan, through cluster.Align, with an executor of
+// its own on every node. All of them take a context.Context and honor
+// cancellation per chunk.
 //
 // Storage backends (local directories, an in-memory store, and a Ceph-like
 // replicated object store) implement the same BlobStore interface, so
@@ -254,8 +255,8 @@ func align(ctx context.Context, store Store, dataset string, idx *Index, opts Al
 // executor of threadsPerNode workers: the map phase alone of a Distributed
 // pipeline's plan, one task per chunk leased from the TCP phase server
 // (§5.2's manifest server), heartbeat-guarded and re-dealt when a worker
-// dies. Session.AlignDistributed is the form that shares a session's
-// executor and warm index cache.
+// dies. Session.AlignDistributed is the same plan as a Pipeline, sharing a
+// session's executor and warm index cache.
 func AlignDistributed(ctx context.Context, store Store, dataset string, idx *Index, nodes, threadsPerNode int) (*ClusterReport, *Manifest, error) {
 	return cluster.Align(ctx, store, dataset, idx, cluster.Config{
 		Nodes:          nodes,

@@ -1,6 +1,7 @@
 package persona
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -51,8 +52,9 @@ import (
 // chunk k. At one processor, or with Serial(), there are no edges, and the
 // sink pulls the whole chain on the caller's goroutine; output bytes are
 // identical either way. Distributed runs the same stage values across
-// nodes: the stages before the Sort in map tasks, those after it in the
-// reduce, with MarkDuplicates declaring the halo its partitions need.
+// nodes: the stages before a Sort in map tasks, those after it in the
+// reduce, with MarkDuplicates declaring the halo its partitions need; a
+// pipeline without a Sort runs every stage in one map task per chunk.
 type Pipeline struct {
 	sess       *Session
 	stages     []stage
@@ -88,7 +90,8 @@ type stage struct {
 	// alive until Release (its output chunks alias upstream chunks): a
 	// group produced above it stays checked out across its edge too.
 	passthrough bool
-	// dataset is what a Read source opens or a Write sink writes.
+	// dataset is what a Read source opens or a Write or write-back sink
+	// writes.
 	dataset string
 	// sort is a Sort stage's key (nil for every other stage).
 	sort *SortKey
@@ -241,8 +244,12 @@ func (p *Pipeline) ExportFASTQ(dst io.Writer) *Pipeline {
 }
 
 // Write ends the pipeline by materializing the stream as a new AGD dataset.
+// It cannot name its own source: the write replaces the dataset's blobs
+// while the source still reads them.
 func (p *Pipeline) Write(dataset string) *Pipeline {
-	return p.add(stage{name: "write", dataset: dataset, err: argErr(dataset == "", "Write needs a dataset name"), drain: func(r *run, in *agd.GroupStream) (uint64, error) {
+	bad := cmp.Or(argErr(dataset == "", "Write needs a dataset name"),
+		argErr(dataset == p.stages[0].dataset, fmt.Sprintf("Write cannot replace its source %q", dataset)))
+	return p.add(stage{name: "write", dataset: dataset, err: bad, drain: func(r *run, in *agd.GroupStream) (uint64, error) {
 		// The write replaces whatever blobs the target dataset had: drop any
 		// cached chunks/manifest for it, then remember the fresh manifest so
 		// an immediately following read skips the open round trip.
@@ -384,16 +391,17 @@ type PipelineReport struct {
 	EdgeDepth int
 	// Cluster carries the distributed run's cluster report (nil on
 	// single-node runs). Its ShuffleBytes, Partitions and PartitionSkew
-	// describe the cross-node range shuffle.
+	// describe the cross-node range shuffle (0 on a run without a Sort).
 	Cluster *ClusterReport
 }
 
 // Validate is Run's check before anything runs, with Run's error: one sink,
 // at the end; every stage's arguments; every column a stage reads present
 // upstream of it, and none that it adds; for a Distributed run, a Read
-// source and one Sort to split at. It reads only the manifest a Read source
-// names and returns that dataset (nil for an import). Refusals wrap
-// ErrRefused; any other error is the store's, opening the source.
+// source, at most one Sort to split at, and MarkDuplicates directly after a
+// location Sort. It reads only the manifest a Read source names and returns
+// that dataset (nil for an import). Refusals wrap ErrRefused; any other
+// error is the store's, opening the source.
 func (p *Pipeline) Validate() (*Dataset, error) {
 	if len(p.stages) < 2 {
 		return nil, fmt.Errorf("%w: pipeline has no sink (end with Export* or Write)", ErrRefused)
@@ -532,13 +540,14 @@ func (p *Pipeline) sourceColumns(all []string) []string {
 	return slices.DeleteFunc(slices.Clone(all), func(c string) bool { return !slices.Contains(reads, c) })
 }
 
-// writeBack ends the one-shot Align and MarkDuplicates: it stores the
-// stream's results column into the source dataset, next to the columns it
-// was computed from, and registers the column when it is new — or, when a
-// new column fails to land, deletes it again, so a failed Align leaves the
-// dataset as it found it (agd.AddColumn).
+// writeBack ends the one-shot Align and MarkDuplicates and
+// Session.AlignDistributed: it stores the stream's results column into the
+// source dataset, next to the columns it was computed from, and registers
+// the column when it is new — or, when a new column fails to land, deletes
+// it again, so a failed Align leaves the dataset as it found it
+// (agd.AddColumn).
 func (p *Pipeline) writeBack() *Pipeline {
-	return p.add(stage{name: "write-back", reads: []string{agd.ColResults}, drain: func(r *run, in *agd.GroupStream) (uint64, error) {
+	return p.add(stage{name: "write-back", dataset: p.stages[0].dataset, reads: []string{agd.ColResults}, drain: func(r *run, in *agd.GroupStream) (uint64, error) {
 		sess, m := p.sess, r.src.Manifest
 		sess.invalidateDataset(m.Name)
 		out, err := agd.AddColumn(sess.store, m, agd.ColResults, func() error {

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"persona/internal/agd"
-	"persona/internal/cluster"
 	"persona/internal/dataflow"
 )
 
@@ -125,27 +124,20 @@ func (s *Session) Index(g *Genome) (*Index, error) {
 }
 
 // AlignDistributed aligns a dataset in the session's store across nodes
-// worker nodes, as persona.AlignDistributed does, with every node submitting
-// to the session's shared executor and the seed index coming from the
-// session's warm cache.
+// worker nodes (at least one), as persona.AlignDistributed does, with every
+// node submitting to the session's shared executor and the seed index
+// coming from the session's warm cache: Read, Align and the sink that
+// writes the results column back, run Distributed.
 func (s *Session) AlignDistributed(ctx context.Context, dataset string, ref *Genome, nodes int) (*ClusterReport, *Manifest, error) {
 	idx, err := s.Index(ref)
 	if err != nil {
 		return nil, nil, err
 	}
-	rep, m, err := cluster.Align(ctx, s.store, dataset, idx, cluster.Config{
-		Nodes:    nodes,
-		Executor: s.exec,
-	})
+	rep, err := s.Read(dataset).Align(idx, AlignOptions{}).writeBack().Distributed(max(nodes, 1)).Run(ctx)
 	if err != nil {
-		return rep, m, err
+		return nil, nil, err
 	}
-	// The align rewrote the dataset's results blobs and manifest: cached
-	// decoded chunks and the remembered manifest are stale. Replace the
-	// manifest with the one the align just produced.
-	s.invalidateDataset(dataset)
-	s.rememberManifest(dataset, m)
-	return rep, m, nil
+	return rep.Cluster, rep.Manifest, nil
 }
 
 // openDataset opens a dataset through the session's manifest cache: reading
