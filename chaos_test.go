@@ -3,13 +3,14 @@ package persona
 // Chaos suite: fused pipelines driven through a fault-injecting store behind
 // the resilience layer must produce byte-identical output to a fault-free
 // run (transient faults), or fail with a clean classified error naming the
-// corrupt chunk (permanent faults) — never wrong output, never leaked pooled
-// chunks. Seeds are fixed so CI replays the same fault schedules.
+// corrupt chunk (permanent faults) — never wrong output, never a cached chunk
+// left pinned. Seeds are fixed so CI replays the same fault schedules.
 
 import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -67,12 +68,21 @@ func runWGS(t testing.TB, sess *Session, dataset string, idx *Index) (*PipelineR
 	return report, sam.Bytes()
 }
 
-// checkNoLeak asserts every pooled chunk went back to the session pool.
+// chunkLeak is the session's leak probe: it reports the pins readers still
+// hold on cached chunks, resident, in flight or dropped (CacheStats.Pinned),
+// which a row group never released keeps above zero.
+func chunkLeak(sess *Session) error {
+	if st, ok := sess.CacheStats(); ok && st.Pinned != 0 {
+		return fmt.Errorf("chunk leak: %d pins on cached chunks still held", st.Pinned)
+	}
+	return nil
+}
+
+// checkNoLeak asserts every group a source delivered was released.
 func checkNoLeak(t testing.TB, sess *Session) {
 	t.Helper()
-	size, free := sess.PoolStats()
-	if size != free {
-		t.Fatalf("chunk pool leak: %d of %d chunks not returned", size-free, size)
+	if err := chunkLeak(sess); err != nil {
+		t.Fatal(err)
 	}
 }
 

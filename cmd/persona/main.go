@@ -58,7 +58,7 @@ func main() {
 	cmd, args := os.Args[1], os.Args[2:]
 
 	// Ctrl-C / SIGTERM cancels the command's context: pipelines stop at the
-	// next chunk boundary, pooled chunks go back, and a dataset that never
+	// next chunk boundary, decoded chunks go back, and a dataset that never
 	// got its manifest is cleaned up instead of orphaned.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

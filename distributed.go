@@ -127,6 +127,12 @@ func (p *Pipeline) runDistributed(ctx context.Context) (report *PipelineReport, 
 	report.Filtered = res.Filtered
 	report.Records = res.Manifest.NumRecords()
 
+	if report.Records == 0 && sink.dataset != "" {
+		// No row reached a Write sink, which stores no empty dataset: the
+		// run fails as the single-node run does. An export of no rows
+		// writes what the single-node export writes, its header alone.
+		return nil, filteredOut(fmt.Errorf("agd: dataset %q has %w", sink.dataset, agd.ErrNoRecords), &report.Filtered, src.Manifest)
+	}
 	if sink.dataset != "" {
 		report.Manifest = res.Manifest
 		sess.rememberManifest(sink.dataset, res.Manifest)

@@ -10,6 +10,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"maps"
@@ -377,6 +378,61 @@ func TestDistributedEmptyPartition(t *testing.T) {
 	}
 }
 
+// TestDistributedEmptyResult: a filter that keeps no row ends a 2-node run
+// as it ends the single-node one, with and without a Sort before it: an
+// export writes the same bytes (the SAM header alone), and a Write fails
+// with the single-node error, which names the filter and wraps
+// agd.ErrNoRecords, and stores no blob. Neither leaves a cluster blob.
+func TestDistributedEmptyResult(t *testing.T) {
+	ctx := context.Background()
+	store, g := distFixture(t, 50, "ds")
+	idx, err := BuildIndex(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := NewSession(store, SessionOptions{})
+	defer sess.Close()
+	if _, err := sess.Read("ds").Align(idx, AlignOptions{}).Write("aligned").Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, sorted := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sorted=%v", sorted), func(t *testing.T) {
+			graph := func() *Pipeline {
+				p := sess.Read("aligned")
+				if sorted {
+					p = p.Sort(ByLocation)
+				}
+				return p.Filter(FilterRegion(1<<41, 1<<41+1))
+			}
+			var gold, dist bytes.Buffer
+			if _, err := graph().ExportSAM(&gold).Run(ctx); err != nil {
+				t.Fatal(err)
+			}
+			report, err := graph().ExportSAM(&dist).Distributed(2).Run(ctx)
+			if err != nil {
+				t.Fatalf("2-node export of no rows: %v", err)
+			}
+			if gold.Len() == 0 || !bytes.Equal(dist.Bytes(), gold.Bytes()) {
+				t.Errorf("2-node export wrote %d bytes, the single-node one %d, and they differ", dist.Len(), gold.Len())
+			}
+			if report.Records != 0 || report.Filtered.In != 800 || report.Filtered.Kept != 0 {
+				t.Errorf("Records = %d, Filtered = %+v", report.Records, report.Filtered)
+			}
+
+			_, want := graph().Write("empty0").Run(ctx)
+			_, got := graph().Write("empty2").Distributed(2).Run(ctx)
+			if want == nil || got == nil || got.Error() != want.Error() || !errors.Is(got, agd.ErrNoRecords) {
+				t.Errorf("2-node Write of no rows returned %v, the single-node one %v", got, want)
+			}
+			for _, prefix := range []string{"empty0/", "empty2/", "cluster/"} {
+				if names, err := store.List(prefix); err != nil || len(names) != 0 {
+					t.Errorf("%d blobs left under %s (error %v), e.g. %v", len(names), prefix, err, names)
+				}
+			}
+		})
+	}
+}
+
 // TestSessionAlignDistributedTwice: a second distributed align of a dataset
 // is refused before it reaches the results column's registration, so nothing
 // ever registers that column without probing the blobs the workers wrote.
@@ -424,7 +480,7 @@ func TestDistributedWorkerDeathMidShuffle(t *testing.T) {
 	p.distTune = func(cfg *cluster.Config) {
 		cfg.NodeFaults = map[int]int{1: 0} // node 1 dies on its first…
 		cfg.FaultPhase = 1                 // …shuffle task
-		cfg.HeartbeatTimeout = 200 * 1e6   // 200ms: reassign dead leases fast
+		cfg.BeatTimeout = 200 * 1e6        // 200ms: reassign dead leases fast
 	}
 	report, err := p.Run(ctx)
 	if err != nil {

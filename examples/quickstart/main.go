@@ -47,7 +47,7 @@ func main() {
 	}
 
 	// A Session owns the runtime every pipeline shares: the store, one
-	// executor, the chunk pools and the index cache.
+	// executor, the chunk cache and the index cache.
 	store := persona.NewMemStore()
 	sess := persona.NewSession(store, persona.SessionOptions{})
 	defer sess.Close()

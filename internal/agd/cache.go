@@ -14,16 +14,18 @@ import (
 // ("<dataset>/chunk-NNNNNN.<col>"), i.e. (dataset, column, chunk); the
 // budget is bytes of decoded chunk memory, evicted LRU.
 //
-// Two contracts make the cache safe next to the pooled-chunk lifecycle:
+// Two contracts make the cache safe next to the recycled-chunk lifecycle:
 //
 //   - Fills are singleflight: the first stream to miss a key owns its fill
 //     (fetch + decode + validate, then Commit or Abort); concurrent streams
 //     pin the in-flight entry and Wait. One decode per chunk, however many
 //     stages ask.
-//   - Cached chunks are never pool-owned. A fill decodes into a freshly
-//     allocated Chunk, and delivered cache hits are pinned until the
-//     consumer releases its row group — so no cached chunk can ever be
-//     Reset under a reader by an ItemPool recycle, structurally.
+//   - A cached chunk is recycled once it is dropped and unpinned. A fill
+//     decodes into a chunk from agd's chunk recycler, and the cache owns it
+//     from Commit on. Every reader holds a pin until it releases its row
+//     group, so the chunk goes back to the recycler only once its entry has
+//     been dropped (evicted, flushed or invalidated) and its last pin is
+//     released — never under a reader.
 
 // ErrCacheAbandoned reports that the stream owning an in-flight fill closed
 // before completing it. Waiters fall back to a direct fetch + decode.
@@ -45,8 +47,10 @@ type CacheStats struct {
 	// Bytes is resident decoded-chunk memory; Capacity the budget.
 	Bytes    int64 `json:"bytes"`
 	Capacity int64 `json:"capacity"`
-	// Entries is resident chunk count; Pinned how many are pinned by
-	// in-flight consumers right now.
+	// Entries is resident chunk count. Pinned counts the pins held right
+	// now, on resident entries, in-flight fills and dropped entries alike:
+	// it reads 0 exactly when no reader holds a cached chunk, so a row
+	// group never released keeps it above 0.
 	Entries int `json:"entries"`
 	Pinned  int `json:"pinned"`
 }
@@ -75,9 +79,10 @@ type CacheEntry struct {
 	ready chan struct{}
 
 	pins int
-	// dropped marks an entry removed from the index (evicted, flushed or
-	// invalidated) while still pinned: Unpin and Commit must not touch the
-	// LRU list or byte accounting for it.
+	// dropped marks an entry removed from the index (evicted, flushed,
+	// invalidated or aborted): Unpin and Commit must not touch the LRU list
+	// or byte accounting for it, and its chunk is recycled at its last
+	// Unpin.
 	dropped    bool
 	prev, next *CacheEntry
 }
@@ -113,6 +118,7 @@ type ChunkCache struct {
 	head, tail *CacheEntry
 
 	hits, misses, fills, fillErrors, evictions int64
+	pinned                                     int // pins held on any entry
 }
 
 // NewChunkCache returns a cache bounded to capacity bytes of decoded chunk
@@ -130,6 +136,7 @@ func NewChunkCache(capacity int64) *ChunkCache {
 func (c *ChunkCache) Lookup(key string) (e *CacheEntry, fill bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.pinned++
 	if e = c.entries[key]; e != nil {
 		e.pins++
 		c.hits++
@@ -146,7 +153,8 @@ func (c *ChunkCache) Lookup(key string) (e *CacheEntry, fill bool) {
 
 // Commit completes a fill with its decoded, validated chunk: the entry
 // becomes resident, waiters wake, and the LRU evicts unpinned entries while
-// over budget. The chunk must be freshly allocated (never pool-owned).
+// over budget. The cache owns the chunk from now on and recycles it once the
+// entry is dropped and unpinned.
 func (c *ChunkCache) Commit(e *CacheEntry, chunk *Chunk) {
 	c.mu.Lock()
 	e.chunk = chunk
@@ -181,19 +189,34 @@ func (c *ChunkCache) Abort(e *CacheEntry, err error) {
 	close(e.ready)
 }
 
-// Unpin releases one pin. Unpinned resident entries become evictable.
+// Unpin releases one pin. Unpinned resident entries become evictable, and a
+// dropped entry's chunk goes back to the recycler at its last Unpin.
 func (c *ChunkCache) Unpin(e *CacheEntry) {
 	c.mu.Lock()
 	e.pins--
-	if e.pins == 0 && e.chunk != nil && !e.dropped {
+	c.pinned--
+	switch {
+	case e.pins > 0:
+	case e.dropped:
+		recycleLocked(e)
+	case e.chunk != nil:
 		c.evictLocked() // a pin may have held the cache over budget
 	}
 	c.mu.Unlock()
 }
 
+// recycleLocked gives a dropped, unpinned entry's chunk back to the
+// recycler. Callers hold c.mu.
+func recycleLocked(e *CacheEntry) {
+	if e.chunk != nil {
+		pooledChunks.Put(e.chunk)
+		e.chunk = nil
+	}
+}
+
 // Flush drops every entry, returning what was resident. Pinned chunks stay
-// valid for their holders (they keep their references); in-flight fills
-// complete but are not cached.
+// valid for their holders until their last Unpin recycles them; in-flight
+// fills complete but are not cached.
 func (c *ChunkCache) Flush() (entries int, bytes int64) {
 	return c.dropMatching("")
 }
@@ -219,6 +242,9 @@ func (c *ChunkCache) dropMatching(prefix string) (entries int, bytes int64) {
 			bytes += e.size
 		}
 		e.dropped = true
+		if e.pins == 0 {
+			recycleLocked(e)
+		}
 	}
 	return entries, bytes
 }
@@ -232,13 +258,11 @@ func (c *ChunkCache) Stats() CacheStats {
 		Fills: c.fills, FillErrors: c.fillErrors,
 		Evictions: c.evictions,
 		Bytes:     c.bytes, Capacity: c.capacity,
+		Pinned: c.pinned,
 	}
 	for _, e := range c.entries {
 		if e.chunk != nil && !e.dropped {
 			s.Entries++
-			if e.pins > 0 {
-				s.Pinned++
-			}
 		}
 	}
 	return s
@@ -289,6 +313,7 @@ func (c *ChunkCache) evictLocked() {
 			c.removeLocked(e)
 			delete(c.entries, e.key)
 			e.dropped = true
+			recycleLocked(e)
 			c.bytes -= e.size
 			c.evictions++
 		}

@@ -1,11 +1,13 @@
 package agd
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -269,10 +271,8 @@ func TestChunkCacheFlushAndInvalidate(t *testing.T) {
 }
 
 // TestStreamCacheWarmReads streams a dataset twice through one cache: the
-// second pass must be all hits, deliver byte-identical records, and leave
-// the chunk pool whole — proving cached chunks are never pool-owned (an
-// ItemPool recycle of a cached chunk is structurally impossible because the
-// cache only ever holds freshly allocated decodes).
+// second pass must be all hits, deliver byte-identical records, and leave no
+// pin held once its groups are released.
 func TestStreamCacheWarmReads(t *testing.T) {
 	store := NewMemStore()
 	writeTestDataset(t, store, "ds", 40, 10)
@@ -281,11 +281,10 @@ func TestStreamCacheWarmReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := NewChunkCache(1 << 20)
-	pool := NewChunkPool(64)
 
 	readAll := func() []string {
 		var recs []string
-		st, err := ds.Groups(StreamOptions{ShardedPool: pool, Cache: cache})
+		st, err := ds.Groups(StreamOptions{Cache: cache})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,10 +331,6 @@ func TestStreamCacheWarmReads(t *testing.T) {
 		if first[i] != second[i] {
 			t.Fatalf("record %d differs cold vs warm", i)
 		}
-	}
-	if pool.Free() != pool.Size() {
-		t.Fatalf("pool free=%d size=%d: a cached chunk leaked into (or out of) the pool",
-			pool.Free(), pool.Size())
 	}
 	if s2.Pinned != 0 {
 		t.Fatalf("pinned = %d after all groups released", s2.Pinned)
@@ -496,5 +491,120 @@ func TestCacheAllocOverhead(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("warm Lookup+Unpin allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestChunkCachePinnedChunkSurvivesDrop: a cached chunk a reader holds keeps
+// its bytes while its entry is flushed, invalidated or pressed by eviction
+// and other decodes draw on the recycler; the pin probe counts the held
+// group's pins throughout, and once the group is released the dropped chunk
+// goes back to the recycler.
+func TestChunkCachePinnedChunkSurvivesDrop(t *testing.T) {
+	ctx := context.Background()
+	store := NewMemStore()
+	writeTestDataset(t, store, "ds", 40, 10)
+	writeTestDataset(t, store, "other", 200, 10)
+	ds, err := Open(store, "ds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := Open(store, "other")
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain := func(d *Dataset, opts StreamOptions) {
+		st, err := d.Groups(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		for {
+			g, err := st.Next(ctx)
+			if err == io.EOF {
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.Release()
+		}
+	}
+	gc := debug.SetGCPercent(-1) // the collector would empty the recycler
+	defer debug.SetGCPercent(gc)
+	for _, mode := range []string{"flush", "invalidate", "evict"} {
+		t.Run(mode, func(t *testing.T) {
+			cache := NewChunkCache(1 << 20)
+			if mode == "evict" {
+				cache = NewChunkCache(1) // every unpinned entry is over budget
+			}
+			st, err := ds.Groups(StreamOptions{Cache: cache})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := st.Next(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.Close()
+			held := append([]*Chunk(nil), g.Chunks...)
+			isHeld := make(map[*Chunk]bool)
+			var want [][]byte
+			for _, c := range held {
+				isHeld[c] = true
+				want = append(want, append([]byte(nil), c.Data...))
+			}
+			switch mode {
+			case "flush":
+				cache.Flush()
+			case "invalidate":
+				cache.InvalidatePrefix("ds/")
+			}
+			// Other decodes, cached and not, and plain draws on the
+			// recycler: none may be handed a held chunk.
+			drain(other, StreamOptions{Cache: cache})
+			drain(other, StreamOptions{})
+			var drawn []*Chunk
+			for i := 0; i < 64; i++ {
+				c := pooledChunks.Get()
+				if isHeld[c] {
+					t.Fatal("a pinned cached chunk came out of the recycler")
+				}
+				drawn = append(drawn, c)
+			}
+			for _, c := range drawn {
+				pooledChunks.Put(c)
+			}
+			for k, c := range held {
+				if !bytes.Equal(c.Data, want[k]) {
+					t.Fatalf("column %d of the held group changed under its reader", k)
+				}
+			}
+			if p := cache.Stats().Pinned; p != len(held) {
+				t.Fatalf("pinned = %d with one group of %d columns held", p, len(held))
+			}
+
+			g.Release()
+			if p := cache.Stats().Pinned; p != 0 {
+				t.Fatalf("pinned = %d after the group's release", p)
+			}
+			if raceEnabled {
+				return // the race detector's sync.Pool drops items on purpose
+			}
+			back := 0
+			drawn = drawn[:0]
+			for i := 0; i < 512 && back < len(held); i++ {
+				c := pooledChunks.Get()
+				if isHeld[c] {
+					back++
+				}
+				drawn = append(drawn, c)
+			}
+			for _, c := range drawn {
+				pooledChunks.Put(c)
+			}
+			if back != len(held) {
+				t.Fatalf("%d of the %d dropped chunks went back to the recycler after their release", back, len(held))
+			}
+		})
 	}
 }

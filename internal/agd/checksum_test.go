@@ -30,7 +30,7 @@ func TestChunkFooterRoundTrip(t *testing.T) {
 		if string(blob[len(blob)-chunkFooterSize:len(blob)-4]) != chunkFooterMagic {
 			t.Fatalf("%s: no footer magic at blob tail", tc.name)
 		}
-		dec, err := tc.cd.Decode(blob)
+		dec, err := DecodeChunk(blob)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", tc.name, err)
 		}

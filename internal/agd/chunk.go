@@ -383,11 +383,16 @@ func encodeChunkV1Append(dst []byte, c *Chunk, comp Compression) ([]byte, error)
 	return dst, nil
 }
 
-// DecodeChunk parses an on-disk chunk blob, decompressing the data block on
-// the caller's goroutine. Both layout versions are accepted; a Codec with an
-// executor inflates a multi-member block's members as tasks instead.
+// DecodeChunk parses an on-disk chunk blob into a fresh chunk, decompressing
+// the data block on the caller's goroutine. Both layout versions are
+// accepted. An uncompressed data block is not copied: the chunk shares
+// blob's bytes.
 func DecodeChunk(blob []byte) (*Chunk, error) {
-	return Codec{}.Decode(blob)
+	c := new(Chunk)
+	if err := (Codec{}).decodeInto(c, blob, false); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // DecodeChunkInto decodes blob into c, reusing c's backing arrays (pooled

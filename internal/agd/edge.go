@@ -28,8 +28,8 @@ var ErrEdgeClosed = errors.New("agd: edge closed by consumer")
 // side may close, and anyone may Fail the edge
 // (the cancellation watcher does). Every queued
 // group is release-owned: on failure or consumer close the edge drains and
-// releases them, so pooled chunks return to their pools instead of leaking
-// under a dead pipeline.
+// releases them, so recycled chunks and builder sets go back instead of
+// leaking under a dead pipeline.
 //
 // The edge is a mutex + condition variable rather than a channel: draining a
 // channel race-free against a concurrent send is not possible (a group can
@@ -140,7 +140,8 @@ func (e *BoundedEdge) CloseSend(err error) {
 }
 
 // CloseRecv marks the consumer gone: queued groups are drained and released
-// (returning pooled chunks, which unblocks a producer waiting on a pool) and
+// (returning their chunks and builder sets, which unblocks a producer
+// waiting on its builder pool) and
 // subsequent Pushes fail with ErrEdgeClosed. Idempotent.
 func (e *BoundedEdge) CloseRecv() {
 	e.mu.Lock()

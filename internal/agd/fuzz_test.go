@@ -107,7 +107,7 @@ func FuzzDecodeChunk(f *testing.F) {
 			if err != nil {
 				t.Fatalf("re-encode: %v", err)
 			}
-			c2, err := cd.Decode(re)
+			c2, err := DecodeChunk(re)
 			if err != nil {
 				t.Fatalf("decode of re-encoded chunk: %v", err)
 			}

@@ -205,7 +205,7 @@ func (s *BuilderSet) Hold(g *RowGroup) { s.held = g }
 // stage builds its output groups: a group's chunks live in its set until
 // Release, so a pumped edge can queue several of a stage's groups with no
 // recycling under a live reader. Exhaustion blocks in Get — the same
-// back-pressure contract as the chunk pools — so an undersized window
+// back-pressure contract as a bounded edge — so an undersized window
 // degrades to waiting, never to corruption. Once the stage has seen its
 // upstream's io.EOF (Drop, on the stage's goroutine, where no fill runs),
 // every set's builders go back to NewChunkBuilder's pool as the set comes
@@ -335,8 +335,8 @@ func (d *Dataset) Groups(opts StreamOptions) (*GroupStream, error) {
 	if len(d.Manifest.Chunks) > 0 {
 		meta.ChunkSize = int(d.Manifest.Chunks[0].Records)
 	}
-	// Pooled source chunks are valid until Release: the pool recycles only
-	// released chunks.
+	// Source chunks are valid until Release: the recycler takes back only
+	// released chunks, the cache only unpinned ones.
 	return NewGroupStream(meta, cs.next, cs.close), nil
 }
 

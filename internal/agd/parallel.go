@@ -149,15 +149,6 @@ func (cd Codec) encodeV2Append(dst []byte, c *Chunk, members int) ([]byte, error
 	return dst, nil
 }
 
-// Decode parses a chunk blob of either layout version into a fresh chunk.
-func (cd Codec) Decode(blob []byte) (*Chunk, error) {
-	c := new(Chunk)
-	if err := cd.decodeInto(c, blob, false); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
 // DecodeInto decodes blob into c, reusing its backing arrays and always
 // copying data so the chunk owns its memory (required for pooling).
 func (cd Codec) DecodeInto(c *Chunk, blob []byte) error {

@@ -263,8 +263,8 @@ func TestCodecMembersFollowExecutor(t *testing.T) {
 		t.Fatalf("a 3-worker executor wrote version %d with %d members, want version %d with 3", blob[4], members, chunkVersionParallel)
 	}
 	for _, dec := range []Codec{cd, {}} {
-		got, err := dec.Decode(blob)
-		if err != nil {
+		got := new(Chunk)
+		if err := dec.DecodeInto(got, blob); err != nil {
 			t.Fatal(err)
 		}
 		checkChunkEqual(t, got, c)

@@ -8,7 +8,8 @@ import "fmt"
 // manifest renumbers First cumulatively in concatenation order (partition 0
 // first), so the result validates as one contiguous dataset; entry Paths
 // are kept as given, which is how a dataset's chunks can live under
-// per-partition blob prefixes. Empty partitions are skipped.
+// per-partition blob prefixes. Empty partitions are skipped; with no rows at
+// all the manifest has no chunks, a dataset a sink must not store.
 //
 // Readers never check a stored chunk's header ordinal against the manifest
 // entry, so partition-local chunk blobs are served unmodified under the
@@ -25,9 +26,6 @@ func StitchManifest(name string, cols []ColumnSpec, parts [][]ChunkEntry, refSeq
 			first += uint64(e.Records)
 			entries = append(entries, e)
 		}
-	}
-	if len(entries) == 0 {
-		return nil, fmt.Errorf("agd: stitch %q: no rows", name)
 	}
 	m := newManifest(name, cols, entries, refSeqs, sortedBy)
 	if err := m.Validate(); err != nil {

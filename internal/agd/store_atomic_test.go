@@ -55,7 +55,7 @@ func TestDirStorePutTornWriteInvisible(t *testing.T) {
 	if !bytes.Equal(got, blob) {
 		t.Fatal("existing blob changed by a crashed Put")
 	}
-	if _, err := (Codec{}).Decode(got); err != nil {
+	if _, err := DecodeChunk(got); err != nil {
 		t.Fatalf("blob no longer decodes after crashed Put: %v", err)
 	}
 	if _, err := s.Get("ds/chunk-000001.bases"); !errors.Is(err, ErrNotFound) {

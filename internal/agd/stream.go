@@ -18,19 +18,15 @@ type StreamOptions struct {
 	// Start and End bound the chunk range [Start, End); End <= 0 means the
 	// end of the dataset.
 	Start, End int
-	// ShardedPool, when non-nil, supplies the decoded chunk objects
-	// (NewChunkPool): Next checks chunks out of it and RowGroup.Release
-	// returns them, so a bounded pool gives the stream the same back-pressure
-	// as the pipeline queues. When nil, chunks are freshly allocated and
-	// Release is a no-op. The pool has one free list; the field keeps its old
-	// name only because bench/ compiles against it.
+	// ShardedPool is ignored: every stream decodes into chunks from agd's
+	// one chunk recycler and gives them back there. The field stays only
+	// because bench/ compiles against it.
 	ShardedPool *dataflow.ItemPool[*Chunk]
 	// Cache, when non-nil, makes the stream read through the shared decoded
 	// chunk cache: hits skip the fetch, CRC verify and decode entirely;
-	// misses become singleflight fills this stream owns. Cached chunks are
-	// always freshly allocated and pinned until Release — the stream never
-	// checks them out of ShardedPool (no chunk object can be both cached and
-	// pooled).
+	// misses become singleflight fills this stream owns. A delivered chunk
+	// stays pinned until Release; the cache recycles it once its entry is
+	// dropped and unpinned. With no cache, Release recycles the chunks.
 	Cache *ChunkCache
 	// Codec decodes the fetched blobs; the zero value decodes on the
 	// goroutine calling Next. Pipelines pass their shared-executor codec.
@@ -77,16 +73,15 @@ type fetchSlot struct {
 // chunkStream is the engine behind Dataset.Groups: it iterates the column
 // chunks of a dataset in chunk order while keeping a window of blob fetches
 // in flight through the store's async read path (§4.2: readers saturate
-// storage by overlapping many object fetches). The fetch window takes
-// nothing from the chunk pool — chunks are checked out only as next decodes
-// them. next is safe for concurrent consumers; each call claims the next
+// storage by overlapping many object fetches). The fetch window holds
+// blobs, not chunks: a chunk comes from the recycler only as next decodes
+// into it. next is safe for concurrent consumers; each call claims the next
 // chunk.
 type chunkStream struct {
 	ds    *Dataset
 	as    AsyncBlobStore
 	cols  []string
 	codec Codec
-	pool  *dataflow.ItemPool[*Chunk]
 	cache *ChunkCache
 
 	start int
@@ -105,27 +100,11 @@ type chunkStream struct {
 	closed bool
 }
 
-// NewChunkPool returns a bounded pool of decoded chunks for stream consumers
-// (StreamOptions.ShardedPool): size chunks, Reset applied on recycle. Size it
-// to columns × the row groups the consumer holds at once, plus one being
-// decoded. Its chunks, and the buffers earlier runs decoded into, come from
-// a process-wide pool, which RecycleChunks gives them back to.
-func NewChunkPool(size int) *dataflow.ItemPool[*Chunk] {
-	return dataflow.NewItemPool(size, pooledChunks.Get, func(c *Chunk) *Chunk { c.Reset(); return c })
-}
-
-// RecycleChunks gives pool's free chunks back to the process-wide pool. The
-// caller proves no stream uses pool any more; a held chunk is left to the GC.
-func RecycleChunks(pool *dataflow.ItemPool[*Chunk]) {
-	for c, ok := pool.TryGet(); ok; c, ok = pool.TryGet() {
-		pooledChunks.Put(c)
-	}
-}
-
-// NewShardedChunkPool is NewChunkPool; shards is ignored. It stays only
-// because bench/ compiles against it.
+// NewShardedChunkPool returns a pool that no stream draws on: streams
+// ignore StreamOptions.ShardedPool. It stays only because bench/ compiles
+// against it.
 func NewShardedChunkPool(shards, size int) *dataflow.ItemPool[*Chunk] {
-	return NewChunkPool(size)
+	return dataflow.NewItemPool(size, func() *Chunk { return new(Chunk) }, nil)
 }
 
 // newChunkStream opens an iterator over the dataset's chunks that reads
@@ -155,7 +134,6 @@ func newChunkStream(d *Dataset, opts StreamOptions) (*chunkStream, error) {
 		as:     AsyncOf(d.store),
 		cols:   cols,
 		codec:  opts.Codec,
-		pool:   opts.ShardedPool,
 		cache:  opts.Cache,
 		start:  start,
 		end:    end,
@@ -240,12 +218,24 @@ func (s *chunkStream) next(ctx context.Context) (*RowGroup, error) {
 		s.release(chunks, slots)
 		return nil, err
 	}
-	validate := func(c *Chunk, col string) error {
-		if want := int(entry.Records); c.NumRecords() != want {
-			return fmt.Errorf("%w: chunk %q has %d records, manifest says %d",
-				ErrCorrupt, chunkPath(entry, col), c.NumRecords(), want)
+	// decode decodes column k's blob into a chunk from the recycler and
+	// checks its record count against the manifest; a chunk that fails goes
+	// back. Raw columns are copied: a recycled chunk never holds the bytes
+	// of a fetched blob, which a store may share with its stored copy.
+	decode := func(k int, blob []byte) (*Chunk, error) {
+		name := chunkPath(entry, s.cols[k])
+		c := pooledChunks.Get()
+		err := s.codec.DecodeInto(c, blob)
+		if err != nil {
+			err = fmt.Errorf("agd: chunk %q: %w", name, err)
+		} else if want := int(entry.Records); c.NumRecords() != want {
+			err = fmt.Errorf("%w: chunk %q has %d records, manifest says %d", ErrCorrupt, name, c.NumRecords(), want)
 		}
-		return nil
+		if err != nil {
+			pooledChunks.Put(c)
+			return nil, err
+		}
+		return c, nil
 	}
 
 	// Pass 1: resolve every fetch this stream owns — plain fetches and the
@@ -260,53 +250,24 @@ func (s *chunkStream) next(ctx context.Context) (*RowGroup, error) {
 		}
 		blob, err := sl.fut.Wait(ctx)
 		sl.fut = nil // the delivered group keeps its slots, not the blob
-		if err != nil {
-			if sl.ent != nil {
-				s.cache.Abort(sl.ent, err)
-				sl.done = true
-			}
-			return fail(err)
+		var c *Chunk
+		if err == nil {
+			c, err = decode(k, blob)
 		}
 		if sl.ent != nil {
-			// Owned fill: decode into a fresh chunk (never pooled — cached
-			// chunks must not be recyclable under later readers) and
-			// validate before Commit, so a corrupt blob is never cached.
-			c, err := s.codec.Decode(blob)
-			if err != nil {
-				err = fmt.Errorf("agd: chunk %q: %w", chunkPath(entry, s.cols[k]), err)
-			} else {
-				err = validate(c, s.cols[k])
-			}
+			// Owned fill: only a validated chunk is committed, so a corrupt
+			// blob is never cached.
 			if err != nil {
 				s.cache.Abort(sl.ent, err)
-				sl.done = true
-				return fail(err)
+			} else {
+				s.cache.Commit(sl.ent, c)
 			}
-			s.cache.Commit(sl.ent, c)
 			sl.done = true
-			chunks[k] = c
-			continue
-		}
-		var c *Chunk
-		if s.pool != nil {
-			if c, err = s.pool.Get(ctx); err != nil {
-				return fail(err)
-			}
-			// Record the checkout before decoding, so a decode error
-			// releases this chunk too instead of leaking it from the
-			// bounded pool.
-			chunks[k] = c
-			err = s.codec.DecodeInto(c, blob)
-		} else {
-			c, err = s.codec.Decode(blob)
 		}
 		if err != nil {
-			return fail(fmt.Errorf("agd: chunk %q: %w", chunkPath(entry, s.cols[k]), err))
-		}
-		chunks[k] = c
-		if err := validate(c, s.cols[k]); err != nil {
 			return fail(err)
 		}
+		chunks[k] = c
 	}
 
 	// Pass 2: collect cache hits and other streams' fills. Validation
@@ -319,23 +280,16 @@ func (s *chunkStream) next(ctx context.Context) (*RowGroup, error) {
 		c, err := sl.ent.Wait(ctx)
 		if errors.Is(err, ErrCacheAbandoned) {
 			// The filling stream closed before completing its fill; read
-			// the blob directly. The result stays standalone (uncached,
-			// unpooled) — the next Lookup will restart a proper fill.
+			// the blob directly. The result stays uncached, as a plain
+			// fetch's — the next Lookup will restart a proper fill.
 			s.cache.Unpin(sl.ent)
 			sl.ent = nil
 			name := chunkPath(entry, s.cols[k])
 			blob, ferr := s.as.GetAsync(name).Wait(ctx)
-			if ferr == nil {
-				c, ferr = s.codec.Decode(blob)
-			}
 			if ferr != nil {
 				return fail(fmt.Errorf("agd: chunk %q: %w", name, ferr))
 			}
-			chunks[k] = c
-			if verr := validate(c, s.cols[k]); verr != nil {
-				return fail(verr)
-			}
-			continue
+			c, err = decode(k, blob)
 		}
 		if err != nil {
 			return fail(err)
@@ -346,18 +300,15 @@ func (s *chunkStream) next(ctx context.Context) (*RowGroup, error) {
 	return &RowGroup{Index: i, Chunks: chunks, release: func() { s.release(chunks, slots) }}, nil
 }
 
-// release ends the use of a group's chunks: a cache-backed chunk (its slot
-// holds the entry) is unpinned, so it stays resident for the next reader,
-// and a pooled one returns to the stream's pool. Cache-mode chunks that are
-// not entry-backed (abandoned-fill fallbacks) are standalone allocations and
-// never pooled.
+// release ends the use of a group's chunks: a cached chunk (its slot holds
+// the entry) is unpinned, so it stays resident for the next reader until the
+// cache drops it, and any other chunk goes back to the recycler.
 func (s *chunkStream) release(chunks []*Chunk, slots []fetchSlot) {
 	for k, c := range chunks {
-		switch {
-		case slots[k].ent != nil:
+		if slots[k].ent != nil {
 			s.cache.Unpin(slots[k].ent)
-		case c != nil && s.cache == nil && s.pool != nil:
-			s.pool.Put(c)
+		} else if c != nil {
+			pooledChunks.Put(c)
 		}
 	}
 }

@@ -34,14 +34,10 @@ type Config struct {
 	// ThreadsPerNode is then unused.
 	Executor *dataflow.Executor
 
-	// Lease, HeartbeatTimeout and MaxChunkAttempts tune the phase server's
-	// failure detector (ServerOptions); zero values take the server
-	// defaults. Lease bounds one worker's processing of one task
-	// (stragglers past it are re-dealt); HeartbeatTimeout declares a
-	// silent worker dead; MaxChunkAttempts bounds re-execution per task.
-	Lease            time.Duration
-	HeartbeatTimeout time.Duration
-	MaxChunkAttempts int
+	// ServerOptions tune the run's phase server: its lease, heartbeat
+	// timeout and task attempts. The heartbeat timeout also paces the
+	// workers' beats.
+	ServerOptions
 	// NodeFaults injects worker death: node id → how many tasks of
 	// FaultPhase it is handed before dying on the next one (failure
 	// injection for recovery tests; the run completes on the surviving
@@ -114,14 +110,6 @@ func (cfg *Config) applyDefaults() {
 	}
 }
 
-func (cfg *Config) serverOptions() ServerOptions {
-	return ServerOptions{
-		LeaseTimeout: cfg.Lease,
-		BeatTimeout:  cfg.HeartbeatTimeout,
-		MaxAttempts:  cfg.MaxChunkAttempts,
-	}
-}
-
 // worker is one in-process node of a run, as runNodes hands it to the run's
 // node function: its connection to the phase server, the executor its stages
 // submit to, and the report it fills in.
@@ -165,7 +153,7 @@ func runNodes(ctx context.Context, srv *PhaseServer, cfg *Config, node func(ctx 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	beatEvery := cfg.HeartbeatTimeout / 3
+	beatEvery := cfg.BeatTimeout / 3
 	if beatEvery <= 0 {
 		beatEvery = time.Second
 	}

@@ -168,7 +168,8 @@ type PipelineResult struct {
 	// Report is the cluster-level accounting (nodes, shuffle bytes, skew,
 	// degradation).
 	Report *Report
-	// Manifest is the stitched, ordered output dataset.
+	// Manifest is the stitched, ordered output dataset. When no row reached
+	// the output it has no chunks and is not stored.
 	Manifest *agd.Manifest
 	// Counts carries the marking and filtering statistics summed over the
 	// tasks.
@@ -244,7 +245,7 @@ func RunPipeline(ctx context.Context, store storage.Store, plan PipelinePlan, cf
 	if plan.Sort == nil {
 		phases, held, last = phases[:1], nil, phaseMap
 	}
-	srv, err := NewPhaseServer(phases, held, cfg.serverOptions())
+	srv, err := NewPhaseServer(phases, held, cfg.ServerOptions)
 	if err != nil {
 		return nil, err
 	}
@@ -360,8 +361,10 @@ func RunPipeline(ctx context.Context, store storage.Store, plan PipelinePlan, cf
 		if err != nil {
 			return nil, err
 		}
-		if err := agd.WriteManifest(store, stitched); err != nil {
-			return nil, fmt.Errorf("cluster: write manifest %q: %w", plan.OutName, err)
+		if len(stitched.Chunks) > 0 {
+			if err := agd.WriteManifest(store, stitched); err != nil {
+				return nil, fmt.Errorf("cluster: write manifest %q: %w", plan.OutName, err)
+			}
 		}
 		res.Manifest = stitched
 	}
@@ -431,20 +434,16 @@ func pipelineNode(ctx context.Context, w *worker, store storage.Store, ds *agd.D
 // runMapTask runs the map stages over one batch of source chunks and stores
 // their rows as one sorted run blob, returning the run-summary payload
 // (rows, key samples, max halo span, what the stages counted); a map-only
-// plan's task writes its one chunk's output instead (writeTask). The task
-// decodes through a chunk pool of its own, whose chunks go back to the
-// process-wide pool once its output is stored. The task's reads, and the
-// bases it aligned, are added to rep.
+// plan's task writes its one chunk's output instead (writeTask). The task's
+// reads, and the bases it aligned, are added to rep.
 func runMapTask(ctx context.Context, store storage.Store, ds *agd.Dataset, plan *PipelinePlan, exec *dataflow.Executor, b int, rep *NodeReport) (string, error) {
 	lo := b * plan.chunksPerTask()
 	hi := min(lo+plan.chunksPerTask(), len(ds.Manifest.Chunks))
-	pool := agd.NewChunkPool(2*len(ds.Manifest.Columns) + 1)
 	gs, err := ds.Groups(agd.StreamOptions{
-		Columns:     plan.Columns,
-		Start:       lo,
-		End:         hi,
-		ShardedPool: pool,
-		Codec:       agd.Codec{Exec: exec},
+		Columns: plan.Columns,
+		Start:   lo,
+		End:     hi,
+		Codec:   agd.Codec{Exec: exec},
 	})
 	if err != nil {
 		return "", err
@@ -458,7 +457,6 @@ func runMapTask(ctx context.Context, store storage.Store, ds *agd.Dataset, plan 
 	if plan.Sort == nil {
 		payload, err := writeTask(env, store, ds.Manifest, plan, stream, b, rep)
 		if err == nil {
-			agd.RecycleChunks(pool)
 			rep.Reads += int64(ds.Manifest.Chunks[b].Records)
 		}
 		return payload, err
@@ -478,7 +476,6 @@ func runMapTask(ctx context.Context, store storage.Store, ds *agd.Dataset, plan 
 	if err != nil {
 		return "", fmt.Errorf("cluster: map batch %d: %w", b, err)
 	}
-	agd.RecycleChunks(pool)
 	rep.Reads += int64(info.Rows)
 	sum := shuffle.RunSummary{Rows: info.Rows, MaxSpan: maxSpan, Counts: env.tally(rep)}
 	for _, s := range info.Samples {

@@ -59,8 +59,8 @@ func TestAlignSurvivesWorkerDeath(t *testing.T) {
 	f2 := testutil.Build(t, store, "ds", recoveryFixture)
 	cfg := Config{
 		Nodes: 2, ThreadsPerNode: 2,
-		Lease: fastDetect.LeaseTimeout, HeartbeatTimeout: fastDetect.BeatTimeout, MaxChunkAttempts: fastDetect.MaxAttempts,
-		NodeFaults: map[int]int{0: 1}, // node 0 dies after one chunk
+		ServerOptions: fastDetect,
+		NodeFaults:    map[int]int{0: 1}, // node 0 dies after one chunk
 	}
 	cfg.applyDefaults()
 	plan := PipelinePlan{Dataset: "ds", Columns: []string{agd.ColBases}, Map: []Stage{alignStage(f2.Index)}}
@@ -70,7 +70,7 @@ func TestAlignSurvivesWorkerDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 	chunks := len(ds.Manifest.Chunks)
-	srv, err := NewPhaseServer([]int{chunks}, nil, cfg.serverOptions())
+	srv, err := NewPhaseServer([]int{chunks}, nil, cfg.ServerOptions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +135,8 @@ func TestAlignAllWorkersDead(t *testing.T) {
 	f := testutil.Build(t, store, "ds", recoveryFixture)
 	_, _, err := Align(context.Background(), store, "ds", f.Index, Config{
 		Nodes: 2, ThreadsPerNode: 2,
-		Lease: fastDetect.LeaseTimeout, HeartbeatTimeout: fastDetect.BeatTimeout,
-		NodeFaults: map[int]int{0: 0, 1: 0},
+		ServerOptions: ServerOptions{LeaseTimeout: fastDetect.LeaseTimeout, BeatTimeout: fastDetect.BeatTimeout},
+		NodeFaults:    map[int]int{0: 0, 1: 0},
 	})
 	if err == nil || !strings.Contains(err.Error(), "all 2 nodes failed") {
 		t.Fatalf("err = %v, want all-nodes-failed", err)

@@ -218,8 +218,8 @@ func TestAlignPipelineCancelledMidRun(t *testing.T) {
 
 // TestAlignStreamCancelWaitsForSubchunks: a context cancelled while a group's
 // subchunk tasks sit in the executor's queue ends Next with an error, but
-// only once every task of the group has returned — the group's pooled chunks
-// go back to the pool (and may be decoded into again) only after nothing
+// only once every task of the group has returned — the group's chunks go
+// back to agd's recycler (and may be decoded into again) only after nothing
 // aligns from them.
 func TestAlignStreamCancelWaitsForSubchunks(t *testing.T) {
 	store := agd.NewMemStore()
@@ -229,7 +229,7 @@ func TestAlignStreamCancelWaitsForSubchunks(t *testing.T) {
 	exec := dataflow.NewExecutor(1, 2)
 	defer exec.Close()
 	src, err := f.Dataset.Groups(agd.StreamOptions{
-		Columns: []string{agd.ColBases}, ShardedPool: agd.NewChunkPool(2),
+		Columns: []string{agd.ColBases},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -338,11 +338,10 @@ func TestAlignPooledChunkLifecycleRace(t *testing.T) {
 }
 
 // TestAlignStagesUnderTightPools wires a dataset alignment's three stages
-// (source, AlignStream, column sink) by hand over the smallest pools that
-// can make progress — one group's worth of source chunks, two builder sets —
-// where the sink's window wants five of each.
-// Exhaustion must be back-pressure: the run completes with the same results,
-// and every pooled chunk is back when it ends.
+// (source, AlignStream, column sink) by hand over the smallest builder pool
+// that can make progress — two builder sets — where the sink's window wants
+// five. Exhaustion must be back-pressure: the run completes with the same
+// results.
 func TestAlignStagesUnderTightPools(t *testing.T) {
 	store := agd.NewMemStore()
 	f := testutil.Build(t, store, "ds", testutil.Config{
@@ -358,9 +357,8 @@ func TestAlignStagesUnderTightPools(t *testing.T) {
 
 	exec := dataflow.NewExecutor(3, 6)
 	defer exec.Close()
-	pool := agd.NewChunkPool(2)
 	in, err := ds.Groups(agd.StreamOptions{
-		Columns: []string{agd.ColBases, agd.ColQual}, ShardedPool: pool, Codec: agd.Codec{Exec: exec},
+		Columns: []string{agd.ColBases, agd.ColQual}, Codec: agd.Codec{Exec: exec},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -376,9 +374,6 @@ func TestAlignStagesUnderTightPools(t *testing.T) {
 	}
 	if report.Reads != 500 {
 		t.Fatalf("Reads = %d", report.Reads)
-	}
-	if pool.Free() != pool.Size() {
-		t.Fatalf("%d of %d pooled chunks back after the run", pool.Free(), pool.Size())
 	}
 	got, err := f.Dataset.ReadAllResults() // the sink replaced the reference blobs
 	if err != nil {

@@ -3,7 +3,6 @@ package dataflow
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 )
 
 // ItemPool is a bounded pool of recyclable items — decoded chunk objects,
@@ -17,8 +16,6 @@ type ItemPool[T any] struct {
 	free  chan T
 	size  int
 	reset func(T) T
-
-	recycled atomic.Int64
 }
 
 // ShardedItemPool is another name for ItemPool. The pool once kept one free
@@ -45,9 +42,6 @@ func (p *ItemPool[T]) Size() int { return p.size }
 
 // Free returns the number of items currently available.
 func (p *ItemPool[T]) Free() int { return len(p.free) }
-
-// Recycled reports how many Put calls returned an item to the pool.
-func (p *ItemPool[T]) Recycled() int64 { return p.recycled.Load() }
 
 // Get obtains an item, blocking until one is free or ctx is cancelled.
 func (p *ItemPool[T]) Get(ctx context.Context) (T, error) {
@@ -79,7 +73,6 @@ func (p *ItemPool[T]) Put(v T) {
 	}
 	select {
 	case p.free <- v:
-		p.recycled.Add(1)
 	default:
 	}
 }

@@ -129,8 +129,8 @@ func StreamGroups(ctx context.Context, in *agd.GroupStream, fn func(meta, seq, q
 			return err
 		}
 		err = walk(g)
-		// Release on the error path too: pooled chunks must go back even
-		// when the walk fails, or a shared session pool slowly drains.
+		// Release on the error path too: a group's chunks must go back
+		// even when the walk fails, or its cached chunks stay pinned.
 		g.Release()
 		if err != nil {
 			return err

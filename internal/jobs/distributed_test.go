@@ -93,6 +93,37 @@ func TestDistributedJob(t *testing.T) {
 	checkNoLeak(t, sess)
 }
 
+// TestDistributedJobEmptyResult: a 2-node job whose filter keeps no row, with
+// and without a sort, ends DONE in one attempt with the single-node job's
+// SAM, its header alone.
+func TestDistributedJobEmptyResult(t *testing.T) {
+	store := persona.NewMemStore()
+	g := importTestDataset(t, store, "ds")
+	m, sess := newTestManager(t, store, g, nil)
+	for _, sort := range []string{"", "location"} {
+		var results [][]byte
+		for _, nodes := range []int{0, 2} {
+			st, err := m.Submit("acme", Spec{Dataset: "ds", Align: true, Sort: sort, MinMapQ: 255, Format: "sam", Nodes: nodes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fin := waitTerminal(t, m, st.ID, 30*time.Second)
+			if fin.State != StateDone || fin.Attempts != 1 {
+				t.Fatalf("sort %q on %d nodes: final = %s (%s) after %d attempts, want DONE after 1", sort, nodes, fin.State, fin.Error, fin.Attempts)
+			}
+			_, data, err := m.Result(st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results = append(results, data)
+		}
+		if len(results[0]) == 0 || !bytes.Equal(results[1], results[0]) {
+			t.Errorf("sort %q: the 2-node job wrote %d bytes of SAM, the single-node job %d, and they differ", sort, len(results[1]), len(results[0]))
+		}
+	}
+	checkNoLeak(t, sess)
+}
+
 // TestJobProgressDistributed: a 2-node job reports per-stage progress as a
 // single-node one does: one entry per stage, every one done at the end, and
 // the sink's entry holding the records the job exported.

@@ -73,23 +73,27 @@ func directWGS(t testing.TB, store persona.Store, g *persona.Genome) []byte {
 	return sam.Bytes()
 }
 
-// checkNoLeak asserts every pooled chunk went back to the session pool.
+// pinsHeld is the session's leak probe: the pins readers still hold on
+// cached chunks (CacheStats.Pinned), which a row group never released keeps
+// above zero.
+func pinsHeld(sess *persona.Session) int {
+	st, _ := sess.CacheStats()
+	return st.Pinned
+}
+
+// checkNoLeak asserts every group a job's source delivered was released.
 func checkNoLeak(t testing.TB, sess *persona.Session) {
 	t.Helper()
-	size, free := sess.PoolStats()
-	if size != free {
-		t.Fatalf("chunk pool leak: %d of %d chunks not returned", size-free, size)
+	if n := pinsHeld(sess); n != 0 {
+		t.Fatalf("chunk leak: %d pins on cached chunks still held", n)
 	}
 }
 
-// waitNoLeak polls for the pool to drain — after a cancelled or killed run,
-// in-flight async fetches may return their chunks a beat later.
+// waitNoLeak polls for the pins to drain — after a cancelled or killed run,
+// a stage may release its last group a beat later.
 func waitNoLeak(t testing.TB, sess *persona.Session) {
 	t.Helper()
-	waitFor(t, 5*time.Second, "chunk pool to drain", func() bool {
-		size, free := sess.PoolStats()
-		return size == free
-	})
+	waitFor(t, 5*time.Second, "cached chunk pins to drain", func() bool { return pinsHeld(sess) == 0 })
 }
 
 // gateStore blocks Get of blobs whose name contains substr until the gate

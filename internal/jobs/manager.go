@@ -35,9 +35,6 @@ type Config struct {
 	MaxQueued int
 	// MaxQueuedBytes bounds the estimated bytes queued (default 256 MiB).
 	MaxQueuedBytes int64
-	// BytesPerRecord scales a dataset's record count into the byte estimate
-	// admission charges against MaxQueuedBytes (default 256).
-	BytesPerRecord int64
 	// MaxAttempts is each job's dispatch budget: transient failures requeue
 	// until it is spent (default 3).
 	MaxAttempts int
@@ -62,9 +59,6 @@ func (c *Config) fill() {
 	}
 	if c.MaxQueuedBytes == 0 {
 		c.MaxQueuedBytes = 256 << 20
-	}
-	if c.BytesPerRecord <= 0 {
-		c.BytesPerRecord = 256
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
@@ -314,6 +308,10 @@ func (m *Manager) pipeline(spec Spec, id string, build bool, w io.Writer) (*pers
 	return p.TempPrefix(clusterPrefix(id)), nil
 }
 
+// bytesPerRecord scales a source's record count into the byte estimate
+// admission charges against Config.MaxQueuedBytes.
+const bytesPerRecord = 256
+
 // admit refuses, with Run's message wrapped in ErrBadSpec, a spec whose
 // pipeline Run would refuse, and returns the byte estimate charged against
 // the queue budget. It reads the source's manifest and nothing else.
@@ -329,7 +327,7 @@ func (m *Manager) admit(spec Spec) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return int64(ds.Manifest.NumRecords()) * m.cfg.BytesPerRecord, nil
+	return int64(ds.Manifest.NumRecords()) * bytesPerRecord, nil
 }
 
 // countRejected counts one refused submit against tenant ("default" when
@@ -767,7 +765,8 @@ func (m *Manager) Drain(ctx context.Context) error {
 // cancelled, held waits answer, and workers are joined so the process's
 // goroutines unwind — but the journal is left exactly as a real kill would
 // leave it (RUNNING claims in place, no clean marker). In-process resources
-// (chunk pools) still drain, which is what the leak checks assert.
+// (the pins on cached chunks) still drain, which is what the leak checks
+// assert.
 func (m *Manager) Kill() {
 	m.killed.Store(true)
 	m.q.close()

@@ -6,7 +6,7 @@
 // The package is the public facade — the equivalent of the paper's thin
 // client library (§4.1). Its primary abstraction is the Session/Pipeline
 // pair: a Session owns the long-lived runtime (the store, one shared
-// executor, the chunk pools, a reference-index cache), and a
+// executor, the decoded-chunk cache, a reference-index cache), and a
 // Pipeline is a fluent, validated stage graph whose Run streams AGD chunks
 // stage-to-stage over that runtime. A whole-genome preprocessing workflow
 // is one composed graph — nothing intermediate is written to the store
@@ -193,9 +193,10 @@ func BuildIndex(g *Genome) (*Index, error) {
 func RefSeqs(g *Genome) []agd.RefSeq { return agd.RefSeqsFromGenome(g) }
 
 // runOnce runs the one-stage pipeline build returns on a session of its
-// own — an executor of threads workers (0: GOMAXPROCS), no chunk cache —
-// with no edges between its stages, and closes the session before
-// returning.
+// own — an executor of threads workers (0: GOMAXPROCS), no chunk cache, so
+// each decoded chunk goes back to agd's recycler when its group is
+// released — with no edges between its stages, and closes the session
+// before returning.
 func runOnce(ctx context.Context, store Store, threads int, build func(*Session) *Pipeline) (*PipelineReport, error) {
 	sess := NewSession(store, SessionOptions{ExecutorThreads: threads, CacheBytes: -1})
 	defer sess.Close()

@@ -113,6 +113,16 @@ type run struct {
 	start  time.Time
 }
 
+// filteredOut names a run's failure for the filter when the filter saw every
+// record of src and kept none: a Write sink's "no records" has a better name
+// then. Any other err is returned as it is.
+func filteredOut(err error, f *FilterStats, src *agd.Manifest) error {
+	if f != nil && f.Kept == 0 && f.In == src.NumRecords() {
+		return fmt.Errorf("persona: %w of %q match the filter", agd.ErrNoRecords, src.Name)
+	}
+	return err
+}
+
 // ErrRefused is wrapped by every refusal of Validate, which tells a graph
 // Run cannot run from a store that failed. Its text prefixes each message.
 var ErrRefused = errors.New("persona")
@@ -137,10 +147,9 @@ func (s *Session) Read(dataset string) *Pipeline {
 	p := &Pipeline{sess: s}
 	return p.add(stage{name: "read", dataset: dataset, open: func(r *run) (*agd.GroupStream, error) {
 		return r.src.Groups(agd.StreamOptions{
-			Columns:     p.sourceColumns(r.src.Manifest.Columns),
-			ShardedPool: s.chunkPool,
-			Cache:       s.cache,
-			Codec:       agd.Codec{Exec: s.exec},
+			Columns: p.sourceColumns(r.src.Manifest.Columns),
+			Cache:   s.cache,
+			Codec:   agd.Codec{Exec: s.exec},
 		})
 	}})
 }
@@ -675,10 +684,8 @@ func (p *Pipeline) run(ctx context.Context) (*PipelineReport, error) {
 	n, err := p.stages[len(p.stages)-1].drain(r, stream)
 	sink := &edgeStats{nanos: time.Since(t0).Nanoseconds(), records: n}
 	if err := stop(err); err != nil {
-		if f := r.Filtered; f != nil && f.Kept == 0 && r.src != nil && f.In == r.src.Manifest.NumRecords() && ctx.Err() == nil {
-			// Every record was seen and none kept: a Write sink's "stream
-			// has no records" has a better name here.
-			err = fmt.Errorf("persona: %w of %q match the filter", agd.ErrNoRecords, r.src.Manifest.Name)
+		if r.src != nil && ctx.Err() == nil {
+			err = filteredOut(err, r.Filtered, r.src.Manifest)
 		}
 		return nil, err
 	}

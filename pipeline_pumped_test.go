@@ -104,7 +104,7 @@ func checkStageReports(t *testing.T, serial, pumped *PipelineReport) {
 // checkConstructionFailures runs, under every schedule, graphs whose sort
 // fails while it is being built — its input turns out empty — with stages
 // above it already streaming. Each must return the stage's error and leave
-// no pooled chunk checked out and no goroutine behind, and the session must
+// no cached chunk pinned and no goroutine behind, and the session must
 // run a pipeline afterwards.
 func checkConstructionFailures(t *testing.T, store Store, idx *Index) {
 	cases := []struct {
@@ -128,9 +128,7 @@ func checkConstructionFailures(t *testing.T, store Store, idx *Index) {
 					t.Fatalf("run returned %v, want %q", err, tc.want)
 				}
 				waitGoroutines(t, goroutines)
-				if size, free := sess.PoolStats(); size != free {
-					t.Fatalf("chunk pool leak: %d of %d free", free, size)
-				}
+				checkNoLeak(t, sess)
 				report, err := sch.apply(sess.Read("ds").Align(idx, AlignOptions{}).ExportSAM(&out)).Run(context.Background())
 				if err != nil {
 					t.Fatal(err)
@@ -201,9 +199,7 @@ func TestPipelinePumpedMatchesSerial(t *testing.T) {
 					t.Errorf("stage %s moved no groups", st.Stage)
 				}
 			}
-			if size, free := sess.PoolStats(); size != free {
-				t.Fatalf("chunk pool leak: %d of %d free", free, size)
-			}
+			checkNoLeak(t, sess)
 			checkStageReports(t, serialRep, pumpedRep)
 			checkConstructionFailures(t, store, idx)
 
@@ -220,9 +216,7 @@ func TestPipelinePumpedMatchesSerial(t *testing.T) {
 					if !bytes.Equal(sam, serialSAM) || !bytes.Equal(bam, serialBAM) {
 						t.Fatal("output over a store refusing writes differs from serial")
 					}
-					if size, free := roSess.PoolStats(); size != free {
-						t.Fatalf("chunk pool leak: %d of %d free", free, size)
-					}
+					checkNoLeak(t, roSess)
 				})
 			}
 		})
@@ -306,9 +300,7 @@ func TestScheduleFollowsProcessors(t *testing.T) {
 				}
 			}
 			checkStageReports(t, serialRep, report)
-			if size, free := sess.PoolStats(); size != free {
-				t.Fatalf("chunk pool leak: %d of %d free", free, size)
-			}
+			checkNoLeak(t, sess)
 
 			// The probe sees pumps exactly where the run has edges, so its
 			// "none" at one processor is a finding, not a blind spot.
@@ -346,8 +338,8 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 
 // TestPipelineSinkFailureReturnsPooledChunks: when the sink dies partway
 // through sort's merge, the teardown cascade must still reach every stage —
-// the store ends with exactly the keys it started with, every pooled chunk
-// goes back, and no pump goroutine outlives the run.
+// the store ends with exactly the keys it started with, every cached chunk's
+// pin is released, and no pump goroutine outlives the run.
 func TestPipelineSinkFailureReturnsPooledChunks(t *testing.T) {
 	store, g := pipelineFixture(t, "ds")
 	idx, err := BuildIndex(g)
@@ -387,17 +379,16 @@ func TestPipelineSinkFailureReturnsPooledChunks(t *testing.T) {
 		t.Fatalf("store key count changed across failed run: %d -> %d", len(keysBefore), len(keysAfter))
 	}
 
-	// Pools and pump goroutines drain back.
+	// Chunk pins and pump goroutines drain back.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		size, free := sess.PoolStats()
+		leak := chunkLeak(sess)
 		ngo := runtime.NumGoroutine()
-		if size == free && ngo <= goroutines {
+		if leak == nil && ngo <= goroutines {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("leak after sink failure: pool %d/%d free, goroutines %d (was %d)",
-				free, size, ngo, goroutines)
+			t.Fatalf("leak after sink failure: %v, goroutines %d (was %d)", leak, ngo, goroutines)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -193,10 +193,8 @@ func TestPipelineMatchesStagedSAM(t *testing.T) {
 	if n := store.deletes.Load() - deletes; n != 0 {
 		t.Fatalf("fused pipeline deleted %d blobs", n)
 	}
-	// The session pool got every chunk back.
-	if size, free := sess.PoolStats(); size != free {
-		t.Fatalf("chunk pool leak: %d of %d free", free, size)
-	}
+	// Every delivered group was released.
+	checkNoLeak(t, sess)
 }
 
 // TestPipelineWriteMatchesFreeFunctions checks the dataset-sink path: an
@@ -384,8 +382,8 @@ func TestPipelineValidation(t *testing.T) {
 
 // TestPipelineCancellationMidStream cancels a fused pipeline partway
 // through its input and checks that Run fails promptly, that it put no blob,
-// that the session chunk pool gets every pooled chunk
-// back (no pool-item leak), that no goroutines are left behind, and that
+// that every cached chunk's pin is released (no group leaked), that no
+// goroutines are left behind, and that
 // the same session still completes the pipeline afterwards. Run under
 // -race, this also shakes out unsynchronized teardown.
 func TestPipelineCancellationMidStream(t *testing.T) {
@@ -425,18 +423,17 @@ func TestPipelineCancellationMidStream(t *testing.T) {
 		t.Fatalf("unexpected cancellation error: %v", err)
 	}
 
-	// Pool items and goroutines drain back; allow brief settling for
+	// Chunk pins and goroutines drain back; allow brief settling for
 	// in-flight async fetches whose results are dropped.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		size, free := sess.PoolStats()
+		leak := chunkLeak(sess)
 		ngo := runtime.NumGoroutine()
-		if size == free && ngo <= goroutines {
+		if leak == nil && ngo <= goroutines {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("leak after cancellation: pool %d/%d free, goroutines %d (was %d)",
-				free, size, ngo, goroutines)
+			t.Fatalf("leak after cancellation: %v, goroutines %d (was %d)", leak, ngo, goroutines)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -458,9 +455,7 @@ func TestPipelineCancellationMidStream(t *testing.T) {
 	if report.Records != 800 {
 		t.Fatalf("post-cancel run exported %d records", report.Records)
 	}
-	if size, free := sess.PoolStats(); size != free {
-		t.Fatalf("chunk pool leak after rerun: %d of %d free", free, size)
-	}
+	checkNoLeak(t, sess)
 }
 
 // TestFreeFunctionCancellation checks the satellite ctx plumbing: the

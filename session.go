@@ -30,19 +30,20 @@ const DefaultCacheBytes int64 = 64 << 20
 
 // Session owns the long-lived resources Persona pipelines share: the blob
 // store, one executor (worker goroutines draining one task queue: all
-// fine-grain compute), the pool of decoded chunks pipeline sources stream
+// fine-grain compute), the decoded-chunk cache pipeline sources read
 // through, and a reference-index cache — so serving many pipeline runs
-// reuses warm state
-// instead of rebuilding executors, pools and indexes per call (§4.1: the
-// client library composes graphs over one runtime). Sessions are safe for
-// concurrent pipeline runs. Close releases the executor and gives the chunk
-// pool's free chunks to the process-wide pool the next session's draws on.
+// reuses warm state instead of rebuilding executors, chunks and indexes per
+// call (§4.1: the client library composes graphs over one runtime). Every
+// source decodes into chunks from agd's one chunk recycler: with no cache a
+// chunk goes back when its group is released, with the cache once its entry
+// is dropped and unpinned. Sessions are safe for concurrent pipeline runs.
+// Close releases the executor and flushes the cache, so the next session
+// decodes into the same chunks.
 type Session struct {
-	store     Store
-	exec      *dataflow.Executor
-	chunkPool *dataflow.ItemPool[*agd.Chunk]
-	cache     *agd.ChunkCache // nil when disabled
-	seq       atomic.Uint64   // distinct namespaces for concurrent cluster runs
+	store Store
+	exec  *dataflow.Executor
+	cache *agd.ChunkCache // nil when disabled
+	seq   atomic.Uint64   // distinct namespaces for concurrent cluster runs
 
 	// buildIndex builds a seed index; tests wrap it to count builds.
 	buildIndex func(*Genome) (*Index, error)
@@ -60,12 +61,6 @@ func NewSession(store Store, opts SessionOptions) *Session {
 		threads = runtime.GOMAXPROCS(0)
 	}
 	exec := dataflow.NewExecutor(threads, threads*2)
-	// The chunk pool bounds how many decoded column chunks all concurrent
-	// pipelines hold: a pull-based pipeline keeps at most one group (plus
-	// one being decoded) checked out per source, so a handful of groups'
-	// worth of columns per worker gives several concurrent pipelines slack
-	// while still back-pressuring a runaway source.
-	poolSize := 8 * 4 * exec.Workers()
 	var cache *agd.ChunkCache
 	if opts.CacheBytes >= 0 {
 		budget := opts.CacheBytes
@@ -78,7 +73,6 @@ func NewSession(store Store, opts SessionOptions) *Session {
 		store:      store,
 		buildIndex: BuildIndex,
 		exec:       exec,
-		chunkPool:  agd.NewChunkPool(poolSize),
 		cache:      cache,
 		indexes:    make(map[*Genome]*indexBuild),
 		manifests:  make(map[string]*agd.Manifest),
@@ -176,7 +170,9 @@ func (s *Session) invalidateDataset(name string) {
 }
 
 // CacheStats snapshots the session chunk cache's counters; ok is false when
-// the cache is disabled.
+// the cache is disabled. Its Pinned is the session's leak probe: it counts
+// every pin a reader holds on a cached chunk, so it reads 0 once every group
+// a source delivered has been released.
 func (s *Session) CacheStats() (stats CacheStats, ok bool) {
 	if s.cache == nil {
 		return CacheStats{}, false
@@ -197,8 +193,9 @@ func (s *Session) FlushCache() (entries int, bytes int64) {
 	return s.cache.Flush()
 }
 
-// Close releases the session's executor. Pipelines must not be run (or be
-// in flight) after Close.
+// Close releases the session's executor and flushes its chunk cache, whose
+// chunks go back to the recycler the next session decodes into. Pipelines
+// must not be run (or be in flight) after Close.
 func (s *Session) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -207,14 +204,9 @@ func (s *Session) Close() {
 	}
 	s.closed = true
 	s.exec.Close()
-	agd.RecycleChunks(s.chunkPool)
-}
-
-// PoolStats reports the session chunk pool's bound and how many chunks are
-// currently free — equal when no pipeline holds pooled chunks, which is the
-// leak check tests use after cancelled runs.
-func (s *Session) PoolStats() (size, free int) {
-	return s.chunkPool.Size(), s.chunkPool.Free()
+	if s.cache != nil {
+		s.cache.Flush()
+	}
 }
 
 // ResilienceStats returns the cumulative retry/hedge counters of the
